@@ -7,12 +7,12 @@ Atkin-Lehner signs, algebraic recognition) and end-to-end trace experiments.
 """
 
 from .curves import Curve, CurveModel, an_coefficients, conductor, curve_model, minimal_model
-from .embeddings import (EmbeddingData, build_embedding, decompose_gamma,
-                         find_common_norm_element, galois_matrix, lemma_converse_check,
-                         signo_pairing_check, two_to_one_check, verify_optimal)
+from .embeddings import (EmbeddingData, build_embedding, find_common_norm_element,
+                         galois_matrix, lemma_converse_check, signo_pairing_check,
+                         two_to_one_check, verify_optimal)
 from .experiments import (ExperimentSpec, FiniteReport, TraceReport,
                           experiment_finite, trace_point)
-from .fp import FpMatrix, FpParams, cartan_membership, enumerate_cartan, index_ns_plus, lift_to_integral_sl2
+from .fp import FpMatrix, FpParams, cartan_membership, index_ns_plus, lift_to_integral_sl2
 from .heegner import HeegnerTau, NoHeegnerPoint, galois_orbit, heegner_form
 from .modparam import atkin_lehner_sign, eval_phi, root_number
 from .periods import CurvePoint, PeriodLattice, elliptic_exp, is_torsion, period_lattice

@@ -16,7 +16,7 @@ import mpmath as mp
 
 from .curves import curve_model
 from .experiments import (DEFAULT_DIGITS, ExperimentSpec, HypothesisError,
-                          experiment_finite, trace_point)
+                          check_digits, experiment_finite, trace_point)
 from .heegner import NoHeegnerPoint, heegner_form
 from .modparam import SignConsistencyError, atkin_lehner_sign
 from .quadforms import class_number, reduced_forms
@@ -122,8 +122,13 @@ def _cmd_heegner(args) -> int:
     return 0
 
 
+def _digits(args) -> int:
+    return _default_digits() if args.digits is None else args.digits
+
+
 def _cmd_sign(args) -> int:
-    digits = args.digits or _default_digits()
+    digits = _digits(args)
+    check_digits(digits)
     model = curve_model(args.curve, p=args.p)
     w = atkin_lehner_sign(model, args.q, digits)
     print(f"w_{args.q} = {w:+d} for curve {list(args.curve)} (N = {model.n})")
@@ -133,7 +138,7 @@ def _cmd_sign(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    digits = args.digits or _default_digits()
+    digits = _digits(args)
     model = curve_model(args.curve, p=args.p)
     mode = args.mode
     spec = ExperimentSpec(dK=args.dk, f=args.f, curve=model, digits=digits,

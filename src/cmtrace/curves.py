@@ -213,13 +213,6 @@ def _split_at_two(cur: Curve) -> bool:
     return any((t * t + c.a1 * t - c.a2) % 2 == 0 for t in (0, 1))
 
 
-def _sqrt_mod_q(a: int, q: int) -> int:
-    for r in range(q):
-        if (r * r - a) % q == 0:
-            return r
-    raise AssertionError("no square root mod q")
-
-
 def _tate_chain_23(cur: Curve, q: int, v: int) -> tuple[str, int]:
     x0, y0 = _singular_point(cur, q)
     c = transform(cur, 1, x0, 0, y0)

@@ -3,10 +3,11 @@ finite coset combinatorics they induce.
 
 The conjugation step sends the companion matrix of X^2 - tX + n mod p into the
 non-split Cartan subgroup by an SL_2(F_p) conjugator (possible because the
-determinant is surjective on the centralizer).  On top of that sit the
-decomposition of Cartan elements into an SL_2 part times a split-normalizer
-part, canonical labels for the resulting cosets, and the two-to-one fiber
-structure over P^1(F_p) whose fiber partners differ by the unique involution.
+determinant is surjective on the centralizer).  On top of that sit canonical
+labels for the cosets of the split normalizer, computed in closed form, and
+the two-to-one fiber structure over P^1(F_p) whose fiber partners differ by
+the unique involution.  No routine here lists a Cartan subgroup or SL_2(F_p);
+the tests check the closed forms against such enumerations (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .fp import (FpMatrix, FpParams, cartan_intersection_ns_s, identity,
-                 in_cartan_group, legendre, sqrt_mod_p)
+from .fp import FpMatrix, FpParams, identity, in_cartan_group, legendre, sqrt_mod_p
 from .projline import ProjClass, involution_class, proj_class, proj_elements, proj_mul
 from .quadforms import GaloisKernel, QuadOrder, proj_params
 
@@ -65,19 +65,9 @@ class EmbeddingData:
         return proj_params(self.order, self.params.p)
 
 
-@dataclass(frozen=True)
-class GammaDecomposition:
-    """r_bar = gamma_i * r_s with gamma_i in SL_2 cap C_ns+ and r_s in C_s+."""
-
-    r_bar: FpMatrix
-    gamma_i: FpMatrix
-    r_s: FpMatrix
-    kernel_class: ProjClass | None = None
-
-
 @dataclass(frozen=True, order=True)
 class CosetLabel:
-    """Canonical representative of the right coset (C_s+ cap SL_2) * g^{-1}."""
+    """Canonical representative of the SL_2 part of the coset C_s+ * g^{-1}."""
 
     rep: FpMatrix
 
@@ -99,21 +89,17 @@ def build_embedding(params: FpParams, order: QuadOrder, level_m: int = 1) -> Emb
     target = FpMatrix(p, t * inv2, s, eps * s, t * inv2)
     assert target.charpoly_coeffs() == (t, n)
 
-    # Any conjugator from a0 to target is a centralizer multiple of one of
-    # them; scan u + v*a0 for the determinant that lands us in SL_2.
+    # Any conjugator from a0 to target is a centralizer multiple z = u + v*a0
+    # of one of them; z must have norm u^2 + t*u*v + n*v^2 = det(g0) to land
+    # us in SL_2.  Solved for u, that needs v^2 (t^2 - 4n) + 4 det(g0) to be a
+    # square: at v = 0 when det(g0) is a square, else for about half of all v.
     g0 = FpMatrix(p, 1, target.a, 0, target.c)      # columns e1, target*e1
-    gamma0 = g0.inv()
-    need = g0.det()                                  # N(u + v*a0) must equal this
-    gamma_bar = None
-    for u in range(p):
-        for v in range(p):
-            if (u * u + t * u * v + n * v * v - need) % p == 0 and (u or v):
-                z = FpMatrix(p, u, -n * v, v, u + t * v)   # u*I + v*a0
-                gamma_bar = z.mul(gamma0)
-                break
-        if gamma_bar is not None:
-            break
-    assert gamma_bar is not None and gamma_bar.det() == 1
+    need = g0.det()
+    v = next(v for v in range(p) if legendre(v * v * dd + 4 * need, p) != -1)
+    u = (sqrt_mod_p(v * v * dd + 4 * need, p) - t * v) * inv2
+    z = FpMatrix(p, u, -n * v, v, u + t * v)         # u*I + v*a0
+    gamma_bar = z.mul(g0.inv())
+    assert gamma_bar.det() == 1
     iota = gamma_bar.inv().mul(a0).mul(gamma_bar)
     assert iota == target
     emb = EmbeddingData(params=params, order=order, level_m=level_m,
@@ -162,62 +148,43 @@ def lemma_converse_check(emb: EmbeddingData) -> bool:
     return hits == expected
 
 
-def decompose_gamma(emb: EmbeddingData, r_bar: FpMatrix) -> GammaDecomposition:
-    """Split r_bar in C_ns as gamma_i * r_s, det(gamma_i) = 1, r_s in C_s+.
-
-    The corrector m is searched in C_ns+ cap C_s+ for det(m) = det(r_bar)^{-1};
-    squares are fixed by scalars and non-squares by antidiagonal elements, so
-    the search always succeeds.
-    """
-    params = emb.params
-    if not in_cartan_group(r_bar, "ns", params):
-        raise EmbeddingError("matrix is not in the non-split Cartan group")
-    want = pow(r_bar.det(), -1, params.p)
-    m = next(x for x in cartan_intersection_ns_s(params) if x.det() == want)
-    gamma_i = r_bar.mul(m)
-    r_s = m.inv()
-    assert gamma_i.det() == 1
-    assert in_cartan_group(gamma_i, "ns+", params)
-    assert in_cartan_group(r_s, "s+", params)
-    assert gamma_i.mul(r_s) == r_bar
-    return GammaDecomposition(r_bar=r_bar, gamma_i=gamma_i, r_s=r_s)
-
-
-def split_normalizer_sl2(p: int) -> list[FpMatrix]:
-    """C_s+ cap SL_2(F_p): diagonal (a, a^{-1}) and antidiagonal (0, b; -b^{-1}, 0)."""
-    out = []
-    for a in range(1, p):
-        out.append(FpMatrix(p, a, 0, 0, pow(a, -1, p)))
-        out.append(FpMatrix(p, 0, a, -pow(a, -1, p), 0))
-    return sorted(out)
-
-
 def coset_label(g: FpMatrix) -> CosetLabel:
-    """Canonical (lexicographically minimal) element of (C_s+ cap SL_2) * g^{-1}."""
-    if g.det() != 1:
-        raise ValueError("coset labels are defined for determinant-one matrices")
-    ginv = g.inv()
-    rep = min(h.mul(ginv) for h in split_normalizer_sl2(g.p))
-    return CosetLabel(rep=rep)
+    """Lexicographically minimal determinant-one element of C_s+ * g^{-1}.
+
+    For det(g) = 1 this is the minimum of the coset (C_s+ cap SL_2) * g^{-1}.
+    Write g^{-1} = (a, b; c, d) and delta = det(g).  The diagonal part of the
+    coset is diag(x, delta/x) * g^{-1} = (xa, xb; (delta/x)c, (delta/x)d) and
+    the antidiagonal part is (0, x; -delta/x, 0) * g^{-1} =
+    (xc, xd; -(delta/x)a, -(delta/x)b).  Each part has its minimum at the one
+    x that makes the first nonzero entry of the top row 1; the label is the
+    smaller of those two matrices.
+    """
+    p = g.p
+    delta = g.det()
+    if delta == 0:
+        raise ValueError("coset labels are defined for invertible matrices")
+    a, b, c, d = g.inv().entries
+    lead_ab, lead_cd = a or b, c or d        # 1/x for the two parts
+    x_ab, x_cd = pow(lead_ab, -1, p), pow(lead_cd, -1, p)
+    diag = FpMatrix(p, x_ab * a, x_ab * b, delta * lead_ab * c, delta * lead_ab * d)
+    anti = FpMatrix(p, x_cd * c, x_cd * d, -delta * lead_cd * a, -delta * lead_cd * b)
+    return CosetLabel(rep=min(diag, anti))
 
 
 def two_to_one_check(emb: EmbeddingData, kernel: GaloisKernel) -> dict[CosetLabel, list[ProjClass]]:
-    """Map each kernel class through decomposition to its coset label.
+    """Map each kernel class x1 + x2*w_f to the coset label of its matrix
+    x1*I + x2*iota_omega.
 
     Enforces the expected structure: (p+1)/2 distinct labels, every fiber of
     size exactly two, and fiber partners differing by the involution class.
     """
-    params = emb.params
-    p = params.p
+    p = emb.params.p
     if kernel.p != p or kernel.order != emb.order:
         raise ValueError("kernel and embedding disagree on (order, p)")
     fibers: dict[CosetLabel, list[ProjClass]] = {}
     for kc in kernel.classes:
         x1, x2 = kc.generator
-        r_bar = galois_matrix(emb, x1, x2)
-        assert in_cartan_group(r_bar, "ns", params)
-        dec = decompose_gamma(emb, r_bar)
-        label = coset_label(dec.gamma_i)
+        label = coset_label(galois_matrix(emb, x1, x2))
         fibers.setdefault(label, []).append(kc.proj)
     if len(fibers) != (p + 1) // 2:
         raise FiberStructureError(f"expected {(p + 1) // 2} labels, got {len(fibers)}")

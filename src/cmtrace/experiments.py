@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from math import gcd
 
 import mpmath as mp
-from sympy import factorint, isprime
+from sympy import factorint, isprime, nextprime
 
 from .curves import CurveModel
 from .embeddings import (build_embedding, find_common_norm_element,
@@ -23,8 +22,8 @@ from .embeddings import (build_embedding, find_common_norm_element,
 from .fp import FpParams, index_ns_plus, legendre
 from .heegner import HeegnerTau, galois_orbit, heegner_form
 from .modparam import atkin_lehner_sign, eval_phi, phi_terms
-from .periods import (PeriodLattice, elliptic_exp, is_torsion, period_lattice,
-                      torsion_residual)
+from .periods import (DIGITS_CAP, PeriodLattice, elliptic_exp, is_torsion,
+                      period_lattice, torsion_residual)
 from .quadforms import class_number, kernel_classes, kronecker, order_data
 from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
 
@@ -34,6 +33,12 @@ DEFAULT_DIGITS = 60
 
 class HypothesisError(ValueError):
     pass
+
+
+def check_digits(digits: int):
+    """Reject a working precision outside 1..DIGITS_CAP before any work."""
+    if not 1 <= digits <= DIGITS_CAP:
+        raise ValueError(f"digits must be between 1 and {DIGITS_CAP}, got {digits}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,11 @@ class ExperimentSpec:
         return self.curve.p if self.curve is not None else self.p
 
     def validate(self):
-        """Running hypotheses: inertness, coprimality, ramification and sign."""
+        """Input bounds, then the running hypotheses: inertness, coprimality,
+        ramification and sign."""
+        check_digits(self.digits)
+        if self.torsion_bound < 1:
+            raise ValueError(f"torsion bound must be at least 1, got {self.torsion_bound}")
         order_data(self.dK, self.f)          # fundamental, dK < -4, f >= 1
         p = self.prime
         if not isprime(p) or p == 2:
@@ -129,22 +138,18 @@ def experiment_finite(spec: ExperimentSpec, eps: int | None = None,
     fibers = two_to_one_check(emb, kernel)
     checks["two_to_one"] = (len(fibers) == (p + 1) // 2
                             and all(len(v) == 2 for v in fibers.values()))
-    checks["degree_matches_index"] = len(fibers) == index_ns_plus(params)
+    degree = index_ns_plus(params)
+    checks["degree_matches_index"] = len(fibers) == degree
     n_ambient = p * p * level_m
-    good = list(islice((ell for ell in _primes() if n_ambient % ell), 5))
+    good, ell = [], 2
+    while len(good) < 5:
+        if n_ambient % ell:
+            good.append(ell)
+        ell = nextprime(ell)
     checks["common_norm_elements"] = all(
         find_common_norm_element(params, ell % p).det() == ell % p for ell in good)
     return FiniteReport(p=p, dK=spec.dK, f=spec.f, level_m=level_m, checks=checks,
-                        fiber_count=len(fibers), degree=index_ns_plus(params),
-                        fibers=fibers)
-
-
-def _primes():
-    n = 2
-    while True:
-        if isprime(n):
-            yield n
-        n += 1
+                        fiber_count=len(fibers), degree=degree, fibers=fibers)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Exact 2x2 matrix arithmetic over F_p and the four Cartan subgroups.
 
-Everything here is small and exhaustive by design: the split and non-split
-Cartan subgroups of GL_2(F_p), their normalizers, coset indices, and
-determinant-one lifts to integral matrices.  Enumeration routines are capped
-at p <= 200, well above anything the experiments use.
+Membership tests for the split and non-split Cartan subgroups of GL_2(F_p)
+and their normalizers, the coset index in closed form, and determinant-one
+lifts to integral matrices.  Nothing here enumerates a group, so no routine
+is capped in p.
 """
 
 from __future__ import annotations
@@ -12,13 +12,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from sympy import isprime
+from sympy.ntheory import sqrt_mod
 
 CARTAN_KINDS = ("ns", "ns+", "s", "s+")
-ENUMERATION_BOUND = 200
-
-
-class EnumerationBoundError(ValueError):
-    """Exhaustive GL_2(F_p) work was requested for p beyond the cap."""
 
 
 def legendre(a: int, p: int) -> int:
@@ -44,11 +40,8 @@ def sqrt_mod_p(a: int, p: int) -> int:
         return 0
     if legendre(a, p) != 1:
         raise ValueError(f"{a} is not a square mod {p}")
-    # p stays small here, so a scan beats Tonelli-Shanks in clarity.
-    for x in range(1, p):
-        if x * x % p == a:
-            return x
-    raise AssertionError("unreachable")
+    # For prime p, sympy returns the root r <= p // 2, i.e. the smaller of r, p - r.
+    return sqrt_mod(a, p)
 
 
 @dataclass(frozen=True)
@@ -167,77 +160,9 @@ def in_cartan_group(m: FpMatrix, kind: str, params: FpParams) -> bool:
     return m.is_invertible() and cartan_membership(m, kind, params)
 
 
-def _check_bound(p: int):
-    if p > ENUMERATION_BOUND:
-        raise EnumerationBoundError(f"enumeration capped at p <= {ENUMERATION_BOUND}, got {p}")
-
-
-def enumerate_cartan(params: FpParams, kind: str) -> list[FpMatrix]:
-    """All invertible matrices of the given Cartan pattern, sorted by entries.
-
-    Sizes: |C_ns| = p^2-1, |C_s| = (p-1)^2, and the normalizers are twice that.
-    """
-    _check_bound(params.p)
-    p, eps = params.p, params.eps
-    out: list[FpMatrix] = []
-    if kind in ("ns", "ns+"):
-        for a in range(p):
-            for b in range(p):
-                if a == 0 and b == 0:
-                    continue
-                # det = a^2 - eps*b^2 != 0 automatically: eps is a non-square.
-                out.append(FpMatrix(p, a, b, b * eps, a))
-                if kind == "ns+":
-                    out.append(FpMatrix(p, a, b, -b * eps, -a))
-    elif kind in ("s", "s+"):
-        for a in range(1, p):
-            for d in range(1, p):
-                out.append(FpMatrix(p, a, 0, 0, d))
-        if kind == "s+":
-            for b in range(1, p):
-                for c in range(1, p):
-                    out.append(FpMatrix(p, 0, b, c, 0))
-    else:
-        raise ValueError(f"unknown Cartan kind {kind!r}")
-    for m in out:
-        assert in_cartan_group(m, kind, params)
-    return sorted(out)
-
-
-def cartan_intersection_ns_s(params: FpParams) -> list[FpMatrix]:
-    """The group C_ns+ intersect C_s+ (diagonal and antidiagonal pieces), sorted."""
-    _check_bound(params.p)
-    p, eps = params.p, params.eps
-    out = []
-    for a in range(1, p):
-        out.append(FpMatrix(p, a, 0, 0, a))
-        out.append(FpMatrix(p, a, 0, 0, -a))
-    for b in range(1, p):
-        out.append(FpMatrix(p, 0, b, b * eps, 0))
-        out.append(FpMatrix(p, 0, b, -b * eps, 0))
-    return sorted(set(out))
-
-
 def index_ns_plus(params: FpParams) -> int:
-    """[C_ns+ : C_ns+ ∩ C_s+], computed by enumeration; equals (p+1)/2."""
-    big = enumerate_cartan(params, "ns+")
-    inter = [m for m in cartan_intersection_ns_s(params)
-             if in_cartan_group(m, "ns+", params) and in_cartan_group(m, "s+", params)]
-    if len(big) % len(inter):
-        raise AssertionError("intersection does not divide group order")
-    return len(big) // len(inter)
-
-
-def sl2_elements(p: int) -> list[FpMatrix]:
-    _check_bound(p)
-    out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p == 1:
-                        out.append(FpMatrix(p, a, b, c, d))
-    return out
+    """[C_ns+ : C_ns+ cap C_s+] = 2(p^2-1) / 4(p-1) = (p+1)/2."""
+    return (params.p + 1) // 2
 
 
 def lift_to_integral_sl2(m: FpMatrix, level: int = 1) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -301,9 +226,12 @@ def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*a + v*b = g = gcd(a, b), g >= 0."""
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:
-        qt, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - qt * x1
-        y0, y1 = y1, y0 - qt * y1
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
     return a, x0, y0

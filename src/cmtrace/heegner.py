@@ -25,6 +25,7 @@ import mpmath as mp
 from sympy import factorint
 from sympy.ntheory import sqrt_mod
 
+from .fp import _xgcd
 from .quadforms import (BinaryForm, GaloisKernel, form_to_ideal, ideal_mul,
                         lattice_intersect)
 
@@ -110,20 +111,9 @@ def _gauss_reduce_pair(q: BinaryForm, v1, v2):
         v2 = (v2[0] - mu * v1[0], v2[1] - mu * v1[1])
 
 
-def _xgcd(a: int, b: int):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        qt, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - qt * x1
-        y0, y1 = y1, y0 - qt * y1
-    return a, x0, y0
-
-
 def _complete_unimodular(x: int, y: int):
     """(u, v) with x*v - y*u = 1 for coprime (x, y)."""
     g, u0, v0 = _xgcd(x, y)
-    if g < 0:
-        g, u0, v0 = -g, -u0, -v0
     assert g == 1
     return -v0, u0
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fp import legendre, FpParams  # noqa: F401  (re-exported convenience)
+from .fp import legendre
 
 
 @dataclass(frozen=True)

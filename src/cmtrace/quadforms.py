@@ -2,11 +2,11 @@
 
 Class groups Pic(O_f) are modelled by primitive reduced forms of discriminant
 f^2 * dK under Gaussian composition.  The Galois group of the ring class field
-step H_pf / H_f is realised as the kernel of Pic(O_pf) -> Pic(O_f); the
-projection is computed by extending a form's representing ideal to the larger
-order.  Each kernel class is tagged with a generator x1 + x2*w_f of the unit
-class in (O_f / p O_f)^x / F_p^x that produces it, which is what the matrix
-side of the theory consumes.
+step H_pf / H_f is realised as the kernel of Pic(O_pf) -> Pic(O_f), built
+directly from its generators: each kernel class is the class of
+(x1 + x2*w_f) O_f cap O_pf for a unit class x1 + x2*w_f in
+(O_f / p O_f)^x / F_p^x, and is tagged with that generator, which is what
+the matrix side of the theory consumes.
 
 Ideals are handled as rank-two lattices in half-integer coordinates: the pair
 (u, v) stands for (u + v*sqrt(dK)) / 2.
@@ -19,7 +19,7 @@ from math import gcd, isqrt
 
 from sympy import factorint, isprime
 
-from .fp import legendre
+from .fp import _xgcd, legendre
 from .projline import ProjClass, ProjParams, proj_class, proj_elements
 
 
@@ -210,18 +210,6 @@ def class_number(disc: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Composition (Gauss, via the standard two-Euclid formulation).
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*a + v*b = g = gcd(a, b), g >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 def compose(x: BinaryForm, y: BinaryForm) -> BinaryForm:
@@ -425,21 +413,6 @@ def ideal_mul(l1, l2, dK: int):
     return _hnf2(rows)
 
 
-def project_form(form: BinaryForm, dK: int, cond_big: int, cond_small: int) -> BinaryForm:
-    """Image of a class of disc cond_big^2*dK in Pic of the smaller-conductor order.
-
-    Realised by extending the representing ideal: multiply by the basis of the
-    target order and re-read the form.
-    """
-    if cond_big % cond_small:
-        raise ValueError("target conductor must divide the source conductor")
-    lat = form_to_ideal(form, dK, cond_big)
-    delta = dK % 2
-    target_basis = ((2, 0), (cond_small * delta, cond_small))
-    ext = ideal_mul(lat, target_basis, dK)
-    return ideal_to_form(ext, dK, cond_small)
-
-
 # ---------------------------------------------------------------------------
 # The Galois kernel Pic(O_pf) -> Pic(O_f) with unit-class generators.
 
@@ -475,9 +448,8 @@ def generator_ideal_form(order: QuadOrder, p: int, x1: int, x2: int) -> BinaryFo
 def kernel_classes(order: QuadOrder, p: int) -> GaloisKernel:
     """The p + 1 classes of Pic(O_pf) that become principal in Pic(O_f).
 
-    Built two ways and cross-checked: by filtering all reduced forms of
-    discriminant p^2 f^2 dK through the ideal-extension projection, and by
-    constructing one ideal per unit class x1 + x2*w_f of P^1(F_p).
+    One ideal per unit class x1 + x2*w_f of P^1(F_p): the classes of
+    (x1 + x2*w_f) O_f cap O_pf, which must be pairwise distinct.
     """
     if not isprime(p) or p == 2:
         raise ValueError("p must be an odd prime")
@@ -485,21 +457,13 @@ def kernel_classes(order: QuadOrder, p: int) -> GaloisKernel:
         raise ValueError(f"p = {p} is not inert in the field of discriminant {order.dK}")
     if order.f % p == 0:
         raise ValueError("p must not divide the conductor")
-    disc_big = p * p * order.disc
-    principal_small = principal_form(order.disc)
-    filtered = {
-        form for form in reduced_forms(disc_big)
-        if project_form(form, order.dK, p * order.f, order.f) == principal_small
-    }
-    classes = []
-    seen = set()
-    for pt in proj_elements(p):
-        form = generator_ideal_form(order, p, pt.x1, pt.x2)
-        classes.append(KernelClass(proj=pt, generator=(pt.x1, pt.x2), form=form))
-        seen.add(form)
-    if len(seen) != p + 1 or seen != filtered:
-        raise AssertionError("kernel construction mismatch between ideal routes")
-    return GaloisKernel(order=order, p=p, classes=tuple(classes))
+    classes = tuple(
+        KernelClass(proj=pt, generator=(pt.x1, pt.x2),
+                    form=generator_ideal_form(order, p, pt.x1, pt.x2))
+        for pt in proj_elements(p))
+    if len({kc.form for kc in classes}) != p + 1:
+        raise AssertionError("unit classes gave coinciding ideal classes")
+    return GaloisKernel(order=order, p=p, classes=classes)
 
 
 def class_to_proj(order: QuadOrder, p: int, lam: tuple[int, int]) -> ProjClass:

@@ -1,0 +1,168 @@
+"""Exhaustive enumerations kept as test oracles for the closed forms in cmtrace.
+
+The package computes each finite-layer quantity by one closed-form route: the
+index [C_ns+ : C_ns+ cap C_s+], the coset label of a matrix, and the Galois
+kernel from its unit-class generators.  The routines here reach the same
+quantities by brute force (listing Cartan subgroups, SL_2(F_p), the split
+normalizer, and every reduced form of the big discriminant), so the tests can
+compare the two routes.  They are capped at p <= ENUMERATION_BOUND.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from cmtrace.embeddings import CosetLabel, EmbeddingData, EmbeddingError
+from cmtrace.fp import FpMatrix, FpParams, in_cartan_group
+from cmtrace.quadforms import (BinaryForm, QuadOrder, form_to_ideal, ideal_mul,
+                               ideal_to_form, principal_form, reduced_forms)
+
+ENUMERATION_BOUND = 200
+
+
+class EnumerationBoundError(ValueError):
+    """Exhaustive GL_2(F_p) work was requested for p beyond the cap."""
+
+
+def _check_bound(p: int):
+    if p > ENUMERATION_BOUND:
+        raise EnumerationBoundError(f"enumeration capped at p <= {ENUMERATION_BOUND}, got {p}")
+
+
+def enumerate_cartan(params: FpParams, kind: str) -> list[FpMatrix]:
+    """All invertible matrices of the given Cartan pattern, sorted by entries.
+
+    Sizes: |C_ns| = p^2-1, |C_s| = (p-1)^2, and the normalizers are twice that.
+    """
+    _check_bound(params.p)
+    p, eps = params.p, params.eps
+    out: list[FpMatrix] = []
+    if kind in ("ns", "ns+"):
+        for a in range(p):
+            for b in range(p):
+                if a == 0 and b == 0:
+                    continue
+                # det = a^2 - eps*b^2 != 0 automatically: eps is a non-square.
+                out.append(FpMatrix(p, a, b, b * eps, a))
+                if kind == "ns+":
+                    out.append(FpMatrix(p, a, b, -b * eps, -a))
+    elif kind in ("s", "s+"):
+        for a in range(1, p):
+            for d in range(1, p):
+                out.append(FpMatrix(p, a, 0, 0, d))
+        if kind == "s+":
+            for b in range(1, p):
+                for c in range(1, p):
+                    out.append(FpMatrix(p, 0, b, c, 0))
+    else:
+        raise ValueError(f"unknown Cartan kind {kind!r}")
+    for m in out:
+        assert in_cartan_group(m, kind, params)
+    return sorted(out)
+
+
+def cartan_intersection_ns_s(params: FpParams) -> list[FpMatrix]:
+    """The group C_ns+ intersect C_s+ (diagonal and antidiagonal pieces), sorted."""
+    _check_bound(params.p)
+    p, eps = params.p, params.eps
+    out = []
+    for a in range(1, p):
+        out.append(FpMatrix(p, a, 0, 0, a))
+        out.append(FpMatrix(p, a, 0, 0, -a))
+    for b in range(1, p):
+        out.append(FpMatrix(p, 0, b, b * eps, 0))
+        out.append(FpMatrix(p, 0, b, -b * eps, 0))
+    return sorted(set(out))
+
+
+def index_ns_plus_by_enumeration(params: FpParams) -> int:
+    """[C_ns+ : C_ns+ cap C_s+] as the quotient of the two enumerated orders."""
+    big = enumerate_cartan(params, "ns+")
+    inter = [m for m in cartan_intersection_ns_s(params)
+             if in_cartan_group(m, "ns+", params) and in_cartan_group(m, "s+", params)]
+    if len(big) % len(inter):
+        raise AssertionError("intersection does not divide group order")
+    return len(big) // len(inter)
+
+
+def sl2_elements(p: int) -> list[FpMatrix]:
+    _check_bound(p)
+    out = []
+    for a in range(p):
+        for b in range(p):
+            for c in range(p):
+                for d in range(p):
+                    if (a * d - b * c) % p == 1:
+                        out.append(FpMatrix(p, a, b, c, d))
+    return out
+
+
+def split_normalizer_sl2(p: int) -> list[FpMatrix]:
+    """C_s+ cap SL_2(F_p): diagonal (a, a^{-1}) and antidiagonal (0, b; -b^{-1}, 0)."""
+    _check_bound(p)
+    out = []
+    for a in range(1, p):
+        out.append(FpMatrix(p, a, 0, 0, pow(a, -1, p)))
+        out.append(FpMatrix(p, 0, a, -pow(a, -1, p), 0))
+    return sorted(out)
+
+
+def sorted_min_label(g: FpMatrix) -> CosetLabel:
+    """Minimum of the coset (C_s+ cap SL_2) * g^{-1}, found by listing it."""
+    if g.det() != 1:
+        raise ValueError("coset labels are defined for determinant-one matrices")
+    ginv = g.inv()
+    return CosetLabel(rep=min(h.mul(ginv) for h in split_normalizer_sl2(g.p)))
+
+
+@dataclass(frozen=True)
+class GammaDecomposition:
+    """r_bar = gamma_i * r_s with gamma_i in SL_2 cap C_ns+ and r_s in C_s+."""
+
+    r_bar: FpMatrix
+    gamma_i: FpMatrix
+    r_s: FpMatrix
+
+
+def decompose_gamma(emb: EmbeddingData, r_bar: FpMatrix) -> GammaDecomposition:
+    """Split r_bar in C_ns as gamma_i * r_s, det(gamma_i) = 1, r_s in C_s+.
+
+    The corrector m is searched in C_ns+ cap C_s+ for det(m) = det(r_bar)^{-1};
+    squares are fixed by scalars and non-squares by antidiagonal elements, so
+    the search always succeeds.
+    """
+    params = emb.params
+    if not in_cartan_group(r_bar, "ns", params):
+        raise EmbeddingError("matrix is not in the non-split Cartan group")
+    want = pow(r_bar.det(), -1, params.p)
+    m = next(x for x in cartan_intersection_ns_s(params) if x.det() == want)
+    gamma_i = r_bar.mul(m)
+    r_s = m.inv()
+    assert gamma_i.det() == 1
+    assert in_cartan_group(gamma_i, "ns+", params)
+    assert in_cartan_group(r_s, "s+", params)
+    assert gamma_i.mul(r_s) == r_bar
+    return GammaDecomposition(r_bar=r_bar, gamma_i=gamma_i, r_s=r_s)
+
+
+def project_form(form: BinaryForm, dK: int, cond_big: int, cond_small: int) -> BinaryForm:
+    """Image of a class of disc cond_big^2*dK in Pic of the smaller-conductor order.
+
+    Realised by extending the representing ideal: multiply by the basis of the
+    target order and re-read the form.
+    """
+    if cond_big % cond_small:
+        raise ValueError("target conductor must divide the source conductor")
+    lat = form_to_ideal(form, dK, cond_big)
+    delta = dK % 2
+    target_basis = ((2, 0), (cond_small * delta, cond_small))
+    ext = ideal_mul(lat, target_basis, dK)
+    return ideal_to_form(ext, dK, cond_small)
+
+
+def kernel_forms_by_filter(order: QuadOrder, p: int) -> set[BinaryForm]:
+    """Every reduced form of discriminant p^2 f^2 dK whose class projects to
+    the principal class of Pic(O_f)."""
+    principal_small = principal_form(order.disc)
+    return {form for form in reduced_forms(p * p * order.disc)
+            if project_form(form, order.dK, p * order.f, order.f) == principal_small}

@@ -19,6 +19,7 @@ from cmtrace.heegner import NoHeegnerPoint, heegner_form
 from cmtrace.periods import lattice_distance, period_lattice
 from cmtrace.projline import ProjParams, involution_class, proj_class, proj_elements, proj_mul
 from cmtrace.quadforms import BinaryForm, is_fundamental_discriminant, kernel_classes, order_data
+from oracles import index_ns_plus_by_enumeration
 
 CURVE_RANK0_49 = (1, -1, 0, -2, -1)
 CURVE_RANK1_121 = (0, -1, 1, -7, 10)
@@ -91,6 +92,7 @@ def test_criterion_1_projective_group_law():
 def test_criterion_2_index_formula():
     start = time.perf_counter()
     for p in (5, 7, 11, 13, 17, 19):
+        assert index_ns_plus_by_enumeration(FpParams(p)) == (p + 1) // 2
         assert index_ns_plus(FpParams(p)) == (p + 1) // 2
     elapsed = time.perf_counter() - start
     assert elapsed < 10

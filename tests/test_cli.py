@@ -79,3 +79,22 @@ def test_trace_undecided_exit_code(tmp_path):
     assert code == 2
     payload = json.loads(out.read_text())
     assert payload["verdict"] == "undecided"
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("input should have been rejected before any work")
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["trace", "--digits", "0"], "between 1 and 200"),
+    (["trace", "--digits", "250"], "between 1 and 200"),
+    (["trace", "--torsion-bound", "0"], "at least 1"),
+    (["sign", "--digits", "0"], "between 1 and 200"),
+])
+def test_bad_precision_and_torsion_bound_rejected(monkeypatch, capsys, argv, bound):
+    monkeypatch.setattr("cmtrace.experiments.atkin_lehner_sign", _no_work)
+    monkeypatch.setattr("cmtrace.cli.atkin_lehner_sign", _no_work)
+    extra = ["--q", "49"] if argv[0] == "sign" else ["--dk", "-11"]
+    code = main([argv[0], "--curve", "1,-1,0,-2,-1", *extra, *argv[1:]])
+    assert code == 1                  # an uncaught error would fail the test instead
+    assert bound in capsys.readouterr().err

@@ -4,11 +4,10 @@ import pytest
 from sympy import primerange
 
 from cmtrace.embeddings import (EmbeddingError, build_embedding, coset_label,
-                                decompose_gamma, find_common_norm_element, galois_matrix,
-                                lemma_converse_check, signo_pairing_check,
-                                split_normalizer_sl2, two_to_one_check, verify_optimal)
-from cmtrace.fp import (FpMatrix, FpParams, enumerate_cartan,
-                        identity, in_cartan_group, index_ns_plus, legendre, sl2_elements)
+                                find_common_norm_element, galois_matrix, lemma_converse_check,
+                                signo_pairing_check, two_to_one_check, verify_optimal)
+from cmtrace.fp import FpMatrix, FpParams, identity, in_cartan_group, index_ns_plus, legendre
+from oracles import decompose_gamma, enumerate_cartan, sl2_elements, split_normalizer_sl2
 from cmtrace.projline import involution_class, proj_class, proj_mul
 from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
 
@@ -131,7 +130,7 @@ def test_coset_labels_partition_sl2():
     for h in split_normalizer_sl2(5):
         assert coset_label(g.mul(h)) == coset_label(g)
     with pytest.raises(ValueError):
-        coset_label(FpMatrix(5, 2, 0, 0, 1))
+        coset_label(FpMatrix(5, 1, 2, 2, 4))          # singular
 
 
 @pytest.mark.parametrize("p,dKs", [

@@ -3,10 +3,11 @@ import random
 import pytest
 from sympy import primerange
 
-from cmtrace.fp import (CARTAN_KINDS, EnumerationBoundError, FpMatrix, FpParams,
-                        cartan_intersection_ns_s, cartan_membership, enumerate_cartan,
-                        identity, in_cartan_group, index_ns_plus, legendre,
-                        lift_to_integral_sl2, sl2_elements, smallest_nonsquare)
+from cmtrace.fp import (CARTAN_KINDS, FpMatrix, FpParams, cartan_membership, identity,
+                        in_cartan_group, index_ns_plus, legendre, lift_to_integral_sl2,
+                        smallest_nonsquare, sqrt_mod_p)
+from oracles import (EnumerationBoundError, cartan_intersection_ns_s, enumerate_cartan,
+                     index_ns_plus_by_enumeration, sl2_elements)
 
 
 def test_params_validation():
@@ -89,6 +90,8 @@ def test_intersection_and_index():
     assert index_ns_plus(params) == 3
     assert index_ns_plus(FpParams(7)) == 4
     assert index_ns_plus(FpParams(13)) == 7
+    for p in (5, 7, 13):
+        assert index_ns_plus_by_enumeration(FpParams(p)) == index_ns_plus(FpParams(p))
 
 
 def test_enumeration_bound():
@@ -144,3 +147,16 @@ def test_legendre_and_nonsquare():
     assert legendre(4, 5) == 1
     assert legendre(0, 5) == 0
     assert smallest_nonsquare(7) == 3
+
+
+def test_sqrt_mod_p_is_smallest_root():
+    # the root fixes iota(omega), and with it every coset label
+    for p in primerange(3, 400):
+        for a in range(1, p):
+            if legendre(a, p) == 1:
+                r = sqrt_mod_p(a, p)
+                assert r * r % p == a and r <= p - r
+            else:
+                with pytest.raises(ValueError):
+                    sqrt_mod_p(a, p)
+    assert sqrt_mod_p(0, 7) == 0

@@ -9,7 +9,8 @@ from cmtrace.projline import ProjClass, element_order, proj_elements, proj_mul
 from cmtrace.quadforms import (BinaryForm, ClassGroup, class_number, class_to_proj,
                                compose, form_pow, is_fundamental_discriminant,
                                kernel_classes, kronecker, order_data, principal_form,
-                               proj_params, project_form, reduce_form, reduced_forms)
+                               proj_params, reduce_form, reduced_forms)
+from oracles import project_form
 
 # ---------------------------------------------------------------------------
 # Independent oracles.  Ideal arithmetic here is written from scratch against
