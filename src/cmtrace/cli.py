@@ -18,7 +18,8 @@ from .curves import curve_model
 from .experiments import (DEFAULT_DIGITS, ExperimentSpec, HypothesisError,
                           check_digits, experiment_finite, trace_point)
 from .heegner import NoHeegnerPoint, heegner_form
-from .modparam import SignConsistencyError, atkin_lehner_sign
+from .modparam import SeriesBudgetError, SignConsistencyError, atkin_lehner_sign
+from .periods import PrecisionError
 from .quadforms import class_number, reduced_forms
 
 ENV_DIGITS = "CMTRACE_DIGITS"
@@ -170,7 +171,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (NoHeegnerPoint, HypothesisError, SignConsistencyError, ValueError) as exc:
+    except (NoHeegnerPoint, HypothesisError, SignConsistencyError, SeriesBudgetError,
+            PrecisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

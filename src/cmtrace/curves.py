@@ -357,33 +357,39 @@ _an_cache: dict[tuple[int, ...], list[int]] = {}
 
 
 def an_coefficients(cur: Curve, bound: int) -> list[int]:
-    """List a with a[n] the n-th coefficient for 1 <= n <= bound (a[0] = 0)."""
+    """List a with a[n] the n-th coefficient for 1 <= n <= bound (a[0] = 0).
+
+    The cached list of each curve only grows: a larger bound extends it, so
+    every a_ell is point-counted once per curve and process."""
     if bound > AN_BOUND:
         raise ValueError(f"coefficient bound capped at {AN_BOUND}")
     m = minimal_model(cur)
-    cached = _an_cache.get(m.ainvs)
-    if cached is not None and len(cached) > bound:
-        return cached[: bound + 1]
+    a = _an_cache.get(m.ainvs, [0, 1])
+    if len(a) <= bound:
+        a = _an_cache[m.ainvs] = _extended(m, a, bound)
+    return a[: bound + 1]
 
-    a = [0] * (bound + 1)
-    if bound >= 1:
-        a[1] = 1
+
+def _extended(m: Curve, known: list[int], bound: int) -> list[int]:
+    """A copy of `known` (a[0..old]) extended to a[0..bound]; only the primes
+    above old are point-counted."""
+    old = len(known) - 1
+    a = known + [0] * (bound - old)
     spf = _smallest_prime_factors(bound)
     bad = {q: tate_local(m, q) for q in factorint(abs(m.disc))}
     for ell in range(2, bound + 1):
         if spf[ell] != ell:
             continue
-        aell = ap_bad(bad[ell]) if ell in bad else ap_good(m, ell)
-        a[ell] = aell
+        if ell > old:
+            a[ell] = ap_bad(bad[ell]) if ell in bad else ap_good(m, ell)
+        aell, hecke = a[ell], 0 if ell in bad else ell
         pk_prev, pk = 1, ell
         while pk * ell <= bound:
             nxt = pk * ell
-            if ell in bad:
-                a[nxt] = aell * a[pk]
-            else:
-                a[nxt] = aell * a[pk] - ell * a[pk_prev]
+            if nxt > old:
+                a[nxt] = aell * a[pk] - hecke * a[pk_prev]
             pk_prev, pk = pk, nxt
-    for n in range(2, bound + 1):
+    for n in range(old + 1, bound + 1):
         ell = spf[n]
         pk = ell
         rest = n // ell
@@ -392,7 +398,6 @@ def an_coefficients(cur: Curve, bound: int) -> list[int]:
             pk *= ell
         if rest > 1:
             a[n] = a[pk] * a[rest]
-    _an_cache[m.ainvs] = a
     return a
 
 

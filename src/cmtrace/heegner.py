@@ -68,6 +68,8 @@ def heegner_form(n_level: int, dK: int, c: int) -> BinaryForm:
     come from generators landing in the non-split Cartan order, so the trace
     relations live there.  heegner_form restricts to it.
     """
+    if n_level < 1 or c < 1:
+        raise ValueError(f"level and conductor must be positive, got N = {n_level}, c = {c}")
     disc = c * c * dK
     if disc >= 0:
         raise ValueError("discriminant must be negative")

@@ -6,6 +6,30 @@ provably below 10^(-digits-10): coefficients obey |a_n| <= sigma_0(n) sqrt(n),
 and sigma_0(n)/sqrt(n) <= sqrt(3) (maximise (e+1) p^(-e/2) at p = 2, 3), so
 the tail after n_max is at most sqrt(3) |q|^(n_max+1) / (1 - |q|).
 
+Both series, sum a_n q^n / n and the newform sum a_n q^n, go through one
+fixed-point evaluator using rectangular splitting (Paterson-Stockmeyer 1973;
+Johansson, ISSAC 2014).  With P the working precision of digits + GUARD
+decimal digits (so 2^-P < 10^(-digits-15)), numbers are Python integers
+scaled by 2^F, F = P + bit_length(n_max) + FIXED_GUARD, and u = 2^-F.  q is
+computed once by mpmath; the baby steps q^0..q^m, m = isqrt(n_max), are
+chained with bit_length(m) + 2 more bits, so each carries at most 2 ulps.
+Writing n = j m + i, block j is sum_i a_n q^i / n, made of small-by-big
+products and one floor division by n per term, and the blocks are combined
+by Horner in q^m: only the O(sqrt(n_max)) baby and giant steps are
+full-precision products.  Every truncation costs at most one ulp per real
+component.  For the parametrisation |a_n / n| <= sqrt(3), so each term
+errs by at most 2 sqrt(3) + 1 ulps before Horner multiplies it by powers of
+|q^m| < 1, and each of the n_max / m Horner steps adds 1 ulp plus 2 ulps
+times the partial sum, which is at most sqrt(3) / (1 - |q|), about
+sqrt(3) n_max / ((digits + 10) log 10) by the choice of n_max.  The total
+is below 150 n_max u < 2^(7.3 - P - FIXED_GUARD) < 2^-P for every n_max up
+to NMAX_CAP: under 10^(-digits-15), so the absolute target 10^(-digits-10)
+still holds and the tail bound is untouched.  The newform has |a_n| <=
+sqrt(3) n instead of sqrt(3), which the same budget absorbs for the
+Atkin-Lehner sign test and its 10^(-digits/2) tolerance; the tests compare
+both weights with the term-by-term mpc sum (tests/oracles.py).  The error
+is absolute, not relative: a value far below 2^-P comes back as noise or 0.
+
 Atkin-Lehner eigenvalues are read off numerically from f(W_Q tau) =
 w_Q * Q^{-1} (N c tau + Q d)^2 f(tau) at sample points on the circle the
 involution stabilises; with this normalisation the global root number of the
@@ -14,12 +38,15 @@ curve is -w_N, so rank-zero curves have Fricke eigenvalue -1.
 
 from __future__ import annotations
 
+from math import isqrt
+
 import mpmath as mp
 
 from .curves import Curve, CurveModel, an_coefficients
 from .fp import _xgcd
 
 GUARD = 15
+FIXED_GUARD = 10            # guard bits of the fixed-point evaluator beyond bit_length(n_max)
 NMAX_CAP = 10 ** 6
 
 
@@ -45,6 +72,17 @@ def phi_terms(im_tau, digits: int) -> int:
 
 def eval_phi(model: CurveModel | Curve, tau, digits: int) -> mp.mpc:
     """Modular parametrisation sum_{n <= n_max} a_n e^{2 pi i n tau} / n."""
+    return _eval_series(model, tau, digits, weight=1)
+
+
+def eval_newform(model: CurveModel | Curve, tau, digits: int) -> mp.mpc:
+    """The weight-two form itself, sum a_n q^n, same tail control."""
+    return _eval_series(model, tau, digits, weight=0)
+
+
+def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int) -> mp.mpc:
+    """sum_{n <= n_max} a_n q^n / n^weight in fixed point, by rectangular
+    splitting; the error budget is in the module docstring."""
     cur = model.minimal if isinstance(model, CurveModel) else model
     with mp.workdps(digits + GUARD):
         tau = mp.mpc(tau)
@@ -52,31 +90,32 @@ def eval_phi(model: CurveModel | Curve, tau, digits: int) -> mp.mpc:
             raise ValueError("tau must be in the upper half plane")
         nmax = phi_terms(tau.imag, digits)
         a = an_coefficients(cur, nmax)
-        q = mp.exp(2j * mp.pi * tau)
-        qn = mp.mpc(1)
-        acc = mp.mpc(0)
-        for n in range(1, nmax + 1):
-            qn *= q
-            if a[n]:
-                acc += mp.mpf(a[n]) / n * qn
-        return +acc
-
-
-def eval_newform(model: CurveModel | Curve, tau, digits: int) -> mp.mpc:
-    """The weight-two form itself, sum a_n q^n, same tail control."""
-    cur = model.minimal if isinstance(model, CurveModel) else model
-    with mp.workdps(digits + GUARD):
-        tau = mp.mpc(tau)
-        nmax = phi_terms(tau.imag, digits)
-        a = an_coefficients(cur, nmax)
-        q = mp.exp(2j * mp.pi * tau)
-        qn = mp.mpc(1)
-        acc = mp.mpc(0)
-        for n in range(1, nmax + 1):
-            qn *= q
-            if a[n]:
-                acc += a[n] * qn
-        return +acc
+        frac = mp.mp.prec + nmax.bit_length() + FIXED_GUARD
+        m = isqrt(nmax)
+        # Baby steps q^0..q^m, chained with bit_length(m) + 2 extra bits so
+        # each carries at most two ulps at `frac` bits after the final shift.
+        extra = m.bit_length() + 2
+        fine = frac + extra
+        with mp.workprec(fine):
+            q = mp.exp(2j * mp.pi * tau)
+            qre, qim = int(mp.ldexp(q.real, fine)), int(mp.ldexp(q.imag, fine))
+        x, y = 1 << fine, 0
+        pre, pim = [], []
+        for _ in range(m):
+            pre.append(x >> extra)
+            pim.append(y >> extra)
+            x, y = (x * qre - y * qim) >> fine, (x * qim + y * qre) >> fine
+        gre, gim = x >> extra, y >> extra          # giant step q^m
+        # Horner in q^m over the blocks n = base + i, base = j*m, 0 <= i < m.
+        re = im = 0
+        for base in range(nmax - nmax % m, -1, -m):
+            re, im = (re * gre - im * gim) >> frac, (re * gim + im * gre) >> frac
+            for n, c, x, y in zip(range(base, nmax + 1), a[base:base + m], pre, pim):
+                if c:
+                    d = n ** weight
+                    re += c * x // d
+                    im += c * y // d
+        return mp.mpc(mp.ldexp(re, -frac), mp.ldexp(im, -frac))
 
 
 def al_matrix(n_level: int, q_div: int) -> tuple[int, int, int, int]:

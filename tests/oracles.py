@@ -6,14 +6,21 @@ kernel from its unit-class generators.  The routines here reach the same
 quantities by brute force (listing Cartan subgroups, SL_2(F_p), the split
 normalizer, and every reduced form of the big discriminant), so the tests can
 compare the two routes.  They are capped at p <= ENUMERATION_BOUND.
+
+On the analytic side, eval_series_direct is the term-by-term mpc evaluation
+of the q-series that the fixed-point evaluator in cmtrace.modparam replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath as mp
+
+from cmtrace.curves import an_coefficients
 from cmtrace.embeddings import CosetLabel, EmbeddingData, EmbeddingError
 from cmtrace.fp import FpMatrix, FpParams, in_cartan_group
+from cmtrace.modparam import GUARD, phi_terms
 from cmtrace.quadforms import (BinaryForm, QuadOrder, form_to_ideal, ideal_mul,
                                ideal_to_form, principal_form, reduced_forms)
 
@@ -166,3 +173,23 @@ def kernel_forms_by_filter(order: QuadOrder, p: int) -> set[BinaryForm]:
     principal_small = principal_form(order.disc)
     return {form for form in reduced_forms(p * p * order.disc)
             if project_form(form, order.dK, p * order.f, order.f) == principal_small}
+
+
+def eval_series_direct(cur, tau, digits: int, weight: int):
+    """sum_{n <= n_max} a_n q^n / n^weight (weight 1: eval_phi, weight 0:
+    eval_newform), one mpc multiply per term."""
+    with mp.workdps(digits + GUARD):
+        tau = mp.mpc(tau)
+        nmax = phi_terms(tau.imag, digits)
+        a = an_coefficients(cur, nmax)
+        q = mp.exp(2j * mp.pi * tau)
+        qn = mp.mpc(1)
+        acc = mp.mpc(0)
+        for n in range(1, nmax + 1):
+            qn *= q
+            if a[n]:
+                if weight == 1:
+                    acc += mp.mpf(a[n]) / n * qn
+                else:
+                    acc += a[n] * qn
+        return +acc

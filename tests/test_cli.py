@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cmtrace.cli import main
+from cmtrace.periods import PrecisionError
 
 
 def test_finite_check(capsys, tmp_path):
@@ -98,3 +99,28 @@ def test_bad_precision_and_torsion_bound_rejected(monkeypatch, capsys, argv, bou
     code = main([argv[0], "--curve", "1,-1,0,-2,-1", *extra, *argv[1:]])
     assert code == 1                  # an uncaught error would fail the test instead
     assert bound in capsys.readouterr().err
+
+
+def test_series_budget_error_exits_1(capsys):
+    # the W_9 sample points of this conductor need far more than NMAX_CAP terms
+    code = main(["sign", "--curve", "0,0,0,0,1003003001", "--q", "9", "--p", "3"])
+    assert code == 1
+    assert "above the cap" in capsys.readouterr().err
+
+
+def test_precision_error_exits_1(monkeypatch, capsys):
+    def capped(*args, **kwargs):
+        raise PrecisionError("precision capped at 200 digits")
+
+    monkeypatch.setattr("cmtrace.experiments.period_lattice", capped)
+    code = main(["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--digits", "20",
+                 "--mode", "signo_minus"])
+    assert code == 1
+    assert "error: precision capped" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,c", [("0", "7"), ("-49", "7"), ("49", "0"), ("49", "-7")])
+def test_heegner_rejects_nonpositive_level_and_conductor(capsys, n, c):
+    code = main(["heegner", "--n", n, "--dk", "-11", "--c", c])
+    assert code == 1
+    assert "must be positive" in capsys.readouterr().err

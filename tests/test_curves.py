@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
-from sympy import primerange
+from sympy import primepi, primerange
 
+from cmtrace import curves
 from cmtrace.curves import (AN_BOUND, Curve, an_coefficients, ap_good,
                             conductor, curve_from_c4c6, curve_model, minimal_model,
                             tate_local, transform)
@@ -174,3 +176,36 @@ def test_curve_model():
         curve_model((0, 0, 1, -1, 0))           # conductor 37 has no odd square
     with pytest.raises(ValueError):
         curve_model((1, -1, 0, -2, -1), p=5)
+
+
+@pytest.mark.parametrize("bounds", [
+    (8, 120, 3000),                        # ascending; 9 and 121 start extensions
+    (3000, 200, 10),                       # descending
+    (50, 2000, 7, 900, 2186, 120, 3000),   # interleaved; 3^7 starts one
+])
+def test_an_cache_extension_matches_fresh_sieve(monkeypatch, bounds):
+    cur = minimal_model(Curve(0, -1, 1, -7, 10))
+    monkeypatch.setattr(curves, "_an_cache", {})
+    fresh = an_coefficients(cur, max(bounds))
+    monkeypatch.setattr(curves, "_an_cache", {})
+    for bound in bounds:
+        assert an_coefficients(cur, bound) == fresh[: bound + 1]
+    assert an_coefficients(cur, max(bounds)) == fresh
+
+
+def test_ap_good_counted_once_per_prime(monkeypatch):
+    counts = Counter()
+
+    def counting(cur, ell):
+        counts[cur.ainvs, ell] += 1
+        return ap_good(cur, ell)
+
+    monkeypatch.setattr(curves, "ap_good", counting)
+    monkeypatch.setattr(curves, "_an_cache", {})
+    for ai in ((1, -1, 0, -2, -1), (0, -1, 1, -7, 10)):       # bad only at 7, at 11
+        cur = Curve(*ai)
+        for bound in (100, 50, 1000, 999, 4000, 1000, 4001):
+            an_coefficients(cur, bound)
+        seen = [ell for (key, ell) in counts if key == minimal_model(cur).ainvs]
+        assert len(seen) == primepi(4001) - 1            # every good prime, once
+    assert set(counts.values()) == {1}

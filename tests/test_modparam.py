@@ -4,9 +4,11 @@ import mpmath as mp
 import pytest
 
 from cmtrace.curves import curve_model
+from cmtrace.heegner import HeegnerTau, heegner_form
 from cmtrace.modparam import (SeriesBudgetError, al_matrix, atkin_lehner_sign,
                               eval_newform, eval_phi, phi_terms, root_number)
 from cmtrace.periods import lattice_distance, period_lattice
+from oracles import eval_series_direct
 
 
 def sigma0(n):
@@ -124,6 +126,8 @@ def test_eval_phi_rejects_lower_half_plane():
     model = curve_model((1, -1, 0, -2, -1))
     with pytest.raises(ValueError):
         eval_phi(model, mp.mpc(0, -1), 30)
+    with pytest.raises(ValueError):
+        eval_newform(model, mp.mpc("0.1", "-0.2"), 30)
 
 
 def _exact_add(ai, P, Q):
@@ -187,3 +191,39 @@ def test_sign_multiplicativity_on_composite_level():
     w36 = atkin_lehner_sign(m36, 36, 40)
     assert (w9, w4, w36) == (1, -1, -1)
     assert w36 == w9 * w4
+
+
+# (a-invariants, dK) with p inert in K and a Heegner form of conductor p
+SERIES_CASES = {
+    "49a1": ((1, -1, 0, -2, -1), -11),
+    "121b1": ((0, -1, 1, -7, 10), -67),
+    "50a1": ((1, 0, 1, -1, -2), -23),
+}
+
+
+def _series_taus(model, dK, digits):
+    """An orbit point, a point on the W_{p^2} circle, and a point deep enough
+    that the series needs more than 10^4 terms."""
+    p = model.p
+    orbit_tau = HeegnerTau(form=heegner_form(model.n, dK, p), n_level=model.n, dK=dK,
+                           conductor=p).tau(digits)
+    _, _, wc, wd = al_matrix(model.n, p * p)
+    with mp.workdps(digits + 15):
+        circle_tau = (p * mp.exp(1j * mp.pi / 3) - wd) / wc
+        # phi_terms is about (digits + 10) log(10) / (2 pi Im tau)
+        deep_tau = mp.mpc("0.3", (digits + 10) * mp.log(10) / (2 * mp.pi * 11000))
+    assert phi_terms(deep_tau.imag, digits) > 10 ** 4
+    return orbit_tau, circle_tau, deep_tau
+
+
+@pytest.mark.parametrize("label", sorted(SERIES_CASES))
+def test_fixed_point_series_matches_direct_sum(label):
+    ai, dK = SERIES_CASES[label]
+    model = curve_model(ai)
+    for digits in (1, 15, 60, 200):
+        for tau in _series_taus(model, dK, digits):
+            for weight, fast in ((1, eval_phi), (0, eval_newform)):
+                want = eval_series_direct(model.minimal, tau, digits, weight)
+                got = fast(model, tau, digits)
+                with mp.workdps(digits + 30):
+                    assert abs(got - want) < mp.mpf(10) ** -(digits + 5), (digits, tau, weight)
