@@ -1,8 +1,9 @@
 """Elliptic curves over Q: Weierstrass invariants, minimal models, Tate's
 algorithm for reduction data and conductor, and Fourier coefficients a_n.
 
-Good a_ell come from counting points over F_ell (a quadratic-character sum,
-vectorised for large ell); bad primes contribute +1, -1, 0 according to split
+Good a_ell come from counting points over F_ell: ell = 2 by its four affine
+points, every odd ell by one vectorised quadratic-character sum, exact in
+int64 up to AN_BOUND.  Bad primes contribute +1, -1, 0 according to split
 multiplicative, non-split multiplicative, or additive reduction; prime powers
 follow the usual Hecke recursion and everything extends multiplicatively.
 """
@@ -10,7 +11,8 @@ follow the usual Hecke recursion and everything extends multiplicatively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import cached_property
+from math import gcd, isqrt
 
 import numpy as np
 from sympy import factorint, isprime
@@ -58,7 +60,7 @@ class Curve:
     def c6(self) -> int:
         return -self.b2 ** 3 + 36 * self.b2 * self.b4 - 216 * self.b6
 
-    @property
+    @cached_property
     def disc(self) -> int:
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
@@ -325,26 +327,36 @@ def ap_good(cur: Curve, ell: int) -> int:
     """a_ell = ell + 1 - #E(F_ell) for a prime of good reduction."""
     if cur.disc % ell == 0:
         raise ValueError(f"{ell} is a prime of bad reduction")
-    if ell < 60:
+    if ell > AN_BOUND:
+        raise ValueError(f"point counts capped at {AN_BOUND}")
+    if ell == 2:
         a1, a2, a3, a4, a6 = cur.ainvs
-        count = 1
-        for x in range(ell):
-            for y in range(ell):
-                if (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % ell == 0:
-                    count += 1
-        return ell + 1 - count
+        count = 1 + sum((y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % 2 == 0
+                        for x in (0, 1) for y in (0, 1))
+        return 3 - count
     return _ap_char_sum(cur, ell)
 
 
 def _ap_char_sum(cur: Curve, ell: int) -> int:
-    # #affine = sum over x of (1 + chi(4x^3 + b2 x^2 + 2 b4 x + b6)), odd ell.
+    # Completing the square (ell odd): #E(F_ell) = ell + 1 + sum_x chi(f(x)),
+    # f = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character.  With
+    # the coefficients reduced mod ell, Horner's f(x) stays below 5 ell^3,
+    # which is under 2^63 for ell <= AN_BOUND: int64 is exact and one
+    # reduction at the end suffices (floor-divide by a scalar beats %).
     x = np.arange(ell, dtype=np.int64)
-    x2 = x * x % ell
-    f = (4 * (x2 * x % ell) + (cur.b2 % ell) * x2 + (2 * cur.b4 % ell) * x + cur.b6 % ell) % ell
-    qr = np.zeros(ell, dtype=np.int8)
-    qr[x2] = 1
-    chi = np.where(f == 0, 0, np.where(qr[f] == 1, 1, -1))
-    return int(-chi.sum())
+    f = 4 * x
+    f += cur.b2 % ell
+    f *= x
+    f += 2 * cur.b4 % ell
+    f *= x
+    f += cur.b6 % ell
+    f -= f // ell * ell
+    sq = x[: ell // 2 + 1] ** 2
+    sq -= sq // ell * ell
+    chi = np.full(ell, -1, dtype=np.int8)
+    chi[sq] = 1
+    chi[0] = 0
+    return -int(chi[f].sum(dtype=np.int64))
 
 
 def ap_bad(local: LocalData) -> int:
@@ -402,13 +414,12 @@ def _extended(m: Curve, known: list[int], bound: int) -> list[int]:
 
 
 def _smallest_prime_factors(bound: int) -> list[int]:
-    spf = list(range(bound + 1))
-    for i in range(2, int(bound ** 0.5) + 1):
+    spf = np.arange(bound + 1, dtype=np.int64)
+    for i in range(2, isqrt(bound) + 1):
         if spf[i] == i:
-            for j in range(i * i, bound + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    return spf
+            multiples = spf[i * i:: i]
+            np.minimum(multiples, i, out=multiples)
+    return spf.tolist()
 
 
 # ---------------------------------------------------------------------------

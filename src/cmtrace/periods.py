@@ -156,11 +156,6 @@ def elliptic_exp(lat: PeriodLattice, z) -> CurvePoint:
         return CurvePoint(z=mp.mpc(z), xy=(x, y))
 
 
-def equation_residual(cur: Curve, x, y):
-    return abs(y * y + cur.a1 * x * y + cur.a3 * y
-               - (x ** 3 + cur.a2 * x * x + cur.a4 * x + cur.a6))
-
-
 def is_torsion(z, lat: PeriodLattice, digits: int, bound: int = 24) -> bool:
     """Whether some multiple m*z, m <= bound, falls on the lattice to 10^(-digits/2)."""
     return torsion_order(z, lat, digits, bound) is not None

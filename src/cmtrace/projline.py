@@ -71,33 +71,10 @@ def proj_mul(params: ProjParams, u: ProjClass, v: ProjClass) -> ProjClass:
     return proj_class(p, z1, z2)
 
 
-def proj_pow(params: ProjParams, u: ProjClass, k: int) -> ProjClass:
-    acc = proj_identity()
-    base = u
-    if k < 0:
-        base = proj_inverse(params, u)
-        k = -k
-    while k:
-        if k & 1:
-            acc = proj_mul(params, acc, base)
-        base = proj_mul(params, base, base)
-        k >>= 1
-    return acc
-
-
 def proj_inverse(params: ProjParams, u: ProjClass) -> ProjClass:
     # Conjugation: the inverse of x1 + x2*w is its conjugate up to norm scaling,
     # i.e. [x1 + t*x2 : -x2].
     return proj_class(params.p, u.x1 + params.t * u.x2, -u.x2)
-
-
-def element_order(params: ProjParams, u: ProjClass) -> int:
-    acc = u
-    for k in range(1, params.p + 2):
-        if acc == proj_identity():
-            return k
-        acc = proj_mul(params, acc, u)
-    raise AssertionError("order exceeds group size")
 
 
 def involution_class(params: ProjParams, a: int) -> ProjClass:

@@ -246,18 +246,6 @@ def compose(x: BinaryForm, y: BinaryForm) -> BinaryForm:
     return reduce_form(BinaryForm(a3, b3, c3))
 
 
-def form_pow(x: BinaryForm, k: int) -> BinaryForm:
-    acc = principal_form(x.disc())
-    base = reduce_form(x) if k >= 0 else x.inverse()
-    k = abs(k)
-    while k:
-        if k & 1:
-            acc = compose(acc, base)
-        base = compose(base, base)
-        k >>= 1
-    return acc
-
-
 class ClassGroup:
     """Pic of the order of the given discriminant, as reduced forms plus tables."""
 

@@ -8,7 +8,12 @@ normalizer, and every reduced form of the big discriminant), so the tests can
 compare the two routes.  They are capped at p <= ENUMERATION_BOUND.
 
 On the analytic side, eval_series_direct is the term-by-term mpc evaluation
-of the q-series that the fixed-point evaluator in cmtrace.modparam replaced.
+of the q-series that the fixed-point evaluator in cmtrace.modparam replaced,
+and ap_char_sum_reduced the point count with every product reduced mod ell
+that the int64 Horner kernel in cmtrace.curves replaced.
+
+Square-and-multiply powers, element orders and the curve-equation residual
+are test-only helpers: the pipeline never needs them.
 """
 
 from __future__ import annotations
@@ -16,13 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath as mp
+import numpy as np
 
-from cmtrace.curves import an_coefficients
+from cmtrace.curves import Curve, an_coefficients
 from cmtrace.embeddings import CosetLabel, EmbeddingData, EmbeddingError
 from cmtrace.fp import FpMatrix, FpParams, in_cartan_group
 from cmtrace.modparam import GUARD, phi_terms
-from cmtrace.quadforms import (BinaryForm, QuadOrder, form_to_ideal, ideal_mul,
-                               ideal_to_form, principal_form, reduced_forms)
+from cmtrace.projline import ProjClass, ProjParams, proj_identity, proj_inverse, proj_mul
+from cmtrace.quadforms import (BinaryForm, QuadOrder, compose, form_to_ideal, ideal_mul,
+                               ideal_to_form, principal_form, reduce_form, reduced_forms)
 
 ENUMERATION_BOUND = 200
 
@@ -193,3 +200,54 @@ def eval_series_direct(cur, tau, digits: int, weight: int):
                 else:
                     acc += a[n] * qn
         return +acc
+
+
+def ap_char_sum_reduced(cur: Curve, ell: int) -> int:
+    # #affine = sum over x of (1 + chi(4x^3 + b2 x^2 + 2 b4 x + b6)), odd ell.
+    x = np.arange(ell, dtype=np.int64)
+    x2 = x * x % ell
+    f = (4 * (x2 * x % ell) + (cur.b2 % ell) * x2 + (2 * cur.b4 % ell) * x + cur.b6 % ell) % ell
+    qr = np.zeros(ell, dtype=np.int8)
+    qr[x2] = 1
+    chi = np.where(f == 0, 0, np.where(qr[f] == 1, 1, -1))
+    return int(-chi.sum())
+
+
+def equation_residual(cur: Curve, x, y):
+    return abs(y * y + cur.a1 * x * y + cur.a3 * y
+               - (x ** 3 + cur.a2 * x * x + cur.a4 * x + cur.a6))
+
+
+def form_pow(x: BinaryForm, k: int) -> BinaryForm:
+    acc = principal_form(x.disc())
+    base = reduce_form(x) if k >= 0 else x.inverse()
+    k = abs(k)
+    while k:
+        if k & 1:
+            acc = compose(acc, base)
+        base = compose(base, base)
+        k >>= 1
+    return acc
+
+
+def proj_pow(params: ProjParams, u: ProjClass, k: int) -> ProjClass:
+    acc = proj_identity()
+    base = u
+    if k < 0:
+        base = proj_inverse(params, u)
+        k = -k
+    while k:
+        if k & 1:
+            acc = proj_mul(params, acc, base)
+        base = proj_mul(params, base, base)
+        k >>= 1
+    return acc
+
+
+def element_order(params: ProjParams, u: ProjClass) -> int:
+    acc = u
+    for k in range(1, params.p + 2):
+        if acc == proj_identity():
+            return k
+        acc = proj_mul(params, acc, u)
+    raise AssertionError("order exceeds group size")

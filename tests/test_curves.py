@@ -2,12 +2,17 @@ import random
 from collections import Counter
 
 import pytest
-from sympy import primepi, primerange
+from sympy import factorint, primepi, primerange
 
 from cmtrace import curves
 from cmtrace.curves import (AN_BOUND, Curve, an_coefficients, ap_good,
                             conductor, curve_from_c4c6, curve_model, minimal_model,
                             tate_local, transform)
+from oracles import ap_char_sum_reduced
+
+# 49a1, 121b1, 50a1, 50b1 and 36a1: the curves of the benchmark catalogue.
+CATALOGUE_CURVES = [Curve(1, -1, 0, -2, -1), Curve(0, -1, 1, -7, 10), Curve(1, 0, 1, -1, -2),
+                    Curve(1, 1, 1, -3, 1), Curve(0, 0, 0, 0, 1)]
 
 
 def brute_count(cur: Curve, ell: int) -> int:
@@ -126,13 +131,29 @@ def test_bad_reduction_split_oracle():
 
 
 def test_ap_matches_brute_force():
-    rng = random.Random(8)
-    curves = [Curve(0, 0, 1, -1, 0), Curve(1, -1, 0, -2, -1), Curve(0, -1, 1, -7, 10)]
-    for cur in curves:
-        for ell in [61, 67, 71, 101, 103]:
+    for cur in [Curve(0, 0, 1, -1, 0)] + CATALOGUE_CURVES:
+        for ell in primerange(2, 108):
             if cur.disc % ell == 0:
                 continue
-            assert ap_good(cur, ell) == ell + 1 - brute_count(cur, ell)
+            assert ap_good(cur, ell) == ell + 1 - brute_count(cur, ell), (cur, ell)
+
+
+def test_ap_matches_reduced_char_sum():
+    rng = random.Random(8)
+    primes = list(primerange(60, 2 * 10 ** 5))
+    # The two largest primes below AN_BOUND test int64 exactness at the cap.
+    ells = rng.sample(primes, 50) + [999979, 999983]
+    for cur in CATALOGUE_CURVES:
+        for ell in ells:
+            if cur.disc % ell:
+                assert ap_good(cur, ell) == ap_char_sum_reduced(cur, ell), (cur, ell)
+
+
+@pytest.mark.parametrize("bound", [5000, 71 ** 2])
+def test_smallest_prime_factors(bound):
+    spf = curves._smallest_prime_factors(bound)
+    assert spf[:2] == [0, 1]
+    assert all(spf[n] == min(factorint(n)) for n in range(2, bound + 1))
 
 
 def test_an_coefficients_structure():
@@ -165,6 +186,8 @@ def test_hasse_bound():
 def test_an_bound_cap():
     with pytest.raises(ValueError):
         an_coefficients(Curve(0, 0, 1, -1, 0), AN_BOUND + 1)
+    with pytest.raises(ValueError):
+        ap_good(Curve(0, 0, 1, -1, 0), 1000003)       # first prime above the cap
 
 
 def test_curve_model():

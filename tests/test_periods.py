@@ -2,9 +2,9 @@ import mpmath as mp
 import pytest
 
 from cmtrace.curves import Curve
-from cmtrace.periods import (PrecisionError, elliptic_exp, equation_residual,
-                             is_torsion, lattice_distance, lattice_reduce, period_lattice,
-                             torsion_order, torsion_residual)
+from cmtrace.periods import (PrecisionError, elliptic_exp, is_torsion, lattice_distance,
+                             lattice_reduce, period_lattice, torsion_order, torsion_residual)
+from oracles import equation_residual
 
 
 def quad_period(cur: Curve, dps=50):

@@ -3,9 +3,9 @@ import random
 import pytest
 from sympy import primerange
 
-from cmtrace.projline import (ProjClass, ProjParams, element_order, involution_class,
-                              proj_class, proj_elements, proj_identity, proj_inverse,
-                              proj_mul, proj_pow)
+from cmtrace.projline import (ProjClass, ProjParams, involution_class, proj_class,
+                              proj_elements, proj_identity, proj_inverse, proj_mul)
+from oracles import element_order, proj_pow
 
 
 def poly_mul_classes(params, u, v):

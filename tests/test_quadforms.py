@@ -5,12 +5,12 @@ import pytest
 from sympy import primerange
 
 from cmtrace.fp import legendre
-from cmtrace.projline import ProjClass, element_order, proj_elements, proj_mul
+from cmtrace.projline import ProjClass, proj_elements, proj_mul
 from cmtrace.quadforms import (BinaryForm, ClassGroup, class_number, class_to_proj,
-                               compose, form_pow, is_fundamental_discriminant,
-                               kernel_classes, kronecker, order_data, principal_form,
-                               proj_params, reduce_form, reduced_forms)
-from oracles import project_form
+                               compose, is_fundamental_discriminant, kernel_classes,
+                               kronecker, order_data, principal_form, proj_params,
+                               reduce_form, reduced_forms)
+from oracles import element_order, form_pow, project_form
 
 # ---------------------------------------------------------------------------
 # Independent oracles.  Ideal arithmetic here is written from scratch against
