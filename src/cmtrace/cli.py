@@ -19,7 +19,7 @@ from .experiments import (DEFAULT_DIGITS, ExperimentSpec, HypothesisError,
                           check_digits, experiment_finite, trace_point)
 from .heegner import NoHeegnerPoint, heegner_form
 from .modparam import SeriesBudgetError, SignConsistencyError, atkin_lehner_sign
-from .periods import PrecisionError
+from .periods import DIGITS_CAP, PrecisionError
 from .quadforms import class_number, reduced_forms
 
 ENV_DIGITS = "CMTRACE_DIGITS"
@@ -27,9 +27,15 @@ ENV_DIGITS = "CMTRACE_DIGITS"
 
 def _default_digits() -> int:
     raw = os.environ.get(ENV_DIGITS)
-    if raw:
-        return int(raw)
-    return DEFAULT_DIGITS
+    if not raw:
+        return DEFAULT_DIGITS
+    try:
+        digits = int(raw)
+        check_digits(digits)
+    except ValueError:
+        raise ValueError(f"{ENV_DIGITS} must be an integer between 1 and {DIGITS_CAP}, "
+                         f"got {raw!r}") from None
+    return digits
 
 
 def _parse_curve(text: str):

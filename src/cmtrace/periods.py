@@ -4,11 +4,49 @@ The lattice is that of the invariant differential dx / (2y + a1 x + a3), with
 w1 the real period and Im(w2 / w1) > 0.  The exponential map evaluates the
 Weierstrass function and its derivative by a truncated Laurent series near the
 origin followed by repeated duplication, then shifts into the given model.
+
+Nearest lattice vectors.  Each lattice is Lagrange-reduced once: the integer
+rows of PeriodLattice.reduction give a basis b1, b2, exact at any precision,
+with |b1| <= |b2| and |Re(b2 conj b1)| <= |b1|^2 / 2.  A point with
+coordinates (x, y) in that basis lies in the cell with corners c, c + b1,
+c + b2, c + b1 + b2, c = floor(x) b1 + floor(y) b2, and its nearest lattice
+vector is one of those four corners.  The cell splits along its shorter
+diagonal, b1 - b2 or b1 + b2, into two triangles with sides |b1|, |b2| and
+that diagonal.  The diagonal is their longest side, and its square is at
+most |b1|^2 + |b2|^2, so neither triangle has an obtuse angle.  Translates
+of the two triangles tile the plane, and a tiling without obtuse angles is
+the Delaunay triangulation of the lattice: no lattice point lies inside the
+circumdisc of a triangle, nor inside the disc on an edge as diameter, each
+half of which lies in the circumdisc of the triangle on its side.  So the
+circumcentre and the edge midpoints of a triangle are as close to its
+vertices as to any lattice point.  The part of a triangle nearest to one of
+its vertices, the quadrilateral from the vertex to the midpoints of its two
+edges and the circumcentre (inside the triangle), is the convex hull of
+points of that vertex's Voronoi cell, so it lies in the cell.  Hence the
+squared distance of the point to the lattice is the minimum of the Gram
+form over its offsets from the four corners.
+
+Precision budget.  With P the working precision of lat.digits + GUARD
+decimal digits, the torsion test for m <= bound uses integers scaled by
+2^F, F = P + bit_length(bound) + FIXED_GUARD.  w1, w2 and z are cut to
+integers scaled by 2^e, e = F + 24 + log2 |z / w1|, the reduced basis is
+formed from them exactly, and the coordinates of z are solved exactly from
+those and rounded down to units of 2^-F: each is off by less than two
+units.  Those of m z are the exact multiples, so they are off by less than
+2m 2^-F <= 2^(1 - P - FIXED_GUARD), and the reduction mod 1 (a shift by F
+bits) and the choice of corner are exact on them.  That moves a distance by
+at most 2^(1 - P - FIXED_GUARD) (|b1| + |b2|), below 10^-(digits+27) |b2|.
+The Gram form is exact for the cut basis, which is off by about 2^-e times
+the entries of the reduction, far less.  Squared distances stay integers
+scaled by 2^-2(e+F) until the one square root.  lattice_reduce takes
+F = P + FIXED_GUARD at the caller's precision and only uses the corner it
+picks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath as mp
 
@@ -16,6 +54,7 @@ from .curves import Curve
 
 DIGITS_CAP = 200
 GUARD = 25
+FIXED_GUARD = 10            # guard bits of the fixed-point coordinates beyond bit_length(bound)
 
 
 class PrecisionError(ArithmeticError):
@@ -28,6 +67,21 @@ class PeriodLattice:
     w1: mp.mpc
     w2: mp.mpc
     digits: int
+
+    @cached_property
+    def reduction(self) -> tuple:
+        """Integer rows (p, q), (r, s) with b1 = p w1 + q w2 and b2 = r w1 + s w2
+        Lagrange-reduced: |b1| <= |b2| and |Re(b2 conj(b1))| <= |b1|^2 / 2."""
+        with mp.workdps(self.digits + GUARD):
+            u, v = (1, 0), (0, 1)
+            while True:
+                b1, b2 = (c[0] * self.w1 + c[1] * self.w2 for c in (u, v))
+                if abs(b2) < abs(b1):
+                    u, v, b1, b2 = v, u, b2, b1
+                mu = int(mp.nint(mp.re(b2 * mp.conj(b1)) / abs(b1) ** 2))
+                if mu == 0:
+                    return u, v
+                v = (v[0] - mu * u[0], v[1] - mu * u[1])
 
 
 @dataclass(frozen=True)
@@ -60,44 +114,60 @@ def period_lattice(curve: Curve, digits: int) -> PeriodLattice:
         return PeriodLattice(curve=curve, w1=+w1, w2=+w2, digits=digits)
 
 
-def lattice_coords(lat: PeriodLattice, z) -> tuple:
-    """Real coordinates (alpha, beta) with z = alpha*w1 + beta*w2."""
-    w1, w2 = lat.w1, lat.w2
-    det = mp.re(w1) * mp.im(w2) - mp.re(w2) * mp.im(w1)
-    alpha = (mp.re(z) * mp.im(w2) - mp.re(w2) * mp.im(z)) / det
-    beta = (mp.re(w1) * mp.im(z) - mp.re(z) * mp.im(w1)) / det
-    return alpha, beta
+def _reduced_basis(lat: PeriodLattice) -> tuple:
+    """(b1, b2) of lat.reduction, at the working precision."""
+    (p, q), (r, s) = lat.reduction
+    return p * lat.w1 + q * lat.w2, r * lat.w1 + s * lat.w2
+
+
+def _cell(lat: PeriodLattice, z, frac: int) -> tuple:
+    """(gram, x, y, shift), all integers: the coordinates of z = (x b1 + y b2)
+    / 2^frac in the reduced basis, rounded down, and the Gram form of the
+    basis, whose value n at an offset (s, t) / 2^frac is the squared length
+    n 2^shift.  w1, w2 and z enter cut to integers scaled by 2^e."""
+    z = mp.mpc(z)
+    e = frac + max(0, mp.mag(z) - mp.mag(lat.w1)) + 24
+    w1r, w1i, w2r, w2i, zr, zi = (int(mp.ldexp(v, e)) for v in (
+        mp.re(lat.w1), mp.im(lat.w1), mp.re(lat.w2), mp.im(lat.w2), z.real, z.imag))
+    (p, q), (r, s) = lat.reduction
+    b1r, b1i = p * w1r + q * w2r, p * w1i + q * w2i
+    b2r, b2i = r * w1r + s * w2r, r * w1i + s * w2i
+    det = b1r * b2i - b1i * b2r
+    x = ((zr * b2i - zi * b2r) << frac) // det
+    y = ((b1r * zi - b1i * zr) << frac) // det
+    gram = (b1r * b1r + b1i * b1i, b1r * b2r + b1i * b2i, b2r * b2r + b2i * b2i)
+    return gram, x, y, -2 * (e + frac)
+
+
+def _nearest_multiples(gram: tuple, x: int, y: int, frac: int, bound: int):
+    """For m = 1..bound in order, (n, i, j): the corner (i, j) of the reduced
+    cell that holds m (x, y) / 2^frac nearest to it, and the Gram form value n
+    of its offset.  The form is expanded about the corner, m^2 Q(x, y)
+    - 2^(frac+1) m B((x, y), (i, j)) + 4^frac Q(i, j), so that per m only the
+    small m, i and j multiply the big integers."""
+    g11, g12, g22 = gram
+    ax, bx = g11 * x + g12 * y, g12 * x + g22 * y
+    qxy = x * ax + y * bx
+    for m in range(1, bound + 1):
+        i0, j0 = (m * x) >> frac, (m * y) >> frac
+        base = m * m * qxy
+        yield min((base - ((m * (i * ax + j * bx)) << (frac + 1))
+                   + (((g11 * i + 2 * g12 * j) * i + g22 * j * j) << (2 * frac)), i, j)
+                  for i in (i0, i0 + 1) for j in (j0, j0 + 1))
 
 
 def lattice_reduce(lat: PeriodLattice, z):
-    """Representative of z mod the lattice close to the origin."""
-    alpha, beta = lattice_coords(lat, z)
-    z = z - mp.nint(alpha) * lat.w1 - mp.nint(beta) * lat.w2
-    changed = True
-    while changed:
-        changed = False
-        for step in (lat.w1, lat.w2, lat.w1 + lat.w2, lat.w1 - lat.w2):
-            for sgn in (1, -1):
-                if abs(z + sgn * step) < abs(z):
-                    z = z + sgn * step
-                    changed = True
-    return z
+    """z minus the lattice vector nearest to it, at the working precision."""
+    z = mp.mpc(z)
+    frac = mp.mp.prec + FIXED_GUARD
+    gram, x, y, _ = _cell(lat, z, frac)
+    _, i, j = next(_nearest_multiples(gram, x, y, frac, 1))
+    b1, b2 = _reduced_basis(lat)
+    return z - i * b1 - j * b2
 
 
 def lattice_distance(lat: PeriodLattice, z):
     return abs(lattice_reduce(lat, z))
-
-
-def _shortest_vector_len(lat: PeriodLattice):
-    b1, b2v = lat.w1, lat.w2
-    while True:
-        if abs(b2v) < abs(b1):
-            b1, b2v = b2v, b1
-        mu = mp.nint(mp.re(b2v * mp.conj(b1)) / abs(b1) ** 2)
-        if mu == 0:
-            break
-        b2v = b2v - mu * b1
-    return abs(b1)
 
 
 def _wp_series_coeffs(g2, g3, nterms: int):
@@ -117,7 +187,7 @@ def _wp_pair(lat: PeriodLattice, z, dps: int):
     cur = lat.curve
     g2 = mp.mpf(cur.c4) / 12
     g3 = mp.mpf(cur.c6) / 216
-    short = _shortest_vector_len(lat)
+    short = abs(_reduced_basis(lat)[0])
     radius = short / 8
     k = 0
     while abs(z) / 2 ** k > radius:
@@ -156,17 +226,27 @@ def elliptic_exp(lat: PeriodLattice, z) -> CurvePoint:
         return CurvePoint(z=mp.mpc(z), xy=(x, y))
 
 
+def _scaled_dist2(z, lat: PeriodLattice, bound: int) -> tuple:
+    """(shift, values): values yields, for m = 1..bound in order, an integer n
+    with n 2^shift the squared distance of m*z to the lattice."""
+    frac = mp.mp.prec + bound.bit_length() + FIXED_GUARD
+    gram, x, y, shift = _cell(lat, z, frac)
+    return shift, (n for n, _, _ in _nearest_multiples(gram, x, y, frac, bound))
+
+
 def is_torsion(z, lat: PeriodLattice, digits: int, bound: int = 24) -> bool:
     """Whether some multiple m*z, m <= bound, falls on the lattice to 10^(-digits/2)."""
     return torsion_order(z, lat, digits, bound) is not None
 
 
 def torsion_order(z, lat: PeriodLattice, digits: int, bound: int = 24):
+    """The least m <= bound with m*z within 10^(-digits/2)*|w1| of the lattice."""
     with mp.workdps(lat.digits + GUARD):
-        tol = mp.mpf(10) ** (-digits / 2)
-        scale = abs(lat.w1)
-        for m in range(1, bound + 1):
-            if lattice_distance(lat, m * mp.mpc(z)) < tol * scale:
+        shift, values = _scaled_dist2(z, lat, bound)
+        tol2 = (mp.mpf(10) ** (-digits / 2) * abs(lat.w1)) ** 2
+        limit = int(mp.ceil(mp.ldexp(tol2, -shift)))      # n < limit iff n 2^shift < tol2
+        for m, n in enumerate(values, 1):
+            if n < limit:
                 return m
     return None
 
@@ -174,4 +254,5 @@ def torsion_order(z, lat: PeriodLattice, digits: int, bound: int = 24):
 def torsion_residual(z, lat: PeriodLattice, bound: int = 24):
     """Smallest distance of m*z to the lattice over 1 <= m <= bound."""
     with mp.workdps(lat.digits + GUARD):
-        return min(lattice_distance(lat, m * mp.mpc(z)) for m in range(1, bound + 1))
+        shift, values = _scaled_dist2(z, lat, bound)
+        return mp.sqrt(mp.ldexp(min(values), shift))

@@ -9,8 +9,14 @@ compare the two routes.  They are capped at p <= ENUMERATION_BOUND.
 
 On the analytic side, eval_series_direct is the term-by-term mpc evaluation
 of the q-series that the fixed-point evaluator in cmtrace.modparam replaced,
-and ap_char_sum_reduced the point count with every product reduced mod ell
-that the int64 Horner kernel in cmtrace.curves replaced.
+ap_char_sum_reduced the point count with every product reduced mod ell
+that the int64 Horner kernel in cmtrace.curves replaced, and
+lattice_reduce_descent the descent from the nearest integer coordinates by
+steps of w1, w2 and w1 +- w2 that the four-corner rule of cmtrace.periods
+replaced.  The descent finds the nearest lattice vector only when (w1, w2)
+is Lagrange-reduced (the steps then hold every Voronoi-relevant vector), so
+the tests compare the four-corner rule with lattice_distance_by_search, an
+exhaustive search of a box of coordinates.
 
 Square-and-multiply powers, element orders and the curve-equation residual
 are test-only helpers: the pipeline never needs them.
@@ -200,6 +206,45 @@ def eval_series_direct(cur, tau, digits: int, weight: int):
                 else:
                     acc += a[n] * qn
         return +acc
+
+
+def lattice_coords(lat, z) -> tuple:
+    """Real coordinates (alpha, beta) with z = alpha*w1 + beta*w2."""
+    w1, w2 = lat.w1, lat.w2
+    det = mp.re(w1) * mp.im(w2) - mp.re(w2) * mp.im(w1)
+    alpha = (mp.re(z) * mp.im(w2) - mp.re(w2) * mp.im(z)) / det
+    beta = (mp.re(w1) * mp.im(z) - mp.re(z) * mp.im(w1)) / det
+    return alpha, beta
+
+
+def lattice_reduce_descent(lat, z):
+    """Representative of z mod the lattice close to the origin."""
+    alpha, beta = lattice_coords(lat, z)
+    z = z - mp.nint(alpha) * lat.w1 - mp.nint(beta) * lat.w2
+    changed = True
+    while changed:
+        changed = False
+        for step in (lat.w1, lat.w2, lat.w1 + lat.w2, lat.w1 - lat.w2):
+            for sgn in (1, -1):
+                if abs(z + sgn * step) < abs(z):
+                    z = z + sgn * step
+                    changed = True
+    return z
+
+
+def lattice_distance_by_search(lat, z):
+    """min |z - a w1 - b w2| over every (a, b) within R + 1 of the rounded
+    coordinates of z.  The nearest vector is no farther than the rounded one,
+    at most (|w1| + |w2|) / 2, and R bounds both coordinates of any offset
+    that short, so the box holds the nearest vector."""
+    w1, w2 = lat.w1, lat.w2
+    alpha, beta = lattice_coords(lat, z)
+    det = abs(mp.im(mp.conj(w1) * w2))
+    radius = int(mp.ceil((abs(w1) + abs(w2)) / 2 * max(abs(w1), abs(w2)) / det)) + 1
+    a0, b0 = int(mp.nint(alpha)), int(mp.nint(beta))
+    return min(abs(z - a * w1 - b * w2)
+               for a in range(a0 - radius, a0 + radius + 1)
+               for b in range(b0 - radius, b0 + radius + 1))
 
 
 def ap_char_sum_reduced(cur: Curve, ell: int) -> int:

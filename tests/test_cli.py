@@ -101,6 +101,19 @@ def test_bad_precision_and_torsion_bound_rejected(monkeypatch, capsys, argv, bou
     assert bound in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["trace", "sign"])
+@pytest.mark.parametrize("raw", ["abc", "6.5", "0", "250"])
+def test_bad_env_digits_names_the_variable(monkeypatch, capsys, command, raw):
+    monkeypatch.setenv("CMTRACE_DIGITS", raw)
+    monkeypatch.setattr("cmtrace.experiments.atkin_lehner_sign", _no_work)
+    monkeypatch.setattr("cmtrace.cli.atkin_lehner_sign", _no_work)
+    extra = ["--q", "49"] if command == "sign" else ["--dk", "-11"]
+    code = main([command, "--curve", "1,-1,0,-2,-1", *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"CMTRACE_DIGITS must be an integer between 1 and 200, got '{raw}'" in err
+
+
 def test_series_budget_error_exits_1(capsys):
     # the W_9 sample points of this conductor need far more than NMAX_CAP terms
     code = main(["sign", "--curve", "0,0,0,0,1003003001", "--q", "9", "--p", "3"])

@@ -56,6 +56,25 @@ def test_trace_sign_minus_is_torsion():
     assert len(payload["orbit"]) == 8
 
 
+# traceZ of the paper's two headline traces at 60 digits, to all of them:
+# the benchmark's gate compares only a double's worth of these digits
+HEADLINE_TRACES = [
+    (M49, -11, "signo_minus",
+     "-5.17271951775936855282140931174292732711563957828275509837379743049217974642e-73",
+     "0"),
+    (M121, -67, "main_plus",
+     "-2.19887841171410380393782751546589868754067658905868109194711950593001343286",
+     "-6.78908479277152403042352124562747497267046318512125290114419706301182332127e-74"),
+]
+
+
+@pytest.mark.parametrize("model,dK,mode,re,im", HEADLINE_TRACES)
+def test_headline_trace_values_to_all_digits(model, dK, mode, re, im):
+    rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=model, digits=60, mode=mode))
+    with mp.workdps(90):
+        assert abs(mp.mpc(rep.trace_z) - mp.mpc(re, im)) < mp.mpf(10) ** -60
+
+
 def test_trace_sign_minus_second_field():
     # h(-15) = 2, so no recognition path; the torsion verdict still must hold
     spec = ExperimentSpec(dK=-15, f=1, curve=M49, digits=40, mode="signo_minus")

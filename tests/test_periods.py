@@ -1,10 +1,26 @@
+import random
+from functools import lru_cache
+from math import gcd
+
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmtrace.curves import Curve
-from cmtrace.periods import (PrecisionError, elliptic_exp, is_torsion, lattice_distance,
-                             lattice_reduce, period_lattice, torsion_order, torsion_residual)
-from oracles import equation_residual
+from cmtrace.periods import (GUARD, PeriodLattice, PrecisionError, _scaled_dist2, elliptic_exp,
+                             is_torsion, lattice_distance, lattice_reduce, period_lattice,
+                             torsion_order, torsion_residual)
+from oracles import equation_residual, lattice_distance_by_search, lattice_reduce_descent
+
+LATTICE_CURVES = {              # the five catalogue curves (disc < 0) and 37a1 (disc > 0)
+    "49a1": (1, -1, 0, -2, -1),
+    "121b1": (0, -1, 1, -7, 10),
+    "50a1": (1, 0, 1, -1, -2),
+    "50b1": (1, 1, 1, -3, 1),
+    "36a1": (0, 0, 0, 0, 1),
+    "37a1": (0, 0, 1, -1, 0),
+}
 
 
 def quad_period(cur: Curve, dps=50):
@@ -129,3 +145,113 @@ def test_torsion_detection():
         z = mp.mpf("0.3") * lat.w1 + mp.mpf("0.31") * lat.w2
         assert not is_torsion(z, lat, 60)
         assert torsion_residual(z, lat) > mp.mpf(10) ** -10
+
+
+@lru_cache(maxsize=None)
+def _lattice(label: str, digits: int) -> PeriodLattice:
+    return period_lattice(Curve(*LATTICE_CURVES[label]), digits)
+
+
+def _points(lat: PeriodLattice, seed: int, count: int) -> list:
+    """Random points, up to about 20 periods from the origin, exact at the
+    lattice's working precision."""
+    rng = random.Random(seed)
+    with mp.workdps(lat.digits + GUARD):
+        def coord():
+            return rng.randint(-20, 19) + mp.ldexp(rng.getrandbits(mp.mp.prec), -mp.mp.prec)
+        return [coord() * lat.w1 + coord() * lat.w2 for _ in range(count)]
+
+
+def _distances(z, lat: PeriodLattice, bound: int) -> list:
+    with mp.workdps(lat.digits + GUARD):
+        shift, values = _scaled_dist2(z, lat, bound)
+        return [mp.sqrt(mp.ldexp(n, shift)) for n in values]
+
+
+def test_lattice_signs_and_reduction():
+    assert Curve(*LATTICE_CURVES["37a1"]).disc > 0
+    for label, ai in LATTICE_CURVES.items():
+        if label != "37a1":
+            assert Curve(*ai).disc < 0
+        lat = _lattice(label, 60)
+        (p, q), (r, s) = lat.reduction
+        assert abs(p * s - q * r) == 1
+        with mp.workdps(80):
+            b1, b2 = p * lat.w1 + q * lat.w2, r * lat.w1 + s * lat.w2
+            assert abs(b1) <= abs(b2)
+            assert 2 * abs(mp.re(b2 * mp.conj(b1))) <= abs(b1) ** 2 * (1 + mp.mpf(10) ** -70)
+            shortest = min(abs(a * lat.w1 + b * lat.w2) for a in range(-6, 7)
+                           for b in range(-6, 7) if a or b)
+            assert abs(abs(b1) - shortest) < mp.mpf(10) ** -70
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+@pytest.mark.parametrize("label", sorted(LATTICE_CURVES))
+def test_multiple_distances_match_search(label, digits):
+    lat = _lattice(label, digits)
+    tol = mp.mpf(10) ** -(digits + 20)
+    (p, q), (r, s) = lat.reduction
+    with mp.workdps(digits + GUARD + 20):
+        reduced = PeriodLattice(lat.curve, p * lat.w1 + q * lat.w2, r * lat.w1 + s * lat.w2,
+                                digits)
+    for z in _points(lat, digits, 2):
+        got = _distances(z, lat, 24)
+        with mp.workdps(digits + GUARD):
+            public = [lattice_distance(lat, m * z) for m in range(1, 25)]
+        with mp.workdps(digits + GUARD + 20):
+            for m in range(1, 25):
+                want = lattice_distance_by_search(lat, m * z)
+                assert abs(got[m - 1] - want) < tol, (m, got[m - 1], want)
+                assert abs(public[m - 1] - want) < tol
+                # the old descent is exact once it steps along a reduced basis
+                assert abs(abs(lattice_reduce_descent(reduced, m * z)) - want) < tol
+        assert torsion_residual(z, lat) == min(got)
+
+
+def test_descent_in_the_period_basis_missed_the_nearest_vector():
+    # 121b1's (w1, w2) is not Lagrange-reduced: the descent stops at a local
+    # minimum 0.91 away, while the lattice comes within 0.57 of this point
+    lat = _lattice("121b1", 60)
+    with mp.workdps(60 + GUARD):
+        z = mp.mpc("-2.556770953827603", "-0.1723832681073393")
+        want = lattice_distance_by_search(lat, z)
+        assert abs(lattice_distance(lat, z) - want) < mp.mpf(10) ** -80
+        assert abs(lattice_reduce_descent(lat, z)) > want + mp.mpf("0.3")
+
+
+@pytest.mark.parametrize("label", ["121b1", "37a1"])
+def test_unreduced_basis_gives_the_same_distances(label):
+    lat = _lattice(label, 60)
+    with mp.workdps(60 + GUARD):
+        skew = PeriodLattice(lat.curve, lat.w1, lat.w2 + 3 * lat.w1, lat.digits)
+    assert skew.reduction != lat.reduction
+    tol = mp.mpf(10) ** -80
+    for z in _points(lat, 7, 3):
+        for a, b in zip(_distances(z, skew, 24), _distances(z, lat, 24)):
+            assert abs(a - b) < tol
+        with mp.workdps(60 + GUARD):
+            assert abs(lattice_reduce(skew, z) - lattice_reduce(lat, z)) < tol
+
+
+def test_large_bound_keeps_the_guard_bits():
+    # m up to 1000 multiplies the rounding of the coordinates of z; the
+    # bit_length(bound) guard bits keep the distances within 2^-P |w1|,
+    # P the working precision
+    lat = _lattice("121b1", 60)
+    z = _points(lat, 1000, 1)[0]
+    got = _distances(z, lat, 1000)
+    with mp.workdps(60 + GUARD):
+        tol = mp.ldexp(abs(lat.w1), -mp.mp.prec)
+    with mp.workdps(60 + GUARD + 30):
+        for m in range(1, 1001, 7):
+            assert abs(got[m - 1] - lattice_distance_by_search(lat, m * z)) < tol, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(label=st.sampled_from(sorted(LATTICE_CURVES)), n=st.integers(1, 24),
+       k1=st.integers(-60, 60), k2=st.integers(-60, 60))
+def test_torsion_order_of_rational_points(label, n, k1, k2):
+    lat = _lattice(label, 60)
+    with mp.workdps(60 + GUARD):
+        z = mp.mpf(k1) / n * lat.w1 + mp.mpf(k2) / n * lat.w2
+    assert torsion_order(z, lat, 60) == n // gcd(n, k1, k2)
