@@ -12,14 +12,13 @@ from .embeddings import (EmbeddingData, build_embedding, find_common_norm_elemen
                          two_to_one_check, verify_optimal)
 from .experiments import (ExperimentSpec, FiniteReport, TraceReport,
                           experiment_finite, trace_point)
-from .fp import FpMatrix, FpParams, cartan_membership, index_ns_plus, lift_to_integral_sl2
+from .fp import FpMatrix, FpParams, cartan_membership, index_ns_plus
 from .heegner import HeegnerTau, NoHeegnerPoint, galois_orbit, heegner_form
-from .modparam import atkin_lehner_sign, eval_phi, root_number
+from .modparam import atkin_lehner_sign, eval_phi
 from .periods import CurvePoint, PeriodLattice, elliptic_exp, is_torsion, period_lattice
 from .projline import ProjClass, ProjParams, involution_class, proj_class, proj_mul
-from .quadforms import (BinaryForm, ClassGroup, GaloisKernel, QuadOrder, class_number,
-                        class_to_proj, compose, kernel_classes, order_data, reduce_form,
-                        reduced_forms)
-from .recognize import AlgebraicNumber, recognize_algebraic, recognize_in_quadratic, recognize_rational
+from .quadforms import (BinaryForm, GaloisKernel, QuadOrder, class_number, kernel_classes,
+                        order_data, reduce_form, reduced_forms)
+from .recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational
 
 __version__ = "0.1.0"

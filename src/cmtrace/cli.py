@@ -1,8 +1,9 @@
 """Command line interface: finite-layer checks, class groups, Heegner forms,
 Atkin-Lehner signs, and full trace experiments with JSON reports.
 
-Exit codes: 0 when a verdict was reached (or the command succeeded), 2 when a
-trace run ends undecided, 1 on errors and unsatisfiable inputs.
+Exit codes: 0 when a verdict was reached (or the command succeeded, --help
+included), 2 when a trace run ends undecided, 1 on errors, unsatisfiable
+inputs and malformed or missing arguments.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import sys
 import mpmath as mp
 
 from .curves import curve_model
-from .experiments import (DEFAULT_DIGITS, ExperimentSpec, HypothesisError,
-                          check_digits, experiment_finite, trace_point)
-from .heegner import NoHeegnerPoint, heegner_form
+from .experiments import (DEFAULT_DIGITS, ExperimentSpec, check_digits, experiment_finite,
+                          trace_point)
+from .heegner import heegner_form
 from .modparam import SeriesBudgetError, SignConsistencyError, atkin_lehner_sign
 from .periods import DIGITS_CAP, PrecisionError
 from .quadforms import class_number, reduced_forms
@@ -52,9 +53,16 @@ def _write_json(path: str | None, payload: dict):
             fh.write("\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other input error: 2 means undecided."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cmtrace",
-                                 description="Heegner traces across Cartan level structures")
+    ap = _Parser(prog="cmtrace", description="Heegner traces across Cartan level structures")
     sub = ap.add_subparsers(dest="command", required=True)
 
     fin = sub.add_parser("finite-check", help="finite embedding and coset checks")
@@ -177,8 +185,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (NoHeegnerPoint, HypothesisError, SignConsistencyError, SeriesBudgetError,
-            PrecisionError, ValueError) as exc:
+    except (SignConsistencyError, SeriesBudgetError, PrecisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

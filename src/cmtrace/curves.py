@@ -189,9 +189,7 @@ def tate_local(cur: Curve, q: int) -> LocalData:
 
 
 def _tame_kodaira(v: int, vc4: int) -> str:
-    if vc4 == 2:
-        if v == 6:
-            return "I0*"
+    if 3 * vc4 < v:             # potentially multiplicative (v(j) < 0): I_n*, n = v - 6
         return f"I{v - 6}*"
     table = {2: "II", 3: "III", 4: "IV", 6: "I0*", 8: "IV*", 9: "III*", 10: "II*"}
     return table[v]

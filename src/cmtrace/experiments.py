@@ -126,6 +126,8 @@ def experiment_finite(spec: ExperimentSpec, eps: int | None = None,
     p = spec.prime
     if level_m is None:
         level_m = spec.curve.m if spec.curve is not None else 1
+    if level_m < 1:
+        raise ValueError(f"level M must be at least 1, got {level_m}")
     params = FpParams(p, eps)
     order = order_data(spec.dK, spec.f)
     kernel = kernel_classes(order, p)

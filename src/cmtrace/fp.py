@@ -1,15 +1,13 @@
 """Exact 2x2 matrix arithmetic over F_p and the four Cartan subgroups.
 
 Membership tests for the split and non-split Cartan subgroups of GL_2(F_p)
-and their normalizers, the coset index in closed form, and determinant-one
-lifts to integral matrices.  Nothing here enumerates a group, so no routine
-is capped in p.
+and their normalizers, and the coset index in closed form.  Nothing here
+enumerates a group, so no routine is capped in p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from sympy import isprime
 from sympy.ntheory import sqrt_mod
@@ -163,66 +161,6 @@ def in_cartan_group(m: FpMatrix, kind: str, params: FpParams) -> bool:
 def index_ns_plus(params: FpParams) -> int:
     """[C_ns+ : C_ns+ cap C_s+] = 2(p^2-1) / 4(p-1) = (p+1)/2."""
     return (params.p + 1) // 2
-
-
-def lift_to_integral_sl2(m: FpMatrix, level: int = 1) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Integer matrix of determinant exactly 1 reducing to m mod p.
-
-    With level > 1 (coprime to p) the lift additionally has lower-left entry
-    divisible by level, i.e. lies in Gamma_0(level).  Entries are O(p^3 level^2):
-    the bottom row comes from a CRT lift to coprime integers below (p*level)^2
-    and the top row from a Bezout solve plus one row operation mod p.
-    """
-    p = m.p
-    if m.det() != 1:
-        raise ValueError("lift requires det = 1 mod p")
-    if level < 1 or gcd(level, p) != 1:
-        raise ValueError("level must be a positive integer coprime to p")
-    q = p * level
-
-    # Centered residues already of determinant one (identity, (0,-1;1,0), ...).
-    cent = [e if e <= p // 2 else e - p for e in m.entries]
-    if cent[0] * cent[3] - cent[1] * cent[2] == 1 and cent[2] % level == 0:
-        return ((cent[0], cent[1]), (cent[2], cent[3]))
-
-    # Bottom row: c0 = c (p), 0 (level); d0 = d (p), 1 (level); then make coprime.
-    c0 = _crt_pair(m.c, p, 0, level)
-    d0 = _crt_pair(m.d, p, 1, level)
-    if c0 == 0:
-        c0 = q
-    k = 0
-    while gcd(c0, d0 + k * q) != 1:
-        k += 1
-        if k > c0:
-            raise AssertionError("no coprime lift found")
-    d0 += k * q
-
-    # Complete to determinant one, then fix the top row mod p by a shear.
-    g, x, y = _xgcd(d0, c0)
-    assert g == 1
-    a0, b0 = x, -y          # a0*d0 - b0*c0 = 1
-    # m * L0^{-1} is unipotent upper triangular mod p; read off the shear
-    # from m = (1, kbar; 0, 1) * L0 mod p.
-    if d0 % p:
-        kbar = (m.b - b0) * pow(d0, -1, p) % p
-    else:
-        # d0 = 0 mod p forces c0 invertible mod p; use the other entry.
-        kbar = (m.a - a0) * pow(c0, -1, p) % p
-    a1, b1 = a0 + kbar * c0, b0 + kbar * d0
-    lift = ((a1, b1), (c0, d0))
-    assert a1 * d0 - b1 * c0 == 1
-    assert (a1 - m.a) % p == 0 and (b1 - m.b) % p == 0
-    assert (c0 - m.c) % p == 0 and (d0 - m.d) % p == 0
-    assert c0 % level == 0
-    return lift
-
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    if m2 == 1:
-        return r1 % m1
-    g, x, _ = _xgcd(m1, m2)
-    assert g == 1
-    return (r1 + (r2 - r1) * x % m2 * m1) % (m1 * m2)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -26,8 +26,7 @@ from sympy import factorint
 from sympy.ntheory import sqrt_mod
 
 from .fp import _xgcd
-from .quadforms import (BinaryForm, GaloisKernel, form_to_ideal, ideal_mul,
-                        lattice_intersect)
+from .quadforms import BinaryForm, GaloisKernel, form_to_ideal, generator_ideal, ideal_mul
 
 
 class NoHeegnerPoint(ValueError):
@@ -199,22 +198,6 @@ def _smith2(m):
     return (abs(a[0][0]), abs(a[1][1])), v
 
 
-def _kernel_ideal_conj(kernel: GaloisKernel, idx: int):
-    """Conjugate of the kernel-class ideal lam O_f intersect O_pf, as a lattice."""
-    order = kernel.order
-    p = kernel.p
-    x1, x2 = kernel.classes[idx].generator
-    dK, f, t = order.dK, order.f, order.t
-    lam = (2 * x1 + x2 * t, x2 * f)
-    omega = (t, f)
-    lam_omega = ((lam[0] * omega[0] + lam[1] * omega[1] * dK) // 2,
-                 (lam[0] * omega[1] + lam[1] * omega[0]) // 2)
-    l1 = (lam, lam_omega)
-    l2 = ((2, 0), (p * t, p * f))
-    meet = lattice_intersect(l1, l2)
-    return tuple((u, -v) for u, v in meet)
-
-
 def _ratio_form(s1, s2, dK: int, conductor: int) -> BinaryForm:
     """Primitive integral form of tau = value(s2) / value(s1), oriented Im > 0."""
     u1, v1 = s1
@@ -252,8 +235,9 @@ def galois_orbit(base: HeegnerTau, kernel: GaloisKernel) -> list[HeegnerTau]:
     l2 = (l1[0], (n_level * l1[1][0], n_level * l1[1][1]))
 
     out = []
-    for idx in range(len(kernel.classes)):
-        abar = _kernel_ideal_conj(kernel, idx)
+    for kc in kernel.classes:
+        # the conjugate of the kernel ideal lam O_f cap O_pf
+        abar = tuple((u, -v) for u, v in generator_ideal(order, p, *kc.generator))
         m1 = ideal_mul(abar, l1, dK)
         m2 = ideal_mul(abar, l2, dK)
         # coordinates of m2's basis in m1's basis

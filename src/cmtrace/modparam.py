@@ -38,7 +38,7 @@ curve is -w_N, so rank-zero curves have Fricke eigenvalue -1.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 
 import mpmath as mp
 
@@ -48,6 +48,7 @@ from .fp import _xgcd
 GUARD = 15
 FIXED_GUARD = 10            # guard bits of the fixed-point evaluator beyond bit_length(n_max)
 NMAX_CAP = 10 ** 6
+AL_SAMPLES = 5              # points on the W_Q-stable circle that must agree on the sign
 
 
 class SeriesBudgetError(ArithmeticError):
@@ -120,10 +121,9 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int) -> mp
 
 def al_matrix(n_level: int, q_div: int) -> tuple[int, int, int, int]:
     """Integral matrix (Qa, b; Nc, Qd) of determinant Q for the involution W_Q."""
-    if n_level % q_div or q_div < 1:
-        raise ValueError("Q must divide N")
+    if q_div < 1 or n_level % q_div:
+        raise ValueError(f"Q must be a positive divisor of N = {n_level}, got Q = {q_div}")
     comp = n_level // q_div
-    from math import gcd
     if gcd(q_div, comp) != 1:
         raise ValueError("W_Q needs gcd(Q, N/Q) = 1")
     if q_div == n_level:
@@ -138,20 +138,20 @@ class SignConsistencyError(ArithmeticError):
     pass
 
 
-def atkin_lehner_sign(model: CurveModel, q_div: int, digits: int, samples: int = 5) -> int:
+def atkin_lehner_sign(model: CurveModel, q_div: int, digits: int) -> int:
     """Eigenvalue of W_Q on the newform of the curve, for Q || N.
 
-    Samples tau on the norm-Q circle |N c tau + Q d| = sqrt(Q), where both tau
-    and W_Q tau have the same imaginary part, and demands all sample ratios
-    agree with the same sign to 10^(-digits/2).
+    Samples AL_SAMPLES points tau on the norm-Q circle |N c tau + Q d| =
+    sqrt(Q), where both tau and W_Q tau have the same imaginary part, and
+    demands all sample ratios agree with the same sign to 10^(-digits/2).
     """
     n_level = model.n
     wa, wb, wc, wd = al_matrix(n_level, q_div)
     with mp.workdps(digits + GUARD):
         tol = mp.mpf(10) ** (-mp.mpf(digits) / 2)
         signs = []
-        for j in range(samples):
-            theta = mp.pi / 3 + j * mp.pi / (3 * max(1, samples - 1))
+        for j in range(AL_SAMPLES):
+            theta = mp.pi / 3 + j * mp.pi / (3 * (AL_SAMPLES - 1))
             # tau on the stabilised circle: N*c*tau + Q*d = sqrt(Q) e^{i theta}.
             tau = (mp.sqrt(q_div) * mp.exp(1j * theta) - wd) / wc
             ftau = eval_newform(model, tau, digits)
@@ -168,8 +168,3 @@ def atkin_lehner_sign(model: CurveModel, q_div: int, digits: int, samples: int =
         if not signs or any(s != signs[0] for s in signs):
             raise SignConsistencyError(f"inconsistent W_{q_div} signs across samples: {signs}")
         return signs[0]
-
-
-def root_number(model: CurveModel, digits: int = 40) -> int:
-    """Sign of the functional equation, -1 times the Fricke eigenvalue."""
-    return -atkin_lehner_sign(model, model.n, digits)

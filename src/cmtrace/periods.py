@@ -166,10 +166,6 @@ def lattice_reduce(lat: PeriodLattice, z):
     return z - i * b1 - j * b2
 
 
-def lattice_distance(lat: PeriodLattice, z):
-    return abs(lattice_reduce(lat, z))
-
-
 def _wp_series_coeffs(g2, g3, nterms: int):
     cs = [mp.mpf(0)] * (nterms + 1)
     cs[1] = g2 / 20

@@ -54,10 +54,6 @@ def proj_class(p: int, x1: int, x2: int) -> ProjClass:
     return ProjClass(x1 * inv % p, 1)
 
 
-def proj_identity() -> ProjClass:
-    return ProjClass(1, 0)
-
-
 def proj_elements(p: int) -> list[ProjClass]:
     """The p + 1 points, identity first, then [0:1], [1:1], ... in affine order."""
     return [ProjClass(1, 0)] + [ProjClass(x, 1) for x in range(p)]
@@ -69,12 +65,6 @@ def proj_mul(params: ProjParams, u: ProjClass, v: ProjClass) -> ProjClass:
     z2 = u.x1 * v.x2 + u.x2 * v.x1 + t * u.x2 * v.x2
     # The norm form is anisotropic mod p, so the product never degenerates.
     return proj_class(p, z1, z2)
-
-
-def proj_inverse(params: ProjParams, u: ProjClass) -> ProjClass:
-    # Conjugation: the inverse of x1 + x2*w is its conjugate up to norm scaling,
-    # i.e. [x1 + t*x2 : -x2].
-    return proj_class(params.p, u.x1 + params.t * u.x2, -u.x2)
 
 
 def involution_class(params: ProjParams, a: int) -> ProjClass:

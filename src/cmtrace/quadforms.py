@@ -1,7 +1,7 @@
 """Imaginary quadratic orders, binary quadratic forms, and ring class kernels.
 
 Class groups Pic(O_f) are modelled by primitive reduced forms of discriminant
-f^2 * dK under Gaussian composition.  The Galois group of the ring class field
+f^2 * dK (Gaussian composition itself is a test oracle).  The Galois group of the ring class field
 step H_pf / H_f is realised as the kernel of Pic(O_pf) -> Pic(O_f), built
 directly from its generators: each kernel class is the class of
 (x1 + x2*w_f) O_f cap O_pf for a unit class x1 + x2*w_f in
@@ -19,12 +19,8 @@ from math import gcd, isqrt
 
 from sympy import factorint, isprime
 
-from .fp import _xgcd, legendre
-from .projline import ProjClass, ProjParams, proj_class, proj_elements
-
-
-class NotComposableError(ValueError):
-    """Internal composition failure; cannot happen for primitive forms of equal disc."""
+from .fp import legendre
+from .projline import ProjClass, ProjParams, proj_elements
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +135,6 @@ class BinaryForm:
             return False
         return True
 
-    def inverse(self) -> "BinaryForm":
-        return reduce_form(BinaryForm(self.a, -self.b, self.c))
-
     def value(self, x: int, y: int) -> int:
         return self.a * x * x + self.b * x * y + self.c * y * y
 
@@ -206,83 +199,6 @@ def reduced_forms(disc: int) -> list[BinaryForm]:
 
 def class_number(disc: int) -> int:
     return len(reduced_forms(disc))
-
-
-# ---------------------------------------------------------------------------
-# Composition (Gauss, via the standard two-Euclid formulation).
-
-
-def compose(x: BinaryForm, y: BinaryForm) -> BinaryForm:
-    """Reduced composition of two primitive forms of equal discriminant."""
-    if x.disc() != y.disc():
-        raise ValueError("discriminant mismatch")
-    if not (x.is_primitive() and y.is_primitive()):
-        raise ValueError("composition needs primitive forms")
-    if x.a > y.a:
-        x, y = y, x
-    a1, b1 = x.a, x.b
-    a2, b2, c2 = y.a, y.b, y.c
-    s = (b1 + b2) // 2
-    n = b2 - s
-    if a2 % a1 == 0:
-        y1, d = 0, a1
-    else:
-        d, u, _ = _xgcd(a2, a1)
-        y1 = u
-    if s % d == 0:
-        x2, y2, d1 = 0, -1, d
-    else:
-        d1, u, v = _xgcd(s, d)
-        x2, y2 = u, -v
-    v1 = a1 // d1
-    v2 = a2 // d1
-    r = (y1 * y2 * n - x2 * c2) % v1
-    b3 = b2 + 2 * v2 * r
-    a3 = v1 * v2
-    num = c2 * d1 + r * (b2 + v2 * r)
-    if num % v1:
-        raise NotComposableError("composition bookkeeping failed")
-    c3 = num // v1
-    return reduce_form(BinaryForm(a3, b3, c3))
-
-
-class ClassGroup:
-    """Pic of the order of the given discriminant, as reduced forms plus tables."""
-
-    def __init__(self, disc: int):
-        self.disc = disc
-        self.elements = reduced_forms(disc)
-        self._index = {f: i for i, f in enumerate(self.elements)}
-        self.identity_index = self._index[principal_form(disc)]
-        self._table: dict[tuple[int, int], int] = {}
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def index(self, form: BinaryForm) -> int:
-        return self._index[reduce_form(form)]
-
-    def compose_idx(self, i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        got = self._table.get(key)
-        if got is None:
-            got = self._index[compose(self.elements[i], self.elements[j])]
-            self._table[key] = got
-        return got
-
-    def cayley(self) -> list[list[int]]:
-        n = len(self.elements)
-        return [[self.compose_idx(i, j) for j in range(n)] for i in range(n)]
-
-    def inverse_idx(self, i: int) -> int:
-        return self._index[self.elements[i].inverse()]
-
-    def order_of(self, i: int) -> int:
-        k, j = 1, i
-        while j != self.identity_index:
-            j = self.compose_idx(j, i)
-            k += 1
-        return k
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +338,14 @@ class GaloisKernel:
         return len(self.classes)
 
 
-def generator_ideal_form(order: QuadOrder, p: int, x1: int, x2: int) -> BinaryForm:
-    """Reduced form of the proper O_pf-ideal (x1 + x2*w_f) O_f  intersect  O_pf."""
+def generator_ideal(order: QuadOrder, p: int, x1: int, x2: int):
+    """The proper O_pf-ideal (x1 + x2*w_f) O_f  intersect  O_pf, as a lattice."""
     dK, f, t = order.dK, order.f, order.t
     lam = (2 * x1 + x2 * t, x2 * f)
     omega = (t, f)
     l1 = (lam, _half_mul(lam, omega, dK))
     l2 = ((2, 0), (p * t, p * f))
-    meet = lattice_intersect(l1, l2)
-    return ideal_to_form(meet, dK, p * f)
+    return lattice_intersect(l1, l2)
 
 
 def kernel_classes(order: QuadOrder, p: int) -> GaloisKernel:
@@ -447,18 +362,9 @@ def kernel_classes(order: QuadOrder, p: int) -> GaloisKernel:
         raise ValueError("p must not divide the conductor")
     classes = tuple(
         KernelClass(proj=pt, generator=(pt.x1, pt.x2),
-                    form=generator_ideal_form(order, p, pt.x1, pt.x2))
+                    form=ideal_to_form(generator_ideal(order, p, pt.x1, pt.x2),
+                                       order.dK, p * order.f))
         for pt in proj_elements(p))
     if len({kc.form for kc in classes}) != p + 1:
         raise AssertionError("unit classes gave coinciding ideal classes")
     return GaloisKernel(order=order, p=p, classes=classes)
-
-
-def class_to_proj(order: QuadOrder, p: int, lam: tuple[int, int]) -> ProjClass:
-    """Canonical P^1(F_p) class of the unit x1 + x2*w_f; rejects (0, 0) mod p."""
-    x1, x2 = lam
-    if x1 % p == 0 and x2 % p == 0:
-        raise ValueError("both coordinates vanish mod p")
-    norm = (x1 * x1 + order.t * x1 * x2 + order.n * x2 * x2) % p
-    assert norm != 0, "unit norm vanished at an inert prime"
-    return proj_class(p, x1, x2)

@@ -26,20 +26,6 @@ class AlgebraicNumber:
     den: int
     field_disc: int | None
 
-    def as_fractions(self) -> tuple[Fraction, Fraction]:
-        return Fraction(self.nu, self.den), Fraction(self.mu, self.den)
-
-    def minpoly(self) -> tuple[int, ...]:
-        """Coefficients (monic up to content) of an integer polynomial vanishing here."""
-        if self.mu == 0 or self.field_disc is None:
-            return (self.den, -self.nu)
-        # (den*x - nu)^2 = mu^2 * field_disc
-        c2 = self.den * self.den
-        c1 = -2 * self.den * self.nu
-        c0 = self.nu * self.nu - self.mu * self.mu * self.field_disc
-        g = gcd(gcd(c2, abs(c1)), abs(c0))
-        return (c2 // g, c1 // g, c0 // g)
-
     def to_mpc(self):
         root = mp.sqrt(mp.mpf(self.field_disc)) if self.field_disc is not None else 0
         return (self.nu + self.mu * root) / self.den
@@ -79,41 +65,6 @@ def recognize_in_quadratic(x, field_disc: int, digits: int,
         if abs(x - out.to_mpc()) > mp.mpf(10) ** (-digits / 2):
             return None
         return out
-
-
-def recognize_algebraic(x, field_disc: int | None, degree_bound: int,
-                        height_bound: int, digits: int) -> AlgebraicNumber | tuple | None:
-    """Exact value of x: rational, quadratic over Q(sqrt(field_disc)), or an
-    integer minimal polynomial of degree <= degree_bound found by PSLQ.
-
-    Returns an AlgebraicNumber, a coefficient tuple (leading first), or None.
-    """
-    if digits < 3 * height_bound:
-        raise ValueError("working precision must be at least three times the height bound")
-    with mp.workdps(digits):
-        x = mp.mpc(x)
-        tol = mp.mpf(10) ** (-digits / 2)
-        if abs(x.imag) < tol:
-            frac = recognize_rational(x.real, digits, height_bound)
-            if frac is not None:
-                return AlgebraicNumber(frac.numerator, 0, frac.denominator, None)
-        if field_disc is not None:
-            quad = recognize_in_quadratic(x, field_disc, digits, height_bound)
-            if quad is not None:
-                return quad
-        # Generic integer relation on powers of x (real values only).
-        if abs(x.imag) < tol:
-            xr = x.real
-            for deg in range(2, degree_bound + 1):
-                powers = [xr ** k for k in range(deg + 1)]
-                rel = mp.pslq(powers, maxcoeff=10 ** height_bound,
-                              tol=mp.mpf(10) ** (-digits + 6))
-                if rel is None:
-                    continue
-                val = sum(c * t for c, t in zip(rel, powers))
-                if abs(val) < tol:
-                    return tuple(int(c) for c in reversed(rel))
-        return None
 
 
 def _lcm(a: int, b: int) -> int:

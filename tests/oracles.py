@@ -19,23 +19,30 @@ the tests compare the four-corner rule with lattice_distance_by_search, an
 exhaustive search of a box of coordinates.
 
 Square-and-multiply powers, element orders and the curve-equation residual
-are test-only helpers: the pipeline never needs them.
+are test-only helpers: the pipeline never needs them.  So is the API that
+cmtrace kept only for its tests: lift_to_integral_sl2, Gaussian composition
+(compose, form_inverse, ClassGroup, class_to_proj), proj_identity and
+proj_inverse, recognize_algebraic with minpoly, root_number and
+lattice_distance.  Their bodies are as they were in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import mpmath as mp
 import numpy as np
 
-from cmtrace.curves import Curve, an_coefficients
+from cmtrace.curves import Curve, CurveModel, an_coefficients
 from cmtrace.embeddings import CosetLabel, EmbeddingData, EmbeddingError
-from cmtrace.fp import FpMatrix, FpParams, in_cartan_group
-from cmtrace.modparam import GUARD, phi_terms
-from cmtrace.projline import ProjClass, ProjParams, proj_identity, proj_inverse, proj_mul
-from cmtrace.quadforms import (BinaryForm, QuadOrder, compose, form_to_ideal, ideal_mul,
-                               ideal_to_form, principal_form, reduce_form, reduced_forms)
+from cmtrace.fp import FpMatrix, FpParams, _xgcd, in_cartan_group
+from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
+from cmtrace.periods import PeriodLattice, lattice_reduce
+from cmtrace.projline import ProjClass, ProjParams, proj_class, proj_mul
+from cmtrace.quadforms import (BinaryForm, QuadOrder, form_to_ideal, ideal_mul, ideal_to_form,
+                               principal_form, reduce_form, reduced_forms)
+from cmtrace.recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational
 
 ENUMERATION_BOUND = 200
 
@@ -263,9 +270,272 @@ def equation_residual(cur: Curve, x, y):
                - (x ** 3 + cur.a2 * x * x + cur.a4 * x + cur.a6))
 
 
+# ---------------------------------------------------------------------------
+# API the pipeline never calls, kept for the tests: integral SL_2 lifts,
+# Gaussian composition and class-group tables, the P^1(F_p) identity and
+# inverse, general algebraic recognition, the root number and the distance to
+# a period lattice.
+
+
+def lift_to_integral_sl2(m: FpMatrix, level: int = 1) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Integer matrix of determinant exactly 1 reducing to m mod p.
+
+    With level > 1 (coprime to p) the lift additionally has lower-left entry
+    divisible by level, i.e. lies in Gamma_0(level).  Entries are O(p^3 level^2):
+    the bottom row comes from a CRT lift to coprime integers below (p*level)^2
+    and the top row from a Bezout solve plus one row operation mod p.
+    """
+    p = m.p
+    if m.det() != 1:
+        raise ValueError("lift requires det = 1 mod p")
+    if level < 1 or gcd(level, p) != 1:
+        raise ValueError("level must be a positive integer coprime to p")
+    q = p * level
+
+    # Centered residues already of determinant one (identity, (0,-1;1,0), ...).
+    cent = [e if e <= p // 2 else e - p for e in m.entries]
+    if cent[0] * cent[3] - cent[1] * cent[2] == 1 and cent[2] % level == 0:
+        return ((cent[0], cent[1]), (cent[2], cent[3]))
+
+    # Bottom row: c0 = c (p), 0 (level); d0 = d (p), 1 (level); then make coprime.
+    c0 = _crt_pair(m.c, p, 0, level)
+    d0 = _crt_pair(m.d, p, 1, level)
+    if c0 == 0:
+        c0 = q
+    k = 0
+    while gcd(c0, d0 + k * q) != 1:
+        k += 1
+        if k > c0:
+            raise AssertionError("no coprime lift found")
+    d0 += k * q
+
+    # Complete to determinant one, then fix the top row mod p by a shear.
+    g, x, y = _xgcd(d0, c0)
+    assert g == 1
+    a0, b0 = x, -y          # a0*d0 - b0*c0 = 1
+    # m * L0^{-1} is unipotent upper triangular mod p; read off the shear
+    # from m = (1, kbar; 0, 1) * L0 mod p.
+    if d0 % p:
+        kbar = (m.b - b0) * pow(d0, -1, p) % p
+    else:
+        # d0 = 0 mod p forces c0 invertible mod p; use the other entry.
+        kbar = (m.a - a0) * pow(c0, -1, p) % p
+    a1, b1 = a0 + kbar * c0, b0 + kbar * d0
+    lift = ((a1, b1), (c0, d0))
+    assert a1 * d0 - b1 * c0 == 1
+    assert (a1 - m.a) % p == 0 and (b1 - m.b) % p == 0
+    assert (c0 - m.c) % p == 0 and (d0 - m.d) % p == 0
+    assert c0 % level == 0
+    return lift
+
+
+def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
+    if m2 == 1:
+        return r1 % m1
+    g, x, _ = _xgcd(m1, m2)
+    assert g == 1
+    return (r1 + (r2 - r1) * x % m2 * m1) % (m1 * m2)
+
+
+class NotComposableError(ValueError):
+    """Internal composition failure; cannot happen for primitive forms of equal disc."""
+
+
+def compose(x: BinaryForm, y: BinaryForm) -> BinaryForm:
+    """Reduced composition of two primitive forms of equal discriminant."""
+    if x.disc() != y.disc():
+        raise ValueError("discriminant mismatch")
+    if not (x.is_primitive() and y.is_primitive()):
+        raise ValueError("composition needs primitive forms")
+    if x.a > y.a:
+        x, y = y, x
+    a1, b1 = x.a, x.b
+    a2, b2, c2 = y.a, y.b, y.c
+    s = (b1 + b2) // 2
+    n = b2 - s
+    if a2 % a1 == 0:
+        y1, d = 0, a1
+    else:
+        d, u, _ = _xgcd(a2, a1)
+        y1 = u
+    if s % d == 0:
+        x2, y2, d1 = 0, -1, d
+    else:
+        d1, u, v = _xgcd(s, d)
+        x2, y2 = u, -v
+    v1 = a1 // d1
+    v2 = a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    b3 = b2 + 2 * v2 * r
+    a3 = v1 * v2
+    num = c2 * d1 + r * (b2 + v2 * r)
+    if num % v1:
+        raise NotComposableError("composition bookkeeping failed")
+    c3 = num // v1
+    return reduce_form(BinaryForm(a3, b3, c3))
+
+
+class ClassGroup:
+    """Pic of the order of the given discriminant, as reduced forms plus tables."""
+
+    def __init__(self, disc: int):
+        self.disc = disc
+        self.elements = reduced_forms(disc)
+        self._index = {f: i for i, f in enumerate(self.elements)}
+        self.identity_index = self._index[principal_form(disc)]
+        self._table: dict[tuple[int, int], int] = {}
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def index(self, form: BinaryForm) -> int:
+        return self._index[reduce_form(form)]
+
+    def compose_idx(self, i: int, j: int) -> int:
+        key = (i, j) if i <= j else (j, i)
+        got = self._table.get(key)
+        if got is None:
+            got = self._index[compose(self.elements[i], self.elements[j])]
+            self._table[key] = got
+        return got
+
+    def cayley(self) -> list[list[int]]:
+        n = len(self.elements)
+        return [[self.compose_idx(i, j) for j in range(n)] for i in range(n)]
+
+    def inverse_idx(self, i: int) -> int:
+        return self._index[self.elements[i].inverse()]
+
+    def order_of(self, i: int) -> int:
+        k, j = 1, i
+        while j != self.identity_index:
+            j = self.compose_idx(j, i)
+            k += 1
+        return k
+
+
+def form_inverse(form: BinaryForm) -> BinaryForm:
+    return reduce_form(BinaryForm(form.a, -form.b, form.c))
+
+
+class ClassGroup:
+    """Pic of the order of the given discriminant, as reduced forms plus tables."""
+
+    def __init__(self, disc: int):
+        self.disc = disc
+        self.elements = reduced_forms(disc)
+        self._index = {f: i for i, f in enumerate(self.elements)}
+        self.identity_index = self._index[principal_form(disc)]
+        self._table: dict[tuple[int, int], int] = {}
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def index(self, form: BinaryForm) -> int:
+        return self._index[reduce_form(form)]
+
+    def compose_idx(self, i: int, j: int) -> int:
+        key = (i, j) if i <= j else (j, i)
+        got = self._table.get(key)
+        if got is None:
+            got = self._index[compose(self.elements[i], self.elements[j])]
+            self._table[key] = got
+        return got
+
+    def cayley(self) -> list[list[int]]:
+        n = len(self.elements)
+        return [[self.compose_idx(i, j) for j in range(n)] for i in range(n)]
+
+    def inverse_idx(self, i: int) -> int:
+        return self._index[form_inverse(self.elements[i])]
+
+    def order_of(self, i: int) -> int:
+        k, j = 1, i
+        while j != self.identity_index:
+            j = self.compose_idx(j, i)
+            k += 1
+        return k
+
+
+def class_to_proj(order: QuadOrder, p: int, lam: tuple[int, int]) -> ProjClass:
+    """Canonical P^1(F_p) class of the unit x1 + x2*w_f; rejects (0, 0) mod p."""
+    x1, x2 = lam
+    if x1 % p == 0 and x2 % p == 0:
+        raise ValueError("both coordinates vanish mod p")
+    norm = (x1 * x1 + order.t * x1 * x2 + order.n * x2 * x2) % p
+    assert norm != 0, "unit norm vanished at an inert prime"
+    return proj_class(p, x1, x2)
+
+
+def proj_identity() -> ProjClass:
+    return ProjClass(1, 0)
+
+
+def proj_inverse(params: ProjParams, u: ProjClass) -> ProjClass:
+    # Conjugation: the inverse of x1 + x2*w is its conjugate up to norm scaling,
+    # i.e. [x1 + t*x2 : -x2].
+    return proj_class(params.p, u.x1 + params.t * u.x2, -u.x2)
+
+
+def recognize_algebraic(x, field_disc: int | None, degree_bound: int,
+                        height_bound: int, digits: int) -> AlgebraicNumber | tuple | None:
+    """Exact value of x: rational, quadratic over Q(sqrt(field_disc)), or an
+    integer minimal polynomial of degree <= degree_bound found by PSLQ.
+
+    Returns an AlgebraicNumber, a coefficient tuple (leading first), or None.
+    """
+    if digits < 3 * height_bound:
+        raise ValueError("working precision must be at least three times the height bound")
+    with mp.workdps(digits):
+        x = mp.mpc(x)
+        tol = mp.mpf(10) ** (-digits / 2)
+        if abs(x.imag) < tol:
+            frac = recognize_rational(x.real, digits, height_bound)
+            if frac is not None:
+                return AlgebraicNumber(frac.numerator, 0, frac.denominator, None)
+        if field_disc is not None:
+            quad = recognize_in_quadratic(x, field_disc, digits, height_bound)
+            if quad is not None:
+                return quad
+        # Generic integer relation on powers of x (real values only).
+        if abs(x.imag) < tol:
+            xr = x.real
+            for deg in range(2, degree_bound + 1):
+                powers = [xr ** k for k in range(deg + 1)]
+                rel = mp.pslq(powers, maxcoeff=10 ** height_bound,
+                              tol=mp.mpf(10) ** (-digits + 6))
+                if rel is None:
+                    continue
+                val = sum(c * t for c, t in zip(rel, powers))
+                if abs(val) < tol:
+                    return tuple(int(c) for c in reversed(rel))
+        return None
+
+
+def minpoly(num: AlgebraicNumber) -> tuple[int, ...]:
+    """Coefficients (monic up to content) of an integer polynomial vanishing here."""
+    if num.mu == 0 or num.field_disc is None:
+        return (num.den, -num.nu)
+    # (den*x - nu)^2 = mu^2 * field_disc
+    c2 = num.den * num.den
+    c1 = -2 * num.den * num.nu
+    c0 = num.nu * num.nu - num.mu * num.mu * num.field_disc
+    g = gcd(gcd(c2, abs(c1)), abs(c0))
+    return (c2 // g, c1 // g, c0 // g)
+
+
+def root_number(model: CurveModel, digits: int = 40) -> int:
+    """Sign of the functional equation, -1 times the Fricke eigenvalue."""
+    return -atkin_lehner_sign(model, model.n, digits)
+
+
+def lattice_distance(lat: PeriodLattice, z):
+    return abs(lattice_reduce(lat, z))
+
+
 def form_pow(x: BinaryForm, k: int) -> BinaryForm:
     acc = principal_form(x.disc())
-    base = reduce_form(x) if k >= 0 else x.inverse()
+    base = reduce_form(x) if k >= 0 else form_inverse(x)
     k = abs(k)
     while k:
         if k & 1:

@@ -16,10 +16,10 @@ from cmtrace.embeddings import build_embedding, find_common_norm_element, two_to
 from cmtrace.experiments import ExperimentSpec, trace_point
 from cmtrace.fp import FpParams, index_ns_plus, legendre
 from cmtrace.heegner import NoHeegnerPoint, heegner_form
-from cmtrace.periods import lattice_distance, period_lattice
+from cmtrace.periods import period_lattice
 from cmtrace.projline import ProjParams, involution_class, proj_class, proj_elements, proj_mul
 from cmtrace.quadforms import BinaryForm, is_fundamental_discriminant, kernel_classes, order_data
-from oracles import index_ns_plus_by_enumeration
+from oracles import index_ns_plus_by_enumeration, lattice_distance
 
 CURVE_RANK0_49 = (1, -1, 0, -2, -1)
 CURVE_RANK1_121 = (0, -1, 1, -7, 10)
@@ -169,8 +169,7 @@ def test_criterion_6_sign_plus_nonvanishing(trace_reports):
     # stability under precision doubling
     rep2 = trace_reports["121@120"]
     assert rep2.verdict == "non_torsion"
-    assert rep2.recognized[0].as_fractions() == rx.as_fractions()
-    assert rep2.recognized[1].as_fractions() == ry.as_fractions()
+    assert rep2.recognized == (rx, ry)
     assert trace_reports["t121"] < 300
     print(f"\nPASS criterion 6: conductor-121 rank-1 curve, K = Q(sqrt(-67)), "
           f"w_p = +1; 12-point trace non-torsion, recognized exactly as "

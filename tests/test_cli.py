@@ -62,8 +62,42 @@ def test_trace_hypothesis_error(capsys):
 
 
 def test_bad_curve_argument():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["sign", "--curve", "1,2,3", "--q", "49"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["trace", "--curve", "1,-1,0,-2,-1", "--dk", "abc"], "argument --dk: invalid int value"),
+    (["trace", "--dk", "-11"], "required: --curve"),
+    (["trace", "--curve", "1,2", "--dk", "-11"], "curve needs five integers"),
+    (["bogus"], "invalid choice: 'bogus'"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1            # 2 is reserved for an undecided trace
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--help"])
+    assert exc.value.code == 0
+    assert "--curve" in capsys.readouterr().out
+
+
+def test_sign_rejects_q_zero(capsys):
+    code = main(["sign", "--curve", "1,-1,0,-2,-1", "--q", "0"])
+    assert code == 1
+    assert "Q must be a positive divisor of N = 49, got Q = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", ["-1", "0"])
+def test_finite_check_rejects_level_below_one(capsys, m):
+    code = main(["finite-check", "--p", "5", "--dk", "-7", "--m", m])
+    assert code == 1
+    assert f"level M must be at least 1, got {m}" in capsys.readouterr().err
 
 
 def test_env_digits_default(monkeypatch, capsys):

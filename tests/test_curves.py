@@ -117,6 +117,15 @@ def test_kodaira_types():
     assert (good.kodaira, good.f) == ("I0", 0)
 
 
+@pytest.mark.parametrize("ai,kodaira", [
+    ((1, 0, 1, -1, -2), "IV"),                # 50a1: v(c4) = 2, v(disc) = 4, potentially good
+    ((1, 0, 1, -251, -727), "I4*"),           # 15a1 twisted by 5: v(c4) = 2, v(disc) = 10
+])
+def test_tame_kodaira_at_five_reads_v_c4_against_v_disc(ai, kodaira):
+    loc = tate_local(minimal_model(Curve(*ai)), 5)
+    assert (loc.kodaira, loc.f, loc.reduction) == (kodaira, 2, "additive")
+
+
 def test_bad_reduction_split_oracle():
     # split <=> ell - 1 smooth points, nonsplit <=> ell + 1, additive <=> ell
     for ai in [(0, -1, 1, -10, -20), (1, 0, 1, 4, -6), (1, 1, 1, -10, -10)]:

@@ -7,8 +7,9 @@ from cmtrace.curves import curve_model
 from cmtrace.experiments import (ExperimentSpec, HypothesisError, experiment_finite,
                                  orbit_trace, trace_point)
 from cmtrace.heegner import HeegnerTau, galois_orbit, heegner_form
-from cmtrace.periods import lattice_distance, period_lattice
+from cmtrace.periods import period_lattice
 from cmtrace.quadforms import BinaryForm, kernel_classes, order_data
+from oracles import lattice_distance
 
 M49 = curve_model((1, -1, 0, -2, -1))
 M121 = curve_model((0, -1, 1, -7, 10))

@@ -4,10 +4,10 @@ import pytest
 from sympy import primerange
 
 from cmtrace.fp import (CARTAN_KINDS, FpMatrix, FpParams, cartan_membership, identity,
-                        in_cartan_group, index_ns_plus, legendre, lift_to_integral_sl2,
-                        smallest_nonsquare, sqrt_mod_p)
+                        in_cartan_group, index_ns_plus, legendre, smallest_nonsquare,
+                        sqrt_mod_p)
 from oracles import (EnumerationBoundError, cartan_intersection_ns_s, enumerate_cartan,
-                     index_ns_plus_by_enumeration, sl2_elements)
+                     index_ns_plus_by_enumeration, lift_to_integral_sl2, sl2_elements)
 
 
 def test_params_validation():

@@ -4,8 +4,8 @@ import pytest
 from cmtrace.fp import legendre
 from cmtrace.heegner import (HeegnerTau, NoHeegnerPoint, galois_orbit, gamma0_reduce,
                              heegner_form)
-from cmtrace.quadforms import (BinaryForm, compose, kernel_classes,
-                               order_data, reduce_form)
+from cmtrace.quadforms import BinaryForm, kernel_classes, order_data, reduce_form
+from oracles import compose
 
 
 def brute_stratum_minimum(n_level, dK, c, p):

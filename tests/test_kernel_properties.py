@@ -1,0 +1,82 @@
+"""Properties of the Galois kernel, its finite shadow and the Galois orbit over
+random inert (dK, f, p) with p <= 31.
+
+The orbit is taken on X_0(p^2): the base point has conductor p*f, and each
+orbit member comes from one kernel ideal, so comparing member by member with
+Gaussian composition (an oracle) pins the single routine that builds the
+kernel ideals for both kernel_classes and galois_orbit.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import primerange
+
+from cmtrace.experiments import ExperimentSpec, experiment_finite
+from cmtrace.fp import legendre
+from cmtrace.heegner import HeegnerTau, galois_orbit, gamma0_reduce, heegner_form
+from cmtrace.projline import involution_class, proj_mul
+from cmtrace.quadforms import (is_fundamental_discriminant, kernel_classes, order_data,
+                               principal_form, proj_params, reduce_form)
+from oracles import compose, form_inverse, project_form
+
+CASES = [(dK, f, p)
+         for dK in range(-200, -6) if is_fundamental_discriminant(dK)
+         for p in primerange(3, 32) if legendre(dK % p, p) == -1
+         for f in range(1, 6) if f % p]
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+@PROPERTY
+@given(st.sampled_from(CASES))
+def test_kernel_has_p_plus_one_distinct_classes_that_die_in_pic_of_o_f(case):
+    dK, f, p = case
+    order = order_data(dK, f)
+    kernel = kernel_classes(order, p)
+    forms = [kc.form for kc in kernel.classes]
+    assert len(set(forms)) == len(forms) == p + 1
+    principal = principal_form(order.disc)
+    for form in forms:
+        assert form.disc() == p * p * order.disc and form == reduce_form(form)
+        assert project_form(form, dK, p * f, f) == principal
+
+
+@PROPERTY
+@given(st.sampled_from(CASES))
+def test_finite_checks_hold_and_fibers_pair_by_the_involution(case):
+    dK, f, p = case
+    report = experiment_finite(ExperimentSpec(dK=dK, f=f, p=p, mode="finite_only"))
+    assert report.all_passed, report.checks
+    params = proj_params(order_data(dK, f), p)
+    invol = involution_class(params, params.t * pow(2, -1, p) % p)
+    assert len(report.fibers) == report.degree == (p + 1) // 2
+    for u, v in report.fibers.values():
+        assert proj_mul(params, u, invol) == v
+    assert sorted(w for pair in report.fibers.values() for w in pair) == sorted(
+        kc.proj for kc in kernel_classes(order_data(dK, f), p).classes)
+
+
+def _orbit(dK, f, p):
+    kernel = kernel_classes(order_data(dK, f), p)
+    base = HeegnerTau(form=heegner_form(p * p, dK, p * f), n_level=p * p, dK=dK,
+                      conductor=p * f)
+    return kernel, base, galois_orbit(base, kernel)
+
+
+@PROPERTY
+@given(st.sampled_from(CASES))
+def test_orbit_member_is_base_times_its_conjugate_kernel_ideal(case):
+    kernel, base, orbit = _orbit(*case)
+    base_class = reduce_form(base.form)
+    assert len(orbit) == len(kernel.classes)
+    for kc, pt in zip(kernel.classes, orbit):
+        # the orbit multiplies by the conjugate ideal, whose class is the inverse
+        assert reduce_form(pt.form) == compose(base_class, form_inverse(kc.form))
+        assert pt.form.a % (case[2] ** 2) == 0
+
+
+@PROPERTY
+@given(st.sampled_from(CASES))
+def test_identity_class_reproduces_the_base_point(case):
+    kernel, base, orbit = _orbit(*case)
+    assert (kernel.classes[0].proj.x1, kernel.classes[0].proj.x2) == (1, 0)
+    assert orbit[0].form == gamma0_reduce(base.form, base.n_level)

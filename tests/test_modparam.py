@@ -6,9 +6,9 @@ import pytest
 from cmtrace.curves import curve_model
 from cmtrace.heegner import HeegnerTau, heegner_form
 from cmtrace.modparam import (SeriesBudgetError, al_matrix, atkin_lehner_sign,
-                              eval_newform, eval_phi, phi_terms, root_number)
-from cmtrace.periods import lattice_distance, period_lattice
-from oracles import eval_series_direct
+                              eval_newform, eval_phi, phi_terms)
+from cmtrace.periods import period_lattice
+from oracles import eval_series_direct, lattice_distance, root_number
 
 
 def sigma0(n):
@@ -120,6 +120,9 @@ def test_al_matrix_shapes():
         al_matrix(49, 7)        # gcd(Q, N/Q) = 7
     with pytest.raises(ValueError):
         al_matrix(49, 5)
+    for q in (0, -7):                       # checked before N % Q, which fails at 0
+        with pytest.raises(ValueError, match=f"got Q = {q}"):
+            al_matrix(49, q)
 
 
 def test_eval_phi_rejects_lower_half_plane():

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from cmtrace.curves import Curve
 from cmtrace.periods import (GUARD, PeriodLattice, PrecisionError, _scaled_dist2, elliptic_exp,
-                             is_torsion, lattice_distance, lattice_reduce, period_lattice,
-                             torsion_order, torsion_residual)
-from oracles import equation_residual, lattice_distance_by_search, lattice_reduce_descent
+                             is_torsion, lattice_reduce, period_lattice, torsion_order,
+                             torsion_residual)
+from oracles import (equation_residual, lattice_distance, lattice_distance_by_search,
+                     lattice_reduce_descent)
 
 LATTICE_CURVES = {              # the five catalogue curves (disc < 0) and 37a1 (disc > 0)
     "49a1": (1, -1, 0, -2, -1),

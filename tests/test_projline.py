@@ -4,8 +4,8 @@ import pytest
 from sympy import primerange
 
 from cmtrace.projline import (ProjClass, ProjParams, involution_class, proj_class,
-                              proj_elements, proj_identity, proj_inverse, proj_mul)
-from oracles import element_order, proj_pow
+                              proj_elements, proj_mul)
+from oracles import element_order, proj_identity, proj_inverse, proj_pow
 
 
 def poly_mul_classes(params, u, v):
