@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     hg.add_argument("--c", type=int, required=True)
     hg.add_argument("--json", dest="json_path", default=None)
 
-    sg = sub.add_parser("sign", help="numerical Atkin-Lehner eigenvalue")
+    sg = sub.add_parser("sign", help="Atkin-Lehner eigenvalue")
     sg.add_argument("--curve", type=_parse_curve, required=True)
     sg.add_argument("--q", type=int, required=True)
     sg.add_argument("--digits", type=int, default=None)

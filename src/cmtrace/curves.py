@@ -363,20 +363,26 @@ def ap_bad(local: LocalData) -> int:
 
 AN_BOUND = 10 ** 6
 
-_an_cache: dict[tuple[int, ...], list[int]] = {}
+# a-invariants of a model -> [its minimal model, the list a[0..bound] so far];
+# a model and its minimal model share one entry, hence one list.
+_an_cache: dict[tuple[int, ...], list] = {}
 
 
 def an_coefficients(cur: Curve, bound: int) -> list[int]:
     """List a with a[n] the n-th coefficient for 1 <= n <= bound (a[0] = 0).
 
     The cached list of each curve only grows: a larger bound extends it, so
-    every a_ell is point-counted once per curve and process."""
+    every a_ell is point-counted once per curve and process.  The cache is
+    keyed by the given model, so minimal_model runs once per model."""
     if bound > AN_BOUND:
         raise ValueError(f"coefficient bound capped at {AN_BOUND}")
-    m = minimal_model(cur)
-    a = _an_cache.get(m.ainvs, [0, 1])
+    entry = _an_cache.get(cur.ainvs)
+    if entry is None:
+        m = minimal_model(cur)
+        entry = _an_cache[cur.ainvs] = _an_cache.setdefault(m.ainvs, [m, [0, 1]])
+    m, a = entry
     if len(a) <= bound:
-        a = _an_cache[m.ainvs] = _extended(m, a, bound)
+        a = entry[1] = _extended(m, a, bound)
     return a[: bound + 1]
 
 

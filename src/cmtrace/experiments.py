@@ -3,7 +3,8 @@ the ring class Galois kernel, trace, and classify the result.
 
 Every trace run also executes the finite shadow (optimal embedding, converse
 scan, two-to-one fiber structure, involution pairing), so the analytic outcome
-and the group-theoretic bookkeeping are produced side by side.
+and the group-theoretic bookkeeping are produced side by side; the orbit is
+built from the Galois kernel the shadow computed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .heegner import HeegnerTau, galois_orbit, heegner_form
 from .modparam import atkin_lehner_sign, eval_phi, phi_terms
 from .periods import (DIGITS_CAP, PeriodLattice, elliptic_exp, is_torsion,
                       period_lattice, torsion_residual)
-from .quadforms import class_number, kernel_classes, kronecker, order_data
+from .quadforms import GaloisKernel, class_number, kernel_classes, kronecker, order_data
 from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
 
 MODES = ("signo_minus", "main_plus", "finite_only")
@@ -98,6 +99,7 @@ class FiniteReport:
     checks: dict
     fiber_count: int
     degree: int
+    kernel: GaloisKernel = field(repr=False)     # reused by trace_point; not in to_json
     fibers: dict = field(default_factory=dict)
 
     @property
@@ -151,7 +153,7 @@ def experiment_finite(spec: ExperimentSpec, eps: int | None = None,
     checks["common_norm_elements"] = all(
         find_common_norm_element(params, ell % p).det() == ell % p for ell in good)
     return FiniteReport(p=p, dK=spec.dK, f=spec.f, level_m=level_m, checks=checks,
-                        fiber_count=len(fibers), degree=degree, fibers=fibers)
+                        fiber_count=len(fibers), degree=degree, kernel=kernel, fibers=fibers)
 
 
 @dataclass(frozen=True)
@@ -251,13 +253,12 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     timings["atkin_lehner"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    order = order_data(spec.dK, spec.f)
-    kernel = kernel_classes(order, model.p)
+    shadow = experiment_finite(ExperimentSpec(dK=spec.dK, f=spec.f, curve=model,
+                                              digits=digits, mode="finite_only"))
+    kernel = shadow.kernel
     base = HeegnerTau(form=heegner_form(model.n, spec.dK, model.p * spec.f),
                       n_level=model.n, dK=spec.dK, conductor=model.p * spec.f)
     orbit = galois_orbit(base, kernel)
-    shadow = experiment_finite(ExperimentSpec(dK=spec.dK, f=spec.f, curve=model,
-                                              digits=digits, mode="finite_only"))
     timings["finite_layer"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

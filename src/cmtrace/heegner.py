@@ -26,7 +26,7 @@ from sympy import factorint
 from sympy.ntheory import sqrt_mod
 
 from .fp import _xgcd
-from .quadforms import BinaryForm, GaloisKernel, form_to_ideal, generator_ideal, ideal_mul
+from .quadforms import BinaryForm, GaloisKernel, check_fundamental, form_to_ideal, ideal_mul
 
 
 class NoHeegnerPoint(ValueError):
@@ -58,6 +58,7 @@ class HeegnerTau:
 def heegner_form(n_level: int, dK: int, c: int) -> BinaryForm:
     """Deterministic smallest-|B| primitive form (N, B, C) with B^2 = c^2 dK mod 4N.
 
+    dK must be a fundamental discriminant, as for order_data (ValueError).
     Raises NoHeegnerPoint when the congruence is unsolvable, which is exactly
     the classical obstruction (for instance conductor 1 at an inert prime).
 
@@ -69,9 +70,8 @@ def heegner_form(n_level: int, dK: int, c: int) -> BinaryForm:
     """
     if n_level < 1 or c < 1:
         raise ValueError(f"level and conductor must be positive, got N = {n_level}, c = {c}")
+    check_fundamental(dK)                # so disc < 0
     disc = c * c * dK
-    if disc >= 0:
-        raise ValueError("discriminant must be negative")
     roots = sqrt_mod(disc % (4 * n_level), 4 * n_level, all_roots=True)
     if not roots:
         raise NoHeegnerPoint(f"B^2 = {disc} mod {4 * n_level} has no solution")
@@ -237,7 +237,7 @@ def galois_orbit(base: HeegnerTau, kernel: GaloisKernel) -> list[HeegnerTau]:
     out = []
     for kc in kernel.classes:
         # the conjugate of the kernel ideal lam O_f cap O_pf
-        abar = tuple((u, -v) for u, v in generator_ideal(order, p, *kc.generator))
+        abar = tuple((u, -v) for u, v in kc.ideal)
         m1 = ideal_mul(abar, l1, dK)
         m2 = ideal_mul(abar, l2, dK)
         # coordinates of m2's basis in m1's basis

@@ -30,10 +30,21 @@ Atkin-Lehner sign test and its 10^(-digits/2) tolerance; the tests compare
 both weights with the term-by-term mpc sum (tests/oracles.py).  The error
 is absolute, not relative: a value far below 2^-P comes back as noise or 0.
 
-Atkin-Lehner eigenvalues are read off numerically from f(W_Q tau) =
-w_Q * Q^{-1} (N c tau + Q d)^2 f(tau) at sample points on the circle the
-involution stabilises; with this normalisation the global root number of the
-curve is -w_N, so rank-zero curves have Fricke eigenvalue -1.
+Atkin-Lehner eigenvalues.  With f | W_Q = w_Q f the global root number of
+the curve is -w_N, so rank-zero curves have Fricke eigenvalue -1, and w_Q is
+the product of the local signs w_q over the prime powers q^e || Q, each the
+local root number of E at q.  Those come from the local data of the minimal
+model (Rohrlich, Compositio Math. 87, 1993): w_q = -a_q at multiplicative q,
+and at additive q >= 5, with v = v_q(Delta_min) and e = 12 / gcd(12, v) the
+ramification index of the least extension of Q_q^ur over which E acquires
+good reduction, w_q = (-1/q) for e in {2, 6},
+(-3/q) for e = 3 and (-2/q) for e = 4; potentially multiplicative reduction,
+3 v_q(c4) < v, gives (-1/q).  The formula reads v and v_q(c4), never the
+Kodaira label.  Additive reduction at 2 or 3 (36a1 at 3, for instance) has
+no such closed form here: when a prime of Q is of that kind, w_Q is read off
+numerically from f(W_Q tau) = w_Q * Q^{-1} (N c tau + Q d)^2 f(tau) at
+sample points on the circle the involution stabilises.  The tests check the
+closed form against that numerical route.
 """
 
 from __future__ import annotations
@@ -41,9 +52,10 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 import mpmath as mp
+from sympy import factorint
 
-from .curves import Curve, CurveModel, an_coefficients
-from .fp import _xgcd
+from .curves import Curve, CurveModel, _valuation, an_coefficients, ap_bad, tate_local
+from .fp import _xgcd, legendre
 
 GUARD = 15
 FIXED_GUARD = 10            # guard bits of the fixed-point evaluator beyond bit_length(n_max)
@@ -139,6 +151,35 @@ class SignConsistencyError(ArithmeticError):
 
 
 def atkin_lehner_sign(model: CurveModel, q_div: int, digits: int) -> int:
+    """Eigenvalue of W_Q on the newform of the curve, for Q || N: the product
+    of the local signs when every prime of Q has one, else measured
+    numerically at `digits` (module docstring)."""
+    al_matrix(model.n, q_div)                   # raises unless Q || N
+    w = 1
+    for q in factorint(q_div):
+        w_q = _local_sign(model.minimal, q)
+        if w_q is None:
+            return _numerical_sign(model, q_div, digits)
+        w *= w_q
+    return w
+
+
+def _local_sign(cur: Curve, q: int) -> int | None:
+    """w_q from the local data of the minimal model at a bad prime q, or None
+    when the reduction is additive at q = 2 or 3."""
+    local = tate_local(cur, q)
+    if local.reduction != "additive":
+        return -ap_bad(local)
+    if q < 5:
+        return None
+    v = local.v_disc
+    if cur.c4 and 3 * _valuation(cur.c4, q) < v:       # potentially multiplicative
+        return legendre(-1, q)
+    e = 12 // gcd(12, v)
+    return legendre({2: -1, 6: -1, 3: -3, 4: -2}[e], q)
+
+
+def _numerical_sign(model: CurveModel, q_div: int, digits: int) -> int:
     """Eigenvalue of W_Q on the newform of the curve, for Q || N.
 
     Samples AL_SAMPLES points tau on the norm-Q circle |N c tau + Q d| =

@@ -46,7 +46,7 @@ picks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import mpmath as mp
 
@@ -92,7 +92,10 @@ class CurvePoint:
     xy: tuple | None
 
 
+@lru_cache(maxsize=128)
 def period_lattice(curve: Curve, digits: int) -> PeriodLattice:
+    """The period lattice of the curve at `digits`, computed once per (curve,
+    digits) and process: a warm process reuses it, reduction included."""
     if digits > DIGITS_CAP:
         raise PrecisionError(f"precision capped at {DIGITS_CAP} digits")
     with mp.workdps(digits + GUARD):

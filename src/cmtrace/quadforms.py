@@ -88,9 +88,13 @@ class QuadOrder:
     n: int
 
 
-def order_data(dK: int, f: int) -> QuadOrder:
+def check_fundamental(dK: int):
     if not is_fundamental_discriminant(dK):
-        raise ValueError(f"{dK} is not a fundamental discriminant")
+        raise ValueError(f"dK = {dK} is not a fundamental discriminant")
+
+
+def order_data(dK: int, f: int) -> QuadOrder:
+    check_fundamental(dK)
     if dK >= -4:
         raise ValueError("discriminants -3 and -4 are excluded (extra units)")
     if f < 1:
@@ -326,6 +330,7 @@ class KernelClass:
     proj: ProjClass
     generator: tuple[int, int]
     form: BinaryForm
+    ideal: tuple                # generator_ideal of the generator, as a lattice
 
 
 @dataclass(frozen=True)
@@ -360,11 +365,11 @@ def kernel_classes(order: QuadOrder, p: int) -> GaloisKernel:
         raise ValueError(f"p = {p} is not inert in the field of discriminant {order.dK}")
     if order.f % p == 0:
         raise ValueError("p must not divide the conductor")
-    classes = tuple(
-        KernelClass(proj=pt, generator=(pt.x1, pt.x2),
-                    form=ideal_to_form(generator_ideal(order, p, pt.x1, pt.x2),
-                                       order.dK, p * order.f))
-        for pt in proj_elements(p))
+    classes = []
+    for pt in proj_elements(p):
+        ideal = generator_ideal(order, p, pt.x1, pt.x2)
+        classes.append(KernelClass(proj=pt, generator=(pt.x1, pt.x2), ideal=ideal,
+                                   form=ideal_to_form(ideal, order.dK, p * order.f)))
     if len({kc.form for kc in classes}) != p + 1:
         raise AssertionError("unit classes gave coinciding ideal classes")
-    return GaloisKernel(order=order, p=p, classes=classes)
+    return GaloisKernel(order=order, p=p, classes=tuple(classes))

@@ -36,10 +36,21 @@ def test_heegner_success_and_failure(capsys, tmp_path):
     assert "error" in capsys.readouterr().err
 
 
+def test_heegner_rejects_non_fundamental_dk(capsys):
+    code = main(["heegner", "--n", "49", "--dk", "-12", "--c", "7"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "dK = -12 is not a fundamental discriminant" in captured.err
+    assert captured.out == ""
+
+
 def test_sign(capsys):
     code = main(["sign", "--curve", "1,-1,0,-2,-1", "--q", "49", "--digits", "30"])
     assert code == 0
     assert "w_49 = -1" in capsys.readouterr().out
+    code = main(["sign", "--curve", "0,0,0,0,1", "--q", "9", "--digits", "30"])
+    assert code == 0                       # additive at 3: the numerical route
+    assert "w_9 = +1" in capsys.readouterr().out
 
 
 def test_trace_run(capsys, tmp_path):

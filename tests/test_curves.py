@@ -241,3 +241,26 @@ def test_ap_good_counted_once_per_prime(monkeypatch):
         seen = [ell for (key, ell) in counts if key == minimal_model(cur).ainvs]
         assert len(seen) == primepi(4001) - 1            # every good prime, once
     assert set(counts.values()) == {1}
+
+
+def test_an_cache_hit_skips_minimal_model_and_models_share_one_list(monkeypatch):
+    calls = []
+    minimal = curves.minimal_model
+
+    def counting(cur):
+        calls.append(cur.ainvs)
+        return minimal(cur)
+
+    monkeypatch.setattr(curves, "minimal_model", counting)
+    monkeypatch.setattr(curves, "_an_cache", {})
+    base, scaled = Curve(0, 0, 0, -1, 0), Curve(0, 0, 0, -16, 0)     # scaled: u = 2
+    a = an_coefficients(base, 300)
+    for bound in (300, 50, 1000, 7):
+        an_coefficients(base, bound)
+    assert calls == [base.ainvs]
+    assert an_coefficients(scaled, 1000) == an_coefficients(base, 1000)
+    assert calls == [base.ainvs, scaled.ainvs]
+    assert curves._an_cache[scaled.ainvs] is curves._an_cache[base.ainvs]
+    an_coefficients(scaled, 2000)
+    assert calls == [base.ainvs, scaled.ainvs]
+    assert an_coefficients(base, 2000)[:301] == a

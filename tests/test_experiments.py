@@ -215,3 +215,21 @@ def test_trace_combined_conductor_and_level_part():
     for entry in rep.orbit:
         a, b, c = entry.form
         assert b * b - 4 * a * c == (5 * 3) ** 2 * -23
+
+
+def test_trace_point_builds_the_kernel_once(monkeypatch):
+    import cmtrace.experiments as experiments
+    calls = []
+
+    def counting(order, p):
+        calls.append((order.dK, order.f, p))
+        return kernel_classes(order, p)
+
+    monkeypatch.setattr(experiments, "kernel_classes", counting)
+    for model, dK, f in ((M49, -11, 1), (M49, -8, 3), (M121, -67, 1)):
+        del calls[:]
+        report = trace_point(ExperimentSpec(dK=dK, f=f, curve=model, digits=30,
+                                            mode="signo_minus" if model is M49 else "main_plus"))
+        assert calls == [(dK, f, model.p)]
+        assert report.finite_shadow.kernel.classes[0].generator == report.orbit[0].proj
+        assert "kernel" not in report.finite_shadow.to_json()

@@ -4,7 +4,8 @@ import pytest
 from cmtrace.fp import legendre
 from cmtrace.heegner import (HeegnerTau, NoHeegnerPoint, galois_orbit, gamma0_reduce,
                              heegner_form)
-from cmtrace.quadforms import BinaryForm, kernel_classes, order_data, reduce_form
+from cmtrace.quadforms import (BinaryForm, generator_ideal, kernel_classes, order_data,
+                               reduce_form)
 from oracles import compose
 
 
@@ -145,3 +146,30 @@ def test_heegner_form_composite_level():
     f = heegner_form(36, -7, 3)
     assert f == BinaryForm(36, 9, 1)
     assert f.b % 9 == 0 and f.disc() == -63
+
+
+# Orbit forms of the paper's two headline traces, 49a1/-11 and 121b1/-67 at
+# f = 1, as recorded before the kernel kept its ideals.
+ANCHOR_ORBITS = {
+    (-11, 7, 49): [(49, 49, 15), (147, 49, 5), (245, -49, 3), (441, -343, 67),
+                   (539, 539, 135), (441, 343, 67), (245, 49, 3), (147, -49, 5)],
+    (-67, 11, 121): [(121, 121, 47), (2057, -363, 17), (2299, -2057, 461), (2783, 1573, 223),
+                     (3509, 3267, 761), (4477, 2541, 361), (5687, 121, 1), (4477, -2541, 361),
+                     (3509, -3267, 761), (2783, -1573, 223), (2299, 2057, 461),
+                     (2057, 363, 17)],
+}
+
+
+@pytest.mark.parametrize("dK,p,n_level", sorted(ANCHOR_ORBITS))
+def test_orbit_from_kept_ideals_matches_recorded_anchor_forms(dK, p, n_level):
+    order, kernel, base = orbit_setup(dK, p, n_level)
+    for kc in kernel.classes:
+        assert kc.ideal == generator_ideal(order, p, *kc.generator)
+    forms = [(pt.form.a, pt.form.b, pt.form.c) for pt in galois_orbit(base, kernel)]
+    assert forms == ANCHOR_ORBITS[dK, p, n_level]
+
+
+@pytest.mark.parametrize("dK", [-12, -44, -1, -28, 5])
+def test_heegner_form_rejects_non_fundamental_dk(dK):
+    with pytest.raises(ValueError, match=f"dK = {dK} is not a fundamental discriminant"):
+        heegner_form(49, dK, 7)

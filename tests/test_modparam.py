@@ -3,10 +3,11 @@ import random
 import mpmath as mp
 import pytest
 
-from cmtrace.curves import curve_model
+from cmtrace.curves import (Curve, _valuation, an_coefficients, curve_from_c4c6, curve_model,
+                            minimal_model, tate_local)
 from cmtrace.heegner import HeegnerTau, heegner_form
-from cmtrace.modparam import (SeriesBudgetError, al_matrix, atkin_lehner_sign,
-                              eval_newform, eval_phi, phi_terms)
+from cmtrace.modparam import (SeriesBudgetError, _local_sign, _numerical_sign, al_matrix,
+                              atkin_lehner_sign, eval_newform, eval_phi, phi_terms)
 from cmtrace.periods import period_lattice
 from oracles import eval_series_direct, lattice_distance, root_number
 
@@ -230,3 +231,94 @@ def test_fixed_point_series_matches_direct_sum(label):
                 got = fast(model, tau, digits)
                 with mp.workdps(digits + 30):
                     assert abs(got - want) < mp.mpf(10) ** -(digits + 5), (digits, tau, weight)
+
+
+def _twist(ai, d):
+    """Minimal model of the quadratic twist by d; the 6^4, 6^6 scaling makes
+    the invariants those of an integral short model."""
+    cur = Curve(*ai)
+    return minimal_model(curve_from_c4c6(6 ** 4 * d * d * cur.c4, 6 ** 6 * d ** 3 * cur.c6))
+
+
+# (a-invariants, twist, p, v_p(Delta_min)): suite curves and their p-twists,
+# so that v runs over every potentially good value at p >= 5.
+TWISTED_CASES = [
+    ((1, 1, 1, -3, 1), 1, 5, 2),            # 50b1, II
+    ((1, -1, 0, -2, -1), 1, 7, 3),          # 49a1, III
+    ((0, -1, 1, -7, 10), 1, 11, 3),         # 121b1, III
+    ((1, 0, 1, -1, -2), 1, 5, 4),           # 50a1, IV
+    ((0, 0, 0, 0, 1), 5, 5, 6),             # 36a1 twisted by 5, I0* (N = 900)
+    ((0, 0, 0, 0, 1), -7, 7, 6),            # 36a1 twisted by -7, I0* (N = 1764)
+    ((1, 1, 1, -3, 1), 5, 5, 8),            # IV*
+    ((1, -1, 0, -2, -1), -7, 7, 9),         # III*
+    ((0, -1, 1, -7, 10), -11, 11, 9),       # III*
+    ((1, 0, 1, -1, -2), 5, 5, 10),          # II*
+]
+
+# Potentially multiplicative at 5 (I_n*, v = 6 + n): the sign is (-1/5) = +1.
+# At n = 3 the e = 12 / gcd(12, v) rule would give (-2/5) = -1 instead.
+POT_MULT_CASES = [
+    ((1, 0, 1, -251, -727), 4),             # N = 75
+    ((0, -1, 1, 217, -282), 3),             # N = 175
+    ((1, 0, 1, -1, 23), 1),                 # N = 75
+]
+
+
+@pytest.mark.parametrize("ai,d,p,v", TWISTED_CASES)
+def test_local_sign_matches_numerical_route_potentially_good(ai, d, p, v):
+    cur = _twist(ai, d)
+    local = tate_local(cur, p)
+    assert (local.v_disc, local.reduction) == (v, "additive")
+    assert cur.c4 == 0 or 3 * _valuation(cur.c4, p) >= v          # potentially good
+    model = curve_model(cur.ainvs, p=p)
+    assert _local_sign(cur, p) is not None
+    assert atkin_lehner_sign(model, p * p, 20) == _numerical_sign(model, p * p, 20)
+
+
+@pytest.mark.parametrize("ai,n", POT_MULT_CASES)
+def test_local_sign_potentially_multiplicative(ai, n):
+    cur = Curve(*ai)
+    assert minimal_model(cur) == cur
+    local = tate_local(cur, 5)
+    assert (local.v_disc, local.reduction) == (6 + n, "additive")
+    assert 3 * _valuation(cur.c4, 5) < local.v_disc
+    model = curve_model(ai, p=5)
+    assert atkin_lehner_sign(model, 25, 20) == _numerical_sign(model, 25, 20) == 1
+
+
+@pytest.mark.parametrize("ai,q", [
+    ((1, 0, 1, -1, -2), 2),                 # 50a1, non-split I1
+    ((1, 1, 1, -3, 1), 2),                  # 50b1, split I5
+    ((1, -1, 1, -2, 0), 11),                # 99, non-split I1
+])
+def test_multiplicative_sign_is_minus_a_q(ai, q):
+    model = curve_model(ai)
+    a_q = an_coefficients(model.minimal, q)[q]
+    assert tate_local(model.minimal, q).reduction in ("split", "nonsplit")
+    assert atkin_lehner_sign(model, q, 20) == -a_q == _numerical_sign(model, q, 20)
+    # composite Q = N: the local sign at q times the numerical one of the rest
+    rest = model.n // q
+    w_n = _numerical_sign(model, model.n, 20)
+    assert atkin_lehner_sign(model, q, 20) * _numerical_sign(model, rest, 20) == w_n
+    assert atkin_lehner_sign(model, model.n, 20) == w_n
+
+
+def test_numerical_route_only_where_a_prime_has_no_closed_form(monkeypatch):
+    import cmtrace.modparam as modparam
+    calls = []
+    numerical = modparam._numerical_sign
+
+    def counting(model, q_div, digits):
+        calls.append((model.n, q_div))
+        return numerical(model, q_div, digits)
+
+    monkeypatch.setattr(modparam, "_numerical_sign", counting)
+    for ai in ((1, -1, 0, -2, -1), (0, -1, 1, -7, 10), (1, 0, 1, -1, -2), (1, 1, 1, -3, 1)):
+        model = curve_model(ai)
+        atkin_lehner_sign(model, model.p ** 2, 30)
+        atkin_lehner_sign(model, model.n, 30)
+    assert calls == []
+    m36, m99 = curve_model((0, 0, 0, 0, 1)), curve_model((1, -1, 1, -2, 0))
+    assert atkin_lehner_sign(m36, 9, 30) == 1            # additive at 3
+    assert atkin_lehner_sign(m99, 99, 30) == 1           # 3 additive, 11 multiplicative
+    assert calls == [(36, 9), (99, 99)]

@@ -256,3 +256,17 @@ def test_torsion_order_of_rational_points(label, n, k1, k2):
     with mp.workdps(60 + GUARD):
         z = mp.mpf(k1) / n * lat.w1 + mp.mpf(k2) / n * lat.w2
     assert torsion_order(z, lat, 60) == n // gcd(n, k1, k2)
+
+
+def test_period_lattice_is_computed_once_per_curve_and_digits():
+    cur = Curve(*LATTICE_CURVES["50b1"])
+    lat = period_lattice(cur, 40)
+    assert period_lattice(Curve(*LATTICE_CURVES["50b1"]), 40) is lat
+    fresh = period_lattice.__wrapped__(cur, 40)         # the cache bypassed
+    assert fresh is not lat and fresh == lat
+    assert fresh.reduction == lat.reduction
+    other = period_lattice(cur, 41)
+    assert other is not lat and other.digits == 41
+    assert period_lattice(cur, 41) is other
+    with pytest.raises(PrecisionError):
+        period_lattice(cur, 201)
