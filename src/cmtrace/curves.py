@@ -3,9 +3,15 @@ algorithm for reduction data and conductor, and Fourier coefficients a_n.
 
 Good a_ell come from counting points over F_ell: ell = 2 by its four affine
 points, every odd ell by one vectorised quadratic-character sum, exact in
-int64 up to AN_BOUND.  Bad primes contribute +1, -1, 0 according to split
-multiplicative, non-split multiplicative, or additive reduction; prime powers
-follow the usual Hecke recursion and everything extends multiplicatively.
+int64 up to AN_BOUND.  A curve with complex multiplication by an order of
+K = Q(sqrt d) skips the count where it is forced: at a good prime ell that
+is inert in K the reduction is supersingular (Deuring, Abh. Math. Sem.
+Hamburg 14, 1941), so a_ell = 0 mod ell, and for ell >= 5 the Hasse bound
+|a_ell| <= 2 sqrt(ell) < ell leaves a_ell = 0.  The CM field is read off
+the j-invariant, which for a rational CM curve is one of 13 integers.  Bad
+primes contribute +1, -1, 0 according to split multiplicative, non-split
+multiplicative, or additive reduction; prime powers follow the usual Hecke
+recursion and everything extends multiplicatively.
 """
 
 from __future__ import annotations
@@ -65,10 +71,33 @@ class Curve:
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
+    @cached_property
+    def cm_disc(self) -> int:
+        """Fundamental discriminant of the CM field, or 0 without CM."""
+        num = self.c4 ** 3
+        if num % self.disc:
+            return 0
+        return _CM_FIELDS.get(num // self.disc, 0)
+
     def __post_init__(self):
         assert 4 * self.b8 == self.b2 * self.b6 - self.b4 * self.b4
         if self.disc == 0:
             raise ValueError("singular Weierstrass equation")
+
+
+# The 13 rational j-invariants with complex multiplication, by the
+# fundamental discriminant of the CM field (orders of conductor 1, 2 or 3).
+_CM_FIELDS = {
+    0: -3, 54000: -3, -12288000: -3,
+    1728: -4, 287496: -4,
+    -3375: -7, 16581375: -7,
+    8000: -8,
+    -32768: -11,
+    -884736: -19,
+    -884736000: -43,
+    -147197952000: -67,
+    -262537412640768000: -163,
+}
 
 
 def transform(cur: Curve, u: int, r: int, s: int, t: int) -> Curve:
@@ -322,11 +351,14 @@ def conductor(cur: Curve) -> int:
 
 
 def ap_good(cur: Curve, ell: int) -> int:
-    """a_ell = ell + 1 - #E(F_ell) for a prime of good reduction."""
+    """a_ell = ell + 1 - #E(F_ell) for a prime of good reduction; 0 without
+    a count when ell >= 5 is inert in the CM field (module docstring)."""
     if cur.disc % ell == 0:
         raise ValueError(f"{ell} is a prime of bad reduction")
     if ell > AN_BOUND:
         raise ValueError(f"point counts capped at {AN_BOUND}")
+    if ell >= 5 and cur.cm_disc and legendre(cur.cm_disc, ell) == -1:
+        return 0
     if ell == 2:
         a1, a2, a3, a4, a6 = cur.ainvs
         count = 1 + sum((y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % 2 == 0

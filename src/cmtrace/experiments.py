@@ -30,6 +30,9 @@ from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
 
 MODES = ("signo_minus", "main_plus", "finite_only")
 DEFAULT_DIGITS = 60
+# Below this a trace is not trusted: PSLQ in recognize_rational needs 53 bits,
+# and at 1-3 digits the torsion test has misread a non-torsion point.
+TRACE_MIN_DIGITS = 15
 
 
 class HypothesisError(ValueError):
@@ -68,6 +71,9 @@ class ExperimentSpec:
         """Input bounds, then the running hypotheses: inertness, coprimality,
         ramification and sign."""
         check_digits(self.digits)
+        if self.mode != "finite_only" and self.digits < TRACE_MIN_DIGITS:
+            raise ValueError(f"a trace needs at least {TRACE_MIN_DIGITS} digits, "
+                             f"got {self.digits}")
         if self.torsion_bound < 1:
             raise ValueError(f"torsion bound must be at least 1, got {self.torsion_bound}")
         order_data(self.dK, self.f)          # fundamental, dK < -4, f >= 1
@@ -214,16 +220,20 @@ def _cstr(z, digits: int) -> dict:
 
 
 def orbit_trace(model: CurveModel, orbit, kernel, digits: int):
-    """Evaluate the parametrisation over the orbit and sum in kernel order."""
+    """Evaluate the parametrisation over the orbit and sum in kernel order.
+
+    The point with the most terms goes first, so the a_n sieve is extended
+    once and every other point reads the cache; each value depends only on
+    (tau, digits, a[0..n_max]), so the order of evaluation changes nothing."""
     with mp.workdps(digits + 15):
+        taus = [pt.tau(digits) for pt in orbit]
+        terms = [phi_terms(tau.imag, digits) for tau in taus]
+        n_max = max(terms)
+        zs = [None] * len(taus)
+        for i in sorted(range(len(taus)), key=terms.__getitem__, reverse=True):
+            zs[i] = eval_phi(model, taus[i], digits)
         entries = []
-        zs = []
-        n_max = 0
-        for kc, pt in zip(kernel.classes, orbit):
-            tau = pt.tau(digits)
-            n_max = max(n_max, phi_terms(tau.imag, digits))
-            z = eval_phi(model, tau, digits)
-            zs.append(z)
+        for kc, pt, tau, z in zip(kernel.classes, orbit, taus, zs):
             entries.append(OrbitEntry(
                 proj=kc.generator,
                 form=(pt.form.a, pt.form.b, pt.form.c),

@@ -123,29 +123,28 @@ def gamma0_reduce(form: BinaryForm, n_level: int) -> BinaryForm:
     """Small representative of the Gamma_0(N) class of an N-divisible form.
 
     Minimises A = Q(x, y) over primitive vectors with y = 0 mod N (columns of
-    Gamma_0(N) matrices), then translates B into (-A, A].
+    Gamma_0(N) matrices), then translates B into (-A, A]; only the vectors of
+    minimal A are completed to a matrix, and ties go to the smallest (|B|, -B).
     """
     if form.a % n_level:
         raise ValueError("form is not N-divisible")
     v1, v2 = _gauss_reduce_pair(form, (1, 0), (0, n_level))
-    best = None
+    primitive = []
     for s in range(-4, 5):
         for t in range(-4, 5):
-            if s == 0 and t == 0:
-                continue
             x, y = s * v1[0] + t * v2[0], s * v1[1] + t * v2[1]
-            if gcd(x, y) != 1:
-                continue
+            if (s or t) and gcd(x, y) == 1:
+                primitive.append((form.value(x, y), x, y))
+    a_min = min(primitive)[0]
+    cands = []
+    for a, x, y in primitive:
+        if a == a_min:
             u, v = _complete_unimodular(x, y)
             cand = form.transform(x, u, y, v)
             k = (cand.a - cand.b) // (2 * cand.a)
-            cand = BinaryForm(cand.a, cand.b + 2 * cand.a * k,
-                              cand.a * k * k + cand.b * k + cand.c)
-            key = (cand.a, abs(cand.b), -cand.b)
-            if best is None or key < best[0]:
-                best = (key, cand)
-    assert best is not None
-    out = best[1]
+            cands.append(BinaryForm(cand.a, cand.b + 2 * cand.a * k,
+                                    cand.a * k * k + cand.b * k + cand.c))
+    out = min(cands, key=lambda f: (abs(f.b), -f.b))
     assert out.a % n_level == 0 and out.disc() == form.disc()
     return out
 

@@ -16,7 +16,10 @@ steps of w1, w2 and w1 +- w2 that the four-corner rule of cmtrace.periods
 replaced.  The descent finds the nearest lattice vector only when (w1, w2)
 is Lagrange-reduced (the steps then hold every Voronoi-relevant vector), so
 the tests compare the four-corner rule with lattice_distance_by_search, an
-exhaustive search of a box of coordinates.
+exhaustive search of a box of coordinates.  gamma0_reduce_all_candidates is
+the Gamma_0(N) reduction that builds the reduced form of every candidate
+vector, where cmtrace.heegner builds only those of minimal leading
+coefficient.
 
 Square-and-multiply powers, element orders and the curve-equation residual
 are test-only helpers: the pipeline never needs them.  So is the API that
@@ -37,6 +40,7 @@ import numpy as np
 from cmtrace.curves import Curve, CurveModel, an_coefficients
 from cmtrace.embeddings import CosetLabel, EmbeddingData, EmbeddingError
 from cmtrace.fp import FpMatrix, FpParams, _xgcd, in_cartan_group
+from cmtrace.heegner import _complete_unimodular, _gauss_reduce_pair
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
 from cmtrace.periods import PeriodLattice, lattice_reduce
 from cmtrace.projline import ProjClass, ProjParams, proj_class, proj_mul
@@ -193,6 +197,34 @@ def kernel_forms_by_filter(order: QuadOrder, p: int) -> set[BinaryForm]:
     principal_small = principal_form(order.disc)
     return {form for form in reduced_forms(p * p * order.disc)
             if project_form(form, order.dK, p * order.f, order.f) == principal_small}
+
+
+def gamma0_reduce_all_candidates(form: BinaryForm, n_level: int) -> BinaryForm:
+    """heegner.gamma0_reduce by completing, transforming and translating every
+    primitive candidate vector, not only those of minimal A."""
+    if form.a % n_level:
+        raise ValueError("form is not N-divisible")
+    v1, v2 = _gauss_reduce_pair(form, (1, 0), (0, n_level))
+    best = None
+    for s in range(-4, 5):
+        for t in range(-4, 5):
+            if s == 0 and t == 0:
+                continue
+            x, y = s * v1[0] + t * v2[0], s * v1[1] + t * v2[1]
+            if gcd(x, y) != 1:
+                continue
+            u, v = _complete_unimodular(x, y)
+            cand = form.transform(x, u, y, v)
+            k = (cand.a - cand.b) // (2 * cand.a)
+            cand = BinaryForm(cand.a, cand.b + 2 * cand.a * k,
+                              cand.a * k * k + cand.b * k + cand.c)
+            key = (cand.a, abs(cand.b), -cand.b)
+            if best is None or key < best[0]:
+                best = (key, cand)
+    assert best is not None
+    out = best[1]
+    assert out.a % n_level == 0 and out.disc() == form.disc()
+    return out
 
 
 def eval_series_direct(cur, tau, digits: int, weight: int):
@@ -373,45 +405,6 @@ def compose(x: BinaryForm, y: BinaryForm) -> BinaryForm:
         raise NotComposableError("composition bookkeeping failed")
     c3 = num // v1
     return reduce_form(BinaryForm(a3, b3, c3))
-
-
-class ClassGroup:
-    """Pic of the order of the given discriminant, as reduced forms plus tables."""
-
-    def __init__(self, disc: int):
-        self.disc = disc
-        self.elements = reduced_forms(disc)
-        self._index = {f: i for i, f in enumerate(self.elements)}
-        self.identity_index = self._index[principal_form(disc)]
-        self._table: dict[tuple[int, int], int] = {}
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def index(self, form: BinaryForm) -> int:
-        return self._index[reduce_form(form)]
-
-    def compose_idx(self, i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        got = self._table.get(key)
-        if got is None:
-            got = self._index[compose(self.elements[i], self.elements[j])]
-            self._table[key] = got
-        return got
-
-    def cayley(self) -> list[list[int]]:
-        n = len(self.elements)
-        return [[self.compose_idx(i, j) for j in range(n)] for i in range(n)]
-
-    def inverse_idx(self, i: int) -> int:
-        return self._index[self.elements[i].inverse()]
-
-    def order_of(self, i: int) -> int:
-        k, j = 1, i
-        while j != self.identity_index:
-            j = self.compose_idx(j, i)
-            k += 1
-        return k
 
 
 def form_inverse(form: BinaryForm) -> BinaryForm:

@@ -146,6 +146,14 @@ def test_bad_precision_and_torsion_bound_rejected(monkeypatch, capsys, argv, bou
     assert bound in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digits", ["1", "3", "8", "14"])
+def test_trace_below_the_precision_floor_rejected(monkeypatch, capsys, digits):
+    monkeypatch.setattr("cmtrace.experiments.atkin_lehner_sign", _no_work)
+    code = main(["trace", "--curve", "0,-1,1,-7,10", "--dk", "-67", "--digits", digits])
+    assert code == 1
+    assert f"a trace needs at least 15 digits, got {digits}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["trace", "sign"])
 @pytest.mark.parametrize("raw", ["abc", "6.5", "0", "250"])
 def test_bad_env_digits_names_the_variable(monkeypatch, capsys, command, raw):

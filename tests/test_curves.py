@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from sympy import factorint, primepi, primerange
 
@@ -8,6 +9,7 @@ from cmtrace import curves
 from cmtrace.curves import (AN_BOUND, Curve, an_coefficients, ap_good,
                             conductor, curve_from_c4c6, curve_model, minimal_model,
                             tate_local, transform)
+from cmtrace.fp import legendre
 from oracles import ap_char_sum_reduced
 
 # 49a1, 121b1, 50a1, 50b1 and 36a1: the curves of the benchmark catalogue.
@@ -16,13 +18,13 @@ CATALOGUE_CURVES = [Curve(1, -1, 0, -2, -1), Curve(0, -1, 1, -7, 10), Curve(1, 0
 
 
 def brute_count(cur: Curve, ell: int) -> int:
-    a1, a2, a3, a4, a6 = cur.ainvs
-    count = 1
-    for x in range(ell):
-        for y in range(ell):
-            if (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % ell == 0:
-                count += 1
-    return count
+    """#E(F_ell): the point at infinity plus every (x, y) on the long model."""
+    a1, a2, a3, a4, a6 = (a % ell for a in cur.ainvs)
+    x = np.arange(ell, dtype=np.int64)[:, None]
+    y = np.arange(ell, dtype=np.int64)[None, :]
+    lhs = y * y + a1 * x * y + a3 * y
+    rhs = ((x + a2) * x + a4) * x + a6
+    return 1 + int(((lhs - rhs) % ell == 0).sum())
 
 
 def smooth_count(cur: Curve, ell: int) -> int:
@@ -264,3 +266,68 @@ def test_an_cache_hit_skips_minimal_model_and_models_share_one_list(monkeypatch)
     an_coefficients(scaled, 2000)
     assert calls == [base.ainvs, scaled.ainvs]
     assert an_coefficients(base, 2000)[:301] == a
+
+
+# One curve for each of the 13 rational CM j-invariants, by the fundamental
+# discriminant of its CM field: 36a1, 36a2, 27a2 (j = 0, 54000, -12288000),
+# 32a2, 32a3, 49a1, 49a2, 256a1, 121b1, 361a1, 1849a1, 4489a1 and 26569a1.
+CM_CURVES = [
+    ((0, 0, 0, 0, 1), -3), ((0, 0, 0, -15, 22), -3), ((0, 0, 1, -270, -1708), -3),
+    ((0, 0, 0, -1, 0), -4), ((0, 0, 0, -11, -14), -4),
+    ((1, -1, 0, -2, -1), -7), ((1, -1, 0, -37, -78), -7),
+    ((0, 1, 0, -3, 1), -8),
+    ((0, -1, 1, -7, 10), -11),
+    ((0, 0, 1, -38, 90), -19),
+    ((0, 0, 1, -860, 9707), -43),
+    ((0, 0, 1, -7370, 243528), -67),
+    ((0, 0, 1, -2174420, 1234136692), -163),
+]
+
+
+def quadratic_twist(cur: Curve, d: int) -> Curve:
+    """Minimal model of the twist by Q(sqrt d): (c4, c6) -> (d^2 c4, d^3 c6)."""
+    return minimal_model(Curve(0, 0, 0, -27 * d * d * cur.c4, -54 * d ** 3 * cur.c6))
+
+
+CM_TWISTS = [(quadratic_twist(Curve(1, -1, 0, -2, -1), -1), -7),       # 49a1 by Q(i)
+             (quadratic_twist(Curve(0, -1, 1, -7, 10), 5), -11)]       # 121b1 by Q(sqrt 5)
+CM_CASES = [(Curve(*ai), d) for ai, d in CM_CURVES] + CM_TWISTS
+
+
+def test_cm_disc_reads_the_cm_field_off_j():
+    assert len({Curve(*ai).c4 ** 3 // Curve(*ai).disc for ai, _ in CM_CURVES}) == 13
+    for cur, d in CM_CASES:
+        assert cur.cm_disc == d, cur
+    for ai in [(0, -1, 1, -10, -20), (0, 0, 1, -1, 0), (1, 0, 1, -1, -2), (1, 1, 1, -3, 1)]:
+        assert Curve(*ai).cm_disc == 0, ai                     # 11a1, 37a1, 50a1, 50b1
+
+
+@pytest.mark.parametrize("cur,d", CM_CASES)
+def test_cm_shortcut_matches_point_counts(monkeypatch, cur, d):
+    counted = []
+    char_sum = curves._ap_char_sum
+
+    def counting(cur, ell):
+        counted.append(ell)
+        return char_sum(cur, ell)
+
+    monkeypatch.setattr(curves, "_ap_char_sum", counting)
+    for ell in primerange(2, 300):
+        if cur.disc % ell:
+            assert ap_good(cur, ell) == ell + 1 - brute_count(cur, ell), (cur, ell)
+    rng = random.Random(d)
+    for ell in rng.sample(list(primerange(300, 2 * 10 ** 5)), 20):
+        if cur.disc % ell:
+            assert ap_good(cur, ell) == ap_char_sum_reduced(cur, ell), (cur, ell)
+    # no count at a prime >= 5 inert in the CM field
+    assert all(ell < 5 or legendre(d, ell) != -1 for ell in counted)
+
+
+@pytest.mark.parametrize("cur", CATALOGUE_CURVES)
+def test_an_coefficients_unchanged_without_cm_shortcut(monkeypatch, cur):
+    monkeypatch.setattr(curves, "_an_cache", {})
+    fast = an_coefficients(cur, 20000)
+    monkeypatch.setattr(curves, "_an_cache", {})
+    monkeypatch.setattr(curves.Curve, "cm_disc", 0)
+    assert minimal_model(cur).cm_disc == 0
+    assert an_coefficients(cur, 20000) == fast

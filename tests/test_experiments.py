@@ -3,10 +3,12 @@ import json
 import mpmath as mp
 import pytest
 
+from cmtrace import curves
 from cmtrace.curves import curve_model
-from cmtrace.experiments import (ExperimentSpec, HypothesisError, experiment_finite,
-                                 orbit_trace, trace_point)
+from cmtrace.experiments import (TRACE_MIN_DIGITS, ExperimentSpec, HypothesisError,
+                                 experiment_finite, orbit_trace, trace_point)
 from cmtrace.heegner import HeegnerTau, galois_orbit, heegner_form
+from cmtrace.modparam import eval_phi, phi_terms
 from cmtrace.periods import period_lattice
 from cmtrace.quadforms import BinaryForm, kernel_classes, order_data
 from oracles import lattice_distance
@@ -29,6 +31,18 @@ def test_spec_validation():
         ExperimentSpec(dK=-3, f=1, p=7).validate()         # excluded discriminant
     with pytest.raises(HypothesisError):
         ExperimentSpec(dK=-11, f=1, p=9).validate()
+
+
+def test_trace_precision_floor():
+    assert TRACE_MIN_DIGITS == 15
+    ExperimentSpec(dK=-67, f=1, curve=M121, digits=15).validate()
+    for digits in (1, 3, 8, 14):
+        for mode in ("main_plus", "signo_minus"):
+            with pytest.raises(ValueError, match="at least 15 digits"):
+                ExperimentSpec(dK=-67, f=1, curve=M121, digits=digits, mode=mode).validate()
+        ExperimentSpec(dK=-67, f=1, curve=M121, digits=digits, mode="finite_only").validate()
+    with pytest.raises(ValueError, match="between 1 and 200"):
+        ExperimentSpec(dK=-67, f=1, curve=M121, digits=0).validate()
 
 
 def test_finite_report_examples():
@@ -128,7 +142,6 @@ def test_trace_orbit_sum_order_independent():
     kernel = kernel_classes(order, 7)
     base = HeegnerTau(form=heegner_form(49, -11, 7), n_level=49, dK=-11, conductor=7)
     orbit = galois_orbit(base, kernel)
-    from cmtrace.modparam import eval_phi
     with mp.workdps(55):
         zs = [eval_phi(M49, pt.tau(40), 40) for pt in orbit]
         fwd = mp.mpc(0)
@@ -233,3 +246,37 @@ def test_trace_point_builds_the_kernel_once(monkeypatch):
         assert calls == [(dK, f, model.p)]
         assert report.finite_shadow.kernel.classes[0].generator == report.orbit[0].proj
         assert "kernel" not in report.finite_shadow.to_json()
+
+
+def test_cold_trace_extends_the_sieve_once(monkeypatch):
+    calls = []
+    extended = curves._extended
+
+    def counting(m, known, bound):
+        calls.append((len(known) - 1, bound))
+        return extended(m, known, bound)
+
+    monkeypatch.setattr(curves, "_an_cache", {})
+    monkeypatch.setattr(curves, "_extended", counting)
+    rep = trace_point(ExperimentSpec(dK=-67, f=1, curve=M121, digits=60, mode="main_plus"))
+    assert calls == [(1, rep.n_max)]
+
+
+def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
+    digits = 60
+    kernel = kernel_classes(order_data(-67, 1), 11)
+    base = HeegnerTau(form=heegner_form(121, -67, 11), n_level=121, dK=-67, conductor=11)
+    orbit = galois_orbit(base, kernel)
+    monkeypatch.setattr(curves, "_an_cache", {})
+    _, trace_z, n_max = orbit_trace(M121, orbit, kernel, digits)
+    monkeypatch.setattr(curves, "_an_cache", {})
+    with mp.workdps(digits + 15):
+        taus = [pt.tau(digits) for pt in orbit]
+        terms = [phi_terms(tau.imag, digits) for tau in taus]
+        assert len(set(terms)) > 1 and terms[0] != max(terms)
+        in_order = mp.mpc(0)
+        for tau in taus:                       # kernel order, the sieve grows each time
+            in_order += eval_phi(M121, tau, digits)
+        in_order = +in_order
+    assert n_max == max(terms)
+    assert (trace_z.real, trace_z.imag) == (in_order.real, in_order.imag)

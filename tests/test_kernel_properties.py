@@ -4,20 +4,25 @@ random inert (dK, f, p) with p <= 31.
 The orbit is taken on X_0(p^2): the base point has conductor p*f, and each
 orbit member comes from one kernel ideal, so comparing member by member with
 Gaussian composition (an oracle) pins the single routine that builds the
-kernel ideals for both kernel_classes and galois_orbit.
+kernel ideals for both kernel_classes and galois_orbit.  The Gamma_0(N)
+reduction that galois_orbit applies to each member is checked against the
+oracle that builds every candidate form, on random N-divisible forms.
 """
 
-from hypothesis import given, settings
+from math import gcd
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import primerange
 
 from cmtrace.experiments import ExperimentSpec, experiment_finite
 from cmtrace.fp import legendre
-from cmtrace.heegner import HeegnerTau, galois_orbit, gamma0_reduce, heegner_form
+from cmtrace.heegner import (HeegnerTau, _complete_unimodular, galois_orbit, gamma0_reduce,
+                             heegner_form)
 from cmtrace.projline import involution_class, proj_mul
-from cmtrace.quadforms import (is_fundamental_discriminant, kernel_classes, order_data,
-                               principal_form, proj_params, reduce_form)
-from oracles import compose, form_inverse, project_form
+from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes,
+                               order_data, principal_form, proj_params, reduce_form)
+from oracles import compose, form_inverse, gamma0_reduce_all_candidates, project_form
 
 CASES = [(dK, f, p)
          for dK in range(-200, -6) if is_fundamental_discriminant(dK)
@@ -80,3 +85,17 @@ def test_identity_class_reproduces_the_base_point(case):
     kernel, base, orbit = _orbit(*case)
     assert (kernel.classes[0].proj.x1, kernel.classes[0].proj.x2) == (1, 0)
     assert orbit[0].form == gamma0_reduce(base.form, base.n_level)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 40), st.integers(-300, 300), st.integers(1, 500),
+       st.integers(-60, 60), st.integers(-60, 60))
+def test_gamma0_reduce_builds_only_the_minimal_candidates(n_level, k, b, extra, x, y0):
+    # a positive definite N-divisible form, moved by a random Gamma_0(N) matrix
+    a = n_level * k
+    form = BinaryForm(a, b, b * b // (4 * a) + extra)
+    y = n_level * y0
+    assume(gcd(x, y) == 1)
+    u, v = _complete_unimodular(x, y)
+    moved = form.transform(x, u, y, v)
+    assert gamma0_reduce(moved, n_level) == gamma0_reduce_all_candidates(moved, n_level)
