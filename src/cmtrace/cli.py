@@ -3,7 +3,8 @@ Atkin-Lehner signs, and full trace experiments with JSON reports.
 
 Exit codes: 0 when a verdict was reached (or the command succeeded, --help
 included), 2 when a trace run ends undecided, 1 on errors, unsatisfiable
-inputs and malformed or missing arguments.
+inputs, malformed or missing arguments and a --json path that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -69,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     fin.add_argument("--p", type=int, required=True)
     fin.add_argument("--dk", type=int, required=True)
     fin.add_argument("--f", type=int, default=1)
-    fin.add_argument("--m", type=int, default=1, help="prime-to-p level part")
-    fin.add_argument("--eps", type=int, default=None)
     fin.add_argument("--json", dest="json_path", default=None)
 
     cg = sub.add_parser("classgroup", help="reduced forms of a negative discriminant")
@@ -97,14 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--f", type=int, default=1)
     tr.add_argument("--digits", type=int, default=None)
     tr.add_argument("--mode", choices=("signo_minus", "main_plus"), default=None)
-    tr.add_argument("--torsion-bound", type=int, default=24)
     tr.add_argument("--json", dest="json_path", default=None)
     return ap
 
 
 def _cmd_finite(args) -> int:
     spec = ExperimentSpec(dK=args.dk, f=args.f, p=args.p, mode="finite_only")
-    report = experiment_finite(spec, eps=args.eps, level_m=args.m)
+    report = experiment_finite(spec)
     print(f"finite-check p={report.p} dK={report.dK} f={report.f}: "
           f"{report.fiber_count} fibers of size 2, degree {report.degree}")
     for name, ok in report.checks.items():
@@ -155,9 +153,8 @@ def _cmd_sign(args) -> int:
 def _cmd_trace(args) -> int:
     digits = _digits(args)
     model = curve_model(args.curve, p=args.p)
-    mode = args.mode
     spec = ExperimentSpec(dK=args.dk, f=args.f, curve=model, digits=digits,
-                          mode=mode or "main_plus", torsion_bound=args.torsion_bound)
+                          mode=args.mode or "main_plus")
     report = trace_point(spec)
     print(f"curve {list(args.curve)} (N = {model.n} = {model.p}^2 * {model.m}), "
           f"K = Q(sqrt({args.dk})), f = {args.f}, digits = {digits}")
@@ -185,7 +182,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SignConsistencyError, SeriesBudgetError, PrecisionError, ValueError) as exc:
+    except (SignConsistencyError, SeriesBudgetError, PrecisionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -55,7 +55,6 @@ class ExperimentSpec:
     p: int | None = None
     digits: int = DEFAULT_DIGITS
     mode: str = "main_plus"
-    torsion_bound: int = 24
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -74,8 +73,6 @@ class ExperimentSpec:
         if self.mode != "finite_only" and self.digits < TRACE_MIN_DIGITS:
             raise ValueError(f"a trace needs at least {TRACE_MIN_DIGITS} digits, "
                              f"got {self.digits}")
-        if self.torsion_bound < 1:
-            raise ValueError(f"torsion bound must be at least 1, got {self.torsion_bound}")
         order_data(self.dK, self.f)          # fundamental, dK < -4, f >= 1
         p = self.prime
         if not isprime(p) or p == 2:
@@ -126,17 +123,14 @@ class FiniteReport:
         }
 
 
-def experiment_finite(spec: ExperimentSpec, eps: int | None = None,
-                      level_m: int | None = None) -> FiniteReport:
+def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
     """The purely finite layer: embedding, converse scan, fibers, pairings,
-    and common-norm elements for the first five good primes."""
+    and common-norm elements for the first five good primes, with the smallest
+    non-square mod p and the curve's level M (1 without a curve)."""
     spec.validate()
     p = spec.prime
-    if level_m is None:
-        level_m = spec.curve.m if spec.curve is not None else 1
-    if level_m < 1:
-        raise ValueError(f"level M must be at least 1, got {level_m}")
-    params = FpParams(p, eps)
+    level_m = spec.curve.m if spec.curve is not None else 1
+    params = FpParams(p)
     order = order_data(spec.dK, spec.f)
     kernel = kernel_classes(order, p)
     emb = build_embedding(params, order, level_m=level_m)
@@ -193,7 +187,6 @@ class TraceReport:
                 "N": self.spec.curve.n, "p": self.spec.curve.p, "M": self.spec.curve.m,
                 "dK": self.spec.dK, "f": self.spec.f,
                 "digits": digits, "mode": self.spec.mode,
-                "torsion_bound": self.spec.torsion_bound,
             },
             "wp": self.wp,
             "orbit": [entry.__dict__ for entry in self.orbit],
@@ -222,15 +215,16 @@ def _cstr(z, digits: int) -> dict:
 def orbit_trace(model: CurveModel, orbit, kernel, digits: int):
     """Evaluate the parametrisation over the orbit and sum in kernel order.
 
-    The point with the most terms goes first, so the a_n sieve is extended
-    once and every other point reads the cache; each value depends only on
-    (tau, digits, a[0..n_max]), so the order of evaluation changes nothing."""
+    Every point has Im tau = sqrt|D| / (2A) for one D = (pf)^2 dK, so the point
+    of largest A needs the most terms and goes first: the a_n sieve is extended
+    once, and an over-budget orbit fails before any evaluation.  Each value
+    depends only on (tau, digits, a[0..n_max]), so the order changes nothing."""
     with mp.workdps(digits + 15):
         taus = [pt.tau(digits) for pt in orbit]
-        terms = [phi_terms(tau.imag, digits) for tau in taus]
-        n_max = max(terms)
+        order = sorted(range(len(taus)), key=lambda i: orbit[i].form.a, reverse=True)
+        n_max = phi_terms(taus[order[0]].imag, digits)
         zs = [None] * len(taus)
-        for i in sorted(range(len(taus)), key=terms.__getitem__, reverse=True):
+        for i in order:
             zs[i] = eval_phi(model, taus[i], digits)
         entries = []
         for kc, pt, tau, z in zip(kernel.classes, orbit, taus, zs):
@@ -277,8 +271,8 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
 
     t0 = time.perf_counter()
     lat = period_lattice(model.minimal, digits)
-    residual = torsion_residual(trace_z, lat, spec.torsion_bound)
-    torsion = is_torsion(trace_z, lat, digits, spec.torsion_bound)
+    residual = torsion_residual(trace_z, lat)
+    torsion = is_torsion(trace_z, lat, digits)
     recognized = None
     if torsion:
         verdict = "torsion"

@@ -6,7 +6,9 @@ step H_pf / H_f is realised as the kernel of Pic(O_pf) -> Pic(O_f), built
 directly from its generators: each kernel class is the class of
 (x1 + x2*w_f) O_f cap O_pf for a unit class x1 + x2*w_f in
 (O_f / p O_f)^x / F_p^x, and is tagged with that generator, which is what
-the matrix side of the theory consumes.
+the matrix side of the theory consumes.  That intersection is built in the
+closed form N(lam) Z + p lam O_f, lam = x1 + x2*w_f (Cox, Primes of the form
+x^2 + ny^2, section 7); general lattice intersection is only a test oracle.
 
 Ideals are handled as rank-two lattices in half-integer coordinates: the pair
 (u, v) stands for (u + v*sqrt(dK)) / 2.
@@ -244,51 +246,6 @@ def _hnf2(rows) -> tuple[tuple[int, int], tuple[int, int]]:
     return ((top[0], top[1] % g), (0, g))
 
 
-def _left_kernel_rows(mat: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer left kernel {w : w * mat = 0} via row reduction."""
-    m = len(mat)
-    n = len(mat[0])
-    h = [row[:] for row in mat]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    r = 0
-    for j in range(n):
-        while True:
-            nz = [i for i in range(r, m) if h[i][j]]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(h[i][j]))
-            h[r], h[piv] = h[piv], h[r]
-            u[r], u[piv] = u[piv], u[r]
-            done = True
-            for i in range(r + 1, m):
-                if h[i][j]:
-                    q = h[i][j] // h[r][j]
-                    h[i] = [h[i][k] - q * h[r][k] for k in range(n)]
-                    u[i] = [u[i][k] - q * u[r][k] for k in range(m)]
-                    if h[i][j]:
-                        done = False
-            if done:
-                r += 1
-                break
-    return [u[i] for i in range(m) if not any(h[i])]
-
-
-def lattice_intersect(l1, l2) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Intersection of two full-rank lattices in Z^2 given by basis rows."""
-    det2 = l2[0][0] * l2[1][1] - l2[0][1] * l2[1][0]
-    adj = ((l2[1][1], -l2[0][1]), (-l2[1][0], l2[0][0]))
-    # a = l1 * adj(l2); the condition y*l1 in l2 reads y*a = 0 mod det2.
-    a = [[l1[i][0] * adj[0][j] + l1[i][1] * adj[1][j] for j in range(2)] for i in range(2)]
-    stacked = [a[0], a[1], [det2, 0], [0, det2]]
-    ker = _left_kernel_rows(stacked)
-    assert len(ker) == 2, "intersection lattice must have rank 2"
-    vecs = []
-    for w in ker:
-        vecs.append((w[0] * l1[0][0] + w[1] * l1[1][0],
-                     w[0] * l1[0][1] + w[1] * l1[1][1]))
-    return _hnf2(vecs)
-
-
 def form_to_ideal(form: BinaryForm, dK: int, cond: int):
     """Representing lattice A*Z + ((-B + cond*sqrt(dK))/2)*Z, in half-coordinates."""
     if form.disc() != cond * cond * dK:
@@ -344,13 +301,16 @@ class GaloisKernel:
 
 
 def generator_ideal(order: QuadOrder, p: int, x1: int, x2: int):
-    """The proper O_pf-ideal (x1 + x2*w_f) O_f  intersect  O_pf, as a lattice."""
-    dK, f, t = order.dK, order.f, order.t
-    lam = (2 * x1 + x2 * t, x2 * f)
-    omega = (t, f)
-    l1 = (lam, _half_mul(lam, omega, dK))
-    l2 = ((2, 0), (p * t, p * f))
-    return lattice_intersect(l1, l2)
+    """The proper O_pf-ideal lam O_f  intersect  O_pf for lam = x1 + x2*w_f, as a
+    lattice, in the closed form N(lam) Z + p lam O_f.
+
+    lam is a unit mod the inert p, and conj(lam) = N(lam) lam^{-1} mod p, so for
+    mu in O_f the product lam mu lies in Z + p O_f exactly when mu lies in
+    Z conj(lam) + p O_f; multiplying by lam gives the intersection."""
+    lam = (2 * x1 + x2 * order.t, x2 * order.f)
+    lam_w = _half_mul(lam, (order.t, order.f), order.dK)
+    norm = x1 * x1 + order.t * x1 * x2 + order.n * x2 * x2
+    return _hnf2([(2 * norm, 0), (p * lam[0], p * lam[1]), (p * lam_w[0], p * lam_w[1])])
 
 
 def kernel_classes(order: QuadOrder, p: int) -> GaloisKernel:

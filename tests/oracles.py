@@ -6,6 +6,12 @@ kernel from its unit-class generators.  The routines here reach the same
 quantities by brute force (listing Cartan subgroups, SL_2(F_p), the split
 normalizer, and every reduced form of the big discriminant), so the tests can
 compare the two routes.  They are capped at p <= ENUMERATION_BOUND.
+generator_ideal_by_intersection builds each kernel ideal
+(x1 + x2*w_f) O_f cap O_pf by intersecting the two lattices with
+lattice_intersect, an integer left-kernel row reduction (_left_kernel_rows);
+cmtrace.quadforms.generator_ideal replaced it with the closed form
+N(lam) Z + p lam O_f, and the HNF of a lattice is unique, so the two routes
+must agree row for row.
 
 On the analytic side, eval_series_direct is the term-by-term mpc evaluation
 of the q-series that the fixed-point evaluator in cmtrace.modparam replaced,
@@ -44,8 +50,8 @@ from cmtrace.heegner import _complete_unimodular, _gauss_reduce_pair
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
 from cmtrace.periods import PeriodLattice, lattice_reduce
 from cmtrace.projline import ProjClass, ProjParams, proj_class, proj_mul
-from cmtrace.quadforms import (BinaryForm, QuadOrder, form_to_ideal, ideal_mul, ideal_to_form,
-                               principal_form, reduce_form, reduced_forms)
+from cmtrace.quadforms import (BinaryForm, QuadOrder, _half_mul, _hnf2, form_to_ideal, ideal_mul,
+                               ideal_to_form, principal_form, reduce_form, reduced_forms)
 from cmtrace.recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational
 
 ENUMERATION_BOUND = 200
@@ -197,6 +203,61 @@ def kernel_forms_by_filter(order: QuadOrder, p: int) -> set[BinaryForm]:
     principal_small = principal_form(order.disc)
     return {form for form in reduced_forms(p * p * order.disc)
             if project_form(form, order.dK, p * order.f, order.f) == principal_small}
+
+
+def _left_kernel_rows(mat: list[list[int]]) -> list[list[int]]:
+    """Basis of the integer left kernel {w : w * mat = 0} via row reduction."""
+    m = len(mat)
+    n = len(mat[0])
+    h = [row[:] for row in mat]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    r = 0
+    for j in range(n):
+        while True:
+            nz = [i for i in range(r, m) if h[i][j]]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(h[i][j]))
+            h[r], h[piv] = h[piv], h[r]
+            u[r], u[piv] = u[piv], u[r]
+            done = True
+            for i in range(r + 1, m):
+                if h[i][j]:
+                    q = h[i][j] // h[r][j]
+                    h[i] = [h[i][k] - q * h[r][k] for k in range(n)]
+                    u[i] = [u[i][k] - q * u[r][k] for k in range(m)]
+                    if h[i][j]:
+                        done = False
+            if done:
+                r += 1
+                break
+    return [u[i] for i in range(m) if not any(h[i])]
+
+
+def lattice_intersect(l1, l2) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Intersection of two full-rank lattices in Z^2 given by basis rows."""
+    det2 = l2[0][0] * l2[1][1] - l2[0][1] * l2[1][0]
+    adj = ((l2[1][1], -l2[0][1]), (-l2[1][0], l2[0][0]))
+    # a = l1 * adj(l2); the condition y*l1 in l2 reads y*a = 0 mod det2.
+    a = [[l1[i][0] * adj[0][j] + l1[i][1] * adj[1][j] for j in range(2)] for i in range(2)]
+    stacked = [a[0], a[1], [det2, 0], [0, det2]]
+    ker = _left_kernel_rows(stacked)
+    assert len(ker) == 2, "intersection lattice must have rank 2"
+    vecs = []
+    for w in ker:
+        vecs.append((w[0] * l1[0][0] + w[1] * l1[1][0],
+                     w[0] * l1[0][1] + w[1] * l1[1][1]))
+    return _hnf2(vecs)
+
+
+def generator_ideal_by_intersection(order: QuadOrder, p: int, x1: int, x2: int):
+    """The kernel ideal (x1 + x2*w_f) O_f cap O_pf by intersecting the two lattices."""
+    dK, f, t = order.dK, order.f, order.t
+    lam = (2 * x1 + x2 * t, x2 * f)
+    omega = (t, f)
+    l1 = (lam, _half_mul(lam, omega, dK))
+    l2 = ((2, 0), (p * t, p * f))
+    return lattice_intersect(l1, l2)
 
 
 def gamma0_reduce_all_candidates(form: BinaryForm, n_level: int) -> BinaryForm:

@@ -104,11 +104,28 @@ def test_sign_rejects_q_zero(capsys):
     assert "Q must be a positive divisor of N = 49, got Q = 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("m", ["-1", "0"])
-def test_finite_check_rejects_level_below_one(capsys, m):
-    code = main(["finite-check", "--p", "5", "--dk", "-7", "--m", m])
+@pytest.mark.parametrize("argv", [
+    ["finite-check", "--p", "5", "--dk", "-7", "--eps", "3"],
+    ["finite-check", "--p", "5", "--dk", "-7", "--m", "5"],
+    ["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--torsion-bound", "24"],
+], ids=["finite-eps", "finite-m", "trace-torsion-bound"])
+def test_finite_layer_and_torsion_knobs_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classgroup", "--disc", "-23"],
+    ["heegner", "--n", "49", "--dk", "-11", "--c", "7"],
+    ["finite-check", "--p", "5", "--dk", "-7"],
+], ids=lambda argv: argv[0])
+def test_unwritable_json_path_exits_1(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.json"
+    code = main([*argv, "--json", str(path)])
     assert code == 1
-    assert f"level M must be at least 1, got {m}" in capsys.readouterr().err
+    assert f"error: [Errno 2] No such file or directory: '{path}'" in capsys.readouterr().err
 
 
 def test_env_digits_default(monkeypatch, capsys):
@@ -134,7 +151,6 @@ def _no_work(*args, **kwargs):
 @pytest.mark.parametrize("argv,bound", [
     (["trace", "--digits", "0"], "between 1 and 200"),
     (["trace", "--digits", "250"], "between 1 and 200"),
-    (["trace", "--torsion-bound", "0"], "at least 1"),
     (["sign", "--digits", "0"], "between 1 and 200"),
 ])
 def test_bad_precision_and_torsion_bound_rejected(monkeypatch, capsys, argv, bound):

@@ -8,7 +8,7 @@ from cmtrace.curves import curve_model
 from cmtrace.experiments import (TRACE_MIN_DIGITS, ExperimentSpec, HypothesisError,
                                  experiment_finite, orbit_trace, trace_point)
 from cmtrace.heegner import HeegnerTau, galois_orbit, heegner_form
-from cmtrace.modparam import eval_phi, phi_terms
+from cmtrace.modparam import SeriesBudgetError, eval_phi, phi_terms
 from cmtrace.periods import period_lattice
 from cmtrace.quadforms import BinaryForm, kernel_classes, order_data
 from oracles import lattice_distance
@@ -280,3 +280,21 @@ def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
         in_order = +in_order
     assert n_max == max(terms)
     assert (trace_z.real, trace_z.imag) == (in_order.real, in_order.imag)
+
+
+def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
+    digits = 60
+    kernel = kernel_classes(order_data(-67, 1), 11)
+    base = HeegnerTau(form=heegner_form(121, -67, 11), n_level=121, dK=-67, conductor=11)
+    orbit = galois_orbit(base, kernel)
+    with mp.workdps(digits + 15):
+        deepest = max(phi_terms(pt.tau(digits).imag, digits) for pt in orbit)
+    # a cap one below the deepest point's need: only that point is over budget
+    monkeypatch.setattr("cmtrace.modparam.NMAX_CAP", deepest - 1)
+
+    def no_eval(*args, **kwargs):
+        raise AssertionError("eval_phi ran before the budget check")
+
+    monkeypatch.setattr("cmtrace.experiments.eval_phi", no_eval)
+    with pytest.raises(SeriesBudgetError):
+        orbit_trace(M121, orbit, kernel, digits)

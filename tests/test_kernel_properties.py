@@ -4,7 +4,9 @@ random inert (dK, f, p) with p <= 31.
 The orbit is taken on X_0(p^2): the base point has conductor p*f, and each
 orbit member comes from one kernel ideal, so comparing member by member with
 Gaussian composition (an oracle) pins the single routine that builds the
-kernel ideals for both kernel_classes and galois_orbit.  The Gamma_0(N)
+kernel ideals for both kernel_classes and galois_orbit.  That routine's
+closed form N(lam) Z + p lam O_f is compared with the lattice intersection
+oracle for random generators lam = x1 + x2*w_f, a unit mod p.  The Gamma_0(N)
 reduction that galois_orbit applies to each member is checked against the
 oracle that builds every candidate form, on random N-divisible forms.
 """
@@ -20,9 +22,11 @@ from cmtrace.fp import legendre
 from cmtrace.heegner import (HeegnerTau, _complete_unimodular, galois_orbit, gamma0_reduce,
                              heegner_form)
 from cmtrace.projline import involution_class, proj_mul
-from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes,
-                               order_data, principal_form, proj_params, reduce_form)
-from oracles import compose, form_inverse, gamma0_reduce_all_candidates, project_form
+from cmtrace.quadforms import (BinaryForm, generator_ideal, is_fundamental_discriminant,
+                               kernel_classes, order_data, principal_form, proj_params,
+                               reduce_form)
+from oracles import (compose, form_inverse, gamma0_reduce_all_candidates,
+                     generator_ideal_by_intersection, project_form)
 
 CASES = [(dK, f, p)
          for dK in range(-200, -6) if is_fundamental_discriminant(dK)
@@ -43,6 +47,15 @@ def test_kernel_has_p_plus_one_distinct_classes_that_die_in_pic_of_o_f(case):
     for form in forms:
         assert form.disc() == p * p * order.disc and form == reduce_form(form)
         assert project_form(form, dK, p * f, f) == principal
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CASES), st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+def test_closed_form_kernel_ideal_equals_the_lattice_intersection(case, x1, x2):
+    dK, f, p = case
+    assume(x1 % p or x2 % p)
+    order = order_data(dK, f)
+    assert generator_ideal(order, p, x1, x2) == generator_ideal_by_intersection(order, p, x1, x2)
 
 
 @PROPERTY
