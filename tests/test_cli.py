@@ -104,11 +104,19 @@ def test_sign_rejects_q_zero(capsys):
     assert "Q must be a positive divisor of N = 49, got Q = 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", ["-1", "0"])
+def test_finite_check_rejects_level_below_one(capsys, m):
+    # the level is the curve's M (1 without a curve); --m is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["finite-check", "--p", "5", "--dk", "-7", "--m", m])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: --m {m}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["finite-check", "--p", "5", "--dk", "-7", "--eps", "3"],
-    ["finite-check", "--p", "5", "--dk", "-7", "--m", "5"],
     ["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--torsion-bound", "24"],
-], ids=["finite-eps", "finite-m", "trace-torsion-bound"])
+], ids=["finite-eps", "trace-torsion-bound"])
 def test_finite_layer_and_torsion_knobs_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
