@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 import mpmath as mp
 
@@ -45,13 +46,6 @@ def _parse_curve(text: str):
     if len(parts) != 5:
         raise argparse.ArgumentTypeError("curve needs five integers a1,a2,a3,a4,a6")
     return tuple(int(x) for x in parts)
-
-
-def _write_json(path: str | None, payload: dict):
-    if path:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,66 +89,56 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--dk", type=int, required=True)
     tr.add_argument("--f", type=int, default=1)
     tr.add_argument("--digits", type=int, default=None)
-    tr.add_argument("--mode", choices=("signo_minus", "main_plus"), default=None)
     tr.add_argument("--json", dest="json_path", default=None)
     return ap
 
 
-def _cmd_finite(args) -> int:
+def _cmd_finite(args) -> tuple[int, dict]:
     spec = ExperimentSpec(dK=args.dk, f=args.f, p=args.p, mode="finite_only")
     report = experiment_finite(spec)
     print(f"finite-check p={report.p} dK={report.dK} f={report.f}: "
           f"{report.fiber_count} fibers of size 2, degree {report.degree}")
     for name, ok in report.checks.items():
         print(f"  {name}: {'ok' if ok else 'FAILED'}")
-    _write_json(args.json_path, report.to_json())
-    return 0 if report.all_passed else 1
+    return (0 if report.all_passed else 1), report.to_json()
 
 
-def _cmd_classgroup(args) -> int:
+def _cmd_classgroup(args) -> tuple[int, dict]:
     forms = reduced_forms(args.disc)
     print(f"discriminant {args.disc}: h = {len(forms)}")
     for f in forms:
         print(f"  ({f.a}, {f.b}, {f.c})")
-    _write_json(args.json_path, {
-        "disc": args.disc, "h": class_number(args.disc),
-        "forms": [[f.a, f.b, f.c] for f in forms],
-    })
-    return 0
+    return 0, {"disc": args.disc, "h": class_number(args.disc),
+               "forms": [[f.a, f.b, f.c] for f in forms]}
 
 
-def _cmd_heegner(args) -> int:
+def _cmd_heegner(args) -> tuple[int, dict]:
     form = heegner_form(args.n, args.dk, args.c)
     tau_im = mp.sqrt(-form.disc()) / (2 * form.a)
     print(f"heegner form at level {args.n}: ({form.a}, {form.b}, {form.c}), "
           f"disc {form.disc()}, Im tau = {mp.nstr(tau_im, 8)}")
-    _write_json(args.json_path, {
-        "n": args.n, "dK": args.dk, "c": args.c,
-        "form": [form.a, form.b, form.c], "disc": form.disc(),
-    })
-    return 0
+    return 0, {"n": args.n, "dK": args.dk, "c": args.c,
+               "form": [form.a, form.b, form.c], "disc": form.disc()}
 
 
 def _digits(args) -> int:
     return _default_digits() if args.digits is None else args.digits
 
 
-def _cmd_sign(args) -> int:
+def _cmd_sign(args) -> tuple[int, dict]:
     digits = _digits(args)
     check_digits(digits)
     model = curve_model(args.curve, p=args.p)
     w = atkin_lehner_sign(model, args.q, digits)
     print(f"w_{args.q} = {w:+d} for curve {list(args.curve)} (N = {model.n})")
-    _write_json(args.json_path, {"curve": list(args.curve), "N": model.n,
-                                 "q": args.q, "w": w, "digits": digits})
-    return 0
+    return 0, {"curve": list(args.curve), "N": model.n, "q": args.q, "w": w,
+               "digits": digits}
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args) -> tuple[int, dict]:
     digits = _digits(args)
     model = curve_model(args.curve, p=args.p)
-    spec = ExperimentSpec(dK=args.dk, f=args.f, curve=model, digits=digits,
-                          mode=args.mode or "main_plus")
+    spec = ExperimentSpec(dK=args.dk, f=args.f, curve=model, digits=digits)
     report = trace_point(spec)
     print(f"curve {list(args.curve)} (N = {model.n} = {model.p}^2 * {model.m}), "
           f"K = Q(sqrt({args.dk})), f = {args.f}, digits = {digits}")
@@ -167,8 +151,7 @@ def _cmd_trace(args) -> int:
         rx, ry = report.recognized
         print(f"recognized point: x = ({rx.nu} + {rx.mu}*sqrt({rx.field_disc}))/{rx.den}, "
               f"y = ({ry.nu} + {ry.mu}*sqrt({ry.field_disc}))/{ry.den}")
-    _write_json(args.json_path, report.to_json())
-    return 0 if report.verdict in ("torsion", "non_torsion") else 2
+    return (0 if report.verdict in ("torsion", "non_torsion") else 2), report.to_json()
 
 
 def main(argv=None) -> int:
@@ -181,7 +164,14 @@ def main(argv=None) -> int:
         "trace": _cmd_trace,
     }
     try:
-        return handlers[args.command](args)
+        # the --json file is opened before any work, so an unwritable path
+        # fails at once; a run that fails later leaves it empty
+        with open(args.json_path, "w") if args.json_path else nullcontext() as fh:
+            code, payload = handlers[args.command](args)
+            if fh is not None:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+            return code
     except (SignConsistencyError, SeriesBudgetError, PrecisionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

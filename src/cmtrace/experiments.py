@@ -186,7 +186,7 @@ class TraceReport:
                 "model": list(self.spec.curve.minimal.ainvs),
                 "N": self.spec.curve.n, "p": self.spec.curve.p, "M": self.spec.curve.m,
                 "dK": self.spec.dK, "f": self.spec.f,
-                "digits": digits, "mode": self.spec.mode,
+                "digits": digits,
             },
             "wp": self.wp,
             "orbit": [entry.__dict__ for entry in self.orbit],

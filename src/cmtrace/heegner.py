@@ -10,10 +10,13 @@ discriminant.
 The Galois group of the ring class field acts through ideal multiplication on
 the lattice pair (main theorem of complex multiplication), so the orbit under
 Gal(H_pf / H_f) is computed exactly: multiply both lattices by each kernel
-ideal, re-read the cyclic pair through a Smith-adapted basis, and take the
-basis ratio as the new point.  Everything stays in integer arithmetic; the
-resulting N-divisible forms are finally reduced inside their Gamma_0(N) class
-to keep imaginary parts workable for the q-series.
+ideal, re-read the cyclic pair through a basis of the first lattice whose
+first vector is a primitive vector of the Hermite normal form of the second,
+and take the basis ratio as the new point.  Everything stays in integer
+arithmetic.  Any two such bases differ by a matrix in Gamma_0(N), and the
+resulting N-divisible forms are finally reduced inside their Gamma_0(N) class,
+which keeps imaginary parts workable for the q-series and makes each point
+independent of the basis chosen.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from sympy import factorint
 from sympy.ntheory import sqrt_mod
 
 from .fp import _xgcd
-from .quadforms import BinaryForm, GaloisKernel, check_fundamental, form_to_ideal, ideal_mul
+from .quadforms import (BinaryForm, GaloisKernel, _hnf2, basis_form, check_fundamental,
+                        form_to_ideal, ideal_mul)
 
 
 class NoHeegnerPoint(ValueError):
@@ -149,78 +153,13 @@ def gamma0_reduce(form: BinaryForm, n_level: int) -> BinaryForm:
     return out
 
 
-def _smith2(m):
-    """(d1, d2) with d1 | d2 and the column transform V: rowops * m * V = diag.
-
-    Row operations change the sublattice basis (free); V is what the ambient
-    basis must absorb, so only V is tracked.
-    """
-    a = [list(m[0]), list(m[1])]
-    v = [[1, 0], [0, 1]]
-
-    def colop(i, j, q):
-        for r in (0, 1):
-            a[r][i] -= q * a[r][j]
-            v[r][i] -= q * v[r][j]
-
-    def colswap():
-        for r in (0, 1):
-            a[r][0], a[r][1] = a[r][1], a[r][0]
-            v[r][0], v[r][1] = v[r][1], v[r][0]
-
-    for _ in range(200):
-        entries = [(abs(a[i][j]), i, j) for i in (0, 1) for j in (0, 1) if a[i][j]]
-        if not entries:
-            break
-        _, i, j = min(entries)
-        if i == 1:
-            a[0], a[1] = a[1], a[0]
-        if j == 1:
-            colswap()
-        piv = a[0][0]
-        if a[1][0] % piv:
-            q = a[1][0] // piv
-            a[1] = [a[1][0] - q * a[0][0], a[1][1] - q * a[0][1]]
-            continue
-        if a[0][1] % piv:
-            colop(1, 0, a[0][1] // piv)
-            continue
-        q = a[1][0] // piv
-        a[1] = [a[1][0] - q * a[0][0], a[1][1] - q * a[0][1]]
-        colop(1, 0, a[0][1] // piv)
-        if a[1][1] % piv:
-            colop(0, 1, -1)
-            continue
-        break
-    else:
-        raise AssertionError("Smith reduction did not terminate")
-    return (abs(a[0][0]), abs(a[1][1])), v
-
-
-def _ratio_form(s1, s2, dK: int, conductor: int) -> BinaryForm:
-    """Primitive integral form of tau = value(s2) / value(s1), oriented Im > 0."""
-    u1, v1 = s1
-    u2, v2 = s2
-    pp = u1 * u2 - dK * v1 * v2
-    qq = u1 * v2 - u2 * v1
-    rr = (u1 * u1 - dK * v1 * v1) // 2
-    assert qq != 0 and rr > 0
-    if qq < 0:
-        pp, qq = -pp, -qq
-    # tau = (pp + qq sqrt(dK)) / (2 rr):  (2 rr x - pp)^2 = qq^2 dK
-    a, b, c = 4 * rr * rr, -4 * pp * rr, pp * pp - qq * qq * dK
-    g = gcd(gcd(a, b), c)
-    form = BinaryForm(a // g, b // g, c // g)
-    assert form.disc() == conductor ** 2 * dK
-    return form
-
-
 def galois_orbit(base: HeegnerTau, kernel: GaloisKernel) -> list[HeegnerTau]:
     """The Gal(H_pf / H_f) orbit of the base point, one member per kernel class.
 
     Multiplies the point's lattice pair by each kernel ideal and reads the new
-    point off a Smith-adapted basis of the cyclic pair.  Members come back in
-    the fixed kernel ordering; the identity class reproduces the base point.
+    point off a basis of the first lattice that starts with a primitive vector
+    of the second lattice's Hermite normal form.  Members come back in the
+    fixed kernel ordering; the identity class reproduces the base point.
     """
     order = kernel.order
     p = kernel.p
@@ -237,28 +176,24 @@ def galois_orbit(base: HeegnerTau, kernel: GaloisKernel) -> list[HeegnerTau]:
     for kc in kernel.classes:
         # the conjugate of the kernel ideal lam O_f cap O_pf
         abar = tuple((u, -v) for u, v in kc.ideal)
-        m1 = ideal_mul(abar, l1, dK)
-        m2 = ideal_mul(abar, l2, dK)
-        # coordinates of m2's basis in m1's basis
-        det1 = m1[0][0] * m1[1][1] - m1[0][1] * m1[1][0]
-        adj = ((m1[1][1], -m1[0][1]), (-m1[1][0], m1[0][0]))
-        coords = []
-        for row in m2:
-            num = (row[0] * adj[0][0] + row[1] * adj[1][0],
-                   row[0] * adj[0][1] + row[1] * adj[1][1])
-            assert num[0] % det1 == 0 and num[1] % det1 == 0
-            coords.append((num[0] // det1, num[1] // det1))
-        (d1, d2), v = _smith2(tuple(coords))
-        assert d1 == 1 and d2 == n_level, "lattice pair is not cyclic of index N"
-        vdet = v[0][0] * v[1][1] - v[0][1] * v[1][0]
-        assert abs(vdet) == 1
-        vinv = ((v[1][1] * vdet, -v[0][1] * vdet), (-v[1][0] * vdet, v[0][0] * vdet))
-        # adapted basis rows s = vinv * m1; then m2 = <s1, N s2>
-        s1 = (vinv[0][0] * m1[0][0] + vinv[0][1] * m1[1][0],
-              vinv[0][0] * m1[0][1] + vinv[0][1] * m1[1][1])
-        s2 = (vinv[1][0] * m1[0][0] + vinv[1][1] * m1[1][0],
-              vinv[1][0] * m1[0][1] + vinv[1][1] * m1[1][1])
-        form = _ratio_form(s1, s2, dK, cond)
+        (a1, b1), (_, c1) = ideal_mul(abar, l1, dK)
+        (a2, b2), (_, c2) = ideal_mul(abar, l2, dK)
+        # both are in Hermite normal form, so m2's rows in the basis of m1 are
+        # triangular; their normal form is ((e, f), (0, g)) with e*g = [m1 : m2]
+        x = a2 // a1
+        assert x * a1 == a2 and (b2 - x * b1) % c1 == 0 and c2 % c1 == 0
+        (e, f), (_, g) = _hnf2([(x, (b2 - x * b1) // c1), (0, c2 // c1)])
+        assert e * g == n_level, "lattice pair does not have index N"
+        # m1/m2 is cyclic exactly when gcd(e, f, g) = 1, and then some
+        # s1 = (e, f + k*g) with k < e is primitive
+        k = next((k for k in range(e) if gcd(e, f + k * g) == 1), None)
+        assert k is not None, "lattice pair is not cyclic"
+        s1 = (e, f + k * g)
+        s2 = _complete_unimodular(*s1)
+        # m2 has index N in m1, so it holds N*m1 and with it <s1, N*s2>, which
+        # also has index N: m2 = <s1, N*s2>, and the point is s2 / s1
+        v1, v2 = ((s[0] * a1, s[0] * b1 + s[1] * c1) for s in (s1, s2))
+        form = basis_form(v1, v2, dK)
         assert form.a % n_level == 0, "adapted basis lost the level structure"
         form = gamma0_reduce(form, n_level)
         out.append(HeegnerTau(form=form, n_level=n_level, dK=dK, conductor=cond))

@@ -11,7 +11,9 @@ closed form N(lam) Z + p lam O_f, lam = x1 + x2*w_f (Cox, Primes of the form
 x^2 + ny^2, section 7); general lattice intersection is only a test oracle.
 
 Ideals are handled as rank-two lattices in half-integer coordinates: the pair
-(u, v) stands for (u + v*sqrt(dK)) / 2.
+(u, v) stands for (u + v*sqrt(dK)) / 2.  _hnf2 (Hermite normal form) is the one
+integer normal form and basis_form the one routine that reads a form off a
+lattice basis; ideal_to_form and heegner.galois_orbit both use them.
 """
 
 from __future__ import annotations
@@ -173,13 +175,6 @@ def reduce_form(form: BinaryForm) -> BinaryForm:
     return out
 
 
-def principal_form(disc: int) -> BinaryForm:
-    if disc >= 0 or disc % 4 not in (0, 1):
-        raise ValueError(f"invalid negative discriminant {disc}")
-    k = disc % 2
-    return BinaryForm(1, k, (k * k - disc) // 4)
-
-
 def reduced_forms(disc: int) -> list[BinaryForm]:
     """All primitive reduced forms of the given negative discriminant, sorted."""
     if disc >= 0 or disc % 4 not in (0, 1):
@@ -253,23 +248,29 @@ def form_to_ideal(form: BinaryForm, dK: int, cond: int):
     return ((2 * form.a, 0), (-form.b, cond))
 
 
+def basis_form(s1, s2, dK: int) -> BinaryForm:
+    """The primitive form N(x s1 - y s2) / content of a lattice basis (s1, s2) in
+    half-coordinates, with s2 negated if need be so that Im(s2 / s1) > 0; its
+    root in the upper half plane is then s2 / s1."""
+    (u1, v1), (u2, v2) = s1, s2
+    if u1 * v2 - u2 * v1 < 0:
+        u2, v2 = -u2, -v2
+    a = (u1 * u1 - dK * v1 * v1) // 4
+    b = (dK * v1 * v2 - u1 * u2) // 2
+    c = (u2 * u2 - dK * v2 * v2) // 4
+    g = gcd(gcd(a, b), c)
+    return BinaryForm(a // g, b // g, c // g)
+
+
 def ideal_to_form(lattice, dK: int, cond: int) -> BinaryForm:
-    """Reduced form of an oriented proper ideal of the order of conductor cond."""
-    (u1, v1), (u2, v2) = _hnf2(lattice)
-    cross = u1 * v2 - u2 * v1
-    if cross < 0:
-        u2, v2, cross = -u2, -v2, -cross
-    if cross % (2 * cond):
-        raise ValueError("lattice is not an ideal of this order")
-    nl = cross // (2 * cond)
-    na = (u1 * u1 - dK * v1 * v1) // 4
-    nb = (u2 * u2 - dK * v2 * v2) // 4
-    tr = (u1 * u2 - dK * v1 * v2) // 2
-    if na % nl or nb % nl or tr % nl:
-        raise ValueError("lattice is not proper for this order")
-    form = BinaryForm(na // nl, -tr // nl, nb // nl)
-    if form.disc() != cond * cond * dK or not form.is_primitive():
-        raise ValueError("lattice is not proper for this order")
+    """Reduced form of an oriented proper ideal of the order of conductor cond.
+
+    The primitive form of a lattice has the discriminant of the lattice's ring
+    of multipliers (Cox, Primes of the form x^2 + ny^2, Lemma 7.5), so the
+    check passes exactly for proper (fractional) ideals of that order."""
+    form = basis_form(*_hnf2(lattice), dK)
+    if form.disc() != cond * cond * dK:
+        raise ValueError("lattice is not a proper ideal of this order")
     return reduce_form(form)
 
 

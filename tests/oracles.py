@@ -25,11 +25,16 @@ the tests compare the four-corner rule with lattice_distance_by_search, an
 exhaustive search of a box of coordinates.  gamma0_reduce_all_candidates is
 the Gamma_0(N) reduction that builds the reduced form of every candidate
 vector, where cmtrace.heegner builds only those of minimal leading
-coefficient.
+coefficient.  galois_orbit_by_smith is the Galois orbit read off a
+Smith-adapted basis of each lattice pair (_smith2, a 2x2 Smith reduction,
+and _ratio_form); cmtrace.heegner.galois_orbit reads it off a primitive
+vector of the pair's Hermite normal form instead, and the two bases differ
+by a matrix in Gamma_0(N), so the reduced orbit forms must agree member by
+member.
 
 Square-and-multiply powers, element orders and the curve-equation residual
 are test-only helpers: the pipeline never needs them.  So is the API that
-cmtrace kept only for its tests: lift_to_integral_sl2, Gaussian composition
+cmtrace kept only for its tests: principal_form, lift_to_integral_sl2, Gaussian composition
 (compose, form_inverse, ClassGroup, class_to_proj), proj_identity and
 proj_inverse, recognize_algebraic with minpoly, root_number and
 lattice_distance.  Their bodies are as they were in the package.
@@ -46,12 +51,12 @@ import numpy as np
 from cmtrace.curves import Curve, CurveModel, an_coefficients
 from cmtrace.embeddings import CosetLabel, EmbeddingData, EmbeddingError
 from cmtrace.fp import FpMatrix, FpParams, _xgcd, in_cartan_group
-from cmtrace.heegner import _complete_unimodular, _gauss_reduce_pair
+from cmtrace.heegner import HeegnerTau, _complete_unimodular, _gauss_reduce_pair, gamma0_reduce
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
 from cmtrace.periods import PeriodLattice, lattice_reduce
 from cmtrace.projline import ProjClass, ProjParams, proj_class, proj_mul
-from cmtrace.quadforms import (BinaryForm, QuadOrder, _half_mul, _hnf2, form_to_ideal, ideal_mul,
-                               ideal_to_form, principal_form, reduce_form, reduced_forms)
+from cmtrace.quadforms import (BinaryForm, GaloisKernel, QuadOrder, _half_mul, _hnf2, form_to_ideal,
+                               ideal_mul, ideal_to_form, reduce_form, reduced_forms)
 from cmtrace.recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational
 
 ENUMERATION_BOUND = 200
@@ -197,6 +202,13 @@ def project_form(form: BinaryForm, dK: int, cond_big: int, cond_small: int) -> B
     return ideal_to_form(ext, dK, cond_small)
 
 
+def principal_form(disc: int) -> BinaryForm:
+    if disc >= 0 or disc % 4 not in (0, 1):
+        raise ValueError(f"invalid negative discriminant {disc}")
+    k = disc % 2
+    return BinaryForm(1, k, (k * k - disc) // 4)
+
+
 def kernel_forms_by_filter(order: QuadOrder, p: int) -> set[BinaryForm]:
     """Every reduced form of discriminant p^2 f^2 dK whose class projects to
     the principal class of Pic(O_f)."""
@@ -285,6 +297,122 @@ def gamma0_reduce_all_candidates(form: BinaryForm, n_level: int) -> BinaryForm:
     assert best is not None
     out = best[1]
     assert out.a % n_level == 0 and out.disc() == form.disc()
+    return out
+
+
+def _smith2(m):
+    """(d1, d2) with d1 | d2 and the column transform V: rowops * m * V = diag.
+
+    Row operations change the sublattice basis (free); V is what the ambient
+    basis must absorb, so only V is tracked.
+    """
+    a = [list(m[0]), list(m[1])]
+    v = [[1, 0], [0, 1]]
+
+    def colop(i, j, q):
+        for r in (0, 1):
+            a[r][i] -= q * a[r][j]
+            v[r][i] -= q * v[r][j]
+
+    def colswap():
+        for r in (0, 1):
+            a[r][0], a[r][1] = a[r][1], a[r][0]
+            v[r][0], v[r][1] = v[r][1], v[r][0]
+
+    for _ in range(200):
+        entries = [(abs(a[i][j]), i, j) for i in (0, 1) for j in (0, 1) if a[i][j]]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        if i == 1:
+            a[0], a[1] = a[1], a[0]
+        if j == 1:
+            colswap()
+        piv = a[0][0]
+        if a[1][0] % piv:
+            q = a[1][0] // piv
+            a[1] = [a[1][0] - q * a[0][0], a[1][1] - q * a[0][1]]
+            continue
+        if a[0][1] % piv:
+            colop(1, 0, a[0][1] // piv)
+            continue
+        q = a[1][0] // piv
+        a[1] = [a[1][0] - q * a[0][0], a[1][1] - q * a[0][1]]
+        colop(1, 0, a[0][1] // piv)
+        if a[1][1] % piv:
+            colop(0, 1, -1)
+            continue
+        break
+    else:
+        raise AssertionError("Smith reduction did not terminate")
+    return (abs(a[0][0]), abs(a[1][1])), v
+
+
+def _ratio_form(s1, s2, dK: int, conductor: int) -> BinaryForm:
+    """Primitive integral form of tau = value(s2) / value(s1), oriented Im > 0."""
+    u1, v1 = s1
+    u2, v2 = s2
+    pp = u1 * u2 - dK * v1 * v2
+    qq = u1 * v2 - u2 * v1
+    rr = (u1 * u1 - dK * v1 * v1) // 2
+    assert qq != 0 and rr > 0
+    if qq < 0:
+        pp, qq = -pp, -qq
+    # tau = (pp + qq sqrt(dK)) / (2 rr):  (2 rr x - pp)^2 = qq^2 dK
+    a, b, c = 4 * rr * rr, -4 * pp * rr, pp * pp - qq * qq * dK
+    g = gcd(gcd(a, b), c)
+    form = BinaryForm(a // g, b // g, c // g)
+    assert form.disc() == conductor ** 2 * dK
+    return form
+
+
+def galois_orbit_by_smith(base: HeegnerTau, kernel: GaloisKernel) -> list[HeegnerTau]:
+    """heegner.galois_orbit through a 2x2 Smith reduction of the lattice pair.
+
+    Multiplies the point's lattice pair by each kernel ideal and reads the new
+    point off a Smith-adapted basis of the cyclic pair.  Members come back in
+    the fixed kernel ordering; the identity class reproduces the base point.
+    """
+    order = kernel.order
+    p = kernel.p
+    if base.dK != order.dK or base.conductor != p * order.f:
+        raise ValueError("kernel and base point disagree on the order")
+    n_level = base.n_level
+    dK = order.dK
+    cond = base.conductor
+    l1 = form_to_ideal(base.form, dK, cond)
+    # index-N cyclic sublattice <A, N*(-B + sqrt(disc))/2>
+    l2 = (l1[0], (n_level * l1[1][0], n_level * l1[1][1]))
+
+    out = []
+    for kc in kernel.classes:
+        # the conjugate of the kernel ideal lam O_f cap O_pf
+        abar = tuple((u, -v) for u, v in kc.ideal)
+        m1 = ideal_mul(abar, l1, dK)
+        m2 = ideal_mul(abar, l2, dK)
+        # coordinates of m2's basis in m1's basis
+        det1 = m1[0][0] * m1[1][1] - m1[0][1] * m1[1][0]
+        adj = ((m1[1][1], -m1[0][1]), (-m1[1][0], m1[0][0]))
+        coords = []
+        for row in m2:
+            num = (row[0] * adj[0][0] + row[1] * adj[1][0],
+                   row[0] * adj[0][1] + row[1] * adj[1][1])
+            assert num[0] % det1 == 0 and num[1] % det1 == 0
+            coords.append((num[0] // det1, num[1] // det1))
+        (d1, d2), v = _smith2(tuple(coords))
+        assert d1 == 1 and d2 == n_level, "lattice pair is not cyclic of index N"
+        vdet = v[0][0] * v[1][1] - v[0][1] * v[1][0]
+        assert abs(vdet) == 1
+        vinv = ((v[1][1] * vdet, -v[0][1] * vdet), (-v[1][0] * vdet, v[0][0] * vdet))
+        # adapted basis rows s = vinv * m1; then m2 = <s1, N s2>
+        s1 = (vinv[0][0] * m1[0][0] + vinv[0][1] * m1[1][0],
+              vinv[0][0] * m1[0][1] + vinv[0][1] * m1[1][1])
+        s2 = (vinv[1][0] * m1[0][0] + vinv[1][1] * m1[1][0],
+              vinv[1][0] * m1[0][1] + vinv[1][1] * m1[1][1])
+        form = _ratio_form(s1, s2, dK, cond)
+        assert form.a % n_level == 0, "adapted basis lost the level structure"
+        form = gamma0_reduce(form, n_level)
+        out.append(HeegnerTau(form=form, n_level=n_level, dK=dK, conductor=cond))
     return out
 
 

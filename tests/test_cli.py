@@ -56,7 +56,7 @@ def test_sign(capsys):
 def test_trace_run(capsys, tmp_path):
     out = tmp_path / "trace.json"
     code = main(["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--f", "1",
-                 "--digits", "40", "--mode", "signo_minus", "--json", str(out)])
+                 "--digits", "40", "--json", str(out)])
     assert code == 0
     text = capsys.readouterr().out
     assert "verdict: torsion" in text
@@ -116,7 +116,8 @@ def test_finite_check_rejects_level_below_one(capsys, m):
 @pytest.mark.parametrize("argv", [
     ["finite-check", "--p", "5", "--dk", "-7", "--eps", "3"],
     ["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--torsion-bound", "24"],
-], ids=["finite-eps", "trace-torsion-bound"])
+    ["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--mode", "signo_minus"],
+], ids=["finite-eps", "trace-torsion-bound", "trace-mode"])
 def test_finite_layer_and_torsion_knobs_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -132,6 +133,14 @@ def test_finite_layer_and_torsion_knobs_are_usage_errors(capsys, argv):
 def test_unwritable_json_path_exits_1(capsys, tmp_path, argv):
     path = tmp_path / "missing" / "out.json"
     code = main([*argv, "--json", str(path)])
+    assert code == 1
+    assert f"error: [Errno 2] No such file or directory: '{path}'" in capsys.readouterr().err
+
+
+def test_trace_json_path_is_checked_before_the_run(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr("cmtrace.cli.trace_point", _no_work)
+    path = tmp_path / "missing" / "t.json"
+    code = main(["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--json", str(path)])
     assert code == 1
     assert f"error: [Errno 2] No such file or directory: '{path}'" in capsys.readouterr().err
 
@@ -203,8 +212,7 @@ def test_precision_error_exits_1(monkeypatch, capsys):
         raise PrecisionError("precision capped at 200 digits")
 
     monkeypatch.setattr("cmtrace.experiments.period_lattice", capped)
-    code = main(["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--digits", "20",
-                 "--mode", "signo_minus"])
+    code = main(["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--digits", "20"])
     assert code == 1
     assert "error: precision capped" in capsys.readouterr().err
 

@@ -8,7 +8,10 @@ kernel ideals for both kernel_classes and galois_orbit.  That routine's
 closed form N(lam) Z + p lam O_f is compared with the lattice intersection
 oracle for random generators lam = x1 + x2*w_f, a unit mod p.  The Gamma_0(N)
 reduction that galois_orbit applies to each member is checked against the
-oracle that builds every candidate form, on random N-divisible forms.
+oracle that builds every candidate form, on random N-divisible forms, and
+shown constant on Gamma_0(N) classes.  At levels N = p^2 M, M split in K,
+galois_orbit (a primitive vector of the Hermite normal form of each lattice
+pair) is compared member by member with the Smith-reduction oracle.
 """
 
 from math import gcd
@@ -23,16 +26,18 @@ from cmtrace.heegner import (HeegnerTau, _complete_unimodular, galois_orbit, gam
                              heegner_form)
 from cmtrace.projline import involution_class, proj_mul
 from cmtrace.quadforms import (BinaryForm, generator_ideal, is_fundamental_discriminant,
-                               kernel_classes, order_data, principal_form, proj_params,
-                               reduce_form)
-from oracles import (compose, form_inverse, gamma0_reduce_all_candidates,
-                     generator_ideal_by_intersection, project_form)
+                               kernel_classes, kronecker, order_data, proj_params, reduce_form)
+from oracles import (compose, form_inverse, galois_orbit_by_smith, gamma0_reduce_all_candidates,
+                     generator_ideal_by_intersection, principal_form, project_form)
 
 CASES = [(dK, f, p)
          for dK in range(-200, -6) if is_fundamental_discriminant(dK)
          for p in primerange(3, 32) if legendre(dK % p, p) == -1
          for f in range(1, 6) if f % p]
 PROPERTY = settings(max_examples=30, deadline=None)
+# (dK, f, p, M): every prime of M splits in K and is prime to f
+LEVEL_CASES = [(dK, f, p, m) for dK, f, p in CASES for m in (1, 2, 3, 5, 7)
+               if m == 1 or (kronecker(dK, m) == 1 and f % m)]
 
 
 @PROPERTY
@@ -112,3 +117,16 @@ def test_gamma0_reduce_builds_only_the_minimal_candidates(n_level, k, b, extra, 
     u, v = _complete_unimodular(x, y)
     moved = form.transform(x, u, y, v)
     assert gamma0_reduce(moved, n_level) == gamma0_reduce_all_candidates(moved, n_level)
+    # constant on Gamma_0(N) classes, which makes galois_orbit independent of its basis
+    assert gamma0_reduce(moved, n_level) == gamma0_reduce(form, n_level)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LEVEL_CASES))
+def test_orbit_from_the_hermite_normal_form_equals_the_smith_route(case):
+    dK, f, p, m = case
+    n_level = p * p * m
+    kernel = kernel_classes(order_data(dK, f), p)
+    base = HeegnerTau(form=heegner_form(n_level, dK, p * f), n_level=n_level, dK=dK,
+                      conductor=p * f)
+    assert galois_orbit(base, kernel) == galois_orbit_by_smith(base, kernel)

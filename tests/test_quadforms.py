@@ -6,11 +6,11 @@ from sympy import primerange
 
 from cmtrace.fp import legendre
 from cmtrace.projline import ProjClass, proj_elements, proj_mul
-from cmtrace.quadforms import (BinaryForm, class_number, is_fundamental_discriminant,
-                               kernel_classes, kronecker, order_data, principal_form,
-                               proj_params, reduce_form, reduced_forms)
+from cmtrace.quadforms import (BinaryForm, basis_form, class_number, form_to_ideal,
+                               ideal_to_form, is_fundamental_discriminant, kernel_classes,
+                               kronecker, order_data, proj_params, reduce_form, reduced_forms)
 from oracles import (ClassGroup, class_to_proj, compose, element_order, form_inverse, form_pow,
-                     project_form)
+                     principal_form, project_form)
 
 # ---------------------------------------------------------------------------
 # Independent oracles.  Ideal arithmetic here is written from scratch against
@@ -231,6 +231,25 @@ def test_project_form_principal_preimages():
             if project_form(f, -7, 5, 1) == principal_small]
     # index of the kernel inside Pic(O_5): h(-175) / h(-7) = 6
     assert len(hits) == 6
+
+
+def test_basis_form_reads_a_form_off_its_ideal_basis_in_either_orientation():
+    for form in reduced_forms(-9 * 23):
+        s1, (u, v) = form_to_ideal(form, -23, 3)         # A and (-B + 3 sqrt(-23)) / 2
+        assert basis_form(s1, (u, v), -23) == basis_form(s1, (-u, -v), -23) == form
+
+
+def test_ideal_to_form_rejects_lattices_that_are_not_proper_ideals_of_the_order():
+    for dK, cond in ((-7, 1), (-7, 3), (-23, 2), (-20, 5)):
+        for form in reduced_forms(cond * cond * dK):
+            lattice = form_to_ideal(form, dK, cond)
+            assert ideal_to_form(lattice, dK, cond) == form
+            for other in {1, 2, 3, 5} - {cond}:
+                with pytest.raises(ValueError, match="not a proper ideal of this order"):
+                    ideal_to_form(lattice, dK, other)
+    # O_K = <1, (1 + sqrt(-7))/2> is an ideal of O_3, but not a proper one
+    with pytest.raises(ValueError, match="not a proper ideal of this order"):
+        ideal_to_form(((2, 0), (1, 1)), -7, 3)
 
 
 def test_kernel_sizes_examples():
