@@ -12,7 +12,7 @@ from .embeddings import (EmbeddingData, build_embedding, find_common_norm_elemen
                          two_to_one_check, verify_optimal)
 from .experiments import (ExperimentSpec, FiniteReport, TraceReport,
                           experiment_finite, trace_point)
-from .fp import FpMatrix, FpParams, cartan_membership, index_ns_plus
+from .fp import ArithmeticBoundError, FpMatrix, FpParams, cartan_membership, index_ns_plus
 from .heegner import HeegnerTau, NoHeegnerPoint, galois_orbit, heegner_form
 from .modparam import atkin_lehner_sign, eval_phi
 from .periods import CurvePoint, PeriodLattice, elliptic_exp, is_torsion, period_lattice

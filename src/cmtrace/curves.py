@@ -21,9 +21,8 @@ from functools import cached_property
 from math import gcd, isqrt
 
 import numpy as np
-from sympy import factorint, isprime
 
-from .fp import legendre
+from .fp import factorint, isprime, legendre
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 from math import gcd
 
 import mpmath as mp
-from sympy import factorint, isprime, nextprime
 
 from .curves import CurveModel
 from .embeddings import (build_embedding, find_common_norm_element,
                          lemma_converse_check, signo_pairing_check, two_to_one_check,
                          verify_optimal)
-from .fp import FpParams, index_ns_plus, legendre
+from .fp import FpParams, factorint, index_ns_plus, isprime, legendre
 from .heegner import HeegnerTau, galois_orbit, heegner_form
 from .modparam import atkin_lehner_sign, eval_phi, phi_terms
 from .periods import (DIGITS_CAP, PeriodLattice, elliptic_exp, is_torsion,
@@ -145,11 +144,11 @@ def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
     degree = index_ns_plus(params)
     checks["degree_matches_index"] = len(fibers) == degree
     n_ambient = p * p * level_m
-    good, ell = [], 2
+    good, ell = [], 1
     while len(good) < 5:
-        if n_ambient % ell:
+        ell += 1
+        if isprime(ell) and n_ambient % ell:
             good.append(ell)
-        ell = nextprime(ell)
     checks["common_norm_elements"] = all(
         find_common_norm_element(params, ell % p).det() == ell % p for ell in good)
     return FiniteReport(p=p, dK=spec.dK, f=spec.f, level_m=level_m, checks=checks,
@@ -241,8 +240,9 @@ def orbit_trace(model: CurveModel, orbit, kernel, digits: int):
 
 
 def trace_point(spec: ExperimentSpec) -> TraceReport:
-    """Full pipeline: sign, kernel, oriented orbit, q-series values, trace,
-    torsion verdict and (for class number one at f = 1) exact recognition."""
+    """Full pipeline: kernel, oriented orbit, series budget, sign, q-series
+    values, trace, torsion verdict and (for class number one at f = 1) exact
+    recognition."""
     if spec.mode == "finite_only":
         raise ValueError("trace_point needs an analytic mode")
     if spec.curve is None:
@@ -250,11 +250,6 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     spec.validate()
     model = spec.curve
     digits = spec.digits
-    timings: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    wp = atkin_lehner_sign(model, model.p * model.p, digits)
-    timings["atkin_lehner"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     shadow = experiment_finite(ExperimentSpec(dK=spec.dK, f=spec.f, curve=model,
@@ -263,7 +258,13 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     base = HeegnerTau(form=heegner_form(model.n, spec.dK, model.p * spec.f),
                       n_level=model.n, dK=spec.dK, conductor=model.p * spec.f)
     orbit = galois_orbit(base, kernel)
-    timings["finite_layer"] = time.perf_counter() - t0
+    # an over-budget orbit fails here, before the sign can evaluate a series
+    phi_terms(max(orbit, key=lambda pt: pt.form.a).tau(digits).imag, digits)
+    t_finite = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    wp = atkin_lehner_sign(model, model.p * model.p, digits)
+    timings = {"atkin_lehner": time.perf_counter() - t0, "finite_layer": t_finite}
 
     t0 = time.perf_counter()
     entries, trace_z, n_max = orbit_trace(model, orbit, kernel, digits)

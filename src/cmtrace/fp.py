@@ -1,4 +1,18 @@
-"""Exact 2x2 matrix arithmetic over F_p and the four Cartan subgroups.
+"""Small-integer arithmetic, and exact 2x2 matrix arithmetic over F_p with
+the four Cartan subgroups.
+
+The arithmetic is everything the package needs of elementary number theory,
+always on small integers: the Legendre symbol, square roots mod a prime
+(Tonelli-Shanks; Cohen, A Course in Computational Algebraic Number Theory,
+Alg. 1.5.1), a primality test and factorisation by trial division.  isprime
+is Miller-Rabin on the thirteen prime bases 2..41, which is exact below
+MR_BOUND, the least strong pseudoprime to all of them (Sorenson-Webster,
+"Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).  factorint
+divides by 2 and the odd numbers up to TRIAL_BOUND and stops once the
+cofactor is prime; a composite cofactor with no factor that small exceeds
+TRIAL_BOUND^2.  Both limits raise ArithmeticBoundError rather than guess.
+Any input of the package that reaches them has a bad prime above
+TRIAL_BOUND, so a level far beyond the q-series budget.
 
 Membership tests for the split and non-split Cartan subgroups of GL_2(F_p)
 and their normalizers, and the coset index in closed form.  Nothing here
@@ -9,10 +23,71 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sympy import isprime
-from sympy.ntheory import sqrt_mod
-
 CARTAN_KINDS = ("ns", "ns+", "s", "s+")
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+TRIAL_BOUND = 10 ** 6
+
+
+class ArithmeticBoundError(ValueError):
+    """An integer beyond what isprime or factorint decide exactly."""
+
+
+def isprime(n: int) -> bool:
+    """Whether n is prime; ArithmeticBoundError for a probable prime
+    n >= MR_BOUND (a composite one is still reported composite)."""
+    if n < 2:
+        return False
+    for q in MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= MR_BOUND:
+        raise ArithmeticBoundError(f"primality of {n} is decided exactly only below "
+                                   f"{MR_BOUND} (Miller-Rabin on the primes up to 41)")
+    return True
+
+
+def factorint(n: int) -> dict[int, int]:
+    """{q: e} with n the product of the q^e, primes ascending, for n >= 1."""
+    if n < 1:
+        raise ValueError(f"factorint needs n >= 1, got {n}")
+    out: dict[int, int] = {}
+    rest, q = n, 2
+    rest_is_prime = isprime(rest)
+    while rest > 1 and not rest_is_prime:
+        # a composite rest has a prime factor <= isqrt(rest), found before q
+        # passes it; so reaching TRIAL_BOUND means rest > TRIAL_BOUND^2
+        if q > TRIAL_BOUND:
+            raise ArithmeticBoundError(
+                f"{n} has the composite factor {rest} with no prime factor up to "
+                f"the trial-division bound {TRIAL_BOUND}")
+        if rest % q == 0:
+            e = 0
+            while rest % q == 0:
+                rest //= q
+                e += 1
+            out[q] = e
+            rest_is_prime = isprime(rest)
+        q += 1 if q == 2 else 2
+    if rest > 1:
+        out[rest] = 1
+    return out
 
 
 def legendre(a: int, p: int) -> int:
@@ -32,14 +107,33 @@ def smallest_nonsquare(p: int) -> int:
 
 
 def sqrt_mod_p(a: int, p: int) -> int:
-    """Smallest square root of a mod p, or ValueError if a is a non-square."""
+    """The square root r <= p // 2 of a mod the odd prime p (the smaller of
+    r and p - r), or ValueError if a is a non-square."""
     a %= p
     if a == 0:
         return 0
     if legendre(a, p) != 1:
         raise ValueError(f"{a} is not a square mod {p}")
-    # For prime p, sympy returns the root r <= p // 2, i.e. the smaller of r, p - r.
-    return sqrt_mod(a, p)
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+    else:
+        # Tonelli-Shanks: p - 1 = 2^s q with q odd; t = a^q has 2-power order
+        # 2^i < 2^m, and each step trades it for a lower power of two
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        m, c = s, pow(smallest_nonsquare(p), q, p)
+        t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+    return min(r, p - r)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,8 @@ from dataclasses import dataclass
 from math import gcd
 
 import mpmath as mp
-from sympy import factorint
-from sympy.ntheory import sqrt_mod
 
-from .fp import _xgcd
+from .fp import _xgcd, factorint
 from .quadforms import (BinaryForm, GaloisKernel, _hnf2, basis_form, check_fundamental,
                         form_to_ideal, ideal_mul)
 
@@ -76,26 +74,27 @@ def heegner_form(n_level: int, dK: int, c: int) -> BinaryForm:
         raise ValueError(f"level and conductor must be positive, got N = {n_level}, c = {c}")
     check_fundamental(dK)                # so disc < 0
     disc = c * c * dK
-    roots = sqrt_mod(disc % (4 * n_level), 4 * n_level, all_roots=True)
-    if not roots:
-        raise NoHeegnerPoint(f"B^2 = {disc} mod {4 * n_level} has no solution")
     stratum = 1
     for q, e in factorint(gcd(c, n_level)).items():
         if e == 1 and n_level % q ** 2 == 0 and n_level % q ** 3:
             stratum *= q * q
-    candidates = []
-    for r in roots:
-        for b in (r, r - 4 * n_level):
-            if b % stratum:
+    # B = 0, 1, -1, 2, -2, ... over |B| < 4N, so the first hit is the smallest
+    # (|B|, -B); B^2 = disc mod 4 needs B = disc mod 2, so the scan skips the rest
+    four_n = 4 * n_level
+    solvable = False
+    for k in range(disc % 2, four_n, 2):
+        for b in (k, -k) if k else (0,):
+            if (b * b - disc) % four_n:
                 continue
-            cc = (b * b - disc) // (4 * n_level)
-            form = BinaryForm(n_level, b, cc)
-            if form.is_primitive():
-                candidates.append(form)
-    if not candidates:
-        raise NoHeegnerPoint(f"no primitive form of discriminant {disc} at level "
-                             f"{n_level} in the involution-stable stratum")
-    return min(candidates, key=lambda f: (abs(f.b), -f.b))
+            solvable = True
+            if b % stratum == 0:
+                form = BinaryForm(n_level, b, (b * b - disc) // four_n)
+                if form.is_primitive():
+                    return form
+    if not solvable:
+        raise NoHeegnerPoint(f"B^2 = {disc} mod {four_n} has no solution")
+    raise NoHeegnerPoint(f"no primitive form of discriminant {disc} at level "
+                         f"{n_level} in the involution-stable stratum")
 
 
 def _gauss_reduce_pair(q: BinaryForm, v1, v2):

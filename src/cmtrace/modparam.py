@@ -52,10 +52,9 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 import mpmath as mp
-from sympy import factorint
 
 from .curves import Curve, CurveModel, _valuation, an_coefficients, ap_bad, tate_local
-from .fp import _xgcd, legendre
+from .fp import _xgcd, factorint, legendre
 
 GUARD = 15
 FIXED_GUARD = 10            # guard bits of the fixed-point evaluator beyond bit_length(n_max)

@@ -21,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from sympy import factorint, isprime
-
-from .fp import legendre
+from .fp import factorint, isprime, legendre
 from .projline import ProjClass, ProjParams, proj_elements
 
 

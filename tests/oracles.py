@@ -30,7 +30,11 @@ Smith-adapted basis of each lattice pair (_smith2, a 2x2 Smith reduction,
 and _ratio_form); cmtrace.heegner.galois_orbit reads it off a primitive
 vector of the pair's Hermite normal form instead, and the two bases differ
 by a matrix in Gamma_0(N), so the reduced orbit forms must agree member by
-member.
+member.  heegner_form_all_roots chooses the Heegner form among sympy's every
+square root of the discriminant mod 4N, where cmtrace.heegner.heegner_form
+scans B = 0, 1, -1, 2, -2, ... and stops at the first hit; sympy stays in
+the tests as the reference for the package's own primality test,
+factorisation and square roots.
 
 Square-and-multiply powers, element orders and the curve-equation residual
 are test-only helpers: the pipeline never needs them.  So is the API that
@@ -47,16 +51,20 @@ from math import gcd
 
 import mpmath as mp
 import numpy as np
+import sympy
+from sympy.ntheory import sqrt_mod
 
 from cmtrace.curves import Curve, CurveModel, an_coefficients
 from cmtrace.embeddings import CosetLabel, EmbeddingData, EmbeddingError
 from cmtrace.fp import FpMatrix, FpParams, _xgcd, in_cartan_group
-from cmtrace.heegner import HeegnerTau, _complete_unimodular, _gauss_reduce_pair, gamma0_reduce
+from cmtrace.heegner import (HeegnerTau, NoHeegnerPoint, _complete_unimodular, _gauss_reduce_pair,
+                             gamma0_reduce)
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
 from cmtrace.periods import PeriodLattice, lattice_reduce
 from cmtrace.projline import ProjClass, ProjParams, proj_class, proj_mul
-from cmtrace.quadforms import (BinaryForm, GaloisKernel, QuadOrder, _half_mul, _hnf2, form_to_ideal,
-                               ideal_mul, ideal_to_form, reduce_form, reduced_forms)
+from cmtrace.quadforms import (BinaryForm, GaloisKernel, QuadOrder, _half_mul, _hnf2,
+                               check_fundamental, form_to_ideal, ideal_mul, ideal_to_form,
+                               reduce_form, reduced_forms)
 from cmtrace.recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational
 
 ENUMERATION_BOUND = 200
@@ -200,6 +208,35 @@ def project_form(form: BinaryForm, dK: int, cond_big: int, cond_small: int) -> B
     target_basis = ((2, 0), (cond_small * delta, cond_small))
     ext = ideal_mul(lat, target_basis, dK)
     return ideal_to_form(ext, dK, cond_small)
+
+
+def heegner_form_all_roots(n_level: int, dK: int, c: int) -> BinaryForm:
+    """cmtrace.heegner.heegner_form through sympy's every root of B^2 = disc
+    mod 4N, the least (|B|, -B) among the primitive forms in the stratum."""
+    if n_level < 1 or c < 1:
+        raise ValueError(f"level and conductor must be positive, got N = {n_level}, c = {c}")
+    check_fundamental(dK)
+    disc = c * c * dK
+    roots = sqrt_mod(disc % (4 * n_level), 4 * n_level, all_roots=True)
+    if not roots:
+        raise NoHeegnerPoint(f"B^2 = {disc} mod {4 * n_level} has no solution")
+    stratum = 1
+    for q, e in sympy.factorint(gcd(c, n_level)).items():
+        if e == 1 and n_level % q ** 2 == 0 and n_level % q ** 3:
+            stratum *= q * q
+    candidates = []
+    for r in roots:
+        for b in (r, r - 4 * n_level):
+            if b % stratum:
+                continue
+            cc = (b * b - disc) // (4 * n_level)
+            form = BinaryForm(n_level, b, cc)
+            if form.is_primitive():
+                candidates.append(form)
+    if not candidates:
+        raise NoHeegnerPoint(f"no primitive form of discriminant {disc} at level "
+                             f"{n_level} in the involution-stable stratum")
+    return min(candidates, key=lambda f: (abs(f.b), -f.b))
 
 
 def principal_form(disc: int) -> BinaryForm:

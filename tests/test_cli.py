@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmtrace
 from cmtrace.cli import main
 from cmtrace.periods import PrecisionError
 
@@ -222,3 +227,51 @@ def test_heegner_rejects_nonpositive_level_and_conductor(capsys, n, c):
     code = main(["heegner", "--n", n, "--dk", "-11", "--c", c])
     assert code == 1
     assert "must be positive" in capsys.readouterr().err
+
+
+def test_factorisation_bound_exits_1_at_once(capsys):
+    # b = 1000003 * 1000033, so disc = -432 b^2 has a composite cofactor b
+    # with no prime factor up to the trial-division bound 10^6
+    code = main(["sign", "--curve", "0,0,0,0,1000036000099", "--q", "9", "--p", "3"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "composite factor 1000036000099" in err and "trial-division bound 1000000" in err
+
+
+def test_primality_bound_exits_1_at_once(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the finite layer ran past the primality bound")
+
+    monkeypatch.setattr("cmtrace.experiments.build_embedding", no_work)
+    code = main(["finite-check", "--p", "3317044064679887385961981", "--dk", "-7"])
+    assert code == 1
+    assert "decided exactly only below 3317044064679887385961981" in capsys.readouterr().err
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's cmtrace."""
+    src = str(Path(cmtrace.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_import_leaves_sympy_out():
+    proc = _python("import sys, cmtrace.cli; print(sorted(m for m in sys.modules "
+                   "if m.split('.')[0] == 'sympy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_runs_with_sympy_blocked():
+    # a None entry in sys.modules makes every import of sympy fail
+    proc = _python(
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from cmtrace.cli import main\n"
+        "assert main(['finite-check', '--p', '5', '--dk', '-7']) == 0\n"
+        "sys.exit(main(['trace', '--curve', '0,-1,1,-7,10', '--dk', '-67', '--digits', '30']))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert "3 fibers of size 2" in proc.stdout
+    assert "verdict: non_torsion" in proc.stdout

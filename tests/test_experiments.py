@@ -298,3 +298,15 @@ def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
     monkeypatch.setattr("cmtrace.experiments.eval_phi", no_eval)
     with pytest.raises(SeriesBudgetError):
         orbit_trace(M121, orbit, kernel, digits)
+
+
+def test_over_budget_trace_fails_before_the_sign(monkeypatch):
+    # the sign evaluates a series at additive 3; the budget is known before it
+    monkeypatch.setattr("cmtrace.modparam.NMAX_CAP", 10)
+
+    def no_sign(*args, **kwargs):
+        raise AssertionError("atkin_lehner_sign ran before the budget check")
+
+    monkeypatch.setattr("cmtrace.experiments.atkin_lehner_sign", no_sign)
+    with pytest.raises(SeriesBudgetError):
+        trace_point(ExperimentSpec(dK=-67, f=1, curve=M121, digits=30))

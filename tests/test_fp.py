@@ -1,11 +1,15 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import primerange
+from sympy.ntheory import sqrt_mod
 
-from cmtrace.fp import (CARTAN_KINDS, FpMatrix, FpParams, cartan_membership, identity,
-                        in_cartan_group, index_ns_plus, legendre, smallest_nonsquare,
-                        sqrt_mod_p)
+from cmtrace.fp import (CARTAN_KINDS, MR_BOUND, TRIAL_BOUND, ArithmeticBoundError, FpMatrix,
+                        FpParams, cartan_membership, factorint, identity, in_cartan_group,
+                        index_ns_plus, isprime, legendre, smallest_nonsquare, sqrt_mod_p)
 from oracles import (EnumerationBoundError, cartan_intersection_ns_s, enumerate_cartan,
                      index_ns_plus_by_enumeration, lift_to_integral_sl2, sl2_elements)
 
@@ -150,8 +154,9 @@ def test_legendre_and_nonsquare():
 
 
 def test_sqrt_mod_p_is_smallest_root():
-    # the root fixes iota(omega), and with it every coset label
-    for p in primerange(3, 400):
+    # the root fixes iota(omega), and with it every coset label; p = 1 mod 2^k
+    # for growing k takes Tonelli-Shanks through more rounds
+    for p in (*primerange(3, 400), 577, 769, 4993):
         for a in range(1, p):
             if legendre(a, p) == 1:
                 r = sqrt_mod_p(a, p)
@@ -160,3 +165,77 @@ def test_sqrt_mod_p_is_smallest_root():
                 with pytest.raises(ValueError):
                     sqrt_mod_p(a, p)
     assert sqrt_mod_p(0, 7) == 0
+
+
+# The small-integer arithmetic against sympy, the reference implementation.
+
+PRIMES_TO_5000 = list(primerange(3, 5000))
+# psi_4, psi_9 (= psi_11) and psi_12: the least strong pseudoprimes to the
+# first 4, 9 and 12 prime bases, which only base 41 unmasks in the last case
+STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051, 318665857834031151167461)
+# random integers below MR_BOUND are nearly all composite with a small factor,
+# so primes and products of two large primes are drawn too
+PRIME_LIKE = st.one_of(
+    st.integers(-10, MR_BOUND - 1),
+    st.integers(2, 10 ** 24).map(sympy.nextprime),
+    st.tuples(st.integers(2, 10 ** 12), st.integers(2, 10 ** 12)).map(
+        lambda t: sympy.nextprime(t[0]) * sympy.nextprime(t[1])),
+)
+
+
+def test_isprime_matches_sympy_below_20000():
+    assert [n for n in range(-5, 20000) if isprime(n)] == list(primerange(20000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(PRIME_LIKE)
+def test_isprime_matches_sympy(n):
+    assert isprime(n) == sympy.isprime(n)
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+def test_strong_pseudoprimes_read_composite(n):
+    assert not isprime(n) and not sympy.isprime(n)
+
+
+def test_isprime_raises_the_bound_at_a_probable_prime_beyond_it():
+    # MR_BOUND itself passes all thirteen bases, so it cannot be decided
+    with pytest.raises(ArithmeticBoundError, match=str(MR_BOUND)):
+        isprime(MR_BOUND)
+    assert not isprime(MR_BOUND + 1)             # even: composite beyond the bound too
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(1, 10 ** 10),
+                 st.tuples(st.lists(st.sampled_from([2, 3, 5, 7, 11, 997, 65537]), max_size=8),
+                           st.sampled_from([1, 1000003, 10 ** 12 + 39, 10 ** 20 + 39])).map(
+                     lambda t: sympy.prod(t[0]) * t[1])))
+def test_factorint_matches_sympy(n):
+    # at most one prime factor above TRIAL_BOUND, the most factorint takes
+    got = factorint(n)
+    assert got == sympy.factorint(n)
+    assert list(got) == sorted(got)
+
+
+def test_factorint_rejects_a_composite_cofactor_above_the_bound_squared():
+    assert TRIAL_BOUND == 10 ** 6
+    b = 1000003 * 1000033                        # two primes above TRIAL_BOUND
+    with pytest.raises(ArithmeticBoundError, match=f"bound {TRIAL_BOUND}"):
+        factorint(432 * b)
+    assert factorint(432 * 1000003) == {2: 4, 3: 3, 1000003: 1}
+    # the largest prime below the bound is still found by trial division
+    assert factorint(999983 ** 2 * 1000003) == {999983: 2, 1000003: 1}
+    with pytest.raises(ValueError):
+        factorint(0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(PRIMES_TO_5000), st.integers(0, 10 ** 6))
+def test_sqrt_mod_p_matches_sympy(p, x):
+    a = x * x % p if x % 3 else x % p            # squares, and anything at all
+    if legendre(a, p) == -1:
+        with pytest.raises(ValueError):
+            sqrt_mod_p(a, p)
+        return
+    r = sqrt_mod_p(a, p)
+    assert r == sqrt_mod(a, p) and r <= p // 2 and r * r % p == a % p

@@ -1,12 +1,14 @@
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmtrace.fp import legendre
 from cmtrace.heegner import (HeegnerTau, NoHeegnerPoint, galois_orbit, gamma0_reduce,
                              heegner_form)
-from cmtrace.quadforms import (BinaryForm, generator_ideal, kernel_classes, order_data,
-                               reduce_form)
-from oracles import compose
+from cmtrace.quadforms import (BinaryForm, generator_ideal, is_fundamental_discriminant,
+                               kernel_classes, order_data, reduce_form)
+from oracles import compose, heegner_form_all_roots
 
 
 def brute_stratum_minimum(n_level, dK, c, p):
@@ -173,3 +175,37 @@ def test_orbit_from_kept_ideals_matches_recorded_anchor_forms(dK, p, n_level):
 def test_heegner_form_rejects_non_fundamental_dk(dK):
     with pytest.raises(ValueError, match=f"dK = {dK} is not a fundamental discriminant"):
         heegner_form(49, dK, 7)
+
+
+FUNDAMENTAL = [d for d in range(-1000, -2) if is_fundamental_discriminant(d)]
+# the levels of the trace catalogue's curves 36a1, 49a1, 50a1, 50b1 and 121b1
+CATALOGUE_LEVELS = (36, 49, 50, 121)
+
+
+def _both_routes(n_level, dK, c):
+    """heegner_form and the all-roots oracle: the same form, or the same
+    NoHeegnerPoint message."""
+    try:
+        want = heegner_form_all_roots(n_level, dK, c)
+    except NoHeegnerPoint as exc:
+        with pytest.raises(NoHeegnerPoint) as got:
+            heegner_form(n_level, dK, c)
+        assert str(got.value) == str(exc)
+        return None
+    assert heegner_form(n_level, dK, c) == want
+    return want
+
+
+@pytest.mark.parametrize("n_level", CATALOGUE_LEVELS)
+def test_heegner_form_scan_matches_all_roots_at_catalogue_levels(n_level):
+    found = 0
+    for dK in (d for d in FUNDAMENTAL if d >= -120):
+        for c in range(1, 13):
+            found += _both_routes(n_level, dK, c) is not None
+    assert found
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3000), st.sampled_from(FUNDAMENTAL), st.integers(1, 60))
+def test_heegner_form_scan_matches_all_roots(n_level, dK, c):
+    _both_routes(n_level, dK, c)
