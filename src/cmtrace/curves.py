@@ -8,8 +8,27 @@ K = Q(sqrt d) skips the count where it is forced: at a good prime ell that
 is inert in K the reduction is supersingular (Deuring, Abh. Math. Sem.
 Hamburg 14, 1941), so a_ell = 0 mod ell, and for ell >= 5 the Hasse bound
 |a_ell| <= 2 sqrt(ell) < ell leaves a_ell = 0.  The CM field is read off
-the j-invariant, which for a rational CM curve is one of 13 integers.  Bad
-primes contribute +1, -1, 0 according to split multiplicative, non-split
+the j-invariant, which for a rational CM curve is one of 13 integers.
+
+A CM curve needs no count at all when d is odd and below -3, so that
+d in {-7, -11, -19, -43, -67, -163}, K has class number one and units +-1,
+and its conductor is d^2.  Then L(E, s) = L(psi, s) for a Hecke character
+psi of K with psi((pi)) = eps(pi) pi (Deuring; Silverman, Advanced Topics
+in the Arithmetic of Elliptic Curves, Thm. II.10.5; Gross, Arithmetic on
+Elliptic Curves with Complex Multiplication, LNM 776, 1980).  The conductor
+is |d| N(f) for the conductor f of psi, so f = (sqrt d), and eps is a
+character of (O_K / sqrt d)^x = F_|d|^x with eps(-1) = -1, because psi
+takes the same value on (pi) and (-pi).  F_|d|^x is cyclic, so its only
+characters with values +-1 are the trivial one and the Legendre symbol mod
+|d|, and -1 is a non-square mod |d| = 3 mod 4: eps is the Legendre symbol.
+With 2 pi = Tr pi + y sqrt d, pi = pi-bar = Tr pi / 2 mod sqrt d, so at a
+split ell = N(pi), a_ell = psi(pi) + psi(pi-bar) = (Tr pi / 2 | |d|) Tr pi,
+the same for each of +-pi and +-pi-bar; at an inert ell, 2 and 3 included,
+the Euler factor of L(psi, s) has no ell^-s term, so a_ell = 0.  One walk
+over the elements x + y (1 + sqrt d) / 2 of norm up to the bound gives
+every split prime at once, with no sign to test.
+
+Bad primes contribute +1, -1, 0 according to split multiplicative, non-split
 multiplicative, or additive reduction; prime powers follow the usual Hecke
 recursion and everything extends multiplicatively.
 """
@@ -18,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -419,16 +438,23 @@ def an_coefficients(cur: Curve, bound: int) -> list[int]:
 
 def _extended(m: Curve, known: list[int], bound: int) -> list[int]:
     """A copy of `known` (a[0..old]) extended to a[0..bound]; only the primes
-    above old are point-counted."""
+    above old get a new a_ell, from the Hecke character where that applies
+    (module docstring) and else by a point count."""
     old = len(known) - 1
     a = known + [0] * (bound - old)
     spf = _smallest_prime_factors(bound)
     bad = {q: tate_local(m, q) for q in factorint(abs(m.disc))}
+    d = _hecke_disc(m, bad)
+    if d:
+        _hecke_split_ap(a, d, old, bound, spf)
     for ell in range(2, bound + 1):
         if spf[ell] != ell:
             continue
         if ell > old:
-            a[ell] = ap_bad(bad[ell]) if ell in bad else ap_good(m, ell)
+            if ell in bad:
+                a[ell] = ap_bad(bad[ell])
+            elif not d:
+                a[ell] = ap_good(m, ell)
         aell, hecke = a[ell], 0 if ell in bad else ell
         pk_prev, pk = 1, ell
         while pk * ell <= bound:
@@ -446,6 +472,38 @@ def _extended(m: Curve, known: list[int], bound: int) -> list[int]:
         if rest > 1:
             a[n] = a[pk] * a[rest]
     return a
+
+
+def _hecke_disc(m: Curve, bad: dict) -> int:
+    """d when the minimal model m has CM by Q(sqrt d), d odd and below -3,
+    and conductor d^2, so that its a_ell come from the Hecke character;
+    else 0."""
+    d = m.cm_disc
+    if d % 2 == 0 or d == -3:
+        return 0
+    return d if prod(q ** loc.f for q, loc in bad.items()) == d * d else 0
+
+
+def _hecke_split_ap(a: list[int], d: int, old: int, bound: int, spf: list[int]) -> None:
+    """Set a[ell] for every prime old < ell <= bound that splits in Q(sqrt d).
+
+    ell = N(pi) with pi = x + y (1 + sqrt d) / 2, that is 4 ell = t^2 + |d| y^2
+    with t = Tr pi = 2x + y; y >= 1 and t >= 0 pick one of the four
+    generators of pi and its conjugate, and a_ell = (t / 2 | |d|) t for all
+    four.  Each row y runs t over the ellipse only, past the primes already
+    known."""
+    n = -d
+    chi = [legendre(r, n) for r in range(n)]
+    half = (n + 1) // 2                     # 2^-1 mod |d|
+    for y in range(1, isqrt(4 * bound // n) + 1):
+        base = n * y * y
+        low = 4 * old - base                # t^2 > low: above the known primes
+        t0 = isqrt(low) + 1 if low >= 0 else 0
+        t0 += (t0 - y) % 2                  # t = y mod 2, so that 4 | t^2 + |d| y^2
+        for t in range(t0, isqrt(4 * bound - base) + 1, 2):
+            ell = (t * t + base) >> 2
+            if spf[ell] == ell:
+                a[ell] = chi[t * half % n] * t
 
 
 def _smallest_prime_factors(bound: int) -> list[int]:

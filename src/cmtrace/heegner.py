@@ -26,7 +26,7 @@ from math import gcd
 
 import mpmath as mp
 
-from .fp import _xgcd, factorint
+from .fp import _xgcd, factorint, legendre
 from .quadforms import (BinaryForm, GaloisKernel, _hnf2, basis_form, check_fundamental,
                         form_to_ideal, ideal_mul)
 
@@ -62,7 +62,8 @@ def heegner_form(n_level: int, dK: int, c: int) -> BinaryForm:
 
     dK must be a fundamental discriminant, as for order_data (ValueError).
     Raises NoHeegnerPoint when the congruence is unsolvable, which is exactly
-    the classical obstruction (for instance conductor 1 at an inert prime).
+    the classical obstruction (for instance conductor 1 at an inert prime);
+    that is decided from the factorisation of 4N before any scan.
 
     At a prime q with q^2 || N and q || c the solutions split into strata by
     B mod 2N; only the stratum q^2 | B is stable under the local Atkin-Lehner
@@ -78,23 +79,41 @@ def heegner_form(n_level: int, dK: int, c: int) -> BinaryForm:
     for q, e in factorint(gcd(c, n_level)).items():
         if e == 1 and n_level % q ** 2 == 0 and n_level % q ** 3:
             stratum *= q * q
+    four_n = 4 * n_level
+    if not _has_square_root(disc, four_n):
+        raise NoHeegnerPoint(f"B^2 = {disc} mod {four_n} has no solution")
     # B = 0, 1, -1, 2, -2, ... over |B| < 4N, so the first hit is the smallest
     # (|B|, -B); B^2 = disc mod 4 needs B = disc mod 2, so the scan skips the rest
-    four_n = 4 * n_level
-    solvable = False
     for k in range(disc % 2, four_n, 2):
         for b in (k, -k) if k else (0,):
-            if (b * b - disc) % four_n:
-                continue
-            solvable = True
-            if b % stratum == 0:
+            if (b * b - disc) % four_n == 0 and b % stratum == 0:
                 form = BinaryForm(n_level, b, (b * b - disc) // four_n)
                 if form.is_primitive():
                     return form
-    if not solvable:
-        raise NoHeegnerPoint(f"B^2 = {disc} mod {four_n} has no solution")
     raise NoHeegnerPoint(f"no primitive form of discriminant {disc} at level "
                          f"{n_level} in the involution-stable stratum")
+
+
+def _has_square_root(disc: int, modulus: int) -> bool:
+    """Whether B^2 = disc mod modulus is solvable, decided at each q^e ||
+    modulus.  With disc = q^v u, q not dividing u, it is when v >= e (B = 0).
+    Otherwise a root has v_q(B^2) = v, so v must be even, and B / q^(v/2)
+    must be a square root of u mod q^(e-v): for odd q one exists iff u is a
+    square mod q (Hensel), and for q = 2 iff u = 1 mod 2^min(e-v, 3)."""
+    for q, e in factorint(modulus).items():
+        v, u = 0, disc
+        while v < e and u % q == 0:
+            v, u = v + 1, u // q
+        if v >= e:
+            continue
+        if v % 2:
+            return False
+        if q == 2:
+            if (u - 1) % (1 << min(e - v, 3)):
+                return False
+        elif legendre(u, q) != 1:
+            return False
+    return True
 
 
 def _gauss_reduce_pair(q: BinaryForm, v1, v2):

@@ -41,6 +41,33 @@ the entries of the reduction, far less.  Squared distances stay integers
 scaled by 2^-2(e+F) until the one square root.  lattice_reduce takes
 F = P + FIXED_GUARD at the caller's precision and only uses the corner it
 picks.
+
+Laurent coefficients.  wp(u) = u^-2 + sum_k c_k u^2k with c_1 = g2 / 20,
+c_2 = g3 / 28 and c_k = 3 sum_{i=1}^{k-2} c_i c_{k-1-i} / ((2k+3)(k-2)).
+The series is evaluated at |u| <= |b1| / 8 and needs nterms = 0.6 (dps +
+10) + 8 terms.  The recurrence runs on d_k = c_k rho^(2k+2), rho = 2^s the
+largest power of two with rho <= |b1| / 2, which obey the same recurrence
+(the exponents add up), in Python integers D_k scaled by 2^F, F = P +
+2 nterms + FIXED_GUARD; the convolution is summed once per unordered pair.
+D_1 and D_2 are floors of the exact rationals c4 rho^4 / 240 and c6 rho^6 /
+6048, so they err by less than one unit.  The bound: c_k = (2k+1) G_(2k+2)
+with G_m the sum of w^-m over the nonzero lattice vectors w, so |d_k| <=
+(2k+1) 4^-(k+1) Z with Z the sum of (|b1| / |w|)^4.  Disks of radius
+|b1| / 2 about the lattice points are disjoint, so at most 4r^2 + 4r
+nonzero vectors have |w| <= r |b1|, and Z <= 4 int_1^inf (4r^2 + 4r) r^-5 dr
+= 40/3; the sum of all |d_k| is then at most 11 Z / 36 < 4.08.  An error
+e_i in each D_i moves the convolution for D_k by at most 2 * 4.08 max e_i
+(plus e_i e_j 2^-F, under one unit), which the factor 3 / ((2k+3)(k-2))
+scales, and the floor division adds one more unit, so e_k <= 2 + 24.5
+max_{i<k} e_i / ((2k+3)(k-2)): below 4.8 at k = 3 and 7.3 at k = 4, and no
+later step raises the maximum.  So every D_k is within 8 units, and c_k =
+D_k 2^-F rho^-(2k+2), converted by one ldexp, is within 8 2^-F
+rho^-(2k+2) + 2^-P |c_k| of its value: relative to |b1|^-(2k+2), since
+|b1| / rho < 4, within 2^(5 - P - FIXED_GUARD) + 2^-P |c_k| |b1|^(2k+2).
+On the series at |u| <= |b1| / 8 < rho / 2 the fixed-point part sums to at
+most 3 2^-F rho^-2, far below 2^-P |u|^-2.  The tests compare the
+coefficients with the mpf recurrence (tests/oracles.py) at higher
+precision.
 """
 
 from __future__ import annotations
@@ -54,7 +81,7 @@ from .curves import Curve
 
 DIGITS_CAP = 200
 GUARD = 25
-FIXED_GUARD = 10            # guard bits of the fixed-point coordinates beyond bit_length(bound)
+FIXED_GUARD = 10            # guard bits of the fixed-point routines (module docstring)
 
 
 class PrecisionError(ArithmeticError):
@@ -169,23 +196,29 @@ def lattice_reduce(lat: PeriodLattice, z):
     return z - i * b1 - j * b2
 
 
-def _wp_series_coeffs(g2, g3, nterms: int):
-    cs = [mp.mpf(0)] * (nterms + 1)
-    cs[1] = g2 / 20
-    cs[2] = g3 / 28
+def _wp_series_coeffs(c4: int, c6: int, short, nterms: int) -> list:
+    """[0, c_1, ..., c_nterms], wp(u) = u^-2 + sum c_k u^2k, for the lattice
+    with invariants g2 = c4 / 12, g3 = c6 / 216 and shortest vector of length
+    `short`, at the working precision; error bound in the module docstring."""
+    s = mp.frexp(short)[1] - 2                  # rho = 2^s, short / 4 < rho <= short / 2
+    frac = mp.mp.prec + 2 * nterms + FIXED_GUARD
+
+    def scaled(num: int, den: int, shift: int) -> int:
+        return (num << shift) // den if shift >= 0 else num // (den << -shift)
+
+    ds = [0, scaled(c4, 240, frac + 4 * s), scaled(c6, 6048, frac + 6 * s)]
     for k in range(3, nterms + 1):
-        acc = mp.mpf(0)
-        for i in range(1, k - 1):
-            acc += cs[i] * cs[k - 1 - i]
-        cs[k] = 3 * acc / ((2 * k + 3) * (k - 2))
-    return cs
+        acc = 2 * sum(ds[i] * ds[k - 1 - i] for i in range(1, k // 2))
+        if k % 2:
+            acc += ds[k // 2] ** 2
+        ds.append(3 * acc // (((2 * k + 3) * (k - 2)) << frac))
+    return [mp.mpf(0)] + [mp.ldexp(dk, -frac - (2 * k + 2) * s) for k, dk in enumerate(ds[1:], 1)]
 
 
 def _wp_pair(lat: PeriodLattice, z, dps: int):
     """(wp(z), wp'(z)) for reduced z != 0, by Laurent series plus duplication."""
     cur = lat.curve
     g2 = mp.mpf(cur.c4) / 12
-    g3 = mp.mpf(cur.c6) / 216
     short = abs(_reduced_basis(lat)[0])
     radius = short / 8
     k = 0
@@ -193,7 +226,7 @@ def _wp_pair(lat: PeriodLattice, z, dps: int):
         k += 1
     u = z / 2 ** k
     nterms = int(0.6 * (dps + 10)) + 8
-    cs = _wp_series_coeffs(g2, g3, nterms)
+    cs = _wp_series_coeffs(cur.c4, cur.c6, short, nterms)
     u2 = u * u
     wp = 1 / u2
     wpd = -2 / (u2 * u)

@@ -16,13 +16,15 @@ must agree row for row.
 On the analytic side, eval_series_direct is the term-by-term mpc evaluation
 of the q-series that the fixed-point evaluator in cmtrace.modparam replaced,
 ap_char_sum_reduced the point count with every product reduced mod ell
-that the int64 Horner kernel in cmtrace.curves replaced, and
+that the int64 Horner kernel in cmtrace.curves replaced,
 lattice_reduce_descent the descent from the nearest integer coordinates by
 steps of w1, w2 and w1 +- w2 that the four-corner rule of cmtrace.periods
-replaced.  The descent finds the nearest lattice vector only when (w1, w2)
-is Lagrange-reduced (the steps then hold every Voronoi-relevant vector), so
-the tests compare the four-corner rule with lattice_distance_by_search, an
-exhaustive search of a box of coordinates.  gamma0_reduce_all_candidates is
+replaced, and wp_series_coeffs_mpf the mpf recurrence for the Laurent
+coefficients of the Weierstrass function that the fixed-point recurrence
+of cmtrace.periods replaced.  The descent finds the nearest lattice vector
+only when (w1, w2) is Lagrange-reduced (the steps then hold every
+Voronoi-relevant vector), so the tests compare the four-corner rule with
+lattice_distance_by_search, an exhaustive search of a box of coordinates.  gamma0_reduce_all_candidates is
 the Gamma_0(N) reduction that builds the reduced form of every candidate
 vector, where cmtrace.heegner builds only those of minimal leading
 coefficient.  galois_orbit_by_smith is the Galois orbit read off a
@@ -521,6 +523,20 @@ def ap_char_sum_reduced(cur: Curve, ell: int) -> int:
     qr[x2] = 1
     chi = np.where(f == 0, 0, np.where(qr[f] == 1, 1, -1))
     return int(-chi.sum())
+
+
+def wp_series_coeffs_mpf(g2, g3, nterms: int):
+    """[0, c_1, ..., c_nterms], wp(u) = u^-2 + sum c_k u^2k, by the quadratic
+    recurrence in mpf at the working precision."""
+    cs = [mp.mpf(0)] * (nterms + 1)
+    cs[1] = g2 / 20
+    cs[2] = g3 / 28
+    for k in range(3, nterms + 1):
+        acc = mp.mpf(0)
+        for i in range(1, k - 1):
+            acc += cs[i] * cs[k - 1 - i]
+        cs[k] = 3 * acc / ((2 * k + 3) * (k - 2))
+    return cs
 
 
 def equation_residual(cur: Curve, x, y):

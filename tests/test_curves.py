@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from sympy import factorint, primepi, primerange
+from sympy import factorint, primerange
 
 from cmtrace import curves
 from cmtrace.curves import (AN_BOUND, Curve, an_coefficients, ap_good,
@@ -227,21 +227,50 @@ def test_an_cache_extension_matches_fresh_sieve(monkeypatch, bounds):
     assert an_coefficients(cur, max(bounds)) == fresh
 
 
+def char_sum_route(monkeypatch, cur: Curve, bound: int) -> list[int]:
+    """a[0..bound] with the CM field hidden, so that every good a_ell is
+    point-counted; the a_n cache is left empty."""
+    monkeypatch.setattr(curves, "_an_cache", {})
+    with monkeypatch.context() as patch:
+        patch.setattr(curves.Curve, "cm_disc", 0)
+        assert minimal_model(cur).cm_disc == 0
+        a = an_coefficients(cur, bound)
+    monkeypatch.setattr(curves, "_an_cache", {})
+    return a
+
+
 def test_ap_good_counted_once_per_prime(monkeypatch):
     counts = Counter()
+    good, char_sum = curves.ap_good, curves._ap_char_sum
 
-    def counting(cur, ell):
-        counts[cur.ainvs, ell] += 1
-        return ap_good(cur, ell)
+    def counting_good(cur, ell):
+        counts["ap_good", cur.ainvs, ell] += 1
+        return good(cur, ell)
 
-    monkeypatch.setattr(curves, "ap_good", counting)
+    def counting_char_sum(cur, ell):
+        counts["char_sum", cur.ainvs, ell] += 1
+        return char_sum(cur, ell)
+
+    monkeypatch.setattr(curves, "ap_good", counting_good)
+    monkeypatch.setattr(curves, "_ap_char_sum", counting_char_sum)
     monkeypatch.setattr(curves, "_an_cache", {})
-    for ai in ((1, -1, 0, -2, -1), (0, -1, 1, -7, 10)):       # bad only at 7, at 11
-        cur = Curve(*ai)
-        for bound in (100, 50, 1000, 999, 4000, 1000, 4001):
-            an_coefficients(cur, bound)
-        seen = [ell for (key, ell) in counts if key == minimal_model(cur).ainvs]
-        assert len(seen) == primepi(4001) - 1            # every good prime, once
+    bounds = (100, 50, 1000, 999, 4000, 1000, 4001)
+    # 49a1 and 121b1 have conductor d^2: no point count, the Hecke character
+    for ai in ((1, -1, 0, -2, -1), (0, -1, 1, -7, 10)):
+        for bound in bounds:
+            an_coefficients(Curve(*ai), bound)
+    assert not counts
+    for ai in ((1, -1, 0, -2, -1), (0, -1, 1, -7, 10)):
+        hecke = an_coefficients(Curve(*ai), 4001)
+        assert hecke == char_sum_route(monkeypatch, Curve(*ai), 4001)
+    # 11a1 has no CM: every good prime is point-counted, once
+    counts.clear()
+    monkeypatch.setattr(curves, "_an_cache", {})
+    cur = Curve(0, -1, 1, -10, -20)
+    for bound in bounds:
+        an_coefficients(cur, bound)
+    assert sorted(ell for (kind, _, ell) in counts if kind == "ap_good") == [
+        ell for ell in primerange(2, 4002) if ell != 11]
     assert set(counts.values()) == {1}
 
 
@@ -331,3 +360,44 @@ def test_an_coefficients_unchanged_without_cm_shortcut(monkeypatch, cur):
     monkeypatch.setattr(curves.Curve, "cm_disc", 0)
     assert minimal_model(cur).cm_disc == 0
     assert an_coefficients(cur, 20000) == fast
+
+
+# The conductor-d^2 CM curves, d odd and below -3: 49a1, 49a2, 121b1, 361a1,
+# 1849a1, 4489a1 and 26569a1.  Their a_ell come from the Hecke character.
+HECKE_CURVES = [(ai, d) for ai, d in CM_CURVES if d % 2 and d < -3]
+
+
+@pytest.mark.parametrize("ai,d", HECKE_CURVES)
+def test_hecke_route_matches_char_sum_route(monkeypatch, ai, d):
+    cur = Curve(*ai)
+    m = minimal_model(cur)
+    assert curves._hecke_disc(m, {q: tate_local(m, q) for q in factorint(abs(m.disc))}) == d
+    bound = 20000 if ai in ((1, -1, 0, -2, -1), (0, -1, 1, -7, 10)) else 5000
+    monkeypatch.setattr(curves, "_an_cache", {})
+    hecke = an_coefficients(cur, bound)
+    assert hecke == char_sum_route(monkeypatch, cur, bound)
+
+
+def test_hecke_route_not_taken(monkeypatch):
+    e49 = Curve(1, -1, 0, -2, -1)
+    twist = quadratic_twist(e49, 5)       # c4, c6 -> 25 c4, 125 c6, up to scaling
+    assert (twist.cm_disc, conductor(twist)) == (-7, 1225)
+    # 36a1 (d = -3), 50a1 (no CM) and the twist (conductor 5^2 7^2)
+    for cur in (Curve(0, 0, 0, 0, 1), Curve(1, 0, 1, -1, -2), twist):
+        m = minimal_model(cur)
+        assert curves._hecke_disc(m, {q: tate_local(m, q) for q in factorint(abs(m.disc))}) == 0
+    counted = []
+    good = curves.ap_good
+
+    def counting(cur, ell):
+        counted.append(ell)
+        return good(cur, ell)
+
+    monkeypatch.setattr(curves, "ap_good", counting)
+    monkeypatch.setattr(curves, "_an_cache", {})
+    a = an_coefficients(twist, 2000)
+    assert counted == [ell for ell in primerange(2, 2001) if ell not in (5, 7)]
+    a49 = an_coefficients(e49, 2000)
+    for ell in primerange(2, 2001):
+        if ell not in (5, 7):
+            assert a[ell] == legendre(ell, 5) * a49[ell], ell

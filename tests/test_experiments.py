@@ -262,6 +262,27 @@ def test_cold_trace_extends_the_sieve_once(monkeypatch):
     assert calls == [(1, rep.n_max)]
 
 
+@pytest.mark.parametrize("model,dK,verdict", [(M121, -67, "non_torsion"), (M49, -11, "torsion")])
+def test_cold_headline_trace_counts_no_points(monkeypatch, model, dK, verdict):
+    # 121b1 and 49a1 have conductor d^2 and CM by Q(sqrt d), d = -11, -7: every
+    # a_ell of a cold 200-digit trace comes from the Hecke character
+    counted = []
+    good, char_sum = curves.ap_good, curves._ap_char_sum
+
+    def counting(route):
+        def wrapped(cur, ell):
+            counted.append(ell)
+            return route(cur, ell)
+        return wrapped
+
+    monkeypatch.setattr(curves, "_an_cache", {})
+    monkeypatch.setattr(curves, "ap_good", counting(good))
+    monkeypatch.setattr(curves, "_ap_char_sum", counting(char_sum))
+    rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=model, digits=200))
+    assert rep.verdict == verdict and rep.n_max > 3000
+    assert counted == []
+
+
 def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
     digits = 60
     kernel = kernel_classes(order_data(-67, 1), 11)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmtrace.fp import legendre
-from cmtrace.heegner import (HeegnerTau, NoHeegnerPoint, galois_orbit, gamma0_reduce,
-                             heegner_form)
+from cmtrace.heegner import (HeegnerTau, NoHeegnerPoint, _has_square_root, galois_orbit,
+                             gamma0_reduce, heegner_form)
 from cmtrace.quadforms import (BinaryForm, generator_ideal, is_fundamental_discriminant,
                                kernel_classes, order_data, reduce_form)
 from oracles import compose, heegner_form_all_roots
@@ -209,3 +209,20 @@ def test_heegner_form_scan_matches_all_roots_at_catalogue_levels(n_level):
 @given(st.integers(1, 3000), st.sampled_from(FUNDAMENTAL), st.integers(1, 60))
 def test_heegner_form_scan_matches_all_roots(n_level, dK, c):
     _both_routes(n_level, dK, c)
+
+
+def test_square_root_test_matches_the_squares_mod_4n():
+    """_has_square_root against the set of squares mod 4N, for every 4N < 2400
+    and every residue that is 0 or 1 mod 4, taken negative as a discriminant."""
+    for four_n in range(4, 2400, 4):
+        squares = {b * b % four_n for b in range(four_n)}
+        for r in range(four_n):
+            if r % 4 < 2:
+                assert _has_square_root(r - 7 * four_n, four_n) == (r in squares), (r, four_n)
+
+
+def test_unsolvable_congruence_rejected_at_a_large_level():
+    # -11 is a non-square mod 5: decided from 4N = 2^9 5^7, not by a scan of
+    # the 4 * 10^7 residues
+    with pytest.raises(NoHeegnerPoint, match=r"^B\^2 = -11 mod 40000000 has no solution$"):
+        heegner_form(10 ** 7, -11, 1)

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmtrace.curves import Curve
-from cmtrace.periods import (GUARD, PeriodLattice, PrecisionError, _scaled_dist2, elliptic_exp,
-                             is_torsion, lattice_reduce, period_lattice, torsion_order,
-                             torsion_residual)
+from cmtrace.periods import (FIXED_GUARD, GUARD, PeriodLattice, PrecisionError, _reduced_basis,
+                             _scaled_dist2, _wp_series_coeffs, elliptic_exp, is_torsion,
+                             lattice_reduce, period_lattice, torsion_order, torsion_residual)
 from oracles import (equation_residual, lattice_distance, lattice_distance_by_search,
-                     lattice_reduce_descent)
+                     lattice_reduce_descent, wp_series_coeffs_mpf)
 
 LATTICE_CURVES = {              # the five catalogue curves (disc < 0) and 37a1 (disc > 0)
     "49a1": (1, -1, 0, -2, -1),
@@ -270,3 +270,27 @@ def test_period_lattice_is_computed_once_per_curve_and_digits():
     assert period_lattice(cur, 41) is other
     with pytest.raises(PrecisionError):
         period_lattice(cur, 201)
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+@pytest.mark.parametrize("ai", [ai for name, ai in LATTICE_CURVES.items() if name != "37a1"]
+                         + [(0, 0, 1, -2174420, 1234136692)])     # 26569a1: |b1| about 0.06
+def test_wp_coefficients_within_bound_of_mpf_recurrence(ai, digits):
+    cur = Curve(*ai)
+    lat = period_lattice(cur, digits)
+    with mp.workdps(digits + GUARD):
+        nterms = int(0.6 * (digits + GUARD + 10)) + 8
+        short = abs(_reduced_basis(lat)[0])
+        got = _wp_series_coeffs(cur.c4, cur.c6, short, nterms)
+        prec = mp.mp.prec
+    frac = prec + 2 * nterms + FIXED_GUARD
+    s = mp.frexp(short)[1] - 2
+    assert short / 4 < mp.ldexp(1, s) <= short / 2
+    # the oracle at 40 more bits than the fixed point carries
+    with mp.workprec(frac + 40):
+        want = wp_series_coeffs_mpf(mp.mpf(cur.c4) / 12, mp.mpf(cur.c6) / 216, nterms)
+        for k in range(1, nterms + 1):
+            # 8 units of 2^-F in c_k rho^(2k+2), plus the rounding of c_k
+            # to P bits (periods' module docstring)
+            bound = 8 * mp.ldexp(1, -frac - (2 * k + 2) * s) + mp.ldexp(abs(want[k]), 1 - prec)
+            assert abs(got[k] - want[k]) <= bound, k
