@@ -17,13 +17,13 @@ from contextlib import nullcontext
 
 import mpmath as mp
 
-from .curves import curve_model
+from .curves import Curve, conductor, curve_model, minimal_model
 from .experiments import (DEFAULT_DIGITS, ExperimentSpec, check_digits, experiment_finite,
                           trace_point)
 from .heegner import heegner_form
 from .modparam import SeriesBudgetError, SignConsistencyError, atkin_lehner_sign
 from .periods import DIGITS_CAP, PrecisionError
-from .quadforms import class_number, reduced_forms
+from .quadforms import reduced_forms
 
 ENV_DIGITS = "CMTRACE_DIGITS"
 
@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--curve", type=_parse_curve, required=True)
     sg.add_argument("--q", type=int, required=True)
     sg.add_argument("--digits", type=int, default=None)
-    sg.add_argument("--p", type=int, default=None)
     sg.add_argument("--json", dest="json_path", default=None)
 
     tr = sub.add_parser("trace", help="full Galois-orbit trace experiment")
@@ -108,7 +107,7 @@ def _cmd_classgroup(args) -> tuple[int, dict]:
     print(f"discriminant {args.disc}: h = {len(forms)}")
     for f in forms:
         print(f"  ({f.a}, {f.b}, {f.c})")
-    return 0, {"disc": args.disc, "h": class_number(args.disc),
+    return 0, {"disc": args.disc, "h": len(forms),
                "forms": [[f.a, f.b, f.c] for f in forms]}
 
 
@@ -128,10 +127,11 @@ def _digits(args) -> int:
 def _cmd_sign(args) -> tuple[int, dict]:
     digits = _digits(args)
     check_digits(digits)
-    model = curve_model(args.curve, p=args.p)
-    w = atkin_lehner_sign(model, args.q, digits)
-    print(f"w_{args.q} = {w:+d} for curve {list(args.curve)} (N = {model.n})")
-    return 0, {"curve": list(args.curve), "N": model.n, "q": args.q, "w": w,
+    cur = minimal_model(Curve(*args.curve))
+    n = conductor(cur)
+    w = atkin_lehner_sign(cur, n, args.q, digits)
+    print(f"w_{args.q} = {w:+d} for curve {list(args.curve)} (N = {n})")
+    return 0, {"curve": list(args.curve), "N": n, "q": args.q, "w": w,
                "digits": digits}
 
 

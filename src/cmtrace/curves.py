@@ -41,7 +41,7 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .fp import factorint, isprime, legendre
+from .fp import factorint, isprime, kronecker
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ def tate_local(cur: Curve, q: int) -> LocalData:
         if q == 2:
             split = _split_at_two(cur)
         else:
-            split = legendre(-cur.c6 % q, q) == 1
+            split = kronecker(-cur.c6, q) == 1
         return LocalData(q, v, f"I{v}", 1, "split" if split else "nonsplit")
 
     if q >= 5:
@@ -375,7 +375,7 @@ def ap_good(cur: Curve, ell: int) -> int:
         raise ValueError(f"{ell} is a prime of bad reduction")
     if ell > AN_BOUND:
         raise ValueError(f"point counts capped at {AN_BOUND}")
-    if ell >= 5 and cur.cm_disc and legendre(cur.cm_disc, ell) == -1:
+    if ell >= 5 and cur.cm_disc and kronecker(cur.cm_disc, ell) == -1:
         return 0
     if ell == 2:
         a1, a2, a3, a4, a6 = cur.ainvs
@@ -493,7 +493,7 @@ def _hecke_split_ap(a: list[int], d: int, old: int, bound: int, spf: list[int]) 
     four.  Each row y runs t over the ellipse only, past the primes already
     known."""
     n = -d
-    chi = [legendre(r, n) for r in range(n)]
+    chi = [kronecker(r, n) for r in range(n)]
     half = (n + 1) // 2                     # 2^-1 mod |d|
     for y in range(1, isqrt(4 * bound // n) + 1):
         base = n * y * y

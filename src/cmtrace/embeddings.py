@@ -1,13 +1,17 @@
 """Optimal embeddings of quadratic orders into Cartan orders at p, and the
 finite coset combinatorics they induce.
 
-The conjugation step sends the companion matrix of X^2 - tX + n mod p into the
-non-split Cartan subgroup by an SL_2(F_p) conjugator (possible because the
-determinant is surjective on the centralizer).  On top of that sit canonical
-labels for the cosets of the split normalizer, computed in closed form, and
-the two-to-one fiber structure over P^1(F_p) whose fiber partners differ by
-the unique involution.  No routine here lists a Cartan subgroup or SL_2(F_p);
-the tests check the closed forms against such enumerations (tests/oracles.py).
+The order generator, with characteristic polynomial X^2 - tX + n, goes to
+iota_omega = (t/2, s; eps*s, t/2) in the non-split Cartan order, with
+eps*s^2 = (t^2 - 4n)/4.  That matrix has the same characteristic polynomial
+as the companion matrix of X^2 - tX + n, which is irreducible at an inert p,
+so the two are conjugate in GL_2(F_p), and even in SL_2(F_p): the
+determinant is surjective on the centralizer F_p[companion]^x = F_{p^2}^x.
+On top of that sit canonical labels for the cosets of the split normalizer,
+computed in closed form, and the two-to-one fiber structure over P^1(F_p)
+whose fiber partners differ by the unique involution.  No routine here lists
+a Cartan subgroup, SL_2(F_p) or P^1(F_p); the tests check the closed forms
+against such enumerations, the SL_2 conjugator included (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .fp import FpMatrix, FpParams, identity, in_cartan_group, legendre, sqrt_mod_p
-from .projline import ProjClass, involution_class, proj_class, proj_elements, proj_mul
+from .fp import FpMatrix, FpParams, in_cartan_group, kronecker, sqrt_mod_p
+from .projline import ProjClass, involution_class, proj_mul
 from .quadforms import GaloisKernel, QuadOrder, proj_params
 
 
@@ -32,17 +36,15 @@ class FiberStructureError(AssertionError):
 class EmbeddingData:
     """Matrix-level data of an optimal embedding at p.
 
-    iota_omega is the image of the order generator: an element of C_ns with
-    trace t and determinant n mod p, off-diagonal entries nonzero, obtained by
-    conjugating the companion matrix a0 by gamma_bar in SL_2(F_p).  level_m
-    records the prime-to-p part of the ambient order's discriminant.
+    iota_omega is the image of the order generator: the element
+    (t/2, s; eps*s, t/2) of C_ns with trace t and determinant n mod p, whose
+    off-diagonal entries are nonzero (module docstring).  level_m records the
+    prime-to-p part of the ambient order's discriminant.
     """
 
     params: FpParams
     order: QuadOrder
     level_m: int
-    a0: FpMatrix
-    gamma_bar: FpMatrix
     iota_omega: FpMatrix
 
     @property
@@ -75,37 +77,17 @@ class CosetLabel:
 def build_embedding(params: FpParams, order: QuadOrder, level_m: int = 1) -> EmbeddingData:
     """Construct the embedding data for an inert prime p coprime to f * level_m."""
     p, eps = params.p, params.eps
-    if legendre(order.disc % p, p) != -1:
+    if kronecker(order.disc, p) != -1:
         raise EmbeddingError(f"p = {p} is not inert (discriminant is a square mod p)")
     if gcd(p, order.f * level_m) != 1:
         raise EmbeddingError("p must be coprime to the conductor and to level_m")
+    # eps*s^2 = (t^2-4n)/4: the right side is a non-square times the inverse
+    # of a square, so s exists, and s != 0
     t, n = order.t % p, order.n % p
-    a0 = FpMatrix(p, 0, -n, 1, t)
-    # Target in C_ns: (t/2, s; eps*s, t/2) with eps*s^2 = (t^2-4n)/4; the
-    # right side is a non-square times the inverse of a square, so s exists.
-    inv2 = pow(2, -1, p)
-    dd = (t * t - 4 * n) % p
-    s = sqrt_mod_p(dd * pow(4 * eps, -1, p) % p, p)
-    target = FpMatrix(p, t * inv2, s, eps * s, t * inv2)
-    assert target.charpoly_coeffs() == (t, n)
-
-    # Any conjugator from a0 to target is a centralizer multiple z = u + v*a0
-    # of one of them; z must have norm u^2 + t*u*v + n*v^2 = det(g0) to land
-    # us in SL_2.  Solved for u, that needs v^2 (t^2 - 4n) + 4 det(g0) to be a
-    # square: at v = 0 when det(g0) is a square, else for about half of all v.
-    g0 = FpMatrix(p, 1, target.a, 0, target.c)      # columns e1, target*e1
-    need = g0.det()
-    v = next(v for v in range(p) if legendre(v * v * dd + 4 * need, p) != -1)
-    u = (sqrt_mod_p(v * v * dd + 4 * need, p) - t * v) * inv2
-    z = FpMatrix(p, u, -n * v, v, u + t * v)         # u*I + v*a0
-    gamma_bar = z.mul(g0.inv())
-    assert gamma_bar.det() == 1
-    iota = gamma_bar.inv().mul(a0).mul(gamma_bar)
-    assert iota == target
-    emb = EmbeddingData(params=params, order=order, level_m=level_m,
-                        a0=a0, gamma_bar=gamma_bar, iota_omega=iota)
-    assert verify_optimal(emb)
-    return emb
+    half_t = t * pow(2, -1, p)
+    s = sqrt_mod_p((t * t - 4 * n) * pow(4 * eps, -1, p), p)
+    return EmbeddingData(params=params, order=order, level_m=level_m,
+                         iota_omega=FpMatrix(p, half_t, s, eps * s, half_t))
 
 
 def verify_optimal(emb: EmbeddingData) -> bool:
@@ -130,22 +112,26 @@ def galois_matrix(emb: EmbeddingData, x1: int, x2: int) -> FpMatrix:
     p = emb.params.p
     if x1 % p == 0 and x2 % p == 0:
         raise ValueError("zero pair")
-    m = identity(p).scale(x1).add(emb.iota_omega.scale(x2))
+    a, b, c, d = emb.iota_omega.entries
+    m = FpMatrix(p, x1 + x2 * a, x2 * b, x2 * c, x1 + x2 * d)
     assert m.is_invertible(), "norm form vanished at an inert prime"
     return m
 
 
 def lemma_converse_check(emb: EmbeddingData) -> bool:
-    """Scan P^1(F_p): membership in the split-normalizer pattern happens exactly
-    at the identity class and the involution class [-a : 1]."""
-    p = emb.params.p
-    expected = {proj_class(p, 1, 0), proj_class(p, -emb.a, 1)}
-    hits = set()
-    for pt in proj_elements(p):
-        m = galois_matrix(emb, pt.x1, pt.x2)
-        if (m.is_diagonal() or m.is_antidiagonal()):
-            hits.add(pt)
-    return hits == expected
+    """Whether the matrices x1*I + x2*iota_omega, [x1 : x2] in P^1(F_p), fall
+    in the split-normalizer pattern (diagonal or antidiagonal) exactly at the
+    identity class [1 : 0] and the involution class [-a : 1].
+
+    With iota_omega = (a, b; c, d) the matrix is (x1 + x2 a, x2 b; x2 c,
+    x1 + x2 d).  When b = c = 0 every class gives a diagonal matrix, p + 1 > 2
+    hits.  Otherwise it is diagonal exactly when x2 = 0, at [1 : 0], and
+    antidiagonal exactly when x2 != 0 and x1 = -x2 a = -x2 d, which has a
+    solution, [-a : 1], exactly when a = d.  So the two hits are the expected
+    ones exactly when (b, c) != (0, 0) and a = d; the tests compare this with
+    the scan of P^1(F_p)."""
+    a, b, c, d = emb.iota_omega.entries
+    return (b, c) != (0, 0) and a == d
 
 
 def coset_label(g: FpMatrix) -> CosetLabel:
@@ -218,7 +204,7 @@ def find_common_norm_element(params: FpParams, l: int) -> FpMatrix:
     l %= p
     if l == 0:
         raise ValueError("determinant must be a unit")
-    if legendre(l, p) == 1:
+    if kronecker(l, p) == 1:
         mu = sqrt_mod_p(l, p)
         out = FpMatrix(p, mu, 0, 0, mu)
     else:

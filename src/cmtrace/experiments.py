@@ -19,12 +19,12 @@ from .curves import CurveModel
 from .embeddings import (build_embedding, find_common_norm_element,
                          lemma_converse_check, signo_pairing_check, two_to_one_check,
                          verify_optimal)
-from .fp import FpParams, factorint, index_ns_plus, isprime, legendre
+from .fp import FpParams, factorint, index_ns_plus, isprime, kronecker
 from .heegner import HeegnerTau, galois_orbit, heegner_form
 from .modparam import atkin_lehner_sign, eval_phi, phi_terms
 from .periods import (DIGITS_CAP, PeriodLattice, elliptic_exp, is_torsion,
                       period_lattice, torsion_residual)
-from .quadforms import GaloisKernel, class_number, kernel_classes, kronecker, order_data
+from .quadforms import GaloisKernel, class_number, kernel_classes, order_data
 from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
 
 MODES = ("signo_minus", "main_plus", "finite_only")
@@ -76,7 +76,7 @@ class ExperimentSpec:
         p = self.prime
         if not isprime(p) or p == 2:
             raise HypothesisError("p must be an odd prime")
-        if legendre(self.dK % p, p) != -1:
+        if kronecker(self.dK, p) != -1:
             raise HypothesisError(f"p = {p} must be inert in Q(sqrt({self.dK}))")
         if self.curve is not None:
             n = self.curve.n
@@ -263,7 +263,7 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     t_finite = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    wp = atkin_lehner_sign(model, model.p * model.p, digits)
+    wp = atkin_lehner_sign(model.minimal, model.n, model.p * model.p, digits)
     timings = {"atkin_lehner": time.perf_counter() - t0, "finite_layer": t_finite}
 
     t0 = time.perf_counter()

@@ -2,17 +2,20 @@
 the four Cartan subgroups.
 
 The arithmetic is everything the package needs of elementary number theory,
-always on small integers: the Legendre symbol, square roots mod a prime
-(Tonelli-Shanks; Cohen, A Course in Computational Algebraic Number Theory,
-Alg. 1.5.1), a primality test and factorisation by trial division.  isprime
-is Miller-Rabin on the thirteen prime bases 2..41, which is exact below
-MR_BOUND, the least strong pseudoprime to all of them (Sorenson-Webster,
-"Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).  factorint
-divides by 2 and the odd numbers up to TRIAL_BOUND and stops once the
-cofactor is prime; a composite cofactor with no factor that small exceeds
-TRIAL_BOUND^2.  Both limits raise ArithmeticBoundError rather than guess.
-Any input of the package that reaches them has a bad prime above
-TRIAL_BOUND, so a level far beyond the q-series budget.
+always on small integers, one routine per idea: the extended gcd (_xgcd,
+which quadforms' Hermite normal form and every unimodular completion use),
+the Kronecker symbol (the one quadratic symbol, the Legendre symbol at odd
+primes included), square roots mod a prime (Tonelli-Shanks; Cohen, A Course
+in Computational Algebraic Number Theory, Alg. 1.5.1), a primality test and
+factorisation by trial division.  isprime is Miller-Rabin on the thirteen
+prime bases 2..41, which is exact below MR_BOUND, the least strong
+pseudoprime to all of them (Sorenson-Webster, "Strong pseudoprimes to twelve
+prime bases", Math. Comp. 2017).  factorint divides by 2 and the odd numbers
+up to TRIAL_BOUND and stops once the cofactor is prime; a composite cofactor
+with no factor that small exceeds TRIAL_BOUND^2.  Both limits raise
+ArithmeticBoundError rather than guess.  Any input of the package that
+reaches them has a bad prime above TRIAL_BOUND, so a level far beyond the
+q-series budget.
 
 Membership tests for the split and non-split Cartan subgroups of GL_2(F_p)
 and their normalizers, and the coset index in closed form.  Nothing here
@@ -90,18 +93,53 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for odd prime p, in {-1, 0, 1}."""
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*a + v*b = g = gcd(a, b), g >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a|n), any integers: for an odd prime n the Legendre
+    symbol, by reciprocity rather than Euler's criterion."""
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    sign = 1
+    if n < 0:
+        n = -n
+        if a < 0:
+            sign = -1
+    e = 0
+    while n % 2 == 0:
+        n //= 2
+        e += 1
+    if e:
+        if a % 2 == 0:
+            return 0
+        if e % 2 and a % 8 in (3, 5):
+            sign = -sign
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
 
 def smallest_nonsquare(p: int) -> int:
     for x in range(2, p):
-        if legendre(x, p) == -1:
+        if kronecker(x, p) == -1:
             return x
     raise ValueError(f"no non-square mod {p}")
 
@@ -112,7 +150,7 @@ def sqrt_mod_p(a: int, p: int) -> int:
     a %= p
     if a == 0:
         return 0
-    if legendre(a, p) != 1:
+    if kronecker(a, p) != 1:
         raise ValueError(f"{a} is not a square mod {p}")
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
@@ -151,7 +189,7 @@ class FpParams:
             eps = smallest_nonsquare(self.p)
         else:
             eps %= self.p
-            if legendre(eps, self.p) != -1:
+            if kronecker(eps, self.p) != -1:
                 raise ValueError(f"eps={eps} is a square mod {self.p}")
         object.__setattr__(self, "eps", eps)
 
@@ -203,26 +241,12 @@ class FpMatrix:
         dinv = pow(det, -1, self.p)
         return FpMatrix(self.p, self.d * dinv, -self.b * dinv, -self.c * dinv, self.a * dinv)
 
-    def scale(self, k: int) -> "FpMatrix":
-        return FpMatrix(self.p, k * self.a, k * self.b, k * self.c, k * self.d)
-
-    def add(self, other: "FpMatrix") -> "FpMatrix":
-        return FpMatrix(self.p, self.a + other.a, self.b + other.b,
-                        self.c + other.c, self.d + other.d)
-
     def charpoly_coeffs(self) -> tuple[int, int]:
         """(t, n) with characteristic polynomial X^2 - tX + n mod p."""
         return (self.trace(), self.det())
 
     def is_diagonal(self) -> bool:
         return self.b == 0 and self.c == 0
-
-    def is_antidiagonal(self) -> bool:
-        return self.a == 0 and self.d == 0
-
-
-def identity(p: int) -> FpMatrix:
-    return FpMatrix(p, 1, 0, 0, 1)
 
 
 def cartan_membership(m: FpMatrix, kind: str, params: FpParams) -> bool:
@@ -255,15 +279,3 @@ def in_cartan_group(m: FpMatrix, kind: str, params: FpParams) -> bool:
 def index_ns_plus(params: FpParams) -> int:
     """[C_ns+ : C_ns+ cap C_s+] = 2(p^2-1) / 4(p-1) = (p+1)/2."""
     return (params.p + 1) // 2
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*a + v*b = g = gcd(a, b), g >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0

@@ -26,9 +26,9 @@ from math import gcd
 
 import mpmath as mp
 
-from .fp import _xgcd, factorint, legendre
+from .fp import _xgcd, factorint, kronecker
 from .quadforms import (BinaryForm, GaloisKernel, _hnf2, basis_form, check_fundamental,
-                        form_to_ideal, ideal_mul)
+                        form_to_ideal, ideal_mul, lagrange_reduce)
 
 
 class NoHeegnerPoint(ValueError):
@@ -111,27 +111,9 @@ def _has_square_root(disc: int, modulus: int) -> bool:
         if q == 2:
             if (u - 1) % (1 << min(e - v, 3)):
                 return False
-        elif legendre(u, q) != 1:
+        elif kronecker(u, q) != 1:
             return False
     return True
-
-
-def _gauss_reduce_pair(q: BinaryForm, v1, v2):
-    """Lagrange-reduce a lattice basis for the inner product of the form q."""
-    def norm(v):
-        return q.value(v[0], v[1])
-
-    def inner(u, v):
-        return (2 * q.a * u[0] * v[0] + q.b * (u[0] * v[1] + u[1] * v[0])
-                + 2 * q.c * u[1] * v[1])
-
-    while True:
-        if norm(v2) < norm(v1):
-            v1, v2 = v2, v1
-        mu = round(inner(v1, v2) / (2 * norm(v1)))
-        if mu == 0:
-            return v1, v2
-        v2 = (v2[0] - mu * v1[0], v2[1] - mu * v1[1])
 
 
 def _complete_unimodular(x: int, y: int):
@@ -147,10 +129,12 @@ def gamma0_reduce(form: BinaryForm, n_level: int) -> BinaryForm:
     Minimises A = Q(x, y) over primitive vectors with y = 0 mod N (columns of
     Gamma_0(N) matrices), then translates B into (-A, A]; only the vectors of
     minimal A are completed to a matrix, and ties go to the smallest (|B|, -B).
+    The candidates are the small combinations of the basis (1, 0), (0, N) of
+    that sublattice, Lagrange-reduced for the Gram triple (2A, B, 2C) of Q.
     """
     if form.a % n_level:
         raise ValueError("form is not N-divisible")
-    v1, v2 = _gauss_reduce_pair(form, (1, 0), (0, n_level))
+    v1, v2 = lagrange_reduce((2 * form.a, form.b, 2 * form.c), (1, 0), (0, n_level))
     primitive = []
     for s in range(-4, 5):
         for t in range(-4, 5):

@@ -43,8 +43,10 @@ good reduction, w_q = (-1/q) for e in {2, 6},
 Kodaira label.  Additive reduction at 2 or 3 (36a1 at 3, for instance) has
 no such closed form here: when a prime of Q is of that kind, w_Q is read off
 numerically from f(W_Q tau) = w_Q * Q^{-1} (N c tau + Q d)^2 f(tau) at
-sample points on the circle the involution stabilises.  The tests check the
-closed form against that numerical route.
+sample points on the circle the involution stabilises.  Both routes read
+only the minimal model and the conductor N, so any curve and any Q || N is
+accepted, whether or not N has the shape p^2 M.  The tests check the closed
+form against the numerical route.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from math import gcd, isqrt
 import mpmath as mp
 
 from .curves import Curve, CurveModel, _valuation, an_coefficients, ap_bad, tate_local
-from .fp import _xgcd, factorint, legendre
+from .fp import _xgcd, factorint, kronecker
 
 GUARD = 15
 FIXED_GUARD = 10            # guard bits of the fixed-point evaluator beyond bit_length(n_max)
@@ -149,16 +151,17 @@ class SignConsistencyError(ArithmeticError):
     pass
 
 
-def atkin_lehner_sign(model: CurveModel, q_div: int, digits: int) -> int:
-    """Eigenvalue of W_Q on the newform of the curve, for Q || N: the product
-    of the local signs when every prime of Q has one, else measured
-    numerically at `digits` (module docstring)."""
-    al_matrix(model.n, q_div)                   # raises unless Q || N
+def atkin_lehner_sign(cur: Curve, n_level: int, q_div: int, digits: int) -> int:
+    """Eigenvalue of W_Q on the newform of the curve with minimal model cur and
+    conductor N = n_level, for Q || N: the product of the local signs when
+    every prime of Q has one, else measured numerically at `digits` (module
+    docstring)."""
+    al_matrix(n_level, q_div)                   # raises unless Q || N
     w = 1
     for q in factorint(q_div):
-        w_q = _local_sign(model.minimal, q)
+        w_q = _local_sign(cur, q)
         if w_q is None:
-            return _numerical_sign(model, q_div, digits)
+            return _numerical_sign(cur, n_level, q_div, digits)
         w *= w_q
     return w
 
@@ -173,19 +176,19 @@ def _local_sign(cur: Curve, q: int) -> int | None:
         return None
     v = local.v_disc
     if cur.c4 and 3 * _valuation(cur.c4, q) < v:       # potentially multiplicative
-        return legendre(-1, q)
+        return kronecker(-1, q)
     e = 12 // gcd(12, v)
-    return legendre({2: -1, 6: -1, 3: -3, 4: -2}[e], q)
+    return kronecker({2: -1, 6: -1, 3: -3, 4: -2}[e], q)
 
 
-def _numerical_sign(model: CurveModel, q_div: int, digits: int) -> int:
-    """Eigenvalue of W_Q on the newform of the curve, for Q || N.
+def _numerical_sign(cur: Curve, n_level: int, q_div: int, digits: int) -> int:
+    """Eigenvalue of W_Q on the newform of the curve with minimal model cur and
+    conductor N = n_level, for Q || N.
 
     Samples AL_SAMPLES points tau on the norm-Q circle |N c tau + Q d| =
     sqrt(Q), where both tau and W_Q tau have the same imaginary part, and
     demands all sample ratios agree with the same sign to 10^(-digits/2).
     """
-    n_level = model.n
     wa, wb, wc, wd = al_matrix(n_level, q_div)
     with mp.workdps(digits + GUARD):
         tol = mp.mpf(10) ** (-mp.mpf(digits) / 2)
@@ -194,11 +197,11 @@ def _numerical_sign(model: CurveModel, q_div: int, digits: int) -> int:
             theta = mp.pi / 3 + j * mp.pi / (3 * (AL_SAMPLES - 1))
             # tau on the stabilised circle: N*c*tau + Q*d = sqrt(Q) e^{i theta}.
             tau = (mp.sqrt(q_div) * mp.exp(1j * theta) - wd) / wc
-            ftau = eval_newform(model, tau, digits)
+            ftau = eval_newform(cur, tau, digits)
             if abs(ftau) < tol:
                 continue
             wtau = (wa * tau + wb) / (wc * tau + wd)
-            fw = eval_newform(model, wtau, digits)
+            fw = eval_newform(cur, wtau, digits)
             ratio = q_div * fw / ((wc * tau + wd) ** 2 * ftau)
             sign = 1 if ratio.real > 0 else -1
             if abs(ratio - sign) > tol:

@@ -5,9 +5,11 @@ w1 the real period and Im(w2 / w1) > 0.  The exponential map evaluates the
 Weierstrass function and its derivative by a truncated Laurent series near the
 origin followed by repeated duplication, then shifts into the given model.
 
-Nearest lattice vectors.  Each lattice is Lagrange-reduced once: the integer
-rows of PeriodLattice.reduction give a basis b1, b2, exact at any precision,
-with |b1| <= |b2| and |Re(b2 conj b1)| <= |b1|^2 / 2.  A point with
+Nearest lattice vectors.  Each lattice is Lagrange-reduced once, by
+quadforms.lagrange_reduce on the Gram triple of w1 and w2 cut to integers at
+the working precision: the integer rows of PeriodLattice.reduction give a
+basis b1, b2, exact at any precision, with |b1| <= |b2| and
+|Re(b2 conj b1)| <= |b1|^2 / 2 up to that cut.  A point with
 coordinates (x, y) in that basis lies in the cell with corners c, c + b1,
 c + b2, c + b1 + b2, c = floor(x) b1 + floor(y) b2, and its nearest lattice
 vector is one of those four corners.  The cell splits along its shorter
@@ -78,6 +80,7 @@ from functools import cached_property, lru_cache
 import mpmath as mp
 
 from .curves import Curve
+from .quadforms import lagrange_reduce
 
 DIGITS_CAP = 200
 GUARD = 25
@@ -98,17 +101,14 @@ class PeriodLattice:
     @cached_property
     def reduction(self) -> tuple:
         """Integer rows (p, q), (r, s) with b1 = p w1 + q w2 and b2 = r w1 + s w2
-        Lagrange-reduced: |b1| <= |b2| and |Re(b2 conj(b1))| <= |b1|^2 / 2."""
+        Lagrange-reduced: |b1| <= |b2| and |Re(b2 conj(b1))| <= |b1|^2 / 2, for
+        w1 and w2 cut to integers at the working precision (module docstring)."""
         with mp.workdps(self.digits + GUARD):
-            u, v = (1, 0), (0, 1)
-            while True:
-                b1, b2 = (c[0] * self.w1 + c[1] * self.w2 for c in (u, v))
-                if abs(b2) < abs(b1):
-                    u, v, b1, b2 = v, u, b2, b1
-                mu = int(mp.nint(mp.re(b2 * mp.conj(b1)) / abs(b1) ** 2))
-                if mu == 0:
-                    return u, v
-                v = (v[0] - mu * u[0], v[1] - mu * u[1])
+            e = mp.mp.prec - mp.mag(self.w1)
+            w1r, w1i, w2r, w2i = (int(mp.ldexp(v, e)) for v in (
+                mp.re(self.w1), mp.im(self.w1), mp.re(self.w2), mp.im(self.w2)))
+        gram = (w1r * w1r + w1i * w1i, w1r * w2r + w1i * w2i, w2r * w2r + w2i * w2i)
+        return lagrange_reduce(gram, (1, 0), (0, 1))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fp import legendre
+from .fp import kronecker
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class ProjParams:
         object.__setattr__(self, "t", self.t % self.p)
         object.__setattr__(self, "n", self.n % self.p)
         disc = (self.t * self.t - 4 * self.n) % self.p
-        if legendre(disc, self.p) != -1:
+        if kronecker(disc, self.p) != -1:
             raise ValueError(
                 f"t^2-4n = {disc} must be a non-square mod {self.p} (inert condition)")
 

@@ -11,9 +11,15 @@ closed form N(lam) Z + p lam O_f, lam = x1 + x2*w_f (Cox, Primes of the form
 x^2 + ny^2, section 7); general lattice intersection is only a test oracle.
 
 Ideals are handled as rank-two lattices in half-integer coordinates: the pair
-(u, v) stands for (u + v*sqrt(dK)) / 2.  _hnf2 (Hermite normal form) is the one
-integer normal form and basis_form the one routine that reads a form off a
-lattice basis; ideal_to_form and heegner.galois_orbit both use them.
+(u, v) stands for (u + v*sqrt(dK)) / 2.  _hnf2 (Hermite normal form, by
+cmtrace.fp's one xgcd) is the one integer normal form and basis_form the one
+routine that reads a form off a lattice basis; ideal_to_form and
+heegner.galois_orbit both use them.  lagrange_reduce is the one Lagrange
+reduction of a basis, on an integer Gram triple: heegner.gamma0_reduce runs
+it on the Gram triple of a form and periods.PeriodLattice.reduction on the
+periods cut to integers.  reduce_form keeps its own loop on (a, b, c): it
+runs p + 1 times per kernel, and going through a basis would add a transform
+and an orientation fix to every call.
 """
 
 from __future__ import annotations
@@ -21,43 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .fp import factorint, isprime, legendre
+from .fp import _xgcd, factorint, isprime, kronecker
 from .projline import ProjClass, ProjParams, proj_elements
 
 
 # ---------------------------------------------------------------------------
-# Quadratic characters and orders
-
-
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), any integers."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -1
-    e = 0
-    while n % 2 == 0:
-        n //= 2
-        e += 1
-    if e:
-        if a % 2 == 0:
-            return 0
-        if e % 2 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
+# Orders
 
 
 def is_fundamental_discriminant(d: int) -> bool:
@@ -212,31 +187,48 @@ def _half_mul(x: tuple[int, int], y: tuple[int, int], dK: int) -> tuple[int, int
 
 
 def _hnf2(rows) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Upper triangular basis ((e, f), (0, g)), e, g > 0, 0 <= f < g."""
-    work = [list(r) for r in rows if r[0] or r[1]]
+    """Upper triangular basis ((e, f), (0, g)), e, g > 0, 0 <= f < g, of the
+    lattice the rows span (Cohen, GTM 138, section 2.4.2).  Each row (x, y)
+    is folded into the pivot (e, f) by one xgcd u e + v x = d on the first
+    column: the unimodular (u, v; -x/d, e/d) takes the two rows to the new
+    pivot (d, u f + v y) and (0, (e y - x f) / d), and g is the gcd of those
+    second entries."""
+    e = f = g = 0
+    for x, y in rows:
+        d, u, v = _xgcd(e, x)
+        if d:
+            e, f, g = d, u * f + v * y, gcd(g, (e * y - x * f) // d)
+        else:
+            g = gcd(g, y)
+    if not (e and g):
+        raise ValueError("lattice has rank < 2")
+    return ((e, f % g), (0, g))
+
+
+def lagrange_reduce(gram: tuple[int, int, int], v1, v2):
+    """Lagrange-reduce the basis (v1, v2) of an integer lattice for the
+    positive definite Gram triple gram = (g11, g12, g22), that is
+    B(x, y) = g11 x1 y1 + g12 (x1 y2 + x2 y1) + g22 x2 y2 (Cohen, GTM 138,
+    section 1.3).  Returns the basis with B(v1, v1) <= B(v2, v2) and
+    |B(v1, v2)| <= B(v1, v1) / 2, related to the input by a matrix of
+    determinant +-1.  mu = B(v1, v2) / B(v1, v1) is rounded to the nearest
+    integer exactly, ties to even."""
+    g11, g12, g22 = gram
+
+    def inner(x, y):
+        return g11 * x[0] * y[0] + g12 * (x[0] * y[1] + x[1] * y[0]) + g22 * x[1] * y[1]
+
+    n1, n2 = inner(v1, v1), inner(v2, v2)
     while True:
-        nz = [r for r in work if r[0]]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda r: abs(r[0]))
-        pivot = nz[0]
-        for r in nz[1:]:
-            q = r[0] // pivot[0]
-            r[0] -= q * pivot[0]
-            r[1] -= q * pivot[1]
-        work = [r for r in work if r[0] or r[1]]
-    top = next((r for r in work if r[0]), None)
-    if top is None:
-        raise ValueError("lattice has rank < 2")
-    if top[0] < 0:
-        top = [-top[0], -top[1]]
-    g = 0
-    for r in work:
-        if r[0] == 0:
-            g = gcd(g, r[1])
-    if g == 0:
-        raise ValueError("lattice has rank < 2")
-    return ((top[0], top[1] % g), (0, g))
+        if n2 < n1:
+            v1, v2, n1, n2 = v2, v1, n2, n1
+        mu, r = divmod(2 * inner(v1, v2) + n1, 2 * n1)
+        if r == 0 and mu % 2:
+            mu -= 1
+        if mu == 0:
+            return v1, v2
+        v2 = (v2[0] - mu * v1[0], v2[1] - mu * v1[1])
+        n2 = inner(v2, v2)
 
 
 def form_to_ideal(form: BinaryForm, dK: int, cond: int):
@@ -320,7 +312,7 @@ def kernel_classes(order: QuadOrder, p: int) -> GaloisKernel:
     """
     if not isprime(p) or p == 2:
         raise ValueError("p must be an odd prime")
-    if legendre(order.dK % p, p) != -1:
+    if kronecker(order.dK, p) != -1:
         raise ValueError(f"p = {p} is not inert in the field of discriminant {order.dK}")
     if order.f % p == 0:
         raise ValueError("p must not divide the conductor")

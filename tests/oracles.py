@@ -1,11 +1,13 @@
 """Exhaustive enumerations kept as test oracles for the closed forms in cmtrace.
 
 The package computes each finite-layer quantity by one closed-form route: the
-index [C_ns+ : C_ns+ cap C_s+], the coset label of a matrix, and the Galois
-kernel from its unit-class generators.  The routines here reach the same
-quantities by brute force (listing Cartan subgroups, SL_2(F_p), the split
-normalizer, and every reduced form of the big discriminant), so the tests can
-compare the two routes.  They are capped at p <= ENUMERATION_BOUND.
+index [C_ns+ : C_ns+ cap C_s+], the coset label of a matrix, the image
+iota_omega of the order generator, and the Galois kernel from its unit-class
+generators.  The routines here reach the same quantities by brute force
+(listing Cartan subgroups, SL_2(F_p), in which the tests find the conjugator
+from the companion matrix to iota_omega, the split normalizer, and every
+reduced form of the big discriminant), so the tests can compare the two
+routes.  They are capped at p <= ENUMERATION_BOUND.
 generator_ideal_by_intersection builds each kernel ideal
 (x1 + x2*w_f) O_f cap O_pf by intersecting the two lattices with
 lattice_intersect, an integer left-kernel row reduction (_left_kernel_rows);
@@ -38,8 +40,9 @@ scans B = 0, 1, -1, 2, -2, ... and stops at the first hit; sympy stays in
 the tests as the reference for the package's own primality test,
 factorisation and square roots.
 
-Square-and-multiply powers, element orders and the curve-equation residual
-are test-only helpers: the pipeline never needs them.  So is the API that
+Square-and-multiply powers, element orders, the identity matrix and the
+curve-equation residual are test-only helpers: the pipeline never needs
+them.  So is the API that
 cmtrace kept only for its tests: principal_form, lift_to_integral_sl2, Gaussian composition
 (compose, form_inverse, ClassGroup, class_to_proj), proj_identity and
 proj_inverse, recognize_algebraic with minpoly, root_number and
@@ -59,14 +62,13 @@ from sympy.ntheory import sqrt_mod
 from cmtrace.curves import Curve, CurveModel, an_coefficients
 from cmtrace.embeddings import CosetLabel, EmbeddingData, EmbeddingError
 from cmtrace.fp import FpMatrix, FpParams, _xgcd, in_cartan_group
-from cmtrace.heegner import (HeegnerTau, NoHeegnerPoint, _complete_unimodular, _gauss_reduce_pair,
-                             gamma0_reduce)
+from cmtrace.heegner import HeegnerTau, NoHeegnerPoint, _complete_unimodular, gamma0_reduce
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
 from cmtrace.periods import PeriodLattice, lattice_reduce
 from cmtrace.projline import ProjClass, ProjParams, proj_class, proj_mul
 from cmtrace.quadforms import (BinaryForm, GaloisKernel, QuadOrder, _half_mul, _hnf2,
                                check_fundamental, form_to_ideal, ideal_mul, ideal_to_form,
-                               reduce_form, reduced_forms)
+                               lagrange_reduce, reduce_form, reduced_forms)
 from cmtrace.recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational
 
 ENUMERATION_BOUND = 200
@@ -135,6 +137,10 @@ def index_ns_plus_by_enumeration(params: FpParams) -> int:
     if len(big) % len(inter):
         raise AssertionError("intersection does not divide group order")
     return len(big) // len(inter)
+
+
+def identity(p: int) -> FpMatrix:
+    return FpMatrix(p, 1, 0, 0, 1)
 
 
 def sl2_elements(p: int) -> list[FpMatrix]:
@@ -316,7 +322,7 @@ def gamma0_reduce_all_candidates(form: BinaryForm, n_level: int) -> BinaryForm:
     primitive candidate vector, not only those of minimal A."""
     if form.a % n_level:
         raise ValueError("form is not N-divisible")
-    v1, v2 = _gauss_reduce_pair(form, (1, 0), (0, n_level))
+    v1, v2 = lagrange_reduce((2 * form.a, form.b, 2 * form.c), (1, 0), (0, n_level))
     best = None
     for s in range(-4, 5):
         for t in range(-4, 5):
@@ -761,7 +767,7 @@ def minpoly(num: AlgebraicNumber) -> tuple[int, ...]:
 
 def root_number(model: CurveModel, digits: int = 40) -> int:
     """Sign of the functional equation, -1 times the Fricke eigenvalue."""
-    return -atkin_lehner_sign(model, model.n, digits)
+    return -atkin_lehner_sign(model.minimal, model.n, model.n, digits)
 
 
 def lattice_distance(lat: PeriodLattice, z):

@@ -14,7 +14,7 @@ from sympy import primerange
 from cmtrace.curves import curve_model
 from cmtrace.embeddings import build_embedding, find_common_norm_element, two_to_one_check, verify_optimal
 from cmtrace.experiments import ExperimentSpec, trace_point
-from cmtrace.fp import FpParams, index_ns_plus, legendre
+from cmtrace.fp import FpParams, index_ns_plus, kronecker
 from cmtrace.heegner import NoHeegnerPoint, heegner_form
 from cmtrace.periods import period_lattice
 from cmtrace.projline import ProjParams, involution_class, proj_class, proj_elements, proj_mul
@@ -53,7 +53,7 @@ def test_criterion_1_projective_group_law():
         seen = 0
         while seen < 20:
             t, n = rng.randrange(p), rng.randrange(p)
-            if legendre((t * t - 4 * n) % p, p) != -1:
+            if kronecker(t * t - 4 * n, p) != -1:
                 continue
             seen += 1
             params = ProjParams(p, t, n)
@@ -109,7 +109,7 @@ def test_criterion_3_optimal_embeddings():
         dK = rng.choice(fundamentals)
         f = rng.choice([1, 1, 2, 3, 5])
         p = rng.choice(primes)
-        if legendre(dK % p, p) != -1 or f % p == 0:
+        if kronecker(dK, p) != -1 or f % p == 0:
             continue
         order = order_data(dK, f)
         emb = build_embedding(FpParams(p), order)

@@ -58,6 +58,17 @@ def test_sign(capsys):
     assert "w_9 = +1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("curve,q,line", [
+    ("0,-1,1,-10,-20", "11", "w_11 = -1 for curve [0, -1, 1, -10, -20] (N = 11)"),   # 11a1
+    ("0,0,1,-1,0", "37", "w_37 = +1 for curve [0, 0, 1, -1, 0] (N = 37)"),          # 37a1
+])
+def test_sign_of_a_curve_without_a_square_level(capsys, curve, q, line):
+    # no odd p with p^2 || N: sign reads only the minimal model and N
+    code = main(["sign", "--curve", curve, "--q", q, "--digits", "30"])
+    assert code == 0
+    assert line in capsys.readouterr().out
+
+
 def test_trace_run(capsys, tmp_path):
     out = tmp_path / "trace.json"
     code = main(["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--f", "1",
@@ -122,7 +133,8 @@ def test_finite_check_rejects_level_below_one(capsys, m):
     ["finite-check", "--p", "5", "--dk", "-7", "--eps", "3"],
     ["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--torsion-bound", "24"],
     ["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--mode", "signo_minus"],
-], ids=["finite-eps", "trace-torsion-bound", "trace-mode"])
+    ["sign", "--curve", "0,0,0,0,1", "--q", "9", "--p", "3"],
+], ids=["finite-eps", "trace-torsion-bound", "trace-mode", "sign-p"])
 def test_finite_layer_and_torsion_knobs_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -207,7 +219,7 @@ def test_bad_env_digits_names_the_variable(monkeypatch, capsys, command, raw):
 
 def test_series_budget_error_exits_1(capsys):
     # the W_9 sample points of this conductor need far more than NMAX_CAP terms
-    code = main(["sign", "--curve", "0,0,0,0,1003003001", "--q", "9", "--p", "3"])
+    code = main(["sign", "--curve", "0,0,0,0,1003003001", "--q", "9"])
     assert code == 1
     assert "above the cap" in capsys.readouterr().err
 
@@ -232,7 +244,7 @@ def test_heegner_rejects_nonpositive_level_and_conductor(capsys, n, c):
 def test_factorisation_bound_exits_1_at_once(capsys):
     # b = 1000003 * 1000033, so disc = -432 b^2 has a composite cofactor b
     # with no prime factor up to the trial-division bound 10^6
-    code = main(["sign", "--curve", "0,0,0,0,1000036000099", "--q", "9", "--p", "3"])
+    code = main(["sign", "--curve", "0,0,0,0,1000036000099", "--q", "9"])
     assert code == 1
     err = capsys.readouterr().err
     assert "composite factor 1000036000099" in err and "trial-division bound 1000000" in err

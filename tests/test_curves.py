@@ -9,7 +9,7 @@ from cmtrace import curves
 from cmtrace.curves import (AN_BOUND, Curve, an_coefficients, ap_good,
                             conductor, curve_from_c4c6, curve_model, minimal_model,
                             tate_local, transform)
-from cmtrace.fp import legendre
+from cmtrace.fp import kronecker
 from oracles import ap_char_sum_reduced
 
 # 49a1, 121b1, 50a1, 50b1 and 36a1: the curves of the benchmark catalogue.
@@ -349,7 +349,7 @@ def test_cm_shortcut_matches_point_counts(monkeypatch, cur, d):
         if cur.disc % ell:
             assert ap_good(cur, ell) == ap_char_sum_reduced(cur, ell), (cur, ell)
     # no count at a prime >= 5 inert in the CM field
-    assert all(ell < 5 or legendre(d, ell) != -1 for ell in counted)
+    assert all(ell < 5 or kronecker(d, ell) != -1 for ell in counted)
 
 
 @pytest.mark.parametrize("cur", CATALOGUE_CURVES)
@@ -400,4 +400,4 @@ def test_hecke_route_not_taken(monkeypatch):
     a49 = an_coefficients(e49, 2000)
     for ell in primerange(2, 2001):
         if ell not in (5, 7):
-            assert a[ell] == legendre(ell, 5) * a49[ell], ell
+            assert a[ell] == kronecker(ell, 5) * a49[ell], ell

@@ -3,12 +3,12 @@ import random
 import pytest
 from sympy import primerange
 
-from cmtrace.embeddings import (EmbeddingError, build_embedding, coset_label,
+from cmtrace.embeddings import (EmbeddingData, EmbeddingError, build_embedding, coset_label,
                                 find_common_norm_element, galois_matrix, lemma_converse_check,
                                 signo_pairing_check, two_to_one_check, verify_optimal)
-from cmtrace.fp import FpMatrix, FpParams, identity, in_cartan_group, index_ns_plus, legendre
-from oracles import decompose_gamma, enumerate_cartan, sl2_elements, split_normalizer_sl2
-from cmtrace.projline import involution_class, proj_class, proj_mul
+from cmtrace.fp import FpMatrix, FpParams, in_cartan_group, index_ns_plus, kronecker
+from oracles import decompose_gamma, enumerate_cartan, identity, sl2_elements, split_normalizer_sl2
+from cmtrace.projline import involution_class, proj_class, proj_elements, proj_mul
 from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
 
 
@@ -21,7 +21,7 @@ def random_inert_triples(count, pmax=31, seed=7):
         dK = rng.choice(fundamentals)
         f = rng.choice([1, 1, 1, 2, 3])
         p = rng.choice(primes)
-        if legendre(dK % p, p) != -1 or (dK * f * f) % p == 0 or f % p == 0:
+        if kronecker(dK, p) != -1 or (dK * f * f) % p == 0 or f % p == 0:
             continue
         out.append((dK, f, p))
     return out
@@ -30,11 +30,19 @@ def random_inert_triples(count, pmax=31, seed=7):
 def test_build_embedding_worked_example():
     emb = build_embedding(FpParams(5), order_data(-7, 1))
     assert emb.iota_omega == FpMatrix(5, 3, 1, 2, 3)
-    assert emb.a0 == FpMatrix(5, 0, -2, 1, 1)
-    assert emb.gamma_bar.det() == 1
-    conj = emb.gamma_bar.inv().mul(emb.a0).mul(emb.gamma_bar)
-    assert conj == emb.iota_omega
     assert verify_optimal(emb)
+    # iota_omega is written down in closed form; an SL_2(F_p) conjugator from
+    # the companion matrix of X^2 - tX + n must exist
+    for p in primerange(3, 14):
+        sl2 = sl2_elements(p)
+        for dK in (d for d in range(-60, -4) if is_fundamental_discriminant(d)):
+            for f in (1, 2, 3):
+                order = order_data(dK, f)
+                if kronecker(order.disc, p) != -1:
+                    continue
+                emb = build_embedding(FpParams(p), order)
+                a0 = FpMatrix(p, 0, -order.n, 1, order.t)
+                assert any(g.inv().mul(a0).mul(g) == emb.iota_omega for g in sl2), (p, dK, f)
 
 
 def test_build_embedding_p7():
@@ -64,19 +72,53 @@ def test_galois_matrix():
     emb = build_embedding(FpParams(5), order_data(-7, 1))
     assert galois_matrix(emb, 1, 0) == identity(5)
     w = galois_matrix(emb, -3, 1)
-    assert w == FpMatrix(5, 0, 1, 2, 0)
-    assert w.is_antidiagonal()
+    assert w == FpMatrix(5, 0, 1, 2, 0)          # antidiagonal
     with pytest.raises(ValueError):
         galois_matrix(emb, 0, 0)
     with pytest.raises(ValueError):
         galois_matrix(emb, 5, 10)
 
 
+def _converse_by_scan(emb) -> bool:
+    """Whether x1*I + x2*iota_omega is diagonal or antidiagonal exactly at
+    [1 : 0] and [-a : 1], by a scan of P^1(F_p); the entries are written out
+    so that singular matrices of hand-built data are scanned too."""
+    p = emb.params.p
+    a, b, c, d = emb.iota_omega.entries
+    hits = set()
+    for pt in proj_elements(p):
+        m = FpMatrix(p, pt.x1 + pt.x2 * a, pt.x2 * b, pt.x2 * c, pt.x1 + pt.x2 * d)
+        if m.b == m.c == 0 or m.a == m.d == 0:
+            hits.add(pt)
+    return hits == {proj_class(p, 1, 0), proj_class(p, -a, 1)}
+
+
 def test_lemma_converse():
-    assert lemma_converse_check(build_embedding(FpParams(5), order_data(-7, 1)))
-    assert lemma_converse_check(build_embedding(FpParams(7), order_data(-11, 1)))
-    for dK, f, p in random_inert_triples(10, seed=21):
-        assert lemma_converse_check(build_embedding(FpParams(p), order_data(dK, f)))
+    for emb in (build_embedding(FpParams(5), order_data(-7, 1)),
+                build_embedding(FpParams(7), order_data(-11, 1)),
+                *(build_embedding(FpParams(p), order_data(dK, f))
+                  for dK, f, p in random_inert_triples(10, seed=21))):
+        assert lemma_converse_check(emb) is _converse_by_scan(emb) is True
+
+
+def test_lemma_converse_on_hand_built_matrices():
+    # every (a, b, c, d) at p = 3 and 5, among them b = c = 0 (every class
+    # diagonal) and a != d (no antidiagonal class)
+    seen = set()
+    order = order_data(-7, 1)
+    for p in (3, 5):
+        params = FpParams(p)
+        for a in range(p):
+            for b in range(p):
+                for c in range(p):
+                    for d in range(p):
+                        emb = EmbeddingData(params=params, order=order, level_m=1,
+                                            iota_omega=FpMatrix(p, a, b, c, d))
+                        got = lemma_converse_check(emb)
+                        assert got is _converse_by_scan(emb), (p, a, b, c, d)
+                        seen.add(((b, c) == (0, 0), a == d, got))
+    assert seen == {(True, True, False), (True, False, False),
+                    (False, True, True), (False, False, False)}
 
 
 def test_decompose_identity():
@@ -142,7 +184,7 @@ def test_coset_labels_partition_sl2():
 def test_two_to_one_structure(p, dKs):
     params = FpParams(p)
     for dK in dKs:
-        assert legendre(dK % p, p) == -1, (p, dK)
+        assert kronecker(dK, p) == -1, (p, dK)
         order = order_data(dK, 1)
         emb = build_embedding(params, order)
         kernel = kernel_classes(order, p)

@@ -8,10 +8,10 @@ from sympy import primerange
 from sympy.ntheory import sqrt_mod
 
 from cmtrace.fp import (CARTAN_KINDS, MR_BOUND, TRIAL_BOUND, ArithmeticBoundError, FpMatrix,
-                        FpParams, cartan_membership, factorint, identity, in_cartan_group,
-                        index_ns_plus, isprime, legendre, smallest_nonsquare, sqrt_mod_p)
+                        FpParams, cartan_membership, factorint, in_cartan_group,
+                        index_ns_plus, isprime, kronecker, smallest_nonsquare, sqrt_mod_p)
 from oracles import (EnumerationBoundError, cartan_intersection_ns_s, enumerate_cartan,
-                     index_ns_plus_by_enumeration, lift_to_integral_sl2, sl2_elements)
+                     identity, index_ns_plus_by_enumeration, lift_to_integral_sl2, sl2_elements)
 
 
 def test_params_validation():
@@ -147,9 +147,9 @@ def test_lift_rejects_bad_det():
 
 
 def test_legendre_and_nonsquare():
-    assert legendre(2, 5) == -1
-    assert legendre(4, 5) == 1
-    assert legendre(0, 5) == 0
+    assert kronecker(2, 5) == -1
+    assert kronecker(4, 5) == 1
+    assert kronecker(0, 5) == 0
     assert smallest_nonsquare(7) == 3
 
 
@@ -158,7 +158,7 @@ def test_sqrt_mod_p_is_smallest_root():
     # for growing k takes Tonelli-Shanks through more rounds
     for p in (*primerange(3, 400), 577, 769, 4993):
         for a in range(1, p):
-            if legendre(a, p) == 1:
+            if kronecker(a, p) == 1:
                 r = sqrt_mod_p(a, p)
                 assert r * r % p == a and r <= p - r
             else:
@@ -233,9 +233,16 @@ def test_factorint_rejects_a_composite_cofactor_above_the_bound_squared():
 @given(st.sampled_from(PRIMES_TO_5000), st.integers(0, 10 ** 6))
 def test_sqrt_mod_p_matches_sympy(p, x):
     a = x * x % p if x % 3 else x % p            # squares, and anything at all
-    if legendre(a, p) == -1:
+    if kronecker(a, p) == -1:
         with pytest.raises(ValueError):
             sqrt_mod_p(a, p)
         return
     r = sqrt_mod_p(a, p)
     assert r == sqrt_mod(a, p) and r <= p // 2 and r * r % p == a % p
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-10 ** 12, 10 ** 12), st.integers(0, 10 ** 9))
+def test_kronecker_matches_sympy_jacobi_for_odd_n(a, k):
+    n = 2 * k + 1
+    assert kronecker(a, n) == sympy.jacobi_symbol(a, n)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtrace.fp import legendre
+from cmtrace.fp import kronecker
 from cmtrace.heegner import (HeegnerTau, NoHeegnerPoint, _has_square_root, galois_orbit,
                              gamma0_reduce, heegner_form)
 from cmtrace.quadforms import (BinaryForm, generator_ideal, is_fundamental_discriminant,
@@ -42,7 +42,7 @@ def test_conductor_one_obstruction():
     with pytest.raises(NoHeegnerPoint):
         heegner_form(49, -11, 1)
     # sanity: -11 is a non-residue mod 7
-    assert legendre(-11 % 7, 7) == -1
+    assert kronecker(-11, 7) == -1
     heegner_form(49, -11, 7)                 # succeeds
 
 

@@ -21,18 +21,18 @@ from hypothesis import strategies as st
 from sympy import primerange
 
 from cmtrace.experiments import ExperimentSpec, experiment_finite
-from cmtrace.fp import legendre
+from cmtrace.fp import kronecker
 from cmtrace.heegner import (HeegnerTau, _complete_unimodular, galois_orbit, gamma0_reduce,
                              heegner_form)
 from cmtrace.projline import involution_class, proj_mul
 from cmtrace.quadforms import (BinaryForm, generator_ideal, is_fundamental_discriminant,
-                               kernel_classes, kronecker, order_data, proj_params, reduce_form)
+                               kernel_classes, order_data, proj_params, reduce_form)
 from oracles import (compose, form_inverse, galois_orbit_by_smith, gamma0_reduce_all_candidates,
                      generator_ideal_by_intersection, principal_form, project_form)
 
 CASES = [(dK, f, p)
          for dK in range(-200, -6) if is_fundamental_discriminant(dK)
-         for p in primerange(3, 32) if legendre(dK % p, p) == -1
+         for p in primerange(3, 32) if kronecker(dK, p) == -1
          for f in range(1, 6) if f % p]
 PROPERTY = settings(max_examples=30, deadline=None)
 # (dK, f, p, M): every prime of M splits in K and is prime to f

@@ -87,7 +87,7 @@ def test_phi_gamma0_invariance(ai):
 def test_fricke_functional_equation_pointwise():
     # f(-1/(N tau)) = w * N tau^2 f(tau), a hard identity for the series
     model = curve_model((1, -1, 0, -2, -1))
-    w = atkin_lehner_sign(model, 49, 50)
+    w = atkin_lehner_sign(model.minimal, model.n, 49, 50)
     with mp.workdps(65):
         for tau in [mp.mpc("0.07", "0.21"), mp.mpc("-0.13", "0.17")]:
             lhs = eval_newform(model, -1 / (49 * tau), 50)
@@ -98,8 +98,8 @@ def test_fricke_functional_equation_pointwise():
 def test_atkin_lehner_signs_and_root_numbers():
     m49 = curve_model((1, -1, 0, -2, -1))
     m121 = curve_model((0, -1, 1, -7, 10))
-    w49 = atkin_lehner_sign(m49, 49, 40)
-    w121 = atkin_lehner_sign(m121, 121, 40)
+    w49 = atkin_lehner_sign(m49.minimal, m49.n, 49, 40)
+    w121 = atkin_lehner_sign(m121.minimal, m121.n, 121, 40)
     assert w49 == -1                        # rank 0: root number +1
     assert w121 == 1                        # rank 1: root number -1
     assert w49 * w49 == 1 and w121 * w121 == 1
@@ -109,7 +109,8 @@ def test_atkin_lehner_signs_and_root_numbers():
 
 def test_sign_reproducible_across_precisions():
     m49 = curve_model((1, -1, 0, -2, -1))
-    assert atkin_lehner_sign(m49, 49, 30) == atkin_lehner_sign(m49, 49, 80)
+    cur, n = m49.minimal, m49.n
+    assert atkin_lehner_sign(cur, n, 49, 30) == atkin_lehner_sign(cur, n, 49, 80)
 
 
 def test_al_matrix_shapes():
@@ -183,16 +184,16 @@ def test_sign_convention_five_validation_curves():
     ]
     for ai, expected_w, witness in cases:
         model = curve_model(ai)
-        assert atkin_lehner_sign(model, model.n, 30) == expected_w, ai
+        assert atkin_lehner_sign(model.minimal, model.n, model.n, 30) == expected_w, ai
         if witness is not None:
             assert _nontorsion_witness(ai, witness)
 
 
 def test_sign_multiplicativity_on_composite_level():
     m36 = curve_model((0, 0, 0, 0, 1))
-    w9 = atkin_lehner_sign(m36, 9, 40)
-    w4 = atkin_lehner_sign(m36, 4, 40)
-    w36 = atkin_lehner_sign(m36, 36, 40)
+    w9 = atkin_lehner_sign(m36.minimal, m36.n, 9, 40)
+    w4 = atkin_lehner_sign(m36.minimal, m36.n, 4, 40)
+    w36 = atkin_lehner_sign(m36.minimal, m36.n, 36, 40)
     assert (w9, w4, w36) == (1, -1, -1)
     assert w36 == w9 * w4
 
@@ -272,7 +273,8 @@ def test_local_sign_matches_numerical_route_potentially_good(ai, d, p, v):
     assert cur.c4 == 0 or 3 * _valuation(cur.c4, p) >= v          # potentially good
     model = curve_model(cur.ainvs, p=p)
     assert _local_sign(cur, p) is not None
-    assert atkin_lehner_sign(model, p * p, 20) == _numerical_sign(model, p * p, 20)
+    mini, n = model.minimal, model.n
+    assert atkin_lehner_sign(mini, n, p * p, 20) == _numerical_sign(mini, n, p * p, 20)
 
 
 @pytest.mark.parametrize("ai,n", POT_MULT_CASES)
@@ -282,8 +284,8 @@ def test_local_sign_potentially_multiplicative(ai, n):
     local = tate_local(cur, 5)
     assert (local.v_disc, local.reduction) == (6 + n, "additive")
     assert 3 * _valuation(cur.c4, 5) < local.v_disc
-    model = curve_model(ai, p=5)
-    assert atkin_lehner_sign(model, 25, 20) == _numerical_sign(model, 25, 20) == 1
+    level = curve_model(ai, p=5).n
+    assert atkin_lehner_sign(cur, level, 25, 20) == _numerical_sign(cur, level, 25, 20) == 1
 
 
 @pytest.mark.parametrize("ai,q", [
@@ -293,14 +295,14 @@ def test_local_sign_potentially_multiplicative(ai, n):
 ])
 def test_multiplicative_sign_is_minus_a_q(ai, q):
     model = curve_model(ai)
-    a_q = an_coefficients(model.minimal, q)[q]
-    assert tate_local(model.minimal, q).reduction in ("split", "nonsplit")
-    assert atkin_lehner_sign(model, q, 20) == -a_q == _numerical_sign(model, q, 20)
+    cur, n = model.minimal, model.n
+    a_q = an_coefficients(cur, q)[q]
+    assert tate_local(cur, q).reduction in ("split", "nonsplit")
+    assert atkin_lehner_sign(cur, n, q, 20) == -a_q == _numerical_sign(cur, n, q, 20)
     # composite Q = N: the local sign at q times the numerical one of the rest
-    rest = model.n // q
-    w_n = _numerical_sign(model, model.n, 20)
-    assert atkin_lehner_sign(model, q, 20) * _numerical_sign(model, rest, 20) == w_n
-    assert atkin_lehner_sign(model, model.n, 20) == w_n
+    w_n = _numerical_sign(cur, n, n, 20)
+    assert atkin_lehner_sign(cur, n, q, 20) * _numerical_sign(cur, n, n // q, 20) == w_n
+    assert atkin_lehner_sign(cur, n, n, 20) == w_n
 
 
 def test_numerical_route_only_where_a_prime_has_no_closed_form(monkeypatch):
@@ -308,17 +310,17 @@ def test_numerical_route_only_where_a_prime_has_no_closed_form(monkeypatch):
     calls = []
     numerical = modparam._numerical_sign
 
-    def counting(model, q_div, digits):
-        calls.append((model.n, q_div))
-        return numerical(model, q_div, digits)
+    def counting(cur, n_level, q_div, digits):
+        calls.append((n_level, q_div))
+        return numerical(cur, n_level, q_div, digits)
 
     monkeypatch.setattr(modparam, "_numerical_sign", counting)
     for ai in ((1, -1, 0, -2, -1), (0, -1, 1, -7, 10), (1, 0, 1, -1, -2), (1, 1, 1, -3, 1)):
         model = curve_model(ai)
-        atkin_lehner_sign(model, model.p ** 2, 30)
-        atkin_lehner_sign(model, model.n, 30)
+        atkin_lehner_sign(model.minimal, model.n, model.p ** 2, 30)
+        atkin_lehner_sign(model.minimal, model.n, model.n, 30)
     assert calls == []
     m36, m99 = curve_model((0, 0, 0, 0, 1)), curve_model((1, -1, 1, -2, 0))
-    assert atkin_lehner_sign(m36, 9, 30) == 1            # additive at 3
-    assert atkin_lehner_sign(m99, 99, 30) == 1           # 3 additive, 11 multiplicative
+    assert atkin_lehner_sign(m36.minimal, m36.n, 9, 30) == 1            # additive at 3
+    assert atkin_lehner_sign(m99.minimal, 99, 99, 30) == 1     # 3 additive, 11 multiplicative
     assert calls == [(36, 9), (99, 99)]

@@ -5,7 +5,7 @@ from sympy import primerange
 
 from cmtrace.embeddings import build_embedding, coset_label
 from cmtrace.experiments import ExperimentSpec, experiment_finite
-from cmtrace.fp import FpParams, legendre
+from cmtrace.fp import FpParams, kronecker
 from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
 from oracles import (decompose_gamma, enumerate_cartan, kernel_forms_by_filter,
                      sl2_elements, sorted_min_label)
@@ -31,7 +31,7 @@ def test_coset_label_of_cartan_element_matches_decomposition(p, dK):
 def _inert_cases():
     small = [(dK, p, f)
              for dK in range(-120, -6) if is_fundamental_discriminant(dK)
-             for p in primerange(3, 32) if legendre(dK % p, p) == -1
+             for p in primerange(3, 32) if kronecker(dK, p) == -1
              for f in (1, 2)]
     return small + [(-11, 101, 1), (-7, 199, 2)]
 

@@ -2,13 +2,15 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import primerange
 
-from cmtrace.fp import legendre
+from cmtrace.fp import kronecker
 from cmtrace.projline import ProjClass, proj_elements, proj_mul
-from cmtrace.quadforms import (BinaryForm, basis_form, class_number, form_to_ideal,
+from cmtrace.quadforms import (BinaryForm, _hnf2, basis_form, class_number, form_to_ideal,
                                ideal_to_form, is_fundamental_discriminant, kernel_classes,
-                               kronecker, order_data, proj_params, reduce_form, reduced_forms)
+                               lagrange_reduce, order_data, proj_params, reduce_form, reduced_forms)
 from oracles import (ClassGroup, class_to_proj, compose, element_order, form_inverse, form_pow,
                      principal_form, project_form)
 
@@ -121,9 +123,11 @@ def _prime_factors(n):
 
 
 def test_kronecker_matches_legendre_and_known_values():
+    # at an odd prime the Kronecker symbol is the Legendre symbol: Euler's criterion
     for p in primerange(3, 50):
         for a in range(-20, 20):
-            assert kronecker(a, p) == legendre(a % p, p)
+            euler = pow(a, (p - 1) // 2, p)
+            assert kronecker(a, p) == (-1 if euler == p - 1 else euler)
     assert kronecker(-11, 2) == -1          # -11 = 5 mod 8
     assert kronecker(-7, 2) == 1            # -7 = 1 mod 8
     assert kronecker(-7, 5) == -1
@@ -265,7 +269,7 @@ def test_kernel_size_random_pairs():
     while done < 30:
         dK = rng.choice(fundamentals)
         p = rng.choice([3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
-        if legendre(dK % p, p) != -1:
+        if kronecker(dK, p) != -1:
             continue
         kern = kernel_classes(order_data(dK, 1), p)
         assert len(kern) == p + 1
@@ -286,7 +290,7 @@ def test_class_number_ratio_formula():
         if not is_fundamental_discriminant(dK):
             continue
         for p in primerange(3, 14):
-            if legendre(dK % p, p) != -1:
+            if kronecker(dK, p) != -1:
                 continue
             assert class_number(p * p * dK) == (p + 1) * class_number(dK)
 
@@ -339,3 +343,79 @@ def test_kernel_orders_match_projective_line():
     group = ClassGroup(p * p * order.disc)
     for kc in kern.classes:
         assert group.order_of(group.index(kc.form)) == element_order(params, kc.proj)
+
+
+# ---------------------------------------------------------------------------
+# The one Hermite normal form and the one Lagrange reduction.
+
+
+def _in_lattice(vec, basis) -> bool:
+    """Whether vec is an integer combination of the upper triangular basis."""
+    (e, f), (_, g) = basis
+    x, y = vec
+    return x % e == 0 and (y - (x // e) * f) % g == 0
+
+
+ROWS = st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+                | st.just((0, 0)), min_size=1, max_size=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ROWS)
+def test_hnf2_spans_the_same_lattice(rows):
+    # the index of the lattice in Z^2 is the gcd of the 2x2 minors of its rows
+    index = 0
+    for x, y in rows:
+        for x1, y1 in rows:
+            index = gcd(index, x * y1 - y * x1)
+    if not index:
+        with pytest.raises(ValueError, match="rank < 2"):
+            _hnf2(rows)
+        return
+    (e, f), (z, g) = basis = _hnf2(rows)
+    assert e > 0 and g > 0 and 0 <= f < g and z == 0
+    # every input row lies in the output lattice, and the two have the same
+    # index, so every output row lies in the input lattice
+    assert all(_in_lattice(r, basis) for r in rows)
+    assert e * g == index
+
+
+def test_hnf2_examples_and_rank_errors():
+    assert _hnf2([(4, 3), (0, 0), (6, 1), (0, 0)]) == ((2, 5), (0, 7))
+    assert _hnf2([(-3, 5), (0, -4)]) == ((3, 3), (0, 4))
+    for rows in ([], [(0, 0)], [(2, 3)], [(2, 3), (4, 6), (0, 0)], [(0, 5), (0, 7)]):
+        with pytest.raises(ValueError, match="rank < 2"):
+            _hnf2(rows)
+
+
+GRAM_ENTRY = st.integers(-2 ** 90, 2 ** 90)
+
+
+def _inner(gram, x, y):
+    g11, g12, g22 = gram
+    return g11 * x[0] * y[0] + g12 * (x[0] * y[1] + x[1] * y[0]) + g22 * x[1] * y[1]
+
+
+@settings(max_examples=500, deadline=None)
+@given(GRAM_ENTRY, GRAM_ENTRY, st.integers(1, 2 ** 90),
+       st.tuples(*[st.integers(-50, 50)] * 4).filter(lambda m: m[0] * m[3] - m[1] * m[2]))
+def test_lagrange_reduce_is_reduced_and_unimodular(u1, u2, k, m):
+    # a positive definite Gram triple with entries up to about 2^181:
+    # g11 = |u|^2 + k, g12 = u1 u2, g22 = u2^2 + k for u = (u1, u2)
+    gram = (u1 * u1 + k, u1 * u2, u2 * u2 + k)
+    v1, v2 = (m[0], m[1]), (m[2], m[3])
+    r1, r2 = lagrange_reduce(gram, v1, v2)
+    n1, n2, b = _inner(gram, r1, r1), _inner(gram, r2, r2), _inner(gram, r1, r2)
+    assert n1 <= n2 and 2 * abs(b) <= n1
+    det_in = v1[0] * v2[1] - v1[1] * v2[0]
+    assert r1[0] * r2[1] - r1[1] * r2[0] in (det_in, -det_in)
+    # the result spans the lattice of the input: both bases lie in each other
+    for r in (r1, r2):
+        assert (r[0] * v2[1] - r[1] * v2[0]) % det_in == 0
+        assert (v1[0] * r[1] - v1[1] * r[0]) % det_in == 0
+
+
+def test_lagrange_reduce_rounds_ties_to_even():
+    # B(v1, v2) / B(v1, v1) = 1/2 and 3/2: round(1/2) = 0, round(3/2) = 2
+    assert lagrange_reduce((2, 1, 5), (1, 0), (0, 1)) == ((1, 0), (0, 1))
+    assert lagrange_reduce((2, 3, 10), (1, 0), (0, 1)) == ((1, 0), (-2, 1))
