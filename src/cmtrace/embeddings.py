@@ -134,44 +134,61 @@ def lemma_converse_check(emb: EmbeddingData) -> bool:
     return (b, c) != (0, 0) and a == d
 
 
+def _label_entries(p: int, a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """The entries of the coset label of g = (a, b; c, d), row-major, in [0, p):
+    the lexicographically minimal determinant-one element of C_s+ * g^{-1}.
+
+    C_s+ holds the scalars, so C_s+ * g^{-1} = C_s+ * h for the adjugate
+    h = (d, -b; -c, a), of determinant delta = det(g).  The determinant-one
+    elements of the diagonal part are diag(x, 1/(x delta)) * h =
+    (xd, -xb; -c/(x delta), a/(x delta)), and those of the antidiagonal part
+    are (0, x; -1/(x delta), 0) * h = (-xc, xa; -d/(x delta), b/(x delta)).
+    Each part has its minimum at the one x that makes the first nonzero entry
+    of the top row 1, x = 1/lead; the label is the smaller of those two.
+    """
+    delta = (a * d - b * c) % p
+    if delta == 0:
+        raise ValueError("coset labels are defined for invertible matrices")
+    dinv = pow(delta, -1, p)
+    lead = d % p or -b % p
+    x = pow(lead, -1, p)
+    diag = (x * d % p, -x * b % p, -c * lead * dinv % p, a * lead * dinv % p)
+    lead = -c % p or a % p
+    x = pow(lead, -1, p)
+    anti = (-x * c % p, x * a % p, -d * lead * dinv % p, b * lead * dinv % p)
+    return min(diag, anti)
+
+
 def coset_label(g: FpMatrix) -> CosetLabel:
     """Lexicographically minimal determinant-one element of C_s+ * g^{-1}.
 
     For det(g) = 1 this is the minimum of the coset (C_s+ cap SL_2) * g^{-1}.
-    Write g^{-1} = (a, b; c, d) and delta = det(g).  The diagonal part of the
-    coset is diag(x, delta/x) * g^{-1} = (xa, xb; (delta/x)c, (delta/x)d) and
-    the antidiagonal part is (0, x; -delta/x, 0) * g^{-1} =
-    (xc, xd; -(delta/x)a, -(delta/x)b).  Each part has its minimum at the one
-    x that makes the first nonzero entry of the top row 1; the label is the
-    smaller of those two matrices.
+    The entries come from _label_entries, which two_to_one_check shares.
     """
-    p = g.p
-    delta = g.det()
-    if delta == 0:
-        raise ValueError("coset labels are defined for invertible matrices")
-    a, b, c, d = g.inv().entries
-    lead_ab, lead_cd = a or b, c or d        # 1/x for the two parts
-    x_ab, x_cd = pow(lead_ab, -1, p), pow(lead_cd, -1, p)
-    diag = FpMatrix(p, x_ab * a, x_ab * b, delta * lead_ab * c, delta * lead_ab * d)
-    anti = FpMatrix(p, x_cd * c, x_cd * d, -delta * lead_cd * a, -delta * lead_cd * b)
-    return CosetLabel(rep=min(diag, anti))
+    return CosetLabel(rep=FpMatrix(g.p, *_label_entries(g.p, *g.entries)))
 
 
 def two_to_one_check(emb: EmbeddingData, kernel: GaloisKernel) -> dict[CosetLabel, list[ProjClass]]:
     """Map each kernel class x1 + x2*w_f to the coset label of its matrix
     x1*I + x2*iota_omega.
 
-    Enforces the expected structure: (p+1)/2 distinct labels, every fiber of
-    size exactly two, and fiber partners differing by the involution class.
+    The label entries come straight from the entries of that matrix
+    (_label_entries, which raises if it is singular); one CosetLabel is built
+    per fiber.  Enforces the expected structure: (p+1)/2 distinct labels,
+    every fiber of size exactly two, and fiber partners differing by the
+    involution class.
     """
     p = emb.params.p
     if kernel.p != p or kernel.order != emb.order:
         raise ValueError("kernel and embedding disagree on (order, p)")
-    fibers: dict[CosetLabel, list[ProjClass]] = {}
+    a, b, c, d = emb.iota_omega.entries
+    by_entries: dict[tuple[int, int, int, int], list[ProjClass]] = {}
     for kc in kernel.classes:
         x1, x2 = kc.generator
-        label = coset_label(galois_matrix(emb, x1, x2))
-        fibers.setdefault(label, []).append(kc.proj)
+        label = _label_entries(p, x1 + x2 * a, x2 * b, x2 * c, x1 + x2 * d)
+        by_entries.setdefault(label, []).append(kc.proj)
+    fibers = {CosetLabel(rep=FpMatrix(p, *label)): classes
+              for label, classes in by_entries.items()}
     if len(fibers) != (p + 1) // 2:
         raise FiberStructureError(f"expected {(p + 1) // 2} labels, got {len(fibers)}")
     pp = emb.proj_params()

@@ -205,8 +205,11 @@ class FpMatrix:
     d: int
 
     def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, getattr(self, name) % self.p)
+        p = self.p
+        object.__setattr__(self, "a", self.a % p)
+        object.__setattr__(self, "b", self.b % p)
+        object.__setattr__(self, "c", self.c % p)
+        object.__setattr__(self, "d", self.d % p)
 
     @property
     def entries(self) -> tuple[int, int, int, int]:

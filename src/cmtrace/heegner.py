@@ -28,7 +28,7 @@ import mpmath as mp
 
 from .fp import _xgcd, factorint, kronecker
 from .quadforms import (BinaryForm, GaloisKernel, _hnf2, basis_form, check_fundamental,
-                        form_to_ideal, ideal_mul, lagrange_reduce)
+                        form_to_ideal, generator_ideal, ideal_mul, lagrange_reduce)
 
 
 class NoHeegnerPoint(ValueError):
@@ -158,9 +158,10 @@ def gamma0_reduce(form: BinaryForm, n_level: int) -> BinaryForm:
 def galois_orbit(base: HeegnerTau, kernel: GaloisKernel) -> list[HeegnerTau]:
     """The Gal(H_pf / H_f) orbit of the base point, one member per kernel class.
 
-    Multiplies the point's lattice pair by each kernel ideal and reads the new
-    point off a basis of the first lattice that starts with a primitive vector
-    of the second lattice's Hermite normal form.  Members come back in the
+    Multiplies the point's lattice pair by each kernel ideal, the
+    generator_ideal of the class's generator, and reads the new point off a
+    basis of the first lattice that starts with a primitive vector of the
+    second lattice's Hermite normal form.  Members come back in the
     fixed kernel ordering; the identity class reproduces the base point.
     """
     order = kernel.order
@@ -177,7 +178,7 @@ def galois_orbit(base: HeegnerTau, kernel: GaloisKernel) -> list[HeegnerTau]:
     out = []
     for kc in kernel.classes:
         # the conjugate of the kernel ideal lam O_f cap O_pf
-        abar = tuple((u, -v) for u, v in kc.ideal)
+        abar = tuple((u, -v) for u, v in generator_ideal(order, p, *kc.generator))
         (a1, b1), (_, c1) = ideal_mul(abar, l1, dK)
         (a2, b2), (_, c2) = ideal_mul(abar, l2, dK)
         # both are in Hermite normal form, so m2's rows in the basis of m1 are

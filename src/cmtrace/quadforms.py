@@ -4,22 +4,32 @@ Class groups Pic(O_f) are modelled by primitive reduced forms of discriminant
 f^2 * dK (Gaussian composition itself is a test oracle).  The Galois group of the ring class field
 step H_pf / H_f is realised as the kernel of Pic(O_pf) -> Pic(O_f), built
 directly from its generators: each kernel class is the class of
-(x1 + x2*w_f) O_f cap O_pf for a unit class x1 + x2*w_f in
+lam O_f cap O_pf for a unit class lam = x1 + x2*w_f in
 (O_f / p O_f)^x / F_p^x, and is tagged with that generator, which is what
-the matrix side of the theory consumes.  That intersection is built in the
-closed form N(lam) Z + p lam O_f, lam = x1 + x2*w_f (Cox, Primes of the form
-x^2 + ny^2, section 7); general lattice intersection is only a test oracle.
+the matrix side of the theory consumes.  The kernel classes are the classes
+of the p + 1 index-p sublattices of O_f, each a proper O_pf-ideal (Cox,
+Primes of the form x^2 + ny^2, section 7), and each has a closed form: for
+[x1 : 1] and lam = x1 + w_f,
+
+    lam O_f cap O_pf = N(lam) Z + p lam Z.
+
+Both generators lie in the intersection, and both lattices have index
+p N(lam) in O_f, so they are equal.  Its form is therefore
+(N(lam), -p Tr(lam), p^2), and the class [1 : 0] is O_pf, the principal
+class: kernel_classes builds no lattice.  generator_ideal is the Hermite
+normal form of those two rows, which only heegner.galois_orbit needs;
+general lattice intersection is a test oracle.
 
 Ideals are handled as rank-two lattices in half-integer coordinates: the pair
 (u, v) stands for (u + v*sqrt(dK)) / 2.  _hnf2 (Hermite normal form, by
 cmtrace.fp's one xgcd) is the one integer normal form and basis_form the one
-routine that reads a form off a lattice basis; ideal_to_form and
-heegner.galois_orbit both use them.  lagrange_reduce is the one Lagrange
-reduction of a basis, on an integer Gram triple: heegner.gamma0_reduce runs
-it on the Gram triple of a form and periods.PeriodLattice.reduction on the
-periods cut to integers.  reduce_form keeps its own loop on (a, b, c): it
-runs p + 1 times per kernel, and going through a basis would add a transform
-and an orientation fix to every call.
+routine that reads a form off a lattice basis; heegner.galois_orbit uses
+both.  lagrange_reduce is the one Lagrange reduction of a basis, on an
+integer Gram triple: heegner.gamma0_reduce runs it on the Gram triple of a
+form and periods.PeriodLattice.reduction on the periods cut to integers.
+reduce_form keeps its own loop on (a, b, c): it runs p + 1 times per
+kernel, and going through a basis would add a transform and an orientation
+fix to every call.
 """
 
 from __future__ import annotations
@@ -252,18 +262,6 @@ def basis_form(s1, s2, dK: int) -> BinaryForm:
     return BinaryForm(a // g, b // g, c // g)
 
 
-def ideal_to_form(lattice, dK: int, cond: int) -> BinaryForm:
-    """Reduced form of an oriented proper ideal of the order of conductor cond.
-
-    The primitive form of a lattice has the discriminant of the lattice's ring
-    of multipliers (Cox, Primes of the form x^2 + ny^2, Lemma 7.5), so the
-    check passes exactly for proper (fractional) ideals of that order."""
-    form = basis_form(*_hnf2(lattice), dK)
-    if form.disc() != cond * cond * dK:
-        raise ValueError("lattice is not a proper ideal of this order")
-    return reduce_form(form)
-
-
 def ideal_mul(l1, l2, dK: int):
     rows = [_half_mul(x, y, dK) for x in l1 for y in l2]
     return _hnf2(rows)
@@ -278,7 +276,6 @@ class KernelClass:
     proj: ProjClass
     generator: tuple[int, int]
     form: BinaryForm
-    ideal: tuple                # generator_ideal of the generator, as a lattice
 
 
 @dataclass(frozen=True)
@@ -292,23 +289,33 @@ class GaloisKernel:
 
 
 def generator_ideal(order: QuadOrder, p: int, x1: int, x2: int):
-    """The proper O_pf-ideal lam O_f  intersect  O_pf for lam = x1 + x2*w_f, as a
-    lattice, in the closed form N(lam) Z + p lam O_f.
+    """The proper O_pf-ideal lam O_f  intersect  O_pf for lam = x1 + x2*w_f, a
+    unit mod the inert p, as a lattice: the Hermite normal form of two rows.
 
-    lam is a unit mod the inert p, and conj(lam) = N(lam) lam^{-1} mod p, so for
-    mu in O_f the product lam mu lies in Z + p O_f exactly when mu lies in
-    Z conj(lam) + p O_f; multiplying by lam gives the intersection."""
-    lam = (2 * x1 + x2 * order.t, x2 * order.f)
-    lam_w = _half_mul(lam, (order.t, order.f), order.dK)
-    norm = x1 * x1 + order.t * x1 * x2 + order.n * x2 * x2
-    return _hnf2([(2 * norm, 0), (p * lam[0], p * lam[1]), (p * lam_w[0], p * lam_w[1])])
+    For x2 = 1 the rows are N(lam) and p lam.  Both lie in the intersection
+    (N(lam) = lam conj(lam) is an integer, and p lam lies in p O_f), and both
+    lattices have index p N(lam) in O_f: lam O_f has index N(lam), and
+    lam O_f + O_pf = O_f because lam is a unit mod p, so the intersection has
+    index p in lam O_f.  In general write lam = g lam' with g = gcd(x1, x2),
+    prime to p, and lam' = u1 + u2*w_f.  Then u2 is a unit mod N(lam') and
+    O_f / lam' O_f = Z / N(lam'), in which w_f = -u1 v for u2 v = 1 mod
+    N(lam'); so the rows are g N(lam') and g p (u1 v + w_f), which is p lam
+    itself when x2 = 1 (v = 1), and O_pf = <1, p w_f> at [1 : 0] (v = 0)."""
+    g = gcd(x1, x2)
+    u1, u2 = x1 // g, x2 // g
+    norm = u1 * u1 + order.t * u1 * u2 + order.n * u2 * u2
+    v = pow(u2, -1, norm)
+    return _hnf2([(2 * g * norm, 0), (g * p * (2 * u1 * v + order.t), g * p * order.f)])
 
 
 def kernel_classes(order: QuadOrder, p: int) -> GaloisKernel:
     """The p + 1 classes of Pic(O_pf) that become principal in Pic(O_f).
 
-    One ideal per unit class x1 + x2*w_f of P^1(F_p): the classes of
-    (x1 + x2*w_f) O_f cap O_pf, which must be pairwise distinct.
+    One class per unit class of P^1(F_p), read off in closed form (module
+    docstring): the principal form at [1 : 0], and at [x1 : 1], with
+    lam = x1 + w_f, the reduced form of (N(lam), -p Tr(lam), p^2), the form of
+    the oriented basis (N(lam), p lam) of lam O_f cap O_pf.  The forms must be
+    pairwise distinct.
     """
     if not isprime(p) or p == 2:
         raise ValueError("p must be an odd prime")
@@ -316,11 +323,15 @@ def kernel_classes(order: QuadOrder, p: int) -> GaloisKernel:
         raise ValueError(f"p = {p} is not inert in the field of discriminant {order.dK}")
     if order.f % p == 0:
         raise ValueError("p must not divide the conductor")
+    t, n, p2 = order.t, order.n, p * p
+    disc = p2 * order.disc
+    principal = BinaryForm(1, disc % 2, (disc % 2 - disc) // 4)
     classes = []
     for pt in proj_elements(p):
-        ideal = generator_ideal(order, p, pt.x1, pt.x2)
-        classes.append(KernelClass(proj=pt, generator=(pt.x1, pt.x2), ideal=ideal,
-                                   form=ideal_to_form(ideal, order.dK, p * order.f)))
+        x1 = pt.x1
+        form = (reduce_form(BinaryForm(x1 * x1 + t * x1 + n, -p * (2 * x1 + t), p2))
+                if pt.x2 else principal)
+        classes.append(KernelClass(proj=pt, generator=(x1, pt.x2), form=form))
     if len({kc.form for kc in classes}) != p + 1:
         raise AssertionError("unit classes gave coinciding ideal classes")
     return GaloisKernel(order=order, p=p, classes=tuple(classes))

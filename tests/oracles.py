@@ -11,9 +11,16 @@ routes.  They are capped at p <= ENUMERATION_BOUND.
 generator_ideal_by_intersection builds each kernel ideal
 (x1 + x2*w_f) O_f cap O_pf by intersecting the two lattices with
 lattice_intersect, an integer left-kernel row reduction (_left_kernel_rows);
-cmtrace.quadforms.generator_ideal replaced it with the closed form
-N(lam) Z + p lam O_f, and the HNF of a lattice is unique, so the two routes
-must agree row for row.
+generator_ideal_three_rows builds it as N(lam) Z + p lam O_f, from three
+rows; cmtrace.quadforms.generator_ideal replaced both with two rows, and the
+HNF of a lattice is unique, so the three routes must agree row for row.
+kernel_classes_by_hnf reads every kernel form off the Hermite normal form of
+the three-row ideal (ideal_to_form), where cmtrace.quadforms.kernel_classes
+writes (N(lam), -p Tr(lam), p^2) down directly.  coset_label_by_matrices
+labels a matrix through its inverse and two candidate matrices, and
+two_to_one_by_matrices groups the kernel classes by those labels of
+galois_matrix; cmtrace.embeddings reads the label entries off the matrix
+entries and builds one CosetLabel per fiber.
 
 On the analytic side, eval_series_direct is the term-by-term mpc evaluation
 of the q-series that the fixed-point evaluator in cmtrace.modparam replaced,
@@ -60,15 +67,18 @@ import sympy
 from sympy.ntheory import sqrt_mod
 
 from cmtrace.curves import Curve, CurveModel, an_coefficients
-from cmtrace.embeddings import CosetLabel, EmbeddingData, EmbeddingError
-from cmtrace.fp import FpMatrix, FpParams, _xgcd, in_cartan_group
+from cmtrace.embeddings import (CosetLabel, EmbeddingData, EmbeddingError, FiberStructureError,
+                                galois_matrix)
+from cmtrace.fp import FpMatrix, FpParams, _xgcd, in_cartan_group, isprime, kronecker
 from cmtrace.heegner import HeegnerTau, NoHeegnerPoint, _complete_unimodular, gamma0_reduce
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
 from cmtrace.periods import PeriodLattice, lattice_reduce
-from cmtrace.projline import ProjClass, ProjParams, proj_class, proj_mul
-from cmtrace.quadforms import (BinaryForm, GaloisKernel, QuadOrder, _half_mul, _hnf2,
-                               check_fundamental, form_to_ideal, ideal_mul, ideal_to_form,
-                               lagrange_reduce, reduce_form, reduced_forms)
+from cmtrace.projline import (ProjClass, ProjParams, involution_class, proj_class,
+                              proj_elements, proj_mul)
+from cmtrace.quadforms import (BinaryForm, GaloisKernel, KernelClass, QuadOrder, _half_mul,
+                               _hnf2, basis_form, check_fundamental, form_to_ideal,
+                               generator_ideal, ideal_mul, lagrange_reduce,
+                               reduce_form, reduced_forms)
 from cmtrace.recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational
 
 ENUMERATION_BOUND = 200
@@ -173,6 +183,48 @@ def sorted_min_label(g: FpMatrix) -> CosetLabel:
     return CosetLabel(rep=min(h.mul(ginv) for h in split_normalizer_sl2(g.p)))
 
 
+def coset_label_by_matrices(g: FpMatrix) -> CosetLabel:
+    """cmtrace.embeddings.coset_label through g^{-1} and the two candidate
+    matrices.  Write g^{-1} = (a, b; c, d) and delta = det(g): the diagonal
+    part of the coset is (xa, xb; (delta/x)c, (delta/x)d), the antidiagonal
+    part (xc, xd; -(delta/x)a, -(delta/x)b), and each has its minimum at the
+    x that makes the first nonzero entry of the top row 1."""
+    p = g.p
+    delta = g.det()
+    if delta == 0:
+        raise ValueError("coset labels are defined for invertible matrices")
+    a, b, c, d = g.inv().entries
+    lead_ab, lead_cd = a or b, c or d        # 1/x for the two parts
+    x_ab, x_cd = pow(lead_ab, -1, p), pow(lead_cd, -1, p)
+    diag = FpMatrix(p, x_ab * a, x_ab * b, delta * lead_ab * c, delta * lead_ab * d)
+    anti = FpMatrix(p, x_cd * c, x_cd * d, -delta * lead_cd * a, -delta * lead_cd * b)
+    return CosetLabel(rep=min(diag, anti))
+
+
+def two_to_one_by_matrices(emb: EmbeddingData,
+                           kernel: GaloisKernel) -> dict[CosetLabel, list[ProjClass]]:
+    """cmtrace.embeddings.two_to_one_check with each label taken by
+    coset_label_by_matrices of galois_matrix, and the same checks."""
+    p = emb.params.p
+    if kernel.p != p or kernel.order != emb.order:
+        raise ValueError("kernel and embedding disagree on (order, p)")
+    fibers: dict[CosetLabel, list[ProjClass]] = {}
+    for kc in kernel.classes:
+        x1, x2 = kc.generator
+        label = coset_label_by_matrices(galois_matrix(emb, x1, x2))
+        fibers.setdefault(label, []).append(kc.proj)
+    if len(fibers) != (p + 1) // 2:
+        raise FiberStructureError(f"expected {(p + 1) // 2} labels, got {len(fibers)}")
+    pp = emb.proj_params()
+    invol = involution_class(pp, emb.a)
+    for label, classes in fibers.items():
+        if len(classes) != 2:
+            raise FiberStructureError(f"fiber of {label} has size {len(classes)}")
+        if proj_mul(pp, classes[0], invol) != classes[1]:
+            raise FiberStructureError("fiber partners do not differ by the involution")
+    return fibers
+
+
 @dataclass(frozen=True)
 class GammaDecomposition:
     """r_bar = gamma_i * r_s with gamma_i in SL_2 cap C_ns+ and r_s in C_s+."""
@@ -201,6 +253,18 @@ def decompose_gamma(emb: EmbeddingData, r_bar: FpMatrix) -> GammaDecomposition:
     assert in_cartan_group(r_s, "s+", params)
     assert gamma_i.mul(r_s) == r_bar
     return GammaDecomposition(r_bar=r_bar, gamma_i=gamma_i, r_s=r_s)
+
+
+def ideal_to_form(lattice, dK: int, cond: int) -> BinaryForm:
+    """Reduced form of an oriented proper ideal of the order of conductor cond.
+
+    The primitive form of a lattice has the discriminant of the lattice's ring
+    of multipliers (Cox, Primes of the form x^2 + ny^2, Lemma 7.5), so the
+    check passes exactly for proper (fractional) ideals of that order."""
+    form = basis_form(*_hnf2(lattice), dK)
+    if form.disc() != cond * cond * dK:
+        raise ValueError("lattice is not a proper ideal of this order")
+    return reduce_form(form)
 
 
 def project_form(form: BinaryForm, dK: int, cond_big: int, cond_small: int) -> BinaryForm:
@@ -315,6 +379,34 @@ def generator_ideal_by_intersection(order: QuadOrder, p: int, x1: int, x2: int):
     l1 = (lam, _half_mul(lam, omega, dK))
     l2 = ((2, 0), (p * t, p * f))
     return lattice_intersect(l1, l2)
+
+
+def generator_ideal_three_rows(order: QuadOrder, p: int, x1: int, x2: int):
+    """The kernel ideal as N(lam) Z + p lam O_f: the Hermite normal form of
+    N(lam), p lam and p lam w_f."""
+    lam = (2 * x1 + x2 * order.t, x2 * order.f)
+    lam_w = _half_mul(lam, (order.t, order.f), order.dK)
+    norm = x1 * x1 + order.t * x1 * x2 + order.n * x2 * x2
+    return _hnf2([(2 * norm, 0), (p * lam[0], p * lam[1]), (p * lam_w[0], p * lam_w[1])])
+
+
+def kernel_classes_by_hnf(order: QuadOrder, p: int) -> GaloisKernel:
+    """cmtrace.quadforms.kernel_classes with each form read off the lattice:
+    ideal_to_form of the three-row ideal of each unit class of P^1(F_p)."""
+    if not isprime(p) or p == 2:
+        raise ValueError("p must be an odd prime")
+    if kronecker(order.dK, p) != -1:
+        raise ValueError(f"p = {p} is not inert in the field of discriminant {order.dK}")
+    if order.f % p == 0:
+        raise ValueError("p must not divide the conductor")
+    classes = []
+    for pt in proj_elements(p):
+        ideal = generator_ideal_three_rows(order, p, pt.x1, pt.x2)
+        classes.append(KernelClass(proj=pt, generator=(pt.x1, pt.x2),
+                                   form=ideal_to_form(ideal, order.dK, p * order.f)))
+    if len({kc.form for kc in classes}) != p + 1:
+        raise AssertionError("unit classes gave coinciding ideal classes")
+    return GaloisKernel(order=order, p=p, classes=tuple(classes))
 
 
 def gamma0_reduce_all_candidates(form: BinaryForm, n_level: int) -> BinaryForm:
@@ -432,7 +524,7 @@ def galois_orbit_by_smith(base: HeegnerTau, kernel: GaloisKernel) -> list[Heegne
     out = []
     for kc in kernel.classes:
         # the conjugate of the kernel ideal lam O_f cap O_pf
-        abar = tuple((u, -v) for u, v in kc.ideal)
+        abar = tuple((u, -v) for u, v in generator_ideal(order, p, *kc.generator))
         m1 = ideal_mul(abar, l1, dK)
         m2 = ideal_mul(abar, l2, dK)
         # coordinates of m2's basis in m1's basis

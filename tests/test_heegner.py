@@ -8,7 +8,7 @@ from cmtrace.heegner import (HeegnerTau, NoHeegnerPoint, _has_square_root, galoi
                              gamma0_reduce, heegner_form)
 from cmtrace.quadforms import (BinaryForm, generator_ideal, is_fundamental_discriminant,
                                kernel_classes, order_data, reduce_form)
-from oracles import compose, heegner_form_all_roots
+from oracles import compose, generator_ideal_three_rows, heegner_form_all_roots
 
 
 def brute_stratum_minimum(n_level, dK, c, p):
@@ -166,7 +166,10 @@ ANCHOR_ORBITS = {
 def test_orbit_from_kept_ideals_matches_recorded_anchor_forms(dK, p, n_level):
     order, kernel, base = orbit_setup(dK, p, n_level)
     for kc in kernel.classes:
-        assert kc.ideal == generator_ideal(order, p, *kc.generator)
+        # the two-row ideal that galois_orbit conjugates is the three-row one
+        # the kernel used to keep
+        assert (generator_ideal(order, p, *kc.generator)
+                == generator_ideal_three_rows(order, p, *kc.generator))
     forms = [(pt.form.a, pt.form.b, pt.form.c) for pt in galois_orbit(base, kernel)]
     assert forms == ANCHOR_ORBITS[dK, p, n_level]
 

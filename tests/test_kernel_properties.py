@@ -3,15 +3,17 @@ random inert (dK, f, p) with p <= 31.
 
 The orbit is taken on X_0(p^2): the base point has conductor p*f, and each
 orbit member comes from one kernel ideal, so comparing member by member with
-Gaussian composition (an oracle) pins the single routine that builds the
-kernel ideals for both kernel_classes and galois_orbit.  That routine's
-closed form N(lam) Z + p lam O_f is compared with the lattice intersection
-oracle for random generators lam = x1 + x2*w_f, a unit mod p.  The Gamma_0(N)
-reduction that galois_orbit applies to each member is checked against the
-oracle that builds every candidate form, on random N-divisible forms, and
-shown constant on Gamma_0(N) classes.  At levels N = p^2 M, M split in K,
-galois_orbit (a primitive vector of the Hermite normal form of each lattice
-pair) is compared member by member with the Smith-reduction oracle.
+Gaussian composition (an oracle) ties the ideals that galois_orbit
+conjugates to the forms that kernel_classes writes down.  The ideals'
+two-row closed form is compared with the lattice intersection oracle for
+random generators lam = x1 + x2*w_f, a unit mod p, and the closed-form
+kernel with the forms read off each ideal's Hermite normal form at inert p
+up to 10^4.  The Gamma_0(N) reduction that galois_orbit applies to each
+member is checked against the oracle that builds every candidate form, on
+random N-divisible forms, and shown constant on Gamma_0(N) classes.  At
+levels N = p^2 M, M split in K, galois_orbit (a primitive vector of the
+Hermite normal form of each lattice pair) is compared member by member with
+the Smith-reduction oracle.
 """
 
 from math import gcd
@@ -28,7 +30,8 @@ from cmtrace.projline import involution_class, proj_mul
 from cmtrace.quadforms import (BinaryForm, generator_ideal, is_fundamental_discriminant,
                                kernel_classes, order_data, proj_params, reduce_form)
 from oracles import (compose, form_inverse, galois_orbit_by_smith, gamma0_reduce_all_candidates,
-                     generator_ideal_by_intersection, principal_form, project_form)
+                     generator_ideal_by_intersection, kernel_classes_by_hnf, principal_form,
+                     project_form)
 
 CASES = [(dK, f, p)
          for dK in range(-200, -6) if is_fundamental_discriminant(dK)
@@ -61,6 +64,21 @@ def test_closed_form_kernel_ideal_equals_the_lattice_intersection(case, x1, x2):
     assume(x1 % p or x2 % p)
     order = order_data(dK, f)
     assert generator_ideal(order, p, x1, x2) == generator_ideal_by_intersection(order, p, x1, x2)
+
+
+FUNDAMENTAL = [dK for dK in range(-300, -4) if is_fundamental_discriminant(dK)]
+WIDE_PRIMES = list(primerange(3, 10 ** 4))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(FUNDAMENTAL), st.sampled_from(WIDE_PRIMES), st.integers(1, 7),
+       st.integers(0, 10 ** 4))
+def test_closed_form_kernel_equals_the_hermite_normal_form_route_at_wide_p(dK, p, f, x1):
+    assume(kronecker(dK, p) == -1 and f % p)
+    order = order_data(dK, f)
+    assert kernel_classes(order, p) == kernel_classes_by_hnf(order, p)
+    x1 %= p
+    assert generator_ideal(order, p, x1, 1) == generator_ideal_by_intersection(order, p, x1, 1)
 
 
 @PROPERTY

@@ -1,14 +1,19 @@
 """The closed-form finite layer against the exhaustive oracles in oracles.py."""
 
+from itertools import product
+
 import pytest
 from sympy import primerange
 
-from cmtrace.embeddings import build_embedding, coset_label
+from cmtrace.embeddings import build_embedding, coset_label, two_to_one_check
 from cmtrace.experiments import ExperimentSpec, experiment_finite
-from cmtrace.fp import FpParams, kronecker
-from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
-from oracles import (decompose_gamma, enumerate_cartan, kernel_forms_by_filter,
-                     sl2_elements, sorted_min_label)
+from cmtrace.fp import FpMatrix, FpParams, kronecker
+from cmtrace.quadforms import (generator_ideal, is_fundamental_discriminant, kernel_classes,
+                               order_data)
+from oracles import (coset_label_by_matrices, decompose_gamma, enumerate_cartan,
+                     generator_ideal_by_intersection, kernel_classes_by_hnf,
+                     kernel_forms_by_filter, sl2_elements, sorted_min_label,
+                     two_to_one_by_matrices)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -50,3 +55,55 @@ def test_experiment_finite_beyond_enumeration_bound():
     report = experiment_finite(ExperimentSpec(dK=-11, f=1, p=211, mode="finite_only"))
     assert report.all_passed
     assert report.fiber_count == report.degree == 106
+
+
+# every fundamental dK in [-300, -5] and inert p < 80; one test per conductor
+SWEEP = [(dK, p) for dK in range(-300, -4) if is_fundamental_discriminant(dK)
+         for p in primerange(3, 80) if kronecker(dK, p) == -1]
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 5, 6, 7])
+def test_closed_form_kernel_equals_the_hermite_normal_form_route(f):
+    cases = [(dK, p) for dK, p in SWEEP if f % p]
+    assert len(cases) > 800
+    for dK, p in cases:
+        order = order_data(dK, f)
+        kernel = kernel_classes(order, p)
+        # the same forms, class by class, in the same order
+        assert kernel == kernel_classes_by_hnf(order, p), (dK, p, f)
+        for kc in kernel.classes:
+            x1, x2 = kc.generator
+            assert (generator_ideal(order, p, x1, x2)
+                    == generator_ideal_by_intersection(order, p, x1, x2)), (dK, p, f, x1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_coset_label_from_entries_matches_the_matrix_route_on_gl2(p):
+    invertible = 0
+    for entries in product(range(p), repeat=4):
+        g = FpMatrix(p, *entries)
+        if g.det():
+            invertible += 1
+            assert coset_label(g) == coset_label_by_matrices(g), g
+    assert invertible == (p * p - 1) * (p * p - p)
+
+
+def test_two_to_one_check_returns_the_dict_of_the_matrix_route():
+    checked = 0
+    for dK in range(-120, -4):
+        if not is_fundamental_discriminant(dK):
+            continue
+        for p in primerange(3, 32):
+            if kronecker(dK, p) != -1:
+                continue
+            for f in (1, 2, 3):
+                if f % p == 0:
+                    continue
+                order = order_data(dK, f)
+                emb = build_embedding(FpParams(p), order)
+                kernel = kernel_classes(order, p)
+                got, want = two_to_one_check(emb, kernel), two_to_one_by_matrices(emb, kernel)
+                # same keys in the same order, same classes in the same order
+                assert list(got.items()) == list(want.items()), (dK, p, f)
+                checked += 1
+    assert checked == 458

@@ -9,10 +9,10 @@ from sympy import primerange
 from cmtrace.fp import kronecker
 from cmtrace.projline import ProjClass, proj_elements, proj_mul
 from cmtrace.quadforms import (BinaryForm, _hnf2, basis_form, class_number, form_to_ideal,
-                               ideal_to_form, is_fundamental_discriminant, kernel_classes,
-                               lagrange_reduce, order_data, proj_params, reduce_form, reduced_forms)
+                               is_fundamental_discriminant, kernel_classes, lagrange_reduce,
+                               order_data, proj_params, reduce_form, reduced_forms)
 from oracles import (ClassGroup, class_to_proj, compose, element_order, form_inverse, form_pow,
-                     principal_form, project_form)
+                     ideal_to_form, principal_form, project_form)
 
 # ---------------------------------------------------------------------------
 # Independent oracles.  Ideal arithmetic here is written from scratch against
