@@ -10,6 +10,7 @@ from .curves import Curve, CurveModel, an_coefficients, conductor, curve_model, 
 from .embeddings import (EmbeddingData, build_embedding, find_common_norm_element,
                          galois_matrix, lemma_converse_check, signo_pairing_check,
                          two_to_one_check, verify_optimal)
+from .errors import CmtraceError, InputError
 from .experiments import (ExperimentSpec, FiniteReport, TraceReport,
                           experiment_finite, trace_point)
 from .fp import ArithmeticBoundError, FpMatrix, FpParams, cartan_membership, index_ns_plus

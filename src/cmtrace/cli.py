@@ -2,9 +2,10 @@
 Atkin-Lehner signs, and full trace experiments with JSON reports.
 
 Exit codes: 0 when a verdict was reached (or the command succeeded, --help
-included), 2 when a trace run ends undecided, 1 on errors, unsatisfiable
-inputs, malformed or missing arguments and a --json path that cannot be
-written.
+included), 2 when a trace run ends undecided, 1 on malformed, missing or
+unsatisfiable input, on a bound of the package and on a --json path that
+cannot be written, and 3 when a check of the theory fails (EXIT_CODES).  An
+exception outside that table is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -18,14 +19,22 @@ from contextlib import nullcontext
 import mpmath as mp
 
 from .curves import Curve, conductor, curve_model, minimal_model
+from .embeddings import FiberStructureError
+from .errors import CmtraceError, InputError
 from .experiments import (DEFAULT_DIGITS, ExperimentSpec, check_digits, experiment_finite,
                           trace_point)
 from .heegner import heegner_form
-from .modparam import SeriesBudgetError, SignConsistencyError, atkin_lehner_sign
-from .periods import DIGITS_CAP, PrecisionError
+from .modparam import atkin_lehner_sign
+from .periods import DIGITS_CAP
 from .quadforms import reduced_forms
 
 ENV_DIGITS = "CMTRACE_DIGITS"
+# Exit code per error class; the most specific class of an error's MRO counts.
+EXIT_CODES = {
+    CmtraceError: 1,             # input errors and the package's stated bounds
+    OSError: 1,                  # a --json path that cannot be written
+    FiberStructureError: 3,      # a check of the theory failed
+}
 
 
 def _default_digits() -> int:
@@ -36,7 +45,7 @@ def _default_digits() -> int:
         digits = int(raw)
         check_digits(digits)
     except ValueError:
-        raise ValueError(f"{ENV_DIGITS} must be an integer between 1 and {DIGITS_CAP}, "
+        raise InputError(f"{ENV_DIGITS} must be an integer between 1 and {DIGITS_CAP}, "
                          f"got {raw!r}") from None
     return digits
 
@@ -172,9 +181,12 @@ def main(argv=None) -> int:
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")
             return code
-    except (SignConsistencyError, SeriesBudgetError, PrecisionError, ValueError, OSError) as exc:
+    except Exception as exc:
+        code = next((EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES), None)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return code
 
 
 if __name__ == "__main__":

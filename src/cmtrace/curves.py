@@ -41,6 +41,7 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
+from .errors import InputError
 from .fp import factorint, isprime, kronecker
 
 
@@ -100,7 +101,7 @@ class Curve:
     def __post_init__(self):
         assert 4 * self.b8 == self.b2 * self.b6 - self.b4 * self.b4
         if self.disc == 0:
-            raise ValueError("singular Weierstrass equation")
+            raise InputError("singular Weierstrass equation")
 
 
 # The 13 rational j-invariants with complex multiplication, by the
@@ -128,7 +129,7 @@ def transform(cur: Curve, u: int, r: int, s: int, t: int) -> Curve:
     n6 = a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1
     for name, val, k in (("a1", n1, 1), ("a2", n2, 2), ("a3", n3, 3), ("a4", n4, 4), ("a6", n6, 6)):
         if val % u ** k:
-            raise ValueError(f"non-integral transform at {name}")
+            raise InputError(f"non-integral transform at {name}")
     return Curve(n1 // u, n2 // u ** 2, n3 // u ** 3, n4 // u ** 4, n6 // u ** 6)
 
 
@@ -183,7 +184,7 @@ def minimal_model(cur: Curve) -> Curve:
 
 def _valuation(n: int, q: int) -> int:
     if n == 0:
-        raise ValueError("valuation of zero")
+        raise InputError("valuation of zero")
     v = 0
     while n % q == 0:
         n //= q
@@ -372,9 +373,9 @@ def ap_good(cur: Curve, ell: int) -> int:
     """a_ell = ell + 1 - #E(F_ell) for a prime of good reduction; 0 without
     a count when ell >= 5 is inert in the CM field (module docstring)."""
     if cur.disc % ell == 0:
-        raise ValueError(f"{ell} is a prime of bad reduction")
+        raise InputError(f"{ell} is a prime of bad reduction")
     if ell > AN_BOUND:
-        raise ValueError(f"point counts capped at {AN_BOUND}")
+        raise InputError(f"point counts capped at {AN_BOUND}")
     if ell >= 5 and cur.cm_disc and kronecker(cur.cm_disc, ell) == -1:
         return 0
     if ell == 2:
@@ -425,7 +426,7 @@ def an_coefficients(cur: Curve, bound: int) -> list[int]:
     every a_ell is point-counted once per curve and process.  The cache is
     keyed by the given model, so minimal_model runs once per model."""
     if bound > AN_BOUND:
-        raise ValueError(f"coefficient bound capped at {AN_BOUND}")
+        raise InputError(f"coefficient bound capped at {AN_BOUND}")
     entry = _an_cache.get(cur.ainvs)
     if entry is None:
         m = minimal_model(cur)
@@ -541,12 +542,12 @@ def curve_model(ainvs, p: int | None = None) -> CurveModel:
     if p is None:
         cands = [q for q in factorint(n) if q > 2 and _valuation(n, q) == 2]
         if len(cands) != 1:
-            raise ValueError(
+            raise InputError(
                 f"conductor {n} has no unique odd prime with exact square power; pass p")
         p = cands[0]
     if p == 2 or not isprime(p):
-        raise ValueError("p must be an odd prime")
+        raise InputError("p must be an odd prime")
     if _valuation(n, p) != 2:
-        raise ValueError(f"p^2 does not exactly divide the conductor {n}")
+        raise InputError(f"p^2 does not exactly divide the conductor {n}")
     m = n // (p * p)
     return CurveModel(curve=cur, minimal=mini, n=n, p=p, m=m)

@@ -19,16 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .errors import CmtraceError, InputError
 from .fp import FpMatrix, FpParams, in_cartan_group, kronecker, sqrt_mod_p
 from .projline import ProjClass, involution_class, proj_mul
 from .quadforms import GaloisKernel, QuadOrder, proj_params
 
 
-class EmbeddingError(ValueError):
+class EmbeddingError(InputError):
     pass
 
 
-class FiberStructureError(AssertionError):
+class FiberStructureError(CmtraceError, AssertionError):
     """The two-to-one fiber structure failed; indicates corrupted inputs."""
 
 
@@ -111,7 +112,7 @@ def galois_matrix(emb: EmbeddingData, x1: int, x2: int) -> FpMatrix:
     """The matrix x1*I + x2*iota_omega; invertible whenever (x1, x2) != (0, 0)."""
     p = emb.params.p
     if x1 % p == 0 and x2 % p == 0:
-        raise ValueError("zero pair")
+        raise InputError("zero pair")
     a, b, c, d = emb.iota_omega.entries
     m = FpMatrix(p, x1 + x2 * a, x2 * b, x2 * c, x1 + x2 * d)
     assert m.is_invertible(), "norm form vanished at an inert prime"
@@ -148,7 +149,7 @@ def _label_entries(p: int, a: int, b: int, c: int, d: int) -> tuple[int, int, in
     """
     delta = (a * d - b * c) % p
     if delta == 0:
-        raise ValueError("coset labels are defined for invertible matrices")
+        raise InputError("coset labels are defined for invertible matrices")
     dinv = pow(delta, -1, p)
     lead = d % p or -b % p
     x = pow(lead, -1, p)
@@ -180,7 +181,7 @@ def two_to_one_check(emb: EmbeddingData, kernel: GaloisKernel) -> dict[CosetLabe
     """
     p = emb.params.p
     if kernel.p != p or kernel.order != emb.order:
-        raise ValueError("kernel and embedding disagree on (order, p)")
+        raise InputError("kernel and embedding disagree on (order, p)")
     a, b, c, d = emb.iota_omega.entries
     by_entries: dict[tuple[int, int, int, int], list[ProjClass]] = {}
     for kc in kernel.classes:
@@ -220,7 +221,7 @@ def find_common_norm_element(params: FpParams, l: int) -> FpMatrix:
     p, eps = params.p, params.eps
     l %= p
     if l == 0:
-        raise ValueError("determinant must be a unit")
+        raise InputError("determinant must be a unit")
     if kronecker(l, p) == 1:
         mu = sqrt_mod_p(l, p)
         out = FpMatrix(p, mu, 0, 0, mu)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import gcd
+from functools import lru_cache
+from itertools import combinations
+from math import gcd, prod
 
 import mpmath as mp
 
@@ -19,9 +21,11 @@ from .curves import CurveModel
 from .embeddings import (build_embedding, find_common_norm_element,
                          lemma_converse_check, signo_pairing_check, two_to_one_check,
                          verify_optimal)
+from .errors import InputError
 from .fp import FpParams, factorint, index_ns_plus, isprime, kronecker
-from .heegner import HeegnerTau, galois_orbit, heegner_form
-from .modparam import atkin_lehner_sign, eval_phi, phi_terms
+from .heegner import HeegnerTau, al_move, galois_orbit, heegner_form
+from .modparam import (SeriesBudgetError, al_constant, al_constant_points, atkin_lehner_sign,
+                       eval_phi, local_sign, phi_terms)
 from .periods import (DIGITS_CAP, PeriodLattice, elliptic_exp, is_torsion,
                       period_lattice, torsion_residual)
 from .quadforms import GaloisKernel, class_number, kernel_classes, order_data
@@ -34,14 +38,14 @@ DEFAULT_DIGITS = 60
 TRACE_MIN_DIGITS = 15
 
 
-class HypothesisError(ValueError):
+class HypothesisError(InputError):
     pass
 
 
 def check_digits(digits: int):
     """Reject a working precision outside 1..DIGITS_CAP before any work."""
     if not 1 <= digits <= DIGITS_CAP:
-        raise ValueError(f"digits must be between 1 and {DIGITS_CAP}, got {digits}")
+        raise InputError(f"digits must be between 1 and {DIGITS_CAP}, got {digits}")
 
 
 @dataclass(frozen=True)
@@ -57,9 +61,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise InputError(f"unknown mode {self.mode!r}")
         if self.curve is None and self.p is None:
-            raise ValueError("either a curve or an explicit p is required")
+            raise InputError("either a curve or an explicit p is required")
 
     @property
     def prime(self) -> int:
@@ -70,7 +74,7 @@ class ExperimentSpec:
         ramification and sign."""
         check_digits(self.digits)
         if self.mode != "finite_only" and self.digits < TRACE_MIN_DIGITS:
-            raise ValueError(f"a trace needs at least {TRACE_MIN_DIGITS} digits, "
+            raise InputError(f"a trace needs at least {TRACE_MIN_DIGITS} digits, "
                              f"got {self.digits}")
         order_data(self.dK, self.f)          # fundamental, dK < -4, f >= 1
         p = self.prime
@@ -161,6 +165,39 @@ class OrbitEntry:
     form: tuple[int, int, int]
     tau: str
     z: tuple[str, str]
+    q: int                           # the W_Q the point went through, 1 for none
+    n_max: int                       # terms of the series evaluated for it
+
+
+@dataclass(frozen=True)
+class OrbitMove:
+    """How one orbit point tau is evaluated: phi(tau) = w (phi(point) - K_Q),
+    point = W_Q (tau + k).  q = 1 keeps tau, with w = 1 and K_1 = 0."""
+
+    q: int
+    w: int
+    point: HeegnerTau
+    n_max: int
+
+
+@dataclass(frozen=True)
+class OrbitPlan:
+    """One move per orbit point, in orbit order, and (Q, w_Q, n_max, count)
+    for each K_Q the moves use: count points of n_max terms each compute it
+    (al_constant_points); n_max = count = 0 when K_Q = 0 exactly."""
+
+    moves: tuple[OrbitMove, ...]
+    constants: tuple[tuple[int, int, int, int], ...]
+
+    @property
+    def terms(self) -> int:
+        """Series terms the plan evaluates, K_Q included."""
+        return (sum(mv.n_max for mv in self.moves)
+                + sum(n * count for _, _, n, count in self.constants))
+
+    @property
+    def n_max(self) -> int:
+        return max([mv.n_max for mv in self.moves] + [n for _, _, n, _ in self.constants])
 
 
 @dataclass(frozen=True)
@@ -211,32 +248,151 @@ def _cstr(z, digits: int) -> dict:
             "precision": digits}
 
 
-def orbit_trace(model: CurveModel, orbit, kernel, digits: int):
-    """Evaluate the parametrisation over the orbit and sum in kernel order.
+@lru_cache(maxsize=128)
+def al_signs(model: CurveModel, wp: int | None = None) -> tuple[tuple[int, int], ...]:
+    """((Q, w_Q), ...) for every Q || N, Q > 1, whose sign needs no series:
+    the product of the local signs, or wp (when given) for Q = p^2.  Other Q,
+    such as 36a1's Q = 4 and Q = 36 (additive at 2), are never used."""
+    powers = [q ** e for q, e in factorint(model.n).items()]
+    out = []
+    for r in range(1, len(powers) + 1):
+        for combo in combinations(powers, r):
+            q_div = prod(combo)
+            w = local_sign(model.minimal, q_div)
+            if w is None and q_div == model.p ** 2:
+                w = wp
+            if w is not None:
+                out.append((q_div, w))
+    return tuple(out)
 
-    Every point has Im tau = sqrt|D| / (2A) for one D = (pf)^2 dK, so the point
-    of largest A needs the most terms and goes first: the a_n sieve is extended
-    once, and an over-budget orbit fails before any evaluation.  Each value
-    depends only on (tau, digits, a[0..n_max]), so the order changes nothing."""
+
+def _terms(im_tau, digits: int) -> tuple[int, bool]:
+    """(phi_terms, within the budget) at a point of that Im tau."""
+    try:
+        return phi_terms(im_tau, digits), True
+    except SeriesBudgetError as exc:
+        return exc.needed, False
+
+
+def _options(pt: HeegnerTau, signs: tuple, digits: int, root) -> list:
+    """[(n_max, within budget, q, point)]: tau itself (q = 1) and its best
+    W_Q (tau + k) for each Q of `signs` whose leading coefficient is smaller.
+    Each Im tau is root / (2A), root = sqrt|D| at digits + 15, as
+    HeegnerTau.tau computes it."""
+    opts = [(*_terms(root / (2 * pt.form.a), digits), 1, pt)]
+    for q_div, _ in signs:
+        _, form = al_move(pt.form, pt.n_level, q_div)
+        if form.a < pt.form.a:
+            opts.append((*_terms(root / (2 * form.a), digits), q_div,
+                         HeegnerTau(form=form, n_level=pt.n_level, dK=pt.dK,
+                                    conductor=pt.conductor)))
+    return opts
+
+
+def _option_table(orbit, signs: tuple, digits: int) -> list:
+    """_options of every orbit point; the points share one D."""
+    with mp.workdps(digits + 15):
+        root = mp.sqrt(-orbit[0].form.disc())
+        return [_options(pt, signs, digits, root) for pt in orbit]
+
+
+def orbit_budget(model: CurveModel, orbit, digits: int) -> int:
+    """The least n_max a plan of the orbit can have, or SeriesBudgetError
+    when that is above the cap: the terms at the point whose best option
+    (itself or a usable W_Q image) has the largest leading coefficient.
+    Needs no sign value, since which Q are usable does not depend on it, and
+    evaluates no series.  The K_Q are left out, so plan_orbit may still fail
+    where this passes."""
+    signs = al_signs(model, wp=1)
+    worst = max(min([pt.form.a] + [al_move(pt.form, pt.n_level, q)[1].a for q, _ in signs])
+                for pt in orbit)
+    with mp.workdps(digits + 15):
+        return phi_terms(mp.sqrt(-orbit[0].form.disc()) / (2 * worst), digits)
+
+
+def plan_orbit(model: CurveModel, orbit, digits: int, wp: int | None = None) -> OrbitPlan:
+    """How to evaluate each orbit point with the fewest series terms, K_Q
+    included: each point keeps tau or moves to its best W_Q (tau + k) among
+    the usable Q (al_signs).  Every set of usable Q is tried, the smallest
+    first, and a set must be strictly cheaper to win, so a Q is used only
+    when the terms its points save exceed what its K_Q costs.  Within a set
+    each point takes its cheapest option, tau itself on a tie.  Integer
+    arithmetic picks each move (al_move); phi_terms prices it.
+    SeriesBudgetError when no plan stays within the budget."""
+    signs = al_signs(model, wp)
+    table = _option_table(orbit, signs, digits)
+    offered = {o[2] for opts in table for o in opts}
+    k_cost = {}                                   # Q -> (w, n_max, points) of K_Q
+    for q_div, w in signs:
+        if q_div not in offered:
+            continue
+        pts = al_constant_points(model.n, q_div, w, digits)
+        n, ok = _terms(pts[0][1].imag, digits) if pts else (0, True)
+        if ok:
+            k_cost[q_div] = (w, n, len(pts))
+    best = None
+    for r in range(len(k_cost) + 1):
+        for used in combinations(sorted(k_cost), r):
+            allowed = {1, *used}
+            picks = []
+            for opts in table:
+                within = [o for o in opts if o[1] and o[2] in allowed]
+                if not within:
+                    break
+                picks.append(min(within, key=lambda o: (o[0], o[2])))
+            else:
+                cost = sum(o[0] for o in picks) + sum(k_cost[q][1] * k_cost[q][2] for q in used)
+                if best is None or cost < best[0]:
+                    best = (cost, used, picks)
+    if best is None:
+        raise SeriesBudgetError(max(min(o[0] for o in opts) for opts in table))
+    _, used, picks = best
+    sign_of = dict(signs)
+    return OrbitPlan(
+        moves=tuple(OrbitMove(q=q, w=sign_of.get(q, 1), point=pt, n_max=n)
+                    for n, _, q, pt in picks),
+        constants=tuple((q, *k_cost[q]) for q in used))
+
+
+def orbit_trace(model: CurveModel, orbit, kernel, digits: int, wp: int | None = None):
+    """Evaluate the parametrisation over the orbit as plan_orbit says, and sum
+    in kernel order: phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q) is exact, so
+    no period enters (modparam docstring).
+
+    The plan is made before any evaluation, so an over-budget orbit fails
+    first.  The evaluations, K_Q's included, run from the most terms down:
+    the a_n sieve is extended once.  Each value depends only on (tau,
+    digits, a[0..n_max]), so the order changes nothing."""
+    plan = plan_orbit(model, orbit, digits, wp)
+    cur = model.minimal
     with mp.workdps(digits + 15):
         taus = [pt.tau(digits) for pt in orbit]
-        order = sorted(range(len(taus)), key=lambda i: orbit[i].form.a, reverse=True)
-        n_max = phi_terms(taus[order[0]].imag, digits)
-        zs = [None] * len(taus)
-        for i in order:
-            zs[i] = eval_phi(model, taus[i], digits)
+        # (terms, job): a K_Q entry of plan.constants, or an orbit index
+        jobs = [(c[2], c) for c in plan.constants]
+        jobs += [(mv.n_max, i) for i, mv in enumerate(plan.moves)]
+        consts, values = {}, [None] * len(orbit)
+        for _, job in sorted(jobs, key=lambda j: -j[0]):
+            if isinstance(job, tuple):
+                q_div, w, _, _ = job
+                consts[q_div] = al_constant(cur, model.n, q_div, w, digits)
+            else:
+                mv = plan.moves[job]
+                values[job] = eval_phi(model, taus[job] if mv.q == 1 else mv.point.tau(digits),
+                                       digits)
+        zs = [z if mv.q == 1 else mv.w * (z - consts[mv.q]) for mv, z in zip(plan.moves, values)]
         entries = []
-        for kc, pt, tau, z in zip(kernel.classes, orbit, taus, zs):
+        for kc, pt, tau, mv, z in zip(kernel.classes, orbit, taus, plan.moves, zs):
             entries.append(OrbitEntry(
                 proj=kc.generator,
                 form=(pt.form.a, pt.form.b, pt.form.c),
                 tau=mp.nstr(tau, min(digits, 30)),
                 z=(mp.nstr(z.real, min(digits, 30)), mp.nstr(z.imag, min(digits, 30))),
+                q=mv.q, n_max=mv.n_max,
             ))
         trace_z = mp.mpc(0)
         for z in zs:                     # fixed ascending kernel order
             trace_z += z
-        return tuple(entries), +trace_z, n_max
+        return tuple(entries), +trace_z, plan.n_max
 
 
 def trace_point(spec: ExperimentSpec) -> TraceReport:
@@ -244,9 +400,9 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     values, trace, torsion verdict and (for class number one at f = 1) exact
     recognition."""
     if spec.mode == "finite_only":
-        raise ValueError("trace_point needs an analytic mode")
+        raise InputError("trace_point needs an analytic mode")
     if spec.curve is None:
-        raise ValueError("trace_point needs a curve")
+        raise InputError("trace_point needs a curve")
     spec.validate()
     model = spec.curve
     digits = spec.digits
@@ -259,7 +415,7 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
                       n_level=model.n, dK=spec.dK, conductor=model.p * spec.f)
     orbit = galois_orbit(base, kernel)
     # an over-budget orbit fails here, before the sign can evaluate a series
-    phi_terms(max(orbit, key=lambda pt: pt.form.a).tau(digits).imag, digits)
+    orbit_budget(model, orbit, digits)
     t_finite = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -267,7 +423,7 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     timings = {"atkin_lehner": time.perf_counter() - t0, "finite_layer": t_finite}
 
     t0 = time.perf_counter()
-    entries, trace_z, n_max = orbit_trace(model, orbit, kernel, digits)
+    entries, trace_z, n_max = orbit_trace(model, orbit, kernel, digits, wp)
     timings["orbit_evaluation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

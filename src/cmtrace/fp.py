@@ -26,13 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InputError
+
 CARTAN_KINDS = ("ns", "ns+", "s", "s+")
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3317044064679887385961981
 TRIAL_BOUND = 10 ** 6
 
 
-class ArithmeticBoundError(ValueError):
+class ArithmeticBoundError(InputError):
     """An integer beyond what isprime or factorint decide exactly."""
 
 
@@ -69,7 +71,7 @@ def isprime(n: int) -> bool:
 def factorint(n: int) -> dict[int, int]:
     """{q: e} with n the product of the q^e, primes ascending, for n >= 1."""
     if n < 1:
-        raise ValueError(f"factorint needs n >= 1, got {n}")
+        raise InputError(f"factorint needs n >= 1, got {n}")
     out: dict[int, int] = {}
     rest, q = n, 2
     rest_is_prime = isprime(rest)
@@ -141,17 +143,17 @@ def smallest_nonsquare(p: int) -> int:
     for x in range(2, p):
         if kronecker(x, p) == -1:
             return x
-    raise ValueError(f"no non-square mod {p}")
+    raise InputError(f"no non-square mod {p}")
 
 
 def sqrt_mod_p(a: int, p: int) -> int:
     """The square root r <= p // 2 of a mod the odd prime p (the smaller of
-    r and p - r), or ValueError if a is a non-square."""
+    r and p - r), or InputError if a is a non-square."""
     a %= p
     if a == 0:
         return 0
     if kronecker(a, p) != 1:
-        raise ValueError(f"{a} is not a square mod {p}")
+        raise InputError(f"{a} is not a square mod {p}")
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
     else:
@@ -183,14 +185,14 @@ class FpParams:
 
     def __post_init__(self):
         if self.p < 3 or not isprime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
+            raise InputError(f"p must be an odd prime, got {self.p}")
         eps = self.eps
         if eps is None:
             eps = smallest_nonsquare(self.p)
         else:
             eps %= self.p
             if kronecker(eps, self.p) != -1:
-                raise ValueError(f"eps={eps} is a square mod {self.p}")
+                raise InputError(f"eps={eps} is a square mod {self.p}")
         object.__setattr__(self, "eps", eps)
 
 
@@ -226,7 +228,7 @@ class FpMatrix:
 
     def mul(self, other: "FpMatrix") -> "FpMatrix":
         if self.p != other.p:
-            raise ValueError("mixed characteristics")
+            raise InputError("mixed characteristics")
         return FpMatrix(
             self.p,
             self.a * other.a + self.b * other.c,
@@ -259,9 +261,9 @@ def cartan_membership(m: FpMatrix, kind: str, params: FpParams) -> bool:
     additionally requires det(m) != 0 (see in_cartan_group).
     """
     if kind not in CARTAN_KINDS:
-        raise ValueError(f"unknown Cartan kind {kind!r}")
+        raise InputError(f"unknown Cartan kind {kind!r}")
     if m.p != params.p:
-        raise ValueError("matrix and params disagree on p")
+        raise InputError("matrix and params disagree on p")
     p, eps = params.p, params.eps
     a, b, c, d = m.entries
     ns = a == d and (b * eps - c) % p == 0

@@ -26,12 +26,14 @@ from math import gcd
 
 import mpmath as mp
 
+from .errors import InputError
 from .fp import _xgcd, factorint, kronecker
+from .modparam import al_matrix
 from .quadforms import (BinaryForm, GaloisKernel, _hnf2, basis_form, check_fundamental,
                         form_to_ideal, generator_ideal, ideal_mul, lagrange_reduce)
 
 
-class NoHeegnerPoint(ValueError):
+class NoHeegnerPoint(InputError):
     """The discriminant admits no form with N | A (square-root obstruction)."""
 
 
@@ -46,9 +48,9 @@ class HeegnerTau:
 
     def __post_init__(self):
         if self.form.a % self.n_level:
-            raise ValueError("leading coefficient must be divisible by N")
+            raise InputError("leading coefficient must be divisible by N")
         if self.form.disc() != self.conductor ** 2 * self.dK:
-            raise ValueError("discriminant mismatch")
+            raise InputError("discriminant mismatch")
 
     def tau(self, digits: int):
         """Upper half plane representative at the requested precision."""
@@ -60,7 +62,7 @@ class HeegnerTau:
 def heegner_form(n_level: int, dK: int, c: int) -> BinaryForm:
     """Deterministic smallest-|B| primitive form (N, B, C) with B^2 = c^2 dK mod 4N.
 
-    dK must be a fundamental discriminant, as for order_data (ValueError).
+    dK must be a fundamental discriminant, as for order_data (InputError).
     Raises NoHeegnerPoint when the congruence is unsolvable, which is exactly
     the classical obstruction (for instance conductor 1 at an inert prime);
     that is decided from the factorisation of 4N before any scan.
@@ -72,7 +74,7 @@ def heegner_form(n_level: int, dK: int, c: int) -> BinaryForm:
     relations live there.  heegner_form restricts to it.
     """
     if n_level < 1 or c < 1:
-        raise ValueError(f"level and conductor must be positive, got N = {n_level}, c = {c}")
+        raise InputError(f"level and conductor must be positive, got N = {n_level}, c = {c}")
     check_fundamental(dK)                # so disc < 0
     disc = c * c * dK
     stratum = 1
@@ -133,7 +135,7 @@ def gamma0_reduce(form: BinaryForm, n_level: int) -> BinaryForm:
     that sublattice, Lagrange-reduced for the Gram triple (2A, B, 2C) of Q.
     """
     if form.a % n_level:
-        raise ValueError("form is not N-divisible")
+        raise InputError("form is not N-divisible")
     v1, v2 = lagrange_reduce((2 * form.a, form.b, 2 * form.c), (1, 0), (0, n_level))
     primitive = []
     for s in range(-4, 5):
@@ -155,6 +157,31 @@ def gamma0_reduce(form: BinaryForm, n_level: int) -> BinaryForm:
     return out
 
 
+def al_move(form: BinaryForm, n_level: int, q_div: int) -> tuple[int, BinaryForm]:
+    """(k, G): G the form of W_Q (tau + k), tau the point of the N-divisible
+    form F = (A, B, C) and W_Q = al_matrix(N, Q) = (a, b; N, d), for the
+    integer k that makes the leading coefficient of G least, hence Im W_Q
+    (tau + k) greatest.
+
+    With W = W_Q T^k = (a, a k + b; N, N k + d) of determinant Q, the point
+    W tau is the root of F(d' x - b' y, -N x + a y) / Q, d' = N k + d and b'
+    = a k + b: W^{-1} is the adjugate over Q, and W keeps the upper half
+    plane.  Its leading coefficient F(N k + d, -N) / Q is least at N k + d
+    nearest B N / (2 A).  W_Q maps Heegner forms of level N and discriminant
+    D to Heegner forms of the same level and discriminant (Gross, Kohnen and
+    Zagier, Math. Ann. 278, 1987), which the closing assertion checks."""
+    a, b, n, d = al_matrix(n_level, q_div)
+    k0 = (form.b * n - 2 * form.a * d) // (2 * form.a * n)
+    k = min((k0, k0 + 1), key=lambda k: (form.value(n * k + d, -n), k))
+    x, y, u, v = n * k + d, -n, -(a * k + b), a        # columns (x, y), (u, v)
+    big_a, big_c = form.value(x, y), form.value(u, v)
+    big_b = 2 * (form.a * x * u + form.c * y * v) + form.b * (x * v + y * u)
+    assert big_a % q_div == 0 and big_b % q_div == 0 and big_c % q_div == 0
+    out = BinaryForm(big_a // q_div, big_b // q_div, big_c // q_div)
+    assert out.a % n_level == 0 and out.disc() == form.disc()
+    return k, out
+
+
 def galois_orbit(base: HeegnerTau, kernel: GaloisKernel) -> list[HeegnerTau]:
     """The Gal(H_pf / H_f) orbit of the base point, one member per kernel class.
 
@@ -167,7 +194,7 @@ def galois_orbit(base: HeegnerTau, kernel: GaloisKernel) -> list[HeegnerTau]:
     order = kernel.order
     p = kernel.p
     if base.dK != order.dK or base.conductor != p * order.f:
-        raise ValueError("kernel and base point disagree on the order")
+        raise InputError("kernel and base point disagree on the order")
     n_level = base.n_level
     dK = order.dK
     cond = base.conductor

@@ -13,22 +13,44 @@ decimal digits (so 2^-P < 10^(-digits-15)), numbers are Python integers
 scaled by 2^F, F = P + bit_length(n_max) + FIXED_GUARD, and u = 2^-F.  q is
 computed once by mpmath; the baby steps q^0..q^m, m = isqrt(n_max), are
 chained with bit_length(m) + 2 more bits, so each carries at most 2 ulps.
-Writing n = j m + i, block j is sum_i a_n q^i / n, made of small-by-big
-products and one floor division by n per term, and the blocks are combined
-by Horner in q^m: only the O(sqrt(n_max)) baby and giant steps are
-full-precision products.  Every truncation costs at most one ulp per real
-component.  For the parametrisation |a_n / n| <= sqrt(3), so each term
-errs by at most 2 sqrt(3) + 1 ulps before Horner multiplies it by powers of
-|q^m| < 1, and each of the n_max / m Horner steps adds 1 ulp plus 2 ulps
-times the partial sum, which is at most sqrt(3) / (1 - |q|), about
-sqrt(3) n_max / ((digits + 10) log 10) by the choice of n_max.  The total
-is below 150 n_max u < 2^(7.3 - P - FIXED_GUARD) < 2^-P for every n_max up
-to NMAX_CAP: under 10^(-digits-15), so the absolute target 10^(-digits-10)
-still holds and the tail bound is untouched.  The newform has |a_n| <=
+Writing n = j m + i, block j is sum_i a_n q^i / n over the n of the block
+with a_n != 0 (itertools.compress picks them from the block's slice of the
+a_n list), and the blocks are combined by Horner in q^m: only the
+O(sqrt(n_max)) baby and giant steps are full-precision products.  The terms
+of a block are taken in pairs, a1 x1 / n1 + a2 x2 / n2 = (a1 n2 x1 + a2 n1
+x2) / (n1 n2): four small-by-big products and one floor division per real
+component and pair, a single-digit CPython division while n1 n2 < 2^30
+(n_max below 2^15); an odd count leaves one term with its own division.
+Every truncation costs at most one ulp per real component.  For the
+parametrisation |a_n / n| <= sqrt(3), so a pair errs by at most 4 sqrt(3) +
+1 ulps and a term by at most 2 sqrt(3) + 1 (one floor per pair only lowers
+the count of truncations) before Horner multiplies it by powers of |q^m| <
+1, and each of the n_max / m Horner steps adds 1 ulp plus 2 ulps times the
+partial sum, which is at most sqrt(3) / (1 - |q|), about sqrt(3) n_max /
+((digits + 10) log 10) by the choice of n_max.  The total is below 150 n_max
+u < 2^(7.3 - P - FIXED_GUARD) < 2^-P for every n_max up to NMAX_CAP: under
+10^(-digits-15), so the absolute target 10^(-digits-10) still holds and the
+tail bound is untouched.  The newform (weight 0, no division) has |a_n| <=
 sqrt(3) n instead of sqrt(3), which the same budget absorbs for the
 Atkin-Lehner sign test and its 10^(-digits/2) tolerance; the tests compare
 both weights with the term-by-term mpc sum (tests/oracles.py).  The error
 is absolute, not relative: a value far below 2^-P comes back as noise or 0.
+phi_terms is computed once per (Im tau to 30 digits, digits) and process.
+
+Atkin-Lehner moves.  phi'(tau) = 2 pi i f(tau), and for W_Q = (a, b; N, d)
+of determinant Q, f | W_Q = w_Q f reads Q (N tau + d)^-2 f(W_Q tau) = w_Q
+f(tau), so phi(W_Q tau) and w_Q phi(tau) have the same derivative: K_Q =
+phi(W_Q tau) - w_Q phi(tau) is a constant (a cuspidal, hence torsion, point
+by Manin-Drinfeld).  As phi has period 1, phi(tau) = w_Q (phi(W_Q (tau + k))
+- K_Q) for every integer k, exactly: no period enters, unlike a move inside
+Gamma_0(N), which adds one.  So an orbit point can be evaluated where Im is
+larger and the series shorter (cmtrace.experiments.plan_orbit).
+al_constant computes K_Q once per (curve, Q, digits) and process from the
+top s0 of the isometric circle of W_Q, where Im s0 = Im W_Q s0 = sqrt(Q) / N
+is as large as it can be for both; when N | a + d, W_Q s0 = s0 + (a + d) /
+N, so K_Q = (1 - w_Q) phi(s0), which is 0 for w_Q = +1 (W_121 on 121b1).  A
+moved value adds the errors of up to three evaluations, with weights up to
+2: below 4 10^(-digits-10) against 10^(-digits-10) for one.
 
 Atkin-Lehner eigenvalues.  With f | W_Q = w_Q f the global root number of
 the curve is -w_N, so rank-zero curves have Fricke eigenvalue -1, and w_Q is
@@ -51,11 +73,15 @@ form against the numerical route.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
 
 import mpmath as mp
 
 from .curves import Curve, CurveModel, _valuation, an_coefficients, ap_bad, tate_local
+from .errors import CmtraceError, InputError
 from .fp import _xgcd, factorint, kronecker
 
 GUARD = 15
@@ -64,7 +90,7 @@ NMAX_CAP = 10 ** 6
 AL_SAMPLES = 5              # points on the W_Q-stable circle that must agree on the sign
 
 
-class SeriesBudgetError(ArithmeticError):
+class SeriesBudgetError(CmtraceError, ArithmeticError):
     """Im(tau) too small for the coefficient budget; carries the needed n_max."""
 
     def __init__(self, needed: int):
@@ -73,15 +99,32 @@ class SeriesBudgetError(ArithmeticError):
 
 
 def phi_terms(im_tau, digits: int) -> int:
-    """Terms needed so the parametrisation tail is below 10^(-digits-10)."""
+    """Terms needed so the parametrisation tail is below 10^(-digits-10),
+    computed once per (Im tau to 30 digits, digits) and process."""
     with mp.workdps(30):
-        logq = -2 * mp.pi * mp.mpf(im_tau)          # log |q|
-        target = -(digits + 10) * mp.log(10) + mp.log((1 - mp.exp(logq)) / mp.sqrt(3))
-        n = int(mp.ceil(target / logq))
-    n = max(n, 4)
+        n = _phi_terms(mp.mpf(im_tau), digits)
     if n > NMAX_CAP:
         raise SeriesBudgetError(n)
     return n
+
+
+@lru_cache(maxsize=4096)
+def _phi_terms(im_tau: mp.mpf, digits: int) -> int:
+    """max(4, ceil(target / log|q|)): in doubles when the ratio is at least
+    10^-6 from an integer (doubles err by under 10^-9 there, up to NMAX_CAP),
+    else at 30 digits."""
+    try:
+        logq = -2 * math.pi * float(im_tau)
+        target = math.log((1 - math.exp(logq)) / math.sqrt(3)) - (digits + 10) * math.log(10)
+        ratio = target / logq
+        if abs(ratio - round(ratio)) >= 1e-6:
+            return max(math.ceil(ratio), 4)
+    except (ArithmeticError, ValueError):       # a double out of range: use mpmath
+        pass
+    with mp.workdps(30):
+        logq = -2 * mp.pi * im_tau
+        target = -(digits + 10) * mp.log(10) + mp.log((1 - mp.exp(logq)) / mp.sqrt(3))
+        return max(int(mp.ceil(target / logq)), 4)
 
 
 def eval_phi(model: CurveModel | Curve, tau, digits: int) -> mp.mpc:
@@ -101,7 +144,7 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int) -> mp
     with mp.workdps(digits + GUARD):
         tau = mp.mpc(tau)
         if tau.imag <= 0:
-            raise ValueError("tau must be in the upper half plane")
+            raise InputError("tau must be in the upper half plane")
         nmax = phi_terms(tau.imag, digits)
         a = an_coefficients(cur, nmax)
         frac = mp.mp.prec + nmax.bit_length() + FIXED_GUARD
@@ -120,25 +163,38 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int) -> mp
             pim.append(y >> extra)
             x, y = (x * qre - y * qim) >> fine, (x * qim + y * qre) >> fine
         gre, gim = x >> extra, y >> extra          # giant step q^m
-        # Horner in q^m over the blocks n = base + i, base = j*m, 0 <= i < m.
+        # Horner in q^m over the blocks n = base + i, base = j*m, 0 <= i < m;
+        # each block visits only its n with a_n != 0
         re = im = 0
         for base in range(nmax - nmax % m, -1, -m):
             re, im = (re * gre - im * gim) >> frac, (re * gim + im * gre) >> frac
-            for n, c, x, y in zip(range(base, nmax + 1), a[base:base + m], pre, pim):
-                if c:
-                    d = n ** weight
-                    re += c * x // d
-                    im += c * y // d
+            coef = a[base:base + m]
+            terms = list(compress(zip(range(base, base + m), coef, pre, pim), coef))
+            if weight == 0:
+                for _, c, x, y in terms:
+                    re += c * x
+                    im += c * y
+                continue
+            if len(terms) & 1:                      # an odd count leaves one term alone
+                n, c, x, y = terms.pop()
+                re += c * x // n
+                im += c * y // n
+            # a1 x1 / n1 + a2 x2 / n2 as one floor division by n1 n2
+            pairs = iter(terms)
+            for (n1, c1, x1, y1), (n2, c2, x2, y2) in zip(pairs, pairs):
+                c1, c2, d = c1 * n2, c2 * n1, n1 * n2
+                re += (c1 * x1 + c2 * x2) // d
+                im += (c1 * y1 + c2 * y2) // d
         return mp.mpc(mp.ldexp(re, -frac), mp.ldexp(im, -frac))
 
 
 def al_matrix(n_level: int, q_div: int) -> tuple[int, int, int, int]:
     """Integral matrix (Qa, b; Nc, Qd) of determinant Q for the involution W_Q."""
     if q_div < 1 or n_level % q_div:
-        raise ValueError(f"Q must be a positive divisor of N = {n_level}, got Q = {q_div}")
+        raise InputError(f"Q must be a positive divisor of N = {n_level}, got Q = {q_div}")
     comp = n_level // q_div
     if gcd(q_div, comp) != 1:
-        raise ValueError("W_Q needs gcd(Q, N/Q) = 1")
+        raise InputError("W_Q needs gcd(Q, N/Q) = 1")
     if q_div == n_level:
         return (0, -1, n_level, 0)
     g, x, y = _xgcd(q_div, comp)
@@ -147,7 +203,7 @@ def al_matrix(n_level: int, q_div: int) -> tuple[int, int, int, int]:
     return (q_div * x, -y, n_level, q_div)
 
 
-class SignConsistencyError(ArithmeticError):
+class SignConsistencyError(CmtraceError, ArithmeticError):
     pass
 
 
@@ -157,13 +213,49 @@ def atkin_lehner_sign(cur: Curve, n_level: int, q_div: int, digits: int) -> int:
     every prime of Q has one, else measured numerically at `digits` (module
     docstring)."""
     al_matrix(n_level, q_div)                   # raises unless Q || N
+    w = local_sign(cur, q_div)
+    return _numerical_sign(cur, n_level, q_div, digits) if w is None else w
+
+
+def local_sign(cur: Curve, q_div: int) -> int | None:
+    """w_Q as the product of the local signs at the primes of Q, or None
+    when one of them is additive at 2 or 3."""
     w = 1
     for q in factorint(q_div):
         w_q = _local_sign(cur, q)
         if w_q is None:
-            return _numerical_sign(cur, n_level, q_div, digits)
+            return None
         w *= w_q
     return w
+
+
+def al_constant_points(n_level: int, q_div: int, w: int, digits: int) -> list:
+    """[(c, s)] with K_Q = sum c phi(s), K_Q = phi(W_Q s0) - w phi(s0) the
+    constant of the identity phi(W_Q tau) = w phi(tau) + K_Q (module
+    docstring), for w = w_Q.  s0 = (-d + i sqrt Q) / N is the top of the
+    isometric circle of W_Q = (a, b; N, d), where both s0 and W_Q s0 = (a +
+    i sqrt Q) / N have the largest possible Im, sqrt Q / N.  When N divides
+    a + d, W_Q s0 = s0 + (a + d) / N, phi takes one value at both and K_Q =
+    (1 - w) phi(s0): no point at all for w = +1."""
+    a, _, n, d = al_matrix(n_level, q_div)
+    fixed = (a + d) % n == 0
+    if fixed and w == 1:
+        return []
+    with mp.workdps(digits + GUARD):
+        height = mp.sqrt(q_div) / n
+        s0 = mp.mpc(mp.mpf(-d) / n, height)
+        return [(2, s0)] if fixed else [(1, mp.mpc(mp.mpf(a) / n, height)), (-w, s0)]
+
+
+@lru_cache(maxsize=128)
+def al_constant(cur: Curve, n_level: int, q_div: int, w: int, digits: int) -> mp.mpc:
+    """K_Q of al_constant_points, computed once per (curve, Q, digits) and
+    process."""
+    with mp.workdps(digits + GUARD):
+        k = mp.mpc(0)
+        for c, s in al_constant_points(n_level, q_div, w, digits):
+            k += c * eval_phi(cur, s, digits)
+        return k
 
 
 def _local_sign(cur: Curve, q: int) -> int | None:

@@ -5,6 +5,23 @@ w1 the real period and Im(w2 / w1) > 0.  The exponential map evaluates the
 Weierstrass function and its derivative by a truncated Laurent series near the
 origin followed by repeated duplication, then shifts into the given model.
 
+The 2-torsion.  The roots e of 4x^3 + b2 x^2 + 2 b4 x + b6, which the AGM
+takes, are e = (t - 3 b2) / 36 for the roots t of t^3 - 27 c4 t - 54 c6,
+whose discriminant is the exact integer 78732 (c4^3 - c6^2) = 136048896 Delta.
+Let t1 be the real root when Delta < 0 and the root of largest |t| when
+Delta > 0.  Its distance to each other root is at least R, the largest |t|:
+three real roots sum to 0, so both gaps are at least |t1| = R, and a complex
+pair -t1/2 +- i y is at sqrt(9 t1^2 / 4 + y^2) >= max(|t1|, sqrt(t1^2 / 4 +
+y^2)) = R.  So Newton's method converges on t1 from a seed in double
+precision, 6 sqrt(c4) cos(atan2(sqrt(1728 Delta), |c6|) / 3) or 3 (u + c4 /
+u), u^3 = |c6| + sqrt(-1728 Delta) (sign of c6 restored), doubling its
+precision each step up to the working precision plus NEWTON_GUARD bits.
+The other two are -t1/2 +- sqrt(D2) with D2 = 34012224 Delta / f'(t1)^2,
+since f'(t1) = (t1 - t2)(t1 - t3): D2 has no cancellation, however close
+t2 and t3 are, where polyroots or a Newton iteration on each root loses
+digits.  The tests compare the roots with mpmath's polyroots to
+10^-(digits+10) of the largest root on random curves of both signs.
+
 Nearest lattice vectors.  Each lattice is Lagrange-reduced once, by
 quadforms.lagrange_reduce on the Gram triple of w1 and w2 cut to integers at
 the working precision: the integer rows of PeriodLattice.reduction give a
@@ -80,14 +97,16 @@ from functools import cached_property, lru_cache
 import mpmath as mp
 
 from .curves import Curve
+from .errors import CmtraceError
 from .quadforms import lagrange_reduce
 
 DIGITS_CAP = 200
 GUARD = 25
 FIXED_GUARD = 10            # guard bits of the fixed-point routines (module docstring)
+NEWTON_GUARD = 20           # guard bits of the Newton iteration for the 2-torsion
 
 
-class PrecisionError(ArithmeticError):
+class PrecisionError(CmtraceError, ArithmeticError):
     pass
 
 
@@ -126,15 +145,12 @@ def period_lattice(curve: Curve, digits: int) -> PeriodLattice:
     if digits > DIGITS_CAP:
         raise PrecisionError(f"precision capped at {DIGITS_CAP} digits")
     with mp.workdps(digits + GUARD):
-        b2, b4, b6 = curve.b2, curve.b4, curve.b6
-        roots = mp.polyroots([4, b2, 2 * b4, b6], maxsteps=200, extraprec=60)
         if curve.disc > 0:
-            e1, e2, e3 = sorted((r.real for r in roots), reverse=True)
+            e1, e2, e3 = two_torsion_roots(curve)
             w1 = mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
             w2 = mp.pi * mp.mpc(0, 1) / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e2 - e3))
         else:
-            e1 = next(r.real for r in roots if abs(r.imag) < mp.mpf(10) ** (-digits))
-            ec = next(r for r in roots if r.imag > mp.mpf(10) ** (-digits))
+            e1, ec = two_torsion_roots(curve)
             big_a = abs(e1 - ec)
             cc = e1 - ec.real
             w1 = mp.pi / mp.agm(mp.sqrt(big_a), mp.sqrt((big_a + cc) / 2))
@@ -142,6 +158,38 @@ def period_lattice(curve: Curve, digits: int) -> PeriodLattice:
             w2 = (w1 + mp.mpc(0, 1) * v) / 2
         assert mp.im(w2 / w1) > 0
         return PeriodLattice(curve=curve, w1=+w1, w2=+w2, digits=digits)
+
+
+def two_torsion_roots(curve: Curve) -> tuple:
+    """The roots of 4x^3 + b2 x^2 + 2 b4 x + b6 at the working precision:
+    the three real ones in decreasing order when disc > 0, else the real one
+    and the one of positive imaginary part (module docstring)."""
+    c4, c6, disc = curve.c4, curve.c6, curve.disc
+    prec = mp.mp.prec + NEWTON_GUARD
+    sign = -1 if c6 < 0 else 1
+    with mp.workprec(53):                      # the seed, for |c6| (t -> -t for -c6)
+        if disc > 0:
+            t = 6 * mp.sqrt(c4) * mp.cos(mp.atan2(mp.sqrt(1728 * disc), abs(c6)) / 3)
+        else:
+            u = mp.cbrt(abs(c6) + mp.sqrt(-1728 * disc))
+            t = 3 * (u + c4 / u)
+    steps = [prec]
+    while steps[-1] > 100:
+        steps.append(steps[-1] // 2 + 10)
+    for bits in reversed([prec] + steps):      # the last step repeated at full precision
+        with mp.workprec(bits):
+            t = t - (t * t * t - 27 * c4 * t - 54 * abs(c6)) / (3 * t * t - 27 * c4)
+    with mp.workprec(prec):
+        t = sign * t
+        fp = 3 * t * t - 27 * c4               # f'(t1) = (t1 - t2)(t1 - t3), no cancellation
+        d2 = 34012224 * disc / (fp * fp)       # ((t2 - t3) / 2)^2
+        shift = 3 * curve.b2
+        if disc > 0:
+            r = mp.sqrt(d2)
+            roots = sorted(((x - shift) / 36 for x in (t, -t / 2 + r, -t / 2 - r)), reverse=True)
+        else:
+            roots = [(t - shift) / 36, mp.mpc(-t / 2 - shift, mp.sqrt(-d2)) / 36]
+    return tuple(+x for x in roots)
 
 
 def _reduced_basis(lat: PeriodLattice) -> tuple:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InputError
 from .fp import kronecker
 
 
@@ -30,7 +31,7 @@ class ProjParams:
         object.__setattr__(self, "n", self.n % self.p)
         disc = (self.t * self.t - 4 * self.n) % self.p
         if kronecker(disc, self.p) != -1:
-            raise ValueError(
+            raise InputError(
                 f"t^2-4n = {disc} must be a non-square mod {self.p} (inert condition)")
 
 
@@ -47,7 +48,7 @@ def proj_class(p: int, x1: int, x2: int) -> ProjClass:
     x1 %= p
     x2 %= p
     if x1 == 0 and x2 == 0:
-        raise ValueError("both projective coordinates vanish mod p")
+        raise InputError("both projective coordinates vanish mod p")
     if x2 == 0:
         return ProjClass(1, 0)
     inv = pow(x2, -1, p)
@@ -70,5 +71,5 @@ def proj_mul(params: ProjParams, u: ProjClass, v: ProjClass) -> ProjClass:
 def involution_class(params: ProjParams, a: int) -> ProjClass:
     """The unique order-two class [-a : 1]; requires 2a = t mod p."""
     if (2 * a - params.t) % params.p != 0:
-        raise ValueError(f"2a = {2 * a % params.p} differs from t = {params.t} mod {params.p}")
+        raise InputError(f"2a = {2 * a % params.p} differs from t = {params.t} mod {params.p}")
     return proj_class(params.p, -a, 1)

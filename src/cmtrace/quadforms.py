@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+from .errors import InputError
 from .fp import _xgcd, factorint, isprime, kronecker
 from .projline import ProjClass, ProjParams, proj_elements
 
@@ -77,15 +78,15 @@ class QuadOrder:
 
 def check_fundamental(dK: int):
     if not is_fundamental_discriminant(dK):
-        raise ValueError(f"dK = {dK} is not a fundamental discriminant")
+        raise InputError(f"dK = {dK} is not a fundamental discriminant")
 
 
 def order_data(dK: int, f: int) -> QuadOrder:
     check_fundamental(dK)
     if dK >= -4:
-        raise ValueError("discriminants -3 and -4 are excluded (extra units)")
+        raise InputError("discriminants -3 and -4 are excluded (extra units)")
     if f < 1:
-        raise ValueError("conductor must be positive")
+        raise InputError("conductor must be positive")
     t = f * (dK % 2)
     disc = f * f * dK
     n = (t * t - disc) // 4
@@ -132,7 +133,7 @@ class BinaryForm:
     def transform(self, x: int, u: int, y: int, v: int) -> "BinaryForm":
         """Right action of the matrix with columns (x, y), (u, v); det must be 1."""
         if x * v - y * u != 1:
-            raise ValueError("transform must be unimodular")
+            raise InputError("transform must be unimodular")
         a2 = self.value(x, y)
         c2 = self.value(u, v)
         b2 = 2 * (self.a * x * u + self.c * y * v) + self.b * (x * v + y * u)
@@ -142,8 +143,9 @@ class BinaryForm:
 def reduce_form(form: BinaryForm) -> BinaryForm:
     """The reduced representative of the proper equivalence class."""
     a, b, c = form.a, form.b, form.c
-    if a <= 0 or form.disc() >= 0:
-        raise ValueError("only positive definite forms are handled")
+    disc = b * b - 4 * a * c
+    if a <= 0 or disc >= 0:
+        raise InputError("only positive definite forms are handled")
     while True:
         if b > a or b <= -a:
             k = (a - b) // (2 * a)
@@ -154,14 +156,14 @@ def reduce_form(form: BinaryForm) -> BinaryForm:
             continue
         break
     out = BinaryForm(a, b, c)
-    assert out.is_reduced() and out.disc() == form.disc()
+    assert out.is_reduced() and b * b - 4 * a * c == disc
     return out
 
 
 def reduced_forms(disc: int) -> list[BinaryForm]:
     """All primitive reduced forms of the given negative discriminant, sorted."""
     if disc >= 0 or disc % 4 not in (0, 1):
-        raise ValueError(f"invalid negative discriminant {disc}")
+        raise InputError(f"invalid negative discriminant {disc}")
     out = []
     bmax = isqrt(-disc // 3)
     for b in range(disc % 2, bmax + 1, 2):
@@ -211,7 +213,7 @@ def _hnf2(rows) -> tuple[tuple[int, int], tuple[int, int]]:
         else:
             g = gcd(g, y)
     if not (e and g):
-        raise ValueError("lattice has rank < 2")
+        raise InputError("lattice has rank < 2")
     return ((e, f % g), (0, g))
 
 
@@ -244,7 +246,7 @@ def lagrange_reduce(gram: tuple[int, int, int], v1, v2):
 def form_to_ideal(form: BinaryForm, dK: int, cond: int):
     """Representing lattice A*Z + ((-B + cond*sqrt(dK))/2)*Z, in half-coordinates."""
     if form.disc() != cond * cond * dK:
-        raise ValueError("form discriminant does not match cond^2 * dK")
+        raise InputError("form discriminant does not match cond^2 * dK")
     return ((2 * form.a, 0), (-form.b, cond))
 
 
@@ -318,11 +320,11 @@ def kernel_classes(order: QuadOrder, p: int) -> GaloisKernel:
     pairwise distinct.
     """
     if not isprime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
+        raise InputError("p must be an odd prime")
     if kronecker(order.dK, p) != -1:
-        raise ValueError(f"p = {p} is not inert in the field of discriminant {order.dK}")
+        raise InputError(f"p = {p} is not inert in the field of discriminant {order.dK}")
     if order.f % p == 0:
-        raise ValueError("p must not divide the conductor")
+        raise InputError("p must not divide the conductor")
     t, n, p2 = order.t, order.n, p * p
     disc = p2 * order.disc
     principal = BinaryForm(1, disc % 2, (disc % 2 - disc) // 4)

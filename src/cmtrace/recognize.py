@@ -16,6 +16,8 @@ from math import gcd
 
 import mpmath as mp
 
+from .errors import InputError
+
 
 @dataclass(frozen=True)
 class AlgebraicNumber:
@@ -51,7 +53,7 @@ def recognize_in_quadratic(x, field_disc: int, digits: int,
                            height_bound: int) -> AlgebraicNumber | None:
     """x as an element of Q(sqrt(field_disc)), field_disc < 0, verified."""
     if field_disc >= 0:
-        raise ValueError("only imaginary quadratic fields are handled")
+        raise InputError("only imaginary quadratic fields are handled")
     with mp.workdps(digits):
         x = mp.mpc(x)
         re = recognize_rational(x.real, digits, height_bound)

@@ -24,6 +24,11 @@ entries and builds one CosetLabel per fiber.
 
 On the analytic side, eval_series_direct is the term-by-term mpc evaluation
 of the q-series that the fixed-point evaluator in cmtrace.modparam replaced,
+orbit_trace_direct the sum of the parametrisation over the orbit points
+themselves, where cmtrace.experiments.orbit_trace evaluates some of them at
+W_Q (tau + k), two_torsion_roots_by_polyroots the roots of the 2-division
+cubic by mpmath's polyroots, where cmtrace.periods uses one Newton
+iteration and the discriminant,
 ap_char_sum_reduced the point count with every product reduced mod ell
 that the int64 Horner kernel in cmtrace.curves replaced,
 lattice_reduce_descent the descent from the nearest integer coordinates by
@@ -571,6 +576,32 @@ def eval_series_direct(cur, tau, digits: int, weight: int):
                 else:
                     acc += a[n] * qn
         return +acc
+
+
+def orbit_trace_direct(model: CurveModel, orbit, digits: int):
+    """(zs, trace) with zs the values eval_phi(tau) at the orbit points
+    themselves, in orbit order, and trace their sum: the route
+    cmtrace.experiments.orbit_trace took before it moved points by W_Q."""
+    from cmtrace.modparam import eval_phi
+    with mp.workdps(digits + 15):
+        zs = [eval_phi(model, pt.tau(digits), digits) for pt in orbit]
+        trace = mp.mpc(0)
+        for z in zs:
+            trace += z
+        return zs, +trace
+
+
+def two_torsion_roots_by_polyroots(curve: Curve, digits: int) -> tuple:
+    """The roots of 4x^3 + b2 x^2 + 2 b4 x + b6 by mpmath's polyroots at
+    digits + 25, ordered as cmtrace.periods.two_torsion_roots orders them:
+    the route period_lattice took before it solved the cubic by Newton."""
+    with mp.workdps(digits + 25):
+        roots = mp.polyroots([4, curve.b2, 2 * curve.b4, curve.b6], maxsteps=200, extraprec=60)
+        if curve.disc > 0:
+            return tuple(sorted((r.real for r in roots), reverse=True))
+        e1 = next(r.real for r in roots if abs(r.imag) < mp.mpf(10) ** (-digits))
+        ec = next(r for r in roots if r.imag > mp.mpf(10) ** (-digits))
+        return e1, ec
 
 
 def lattice_coords(lat, z) -> tuple:

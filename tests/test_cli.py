@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 import cmtrace
-from cmtrace.cli import main
+from cmtrace import cli
+from cmtrace.cli import EXIT_CODES, main
+from cmtrace.embeddings import EmbeddingError, FiberStructureError
+from cmtrace.errors import CmtraceError, InputError
+from cmtrace.experiments import HypothesisError
+from cmtrace.fp import ArithmeticBoundError
+from cmtrace.heegner import NoHeegnerPoint
+from cmtrace.modparam import SeriesBudgetError, SignConsistencyError
 from cmtrace.periods import PrecisionError
 
 
@@ -287,3 +294,32 @@ def test_runs_with_sympy_blocked():
     assert proc.returncode == 0, proc.stderr
     assert "3 fibers of size 2" in proc.stdout
     assert "verdict: non_torsion" in proc.stdout
+
+
+def test_every_package_error_class_has_an_exit_code():
+    for cls in (InputError, HypothesisError, NoHeegnerPoint, EmbeddingError,
+                ArithmeticBoundError, SeriesBudgetError, PrecisionError, SignConsistencyError,
+                FiberStructureError):
+        assert issubclass(cls, CmtraceError)
+        code = next(EXIT_CODES[c] for c in cls.__mro__ if c in EXIT_CODES)
+        assert code == (3 if cls is FiberStructureError else 1)
+    assert issubclass(InputError, ValueError)
+
+
+def test_fiber_structure_error_exits_3_without_a_traceback(monkeypatch, capsys):
+    def broken(spec):
+        raise FiberStructureError("fiber of (1, 0) has size 3")
+
+    monkeypatch.setattr(cli, "experiment_finite", broken)
+    assert main(["finite-check", "--p", "5", "--dk", "-7"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: fiber of (1, 0) has size 3\n"
+
+
+def test_a_bugs_value_error_is_not_an_input_error(monkeypatch):
+    def buggy(disc):
+        return int("not a number")              # a ValueError the package never meant
+
+    monkeypatch.setattr(cli, "reduced_forms", buggy)
+    with pytest.raises(ValueError, match="invalid literal"):
+        main(["classgroup", "--disc", "-23"])

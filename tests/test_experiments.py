@@ -6,15 +6,16 @@ import pytest
 from cmtrace import curves
 from cmtrace.curves import curve_model
 from cmtrace.experiments import (TRACE_MIN_DIGITS, ExperimentSpec, HypothesisError,
-                                 experiment_finite, orbit_trace, trace_point)
+                                 experiment_finite, orbit_trace, plan_orbit, trace_point)
 from cmtrace.heegner import HeegnerTau, galois_orbit, heegner_form
-from cmtrace.modparam import SeriesBudgetError, eval_phi, phi_terms
+from cmtrace.modparam import SeriesBudgetError, al_constant, eval_phi, phi_terms
 from cmtrace.periods import period_lattice
 from cmtrace.quadforms import BinaryForm, kernel_classes, order_data
 from oracles import lattice_distance
 
 M49 = curve_model((1, -1, 0, -2, -1))
 M121 = curve_model((0, -1, 1, -7, 10))
+M50B = curve_model((1, 1, 1, -3, 1))
 
 
 def test_spec_validation():
@@ -296,42 +297,63 @@ def test_cold_headline_trace_counts_no_points(monkeypatch, model, dK, verdict):
     assert counted == []
 
 
+def _orbit(model, dK, digits=60):
+    kernel = kernel_classes(order_data(dK, 1), model.p)
+    base = HeegnerTau(form=heegner_form(model.n, dK, model.p), n_level=model.n, dK=dK,
+                      conductor=model.p)
+    return kernel, galois_orbit(base, kernel)
+
+
 def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
+    # the trace is bit for bit the kernel-order sum of the values the plan
+    # prescribes, w_Q (phi(W_Q (tau + k)) - K_Q) for a moved point, however
+    # the evaluations were ordered
     digits = 60
-    kernel = kernel_classes(order_data(-67, 1), 11)
-    base = HeegnerTau(form=heegner_form(121, -67, 11), n_level=121, dK=-67, conductor=11)
-    orbit = galois_orbit(base, kernel)
-    monkeypatch.setattr(curves, "_an_cache", {})
-    _, trace_z, n_max = orbit_trace(M121, orbit, kernel, digits)
-    monkeypatch.setattr(curves, "_an_cache", {})
-    with mp.workdps(digits + 15):
-        taus = [pt.tau(digits) for pt in orbit]
-        terms = [phi_terms(tau.imag, digits) for tau in taus]
-        assert len(set(terms)) > 1 and terms[0] != max(terms)
-        in_order = mp.mpc(0)
-        for tau in taus:                       # kernel order, the sieve grows each time
-            in_order += eval_phi(M121, tau, digits)
-        in_order = +in_order
-    assert n_max == max(terms)
-    assert (trace_z.real, trace_z.imag) == (in_order.real, in_order.imag)
+    for model, dK in [(M121, -67), (M49, -11), (M50B, -7)]:
+        kernel, orbit = _orbit(model, dK)
+        monkeypatch.setattr(curves, "_an_cache", {})
+        entries, trace_z, n_max = orbit_trace(model, orbit, kernel, digits)
+        plan = plan_orbit(model, orbit, digits)
+        monkeypatch.setattr(curves, "_an_cache", {})
+        terms = [mv.n_max for mv in plan.moves]
+        assert len(set(terms)) > 1
+        assert {mv.q for mv in plan.moves} > {1}          # some points move, some stay
+        with mp.workdps(digits + 15):
+            in_order = mp.mpc(0)
+            for mv in plan.moves:              # kernel order, the sieve grows each time
+                z = eval_phi(model, mv.point.tau(digits), digits)
+                if mv.q != 1:
+                    z = mv.w * (z - al_constant(model.minimal, model.n, mv.q, mv.w, digits))
+                in_order += z
+            in_order = +in_order
+        assert n_max == plan.n_max >= max(terms)
+        assert [(e.q, e.n_max) for e in entries] == [(mv.q, mv.n_max) for mv in plan.moves]
+        assert (trace_z.real, trace_z.imag) == (in_order.real, in_order.imag)
 
 
 def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
     digits = 60
-    kernel = kernel_classes(order_data(-67, 1), 11)
-    base = HeegnerTau(form=heegner_form(121, -67, 11), n_level=121, dK=-67, conductor=11)
-    orbit = galois_orbit(base, kernel)
+    kernel, orbit = _orbit(M121, -67)
+    deepest = plan_orbit(M121, orbit, digits).n_max
     with mp.workdps(digits + 15):
-        deepest = max(phi_terms(pt.tau(digits).imag, digits) for pt in orbit)
-    # a cap one below the deepest point's need: only that point is over budget
+        unmoved = max(phi_terms(pt.tau(digits).imag, digits) for pt in orbit)
+    assert deepest < unmoved                   # the cap below binds only after the moves
+    # a cap one below the deepest planned evaluation: no plan is within it
     monkeypatch.setattr("cmtrace.modparam.NMAX_CAP", deepest - 1)
 
     def no_eval(*args, **kwargs):
         raise AssertionError("eval_phi ran before the budget check")
 
     monkeypatch.setattr("cmtrace.experiments.eval_phi", no_eval)
-    with pytest.raises(SeriesBudgetError):
+    monkeypatch.setattr("cmtrace.modparam.eval_phi", no_eval)
+    with pytest.raises(SeriesBudgetError) as exc:
         orbit_trace(M121, orbit, kernel, digits)
+    assert exc.value.needed == deepest
+    # at the deepest need itself the same orbit is evaluated
+    monkeypatch.setattr("cmtrace.modparam.NMAX_CAP", deepest)
+    monkeypatch.setattr("cmtrace.experiments.eval_phi", eval_phi)
+    monkeypatch.setattr("cmtrace.modparam.eval_phi", eval_phi)
+    assert orbit_trace(M121, orbit, kernel, digits)[2] == deepest
 
 
 def test_over_budget_trace_fails_before_the_sign(monkeypatch):

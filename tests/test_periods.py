@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmtrace.curves import Curve
+from cmtrace.errors import InputError
 from cmtrace.periods import (FIXED_GUARD, GUARD, PeriodLattice, PrecisionError, _reduced_basis,
                              _scaled_dist2, _wp_series_coeffs, elliptic_exp, is_torsion,
-                             lattice_reduce, period_lattice, torsion_order, torsion_residual)
+                             lattice_reduce, period_lattice, torsion_order, torsion_residual,
+                             two_torsion_roots)
 from oracles import (equation_residual, lattice_distance, lattice_distance_by_search,
-                     lattice_reduce_descent, wp_series_coeffs_mpf)
+                     lattice_reduce_descent, two_torsion_roots_by_polyroots,
+                     wp_series_coeffs_mpf)
 
 LATTICE_CURVES = {              # the five catalogue curves (disc < 0) and 37a1 (disc > 0)
     "49a1": (1, -1, 0, -2, -1),
@@ -294,3 +297,42 @@ def test_wp_coefficients_within_bound_of_mpf_recurrence(ai, digits):
             # to P bits (periods' module docstring)
             bound = 8 * mp.ldexp(1, -frac - (2 * k + 2) * s) + mp.ldexp(abs(want[k]), 1 - prec)
             assert abs(got[k] - want[k]) <= bound, k
+
+
+def _random_curves(sign: int, count: int, rng: random.Random) -> list:
+    """count curves with sign(disc) = sign: first y^2 = x^3 - 3k^2 x + 2k^3 + sign
+    (disc = 432 sign (4 k^3 - sign), roots within about k^(-1/2) of the double
+    root k for sign < 0), then random small models."""
+    out = [Curve(0, 0, 0, -3 * k * k, 2 * k ** 3 - sign) for k in (10, 10 ** 3, 10 ** 5, 10 ** 7)]
+    while len(out) < count:
+        try:
+            cur = Curve(rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
+                        rng.randint(-10 ** 4, 10 ** 4), rng.randint(-10 ** 6, 10 ** 6))
+        except InputError:                  # singular
+            continue
+        if cur.disc * sign > 0:
+            out.append(cur)
+    return out
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_two_torsion_roots_match_polyroots(sign):
+    # relative to the largest root, to 10^-(digits+10): the five catalogue
+    # curves at 200 digits, then 200 curves of each discriminant sign
+    rng = random.Random(2024 + sign)
+    curves = [(Curve(*ai), 200) for ai in LATTICE_CURVES.values() if Curve(*ai).disc * sign > 0]
+    curves += [(cur, (30, 60, 200)[i % 3]) for i, cur in enumerate(_random_curves(sign, 200, rng))]
+    assert len(curves) >= 200
+    for cur, digits in curves:
+        with mp.workdps(digits + GUARD):
+            got = two_torsion_roots(cur)
+        want = two_torsion_roots_by_polyroots(cur, digits)
+        assert len(got) == len(want) == (3 if sign > 0 else 2)
+        with mp.workdps(digits + 40):
+            scale = max(abs(w) for w in want)
+            err = max(abs(g - w) for g, w in zip(got, want))
+            assert err <= mp.mpf(10) ** -(digits + 10) * scale, (cur, digits)
+        if sign < 0:
+            assert mp.im(got[0]) == 0 and mp.im(got[1]) > 0
+        else:
+            assert got[0] > got[1] > got[2]

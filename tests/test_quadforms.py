@@ -419,3 +419,20 @@ def test_lagrange_reduce_rounds_ties_to_even():
     # B(v1, v2) / B(v1, v1) = 1/2 and 3/2: round(1/2) = 0, round(3/2) = 2
     assert lagrange_reduce((2, 1, 5), (1, 0), (0, 1)) == ((1, 0), (0, 1))
     assert lagrange_reduce((2, 3, 10), (1, 0), (0, 1)) == ((1, 0), (-2, 1))
+
+
+def test_reduce_form_reads_the_discriminant_off_its_coefficients(monkeypatch):
+    # the input's discriminant is computed once, inline, and the closing check
+    # compares the output's with it: no BinaryForm.disc call per reduction
+    calls = []
+    disc = BinaryForm.disc
+
+    def counting(self):
+        calls.append(self)
+        return disc(self)
+
+    form = BinaryForm(97, 131, 47)
+    monkeypatch.setattr(BinaryForm, "disc", counting)
+    out = reduce_form(form)
+    assert calls == []
+    assert out.is_reduced() and disc(out) == disc(form) == -1075
