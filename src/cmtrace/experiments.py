@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, inf, prod
 
 import mpmath as mp
 
@@ -289,38 +289,68 @@ def _options(pt: HeegnerTau, signs: tuple, digits: int, root) -> list:
     return opts
 
 
-def _option_table(orbit, signs: tuple, digits: int) -> list:
-    """_options of every orbit point; the points share one D."""
+def orbit_options(model: CurveModel, orbit, digits: int, wp: int | None = None) -> list:
+    """_options of every orbit point (the points share one D) over the usable
+    Q of al_signs(model, wp).  Which Q are usable depends only on whether wp
+    is known, not on its value, so trace_point builds this before the sign."""
+    signs = al_signs(model, wp)
     with mp.workdps(digits + 15):
         root = mp.sqrt(-orbit[0].form.disc())
         return [_options(pt, signs, digits, root) for pt in orbit]
 
 
-def orbit_budget(model: CurveModel, orbit, digits: int) -> int:
-    """The least n_max a plan of the orbit can have, or SeriesBudgetError
-    when that is above the cap: the terms at the point whose best option
-    (itself or a usable W_Q image) has the largest leading coefficient.
-    Needs no sign value, since which Q are usable does not depend on it, and
-    evaluates no series.  The K_Q are left out, so plan_orbit may still fail
-    where this passes."""
-    signs = al_signs(model, wp=1)
-    worst = max(min([pt.form.a] + [al_move(pt.form, pt.n_level, q)[1].a for q, _ in signs])
-                for pt in orbit)
-    with mp.workdps(digits + 15):
-        return phi_terms(mp.sqrt(-orbit[0].form.disc()) / (2 * worst), digits)
+def orbit_budget(table: list) -> int:
+    """The least n_max a plan of the orbit can have, from its orbit_options:
+    the terms at the point whose best option (itself or a usable W_Q image)
+    is the most expensive; SeriesBudgetError when that is above the cap.
+    The K_Q are left out, so plan_orbit may still fail where this passes."""
+    worst = max(min(o[0] for o in opts) for opts in table)
+    if not all(any(o[1] for o in opts) for opts in table):
+        raise SeriesBudgetError(worst)
+    return worst
 
 
-def plan_orbit(model: CurveModel, orbit, digits: int, wp: int | None = None) -> OrbitPlan:
-    """How to evaluate each orbit point with the fewest series terms, K_Q
-    included: each point keeps tau or moves to its best W_Q (tau + k) among
-    the usable Q (al_signs).  Every set of usable Q is tried, the smallest
-    first, and a set must be strictly cheaper to win, so a Q is used only
-    when the terms its points save exceed what its K_Q costs.  Within a set
-    each point takes its cheapest option, tau itself on a tie.  Integer
-    arithmetic picks each move (al_move); phi_terms prices it.
-    SeriesBudgetError when no plan stays within the budget."""
+def _choose(table: list, k_terms: dict) -> tuple[list, set]:
+    """(the option of each point, the Q whose K_Q is evaluated), given each
+    point's options and the terms each K_Q costs.  Start from every Q of
+    k_terms, each point at its cheapest option within the budget (tau itself
+    on a tie), and drop the Q whose points save least beyond its K_Q while
+    that is not positive: a Q stays only when removing it would cost more
+    terms than it frees.  The saving of a set of Q is submodular (each point
+    takes a minimum), so when some Q stay the plan is strictly cheaper than
+    the direct route.  O(points * |Q|^2), where trying every set of Q would
+    be exponential in the number of primes of N."""
+    ranked = [sorted((o for o in opts if o[1] and (o[2] == 1 or o[2] in k_terms)),
+                     key=lambda o: (o[0], o[2])) for opts in table]
+    if not all(ranked):
+        raise SeriesBudgetError(max(min(o[0] for o in opts) for opts in table))
+    used = set(k_terms)
+    while True:
+        picks = [next(o for o in opts if o[2] == 1 or o[2] in used) for opts in ranked]
+        saved = {q: -k_terms[q] for q in used}         # terms Q frees, net of K_Q
+        for opts, pick in zip(ranked, picks):
+            if pick[2] != 1:
+                alt = next((o for o in opts if o[2] != pick[2] and (o[2] == 1 or o[2] in used)),
+                           None)
+                saved[pick[2]] += inf if alt is None else alt[0] - pick[0]
+        drop = min(sorted(used), key=saved.__getitem__, default=None)
+        if drop is None or saved[drop] > 0:
+            return picks, used
+        used.remove(drop)
+
+
+def plan_orbit(model: CurveModel, orbit, digits: int, wp: int | None = None,
+               table: list | None = None) -> OrbitPlan:
+    """How to evaluate each orbit point with few series terms, K_Q included:
+    each point keeps tau or moves to its best W_Q (tau + k) among the usable
+    Q (al_signs), and a Q is used only when the terms its points save exceed
+    what its K_Q costs (_choose).  Integer arithmetic picks each move
+    (al_move); phi_terms prices it.  table is orbit_options(model, orbit,
+    digits, wp), built here when not given.  SeriesBudgetError when no plan
+    stays within the budget."""
     signs = al_signs(model, wp)
-    table = _option_table(orbit, signs, digits)
+    if table is None:
+        table = orbit_options(model, orbit, digits, wp)
     offered = {o[2] for opts in table for o in opts}
     k_cost = {}                                   # Q -> (w, n_max, points) of K_Q
     for q_div, w in signs:
@@ -330,31 +360,16 @@ def plan_orbit(model: CurveModel, orbit, digits: int, wp: int | None = None) -> 
         n, ok = _terms(pts[0][1].imag, digits) if pts else (0, True)
         if ok:
             k_cost[q_div] = (w, n, len(pts))
-    best = None
-    for r in range(len(k_cost) + 1):
-        for used in combinations(sorted(k_cost), r):
-            allowed = {1, *used}
-            picks = []
-            for opts in table:
-                within = [o for o in opts if o[1] and o[2] in allowed]
-                if not within:
-                    break
-                picks.append(min(within, key=lambda o: (o[0], o[2])))
-            else:
-                cost = sum(o[0] for o in picks) + sum(k_cost[q][1] * k_cost[q][2] for q in used)
-                if best is None or cost < best[0]:
-                    best = (cost, used, picks)
-    if best is None:
-        raise SeriesBudgetError(max(min(o[0] for o in opts) for opts in table))
-    _, used, picks = best
+    picks, used = _choose(table, {q: n * count for q, (_, n, count) in k_cost.items()})
     sign_of = dict(signs)
     return OrbitPlan(
         moves=tuple(OrbitMove(q=q, w=sign_of.get(q, 1), point=pt, n_max=n)
                     for n, _, q, pt in picks),
-        constants=tuple((q, *k_cost[q]) for q in used))
+        constants=tuple((q, *k_cost[q]) for q in sorted(used)))
 
 
-def orbit_trace(model: CurveModel, orbit, kernel, digits: int, wp: int | None = None):
+def orbit_trace(model: CurveModel, orbit, kernel, digits: int, wp: int | None = None,
+                table: list | None = None):
     """Evaluate the parametrisation over the orbit as plan_orbit says, and sum
     in kernel order: phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q) is exact, so
     no period enters (modparam docstring).
@@ -363,7 +378,7 @@ def orbit_trace(model: CurveModel, orbit, kernel, digits: int, wp: int | None = 
     first.  The evaluations, K_Q's included, run from the most terms down:
     the a_n sieve is extended once.  Each value depends only on (tau,
     digits, a[0..n_max]), so the order changes nothing."""
-    plan = plan_orbit(model, orbit, digits, wp)
+    plan = plan_orbit(model, orbit, digits, wp, table)
     cur = model.minimal
     with mp.workdps(digits + 15):
         taus = [pt.tau(digits) for pt in orbit]
@@ -415,7 +430,8 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
                       n_level=model.n, dK=spec.dK, conductor=model.p * spec.f)
     orbit = galois_orbit(base, kernel)
     # an over-budget orbit fails here, before the sign can evaluate a series
-    orbit_budget(model, orbit, digits)
+    table = orbit_options(model, orbit, digits, wp=1)
+    orbit_budget(table)
     t_finite = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -423,7 +439,7 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     timings = {"atkin_lehner": time.perf_counter() - t0, "finite_layer": t_finite}
 
     t0 = time.perf_counter()
-    entries, trace_z, n_max = orbit_trace(model, orbit, kernel, digits, wp)
+    entries, trace_z, n_max = orbit_trace(model, orbit, kernel, digits, wp, table)
     timings["orbit_evaluation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

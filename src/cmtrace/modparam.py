@@ -73,7 +73,6 @@ form against the numerical route.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
@@ -110,17 +109,6 @@ def phi_terms(im_tau, digits: int) -> int:
 
 @lru_cache(maxsize=4096)
 def _phi_terms(im_tau: mp.mpf, digits: int) -> int:
-    """max(4, ceil(target / log|q|)): in doubles when the ratio is at least
-    10^-6 from an integer (doubles err by under 10^-9 there, up to NMAX_CAP),
-    else at 30 digits."""
-    try:
-        logq = -2 * math.pi * float(im_tau)
-        target = math.log((1 - math.exp(logq)) / math.sqrt(3)) - (digits + 10) * math.log(10)
-        ratio = target / logq
-        if abs(ratio - round(ratio)) >= 1e-6:
-            return max(math.ceil(ratio), 4)
-    except (ArithmeticError, ValueError):       # a double out of range: use mpmath
-        pass
     with mp.workdps(30):
         logq = -2 * mp.pi * im_tau
         target = -(digits + 10) * mp.log(10) + mp.log((1 - mp.exp(logq)) / mp.sqrt(3))

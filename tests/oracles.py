@@ -591,6 +591,26 @@ def orbit_trace_direct(model: CurveModel, orbit, digits: int):
         return zs, +trace
 
 
+def least_plan_terms_by_subsets(table: list, k_terms: dict) -> int | None:
+    """The fewest series terms of any orbit plan: every set of Q of k_terms
+    is tried, each point taking its cheapest option within the budget whose
+    Q is in the set (or 1), plus each K_Q of the set; None when no set is
+    within the budget.  table and k_terms are as cmtrace.experiments._choose
+    takes them; this is the rule plan_orbit followed before it dropped Q
+    greedily, exponential in the number of Q."""
+    from itertools import combinations
+    best = None
+    for r in range(len(k_terms) + 1):
+        for used in combinations(sorted(k_terms), r):
+            allowed = {1, *used}
+            picks = [min((o[0] for o in opts if o[1] and o[2] in allowed), default=None)
+                     for opts in table]
+            if None not in picks:
+                cost = sum(picks) + sum(k_terms[q] for q in used)
+                best = cost if best is None else min(best, cost)
+    return best
+
+
 def two_torsion_roots_by_polyroots(curve: Curve, digits: int) -> tuple:
     """The roots of 4x^3 + b2 x^2 + 2 b4 x + b6 by mpmath's polyroots at
     digits + 25, ordered as cmtrace.periods.two_torsion_roots orders them:

@@ -3,6 +3,8 @@ phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q), the same orbit values and trace as
 the direct route on the whole trace catalogue, never more series terms, and
 the fixed-point pair kernel against the term-by-term sum."""
 
+import random
+import time
 from math import gcd, isqrt
 
 import mpmath as mp
@@ -13,13 +15,13 @@ from hypothesis import strategies as st
 from cmtrace import curves
 from cmtrace.curves import an_coefficients, curve_model
 from cmtrace.errors import InputError
-from cmtrace.experiments import (ExperimentSpec, al_signs, orbit_trace, plan_orbit,
-                                 trace_point)
+from cmtrace.experiments import (ExperimentSpec, _choose, al_signs, orbit_options, orbit_trace,
+                                 plan_orbit, trace_point)
 from cmtrace.heegner import HeegnerTau, al_move, galois_orbit, heegner_form
-from cmtrace.modparam import (al_constant, al_matrix, atkin_lehner_sign, eval_newform,
-                              eval_phi, phi_terms)
+from cmtrace.modparam import (SeriesBudgetError, al_constant, al_constant_points, al_matrix,
+                              atkin_lehner_sign, eval_newform, eval_phi, phi_terms)
 from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
-from oracles import eval_series_direct, orbit_trace_direct
+from oracles import eval_series_direct, least_plan_terms_by_subsets, orbit_trace_direct
 
 # the five curves of the trace catalogue, with the modes the suite uses
 CURVES = {
@@ -173,6 +175,17 @@ def test_orbit_values_match_the_direct_route_at_200_digits(label, dK, f):
     assert _check_against_direct(label, dK, f, 200) > 0
 
 
+def _k_terms(model, wp, table, digits):
+    """Terms each usable Q's K_Q costs, for the Q some point can move by."""
+    offered = {o[2] for opts in table for o in opts}
+    out = {}
+    for q_div, w in al_signs(model, wp):
+        if q_div in offered:
+            pts = al_constant_points(model.n, q_div, w, digits)
+            out[q_div] = phi_terms(pts[0][1].imag, digits) * len(pts) if pts else 0
+    return out
+
+
 @pytest.mark.parametrize("digits", [60, 200])
 def test_plan_never_evaluates_more_terms_than_the_direct_route(digits):
     planned, direct = {}, {}
@@ -182,6 +195,9 @@ def test_plan_never_evaluates_more_terms_than_the_direct_route(digits):
         with mp.workdps(digits + 15):
             unmoved = sum(phi_terms(pt.tau(digits).imag, digits) for pt in orbit)
         assert plan.terms <= unmoved, (label, dK, f)
+        table = orbit_options(model, orbit, digits, _wp(label))
+        least = least_plan_terms_by_subsets(table, _k_terms(model, _wp(label), table, digits))
+        assert plan.terms == least, (label, dK, f)        # greedy is optimal here
         planned[label] = planned.get(label, 0) + plan.terms
         direct[label] = direct.get(label, 0) + unmoved
     for label in ("49a1", "121b1", "50a1", "50b1"):
@@ -228,3 +244,71 @@ def test_pair_kernel_matches_the_term_by_term_sum_beyond_two_to_the_fifteen(labe
         got = fast(model, tau, digits)
         with mp.workdps(digits + 30):
             assert abs(got - want) < mp.mpf(10) ** -(digits + 5), weight
+
+
+def _synthetic_table(rng, points: int, qs: list, per_point: int, over: float):
+    """Options (n_max, within budget, Q, point) as orbit_options lists them:
+    tau itself first, then some Q with fewer terms; a few over the budget."""
+    table = []
+    for _ in range(points):
+        n0 = rng.randrange(100, 400)
+        opts = [(n0, rng.random() >= over, 1, None)]
+        for q_div in rng.sample(qs, min(per_point, len(qs))):
+            opts.append((rng.randrange(20, n0), rng.random() >= over, q_div, None))
+        table.append(opts)
+    return table
+
+
+def _check_choice(table, k_terms):
+    """_choose's plan: each point at its cheapest allowed option, every Q it
+    keeps needed (dropping one costs strictly more or leaves a point without
+    an option), and no dearer than the direct route, strictly when a Q stays."""
+    picks, used = _choose(table, k_terms)
+
+    def cost(allowed):
+        out = 0
+        for opts in table:
+            within = [o for o in opts if o[1] and o[2] in allowed]
+            if not within:
+                return None
+            out += min(within, key=lambda o: (o[0], o[2]))[0]
+        return out + sum(k_terms[q] for q in allowed - {1})
+
+    here = cost({1, *used})
+    assert sum(o[0] for o in picks) + sum(k_terms[q] for q in used) == here
+    assert all(o[1] and o[2] in {1, *used} for o in picks)
+    for q_div in used:
+        without = cost({1, *used} - {q_div})
+        assert without is None or without > here, q_div
+    direct = cost({1})
+    if direct is not None:
+        assert here < direct if used else here == direct
+    return here
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_choose_keeps_only_the_q_that_pay_for_their_constant(seed):
+    rng = random.Random(seed)
+    qs = list(range(2, 2 + rng.randrange(1, 7)))
+    table = _synthetic_table(rng, rng.randrange(1, 10), qs, rng.randrange(0, len(qs) + 1),
+                             over=rng.choice([0, 0.1]))
+    k_terms = {q: rng.randrange(0, 600) for q in qs}
+    if all(any(o[1] and (o[2] == 1 or o[2] in k_terms) for o in opts) for opts in table):
+        assert _check_choice(table, k_terms) >= least_plan_terms_by_subsets(table, k_terms)
+    else:
+        with pytest.raises(SeriesBudgetError):
+            _choose(table, k_terms)
+
+
+def test_choose_is_polynomial_in_the_number_of_involutions():
+    # 63 usable Q, as for a level with six primes: every set of them would be
+    # 2^63 plans; dropping Q one at a time prices O(points * Q^2) options
+    rng = random.Random(7)
+    qs = list(range(2, 65))
+    table = _synthetic_table(rng, 400, qs, 12, over=0)
+    k_terms = {q: rng.randrange(0, 3000) for q in qs}
+    t0 = time.perf_counter()
+    _choose(table, k_terms)
+    assert time.perf_counter() - t0 < 5
+    _check_choice(table, k_terms)
