@@ -160,15 +160,6 @@ def _label_entries(p: int, a: int, b: int, c: int, d: int) -> tuple[int, int, in
     return min(diag, anti)
 
 
-def coset_label(g: FpMatrix) -> CosetLabel:
-    """Lexicographically minimal determinant-one element of C_s+ * g^{-1}.
-
-    For det(g) = 1 this is the minimum of the coset (C_s+ cap SL_2) * g^{-1}.
-    The entries come from _label_entries, which two_to_one_check shares.
-    """
-    return CosetLabel(rep=FpMatrix(g.p, *_label_entries(g.p, *g.entries)))
-
-
 def two_to_one_check(emb: EmbeddingData, kernel: GaloisKernel) -> dict[CosetLabel, list[ProjClass]]:
     """Map each kernel class x1 + x2*w_f to the coset label of its matrix
     x1*I + x2*iota_omega.

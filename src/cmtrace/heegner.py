@@ -2,21 +2,27 @@
 
 A CM point of discriminant D = c^2 dK on X_0(N) is carried by a primitive
 form (A, B, C) with N | A and B^2 = D mod 4N, with representative
-tau = (-B + sqrt(D)) / (2A) in the upper half plane; equivalently by the pair
-of lattices  L1 = <A, (-B + sqrt(D))/2>  and its index-N cyclic sublattice
-L2 = <A, N(-B + sqrt(D))/2>, both proper modules over the order of that
-discriminant.
+tau = (-B + sqrt(D)) / (2A) in the upper half plane.
 
-The Galois group of the ring class field acts through ideal multiplication on
-the lattice pair (main theorem of complex multiplication), so the orbit under
-Gal(H_pf / H_f) is computed exactly: multiply both lattices by each kernel
-ideal, re-read the cyclic pair through a basis of the first lattice whose
-first vector is a primitive vector of the Hermite normal form of the second,
-and take the basis ratio as the new point.  Everything stays in integer
-arithmetic.  Any two such bases differ by a matrix in Gamma_0(N), and the
-resulting N-divisible forms are finally reduced inside their Gamma_0(N) class,
-which keeps imaginary parts workable for the q-series and makes each point
-independent of the basis chosen.
+Pic(O_D) acts on these Heegner forms by Dirichlet composition (Gross, Kohnen
+and Zagier, Math. Ann. 278, 1987, section I.1; Cox, Primes of the form
+x^2 + ny^2, Lemma 3.2).  For a form (a, b, c) of discriminant D with a prime
+to A, the composite of (A, B, C) and (a, b, c) is (A a, B', C') with
+B' = B mod 2A and B' = b mod 2a: it lies in the product class, N still
+divides its leading coefficient, and since N | A, B' = B mod 2N.  So the
+action keeps B mod 2N, and with it the stratum q^2 | B that heegner_form
+picks at q^2 || N.  On the Gamma_0(N) classes of Heegner forms with a fixed
+B mod 2N the action is simply transitive, so the composite's Gamma_0(N)
+class depends only on the two classes, not on the forms chosen.  A form
+with a prime to A exists in every class: a primitive form represents
+numbers prime to any given integer (Cox, Lemma 2.25), and _prime_to finds
+one.
+
+By the main theorem of complex multiplication the Artin symbol of an ideal
+class acts on CM points through the inverse class, so galois_orbit composes
+the base form with the inverse of each kernel form and reduces the composite
+inside its Gamma_0(N) class, which keeps imaginary parts workable for the
+q-series.  Everything stays in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -29,8 +35,7 @@ import mpmath as mp
 from .errors import InputError
 from .fp import _xgcd, factorint, kronecker
 from .modparam import al_matrix
-from .quadforms import (BinaryForm, GaloisKernel, _hnf2, basis_form, check_fundamental,
-                        form_to_ideal, generator_ideal, ideal_mul, lagrange_reduce)
+from .quadforms import BinaryForm, GaloisKernel, check_fundamental, lagrange_reduce
 
 
 class NoHeegnerPoint(InputError):
@@ -182,49 +187,57 @@ def al_move(form: BinaryForm, n_level: int, q_div: int) -> tuple[int, BinaryForm
     return k, out
 
 
+def _prime_to(form: BinaryForm, m: int) -> BinaryForm:
+    """A form properly equivalent to the primitive form F = (a, b, c) whose
+    leading coefficient is prime to m >= 1 (Cox, Lemma 2.25).
+
+    Scans k = 0, 1, ..., m - 1 and returns F transformed by (1, 0; k, 1),
+    that is (F(1, k), b + 2 c k, c), at the first k with F(1, k) prime to m.
+    When m and a are even and c is odd, F is first replaced by (c, -b, a).
+    A k below m exists: at an odd prime q | m, F(1, k) = a + b k + c k^2 is
+    a nonzero polynomial mod q of degree at most 2 (F is primitive), so at
+    most 2 of the q residues of k fail; at q = 2, F(1, k) = a + (b + c) k
+    mod 2 with a odd or b + c odd, so at most one residue fails.  By the
+    Chinese remainder theorem some k below the product of the primes of m
+    passes.  Raises InputError for a form that is not primitive.
+    """
+    if not form.is_primitive() or m < 1:
+        raise InputError(f"need a primitive form and m >= 1, got {form} and m = {m}")
+    if m % 2 == 0 and form.a % 2 == 0 and form.c % 2:
+        form = form.transform(0, -1, 1, 0)
+    for k in range(m):
+        if gcd(form.value(1, k), m) == 1:
+            return form.transform(1, 0, k, 1)
+    raise AssertionError(f"no value F(1, k) prime to {m} below k = {m}")
+
+
 def galois_orbit(base: HeegnerTau, kernel: GaloisKernel) -> list[HeegnerTau]:
     """The Gal(H_pf / H_f) orbit of the base point, one member per kernel class.
 
-    Multiplies the point's lattice pair by each kernel ideal, the
-    generator_ideal of the class's generator, and reads the new point off a
-    basis of the first lattice that starts with a primitive vector of the
-    second lattice's Hermite normal form.  Members come back in the
-    fixed kernel ordering; the identity class reproduces the base point.
+    The member of a kernel class is the base form (A0, B0, C0) composed with
+    the inverse (a, -b, c) of the class's form (module docstring).  The
+    inverse is moved to a properly equivalent (a', b', c') with a' prime to
+    A0 (_prime_to).  Then B = B0 + 2 A0 k, with A0 k = (b' - B0) / 2 mod a'
+    (one modular inverse), meets B = B0 mod 2 A0 and B = b' mod 2 a', and
+    the composite (A0 a', B, (B^2 - D) / (4 A0 a')) is reduced in its
+    Gamma_0(N) class.  It keeps B0 mod 2N, on which the Gamma_0(N) class is
+    fixed by the ideal class alone (Gross, Kohnen and Zagier), so the member
+    does not depend on the representative a' or on the base form chosen in
+    its Gamma_0(N) class.  Members come back in the fixed kernel ordering;
+    the identity class reproduces the base point.
     """
     order = kernel.order
-    p = kernel.p
-    if base.dK != order.dK or base.conductor != p * order.f:
+    if base.dK != order.dK or base.conductor != kernel.p * order.f:
         raise InputError("kernel and base point disagree on the order")
     n_level = base.n_level
-    dK = order.dK
-    cond = base.conductor
-    l1 = form_to_ideal(base.form, dK, cond)
-    # index-N cyclic sublattice <A, N*(-B + sqrt(disc))/2>
-    l2 = (l1[0], (n_level * l1[1][0], n_level * l1[1][1]))
-
+    a0, b0, disc = base.form.a, base.form.b, base.form.disc()
     out = []
     for kc in kernel.classes:
-        # the conjugate of the kernel ideal lam O_f cap O_pf
-        abar = tuple((u, -v) for u, v in generator_ideal(order, p, *kc.generator))
-        (a1, b1), (_, c1) = ideal_mul(abar, l1, dK)
-        (a2, b2), (_, c2) = ideal_mul(abar, l2, dK)
-        # both are in Hermite normal form, so m2's rows in the basis of m1 are
-        # triangular; their normal form is ((e, f), (0, g)) with e*g = [m1 : m2]
-        x = a2 // a1
-        assert x * a1 == a2 and (b2 - x * b1) % c1 == 0 and c2 % c1 == 0
-        (e, f), (_, g) = _hnf2([(x, (b2 - x * b1) // c1), (0, c2 // c1)])
-        assert e * g == n_level, "lattice pair does not have index N"
-        # m1/m2 is cyclic exactly when gcd(e, f, g) = 1, and then some
-        # s1 = (e, f + k*g) with k < e is primitive
-        k = next((k for k in range(e) if gcd(e, f + k * g) == 1), None)
-        assert k is not None, "lattice pair is not cyclic"
-        s1 = (e, f + k * g)
-        s2 = _complete_unimodular(*s1)
-        # m2 has index N in m1, so it holds N*m1 and with it <s1, N*s2>, which
-        # also has index N: m2 = <s1, N*s2>, and the point is s2 / s1
-        v1, v2 = ((s[0] * a1, s[0] * b1 + s[1] * c1) for s in (s1, s2))
-        form = basis_form(v1, v2, dK)
-        assert form.a % n_level == 0, "adapted basis lost the level structure"
-        form = gamma0_reduce(form, n_level)
-        out.append(HeegnerTau(form=form, n_level=n_level, dK=dK, conductor=cond))
+        rep = _prime_to(BinaryForm(kc.form.a, -kc.form.b, kc.form.c), a0)
+        big_a = a0 * rep.a
+        big_b = b0 + 2 * a0 * ((rep.b - b0) // 2 * pow(a0, -1, rep.a) % rep.a)
+        assert (big_b * big_b - disc) % (4 * big_a) == 0
+        form = BinaryForm(big_a, big_b, (big_b * big_b - disc) // (4 * big_a))
+        out.append(HeegnerTau(form=gamma0_reduce(form, n_level), n_level=n_level,
+                              dK=order.dK, conductor=base.conductor))
     return out

@@ -16,15 +16,11 @@ Primes of the form x^2 + ny^2, section 7), and each has a closed form: for
 Both generators lie in the intersection, and both lattices have index
 p N(lam) in O_f, so they are equal.  Its form is therefore
 (N(lam), -p Tr(lam), p^2), and the class [1 : 0] is O_pf, the principal
-class: kernel_classes builds no lattice.  generator_ideal is the Hermite
-normal form of those two rows, which only heegner.galois_orbit needs;
-general lattice intersection is a test oracle.
+class.  No ideal is built as a lattice: heegner.galois_orbit acts on
+Heegner forms by composing with the kernel forms themselves, and the
+lattice routes are test oracles.
 
-Ideals are handled as rank-two lattices in half-integer coordinates: the pair
-(u, v) stands for (u + v*sqrt(dK)) / 2.  _hnf2 (Hermite normal form, by
-cmtrace.fp's one xgcd) is the one integer normal form and basis_form the one
-routine that reads a form off a lattice basis; heegner.galois_orbit uses
-both.  lagrange_reduce is the one Lagrange reduction of a basis, on an
+lagrange_reduce is the one Lagrange reduction of a basis, on an
 integer Gram triple: heegner.gamma0_reduce runs it on the Gram triple of a
 form and periods.PeriodLattice.reduction on the periods cut to integers.
 reduce_form keeps its own loop on (a, b, c): it runs p + 1 times per
@@ -38,7 +34,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import InputError
-from .fp import _xgcd, factorint, isprime, kronecker
+from .fp import factorint, isprime, kronecker
 from .projline import ProjClass, ProjParams, proj_elements
 
 
@@ -187,36 +183,6 @@ def class_number(disc: int) -> int:
     return len(reduced_forms(disc))
 
 
-# ---------------------------------------------------------------------------
-# Ideals as lattices in half-coordinates: (u, v) means (u + v sqrt(dK)) / 2.
-
-
-def _half_mul(x: tuple[int, int], y: tuple[int, int], dK: int) -> tuple[int, int]:
-    u = x[0] * y[0] + x[1] * y[1] * dK
-    v = x[0] * y[1] + x[1] * y[0]
-    assert u % 2 == 0 and v % 2 == 0, "product left the maximal order"
-    return (u // 2, v // 2)
-
-
-def _hnf2(rows) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Upper triangular basis ((e, f), (0, g)), e, g > 0, 0 <= f < g, of the
-    lattice the rows span (Cohen, GTM 138, section 2.4.2).  Each row (x, y)
-    is folded into the pivot (e, f) by one xgcd u e + v x = d on the first
-    column: the unimodular (u, v; -x/d, e/d) takes the two rows to the new
-    pivot (d, u f + v y) and (0, (e y - x f) / d), and g is the gcd of those
-    second entries."""
-    e = f = g = 0
-    for x, y in rows:
-        d, u, v = _xgcd(e, x)
-        if d:
-            e, f, g = d, u * f + v * y, gcd(g, (e * y - x * f) // d)
-        else:
-            g = gcd(g, y)
-    if not (e and g):
-        raise InputError("lattice has rank < 2")
-    return ((e, f % g), (0, g))
-
-
 def lagrange_reduce(gram: tuple[int, int, int], v1, v2):
     """Lagrange-reduce the basis (v1, v2) of an integer lattice for the
     positive definite Gram triple gram = (g11, g12, g22), that is
@@ -243,32 +209,6 @@ def lagrange_reduce(gram: tuple[int, int, int], v1, v2):
         n2 = inner(v2, v2)
 
 
-def form_to_ideal(form: BinaryForm, dK: int, cond: int):
-    """Representing lattice A*Z + ((-B + cond*sqrt(dK))/2)*Z, in half-coordinates."""
-    if form.disc() != cond * cond * dK:
-        raise InputError("form discriminant does not match cond^2 * dK")
-    return ((2 * form.a, 0), (-form.b, cond))
-
-
-def basis_form(s1, s2, dK: int) -> BinaryForm:
-    """The primitive form N(x s1 - y s2) / content of a lattice basis (s1, s2) in
-    half-coordinates, with s2 negated if need be so that Im(s2 / s1) > 0; its
-    root in the upper half plane is then s2 / s1."""
-    (u1, v1), (u2, v2) = s1, s2
-    if u1 * v2 - u2 * v1 < 0:
-        u2, v2 = -u2, -v2
-    a = (u1 * u1 - dK * v1 * v1) // 4
-    b = (dK * v1 * v2 - u1 * u2) // 2
-    c = (u2 * u2 - dK * v2 * v2) // 4
-    g = gcd(gcd(a, b), c)
-    return BinaryForm(a // g, b // g, c // g)
-
-
-def ideal_mul(l1, l2, dK: int):
-    rows = [_half_mul(x, y, dK) for x in l1 for y in l2]
-    return _hnf2(rows)
-
-
 # ---------------------------------------------------------------------------
 # The Galois kernel Pic(O_pf) -> Pic(O_f) with unit-class generators.
 
@@ -288,26 +228,6 @@ class GaloisKernel:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-
-def generator_ideal(order: QuadOrder, p: int, x1: int, x2: int):
-    """The proper O_pf-ideal lam O_f  intersect  O_pf for lam = x1 + x2*w_f, a
-    unit mod the inert p, as a lattice: the Hermite normal form of two rows.
-
-    For x2 = 1 the rows are N(lam) and p lam.  Both lie in the intersection
-    (N(lam) = lam conj(lam) is an integer, and p lam lies in p O_f), and both
-    lattices have index p N(lam) in O_f: lam O_f has index N(lam), and
-    lam O_f + O_pf = O_f because lam is a unit mod p, so the intersection has
-    index p in lam O_f.  In general write lam = g lam' with g = gcd(x1, x2),
-    prime to p, and lam' = u1 + u2*w_f.  Then u2 is a unit mod N(lam') and
-    O_f / lam' O_f = Z / N(lam'), in which w_f = -u1 v for u2 v = 1 mod
-    N(lam'); so the rows are g N(lam') and g p (u1 v + w_f), which is p lam
-    itself when x2 = 1 (v = 1), and O_pf = <1, p w_f> at [1 : 0] (v = 0)."""
-    g = gcd(x1, x2)
-    u1, u2 = x1 // g, x2 // g
-    norm = u1 * u1 + order.t * u1 * u2 + order.n * u2 * u2
-    v = pow(u2, -1, norm)
-    return _hnf2([(2 * g * norm, 0), (g * p * (2 * u1 * v + order.t), g * p * order.f)])
 
 
 def kernel_classes(order: QuadOrder, p: int) -> GaloisKernel:

@@ -8,19 +8,33 @@ generators.  The routines here reach the same quantities by brute force
 from the companion matrix to iota_omega, the split normalizer, and every
 reduced form of the big discriminant), so the tests can compare the two
 routes.  They are capped at p <= ENUMERATION_BOUND.
-generator_ideal_by_intersection builds each kernel ideal
-(x1 + x2*w_f) O_f cap O_pf by intersecting the two lattices with
-lattice_intersect, an integer left-kernel row reduction (_left_kernel_rows);
-generator_ideal_three_rows builds it as N(lam) Z + p lam O_f, from three
-rows; cmtrace.quadforms.generator_ideal replaced both with two rows, and the
-HNF of a lattice is unique, so the three routes must agree row for row.
-kernel_classes_by_hnf reads every kernel form off the Hermite normal form of
+
+The package builds no ideal as a lattice; this module holds the one lattice
+reference.  Ideals are rank-two lattices in half-integer coordinates, the
+pair (u, v) standing for (u + v*sqrt(dK)) / 2: _half_mul multiplies two
+elements, _hnf2 is the Hermite normal form, form_to_ideal and basis_form go
+from a form to a lattice basis and back, and ideal_mul multiplies two
+lattices.  galois_orbit_by_lattices is the Galois orbit by the main theorem
+of complex multiplication: it multiplies the point's lattice pair
+L1 = <A, (-B + sqrt(D))/2> and its index-N cyclic sublattice by the
+conjugate of each kernel ideal, and reads the new point off a basis of the
+first lattice that starts with a primitive vector of the Hermite normal
+form of the second.  cmtrace.heegner.galois_orbit composes the base form
+with the inverse kernel form instead; both results are reduced in their
+Gamma_0(N) class, so the orbit forms must agree member by member.
+generator_ideal writes each kernel ideal (x1 + x2*w_f) O_f cap O_pf as the
+Hermite normal form of two rows, generator_ideal_by_intersection
+intersects the two lattices with lattice_intersect, an integer left-kernel
+row reduction (_left_kernel_rows), and generator_ideal_three_rows builds it
+as N(lam) Z + p lam O_f, from three rows; the HNF of a lattice is unique,
+so the three routes must agree row for row.  kernel_classes_by_hnf reads every kernel form off the Hermite normal form of
 the three-row ideal (ideal_to_form), where cmtrace.quadforms.kernel_classes
 writes (N(lam), -p Tr(lam), p^2) down directly.  coset_label_by_matrices
 labels a matrix through its inverse and two candidate matrices, and
 two_to_one_by_matrices groups the kernel classes by those labels of
 galois_matrix; cmtrace.embeddings reads the label entries off the matrix
-entries and builds one CosetLabel per fiber.
+entries (_label_entries) and builds one CosetLabel per fiber, and
+coset_label is the label of one matrix from those entries.
 
 On the analytic side, eval_series_direct is the term-by-term mpc evaluation
 of the q-series that the fixed-point evaluator in cmtrace.modparam replaced,
@@ -41,12 +55,7 @@ Voronoi-relevant vector), so the tests compare the four-corner rule with
 lattice_distance_by_search, an exhaustive search of a box of coordinates.  gamma0_reduce_all_candidates is
 the Gamma_0(N) reduction that builds the reduced form of every candidate
 vector, where cmtrace.heegner builds only those of minimal leading
-coefficient.  galois_orbit_by_smith is the Galois orbit read off a
-Smith-adapted basis of each lattice pair (_smith2, a 2x2 Smith reduction,
-and _ratio_form); cmtrace.heegner.galois_orbit reads it off a primitive
-vector of the pair's Hermite normal form instead, and the two bases differ
-by a matrix in Gamma_0(N), so the reduced orbit forms must agree member by
-member.  heegner_form_all_roots chooses the Heegner form among sympy's every
+coefficient.  heegner_form_all_roots chooses the Heegner form among sympy's every
 square root of the discriminant mod 4N, where cmtrace.heegner.heegner_form
 scans B = 0, 1, -1, 2, -2, ... and stops at the first hit; sympy stays in
 the tests as the reference for the package's own primality test,
@@ -55,7 +64,7 @@ factorisation and square roots.
 Square-and-multiply powers, element orders, the identity matrix and the
 curve-equation residual are test-only helpers: the pipeline never needs
 them.  So is the API that
-cmtrace kept only for its tests: principal_form, lift_to_integral_sl2, Gaussian composition
+cmtrace kept only for its tests: principal_form, coset_label, lift_to_integral_sl2, Gaussian composition
 (compose, form_inverse, ClassGroup, class_to_proj), proj_identity and
 proj_inverse, recognize_algebraic with minpoly, root_number and
 lattice_distance.  Their bodies are as they were in the package.
@@ -73,17 +82,15 @@ from sympy.ntheory import sqrt_mod
 
 from cmtrace.curves import Curve, CurveModel, an_coefficients
 from cmtrace.embeddings import (CosetLabel, EmbeddingData, EmbeddingError, FiberStructureError,
-                                galois_matrix)
+                                _label_entries, galois_matrix)
 from cmtrace.fp import FpMatrix, FpParams, _xgcd, in_cartan_group, isprime, kronecker
 from cmtrace.heegner import HeegnerTau, NoHeegnerPoint, _complete_unimodular, gamma0_reduce
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
 from cmtrace.periods import PeriodLattice, lattice_reduce
 from cmtrace.projline import (ProjClass, ProjParams, involution_class, proj_class,
                               proj_elements, proj_mul)
-from cmtrace.quadforms import (BinaryForm, GaloisKernel, KernelClass, QuadOrder, _half_mul,
-                               _hnf2, basis_form, check_fundamental, form_to_ideal,
-                               generator_ideal, ideal_mul, lagrange_reduce,
-                               reduce_form, reduced_forms)
+from cmtrace.quadforms import (BinaryForm, GaloisKernel, KernelClass, QuadOrder,
+                               check_fundamental, lagrange_reduce, reduce_form, reduced_forms)
 from cmtrace.recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational
 
 ENUMERATION_BOUND = 200
@@ -188,8 +195,18 @@ def sorted_min_label(g: FpMatrix) -> CosetLabel:
     return CosetLabel(rep=min(h.mul(ginv) for h in split_normalizer_sl2(g.p)))
 
 
+def coset_label(g: FpMatrix) -> CosetLabel:
+    """Lexicographically minimal determinant-one element of C_s+ * g^{-1}.
+
+    For det(g) = 1 this is the minimum of the coset (C_s+ cap SL_2) * g^{-1}.
+    The entries come from cmtrace.embeddings._label_entries, which
+    two_to_one_check reads for each kernel class.
+    """
+    return CosetLabel(rep=FpMatrix(g.p, *_label_entries(g.p, *g.entries)))
+
+
 def coset_label_by_matrices(g: FpMatrix) -> CosetLabel:
-    """cmtrace.embeddings.coset_label through g^{-1} and the two candidate
+    """coset_label through g^{-1} and the two candidate
     matrices.  Write g^{-1} = (a, b; c, d) and delta = det(g): the diagonal
     part of the coset is (xa, xb; (delta/x)c, (delta/x)d), the antidiagonal
     part (xc, xd; -(delta/x)a, -(delta/x)b), and each has its minimum at the
@@ -258,6 +275,130 @@ def decompose_gamma(emb: EmbeddingData, r_bar: FpMatrix) -> GammaDecomposition:
     assert in_cartan_group(r_s, "s+", params)
     assert gamma_i.mul(r_s) == r_bar
     return GammaDecomposition(r_bar=r_bar, gamma_i=gamma_i, r_s=r_s)
+
+
+# ---------------------------------------------------------------------------
+# Ideals as lattices in half-coordinates: (u, v) means (u + v sqrt(dK)) / 2.
+
+
+def _half_mul(x: tuple[int, int], y: tuple[int, int], dK: int) -> tuple[int, int]:
+    u = x[0] * y[0] + x[1] * y[1] * dK
+    v = x[0] * y[1] + x[1] * y[0]
+    assert u % 2 == 0 and v % 2 == 0, "product left the maximal order"
+    return (u // 2, v // 2)
+
+
+def _hnf2(rows) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Upper triangular basis ((e, f), (0, g)), e, g > 0, 0 <= f < g, of the
+    lattice the rows span (Cohen, GTM 138, section 2.4.2).  Each row (x, y)
+    is folded into the pivot (e, f) by one xgcd u e + v x = d on the first
+    column: the unimodular (u, v; -x/d, e/d) takes the two rows to the new
+    pivot (d, u f + v y) and (0, (e y - x f) / d), and g is the gcd of those
+    second entries."""
+    e = f = g = 0
+    for x, y in rows:
+        d, u, v = _xgcd(e, x)
+        if d:
+            e, f, g = d, u * f + v * y, gcd(g, (e * y - x * f) // d)
+        else:
+            g = gcd(g, y)
+    if not (e and g):
+        raise ValueError("lattice has rank < 2")
+    return ((e, f % g), (0, g))
+
+
+def form_to_ideal(form: BinaryForm, dK: int, cond: int):
+    """Representing lattice A*Z + ((-B + cond*sqrt(dK))/2)*Z, in half-coordinates."""
+    if form.disc() != cond * cond * dK:
+        raise ValueError("form discriminant does not match cond^2 * dK")
+    return ((2 * form.a, 0), (-form.b, cond))
+
+
+def basis_form(s1, s2, dK: int) -> BinaryForm:
+    """The primitive form N(x s1 - y s2) / content of a lattice basis (s1, s2) in
+    half-coordinates, with s2 negated if need be so that Im(s2 / s1) > 0; its
+    root in the upper half plane is then s2 / s1."""
+    (u1, v1), (u2, v2) = s1, s2
+    if u1 * v2 - u2 * v1 < 0:
+        u2, v2 = -u2, -v2
+    a = (u1 * u1 - dK * v1 * v1) // 4
+    b = (dK * v1 * v2 - u1 * u2) // 2
+    c = (u2 * u2 - dK * v2 * v2) // 4
+    g = gcd(gcd(a, b), c)
+    return BinaryForm(a // g, b // g, c // g)
+
+
+def ideal_mul(l1, l2, dK: int):
+    rows = [_half_mul(x, y, dK) for x in l1 for y in l2]
+    return _hnf2(rows)
+
+
+def generator_ideal(order: QuadOrder, p: int, x1: int, x2: int):
+    """The proper O_pf-ideal lam O_f  intersect  O_pf for lam = x1 + x2*w_f, a
+    unit mod the inert p, as a lattice: the Hermite normal form of two rows.
+
+    For x2 = 1 the rows are N(lam) and p lam.  Both lie in the intersection
+    (N(lam) = lam conj(lam) is an integer, and p lam lies in p O_f), and both
+    lattices have index p N(lam) in O_f: lam O_f has index N(lam), and
+    lam O_f + O_pf = O_f because lam is a unit mod p, so the intersection has
+    index p in lam O_f.  In general write lam = g lam' with g = gcd(x1, x2),
+    prime to p, and lam' = u1 + u2*w_f.  Then u2 is a unit mod N(lam') and
+    O_f / lam' O_f = Z / N(lam'), in which w_f = -u1 v for u2 v = 1 mod
+    N(lam'); so the rows are g N(lam') and g p (u1 v + w_f), which is p lam
+    itself when x2 = 1 (v = 1), and O_pf = <1, p w_f> at [1 : 0] (v = 0)."""
+    g = gcd(x1, x2)
+    u1, u2 = x1 // g, x2 // g
+    norm = u1 * u1 + order.t * u1 * u2 + order.n * u2 * u2
+    v = pow(u2, -1, norm)
+    return _hnf2([(2 * g * norm, 0), (g * p * (2 * u1 * v + order.t), g * p * order.f)])
+
+
+def galois_orbit_by_lattices(base: HeegnerTau, kernel: GaloisKernel) -> list[HeegnerTau]:
+    """cmtrace.heegner.galois_orbit through the lattice pair of the point.
+
+    Multiplies the point's lattice pair by the conjugate of each kernel
+    ideal, the generator_ideal of the class's generator, and reads the new point off a
+    basis of the first lattice that starts with a primitive vector of the
+    second lattice's Hermite normal form.  Members come back in the
+    fixed kernel ordering; the identity class reproduces the base point.
+    """
+    order = kernel.order
+    p = kernel.p
+    if base.dK != order.dK or base.conductor != p * order.f:
+        raise ValueError("kernel and base point disagree on the order")
+    n_level = base.n_level
+    dK = order.dK
+    cond = base.conductor
+    l1 = form_to_ideal(base.form, dK, cond)
+    # index-N cyclic sublattice <A, N*(-B + sqrt(disc))/2>
+    l2 = (l1[0], (n_level * l1[1][0], n_level * l1[1][1]))
+
+    out = []
+    for kc in kernel.classes:
+        # the conjugate of the kernel ideal lam O_f cap O_pf
+        abar = tuple((u, -v) for u, v in generator_ideal(order, p, *kc.generator))
+        (a1, b1), (_, c1) = ideal_mul(abar, l1, dK)
+        (a2, b2), (_, c2) = ideal_mul(abar, l2, dK)
+        # both are in Hermite normal form, so m2's rows in the basis of m1 are
+        # triangular; their normal form is ((e, f), (0, g)) with e*g = [m1 : m2]
+        x = a2 // a1
+        assert x * a1 == a2 and (b2 - x * b1) % c1 == 0 and c2 % c1 == 0
+        (e, f), (_, g) = _hnf2([(x, (b2 - x * b1) // c1), (0, c2 // c1)])
+        assert e * g == n_level, "lattice pair does not have index N"
+        # m1/m2 is cyclic exactly when gcd(e, f, g) = 1, and then some
+        # s1 = (e, f + k*g) with k < e is primitive
+        k = next((k for k in range(e) if gcd(e, f + k * g) == 1), None)
+        assert k is not None, "lattice pair is not cyclic"
+        s1 = (e, f + k * g)
+        s2 = _complete_unimodular(*s1)
+        # m2 has index N in m1, so it holds N*m1 and with it <s1, N*s2>, which
+        # also has index N: m2 = <s1, N*s2>, and the point is s2 / s1
+        v1, v2 = ((s[0] * a1, s[0] * b1 + s[1] * c1) for s in (s1, s2))
+        form = basis_form(v1, v2, dK)
+        assert form.a % n_level == 0, "adapted basis lost the level structure"
+        form = gamma0_reduce(form, n_level)
+        out.append(HeegnerTau(form=form, n_level=n_level, dK=dK, conductor=cond))
+    return out
 
 
 def ideal_to_form(lattice, dK: int, cond: int) -> BinaryForm:
@@ -439,122 +580,6 @@ def gamma0_reduce_all_candidates(form: BinaryForm, n_level: int) -> BinaryForm:
     assert best is not None
     out = best[1]
     assert out.a % n_level == 0 and out.disc() == form.disc()
-    return out
-
-
-def _smith2(m):
-    """(d1, d2) with d1 | d2 and the column transform V: rowops * m * V = diag.
-
-    Row operations change the sublattice basis (free); V is what the ambient
-    basis must absorb, so only V is tracked.
-    """
-    a = [list(m[0]), list(m[1])]
-    v = [[1, 0], [0, 1]]
-
-    def colop(i, j, q):
-        for r in (0, 1):
-            a[r][i] -= q * a[r][j]
-            v[r][i] -= q * v[r][j]
-
-    def colswap():
-        for r in (0, 1):
-            a[r][0], a[r][1] = a[r][1], a[r][0]
-            v[r][0], v[r][1] = v[r][1], v[r][0]
-
-    for _ in range(200):
-        entries = [(abs(a[i][j]), i, j) for i in (0, 1) for j in (0, 1) if a[i][j]]
-        if not entries:
-            break
-        _, i, j = min(entries)
-        if i == 1:
-            a[0], a[1] = a[1], a[0]
-        if j == 1:
-            colswap()
-        piv = a[0][0]
-        if a[1][0] % piv:
-            q = a[1][0] // piv
-            a[1] = [a[1][0] - q * a[0][0], a[1][1] - q * a[0][1]]
-            continue
-        if a[0][1] % piv:
-            colop(1, 0, a[0][1] // piv)
-            continue
-        q = a[1][0] // piv
-        a[1] = [a[1][0] - q * a[0][0], a[1][1] - q * a[0][1]]
-        colop(1, 0, a[0][1] // piv)
-        if a[1][1] % piv:
-            colop(0, 1, -1)
-            continue
-        break
-    else:
-        raise AssertionError("Smith reduction did not terminate")
-    return (abs(a[0][0]), abs(a[1][1])), v
-
-
-def _ratio_form(s1, s2, dK: int, conductor: int) -> BinaryForm:
-    """Primitive integral form of tau = value(s2) / value(s1), oriented Im > 0."""
-    u1, v1 = s1
-    u2, v2 = s2
-    pp = u1 * u2 - dK * v1 * v2
-    qq = u1 * v2 - u2 * v1
-    rr = (u1 * u1 - dK * v1 * v1) // 2
-    assert qq != 0 and rr > 0
-    if qq < 0:
-        pp, qq = -pp, -qq
-    # tau = (pp + qq sqrt(dK)) / (2 rr):  (2 rr x - pp)^2 = qq^2 dK
-    a, b, c = 4 * rr * rr, -4 * pp * rr, pp * pp - qq * qq * dK
-    g = gcd(gcd(a, b), c)
-    form = BinaryForm(a // g, b // g, c // g)
-    assert form.disc() == conductor ** 2 * dK
-    return form
-
-
-def galois_orbit_by_smith(base: HeegnerTau, kernel: GaloisKernel) -> list[HeegnerTau]:
-    """heegner.galois_orbit through a 2x2 Smith reduction of the lattice pair.
-
-    Multiplies the point's lattice pair by each kernel ideal and reads the new
-    point off a Smith-adapted basis of the cyclic pair.  Members come back in
-    the fixed kernel ordering; the identity class reproduces the base point.
-    """
-    order = kernel.order
-    p = kernel.p
-    if base.dK != order.dK or base.conductor != p * order.f:
-        raise ValueError("kernel and base point disagree on the order")
-    n_level = base.n_level
-    dK = order.dK
-    cond = base.conductor
-    l1 = form_to_ideal(base.form, dK, cond)
-    # index-N cyclic sublattice <A, N*(-B + sqrt(disc))/2>
-    l2 = (l1[0], (n_level * l1[1][0], n_level * l1[1][1]))
-
-    out = []
-    for kc in kernel.classes:
-        # the conjugate of the kernel ideal lam O_f cap O_pf
-        abar = tuple((u, -v) for u, v in generator_ideal(order, p, *kc.generator))
-        m1 = ideal_mul(abar, l1, dK)
-        m2 = ideal_mul(abar, l2, dK)
-        # coordinates of m2's basis in m1's basis
-        det1 = m1[0][0] * m1[1][1] - m1[0][1] * m1[1][0]
-        adj = ((m1[1][1], -m1[0][1]), (-m1[1][0], m1[0][0]))
-        coords = []
-        for row in m2:
-            num = (row[0] * adj[0][0] + row[1] * adj[1][0],
-                   row[0] * adj[0][1] + row[1] * adj[1][1])
-            assert num[0] % det1 == 0 and num[1] % det1 == 0
-            coords.append((num[0] // det1, num[1] // det1))
-        (d1, d2), v = _smith2(tuple(coords))
-        assert d1 == 1 and d2 == n_level, "lattice pair is not cyclic of index N"
-        vdet = v[0][0] * v[1][1] - v[0][1] * v[1][0]
-        assert abs(vdet) == 1
-        vinv = ((v[1][1] * vdet, -v[0][1] * vdet), (-v[1][0] * vdet, v[0][0] * vdet))
-        # adapted basis rows s = vinv * m1; then m2 = <s1, N s2>
-        s1 = (vinv[0][0] * m1[0][0] + vinv[0][1] * m1[1][0],
-              vinv[0][0] * m1[0][1] + vinv[0][1] * m1[1][1])
-        s2 = (vinv[1][0] * m1[0][0] + vinv[1][1] * m1[1][0],
-              vinv[1][0] * m1[0][1] + vinv[1][1] * m1[1][1])
-        form = _ratio_form(s1, s2, dK, cond)
-        assert form.a % n_level == 0, "adapted basis lost the level structure"
-        form = gamma0_reduce(form, n_level)
-        out.append(HeegnerTau(form=form, n_level=n_level, dK=dK, conductor=cond))
     return out
 
 

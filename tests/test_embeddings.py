@@ -3,11 +3,12 @@ import random
 import pytest
 from sympy import primerange
 
-from cmtrace.embeddings import (EmbeddingData, EmbeddingError, build_embedding, coset_label,
+from cmtrace.embeddings import (EmbeddingData, EmbeddingError, build_embedding,
                                 find_common_norm_element, galois_matrix, lemma_converse_check,
                                 signo_pairing_check, two_to_one_check, verify_optimal)
 from cmtrace.fp import FpMatrix, FpParams, in_cartan_group, index_ns_plus, kronecker
-from oracles import decompose_gamma, enumerate_cartan, identity, sl2_elements, split_normalizer_sl2
+from oracles import (coset_label, decompose_gamma, enumerate_cartan, identity, sl2_elements,
+                     split_normalizer_sl2)
 from cmtrace.projline import involution_class, proj_class, proj_elements, proj_mul
 from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
 

@@ -1,14 +1,18 @@
+from math import gcd
+
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cmtrace.errors import InputError
 from cmtrace.fp import kronecker
-from cmtrace.heegner import (HeegnerTau, NoHeegnerPoint, _has_square_root, galois_orbit,
-                             gamma0_reduce, heegner_form)
-from cmtrace.quadforms import (BinaryForm, generator_ideal, is_fundamental_discriminant,
-                               kernel_classes, order_data, reduce_form)
-from oracles import compose, generator_ideal_three_rows, heegner_form_all_roots
+from cmtrace.heegner import (HeegnerTau, NoHeegnerPoint, _has_square_root, _prime_to,
+                             galois_orbit, gamma0_reduce, heegner_form)
+from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes,
+                               order_data, reduce_form)
+from oracles import (compose, galois_orbit_by_lattices, generator_ideal, generator_ideal_three_rows,
+                     heegner_form_all_roots)
 
 
 def brute_stratum_minimum(n_level, dK, c, p):
@@ -143,6 +147,25 @@ def test_orbit_rejects_mismatched_kernel():
         galois_orbit(base, kernel)
 
 
+PRIMORIALS = (2, 6, 30, 210, 2310, 30030, 510510, 9699690)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6),
+       st.integers(1, 10 ** 7) | st.sampled_from(PRIMORIALS), st.integers(2, 30))
+@example(2, 1, 1, 6, 2)          # 2 + k + k^2 is always even: (c, -b, a) comes first
+@example(2, 1, 2, 6, 2)          # F(1, 0) = 2, F(1, 1) = 5
+@example(3, 1, 3, 21, 2)         # F(1, k) = 3, 7, 17
+def test_representative_prime_to_m_is_in_the_class(a, b, extra, m, g):
+    form = BinaryForm(a, b, b * b // (4 * a) + extra)         # positive definite
+    assume(form.is_primitive())
+    rep = _prime_to(form, m)
+    assert reduce_form(rep) == reduce_form(form)
+    assert gcd(rep.a, m) == 1
+    with pytest.raises(InputError, match="primitive"):
+        _prime_to(BinaryForm(g * form.a, g * form.b, g * form.c), m)
+
+
 def test_heegner_form_composite_level():
     # N = 36, c = 3: stratum 9 | B at the distinguished prime 3
     f = heegner_form(36, -7, 3)
@@ -166,12 +189,13 @@ ANCHOR_ORBITS = {
 def test_orbit_from_kept_ideals_matches_recorded_anchor_forms(dK, p, n_level):
     order, kernel, base = orbit_setup(dK, p, n_level)
     for kc in kernel.classes:
-        # the two-row ideal that galois_orbit conjugates is the three-row one
-        # the kernel used to keep
+        # the two-row ideal that the lattice oracle conjugates is the
+        # three-row one the kernel used to keep
         assert (generator_ideal(order, p, *kc.generator)
                 == generator_ideal_three_rows(order, p, *kc.generator))
-    forms = [(pt.form.a, pt.form.b, pt.form.c) for pt in galois_orbit(base, kernel)]
-    assert forms == ANCHOR_ORBITS[dK, p, n_level]
+    for orbit in (galois_orbit(base, kernel), galois_orbit_by_lattices(base, kernel)):
+        forms = [(pt.form.a, pt.form.b, pt.form.c) for pt in orbit]
+        assert forms == ANCHOR_ORBITS[dK, p, n_level]
 
 
 @pytest.mark.parametrize("dK", [-12, -44, -1, -28, 5])

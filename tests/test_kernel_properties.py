@@ -2,45 +2,47 @@
 random inert (dK, f, p) with p <= 31.
 
 The orbit is taken on X_0(p^2): the base point has conductor p*f, and each
-orbit member comes from one kernel ideal, so comparing member by member with
-Gaussian composition (an oracle) ties the ideals that galois_orbit
-conjugates to the forms that kernel_classes writes down.  The ideals'
-two-row closed form is compared with the lattice intersection oracle for
-random generators lam = x1 + x2*w_f, a unit mod p, and the closed-form
-kernel with the forms read off each ideal's Hermite normal form at inert p
-up to 10^4.  The Gamma_0(N) reduction that galois_orbit applies to each
-member is checked against the oracle that builds every candidate form, on
-random N-divisible forms, and shown constant on Gamma_0(N) classes.  At
-levels N = p^2 M, M split in K, galois_orbit (a primitive vector of the
-Hermite normal form of each lattice pair) is compared member by member with
-the Smith-reduction oracle.
+orbit member comes from one kernel class, so comparing member by member with
+Gaussian composition (an oracle) ties the classes that galois_orbit
+composes with to the forms that kernel_classes writes down.  The two-row
+kernel ideal of the lattice oracle is compared with the lattice
+intersection oracle for random generators lam = x1 + x2*w_f, a unit mod p,
+and the closed-form kernel with the forms read off each ideal's Hermite
+normal form at inert p up to 10^4.  The Gamma_0(N) reduction that
+galois_orbit applies to each member is checked against the oracle that
+builds every candidate form, on random N-divisible forms, and shown constant
+on Gamma_0(N) classes.  At levels N = p^2 M, every prime of M split in K,
+galois_orbit (Dirichlet composition with the inverse kernel forms) is
+compared member by member with the lattice-pair oracle, from the Heegner
+form and from an orbit member whose leading coefficient exceeds N.
 """
 
 from math import gcd
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy import primerange
+from sympy import primefactors, primerange
 
 from cmtrace.experiments import ExperimentSpec, experiment_finite
 from cmtrace.fp import kronecker
 from cmtrace.heegner import (HeegnerTau, _complete_unimodular, galois_orbit, gamma0_reduce,
                              heegner_form)
 from cmtrace.projline import involution_class, proj_mul
-from cmtrace.quadforms import (BinaryForm, generator_ideal, is_fundamental_discriminant,
-                               kernel_classes, order_data, proj_params, reduce_form)
-from oracles import (compose, form_inverse, galois_orbit_by_smith, gamma0_reduce_all_candidates,
-                     generator_ideal_by_intersection, kernel_classes_by_hnf, principal_form,
-                     project_form)
+from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes,
+                               order_data, proj_params, reduce_form)
+from oracles import (compose, form_inverse, galois_orbit_by_lattices, gamma0_reduce_all_candidates,
+                     generator_ideal, generator_ideal_by_intersection, kernel_classes_by_hnf,
+                     principal_form, project_form)
 
 CASES = [(dK, f, p)
          for dK in range(-200, -6) if is_fundamental_discriminant(dK)
          for p in primerange(3, 32) if kronecker(dK, p) == -1
          for f in range(1, 6) if f % p]
 PROPERTY = settings(max_examples=30, deadline=None)
-# (dK, f, p, M): every prime of M splits in K and is prime to f
-LEVEL_CASES = [(dK, f, p, m) for dK, f, p in CASES for m in (1, 2, 3, 5, 7)
-               if m == 1 or (kronecker(dK, m) == 1 and f % m)]
+# (dK, f, p, M): every prime of M splits in K and is prime to f; M = 4 is
+# the shape of 36a1, M = 6 and 10 have two primes
+LEVEL_CASES = [(dK, f, p, m) for dK, f, p in CASES for m in (1, 2, 3, 4, 5, 6, 7, 10)
+               if all(kronecker(dK, q) == 1 and f % q for q in primefactors(m))]
 
 
 @PROPERTY
@@ -141,10 +143,19 @@ def test_gamma0_reduce_builds_only_the_minimal_candidates(n_level, k, b, extra, 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(LEVEL_CASES))
-def test_orbit_from_the_hermite_normal_form_equals_the_smith_route(case):
+@example((-199, 5, 3, 4))
+@example((-191, 5, 7, 6))
+@example((-199, 3, 11, 10))
+def test_orbit_by_composition_equals_the_lattice_route(case):
     dK, f, p, m = case
     n_level = p * p * m
     kernel = kernel_classes(order_data(dK, f), p)
     base = HeegnerTau(form=heegner_form(n_level, dK, p * f), n_level=n_level, dK=dK,
                       conductor=p * f)
-    assert galois_orbit(base, kernel) == galois_orbit_by_smith(base, kernel)
+    orbit = galois_orbit(base, kernel)
+    assert orbit == galois_orbit_by_lattices(base, kernel)
+    # rebased on a member with A0 > N: the representative of each inverse
+    # kernel form must be prime to A0, not only to N
+    rebased = max(orbit, key=lambda pt: pt.form.a)
+    assert rebased.form.a > n_level
+    assert galois_orbit(rebased, kernel) == galois_orbit_by_lattices(rebased, kernel)

@@ -5,13 +5,12 @@ from itertools import product
 import pytest
 from sympy import primerange
 
-from cmtrace.embeddings import build_embedding, coset_label, two_to_one_check
+from cmtrace.embeddings import build_embedding, two_to_one_check
 from cmtrace.experiments import ExperimentSpec, experiment_finite
 from cmtrace.fp import FpMatrix, FpParams, kronecker
-from cmtrace.quadforms import (generator_ideal, is_fundamental_discriminant, kernel_classes,
-                               order_data)
-from oracles import (coset_label_by_matrices, decompose_gamma, enumerate_cartan,
-                     generator_ideal_by_intersection, kernel_classes_by_hnf,
+from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
+from oracles import (coset_label, coset_label_by_matrices, decompose_gamma, enumerate_cartan,
+                     generator_ideal, generator_ideal_by_intersection, kernel_classes_by_hnf,
                      kernel_forms_by_filter, sl2_elements, sorted_min_label,
                      two_to_one_by_matrices)
 

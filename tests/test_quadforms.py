@@ -8,16 +8,17 @@ from sympy import primerange
 
 from cmtrace.fp import kronecker
 from cmtrace.projline import ProjClass, proj_elements, proj_mul
-from cmtrace.quadforms import (BinaryForm, _hnf2, basis_form, class_number, form_to_ideal,
-                               is_fundamental_discriminant, kernel_classes, lagrange_reduce,
-                               order_data, proj_params, reduce_form, reduced_forms)
-from oracles import (ClassGroup, class_to_proj, compose, element_order, form_inverse, form_pow,
-                     ideal_to_form, principal_form, project_form)
+from cmtrace.quadforms import (BinaryForm, class_number, is_fundamental_discriminant,
+                               kernel_classes, lagrange_reduce, order_data, proj_params,
+                               reduce_form, reduced_forms)
+from oracles import (ClassGroup, _hnf2, basis_form, class_to_proj, compose, element_order,
+                     form_inverse, form_pow, form_to_ideal, ideal_to_form, principal_form,
+                     project_form)
 
 # ---------------------------------------------------------------------------
 # Independent oracles.  Ideal arithmetic here is written from scratch against
 # the basis (1, (D + sqrt(D))/2) and is deliberately separate from the
-# package's half-coordinate lattice toolkit.
+# half-coordinate lattice toolkit in oracles.py.
 
 
 def oracle_compose(f1: BinaryForm, f2: BinaryForm) -> BinaryForm:
