@@ -4,13 +4,15 @@ the ring class Galois kernel, trace, and classify the result.
 Every trace run also executes the finite shadow (optimal embedding, converse
 scan, two-to-one fiber structure, involution pairing), so the analytic outcome
 and the group-theoretic bookkeeping are produced side by side; the orbit is
-built from the Galois kernel the shadow computed.
+built from the Galois kernel the shadow computed.  Then, in stages:
+orbit_options (the series budget, before any sign), atkin_lehner_sign,
+plan_orbit (the W_Q moves) and orbit_trace (the plan evaluated).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, inf, prod
@@ -249,19 +251,18 @@ def _cstr(z, digits: int) -> dict:
 
 
 @lru_cache(maxsize=128)
-def al_signs(model: CurveModel, wp: int | None = None) -> tuple[tuple[int, int], ...]:
-    """((Q, w_Q), ...) for every Q || N, Q > 1, whose sign needs no series:
-    the product of the local signs, or wp (when given) for Q = p^2.  Other Q,
-    such as 36a1's Q = 4 and Q = 36 (additive at 2), are never used."""
+def al_signs(model: CurveModel) -> tuple[tuple[int, int | None], ...]:
+    """((Q, w_Q), ...) for every Q || N, Q > 1, whose sign is the product of
+    the local signs, and (p^2, None) when w_p needs the series (36a1, additive
+    at 3): plan_orbit fills in the measured sign.  Other Q, such as 36a1's
+    Q = 4 and Q = 36 (additive at 2), are never used."""
     powers = [q ** e for q, e in factorint(model.n).items()]
     out = []
     for r in range(1, len(powers) + 1):
         for combo in combinations(powers, r):
             q_div = prod(combo)
             w = local_sign(model.minimal, q_div)
-            if w is None and q_div == model.p ** 2:
-                w = wp
-            if w is not None:
+            if w is not None or q_div == model.p ** 2:
                 out.append((q_div, w))
     return tuple(out)
 
@@ -274,40 +275,30 @@ def _terms(im_tau, digits: int) -> tuple[int, bool]:
         return exc.needed, False
 
 
-def _options(pt: HeegnerTau, signs: tuple, digits: int, root) -> list:
-    """[(n_max, within budget, q, point)]: tau itself (q = 1) and its best
-    W_Q (tau + k) for each Q of `signs` whose leading coefficient is smaller.
-    Each Im tau is root / (2A), root = sqrt|D| at digits + 15, as
-    HeegnerTau.tau computes it."""
-    opts = [(*_terms(root / (2 * pt.form.a), digits), 1, pt)]
-    for q_div, _ in signs:
-        _, form = al_move(pt.form, pt.n_level, q_div)
-        if form.a < pt.form.a:
-            opts.append((*_terms(root / (2 * form.a), digits), q_div,
-                         HeegnerTau(form=form, n_level=pt.n_level, dK=pt.dK,
-                                    conductor=pt.conductor)))
-    return opts
-
-
-def orbit_options(model: CurveModel, orbit, digits: int, wp: int | None = None) -> list:
-    """_options of every orbit point (the points share one D) over the usable
-    Q of al_signs(model, wp).  Which Q are usable depends only on whether wp
-    is known, not on its value, so trace_point builds this before the sign."""
-    signs = al_signs(model, wp)
+def orbit_options(model: CurveModel, orbit, digits: int) -> list:
+    """[(n_max, within budget, q, point)] for each orbit point: tau itself
+    (q = 1) and its best W_Q (tau + k) for each Q of al_signs(model) whose
+    leading coefficient is smaller.  The points share one D, and each Im tau
+    is sqrt|D| / (2A) at digits + 15, as HeegnerTau.tau computes it.  No sign
+    is read, so trace_point builds this before atkin_lehner_sign.
+    SeriesBudgetError, with the least n_max a plan can have, when some point
+    has no option within the budget; the K_Q are left out, so plan_orbit may
+    still fail where this passes."""
+    signs = al_signs(model)
+    table = []
     with mp.workdps(digits + 15):
         root = mp.sqrt(-orbit[0].form.disc())
-        return [_options(pt, signs, digits, root) for pt in orbit]
-
-
-def orbit_budget(table: list) -> int:
-    """The least n_max a plan of the orbit can have, from its orbit_options:
-    the terms at the point whose best option (itself or a usable W_Q image)
-    is the most expensive; SeriesBudgetError when that is above the cap.
-    The K_Q are left out, so plan_orbit may still fail where this passes."""
-    worst = max(min(o[0] for o in opts) for opts in table)
+        for pt in orbit:
+            opts = [(*_terms(root / (2 * pt.form.a), digits), 1, pt)]
+            for q_div, _ in signs:
+                _, form = al_move(pt.form, pt.n_level, q_div)
+                if form.a < pt.form.a:
+                    opts.append((*_terms(root / (2 * form.a), digits), q_div,
+                                 replace(pt, form=form)))
+            table.append(opts)
     if not all(any(o[1] for o in opts) for opts in table):
-        raise SeriesBudgetError(worst)
-    return worst
+        raise SeriesBudgetError(max(min(o[0] for o in opts) for opts in table))
+    return table
 
 
 def _choose(table: list, k_terms: dict) -> tuple[list, set]:
@@ -339,18 +330,14 @@ def _choose(table: list, k_terms: dict) -> tuple[list, set]:
         used.remove(drop)
 
 
-def plan_orbit(model: CurveModel, orbit, digits: int, wp: int | None = None,
-               table: list | None = None) -> OrbitPlan:
-    """How to evaluate each orbit point with few series terms, K_Q included:
-    each point keeps tau or moves to its best W_Q (tau + k) among the usable
-    Q (al_signs), and a Q is used only when the terms its points save exceed
-    what its K_Q costs (_choose).  Integer arithmetic picks each move
-    (al_move); phi_terms prices it.  table is orbit_options(model, orbit,
-    digits, wp), built here when not given.  SeriesBudgetError when no plan
+def plan_orbit(model: CurveModel, table: list, digits: int, wp: int) -> OrbitPlan:
+    """How to evaluate each orbit point with few series terms, K_Q included,
+    from its orbit_options table and w_p: each point keeps tau or moves to
+    its best W_Q (tau + k), and a Q is used only when the terms its points
+    save exceed what its K_Q costs (_choose).  Integer arithmetic picks each
+    move (al_move); phi_terms prices it.  SeriesBudgetError when no plan
     stays within the budget."""
-    signs = al_signs(model, wp)
-    if table is None:
-        table = orbit_options(model, orbit, digits, wp)
+    signs = [(q_div, wp if w is None else w) for q_div, w in al_signs(model)]
     offered = {o[2] for opts in table for o in opts}
     k_cost = {}                                   # Q -> (w, n_max, points) of K_Q
     for q_div, w in signs:
@@ -368,17 +355,14 @@ def plan_orbit(model: CurveModel, orbit, digits: int, wp: int | None = None,
         constants=tuple((q, *k_cost[q]) for q in sorted(used)))
 
 
-def orbit_trace(model: CurveModel, orbit, kernel, digits: int, wp: int | None = None,
-                table: list | None = None):
-    """Evaluate the parametrisation over the orbit as plan_orbit says, and sum
+def orbit_trace(model: CurveModel, orbit, kernel, plan: OrbitPlan, digits: int):
+    """Evaluate the parametrisation over the orbit as the plan says, and sum
     in kernel order: phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q) is exact, so
     no period enters (modparam docstring).
 
-    The plan is made before any evaluation, so an over-budget orbit fails
-    first.  The evaluations, K_Q's included, run from the most terms down:
-    the a_n sieve is extended once.  Each value depends only on (tau,
-    digits, a[0..n_max]), so the order changes nothing."""
-    plan = plan_orbit(model, orbit, digits, wp, table)
+    The evaluations, K_Q's included, run from the most terms down: the a_n
+    sieve is extended once.  Each value depends only on (tau, digits,
+    a[0..n_max]), so the order changes nothing."""
     cur = model.minimal
     with mp.workdps(digits + 15):
         taus = [pt.tau(digits) for pt in orbit]
@@ -430,8 +414,7 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
                       n_level=model.n, dK=spec.dK, conductor=model.p * spec.f)
     orbit = galois_orbit(base, kernel)
     # an over-budget orbit fails here, before the sign can evaluate a series
-    table = orbit_options(model, orbit, digits, wp=1)
-    orbit_budget(table)
+    table = orbit_options(model, orbit, digits)
     t_finite = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -439,7 +422,8 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     timings = {"atkin_lehner": time.perf_counter() - t0, "finite_layer": t_finite}
 
     t0 = time.perf_counter()
-    entries, trace_z, n_max = orbit_trace(model, orbit, kernel, digits, wp, table)
+    plan = plan_orbit(model, table, digits, wp)
+    entries, trace_z, n_max = orbit_trace(model, orbit, kernel, plan, digits)
     timings["orbit_evaluation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -24,7 +24,7 @@ enumerates a group, so no routine is capped in p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InputError
 
@@ -178,22 +178,15 @@ def sqrt_mod_p(a: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class FpParams:
-    """An odd prime p together with a fixed non-square eps mod p."""
+    """An odd prime p together with its smallest non-square eps mod p."""
 
     p: int
-    eps: int | None = None
+    eps: int = field(init=False)
 
     def __post_init__(self):
         if self.p < 3 or not isprime(self.p):
             raise InputError(f"p must be an odd prime, got {self.p}")
-        eps = self.eps
-        if eps is None:
-            eps = smallest_nonsquare(self.p)
-        else:
-            eps %= self.p
-            if kronecker(eps, self.p) != -1:
-                raise InputError(f"eps={eps} is a square mod {self.p}")
-        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "eps", smallest_nonsquare(self.p))
 
 
 @dataclass(frozen=True, order=True)
@@ -236,8 +229,6 @@ class FpMatrix:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    __matmul__ = mul
 
     def inv(self) -> "FpMatrix":
         det = self.det()

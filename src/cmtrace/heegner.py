@@ -60,8 +60,7 @@ class HeegnerTau:
     def tau(self, digits: int):
         """Upper half plane representative at the requested precision."""
         with mp.workdps(digits + 15):
-            d = self.form.disc()
-            return (-self.form.b + mp.sqrt(mp.mpc(d))) / (2 * self.form.a)
+            return mp.mpc(-self.form.b, mp.sqrt(-self.form.disc())) / (2 * self.form.a)
 
 
 def heegner_form(n_level: int, dK: int, c: int) -> BinaryForm:

@@ -44,7 +44,8 @@ phi(W_Q tau) - w_Q phi(tau) is a constant (a cuspidal, hence torsion, point
 by Manin-Drinfeld).  As phi has period 1, phi(tau) = w_Q (phi(W_Q (tau + k))
 - K_Q) for every integer k, exactly: no period enters, unlike a move inside
 Gamma_0(N), which adds one.  So an orbit point can be evaluated where Im is
-larger and the series shorter (cmtrace.experiments.plan_orbit).
+larger and the series shorter: cmtrace.experiments.plan_orbit picks the
+moves from the table of orbit_options once w_p is known.
 al_constant computes K_Q once per (curve, Q, digits) and process from the
 top s0 of the isometric circle of W_Q, where Im s0 = Im W_Q s0 = sqrt(Q) / N
 is as large as it can be for both; when N | a + d, W_Q s0 = s0 + (a + d) /

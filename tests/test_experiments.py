@@ -6,9 +6,11 @@ import pytest
 from cmtrace import curves
 from cmtrace.curves import curve_model
 from cmtrace.experiments import (TRACE_MIN_DIGITS, ExperimentSpec, HypothesisError,
-                                 experiment_finite, orbit_trace, plan_orbit, trace_point)
+                                 experiment_finite, orbit_options, orbit_trace, plan_orbit,
+                                 trace_point)
 from cmtrace.heegner import HeegnerTau, galois_orbit, heegner_form
-from cmtrace.modparam import SeriesBudgetError, al_constant, eval_phi, phi_terms
+from cmtrace.modparam import (SeriesBudgetError, al_constant, atkin_lehner_sign, eval_phi,
+                              phi_terms)
 from cmtrace.periods import period_lattice
 from cmtrace.quadforms import BinaryForm, kernel_classes, order_data
 from oracles import lattice_distance
@@ -16,6 +18,17 @@ from oracles import lattice_distance
 M49 = curve_model((1, -1, 0, -2, -1))
 M121 = curve_model((0, -1, 1, -7, 10))
 M50B = curve_model((1, 1, 1, -3, 1))
+
+
+def _plan(model, orbit, digits):
+    """The orbit layer's stages as trace_point runs them: table, sign, plan."""
+    table = orbit_options(model, orbit, digits)
+    wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, digits)
+    return plan_orbit(model, table, digits, wp)
+
+
+def _trace(model, orbit, kernel, digits):
+    return orbit_trace(model, orbit, kernel, _plan(model, orbit, digits), digits)
 
 
 def test_spec_validation():
@@ -123,16 +136,16 @@ def test_trace_invariant_under_base_replacement():
     digits = 40
     lat = period_lattice(M49.minimal, digits)
     base = HeegnerTau(form=heegner_form(49, -11, 7), n_level=49, dK=-11, conductor=7)
-    _, tz0, _ = orbit_trace(M49, galois_orbit(base, kernel), kernel, digits)
+    _, tz0, _ = _trace(M49, galois_orbit(base, kernel), kernel, digits)
     # translated base form (same point, shifted representative)
     f = base.form
     shifted = BinaryForm(f.a, f.b + 2 * 49, f.a + f.b + f.c)
     base2 = HeegnerTau(form=shifted, n_level=49, dK=-11, conductor=7)
-    _, tz2, _ = orbit_trace(M49, galois_orbit(base2, kernel), kernel, digits)
+    _, tz2, _ = _trace(M49, galois_orbit(base2, kernel), kernel, digits)
     # a genuinely transformed Gamma_0(49) representative
     big = f.transform(1, 0, 49, 1)
     base3 = HeegnerTau(form=big, n_level=49, dK=-11, conductor=7)
-    _, tz3, _ = orbit_trace(M49, galois_orbit(base3, kernel), kernel, digits)
+    _, tz3, _ = _trace(M49, galois_orbit(base3, kernel), kernel, digits)
     with mp.workdps(55):
         assert lattice_distance(lat, mp.mpc(tz2) - mp.mpc(tz0)) < mp.mpf(10) ** -20
         assert lattice_distance(lat, mp.mpc(tz3) - mp.mpc(tz0)) < mp.mpf(10) ** -20
@@ -316,8 +329,8 @@ def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
     for model, dK in [(M121, -67), (M49, -11), (M50B, -7)]:
         kernel, orbit = _orbit(model, dK)
         monkeypatch.setattr(curves, "_an_cache", {})
-        entries, trace_z, n_max = orbit_trace(model, orbit, kernel, digits)
-        plan = plan_orbit(model, orbit, digits)
+        plan = _plan(model, orbit, digits)
+        entries, trace_z, n_max = orbit_trace(model, orbit, kernel, plan, digits)
         monkeypatch.setattr(curves, "_an_cache", {})
         terms = [mv.n_max for mv in plan.moves]
         # kernel order starts below the deepest evaluation, so the sieve
@@ -340,7 +353,7 @@ def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
 def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
     digits = 60
     kernel, orbit = _orbit(M121, -67)
-    deepest = plan_orbit(M121, orbit, digits).n_max
+    deepest = _plan(M121, orbit, digits).n_max
     with mp.workdps(digits + 15):
         unmoved = max(phi_terms(pt.tau(digits).imag, digits) for pt in orbit)
     assert deepest < unmoved                   # the cap below binds only after the moves
@@ -353,13 +366,13 @@ def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
     monkeypatch.setattr("cmtrace.experiments.eval_phi", no_eval)
     monkeypatch.setattr("cmtrace.modparam.eval_phi", no_eval)
     with pytest.raises(SeriesBudgetError) as exc:
-        orbit_trace(M121, orbit, kernel, digits)
+        _trace(M121, orbit, kernel, digits)          # raised by orbit_options
     assert exc.value.needed == deepest
     # at the deepest need itself the same orbit is evaluated
     monkeypatch.setattr("cmtrace.modparam.NMAX_CAP", deepest)
     monkeypatch.setattr("cmtrace.experiments.eval_phi", eval_phi)
     monkeypatch.setattr("cmtrace.modparam.eval_phi", eval_phi)
-    assert orbit_trace(M121, orbit, kernel, digits)[2] == deepest
+    assert _trace(M121, orbit, kernel, digits)[2] == deepest
 
 
 def test_over_budget_trace_fails_before_the_sign(monkeypatch):

@@ -21,9 +21,6 @@ def test_params_validation():
         FpParams(9)
     with pytest.raises(ValueError):
         FpParams(2)
-    with pytest.raises(ValueError):
-        FpParams(5, eps=4)          # 4 = 2^2 is a square
-    assert FpParams(5, eps=3).eps == 3
 
 
 def test_matrix_basics():

@@ -37,15 +37,22 @@ MODELS = {label: curve_model(ai) for label, (ai, _) in CURVES.items()}
 _WP = {}
 
 
-def _catalogue():
-    """Every (label, dK, f) with dK a fundamental discriminant in [-120, -7]
-    and f in {1, 2, 3} that passes ExperimentSpec.validate."""
+# curves of level 45 and 90, additive at 3, with w_9 (measured numerically):
+# their traces move points by W_9, which 36a1's never do (its K_9 costs more
+# than it saves); on 1,-1,0,6,0, w_9 = +1 and K_9 = (1 - w_9) phi(s0) = 0
+W9_CURVES = {"1,-1,0,0,-5": -1, "1,-1,0,6,0": 1, "1,-1,1,13,-61": -1}
+MODELS.update({key: curve_model(tuple(map(int, key.split(",")))) for key in W9_CURVES})
+
+
+def _catalogue(curves: dict, dks, fs) -> list:
+    """Every (label, dK, f) with dK a fundamental discriminant in dks and f in
+    fs that passes ExperimentSpec.validate in the curve's mode."""
     out = []
-    for label, (_, mode) in CURVES.items():
-        for dK in range(-120, -6):
+    for label, mode in curves.items():
+        for dK in dks:
             if not is_fundamental_discriminant(dK):
                 continue
-            for f in (1, 2, 3):
+            for f in fs:
                 try:
                     ExperimentSpec(dK=dK, f=f, curve=MODELS[label], mode=mode).validate()
                 except InputError:
@@ -54,7 +61,20 @@ def _catalogue():
     return out
 
 
-CATALOGUE = _catalogue()
+CATALOGUE = _catalogue({label: mode for label, (_, mode) in CURVES.items()},
+                       range(-120, -6), (1, 2, 3))
+W9_CASES = _catalogue(dict.fromkeys(W9_CURVES, "main_plus"), range(-150, -6), (1, 7))
+
+
+def _signs(label: str) -> list:
+    """al_signs with w_p measured where it needs the series, as plan_orbit
+    reads them."""
+    return [(q_div, _wp(label) if w is None else w) for q_div, w in al_signs(MODELS[label])]
+
+
+def _plan(label: str, orbit, digits: int):
+    model = MODELS[label]
+    return plan_orbit(model, orbit_options(model, orbit, digits), digits, _wp(label))
 
 
 def _wp(label: str) -> int:
@@ -74,6 +94,7 @@ def _orbit(label: str, dK: int, f: int):
 
 def test_catalogue_has_115_cases():
     assert len(CATALOGUE) == 115
+    assert len(W9_CASES) == 20
 
 
 def test_orbit_equals_the_lattice_route_on_the_catalogue():
@@ -90,11 +111,11 @@ def test_orbit_equals_the_lattice_route_on_the_catalogue():
 
 def test_usable_involutions_have_signs_from_local_data_or_wp():
     # 36a1 is additive at 2 and 3: Q = 9 = p^2 takes w_p, Q = 4 and 36 are never used
-    assert [q for q, _ in al_signs(MODELS["36a1"], _wp("36a1"))] == [9]
-    assert al_signs(MODELS["36a1"]) == ()
+    assert al_signs(MODELS["36a1"]) == ((9, None),)
     assert [q for q, _ in al_signs(MODELS["50b1"])] == [2, 25, 50]
+    assert {label: _wp(label) for label in W9_CURVES} == W9_CURVES
     for label, model in MODELS.items():
-        for q_div, w in al_signs(model, _wp(label)):
+        for q_div, w in _signs(label):
             assert w == atkin_lehner_sign(model.minimal, model.n, q_div, 30)
 
 
@@ -116,15 +137,14 @@ def test_al_move_is_the_moebius_image_with_the_largest_imaginary_part(label, dK,
 
 
 @pytest.mark.parametrize("label,q_div",
-                         [(label, q) for label in CURVES for q, _ in al_signs(MODELS[label],
-                                                                               _wp(label))])
+                         [(label, q) for label in CURVES for q, _ in al_signs(MODELS[label])])
 @settings(max_examples=6, deadline=None)
 @given(u=st.floats(-0.5, 0.5), v=st.floats(0.5, 2), k=st.integers(-2, 2))
 def test_atkin_lehner_identity(label, q_div, u, v, k):
     # phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q), at tau + k = (-d + (u + i v) sqrt Q) / N,
     # near the isometric circle of W_Q, where both sides need few terms
     model = MODELS[label]
-    w = dict(al_signs(model, _wp(label)))[q_div]
+    w = dict(_signs(label))[q_div]
     a, b, c, d = al_matrix(model.n, q_div)
     digits = 30
     with mp.workdps(digits + 15):
@@ -141,6 +161,7 @@ def test_the_constant_vanishes_where_w_q_fixes_its_base_point_with_sign_plus():
     # W_121 fixes i/11 and w_121 = +1 on 121b1; on 49a1, w_49 = -1 and K = 2 phi(i/7)
     m121, m49 = MODELS["121b1"], MODELS["49a1"]
     assert al_constant(m121.minimal, 121, 121, 1, 60) == 0
+    assert al_constant(MODELS["1,-1,0,6,0"].minimal, 90, 9, 1, 60) == 0
     with mp.workdps(75):
         want = 2 * eval_phi(m49, mp.mpc(0, 1) / 7, 60)
         assert abs(al_constant(m49.minimal, 49, 49, -1, 60) - want) < mp.mpf(10) ** -65
@@ -160,9 +181,8 @@ def _planned_values(model, plan, digits):
 
 def _check_against_direct(label, dK, f, digits):
     model, kernel, orbit = _orbit(label, dK, f)
-    wp = _wp(label)
-    plan = plan_orbit(model, orbit, digits, wp)
-    entries, trace_z, n_max = orbit_trace(model, orbit, kernel, digits, wp)
+    plan = _plan(label, orbit, digits)
+    entries, trace_z, n_max = orbit_trace(model, orbit, kernel, plan, digits)
     zs = _planned_values(model, plan, digits)
     zs_direct, trace_direct = orbit_trace_direct(model, orbit, digits)
     tol = mp.mpf(10) ** -(digits + 5)
@@ -176,24 +196,31 @@ def _check_against_direct(label, dK, f, digits):
         assert abs(trace_z - trace_direct) < tol, (label, dK, f)
     assert n_max == plan.n_max
     assert [(e.q, e.n_max) for e in entries] == [(mv.q, mv.n_max) for mv in plan.moves]
-    return sum(mv.q != 1 for mv in plan.moves)
+    return [mv.q for mv in plan.moves]
 
 
 def test_orbit_values_match_the_direct_route_on_the_catalogue_at_60_digits():
-    moved = sum(_check_against_direct(label, dK, f, 60) for label, dK, f in CATALOGUE)
+    moved, moved_by_9 = 0, set()
+    for label, dK, f in CATALOGUE + W9_CASES:
+        qs = _check_against_direct(label, dK, f, 60)
+        moved += sum(q != 1 for q in qs)
+        if 9 in qs:
+            moved_by_9.add(label)
     assert moved > 100
+    assert moved_by_9 == set(W9_CURVES)        # never 36a1: its K_9 costs more than it saves
 
 
 @pytest.mark.parametrize("label,dK,f", [("49a1", -11, 1), ("121b1", -67, 1), ("50b1", -7, 1)])
 def test_orbit_values_match_the_direct_route_at_200_digits(label, dK, f):
-    assert _check_against_direct(label, dK, f, 200) > 0
+    assert set(_check_against_direct(label, dK, f, 200)) != {1}
 
 
-def _k_terms(model, wp, table, digits):
+def _k_terms(label, table, digits):
     """Terms each usable Q's K_Q costs, for the Q some point can move by."""
+    model = MODELS[label]
     offered = {o[2] for opts in table for o in opts}
     out = {}
-    for q_div, w in al_signs(model, wp):
+    for q_div, w in _signs(label):
         if q_div in offered:
             pts = al_constant_points(model.n, q_div, w, digits)
             out[q_div] = phi_terms(pts[0][1].imag, digits) * len(pts) if pts else 0
@@ -205,12 +232,12 @@ def test_plan_never_evaluates_more_terms_than_the_direct_route(digits):
     planned, direct = {}, {}
     for label, dK, f in CATALOGUE:
         model, _, orbit = _orbit(label, dK, f)
-        plan = plan_orbit(model, orbit, digits, _wp(label))
+        table = orbit_options(model, orbit, digits)
+        plan = plan_orbit(model, table, digits, _wp(label))
         with mp.workdps(digits + 15):
             unmoved = sum(phi_terms(pt.tau(digits).imag, digits) for pt in orbit)
         assert plan.terms <= unmoved, (label, dK, f)
-        table = orbit_options(model, orbit, digits, _wp(label))
-        least = least_plan_terms_by_subsets(table, _k_terms(model, _wp(label), table, digits))
+        least = least_plan_terms_by_subsets(table, _k_terms(label, table, digits))
         assert plan.terms == least, (label, dK, f)        # greedy is optimal here
         planned[label] = planned.get(label, 0) + plan.terms
         direct[label] = direct.get(label, 0) + unmoved
