@@ -7,11 +7,13 @@ eps*s^2 = (t^2 - 4n)/4.  That matrix has the same characteristic polynomial
 as the companion matrix of X^2 - tX + n, which is irreducible at an inert p,
 so the two are conjugate in GL_2(F_p), and even in SL_2(F_p): the
 determinant is surjective on the centralizer F_p[companion]^x = F_{p^2}^x.
-On top of that sit canonical labels for the cosets of the split normalizer,
-computed in closed form, and the two-to-one fiber structure over P^1(F_p)
-whose fiber partners differ by the unique involution.  No routine here lists
-a Cartan subgroup, SL_2(F_p) or P^1(F_p); the tests check the closed forms
-against such enumerations, the SL_2 conjugator included (tests/oracles.py).
+On top of that sit the coset labels of the split normalizer, each a
+row-major 4-tuple of entries computed in closed form, and the two-to-one
+fiber structure over P^1(F_p) whose fiber partners differ by the unique
+involution.  No routine here lists a Cartan subgroup, SL_2(F_p) or
+P^1(F_p), or multiplies matrices; the tests check the closed forms against
+such enumerations and matrix routes, the SL_2 conjugator included
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -39,40 +41,12 @@ class EmbeddingData:
 
     iota_omega is the image of the order generator: the element
     (t/2, s; eps*s, t/2) of C_ns with trace t and determinant n mod p, whose
-    off-diagonal entries are nonzero (module docstring).  level_m records the
-    prime-to-p part of the ambient order's discriminant.
+    off-diagonal entries are nonzero (module docstring).
     """
 
     params: FpParams
     order: QuadOrder
-    level_m: int
     iota_omega: FpMatrix
-
-    @property
-    def a(self) -> int:
-        return self.iota_omega.a
-
-    @property
-    def b(self) -> int:
-        return self.iota_omega.b
-
-    @property
-    def c(self) -> int:
-        return self.iota_omega.c
-
-    @property
-    def d(self) -> int:
-        return self.iota_omega.d
-
-    def proj_params(self):
-        return proj_params(self.order, self.params.p)
-
-
-@dataclass(frozen=True, order=True)
-class CosetLabel:
-    """Canonical representative of the SL_2 part of the coset C_s+ * g^{-1}."""
-
-    rep: FpMatrix
 
 
 def build_embedding(params: FpParams, order: QuadOrder, level_m: int = 1) -> EmbeddingData:
@@ -87,7 +61,7 @@ def build_embedding(params: FpParams, order: QuadOrder, level_m: int = 1) -> Emb
     t, n = order.t % p, order.n % p
     half_t = t * pow(2, -1, p)
     s = sqrt_mod_p((t * t - 4 * n) * pow(4 * eps, -1, p), p)
-    return EmbeddingData(params=params, order=order, level_m=level_m,
+    return EmbeddingData(params=params, order=order,
                          iota_omega=FpMatrix(p, half_t, s, eps * s, half_t))
 
 
@@ -160,31 +134,27 @@ def _label_entries(p: int, a: int, b: int, c: int, d: int) -> tuple[int, int, in
     return min(diag, anti)
 
 
-def two_to_one_check(emb: EmbeddingData, kernel: GaloisKernel) -> dict[CosetLabel, list[ProjClass]]:
+def two_to_one_check(emb: EmbeddingData,
+                     kernel: GaloisKernel) -> dict[tuple[int, int, int, int], list[ProjClass]]:
     """Map each kernel class x1 + x2*w_f to the coset label of its matrix
-    x1*I + x2*iota_omega.
-
-    The label entries come straight from the entries of that matrix
-    (_label_entries, which raises if it is singular); one CosetLabel is built
-    per fiber.  Enforces the expected structure: (p+1)/2 distinct labels,
-    every fiber of size exactly two, and fiber partners differing by the
-    involution class.
+    x1*I + x2*iota_omega, the 4-tuple of _label_entries (which raises if the
+    matrix is singular).  Enforces the expected structure: (p+1)/2 distinct
+    labels, every fiber of size exactly two, and fiber partners differing by
+    the involution class.
     """
     p = emb.params.p
     if kernel.p != p or kernel.order != emb.order:
         raise InputError("kernel and embedding disagree on (order, p)")
     a, b, c, d = emb.iota_omega.entries
-    by_entries: dict[tuple[int, int, int, int], list[ProjClass]] = {}
+    fibers: dict[tuple[int, int, int, int], list[ProjClass]] = {}
     for kc in kernel.classes:
-        x1, x2 = kc.generator
+        x1, x2 = kc.proj.x1, kc.proj.x2
         label = _label_entries(p, x1 + x2 * a, x2 * b, x2 * c, x1 + x2 * d)
-        by_entries.setdefault(label, []).append(kc.proj)
-    fibers = {CosetLabel(rep=FpMatrix(p, *label)): classes
-              for label, classes in by_entries.items()}
+        fibers.setdefault(label, []).append(kc.proj)
     if len(fibers) != (p + 1) // 2:
         raise FiberStructureError(f"expected {(p + 1) // 2} labels, got {len(fibers)}")
-    pp = emb.proj_params()
-    invol = involution_class(pp, emb.a)
+    pp = proj_params(emb.order, p)
+    invol = involution_class(pp, a)
     for label, classes in fibers.items():
         if len(classes) != 2:
             raise FiberStructureError(f"fiber of {label} has size {len(classes)}")
@@ -194,16 +164,16 @@ def two_to_one_check(emb: EmbeddingData, kernel: GaloisKernel) -> dict[CosetLabe
 
 
 def signo_pairing_check(emb: EmbeddingData) -> bool:
-    """The involution's matrix factors through (0,1;-1,0) times a split element,
-    i.e. it lies in C_s+ but not C_s."""
-    params = emb.params
-    p = params.p
-    w = galois_matrix(emb, -emb.a, 1)
-    if not (in_cartan_group(w, "s+", params) and not in_cartan_group(w, "s", params)):
-        return False
-    j = FpMatrix(p, 0, 1, -1, 0)
-    sigma = j.inv().mul(w)
-    return sigma.is_diagonal() and sigma.is_invertible()
+    """The involution's matrix factors through J = (0,1;-1,0) times a split
+    element, i.e. it lies in C_s+ but not C_s.
+
+    With iota_omega = (a, b; c, d) that matrix is w = galois_matrix(emb, -a, 1)
+    = (0, b; c, d - a).  It lies in C_s+ and not in C_s exactly when it is
+    antidiagonal and invertible, that is when a = d and bc != 0, and then
+    J^-1 w = (-c, 0; 0, b) is diagonal and invertible.  The tests compare
+    this with the matrix route (tests/oracles.py)."""
+    a, b, c, d = emb.iota_omega.entries
+    return a == d and b * c % emb.params.p != 0
 
 
 def find_common_norm_element(params: FpParams, l: int) -> FpMatrix:

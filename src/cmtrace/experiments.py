@@ -26,8 +26,8 @@ from .embeddings import (build_embedding, find_common_norm_element,
 from .errors import InputError
 from .fp import FpParams, factorint, index_ns_plus, isprime, kronecker
 from .heegner import HeegnerTau, al_move, galois_orbit, heegner_form
-from .modparam import (SeriesBudgetError, al_constant, al_constant_points, atkin_lehner_sign,
-                       eval_phi, local_sign, phi_terms)
+from .modparam import (GUARD, SeriesBudgetError, al_constant, al_constant_points,
+                       atkin_lehner_sign, eval_phi, local_sign, phi_terms)
 from .periods import (DIGITS_CAP, PeriodLattice, elliptic_exp, is_torsion,
                       period_lattice, torsion_residual)
 from .quadforms import GaloisKernel, class_number, kernel_classes, order_data
@@ -66,6 +66,8 @@ class ExperimentSpec:
             raise InputError(f"unknown mode {self.mode!r}")
         if self.curve is None and self.p is None:
             raise InputError("either a curve or an explicit p is required")
+        if self.curve is not None and self.p not in (None, self.curve.p):
+            raise InputError(f"p = {self.p} differs from the curve's p = {self.curve.p}")
 
     @property
     def prime(self) -> int:
@@ -73,7 +75,7 @@ class ExperimentSpec:
 
     def validate(self):
         """Input bounds, then the running hypotheses: inertness, coprimality,
-        ramification and sign."""
+        ramification, sign, and p prime to f."""
         check_digits(self.digits)
         if self.mode != "finite_only" and self.digits < TRACE_MIN_DIGITS:
             raise InputError(f"a trace needs at least {TRACE_MIN_DIGITS} digits, "
@@ -96,6 +98,8 @@ class ExperimentSpec:
                         f"q = {q} dividing M must split for a matrix-algebra run")
             if self.mode != "finite_only" and kronecker(self.dK, -n) != -1:
                 raise HypothesisError("the quadratic-symbol sign of E/K is not -1")
+        if self.f % p == 0:                  # with a curve, p | N already ruled it out
+            raise HypothesisError("p must not divide the conductor")
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ class FiniteReport:
             "degree": self.degree, "passed": self.all_passed,
             # coset labels as row-major 4-tuples, fibers as projective pairs
             "fibers": [
-                {"label": list(label.rep.entries),
+                {"label": list(label),
                  "classes": [[u.x1, u.x2] for u in classes]}
                 for label, classes in sorted(self.fibers.items())
             ],
@@ -190,12 +194,6 @@ class OrbitPlan:
 
     moves: tuple[OrbitMove, ...]
     constants: tuple[tuple[int, int, int, int], ...]
-
-    @property
-    def terms(self) -> int:
-        """Series terms the plan evaluates, K_Q included."""
-        return (sum(mv.n_max for mv in self.moves)
-                + sum(n * count for _, _, n, count in self.constants))
 
     @property
     def n_max(self) -> int:
@@ -279,14 +277,14 @@ def orbit_options(model: CurveModel, orbit, digits: int) -> list:
     """[(n_max, within budget, q, point)] for each orbit point: tau itself
     (q = 1) and its best W_Q (tau + k) for each Q of al_signs(model) whose
     leading coefficient is smaller.  The points share one D, and each Im tau
-    is sqrt|D| / (2A) at digits + 15, as HeegnerTau.tau computes it.  No sign
+    is sqrt|D| / (2A) at digits + GUARD, as HeegnerTau.tau computes it.  No sign
     is read, so trace_point builds this before atkin_lehner_sign.
     SeriesBudgetError, with the least n_max a plan can have, when some point
     has no option within the budget; the K_Q are left out, so plan_orbit may
     still fail where this passes."""
     signs = al_signs(model)
     table = []
-    with mp.workdps(digits + 15):
+    with mp.workdps(digits + GUARD):
         root = mp.sqrt(-orbit[0].form.disc())
         for pt in orbit:
             opts = [(*_terms(root / (2 * pt.form.a), digits), 1, pt)]
@@ -364,7 +362,7 @@ def orbit_trace(model: CurveModel, orbit, kernel, plan: OrbitPlan, digits: int):
     sieve is extended once.  Each value depends only on (tau, digits,
     a[0..n_max]), so the order changes nothing."""
     cur = model.minimal
-    with mp.workdps(digits + 15):
+    with mp.workdps(digits + GUARD):
         taus = [pt.tau(digits) for pt in orbit]
         # (terms, job): a K_Q entry of plan.constants, or an orbit index
         jobs = [(c[2], c) for c in plan.constants]
@@ -382,7 +380,7 @@ def orbit_trace(model: CurveModel, orbit, kernel, plan: OrbitPlan, digits: int):
         entries = []
         for kc, pt, tau, mv, z in zip(kernel.classes, orbit, taus, plan.moves, zs):
             entries.append(OrbitEntry(
-                proj=kc.generator,
+                proj=(kc.proj.x1, kc.proj.x2),
                 form=(pt.form.a, pt.form.b, pt.form.c),
                 tau=mp.nstr(tau, min(digits, 30)),
                 z=(mp.nstr(z.real, min(digits, 30)), mp.nstr(z.imag, min(digits, 30))),
@@ -402,13 +400,11 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
         raise InputError("trace_point needs an analytic mode")
     if spec.curve is None:
         raise InputError("trace_point needs a curve")
-    spec.validate()
     model = spec.curve
     digits = spec.digits
 
     t0 = time.perf_counter()
-    shadow = experiment_finite(ExperimentSpec(dK=spec.dK, f=spec.f, curve=model,
-                                              digits=digits, mode="finite_only"))
+    shadow = experiment_finite(spec)             # validates the spec first
     kernel = shadow.kernel
     base = HeegnerTau(form=heegner_form(model.n, spec.dK, model.p * spec.f),
                       n_level=model.n, dK=spec.dK, conductor=model.p * spec.f)

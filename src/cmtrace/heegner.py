@@ -34,7 +34,7 @@ import mpmath as mp
 
 from .errors import InputError
 from .fp import _xgcd, factorint, kronecker
-from .modparam import al_matrix
+from .modparam import GUARD, al_matrix
 from .quadforms import BinaryForm, GaloisKernel, check_fundamental, lagrange_reduce
 
 
@@ -59,7 +59,7 @@ class HeegnerTau:
 
     def tau(self, digits: int):
         """Upper half plane representative at the requested precision."""
-        with mp.workdps(digits + 15):
+        with mp.workdps(digits + GUARD):
             return mp.mpc(-self.form.b, mp.sqrt(-self.form.disc())) / (2 * self.form.a)
 
 

@@ -104,6 +104,7 @@ DIGITS_CAP = 200
 GUARD = 25
 FIXED_GUARD = 10            # guard bits of the fixed-point routines (module docstring)
 NEWTON_GUARD = 20           # guard bits of the Newton iteration for the 2-torsion
+TORSION_BOUND = 24          # the torsion test tries the multiples m*z, m <= TORSION_BOUND
 
 
 class PrecisionError(CmtraceError, ArithmeticError):
@@ -314,15 +315,16 @@ def _scaled_dist2(z, lat: PeriodLattice, bound: int) -> tuple:
     return shift, (n for n, _, _ in _nearest_multiples(gram, x, y, frac, bound))
 
 
-def is_torsion(z, lat: PeriodLattice, digits: int, bound: int = 24) -> bool:
-    """Whether some multiple m*z, m <= bound, falls on the lattice to 10^(-digits/2)."""
-    return torsion_order(z, lat, digits, bound) is not None
+def is_torsion(z, lat: PeriodLattice, digits: int) -> bool:
+    """Whether some multiple m*z, m <= TORSION_BOUND, falls on the lattice to
+    10^(-digits/2)."""
+    return torsion_order(z, lat, digits) is not None
 
 
-def torsion_order(z, lat: PeriodLattice, digits: int, bound: int = 24):
-    """The least m <= bound with m*z within 10^(-digits/2)*|w1| of the lattice."""
+def torsion_order(z, lat: PeriodLattice, digits: int):
+    """The least m <= TORSION_BOUND with m*z within 10^(-digits/2)*|w1| of the lattice."""
     with mp.workdps(lat.digits + GUARD):
-        shift, values = _scaled_dist2(z, lat, bound)
+        shift, values = _scaled_dist2(z, lat, TORSION_BOUND)
         tol2 = (mp.mpf(10) ** (-digits / 2) * abs(lat.w1)) ** 2
         limit = int(mp.ceil(mp.ldexp(tol2, -shift)))      # n < limit iff n 2^shift < tol2
         for m, n in enumerate(values, 1):
@@ -331,8 +333,8 @@ def torsion_order(z, lat: PeriodLattice, digits: int, bound: int = 24):
     return None
 
 
-def torsion_residual(z, lat: PeriodLattice, bound: int = 24):
-    """Smallest distance of m*z to the lattice over 1 <= m <= bound."""
+def torsion_residual(z, lat: PeriodLattice):
+    """Smallest distance of m*z to the lattice over 1 <= m <= TORSION_BOUND."""
     with mp.workdps(lat.digits + GUARD):
-        shift, values = _scaled_dist2(z, lat, bound)
+        shift, values = _scaled_dist2(z, lat, TORSION_BOUND)
         return mp.sqrt(mp.ldexp(min(values), shift))

@@ -5,8 +5,9 @@ f^2 * dK (Gaussian composition itself is a test oracle).  The Galois group of th
 step H_pf / H_f is realised as the kernel of Pic(O_pf) -> Pic(O_f), built
 directly from its generators: each kernel class is the class of
 lam O_f cap O_pf for a unit class lam = x1 + x2*w_f in
-(O_f / p O_f)^x / F_p^x, and is tagged with that generator, which is what
-the matrix side of the theory consumes.  The kernel classes are the classes
+(O_f / p O_f)^x / F_p^x, and keeps that unit class as its point
+[x1 : x2] of P^1(F_p), which is what the matrix side of the theory
+consumes.  The kernel classes are the classes
 of the p + 1 index-p sublattices of O_f, each a proper O_pf-ideal (Cox,
 Primes of the form x^2 + ny^2, section 7), and each has a closed form: for
 [x1 : 1] and lam = x1 + w_f,
@@ -215,8 +216,9 @@ def lagrange_reduce(gram: tuple[int, int, int], v1, v2):
 
 @dataclass(frozen=True)
 class KernelClass:
+    """A kernel class: its unit-class generator [x1 : x2] and its reduced form."""
+
     proj: ProjClass
-    generator: tuple[int, int]
     form: BinaryForm
 
 
@@ -253,7 +255,7 @@ def kernel_classes(order: QuadOrder, p: int) -> GaloisKernel:
         x1 = pt.x1
         form = (reduce_form(BinaryForm(x1 * x1 + t * x1 + n, -p * (2 * x1 + t), p2))
                 if pt.x2 else principal)
-        classes.append(KernelClass(proj=pt, generator=(x1, pt.x2), form=form))
+        classes.append(KernelClass(proj=pt, form=form))
     if len({kc.form for kc in classes}) != p + 1:
         raise AssertionError("unit classes gave coinciding ideal classes")
     return GaloisKernel(order=order, p=p, classes=tuple(classes))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import mpmath as mp
 
@@ -60,17 +60,13 @@ def recognize_in_quadratic(x, field_disc: int, digits: int,
         im = recognize_rational(x.imag / mp.sqrt(mp.mpf(-field_disc)), digits, height_bound)
         if re is None or im is None:
             return None
-        den = _lcm(re.denominator, im.denominator)
+        den = lcm(re.denominator, im.denominator)
         out = AlgebraicNumber(nu=re.numerator * (den // re.denominator),
                               mu=im.numerator * (den // im.denominator),
                               den=den, field_disc=field_disc)
         if abs(x - out.to_mpc()) > mp.mpf(10) ** (-digits / 2):
             return None
         return out
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def curve_equation_holds_exactly(ainvs, x: AlgebraicNumber, y: AlgebraicNumber) -> bool:

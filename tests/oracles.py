@@ -33,8 +33,12 @@ writes (N(lam), -p Tr(lam), p^2) down directly.  coset_label_by_matrices
 labels a matrix through its inverse and two candidate matrices, and
 two_to_one_by_matrices groups the kernel classes by those labels of
 galois_matrix; cmtrace.embeddings reads the label entries off the matrix
-entries (_label_entries) and builds one CosetLabel per fiber, and
-coset_label is the label of one matrix from those entries.
+entries (_label_entries) and keys each fiber by that 4-tuple, and
+coset_label is the label of one matrix from those entries.  A label is
+the row-major 4-tuple of entries in every route.  signo_pairing_by_matrices
+builds the involution's matrix with galois_matrix, tests its Cartan
+membership and factors it through (0,1;-1,0), where
+cmtrace.embeddings.signo_pairing_check reads the answer off two entries.
 
 On the analytic side, eval_series_direct is the term-by-term mpc evaluation
 of the q-series that the fixed-point evaluator in cmtrace.modparam replaced,
@@ -81,7 +85,7 @@ import sympy
 from sympy.ntheory import sqrt_mod
 
 from cmtrace.curves import Curve, CurveModel, an_coefficients
-from cmtrace.embeddings import (CosetLabel, EmbeddingData, EmbeddingError, FiberStructureError,
+from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureError,
                                 _label_entries, galois_matrix)
 from cmtrace.fp import FpMatrix, FpParams, _xgcd, in_cartan_group, isprime, kronecker
 from cmtrace.heegner import HeegnerTau, NoHeegnerPoint, _complete_unimodular, gamma0_reduce
@@ -90,7 +94,8 @@ from cmtrace.periods import PeriodLattice, lattice_reduce
 from cmtrace.projline import (ProjClass, ProjParams, involution_class, proj_class,
                               proj_elements, proj_mul)
 from cmtrace.quadforms import (BinaryForm, GaloisKernel, KernelClass, QuadOrder,
-                               check_fundamental, lagrange_reduce, reduce_form, reduced_forms)
+                               check_fundamental, lagrange_reduce, proj_params, reduce_form,
+                               reduced_forms)
 from cmtrace.recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational
 
 ENUMERATION_BOUND = 200
@@ -187,25 +192,25 @@ def split_normalizer_sl2(p: int) -> list[FpMatrix]:
     return sorted(out)
 
 
-def sorted_min_label(g: FpMatrix) -> CosetLabel:
+def sorted_min_label(g: FpMatrix) -> tuple[int, int, int, int]:
     """Minimum of the coset (C_s+ cap SL_2) * g^{-1}, found by listing it."""
     if g.det() != 1:
         raise ValueError("coset labels are defined for determinant-one matrices")
     ginv = g.inv()
-    return CosetLabel(rep=min(h.mul(ginv) for h in split_normalizer_sl2(g.p)))
+    return min(h.mul(ginv) for h in split_normalizer_sl2(g.p)).entries
 
 
-def coset_label(g: FpMatrix) -> CosetLabel:
+def coset_label(g: FpMatrix) -> tuple[int, int, int, int]:
     """Lexicographically minimal determinant-one element of C_s+ * g^{-1}.
 
     For det(g) = 1 this is the minimum of the coset (C_s+ cap SL_2) * g^{-1}.
     The entries come from cmtrace.embeddings._label_entries, which
     two_to_one_check reads for each kernel class.
     """
-    return CosetLabel(rep=FpMatrix(g.p, *_label_entries(g.p, *g.entries)))
+    return _label_entries(g.p, *g.entries)
 
 
-def coset_label_by_matrices(g: FpMatrix) -> CosetLabel:
+def coset_label_by_matrices(g: FpMatrix) -> tuple[int, int, int, int]:
     """coset_label through g^{-1} and the two candidate
     matrices.  Write g^{-1} = (a, b; c, d) and delta = det(g): the diagonal
     part of the coset is (xa, xb; (delta/x)c, (delta/x)d), the antidiagonal
@@ -220,31 +225,44 @@ def coset_label_by_matrices(g: FpMatrix) -> CosetLabel:
     x_ab, x_cd = pow(lead_ab, -1, p), pow(lead_cd, -1, p)
     diag = FpMatrix(p, x_ab * a, x_ab * b, delta * lead_ab * c, delta * lead_ab * d)
     anti = FpMatrix(p, x_cd * c, x_cd * d, -delta * lead_cd * a, -delta * lead_cd * b)
-    return CosetLabel(rep=min(diag, anti))
+    return min(diag, anti).entries
 
 
 def two_to_one_by_matrices(emb: EmbeddingData,
-                           kernel: GaloisKernel) -> dict[CosetLabel, list[ProjClass]]:
+                           kernel: GaloisKernel) -> dict[tuple[int, int, int, int],
+                                                         list[ProjClass]]:
     """cmtrace.embeddings.two_to_one_check with each label taken by
     coset_label_by_matrices of galois_matrix, and the same checks."""
     p = emb.params.p
     if kernel.p != p or kernel.order != emb.order:
         raise ValueError("kernel and embedding disagree on (order, p)")
-    fibers: dict[CosetLabel, list[ProjClass]] = {}
+    fibers: dict[tuple[int, int, int, int], list[ProjClass]] = {}
     for kc in kernel.classes:
-        x1, x2 = kc.generator
-        label = coset_label_by_matrices(galois_matrix(emb, x1, x2))
+        label = coset_label_by_matrices(galois_matrix(emb, kc.proj.x1, kc.proj.x2))
         fibers.setdefault(label, []).append(kc.proj)
     if len(fibers) != (p + 1) // 2:
         raise FiberStructureError(f"expected {(p + 1) // 2} labels, got {len(fibers)}")
-    pp = emb.proj_params()
-    invol = involution_class(pp, emb.a)
+    pp = proj_params(emb.order, p)
+    invol = involution_class(pp, emb.iota_omega.a)
     for label, classes in fibers.items():
         if len(classes) != 2:
             raise FiberStructureError(f"fiber of {label} has size {len(classes)}")
         if proj_mul(pp, classes[0], invol) != classes[1]:
             raise FiberStructureError("fiber partners do not differ by the involution")
     return fibers
+
+
+def signo_pairing_by_matrices(emb: EmbeddingData) -> bool:
+    """cmtrace.embeddings.signo_pairing_check by matrices: the involution's
+    matrix w = galois_matrix(emb, -a, 1) lies in C_s+ but not C_s, and
+    (0,1;-1,0)^-1 w is diagonal and invertible.  galois_matrix raises
+    AssertionError when w is singular."""
+    params = emb.params
+    w = galois_matrix(emb, -emb.iota_omega.a, 1)
+    if not (in_cartan_group(w, "s+", params) and not in_cartan_group(w, "s", params)):
+        return False
+    sigma = FpMatrix(params.p, 0, 1, -1, 0).inv().mul(w)
+    return sigma.is_diagonal() and sigma.is_invertible()
 
 
 @dataclass(frozen=True)
@@ -376,7 +394,7 @@ def galois_orbit_by_lattices(base: HeegnerTau, kernel: GaloisKernel) -> list[Hee
     out = []
     for kc in kernel.classes:
         # the conjugate of the kernel ideal lam O_f cap O_pf
-        abar = tuple((u, -v) for u, v in generator_ideal(order, p, *kc.generator))
+        abar = tuple((u, -v) for u, v in generator_ideal(order, p, kc.proj.x1, kc.proj.x2))
         (a1, b1), (_, c1) = ideal_mul(abar, l1, dK)
         (a2, b2), (_, c2) = ideal_mul(abar, l2, dK)
         # both are in Hermite normal form, so m2's rows in the basis of m1 are
@@ -548,8 +566,7 @@ def kernel_classes_by_hnf(order: QuadOrder, p: int) -> GaloisKernel:
     classes = []
     for pt in proj_elements(p):
         ideal = generator_ideal_three_rows(order, p, pt.x1, pt.x2)
-        classes.append(KernelClass(proj=pt, generator=(pt.x1, pt.x2),
-                                   form=ideal_to_form(ideal, order.dK, p * order.f)))
+        classes.append(KernelClass(proj=pt, form=ideal_to_form(ideal, order.dK, p * order.f)))
     if len({kc.form for kc in classes}) != p + 1:
         raise AssertionError("unit classes gave coinciding ideal classes")
     return GaloisKernel(order=order, p=p, classes=tuple(classes))

@@ -18,7 +18,8 @@ from cmtrace.fp import FpParams, index_ns_plus, kronecker
 from cmtrace.heegner import NoHeegnerPoint, heegner_form
 from cmtrace.periods import period_lattice
 from cmtrace.projline import ProjParams, involution_class, proj_class, proj_elements, proj_mul
-from cmtrace.quadforms import BinaryForm, is_fundamental_discriminant, kernel_classes, order_data
+from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes, order_data,
+                               proj_params)
 from oracles import index_ns_plus_by_enumeration, lattice_distance
 
 CURVE_RANK0_49 = (1, -1, 0, -2, -1)
@@ -132,8 +133,8 @@ def test_criterion_4_two_to_one():
             fibers = two_to_one_check(emb, kernel)
             assert len(fibers) == (p + 1) // 2
             assert all(len(v) == 2 for v in fibers.values())
-            pp = emb.proj_params()
-            invol = involution_class(pp, emb.a)
+            pp = proj_params(order, p)
+            invol = involution_class(pp, emb.iota_omega.a)
             for u, v in fibers.values():
                 assert proj_mul(pp, u, invol) == v
     elapsed = time.perf_counter() - start

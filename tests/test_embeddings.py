@@ -10,7 +10,7 @@ from cmtrace.fp import FpMatrix, FpParams, in_cartan_group, index_ns_plus, krone
 from oracles import (coset_label, decompose_gamma, enumerate_cartan, identity, sl2_elements,
                      split_normalizer_sl2)
 from cmtrace.projline import involution_class, proj_class, proj_elements, proj_mul
-from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
+from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data, proj_params
 
 
 def random_inert_triples(count, pmax=31, seed=7):
@@ -66,7 +66,7 @@ def test_optimal_random_triples():
         assert verify_optimal(emb)
         t, n = emb.order.t % p, emb.order.n % p
         assert emb.iota_omega.charpoly_coeffs() == (t, n)
-        assert (emb.b * emb.c) % p != 0
+        assert (emb.iota_omega.b * emb.iota_omega.c) % p != 0
 
 
 def test_galois_matrix():
@@ -113,7 +113,7 @@ def test_lemma_converse_on_hand_built_matrices():
             for b in range(p):
                 for c in range(p):
                     for d in range(p):
-                        emb = EmbeddingData(params=params, order=order, level_m=1,
+                        emb = EmbeddingData(params=params, order=order,
                                             iota_omega=FpMatrix(p, a, b, c, d))
                         got = lemma_converse_check(emb)
                         assert got is _converse_by_scan(emb), (p, a, b, c, d)
@@ -192,8 +192,8 @@ def test_two_to_one_structure(p, dKs):
         fibers = two_to_one_check(emb, kernel)
         assert len(fibers) == (p + 1) // 2
         assert all(len(v) == 2 for v in fibers.values())
-        pp = emb.proj_params()
-        invol = involution_class(pp, emb.a)
+        pp = proj_params(order, p)
+        invol = involution_class(pp, emb.iota_omega.a)
         for u, v in fibers.values():
             assert proj_mul(pp, u, invol) == v
         assert len(fibers) == index_ns_plus(params)
@@ -242,7 +242,7 @@ def test_cartan_to_projective_line_homomorphism():
     for p, dK in [(5, -7), (7, -11), (11, -67), (13, -7), (31, -7)]:
         params = FpParams(p)
         emb = build_embedding(params, order_data(dK, 1))
-        pp = emb.proj_params()
+        pp = proj_params(emb.order, p)
         pairs = [(x1, x2) for x1 in range(p) for x2 in range(p) if (x1, x2) != (0, 0)]
         image = set()
         for x1, x2 in pairs:
@@ -260,8 +260,8 @@ def test_cartan_to_projective_line_homomorphism():
                 m2 = galois_matrix(emb, y1, y2)
                 prod = m1.mul(m2)
                 # read the product back as z1 + z2 * iota_omega
-                z2 = prod.c * pow(emb.c, -1, p) % p
-                z1 = (prod.a - z2 * emb.a) % p
+                z2 = prod.c * pow(emb.iota_omega.c, -1, p) % p
+                z1 = (prod.a - z2 * emb.iota_omega.a) % p
                 assert prod == galois_matrix(emb, z1, z2)
                 lhs = proj_class(p, z1, z2)
                 rhs = proj_mul(pp, proj_class(p, x1, x2), proj_class(p, y1, y2))

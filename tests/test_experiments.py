@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import mpmath as mp
@@ -5,6 +6,7 @@ import pytest
 
 from cmtrace import curves
 from cmtrace.curves import curve_model
+from cmtrace.errors import InputError
 from cmtrace.experiments import (TRACE_MIN_DIGITS, ExperimentSpec, HypothesisError,
                                  experiment_finite, orbit_options, orbit_trace, plan_orbit,
                                  trace_point)
@@ -47,6 +49,21 @@ def test_spec_validation():
         ExperimentSpec(dK=-11, f=1, p=9).validate()
 
 
+def test_spec_rejects_a_p_other_than_the_curves():
+    # 49a1 fixes p = 7, so an explicit p = 5 contradicts it
+    with pytest.raises(InputError, match="differs from the curve's p = 7"):
+        ExperimentSpec(dK=-11, f=1, curve=M49, p=5)
+    assert ExperimentSpec(dK=-11, f=1, curve=M49, p=7).prime == 7
+
+
+def test_spec_rejects_p_dividing_the_conductor_at_entry():
+    spec = ExperimentSpec(dK=-7, f=5, p=5, mode="finite_only")
+    with pytest.raises(HypothesisError, match="^p must not divide the conductor$"):
+        spec.validate()
+    with pytest.raises(HypothesisError, match="^p must not divide the conductor$"):
+        experiment_finite(spec)
+
+
 def test_trace_precision_floor():
     assert TRACE_MIN_DIGITS == 15
     ExperimentSpec(dK=-67, f=1, curve=M121, digits=15).validate()
@@ -69,6 +86,30 @@ def test_finite_report_examples():
     payload = rep.to_json()
     assert payload["passed"] and payload["fiber_count"] == 7
     json.dumps(payload)
+
+
+# sha256 of json.dumps(report.to_json(), sort_keys=True): the finite-shadow
+# JSON is part of every report, so a refactor of the finite layer keeps it
+FINITE_SHA256 = {
+    (5, -7, 1): "e3c3b72b060faf02dc78ba9e516c7db5ae4f38be27e22964c163bd2fb74e22da",
+    (101, -7, 1): "470188361ba7a4a6c7607a2d21e0be06cbe905cf99531b4f47ea32e93795cea2",
+    (199, -91, 1): "0f1f28fb25244a033d408c47ec9b222f3ff4db0bb608b31de8049bba4b053307",
+}
+SHADOW_36A1_SHA256 = "8e0dba658fdb6e4290c9381febfdc7736f8fca502fea9ccd1f82f72c10734b69"
+
+
+def _sha256(report) -> str:
+    return hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+def test_finite_shadow_json_is_pinned():
+    for (p, dK, f), digest in FINITE_SHA256.items():
+        spec = ExperimentSpec(dK=dK, f=f, p=p, mode="finite_only")
+        assert _sha256(experiment_finite(spec)) == digest, (p, dK, f)
+    # the shadow of a trace, at level_m = 4
+    rep = trace_point(ExperimentSpec(dK=-7, f=1, curve=curve_model((0, 0, 0, 0, 1)), digits=60))
+    assert rep.finite_shadow.level_m == 4
+    assert _sha256(rep.finite_shadow) == SHADOW_36A1_SHA256
 
 
 def test_trace_sign_minus_is_torsion():
@@ -258,7 +299,8 @@ def test_trace_point_builds_the_kernel_once(monkeypatch):
         report = trace_point(ExperimentSpec(dK=dK, f=f, curve=model, digits=30,
                                             mode="signo_minus" if model is M49 else "main_plus"))
         assert calls == [(dK, f, model.p)]
-        assert report.finite_shadow.kernel.classes[0].generator == report.orbit[0].proj
+        proj = report.finite_shadow.kernel.classes[0].proj
+        assert (proj.x1, proj.x2) == report.orbit[0].proj
         assert "kernel" not in report.finite_shadow.to_json()
 
 

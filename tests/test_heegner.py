@@ -191,8 +191,9 @@ def test_orbit_from_kept_ideals_matches_recorded_anchor_forms(dK, p, n_level):
     for kc in kernel.classes:
         # the two-row ideal that the lattice oracle conjugates is the
         # three-row one the kernel used to keep
-        assert (generator_ideal(order, p, *kc.generator)
-                == generator_ideal_three_rows(order, p, *kc.generator))
+        x1, x2 = kc.proj.x1, kc.proj.x2
+        assert (generator_ideal(order, p, x1, x2)
+                == generator_ideal_three_rows(order, p, x1, x2))
     for orbit in (galois_orbit(base, kernel), galois_orbit_by_lattices(base, kernel)):
         forms = [(pt.form.a, pt.form.b, pt.form.c) for pt in orbit]
         assert forms == ANCHOR_ORBITS[dK, p, n_level]

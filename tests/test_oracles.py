@@ -1,18 +1,19 @@
 """The closed-form finite layer against the exhaustive oracles in oracles.py."""
 
+import random
 from itertools import product
 
 import pytest
 from sympy import primerange
 
-from cmtrace.embeddings import build_embedding, two_to_one_check
+from cmtrace.embeddings import EmbeddingData, build_embedding, signo_pairing_check, two_to_one_check
 from cmtrace.experiments import ExperimentSpec, experiment_finite
 from cmtrace.fp import FpMatrix, FpParams, kronecker
 from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
 from oracles import (coset_label, coset_label_by_matrices, decompose_gamma, enumerate_cartan,
                      generator_ideal, generator_ideal_by_intersection, kernel_classes_by_hnf,
-                     kernel_forms_by_filter, sl2_elements, sorted_min_label,
-                     two_to_one_by_matrices)
+                     kernel_forms_by_filter, signo_pairing_by_matrices, sl2_elements,
+                     sorted_min_label, two_to_one_by_matrices)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -71,7 +72,7 @@ def test_closed_form_kernel_equals_the_hermite_normal_form_route(f):
         # the same forms, class by class, in the same order
         assert kernel == kernel_classes_by_hnf(order, p), (dK, p, f)
         for kc in kernel.classes:
-            x1, x2 = kc.generator
+            x1, x2 = kc.proj.x1, kc.proj.x2
             assert (generator_ideal(order, p, x1, x2)
                     == generator_ideal_by_intersection(order, p, x1, x2)), (dK, p, f, x1)
 
@@ -106,3 +107,37 @@ def test_two_to_one_check_returns_the_dict_of_the_matrix_route():
                 assert list(got.items()) == list(want.items()), (dK, p, f)
                 checked += 1
     assert checked == 458
+
+
+def test_signo_pairing_closed_form_matches_the_matrix_route():
+    rng = random.Random(18)
+    fundamentals = [d for d in range(-300, -4) if is_fundamental_discriminant(d)]
+    primes = list(primerange(3, 200))
+    checked = 0
+    while checked < 1000:
+        dK, p, f = rng.choice(fundamentals), rng.choice(primes), rng.randint(1, 12)
+        if kronecker(dK, p) != -1 or f % p == 0:
+            continue
+        emb = build_embedding(FpParams(p), order_data(dK, f))
+        assert signo_pairing_check(emb) is signo_pairing_by_matrices(emb) is True, (dK, p, f)
+        checked += 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_signo_pairing_closed_form_on_hand_built_matrices(p):
+    # every (a, b, c, d): w = (0, b; c, d - a) is singular exactly when bc = 0,
+    # and then the matrix route raises while the closed form reads False
+    params, order = FpParams(p), order_data(-7, 1)
+    seen = set()
+    for a, b, c, d in product(range(p), repeat=4):
+        emb = EmbeddingData(params=params, order=order, iota_omega=FpMatrix(p, a, b, c, d))
+        got = signo_pairing_check(emb)
+        if b * c % p == 0:
+            with pytest.raises(AssertionError):
+                signo_pairing_by_matrices(emb)
+            assert got is False
+        else:
+            assert got is signo_pairing_by_matrices(emb), (a, b, c, d)
+        seen.add((b * c % p == 0, a == d, got))
+    assert seen == {(True, True, False), (True, False, False),
+                    (False, True, True), (False, False, False)}
