@@ -153,7 +153,7 @@ def _cmd_trace(args) -> tuple[int, dict]:
           f"K = Q(sqrt({args.dk})), f = {args.f}, digits = {digits}")
     print(f"w_p = {report.wp:+d}; orbit of {len(report.orbit)} points; "
           f"n_max = {report.n_max}")
-    print(f"trace z = {mp.nstr(mp.mpc(report.trace_z), min(digits, 30))}")
+    print(f"trace z = {mp.nstr(report.trace_z, min(digits, 30))}")
     print(f"torsion residual = {mp.nstr(report.residual, 8)}")
     print(f"verdict: {report.verdict}")
     if report.recognized is not None:

@@ -28,8 +28,7 @@ from .fp import FpParams, factorint, index_ns_plus, isprime, kronecker
 from .heegner import HeegnerTau, al_move, galois_orbit, heegner_form
 from .modparam import (GUARD, SeriesBudgetError, al_constant, al_constant_points,
                        atkin_lehner_sign, eval_phi, local_sign, phi_terms)
-from .periods import (DIGITS_CAP, PeriodLattice, elliptic_exp, is_torsion,
-                      period_lattice, torsion_residual)
+from .periods import DIGITS_CAP, elliptic_exp, is_torsion, period_lattice, torsion_residual
 from .quadforms import GaloisKernel, class_number, kernel_classes, order_data
 from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
 
@@ -52,7 +51,9 @@ def check_digits(digits: int):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Inputs of one experiment; curve may be omitted for finite-only runs."""
+    """Inputs of one experiment; curve may be omitted for finite-only runs.
+    Modes "signo_minus" and "main_plus" select the same run (trace_point reads
+    w_p off the curve); they stay because perfbench/cases.py passes them."""
 
     dK: int
     f: int
@@ -211,7 +212,6 @@ class TraceReport:
     recognized: tuple | None
     n_max: int
     finite_shadow: FiniteReport
-    lattice: PeriodLattice
     timings: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -244,7 +244,8 @@ class TraceReport:
 
 
 def _cstr(z, digits: int) -> dict:
-    return {"re": mp.nstr(mp.mpc(z).real, digits), "im": mp.nstr(mp.mpc(z).imag, digits),
+    """The parts of z to `digits` digits, read at z's precision, not a double's."""
+    return {"re": mp.nstr(mp.re(z), digits), "im": mp.nstr(mp.im(z), digits),
             "precision": digits}
 
 
@@ -425,7 +426,7 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     t0 = time.perf_counter()
     lat = period_lattice(model.minimal, digits)
     residual = torsion_residual(trace_z, lat)
-    torsion = is_torsion(trace_z, lat, digits)
+    torsion = is_torsion(trace_z, lat)
     recognized = None
     if torsion:
         verdict = "torsion"
@@ -445,4 +446,4 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
 
     return TraceReport(spec=spec, wp=wp, orbit=tuple(entries), trace_z=trace_z,
                        residual=residual, verdict=verdict, recognized=recognized,
-                       n_max=n_max, finite_shadow=shadow, lattice=lat, timings=timings)
+                       n_max=n_max, finite_shadow=shadow, timings=timings)

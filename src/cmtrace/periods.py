@@ -2,8 +2,8 @@
 
 The lattice is that of the invariant differential dx / (2y + a1 x + a3), with
 w1 the real period and Im(w2 / w1) > 0.  The exponential map evaluates the
-Weierstrass function and its derivative by a truncated Laurent series near the
-origin followed by repeated duplication, then shifts into the given model.
+Weierstrass function and its derivative as Jacobi theta quotients, then shifts
+into the given model.
 
 The 2-torsion.  The roots e of 4x^3 + b2 x^2 + 2 b4 x + b6, which the AGM
 takes, are e = (t - 3 b2) / 36 for the roots t of t^3 - 27 c4 t - 54 c6,
@@ -61,32 +61,18 @@ scaled by 2^-2(e+F) until the one square root.  lattice_reduce takes
 F = P + FIXED_GUARD at the caller's precision and only uses the corner it
 picks.
 
-Laurent coefficients.  wp(u) = u^-2 + sum_k c_k u^2k with c_1 = g2 / 20,
-c_2 = g3 / 28 and c_k = 3 sum_{i=1}^{k-2} c_i c_{k-1-i} / ((2k+3)(k-2)).
-The series is evaluated at |u| <= |b1| / 8 and needs nterms = 0.6 (dps +
-10) + 8 terms.  The recurrence runs on d_k = c_k rho^(2k+2), rho = 2^s the
-largest power of two with rho <= |b1| / 2, which obey the same recurrence
-(the exponents add up), in Python integers D_k scaled by 2^F, F = P +
-2 nterms + FIXED_GUARD; the convolution is summed once per unordered pair.
-D_1 and D_2 are floors of the exact rationals c4 rho^4 / 240 and c6 rho^6 /
-6048, so they err by less than one unit.  The bound: c_k = (2k+1) G_(2k+2)
-with G_m the sum of w^-m over the nonzero lattice vectors w, so |d_k| <=
-(2k+1) 4^-(k+1) Z with Z the sum of (|b1| / |w|)^4.  Disks of radius
-|b1| / 2 about the lattice points are disjoint, so at most 4r^2 + 4r
-nonzero vectors have |w| <= r |b1|, and Z <= 4 int_1^inf (4r^2 + 4r) r^-5 dr
-= 40/3; the sum of all |d_k| is then at most 11 Z / 36 < 4.08.  An error
-e_i in each D_i moves the convolution for D_k by at most 2 * 4.08 max e_i
-(plus e_i e_j 2^-F, under one unit), which the factor 3 / ((2k+3)(k-2))
-scales, and the floor division adds one more unit, so e_k <= 2 + 24.5
-max_{i<k} e_i / ((2k+3)(k-2)): below 4.8 at k = 3 and 7.3 at k = 4, and no
-later step raises the maximum.  So every D_k is within 8 units, and c_k =
-D_k 2^-F rho^-(2k+2), converted by one ldexp, is within 8 2^-F
-rho^-(2k+2) + 2^-P |c_k| of its value: relative to |b1|^-(2k+2), since
-|b1| / rho < 4, within 2^(5 - P - FIXED_GUARD) + 2^-P |c_k| |b1|^(2k+2).
-On the series at |u| <= |b1| / 8 < rho / 2 the fixed-point part sums to at
-most 3 2^-F rho^-2, far below 2^-P |u|^-2.  The tests compare the
-coefficients with the mpf recurrence (tests/oracles.py) at higher
-precision.
+The Weierstrass function.  DLMF 23.6.5 with 2 omega_1 = b1 and
+tau = b2 / b1 gives wp(z) = (pi / b1)^2 [(theta2 theta3 theta4(v) /
+theta1(v))^2 - (theta2^4 + theta3^4) / 3], v = pi z / b1, the theta
+functions of nome q = e^(i pi tau) and those without an argument at 0.
+Its derivative in z is wp'(z) = 2 (pi / b1)^3 (theta2 theta3)^2 theta4(v)
+(theta4'(v) theta1(v) - theta4(v) theta1'(v)) / theta1(v)^3.  The basis is
+the reduced one, with tau negated when Im tau < 0 (Lagrange reduction keeps
+either orientation), so |Re tau| <= 1/2 and |tau| >= 1, hence Im tau >=
+sqrt(3) / 2 and |q| <= e^(-pi sqrt(3) / 2) < 0.07: the n-th term of each
+theta series is of order |q|^(n^2), and mpmath's jtheta sums them to the
+working precision.  The tests compare both values with the Laurent series
+plus duplication (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -245,50 +231,20 @@ def lattice_reduce(lat: PeriodLattice, z):
     return z - i * b1 - j * b2
 
 
-def _wp_series_coeffs(c4: int, c6: int, short, nterms: int) -> list:
-    """[0, c_1, ..., c_nterms], wp(u) = u^-2 + sum c_k u^2k, for the lattice
-    with invariants g2 = c4 / 12, g3 = c6 / 216 and shortest vector of length
-    `short`, at the working precision; error bound in the module docstring."""
-    s = mp.frexp(short)[1] - 2                  # rho = 2^s, short / 4 < rho <= short / 2
-    frac = mp.mp.prec + 2 * nterms + FIXED_GUARD
-
-    def scaled(num: int, den: int, shift: int) -> int:
-        return (num << shift) // den if shift >= 0 else num // (den << -shift)
-
-    ds = [0, scaled(c4, 240, frac + 4 * s), scaled(c6, 6048, frac + 6 * s)]
-    for k in range(3, nterms + 1):
-        acc = 2 * sum(ds[i] * ds[k - 1 - i] for i in range(1, k // 2))
-        if k % 2:
-            acc += ds[k // 2] ** 2
-        ds.append(3 * acc // (((2 * k + 3) * (k - 2)) << frac))
-    return [mp.mpf(0)] + [mp.ldexp(dk, -frac - (2 * k + 2) * s) for k, dk in enumerate(ds[1:], 1)]
-
-
-def _wp_pair(lat: PeriodLattice, z, dps: int):
-    """(wp(z), wp'(z)) for reduced z != 0, by Laurent series plus duplication."""
-    cur = lat.curve
-    g2 = mp.mpf(cur.c4) / 12
-    short = abs(_reduced_basis(lat)[0])
-    radius = short / 8
-    k = 0
-    while abs(z) / 2 ** k > radius:
-        k += 1
-    u = z / 2 ** k
-    nterms = int(0.6 * (dps + 10)) + 8
-    cs = _wp_series_coeffs(cur.c4, cur.c6, short, nterms)
-    u2 = u * u
-    wp = 1 / u2
-    wpd = -2 / (u2 * u)
-    upow = mp.mpc(1)
-    for j in range(1, nterms + 1):
-        upow *= u2
-        wp += cs[j] * upow
-        wpd += 2 * j * cs[j] * upow / u
-    for _ in range(k):
-        lam = (6 * wp * wp - g2 / 2) / wpd
-        wp2 = lam * lam / 4 - 2 * wp
-        wpd = -(lam * (wp2 - wp) + wpd)
-        wp = wp2
+def _wp_pair(lat: PeriodLattice, z):
+    """(wp(z), wp'(z)) for reduced z != 0, as theta quotients (module docstring)."""
+    b1, b2 = _reduced_basis(lat)
+    tau = b2 / b1
+    q = mp.expjpi(tau if mp.im(tau) > 0 else -tau)
+    c = mp.pi / b1
+    v = c * z
+    t2, t3 = mp.jtheta(2, 0, q), mp.jtheta(3, 0, q)
+    t1, t4 = mp.jtheta(1, v, q), mp.jtheta(4, v, q)
+    a = t2 * t3
+    r = a * t4 / t1
+    wp = c * c * (r * r - (t2 ** 4 + t3 ** 4) / 3)
+    d1, d4 = mp.jtheta(1, v, q, 1), mp.jtheta(4, v, q, 1)
+    wpd = 2 * c ** 3 * r * a * (d4 * t1 - t4 * d1) / (t1 * t1)
     return wp, wpd
 
 
@@ -301,7 +257,7 @@ def elliptic_exp(lat: PeriodLattice, z) -> CurvePoint:
         zr = lattice_reduce(lat, mp.mpc(z))
         if abs(zr) < mp.mpf(10) ** (-digits) * abs(lat.w1):
             return CurvePoint(z=mp.mpc(z), xy=None)
-        wp, wpd = _wp_pair(lat, zr, digits + GUARD)
+        wp, wpd = _wp_pair(lat, zr)
         x = wp - mp.mpf(cur.b2) / 12
         y = (wpd - cur.a1 * x - cur.a3) / 2
         return CurvePoint(z=mp.mpc(z), xy=(x, y))
@@ -315,17 +271,17 @@ def _scaled_dist2(z, lat: PeriodLattice, bound: int) -> tuple:
     return shift, (n for n, _, _ in _nearest_multiples(gram, x, y, frac, bound))
 
 
-def is_torsion(z, lat: PeriodLattice, digits: int) -> bool:
+def is_torsion(z, lat: PeriodLattice) -> bool:
     """Whether some multiple m*z, m <= TORSION_BOUND, falls on the lattice to
-    10^(-digits/2)."""
-    return torsion_order(z, lat, digits) is not None
+    10^(-lat.digits/2)."""
+    return torsion_order(z, lat) is not None
 
 
-def torsion_order(z, lat: PeriodLattice, digits: int):
-    """The least m <= TORSION_BOUND with m*z within 10^(-digits/2)*|w1| of the lattice."""
+def torsion_order(z, lat: PeriodLattice):
+    """The least m <= TORSION_BOUND with m*z within 10^(-lat.digits/2)*|w1| of the lattice."""
     with mp.workdps(lat.digits + GUARD):
         shift, values = _scaled_dist2(z, lat, TORSION_BOUND)
-        tol2 = (mp.mpf(10) ** (-digits / 2) * abs(lat.w1)) ** 2
+        tol2 = (mp.mpf(10) ** (-lat.digits / 2) * abs(lat.w1)) ** 2
         limit = int(mp.ceil(mp.ldexp(tol2, -shift)))      # n < limit iff n 2^shift < tol2
         for m, n in enumerate(values, 1):
             if n < limit:

@@ -51,11 +51,12 @@ ap_char_sum_reduced the point count with every product reduced mod ell
 that the int64 Horner kernel in cmtrace.curves replaced,
 lattice_reduce_descent the descent from the nearest integer coordinates by
 steps of w1, w2 and w1 +- w2 that the four-corner rule of cmtrace.periods
-replaced, and wp_series_coeffs_mpf the mpf recurrence for the Laurent
-coefficients of the Weierstrass function that the fixed-point recurrence
-of cmtrace.periods replaced.  The descent finds the nearest lattice vector
-only when (w1, w2) is Lagrange-reduced (the steps then hold every
-Voronoi-relevant vector), so the tests compare the four-corner rule with
+replaced, and wp_pair_by_laurent the Laurent series of the Weierstrass
+function (coefficients by the mpf recurrence wp_series_coeffs_mpf) plus
+duplication that the theta quotients of cmtrace.periods replaced.  The
+descent finds the nearest lattice vector only when (w1, w2) is
+Lagrange-reduced (the steps then hold every Voronoi-relevant vector), so
+the tests compare the four-corner rule with
 lattice_distance_by_search, an exhaustive search of a box of coordinates.  gamma0_reduce_all_candidates is
 the Gamma_0(N) reduction that builds the reduced form of every candidate
 vector, where cmtrace.heegner builds only those of minimal leading
@@ -90,7 +91,7 @@ from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureErr
 from cmtrace.fp import FpMatrix, FpParams, _xgcd, in_cartan_group, isprime, kronecker
 from cmtrace.heegner import HeegnerTau, NoHeegnerPoint, _complete_unimodular, gamma0_reduce
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
-from cmtrace.periods import PeriodLattice, lattice_reduce
+from cmtrace.periods import PeriodLattice, _reduced_basis, lattice_reduce
 from cmtrace.projline import (ProjClass, ProjParams, involution_class, proj_class,
                               proj_elements, proj_mul)
 from cmtrace.quadforms import (BinaryForm, GaloisKernel, KernelClass, QuadOrder,
@@ -728,6 +729,38 @@ def wp_series_coeffs_mpf(g2, g3, nterms: int):
             acc += cs[i] * cs[k - 1 - i]
         cs[k] = 3 * acc / ((2 * k + 3) * (k - 2))
     return cs
+
+
+def wp_pair_by_laurent(lat: PeriodLattice, z):
+    """(wp(z), wp'(z)) for reduced z != 0 at the working precision: the
+    Laurent series at z / 2^k, |z / 2^k| <= |b1| / 8, with 0.6 (dps + 10) + 8
+    terms whose coefficients wp_series_coeffs_mpf sums with 2 nterms + 10
+    guard bits, then k duplications.  The route cmtrace.periods took before
+    the theta quotients."""
+    cur = lat.curve
+    g2, g3 = mp.mpf(cur.c4) / 12, mp.mpf(cur.c6) / 216
+    radius = abs(_reduced_basis(lat)[0]) / 8
+    k = 0
+    while abs(z) / 2 ** k > radius:
+        k += 1
+    u = z / 2 ** k
+    nterms = int(0.6 * (mp.mp.dps + 10)) + 8
+    with mp.workprec(mp.mp.prec + 2 * nterms + 10):
+        cs = wp_series_coeffs_mpf(g2, g3, nterms)
+    u2 = u * u
+    wp = 1 / u2
+    wpd = -2 / (u2 * u)
+    upow = mp.mpc(1)
+    for j in range(1, nterms + 1):
+        upow *= u2
+        wp += cs[j] * upow
+        wpd += 2 * j * cs[j] * upow / u
+    for _ in range(k):
+        lam = (6 * wp * wp - g2 / 2) / wpd
+        wp2 = lam * lam / 4 - 2 * wp
+        wpd = -(lam * (wp2 - wp) + wpd)
+        wp = wp2
+    return wp, wpd
 
 
 def equation_residual(cur: Curve, x, y):

@@ -145,6 +145,16 @@ def test_headline_trace_values_to_all_digits(model, dK, mode, re, im):
         assert abs(mp.mpc(rep.trace_z) - mp.mpc(re, im)) < mp.mpf(10) ** -60
 
 
+def test_trace_json_keeps_the_working_precision():
+    # traceZ in the JSON report carries all of its digits: 121b1 over
+    # Q(sqrt -67) agrees with a double only to about 10^-17
+    rep = trace_point(ExperimentSpec(dK=-67, f=1, curve=M121, digits=60))
+    out = rep.to_json()["traceZ"]
+    assert out["precision"] == 60
+    with mp.workdps(90):
+        assert abs(mp.mpc(out["re"], out["im"]) - rep.trace_z) < mp.mpf(10) ** -59
+
+
 def test_trace_sign_minus_second_field():
     # h(-15) = 2, so no recognition path; the torsion verdict still must hold
     spec = ExperimentSpec(dK=-15, f=1, curve=M49, digits=40, mode="signo_minus")

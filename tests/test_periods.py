@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from cmtrace.curves import Curve
 from cmtrace.errors import InputError
-from cmtrace.periods import (FIXED_GUARD, GUARD, PeriodLattice, PrecisionError, _reduced_basis,
-                             _scaled_dist2, _wp_series_coeffs, elliptic_exp, is_torsion,
-                             lattice_reduce, period_lattice, torsion_order, torsion_residual,
-                             two_torsion_roots)
+from cmtrace.periods import (GUARD, PeriodLattice, PrecisionError, _reduced_basis, _scaled_dist2,
+                             _wp_pair, elliptic_exp, is_torsion, lattice_reduce, period_lattice,
+                             torsion_order, torsion_residual, two_torsion_roots)
 from oracles import (equation_residual, lattice_distance, lattice_distance_by_search,
-                     lattice_reduce_descent, two_torsion_roots_by_polyroots,
-                     wp_series_coeffs_mpf)
+                     lattice_reduce_descent, two_torsion_roots_by_polyroots, wp_pair_by_laurent)
 
 LATTICE_CURVES = {              # the five catalogue curves (disc < 0) and 37a1 (disc > 0)
     "49a1": (1, -1, 0, -2, -1),
@@ -117,15 +115,16 @@ def test_exp_periodicity_and_infinity():
 
 
 def test_wp_differential_equation():
-    cur = Curve(0, -1, 1, -7, 10)
-    lat = period_lattice(cur, 50)
-    with mp.workdps(65):
-        g2 = mp.mpf(cur.c4) / 12
-        g3 = mp.mpf(cur.c6) / 216
-        from cmtrace.periods import _wp_pair
-        z = mp.mpc("0.21", "0.13")
-        wp, wpd = _wp_pair(lat, z, 60)
-        assert abs(wpd ** 2 - (4 * wp ** 3 - g2 * wp - g3)) < mp.mpf(10) ** -45
+    for ai in ((0, -1, 1, -7, 10), (0, 0, 1, -1, 0)):     # 121b1, 37a1 (disc > 0)
+        cur = Curve(*ai)
+        for digits in (50, 200):
+            lat = period_lattice(cur, digits)
+            with mp.workdps(digits + 15):
+                g2 = mp.mpf(cur.c4) / 12
+                g3 = mp.mpf(cur.c6) / 216
+                z = mp.mpc("0.21", "0.13")
+                wp, wpd = _wp_pair(lat, z)
+                assert abs(wpd ** 2 - (4 * wp ** 3 - g2 * wp - g3)) < mp.mpf(10) ** -(digits - 5)
 
 
 def test_lattice_reduce_and_distance():
@@ -143,11 +142,11 @@ def test_torsion_detection():
     cur = Curve(1, -1, 0, -2, -1)
     lat = period_lattice(cur, 60)
     with mp.workdps(75):
-        assert is_torsion(lat.w1 / 2, lat, 60)
-        assert torsion_order(lat.w1 / 2, lat, 60) == 2
-        assert torsion_order((lat.w1 + 2 * lat.w2) / 6, lat, 60) == 6
+        assert is_torsion(lat.w1 / 2, lat)
+        assert torsion_order(lat.w1 / 2, lat) == 2
+        assert torsion_order((lat.w1 + 2 * lat.w2) / 6, lat) == 6
         z = mp.mpf("0.3") * lat.w1 + mp.mpf("0.31") * lat.w2
-        assert not is_torsion(z, lat, 60)
+        assert not is_torsion(z, lat)
         assert torsion_residual(z, lat) > mp.mpf(10) ** -10
 
 
@@ -258,7 +257,7 @@ def test_torsion_order_of_rational_points(label, n, k1, k2):
     lat = _lattice(label, 60)
     with mp.workdps(60 + GUARD):
         z = mp.mpf(k1) / n * lat.w1 + mp.mpf(k2) / n * lat.w2
-    assert torsion_order(z, lat, 60) == n // gcd(n, k1, k2)
+    assert torsion_order(z, lat) == n // gcd(n, k1, k2)
 
 
 def test_period_lattice_is_computed_once_per_curve_and_digits():
@@ -275,28 +274,43 @@ def test_period_lattice_is_computed_once_per_curve_and_digits():
         period_lattice(cur, 201)
 
 
+CURVE_26569A1 = (0, 0, 1, -2174420, 1234136692)      # |b1| about 0.06
+
+
 @pytest.mark.parametrize("digits", [60, 200])
-@pytest.mark.parametrize("ai", [ai for name, ai in LATTICE_CURVES.items() if name != "37a1"]
-                         + [(0, 0, 1, -2174420, 1234136692)])     # 26569a1: |b1| about 0.06
-def test_wp_coefficients_within_bound_of_mpf_recurrence(ai, digits):
-    cur = Curve(*ai)
-    lat = period_lattice(cur, digits)
+@pytest.mark.parametrize("ai", list(LATTICE_CURVES.values()) + [CURVE_26569A1])
+def test_wp_pair_matches_laurent_series(ai, digits):
+    # wp and wp' within 10^-(digits+5) max(1, |value|) of the Laurent series
+    # plus duplication: near 0, at the three half-periods (wp alone, wp'
+    # vanishes there) and at random reduced points
+    lat = period_lattice(Curve(*ai), digits)
+    rng = random.Random(digits)
     with mp.workdps(digits + GUARD):
-        nterms = int(0.6 * (digits + GUARD + 10)) + 8
-        short = abs(_reduced_basis(lat)[0])
-        got = _wp_series_coeffs(cur.c4, cur.c6, short, nterms)
-        prec = mp.mp.prec
-    frac = prec + 2 * nterms + FIXED_GUARD
-    s = mp.frexp(short)[1] - 2
-    assert short / 4 < mp.ldexp(1, s) <= short / 2
-    # the oracle at 40 more bits than the fixed point carries
-    with mp.workprec(frac + 40):
-        want = wp_series_coeffs_mpf(mp.mpf(cur.c4) / 12, mp.mpf(cur.c6) / 216, nterms)
-        for k in range(1, nterms + 1):
-            # 8 units of 2^-F in c_k rho^(2k+2), plus the rounding of c_k
-            # to P bits (periods' module docstring)
-            bound = 8 * mp.ldexp(1, -frac - (2 * k + 2) * s) + mp.ldexp(abs(want[k]), 1 - prec)
-            assert abs(got[k] - want[k]) <= bound, k
+        b1, b2 = _reduced_basis(lat)
+        points = [(b1 / mp.mpf(10) ** 5, 2), (b1 / 2, 1), (b2 / 2, 1), ((b1 + b2) / 2, 1)]
+        points += [(mp.mpf(rng.random()) * b1 + mp.mpf(rng.random()) * b2, 2) for _ in range(4)]
+        for z, count in points:
+            z = lattice_reduce(lat, z)
+            got, want = _wp_pair(lat, z), wp_pair_by_laurent(lat, z)
+            for g, w in list(zip(got, want))[:count]:
+                assert abs(g - w) <= mp.mpf(10) ** -(digits + 5) * max(1, abs(w)), (z, g, w)
+
+
+@pytest.mark.parametrize("label, digits", [("37a1", 60), ("37a1", 200), ("36a1", 60)])
+def test_wp_pair_on_a_reduced_basis_of_negative_orientation(label, digits):
+    # Lagrange reduction returns Im(b2 / b1) < 0 here; the theta quotient
+    # needs Im tau > 0 and negates tau
+    lat = _lattice(label, digits)
+    cur = lat.curve
+    with mp.workdps(digits + GUARD):
+        b1, b2 = _reduced_basis(lat)
+        assert mp.im(b2 / b1) < 0
+        z = lattice_reduce(lat, (b1 + 3 * b2) / 7)
+        wp, wpd = _wp_pair(lat, z)
+        for g, w in zip((wp, wpd), wp_pair_by_laurent(lat, z)):
+            assert abs(g - w) <= mp.mpf(10) ** -(digits + 5) * max(1, abs(w))
+        g2, g3 = mp.mpf(cur.c4) / 12, mp.mpf(cur.c6) / 216
+        assert abs(wpd ** 2 - (4 * wp ** 3 - g2 * wp - g3)) < mp.mpf(10) ** -(digits + 5)
 
 
 def _random_curves(sign: int, count: int, rng: random.Random) -> list:
