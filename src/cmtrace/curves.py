@@ -29,8 +29,7 @@ over the elements x + y (1 + sqrt d) / 2 of norm up to the bound gives
 every split prime at once, with no sign to test.
 
 Bad primes contribute +1, -1, 0 according to split multiplicative, non-split
-multiplicative, or additive reduction; prime powers follow the usual Hecke
-recursion and everything extends multiplicatively.
+multiplicative, or additive reduction; _extended derives every other a_n.
 """
 
 from __future__ import annotations
@@ -206,9 +205,6 @@ class LocalData:
     kodaira: str
     f: int
     reduction: str          # good | split | nonsplit | additive
-
-
-_COMPONENTS = {"II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
 
 
 def tate_local(cur: Curve, q: int) -> LocalData:
@@ -389,22 +385,23 @@ def ap_good(cur: Curve, ell: int) -> int:
 def _ap_char_sum(cur: Curve, ell: int) -> int:
     # Completing the square (ell odd): #E(F_ell) = ell + 1 + sum_x chi(f(x)),
     # f = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character.  With
-    # the coefficients reduced mod ell, Horner's f(x) stays below 5 ell^3,
-    # which is under 2^63 for ell <= AN_BOUND: int64 is exact and one
-    # reduction at the end suffices (floor-divide by a scalar beats %).
+    # coefficients reduced mod ell, Horner's f(x) < 5 ell^3 < 2^63 for ell <=
+    # AN_BOUND: int64 is exact, and one floor division at the end (faster than
+    # %) reduces it, into x; x and sq go before the sum buffers its int64 cast.
     x = np.arange(ell, dtype=np.int64)
+    sq = x[: ell // 2 + 1] ** 2
+    sq -= sq // ell * ell
     f = 4 * x
     f += cur.b2 % ell
     f *= x
     f += 2 * cur.b4 % ell
     f *= x
     f += cur.b6 % ell
-    f -= f // ell * ell
-    sq = x[: ell // 2 + 1] ** 2
-    sq -= sq // ell * ell
+    f -= np.multiply(np.floor_divide(f, ell, out=x), ell, out=x)
     chi = np.full(ell, -1, dtype=np.int8)
     chi[sq] = 1
     chi[0] = 0
+    del x, sq
     return -int(chi[f].sum(dtype=np.int64))
 
 
@@ -438,9 +435,11 @@ def an_coefficients(cur: Curve, bound: int) -> list[int]:
 
 
 def _extended(m: Curve, known: list[int], bound: int) -> list[int]:
-    """A copy of `known` (a[0..old]) extended to a[0..bound]; only the primes
-    above old get a new a_ell, from the Hecke character where that applies
-    (module docstring) and else by a point count."""
+    """A copy of `known` (a[0..old]) extended to a[0..bound] in one pass over
+    the new n: a prime takes its a_ell (bad, from the Hecke character (module
+    docstring) or point-counted), ell^k the Hecke recursion a_ell a_(n/ell) -
+    ell a_(n/ell^2) (ell as 0 at a bad prime), any other n = ell^k r the
+    product a_(ell^k) a_r, ell the least prime of n."""
     old = len(known) - 1
     a = known + [0] * (bound - old)
     spf = _smallest_prime_factors(bound)
@@ -448,30 +447,18 @@ def _extended(m: Curve, known: list[int], bound: int) -> list[int]:
     d = _hecke_disc(m, bad)
     if d:
         _hecke_split_ap(a, d, old, bound, spf)
-    for ell in range(2, bound + 1):
-        if spf[ell] != ell:
-            continue
-        if ell > old:
-            if ell in bad:
-                a[ell] = ap_bad(bad[ell])
-            elif not d:
-                a[ell] = ap_good(m, ell)
-        aell, hecke = a[ell], 0 if ell in bad else ell
-        pk_prev, pk = 1, ell
-        while pk * ell <= bound:
-            nxt = pk * ell
-            if nxt > old:
-                a[nxt] = aell * a[pk] - hecke * a[pk_prev]
-            pk_prev, pk = pk, nxt
     for n in range(old + 1, bound + 1):
-        ell = spf[n]
-        pk = ell
-        rest = n // ell
+        ell, pk, rest = spf[n], spf[n], n // spf[n]
         while rest % ell == 0:
-            rest //= ell
-            pk *= ell
+            pk, rest = pk * ell, rest // ell
         if rest > 1:
             a[n] = a[pk] * a[rest]
+        elif n in bad:
+            a[n] = ap_bad(bad[n])
+        elif n > ell:
+            a[n] = a[ell] * a[n // ell] - (0 if ell in bad else ell) * a[n // ell // ell]
+        elif not d:
+            a[n] = ap_good(m, n)
     return a
 
 

@@ -28,7 +28,7 @@ q-series.  Everything stays in integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath as mp
 
@@ -135,18 +135,28 @@ def gamma0_reduce(form: BinaryForm, n_level: int) -> BinaryForm:
     Minimises A = Q(x, y) over primitive vectors with y = 0 mod N (columns of
     Gamma_0(N) matrices), then translates B into (-A, A]; only the vectors of
     minimal A are completed to a matrix, and ties go to the smallest (|B|, -B).
-    The candidates are the small combinations of the basis (1, 0), (0, N) of
-    that sublattice, Lagrange-reduced for the Gram triple (2A, B, 2C) of Q.
-    """
+    With v1, v2 the basis (1, 0), (0, N) of that sublattice Lagrange-reduced
+    for the Gram triple (2A, B, 2C), n_i = 2Q(v_i), b = v1.v2 in it and det =
+    n1 n2 - b^2 > 0, n1 2Q(s v1 + t v2) = (n1 s + b t)^2 + det t^2: the loops
+    visit every s v1 + t v2 with Q <= bound (det t^2 <= 2 bound n1, then |n1 s
+    + b t| <= isqrt(2 bound n1 - det t^2)), for bound = Q(v1), 2 Q(v1), ...
+    until some are primitive; those include every vector of least value."""
     if form.a % n_level:
         raise InputError("form is not N-divisible")
-    v1, v2 = lagrange_reduce((2 * form.a, form.b, 2 * form.c), (1, 0), (0, n_level))
-    primitive = []
-    for s in range(-4, 5):
-        for t in range(-4, 5):
-            x, y = s * v1[0] + t * v2[0], s * v1[1] + t * v2[1]
-            if (s or t) and gcd(x, y) == 1:
-                primitive.append((form.value(x, y), x, y))
+    (x1, y1), (x2, y2) = lagrange_reduce((2 * form.a, form.b, 2 * form.c), (1, 0), (0, n_level))
+    n1, n2 = 2 * form.value(x1, y1), 2 * form.value(x2, y2)
+    b = form.value(x1 + x2, y1 + y2) - (n1 + n2) // 2
+    det = n1 * n2 - b * b
+    bound, primitive = n1 // 2, []
+    while not primitive:
+        t_max = isqrt(2 * bound * n1 // det)
+        for t in range(-t_max, t_max + 1):
+            r = isqrt(2 * bound * n1 - det * t * t)
+            for s in range(-((r + b * t) // n1), (r - b * t) // n1 + 1):
+                x, y = s * x1 + t * x2, s * y1 + t * y2
+                if gcd(x, y) == 1:
+                    primitive.append((form.value(x, y), x, y))
+        bound *= 2
     a_min = min(primitive)[0]
     cands = []
     for a, x, y in primitive:

@@ -35,7 +35,6 @@ sqrt(3) n instead of sqrt(3), which the same budget absorbs for the
 Atkin-Lehner sign test and its 10^(-digits/2) tolerance; the tests compare
 both weights with the term-by-term mpc sum (tests/oracles.py).  The error
 is absolute, not relative: a value far below 2^-P comes back as noise or 0.
-phi_terms is computed once per (Im tau to 30 digits, digits) and process.
 
 Atkin-Lehner moves.  phi'(tau) = 2 pi i f(tau), and for W_Q = (a, b; N, d)
 of determinant Q, f | W_Q = w_Q f reads Q (N tau + d)^-2 f(W_Q tau) = w_Q
@@ -76,7 +75,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt
+from math import ceil, expm1, gcd, isqrt, log, pi, sqrt
 
 import mpmath as mp
 
@@ -99,21 +98,23 @@ class SeriesBudgetError(CmtraceError, ArithmeticError):
 
 
 def phi_terms(im_tau, digits: int) -> int:
-    """Terms needed so the parametrisation tail is below 10^(-digits-10),
-    computed once per (Im tau to 30 digits, digits) and process."""
-    with mp.workdps(30):
-        n = _phi_terms(mp.mpf(im_tau), digits)
+    """Terms for a tail below 10^(-digits-10) (module docstring): n = max(ceil(x),
+    4), x = ((digits + 10) ln 10 + ln sqrt(3) - ln(1 - e^-t)) / t, t = 2 pi Im
+    tau, in doubles.  Each operation rounds by at most u = 2^-53 (expm1, log by
+    an ulp); the numerator sums non-negative terms, one above 23, and 1 - e^-t
+    has at most the relative error of t, so x comes out as x (1 + e), |e| < 10
+    u < 2^-49, and times 1 + 2^-40 rounds above x: n >= the exact ceiling.
+    Below t = 1e-300 x overflows a double, and mpmath computes n, far over the cap."""
+    t = 2 * pi * float(im_tau)
+    if t > 1e-300:
+        x = ((digits + 10) * log(10) + log(sqrt(3)) - log(-expm1(-t))) / t
+        n = max(ceil(x * (1 + 2 ** -40)), 4)
+    else:
+        t = 2 * mp.pi * mp.mpf(im_tau)
+        n = int(mp.ceil(((digits + 10) * mp.ln10 + mp.log(mp.sqrt(3) / -mp.expm1(-t))) / t))
     if n > NMAX_CAP:
         raise SeriesBudgetError(n)
     return n
-
-
-@lru_cache(maxsize=4096)
-def _phi_terms(im_tau: mp.mpf, digits: int) -> int:
-    with mp.workdps(30):
-        logq = -2 * mp.pi * im_tau
-        target = -(digits + 10) * mp.log(10) + mp.log((1 - mp.exp(logq)) / mp.sqrt(3))
-        return max(int(mp.ceil(target / logq)), 4)
 
 
 def eval_phi(model: CurveModel | Curve, tau, digits: int) -> mp.mpc:

@@ -42,6 +42,8 @@ cmtrace.embeddings.signo_pairing_check reads the answer off two entries.
 
 On the analytic side, eval_series_direct is the term-by-term mpc evaluation
 of the q-series that the fixed-point evaluator in cmtrace.modparam replaced,
+phi_terms_mp its term count at 30 digits, where modparam.phi_terms
+computes it in doubles,
 orbit_trace_direct the sum of the parametrisation over the orbit points
 themselves, where cmtrace.experiments.orbit_trace evaluates some of them at
 W_Q (tau + k), two_torsion_roots_by_polyroots the roots of the 2-division
@@ -599,6 +601,15 @@ def gamma0_reduce_all_candidates(form: BinaryForm, n_level: int) -> BinaryForm:
     out = best[1]
     assert out.a % n_level == 0 and out.disc() == form.disc()
     return out
+
+
+def phi_terms_mp(im_tau, digits: int) -> int:
+    """modparam.phi_terms at 30 digits and without the cap: the least n >= 4
+    with sqrt(3) q^n / (1 - q) <= 10^(-digits-10), q = e^(-2 pi Im tau)."""
+    with mp.workdps(30):
+        logq = -2 * mp.pi * mp.mpf(im_tau)
+        target = -(digits + 10) * mp.log(10) + mp.log((1 - mp.exp(logq)) / mp.sqrt(3))
+        return max(int(mp.ceil(target / logq)), 4)
 
 
 def eval_series_direct(cur, tau, digits: int, weight: int):

@@ -216,15 +216,19 @@ def test_curve_model():
     (8, 120, 3000),                        # ascending; 9 and 121 start extensions
     (3000, 200, 10),                       # descending
     (50, 2000, 7, 900, 2186, 120, 3000),   # interleaved; 3^7 starts one
+    (24, 26, 124, 126, 624, 626),          # each side of 25, 125 and 625
 ])
 def test_an_cache_extension_matches_fresh_sieve(monkeypatch, bounds):
-    cur = minimal_model(Curve(0, -1, 1, -7, 10))
-    monkeypatch.setattr(curves, "_an_cache", {})
-    fresh = an_coefficients(cur, max(bounds))
-    monkeypatch.setattr(curves, "_an_cache", {})
-    for bound in bounds:
-        assert an_coefficients(cur, bound) == fresh[: bound + 1]
-    assert an_coefficients(cur, max(bounds)) == fresh
+    # 121b1 (a_n from the Hecke character) and 50a1 (point-counted, bad at 2
+    # and 5): each extension starts the one pass at a prime power or past one
+    for ainvs in ((0, -1, 1, -7, 10), (1, 0, 1, -1, -2)):
+        cur = minimal_model(Curve(*ainvs))
+        monkeypatch.setattr(curves, "_an_cache", {})
+        fresh = an_coefficients(cur, max(bounds))
+        monkeypatch.setattr(curves, "_an_cache", {})
+        for bound in bounds:
+            assert an_coefficients(cur, bound) == fresh[: bound + 1]
+        assert an_coefficients(cur, max(bounds)) == fresh
 
 
 def char_sum_route(monkeypatch, cur: Curve, bound: int) -> list[int]:

@@ -10,9 +10,9 @@ from cmtrace.fp import kronecker
 from cmtrace.heegner import (HeegnerTau, NoHeegnerPoint, _has_square_root, _prime_to,
                              galois_orbit, gamma0_reduce, heegner_form)
 from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes,
-                               order_data, reduce_form)
-from oracles import (compose, galois_orbit_by_lattices, generator_ideal, generator_ideal_three_rows,
-                     heegner_form_all_roots)
+                               lagrange_reduce, order_data, reduce_form)
+from oracles import (compose, galois_orbit_by_lattices, gamma0_reduce_all_candidates,
+                     generator_ideal, generator_ideal_three_rows, heegner_form_all_roots)
 
 
 def brute_stratum_minimum(n_level, dK, c, p):
@@ -76,6 +76,24 @@ def test_gamma0_reduce():
     assert reduce_form(red) == reduce_form(base)
     assert red.a <= big.a
     assert -red.a < red.b <= red.a
+
+
+@pytest.mark.parametrize("form,n_level", [
+    (BinaryForm(472879820400, 494068074625, 129051426934), 2166),
+    (BinaryForm(288983019780, 149314207443, 19287234040), 3610),
+    (BinaryForm(7132514220, 8711708769, 2660137342), 2890),
+])
+def test_gamma0_reduce_when_no_short_basis_vector_is_primitive(form, n_level):
+    # orbit members of the level cases, rebased: v1, v2 and v1 +- v2 of the
+    # reduced basis all have a common factor (one of 2, 3 or 5, and the
+    # square prime of N), and A = Q(1, 0) is 2000 to 97000 times the minimum, so
+    # the bound grows from Q(v1) instead of starting at A
+    v1, v2 = lagrange_reduce((2 * form.a, form.b, 2 * form.c), (1, 0), (0, n_level))
+    assert all(gcd(x, y) > 1 for x, y in (v1, v2, (v1[0] + v2[0], v1[1] + v2[1]),
+                                          (v1[0] - v2[0], v1[1] - v2[1])))
+    red = gamma0_reduce(form, n_level)
+    assert red == gamma0_reduce_all_candidates(form, n_level)
+    assert 1000 * red.a < form.a
 
 
 def orbit_setup(dK, p, ai_level):

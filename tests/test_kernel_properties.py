@@ -29,7 +29,7 @@ from cmtrace.heegner import (HeegnerTau, _complete_unimodular, galois_orbit, gam
                              heegner_form)
 from cmtrace.projline import involution_class, proj_mul
 from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes,
-                               order_data, proj_params, reduce_form)
+                               lagrange_reduce, order_data, proj_params, reduce_form)
 from oracles import (compose, form_inverse, galois_orbit_by_lattices, gamma0_reduce_all_candidates,
                      generator_ideal, generator_ideal_by_intersection, kernel_classes_by_hnf,
                      principal_form, project_form)
@@ -136,9 +136,17 @@ def test_gamma0_reduce_builds_only_the_minimal_candidates(n_level, k, b, extra, 
     assume(gcd(x, y) == 1)
     u, v = _complete_unimodular(x, y)
     moved = form.transform(x, u, y, v)
-    assert gamma0_reduce(moved, n_level) == gamma0_reduce_all_candidates(moved, n_level)
+    red = gamma0_reduce(moved, n_level)
+    assert red == gamma0_reduce_all_candidates(moved, n_level)
     # constant on Gamma_0(N) classes, which makes galois_orbit independent of its basis
-    assert gamma0_reduce(moved, n_level) == gamma0_reduce(form, n_level)
+    assert red == gamma0_reduce(form, n_level)
+    # no primitive vector of a box wider than the oracle's [-4, 4]^2 goes below A
+    v1, v2 = lagrange_reduce((2 * moved.a, moved.b, 2 * moved.c), (1, 0), (0, n_level))
+    for s in range(-12, 13):
+        for t in range(-12, 13):
+            x, y = s * v1[0] + t * v2[0], s * v1[1] + t * v2[1]
+            if gcd(x, y) == 1:
+                assert moved.value(x, y) >= red.a
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,14 +2,16 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmtrace.curves import (Curve, _valuation, an_coefficients, curve_from_c4c6, curve_model,
                             minimal_model, tate_local)
 from cmtrace.heegner import HeegnerTau, heegner_form
-from cmtrace.modparam import (SeriesBudgetError, _local_sign, _numerical_sign, al_matrix,
-                              atkin_lehner_sign, eval_newform, eval_phi, phi_terms)
+from cmtrace.modparam import (NMAX_CAP, SeriesBudgetError, _local_sign, _numerical_sign,
+                              al_matrix, atkin_lehner_sign, eval_newform, eval_phi, phi_terms)
 from cmtrace.periods import period_lattice
-from oracles import eval_series_direct, lattice_distance, root_number
+from oracles import eval_series_direct, lattice_distance, phi_terms_mp, root_number
 
 
 def sigma0(n):
@@ -35,14 +37,33 @@ def test_phi_terms_tail():
     n1 = phi_terms(mp.mpf("0.2369"), 60)
     assert 90 <= n1 <= 130
     assert phi_terms(mp.mpf("0.2369"), 120) > n1
-    with pytest.raises(SeriesBudgetError):
-        phi_terms(mp.mpf("1e-6"), 60)
+    assert phi_terms(mp.mpf("1e400"), 60) == 4
+    # over the cap, also where the quotient overflows a double (1e-310) or Im
+    # tau underflows one (1e-400): the budget error, never a bare ValueError
+    for im_tau in ("1e-6", "1e-40", "1e-310", "1e-400"):
+        with pytest.raises(SeriesBudgetError):
+            phi_terms(mp.mpf(im_tau), 60)
+        with pytest.raises(SeriesBudgetError):
+            eval_phi(Curve(0, -1, 1, -10, -20), mp.mpc(0.1, mp.mpf(im_tau)), 30)
     # the truncated tail really is below the target: numeric check
     with mp.workdps(80):
         a = [0] + [1] * (4 * n1)           # |a_n| <= sigma_0(n) sqrt(n), crude 1s suffice
         q = mp.exp(-2 * mp.pi * mp.mpf("0.2369"))
         tail = sum(sigma0(n) * mp.sqrt(n) / n * q ** n for n in range(n1 + 1, 4 * n1))
         assert tail < mp.mpf(10) ** -70
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-5.5, 1.5), st.integers(1, 200))
+def test_phi_terms_in_doubles_equals_the_30_digit_count(log10_im, digits):
+    im_tau = mp.mpf(10 ** log10_im)
+    want = phi_terms_mp(im_tau, digits)
+    if want > NMAX_CAP:
+        with pytest.raises(SeriesBudgetError) as exc:
+            phi_terms(im_tau, digits)
+        assert exc.value.needed == want
+    else:
+        assert phi_terms(im_tau, digits) == want
 
 
 def test_phi_periodicity():

@@ -13,17 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtrace import curves
+from cmtrace import curves, experiments
 from cmtrace.curves import an_coefficients, curve_model
 from cmtrace.errors import InputError
 from cmtrace.experiments import (ExperimentSpec, _choose, al_signs, orbit_options, orbit_trace,
                                  plan_orbit, trace_point)
 from cmtrace.heegner import HeegnerTau, al_move, galois_orbit, heegner_form
-from cmtrace.modparam import (SeriesBudgetError, al_constant, al_constant_points, al_matrix,
-                              atkin_lehner_sign, eval_newform, eval_phi, phi_terms)
+from cmtrace.modparam import (NMAX_CAP, SeriesBudgetError, al_constant, al_constant_points,
+                              al_matrix, atkin_lehner_sign, eval_newform, eval_phi, phi_terms)
 from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
 from oracles import (eval_series_direct, galois_orbit_by_lattices, least_plan_terms_by_subsets,
-                     orbit_trace_direct)
+                     orbit_trace_direct, phi_terms_mp)
 
 # the five curves of the trace catalogue, with the modes the suite uses
 CURVES = {
@@ -251,6 +251,26 @@ def test_plan_never_evaluates_more_terms_than_the_direct_route(digits):
     for label in ("49a1", "121b1", "50a1", "50b1"):
         assert planned[label] < 0.9 * direct[label]
     assert planned["36a1"] == direct["36a1"]        # W_9's constant costs more than it saves
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+def test_phi_terms_in_doubles_equals_the_30_digit_count_on_the_catalogue(monkeypatch, digits):
+    # every Im tau the catalogue's plans price: orbit points, their W_Q
+    # images and the K_Q points
+    priced = set()
+
+    def recording(im_tau, d):
+        priced.add(im_tau)
+        return phi_terms(im_tau, d)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "phi_terms", recording)
+        for label, dK, f in CATALOGUE:
+            _plan(label, _orbit(label, dK, f)[2], digits)
+    assert len(priced) > 600
+    for im_tau in priced:
+        want = phi_terms_mp(im_tau, digits)
+        assert experiments._terms(im_tau, digits) == (want, want <= NMAX_CAP), im_tau
 
 
 @pytest.mark.parametrize("label,dK", [("49a1", -11), ("50b1", -7)])
