@@ -24,7 +24,7 @@ from .errors import CmtraceError, InputError
 from .experiments import (DEFAULT_DIGITS, ExperimentSpec, check_digits, experiment_finite,
                           trace_point)
 from .heegner import heegner_form
-from .modparam import atkin_lehner_sign
+from .modparam import AlConstantError, atkin_lehner_sign
 from .periods import DIGITS_CAP
 from .quadforms import reduced_forms
 
@@ -34,6 +34,7 @@ EXIT_CODES = {
     CmtraceError: 1,             # input errors and the package's stated bounds
     OSError: 1,                  # a --json path that cannot be written
     FiberStructureError: 3,      # a check of the theory failed
+    AlConstantError: 3,
 }
 
 
@@ -153,6 +154,8 @@ def _cmd_trace(args) -> tuple[int, dict]:
           f"K = Q(sqrt({args.dk})), f = {args.f}, digits = {digits}")
     print(f"w_p = {report.wp:+d}; orbit of {len(report.orbit)} points; "
           f"n_max = {report.n_max}")
+    for q_div, w, i, j, n in report.constants:
+        print(f"K_{q_div} = ({i}*w1 + {j}*w2)/{n}: order {n}, w_{q_div} = {w:+d}")
     print(f"trace z = {mp.nstr(report.trace_z, min(digits, 30))}")
     print(f"torsion residual = {mp.nstr(report.residual, 8)}")
     print(f"verdict: {report.verdict}")

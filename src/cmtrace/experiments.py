@@ -5,8 +5,9 @@ Every trace run also executes the finite shadow (optimal embedding, converse
 scan, two-to-one fiber structure, involution pairing), so the analytic outcome
 and the group-theoretic bookkeeping are produced side by side; the orbit is
 built from the Galois kernel the shadow computed.  Then, in stages:
-orbit_options (the series budget, before any sign), atkin_lehner_sign,
-plan_orbit (the W_Q moves) and orbit_trace (the plan evaluated).
+orbit_options (each point's W_Q move and the series budget, before any
+sign), atkin_lehner_sign, period_lattice, and orbit_trace (the moves
+evaluated, with w_Q applied and each K_Q exact on the lattice).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, inf, prod
+from math import gcd, prod
 
 import mpmath as mp
 
@@ -26,9 +27,10 @@ from .embeddings import (build_embedding, find_common_norm_element,
 from .errors import InputError
 from .fp import FpParams, factorint, index_ns_plus, isprime, kronecker
 from .heegner import HeegnerTau, al_move, galois_orbit, heegner_form
-from .modparam import (GUARD, SeriesBudgetError, al_constant, al_constant_points,
+from .modparam import (GUARD, K_DIGITS, SeriesBudgetError, al_constant, al_constant_points,
                        atkin_lehner_sign, eval_phi, local_sign, phi_terms)
-from .periods import DIGITS_CAP, elliptic_exp, is_torsion, period_lattice, torsion_residual
+from .periods import (DIGITS_CAP, PeriodLattice, elliptic_exp, is_torsion, period_lattice,
+                      torsion_residual)
 from .quadforms import GaloisKernel, class_number, kernel_classes, order_data
 from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
 
@@ -178,27 +180,12 @@ class OrbitEntry:
 
 @dataclass(frozen=True)
 class OrbitMove:
-    """How one orbit point tau is evaluated: phi(tau) = w (phi(point) - K_Q),
-    point = W_Q (tau + k).  q = 1 keeps tau, with w = 1 and K_1 = 0."""
+    """How one orbit point tau is evaluated: phi(tau) = w_Q (phi(point) -
+    K_Q), point = W_Q (tau + k).  q = 1 keeps tau."""
 
     q: int
-    w: int
     point: HeegnerTau
     n_max: int
-
-
-@dataclass(frozen=True)
-class OrbitPlan:
-    """One move per orbit point, in orbit order, and (Q, w_Q, n_max, count)
-    for each K_Q the moves use: count points of n_max terms each compute it
-    (al_constant_points); n_max = count = 0 when K_Q = 0 exactly."""
-
-    moves: tuple[OrbitMove, ...]
-    constants: tuple[tuple[int, int, int, int], ...]
-
-    @property
-    def n_max(self) -> int:
-        return max([mv.n_max for mv in self.moves] + [n for _, _, n, _ in self.constants])
 
 
 @dataclass(frozen=True)
@@ -212,6 +199,7 @@ class TraceReport:
     recognized: tuple | None
     n_max: int
     finite_shadow: FiniteReport
+    constants: tuple                 # (Q, w_Q, i, j, n): K_Q = (i w1 + j w2) / n
     timings: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -231,6 +219,7 @@ class TraceReport:
             "verdict": self.verdict,
             "digits": digits,
             "n_max": self.n_max,
+            "constants": [dict(zip(("Q", "w", "i", "j", "n"), c)) for c in self.constants],
             "timings": {k: round(v, 3) for k, v in self.timings.items()},
             "finite_shadow": self.finite_shadow.to_json(),
         }
@@ -253,7 +242,7 @@ def _cstr(z, digits: int) -> dict:
 def al_signs(model: CurveModel) -> tuple[tuple[int, int | None], ...]:
     """((Q, w_Q), ...) for every Q || N, Q > 1, whose sign is the product of
     the local signs, and (p^2, None) when w_p needs the series (36a1, additive
-    at 3): plan_orbit fills in the measured sign.  Other Q, such as 36a1's
+    at 3): orbit_trace fills in the measured sign.  Other Q, such as 36a1's
     Q = 4 and Q = 36 (additive at 2), are never used."""
     powers = [q ** e for q, e in factorint(model.n).items()]
     out = []
@@ -274,112 +263,66 @@ def _terms(im_tau, digits: int) -> tuple[int, bool]:
         return exc.needed, False
 
 
-def orbit_options(model: CurveModel, orbit, digits: int) -> list:
-    """[(n_max, within budget, q, point)] for each orbit point: tau itself
-    (q = 1) and its best W_Q (tau + k) for each Q of al_signs(model) whose
-    leading coefficient is smaller.  The points share one D, and each Im tau
-    is sqrt|D| / (2A) at digits + GUARD, as HeegnerTau.tau computes it.  No sign
-    is read, so trace_point builds this before atkin_lehner_sign.
-    SeriesBudgetError, with the least n_max a plan can have, when some point
-    has no option within the budget; the K_Q are left out, so plan_orbit may
-    still fail where this passes."""
-    signs = al_signs(model)
-    table = []
+def orbit_options(model: CurveModel, orbit, digits: int) -> tuple[OrbitMove, ...]:
+    """The move of each orbit point: its cheapest option within the budget,
+    tau itself on a tie, among tau (q = 1) and its best W_Q (tau + k) for each
+    Q of al_signs(model) whose leading coefficient is smaller and whose K_Q
+    points need at most NMAX_CAP terms at K_DIGITS.  K_Q is exact and costs
+    one short evaluation (modparam docstring), so no sign enters the choice
+    and trace_point runs this before atkin_lehner_sign.  The points share one
+    D, and each Im tau is sqrt|D| / (2A) at digits + GUARD, as HeegnerTau.tau
+    computes it.  SeriesBudgetError, with the least n_max any choice has,
+    when some point has no option within the budget."""
+    with mp.workdps(K_DIGITS + GUARD):
+        qs = [q for q, _ in al_signs(model) if _terms(mp.sqrt(q) / model.n, K_DIGITS)[1]]
+    picks = []
     with mp.workdps(digits + GUARD):
         root = mp.sqrt(-orbit[0].form.disc())
         for pt in orbit:
             opts = [(*_terms(root / (2 * pt.form.a), digits), 1, pt)]
-            for q_div, _ in signs:
+            for q_div in qs:
                 _, form = al_move(pt.form, pt.n_level, q_div)
                 if form.a < pt.form.a:
                     opts.append((*_terms(root / (2 * form.a), digits), q_div,
                                  replace(pt, form=form)))
-            table.append(opts)
-    if not all(any(o[1] for o in opts) for opts in table):
-        raise SeriesBudgetError(max(min(o[0] for o in opts) for opts in table))
-    return table
+            picks.append(min(opts, key=lambda o: (o[0], o[2])))
+    if not all(ok for _, ok, _, _ in picks):
+        raise SeriesBudgetError(max(n for n, _, _, _ in picks))
+    return tuple(OrbitMove(q=q_div, point=pt, n_max=n) for n, _, q_div, pt in picks)
 
 
-def _choose(table: list, k_terms: dict) -> tuple[list, set]:
-    """(the option of each point, the Q whose K_Q is evaluated), given each
-    point's options and the terms each K_Q costs.  Start from every Q of
-    k_terms, each point at its cheapest option within the budget (tau itself
-    on a tie), and drop the Q whose points save least beyond its K_Q while
-    that is not positive: a Q stays only when removing it would cost more
-    terms than it frees.  The saving of a set of Q is submodular (each point
-    takes a minimum), so when some Q stay the plan is strictly cheaper than
-    the direct route.  O(points * |Q|^2), where trying every set of Q would
-    be exponential in the number of primes of N."""
-    ranked = [sorted((o for o in opts if o[1] and (o[2] == 1 or o[2] in k_terms)),
-                     key=lambda o: (o[0], o[2])) for opts in table]
-    if not all(ranked):
-        raise SeriesBudgetError(max(min(o[0] for o in opts) for opts in table))
-    used = set(k_terms)
-    while True:
-        picks = [next(o for o in opts if o[2] == 1 or o[2] in used) for opts in ranked]
-        saved = {q: -k_terms[q] for q in used}         # terms Q frees, net of K_Q
-        for opts, pick in zip(ranked, picks):
-            if pick[2] != 1:
-                alt = next((o for o in opts if o[2] != pick[2] and (o[2] == 1 or o[2] in used)),
-                           None)
-                saved[pick[2]] += inf if alt is None else alt[0] - pick[0]
-        drop = min(sorted(used), key=saved.__getitem__, default=None)
-        if drop is None or saved[drop] > 0:
-            return picks, used
-        used.remove(drop)
+def orbit_trace(model: CurveModel, orbit, kernel, moves, wp: int, lat: PeriodLattice):
+    """Evaluate the parametrisation over the orbit by the moves, and sum in
+    kernel order: phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q) is exact, so no
+    period enters (modparam docstring), with w_p in place of a None sign of
+    al_signs and each K_Q = (i w1 + j w2) / n on lat (al_constant).
 
-
-def plan_orbit(model: CurveModel, table: list, digits: int, wp: int) -> OrbitPlan:
-    """How to evaluate each orbit point with few series terms, K_Q included,
-    from its orbit_options table and w_p: each point keeps tau or moves to
-    its best W_Q (tau + k), and a Q is used only when the terms its points
-    save exceed what its K_Q costs (_choose).  Integer arithmetic picks each
-    move (al_move); phi_terms prices it.  SeriesBudgetError when no plan
-    stays within the budget."""
-    signs = [(q_div, wp if w is None else w) for q_div, w in al_signs(model)]
-    offered = {o[2] for opts in table for o in opts}
-    k_cost = {}                                   # Q -> (w, n_max, points) of K_Q
-    for q_div, w in signs:
-        if q_div not in offered:
-            continue
-        pts = al_constant_points(model.n, q_div, w, digits)
-        n, ok = _terms(pts[0][1].imag, digits) if pts else (0, True)
-        if ok:
-            k_cost[q_div] = (w, n, len(pts))
-    picks, used = _choose(table, {q: n * count for q, (_, n, count) in k_cost.items()})
-    sign_of = dict(signs)
-    return OrbitPlan(
-        moves=tuple(OrbitMove(q=q, w=sign_of.get(q, 1), point=pt, n_max=n)
-                    for n, _, q, pt in picks),
-        constants=tuple((q, *k_cost[q]) for q in sorted(used)))
-
-
-def orbit_trace(model: CurveModel, orbit, kernel, plan: OrbitPlan, digits: int):
-    """Evaluate the parametrisation over the orbit as the plan says, and sum
-    in kernel order: phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q) is exact, so
-    no period enters (modparam docstring).
-
-    The evaluations, K_Q's included, run from the most terms down: the a_n
-    sieve is extended once.  Each value depends only on (tau, digits,
-    a[0..n_max]), so the order changes nothing."""
-    cur = model.minimal
+    The evaluations, the K_Q points at K_DIGITS included, run from the most
+    terms down: the a_n sieve is extended once.  Each value depends only on
+    (tau, digits, a[0..n_max]), so the order changes nothing.  Returns the
+    entries, the trace, the most terms evaluated and (Q, w_Q, i, j, n) for
+    each K_Q used."""
+    signs = {q_div: wp if w is None else w for q_div, w in al_signs(model)}
+    digits = lat.digits
     with mp.workdps(digits + GUARD):
         taus = [pt.tau(digits) for pt in orbit]
-        # (terms, job): a K_Q entry of plan.constants, or an orbit index
-        jobs = [(c[2], c) for c in plan.constants]
-        jobs += [(mv.n_max, i) for i, mv in enumerate(plan.moves)]
-        consts, values = {}, [None] * len(orbit)
+        # (terms, job): an orbit index, or -Q for the points of K_Q
+        jobs = [(mv.n_max, i) for i, mv in enumerate(moves)]
+        for q_div in sorted({mv.q for mv in moves} - {1}):
+            pts = al_constant_points(model.n, q_div, signs[q_div], K_DIGITS)
+            jobs.append((phi_terms(pts[0][1].imag, K_DIGITS) if pts else 0, -q_div))
+        exact, values = {}, [None] * len(orbit)
         for _, job in sorted(jobs, key=lambda j: -j[0]):
-            if isinstance(job, tuple):
-                q_div, w, _, _ = job
-                consts[q_div] = al_constant(cur, model.n, q_div, w, digits)
+            if job < 0:
+                exact[-job] = al_constant(lat, model.n, -job, signs[-job])
             else:
-                mv = plan.moves[job]
+                mv = moves[job]
                 values[job] = eval_phi(model, taus[job] if mv.q == 1 else mv.point.tau(digits),
                                        digits)
-        zs = [z if mv.q == 1 else mv.w * (z - consts[mv.q]) for mv, z in zip(plan.moves, values)]
+        consts = {q_div: (i * lat.w1 + j * lat.w2) / n for q_div, (i, j, n) in exact.items()}
+        zs = [z if mv.q == 1 else signs[mv.q] * (z - consts[mv.q]) for mv, z in zip(moves, values)]
         entries = []
-        for kc, pt, tau, mv, z in zip(kernel.classes, orbit, taus, plan.moves, zs):
+        for kc, pt, tau, mv, z in zip(kernel.classes, orbit, taus, moves, zs):
             entries.append(OrbitEntry(
                 proj=(kc.proj.x1, kc.proj.x2),
                 form=(pt.form.a, pt.form.b, pt.form.c),
@@ -390,12 +333,13 @@ def orbit_trace(model: CurveModel, orbit, kernel, plan: OrbitPlan, digits: int):
         trace_z = mp.mpc(0)
         for z in zs:                     # fixed ascending kernel order
             trace_z += z
-        return tuple(entries), +trace_z, plan.n_max
+        constants = tuple((q_div, signs[q_div], *exact[q_div]) for q_div in sorted(exact))
+        return tuple(entries), +trace_z, max(n for n, _ in jobs), constants
 
 
 def trace_point(spec: ExperimentSpec) -> TraceReport:
-    """Full pipeline: kernel, oriented orbit, series budget, sign, q-series
-    values, trace, torsion verdict and (for class number one at f = 1) exact
+    """Full pipeline: kernel, oriented orbit, moves and series budget, sign,
+    periods, q-series values, trace, torsion verdict and (for class number one at f = 1) exact
     recognition."""
     if spec.mode == "finite_only":
         raise InputError("trace_point needs an analytic mode")
@@ -411,7 +355,7 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
                       n_level=model.n, dK=spec.dK, conductor=model.p * spec.f)
     orbit = galois_orbit(base, kernel)
     # an over-budget orbit fails here, before the sign can evaluate a series
-    table = orbit_options(model, orbit, digits)
+    moves = orbit_options(model, orbit, digits)
     t_finite = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -419,12 +363,11 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     timings = {"atkin_lehner": time.perf_counter() - t0, "finite_layer": t_finite}
 
     t0 = time.perf_counter()
-    plan = plan_orbit(model, table, digits, wp)
-    entries, trace_z, n_max = orbit_trace(model, orbit, kernel, plan, digits)
+    lat = period_lattice(model.minimal, digits)
+    entries, trace_z, n_max, constants = orbit_trace(model, orbit, kernel, moves, wp, lat)
     timings["orbit_evaluation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    lat = period_lattice(model.minimal, digits)
     residual = torsion_residual(trace_z, lat)
     torsion = is_torsion(trace_z, lat)
     recognized = None
@@ -446,4 +389,5 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
 
     return TraceReport(spec=spec, wp=wp, orbit=tuple(entries), trace_z=trace_z,
                        residual=residual, verdict=verdict, recognized=recognized,
-                       n_max=n_max, finite_shadow=shadow, timings=timings)
+                       n_max=n_max, finite_shadow=shadow, constants=constants,
+                       timings=timings)

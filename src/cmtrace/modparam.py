@@ -39,18 +39,41 @@ is absolute, not relative: a value far below 2^-P comes back as noise or 0.
 Atkin-Lehner moves.  phi'(tau) = 2 pi i f(tau), and for W_Q = (a, b; N, d)
 of determinant Q, f | W_Q = w_Q f reads Q (N tau + d)^-2 f(W_Q tau) = w_Q
 f(tau), so phi(W_Q tau) and w_Q phi(tau) have the same derivative: K_Q =
-phi(W_Q tau) - w_Q phi(tau) is a constant (a cuspidal, hence torsion, point
-by Manin-Drinfeld).  As phi has period 1, phi(tau) = w_Q (phi(W_Q (tau + k))
-- K_Q) for every integer k, exactly: no period enters, unlike a move inside
-Gamma_0(N), which adds one.  So an orbit point can be evaluated where Im is
-larger and the series shorter: cmtrace.experiments.plan_orbit picks the
-moves from the table of orbit_options once w_p is known.
-al_constant computes K_Q once per (curve, Q, digits) and process from the
-top s0 of the isometric circle of W_Q, where Im s0 = Im W_Q s0 = sqrt(Q) / N
-is as large as it can be for both; when N | a + d, W_Q s0 = s0 + (a + d) /
-N, so K_Q = (1 - w_Q) phi(s0), which is 0 for w_Q = +1 (W_121 on 121b1).  A
-moved value adds the errors of up to three evaluations, with weights up to
-2: below 4 10^(-digits-10) against 10^(-digits-10) for one.
+phi(W_Q tau) - w_Q phi(tau) is a constant.  As phi has period 1, phi(tau) =
+w_Q (phi(W_Q (tau + k)) - K_Q) for every integer k, exactly: no period
+enters, unlike a move inside Gamma_0(N), which adds one.  So an orbit point
+can be evaluated where Im is larger and the series shorter:
+cmtrace.experiments.orbit_options picks each point's move before any sign.
+
+The constants are exact.  phi(i oo) = 0, so K_Q = phi(W_Q oo), the image of
+the cusp W_Q oo = a / N.  As ad - bN = Q, Q | a and Q | d, it is x / (N/Q)
+with gcd(x, N/Q) = 1, and a cusp of X_0(N) of denominator c is defined over
+Q(zeta_gcd(c, N/c)): here gcd(N/Q, Q) = 1, so it is rational.  phi is defined
+over Q, so K_Q lies in E(Q), and it is torsion (Manin-Drinfeld).  By Mazur
+(Publ. Math. IHES 47, 1977) its order is in MAZUR_ORDERS = {1..10, 12}, each
+dividing K_EXPONENT = 2520, so 2520 K_Q is a vector of the lattice of phi.
+al_constant evaluates K_Q once, at K_DIGITS = 20, from the top s0 of the
+isometric circle of W_Q, where Im s0 = Im W_Q s0 = sqrt(Q) / N is as large
+as it can be for both; when N | a + d, W_Q s0 = s0 + (a + d) / N, so K_Q =
+(1 - w_Q) phi(s0), which is 0 for w_Q = +1 (W_121 on 121b1).  Each
+evaluation errs by less than 10^-(K_DIGITS+10) (tail) plus 10^-(K_DIGITS+15)
+(rounding).  The points themselves are rounded to 120 bits, |s| < 1.5, and
+|phi'| = 2 pi |f| <= 2 pi sqrt(3) |q| / (1 - |q|)^2 (|a_n| <= sqrt(3) n), so
+each value moves by under 9 10^-32 more while Im s >= 2 10^-3, that is N <=
+500 sqrt(Q) (every level the tests use).  The weights of the points sum to
+2, so the value v is within 2.2 10^-30 of K_Q, and 2520 v within K_BUDGET =
+2520 * 2.2 10^-30 of 2520 K_Q.  Two lattice vectors are at least |b1|
+apart (b1 the shortest vector, cmtrace.periods), so a lattice vector within
+K_BUDGET of 2520 v, when K_BUDGET < |b1| / 2, is 2520 K_Q: K_Q = (i w1 + j
+w2) / 2520 exactly, for the integer coordinates (i, j) of that vector, and
+dividing out gcd(i, j, 2520) leaves the order n.  A vector that passes is
+right whenever 2520 v errs by less than |b1| / 2, so an error above the
+budget (a larger N) can only raise, never return a wrong constant.  When a
+check fails, or n is not in Mazur's list, the lattice is not phi's (the
+model is not the optimal curve of its class, say) or the budget was
+exceeded, and AlConstantError is raised; there is no other route.  A moved
+value thus errs as one evaluation does, below 10^(-digits-10), plus the
+constant at the lattice's precision, far less.
 
 Atkin-Lehner eigenvalues.  With f | W_Q = w_Q f the global root number of
 the curve is -w_N, so rank-zero curves have Fricke eigenvalue -1, and w_Q is
@@ -82,11 +105,16 @@ import mpmath as mp
 from .curves import Curve, CurveModel, _valuation, an_coefficients, ap_bad, tate_local
 from .errors import CmtraceError, InputError
 from .fp import _xgcd, factorint, kronecker
+from .periods import PeriodLattice, _reduced_basis
 
 GUARD = 15
 FIXED_GUARD = 10            # guard bits of the fixed-point evaluator beyond bit_length(n_max)
 NMAX_CAP = 10 ** 6
 AL_SAMPLES = 5              # points on the W_Q-stable circle that must agree on the sign
+K_DIGITS = 20               # the one evaluation that fixes each K_Q (module docstring)
+MAZUR_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+K_EXPONENT = 2520           # lcm of MAZUR_ORDERS
+K_BUDGET = K_EXPONENT * 2.2e-30
 
 
 class SeriesBudgetError(CmtraceError, ArithmeticError):
@@ -237,15 +265,36 @@ def al_constant_points(n_level: int, q_div: int, w: int, digits: int) -> list:
         return [(2, s0)] if fixed else [(1, mp.mpc(mp.mpf(a) / n, height)), (-w, s0)]
 
 
+class AlConstantError(CmtraceError, ArithmeticError):
+    """K_Q is no torsion point of the lattice that Mazur's theorem allows:
+    the lattice is not that of phi."""
+
+
 @lru_cache(maxsize=128)
-def al_constant(cur: Curve, n_level: int, q_div: int, w: int, digits: int) -> mp.mpc:
-    """K_Q of al_constant_points, computed once per (curve, Q, digits) and
-    process."""
-    with mp.workdps(digits + GUARD):
-        k = mp.mpc(0)
-        for c, s in al_constant_points(n_level, q_div, w, digits):
-            k += c * eval_phi(cur, s, digits)
-        return k
+def al_constant(lat: PeriodLattice, n_level: int, q_div: int, w: int) -> tuple[int, int, int]:
+    """(i, j, n) with K_Q = (i w1 + j w2) / n exactly, n the order of K_Q and
+    gcd(i, j, n) = 1, for the periods w1, w2 of lat and w = w_Q: read off one
+    evaluation of al_constant_points at K_DIGITS (module docstring), once per
+    (lattice, Q) and process.  AlConstantError when no lattice vector is
+    provably 2520 K_Q, or n is not in MAZUR_ORDERS."""
+    with mp.workdps(lat.digits + GUARD):
+        v = mp.mpc(0)
+        for c, s in al_constant_points(n_level, q_div, w, K_DIGITS):
+            v += c * eval_phi(lat.curve, s, K_DIGITS)
+        z = K_EXPONENT * v
+        # z = x w1 + y w2, where x det = Im(conj(z) w2) and y det = Im(conj(w1) z)
+        det = mp.im(mp.conj(lat.w1) * lat.w2)
+        i = int(mp.nint(mp.im(mp.conj(z) * lat.w2) / det))
+        j = int(mp.nint(mp.im(mp.conj(lat.w1) * z) / det))
+        miss = abs(z - i * lat.w1 - j * lat.w2)
+        half = abs(_reduced_basis(lat)[0]) / 2
+    g = gcd(i, j, K_EXPONENT)
+    if not miss <= K_BUDGET < half or K_EXPONENT // g not in MAZUR_ORDERS:
+        raise AlConstantError(
+            f"K_{q_div} = {mp.nstr(v, 12)} is no point of order in {MAZUR_ORDERS}: "
+            f"{K_EXPONENT} K_{q_div} misses the lattice by {mp.nstr(miss, 3)}, "
+            f"against {K_BUDGET:.2g} and |b1| / 2 = {mp.nstr(half, 3)}")
+    return i // g, j // g, K_EXPONENT // g
 
 
 def _local_sign(cur: Curve, q: int) -> int | None:

@@ -46,7 +46,9 @@ phi_terms_mp its term count at 30 digits, where modparam.phi_terms
 computes it in doubles,
 orbit_trace_direct the sum of the parametrisation over the orbit points
 themselves, where cmtrace.experiments.orbit_trace evaluates some of them at
-W_Q (tau + k), two_torsion_roots_by_polyroots the roots of the 2-division
+W_Q (tau + k), al_constant_by_series the constant K_Q of such a move summed
+at full precision, where cmtrace.modparam.al_constant reads it off the
+lattice, two_torsion_roots_by_polyroots the roots of the 2-division
 cubic by mpmath's polyroots, where cmtrace.periods uses one Newton
 iteration and the discriminant,
 ap_char_sum_reduced the point count with every product reduced mod ell
@@ -645,24 +647,17 @@ def orbit_trace_direct(model: CurveModel, orbit, digits: int):
         return zs, +trace
 
 
-def least_plan_terms_by_subsets(table: list, k_terms: dict) -> int | None:
-    """The fewest series terms of any orbit plan: every set of Q of k_terms
-    is tried, each point taking its cheapest option within the budget whose
-    Q is in the set (or 1), plus each K_Q of the set; None when no set is
-    within the budget.  table and k_terms are as cmtrace.experiments._choose
-    takes them; this is the rule plan_orbit followed before it dropped Q
-    greedily, exponential in the number of Q."""
-    from itertools import combinations
-    best = None
-    for r in range(len(k_terms) + 1):
-        for used in combinations(sorted(k_terms), r):
-            allowed = {1, *used}
-            picks = [min((o[0] for o in opts if o[1] and o[2] in allowed), default=None)
-                     for opts in table]
-            if None not in picks:
-                cost = sum(picks) + sum(k_terms[q] for q in used)
-                best = cost if best is None else min(best, cost)
-    return best
+def al_constant_by_series(cur: Curve, n_level: int, q_div: int, w: int, digits: int):
+    """K_Q summed from al_constant_points at `digits` itself: the route
+    cmtrace.modparam.al_constant took before it read K_Q off the lattice from
+    one evaluation at K_DIGITS.  Each point errs by under 10^-(digits+10),
+    and the weights sum to 2."""
+    from cmtrace.modparam import GUARD, al_constant_points, eval_phi
+    with mp.workdps(digits + GUARD):
+        k = mp.mpc(0)
+        for c, s in al_constant_points(n_level, q_div, w, digits):
+            k += c * eval_phi(cur, s, digits)
+        return k
 
 
 def two_torsion_roots_by_polyroots(curve: Curve, digits: int) -> tuple:

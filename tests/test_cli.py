@@ -4,17 +4,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import cmtrace
-from cmtrace import cli
+from cmtrace import cli, modparam
 from cmtrace.cli import EXIT_CODES, main
+from cmtrace.curves import curve_model
 from cmtrace.embeddings import EmbeddingError, FiberStructureError
 from cmtrace.errors import CmtraceError, InputError
-from cmtrace.experiments import HypothesisError
+from cmtrace.experiments import ExperimentSpec, HypothesisError, trace_point
 from cmtrace.fp import ArithmeticBoundError
 from cmtrace.heegner import NoHeegnerPoint
-from cmtrace.modparam import SeriesBudgetError, SignConsistencyError
+from cmtrace.modparam import AlConstantError, SeriesBudgetError, SignConsistencyError
 from cmtrace.periods import PrecisionError
 
 
@@ -299,10 +301,10 @@ def test_runs_with_sympy_blocked():
 def test_every_package_error_class_has_an_exit_code():
     for cls in (InputError, HypothesisError, NoHeegnerPoint, EmbeddingError,
                 ArithmeticBoundError, SeriesBudgetError, PrecisionError, SignConsistencyError,
-                FiberStructureError):
+                FiberStructureError, AlConstantError):
         assert issubclass(cls, CmtraceError)
         code = next(EXIT_CODES[c] for c in cls.__mro__ if c in EXIT_CODES)
-        assert code == (3 if cls is FiberStructureError else 1)
+        assert code == (3 if cls in (FiberStructureError, AlConstantError) else 1)
     assert issubclass(InputError, ValueError)
 
 
@@ -314,6 +316,25 @@ def test_fiber_structure_error_exits_3_without_a_traceback(monkeypatch, capsys):
     assert main(["finite-check", "--p", "5", "--dk", "-7"]) == 3
     err = capsys.readouterr().err
     assert err == "error: fiber of (1, 0) has size 3\n"
+
+
+def test_a_constant_off_the_lattice_exits_3(monkeypatch, capsys):
+    # a K_Q point's value moved by 10^-12: 2520 K_Q misses the lattice by far
+    # more than the budget, so no torsion point of Mazur's list fits it
+    exact = modparam.eval_phi
+
+    def perturbed(model, tau, digits):
+        z = exact(model, tau, digits)
+        return z + mp.mpf(10) ** -12 if digits == modparam.K_DIGITS else z
+
+    monkeypatch.setattr(modparam, "eval_phi", perturbed)
+    modparam.al_constant.cache_clear()
+    spec = ExperimentSpec(dK=-11, f=1, curve=curve_model((1, -1, 0, -2, -1)), digits=30)
+    with pytest.raises(AlConstantError, match="K_49"):
+        trace_point(spec)
+    assert main(["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--digits", "30"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: K_49 = ") and "Traceback" not in err
 
 
 def test_a_bugs_value_error_is_not_an_input_error(monkeypatch):

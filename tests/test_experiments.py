@@ -8,7 +8,7 @@ from cmtrace import curves
 from cmtrace.curves import curve_model
 from cmtrace.errors import InputError
 from cmtrace.experiments import (TRACE_MIN_DIGITS, ExperimentSpec, HypothesisError,
-                                 experiment_finite, orbit_options, orbit_trace, plan_orbit,
+                                 al_signs, experiment_finite, orbit_options, orbit_trace,
                                  trace_point)
 from cmtrace.heegner import HeegnerTau, galois_orbit, heegner_form
 from cmtrace.modparam import (SeriesBudgetError, al_constant, atkin_lehner_sign, eval_phi,
@@ -22,15 +22,12 @@ M121 = curve_model((0, -1, 1, -7, 10))
 M50B = curve_model((1, 1, 1, -3, 1))
 
 
-def _plan(model, orbit, digits):
-    """The orbit layer's stages as trace_point runs them: table, sign, plan."""
-    table = orbit_options(model, orbit, digits)
-    wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, digits)
-    return plan_orbit(model, table, digits, wp)
-
-
 def _trace(model, orbit, kernel, digits):
-    return orbit_trace(model, orbit, kernel, _plan(model, orbit, digits), digits)
+    """The orbit layer's stages as trace_point runs them: moves, sign,
+    periods, evaluation."""
+    moves = orbit_options(model, orbit, digits)
+    wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, digits)
+    return orbit_trace(model, orbit, kernel, moves, wp, period_lattice(model.minimal, digits))
 
 
 def test_spec_validation():
@@ -187,16 +184,16 @@ def test_trace_invariant_under_base_replacement():
     digits = 40
     lat = period_lattice(M49.minimal, digits)
     base = HeegnerTau(form=heegner_form(49, -11, 7), n_level=49, dK=-11, conductor=7)
-    _, tz0, _ = _trace(M49, galois_orbit(base, kernel), kernel, digits)
+    tz0 = _trace(M49, galois_orbit(base, kernel), kernel, digits)[1]
     # translated base form (same point, shifted representative)
     f = base.form
     shifted = BinaryForm(f.a, f.b + 2 * 49, f.a + f.b + f.c)
     base2 = HeegnerTau(form=shifted, n_level=49, dK=-11, conductor=7)
-    _, tz2, _ = _trace(M49, galois_orbit(base2, kernel), kernel, digits)
+    tz2 = _trace(M49, galois_orbit(base2, kernel), kernel, digits)[1]
     # a genuinely transformed Gamma_0(49) representative
     big = f.transform(1, 0, 49, 1)
     base3 = HeegnerTau(form=big, n_level=49, dK=-11, conductor=7)
-    _, tz3, _ = _trace(M49, galois_orbit(base3, kernel), kernel, digits)
+    tz3 = _trace(M49, galois_orbit(base3, kernel), kernel, digits)[1]
     with mp.workdps(55):
         assert lattice_distance(lat, mp.mpc(tz2) - mp.mpc(tz0)) < mp.mpf(10) ** -20
         assert lattice_distance(lat, mp.mpc(tz3) - mp.mpc(tz0)) < mp.mpf(10) ** -20
@@ -374,38 +371,43 @@ def _orbit(model, dK, digits=60):
 
 
 def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
-    # the trace is bit for bit the kernel-order sum of the values the plan
-    # prescribes, w_Q (phi(W_Q (tau + k)) - K_Q) for a moved point, however
+    # the trace is bit for bit the kernel-order sum of the values the moves
+    # prescribe, w_Q (phi(W_Q (tau + k)) - K_Q) for a moved point, however
     # the evaluations were ordered
     digits = 60
     for model, dK in [(M121, -67), (M49, -11), (M50B, -7)]:
         kernel, orbit = _orbit(model, dK)
         monkeypatch.setattr(curves, "_an_cache", {})
-        plan = _plan(model, orbit, digits)
-        entries, trace_z, n_max = orbit_trace(model, orbit, kernel, plan, digits)
+        wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, digits)
+        lat = period_lattice(model.minimal, digits)
+        moves = orbit_options(model, orbit, digits)
+        entries, trace_z, n_max, constants = orbit_trace(model, orbit, kernel, moves, wp, lat)
         monkeypatch.setattr(curves, "_an_cache", {})
-        terms = [mv.n_max for mv in plan.moves]
+        terms = [mv.n_max for mv in moves]
         # kernel order starts below the deepest evaluation, so the sieve
         # grows differently from orbit_trace's deepest-first order
-        assert len(set(terms)) > 1 and terms[0] < plan.n_max
-        assert {mv.q for mv in plan.moves} > {1}          # some points move, some stay
+        assert len(set(terms)) > 1 and terms[0] < max(terms)
+        assert {mv.q for mv in moves} > {1}               # some points move, some stay
+        signs = {q_div: wp if w is None else w for q_div, w in al_signs(model)}
         with mp.workdps(digits + 15):
             in_order = mp.mpc(0)
-            for mv in plan.moves:              # kernel order, the sieve grows each time
+            for mv in moves:                   # kernel order, the sieve grows each time
                 z = eval_phi(model, mv.point.tau(digits), digits)
                 if mv.q != 1:
-                    z = mv.w * (z - al_constant(model.minimal, model.n, mv.q, mv.w, digits))
+                    i, j, n = al_constant(lat, model.n, mv.q, signs[mv.q])
+                    z = signs[mv.q] * (z - (i * lat.w1 + j * lat.w2) / n)
                 in_order += z
             in_order = +in_order
-        assert n_max == plan.n_max >= max(terms)
-        assert [(e.q, e.n_max) for e in entries] == [(mv.q, mv.n_max) for mv in plan.moves]
+        assert n_max == max(terms)
+        assert [c[0] for c in constants] == sorted({mv.q for mv in moves} - {1})
+        assert [(e.q, e.n_max) for e in entries] == [(mv.q, mv.n_max) for mv in moves]
         assert (trace_z.real, trace_z.imag) == (in_order.real, in_order.imag)
 
 
 def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
     digits = 60
     kernel, orbit = _orbit(M121, -67)
-    deepest = _plan(M121, orbit, digits).n_max
+    deepest = max(mv.n_max for mv in orbit_options(M121, orbit, digits))
     with mp.workdps(digits + 15):
         unmoved = max(phi_terms(pt.tau(digits).imag, digits) for pt in orbit)
     assert deepest < unmoved                   # the cap below binds only after the moves

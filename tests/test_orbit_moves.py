@@ -1,11 +1,10 @@
 """The Galois orbit of the whole trace catalogue against the lattice-pair
 oracle, and orbit points moved by Atkin-Lehner involutions: the identity
-phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q), the same orbit values and trace as
-the direct route on the whole trace catalogue, never more series terms, and
-the fixed-point pair kernel against the term-by-term sum."""
+phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q), each K_Q exact on the lattice and
+equal to its full-precision series, the same orbit values and trace as the
+direct route on the whole trace catalogue, never more series terms, and the
+fixed-point pair kernel against the term-by-term sum."""
 
-import random
-import time
 from math import gcd, isqrt
 
 import mpmath as mp
@@ -16,13 +15,14 @@ from hypothesis import strategies as st
 from cmtrace import curves, experiments
 from cmtrace.curves import an_coefficients, curve_model
 from cmtrace.errors import InputError
-from cmtrace.experiments import (ExperimentSpec, _choose, al_signs, orbit_options, orbit_trace,
-                                 plan_orbit, trace_point)
+from cmtrace.experiments import (ExperimentSpec, al_signs, orbit_options, orbit_trace,
+                                 trace_point)
 from cmtrace.heegner import HeegnerTau, al_move, galois_orbit, heegner_form
-from cmtrace.modparam import (NMAX_CAP, SeriesBudgetError, al_constant, al_constant_points,
+from cmtrace.modparam import (K_DIGITS, MAZUR_ORDERS, NMAX_CAP, al_constant, al_constant_points,
                               al_matrix, atkin_lehner_sign, eval_newform, eval_phi, phi_terms)
+from cmtrace.periods import period_lattice
 from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
-from oracles import (eval_series_direct, galois_orbit_by_lattices, least_plan_terms_by_subsets,
+from oracles import (al_constant_by_series, eval_series_direct, galois_orbit_by_lattices,
                      orbit_trace_direct, phi_terms_mp)
 
 # the five curves of the trace catalogue, with the modes the suite uses
@@ -38,8 +38,9 @@ _WP = {}
 
 
 # curves of level 45 and 90, additive at 3, with w_9 (measured numerically):
-# their traces move points by W_9, which 36a1's never do (its K_9 costs more
-# than it saves); on 1,-1,0,6,0, w_9 = +1 and K_9 = (1 - w_9) phi(s0) = 0
+# their traces move points by W_9, which 36a1's never do (W_9 lowers the
+# leading coefficient of none of its orbit points, so orbit_options never
+# offers it); on 1,-1,0,6,0, w_9 = +1 and K_9 = (1 - w_9) phi(s0) = 0
 W9_CURVES = {"1,-1,0,0,-5": -1, "1,-1,0,6,0": 1, "1,-1,1,13,-61": -1}
 MODELS.update({key: curve_model(tuple(map(int, key.split(",")))) for key in W9_CURVES})
 
@@ -67,14 +68,18 @@ W9_CASES = _catalogue(dict.fromkeys(W9_CURVES, "main_plus"), range(-150, -6), (1
 
 
 def _signs(label: str) -> list:
-    """al_signs with w_p measured where it needs the series, as plan_orbit
+    """al_signs with w_p measured where it needs the series, as orbit_trace
     reads them."""
     return [(q_div, _wp(label) if w is None else w) for q_div, w in al_signs(MODELS[label])]
 
 
-def _plan(label: str, orbit, digits: int):
+def _constant(label: str, q_div: int, digits: int):
+    """K_Q on the lattice at `digits`, (i w1 + j w2) / n from al_constant."""
     model = MODELS[label]
-    return plan_orbit(model, orbit_options(model, orbit, digits), digits, _wp(label))
+    lat = period_lattice(model.minimal, digits)
+    i, j, n = al_constant(lat, model.n, q_div, dict(_signs(label))[q_div])
+    with mp.workdps(digits + 15):
+        return (i * lat.w1 + j * lat.w2) / n
 
 
 def _wp(label: str) -> int:
@@ -152,38 +157,99 @@ def test_atkin_lehner_identity(label, q_div, u, v, k):
         tau = moved - k
         image = (a * moved + b) / (c * moved + d)
         lhs = eval_phi(model, tau, digits)
-        rhs = w * (eval_phi(model, image, digits)
-                   - al_constant(model.minimal, model.n, q_div, w, digits))
+        rhs = w * (eval_phi(model, image, digits) - _constant(label, q_div, digits))
         assert abs(lhs - rhs) < mp.mpf(10) ** -(digits + 5)
 
 
 def test_the_constant_vanishes_where_w_q_fixes_its_base_point_with_sign_plus():
     # W_121 fixes i/11 and w_121 = +1 on 121b1; on 49a1, w_49 = -1 and K = 2 phi(i/7)
     m121, m49 = MODELS["121b1"], MODELS["49a1"]
-    assert al_constant(m121.minimal, 121, 121, 1, 60) == 0
-    assert al_constant(MODELS["1,-1,0,6,0"].minimal, 90, 9, 1, 60) == 0
+    assert al_constant(period_lattice(m121.minimal, 60), 121, 121, 1) == (0, 0, 1)
+    assert al_constant(period_lattice(MODELS["1,-1,0,6,0"].minimal, 60), 90, 9, 1) == (0, 0, 1)
     with mp.workdps(75):
         want = 2 * eval_phi(m49, mp.mpc(0, 1) / 7, 60)
-        assert abs(al_constant(m49.minimal, 49, 49, -1, 60) - want) < mp.mpf(10) ** -65
+        assert abs(_constant("49a1", 49, 60) - want) < mp.mpf(10) ** -65
 
 
-def _planned_values(model, plan, digits):
-    """The orbit values as the plan prescribes them, in orbit order."""
+# the order of each K_Q that al_signs offers: 19 constants on 8 curves
+ORDERS = {
+    "49a1": {49: 2}, "121b1": {121: 1}, "50a1": {2: 1, 25: 3, 50: 3},
+    "50b1": {2: 5, 25: 1, 50: 5}, "36a1": {9: 2}, "1,-1,0,0,-5": {5: 1, 9: 2},
+    "1,-1,0,6,0": {2: 1, 5: 3, 9: 1, 10: 3}, "1,-1,1,13,-61": {2: 1, 5: 1, 9: 1, 10: 1},
+}
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+def test_every_constant_is_a_torsion_point_equal_to_its_series(digits):
+    # K_Q = (i w1 + j w2) / n, read off one K_DIGITS evaluation, is the
+    # full-precision series K_Q to 10^-(digits+5), with n in Mazur's list
+    orders = {}
+    for label, model in MODELS.items():
+        lat = period_lattice(model.minimal, digits)
+        for q_div, w in _signs(label):
+            i, j, n = al_constant(lat, model.n, q_div, w)
+            assert n in MAZUR_ORDERS and gcd(i, j, n) == 1, (label, q_div)
+            orders.setdefault(label, {})[q_div] = n
+            want = al_constant_by_series(model.minimal, model.n, q_div, w, digits)
+            with mp.workdps(digits + 15):
+                got = (i * lat.w1 + j * lat.w2) / n
+                assert abs(got - want) < mp.mpf(10) ** -(digits + 5), (label, q_div)
+    assert orders == ORDERS and sum(map(len, orders.values())) == 19
+    # not reduced mod the lattice: 50a1's K_2 is -w1
+    assert al_constant(period_lattice(MODELS["50a1"].minimal, digits), 50, 2, 1) == (-1, 0, 1)
+
+
+def test_the_report_lists_each_constant_it_used():
+    rep = trace_point(ExperimentSpec(dK=-11, f=1, curve=MODELS["49a1"], digits=60))
+    assert rep.to_json()["constants"] == [{"Q": 49, "w": -1, "i": 1, "j": 0, "n": 2}]
+    rep = trace_point(ExperimentSpec(dK=-7, f=1, curve=MODELS["50b1"], digits=60))
+    assert [(c["Q"], c["n"]) for c in rep.to_json()["constants"]] == [(50, 5)]
+    assert {q for q, *_ in rep.constants} == {e.q for e in rep.orbit} - {1}
+    # no 50b1 orbit moves by W_2, whose constant also has order 5
+    assert al_constant(period_lattice(MODELS["50b1"].minimal, 60), 50, 2, -1)[2] == 5
+
+
+def test_no_constant_point_is_evaluated_at_the_trace_precision(monkeypatch):
+    # a 200-digit trace evaluates its orbit at 200 digits and each K_Q point
+    # once, at K_DIGITS
+    calls = []
+
+    def recording(model, tau, digits):
+        calls.append(digits)
+        return eval_phi(model, tau, digits)
+
+    monkeypatch.setattr(experiments, "eval_phi", recording)
+    monkeypatch.setattr("cmtrace.modparam.eval_phi", recording)
+    al_constant.cache_clear()
+    for label, dK in [("49a1", -11), ("50b1", -7), ("1,-1,0,0,-5", -31)]:
+        del calls[:]
+        rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=MODELS[label], digits=200))
+        model = MODELS[label]
+        points = sum(len(al_constant_points(model.n, q_div, w, K_DIGITS))
+                     for q_div, w, *_ in rep.constants)
+        assert points > 0
+        assert sorted(calls) == [K_DIGITS] * points + [200] * len(rep.orbit), label
+
+
+def _moved_values(label, moves, digits):
+    """The orbit values as the moves prescribe them, in orbit order."""
+    model, signs = MODELS[label], dict(_signs(label))
     with mp.workdps(digits + 15):
         zs = []
-        for mv in plan.moves:
+        for mv in moves:
             z = eval_phi(model, mv.point.tau(digits), digits)
             if mv.q != 1:
-                z = mv.w * (z - al_constant(model.minimal, model.n, mv.q, mv.w, digits))
+                z = signs[mv.q] * (z - _constant(label, mv.q, digits))
             zs.append(z)
         return zs
 
 
 def _check_against_direct(label, dK, f, digits):
     model, kernel, orbit = _orbit(label, dK, f)
-    plan = _plan(label, orbit, digits)
-    entries, trace_z, n_max = orbit_trace(model, orbit, kernel, plan, digits)
-    zs = _planned_values(model, plan, digits)
+    moves = orbit_options(model, orbit, digits)
+    lat = period_lattice(model.minimal, digits)
+    entries, trace_z, n_max, _ = orbit_trace(model, orbit, kernel, moves, _wp(label), lat)
+    zs = _moved_values(label, moves, digits)
     zs_direct, trace_direct = orbit_trace_direct(model, orbit, digits)
     tol = mp.mpf(10) ** -(digits + 5)
     with mp.workdps(digits + 15):
@@ -194,9 +260,9 @@ def _check_against_direct(label, dK, f, digits):
         for z, z_direct in zip(zs, zs_direct):
             assert abs(z - z_direct) < tol, (label, dK, f)
         assert abs(trace_z - trace_direct) < tol, (label, dK, f)
-    assert n_max == plan.n_max
-    assert [(e.q, e.n_max) for e in entries] == [(mv.q, mv.n_max) for mv in plan.moves]
-    return [mv.q for mv in plan.moves]
+    assert n_max >= max(mv.n_max for mv in moves)
+    assert [(e.q, e.n_max) for e in entries] == [(mv.q, mv.n_max) for mv in moves]
+    return [mv.q for mv in moves]
 
 
 def test_orbit_values_match_the_direct_route_on_the_catalogue_at_60_digits():
@@ -207,7 +273,7 @@ def test_orbit_values_match_the_direct_route_on_the_catalogue_at_60_digits():
         if 9 in qs:
             moved_by_9.add(label)
     assert moved > 100
-    assert moved_by_9 == set(W9_CURVES)        # never 36a1: its K_9 costs more than it saves
+    assert moved_by_9 == set(W9_CURVES)        # never 36a1: W_9 lowers none of its A
 
 
 @pytest.mark.parametrize("label,dK,f", [("49a1", -11, 1), ("121b1", -67, 1), ("50b1", -7, 1)])
@@ -215,22 +281,14 @@ def test_orbit_values_match_the_direct_route_at_200_digits(label, dK, f):
     assert set(_check_against_direct(label, dK, f, 200)) != {1}
 
 
-def _k_terms(label, table, digits):
-    """Terms each usable Q's K_Q costs, for the Q some point can move by."""
-    model = MODELS[label]
-    offered = {o[2] for opts in table for o in opts}
-    out = {}
-    for q_div, w in _signs(label):
-        if q_div in offered:
-            pts = al_constant_points(model.n, q_div, w, digits)
-            out[q_div] = phi_terms(pts[0][1].imag, digits) * len(pts) if pts else 0
-    return out
-
-
-def _plan_terms(plan) -> int:
-    """Series terms the plan evaluates, K_Q included."""
-    return (sum(mv.n_max for mv in plan.moves)
-            + sum(n * count for _, _, n, count in plan.constants))
+def _moved_terms(label, moves) -> int:
+    """Series terms the moves evaluate, each K_Q used at its K_DIGITS cost."""
+    model, signs = MODELS[label], dict(_signs(label))
+    terms = sum(mv.n_max for mv in moves)
+    for q_div in {mv.q for mv in moves} - {1}:
+        pts = al_constant_points(model.n, q_div, signs[q_div], K_DIGITS)
+        terms += phi_terms(pts[0][1].imag, K_DIGITS) * len(pts) if pts else 0
+    return terms
 
 
 @pytest.mark.parametrize("digits", [60, 200])
@@ -238,55 +296,65 @@ def test_plan_never_evaluates_more_terms_than_the_direct_route(digits):
     planned, direct = {}, {}
     for label, dK, f in CATALOGUE:
         model, _, orbit = _orbit(label, dK, f)
-        table = orbit_options(model, orbit, digits)
-        plan = plan_orbit(model, table, digits, _wp(label))
+        moves = orbit_options(model, orbit, digits)
         with mp.workdps(digits + 15):
-            unmoved = sum(phi_terms(pt.tau(digits).imag, digits) for pt in orbit)
-        terms = _plan_terms(plan)
-        assert terms <= unmoved, (label, dK, f)
-        least = least_plan_terms_by_subsets(table, _k_terms(label, table, digits))
-        assert terms == least, (label, dK, f)        # greedy is optimal here
+            unmoved = [phi_terms(pt.tau(digits).imag, digits) for pt in orbit]
+        assert all(mv.n_max <= n for mv, n in zip(moves, unmoved)), (label, dK, f)
+        terms = _moved_terms(label, moves)
+        assert terms <= sum(unmoved), (label, dK, f)
         planned[label] = planned.get(label, 0) + terms
-        direct[label] = direct.get(label, 0) + unmoved
+        direct[label] = direct.get(label, 0) + sum(unmoved)
     for label in ("49a1", "121b1", "50a1", "50b1"):
         assert planned[label] < 0.9 * direct[label]
-    assert planned["36a1"] == direct["36a1"]        # W_9's constant costs more than it saves
+    assert planned["36a1"] == direct["36a1"]        # W_9 lowers none of its A
 
 
 @pytest.mark.parametrize("digits", [60, 200])
 def test_phi_terms_in_doubles_equals_the_30_digit_count_on_the_catalogue(monkeypatch, digits):
-    # every Im tau the catalogue's plans price: orbit points, their W_Q
-    # images and the K_Q points
+    # every Im tau orbit_options prices on the catalogue: orbit points, their
+    # W_Q images, and the K_Q points at K_DIGITS
     priced = set()
 
     def recording(im_tau, d):
-        priced.add(im_tau)
+        priced.add((im_tau, d))
         return phi_terms(im_tau, d)
 
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "phi_terms", recording)
         for label, dK, f in CATALOGUE:
-            _plan(label, _orbit(label, dK, f)[2], digits)
-    assert len(priced) > 600
-    for im_tau in priced:
-        want = phi_terms_mp(im_tau, digits)
-        assert experiments._terms(im_tau, digits) == (want, want <= NMAX_CAP), im_tau
+            model, _, orbit = _orbit(label, dK, f)
+            orbit_options(model, orbit, digits)
+    assert len(priced) > 600 and {d for _, d in priced} == {digits, K_DIGITS}
+    for im_tau, d in priced:
+        want = phi_terms_mp(im_tau, d)
+        assert experiments._terms(im_tau, d) == (want, want <= NMAX_CAP), im_tau
 
 
-@pytest.mark.parametrize("label,dK", [("49a1", -11), ("50b1", -7)])
+@pytest.mark.parametrize("label,dK", [("49a1", -11), ("50b1", -7), ("1,-1,0,0,-5", -31)])
 def test_cold_trace_with_constants_extends_the_sieve_once(monkeypatch, label, dK):
-    calls = []
-    extended = curves._extended
+    # the orbit's evaluations, the K_Q points at K_DIGITS among them, extend
+    # the sieve once; before them only a numerical w_p (1,-1,0,0,-5 is
+    # additive at 3) evaluates a series, the newform's, which needs fewer terms
+    calls, signed = [], []
+    extended, sign = curves._extended, experiments.atkin_lehner_sign
 
     def counting(m, known, bound):
         calls.append((len(known) - 1, bound))
         return extended(m, known, bound)
 
+    def marking(*args):
+        w = sign(*args)
+        signed.append(len(calls))
+        return w
+
     monkeypatch.setattr(curves, "_an_cache", {})
     monkeypatch.setattr(curves, "_extended", counting)
+    monkeypatch.setattr(experiments, "atkin_lehner_sign", marking)
     al_constant.cache_clear()
     rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=MODELS[label], digits=60))
-    assert calls == [(1, rep.n_max)]
+    k = signed[0]
+    assert k == (label in W9_CURVES)
+    assert calls[k:] == [(calls[k - 1][1] if k else 1, rep.n_max)]
     assert {e.q for e in rep.orbit} > {1}
     assert rep.n_max >= max(e.n_max for e in rep.orbit)
     orbit_json = rep.to_json()["orbit"]
@@ -312,71 +380,3 @@ def test_pair_kernel_matches_the_term_by_term_sum_beyond_two_to_the_fifteen(labe
         got = fast(model, tau, digits)
         with mp.workdps(digits + 30):
             assert abs(got - want) < mp.mpf(10) ** -(digits + 5), weight
-
-
-def _synthetic_table(rng, points: int, qs: list, per_point: int, over: float):
-    """Options (n_max, within budget, Q, point) as orbit_options lists them:
-    tau itself first, then some Q with fewer terms; a few over the budget."""
-    table = []
-    for _ in range(points):
-        n0 = rng.randrange(100, 400)
-        opts = [(n0, rng.random() >= over, 1, None)]
-        for q_div in rng.sample(qs, min(per_point, len(qs))):
-            opts.append((rng.randrange(20, n0), rng.random() >= over, q_div, None))
-        table.append(opts)
-    return table
-
-
-def _check_choice(table, k_terms):
-    """_choose's plan: each point at its cheapest allowed option, every Q it
-    keeps needed (dropping one costs strictly more or leaves a point without
-    an option), and no dearer than the direct route, strictly when a Q stays."""
-    picks, used = _choose(table, k_terms)
-
-    def cost(allowed):
-        out = 0
-        for opts in table:
-            within = [o for o in opts if o[1] and o[2] in allowed]
-            if not within:
-                return None
-            out += min(within, key=lambda o: (o[0], o[2]))[0]
-        return out + sum(k_terms[q] for q in allowed - {1})
-
-    here = cost({1, *used})
-    assert sum(o[0] for o in picks) + sum(k_terms[q] for q in used) == here
-    assert all(o[1] and o[2] in {1, *used} for o in picks)
-    for q_div in used:
-        without = cost({1, *used} - {q_div})
-        assert without is None or without > here, q_div
-    direct = cost({1})
-    if direct is not None:
-        assert here < direct if used else here == direct
-    return here
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2 ** 32))
-def test_choose_keeps_only_the_q_that_pay_for_their_constant(seed):
-    rng = random.Random(seed)
-    qs = list(range(2, 2 + rng.randrange(1, 7)))
-    table = _synthetic_table(rng, rng.randrange(1, 10), qs, rng.randrange(0, len(qs) + 1),
-                             over=rng.choice([0, 0.1]))
-    k_terms = {q: rng.randrange(0, 600) for q in qs}
-    if all(any(o[1] and (o[2] == 1 or o[2] in k_terms) for o in opts) for opts in table):
-        assert _check_choice(table, k_terms) >= least_plan_terms_by_subsets(table, k_terms)
-    else:
-        with pytest.raises(SeriesBudgetError):
-            _choose(table, k_terms)
-
-
-def test_choose_is_polynomial_in_the_number_of_involutions():
-    # 63 usable Q, as for a level with six primes: every set of them would be
-    # 2^63 plans; dropping Q one at a time prices O(points * Q^2) options
-    rng = random.Random(7)
-    qs = list(range(2, 65))
-    table = _synthetic_table(rng, 400, qs, 12, over=0)
-    k_terms = {q: rng.randrange(0, 3000) for q in qs}
-    t0 = time.perf_counter()
-    _choose(table, k_terms)
-    assert time.perf_counter() - t0 < 5
-    _check_choice(table, k_terms)
