@@ -152,8 +152,9 @@ def _cmd_trace(args) -> tuple[int, dict]:
     report = trace_point(spec)
     print(f"curve {list(args.curve)} (N = {model.n} = {model.p}^2 * {model.m}), "
           f"K = Q(sqrt({args.dk})), f = {args.f}, digits = {digits}")
-    print(f"w_p = {report.wp:+d}; orbit of {len(report.orbit)} points; "
-          f"n_max = {report.n_max}")
+    series = sum(entry.source == "series" for entry in report.orbit)
+    print(f"w_p = {report.wp:+d}; orbit of {len(report.orbit)} points, "
+          f"{series} series evaluations; n_max = {report.n_max}")
     for q_div, w, i, j, n in report.constants:
         print(f"K_{q_div} = ({i}*w1 + {j}*w2)/{n}: order {n}, w_{q_div} = {w:+d}")
     print(f"trace z = {mp.nstr(report.trace_z, min(digits, 30))}")

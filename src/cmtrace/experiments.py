@@ -175,7 +175,8 @@ class OrbitEntry:
     tau: str
     z: tuple[str, str]
     q: int                           # the W_Q the point went through, 1 for none
-    n_max: int                       # terms of the series evaluated for it
+    n_max: int                       # terms of its series
+    source: str                      # "series", or "same:i" / "conj:i": entry i's series reused
 
 
 @dataclass(frozen=True)
@@ -297,38 +298,61 @@ def orbit_trace(model: CurveModel, orbit, kernel, moves, wp: int, lat: PeriodLat
     period enters (modparam docstring), with w_p in place of a None sign of
     al_signs and each K_Q = (i w1 + j w2) / n on lat (al_constant).
 
+    One series serves each evaluation point up to conjugation.  The a_n are
+    real, so phi(-conj s) = conj phi(s), and phi has period 1.  The point
+    s = (-B + sqrt D) / (2A) of a form (A, B, C) is thus known from any
+    point of the same D and A with B' = B mod 2A (phi(s) itself) or B' = -B
+    mod 2A (its conjugate), and phi(s) is real when A | B.  The key (A, B
+    mod 2A) is that of the evaluation point, the form after the move, not of
+    the orbit form: two orbit points that W_Q moves to one point, or to
+    conjugate points, share one series, and each still applies its own w_Q
+    and K_Q.  The truncated sums of two points of a key or of a key and its
+    mate agree exactly, up to the conjugation, so a reused value differs
+    from the point's own evaluation only by the rounding of the two.
+
     The evaluations, the K_Q points at K_DIGITS included, run from the most
-    terms down: the a_n sieve is extended once.  Each value depends only on
-    (tau, digits, a[0..n_max]), so the order changes nothing.  Returns the
-    entries, the trace, the most terms evaluated and (Q, w_Q, i, j, n) for
-    each K_Q used."""
+    terms down: the a_n sieve is extended once.  A key and its mate have one
+    A, so one n_max, and the first point of each in kernel order is the one
+    evaluated.  Each value depends only on (tau, digits, a[0..n_max]), so the
+    order changes nothing.  Returns the entries, the trace, the most terms
+    evaluated and (Q, w_Q, i, j, n) for each K_Q used."""
     signs = {q_div: wp if w is None else w for q_div, w in al_signs(model)}
     digits = lat.digits
     with mp.workdps(digits + GUARD):
-        taus = [pt.tau(digits) for pt in orbit]
         # (terms, job): an orbit index, or -Q for the points of K_Q
         jobs = [(mv.n_max, i) for i, mv in enumerate(moves)]
         for q_div in sorted({mv.q for mv in moves} - {1}):
             pts = al_constant_points(model.n, q_div, signs[q_div], K_DIGITS)
             jobs.append((phi_terms(pts[0][1].imag, K_DIGITS) if pts else 0, -q_div))
-        exact, values = {}, [None] * len(orbit)
+        exact, values, sources = {}, [None] * len(orbit), [None] * len(orbit)
+        evaluated = {}                   # key -> the job that evaluated its series
         for _, job in sorted(jobs, key=lambda j: -j[0]):
             if job < 0:
                 exact[-job] = al_constant(lat, model.n, -job, signs[-job])
+                continue
+            point = moves[job].point
+            form = point.form
+            key, mate = (form.a, form.b % (2 * form.a)), (form.a, -form.b % (2 * form.a))
+            if key in evaluated:
+                i = evaluated[key]
+                values[job], sources[job] = values[i], f"same:{i}"
+            elif mate in evaluated:
+                i = evaluated[mate]
+                values[job], sources[job] = mp.conj(values[i]), f"conj:{i}"
             else:
-                mv = moves[job]
-                values[job] = eval_phi(model, taus[job] if mv.q == 1 else mv.point.tau(digits),
-                                       digits)
+                z = eval_phi(model, point.tau(digits), digits)
+                values[job] = mp.mpc(z.real) if key == mate else z
+                sources[job], evaluated[key] = "series", job
         consts = {q_div: (i * lat.w1 + j * lat.w2) / n for q_div, (i, j, n) in exact.items()}
         zs = [z if mv.q == 1 else signs[mv.q] * (z - consts[mv.q]) for mv, z in zip(moves, values)]
         entries = []
-        for kc, pt, tau, mv, z in zip(kernel.classes, orbit, taus, moves, zs):
+        for kc, pt, mv, z, source in zip(kernel.classes, orbit, moves, zs, sources):
             entries.append(OrbitEntry(
                 proj=(kc.proj.x1, kc.proj.x2),
                 form=(pt.form.a, pt.form.b, pt.form.c),
-                tau=mp.nstr(tau, min(digits, 30)),
+                tau=mp.nstr(pt.tau(digits), min(digits, 30)),
                 z=(mp.nstr(z.real, min(digits, 30)), mp.nstr(z.imag, min(digits, 30))),
-                q=mv.q, n_max=mv.n_max,
+                q=mv.q, n_max=mv.n_max, source=source,
             ))
         trace_z = mp.mpc(0)
         for z in zs:                     # fixed ascending kernel order

@@ -44,6 +44,9 @@ w_Q (phi(W_Q (tau + k)) - K_Q) for every integer k, exactly: no period
 enters, unlike a move inside Gamma_0(N), which adds one.  So an orbit point
 can be evaluated where Im is larger and the series shorter:
 cmtrace.experiments.orbit_options picks each point's move before any sign.
+The a_n are real, so phi(-conj tau) = conj phi(tau), and with period 1 the
+points of the forms (A, B, C) and (A, +-B mod 2A, C') share one series:
+orbit_trace evaluates one per such class of the moved points.
 
 The constants are exact.  phi(i oo) = 0, so K_Q = phi(W_Q oo), the image of
 the cusp W_Q oo = a / N.  As ad - bN = Q, Q | a and Q | d, it is x / (N/Q)

@@ -46,7 +46,9 @@ phi_terms_mp its term count at 30 digits, where modparam.phi_terms
 computes it in doubles,
 orbit_trace_direct the sum of the parametrisation over the orbit points
 themselves, where cmtrace.experiments.orbit_trace evaluates some of them at
-W_Q (tau + k), al_constant_by_series the constant K_Q of such a move summed
+W_Q (tau + k) and one series per evaluation point up to conjugation,
+orbit_values_by_class that one series per class rebuilt in kernel order,
+where orbit_trace evaluates deepest first, al_constant_by_series the constant K_Q of such a move summed
 at full precision, where cmtrace.modparam.al_constant reads it off the
 lattice, two_torsion_roots_by_polyroots the roots of the 2-division
 cubic by mpmath's polyroots, where cmtrace.periods uses one Newton
@@ -645,6 +647,39 @@ def orbit_trace_direct(model: CurveModel, orbit, digits: int):
         for z in zs:
             trace += z
         return zs, +trace
+
+
+def evaluation_key(form) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((A, B mod 2A), (A, -B mod 2A)) of an evaluation point's form: the
+    points of one key are equal mod 1, those of a key and its mate are
+    conjugate mod 1 (s and -conj s)."""
+    return (form.a, form.b % (2 * form.a)), (form.a, -form.b % (2 * form.a))
+
+
+def orbit_values_by_class(model: CurveModel, moves, digits: int):
+    """(values, sources) in orbit order: eval_phi at the evaluation point of
+    the first move of each key in kernel order, only its real part where
+    the key is its own mate, then the same value ("same:i") for a later
+    move of that key and its conjugate ("conj:i") for one of its mate, i
+    the first move's index.  The values are phi at the evaluation points,
+    before w_Q and K_Q."""
+    from cmtrace.modparam import eval_phi
+    values, sources, first = [], [], {}
+    with mp.workdps(digits + 15):
+        for job, mv in enumerate(moves):
+            key, mate = evaluation_key(mv.point.form)
+            if key in first:
+                values.append(values[first[key]])
+                sources.append(f"same:{first[key]}")
+            elif mate in first:
+                values.append(mp.conj(values[first[mate]]))
+                sources.append(f"conj:{first[mate]}")
+            else:
+                z = eval_phi(model, mv.point.tau(digits), digits)
+                values.append(mp.mpc(z.real) if key == mate else z)
+                sources.append("series")
+                first[key] = job
+    return values, sources
 
 
 def al_constant_by_series(cur: Curve, n_level: int, q_div: int, w: int, digits: int):

@@ -85,11 +85,17 @@ def test_trace_run(capsys, tmp_path):
     assert code == 0
     text = capsys.readouterr().out
     assert "verdict: torsion" in text
+    assert "orbit of 8 points, 4 series evaluations" in text
     payload = json.loads(out.read_text())
     assert payload["verdict"] == "torsion"
     assert payload["wp"] == -1
     assert payload["finite_shadow"]["passed"]
     assert len(payload["orbit"]) == 8
+    sources = [e["source"] for e in payload["orbit"]]
+    assert sources.count("series") == 4
+    # each reused value names an entry that evaluated its series
+    assert all(payload["orbit"][int(s.split(":")[1])]["source"] == "series"
+               for s in sources if s != "series")
 
 
 def test_trace_hypothesis_error(capsys):

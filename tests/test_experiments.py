@@ -15,7 +15,7 @@ from cmtrace.modparam import (SeriesBudgetError, al_constant, atkin_lehner_sign,
                               phi_terms)
 from cmtrace.periods import period_lattice
 from cmtrace.quadforms import BinaryForm, kernel_classes, order_data
-from oracles import lattice_distance
+from oracles import lattice_distance, orbit_values_by_class
 
 M49 = curve_model((1, -1, 0, -2, -1))
 M121 = curve_model((0, -1, 1, -7, 10))
@@ -372,8 +372,9 @@ def _orbit(model, dK, digits=60):
 
 def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
     # the trace is bit for bit the kernel-order sum of the values the moves
-    # prescribe, w_Q (phi(W_Q (tau + k)) - K_Q) for a moved point, however
-    # the evaluations were ordered
+    # prescribe, w_Q (phi(W_Q (tau + k)) - K_Q) for a moved point, with one
+    # series per evaluation point up to conjugation, however the
+    # evaluations were ordered
     digits = 60
     for model, dK in [(M121, -67), (M49, -11), (M50B, -7)]:
         kernel, orbit = _orbit(model, dK)
@@ -389,10 +390,12 @@ def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
         assert len(set(terms)) > 1 and terms[0] < max(terms)
         assert {mv.q for mv in moves} > {1}               # some points move, some stay
         signs = {q_div: wp if w is None else w for q_div, w in al_signs(model)}
+        # kernel order, the sieve grows with each series
+        values, sources = orbit_values_by_class(model, moves, digits)
+        assert 1 < sources.count("series") < len(moves)
         with mp.workdps(digits + 15):
             in_order = mp.mpc(0)
-            for mv in moves:                   # kernel order, the sieve grows each time
-                z = eval_phi(model, mv.point.tau(digits), digits)
+            for mv, z in zip(moves, values):
                 if mv.q != 1:
                     i, j, n = al_constant(lat, model.n, mv.q, signs[mv.q])
                     z = signs[mv.q] * (z - (i * lat.w1 + j * lat.w2) / n)
@@ -400,7 +403,8 @@ def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
             in_order = +in_order
         assert n_max == max(terms)
         assert [c[0] for c in constants] == sorted({mv.q for mv in moves} - {1})
-        assert [(e.q, e.n_max) for e in entries] == [(mv.q, mv.n_max) for mv in moves]
+        assert [(e.q, e.n_max, e.source) for e in entries] == [
+            (mv.q, mv.n_max, source) for mv, source in zip(moves, sources)]
         assert (trace_z.real, trace_z.imag) == (in_order.real, in_order.imag)
 
 

@@ -2,8 +2,9 @@
 oracle, and orbit points moved by Atkin-Lehner involutions: the identity
 phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q), each K_Q exact on the lattice and
 equal to its full-precision series, the same orbit values and trace as the
-direct route on the whole trace catalogue, never more series terms, and the
-fixed-point pair kernel against the term-by-term sum."""
+direct route on the whole trace catalogue, one series per evaluation point
+up to complex conjugation, never more series terms, and the fixed-point pair
+kernel against the term-by-term sum."""
 
 from math import gcd, isqrt
 
@@ -21,9 +22,11 @@ from cmtrace.heegner import HeegnerTau, al_move, galois_orbit, heegner_form
 from cmtrace.modparam import (K_DIGITS, MAZUR_ORDERS, NMAX_CAP, al_constant, al_constant_points,
                               al_matrix, atkin_lehner_sign, eval_newform, eval_phi, phi_terms)
 from cmtrace.periods import period_lattice
-from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
-from oracles import (al_constant_by_series, eval_series_direct, galois_orbit_by_lattices,
-                     orbit_trace_direct, phi_terms_mp)
+from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes,
+                               order_data)
+from oracles import (al_constant_by_series, eval_series_direct, evaluation_key,
+                     galois_orbit_by_lattices, orbit_trace_direct, orbit_values_by_class,
+                     phi_terms_mp)
 
 # the five curves of the trace catalogue, with the modes the suite uses
 CURVES = {
@@ -209,10 +212,22 @@ def test_the_report_lists_each_constant_it_used():
     assert al_constant(period_lattice(MODELS["50b1"].minimal, 60), 50, 2, -1)[2] == 5
 
 
+def _classes(model, orbit_entries) -> int:
+    """Evaluation points of a report up to conjugation: the keys of the
+    forms after the moves, a key and its mate counted once."""
+    keys = set()
+    for e in orbit_entries:
+        form = BinaryForm(*e.form)
+        if e.q != 1:
+            form = al_move(form, model.n, e.q)[1]
+        keys.add(frozenset(evaluation_key(form)))
+    return len(keys)
+
+
 def test_no_constant_point_is_evaluated_at_the_trace_precision(monkeypatch):
-    # a 200-digit trace evaluates its orbit at 200 digits and each K_Q point
-    # once, at K_DIGITS
-    calls = []
+    # a 200-digit trace evaluates one series per evaluation point up to
+    # conjugation at 200 digits, and each K_Q point once, at K_DIGITS
+    calls, classes = [], {}
 
     def recording(model, tau, digits):
         calls.append(digits)
@@ -228,47 +243,58 @@ def test_no_constant_point_is_evaluated_at_the_trace_precision(monkeypatch):
         points = sum(len(al_constant_points(model.n, q_div, w, K_DIGITS))
                      for q_div, w, *_ in rep.constants)
         assert points > 0
-        assert sorted(calls) == [K_DIGITS] * points + [200] * len(rep.orbit), label
+        classes[label] = _classes(model, rep.orbit)
+        assert sorted(calls) == [K_DIGITS] * points + [200] * classes[label], label
+        assert sum(e.source == "series" for e in rep.orbit) == classes[label] < len(rep.orbit)
+    assert classes["49a1"] == 4
 
 
-def _moved_values(label, moves, digits):
-    """The orbit values as the moves prescribe them, in orbit order."""
-    model, signs = MODELS[label], dict(_signs(label))
+def _moved_values(label, moves, values, digits):
+    """w_Q (value - K_Q) for each moved point, in orbit order."""
+    signs = dict(_signs(label))
     with mp.workdps(digits + 15):
-        zs = []
-        for mv in moves:
-            z = eval_phi(model, mv.point.tau(digits), digits)
-            if mv.q != 1:
-                z = signs[mv.q] * (z - _constant(label, mv.q, digits))
-            zs.append(z)
-        return zs
+        return [z if mv.q == 1 else signs[mv.q] * (z - _constant(label, mv.q, digits))
+                for mv, z in zip(moves, values)]
 
 
 def _check_against_direct(label, dK, f, digits):
+    """orbit_trace against its rebuild in kernel order, bit for bit, and
+    each value against the orbit point's own series; each reused value
+    against the series at its own evaluation point, and each self-conjugate
+    value's imaginary part, within the evaluator's 10^-(digits+10).  Returns
+    the moves' Q and the sources."""
     model, kernel, orbit = _orbit(label, dK, f)
     moves = orbit_options(model, orbit, digits)
     lat = period_lattice(model.minimal, digits)
     entries, trace_z, n_max, _ = orbit_trace(model, orbit, kernel, moves, _wp(label), lat)
-    zs = _moved_values(label, moves, digits)
+    values, sources = orbit_values_by_class(model, moves, digits)
+    zs = _moved_values(label, moves, values, digits)
     zs_direct, trace_direct = orbit_trace_direct(model, orbit, digits)
-    tol = mp.mpf(10) ** -(digits + 5)
+    tol, proven = mp.mpf(10) ** -(digits + 5), mp.mpf(10) ** -(digits + 10)
     with mp.workdps(digits + 15):
         total = mp.mpc(0)
         for z in zs:
             total += z
         assert (+total).real == trace_z.real and (+total).imag == trace_z.imag
+        for mv, z, source in zip(moves, values, sources):
+            key, mate = evaluation_key(mv.point.form)
+            if source != "series" or key == mate:
+                # a reused value, or a real one: |Im phi| < proven at A | B
+                own = eval_phi(model, mv.point.tau(digits), digits)
+                assert abs(own - z) < proven, (label, dK, f, source)
         for z, z_direct in zip(zs, zs_direct):
             assert abs(z - z_direct) < tol, (label, dK, f)
         assert abs(trace_z - trace_direct) < tol, (label, dK, f)
     assert n_max >= max(mv.n_max for mv in moves)
-    assert [(e.q, e.n_max) for e in entries] == [(mv.q, mv.n_max) for mv in moves]
-    return [mv.q for mv in moves]
+    assert [(e.q, e.n_max, e.source) for e in entries] == [
+        (mv.q, mv.n_max, source) for mv, source in zip(moves, sources)]
+    return [mv.q for mv in moves], sources
 
 
 def test_orbit_values_match_the_direct_route_on_the_catalogue_at_60_digits():
     moved, moved_by_9 = 0, set()
     for label, dK, f in CATALOGUE + W9_CASES:
-        qs = _check_against_direct(label, dK, f, 60)
+        qs, _ = _check_against_direct(label, dK, f, 60)
         moved += sum(q != 1 for q in qs)
         if 9 in qs:
             moved_by_9.add(label)
@@ -278,9 +304,76 @@ def test_orbit_values_match_the_direct_route_on_the_catalogue_at_60_digits():
 
 @pytest.mark.parametrize("label,dK,f", [("49a1", -11, 1), ("121b1", -67, 1), ("50b1", -7, 1)])
 def test_orbit_values_match_the_direct_route_at_200_digits(label, dK, f):
-    assert set(_check_against_direct(label, dK, f, 200)) != {1}
+    qs, sources = _check_against_direct(label, dK, f, 200)
+    assert set(qs) != {1} and set(sources) != {"series"}
 
 
+def test_the_catalogue_evaluates_539_series_for_1040_points_at_60_digits(monkeypatch):
+    # one trace-precision series per evaluation point up to conjugation:
+    # 364 points take a conjugate, 137 a value of the same point, and 22 of
+    # those 501 are at M > 1
+    calls, points, sources = [], 0, {}
+
+    def recording(model, tau, digits):
+        calls.append(digits)
+        return eval_phi(model, tau, digits)
+
+    monkeypatch.setattr(experiments, "eval_phi", recording)
+    for label, dK, f in CATALOGUE:
+        model, kernel, orbit = _orbit(label, dK, f)
+        moves = orbit_options(model, orbit, 60)
+        entries = orbit_trace(model, orbit, kernel, moves, _wp(label),
+                              period_lattice(model.minimal, 60))[0]
+        points += len(entries)
+        for e in entries:
+            kind = (e.source.split(":")[0], model.m > 1)
+            sources[kind] = sources.get(kind, 0) + 1
+    assert (calls.count(60), points) == (539, 1040)
+    assert sources == {("series", False): 421, ("conj", False): 360, ("same", False): 119,
+                       ("series", True): 118, ("conj", True): 4, ("same", True): 18}
+
+
+def test_a_self_conjugate_point_keeps_only_the_real_part(monkeypatch):
+    # at A | B the truncated series is real, and the evaluator returns an
+    # imaginary part of 0 on the catalogue; noise added to each evaluation
+    # must not reach the value of a self-conjugate point
+    def noisy(model, tau, digits):
+        return eval_phi(model, tau, digits) + mp.mpc(0, 10 ** -70)
+
+    monkeypatch.setattr(experiments, "eval_phi", noisy)
+    model, kernel, orbit = _orbit("49a1", -107, 1)
+    moves = orbit_options(model, orbit, 60)
+    entries = orbit_trace(model, orbit, kernel, moves, _wp("49a1"),
+                          period_lattice(model.minimal, 60))[0]
+    mirrored = [e for e, mv in zip(entries, moves)
+                if e.q == 1 and len(set(evaluation_key(mv.point.form))) == 1]
+    assert mirrored and all(e.z[1] == "0.0" for e in mirrored)
+    assert any(e.z[1] != "0.0" for e in entries if e.q == 1 and e not in mirrored)
+
+
+@pytest.mark.parametrize("n_level", [49, 121])
+@settings(max_examples=10, deadline=None)
+@given(m=st.integers(1, 3), b=st.integers(-400, 400), extra=st.integers(1, 60),
+       k=st.integers(-3, 3))
+def test_a_point_shares_its_series_with_its_translates_and_its_mirror(n_level, m, b, extra, k):
+    # phi has period 1 and real a_n: at A = m N and tau = (-B + sqrt D) / (2A),
+    # phi at the form (A, B + 2Ak) is phi(tau) and at (A, -B + 2Ak) its conjugate
+    model = MODELS["49a1" if n_level == 49 else "121b1"]
+    a = m * n_level
+    b %= 2 * a
+    c = (b * b) // (4 * a) + extra                  # so that D = B^2 - 4AC < 0
+    digits = 30
+    with mp.workdps(digits + 15):
+        root = mp.sqrt(4 * a * c - b * b)
+
+        def phi(b_):
+            return eval_phi(model, mp.mpc(-b_, root) / (2 * a), digits)
+
+        z, proven = phi(b), mp.mpf(10) ** -(digits + 10)
+        assert abs(phi(b + 2 * a * k) - z) < proven
+        assert abs(phi(-b + 2 * a * k) - mp.conj(z)) < proven
+        if b % a == 0:                                  # self-conjugate: a real value
+            assert abs(z.imag) < proven
 def _moved_terms(label, moves) -> int:
     """Series terms the moves evaluate, each K_Q used at its K_DIGITS cost."""
     model, signs = MODELS[label], dict(_signs(label))
@@ -358,7 +451,8 @@ def test_cold_trace_with_constants_extends_the_sieve_once(monkeypatch, label, dK
     assert {e.q for e in rep.orbit} > {1}
     assert rep.n_max >= max(e.n_max for e in rep.orbit)
     orbit_json = rep.to_json()["orbit"]
-    assert [(e["q"], e["n_max"]) for e in orbit_json] == [(e.q, e.n_max) for e in rep.orbit]
+    assert [(e["q"], e["n_max"], e["source"]) for e in orbit_json] == [
+        (e.q, e.n_max, e.source) for e in rep.orbit]
 
 
 @pytest.mark.parametrize("label", ["50a1", "121b1"])
