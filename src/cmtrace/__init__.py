@@ -16,10 +16,10 @@ from .experiments import (ExperimentSpec, FiniteReport, TraceReport,
 from .fp import ArithmeticBoundError, FpMatrix, FpParams, cartan_membership, index_ns_plus
 from .heegner import HeegnerTau, NoHeegnerPoint, galois_orbit, heegner_form
 from .modparam import atkin_lehner_sign, eval_phi
-from .periods import CurvePoint, PeriodLattice, elliptic_exp, is_torsion, period_lattice
+from .periods import PeriodLattice, elliptic_exp, is_torsion, period_lattice
 from .projline import ProjClass, ProjParams, involution_class, proj_class, proj_mul
-from .quadforms import (BinaryForm, GaloisKernel, QuadOrder, class_number, kernel_classes,
-                        order_data, reduce_form, reduced_forms)
+from .quadforms import (BinaryForm, QuadOrder, class_number, kernel_classes, order_data,
+                        reduce_form, reduced_forms)
 from .recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational
 
 __version__ = "0.1.0"

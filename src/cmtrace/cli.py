@@ -109,7 +109,7 @@ def _cmd_finite(args) -> tuple[int, dict]:
           f"{report.fiber_count} fibers of size 2, degree {report.degree}")
     for name, ok in report.checks.items():
         print(f"  {name}: {'ok' if ok else 'FAILED'}")
-    return (0 if report.all_passed else 1), report.to_json()
+    return (0 if report.all_passed else 3), report.to_json()
 
 
 def _cmd_classgroup(args) -> tuple[int, dict]:
@@ -164,6 +164,8 @@ def _cmd_trace(args) -> tuple[int, dict]:
         rx, ry = report.recognized
         print(f"recognized point: x = ({rx.nu} + {rx.mu}*sqrt({rx.field_disc}))/{rx.den}, "
               f"y = ({ry.nu} + {ry.mu}*sqrt({ry.field_disc}))/{ry.den}")
+    if not report.finite_shadow.all_passed:
+        return 3, report.to_json()
     return (0 if report.verdict in ("torsion", "non_torsion") else 2), report.to_json()
 
 

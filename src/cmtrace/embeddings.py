@@ -19,12 +19,11 @@ such enumerations and matrix routes, the SL_2 conjugator included
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import CmtraceError, InputError
 from .fp import FpMatrix, FpParams, in_cartan_group, kronecker, sqrt_mod_p
 from .projline import ProjClass, involution_class, proj_mul
-from .quadforms import GaloisKernel, QuadOrder, proj_params
+from .quadforms import QuadOrder, proj_params
 
 
 class EmbeddingError(InputError):
@@ -49,13 +48,13 @@ class EmbeddingData:
     iota_omega: FpMatrix
 
 
-def build_embedding(params: FpParams, order: QuadOrder, level_m: int = 1) -> EmbeddingData:
-    """Construct the embedding data for an inert prime p coprime to f * level_m."""
+def build_embedding(params: FpParams, order: QuadOrder) -> EmbeddingData:
+    """Construct the embedding data for an inert prime p coprime to f."""
     p, eps = params.p, params.eps
     if kronecker(order.disc, p) != -1:
         raise EmbeddingError(f"p = {p} is not inert (discriminant is a square mod p)")
-    if gcd(p, order.f * level_m) != 1:
-        raise EmbeddingError("p must be coprime to the conductor and to level_m")
+    if order.f % p == 0:
+        raise EmbeddingError("p must be coprime to the conductor")
     # eps*s^2 = (t^2-4n)/4: the right side is a non-square times the inverse
     # of a square, so s exists, and s != 0
     t, n = order.t % p, order.n % p
@@ -135,19 +134,21 @@ def _label_entries(p: int, a: int, b: int, c: int, d: int) -> tuple[int, int, in
 
 
 def two_to_one_check(emb: EmbeddingData,
-                     kernel: GaloisKernel) -> dict[tuple[int, int, int, int], list[ProjClass]]:
+                     classes) -> dict[tuple[int, int, int, int], list[ProjClass]]:
     """Map each kernel class x1 + x2*w_f to the coset label of its matrix
     x1*I + x2*iota_omega, the 4-tuple of _label_entries (which raises if the
-    matrix is singular).  Enforces the expected structure: (p+1)/2 distinct
-    labels, every fiber of size exactly two, and fiber partners differing by
-    the involution class.
+    matrix is singular).  The classes must be the p + 1 kernel classes of
+    the embedding's order, each of discriminant p^2 times the order's.
+    Enforces the expected structure: (p+1)/2 distinct labels, every fiber of
+    size exactly two, and fiber partners differing by the involution class.
     """
     p = emb.params.p
-    if kernel.p != p or kernel.order != emb.order:
-        raise InputError("kernel and embedding disagree on (order, p)")
+    disc = p * p * emb.order.disc
+    if len(classes) != p + 1 or any(kc.form.disc() != disc for kc in classes):
+        raise InputError("kernel classes and embedding disagree on (order, p)")
     a, b, c, d = emb.iota_omega.entries
     fibers: dict[tuple[int, int, int, int], list[ProjClass]] = {}
-    for kc in kernel.classes:
+    for kc in classes:
         x1, x2 = kc.proj.x1, kc.proj.x2
         label = _label_entries(p, x1 + x2 * a, x2 * b, x2 * c, x1 + x2 * d)
         fibers.setdefault(label, []).append(kc.proj)

@@ -4,7 +4,7 @@ the ring class Galois kernel, trace, and classify the result.
 Every trace run also executes the finite shadow (optimal embedding, converse
 scan, two-to-one fiber structure, involution pairing), so the analytic outcome
 and the group-theoretic bookkeeping are produced side by side; the orbit is
-built from the Galois kernel the shadow computed.  Then, in stages:
+built from the kernel forms the shadow computed.  Then, in stages:
 orbit_options (each point's W_Q move and the series budget, before any
 sign), atkin_lehner_sign, period_lattice, and orbit_trace (the moves
 evaluated, with w_Q applied and each K_Q exact on the lattice).
@@ -31,7 +31,7 @@ from .modparam import (GUARD, K_DIGITS, SeriesBudgetError, al_constant, al_const
                        atkin_lehner_sign, eval_phi, local_sign, phi_terms)
 from .periods import (DIGITS_CAP, PeriodLattice, elliptic_exp, is_torsion, period_lattice,
                       torsion_residual)
-from .quadforms import GaloisKernel, class_number, kernel_classes, order_data
+from .quadforms import KernelClass, class_number, kernel_classes, order_data
 from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
 
 MODES = ("signo_minus", "main_plus", "finite_only")
@@ -114,7 +114,7 @@ class FiniteReport:
     checks: dict
     fiber_count: int
     degree: int
-    kernel: GaloisKernel = field(repr=False)     # reused by trace_point; not in to_json
+    classes: tuple[KernelClass, ...] = field(repr=False)   # reused by trace_point; not in to_json
     fibers: dict = field(default_factory=dict)
 
     @property
@@ -144,14 +144,14 @@ def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
     level_m = spec.curve.m if spec.curve is not None else 1
     params = FpParams(p)
     order = order_data(spec.dK, spec.f)
-    kernel = kernel_classes(order, p)
-    emb = build_embedding(params, order, level_m=level_m)
+    classes = kernel_classes(order, p)
+    emb = build_embedding(params, order)
     checks = {
         "optimal_embedding": verify_optimal(emb),
         "lemma_converse": lemma_converse_check(emb),
         "signo_pairing": signo_pairing_check(emb),
     }
-    fibers = two_to_one_check(emb, kernel)
+    fibers = two_to_one_check(emb, classes)
     checks["two_to_one"] = (len(fibers) == (p + 1) // 2
                             and all(len(v) == 2 for v in fibers.values()))
     degree = index_ns_plus(params)
@@ -165,7 +165,7 @@ def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
     checks["common_norm_elements"] = all(
         find_common_norm_element(params, ell % p).det() == ell % p for ell in good)
     return FiniteReport(p=p, dK=spec.dK, f=spec.f, level_m=level_m, checks=checks,
-                        fiber_count=len(fibers), degree=degree, kernel=kernel, fibers=fibers)
+                        fiber_count=len(fibers), degree=degree, classes=classes, fibers=fibers)
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,7 @@ def orbit_options(model: CurveModel, orbit, digits: int) -> tuple[OrbitMove, ...
     return tuple(OrbitMove(q=q_div, point=pt, n_max=n) for n, _, q_div, pt in picks)
 
 
-def orbit_trace(model: CurveModel, orbit, kernel, moves, wp: int, lat: PeriodLattice):
+def orbit_trace(model: CurveModel, orbit, classes, moves, wp: int, lat: PeriodLattice):
     """Evaluate the parametrisation over the orbit by the moves, and sum in
     kernel order: phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q) is exact, so no
     period enters (modparam docstring), with w_p in place of a None sign of
@@ -346,7 +346,7 @@ def orbit_trace(model: CurveModel, orbit, kernel, moves, wp: int, lat: PeriodLat
         consts = {q_div: (i * lat.w1 + j * lat.w2) / n for q_div, (i, j, n) in exact.items()}
         zs = [z if mv.q == 1 else signs[mv.q] * (z - consts[mv.q]) for mv, z in zip(moves, values)]
         entries = []
-        for kc, pt, mv, z, source in zip(kernel.classes, orbit, moves, zs, sources):
+        for kc, pt, mv, z, source in zip(classes, orbit, moves, zs, sources):
             entries.append(OrbitEntry(
                 proj=(kc.proj.x1, kc.proj.x2),
                 form=(pt.form.a, pt.form.b, pt.form.c),
@@ -374,10 +374,9 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
 
     t0 = time.perf_counter()
     shadow = experiment_finite(spec)             # validates the spec first
-    kernel = shadow.kernel
     base = HeegnerTau(form=heegner_form(model.n, spec.dK, model.p * spec.f),
                       n_level=model.n, dK=spec.dK, conductor=model.p * spec.f)
-    orbit = galois_orbit(base, kernel)
+    orbit = galois_orbit(base, [kc.form for kc in shadow.classes])
     # an over-budget orbit fails here, before the sign can evaluate a series
     moves = orbit_options(model, orbit, digits)
     t_finite = time.perf_counter() - t0
@@ -388,7 +387,7 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
 
     t0 = time.perf_counter()
     lat = period_lattice(model.minimal, digits)
-    entries, trace_z, n_max, constants = orbit_trace(model, orbit, kernel, moves, wp, lat)
+    entries, trace_z, n_max, constants = orbit_trace(model, orbit, shadow.classes, moves, wp, lat)
     timings["orbit_evaluation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -401,10 +400,10 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
         verdict = "undecided"
         if spec.f == 1 and class_number(spec.dK) == 1:
             point = elliptic_exp(lat, trace_z)
-            if point.xy is not None:
+            if point is not None:
                 hb = max(4, digits // 3)
-                rx = recognize_in_quadratic(point.xy[0], spec.dK, digits, hb)
-                ry = recognize_in_quadratic(point.xy[1], spec.dK, digits, hb)
+                rx = recognize_in_quadratic(point[0], spec.dK, digits, hb)
+                ry = recognize_in_quadratic(point[1], spec.dK, digits, hb)
                 if (rx is not None and ry is not None
                         and curve_equation_holds_exactly(model.minimal.ainvs, rx, ry)):
                     recognized = (rx, ry)

@@ -1,4 +1,4 @@
-"""Heegner forms of level N and the Galois orbit of a CM point of conductor p*f.
+"""Heegner forms of level N and Galois orbits of CM points.
 
 A CM point of discriminant D = c^2 dK on X_0(N) is carried by a primitive
 form (A, B, C) with N | A and B^2 = D mod 4N, with representative
@@ -20,14 +20,18 @@ one.
 
 By the main theorem of complex multiplication the Artin symbol of an ideal
 class acts on CM points through the inverse class, so galois_orbit composes
-the base form with the inverse of each kernel form and reduces the composite
+the base form with the inverse of each given form and reduces the composite
 inside its Gamma_0(N) class, which keeps imaginary parts workable for the
-q-series.  Everything stays in integer arithmetic.
+q-series.  The forms may be any forms of the base's discriminant:
+experiments.trace_point passes the kernel forms of Pic(O_pf) -> Pic(O_f),
+whose orbit is the Gal(H_pf / H_f) orbit it traces, and reduced_forms(D)
+gives the whole Pic(O_D) orbit, whose sum is the trace down to K.
+Everything stays in integer arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd, isqrt
 
 import mpmath as mp
@@ -35,7 +39,7 @@ import mpmath as mp
 from .errors import InputError
 from .fp import _xgcd, factorint, kronecker
 from .modparam import GUARD, al_matrix
-from .quadforms import BinaryForm, GaloisKernel, check_fundamental, lagrange_reduce
+from .quadforms import BinaryForm, check_fundamental, lagrange_reduce
 
 
 class NoHeegnerPoint(InputError):
@@ -76,6 +80,12 @@ def heegner_form(n_level: int, dK: int, c: int) -> BinaryForm:
     involution (B and -B agree mod 2N there), and it is the one whose points
     come from generators landing in the non-split Cartan order, so the trace
     relations live there.  heegner_form restricts to it.
+
+    B mod 2N fixes the ideal n = (N, (B + sqrt D) / 2), which the least |B|
+    need not keep across conductors: on the catalogue's pairs (p, l p), l in
+    {2, 3}, B_lp = l B_p mod 2N at N = 49 and 121 but -3 B_p at N = 50 (the
+    conjugate of n), so there the Heegner norm relation S_lp = c_l S_p of
+    the Pic orbit sums holds against conj(S_p) (tests/test_orbit_moves.py).
     """
     if n_level < 1 or c < 1:
         raise InputError(f"level and conductor must be positive, got N = {n_level}, c = {c}")
@@ -220,33 +230,34 @@ def _prime_to(form: BinaryForm, m: int) -> BinaryForm:
     raise AssertionError(f"no value F(1, k) prime to {m} below k = {m}")
 
 
-def galois_orbit(base: HeegnerTau, kernel: GaloisKernel) -> list[HeegnerTau]:
-    """The Gal(H_pf / H_f) orbit of the base point, one member per kernel class.
+def galois_orbit(base: HeegnerTau, forms) -> list[HeegnerTau]:
+    """The images of the base point under the Artin symbols of the classes of
+    the given forms, one member per form, in their order.
 
-    The member of a kernel class is the base form (A0, B0, C0) composed with
-    the inverse (a, -b, c) of the class's form (module docstring).  The
-    inverse is moved to a properly equivalent (a', b', c') with a' prime to
-    A0 (_prime_to).  Then B = B0 + 2 A0 k, with A0 k = (b' - B0) / 2 mod a'
-    (one modular inverse), meets B = B0 mod 2 A0 and B = b' mod 2 a', and
-    the composite (A0 a', B, (B^2 - D) / (4 A0 a')) is reduced in its
-    Gamma_0(N) class.  It keeps B0 mod 2N, on which the Gamma_0(N) class is
-    fixed by the ideal class alone (Gross, Kohnen and Zagier), so the member
-    does not depend on the representative a' or on the base form chosen in
-    its Gamma_0(N) class.  Members come back in the fixed kernel ordering;
-    the identity class reproduces the base point.
+    Every form must have the base's discriminant D: the kernel forms give the
+    Gal(H_pf / H_f) orbit that trace_point traces, and reduced_forms(D) the
+    whole Pic(O_D) orbit.  The member of a class is the base form
+    (A0, B0, C0) composed with the inverse (a, -b, c) of the class's form
+    (module docstring).  The inverse is moved to a properly equivalent
+    (a', b', c') with a' prime to A0 (_prime_to).  Then B = B0 + 2 A0 k,
+    with A0 k = (b' - B0) / 2 mod a' (one modular inverse), meets B = B0
+    mod 2 A0 and B = b' mod 2 a', and the composite (A0 a', B, (B^2 - D) /
+    (4 A0 a')) is reduced in its Gamma_0(N) class.  It keeps B0 mod 2N, on
+    which the Gamma_0(N) class is fixed by the ideal class alone (Gross,
+    Kohnen and Zagier), so the member does not depend on the representative
+    a' or on the base form chosen in its Gamma_0(N) class.  The principal
+    class reproduces the base point.
     """
-    order = kernel.order
-    if base.dK != order.dK or base.conductor != kernel.p * order.f:
-        raise InputError("kernel and base point disagree on the order")
     n_level = base.n_level
     a0, b0, disc = base.form.a, base.form.b, base.form.disc()
+    if any(form.disc() != disc for form in forms):
+        raise InputError(f"every form must have the base's discriminant {disc}")
     out = []
-    for kc in kernel.classes:
-        rep = _prime_to(BinaryForm(kc.form.a, -kc.form.b, kc.form.c), a0)
+    for form in forms:
+        rep = _prime_to(BinaryForm(form.a, -form.b, form.c), a0)
         big_a = a0 * rep.a
         big_b = b0 + 2 * a0 * ((rep.b - b0) // 2 * pow(a0, -1, rep.a) % rep.a)
         assert (big_b * big_b - disc) % (4 * big_a) == 0
-        form = BinaryForm(big_a, big_b, (big_b * big_b - disc) // (4 * big_a))
-        out.append(HeegnerTau(form=gamma0_reduce(form, n_level), n_level=n_level,
-                              dK=order.dK, conductor=base.conductor))
+        composite = BinaryForm(big_a, big_b, (big_b * big_b - disc) // (4 * big_a))
+        out.append(replace(base, form=gamma0_reduce(composite, n_level)))
     return out

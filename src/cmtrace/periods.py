@@ -117,14 +117,6 @@ class PeriodLattice:
         return lagrange_reduce(gram, (1, 0), (0, 1))
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """Point of E(C) as a lattice coordinate, with affine part (None at infinity)."""
-
-    z: mp.mpc
-    xy: tuple | None
-
-
 @lru_cache(maxsize=128)
 def period_lattice(curve: Curve, digits: int) -> PeriodLattice:
     """The period lattice of the curve at `digits`, computed once per (curve,
@@ -248,19 +240,20 @@ def _wp_pair(lat: PeriodLattice, z):
     return wp, wpd
 
 
-def elliptic_exp(lat: PeriodLattice, z) -> CurvePoint:
-    """Point of E(C) with lattice coordinate z; satisfies the model equation
-    to roughly 10^(5 - digits)."""
+def elliptic_exp(lat: PeriodLattice, z) -> tuple | None:
+    """The affine point (x, y) of E(C) with lattice coordinate z, or None at
+    a lattice point (the point at infinity); satisfies the model equation to
+    roughly 10^(5 - digits)."""
     cur = lat.curve
     digits = lat.digits
     with mp.workdps(digits + GUARD):
         zr = lattice_reduce(lat, mp.mpc(z))
         if abs(zr) < mp.mpf(10) ** (-digits) * abs(lat.w1):
-            return CurvePoint(z=mp.mpc(z), xy=None)
+            return None
         wp, wpd = _wp_pair(lat, zr)
         x = wp - mp.mpf(cur.b2) / 12
         y = (wpd - cur.a1 * x - cur.a3) / 2
-        return CurvePoint(z=mp.mpc(z), xy=(x, y))
+        return x, y
 
 
 def _scaled_dist2(z, lat: PeriodLattice, bound: int) -> tuple:

@@ -18,8 +18,9 @@ Both generators lie in the intersection, and both lattices have index
 p N(lam) in O_f, so they are equal.  Its form is therefore
 (N(lam), -p Tr(lam), p^2), and the class [1 : 0] is O_pf, the principal
 class.  No ideal is built as a lattice: heegner.galois_orbit acts on
-Heegner forms by composing with the kernel forms themselves, and the
-lattice routes are test oracles.
+Heegner forms by composing with forms of their discriminant, the kernel
+forms for the orbit of a trace and reduced_forms(D) for the whole of
+Pic(O_D), and the lattice routes are test oracles.
 
 lagrange_reduce is the one Lagrange reduction of a basis, on an
 integer Gram triple: heegner.gamma0_reduce runs it on the Gram triple of a
@@ -222,17 +223,7 @@ class KernelClass:
     form: BinaryForm
 
 
-@dataclass(frozen=True)
-class GaloisKernel:
-    order: QuadOrder
-    p: int
-    classes: tuple[KernelClass, ...]
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-
-def kernel_classes(order: QuadOrder, p: int) -> GaloisKernel:
+def kernel_classes(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
     """The p + 1 classes of Pic(O_pf) that become principal in Pic(O_f).
 
     One class per unit class of P^1(F_p), read off in closed form (module
@@ -258,4 +249,4 @@ def kernel_classes(order: QuadOrder, p: int) -> GaloisKernel:
         classes.append(KernelClass(proj=pt, form=form))
     if len({kc.form for kc in classes}) != p + 1:
         raise AssertionError("unit classes gave coinciding ideal classes")
-    return GaloisKernel(order=order, p=p, classes=tuple(classes))
+    return tuple(classes)

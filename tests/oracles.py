@@ -100,7 +100,7 @@ from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
 from cmtrace.periods import PeriodLattice, _reduced_basis, lattice_reduce
 from cmtrace.projline import (ProjClass, ProjParams, involution_class, proj_class,
                               proj_elements, proj_mul)
-from cmtrace.quadforms import (BinaryForm, GaloisKernel, KernelClass, QuadOrder,
+from cmtrace.quadforms import (BinaryForm, KernelClass, QuadOrder,
                                check_fundamental, lagrange_reduce, proj_params, reduce_form,
                                reduced_forms)
 from cmtrace.recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational
@@ -236,15 +236,14 @@ def coset_label_by_matrices(g: FpMatrix) -> tuple[int, int, int, int]:
 
 
 def two_to_one_by_matrices(emb: EmbeddingData,
-                           kernel: GaloisKernel) -> dict[tuple[int, int, int, int],
-                                                         list[ProjClass]]:
+                           classes) -> dict[tuple[int, int, int, int], list[ProjClass]]:
     """cmtrace.embeddings.two_to_one_check with each label taken by
     coset_label_by_matrices of galois_matrix, and the same checks."""
     p = emb.params.p
-    if kernel.p != p or kernel.order != emb.order:
-        raise ValueError("kernel and embedding disagree on (order, p)")
+    if len(classes) != p + 1 or any(kc.form.disc() != p * p * emb.order.disc for kc in classes):
+        raise ValueError("kernel classes and embedding disagree on (order, p)")
     fibers: dict[tuple[int, int, int, int], list[ProjClass]] = {}
-    for kc in kernel.classes:
+    for kc in classes:
         label = coset_label_by_matrices(galois_matrix(emb, kc.proj.x1, kc.proj.x2))
         fibers.setdefault(label, []).append(kc.proj)
     if len(fibers) != (p + 1) // 2:
@@ -378,17 +377,16 @@ def generator_ideal(order: QuadOrder, p: int, x1: int, x2: int):
     return _hnf2([(2 * g * norm, 0), (g * p * (2 * u1 * v + order.t), g * p * order.f)])
 
 
-def galois_orbit_by_lattices(base: HeegnerTau, kernel: GaloisKernel) -> list[HeegnerTau]:
+def galois_orbit_by_lattices(base: HeegnerTau, order: QuadOrder, p: int,
+                             classes) -> list[HeegnerTau]:
     """cmtrace.heegner.galois_orbit through the lattice pair of the point.
 
     Multiplies the point's lattice pair by the conjugate of each kernel
     ideal, the generator_ideal of the class's generator, and reads the new point off a
     basis of the first lattice that starts with a primitive vector of the
-    second lattice's Hermite normal form.  Members come back in the
-    fixed kernel ordering; the identity class reproduces the base point.
+    second lattice's Hermite normal form.  Members come back in the order
+    of the classes; the identity class reproduces the base point.
     """
-    order = kernel.order
-    p = kernel.p
     if base.dK != order.dK or base.conductor != p * order.f:
         raise ValueError("kernel and base point disagree on the order")
     n_level = base.n_level
@@ -399,7 +397,7 @@ def galois_orbit_by_lattices(base: HeegnerTau, kernel: GaloisKernel) -> list[Hee
     l2 = (l1[0], (n_level * l1[1][0], n_level * l1[1][1]))
 
     out = []
-    for kc in kernel.classes:
+    for kc in classes:
         # the conjugate of the kernel ideal lam O_f cap O_pf
         abar = tuple((u, -v) for u, v in generator_ideal(order, p, kc.proj.x1, kc.proj.x2))
         (a1, b1), (_, c1) = ideal_mul(abar, l1, dK)
@@ -561,7 +559,7 @@ def generator_ideal_three_rows(order: QuadOrder, p: int, x1: int, x2: int):
     return _hnf2([(2 * norm, 0), (p * lam[0], p * lam[1]), (p * lam_w[0], p * lam_w[1])])
 
 
-def kernel_classes_by_hnf(order: QuadOrder, p: int) -> GaloisKernel:
+def kernel_classes_by_hnf(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
     """cmtrace.quadforms.kernel_classes with each form read off the lattice:
     ideal_to_form of the three-row ideal of each unit class of P^1(F_p)."""
     if not isprime(p) or p == 2:
@@ -576,7 +574,7 @@ def kernel_classes_by_hnf(order: QuadOrder, p: int) -> GaloisKernel:
         classes.append(KernelClass(proj=pt, form=ideal_to_form(ideal, order.dK, p * order.f)))
     if len({kc.form for kc in classes}) != p + 1:
         raise AssertionError("unit classes gave coinciding ideal classes")
-    return GaloisKernel(order=order, p=p, classes=tuple(classes))
+    return tuple(classes)
 
 
 def gamma0_reduce_all_candidates(form: BinaryForm, n_level: int) -> BinaryForm:

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 import cmtrace
-from cmtrace import cli, modparam
+from cmtrace import cli, experiments, modparam
 from cmtrace.cli import EXIT_CODES, main
 from cmtrace.curves import curve_model
 from cmtrace.embeddings import EmbeddingError, FiberStructureError
@@ -322,6 +322,22 @@ def test_fiber_structure_error_exits_3_without_a_traceback(monkeypatch, capsys):
     assert main(["finite-check", "--p", "5", "--dk", "-7"]) == 3
     err = capsys.readouterr().err
     assert err == "error: fiber of (1, 0) has size 3\n"
+
+
+def test_a_failed_finite_check_exits_3(monkeypatch, capsys, tmp_path):
+    # a shadow check that reads false is a failed check of the theory, in
+    # finite-check and in the shadow of a trace alike, and the report says so
+    monkeypatch.setattr(experiments, "verify_optimal", lambda emb: False)
+    out = tmp_path / "finite.json"
+    assert main(["finite-check", "--p", "5", "--dk", "-7", "--json", str(out)]) == 3
+    assert "optimal_embedding: FAILED" in capsys.readouterr().out
+    assert json.loads(out.read_text())["passed"] is False
+    out = tmp_path / "trace.json"
+    code = main(["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--digits", "30",
+                 "--json", str(out)])
+    assert code == 3
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "torsion" and payload["finite_shadow"]["passed"] is False
 
 
 def test_a_constant_off_the_lattice_exits_3(monkeypatch, capsys):

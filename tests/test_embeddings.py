@@ -56,8 +56,6 @@ def test_build_embedding_p7():
 def test_build_embedding_rejects_split_prime():
     with pytest.raises(EmbeddingError):
         build_embedding(FpParams(11), order_data(-7, 1))     # -7 is a square mod 11
-    with pytest.raises(EmbeddingError):
-        build_embedding(FpParams(5), order_data(-7, 1), level_m=10)
 
 
 def test_optimal_random_triples():

@@ -184,16 +184,16 @@ def test_trace_invariant_under_base_replacement():
     digits = 40
     lat = period_lattice(M49.minimal, digits)
     base = HeegnerTau(form=heegner_form(49, -11, 7), n_level=49, dK=-11, conductor=7)
-    tz0 = _trace(M49, galois_orbit(base, kernel), kernel, digits)[1]
+    tz0 = _trace(M49, galois_orbit(base, [kc.form for kc in kernel]), kernel, digits)[1]
     # translated base form (same point, shifted representative)
     f = base.form
     shifted = BinaryForm(f.a, f.b + 2 * 49, f.a + f.b + f.c)
     base2 = HeegnerTau(form=shifted, n_level=49, dK=-11, conductor=7)
-    tz2 = _trace(M49, galois_orbit(base2, kernel), kernel, digits)[1]
+    tz2 = _trace(M49, galois_orbit(base2, [kc.form for kc in kernel]), kernel, digits)[1]
     # a genuinely transformed Gamma_0(49) representative
     big = f.transform(1, 0, 49, 1)
     base3 = HeegnerTau(form=big, n_level=49, dK=-11, conductor=7)
-    tz3 = _trace(M49, galois_orbit(base3, kernel), kernel, digits)[1]
+    tz3 = _trace(M49, galois_orbit(base3, [kc.form for kc in kernel]), kernel, digits)[1]
     with mp.workdps(55):
         assert lattice_distance(lat, mp.mpc(tz2) - mp.mpc(tz0)) < mp.mpf(10) ** -20
         assert lattice_distance(lat, mp.mpc(tz3) - mp.mpc(tz0)) < mp.mpf(10) ** -20
@@ -203,7 +203,7 @@ def test_trace_orbit_sum_order_independent():
     order = order_data(-11, 1)
     kernel = kernel_classes(order, 7)
     base = HeegnerTau(form=heegner_form(49, -11, 7), n_level=49, dK=-11, conductor=7)
-    orbit = galois_orbit(base, kernel)
+    orbit = galois_orbit(base, [kc.form for kc in kernel])
     with mp.workdps(55):
         zs = [eval_phi(M49, pt.tau(40), 40) for pt in orbit]
         fwd = mp.mpc(0)
@@ -306,9 +306,9 @@ def test_trace_point_builds_the_kernel_once(monkeypatch):
         report = trace_point(ExperimentSpec(dK=dK, f=f, curve=model, digits=30,
                                             mode="signo_minus" if model is M49 else "main_plus"))
         assert calls == [(dK, f, model.p)]
-        proj = report.finite_shadow.kernel.classes[0].proj
+        proj = report.finite_shadow.classes[0].proj
         assert (proj.x1, proj.x2) == report.orbit[0].proj
-        assert "kernel" not in report.finite_shadow.to_json()
+        assert "classes" not in report.finite_shadow.to_json()
 
 
 def test_experiment_finite_builds_no_lattice():
@@ -367,7 +367,7 @@ def _orbit(model, dK, digits=60):
     kernel = kernel_classes(order_data(dK, 1), model.p)
     base = HeegnerTau(form=heegner_form(model.n, dK, model.p), n_level=model.n, dK=dK,
                       conductor=model.p)
-    return kernel, galois_orbit(base, kernel)
+    return kernel, galois_orbit(base, [kc.form for kc in kernel])
 
 
 def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):

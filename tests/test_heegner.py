@@ -106,7 +106,7 @@ def orbit_setup(dK, p, ai_level):
 
 def test_orbit_size_and_base_membership():
     order, kernel, base = orbit_setup(-11, 7, 49)
-    orbit = galois_orbit(base, kernel)
+    orbit = galois_orbit(base, [kc.form for kc in kernel])
     assert len(orbit) == 8
     # identity class reproduces the base point
     assert reduce_form(orbit[0].form) == reduce_form(base.form)
@@ -117,18 +117,18 @@ def test_orbit_size_and_base_membership():
 
 def test_orbit_classes_are_base_times_kernel():
     order, kernel, base = orbit_setup(-11, 7, 49)
-    orbit = galois_orbit(base, kernel)
+    orbit = galois_orbit(base, [kc.form for kc in kernel])
     base_class = reduce_form(base.form)
     got = {reduce_form(pt.form) for pt in orbit}
-    expected = {reduce_form(compose(base_class, kc.form)) for kc in kernel.classes}
+    expected = {reduce_form(compose(base_class, kc.form)) for kc in kernel}
     assert got == expected
 
 
 def test_orbit_stable_under_rebasing():
     order, kernel, base = orbit_setup(-11, 7, 49)
-    orbit = galois_orbit(base, kernel)
+    orbit = galois_orbit(base, [kc.form for kc in kernel])
     first = {pt.form for pt in orbit}
-    again = {pt.form for pt in galois_orbit(orbit[3], kernel)}
+    again = {pt.form for pt in galois_orbit(orbit[3], [kc.form for kc in kernel])}
     assert first == again
 
 
@@ -137,18 +137,18 @@ def test_acting_twice_equals_squared_class():
     from cmtrace.quadforms import proj_params
     order, kernel, base = orbit_setup(-11, 7, 49)
     params = proj_params(order, 7)
-    orbit = galois_orbit(base, kernel)
-    index_of = {kc.proj: i for i, kc in enumerate(kernel.classes)}
+    orbit = galois_orbit(base, [kc.form for kc in kernel])
+    index_of = {kc.proj: i for i, kc in enumerate(kernel)}
     # acting twice by the class at idx = acting once by its square
     for idx in (1, 2, 4):
-        sq = index_of[proj_mul(params, kernel.classes[idx].proj, kernel.classes[idx].proj)]
-        twice = galois_orbit(orbit[idx], kernel)[idx]
+        sq = index_of[proj_mul(params, kernel[idx].proj, kernel[idx].proj)]
+        twice = galois_orbit(orbit[idx], [kc.form for kc in kernel])[idx]
         assert reduce_form(twice.form) == reduce_form(orbit[sq].form)
 
 
 def test_orbit_121():
     order, kernel, base = orbit_setup(-67, 11, 121)
-    orbit = galois_orbit(base, kernel)
+    orbit = galois_orbit(base, [kc.form for kc in kernel])
     assert len(orbit) == 12
     assert len({reduce_form(pt.form) for pt in orbit}) == 12
     for pt in orbit:
@@ -162,7 +162,7 @@ def test_orbit_rejects_mismatched_kernel():
     kernel = kernel_classes(order, 7)
     base = HeegnerTau(form=heegner_form(121, -67, 11), n_level=121, dK=-67, conductor=11)
     with pytest.raises(ValueError):
-        galois_orbit(base, kernel)
+        galois_orbit(base, [kc.form for kc in kernel])
 
 
 PRIMORIALS = (2, 6, 30, 210, 2310, 30030, 510510, 9699690)
@@ -206,13 +206,14 @@ ANCHOR_ORBITS = {
 @pytest.mark.parametrize("dK,p,n_level", sorted(ANCHOR_ORBITS))
 def test_orbit_from_kept_ideals_matches_recorded_anchor_forms(dK, p, n_level):
     order, kernel, base = orbit_setup(dK, p, n_level)
-    for kc in kernel.classes:
+    for kc in kernel:
         # the two-row ideal that the lattice oracle conjugates is the
         # three-row one the kernel used to keep
         x1, x2 = kc.proj.x1, kc.proj.x2
         assert (generator_ideal(order, p, x1, x2)
                 == generator_ideal_three_rows(order, p, x1, x2))
-    for orbit in (galois_orbit(base, kernel), galois_orbit_by_lattices(base, kernel)):
+    for orbit in (galois_orbit(base, [kc.form for kc in kernel]),
+                  galois_orbit_by_lattices(base, order, p, kernel)):
         forms = [(pt.form.a, pt.form.b, pt.form.c) for pt in orbit]
         assert forms == ANCHOR_ORBITS[dK, p, n_level]
 

@@ -51,7 +51,7 @@ def test_kernel_has_p_plus_one_distinct_classes_that_die_in_pic_of_o_f(case):
     dK, f, p = case
     order = order_data(dK, f)
     kernel = kernel_classes(order, p)
-    forms = [kc.form for kc in kernel.classes]
+    forms = [kc.form for kc in kernel]
     assert len(set(forms)) == len(forms) == p + 1
     principal = principal_form(order.disc)
     for form in forms:
@@ -95,14 +95,14 @@ def test_finite_checks_hold_and_fibers_pair_by_the_involution(case):
     for u, v in report.fibers.values():
         assert proj_mul(params, u, invol) == v
     assert sorted(w for pair in report.fibers.values() for w in pair) == sorted(
-        kc.proj for kc in kernel_classes(order_data(dK, f), p).classes)
+        kc.proj for kc in kernel_classes(order_data(dK, f), p))
 
 
 def _orbit(dK, f, p):
     kernel = kernel_classes(order_data(dK, f), p)
     base = HeegnerTau(form=heegner_form(p * p, dK, p * f), n_level=p * p, dK=dK,
                       conductor=p * f)
-    return kernel, base, galois_orbit(base, kernel)
+    return kernel, base, galois_orbit(base, [kc.form for kc in kernel])
 
 
 @PROPERTY
@@ -110,8 +110,8 @@ def _orbit(dK, f, p):
 def test_orbit_member_is_base_times_its_conjugate_kernel_ideal(case):
     kernel, base, orbit = _orbit(*case)
     base_class = reduce_form(base.form)
-    assert len(orbit) == len(kernel.classes)
-    for kc, pt in zip(kernel.classes, orbit):
+    assert len(orbit) == len(kernel)
+    for kc, pt in zip(kernel, orbit):
         # the orbit multiplies by the conjugate ideal, whose class is the inverse
         assert reduce_form(pt.form) == compose(base_class, form_inverse(kc.form))
         assert pt.form.a % (case[2] ** 2) == 0
@@ -121,7 +121,7 @@ def test_orbit_member_is_base_times_its_conjugate_kernel_ideal(case):
 @given(st.sampled_from(CASES))
 def test_identity_class_reproduces_the_base_point(case):
     kernel, base, orbit = _orbit(*case)
-    assert (kernel.classes[0].proj.x1, kernel.classes[0].proj.x2) == (1, 0)
+    assert (kernel[0].proj.x1, kernel[0].proj.x2) == (1, 0)
     assert orbit[0].form == gamma0_reduce(base.form, base.n_level)
 
 
@@ -157,13 +157,15 @@ def test_gamma0_reduce_builds_only_the_minimal_candidates(n_level, k, b, extra, 
 def test_orbit_by_composition_equals_the_lattice_route(case):
     dK, f, p, m = case
     n_level = p * p * m
-    kernel = kernel_classes(order_data(dK, f), p)
+    order = order_data(dK, f)
+    kernel = kernel_classes(order, p)
+    forms = [kc.form for kc in kernel]
     base = HeegnerTau(form=heegner_form(n_level, dK, p * f), n_level=n_level, dK=dK,
                       conductor=p * f)
-    orbit = galois_orbit(base, kernel)
-    assert orbit == galois_orbit_by_lattices(base, kernel)
+    orbit = galois_orbit(base, forms)
+    assert orbit == galois_orbit_by_lattices(base, order, p, kernel)
     # rebased on a member with A0 > N: the representative of each inverse
     # kernel form must be prime to A0, not only to N
     rebased = max(orbit, key=lambda pt: pt.form.a)
     assert rebased.form.a > n_level
-    assert galois_orbit(rebased, kernel) == galois_orbit_by_lattices(rebased, kernel)
+    assert galois_orbit(rebased, forms) == galois_orbit_by_lattices(rebased, order, p, kernel)

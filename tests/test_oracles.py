@@ -48,7 +48,7 @@ def test_generator_kernel_matches_reduced_forms_filter():
         order = order_data(dK, f)
         kernel = kernel_classes(order, p)
         assert len(kernel) == p + 1
-        assert {kc.form for kc in kernel.classes} == kernel_forms_by_filter(order, p), (dK, p, f)
+        assert {kc.form for kc in kernel} == kernel_forms_by_filter(order, p), (dK, p, f)
 
 
 def test_experiment_finite_beyond_enumeration_bound():
@@ -71,7 +71,7 @@ def test_closed_form_kernel_equals_the_hermite_normal_form_route(f):
         kernel = kernel_classes(order, p)
         # the same forms, class by class, in the same order
         assert kernel == kernel_classes_by_hnf(order, p), (dK, p, f)
-        for kc in kernel.classes:
+        for kc in kernel:
             x1, x2 = kc.proj.x1, kc.proj.x2
             assert (generator_ideal(order, p, x1, x2)
                     == generator_ideal_by_intersection(order, p, x1, x2)), (dK, p, f, x1)

@@ -1,11 +1,13 @@
 """The Galois orbit of the whole trace catalogue against the lattice-pair
-oracle, and orbit points moved by Atkin-Lehner involutions: the identity
+oracle, the Heegner norm relation between the orbits of Pic(O_p) and
+Pic(O_pl), and orbit points moved by Atkin-Lehner involutions: the identity
 phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q), each K_Q exact on the lattice and
 equal to its full-precision series, the same orbit values and trace as the
 direct route on the whole trace catalogue, one series per evaluation point
 up to complex conjugation, never more series terms, and the fixed-point pair
 kernel against the term-by-term sum."""
 
+from collections import Counter
 from math import gcd, isqrt
 
 import mpmath as mp
@@ -18,12 +20,14 @@ from cmtrace.curves import an_coefficients, curve_model
 from cmtrace.errors import InputError
 from cmtrace.experiments import (ExperimentSpec, al_signs, orbit_options, orbit_trace,
                                  trace_point)
+from cmtrace.fp import kronecker
 from cmtrace.heegner import HeegnerTau, al_move, galois_orbit, heegner_form
-from cmtrace.modparam import (K_DIGITS, MAZUR_ORDERS, NMAX_CAP, al_constant, al_constant_points,
-                              al_matrix, atkin_lehner_sign, eval_newform, eval_phi, phi_terms)
-from cmtrace.periods import period_lattice
+from cmtrace.modparam import (GUARD, K_DIGITS, MAZUR_ORDERS, NMAX_CAP, al_constant,
+                              al_constant_points, al_matrix, atkin_lehner_sign, eval_newform,
+                              eval_phi, phi_terms)
+from cmtrace.periods import is_torsion, lattice_reduce, period_lattice
 from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes,
-                               order_data)
+                               order_data, reduced_forms)
 from oracles import (al_constant_by_series, eval_series_direct, evaluation_key,
                      galois_orbit_by_lattices, orbit_trace_direct, orbit_values_by_class,
                      phi_terms_mp)
@@ -97,7 +101,7 @@ def _orbit(label: str, dK: int, f: int):
     kernel = kernel_classes(order_data(dK, f), model.p)
     base = HeegnerTau(form=heegner_form(model.n, dK, model.p * f), n_level=model.n, dK=dK,
                       conductor=model.p * f)
-    return model, kernel, galois_orbit(base, kernel)
+    return model, kernel, galois_orbit(base, [kc.form for kc in kernel])
 
 
 def test_catalogue_has_115_cases():
@@ -111,10 +115,69 @@ def test_orbit_equals_the_lattice_route_on_the_catalogue():
     # 49 of the 50 of 50a1 and of 50b1 (M = 2)
     for label, dK, f in CATALOGUE:
         model = MODELS[label]
-        kernel = kernel_classes(order_data(dK, f), model.p)
+        order = order_data(dK, f)
+        kernel = kernel_classes(order, model.p)
         base = HeegnerTau(form=heegner_form(model.n, dK, model.p * f), n_level=model.n, dK=dK,
                           conductor=model.p * f)
-        assert galois_orbit(base, kernel) == galois_orbit_by_lattices(base, kernel), (label, dK, f)
+        assert (galois_orbit(base, [kc.form for kc in kernel])
+                == galois_orbit_by_lattices(base, order, model.p, kernel)), (label, dK, f)
+
+
+# (label, dK, l) with both f = 1 and f = l in the catalogue, l in {2, 3}
+RELATION_PAIRS = [(label, dK, f) for label, dK, f in CATALOGUE
+                  if f > 1 and (label, dK, 1) in CATALOGUE]
+RELATION_DIGITS = 30
+
+
+def _k_trace(model, dK: int, c: int, digits: int):
+    """(S_c, h(O_c)): the sum of phi over the Pic(O_c) orbit of the Heegner
+    point of conductor c, the orbit of galois_orbit over reduced_forms(D)."""
+    base = HeegnerTau(form=heegner_form(model.n, dK, c), n_level=model.n, dK=dK, conductor=c)
+    orbit = galois_orbit(base, reduced_forms(c * c * dK))
+    with mp.workdps(digits + GUARD):
+        return mp.fsum(eval_phi(model, pt.tau(digits), digits) for pt in orbit), len(orbit)
+
+
+def test_heegner_norm_relation_across_conductors():
+    # The trace from H_pl to H_p of the conductor-pl point is c_l times the
+    # conductor-p point, for l prime to N (Gross, Kolyvagin's work on modular
+    # elliptic curves, LMS Lecture Notes 153, 1991, section 3), with c_l =
+    # a_l, a_l - 2 or a_l - 1 as l is inert, split or ramified in K.  Summed
+    # over Pic(O_p): S_pl = c_l S_p on C / Lambda, against conj(S_p) at N = 50,
+    # where heegner_form picks the conjugate ideal (the test below).
+    assert Counter(label for label, _, _ in RELATION_PAIRS) == {
+        "49a1": 30, "121b1": 30, "50a1": 5, "50b1": 5}
+    content = Counter()
+    for label, dK, ell in RELATION_PAIRS:
+        model = MODELS[label]
+        lat = period_lattice(model.minimal, RELATION_DIGITS)
+        c_ell = an_coefficients(model.minimal, ell)[ell] - 1 - kronecker(dK, ell)
+        s_p, h_p = _k_trace(model, dK, model.p, RELATION_DIGITS)
+        s_pl, h_pl = _k_trace(model, dK, model.p * ell, RELATION_DIGITS)
+        with mp.workdps(RELATION_DIGITS + GUARD):
+            ref = mp.conj(s_p) if model.n == 50 else s_p
+            dist = abs(lattice_reduce(lat, s_pl - c_ell * ref))
+            tol = (h_pl + abs(c_ell) * h_p) * mp.mpf(10) ** -(RELATION_DIGITS + 10)
+            assert dist <= tol, (label, dK, ell, mp.nstr(dist, 3))
+        if c_ell and not is_torsion(s_p, lat):
+            content[label] += 1
+    # 28 pairs certify a non-torsion S_pl from a non-torsion S_p
+    assert content == {"121b1": 23, "50b1": 5}
+
+
+def test_heegner_forms_across_conductors_keep_n_up_to_conjugation():
+    # B mod 2N fixes the ideal n = (N, (B + sqrt D) / 2) of a Heegner form:
+    # conductor pl keeps the n of conductor p when B_pl = l B_p mod 2N, and
+    # takes its conjugate when B_pl = -l B_p, which heegner_form's least |B|
+    # picks on all ten pairs at N = 50
+    for label, dK, ell in RELATION_PAIRS:
+        n, p = MODELS[label].n, MODELS[label].p
+        b_p, b_pl = heegner_form(n, dK, p).b, heegner_form(n, dK, p * ell).b
+        if n == 50:
+            assert ell == 3 and (b_pl + 3 * b_p) % (2 * n) == 0, (label, dK)
+            assert (b_pl - 3 * b_p) % (2 * n) != 0, (label, dK)
+        else:
+            assert (b_pl - ell * b_p) % (2 * n) == 0, (label, dK, ell)
 
 
 def test_usable_involutions_have_signs_from_local_data_or_wp():

@@ -274,7 +274,7 @@ def test_kernel_size_random_pairs():
             continue
         kern = kernel_classes(order_data(dK, 1), p)
         assert len(kern) == p + 1
-        assert len({kc.form for kc in kern.classes}) == p + 1
+        assert len({kc.form for kc in kern}) == p + 1
         done += 1
 
 
@@ -328,7 +328,7 @@ def test_kernel_generator_map_is_isomorphism():
         order = order_data(dK, 1)
         params = proj_params(order, p)
         kern = kernel_classes(order, p)
-        by_proj = {kc.proj: kc.form for kc in kern.classes}
+        by_proj = {kc.proj: kc.form for kc in kern}
         group = ClassGroup(p * p * order.disc)
         for u in proj_elements(p):
             for v in proj_elements(p):
@@ -342,7 +342,7 @@ def test_kernel_orders_match_projective_line():
     params = proj_params(order, p)
     kern = kernel_classes(order, p)
     group = ClassGroup(p * p * order.disc)
-    for kc in kern.classes:
+    for kc in kern:
         assert group.order_of(group.index(kc.form)) == element_order(params, kc.proj)
 
 
