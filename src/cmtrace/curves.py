@@ -434,6 +434,18 @@ def an_coefficients(cur: Curve, bound: int) -> list[int]:
     return a[: bound + 1]
 
 
+def an_cached(cur: Curve, bound: int) -> list[int]:
+    """The cached list itself, a[0..] with at least bound + 1 entries, for a
+    reader that must not change it: the series evaluator, which would
+    otherwise pay an_coefficients' copy on every call.  A shorter cache is
+    extended through an_coefficients, so each extension is one call of it."""
+    entry = _an_cache.get(cur.ainvs)
+    if entry is None or len(entry[1]) <= bound:
+        an_coefficients(cur, bound)
+        entry = _an_cache[cur.ainvs]
+    return entry[1]
+
+
 def _extended(m: Curve, known: list[int], bound: int) -> list[int]:
     """A copy of `known` (a[0..old]) extended to a[0..bound] in one pass over
     the new n: a prime takes its a_ell (bad, from the Hecke character (module

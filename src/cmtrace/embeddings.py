@@ -51,10 +51,12 @@ class EmbeddingData:
 def build_embedding(params: FpParams, order: QuadOrder) -> EmbeddingData:
     """Construct the embedding data for an inert prime p coprime to f."""
     p, eps = params.p, params.eps
+    # p | f puts p^2 into the discriminant, which the inertness test would
+    # misread as a square mod p, so it is named first
+    if order.f % p == 0:
+        raise EmbeddingError(f"p = {p} divides the conductor f = {order.f}")
     if kronecker(order.disc, p) != -1:
         raise EmbeddingError(f"p = {p} is not inert (discriminant is a square mod p)")
-    if order.f % p == 0:
-        raise EmbeddingError("p must be coprime to the conductor")
     # eps*s^2 = (t^2-4n)/4: the right side is a non-square times the inverse
     # of a square, so s exists, and s != 0
     t, n = order.t % p, order.n % p

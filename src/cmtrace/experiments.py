@@ -7,7 +7,48 @@ and the group-theoretic bookkeeping are produced side by side; the orbit is
 built from the kernel forms the shadow computed.  Then, in stages:
 orbit_options (each point's W_Q move and the series budget, before any
 sign), atkin_lehner_sign, period_lattice, and orbit_trace (the moves
-evaluated, with w_Q applied and each K_Q exact on the lattice).
+evaluated, with w_Q applied and each K_Q exact on the lattice, fiber by
+fiber).
+
+The fibers of W_{p^2}.  The shadow pairs the p + 1 kernel classes into
+(p + 1) / 2 fibers, and W_{p^2} pairs the orbit the same way.  For a fiber
+{i, j}, the form G of W_{p^2} (tau_i + k) (heegner.al_move) must have tau_j's
+B mod 2N and tau_j's reduced form: Heegner forms of one B mod 2N are
+Gamma_0(N)-equivalent exactly when they are SL_2(Z)-equivalent (Gross,
+Kohnen and Zagier, Math. Ann. 278, 1987, section I.1, the bijection that
+heegner.galois_orbit relies on), and W_{p^2} keeps B mod 2N on
+heegner_form's stratum p^2 | B.  fiber_pairs checks both in integers on
+every fiber and raises FiberPairingError when one fails; the search
+oracles.w_p2_pairs finds the same pairs.  phi changes by a period under
+Gamma_0(N), and phi(W_{p^2} tau) = w_p phi(tau) + K_{p^2} exactly (modparam
+docstring), so z_j = w_p z_i + K_{p^2} + lam with lam in the lattice, and
+the fiber sums to (1 + w_p) z_i + K_{p^2} + lam: that is K_{p^2} + lam
+when w_p = -1, with no series at the trace precision, and when w_p = +1
+only the point of fewer terms is evaluated at the trace precision.
+
+Reading lam.  orbit_trace rounds v = z_j - w_p z_i - K_{p^2} to the lattice
+(modparam.round_to_lattice), with z_j, and z_i when w_p = -1, evaluated at
+LAMBDA_DIGITS = 5, and accepts the vector lam only when |v - lam| <=
+LAMBDA_BUDGET = 10^-9 < |b1| / 2, b1 the shortest lattice vector.  A
+LAMBDA_DIGITS value errs by less than 10^-10.  The series at the point it is
+given errs by under 10^-15 (tail) plus 10^-20 (rounding; modparam
+docstring).  The point s, with 0 <= B < 2A so |Re s| < 1, enters the
+evaluator rounded to its P bits, 2^-P < 10^-20, which moves s by at most
+2^-P (1 + y), y = Im s.  With t = 2 pi y, |phi'| = 2 pi |f| <= 2 pi sqrt(3)
+|q| / (1 - |q|)^2 <= 2 pi sqrt(3) / t^2 (|a_n| <= sqrt(3) n), so phi moves
+by at most 2 pi sqrt(3) 2^-P (1 / t^2 + 1 / (2 pi t)).  Every move is
+within the series budget at the trace precision, at least TRACE_MIN_DIGITS
+= 15, so NMAX_CAP >= (15 + 10) ln 10 / t and t >= 5.7 10^-5, which bounds
+that by 3.4 10^-11.  A value at the trace precision errs by less than
+10^-(digits+5) the same way, and K_{p^2}, w_Q and each K_Q of a move are
+exact, so v is within 2.1 10^-10 of the true lam*.  Then lam* passes the
+check, and a lam that passes is lam*: |lam - lam*| < 2 LAMBDA_BUDGET < |b1|.
+So the fiber sum is exact up to the trace-precision value of z_i, and z_j
+= z_i + K_{p^2} + lam at w_p = +1 is known to the trace precision; at w_p =
+-1 each point's own value is known to LAMBDA_DIGITS, which its entry states.
+A failed check means that the pairing or the lattice is not phi's, or that
+an evaluation broke its bound; it raises FiberPairingError, never a wrong
+lam.
 """
 
 from __future__ import annotations
@@ -24,14 +65,14 @@ from .curves import CurveModel
 from .embeddings import (build_embedding, find_common_norm_element,
                          lemma_converse_check, signo_pairing_check, two_to_one_check,
                          verify_optimal)
-from .errors import InputError
+from .errors import CmtraceError, InputError
 from .fp import FpParams, factorint, index_ns_plus, isprime, kronecker
 from .heegner import HeegnerTau, al_move, galois_orbit, heegner_form
 from .modparam import (GUARD, K_DIGITS, SeriesBudgetError, al_constant, al_constant_points,
-                       atkin_lehner_sign, eval_phi, local_sign, phi_terms)
-from .periods import (DIGITS_CAP, PeriodLattice, elliptic_exp, is_torsion, period_lattice,
-                      torsion_residual)
-from .quadforms import KernelClass, class_number, kernel_classes, order_data
+                       atkin_lehner_sign, eval_phi, local_sign, phi_terms, round_to_lattice)
+from .periods import (DIGITS_CAP, PeriodLattice, _reduced_basis, elliptic_exp, is_torsion,
+                      period_lattice, torsion_residual)
+from .quadforms import KernelClass, class_number, kernel_classes, order_data, reduce_form
 from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
 
 MODES = ("signo_minus", "main_plus", "finite_only")
@@ -39,6 +80,8 @@ DEFAULT_DIGITS = 60
 # Below this a trace is not trusted: PSLQ in recognize_rational needs 53 bits,
 # and at 1-3 digits the torsion test has misread a non-torsion point.
 TRACE_MIN_DIGITS = 15
+LAMBDA_DIGITS = 5           # the values a fiber's lattice vector is read from (module docstring)
+LAMBDA_BUDGET = 1e-9
 
 
 class HypothesisError(InputError):
@@ -174,9 +217,11 @@ class OrbitEntry:
     form: tuple[int, int, int]
     tau: str
     z: tuple[str, str]
+    digits: int                      # z is known to this many digits
     q: int                           # the W_Q the point went through, 1 for none
-    n_max: int                       # terms of its series
-    source: str                      # "series", or "same:i" / "conj:i": entry i's series reused
+    n_max: int                       # terms of the series its value or lam was read from
+    source: str                      # "series"; "same:i" / "conj:i": entry i's series reused;
+                                     # "fiber:i": from fiber mate i by K_{p^2} + lam
 
 
 @dataclass(frozen=True)
@@ -292,11 +337,44 @@ def orbit_options(model: CurveModel, orbit, digits: int) -> tuple[OrbitMove, ...
     return tuple(OrbitMove(q=q_div, point=pt, n_max=n) for n, _, q_div, pt in picks)
 
 
-def orbit_trace(model: CurveModel, orbit, classes, moves, wp: int, lat: PeriodLattice):
-    """Evaluate the parametrisation over the orbit by the moves, and sum in
-    kernel order: phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q) is exact, so no
-    period enters (modparam docstring), with w_p in place of a None sign of
-    al_signs and each K_Q = (i w1 + j w2) / n on lat (al_constant).
+class FiberPairingError(CmtraceError, ArithmeticError):
+    """A fiber of the finite shadow is no W_{p^2} pair of the orbit, or a
+    fiber mate's value misses its LAMBDA_DIGITS evaluation by more than
+    LAMBDA_BUDGET (module docstring)."""
+
+
+def fiber_pairs(model: CurveModel, orbit, shadow: FiniteReport) -> tuple[tuple[int, int], ...]:
+    """The shadow's fibers as pairs (i, j), i < j, of orbit indices in kernel
+    order, sorted, each checked in integers: the form of W_{p^2} (tau_i + k)
+    (al_move) has tau_j's B mod 2N and tau_j's reduced form, so the two
+    points are one point of X_0(N) (module docstring).  FiberPairingError
+    for a fiber that fails."""
+    index = {kc.proj: i for i, kc in enumerate(shadow.classes)}
+    n, p2 = model.n, model.p ** 2
+    pairs = sorted(tuple(sorted(index[u] for u in members)) for members in shadow.fibers.values())
+    for i, j in pairs:
+        image, mate = al_move(orbit[i].form, n, p2)[1], orbit[j].form
+        if (image.b - mate.b) % (2 * n) or reduce_form(image) != reduce_form(mate):
+            raise FiberPairingError(f"W_{p2} does not send orbit point {i} to the "
+                                    f"Gamma_0({n}) class of its fiber mate {j}")
+    return tuple(pairs)
+
+
+def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
+                lat: PeriodLattice):
+    """Evaluate the parametrisation over the orbit by the moves and the
+    fibers of the shadow, and sum the fibers in order of their first point:
+    phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q) is exact, so no period enters
+    (modparam docstring), with w_p in place of a None sign of al_signs and
+    each K_Q = (i w1 + j w2) / n on lat (al_constant).
+
+    Each fiber (a, b) of fiber_pairs, a the point with fewer terms (the
+    first in kernel order on a tie), sums to (1 + w_p) z_a + K_{p^2} + lam,
+    lam in the lattice (module docstring): a is evaluated at the trace
+    precision when w_p = +1, b's value z_b = z_a + K_{p^2} + lam ("fiber:a"),
+    and with w_p = -1 both are evaluated at LAMBDA_DIGITS only.  lam is read
+    off b's LAMBDA_DIGITS value (and a's when w_p = -1), and the fiber is
+    rejected unless w_p z_a + K_{p^2} + lam is within LAMBDA_BUDGET of it.
 
     One series serves each evaluation point up to conjugation.  The a_n are
     real, so phi(-conj s) = conj phi(s), and phi has period 1.  The point
@@ -308,55 +386,86 @@ def orbit_trace(model: CurveModel, orbit, classes, moves, wp: int, lat: PeriodLa
     conjugate points, share one series, and each still applies its own w_Q
     and K_Q.  The truncated sums of two points of a key or of a key and its
     mate agree exactly, up to the conjugation, so a reused value differs
-    from the point's own evaluation only by the rounding of the two.
+    from the point's own evaluation only by the rounding of the two.  Each
+    key is evaluated at its point with 0 <= B < 2A, at the highest precision
+    any of its points asks for: the trace precision first, then
+    LAMBDA_DIGITS, so a mate b whose key or mate key was evaluated at the
+    trace precision takes that value ("same:i" or "conj:i", i the point that
+    evaluated it) and needs no lam.  A key and its mate have one A, so one
+    n_max, and at each precision the first point of each in kernel order is
+    the one evaluated.
 
-    The evaluations, the K_Q points at K_DIGITS included, run from the most
-    terms down: the a_n sieve is extended once.  A key and its mate have one
-    A, so one n_max, and the first point of each in kernel order is the one
-    evaluated.  Each value depends only on (tau, digits, a[0..n_max]), so the
-    order changes nothing.  Returns the entries, the trace, the most terms
-    evaluated and (Q, w_Q, i, j, n) for each K_Q used."""
+    The evaluations at every precision, the K_Q points at K_DIGITS included,
+    run from the most terms down: the a_n sieve is extended once.  Each value
+    depends only on (s, digits, a[0..n_max]), so the order changes nothing.
+    Returns the entries, the trace, the most terms evaluated and (Q, w_Q, i,
+    j, n) for each K_Q used."""
     signs = {q_div: wp if w is None else w for q_div, w in al_signs(model)}
-    digits = lat.digits
+    digits, p2 = lat.digits, model.p ** 2
+    pairs = [(i, j) if moves[i].n_max <= moves[j].n_max else (j, i)
+             for i, j in fiber_pairs(model, orbit, shadow)]
+    full = {a for a, _ in pairs} if wp == 1 else set()
+    want = [digits if i in full else LAMBDA_DIGITS for i in range(len(orbit))]
     with mp.workdps(digits + GUARD):
-        # (terms, job): an orbit index, or -Q for the points of K_Q
-        jobs = [(mv.n_max, i) for i, mv in enumerate(moves)]
-        for q_div in sorted({mv.q for mv in moves} - {1}):
-            pts = al_constant_points(model.n, q_div, signs[q_div], K_DIGITS)
-            jobs.append((phi_terms(pts[0][1].imag, K_DIGITS) if pts else 0, -q_div))
-        exact, values, sources = {}, [None] * len(orbit), [None] * len(orbit)
-        evaluated = {}                   # key -> the job that evaluated its series
-        for _, job in sorted(jobs, key=lambda j: -j[0]):
-            if job < 0:
-                exact[-job] = al_constant(lat, model.n, -job, signs[-job])
-                continue
-            point = moves[job].point
-            form = point.form
+        root = mp.sqrt(-orbit[0].form.disc())
+        evaluated, jobs = {}, []            # evaluated: key -> (point, precision, terms)
+        keys, conj, sources, precs = ([None] * len(orbit) for _ in range(4))
+        for i in sorted(range(len(orbit)), key=lambda i: (-want[i], -moves[i].n_max, i)):
+            form = moves[i].point.form
             key, mate = (form.a, form.b % (2 * form.a)), (form.a, -form.b % (2 * form.a))
-            if key in evaluated:
-                i = evaluated[key]
-                values[job], sources[job] = values[i], f"same:{i}"
-            elif mate in evaluated:
-                i = evaluated[mate]
-                values[job], sources[job] = mp.conj(values[i]), f"conj:{i}"
+            conj[i] = key not in evaluated and mate in evaluated
+            keys[i] = mate if conj[i] else key
+            if keys[i] in evaluated:
+                j, precs[i], _ = evaluated[keys[i]]
+                sources[i] = f"{'conj' if conj[i] else 'same'}:{j}"
             else:
-                z = eval_phi(model, point.tau(digits), digits)
-                values[job] = mp.mpc(z.real) if key == mate else z
-                sources[job], evaluated[key] = "series", job
+                terms = phi_terms(root / (2 * form.a), want[i])
+                evaluated[key], precs[i], sources[i] = (i, want[i], terms), want[i], "series"
+                jobs.append((terms, key))
+        reads_lam = any(precs[b] < digits for _, b in pairs)
+        for q_div in sorted({mv.q for mv in moves} - {1} | ({p2} if reads_lam else set())):
+            pts = al_constant_points(model.n, q_div, signs[q_div], K_DIGITS)
+            jobs.append((phi_terms(pts[0][1].imag, K_DIGITS) if pts else 0, q_div))
+        values, exact = {}, {}
+        for _, job in sorted(jobs, key=lambda j: -j[0]):
+            if isinstance(job, int):
+                exact[job] = al_constant(lat, model.n, job, signs[job])
+                continue
+            a, b = job
+            z = eval_phi(model, mp.mpc(-b, root) / (2 * a), evaluated[job][1])
+            values[job] = mp.mpc(z.real) if (a, -b % (2 * a)) == job else z
         consts = {q_div: (i * lat.w1 + j * lat.w2) / n for q_div, (i, j, n) in exact.items()}
-        zs = [z if mv.q == 1 else signs[mv.q] * (z - consts[mv.q]) for mv, z in zip(moves, values)]
+        zs = []
+        for mv, key, c in zip(moves, keys, conj):
+            z = mp.conj(values[key]) if c else values[key]
+            zs.append(z if mv.q == 1 else signs[mv.q] * (z - consts[mv.q]))
+        half = abs(_reduced_basis(lat)[0]) / 2
+        trace_z = mp.mpc(0)
+        for a, b in pairs:               # fixed order of the fibers' first points
+            if precs[b] == digits:
+                trace_z += zs[a] + zs[b]
+                continue
+            i, j = round_to_lattice(lat, zs[b] - wp * zs[a] - consts[p2])
+            shift = consts[p2] + i * lat.w1 + j * lat.w2         # K_{p^2} + lam
+            miss = abs(wp * zs[a] + shift - zs[b])
+            if not miss <= LAMBDA_BUDGET < half:
+                raise FiberPairingError(
+                    f"orbit points {a} and {b}: w_p z_a + K_{p2} + lam misses the mate's "
+                    f"{LAMBDA_DIGITS}-digit value by {mp.nstr(miss, 3)}, against "
+                    f"{LAMBDA_BUDGET:.2g} and |b1| / 2 = {mp.nstr(half, 3)}")
+            trace_z += (1 + wp) * zs[a] + shift
+            if wp == 1:
+                zs[b], precs[b], sources[b] = zs[a] + shift, digits, f"fiber:{a}"
         entries = []
-        for kc, pt, mv, z, source in zip(classes, orbit, moves, zs, sources):
+        for kc, pt, mv, z, prec, key, source in zip(shadow.classes, orbit, moves, zs, precs,
+                                                     keys, sources):
             entries.append(OrbitEntry(
                 proj=(kc.proj.x1, kc.proj.x2),
                 form=(pt.form.a, pt.form.b, pt.form.c),
                 tau=mp.nstr(pt.tau(digits), min(digits, 30)),
-                z=(mp.nstr(z.real, min(digits, 30)), mp.nstr(z.imag, min(digits, 30))),
-                q=mv.q, n_max=mv.n_max, source=source,
+                z=(mp.nstr(z.real, min(prec, 30)), mp.nstr(z.imag, min(prec, 30))),
+                digits=prec, q=mv.q, n_max=evaluated[key][2], source=source,
             ))
-        trace_z = mp.mpc(0)
-        for z in zs:                     # fixed ascending kernel order
-            trace_z += z
         constants = tuple((q_div, signs[q_div], *exact[q_div]) for q_div in sorted(exact))
         return tuple(entries), +trace_z, max(n for n, _ in jobs), constants
 
@@ -387,7 +496,7 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
 
     t0 = time.perf_counter()
     lat = period_lattice(model.minimal, digits)
-    entries, trace_z, n_max, constants = orbit_trace(model, orbit, shadow.classes, moves, wp, lat)
+    entries, trace_z, n_max, constants = orbit_trace(model, orbit, shadow, moves, wp, lat)
     timings["orbit_evaluation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

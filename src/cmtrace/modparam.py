@@ -46,7 +46,10 @@ can be evaluated where Im is larger and the series shorter:
 cmtrace.experiments.orbit_options picks each point's move before any sign.
 The a_n are real, so phi(-conj tau) = conj phi(tau), and with period 1 the
 points of the forms (A, B, C) and (A, +-B mod 2A, C') share one series:
-orbit_trace evaluates one per such class of the moved points.
+orbit_trace evaluates one per such class of the moved points.  With
+K_{p^2} exact, a fiber of W_{p^2} needs the trace precision at one point at
+most, the other read off by a lattice vector (cmtrace.experiments
+docstring).
 
 The constants are exact.  phi(i oo) = 0, so K_Q = phi(W_Q oo), the image of
 the cusp W_Q oo = a / N.  As ad - bN = Q, Q | a and Q | d, it is x / (N/Q)
@@ -105,7 +108,7 @@ from math import ceil, expm1, gcd, isqrt, log, pi, sqrt
 
 import mpmath as mp
 
-from .curves import Curve, CurveModel, _valuation, an_coefficients, ap_bad, tate_local
+from .curves import Curve, CurveModel, _valuation, an_cached, ap_bad, tate_local
 from .errors import CmtraceError, InputError
 from .fp import _xgcd, factorint, kronecker
 from .periods import PeriodLattice, _reduced_basis
@@ -167,7 +170,7 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int) -> mp
         if tau.imag <= 0:
             raise InputError("tau must be in the upper half plane")
         nmax = phi_terms(tau.imag, digits)
-        a = an_coefficients(cur, nmax)
+        a = an_cached(cur, nmax)                  # not a copy: read a[0..nmax] only
         frac = mp.mp.prec + nmax.bit_length() + FIXED_GUARD
         m = isqrt(nmax)
         # Baby steps q^0..q^m, chained with bit_length(m) + 2 extra bits so
@@ -189,7 +192,7 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int) -> mp
         re = im = 0
         for base in range(nmax - nmax % m, -1, -m):
             re, im = (re * gre - im * gim) >> frac, (re * gim + im * gre) >> frac
-            coef = a[base:base + m]
+            coef = a[base:min(base + m, nmax + 1)]
             terms = list(compress(zip(range(base, base + m), coef, pre, pim), coef))
             if weight == 0:
                 for _, c, x, y in terms:
@@ -285,10 +288,7 @@ def al_constant(lat: PeriodLattice, n_level: int, q_div: int, w: int) -> tuple[i
         for c, s in al_constant_points(n_level, q_div, w, K_DIGITS):
             v += c * eval_phi(lat.curve, s, K_DIGITS)
         z = K_EXPONENT * v
-        # z = x w1 + y w2, where x det = Im(conj(z) w2) and y det = Im(conj(w1) z)
-        det = mp.im(mp.conj(lat.w1) * lat.w2)
-        i = int(mp.nint(mp.im(mp.conj(z) * lat.w2) / det))
-        j = int(mp.nint(mp.im(mp.conj(lat.w1) * z) / det))
+        i, j = round_to_lattice(lat, z)
         miss = abs(z - i * lat.w1 - j * lat.w2)
         half = abs(_reduced_basis(lat)[0]) / 2
     g = gcd(i, j, K_EXPONENT)
@@ -298,6 +298,15 @@ def al_constant(lat: PeriodLattice, n_level: int, q_div: int, w: int) -> tuple[i
             f"{K_EXPONENT} K_{q_div} misses the lattice by {mp.nstr(miss, 3)}, "
             f"against {K_BUDGET:.2g} and |b1| / 2 = {mp.nstr(half, 3)}")
     return i // g, j // g, K_EXPONENT // g
+
+
+def round_to_lattice(lat: PeriodLattice, z) -> tuple[int, int]:
+    """(i, j) with i w1 + j w2 the lattice vector of z's rounded coordinates:
+    z = x w1 + y w2, where x det = Im(conj(z) w2) and y det = Im(conj(w1) z).
+    Callers bound |z - i w1 - j w2| themselves (al_constant)."""
+    det = mp.im(mp.conj(lat.w1) * lat.w2)
+    return (int(mp.nint(mp.im(mp.conj(z) * lat.w2) / det)),
+            int(mp.nint(mp.im(mp.conj(lat.w1) * z) / det)))
 
 
 def _local_sign(cur: Curve, q: int) -> int | None:

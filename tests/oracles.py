@@ -47,7 +47,9 @@ computes it in doubles,
 orbit_trace_direct the sum of the parametrisation over the orbit points
 themselves, where cmtrace.experiments.orbit_trace evaluates some of them at
 W_Q (tau + k) and one series per evaluation point up to conjugation,
-orbit_values_by_class that one series per class rebuilt in kernel order,
+w_p2_pairs the W_{p^2} pairing of the orbit found by search, where
+orbit_trace checks the finite shadow's fibers against it,
+orbit_values_by_fiber orbit_trace's fiber route rebuilt in kernel order,
 where orbit_trace evaluates deepest first, al_constant_by_series the constant K_Q of such a move summed
 at full precision, where cmtrace.modparam.al_constant reads it off the
 lattice, two_torsion_roots_by_polyroots the roots of the 2-division
@@ -654,30 +656,86 @@ def evaluation_key(form) -> tuple[tuple[int, int], tuple[int, int]]:
     return (form.a, form.b % (2 * form.a)), (form.a, -form.b % (2 * form.a))
 
 
-def orbit_values_by_class(model: CurveModel, moves, digits: int):
-    """(values, sources) in orbit order: eval_phi at the evaluation point of
-    the first move of each key in kernel order, only its real part where
-    the key is its own mate, then the same value ("same:i") for a later
-    move of that key and its conjugate ("conj:i") for one of its mate, i
-    the first move's index.  The values are phi at the evaluation points,
-    before w_Q and K_Q."""
-    from cmtrace.modparam import eval_phi
-    values, sources, first = [], [], {}
-    with mp.workdps(digits + 15):
-        for job, mv in enumerate(moves):
-            key, mate = evaluation_key(mv.point.form)
-            if key in first:
-                values.append(values[first[key]])
-                sources.append(f"same:{first[key]}")
-            elif mate in first:
-                values.append(mp.conj(values[first[mate]]))
-                sources.append(f"conj:{first[mate]}")
-            else:
-                z = eval_phi(model, mv.point.tau(digits), digits)
-                values.append(mp.mpc(z.real) if key == mate else z)
-                sources.append("series")
-                first[key] = job
-    return values, sources
+def w_p2_pairs(model: CurveModel, orbit) -> list[tuple[int, int]]:
+    """The orbit paired by W_{p^2}, found by search: for each point i the one
+    j with B_j = B' mod 2N and the reduced form of G, G = (A', B', C') the
+    form of W_{p^2} (tau_i + k), as sorted pairs (i, j), i < j.  Raises
+    unless every point has exactly one such j and the relation is an
+    involution.  cmtrace.experiments.fiber_pairs checks the shadow's fibers
+    against this instead of searching."""
+    from cmtrace.heegner import al_move
+    from cmtrace.quadforms import reduce_form
+    n, p2 = model.n, model.p ** 2
+    mates = []
+    for pt in orbit:
+        image = al_move(pt.form, n, p2)[1]
+        hits = [j for j, other in enumerate(orbit) if (image.b - other.form.b) % (2 * n) == 0
+                and reduce_form(image) == reduce_form(other.form)]
+        if len(hits) != 1:
+            raise AssertionError(f"W_{p2} image of {pt.form} matches orbit points {hits}")
+        mates.append(hits[0])
+    if any(mates[j] != i for i, j in enumerate(mates)):
+        raise AssertionError(f"W_{p2} does not pair the orbit: {mates}")
+    return sorted({tuple(sorted(pair)) for pair in enumerate(mates)})
+
+
+def orbit_values_by_fiber(model: CurveModel, moves, pairs, wp: int, lat):
+    """(zs, digits, sources, terms, trace) in orbit order, as
+    cmtrace.experiments.orbit_trace defines them, rebuilt in kernel order
+    where orbit_trace evaluates deepest first.  pairs are the fibers (a, b),
+    a the point of fewer terms, in order of their first point.  A pass at the
+    trace precision over the a of each fiber (none when w_p = -1), then one at
+    LAMBDA_DIGITS over the other points, evaluates phi at the point of the
+    first move of each key in kernel order with 0 <= B < 2A, only its real
+    part where the key is its own mate, and gives a later move of that key
+    the same value ("same:i") and one of its mate the conjugate ("conj:i"),
+    at the precision it was evaluated at.  Each move applies its w_Q and
+    K_Q.  A fiber whose b has only LAMBDA_DIGITS sums to (1 + w_p) z_a + K +
+    lam, lam the lattice vector of the rounded real coordinates of z_b - w_p
+    z_a - K, and with w_p = +1 z_b becomes z_a + K + lam ("fiber:a");
+    otherwise it sums to z_a + z_b.  The trace sums the fibers in order."""
+    from cmtrace.experiments import LAMBDA_DIGITS, al_signs
+    from cmtrace.modparam import GUARD, al_constant, eval_phi, phi_terms
+    digits, n, p2 = lat.digits, len(moves), model.p ** 2
+    signs = {q: wp if w is None else w for q, w in al_signs(model)}
+    cheap = sorted(a for a, _ in pairs) if wp == 1 else []
+    rest = sorted(set(range(n)) - set(cheap))
+    zs, precs, sources, terms, first = [None] * n, [None] * n, [None] * n, [None] * n, {}
+    with mp.workdps(digits + GUARD):
+        def constant(q_div):
+            i, j, order = al_constant(lat, model.n, q_div, signs[q_div])
+            return (i * lat.w1 + j * lat.w2) / order
+
+        root = mp.sqrt(-moves[0].point.form.disc())
+        for prec, members in ((digits, cheap), (LAMBDA_DIGITS, rest)):
+            for i in members:
+                key, mate = evaluation_key(moves[i].point.form)
+                if key in first:
+                    j, precs[i], terms[i], z = first[key]
+                    sources[i] = f"same:{j}"
+                elif mate in first:
+                    j, precs[i], terms[i], z = first[mate]
+                    z, sources[i] = mp.conj(z), f"conj:{j}"
+                else:
+                    s = mp.mpc(-key[1], root) / (2 * key[0])
+                    z = eval_phi(model, s, prec)
+                    z = mp.mpc(z.real) if key == mate else z
+                    first[key] = (i, prec, phi_terms(s.imag, prec), z)
+                    precs[i], terms[i], sources[i] = prec, first[key][2], "series"
+                q_div = moves[i].q
+                zs[i] = z if q_div == 1 else signs[q_div] * (z - constant(q_div))
+        trace = mp.mpc(0)
+        for a, b in pairs:
+            if wp == 1 and precs[b] == digits:
+                trace += zs[a] + zs[b]
+                continue
+            k = constant(p2)
+            x, y = lattice_coords(lat, zs[b] - wp * zs[a] - k)
+            shift = k + int(mp.nint(x)) * lat.w1 + int(mp.nint(y)) * lat.w2
+            trace += (1 + wp) * zs[a] + shift
+            if wp == 1:
+                zs[b], precs[b], sources[b] = zs[a] + shift, digits, f"fiber:{a}"
+        return zs, precs, sources, terms, +trace
 
 
 def al_constant_by_series(cur: Curve, n_level: int, q_div: int, w: int, digits: int):

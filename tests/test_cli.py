@@ -85,12 +85,17 @@ def test_trace_run(capsys, tmp_path):
     assert code == 0
     text = capsys.readouterr().out
     assert "verdict: torsion" in text
-    assert "orbit of 8 points, 4 series evaluations" in text
+    # w_p = -1: each fiber sums to K_49 + lam, and no series runs at 40 digits
+    assert "orbit of 8 points in 4 fibers, 0 series at 40 digits" in text
     payload = json.loads(out.read_text())
     assert payload["verdict"] == "torsion"
     assert payload["wp"] == -1
     assert payload["finite_shadow"]["passed"]
     assert len(payload["orbit"]) == 8
+    # every value is known to LAMBDA_DIGITS = 5 digits, and printed to those
+    assert {e["digits"] for e in payload["orbit"]} == {5}
+    assert all(len(e["z"][0].lstrip("-").replace(".", "").lstrip("0")) <= 5
+               for e in payload["orbit"])
     sources = [e["source"] for e in payload["orbit"]]
     assert sources.count("series") == 4
     # each reused value names an entry that evaluated its series
@@ -357,6 +362,17 @@ def test_a_constant_off_the_lattice_exits_3(monkeypatch, capsys):
     assert main(["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--digits", "30"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: K_49 = ") and "Traceback" not in err
+
+
+def test_a_fiber_mate_off_by_a_period_exits_3(monkeypatch, capsys):
+    # a lattice vector one period off: the mate's value misses its
+    # LAMBDA_DIGITS evaluation by a period, far above the budget
+    rounded = experiments.round_to_lattice
+    monkeypatch.setattr(experiments, "round_to_lattice",
+                        lambda lat, z: (rounded(lat, z)[0] + 1, rounded(lat, z)[1]))
+    assert main(["trace", "--curve", "0,-1,1,-7,10", "--dk", "-67", "--digits", "30"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: orbit points ") and "Traceback" not in err
 
 
 def test_a_bugs_value_error_is_not_an_input_error(monkeypatch):

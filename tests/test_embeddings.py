@@ -58,6 +58,17 @@ def test_build_embedding_rejects_split_prime():
         build_embedding(FpParams(11), order_data(-7, 1))     # -7 is a square mod 11
 
 
+def test_build_embedding_names_p_dividing_the_conductor():
+    # -7 is inert at 5, and f = 5 makes the discriminant 0 mod 5, not a
+    # nonzero square: the error names p | f, not inertness
+    with pytest.raises(EmbeddingError, match="p = 5 divides the conductor f = 5"):
+        build_embedding(FpParams(5), order_data(-7, 5))
+    with pytest.raises(EmbeddingError, match="p = 5 divides the conductor f = 10"):
+        build_embedding(FpParams(5), order_data(-7, 10))
+    with pytest.raises(EmbeddingError, match="not inert"):
+        build_embedding(FpParams(11), order_data(-7, 5))     # f prime to 11, -7 split
+
+
 def test_optimal_random_triples():
     for dK, f, p in random_inert_triples(20):
         emb = build_embedding(FpParams(p), order_data(dK, f))

@@ -5,29 +5,29 @@ import mpmath as mp
 import pytest
 
 from cmtrace import curves
-from cmtrace.curves import curve_model
+from cmtrace.curves import an_coefficients, curve_model
 from cmtrace.errors import InputError
 from cmtrace.experiments import (TRACE_MIN_DIGITS, ExperimentSpec, HypothesisError,
-                                 al_signs, experiment_finite, orbit_options, orbit_trace,
+                                 experiment_finite, fiber_pairs, orbit_options, orbit_trace,
                                  trace_point)
 from cmtrace.heegner import HeegnerTau, galois_orbit, heegner_form
-from cmtrace.modparam import (SeriesBudgetError, al_constant, atkin_lehner_sign, eval_phi,
-                              phi_terms)
+from cmtrace.modparam import (K_DIGITS, SeriesBudgetError, al_constant_points,
+                              atkin_lehner_sign, eval_phi, phi_terms)
 from cmtrace.periods import period_lattice
 from cmtrace.quadforms import BinaryForm, kernel_classes, order_data
-from oracles import lattice_distance, orbit_values_by_class
+from oracles import lattice_distance, orbit_values_by_fiber
 
 M49 = curve_model((1, -1, 0, -2, -1))
 M121 = curve_model((0, -1, 1, -7, 10))
 M50B = curve_model((1, 1, 1, -3, 1))
 
 
-def _trace(model, orbit, kernel, digits):
+def _trace(model, orbit, shadow, digits):
     """The orbit layer's stages as trace_point runs them: moves, sign,
     periods, evaluation."""
     moves = orbit_options(model, orbit, digits)
     wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, digits)
-    return orbit_trace(model, orbit, kernel, moves, wp, period_lattice(model.minimal, digits))
+    return orbit_trace(model, orbit, shadow, moves, wp, period_lattice(model.minimal, digits))
 
 
 def test_spec_validation():
@@ -179,21 +179,21 @@ def test_trace_point_requires_curve_and_mode():
 
 
 def test_trace_invariant_under_base_replacement():
-    order = order_data(-11, 1)
-    kernel = kernel_classes(order, 7)
     digits = 40
+    shadow = experiment_finite(ExperimentSpec(dK=-11, f=1, curve=M49, digits=digits))
+    kernel = shadow.classes
     lat = period_lattice(M49.minimal, digits)
     base = HeegnerTau(form=heegner_form(49, -11, 7), n_level=49, dK=-11, conductor=7)
-    tz0 = _trace(M49, galois_orbit(base, [kc.form for kc in kernel]), kernel, digits)[1]
+    tz0 = _trace(M49, galois_orbit(base, [kc.form for kc in kernel]), shadow, digits)[1]
     # translated base form (same point, shifted representative)
     f = base.form
     shifted = BinaryForm(f.a, f.b + 2 * 49, f.a + f.b + f.c)
     base2 = HeegnerTau(form=shifted, n_level=49, dK=-11, conductor=7)
-    tz2 = _trace(M49, galois_orbit(base2, [kc.form for kc in kernel]), kernel, digits)[1]
+    tz2 = _trace(M49, galois_orbit(base2, [kc.form for kc in kernel]), shadow, digits)[1]
     # a genuinely transformed Gamma_0(49) representative
     big = f.transform(1, 0, 49, 1)
     base3 = HeegnerTau(form=big, n_level=49, dK=-11, conductor=7)
-    tz3 = _trace(M49, galois_orbit(base3, [kc.form for kc in kernel]), kernel, digits)[1]
+    tz3 = _trace(M49, galois_orbit(base3, [kc.form for kc in kernel]), shadow, digits)[1]
     with mp.workdps(55):
         assert lattice_distance(lat, mp.mpc(tz2) - mp.mpc(tz0)) < mp.mpf(10) ** -20
         assert lattice_distance(lat, mp.mpc(tz3) - mp.mpc(tz0)) < mp.mpf(10) ** -20
@@ -359,58 +359,67 @@ def test_cold_headline_trace_counts_no_points(monkeypatch, model, dK, verdict):
     monkeypatch.setattr(curves, "ap_good", counting(good))
     monkeypatch.setattr(curves, "_ap_char_sum", counting(char_sum))
     rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=model, digits=200))
-    assert rep.verdict == verdict and rep.n_max > 3000
+    sieve = len(curves._an_cache[model.minimal.ainvs][1]) - 1
+    assert rep.verdict == verdict and sieve == rep.n_max
+    # w_p = +1 on 121b1 evaluates the cheaper point of each fiber at 200
+    # digits; w_p = -1 on 49a1 evaluates every point at LAMBDA_DIGITS only
+    assert (rep.n_max > 3000) == (rep.wp == 1)
+    # the sieve up to the 200-digit plan's deepest point counts none either
+    deepest = max(mv.n_max for mv in orbit_options(model, _orbit(model, dK)[1], 200))
+    assert deepest > 3000
+    an_coefficients(model.minimal, deepest)
     assert counted == []
 
 
 def _orbit(model, dK, digits=60):
-    kernel = kernel_classes(order_data(dK, 1), model.p)
+    """(finite shadow, orbit) as trace_point builds them, at f = 1."""
+    shadow = experiment_finite(ExperimentSpec(dK=dK, f=1, curve=model, digits=digits))
     base = HeegnerTau(form=heegner_form(model.n, dK, model.p), n_level=model.n, dK=dK,
                       conductor=model.p)
-    return kernel, galois_orbit(base, [kc.form for kc in kernel])
+    return shadow, galois_orbit(base, [kc.form for kc in shadow.classes])
 
 
 def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
-    # the trace is bit for bit the kernel-order sum of the values the moves
-    # prescribe, w_Q (phi(W_Q (tau + k)) - K_Q) for a moved point, with one
-    # series per evaluation point up to conjugation, however the
+    # the trace is bit for bit its rebuild in kernel order: the values the
+    # moves prescribe, w_Q (phi(W_Q (tau + k)) - K_Q) for a moved point, one
+    # series per evaluation point and precision up to conjugation, and each
+    # fiber's sum, z_a + z_b or (1 + w_p) z_a + K_{p^2} + lam, however the
     # evaluations were ordered
     digits = 60
     for model, dK in [(M121, -67), (M49, -11), (M50B, -7)]:
-        kernel, orbit = _orbit(model, dK)
+        shadow, orbit = _orbit(model, dK)
         monkeypatch.setattr(curves, "_an_cache", {})
         wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, digits)
         lat = period_lattice(model.minimal, digits)
         moves = orbit_options(model, orbit, digits)
-        entries, trace_z, n_max, constants = orbit_trace(model, orbit, kernel, moves, wp, lat)
+        entries, trace_z, n_max, constants = orbit_trace(model, orbit, shadow, moves, wp, lat)
         monkeypatch.setattr(curves, "_an_cache", {})
         terms = [mv.n_max for mv in moves]
         # kernel order starts below the deepest evaluation, so the sieve
         # grows differently from orbit_trace's deepest-first order
         assert len(set(terms)) > 1 and terms[0] < max(terms)
         assert {mv.q for mv in moves} > {1}               # some points move, some stay
-        signs = {q_div: wp if w is None else w for q_div, w in al_signs(model)}
+        pairs = [tuple(sorted(pair, key=lambda i: (terms[i], i)))
+                 for pair in fiber_pairs(model, orbit, shadow)]
         # kernel order, the sieve grows with each series
-        values, sources = orbit_values_by_class(model, moves, digits)
+        zs, precs, sources, series_terms, in_order = orbit_values_by_fiber(
+            model, moves, pairs, wp, lat)
         assert 1 < sources.count("series") < len(moves)
-        with mp.workdps(digits + 15):
-            in_order = mp.mpc(0)
-            for mv, z in zip(moves, values):
-                if mv.q != 1:
-                    i, j, n = al_constant(lat, model.n, mv.q, signs[mv.q])
-                    z = signs[mv.q] * (z - (i * lat.w1 + j * lat.w2) / n)
-                in_order += z
-            in_order = +in_order
-        assert n_max == max(terms)
-        assert [c[0] for c in constants] == sorted({mv.q for mv in moves} - {1})
-        assert [(e.q, e.n_max, e.source) for e in entries] == [
-            (mv.q, mv.n_max, source) for mv, source in zip(moves, sources)]
+        reads_lam = wp == -1 or any(source.startswith("fiber:") for source in sources)
+        qs = sorted({mv.q for mv in moves} - {1} | ({model.p ** 2} if reads_lam else set()))
+        assert [c[0] for c in constants] == qs
+        k_terms = [phi_terms(pts[0][1].imag, K_DIGITS) for q_div, w, *_ in constants
+                   if (pts := al_constant_points(model.n, q_div, w, K_DIGITS))]
+        assert n_max == max(series_terms + k_terms)
+        assert [(e.digits, e.q, e.n_max, e.source) for e in entries] == [
+            (prec, mv.q, n, source)
+            for prec, mv, n, source in zip(precs, moves, series_terms, sources)]
         assert (trace_z.real, trace_z.imag) == (in_order.real, in_order.imag)
 
 
 def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
     digits = 60
-    kernel, orbit = _orbit(M121, -67)
+    shadow, orbit = _orbit(M121, -67)
     deepest = max(mv.n_max for mv in orbit_options(M121, orbit, digits))
     with mp.workdps(digits + 15):
         unmoved = max(phi_terms(pt.tau(digits).imag, digits) for pt in orbit)
@@ -424,13 +433,19 @@ def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
     monkeypatch.setattr("cmtrace.experiments.eval_phi", no_eval)
     monkeypatch.setattr("cmtrace.modparam.eval_phi", no_eval)
     with pytest.raises(SeriesBudgetError) as exc:
-        _trace(M121, orbit, kernel, digits)          # raised by orbit_options
+        _trace(M121, orbit, shadow, digits)          # raised by orbit_options
     assert exc.value.needed == deepest
-    # at the deepest need itself the same orbit is evaluated
+    # at the deepest need itself the same orbit is evaluated: w_p = +1, so
+    # the cheaper point of each fiber at the trace precision, and the deepest
+    # of those is the most terms evaluated
     monkeypatch.setattr("cmtrace.modparam.NMAX_CAP", deepest)
     monkeypatch.setattr("cmtrace.experiments.eval_phi", eval_phi)
     monkeypatch.setattr("cmtrace.modparam.eval_phi", eval_phi)
-    assert _trace(M121, orbit, kernel, digits)[2] == deepest
+    moves = orbit_options(M121, orbit, digits)
+    cheaper = max(min(moves[i].n_max, moves[j].n_max)
+                  for i, j in fiber_pairs(M121, orbit, shadow))
+    assert cheaper < deepest
+    assert _trace(M121, orbit, shadow, digits)[2] == cheaper
 
 
 def test_over_budget_trace_fails_before_the_sign(monkeypatch):

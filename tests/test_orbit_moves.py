@@ -4,10 +4,13 @@ Pic(O_pl), and orbit points moved by Atkin-Lehner involutions: the identity
 phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q), each K_Q exact on the lattice and
 equal to its full-precision series, the same orbit values and trace as the
 direct route on the whole trace catalogue, one series per evaluation point
-up to complex conjugation, never more series terms, and the fixed-point pair
+up to complex conjugation, the finite shadow's fibers as the W_{p^2}
+pairing with at most one trace-precision series per fiber and each mate's
+lattice vector exact, never more series terms, and the fixed-point pair
 kernel against the term-by-term sum."""
 
 from collections import Counter
+from dataclasses import replace
 from math import gcd, isqrt
 
 import mpmath as mp
@@ -18,19 +21,20 @@ from hypothesis import strategies as st
 from cmtrace import curves, experiments
 from cmtrace.curves import an_coefficients, curve_model
 from cmtrace.errors import InputError
-from cmtrace.experiments import (ExperimentSpec, al_signs, orbit_options, orbit_trace,
+from cmtrace.experiments import (LAMBDA_DIGITS, ExperimentSpec, FiberPairingError, al_signs,
+                                 experiment_finite, fiber_pairs, orbit_options, orbit_trace,
                                  trace_point)
 from cmtrace.fp import kronecker
 from cmtrace.heegner import HeegnerTau, al_move, galois_orbit, heegner_form
 from cmtrace.modparam import (GUARD, K_DIGITS, MAZUR_ORDERS, NMAX_CAP, al_constant,
                               al_constant_points, al_matrix, atkin_lehner_sign, eval_newform,
                               eval_phi, phi_terms)
-from cmtrace.periods import is_torsion, lattice_reduce, period_lattice
-from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes,
-                               order_data, reduced_forms)
+from cmtrace.periods import is_torsion, lattice_reduce, period_lattice, torsion_residual
+from cmtrace.quadforms import (is_fundamental_discriminant, kernel_classes, order_data,
+                               reduced_forms)
 from oracles import (al_constant_by_series, eval_series_direct, evaluation_key,
-                     galois_orbit_by_lattices, orbit_trace_direct, orbit_values_by_class,
-                     phi_terms_mp)
+                     galois_orbit_by_lattices, orbit_trace_direct, orbit_values_by_fiber,
+                     phi_terms_mp, w_p2_pairs)
 
 # the five curves of the trace catalogue, with the modes the suite uses
 CURVES = {
@@ -97,11 +101,12 @@ def _wp(label: str) -> int:
 
 
 def _orbit(label: str, dK: int, f: int):
+    """(model, finite shadow, orbit) as trace_point builds them."""
     model = MODELS[label]
-    kernel = kernel_classes(order_data(dK, f), model.p)
+    shadow = experiment_finite(ExperimentSpec(dK=dK, f=f, curve=model))
     base = HeegnerTau(form=heegner_form(model.n, dK, model.p * f), n_level=model.n, dK=dK,
                       conductor=model.p * f)
-    return model, kernel, galois_orbit(base, [kc.form for kc in kernel])
+    return model, shadow, galois_orbit(base, [kc.form for kc in shadow.classes])
 
 
 def test_catalogue_has_115_cases():
@@ -265,32 +270,57 @@ def test_every_constant_is_a_torsion_point_equal_to_its_series(digits):
     assert al_constant(period_lattice(MODELS["50a1"].minimal, digits), 50, 2, 1) == (-1, 0, 1)
 
 
+def _reads_lam(rep) -> bool:
+    """Whether some fiber of a report reads its lattice vector: every fiber
+    when w_p = -1, and each "fiber:i" point when w_p = +1."""
+    return rep.wp == -1 or any(e.source.startswith("fiber:") for e in rep.orbit)
+
+
 def test_the_report_lists_each_constant_it_used():
+    # K_Q of each move, and K_{p^2} when some fiber reads its lattice vector
     rep = trace_point(ExperimentSpec(dK=-11, f=1, curve=MODELS["49a1"], digits=60))
     assert rep.to_json()["constants"] == [{"Q": 49, "w": -1, "i": 1, "j": 0, "n": 2}]
     rep = trace_point(ExperimentSpec(dK=-7, f=1, curve=MODELS["50b1"], digits=60))
-    assert [(c["Q"], c["n"]) for c in rep.to_json()["constants"]] == [(50, 5)]
-    assert {q for q, *_ in rep.constants} == {e.q for e in rep.orbit} - {1}
+    assert [(c["Q"], c["w"], c["n"]) for c in rep.to_json()["constants"]] == [
+        (25, 1, 1), (50, -1, 5)]
+    assert {e.q for e in rep.orbit} == {1, 50}          # K_25 comes from the fibers alone
+    firsts = {}
+    for label, dK, f in CATALOGUE + W9_CASES:
+        firsts.setdefault(label, (dK, f))
+    for label, (dK, f) in firsts.items():
+        rep = trace_point(ExperimentSpec(dK=dK, f=f, curve=MODELS[label], digits=60))
+        lam = {MODELS[label].p ** 2} if _reads_lam(rep) else set()
+        assert {q for q, *_ in rep.constants} == {e.q for e in rep.orbit} - {1} | lam, label
     # no 50b1 orbit moves by W_2, whose constant also has order 5
     assert al_constant(period_lattice(MODELS["50b1"].minimal, 60), 50, 2, -1)[2] == 5
 
 
-def _classes(model, orbit_entries) -> int:
-    """Evaluation points of a report up to conjugation: the keys of the
-    forms after the moves, a key and its mate counted once."""
-    keys = set()
-    for e in orbit_entries:
-        form = BinaryForm(*e.form)
-        if e.q != 1:
-            form = al_move(form, model.n, e.q)[1]
-        keys.add(frozenset(evaluation_key(form)))
-    return len(keys)
+def _cheaper_first(pairs, moves) -> list:
+    """Each pair (a, b) with a the point of fewer terms, the first on a tie."""
+    return [tuple(sorted(pair, key=lambda i: (moves[i].n_max, i))) for pair in pairs]
+
+
+def _evaluation_classes(model, orbit, moves, wp: int) -> tuple[int, int]:
+    """(at the trace precision, at LAMBDA_DIGITS): the evaluation points up
+    to conjugation, keyed by the forms after the moves, of the cheaper point
+    of each W_{p^2} pair when w_p = +1 (none when w_p = -1), then of the
+    other points whose key the first set lacks."""
+    cheap = {a for a, _ in _cheaper_first(w_p2_pairs(model, orbit), moves)} if wp == 1 else set()
+
+    def key(i):
+        return frozenset(evaluation_key(moves[i].point.form))
+
+    full = {key(i) for i in cheap}
+    return len(full), len({key(i) for i in range(len(orbit)) if i not in cheap} - full)
 
 
 def test_no_constant_point_is_evaluated_at_the_trace_precision(monkeypatch):
-    # a 200-digit trace evaluates one series per evaluation point up to
-    # conjugation at 200 digits, and each K_Q point once, at K_DIGITS
-    calls, classes = [], {}
+    # a 200-digit trace evaluates each K_Q point once, at K_DIGITS, and the
+    # orbit at 200 digits only at the cheaper point of each w_p = +1 fiber,
+    # one series per evaluation point up to conjugation: none on 49a1/-11
+    # (w_p = -1) and at most one per fiber on 121b1/-67; every other point
+    # is evaluated, up to conjugation, at LAMBDA_DIGITS
+    calls, full = [], {}
 
     def recording(model, tau, digits):
         calls.append(digits)
@@ -299,58 +329,60 @@ def test_no_constant_point_is_evaluated_at_the_trace_precision(monkeypatch):
     monkeypatch.setattr(experiments, "eval_phi", recording)
     monkeypatch.setattr("cmtrace.modparam.eval_phi", recording)
     al_constant.cache_clear()
-    for label, dK in [("49a1", -11), ("50b1", -7), ("1,-1,0,0,-5", -31)]:
+    for label, dK in [("49a1", -11), ("121b1", -67), ("50b1", -7), ("1,-1,0,0,-5", -31)]:
+        model, _, orbit = _orbit(label, dK, 1)
         del calls[:]
-        rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=MODELS[label], digits=200))
-        model = MODELS[label]
+        rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=model, digits=200))
         points = sum(len(al_constant_points(model.n, q_div, w, K_DIGITS))
                      for q_div, w, *_ in rep.constants)
-        assert points > 0
-        classes[label] = _classes(model, rep.orbit)
-        assert sorted(calls) == [K_DIGITS] * points + [200] * classes[label], label
-        assert sum(e.source == "series" for e in rep.orbit) == classes[label] < len(rep.orbit)
-    assert classes["49a1"] == 4
-
-
-def _moved_values(label, moves, values, digits):
-    """w_Q (value - K_Q) for each moved point, in orbit order."""
-    signs = dict(_signs(label))
-    with mp.workdps(digits + 15):
-        return [z if mv.q == 1 else signs[mv.q] * (z - _constant(label, mv.q, digits))
-                for mv, z in zip(moves, values)]
+        full[label], low = _evaluation_classes(model, orbit, orbit_options(model, orbit, 200),
+                                               rep.wp)
+        assert low > 0 and (points > 0) == (label != "121b1")     # K_121 = 0: no point
+        assert sorted(calls) == sorted(
+            [K_DIGITS] * points + [LAMBDA_DIGITS] * low + [200] * full[label]), label
+        # a w_p = +1 point whose lam a LAMBDA_DIGITS series gave is "fiber:i"
+        series = [e.digits for e in rep.orbit if e.source == "series"]
+        assert sorted(series) == [LAMBDA_DIGITS] * low * (rep.wp == -1) + [200] * full[label]
+        assert full[label] <= rep.finite_shadow.fiber_count * (rep.wp == 1)
+    assert full == {"49a1": 0, "121b1": 4, "50b1": 2, "1,-1,0,0,-5": 0}
 
 
 def _check_against_direct(label, dK, f, digits):
-    """orbit_trace against its rebuild in kernel order, bit for bit, and
-    each value against the orbit point's own series; each reused value
-    against the series at its own evaluation point, and each self-conjugate
-    value's imaginary part, within the evaluator's 10^-(digits+10).  Returns
-    the moves' Q and the sources."""
-    model, kernel, orbit = _orbit(label, dK, f)
+    """orbit_trace against its rebuild in kernel order, bit for bit, with
+    the fibers paired by search (oracles.w_p2_pairs), and against the orbit
+    points' own series (the direct route): each value known to the trace
+    precision within 10^-(digits+5), each LAMBDA_DIGITS value within 10^-10
+    (the module docstring's bound), each fiber's z_j - w_p z_i - K_{p^2} on
+    the lattice within 10^-(digits+5), and the trace within 10^-(digits+10)
+    of the direct sum, with the same torsion verdict.  Returns the moves' Q
+    and the sources."""
+    model, shadow, orbit = _orbit(label, dK, f)
     moves = orbit_options(model, orbit, digits)
-    lat = period_lattice(model.minimal, digits)
-    entries, trace_z, n_max, _ = orbit_trace(model, orbit, kernel, moves, _wp(label), lat)
-    values, sources = orbit_values_by_class(model, moves, digits)
-    zs = _moved_values(label, moves, values, digits)
+    lat, wp = period_lattice(model.minimal, digits), _wp(label)
+    entries, trace_z, n_max, _ = orbit_trace(model, orbit, shadow, moves, wp, lat)
+    pairs = _cheaper_first(w_p2_pairs(model, orbit), moves)
+    zs, precs, sources, terms, trace = orbit_values_by_fiber(model, moves, pairs, wp, lat)
     zs_direct, trace_direct = orbit_trace_direct(model, orbit, digits)
+    k_p2 = _constant(label, model.p ** 2, digits)
     tol, proven = mp.mpf(10) ** -(digits + 5), mp.mpf(10) ** -(digits + 10)
     with mp.workdps(digits + 15):
-        total = mp.mpc(0)
-        for z in zs:
-            total += z
-        assert (+total).real == trace_z.real and (+total).imag == trace_z.imag
-        for mv, z, source in zip(moves, values, sources):
-            key, mate = evaluation_key(mv.point.form)
-            if source != "series" or key == mate:
-                # a reused value, or a real one: |Im phi| < proven at A | B
-                own = eval_phi(model, mv.point.tau(digits), digits)
-                assert abs(own - z) < proven, (label, dK, f, source)
-        for z, z_direct in zip(zs, zs_direct):
-            assert abs(z - z_direct) < tol, (label, dK, f)
-        assert abs(trace_z - trace_direct) < tol, (label, dK, f)
-    assert n_max >= max(mv.n_max for mv in moves)
-    assert [(e.q, e.n_max, e.source) for e in entries] == [
-        (mv.q, mv.n_max, source) for mv, source in zip(moves, sources)]
+        assert trace.real == trace_z.real and trace.imag == trace_z.imag
+        for z, prec, z_direct in zip(zs, precs, zs_direct):
+            assert abs(z - z_direct) < (tol if prec == digits else 1e-10), (label, dK, f, prec)
+        for i, j in pairs:
+            rel = zs_direct[j] - wp * zs_direct[i] - k_p2
+            assert abs(lattice_reduce(lat, rel)) < tol, (label, dK, f, i, j)
+        assert abs(trace_z - trace_direct) < proven, (label, dK, f)
+        assert is_torsion(trace_z, lat) == is_torsion(trace_direct, lat)
+        assert abs(torsion_residual(trace_z, lat) - torsion_residual(trace_direct, lat)) < tol
+    assert [(e.digits, e.q, e.n_max, e.source) for e in entries] == [
+        (prec, mv.q, n, source) for prec, mv, n, source in zip(precs, moves, terms, sources)]
+    assert [e.z for e in entries] == [
+        (mp.nstr(z.real, min(prec, 30)), mp.nstr(z.imag, min(prec, 30)))
+        for z, prec in zip(zs, precs)]
+    assert set(precs) <= {digits, LAMBDA_DIGITS} and n_max >= max(terms)
+    if wp == -1:
+        assert set(precs) == {LAMBDA_DIGITS}
     return [mv.q for mv in moves], sources
 
 
@@ -368,14 +400,54 @@ def test_orbit_values_match_the_direct_route_on_the_catalogue_at_60_digits():
 @pytest.mark.parametrize("label,dK,f", [("49a1", -11, 1), ("121b1", -67, 1), ("50b1", -7, 1)])
 def test_orbit_values_match_the_direct_route_at_200_digits(label, dK, f):
     qs, sources = _check_against_direct(label, dK, f, 200)
-    assert set(qs) != {1} and set(sources) != {"series"}
+    kinds = {source.split(":")[0] for source in sources}
+    assert set(qs) != {1} and kinds != {"series"}
+    assert ("fiber" in kinds) == (_wp(label) == 1)
 
 
-def test_the_catalogue_evaluates_539_series_for_1040_points_at_60_digits(monkeypatch):
-    # one trace-precision series per evaluation point up to conjugation:
-    # 364 points take a conjugate, 137 a value of the same point, and 22 of
-    # those 501 are at M > 1
-    calls, points, sources = [], 0, {}
+def test_the_shadow_fibers_are_the_w_p2_pairing_of_every_orbit():
+    # on all 1040 catalogue points and the 20 level-45 and level-90 cases:
+    # the fibers fiber_pairs checks in integers are the pairs the search finds
+    points = 0
+    for label, dK, f in CATALOGUE + W9_CASES:
+        model, shadow, orbit = _orbit(label, dK, f)
+        assert list(fiber_pairs(model, orbit, shadow)) == w_p2_pairs(model, orbit), (label, dK)
+        points += len(orbit) * ((label, dK, f) in CATALOGUE)
+    assert points == 1040
+
+
+@pytest.mark.parametrize("label,dK", [("121b1", -67), ("49a1", -11)])
+def test_a_swapped_mate_or_a_lattice_vector_off_by_a_period_raises(monkeypatch, label, dK):
+    model, shadow, orbit = _orbit(label, dK, 1)
+    moves = orbit_options(model, orbit, 60)
+    lat = period_lattice(model.minimal, 60)
+
+    def run(shadow):
+        return orbit_trace(model, orbit, shadow, moves, _wp(label), lat)
+
+    (l1, (u1, v1)), (l2, (u2, v2)) = sorted(shadow.fibers.items())[:2]
+    swapped = replace(shadow, fibers={**shadow.fibers, l1: [u1, v2], l2: [u2, v1]})
+    with pytest.raises(FiberPairingError, match="fiber mate"):
+        run(swapped)
+    rounded = experiments.round_to_lattice
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "round_to_lattice",
+                      lambda lat, z: (rounded(lat, z)[0] + 1, rounded(lat, z)[1]))
+        with pytest.raises(FiberPairingError, match="misses"):
+            run(shadow)
+    # a budget of |b1| / 2 or more would not single out the lattice vector
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "LAMBDA_BUDGET", 10.0)
+        with pytest.raises(FiberPairingError, match="misses"):
+            run(shadow)
+    run(shadow)
+
+
+def test_the_catalogue_evaluates_219_series_for_1040_points_at_60_digits(monkeypatch):
+    # the trace precision only at the cheaper point of each w_p = +1 fiber,
+    # one series per evaluation point up to conjugation; the other points at
+    # LAMBDA_DIGITS, again one series per evaluation point up to conjugation
+    calls, points, sources = [], 0, Counter()
 
     def recording(model, tau, digits):
         calls.append(digits)
@@ -383,17 +455,19 @@ def test_the_catalogue_evaluates_539_series_for_1040_points_at_60_digits(monkeyp
 
     monkeypatch.setattr(experiments, "eval_phi", recording)
     for label, dK, f in CATALOGUE:
-        model, kernel, orbit = _orbit(label, dK, f)
+        model, shadow, orbit = _orbit(label, dK, f)
         moves = orbit_options(model, orbit, 60)
-        entries = orbit_trace(model, orbit, kernel, moves, _wp(label),
+        entries = orbit_trace(model, orbit, shadow, moves, _wp(label),
                               period_lattice(model.minimal, 60))[0]
         points += len(entries)
-        for e in entries:
-            kind = (e.source.split(":")[0], model.m > 1)
-            sources[kind] = sources.get(kind, 0) + 1
-    assert (calls.count(60), points) == (539, 1040)
-    assert sources == {("series", False): 421, ("conj", False): 360, ("same", False): 119,
-                       ("series", True): 118, ("conj", True): 4, ("same", True): 18}
+        sources.update((e.source.split(":")[0], e.digits, _wp(label)) for e in entries)
+    assert (calls.count(60), calls.count(LAMBDA_DIGITS), points) == (219, 320, 1040)
+    # (kind, digits, w_p): 620 points of w_p = +1 orbits, 219 + 70 + 155 of
+    # them at the trace precision from a series and 176 from a fiber mate
+    # (their lam from 104 series at LAMBDA_DIGITS), and 420 of w_p = -1 orbits
+    assert sources == {("series", 60, 1): 219, ("same", 60, 1): 70, ("conj", 60, 1): 155,
+                       ("fiber", 60, 1): 176, ("series", 5, -1): 216, ("same", 5, -1): 67,
+                       ("conj", 5, -1): 137}
 
 
 def test_a_self_conjugate_point_keeps_only_the_real_part(monkeypatch):
@@ -404,9 +478,9 @@ def test_a_self_conjugate_point_keeps_only_the_real_part(monkeypatch):
         return eval_phi(model, tau, digits) + mp.mpc(0, 10 ** -70)
 
     monkeypatch.setattr(experiments, "eval_phi", noisy)
-    model, kernel, orbit = _orbit("49a1", -107, 1)
+    model, shadow, orbit = _orbit("49a1", -107, 1)
     moves = orbit_options(model, orbit, 60)
-    entries = orbit_trace(model, orbit, kernel, moves, _wp("49a1"),
+    entries = orbit_trace(model, orbit, shadow, moves, _wp("49a1"),
                           period_lattice(model.minimal, 60))[0]
     mirrored = [e for e, mv in zip(entries, moves)
                 if e.q == 1 and len(set(evaluation_key(mv.point.form))) == 1]
@@ -488,9 +562,11 @@ def test_phi_terms_in_doubles_equals_the_30_digit_count_on_the_catalogue(monkeyp
 
 @pytest.mark.parametrize("label,dK", [("49a1", -11), ("50b1", -7), ("1,-1,0,0,-5", -31)])
 def test_cold_trace_with_constants_extends_the_sieve_once(monkeypatch, label, dK):
-    # the orbit's evaluations, the K_Q points at K_DIGITS among them, extend
-    # the sieve once; before them only a numerical w_p (1,-1,0,0,-5 is
-    # additive at 3) evaluates a series, the newform's, which needs fewer terms
+    # the orbit's evaluations at every precision, the K_Q points at K_DIGITS
+    # among them, extend the sieve at most once; before them only a numerical
+    # w_p (1,-1,0,0,-5 is additive at 3) evaluates a series, the newform's,
+    # and there the orbit (w_p = -1, every point at LAMBDA_DIGITS) needs fewer
+    # terms still, so the cold trace extends the sieve once in all
     calls, signed = [], []
     extended, sign = curves._extended, experiments.atkin_lehner_sign
 
@@ -510,7 +586,10 @@ def test_cold_trace_with_constants_extends_the_sieve_once(monkeypatch, label, dK
     rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=MODELS[label], digits=60))
     k = signed[0]
     assert k == (label in W9_CURVES)
-    assert calls[k:] == [(calls[k - 1][1] if k else 1, rep.n_max)]
+    if k:
+        assert calls == [(1, 450)] and rep.n_max == 255
+    else:
+        assert calls == [(1, rep.n_max)]
     assert {e.q for e in rep.orbit} > {1}
     assert rep.n_max >= max(e.n_max for e in rep.orbit)
     orbit_json = rep.to_json()["orbit"]
