@@ -21,8 +21,8 @@ import mpmath as mp
 from .curves import Curve, conductor, curve_model, minimal_model
 from .embeddings import FiberStructureError
 from .errors import CmtraceError, InputError
-from .experiments import (DEFAULT_DIGITS, ExperimentSpec, FiberPairingError, check_digits,
-                          experiment_finite, trace_point)
+from .experiments import (DEFAULT_DIGITS, LAMBDA_DIGITS, ExperimentSpec, FiberPairingError,
+                          check_digits, experiment_finite, trace_point)
 from .heegner import heegner_form
 from .modparam import AlConstantError, atkin_lehner_sign
 from .periods import DIGITS_CAP
@@ -153,10 +153,10 @@ def _cmd_trace(args) -> tuple[int, dict]:
     report = trace_point(spec)
     print(f"curve {list(args.curve)} (N = {model.n} = {model.p}^2 * {model.m}), "
           f"K = Q(sqrt({args.dk})), f = {args.f}, digits = {digits}")
-    series = sum(e.source == "series" and e.digits == digits for e in report.orbit)
+    full, low = report.series
     print(f"w_p = {report.wp:+d}; orbit of {len(report.orbit)} points in "
-          f"{report.finite_shadow.fiber_count} fibers, {series} series at {digits} digits; "
-          f"n_max = {report.n_max}")
+          f"{report.finite_shadow.fiber_count} fibers, {full} series at {digits} digits, "
+          f"{low} at {LAMBDA_DIGITS} digits; n_max = {report.n_max}")
     for q_div, w, i, j, n in report.constants:
         print(f"K_{q_div} = ({i}*w1 + {j}*w2)/{n}: order {n}, w_{q_div} = {w:+d}")
     print(f"trace z = {mp.nstr(report.trace_z, min(digits, 30))}")

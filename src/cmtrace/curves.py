@@ -1,9 +1,39 @@
 """Elliptic curves over Q: Weierstrass invariants, minimal models, Tate's
 algorithm for reduction data and conductor, and Fourier coefficients a_n.
 
-Good a_ell come from counting points over F_ell: ell = 2 by its four affine
-points, every odd ell by one vectorised quadratic-character sum, exact in
-int64 up to AN_BOUND.  A curve with complex multiplication by an order of
+Good a_ell come from counting points over F_ell, in Python integers:
+ell = 2 and 3 by their affine points.  For ell >= 5, E is isomorphic over
+F_ell to y^2 = f(x) = x^3 + A x + B, A = -27 c4, B = -54 c6, and
+#E(F_ell) = ell + 1 + sum_x chi(f(x)), chi the quadratic character: that
+character sum counts ell <= MESTRE_BOUND, and a baby-step giant-step
+search (Shanks-Mestre; Cohen, A Course in Computational Algebraic Number
+Theory, GTM 138, 1993, section 7.4) every larger ell, exact by the
+following argument.  Take v = f(x0) != 0.  The twist E^v: v y^2 = f(x)
+holds (x0, 1); scaled by v^3 it is y^2 = x^3 + A v^2 x + B v^3 with the
+point P = (x0 v, v^2), found with no square root.  E^v is E when v is a
+square (Euler's criterion) and the quadratic twist E' otherwise, and
+#E + #E' = 2 ell + 2.  By Hasse, #E^v = ell + 1 - t with t^2 <= 4 ell, so
+|t| <= h = isqrt(4 ell): #E^v = low + k for some k in [0, 2h],
+low = ell + 1 - h, and #E^v P = O.  Every multiple of the order of P in
+that interval has the same property, so the search must find all of them,
+not the first: it examines every k in [0, 2h], and #E^v is known only
+when it finds exactly one.  It writes low + k = low + m + i (2m + 1) + s
+with -m <= s <= m, m = isqrt(h), so that (low + k) P = O exactly when the
+giant step Q_i = (low + m + i (2m + 1)) P equals -s P.  When the baby
+steps jP, 1 <= j <= m + 1, have distinct x and y != 0, the points +-jP
+(j <= m) and O are 2m + 1 distinct points: Q_i = O gives s = 0, and
+otherwise x(Q_i) names at most one j and y(Q_i) its sign.  So the k found
+are exactly those with (low + k) P = O, #E^v among them, and a unique k is
+#E^v.  When the babies fail that test, P has order at most 2m + 2 <= h,
+so two multiples in the interval, like a P for which two k are found: the
+search moves to the next x0.  By Mestre's theorem, in the form Cremona and
+Sutherland proved (J. Theor. Nombres Bordeaux 22, 2010), for ell > 229
+E or E' has a point whose order has a single multiple in the interval, so
+a further point rarely fails too; after SEARCH_POINTS points the character
+sum decides.  Every step is exact integer arithmetic, so AN_BOUND is only
+the cap on the coefficients a sieve may ask for.
+
+A curve with complex multiplication by an order of
 K = Q(sqrt d) skips the count where it is forced: at a good prime ell that
 is inert in K the reduction is supersingular (Deuring, Abh. Math. Sem.
 Hamburg 14, 1941), so a_ell = 0 mod ell, and for ell >= 5 the Hasse bound
@@ -37,8 +67,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt, prod
-
-import numpy as np
 
 from .errors import InputError
 from .fp import factorint, isprime, kronecker
@@ -76,11 +104,11 @@ class Curve:
                 - self.a1 * self.a3 * self.a4 + self.a2 * self.a3 * self.a3
                 - self.a4 * self.a4)
 
-    @property
+    @cached_property
     def c4(self) -> int:
         return self.b2 * self.b2 - 24 * self.b4
 
-    @property
+    @cached_property
     def c6(self) -> int:
         return -self.b2 ** 3 + 36 * self.b2 * self.b4 - 216 * self.b6
 
@@ -374,35 +402,130 @@ def ap_good(cur: Curve, ell: int) -> int:
         raise InputError(f"point counts capped at {AN_BOUND}")
     if ell >= 5 and cur.cm_disc and kronecker(cur.cm_disc, ell) == -1:
         return 0
-    if ell == 2:
+    if ell < 5:
         a1, a2, a3, a4, a6 = cur.ainvs
-        count = 1 + sum((y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % 2 == 0
-                        for x in (0, 1) for y in (0, 1))
-        return 3 - count
-    return _ap_char_sum(cur, ell)
+        count = 1 + sum((y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % ell == 0
+                        for x in range(ell) for y in range(ell))
+        return ell + 1 - count
+    return _ap_count(cur, ell)
 
 
-def _ap_char_sum(cur: Curve, ell: int) -> int:
-    # Completing the square (ell odd): #E(F_ell) = ell + 1 + sum_x chi(f(x)),
-    # f = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character.  With
-    # coefficients reduced mod ell, Horner's f(x) < 5 ell^3 < 2^63 for ell <=
-    # AN_BOUND: int64 is exact, and one floor division at the end (faster than
-    # %) reduces it, into x; x and sq go before the sum buffers its int64 cast.
-    x = np.arange(ell, dtype=np.int64)
-    sq = x[: ell // 2 + 1] ** 2
-    sq -= sq // ell * ell
-    f = 4 * x
-    f += cur.b2 % ell
-    f *= x
-    f += 2 * cur.b4 % ell
-    f *= x
-    f += cur.b6 % ell
-    f -= np.multiply(np.floor_divide(f, ell, out=x), ell, out=x)
-    chi = np.full(ell, -1, dtype=np.int8)
-    chi[sq] = 1
+MESTRE_BOUND = 229          # above it the search is the route (module docstring)
+SEARCH_POINTS = 12          # points the search tries before the character sum decides
+
+
+def _ap_count(cur: Curve, ell: int) -> int:
+    """a_ell for a good prime ell >= 5 on the short model y^2 = x^3 + a x +
+    b: the baby-step giant-step search on points P = (x0 v, v^2) of the
+    twists E^v, x0 = 1, 2, ..., or the character sum (module docstring)."""
+    a, b = -27 * cur.c4 % ell, -54 * cur.c6 % ell
+    if ell <= MESTRE_BOUND:
+        return _ap_char_sum(ell, a, b)
+    h = isqrt(4 * ell)
+    tried = 0
+    for x0 in range(1, ell):
+        v = ((x0 * x0 + a) * x0 + b) % ell
+        if not v:
+            continue
+        n = _hasse_multiple(ell, a * v * v % ell, x0 * v % ell, v * v % ell, ell + 1 - h, 2 * h)
+        if n:                               # n = #E^v; #E = 2 ell + 2 - n for the twist
+            return ell + 1 - n if pow(v, (ell - 1) // 2, ell) == 1 else n - ell - 1
+        tried += 1
+        if tried == SEARCH_POINTS:
+            break
+    return _ap_char_sum(ell, a, b)
+
+
+def _hasse_multiple(ell: int, a: int, x: int, y: int, low: int, width: int) -> int:
+    """The n in [low, low + width] with n P = O, P = (x, y) with y != 0 on
+    y^2 = x^3 + a x + b over F_ell, when it is the only one; else 0.
+
+    Baby steps jP, j <= m = isqrt(width / 2), keyed by x; giant steps Q_i =
+    (low + m + i (2m + 1)) P from the start (low + m) P by (2m + 1) P, both
+    built from the babies.  Q_i = O or Q_i = +-jP is the multiple
+    low + m + i (2m + 1) -+ j (module docstring)."""
+    m = isqrt(width // 2)
+    # the babies P..(m + 1)P: the tangent at P, then chords through P
+    lam = (3 * x * x + a) * pow(2 * y, -1, ell) % ell
+    bx = (lam * lam - 2 * x) % ell
+    by = (lam * (x - bx) - y) % ell
+    xs, ys = [x, bx], [y, by]
+    for _ in range(m - 1):
+        if bx == x:
+            return 0                        # jP = +-P
+        lam = (by - y) * pow(bx - x, -1, ell) % ell
+        bx = (lam * lam - x - bx) % ell
+        by = (lam * (x - bx) - y) % ell
+        xs.append(bx)
+        ys.append(by)
+    baby = dict(zip(xs, range(1, m + 1)))
+    if len(baby) < m or bx in baby or 0 in ys:
+        return 0                            # P has order at most 2m + 2
+    g = gx, gy = _add((xs[m - 1], ys[m - 1]), (bx, by), a, ell)
+    q, r = divmod(low + 2 * m, 2 * m + 1)   # low + m = q (2m + 1) + (r - m)
+    s = _mul(q, g, a, ell)
+    if r != m:
+        j = abs(r - m) - 1
+        s = _add(s, (xs[j], ys[j] if r > m else ell - ys[j]), a, ell)
+    found, n, top = 0, low + m, low + width
+    while True:
+        if s is None:
+            hit = n
+        else:
+            sx, sy = s
+            j = baby.get(sx)
+            hit = j and (n - j if sy == ys[j - 1] else n + j)
+        if hit and low <= hit <= top:
+            if found:
+                return 0
+            found = hit
+        n += 2 * m + 1
+        if n - m > top:
+            return found
+        if s is None or sx == gx:
+            s = _add(s, g, a, ell)
+            continue
+        lam = (gy - sy) * pow(gx - sx, -1, ell) % ell
+        nx = (lam * lam - sx - gx) % ell
+        s = nx, (lam * (sx - nx) - sy) % ell
+
+
+def _add(p, q, a: int, ell: int):
+    """p + q on y^2 = x^3 + a x + b over F_ell, affine, None for O."""
+    if p is None:
+        return q
+    if q is None:
+        return p
+    (x1, y1), (x2, y2) = p, q
+    if x1 == x2:
+        if (y1 + y2) % ell == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, ell) % ell
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+    x3 = (lam * lam - x1 - x2) % ell
+    return x3, (lam * (x1 - x3) - y1) % ell
+
+
+def _mul(k: int, p, a: int, ell: int):
+    """k p, None for O, by double-and-add from the top bit of k."""
+    out = None
+    for bit in bin(k)[2:]:
+        out = _add(out, out, a, ell)
+        if bit == "1":
+            out = _add(out, p, a, ell)
+    return out
+
+
+def _ap_char_sum(ell: int, a: int, b: int) -> int:
+    """-sum_x chi(x^3 + a x + b) = ell + 1 - #E(F_ell), chi the quadratic
+    character, from a table of the squares; x^3 + a x + b is reduced to
+    [-ell, ell) only, since a negative index reads the table at x + ell."""
+    chi = [-1] * ell
+    for r in range(1, (ell + 1) // 2):
+        chi[r * r % ell] = 1
     chi[0] = 0
-    del x, sq
-    return -int(chi[f].sum(dtype=np.int64))
+    return -sum([chi[(x * x + a) * x % ell + b - ell] for x in range(ell)])
 
 
 def ap_bad(local: LocalData) -> int:
@@ -507,12 +630,17 @@ def _hecke_split_ap(a: list[int], d: int, old: int, bound: int, spf: list[int]) 
 
 
 def _smallest_prime_factors(bound: int) -> list[int]:
-    spf = np.arange(bound + 1, dtype=np.int64)
-    for i in range(2, isqrt(bound) + 1):
-        if spf[i] == i:
-            multiples = spf[i * i:: i]
-            np.minimum(multiples, i, out=multiples)
-    return spf.tolist()
+    """spf[n] the least prime factor of n, spf[0] = 0 and spf[1] = 1: each
+    prime q <= sqrt(bound) writes itself over its multiples from q^2, the
+    largest q first, so that the least prime factor writes last."""
+    spf = list(range(bound + 1))
+    root = isqrt(bound)
+    if root > 1:
+        small = _smallest_prime_factors(root)
+        for q in range(root, 1, -1):
+            if small[q] == q:
+                spf[q * q:: q] = [q] * ((bound - q * q) // q + 1)
+    return spf
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,7 @@ class TraceReport:
     n_max: int
     finite_shadow: FiniteReport
     constants: tuple                 # (Q, w_Q, i, j, n): K_Q = (i w1 + j w2) / n
+    series: tuple[int, int]          # orbit series run at digits and at LAMBDA_DIGITS
     timings: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -266,6 +267,7 @@ class TraceReport:
             "digits": digits,
             "n_max": self.n_max,
             "constants": [dict(zip(("Q", "w", "i", "j", "n"), c)) for c in self.constants],
+            "series": dict(zip(("digits", "lambda_digits"), self.series)),
             "timings": {k: round(v, 3) for k, v in self.timings.items()},
             "finite_shadow": self.finite_shadow.to_json(),
         }
@@ -398,8 +400,9 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
     The evaluations at every precision, the K_Q points at K_DIGITS included,
     run from the most terms down: the a_n sieve is extended once.  Each value
     depends only on (s, digits, a[0..n_max]), so the order changes nothing.
-    Returns the entries, the trace, the most terms evaluated and (Q, w_Q, i,
-    j, n) for each K_Q used."""
+    Returns the entries, the trace, the most terms evaluated, (Q, w_Q, i, j,
+    n) for each K_Q used, and the number of orbit series run at the trace
+    precision and at LAMBDA_DIGITS."""
     signs = {q_div: wp if w is None else w for q_div, w in al_signs(model)}
     digits, p2 = lat.digits, model.p ** 2
     pairs = [(i, j) if moves[i].n_max <= moves[j].n_max else (j, i)
@@ -467,7 +470,9 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
                 digits=prec, q=mv.q, n_max=evaluated[key][2], source=source,
             ))
         constants = tuple((q_div, signs[q_div], *exact[q_div]) for q_div in sorted(exact))
-        return tuple(entries), +trace_z, max(n for n, _ in jobs), constants
+        runs = [prec for _, prec, _ in evaluated.values()]
+        series = (runs.count(digits), runs.count(LAMBDA_DIGITS))
+        return tuple(entries), +trace_z, max(n for n, _ in jobs), constants, series
 
 
 def trace_point(spec: ExperimentSpec) -> TraceReport:
@@ -496,7 +501,8 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
 
     t0 = time.perf_counter()
     lat = period_lattice(model.minimal, digits)
-    entries, trace_z, n_max, constants = orbit_trace(model, orbit, shadow, moves, wp, lat)
+    entries, trace_z, n_max, constants, series = orbit_trace(model, orbit, shadow, moves, wp,
+                                                             lat)
     timings["orbit_evaluation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -521,5 +527,5 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
 
     return TraceReport(spec=spec, wp=wp, orbit=tuple(entries), trace_z=trace_z,
                        residual=residual, verdict=verdict, recognized=recognized,
-                       n_max=n_max, finite_shadow=shadow, constants=constants,
+                       n_max=n_max, finite_shadow=shadow, constants=constants, series=series,
                        timings=timings)

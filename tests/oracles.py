@@ -55,8 +55,8 @@ at full precision, where cmtrace.modparam.al_constant reads it off the
 lattice, two_torsion_roots_by_polyroots the roots of the 2-division
 cubic by mpmath's polyroots, where cmtrace.periods uses one Newton
 iteration and the discriminant,
-ap_char_sum_reduced the point count with every product reduced mod ell
-that the int64 Horner kernel in cmtrace.curves replaced,
+ap_char_sum_reduced the numpy point count with every product reduced mod
+ell, the reference for the baby-step giant-step count of cmtrace.curves,
 lattice_reduce_descent the descent from the nearest integer coordinates by
 steps of w1, w2 and w1 +- w2 that the four-corner rule of cmtrace.periods
 replaced, and wp_pair_by_laurent the Laurent series of the Weierstrass

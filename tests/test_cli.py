@@ -86,7 +86,7 @@ def test_trace_run(capsys, tmp_path):
     text = capsys.readouterr().out
     assert "verdict: torsion" in text
     # w_p = -1: each fiber sums to K_49 + lam, and no series runs at 40 digits
-    assert "orbit of 8 points in 4 fibers, 0 series at 40 digits" in text
+    assert "orbit of 8 points in 4 fibers, 0 series at 40 digits, 4 at 5 digits;" in text
     payload = json.loads(out.read_text())
     assert payload["verdict"] == "torsion"
     assert payload["wp"] == -1
@@ -307,6 +307,25 @@ def test_runs_with_sympy_blocked():
     assert proc.returncode == 0, proc.stderr
     assert "3 fibers of size 2" in proc.stdout
     assert "verdict: non_torsion" in proc.stdout
+
+
+def test_import_leaves_numpy_out():
+    proc = _python("import sys, cmtrace, cmtrace.cli; print(sorted(m for m in sys.modules "
+                   "if m.split('.')[0] == 'numpy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_sieve_runs_with_numpy_blocked():
+    # 50b1 has no CM: every good a_ell up to 12,000 is point-counted
+    proc = _python(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from cmtrace.curves import Curve, an_coefficients\n"
+        "a = an_coefficients(Curve(1, 1, 1, -3, 1), 12000)\n"
+        "print(len(a), a[11987])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["12001", "-57"]     # a_11987 by tests/oracles.py's char sum
 
 
 def test_every_package_error_class_has_an_exit_code():

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -231,32 +232,43 @@ def test_an_cache_extension_matches_fresh_sieve(monkeypatch, bounds):
         assert an_coefficients(cur, max(bounds)) == fresh
 
 
-def char_sum_route(monkeypatch, cur: Curve, bound: int) -> list[int]:
+def point_count_route(monkeypatch, cur: Curve, bound: int) -> list[int]:
     """a[0..bound] with the CM field hidden, so that every good a_ell is
-    point-counted; the a_n cache is left empty."""
+    point-counted, each one from 5 on once by _ap_count; the a_n cache is
+    left empty."""
+    counted = []
+    count = curves._ap_count
+
+    def counting(cur, ell):
+        counted.append(ell)
+        return count(cur, ell)
+
     monkeypatch.setattr(curves, "_an_cache", {})
     with monkeypatch.context() as patch:
         patch.setattr(curves.Curve, "cm_disc", 0)
-        assert minimal_model(cur).cm_disc == 0
+        patch.setattr(curves, "_ap_count", counting)
+        m = minimal_model(cur)
+        assert m.cm_disc == 0
         a = an_coefficients(cur, bound)
     monkeypatch.setattr(curves, "_an_cache", {})
+    assert counted == [ell for ell in primerange(5, bound + 1) if m.disc % ell]
     return a
 
 
 def test_ap_good_counted_once_per_prime(monkeypatch):
     counts = Counter()
-    good, char_sum = curves.ap_good, curves._ap_char_sum
+    good, count = curves.ap_good, curves._ap_count
 
     def counting_good(cur, ell):
         counts["ap_good", cur.ainvs, ell] += 1
         return good(cur, ell)
 
-    def counting_char_sum(cur, ell):
-        counts["char_sum", cur.ainvs, ell] += 1
-        return char_sum(cur, ell)
+    def counting_count(cur, ell):
+        counts["count", cur.ainvs, ell] += 1
+        return count(cur, ell)
 
     monkeypatch.setattr(curves, "ap_good", counting_good)
-    monkeypatch.setattr(curves, "_ap_char_sum", counting_char_sum)
+    monkeypatch.setattr(curves, "_ap_count", counting_count)
     monkeypatch.setattr(curves, "_an_cache", {})
     bounds = (100, 50, 1000, 999, 4000, 1000, 4001)
     # 49a1 and 121b1 have conductor d^2: no point count, the Hecke character
@@ -266,7 +278,7 @@ def test_ap_good_counted_once_per_prime(monkeypatch):
     assert not counts
     for ai in ((1, -1, 0, -2, -1), (0, -1, 1, -7, 10)):
         hecke = an_coefficients(Curve(*ai), 4001)
-        assert hecke == char_sum_route(monkeypatch, Curve(*ai), 4001)
+        assert hecke == point_count_route(monkeypatch, Curve(*ai), 4001)
     # 11a1 has no CM: every good prime is point-counted, once
     counts.clear()
     monkeypatch.setattr(curves, "_an_cache", {})
@@ -275,6 +287,8 @@ def test_ap_good_counted_once_per_prime(monkeypatch):
         an_coefficients(cur, bound)
     assert sorted(ell for (kind, _, ell) in counts if kind == "ap_good") == [
         ell for ell in primerange(2, 4002) if ell != 11]
+    assert sorted(ell for (kind, _, ell) in counts if kind == "count") == [
+        ell for ell in primerange(5, 4002) if ell != 11]
     assert set(counts.values()) == {1}
 
 
@@ -338,13 +352,13 @@ def test_cm_disc_reads_the_cm_field_off_j():
 @pytest.mark.parametrize("cur,d", CM_CASES)
 def test_cm_shortcut_matches_point_counts(monkeypatch, cur, d):
     counted = []
-    char_sum = curves._ap_char_sum
+    count = curves._ap_count
 
     def counting(cur, ell):
         counted.append(ell)
-        return char_sum(cur, ell)
+        return count(cur, ell)
 
-    monkeypatch.setattr(curves, "_ap_char_sum", counting)
+    monkeypatch.setattr(curves, "_ap_count", counting)
     for ell in primerange(2, 300):
         if cur.disc % ell:
             assert ap_good(cur, ell) == ell + 1 - brute_count(cur, ell), (cur, ell)
@@ -352,8 +366,10 @@ def test_cm_shortcut_matches_point_counts(monkeypatch, cur, d):
     for ell in rng.sample(list(primerange(300, 2 * 10 ** 5)), 20):
         if cur.disc % ell:
             assert ap_good(cur, ell) == ap_char_sum_reduced(cur, ell), (cur, ell)
-    # no count at a prime >= 5 inert in the CM field
-    assert all(ell < 5 or kronecker(d, ell) != -1 for ell in counted)
+    # no count at a prime inert in the CM field, one at every other prime >= 5
+    assert all(kronecker(d, ell) != -1 for ell in counted)
+    assert [ell for ell in counted if ell < 300] == [
+        ell for ell in primerange(5, 300) if cur.disc % ell and kronecker(d, ell) != -1]
 
 
 @pytest.mark.parametrize("cur", CATALOGUE_CURVES)
@@ -379,7 +395,7 @@ def test_hecke_route_matches_char_sum_route(monkeypatch, ai, d):
     bound = 20000 if ai in ((1, -1, 0, -2, -1), (0, -1, 1, -7, 10)) else 5000
     monkeypatch.setattr(curves, "_an_cache", {})
     hecke = an_coefficients(cur, bound)
-    assert hecke == char_sum_route(monkeypatch, cur, bound)
+    assert hecke == point_count_route(monkeypatch, cur, bound)
 
 
 def test_hecke_route_not_taken(monkeypatch):
@@ -405,3 +421,103 @@ def test_hecke_route_not_taken(monkeypatch):
     for ell in primerange(2, 2001):
         if ell not in (5, 7):
             assert a[ell] == kronecker(ell, 5) * a49[ell], ell
+
+
+# 11a1, 37a1 and 5077a1 (rank 0, 1 and 3) beside the catalogue.
+ORACLE_CURVES = CATALOGUE_CURVES + [Curve(0, -1, 1, -10, -20), Curve(0, 0, 1, -1, 0),
+                                    Curve(0, 0, 1, -7, 6)]
+
+
+@pytest.mark.parametrize("cur,bound,hide_cm", [(cur, 5000, False) for cur in ORACLE_CURVES] + [
+    (Curve(1, 1, 1, -3, 1), 20000, False),          # 50b1
+    (Curve(0, 0, 0, 0, 1), 20000, True),            # 36a1, its inert primes counted too
+])
+def test_ap_good_matches_char_sum_at_every_good_prime(monkeypatch, cur, bound, hide_cm):
+    if hide_cm:
+        monkeypatch.setattr(curves.Curve, "cm_disc", 0)
+    for ell in primerange(3, bound):
+        if cur.disc % ell:
+            assert ap_good(cur, ell) == ap_char_sum_reduced(cur, ell), (cur, ell)
+
+
+def test_a_search_that_never_accepts_still_counts_exactly(monkeypatch):
+    # every point fails, so each prime above the crossover tries
+    # SEARCH_POINTS points and the character sum decides
+    tried = Counter()
+
+    def refusing(ell, *args):
+        tried[ell] += 1
+        return 0
+
+    monkeypatch.setattr(curves, "_hasse_multiple", refusing)
+    ells = list(primerange(curves.MESTRE_BOUND - 20, 3000))
+    for cur in ORACLE_CURVES:
+        tried.clear()
+        for ell in ells:
+            if cur.disc % ell and not (cur.cm_disc and kronecker(cur.cm_disc, ell) == -1):
+                assert ap_good(cur, ell) == ap_char_sum_reduced(cur, ell), (cur, ell)
+        assert tried and set(tried.values()) == {curves.SEARCH_POINTS}
+        assert min(tried) > curves.MESTRE_BOUND
+
+
+def test_character_sum_fallbacks_over_the_catalogue_are_pinned(monkeypatch):
+    # above the crossover the search decides every good prime of the
+    # catalogue below 20,000 within SEARCH_POINTS points (module docstring)
+    summed = []
+    char_sum = curves._ap_char_sum
+
+    def counting(ell, a, b):
+        summed.append(ell)
+        return char_sum(ell, a, b)
+
+    monkeypatch.setattr(curves, "_ap_char_sum", counting)
+    for cur in CATALOGUE_CURVES:
+        for ell in primerange(2, 20000):
+            if cur.disc % ell:
+                ap_good(cur, ell)
+    assert min(summed) == 5 and max(summed) == curves.MESTRE_BOUND
+    assert [ell for ell in summed if ell > curves.MESTRE_BOUND] == []
+
+
+@pytest.mark.parametrize("ell", [233, 239, 241, 251])
+def test_mul_is_repeated_addition(ell):
+    # 50b1's short model: k P by double-and-add against P + ... + P, on the
+    # curve, through O at the group order, and 2 (r, 0) = O at a root r of f
+    cur = Curve(1, 1, 1, -3, 1)
+    a, b = -27 * cur.c4 % ell, -54 * cur.c6 % ell
+    order = ell + 1 - ap_char_sum_reduced(cur, ell)
+    x0 = next(x for x in range(1, ell) if kronecker((x ** 3 + a * x + b) % ell, ell) == 1)
+    y0 = next(y for y in range(1, ell) if (y * y - x0 ** 3 - a * x0 - b) % ell == 0)
+    pt, acc = (x0, y0), None
+    for k in range(1, order + 3):
+        acc = curves._add(acc, pt, a, ell)
+        assert curves._mul(k, pt, a, ell) == acc, k
+        assert acc is None or (acc[1] ** 2 - acc[0] ** 3 - a * acc[0] - b) % ell == 0
+    assert curves._mul(order, pt, a, ell) is None
+    for r in range(ell):
+        if (r ** 3 + a * r + b) % ell == 0:
+            assert curves._mul(2, (r, 0), a, ell) is None
+            assert curves._mul(3, (r, 0), a, ell) == (r, 0)
+
+
+@pytest.mark.parametrize("ai,ell,x0s,on_giant", [
+    ((1, 0, 1, -1, -2), 3323, range(1, 8), True),       # 50a1: Q_i = O, then Q_i+1 + G doubles
+    ((0, -1, 1, -7, 10), 6469, (2, 3, 5, 6), False),    # 121b1: q (2m + 1) P = O at the start
+    ((0, 0, 0, 0, 1), 397, (1, 2, 7), False),           # 36a1: likewise
+])
+def test_the_search_walks_through_o(ai, ell, x0s, on_giant):
+    cur = Curve(*ai)
+    a, b = -27 * cur.c4 % ell, -54 * cur.c6 % ell
+    h = isqrt(4 * ell)
+    m, low = isqrt(h), ell + 1 - h
+    t = ap_char_sum_reduced(cur, ell)
+    for x0 in x0s:
+        v = ((x0 * x0 + a) * x0 + b) % ell
+        order = ell + 1 - t * kronecker(v, ell)             # #E^v
+        av, pt = a * v * v % ell, (x0 * v % ell, v * v % ell)
+        g = curves._mul(2 * m + 1, pt, av, ell)
+        if on_giant:
+            assert (order - low - m) % (2 * m + 1) == 0
+        else:
+            assert curves._mul((low + 2 * m) // (2 * m + 1), g, av, ell) is None
+        assert curves._hasse_multiple(ell, av, *pt, low, 2 * h) == order, x0

@@ -347,17 +347,17 @@ def test_cold_headline_trace_counts_no_points(monkeypatch, model, dK, verdict):
     # 121b1 and 49a1 have conductor d^2 and CM by Q(sqrt d), d = -11, -7: every
     # a_ell of a cold 200-digit trace comes from the Hecke character
     counted = []
-    good, char_sum = curves.ap_good, curves._ap_char_sum
 
     def counting(route):
-        def wrapped(cur, ell):
-            counted.append(ell)
-            return route(cur, ell)
+        def wrapped(*args):
+            counted.append(args)
+            return route(*args)
         return wrapped
 
     monkeypatch.setattr(curves, "_an_cache", {})
-    monkeypatch.setattr(curves, "ap_good", counting(good))
-    monkeypatch.setattr(curves, "_ap_char_sum", counting(char_sum))
+    # every route to a counted a_ell: the entry, the per-prime count and both of its methods
+    for name in ("ap_good", "_ap_count", "_ap_char_sum", "_hasse_multiple"):
+        monkeypatch.setattr(curves, name, counting(getattr(curves, name)))
     rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=model, digits=200))
     sieve = len(curves._an_cache[model.minimal.ainvs][1]) - 1
     assert rep.verdict == verdict and sieve == rep.n_max
@@ -392,7 +392,7 @@ def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
         wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, digits)
         lat = period_lattice(model.minimal, digits)
         moves = orbit_options(model, orbit, digits)
-        entries, trace_z, n_max, constants = orbit_trace(model, orbit, shadow, moves, wp, lat)
+        entries, trace_z, n_max, constants, _ = orbit_trace(model, orbit, shadow, moves, wp, lat)
         monkeypatch.setattr(curves, "_an_cache", {})
         terms = [mv.n_max for mv in moves]
         # kernel order starts below the deepest evaluation, so the sieve

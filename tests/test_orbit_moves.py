@@ -343,6 +343,9 @@ def test_no_constant_point_is_evaluated_at_the_trace_precision(monkeypatch):
         # a w_p = +1 point whose lam a LAMBDA_DIGITS series gave is "fiber:i"
         series = [e.digits for e in rep.orbit if e.source == "series"]
         assert sorted(series) == [LAMBDA_DIGITS] * low * (rep.wp == -1) + [200] * full[label]
+        # the report counts the LAMBDA_DIGITS series that "fiber:i" entries hide
+        assert rep.series == (full[label], low)
+        assert rep.to_json()["series"] == {"digits": full[label], "lambda_digits": low}
         assert full[label] <= rep.finite_shadow.fiber_count * (rep.wp == 1)
     assert full == {"49a1": 0, "121b1": 4, "50b1": 2, "1,-1,0,0,-5": 0}
 
@@ -359,7 +362,7 @@ def _check_against_direct(label, dK, f, digits):
     model, shadow, orbit = _orbit(label, dK, f)
     moves = orbit_options(model, orbit, digits)
     lat, wp = period_lattice(model.minimal, digits), _wp(label)
-    entries, trace_z, n_max, _ = orbit_trace(model, orbit, shadow, moves, wp, lat)
+    entries, trace_z, n_max, _, _ = orbit_trace(model, orbit, shadow, moves, wp, lat)
     pairs = _cheaper_first(w_p2_pairs(model, orbit), moves)
     zs, precs, sources, terms, trace = orbit_values_by_fiber(model, moves, pairs, wp, lat)
     zs_direct, trace_direct = orbit_trace_direct(model, orbit, digits)
@@ -447,7 +450,7 @@ def test_the_catalogue_evaluates_219_series_for_1040_points_at_60_digits(monkeyp
     # the trace precision only at the cheaper point of each w_p = +1 fiber,
     # one series per evaluation point up to conjugation; the other points at
     # LAMBDA_DIGITS, again one series per evaluation point up to conjugation
-    calls, points, sources = [], 0, Counter()
+    calls, points, sources, series = [], 0, Counter(), Counter()
 
     def recording(model, tau, digits):
         calls.append(digits)
@@ -457,11 +460,13 @@ def test_the_catalogue_evaluates_219_series_for_1040_points_at_60_digits(monkeyp
     for label, dK, f in CATALOGUE:
         model, shadow, orbit = _orbit(label, dK, f)
         moves = orbit_options(model, orbit, 60)
-        entries = orbit_trace(model, orbit, shadow, moves, _wp(label),
-                              period_lattice(model.minimal, 60))[0]
+        entries, *_, (full, low) = orbit_trace(model, orbit, shadow, moves, _wp(label),
+                                               period_lattice(model.minimal, 60))
         points += len(entries)
+        series.update({60: full, LAMBDA_DIGITS: low})
         sources.update((e.source.split(":")[0], e.digits, _wp(label)) for e in entries)
     assert (calls.count(60), calls.count(LAMBDA_DIGITS), points) == (219, 320, 1040)
+    assert series == {60: 219, LAMBDA_DIGITS: 320}          # as the reports count them
     # (kind, digits, w_p): 620 points of w_p = +1 orbits, 219 + 70 + 155 of
     # them at the trace precision from a series and 176 from a fiber mate
     # (their lam from 104 series at LAMBDA_DIGITS), and 420 of w_p = -1 orbits
