@@ -8,16 +8,15 @@ Atkin-Lehner signs, algebraic recognition) and end-to-end trace experiments.
 
 from .curves import Curve, CurveModel, an_coefficients, conductor, curve_model, minimal_model
 from .embeddings import (EmbeddingData, build_embedding, find_common_norm_element,
-                         galois_matrix, lemma_converse_check, signo_pairing_check,
-                         two_to_one_check, verify_optimal)
+                         lemma_converse_check, signo_pairing_check, two_to_one_check,
+                         verify_optimal)
 from .errors import CmtraceError, InputError
 from .experiments import (ExperimentSpec, FiniteReport, TraceReport,
                           experiment_finite, trace_point)
-from .fp import ArithmeticBoundError, FpMatrix, FpParams, cartan_membership, index_ns_plus
+from .fp import ArithmeticBoundError, index_ns_plus
 from .heegner import HeegnerTau, NoHeegnerPoint, galois_orbit, heegner_form
 from .modparam import atkin_lehner_sign, eval_phi
 from .periods import PeriodLattice, elliptic_exp, is_torsion, period_lattice
-from .projline import ProjClass, ProjParams, involution_class, proj_class, proj_mul
 from .quadforms import (BinaryForm, QuadOrder, class_number, kernel_classes, order_data,
                         reduce_form, reduced_forms)
 from .recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational

@@ -7,13 +7,13 @@ eps*s^2 = (t^2 - 4n)/4.  That matrix has the same characteristic polynomial
 as the companion matrix of X^2 - tX + n, which is irreducible at an inert p,
 so the two are conjugate in GL_2(F_p), and even in SL_2(F_p): the
 determinant is surjective on the centralizer F_p[companion]^x = F_{p^2}^x.
-On top of that sit the coset labels of the split normalizer, each a
-row-major 4-tuple of entries computed in closed form, and the two-to-one
-fiber structure over P^1(F_p) whose fiber partners differ by the unique
-involution.  No routine here lists a Cartan subgroup, SL_2(F_p) or
-P^1(F_p), or multiplies matrices; the tests check the closed forms against
-such enumerations and matrix routes, the SL_2 conjugator included
-(tests/oracles.py).
+On top of that sit the coset labels of the split normalizer, and the
+two-to-one fiber structure over P^1(F_p) whose fiber partners differ by
+the unique involution.  A matrix is a row-major 4-tuple of residues, and
+every routine reads it in closed form: none lists a Cartan subgroup,
+SL_2(F_p) or P^1(F_p), or multiplies matrices.  The tests check the closed
+forms against such enumerations and matrix routes, the SL_2 conjugator
+included (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CmtraceError, InputError
-from .fp import FpMatrix, FpParams, in_cartan_group, kronecker, sqrt_mod_p
-from .projline import ProjClass, involution_class, proj_mul
-from .quadforms import QuadOrder, proj_params
+from .fp import isprime, kronecker, smallest_nonsquare, sqrt_mod_p
+from .quadforms import QuadOrder
 
 
 class EmbeddingError(InputError):
@@ -36,21 +35,26 @@ class FiberStructureError(CmtraceError, AssertionError):
 
 @dataclass(frozen=True)
 class EmbeddingData:
-    """Matrix-level data of an optimal embedding at p.
+    """Matrix-level data of an optimal embedding at the odd prime p, with
+    eps the smallest non-square mod p.
 
     iota_omega is the image of the order generator: the element
     (t/2, s; eps*s, t/2) of C_ns with trace t and determinant n mod p, whose
-    off-diagonal entries are nonzero (module docstring).
+    off-diagonal entries are nonzero (module docstring), as the row-major
+    4-tuple of its entries in [0, p).
     """
 
-    params: FpParams
+    p: int
+    eps: int
     order: QuadOrder
-    iota_omega: FpMatrix
+    iota_omega: tuple[int, int, int, int]
 
 
-def build_embedding(params: FpParams, order: QuadOrder) -> EmbeddingData:
+def build_embedding(p: int, order: QuadOrder) -> EmbeddingData:
     """Construct the embedding data for an inert prime p coprime to f."""
-    p, eps = params.p, params.eps
+    if p < 3 or not isprime(p):
+        raise InputError(f"p must be an odd prime, got {p}")
+    eps = smallest_nonsquare(p)
     # p | f puts p^2 into the discriminant, which the inertness test would
     # misread as a square mod p, so it is named first
     if order.f % p == 0:
@@ -60,38 +64,22 @@ def build_embedding(params: FpParams, order: QuadOrder) -> EmbeddingData:
     # eps*s^2 = (t^2-4n)/4: the right side is a non-square times the inverse
     # of a square, so s exists, and s != 0
     t, n = order.t % p, order.n % p
-    half_t = t * pow(2, -1, p)
+    half_t = t * pow(2, -1, p) % p
     s = sqrt_mod_p((t * t - 4 * n) * pow(4 * eps, -1, p), p)
-    return EmbeddingData(params=params, order=order,
-                         iota_omega=FpMatrix(p, half_t, s, eps * s, half_t))
+    return EmbeddingData(p=p, eps=eps, order=order, iota_omega=(half_t, s, eps * s % p, half_t))
 
 
 def verify_optimal(emb: EmbeddingData) -> bool:
-    """Optimality at p: generator lands in C_ns, and p divides neither
-    off-diagonal entry (which is what forces integrality of split-side
-    coefficients)."""
-    p = emb.params.p
-    io = emb.iota_omega
-    if not in_cartan_group(io, "ns", emb.params):
-        return False
-    if io.b == 0 or io.c == 0:
-        return False
-    if io.charpoly_coeffs() != (emb.order.t % p, emb.order.n % p):
-        return False
-    if (2 * io.a - emb.order.t) % p != 0:
-        return False
-    return True
-
-
-def galois_matrix(emb: EmbeddingData, x1: int, x2: int) -> FpMatrix:
-    """The matrix x1*I + x2*iota_omega; invertible whenever (x1, x2) != (0, 0)."""
-    p = emb.params.p
-    if x1 % p == 0 and x2 % p == 0:
-        raise InputError("zero pair")
-    a, b, c, d = emb.iota_omega.entries
-    m = FpMatrix(p, x1 + x2 * a, x2 * b, x2 * c, x1 + x2 * d)
-    assert m.is_invertible(), "norm form vanished at an inert prime"
-    return m
+    """Optimality at p: the generator lands in the group C_ns, that is
+    a = d, c = eps*b and det != 0 for iota_omega = (a, b; c, d), with the
+    order's trace t = a + d = 2a and norm n as its trace and determinant,
+    and p divides neither off-diagonal entry (which is what forces
+    integrality of split-side coefficients)."""
+    p, (a, b, c, d) = emb.p, emb.iota_omega
+    det = (a * d - b * c) % p
+    in_ns = (a - d) % p == 0 and (c - emb.eps * b) % p == 0 and det != 0
+    return (in_ns and b % p != 0 and c % p != 0 and (2 * a - emb.order.t) % p == 0
+            and (det - emb.order.n) % p == 0)
 
 
 def lemma_converse_check(emb: EmbeddingData) -> bool:
@@ -106,7 +94,7 @@ def lemma_converse_check(emb: EmbeddingData) -> bool:
     solution, [-a : 1], exactly when a = d.  So the two hits are the expected
     ones exactly when (b, c) != (0, 0) and a = d; the tests compare this with
     the scan of P^1(F_p)."""
-    a, b, c, d = emb.iota_omega.entries
+    a, b, c, d = emb.iota_omega
     return (b, c) != (0, 0) and a == d
 
 
@@ -136,32 +124,43 @@ def _label_entries(p: int, a: int, b: int, c: int, d: int) -> tuple[int, int, in
 
 
 def two_to_one_check(emb: EmbeddingData,
-                     classes) -> dict[tuple[int, int, int, int], list[ProjClass]]:
+                     classes) -> dict[tuple[int, int, int, int], list[tuple[int, int]]]:
     """Map each kernel class x1 + x2*w_f to the coset label of its matrix
     x1*I + x2*iota_omega, the 4-tuple of _label_entries (which raises if the
     matrix is singular).  The classes must be the p + 1 kernel classes of
     the embedding's order, each of discriminant p^2 times the order's.
     Enforces the expected structure: (p+1)/2 distinct labels, every fiber of
-    size exactly two, and fiber partners differing by the involution class.
+    size exactly two, and fiber partners differing by the involution class
+    [-a : 1], a = t/2 the diagonal entry of iota_omega.
+
+    The mate check is the group law of P^1(F_p) (quadforms docstring) with
+    y = [-a : 1] and t = 2a in closed form:
+
+        [x1 : x2] * [-a : 1] = [-a x1 - n x2 : x1 - a x2 + t x2]
+                             = [-a x1 - n x2 : x1 + a x2],
+
+    and a mate [y1 : y2] is that point exactly when y1 (x1 + a x2) =
+    y2 (-a x1 - n x2) mod p, with no inverse taken.
     """
-    p = emb.params.p
+    p, n = emb.p, emb.order.n
     disc = p * p * emb.order.disc
     if len(classes) != p + 1 or any(kc.form.disc() != disc for kc in classes):
         raise InputError("kernel classes and embedding disagree on (order, p)")
-    a, b, c, d = emb.iota_omega.entries
-    fibers: dict[tuple[int, int, int, int], list[ProjClass]] = {}
+    a, b, c, d = emb.iota_omega
+    if (2 * a - emb.order.t) % p:
+        raise InputError(f"2a = {2 * a % p} differs from t = {emb.order.t % p} mod {p}")
+    fibers: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
     for kc in classes:
-        x1, x2 = kc.proj.x1, kc.proj.x2
+        x1, x2 = kc.proj
         label = _label_entries(p, x1 + x2 * a, x2 * b, x2 * c, x1 + x2 * d)
         fibers.setdefault(label, []).append(kc.proj)
     if len(fibers) != (p + 1) // 2:
         raise FiberStructureError(f"expected {(p + 1) // 2} labels, got {len(fibers)}")
-    pp = proj_params(emb.order, p)
-    invol = involution_class(pp, a)
-    for label, classes in fibers.items():
-        if len(classes) != 2:
-            raise FiberStructureError(f"fiber of {label} has size {len(classes)}")
-        if proj_mul(pp, classes[0], invol) != classes[1]:
+    for label, mates in fibers.items():
+        if len(mates) != 2:
+            raise FiberStructureError(f"fiber of {label} has size {len(mates)}")
+        (x1, x2), (y1, y2) = mates
+        if (y1 * (x1 + a * x2) - y2 * (-a * x1 - n * x2)) % p:
             raise FiberStructureError("fiber partners do not differ by the involution")
     return fibers
 
@@ -170,28 +169,24 @@ def signo_pairing_check(emb: EmbeddingData) -> bool:
     """The involution's matrix factors through J = (0,1;-1,0) times a split
     element, i.e. it lies in C_s+ but not C_s.
 
-    With iota_omega = (a, b; c, d) that matrix is w = galois_matrix(emb, -a, 1)
+    With iota_omega = (a, b; c, d) that matrix is w = -a*I + iota_omega
     = (0, b; c, d - a).  It lies in C_s+ and not in C_s exactly when it is
     antidiagonal and invertible, that is when a = d and bc != 0, and then
     J^-1 w = (-c, 0; 0, b) is diagonal and invertible.  The tests compare
     this with the matrix route (tests/oracles.py)."""
-    a, b, c, d = emb.iota_omega.entries
-    return a == d and b * c % emb.params.p != 0
+    a, b, c, d = emb.iota_omega
+    return a == d and b * c % emb.p != 0
 
 
-def find_common_norm_element(params: FpParams, l: int) -> FpMatrix:
-    """Element of C_s+ cap C_ns+ with determinant l: a scalar when l is a
-    square, an antidiagonal (0, b; -eps*b, 0) with eps*b^2 = l otherwise."""
-    p, eps = params.p, params.eps
+def find_common_norm_element(p: int, eps: int, l: int) -> tuple[int, int, int, int]:
+    """Element of C_s+ cap C_ns+ with determinant l, as a row-major 4-tuple
+    in [0, p): a scalar when l is a square, an antidiagonal (0, b; -eps*b, 0)
+    with eps*b^2 = l otherwise (eps a non-square mod the odd prime p)."""
     l %= p
     if l == 0:
         raise InputError("determinant must be a unit")
     if kronecker(l, p) == 1:
         mu = sqrt_mod_p(l, p)
-        out = FpMatrix(p, mu, 0, 0, mu)
-    else:
-        b = sqrt_mod_p(l * pow(eps, -1, p) % p, p)
-        out = FpMatrix(p, 0, b, -eps * b, 0)
-    assert out.det() == l
-    assert in_cartan_group(out, "ns+", params) and in_cartan_group(out, "s+", params)
-    return out
+        return (mu, 0, 0, mu)
+    b = sqrt_mod_p(l * pow(eps, -1, p) % p, p)
+    return (0, b, -eps * b % p, 0)

@@ -66,7 +66,7 @@ from .embeddings import (build_embedding, find_common_norm_element,
                          lemma_converse_check, signo_pairing_check, two_to_one_check,
                          verify_optimal)
 from .errors import CmtraceError, InputError
-from .fp import FpParams, factorint, index_ns_plus, isprime, kronecker
+from .fp import factorint, index_ns_plus, isprime, kronecker
 from .heegner import HeegnerTau, al_move, galois_orbit, heegner_form
 from .modparam import (GUARD, K_DIGITS, SeriesBudgetError, al_constant, al_constant_points,
                        atkin_lehner_sign, eval_phi, local_sign, phi_terms, round_to_lattice)
@@ -172,7 +172,7 @@ class FiniteReport:
             # coset labels as row-major 4-tuples, fibers as projective pairs
             "fibers": [
                 {"label": list(label),
-                 "classes": [[u.x1, u.x2] for u in classes]}
+                 "classes": [list(u) for u in classes]}
                 for label, classes in sorted(self.fibers.items())
             ],
         }
@@ -185,10 +185,9 @@ def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
     spec.validate()
     p = spec.prime
     level_m = spec.curve.m if spec.curve is not None else 1
-    params = FpParams(p)
     order = order_data(spec.dK, spec.f)
     classes = kernel_classes(order, p)
-    emb = build_embedding(params, order)
+    emb = build_embedding(p, order)
     checks = {
         "optimal_embedding": verify_optimal(emb),
         "lemma_converse": lemma_converse_check(emb),
@@ -197,7 +196,7 @@ def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
     fibers = two_to_one_check(emb, classes)
     checks["two_to_one"] = (len(fibers) == (p + 1) // 2
                             and all(len(v) == 2 for v in fibers.values()))
-    degree = index_ns_plus(params)
+    degree = index_ns_plus(p)
     checks["degree_matches_index"] = len(fibers) == degree
     n_ambient = p * p * level_m
     good, ell = [], 1
@@ -205,8 +204,9 @@ def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
         ell += 1
         if isprime(ell) and n_ambient % ell:
             good.append(ell)
+    elements = [find_common_norm_element(p, emb.eps, ell) for ell in good]
     checks["common_norm_elements"] = all(
-        find_common_norm_element(params, ell % p).det() == ell % p for ell in good)
+        (a * d - b * c - ell) % p == 0 for ell, (a, b, c, d) in zip(good, elements))
     return FiniteReport(p=p, dK=spec.dK, f=spec.f, level_m=level_m, checks=checks,
                         fiber_count=len(fibers), degree=degree, classes=classes, fibers=fibers)
 
@@ -463,7 +463,7 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
         for kc, pt, mv, z, prec, key, source in zip(shadow.classes, orbit, moves, zs, precs,
                                                      keys, sources):
             entries.append(OrbitEntry(
-                proj=(kc.proj.x1, kc.proj.x2),
+                proj=kc.proj,
                 form=(pt.form.a, pt.form.b, pt.form.c),
                 tau=mp.nstr(pt.tau(digits), min(digits, 30)),
                 z=(mp.nstr(z.real, min(prec, 30)), mp.nstr(z.imag, min(prec, 30))),

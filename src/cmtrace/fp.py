@@ -1,7 +1,6 @@
-"""Small-integer arithmetic, and exact 2x2 matrix arithmetic over F_p with
-the four Cartan subgroups.
+"""Small-integer arithmetic.
 
-The arithmetic is everything the package needs of elementary number theory,
+This is everything the package needs of elementary number theory,
 always on small integers, one routine per idea: the extended gcd (_xgcd,
 which quadforms' Hermite normal form and every unimodular completion use),
 the Kronecker symbol (the one quadratic symbol, the Legendre symbol at odd
@@ -15,20 +14,14 @@ up to TRIAL_BOUND and stops once the cofactor is prime; a composite cofactor
 with no factor that small exceeds TRIAL_BOUND^2.  Both limits raise
 ArithmeticBoundError rather than guess.  Any input of the package that
 reaches them has a bad prime above TRIAL_BOUND, so a level far beyond the
-q-series budget.
-
-Membership tests for the split and non-split Cartan subgroups of GL_2(F_p)
-and their normalizers, and the coset index in closed form.  Nothing here
-enumerates a group, so no routine is capped in p.
+q-series budget.  index_ns_plus is the one group-theoretic quantity, the
+coset index of the Cartan normalizers in closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InputError
 
-CARTAN_KINDS = ("ns", "ns+", "s", "s+")
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3317044064679887385961981
 TRIAL_BOUND = 10 ** 6
@@ -148,7 +141,11 @@ def smallest_nonsquare(p: int) -> int:
 
 def sqrt_mod_p(a: int, p: int) -> int:
     """The square root r <= p // 2 of a mod the odd prime p (the smaller of
-    r and p - r), or InputError if a is a non-square."""
+    r and p - r), or InputError if a is a non-square.  A composite modulus
+    is an InputError too: the Jacobi symbol can read 1 at a non-square there,
+    and Tonelli-Shanks would never reach t = 1."""
+    if p < 3 or not isprime(p):
+        raise InputError(f"square roots are taken mod an odd prime, got {p}")
     a %= p
     if a == 0:
         return 0
@@ -173,105 +170,11 @@ def sqrt_mod_p(a: int, p: int) -> int:
             b = pow(c, 1 << (m - i - 1), p)
             m, c = i, b * b % p
             t, r = t * c % p, r * b % p
+    if r * r % p != a:
+        raise InputError(f"no square root of {a} mod {p} found")
     return min(r, p - r)
 
 
-@dataclass(frozen=True)
-class FpParams:
-    """An odd prime p together with its smallest non-square eps mod p."""
-
-    p: int
-    eps: int = field(init=False)
-
-    def __post_init__(self):
-        if self.p < 3 or not isprime(self.p):
-            raise InputError(f"p must be an odd prime, got {self.p}")
-        object.__setattr__(self, "eps", smallest_nonsquare(self.p))
-
-
-@dataclass(frozen=True, order=True)
-class FpMatrix:
-    """2x2 matrix over F_p, entries stored reduced to [0, p)."""
-
-    p: int
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        p = self.p
-        object.__setattr__(self, "a", self.a % p)
-        object.__setattr__(self, "b", self.b % p)
-        object.__setattr__(self, "c", self.c % p)
-        object.__setattr__(self, "d", self.d % p)
-
-    @property
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.p
-
-    def trace(self) -> int:
-        return (self.a + self.d) % self.p
-
-    def is_invertible(self) -> bool:
-        return self.det() != 0
-
-    def mul(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p:
-            raise InputError("mixed characteristics")
-        return FpMatrix(
-            self.p,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inv(self) -> "FpMatrix":
-        det = self.det()
-        if det == 0:
-            raise ZeroDivisionError("matrix is singular mod p")
-        dinv = pow(det, -1, self.p)
-        return FpMatrix(self.p, self.d * dinv, -self.b * dinv, -self.c * dinv, self.a * dinv)
-
-    def charpoly_coeffs(self) -> tuple[int, int]:
-        """(t, n) with characteristic polynomial X^2 - tX + n mod p."""
-        return (self.trace(), self.det())
-
-    def is_diagonal(self) -> bool:
-        return self.b == 0 and self.c == 0
-
-
-def cartan_membership(m: FpMatrix, kind: str, params: FpParams) -> bool:
-    """Whether m matches the mod-p congruence pattern of the chosen Cartan order.
-
-    This is membership in the order reduced mod p; group membership in C_kind
-    additionally requires det(m) != 0 (see in_cartan_group).
-    """
-    if kind not in CARTAN_KINDS:
-        raise InputError(f"unknown Cartan kind {kind!r}")
-    if m.p != params.p:
-        raise InputError("matrix and params disagree on p")
-    p, eps = params.p, params.eps
-    a, b, c, d = m.entries
-    ns = a == d and (b * eps - c) % p == 0
-    if kind == "ns":
-        return ns
-    if kind == "ns+":
-        return ns or ((a + d) % p == 0 and (b * eps + c) % p == 0)
-    s = b == 0 and c == 0
-    if kind == "s":
-        return s
-    return s or (a == 0 and d == 0)
-
-
-def in_cartan_group(m: FpMatrix, kind: str, params: FpParams) -> bool:
-    return m.is_invertible() and cartan_membership(m, kind, params)
-
-
-def index_ns_plus(params: FpParams) -> int:
+def index_ns_plus(p: int) -> int:
     """[C_ns+ : C_ns+ cap C_s+] = 2(p^2-1) / 4(p-1) = (p+1)/2."""
-    return (params.p + 1) // 2
+    return (p + 1) // 2

@@ -6,8 +6,8 @@ step H_pf / H_f is realised as the kernel of Pic(O_pf) -> Pic(O_f), built
 directly from its generators: each kernel class is the class of
 lam O_f cap O_pf for a unit class lam = x1 + x2*w_f in
 (O_f / p O_f)^x / F_p^x, and keeps that unit class as its point
-[x1 : x2] of P^1(F_p), which is what the matrix side of the theory
-consumes.  The kernel classes are the classes
+[x1 : x2] of P^1(F_p), the pair (x1, 1) or (1, 0), which is what the
+matrix side of the theory consumes.  The kernel classes are the classes
 of the p + 1 index-p sublattices of O_f, each a proper O_pf-ideal (Cox,
 Primes of the form x^2 + ny^2, section 7), and each has a closed form: for
 [x1 : 1] and lam = x1 + w_f,
@@ -21,6 +21,18 @@ class.  No ideal is built as a lattice: heegner.galois_orbit acts on
 Heegner forms by composing with forms of their discriminant, the kernel
 forms for the orbit of a trace and reduced_forms(D) for the whole of
 Pic(O_D), and the lattice routes are test oracles.
+
+The group law on P^1(F_p).  When w_f, with trace t and norm n, stays
+irreducible mod p (t^2 - 4n a non-square), multiplying the unit classes
+x1 + x2*w_f and reducing with w_f^2 = t w_f - n gives
+
+    [x1 : x2] * [y1 : y2] = [x1*y1 - n*x2*y2 : x1*y2 + x2*y1 + t*x2*y2]
+
+with identity [1 : 0]; the norm form is anisotropic mod p, so the product
+never degenerates.  The group is cyclic of order p + 1, so it has a single
+element of order two, [-a : 1] for the residue a with 2a = t: its square is
+[a^2 - n : t - 2a] = [1 : 0].  embeddings.two_to_one_check pairs the fiber
+mates by that involution.
 
 lagrange_reduce is the one Lagrange reduction of a basis, on an
 integer Gram triple: heegner.gamma0_reduce runs it on the Gram triple of a
@@ -37,7 +49,6 @@ from math import gcd, isqrt
 
 from .errors import InputError
 from .fp import factorint, isprime, kronecker
-from .projline import ProjClass, ProjParams, proj_elements
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +100,6 @@ def order_data(dK: int, f: int) -> QuadOrder:
     disc = f * f * dK
     n = (t * t - disc) // 4
     return QuadOrder(dK=dK, f=f, disc=disc, t=t, n=n)
-
-
-def proj_params(order: QuadOrder, p: int) -> ProjParams:
-    """The P^1(F_p) group parameters carried by this order at an inert prime p."""
-    return ProjParams(p, order.t, order.n)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +223,10 @@ def lagrange_reduce(gram: tuple[int, int, int], v1, v2):
 
 @dataclass(frozen=True)
 class KernelClass:
-    """A kernel class: its unit-class generator [x1 : x2] and its reduced form."""
+    """A kernel class: its unit-class generator [x1 : x2] as the pair
+    (x1, x2), and its reduced form."""
 
-    proj: ProjClass
+    proj: tuple[int, int]
     form: BinaryForm
 
 
@@ -240,13 +247,10 @@ def kernel_classes(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
         raise InputError("p must not divide the conductor")
     t, n, p2 = order.t, order.n, p * p
     disc = p2 * order.disc
-    principal = BinaryForm(1, disc % 2, (disc % 2 - disc) // 4)
-    classes = []
-    for pt in proj_elements(p):
-        x1 = pt.x1
-        form = (reduce_form(BinaryForm(x1 * x1 + t * x1 + n, -p * (2 * x1 + t), p2))
-                if pt.x2 else principal)
-        classes.append(KernelClass(proj=pt, form=form))
+    classes = [KernelClass(proj=(1, 0), form=BinaryForm(1, disc % 2, (disc % 2 - disc) // 4))]
+    for x1 in range(p):
+        form = reduce_form(BinaryForm(x1 * x1 + t * x1 + n, -p * (2 * x1 + t), p2))
+        classes.append(KernelClass(proj=(x1, 1), form=form))
     if len({kc.form for kc in classes}) != p + 1:
         raise AssertionError("unit classes gave coinciding ideal classes")
     return tuple(classes)

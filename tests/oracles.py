@@ -32,13 +32,23 @@ the three-row ideal (ideal_to_form), where cmtrace.quadforms.kernel_classes
 writes (N(lam), -p Tr(lam), p^2) down directly.  coset_label_by_matrices
 labels a matrix through its inverse and two candidate matrices, and
 two_to_one_by_matrices groups the kernel classes by those labels of
-galois_matrix; cmtrace.embeddings reads the label entries off the matrix
-entries (_label_entries) and keys each fiber by that 4-tuple, and
-coset_label is the label of one matrix from those entries.  A label is
-the row-major 4-tuple of entries in every route.  signo_pairing_by_matrices
-builds the involution's matrix with galois_matrix, tests its Cartan
-membership and factors it through (0,1;-1,0), where
-cmtrace.embeddings.signo_pairing_check reads the answer off two entries.
+galois_matrix and pairs the fiber mates by proj_mul with the
+involution_class; cmtrace.embeddings reads the label entries off the matrix
+entries (_label_entries), keys each fiber by that 4-tuple and checks each
+mate by the group law in closed form, and coset_label is the label of one
+matrix from those entries.  A label is the row-major 4-tuple of entries in
+every route.  signo_pairing_by_matrices builds the involution's matrix with
+galois_matrix, tests its Cartan membership and factors it through
+(0,1;-1,0), where cmtrace.embeddings.signo_pairing_check reads the answer
+off two entries.
+
+These routes run on the matrix layer that the package no longer has.  A
+matrix over F_p is a row-major 4-tuple in [0, p) (mat, mat_det, mat_mul,
+mat_inv, IDENTITY), in_cartan_group tests membership of the Cartan group
+of each of the four CARTAN_KINDS, galois_matrix is x1*I + x2*iota_omega,
+and proj_params, proj_class, proj_elements, proj_mul and involution_class
+are the group law of P^1(F_p) on pairs (x1, x2) (cmtrace.quadforms
+docstring), where cmtrace reads each of these off a few residues.
 
 On the analytic side, eval_series_direct is the term-by-term mpc evaluation
 of the q-series that the fixed-point evaluator in cmtrace.modparam replaced,
@@ -74,12 +84,11 @@ scans B = 0, 1, -1, 2, -2, ... and stops at the first hit; sympy stays in
 the tests as the reference for the package's own primality test,
 factorisation and square roots.
 
-Square-and-multiply powers, element orders, the identity matrix and the
+Square-and-multiply powers, element orders and the
 curve-equation residual are test-only helpers: the pipeline never needs
 them.  So is the API that
 cmtrace kept only for its tests: principal_form, coset_label, lift_to_integral_sl2, Gaussian composition
-(compose, form_inverse, ClassGroup, class_to_proj), proj_identity and
-proj_inverse, recognize_algebraic with minpoly, root_number and
+(compose, form_inverse, ClassGroup, class_to_proj), proj_inverse, recognize_algebraic with minpoly, root_number and
 lattice_distance.  Their bodies are as they were in the package.
 """
 
@@ -94,20 +103,19 @@ import sympy
 from sympy.ntheory import sqrt_mod
 
 from cmtrace.curves import Curve, CurveModel, an_coefficients
-from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureError,
-                                _label_entries, galois_matrix)
-from cmtrace.fp import FpMatrix, FpParams, _xgcd, in_cartan_group, isprime, kronecker
+from cmtrace.embeddings import EmbeddingData, EmbeddingError, FiberStructureError, _label_entries
+from cmtrace.fp import _xgcd, isprime, kronecker, smallest_nonsquare
 from cmtrace.heegner import HeegnerTau, NoHeegnerPoint, _complete_unimodular, gamma0_reduce
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
 from cmtrace.periods import PeriodLattice, _reduced_basis, lattice_reduce
-from cmtrace.projline import (ProjClass, ProjParams, involution_class, proj_class,
-                              proj_elements, proj_mul)
 from cmtrace.quadforms import (BinaryForm, KernelClass, QuadOrder,
-                               check_fundamental, lagrange_reduce, proj_params, reduce_form,
+                               check_fundamental, lagrange_reduce, reduce_form,
                                reduced_forms)
 from cmtrace.recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational
 
 ENUMERATION_BOUND = 200
+CARTAN_KINDS = ("ns", "ns+", "s", "s+")
+IDENTITY = (1, 0, 0, 1)
 
 
 class EnumerationBoundError(ValueError):
@@ -119,67 +127,146 @@ def _check_bound(p: int):
         raise EnumerationBoundError(f"enumeration capped at p <= {ENUMERATION_BOUND}, got {p}")
 
 
-def enumerate_cartan(params: FpParams, kind: str) -> list[FpMatrix]:
+# ---------------------------------------------------------------------------
+# 2x2 matrices over F_p as row-major 4-tuples (a, b, c, d) in [0, p), the
+# four Cartan subgroups, and the group law of P^1(F_p) on pairs (x1, x2).
+
+
+def mat(p: int, a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    return (a % p, b % p, c % p, d % p)
+
+
+def mat_det(p: int, m) -> int:
+    return (m[0] * m[3] - m[1] * m[2]) % p
+
+
+def mat_mul(p: int, x, y) -> tuple[int, int, int, int]:
+    a, b, c, d = x
+    e, f, g, h = y
+    return mat(p, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def mat_inv(p: int, m) -> tuple[int, int, int, int]:
+    """The inverse; ValueError for a singular m."""
+    a, b, c, d = m
+    dinv = pow(mat_det(p, m), -1, p)
+    return mat(p, d * dinv, -b * dinv, -c * dinv, a * dinv)
+
+
+def in_cartan_group(p: int, m, kind: str) -> bool:
+    """Whether m is invertible and matches the congruence pattern of the
+    Cartan order of the given kind, eps the smallest non-square mod p."""
+    eps = smallest_nonsquare(p)
+    a, b, c, d = mat(p, *m)
+    ns = a == d and (b * eps - c) % p == 0
+    kinds = {"ns": ns, "ns+": ns or ((a + d) % p == 0 and (b * eps + c) % p == 0),
+             "s": b == c == 0, "s+": b == c == 0 or a == d == 0}
+    return mat_det(p, m) != 0 and kinds[kind]
+
+
+def galois_matrix(emb: EmbeddingData, x1: int, x2: int) -> tuple[int, int, int, int]:
+    """The matrix x1*I + x2*iota_omega; invertible whenever (x1, x2) != (0, 0)."""
+    p = emb.p
+    if x1 % p == 0 and x2 % p == 0:
+        raise ValueError("zero pair")
+    a, b, c, d = emb.iota_omega
+    m = mat(p, x1 + x2 * a, x2 * b, x2 * c, x1 + x2 * d)
+    assert mat_det(p, m), "norm form vanished at an inert prime"
+    return m
+
+
+def proj_params(p: int, t: int, n: int) -> tuple[int, int, int]:
+    """(p, t, n) reduced: the group law of P^1(F_p) carried by X^2 - tX + n,
+    which must be irreducible mod p (cmtrace.quadforms docstring)."""
+    if kronecker(t * t - 4 * n, p) != -1:
+        raise ValueError(f"t^2-4n must be a non-square mod {p} (inert condition)")
+    return (p, t % p, n % p)
+
+
+def proj_class(p: int, x1: int, x2: int) -> tuple[int, int]:
+    """Canonical representative of [x1 : x2]: (x, 1), or (1, 0)."""
+    x1, x2 = x1 % p, x2 % p
+    if x1 == 0 and x2 == 0:
+        raise ValueError("both projective coordinates vanish mod p")
+    return (1, 0) if x2 == 0 else (x1 * pow(x2, -1, p) % p, 1)
+
+
+def proj_elements(p: int) -> list[tuple[int, int]]:
+    """The p + 1 points in kernel_classes' order: [1 : 0], then [x : 1]."""
+    return [(1, 0)] + [(x, 1) for x in range(p)]
+
+
+def proj_mul(params, u, v) -> tuple[int, int]:
+    p, t, n = params
+    return proj_class(p, u[0] * v[0] - n * u[1] * v[1],
+                      u[0] * v[1] + u[1] * v[0] + t * u[1] * v[1])
+
+
+def involution_class(params, a: int) -> tuple[int, int]:
+    """The unique order-two class [-a : 1]; requires 2a = t mod p."""
+    p, t, _ = params
+    if (2 * a - t) % p:
+        raise ValueError(f"2a = {2 * a % p} differs from t = {t} mod {p}")
+    return proj_class(p, -a, 1)
+
+
+def enumerate_cartan(p: int, kind: str) -> list[tuple[int, int, int, int]]:
     """All invertible matrices of the given Cartan pattern, sorted by entries.
 
     Sizes: |C_ns| = p^2-1, |C_s| = (p-1)^2, and the normalizers are twice that.
     """
-    _check_bound(params.p)
-    p, eps = params.p, params.eps
-    out: list[FpMatrix] = []
+    _check_bound(p)
+    eps = smallest_nonsquare(p)
+    out = []
     if kind in ("ns", "ns+"):
         for a in range(p):
             for b in range(p):
                 if a == 0 and b == 0:
                     continue
                 # det = a^2 - eps*b^2 != 0 automatically: eps is a non-square.
-                out.append(FpMatrix(p, a, b, b * eps, a))
+                out.append(mat(p, a, b, b * eps, a))
                 if kind == "ns+":
-                    out.append(FpMatrix(p, a, b, -b * eps, -a))
+                    out.append(mat(p, a, b, -b * eps, -a))
     elif kind in ("s", "s+"):
         for a in range(1, p):
             for d in range(1, p):
-                out.append(FpMatrix(p, a, 0, 0, d))
+                out.append((a, 0, 0, d))
         if kind == "s+":
             for b in range(1, p):
                 for c in range(1, p):
-                    out.append(FpMatrix(p, 0, b, c, 0))
+                    out.append((0, b, c, 0))
     else:
         raise ValueError(f"unknown Cartan kind {kind!r}")
     for m in out:
-        assert in_cartan_group(m, kind, params)
+        assert in_cartan_group(p, m, kind)
     return sorted(out)
 
 
-def cartan_intersection_ns_s(params: FpParams) -> list[FpMatrix]:
+def cartan_intersection_ns_s(p: int) -> list[tuple[int, int, int, int]]:
     """The group C_ns+ intersect C_s+ (diagonal and antidiagonal pieces), sorted."""
-    _check_bound(params.p)
-    p, eps = params.p, params.eps
+    _check_bound(p)
+    eps = smallest_nonsquare(p)
     out = []
     for a in range(1, p):
-        out.append(FpMatrix(p, a, 0, 0, a))
-        out.append(FpMatrix(p, a, 0, 0, -a))
+        out.append(mat(p, a, 0, 0, a))
+        out.append(mat(p, a, 0, 0, -a))
     for b in range(1, p):
-        out.append(FpMatrix(p, 0, b, b * eps, 0))
-        out.append(FpMatrix(p, 0, b, -b * eps, 0))
+        out.append(mat(p, 0, b, b * eps, 0))
+        out.append(mat(p, 0, b, -b * eps, 0))
     return sorted(set(out))
 
 
-def index_ns_plus_by_enumeration(params: FpParams) -> int:
+def index_ns_plus_by_enumeration(p: int) -> int:
     """[C_ns+ : C_ns+ cap C_s+] as the quotient of the two enumerated orders."""
-    big = enumerate_cartan(params, "ns+")
-    inter = [m for m in cartan_intersection_ns_s(params)
-             if in_cartan_group(m, "ns+", params) and in_cartan_group(m, "s+", params)]
+    big = enumerate_cartan(p, "ns+")
+    inter = [m for m in cartan_intersection_ns_s(p)
+             if in_cartan_group(p, m, "ns+") and in_cartan_group(p, m, "s+")]
     if len(big) % len(inter):
         raise AssertionError("intersection does not divide group order")
     return len(big) // len(inter)
 
 
-def identity(p: int) -> FpMatrix:
-    return FpMatrix(p, 1, 0, 0, 1)
-
-
-def sl2_elements(p: int) -> list[FpMatrix]:
+def sl2_elements(p: int) -> list[tuple[int, int, int, int]]:
     _check_bound(p)
     out = []
     for a in range(p):
@@ -187,71 +274,71 @@ def sl2_elements(p: int) -> list[FpMatrix]:
             for c in range(p):
                 for d in range(p):
                     if (a * d - b * c) % p == 1:
-                        out.append(FpMatrix(p, a, b, c, d))
+                        out.append((a, b, c, d))
     return out
 
 
-def split_normalizer_sl2(p: int) -> list[FpMatrix]:
+def split_normalizer_sl2(p: int) -> list[tuple[int, int, int, int]]:
     """C_s+ cap SL_2(F_p): diagonal (a, a^{-1}) and antidiagonal (0, b; -b^{-1}, 0)."""
     _check_bound(p)
     out = []
     for a in range(1, p):
-        out.append(FpMatrix(p, a, 0, 0, pow(a, -1, p)))
-        out.append(FpMatrix(p, 0, a, -pow(a, -1, p), 0))
+        out.append(mat(p, a, 0, 0, pow(a, -1, p)))
+        out.append(mat(p, 0, a, -pow(a, -1, p), 0))
     return sorted(out)
 
 
-def sorted_min_label(g: FpMatrix) -> tuple[int, int, int, int]:
+def sorted_min_label(p: int, g) -> tuple[int, int, int, int]:
     """Minimum of the coset (C_s+ cap SL_2) * g^{-1}, found by listing it."""
-    if g.det() != 1:
+    if mat_det(p, g) != 1:
         raise ValueError("coset labels are defined for determinant-one matrices")
-    ginv = g.inv()
-    return min(h.mul(ginv) for h in split_normalizer_sl2(g.p)).entries
+    ginv = mat_inv(p, g)
+    return min(mat_mul(p, h, ginv) for h in split_normalizer_sl2(p))
 
 
-def coset_label(g: FpMatrix) -> tuple[int, int, int, int]:
+def coset_label(p: int, g) -> tuple[int, int, int, int]:
     """Lexicographically minimal determinant-one element of C_s+ * g^{-1}.
 
     For det(g) = 1 this is the minimum of the coset (C_s+ cap SL_2) * g^{-1}.
     The entries come from cmtrace.embeddings._label_entries, which
     two_to_one_check reads for each kernel class.
     """
-    return _label_entries(g.p, *g.entries)
+    return _label_entries(p, *g)
 
 
-def coset_label_by_matrices(g: FpMatrix) -> tuple[int, int, int, int]:
+def coset_label_by_matrices(p: int, g) -> tuple[int, int, int, int]:
     """coset_label through g^{-1} and the two candidate
     matrices.  Write g^{-1} = (a, b; c, d) and delta = det(g): the diagonal
     part of the coset is (xa, xb; (delta/x)c, (delta/x)d), the antidiagonal
     part (xc, xd; -(delta/x)a, -(delta/x)b), and each has its minimum at the
     x that makes the first nonzero entry of the top row 1."""
-    p = g.p
-    delta = g.det()
+    delta = mat_det(p, g)
     if delta == 0:
         raise ValueError("coset labels are defined for invertible matrices")
-    a, b, c, d = g.inv().entries
+    a, b, c, d = mat_inv(p, g)
     lead_ab, lead_cd = a or b, c or d        # 1/x for the two parts
     x_ab, x_cd = pow(lead_ab, -1, p), pow(lead_cd, -1, p)
-    diag = FpMatrix(p, x_ab * a, x_ab * b, delta * lead_ab * c, delta * lead_ab * d)
-    anti = FpMatrix(p, x_cd * c, x_cd * d, -delta * lead_cd * a, -delta * lead_cd * b)
-    return min(diag, anti).entries
+    diag = mat(p, x_ab * a, x_ab * b, delta * lead_ab * c, delta * lead_ab * d)
+    anti = mat(p, x_cd * c, x_cd * d, -delta * lead_cd * a, -delta * lead_cd * b)
+    return min(diag, anti)
 
 
 def two_to_one_by_matrices(emb: EmbeddingData,
-                           classes) -> dict[tuple[int, int, int, int], list[ProjClass]]:
+                           classes) -> dict[tuple[int, int, int, int], list[tuple[int, int]]]:
     """cmtrace.embeddings.two_to_one_check with each label taken by
-    coset_label_by_matrices of galois_matrix, and the same checks."""
-    p = emb.params.p
+    coset_label_by_matrices of galois_matrix, and the fiber mates paired by
+    proj_mul with the involution_class, and the same checks."""
+    p = emb.p
     if len(classes) != p + 1 or any(kc.form.disc() != p * p * emb.order.disc for kc in classes):
         raise ValueError("kernel classes and embedding disagree on (order, p)")
-    fibers: dict[tuple[int, int, int, int], list[ProjClass]] = {}
+    fibers: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
     for kc in classes:
-        label = coset_label_by_matrices(galois_matrix(emb, kc.proj.x1, kc.proj.x2))
+        label = coset_label_by_matrices(p, galois_matrix(emb, *kc.proj))
         fibers.setdefault(label, []).append(kc.proj)
     if len(fibers) != (p + 1) // 2:
         raise FiberStructureError(f"expected {(p + 1) // 2} labels, got {len(fibers)}")
-    pp = proj_params(emb.order, p)
-    invol = involution_class(pp, emb.iota_omega.a)
+    pp = proj_params(p, emb.order.t, emb.order.n)
+    invol = involution_class(pp, emb.iota_omega[0])
     for label, classes in fibers.items():
         if len(classes) != 2:
             raise FiberStructureError(f"fiber of {label} has size {len(classes)}")
@@ -265,41 +352,41 @@ def signo_pairing_by_matrices(emb: EmbeddingData) -> bool:
     matrix w = galois_matrix(emb, -a, 1) lies in C_s+ but not C_s, and
     (0,1;-1,0)^-1 w is diagonal and invertible.  galois_matrix raises
     AssertionError when w is singular."""
-    params = emb.params
-    w = galois_matrix(emb, -emb.iota_omega.a, 1)
-    if not (in_cartan_group(w, "s+", params) and not in_cartan_group(w, "s", params)):
+    p = emb.p
+    w = galois_matrix(emb, -emb.iota_omega[0], 1)
+    if not (in_cartan_group(p, w, "s+") and not in_cartan_group(p, w, "s")):
         return False
-    sigma = FpMatrix(params.p, 0, 1, -1, 0).inv().mul(w)
-    return sigma.is_diagonal() and sigma.is_invertible()
+    sigma = mat_mul(p, mat_inv(p, mat(p, 0, 1, -1, 0)), w)
+    return sigma[1] == sigma[2] == 0 and mat_det(p, sigma) != 0
 
 
 @dataclass(frozen=True)
 class GammaDecomposition:
     """r_bar = gamma_i * r_s with gamma_i in SL_2 cap C_ns+ and r_s in C_s+."""
 
-    r_bar: FpMatrix
-    gamma_i: FpMatrix
-    r_s: FpMatrix
+    r_bar: tuple[int, int, int, int]
+    gamma_i: tuple[int, int, int, int]
+    r_s: tuple[int, int, int, int]
 
 
-def decompose_gamma(emb: EmbeddingData, r_bar: FpMatrix) -> GammaDecomposition:
+def decompose_gamma(emb: EmbeddingData, r_bar) -> GammaDecomposition:
     """Split r_bar in C_ns as gamma_i * r_s, det(gamma_i) = 1, r_s in C_s+.
 
     The corrector m is searched in C_ns+ cap C_s+ for det(m) = det(r_bar)^{-1};
     squares are fixed by scalars and non-squares by antidiagonal elements, so
     the search always succeeds.
     """
-    params = emb.params
-    if not in_cartan_group(r_bar, "ns", params):
+    p = emb.p
+    if not in_cartan_group(p, r_bar, "ns"):
         raise EmbeddingError("matrix is not in the non-split Cartan group")
-    want = pow(r_bar.det(), -1, params.p)
-    m = next(x for x in cartan_intersection_ns_s(params) if x.det() == want)
-    gamma_i = r_bar.mul(m)
-    r_s = m.inv()
-    assert gamma_i.det() == 1
-    assert in_cartan_group(gamma_i, "ns+", params)
-    assert in_cartan_group(r_s, "s+", params)
-    assert gamma_i.mul(r_s) == r_bar
+    want = pow(mat_det(p, r_bar), -1, p)
+    m = next(x for x in cartan_intersection_ns_s(p) if mat_det(p, x) == want)
+    gamma_i = mat_mul(p, r_bar, m)
+    r_s = mat_inv(p, m)
+    assert mat_det(p, gamma_i) == 1
+    assert in_cartan_group(p, gamma_i, "ns+")
+    assert in_cartan_group(p, r_s, "s+")
+    assert mat_mul(p, gamma_i, r_s) == r_bar
     return GammaDecomposition(r_bar=r_bar, gamma_i=gamma_i, r_s=r_s)
 
 
@@ -401,7 +488,7 @@ def galois_orbit_by_lattices(base: HeegnerTau, order: QuadOrder, p: int,
     out = []
     for kc in classes:
         # the conjugate of the kernel ideal lam O_f cap O_pf
-        abar = tuple((u, -v) for u, v in generator_ideal(order, p, kc.proj.x1, kc.proj.x2))
+        abar = tuple((u, -v) for u, v in generator_ideal(order, p, *kc.proj))
         (a1, b1), (_, c1) = ideal_mul(abar, l1, dK)
         (a2, b2), (_, c2) = ideal_mul(abar, l2, dK)
         # both are in Hermite normal form, so m2's rows in the basis of m1 are
@@ -572,7 +659,7 @@ def kernel_classes_by_hnf(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
         raise ValueError("p must not divide the conductor")
     classes = []
     for pt in proj_elements(p):
-        ideal = generator_ideal_three_rows(order, p, pt.x1, pt.x2)
+        ideal = generator_ideal_three_rows(order, p, *pt)
         classes.append(KernelClass(proj=pt, form=ideal_to_form(ideal, order.dK, p * order.f)))
     if len({kc.form for kc in classes}) != p + 1:
         raise AssertionError("unit classes gave coinciding ideal classes")
@@ -872,7 +959,7 @@ def equation_residual(cur: Curve, x, y):
 # a period lattice.
 
 
-def lift_to_integral_sl2(m: FpMatrix, level: int = 1) -> tuple[tuple[int, int], tuple[int, int]]:
+def lift_to_integral_sl2(p: int, m, level: int = 1) -> tuple[tuple[int, int], tuple[int, int]]:
     """Integer matrix of determinant exactly 1 reducing to m mod p.
 
     With level > 1 (coprime to p) the lift additionally has lower-left entry
@@ -880,21 +967,21 @@ def lift_to_integral_sl2(m: FpMatrix, level: int = 1) -> tuple[tuple[int, int], 
     the bottom row comes from a CRT lift to coprime integers below (p*level)^2
     and the top row from a Bezout solve plus one row operation mod p.
     """
-    p = m.p
-    if m.det() != 1:
+    if mat_det(p, m) != 1:
         raise ValueError("lift requires det = 1 mod p")
     if level < 1 or gcd(level, p) != 1:
         raise ValueError("level must be a positive integer coprime to p")
     q = p * level
 
     # Centered residues already of determinant one (identity, (0,-1;1,0), ...).
-    cent = [e if e <= p // 2 else e - p for e in m.entries]
+    ma, mb, mc, md = m = mat(p, *m)
+    cent = [e if e <= p // 2 else e - p for e in m]
     if cent[0] * cent[3] - cent[1] * cent[2] == 1 and cent[2] % level == 0:
         return ((cent[0], cent[1]), (cent[2], cent[3]))
 
     # Bottom row: c0 = c (p), 0 (level); d0 = d (p), 1 (level); then make coprime.
-    c0 = _crt_pair(m.c, p, 0, level)
-    d0 = _crt_pair(m.d, p, 1, level)
+    c0 = _crt_pair(mc, p, 0, level)
+    d0 = _crt_pair(md, p, 1, level)
     if c0 == 0:
         c0 = q
     k = 0
@@ -911,15 +998,15 @@ def lift_to_integral_sl2(m: FpMatrix, level: int = 1) -> tuple[tuple[int, int], 
     # m * L0^{-1} is unipotent upper triangular mod p; read off the shear
     # from m = (1, kbar; 0, 1) * L0 mod p.
     if d0 % p:
-        kbar = (m.b - b0) * pow(d0, -1, p) % p
+        kbar = (mb - b0) * pow(d0, -1, p) % p
     else:
         # d0 = 0 mod p forces c0 invertible mod p; use the other entry.
-        kbar = (m.a - a0) * pow(c0, -1, p) % p
+        kbar = (ma - a0) * pow(c0, -1, p) % p
     a1, b1 = a0 + kbar * c0, b0 + kbar * d0
     lift = ((a1, b1), (c0, d0))
     assert a1 * d0 - b1 * c0 == 1
-    assert (a1 - m.a) % p == 0 and (b1 - m.b) % p == 0
-    assert (c0 - m.c) % p == 0 and (d0 - m.d) % p == 0
+    assert (a1 - ma) % p == 0 and (b1 - mb) % p == 0
+    assert (c0 - mc) % p == 0 and (d0 - md) % p == 0
     assert c0 % level == 0
     return lift
 
@@ -1013,7 +1100,7 @@ class ClassGroup:
         return k
 
 
-def class_to_proj(order: QuadOrder, p: int, lam: tuple[int, int]) -> ProjClass:
+def class_to_proj(order: QuadOrder, p: int, lam: tuple[int, int]) -> tuple[int, int]:
     """Canonical P^1(F_p) class of the unit x1 + x2*w_f; rejects (0, 0) mod p."""
     x1, x2 = lam
     if x1 % p == 0 and x2 % p == 0:
@@ -1023,14 +1110,11 @@ def class_to_proj(order: QuadOrder, p: int, lam: tuple[int, int]) -> ProjClass:
     return proj_class(p, x1, x2)
 
 
-def proj_identity() -> ProjClass:
-    return ProjClass(1, 0)
-
-
-def proj_inverse(params: ProjParams, u: ProjClass) -> ProjClass:
+def proj_inverse(params, u) -> tuple[int, int]:
     # Conjugation: the inverse of x1 + x2*w is its conjugate up to norm scaling,
     # i.e. [x1 + t*x2 : -x2].
-    return proj_class(params.p, u.x1 + params.t * u.x2, -u.x2)
+    p, t, _ = params
+    return proj_class(p, u[0] + t * u[1], -u[1])
 
 
 def recognize_algebraic(x, field_disc: int | None, degree_bound: int,
@@ -1101,8 +1185,8 @@ def form_pow(x: BinaryForm, k: int) -> BinaryForm:
     return acc
 
 
-def proj_pow(params: ProjParams, u: ProjClass, k: int) -> ProjClass:
-    acc = proj_identity()
+def proj_pow(params, u, k: int) -> tuple[int, int]:
+    acc = (1, 0)
     base = u
     if k < 0:
         base = proj_inverse(params, u)
@@ -1115,10 +1199,10 @@ def proj_pow(params: ProjParams, u: ProjClass, k: int) -> ProjClass:
     return acc
 
 
-def element_order(params: ProjParams, u: ProjClass) -> int:
+def element_order(params, u) -> int:
     acc = u
-    for k in range(1, params.p + 2):
-        if acc == proj_identity():
+    for k in range(1, params[0] + 2):
+        if acc == (1, 0):
             return k
         acc = proj_mul(params, acc, u)
     raise AssertionError("order exceeds group size")

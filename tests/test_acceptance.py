@@ -14,13 +14,12 @@ from sympy import primerange
 from cmtrace.curves import curve_model
 from cmtrace.embeddings import build_embedding, find_common_norm_element, two_to_one_check, verify_optimal
 from cmtrace.experiments import ExperimentSpec, trace_point
-from cmtrace.fp import FpParams, index_ns_plus, kronecker
+from cmtrace.fp import index_ns_plus, kronecker, smallest_nonsquare
 from cmtrace.heegner import NoHeegnerPoint, heegner_form
 from cmtrace.periods import period_lattice
-from cmtrace.projline import ProjParams, involution_class, proj_class, proj_elements, proj_mul
-from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes, order_data,
-                               proj_params)
-from oracles import index_ns_plus_by_enumeration, lattice_distance
+from cmtrace.quadforms import BinaryForm, is_fundamental_discriminant, kernel_classes, order_data
+from oracles import (in_cartan_group, index_ns_plus_by_enumeration, involution_class,
+                     lattice_distance, mat_det, proj_class, proj_elements, proj_mul, proj_params)
 
 CURVE_RANK0_49 = (1, -1, 0, -2, -1)
 CURVE_RANK1_121 = (0, -1, 1, -7, 10)
@@ -57,7 +56,7 @@ def test_criterion_1_projective_group_law():
             if kronecker(t * t - 4 * n, p) != -1:
                 continue
             seen += 1
-            params = ProjParams(p, t, n)
+            params = proj_params(p, t, n)
             els = proj_elements(p)
             index = {u: i for i, u in enumerate(els)}
             table = {}
@@ -66,8 +65,9 @@ def test_criterion_1_projective_group_law():
             for u in els:
                 for v in els:
                     w = proj_mul(params, u, v)
-                    z1 = (u.x1 * v.x1 - n * u.x2 * v.x2) % p
-                    z2 = (u.x1 * v.x2 + u.x2 * v.x1 + t * u.x2 * v.x2) % p
+                    (u1, u2), (v1, v2) = u, v
+                    z1 = (u1 * v1 - n * u2 * v2) % p
+                    z2 = (u1 * v2 + u2 * v1 + t * u2 * v2) % p
                     assert w == proj_class(p, z1, z2)
                     table[index[u], index[v]] = index[w]
             # element-order census: cyclic of order p+1, single involution
@@ -93,8 +93,8 @@ def test_criterion_1_projective_group_law():
 def test_criterion_2_index_formula():
     start = time.perf_counter()
     for p in (5, 7, 11, 13, 17, 19):
-        assert index_ns_plus_by_enumeration(FpParams(p)) == (p + 1) // 2
-        assert index_ns_plus(FpParams(p)) == (p + 1) // 2
+        assert index_ns_plus_by_enumeration(p) == (p + 1) // 2
+        assert index_ns_plus(p) == (p + 1) // 2
     elapsed = time.perf_counter() - start
     assert elapsed < 10
     print(f"\nPASS criterion 2: [C_ns+ : C_ns+ cap C_s+] = (p+1)/2 for "
@@ -113,9 +113,10 @@ def test_criterion_3_optimal_embeddings():
         if kronecker(dK, p) != -1 or f % p == 0:
             continue
         order = order_data(dK, f)
-        emb = build_embedding(FpParams(p), order)
+        emb = build_embedding(p, order)
         assert verify_optimal(emb)
-        assert emb.iota_omega.charpoly_coeffs() == (order.t % p, order.n % p)
+        a, _, _, d = emb.iota_omega
+        assert ((a + d) % p, mat_det(p, emb.iota_omega)) == (order.t % p, order.n % p)
         done += 1
     print("\nPASS criterion 3: verify_optimal and exact charpoly for 20 random "
           "inert (dK, f, p), p <= 31")
@@ -125,16 +126,15 @@ def test_criterion_4_two_to_one():
     start = time.perf_counter()
     cases = {5: (-7, -23, -43), 7: (-11, -15, -23), 11: (-67, -20, -23), 13: (-7, -11, -19)}
     for p, dks in cases.items():
-        params = FpParams(p)
         for dK in dks:
             order = order_data(dK, 1)
-            emb = build_embedding(params, order)
+            emb = build_embedding(p, order)
             kernel = kernel_classes(order, p)
             fibers = two_to_one_check(emb, kernel)
             assert len(fibers) == (p + 1) // 2
             assert all(len(v) == 2 for v in fibers.values())
-            pp = proj_params(order, p)
-            invol = involution_class(pp, emb.iota_omega.a)
+            pp = proj_params(p, order.t, order.n)
+            invol = involution_class(pp, emb.iota_omega[0])
             for u, v in fibers.values():
                 assert proj_mul(pp, u, invol) == v
     elapsed = time.perf_counter() - start
@@ -191,10 +191,11 @@ def test_criterion_7_conductor_one_obstruction():
 def test_criterion_8_common_norm_elements():
     start = time.perf_counter()
     for p in primerange(3, 98):
-        params = FpParams(p)
+        eps = smallest_nonsquare(p)
         for ell in range(1, p):
-            m = find_common_norm_element(params, ell)
-            assert m.det() == ell
+            m = find_common_norm_element(p, eps, ell)
+            assert mat_det(p, m) == ell
+            assert in_cartan_group(p, m, "ns+") and in_cartan_group(p, m, "s+")
     elapsed = time.perf_counter() - start
     assert elapsed < 5
     print(f"\nPASS criterion 8: common-norm element exists for every unit "

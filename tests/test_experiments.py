@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -86,12 +87,18 @@ def test_finite_report_examples():
 
 
 # sha256 of json.dumps(report.to_json(), sort_keys=True): the finite-shadow
-# JSON is part of every report, so a refactor of the finite layer keeps it
+# JSON is part of every report, so a refactor of the finite layer keeps it.
+# p = 10009 lies far beyond the benchmark's p <= 199, at f = 1 and f = 3.
 FINITE_SHA256 = {
     (5, -7, 1): "e3c3b72b060faf02dc78ba9e516c7db5ae4f38be27e22964c163bd2fb74e22da",
     (101, -7, 1): "470188361ba7a4a6c7607a2d21e0be06cbe905cf99531b4f47ea32e93795cea2",
+    (101, -7, 2): "c470da42ff4fa67743ad937aa4e1a2e628d60c488bb1807caa8d43c6244d77a1",
     (199, -91, 1): "0f1f28fb25244a033d408c47ec9b222f3ff4db0bb608b31de8049bba4b053307",
+    (10009, -7, 1): "13273d10d41b2b98b80336d1896477aa69e254e994988ab513b7a570b6e21067",
+    (10009, -7, 3): "306bd58dd343c72d61867bbce9f67bf4ed3b46056ff61698294a29d5bc2d9b4a",
 }
+# the benchmark's recorded outputs, read here and never written
+EXPECTED_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 SHADOW_36A1_SHA256 = "8e0dba658fdb6e4290c9381febfdc7736f8fca502fea9ccd1f82f72c10734b69"
 
 
@@ -107,6 +114,18 @@ def test_finite_shadow_json_is_pinned():
     rep = trace_point(ExperimentSpec(dK=-7, f=1, curve=curve_model((0, 0, 0, 0, 1)), digits=60))
     assert rep.finite_shadow.level_m == 4
     assert _sha256(rep.finite_shadow) == SHADOW_36A1_SHA256
+
+
+def test_every_recorded_finite_report_replays():
+    # each finite key of the benchmark, p in [101, 199] and f <= 3, gives
+    # the report it recorded, byte for byte
+    with open(EXPECTED_JSON) as fh:
+        recorded = json.load(fh)["finite"]
+    assert len(recorded) == 1203
+    for key, entry in recorded.items():
+        p, dK, f = (int(v) for v in key.split("/"))
+        spec = ExperimentSpec(dK=dK, f=f, p=p, mode="finite_only")
+        assert _sha256(experiment_finite(spec)) == entry["report_sha256"], key
 
 
 def test_trace_sign_minus_is_torsion():
@@ -306,8 +325,7 @@ def test_trace_point_builds_the_kernel_once(monkeypatch):
         report = trace_point(ExperimentSpec(dK=dK, f=f, curve=model, digits=30,
                                             mode="signo_minus" if model is M49 else "main_plus"))
         assert calls == [(dK, f, model.p)]
-        proj = report.finite_shadow.classes[0].proj
-        assert (proj.x1, proj.x2) == report.orbit[0].proj
+        assert report.finite_shadow.classes[0].proj == report.orbit[0].proj == (1, 0)
         assert "classes" not in report.finite_shadow.to_json()
 
 

@@ -7,45 +7,50 @@ from hypothesis import strategies as st
 from sympy import primerange
 from sympy.ntheory import sqrt_mod
 
-from cmtrace.fp import (CARTAN_KINDS, MR_BOUND, TRIAL_BOUND, ArithmeticBoundError, FpMatrix,
-                        FpParams, cartan_membership, factorint, in_cartan_group,
-                        index_ns_plus, isprime, kronecker, smallest_nonsquare, sqrt_mod_p)
-from oracles import (EnumerationBoundError, cartan_intersection_ns_s, enumerate_cartan,
-                     identity, index_ns_plus_by_enumeration, lift_to_integral_sl2, sl2_elements)
+from cmtrace import fp
+from cmtrace.embeddings import build_embedding
+from cmtrace.errors import InputError
+from cmtrace.fp import (MR_BOUND, TRIAL_BOUND, ArithmeticBoundError, factorint, index_ns_plus,
+                        isprime, kronecker, smallest_nonsquare, sqrt_mod_p)
+from cmtrace.quadforms import order_data
+from oracles import (CARTAN_KINDS, IDENTITY, EnumerationBoundError, cartan_intersection_ns_s,
+                     enumerate_cartan, in_cartan_group, index_ns_plus_by_enumeration,
+                     lift_to_integral_sl2, mat, mat_det, mat_inv, mat_mul, sl2_elements)
 
 
 def test_params_validation():
-    assert FpParams(5).eps == 2
-    assert FpParams(7).eps == 3
-    with pytest.raises(ValueError):
-        FpParams(9)
-    with pytest.raises(ValueError):
-        FpParams(2)
+    # the odd-prime check and eps, the smallest non-square, of the embedding
+    assert build_embedding(5, order_data(-7, 1)).eps == 2
+    assert build_embedding(7, order_data(-11, 1)).eps == 3
+    with pytest.raises(InputError, match="odd prime"):
+        build_embedding(9, order_data(-7, 1))
+    with pytest.raises(InputError, match="odd prime"):
+        build_embedding(2, order_data(-7, 1))
 
 
 def test_matrix_basics():
-    m = FpMatrix(5, 7, -1, 2, 3)
-    assert m.entries == (2, 4, 2, 3)
-    assert m.det() == (2 * 3 - 4 * 2) % 5
-    assert m.mul(m.inv()) == identity(5)
-    assert m.charpoly_coeffs() == (m.trace(), m.det())
+    m = mat(5, 7, -1, 2, 3)
+    assert m == (2, 4, 2, 3)
+    assert mat_det(5, m) == (2 * 3 - 4 * 2) % 5
+    assert mat_mul(5, m, mat_inv(5, m)) == mat_mul(5, mat_inv(5, m), m) == IDENTITY
+    with pytest.raises(ValueError):
+        mat_inv(5, (1, 2, 2, 4))
 
 
 def test_membership_examples():
-    p5 = FpParams(5)
-    assert cartan_membership(identity(5), "ns", p5)
-    assert cartan_membership(FpMatrix(5, 1, 1, 2, 1), "ns", p5)     # b*eps = 2 = c
-    m = FpMatrix(5, 1, 0, 0, -1)
-    assert not cartan_membership(m, "ns", p5)
-    assert cartan_membership(m, "ns+", p5)
-    assert cartan_membership(FpMatrix(5, 3, 0, 0, 4), "s", p5)
-    assert not cartan_membership(FpMatrix(5, 0, 1, 2, 0), "s", p5)
-    assert cartan_membership(FpMatrix(5, 0, 1, 2, 0), "s+", p5)
+    assert in_cartan_group(5, IDENTITY, "ns")
+    assert in_cartan_group(5, (1, 1, 2, 1), "ns")      # b*eps = 2 = c
+    m = mat(5, 1, 0, 0, -1)
+    assert not in_cartan_group(5, m, "ns")
+    assert in_cartan_group(5, m, "ns+")
+    assert in_cartan_group(5, (3, 0, 0, 4), "s")
+    assert not in_cartan_group(5, (0, 1, 2, 0), "s")
+    assert in_cartan_group(5, (0, 1, 2, 0), "s+")
+    assert not in_cartan_group(5, (0, 0, 0, 0), "s")   # the pattern, but singular
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_group_sizes(p):
-    params = FpParams(p)
     sizes = {
         "ns": p * p - 1,
         "s": (p - 1) ** 2,
@@ -53,58 +58,55 @@ def test_group_sizes(p):
         "s+": 2 * (p - 1) ** 2,
     }
     for kind in CARTAN_KINDS:
-        got = enumerate_cartan(params, kind)
+        got = enumerate_cartan(p, kind)
         assert len(got) == sizes[kind]
         assert len(set(got)) == len(got)
 
 
 def test_ns_plus_normalizes_ns():
-    params = FpParams(5)
-    ns = set(enumerate_cartan(params, "ns"))
-    for g in enumerate_cartan(params, "ns+"):
-        gi = g.inv()
-        assert {g.mul(m).mul(gi) for m in ns} == ns
+    ns = set(enumerate_cartan(5, "ns"))
+    for g in enumerate_cartan(5, "ns+"):
+        gi = mat_inv(5, g)
+        assert {mat_mul(5, mat_mul(5, g, m), gi) for m in ns} == ns
 
 
 def test_normalizer_quotients_have_size_two():
     for p in (5, 7):
-        params = FpParams(p)
-        assert len(enumerate_cartan(params, "ns+")) == 2 * len(enumerate_cartan(params, "ns"))
-        assert len(enumerate_cartan(params, "s+")) == 2 * len(enumerate_cartan(params, "s"))
+        assert len(enumerate_cartan(p, "ns+")) == 2 * len(enumerate_cartan(p, "ns"))
+        assert len(enumerate_cartan(p, "s+")) == 2 * len(enumerate_cartan(p, "s"))
 
 
 def test_det_surjective_on_ns():
     # needed for the SL_2 conjugation step in the embedding construction
     for p in primerange(3, 98):
-        params = FpParams(p)
-        dets = {(a * a - params.eps * b * b) % p
+        eps = smallest_nonsquare(p)
+        dets = {(a * a - eps * b * b) % p
                 for a in range(p) for b in range(p) if (a, b) != (0, 0)}
         assert dets == set(range(1, p))
 
 
 def test_intersection_and_index():
-    params = FpParams(5)
-    inter = cartan_intersection_ns_s(params)
+    inter = cartan_intersection_ns_s(5)
     assert len(inter) == 16
     for m in inter:
-        assert in_cartan_group(m, "ns+", params) and in_cartan_group(m, "s+", params)
-    assert index_ns_plus(params) == 3
-    assert index_ns_plus(FpParams(7)) == 4
-    assert index_ns_plus(FpParams(13)) == 7
+        assert in_cartan_group(5, m, "ns+") and in_cartan_group(5, m, "s+")
+    assert index_ns_plus(5) == 3
+    assert index_ns_plus(7) == 4
+    assert index_ns_plus(13) == 7
     for p in (5, 7, 13):
-        assert index_ns_plus_by_enumeration(FpParams(p)) == index_ns_plus(FpParams(p))
+        assert index_ns_plus_by_enumeration(p) == index_ns_plus(p)
 
 
 def test_enumeration_bound():
     with pytest.raises(EnumerationBoundError):
-        enumerate_cartan(FpParams(211), "ns")
+        enumerate_cartan(211, "ns")
 
 
 def test_lift_identity_and_fixed_matrices():
     for p in (5, 11):
-        lift = lift_to_integral_sl2(identity(p))
+        lift = lift_to_integral_sl2(p, IDENTITY)
         assert lift == ((1, 0), (0, 1))
-        j = lift_to_integral_sl2(FpMatrix(p, 0, -1, 1, 0))
+        j = lift_to_integral_sl2(p, mat(p, 0, -1, 1, 0))
         (a, b), (c, d) = j
         assert a * d - b * c == 1
         assert (a % p, b % p, c % p, d % p) == (0, p - 1, 1, 0)
@@ -112,9 +114,9 @@ def test_lift_identity_and_fixed_matrices():
 
 def test_lift_exhaustive_small_p():
     for m in sl2_elements(5):
-        (a, b), (c, d) = lift_to_integral_sl2(m)
+        (a, b), (c, d) = lift_to_integral_sl2(5, m)
         assert a * d - b * c == 1
-        assert FpMatrix(5, a, b, c, d) == m
+        assert mat(5, a, b, c, d) == m
 
 
 def test_lift_random_with_level():
@@ -126,11 +128,11 @@ def test_lift_random_with_level():
             if a:
                 d = (1 + b * c) * pow(a, -1, p) % p
                 break
-        m = FpMatrix(p, a, b, c, d)
+        m = (a, b, c, d)
         for level in (1, 6):
-            (la, lb), (lc, ld) = lift_to_integral_sl2(m, level=level)
+            (la, lb), (lc, ld) = lift_to_integral_sl2(p, m, level=level)
             assert la * ld - lb * lc == 1
-            assert FpMatrix(p, la, lb, lc, ld) == m
+            assert mat(p, la, lb, lc, ld) == m
             assert lc % level == 0
             bound = 4 * (p * level) ** 3
             assert max(abs(la), abs(lb), abs(lc), abs(ld)) <= bound
@@ -138,9 +140,9 @@ def test_lift_random_with_level():
 
 def test_lift_rejects_bad_det():
     with pytest.raises(ValueError):
-        lift_to_integral_sl2(FpMatrix(5, 2, 0, 0, 2))
+        lift_to_integral_sl2(5, (2, 0, 0, 2))
     with pytest.raises(ValueError):
-        lift_to_integral_sl2(identity(5), level=10)   # shares the prime
+        lift_to_integral_sl2(5, IDENTITY, level=10)   # shares the prime
 
 
 def test_legendre_and_nonsquare():
@@ -162,6 +164,19 @@ def test_sqrt_mod_p_is_smallest_root():
                 with pytest.raises(ValueError):
                     sqrt_mod_p(a, p)
     assert sqrt_mod_p(0, 7) == 0
+
+
+def test_sqrt_mod_p_rejects_a_modulus_that_is_no_odd_prime(monkeypatch):
+    # (2|33) = 1 although 2 is no square mod 33: Tonelli-Shanks never reaches t = 1
+    assert kronecker(2, 33) == 1
+    for a, n in [(2, 33), (4, 33), (0, 9), (1, 2), (1, 1), (1, 0), (1, -7)]:
+        with pytest.raises(InputError, match="odd prime"):
+            sqrt_mod_p(a, n)
+    # past the prime check, a root that does not square back is refused:
+    # (2|15) = 1, and 2^4 = 1 mod 15
+    monkeypatch.setattr(fp, "isprime", lambda n: True)
+    with pytest.raises(InputError, match="no square root of 2 mod 15"):
+        sqrt_mod_p(2, 15)
 
 
 # The small-integer arithmetic against sympy, the reference implementation.

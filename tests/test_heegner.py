@@ -133,10 +133,9 @@ def test_orbit_stable_under_rebasing():
 
 
 def test_acting_twice_equals_squared_class():
-    from cmtrace.projline import proj_mul
-    from cmtrace.quadforms import proj_params
+    from oracles import proj_mul, proj_params
     order, kernel, base = orbit_setup(-11, 7, 49)
-    params = proj_params(order, 7)
+    params = proj_params(7, order.t, order.n)
     orbit = galois_orbit(base, [kc.form for kc in kernel])
     index_of = {kc.proj: i for i, kc in enumerate(kernel)}
     # acting twice by the class at idx = acting once by its square
@@ -209,7 +208,7 @@ def test_orbit_from_kept_ideals_matches_recorded_anchor_forms(dK, p, n_level):
     for kc in kernel:
         # the two-row ideal that the lattice oracle conjugates is the
         # three-row one the kernel used to keep
-        x1, x2 = kc.proj.x1, kc.proj.x2
+        x1, x2 = kc.proj
         assert (generator_ideal(order, p, x1, x2)
                 == generator_ideal_three_rows(order, p, x1, x2))
     for orbit in (galois_orbit(base, [kc.form for kc in kernel]),

@@ -27,12 +27,11 @@ from cmtrace.experiments import ExperimentSpec, experiment_finite
 from cmtrace.fp import kronecker
 from cmtrace.heegner import (HeegnerTau, _complete_unimodular, galois_orbit, gamma0_reduce,
                              heegner_form)
-from cmtrace.projline import involution_class, proj_mul
 from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes,
-                               lagrange_reduce, order_data, proj_params, reduce_form)
+                               lagrange_reduce, order_data, reduce_form)
 from oracles import (compose, form_inverse, galois_orbit_by_lattices, gamma0_reduce_all_candidates,
-                     generator_ideal, generator_ideal_by_intersection, kernel_classes_by_hnf,
-                     principal_form, project_form)
+                     generator_ideal, generator_ideal_by_intersection, involution_class,
+                     kernel_classes_by_hnf, principal_form, project_form, proj_mul, proj_params)
 
 CASES = [(dK, f, p)
          for dK in range(-200, -6) if is_fundamental_discriminant(dK)
@@ -89,13 +88,14 @@ def test_finite_checks_hold_and_fibers_pair_by_the_involution(case):
     dK, f, p = case
     report = experiment_finite(ExperimentSpec(dK=dK, f=f, p=p, mode="finite_only"))
     assert report.all_passed, report.checks
-    params = proj_params(order_data(dK, f), p)
-    invol = involution_class(params, params.t * pow(2, -1, p) % p)
+    order = order_data(dK, f)
+    params = proj_params(p, order.t, order.n)
+    invol = involution_class(params, order.t * pow(2, -1, p) % p)
     assert len(report.fibers) == report.degree == (p + 1) // 2
     for u, v in report.fibers.values():
         assert proj_mul(params, u, invol) == v
     assert sorted(w for pair in report.fibers.values() for w in pair) == sorted(
-        kc.proj for kc in kernel_classes(order_data(dK, f), p))
+        kc.proj for kc in kernel_classes(order, p))
 
 
 def _orbit(dK, f, p):
@@ -121,7 +121,7 @@ def test_orbit_member_is_base_times_its_conjugate_kernel_ideal(case):
 @given(st.sampled_from(CASES))
 def test_identity_class_reproduces_the_base_point(case):
     kernel, base, orbit = _orbit(*case)
-    assert (kernel[0].proj.x1, kernel[0].proj.x2) == (1, 0)
+    assert kernel[0].proj == (1, 0)
     assert orbit[0].form == gamma0_reduce(base.form, base.n_level)
 
 

@@ -8,29 +8,28 @@ from sympy import primerange
 
 from cmtrace.embeddings import EmbeddingData, build_embedding, signo_pairing_check, two_to_one_check
 from cmtrace.experiments import ExperimentSpec, experiment_finite
-from cmtrace.fp import FpMatrix, FpParams, kronecker
+from cmtrace.fp import kronecker, smallest_nonsquare
 from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
 from oracles import (coset_label, coset_label_by_matrices, decompose_gamma, enumerate_cartan,
                      generator_ideal, generator_ideal_by_intersection, kernel_classes_by_hnf,
-                     kernel_forms_by_filter, signo_pairing_by_matrices, sl2_elements,
+                     kernel_forms_by_filter, mat_det, signo_pairing_by_matrices, sl2_elements,
                      sorted_min_label, two_to_one_by_matrices)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_coset_label_matches_sorted_min_on_sl2(p):
     for g in sl2_elements(p):
-        assert coset_label(g) == sorted_min_label(g), g
+        assert coset_label(p, g) == sorted_min_label(p, g), g
 
 
 @pytest.mark.parametrize("p,dK", [(3, -7), (5, -7), (7, -11), (11, -67), (13, -7)])
 def test_coset_label_of_cartan_element_matches_decomposition(p, dK):
     # two_to_one_check labels r_bar directly; the old route labelled the
     # SL_2 factor gamma_i of r_bar = gamma_i * r_s
-    params = FpParams(p)
-    emb = build_embedding(params, order_data(dK, 1))
-    for r_bar in enumerate_cartan(params, "ns"):
+    emb = build_embedding(p, order_data(dK, 1))
+    for r_bar in enumerate_cartan(p, "ns"):
         gamma_i = decompose_gamma(emb, r_bar).gamma_i
-        assert coset_label(r_bar) == coset_label(gamma_i) == sorted_min_label(gamma_i)
+        assert coset_label(p, r_bar) == coset_label(p, gamma_i) == sorted_min_label(p, gamma_i)
 
 
 def _inert_cases():
@@ -72,7 +71,7 @@ def test_closed_form_kernel_equals_the_hermite_normal_form_route(f):
         # the same forms, class by class, in the same order
         assert kernel == kernel_classes_by_hnf(order, p), (dK, p, f)
         for kc in kernel:
-            x1, x2 = kc.proj.x1, kc.proj.x2
+            x1, x2 = kc.proj
             assert (generator_ideal(order, p, x1, x2)
                     == generator_ideal_by_intersection(order, p, x1, x2)), (dK, p, f, x1)
 
@@ -80,11 +79,10 @@ def test_closed_form_kernel_equals_the_hermite_normal_form_route(f):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_coset_label_from_entries_matches_the_matrix_route_on_gl2(p):
     invertible = 0
-    for entries in product(range(p), repeat=4):
-        g = FpMatrix(p, *entries)
-        if g.det():
+    for g in product(range(p), repeat=4):
+        if mat_det(p, g):
             invertible += 1
-            assert coset_label(g) == coset_label_by_matrices(g), g
+            assert coset_label(p, g) == coset_label_by_matrices(p, g), g
     assert invertible == (p * p - 1) * (p * p - p)
 
 
@@ -100,7 +98,7 @@ def test_two_to_one_check_returns_the_dict_of_the_matrix_route():
                 if f % p == 0:
                     continue
                 order = order_data(dK, f)
-                emb = build_embedding(FpParams(p), order)
+                emb = build_embedding(p, order)
                 kernel = kernel_classes(order, p)
                 got, want = two_to_one_check(emb, kernel), two_to_one_by_matrices(emb, kernel)
                 # same keys in the same order, same classes in the same order
@@ -118,7 +116,7 @@ def test_signo_pairing_closed_form_matches_the_matrix_route():
         dK, p, f = rng.choice(fundamentals), rng.choice(primes), rng.randint(1, 12)
         if kronecker(dK, p) != -1 or f % p == 0:
             continue
-        emb = build_embedding(FpParams(p), order_data(dK, f))
+        emb = build_embedding(p, order_data(dK, f))
         assert signo_pairing_check(emb) is signo_pairing_by_matrices(emb) is True, (dK, p, f)
         checked += 1
 
@@ -127,10 +125,10 @@ def test_signo_pairing_closed_form_matches_the_matrix_route():
 def test_signo_pairing_closed_form_on_hand_built_matrices(p):
     # every (a, b, c, d): w = (0, b; c, d - a) is singular exactly when bc = 0,
     # and then the matrix route raises while the closed form reads False
-    params, order = FpParams(p), order_data(-7, 1)
+    order = order_data(-7, 1)
     seen = set()
     for a, b, c, d in product(range(p), repeat=4):
-        emb = EmbeddingData(params=params, order=order, iota_omega=FpMatrix(p, a, b, c, d))
+        emb = EmbeddingData(p=p, eps=smallest_nonsquare(p), order=order, iota_omega=(a, b, c, d))
         got = signo_pairing_check(emb)
         if b * c % p == 0:
             with pytest.raises(AssertionError):
