@@ -94,8 +94,8 @@ def lemma_converse_check(emb: EmbeddingData) -> bool:
     solution, [-a : 1], exactly when a = d.  So the two hits are the expected
     ones exactly when (b, c) != (0, 0) and a = d; the tests compare this with
     the scan of P^1(F_p)."""
-    a, b, c, d = emb.iota_omega
-    return (b, c) != (0, 0) and a == d
+    p, (a, b, c, d) = emb.p, emb.iota_omega
+    return (b % p, c % p) != (0, 0) and (a - d) % p == 0
 
 
 def _label_entries(p: int, a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
@@ -174,14 +174,18 @@ def signo_pairing_check(emb: EmbeddingData) -> bool:
     antidiagonal and invertible, that is when a = d and bc != 0, and then
     J^-1 w = (-c, 0; 0, b) is diagonal and invertible.  The tests compare
     this with the matrix route (tests/oracles.py)."""
-    a, b, c, d = emb.iota_omega
-    return a == d and b * c % emb.p != 0
+    p, (a, b, c, d) = emb.p, emb.iota_omega
+    return (a - d) % p == 0 and b * c % p != 0
 
 
-def find_common_norm_element(p: int, eps: int, l: int) -> tuple[int, int, int, int]:
+def find_common_norm_element(p: int, l: int) -> tuple[int, int, int, int]:
     """Element of C_s+ cap C_ns+ with determinant l, as a row-major 4-tuple
     in [0, p): a scalar when l is a square, an antidiagonal (0, b; -eps*b, 0)
-    with eps*b^2 = l otherwise (eps a non-square mod the odd prime p)."""
+    with eps*b^2 = l otherwise, eps the smallest non-square mod the odd
+    prime p."""
+    if p < 3 or not isprime(p):
+        raise InputError(f"p must be an odd prime, got {p}")
+    eps = smallest_nonsquare(p)
     l %= p
     if l == 0:
         raise InputError("determinant must be a unit")

@@ -204,7 +204,7 @@ def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
         ell += 1
         if isprime(ell) and n_ambient % ell:
             good.append(ell)
-    elements = [find_common_norm_element(p, emb.eps, ell) for ell in good]
+    elements = [find_common_norm_element(p, ell) for ell in good]
     checks["common_norm_elements"] = all(
         (a * d - b * c - ell) % p == 0 for ell, (a, b, c, d) in zip(good, elements))
     return FiniteReport(p=p, dK=spec.dK, f=spec.f, level_m=level_m, checks=checks,

@@ -141,10 +141,14 @@ def smallest_nonsquare(p: int) -> int:
 
 def sqrt_mod_p(a: int, p: int) -> int:
     """The square root r <= p // 2 of a mod the odd prime p (the smaller of
-    r and p - r), or InputError if a is a non-square.  A composite modulus
-    is an InputError too: the Jacobi symbol can read 1 at a non-square there,
-    and Tonelli-Shanks would never reach t = 1."""
-    if p < 3 or not isprime(p):
+    r and p - r), or InputError if a is a non-square.
+
+    p is not tested for primality.  At an odd composite p the Jacobi symbol
+    can read 1 at a non-square, so both routes check what they found: a
+    Tonelli-Shanks step whose t has no order 2^i < 2^m, and a root that does
+    not square back to a, are InputErrors.  So the call ends at any odd p,
+    and what it returns is a root of a mod p."""
+    if p < 3 or p % 2 == 0:
         raise InputError(f"square roots are taken mod an odd prime, got {p}")
     a %= p
     if a == 0:
@@ -167,11 +171,14 @@ def sqrt_mod_p(a: int, p: int) -> int:
             while t2 != 1:
                 t2 = t2 * t2 % p
                 i += 1
+                if i == m:
+                    raise InputError(f"no square root of {a} mod {p} found: "
+                                     f"{p} is not prime")
             b = pow(c, 1 << (m - i - 1), p)
             m, c = i, b * b % p
             t, r = t * c % p, r * b % p
     if r * r % p != a:
-        raise InputError(f"no square root of {a} mod {p} found")
+        raise InputError(f"no square root of {a} mod {p} found: {p} is not prime")
     return min(r, p - r)
 
 

@@ -14,7 +14,7 @@ from sympy import primerange
 from cmtrace.curves import curve_model
 from cmtrace.embeddings import build_embedding, find_common_norm_element, two_to_one_check, verify_optimal
 from cmtrace.experiments import ExperimentSpec, trace_point
-from cmtrace.fp import index_ns_plus, kronecker, smallest_nonsquare
+from cmtrace.fp import index_ns_plus, kronecker
 from cmtrace.heegner import NoHeegnerPoint, heegner_form
 from cmtrace.periods import period_lattice
 from cmtrace.quadforms import BinaryForm, is_fundamental_discriminant, kernel_classes, order_data
@@ -191,9 +191,8 @@ def test_criterion_7_conductor_one_obstruction():
 def test_criterion_8_common_norm_elements():
     start = time.perf_counter()
     for p in primerange(3, 98):
-        eps = smallest_nonsquare(p)
         for ell in range(1, p):
-            m = find_common_norm_element(p, eps, ell)
+            m = find_common_norm_element(p, ell)
             assert mat_det(p, m) == ell
             assert in_cartan_group(p, m, "ns+") and in_cartan_group(p, m, "s+")
     elapsed = time.perf_counter() - start

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from sympy import primerange
@@ -156,8 +157,16 @@ def test_lemma_converse_on_hand_built_matrices():
                         got = lemma_converse_check(emb)
                         assert got is _converse_by_scan(emb), (p, a, b, c, d)
                         seen.add(((b, c) == (0, 0), a == d, got))
+                        # entries outside [0, p) are read mod p
+                        shifted = replace(emb, iota_omega=(a + p, b - p, c + 2 * p, d - 3 * p))
+                        assert lemma_converse_check(shifted) is got, (p, a, b, c, d)
     assert seen == {(True, True, False), (True, False, False),
                     (False, True, True), (False, False, False)}
+    # an unreduced generator that verify_optimal accepts passes both pairing
+    # checks, as its reduction (3, 1, 2, 3) = build_embedding(5, -7) does
+    emb = EmbeddingData(p=5, eps=2, order=order, iota_omega=(8, 1, 2, 3))
+    assert build_embedding(5, order).iota_omega == (3, 1, 2, 3)
+    assert verify_optimal(emb) and lemma_converse_check(emb) and signo_pairing_check(emb)
 
 
 def test_decompose_identity():
@@ -269,16 +278,19 @@ def test_signo_pairing():
 
 
 def test_common_norm_elements():
-    assert find_common_norm_element(5, 2, 4) == (2, 0, 0, 2)
-    assert find_common_norm_element(5, 2, 2) == (0, 1, 3, 0)
+    assert find_common_norm_element(5, 4) == (2, 0, 0, 2)
+    assert find_common_norm_element(5, 2) == (0, 1, 3, 0)
     with pytest.raises(ValueError):
-        find_common_norm_element(5, 2, 0)
+        find_common_norm_element(5, 0)
+    for p in (33, 27, 9, 1, 2):
+        with pytest.raises(InputError, match="odd prime"):
+            find_common_norm_element(p, 2)
 
 
 def test_common_norm_closure():
     for l1 in range(1, 7):
         for l2 in range(1, 7):
-            m1, m2 = find_common_norm_element(7, 3, l1), find_common_norm_element(7, 3, l2)
+            m1, m2 = find_common_norm_element(7, l1), find_common_norm_element(7, l2)
             prod = mat_mul(7, m1, m2)
             assert mat_det(7, prod) == l1 * l2 % 7
             assert in_cartan_group(7, prod, "ns+")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from sympy import primerange
 from sympy.ntheory import sqrt_mod
 
-from cmtrace import fp
 from cmtrace.embeddings import build_embedding
 from cmtrace.errors import InputError
 from cmtrace.fp import (MR_BOUND, TRIAL_BOUND, ArithmeticBoundError, factorint, index_ns_plus,
@@ -164,19 +163,41 @@ def test_sqrt_mod_p_is_smallest_root():
                 with pytest.raises(ValueError):
                     sqrt_mod_p(a, p)
     assert sqrt_mod_p(0, 7) == 0
+    # no primality test is run, so primes that isprime cannot decide are
+    # served, on both routes: p = 3 mod 4, and p = 1 mod 8 for Tonelli-Shanks
+    p3 = sympy.nextprime(MR_BOUND)
+    p1 = sympy.nextprime(p3)
+    while p1 % 8 != 1:
+        p1 = sympy.nextprime(p1)
+    for p in (p3, p1):
+        for x in (2, 10 ** 20 + 7, 3 ** 50):
+            assert sqrt_mod_p(x * x, p) == min(x % p, -x % p)
 
 
-def test_sqrt_mod_p_rejects_a_modulus_that_is_no_odd_prime(monkeypatch):
-    # (2|33) = 1 although 2 is no square mod 33: Tonelli-Shanks never reaches t = 1
-    assert kronecker(2, 33) == 1
-    for a, n in [(2, 33), (4, 33), (0, 9), (1, 2), (1, 1), (1, 0), (1, -7)]:
+def test_sqrt_mod_p_rejects_a_modulus_that_is_no_odd_prime():
+    for a, n in [(1, 2), (1, 4), (1, 1), (1, 0), (1, -7)]:
         with pytest.raises(InputError, match="odd prime"):
             sqrt_mod_p(a, n)
-    # past the prime check, a root that does not square back is refused:
-    # (2|15) = 1, and 2^4 = 1 mod 15
-    monkeypatch.setattr(fp, "isprime", lambda n: True)
+    # (2|33) = 1 although 2 is no square mod 33: the Tonelli-Shanks t = 2 has
+    # no 2-power order, and the search for one is cut at 2^m = 32
+    assert kronecker(2, 33) == 1
+    with pytest.raises(InputError, match="no square root of 2 mod 33"):
+        sqrt_mod_p(2, 33)
+    # (2|15) = 1, and the p = 3 mod 4 route gives 2^4 = 1, which does not
+    # square back to 2
+    assert kronecker(2, 15) == 1
     with pytest.raises(InputError, match="no square root of 2 mod 15"):
         sqrt_mod_p(2, 15)
+    # at every odd composite the call ends, with a root or an InputError
+    for n in range(9, 300, 2):
+        if isprime(n):
+            continue
+        for a in range(n):
+            try:
+                r = sqrt_mod_p(a, n)
+            except InputError:
+                continue
+            assert r * r % n == a, (a, n)
 
 
 # The small-integer arithmetic against sympy, the reference implementation.

@@ -1,6 +1,7 @@
 """The closed-form finite layer against the exhaustive oracles in oracles.py."""
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -137,5 +138,8 @@ def test_signo_pairing_closed_form_on_hand_built_matrices(p):
         else:
             assert got is signo_pairing_by_matrices(emb), (a, b, c, d)
         seen.add((b * c % p == 0, a == d, got))
+        # entries outside [0, p) are read mod p
+        shifted = replace(emb, iota_omega=(a - p, b + p, c - 2 * p, d + 3 * p))
+        assert signo_pairing_check(shifted) is got, (a, b, c, d)
     assert seen == {(True, True, False), (True, False, False),
                     (False, True, True), (False, False, False)}
