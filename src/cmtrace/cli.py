@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import nullcontext
 
@@ -20,15 +19,13 @@ import mpmath as mp
 
 from .curves import Curve, conductor, curve_model, minimal_model
 from .embeddings import FiberStructureError
-from .errors import CmtraceError, InputError
+from .errors import CmtraceError
 from .experiments import (DEFAULT_DIGITS, LAMBDA_DIGITS, ExperimentSpec, FiberPairingError,
                           check_digits, experiment_finite, trace_point)
 from .heegner import heegner_form
 from .modparam import AlConstantError, atkin_lehner_sign
-from .periods import DIGITS_CAP
 from .quadforms import reduced_forms
 
-ENV_DIGITS = "CMTRACE_DIGITS"
 # Exit code per error class; the most specific class of an error's MRO counts.
 EXIT_CODES = {
     CmtraceError: 1,             # input errors and the package's stated bounds
@@ -37,19 +34,6 @@ EXIT_CODES = {
     AlConstantError: 3,
     FiberPairingError: 3,
 }
-
-
-def _default_digits() -> int:
-    raw = os.environ.get(ENV_DIGITS)
-    if not raw:
-        return DEFAULT_DIGITS
-    try:
-        digits = int(raw)
-        check_digits(digits)
-    except ValueError:
-        raise InputError(f"{ENV_DIGITS} must be an integer between 1 and {DIGITS_CAP}, "
-                         f"got {raw!r}") from None
-    return digits
 
 
 def _parse_curve(text: str):
@@ -90,15 +74,17 @@ def build_parser() -> argparse.ArgumentParser:
     sg = sub.add_parser("sign", help="Atkin-Lehner eigenvalue")
     sg.add_argument("--curve", type=_parse_curve, required=True)
     sg.add_argument("--q", type=int, required=True)
-    sg.add_argument("--digits", type=int, default=None)
+    sg.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     sg.add_argument("--json", dest="json_path", default=None)
 
     tr = sub.add_parser("trace", help="full Galois-orbit trace experiment")
-    tr.add_argument("--curve", type=_parse_curve, required=True)
+    tr.add_argument("--curve", type=_parse_curve, required=True,
+                    help="a1,a2,a3,a4,a6 of the X_0(N)-optimal curve of its isogeny class; "
+                         "the K_Q check does not catch an isogenous model")
     tr.add_argument("--p", type=int, default=None)
     tr.add_argument("--dk", type=int, required=True)
     tr.add_argument("--f", type=int, default=1)
-    tr.add_argument("--digits", type=int, default=None)
+    tr.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     tr.add_argument("--json", dest="json_path", default=None)
     return ap
 
@@ -131,12 +117,8 @@ def _cmd_heegner(args) -> tuple[int, dict]:
                "form": [form.a, form.b, form.c], "disc": form.disc()}
 
 
-def _digits(args) -> int:
-    return _default_digits() if args.digits is None else args.digits
-
-
 def _cmd_sign(args) -> tuple[int, dict]:
-    digits = _digits(args)
+    digits = args.digits
     check_digits(digits)
     cur = minimal_model(Curve(*args.curve))
     n = conductor(cur)
@@ -147,7 +129,7 @@ def _cmd_sign(args) -> tuple[int, dict]:
 
 
 def _cmd_trace(args) -> tuple[int, dict]:
-    digits = _digits(args)
+    digits = args.digits
     model = curve_model(args.curve, p=args.p)
     spec = ExperimentSpec(dK=args.dk, f=args.f, curve=model, digits=digits)
     report = trace_point(spec)

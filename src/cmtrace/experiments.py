@@ -26,9 +26,9 @@ the fiber sums to (1 + w_p) z_i + K_{p^2} + lam: that is K_{p^2} + lam
 when w_p = -1, with no series at the trace precision, and when w_p = +1
 only the point of fewer terms is evaluated at the trace precision.
 
-Reading lam.  orbit_trace rounds v = z_j - w_p z_i - K_{p^2} to the lattice
-(modparam.round_to_lattice), with z_j, and z_i when w_p = -1, evaluated at
-LAMBDA_DIGITS = 5, and accepts the vector lam only when |v - lam| <=
+Reading lam.  orbit_trace takes the lattice vector lam nearest to v = z_j -
+w_p z_i - K_{p^2} (periods.nearest_vector), with z_j, and z_i when w_p =
+-1, evaluated at LAMBDA_DIGITS = 5, and accepts it only when |v - lam| <=
 LAMBDA_BUDGET = 10^-9 < |b1| / 2, b1 the shortest lattice vector.  A
 LAMBDA_DIGITS value errs by less than 10^-10.  The series at the point it is
 given errs by under 10^-15 (tail) plus 10^-20 (rounding; modparam
@@ -41,8 +41,9 @@ within the series budget at the trace precision, at least TRACE_MIN_DIGITS
 = 15, so NMAX_CAP >= (15 + 10) ln 10 / t and t >= 5.7 10^-5, which bounds
 that by 3.4 10^-11.  A value at the trace precision errs by less than
 10^-(digits+5) the same way, and K_{p^2}, w_Q and each K_Q of a move are
-exact, so v is within 2.1 10^-10 of the true lam*.  Then lam* passes the
-check, and a lam that passes is lam*: |lam - lam*| < 2 LAMBDA_BUDGET < |b1|.
+exact, so v is within 2.1 10^-10 of the true lam*.  Then lam* is the
+nearest vector and passes the check, and a lam that passes is lam*: |lam -
+lam*| < 2 LAMBDA_BUDGET < |b1|.
 So the fiber sum is exact up to the trace-precision value of z_i, and z_j
 = z_i + K_{p^2} + lam at w_p = +1 is known to the trace precision; at w_p =
 -1 each point's own value is known to LAMBDA_DIGITS, which its entry states.
@@ -69,9 +70,9 @@ from .errors import CmtraceError, InputError
 from .fp import factorint, index_ns_plus, isprime, kronecker
 from .heegner import HeegnerTau, al_move, galois_orbit, heegner_form
 from .modparam import (GUARD, K_DIGITS, SeriesBudgetError, al_constant, al_constant_points,
-                       atkin_lehner_sign, eval_phi, local_sign, phi_terms, round_to_lattice)
+                       atkin_lehner_sign, eval_phi, local_sign, phi_terms)
 from .periods import (DIGITS_CAP, PeriodLattice, _reduced_basis, elliptic_exp, is_torsion,
-                      period_lattice, torsion_residual)
+                      nearest_vector, period_lattice, torsion_residual)
 from .quadforms import KernelClass, class_number, kernel_classes, order_data, reduce_form
 from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
 
@@ -448,7 +449,7 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
             if precs[b] == digits:
                 trace_z += zs[a] + zs[b]
                 continue
-            i, j = round_to_lattice(lat, zs[b] - wp * zs[a] - consts[p2])
+            i, j = nearest_vector(lat, zs[b] - wp * zs[a] - consts[p2])
             shift = consts[p2] + i * lat.w1 + j * lat.w2         # K_{p^2} + lam
             miss = abs(wp * zs[a] + shift - zs[b])
             if not miss <= LAMBDA_BUDGET < half:

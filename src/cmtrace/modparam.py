@@ -69,17 +69,18 @@ each value moves by under 9 10^-32 more while Im s >= 2 10^-3, that is N <=
 500 sqrt(Q) (every level the tests use).  The weights of the points sum to
 2, so the value v is within 2.2 10^-30 of K_Q, and 2520 v within K_BUDGET =
 2520 * 2.2 10^-30 of 2520 K_Q.  Two lattice vectors are at least |b1|
-apart (b1 the shortest vector, cmtrace.periods), so a lattice vector within
-K_BUDGET of 2520 v, when K_BUDGET < |b1| / 2, is 2520 K_Q: K_Q = (i w1 + j
-w2) / 2520 exactly, for the integer coordinates (i, j) of that vector, and
-dividing out gcd(i, j, 2520) leaves the order n.  A vector that passes is
-right whenever 2520 v errs by less than |b1| / 2, so an error above the
-budget (a larger N) can only raise, never return a wrong constant.  When a
-check fails, or n is not in Mazur's list, the lattice is not phi's (the
-model is not the optimal curve of its class, say) or the budget was
-exceeded, and AlConstantError is raised; there is no other route.  A moved
-value thus errs as one evaluation does, below 10^(-digits-10), plus the
-constant at the lattice's precision, far less.
+apart (b1 the shortest vector, cmtrace.periods), so when K_BUDGET < |b1| /
+2 the lattice vector nearest to 2520 v (periods.nearest_vector) is 2520
+K_Q, and it is accepted only within K_BUDGET of 2520 v: K_Q = (i w1 + j w2)
+/ 2520 exactly, for the integer coordinates (i, j) of that vector, and
+dividing out gcd(i, j, 2520) leaves the order n.  A nearest vector within
+the budget is right whenever 2520 v errs by less than |b1| / 2, so an error
+above the budget (a larger N) can only raise, never return a wrong
+constant.  When a check fails, or n is not in Mazur's list, the lattice is
+not phi's (the model is not the optimal curve of its class, say) or the
+budget was exceeded, and AlConstantError is raised; there is no other
+route.  A moved value thus errs as one evaluation does, below
+10^(-digits-10), plus the constant at the lattice's precision, far less.
 
 Atkin-Lehner eigenvalues.  With f | W_Q = w_Q f the global root number of
 the curve is -w_N, so rank-zero curves have Fricke eigenvalue -1, and w_Q is
@@ -111,7 +112,7 @@ import mpmath as mp
 from .curves import Curve, CurveModel, _valuation, an_cached, ap_bad, tate_local
 from .errors import CmtraceError, InputError
 from .fp import _xgcd, factorint, kronecker
-from .periods import PeriodLattice, _reduced_basis
+from .periods import PeriodLattice, _reduced_basis, nearest_vector
 
 GUARD = 15
 FIXED_GUARD = 10            # guard bits of the fixed-point evaluator beyond bit_length(n_max)
@@ -288,7 +289,7 @@ def al_constant(lat: PeriodLattice, n_level: int, q_div: int, w: int) -> tuple[i
         for c, s in al_constant_points(n_level, q_div, w, K_DIGITS):
             v += c * eval_phi(lat.curve, s, K_DIGITS)
         z = K_EXPONENT * v
-        i, j = round_to_lattice(lat, z)
+        i, j = nearest_vector(lat, z)
         miss = abs(z - i * lat.w1 - j * lat.w2)
         half = abs(_reduced_basis(lat)[0]) / 2
     g = gcd(i, j, K_EXPONENT)
@@ -298,15 +299,6 @@ def al_constant(lat: PeriodLattice, n_level: int, q_div: int, w: int) -> tuple[i
             f"{K_EXPONENT} K_{q_div} misses the lattice by {mp.nstr(miss, 3)}, "
             f"against {K_BUDGET:.2g} and |b1| / 2 = {mp.nstr(half, 3)}")
     return i // g, j // g, K_EXPONENT // g
-
-
-def round_to_lattice(lat: PeriodLattice, z) -> tuple[int, int]:
-    """(i, j) with i w1 + j w2 the lattice vector of z's rounded coordinates:
-    z = x w1 + y w2, where x det = Im(conj(z) w2) and y det = Im(conj(w1) z).
-    Callers bound |z - i w1 - j w2| themselves (al_constant)."""
-    det = mp.im(mp.conj(lat.w1) * lat.w2)
-    return (int(mp.nint(mp.im(mp.conj(z) * lat.w2) / det)),
-            int(mp.nint(mp.im(mp.conj(lat.w1) * z) / det)))
 
 
 def _local_sign(cur: Curve, q: int) -> int | None:

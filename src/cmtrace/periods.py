@@ -57,9 +57,9 @@ bits) and the choice of corner are exact on them.  That moves a distance by
 at most 2^(1 - P - FIXED_GUARD) (|b1| + |b2|), below 10^-(digits+27) |b2|.
 The Gram form is exact for the cut basis, which is off by about 2^-e times
 the entries of the reduction, far less.  Squared distances stay integers
-scaled by 2^-2(e+F) until the one square root.  lattice_reduce takes
+scaled by 2^-2(e+F) until the one square root.  nearest_vector takes
 F = P + FIXED_GUARD at the caller's precision and only uses the corner it
-picks.
+picks; modparam and experiments read every lattice vector through it.
 
 The Weierstrass function.  DLMF 23.6.5 with 2 omega_1 = b1 and
 tau = b2 / b1 gives wp(z) = (pi / b1)^2 [(theta2 theta3 theta4(v) /
@@ -213,14 +213,21 @@ def _nearest_multiples(gram: tuple, x: int, y: int, frac: int, bound: int):
                   for i in (i0, i0 + 1) for j in (j0, j0 + 1))
 
 
-def lattice_reduce(lat: PeriodLattice, z):
-    """z minus the lattice vector nearest to it, at the working precision."""
-    z = mp.mpc(z)
+def nearest_vector(lat: PeriodLattice, z) -> tuple[int, int]:
+    """(i, j) with i w1 + j w2 the lattice vector nearest to z at the working
+    precision: the nearest corner of z's reduced cell, mapped to the
+    coordinates of w1 and w2 by the integer rows of lat.reduction."""
     frac = mp.mp.prec + FIXED_GUARD
     gram, x, y, _ = _cell(lat, z, frac)
     _, i, j = next(_nearest_multiples(gram, x, y, frac, 1))
-    b1, b2 = _reduced_basis(lat)
-    return z - i * b1 - j * b2
+    (p, q), (r, s) = lat.reduction
+    return i * p + j * r, i * q + j * s
+
+
+def lattice_reduce(lat: PeriodLattice, z):
+    """z minus the lattice vector nearest to it, at the working precision."""
+    i, j = nearest_vector(lat, z)
+    return mp.mpc(z) - i * lat.w1 - j * lat.w2
 
 
 def _wp_pair(lat: PeriodLattice, z):

@@ -182,11 +182,11 @@ def test_trace_json_path_is_checked_before_the_run(monkeypatch, capsys, tmp_path
     assert f"error: [Errno 2] No such file or directory: '{path}'" in capsys.readouterr().err
 
 
-def test_env_digits_default(monkeypatch, capsys):
-    monkeypatch.setenv("CMTRACE_DIGITS", "25")
-    code = main(["sign", "--curve", "1,-1,0,-2,-1", "--q", "49"])
-    assert code == 0
-    assert "w_49 = -1" in capsys.readouterr().out
+def test_digits_default_ignores_the_environment(monkeypatch, capsys):
+    # the precision comes from --digits alone: no environment variable sets it
+    monkeypatch.setenv("CMTRACE_DIGITS", "abc")
+    assert main(["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11"]) == 0
+    assert "digits = 60" in capsys.readouterr().out
 
 
 def test_trace_undecided_exit_code(tmp_path):
@@ -222,19 +222,6 @@ def test_trace_below_the_precision_floor_rejected(monkeypatch, capsys, digits):
     code = main(["trace", "--curve", "0,-1,1,-7,10", "--dk", "-67", "--digits", digits])
     assert code == 1
     assert f"a trace needs at least 15 digits, got {digits}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["trace", "sign"])
-@pytest.mark.parametrize("raw", ["abc", "6.5", "0", "250"])
-def test_bad_env_digits_names_the_variable(monkeypatch, capsys, command, raw):
-    monkeypatch.setenv("CMTRACE_DIGITS", raw)
-    monkeypatch.setattr("cmtrace.experiments.atkin_lehner_sign", _no_work)
-    monkeypatch.setattr("cmtrace.cli.atkin_lehner_sign", _no_work)
-    extra = ["--q", "49"] if command == "sign" else ["--dk", "-11"]
-    code = main([command, "--curve", "1,-1,0,-2,-1", *extra])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert f"CMTRACE_DIGITS must be an integer between 1 and 200, got '{raw}'" in err
 
 
 def test_series_budget_error_exits_1(capsys):
@@ -383,15 +370,32 @@ def test_a_constant_off_the_lattice_exits_3(monkeypatch, capsys):
     assert err.startswith("error: K_49 = ") and "Traceback" not in err
 
 
+def _one_period_off(module, monkeypatch):
+    nearest = module.nearest_vector
+    monkeypatch.setattr(module, "nearest_vector",
+                        lambda lat, z: (nearest(lat, z)[0] + 1, nearest(lat, z)[1]))
+
+
 def test_a_fiber_mate_off_by_a_period_exits_3(monkeypatch, capsys):
     # a lattice vector one period off: the mate's value misses its
     # LAMBDA_DIGITS evaluation by a period, far above the budget
-    rounded = experiments.round_to_lattice
-    monkeypatch.setattr(experiments, "round_to_lattice",
-                        lambda lat, z: (rounded(lat, z)[0] + 1, rounded(lat, z)[1]))
+    _one_period_off(experiments, monkeypatch)
     assert main(["trace", "--curve", "0,-1,1,-7,10", "--dk", "-67", "--digits", "30"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: orbit points ") and "Traceback" not in err
+
+
+def test_a_constant_read_a_period_off_exits_3(monkeypatch, capsys):
+    # 2520 K_Q read one period off the nearest vector misses its value by a
+    # period, far above the budget
+    _one_period_off(modparam, monkeypatch)
+    modparam.al_constant.cache_clear()
+    spec = ExperimentSpec(dK=-11, f=1, curve=curve_model((1, -1, 0, -2, -1)), digits=30)
+    with pytest.raises(AlConstantError, match="K_49"):
+        trace_point(spec)
+    assert main(["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--digits", "30"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: K_49 = ") and "Traceback" not in err
 
 
 def test_a_bugs_value_error_is_not_an_input_error(monkeypatch):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtrace import curves, experiments
+from cmtrace import curves, experiments, modparam
 from cmtrace.curves import an_coefficients, curve_model
 from cmtrace.errors import InputError
 from cmtrace.experiments import (LAMBDA_DIGITS, ExperimentSpec, FiberPairingError, al_signs,
@@ -26,9 +26,9 @@ from cmtrace.experiments import (LAMBDA_DIGITS, ExperimentSpec, FiberPairingErro
                                  trace_point)
 from cmtrace.fp import kronecker
 from cmtrace.heegner import HeegnerTau, al_move, galois_orbit, heegner_form
-from cmtrace.modparam import (GUARD, K_DIGITS, MAZUR_ORDERS, NMAX_CAP, al_constant,
-                              al_constant_points, al_matrix, atkin_lehner_sign, eval_newform,
-                              eval_phi, phi_terms)
+from cmtrace.modparam import (GUARD, K_DIGITS, MAZUR_ORDERS, NMAX_CAP, AlConstantError,
+                              al_constant, al_constant_points, al_matrix, atkin_lehner_sign,
+                              eval_newform, eval_phi, phi_terms)
 from cmtrace.periods import is_torsion, lattice_reduce, period_lattice, torsion_residual
 from cmtrace.quadforms import (is_fundamental_discriminant, kernel_classes, order_data,
                                reduced_forms)
@@ -432,12 +432,15 @@ def test_a_swapped_mate_or_a_lattice_vector_off_by_a_period_raises(monkeypatch, 
     swapped = replace(shadow, fibers={**shadow.fibers, l1: [u1, v2], l2: [u2, v1]})
     with pytest.raises(FiberPairingError, match="fiber mate"):
         run(swapped)
-    rounded = experiments.round_to_lattice
-    with monkeypatch.context() as patch:
-        patch.setattr(experiments, "round_to_lattice",
-                      lambda lat, z: (rounded(lat, z)[0] + 1, rounded(lat, z)[1]))
-        with pytest.raises(FiberPairingError, match="misses"):
-            run(shadow)
+    # a lattice vector one period off, for a fiber's lam or for 2520 K_Q
+    for module, error in ((experiments, FiberPairingError), (modparam, AlConstantError)):
+        nearest = module.nearest_vector
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "nearest_vector",
+                          lambda lat, z: (nearest(lat, z)[0] + 1, nearest(lat, z)[1]))
+            modparam.al_constant.cache_clear()
+            with pytest.raises(error, match="misses"):
+                run(shadow)
     # a budget of |b1| / 2 or more would not single out the lattice vector
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "LAMBDA_BUDGET", 10.0)

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from cmtrace.curves import Curve
 from cmtrace.errors import InputError
 from cmtrace.periods import (GUARD, PeriodLattice, PrecisionError, _reduced_basis, _scaled_dist2,
-                             _wp_pair, elliptic_exp, is_torsion, lattice_reduce, period_lattice,
-                             torsion_order, torsion_residual, two_torsion_roots)
-from oracles import (equation_residual, lattice_distance, lattice_distance_by_search,
-                     lattice_reduce_descent, two_torsion_roots_by_polyroots, wp_pair_by_laurent)
+                             _wp_pair, elliptic_exp, is_torsion, lattice_reduce, nearest_vector,
+                             period_lattice, torsion_order, torsion_residual, two_torsion_roots)
+from oracles import (equation_residual, lattice_coords, lattice_distance,
+                     lattice_distance_by_search, lattice_reduce_descent,
+                     two_torsion_roots_by_polyroots, wp_pair_by_laurent)
 
 LATTICE_CURVES = {              # the five catalogue curves (disc < 0) and 37a1 (disc > 0)
     "49a1": (1, -1, 0, -2, -1),
@@ -220,6 +221,42 @@ def test_descent_in_the_period_basis_missed_the_nearest_vector():
         want = lattice_distance_by_search(lat, z)
         assert abs(lattice_distance(lat, z) - want) < mp.mpf(10) ** -80
         assert abs(lattice_reduce_descent(lat, z)) > want + mp.mpf("0.3")
+
+
+@pytest.mark.parametrize("label", ["49a1", "121b1", "50a1", "50b1", "36a1"])
+def test_nearest_vector_is_the_descents_on_any_basis(label):
+    # the same lattice on its own basis and on (w1, w2 + 5 w1); the descent
+    # along the reduced basis is the reference nearest vector
+    lat = _lattice(label, 60)
+    (p, q), (r, s) = lat.reduction
+    with mp.workdps(60 + GUARD + 20):
+        sheared = PeriodLattice(lat.curve, lat.w1, lat.w2 + 5 * lat.w1, lat.digits)
+        reduced = PeriodLattice(lat.curve, p * lat.w1 + q * lat.w2, r * lat.w1 + s * lat.w2,
+                                lat.digits)
+    tol = mp.mpf(10) ** -80
+    for basis in (lat, sheared):
+        for z in _points(lat, 11, 4):
+            with mp.workdps(60 + GUARD):
+                i, j = nearest_vector(basis, z)
+                assert z - i * basis.w1 - j * basis.w2 == lattice_reduce(basis, z)
+            with mp.workdps(60 + GUARD + 20):
+                want = z - lattice_reduce_descent(reduced, z)
+                assert abs(i * basis.w1 + j * basis.w2 - want) < tol
+                assert (i, j) == tuple(int(mp.nint(c)) for c in lattice_coords(basis, want))
+
+
+def test_rounded_coordinates_miss_the_nearest_vector_on_a_sheared_basis():
+    lat = _lattice("49a1", 60)
+    with mp.workdps(60 + GUARD):
+        sheared = PeriodLattice(lat.curve, lat.w1, lat.w2 + 5 * lat.w1, lat.digits)
+        z = mp.mpf("0.4") * sheared.w1 + mp.mpf("0.45") * sheared.w2
+        det = mp.im(mp.conj(sheared.w1) * sheared.w2)
+        rounded = (int(mp.nint(mp.im(mp.conj(z) * sheared.w2) / det)),
+                   int(mp.nint(mp.im(mp.conj(sheared.w1) * z) / det)))
+        i, j = nearest_vector(sheared, z)
+        assert rounded == (0, 0) and (i, j) == (3, 0)
+        assert abs(abs(lattice_reduce(sheared, z)) - lattice_distance_by_search(lat, z)) \
+            < mp.mpf(10) ** -70
 
 
 @pytest.mark.parametrize("label", ["121b1", "37a1"])
