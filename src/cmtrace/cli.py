@@ -6,6 +6,9 @@ included), 2 when a trace run ends undecided, 1 on malformed, missing or
 unsatisfiable input, on a bound of the package and on a --json path that
 cannot be written, and 3 when a check of the theory fails (EXIT_CODES).  An
 exception outside that table is a bug and ends in a traceback.
+
+The heegner, sign and trace handlers import the analytic layer when they
+run, so finite-check and classgroup never load mpmath.
 """
 
 from __future__ import annotations
@@ -15,15 +18,10 @@ import json
 import sys
 from contextlib import nullcontext
 
-import mpmath as mp
-
 from .curves import Curve, conductor, curve_model, minimal_model
 from .embeddings import FiberStructureError
-from .errors import CmtraceError
-from .experiments import (DEFAULT_DIGITS, LAMBDA_DIGITS, ExperimentSpec, FiberPairingError,
-                          check_digits, experiment_finite, trace_point)
-from .heegner import heegner_form
-from .modparam import AlConstantError, atkin_lehner_sign
+from .errors import AlConstantError, CmtraceError, FiberPairingError
+from .finite import DEFAULT_DIGITS, ExperimentSpec, check_digits, experiment_finite
 from .quadforms import reduced_forms
 
 # Exit code per error class; the most specific class of an error's MRO counts.
@@ -109,6 +107,10 @@ def _cmd_classgroup(args) -> tuple[int, dict]:
 
 
 def _cmd_heegner(args) -> tuple[int, dict]:
+    import mpmath as mp
+
+    from .heegner import heegner_form
+
     form = heegner_form(args.n, args.dk, args.c)
     tau_im = mp.sqrt(-form.disc()) / (2 * form.a)
     print(f"heegner form at level {args.n}: ({form.a}, {form.b}, {form.c}), "
@@ -118,6 +120,8 @@ def _cmd_heegner(args) -> tuple[int, dict]:
 
 
 def _cmd_sign(args) -> tuple[int, dict]:
+    from .modparam import atkin_lehner_sign
+
     digits = args.digits
     check_digits(digits)
     cur = minimal_model(Curve(*args.curve))
@@ -129,6 +133,10 @@ def _cmd_sign(args) -> tuple[int, dict]:
 
 
 def _cmd_trace(args) -> tuple[int, dict]:
+    import mpmath as mp
+
+    from .experiments import LAMBDA_DIGITS, trace_point
+
     digits = args.digits
     model = curve_model(args.curve, p=args.p)
     spec = ExperimentSpec(dK=args.dk, f=args.f, curve=model, digits=digits)

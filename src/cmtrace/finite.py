@@ -1,0 +1,165 @@
+"""The finite shadow of an experiment, and the inputs every experiment shares.
+
+ExperimentSpec holds and validates the inputs of one run: the field, the
+conductor, the curve or the prime p, and the working precision.
+experiment_finite runs the exact layer at p: the optimal embedding, the
+converse scan, the two-to-one coset fibers, the involution pairing, the
+index of the non-split Cartan normalizer, and common-norm elements.  All of
+it is integer arithmetic, and this module and everything it imports load no
+mpmath: a finite-only process never pays for the analytic layer, which
+experiments.trace_point adds on top of this report.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from math import gcd
+
+from .curves import CurveModel
+from .embeddings import (build_embedding, find_common_norm_element, lemma_converse_check,
+                         signo_pairing_check, two_to_one_check, verify_optimal)
+from .errors import InputError
+from .fp import factorint, index_ns_plus, isprime, kronecker
+from .quadforms import KernelClass, kernel_classes, order_data
+
+MODES = ("signo_minus", "main_plus", "finite_only")
+DEFAULT_DIGITS = 60
+DIGITS_CAP = 200            # the largest working precision any run accepts
+# Below this a trace is not trusted: PSLQ in recognize_rational needs 53 bits,
+# and at 1-3 digits the torsion test has misread a non-torsion point.
+TRACE_MIN_DIGITS = 15
+
+
+class HypothesisError(InputError):
+    pass
+
+
+def check_digits(digits: int):
+    """Reject a working precision outside 1..DIGITS_CAP before any work."""
+    if not 1 <= digits <= DIGITS_CAP:
+        raise InputError(f"digits must be between 1 and {DIGITS_CAP}, got {digits}")
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """Inputs of one experiment, shared by experiment_finite and
+    experiments.trace_point; curve may be omitted for finite-only runs.  dK,
+    f, digits and a given p must be ints (a bool is none).  Modes
+    "signo_minus" and "main_plus" select the same run (trace_point reads w_p
+    off the curve); they stay because perfbench/cases.py passes them."""
+
+    dK: int
+    f: int
+    curve: CurveModel | None = None
+    p: int | None = None
+    digits: int = DEFAULT_DIGITS
+    mode: str = "main_plus"
+
+    def __post_init__(self):
+        for name in ("dK", "f", "digits", "p"):
+            value = getattr(self, name)
+            if name == "p" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+        if self.mode not in MODES:
+            raise InputError(f"unknown mode {self.mode!r}")
+        if self.curve is None and self.p is None:
+            raise InputError("either a curve or an explicit p is required")
+        if self.curve is not None and self.p not in (None, self.curve.p):
+            raise InputError(f"p = {self.p} differs from the curve's p = {self.curve.p}")
+
+    @property
+    def prime(self) -> int:
+        return self.curve.p if self.curve is not None else self.p
+
+    def validate(self):
+        """Input bounds, then the running hypotheses: inertness, coprimality,
+        ramification, sign, and p prime to f."""
+        check_digits(self.digits)
+        if self.mode != "finite_only" and self.digits < TRACE_MIN_DIGITS:
+            raise InputError(f"a trace needs at least {TRACE_MIN_DIGITS} digits, "
+                             f"got {self.digits}")
+        order_data(self.dK, self.f)          # fundamental, dK < -4, f >= 1
+        p = self.prime
+        if not isprime(p) or p == 2:
+            raise HypothesisError("p must be an odd prime")
+        if kronecker(self.dK, p) != -1:
+            raise HypothesisError(f"p = {p} must be inert in Q(sqrt({self.dK}))")
+        if self.curve is not None:
+            n = self.curve.n
+            if gcd(self.f, n) != 1:
+                raise HypothesisError("conductor f must be coprime to N")
+            for q, e in factorint(self.curve.m).items():
+                if e >= 2 and kronecker(self.dK, q) == 0:
+                    raise HypothesisError(f"q = {q} with q^2 | M must be unramified")
+                if self.mode != "finite_only" and kronecker(self.dK, q) != 1:
+                    raise HypothesisError(
+                        f"q = {q} dividing M must split for a matrix-algebra run")
+            if self.mode != "finite_only" and kronecker(self.dK, -n) != -1:
+                raise HypothesisError("the quadratic-symbol sign of E/K is not -1")
+        if self.f % p == 0:                  # with a curve, p | N already ruled it out
+            raise HypothesisError("p must not divide the conductor")
+
+
+@dataclass(frozen=True)
+class FiniteReport:
+    p: int
+    dK: int
+    f: int
+    level_m: int
+    checks: dict
+    fiber_count: int
+    degree: int
+    classes: tuple[KernelClass, ...] = field(repr=False)   # reused by trace_point; not in to_json
+    fibers: dict = field(default_factory=dict)
+
+    @property
+    def all_passed(self) -> bool:
+        return all(self.checks.values())
+
+    def to_json(self) -> dict:
+        return {
+            "p": self.p, "dK": self.dK, "f": self.f, "level_m": self.level_m,
+            "checks": dict(self.checks), "fiber_count": self.fiber_count,
+            "degree": self.degree, "passed": self.all_passed,
+            # coset labels as row-major 4-tuples, fibers as projective pairs
+            "fibers": [
+                {"label": list(label),
+                 "classes": [list(u) for u in classes]}
+                for label, classes in sorted(self.fibers.items())
+            ],
+        }
+
+
+def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
+    """The purely finite layer: embedding, converse scan, fibers, pairings,
+    and common-norm elements for the first five good primes, with the smallest
+    non-square mod p and the curve's level M (1 without a curve)."""
+    spec.validate()
+    p = spec.prime
+    level_m = spec.curve.m if spec.curve is not None else 1
+    order = order_data(spec.dK, spec.f)
+    classes = kernel_classes(order, p)
+    emb = build_embedding(p, order)
+    checks = {
+        "optimal_embedding": verify_optimal(emb),
+        "lemma_converse": lemma_converse_check(emb),
+        "signo_pairing": signo_pairing_check(emb),
+    }
+    fibers = two_to_one_check(emb, classes)
+    checks["two_to_one"] = (len(fibers) == (p + 1) // 2
+                            and all(len(v) == 2 for v in fibers.values()))
+    degree = index_ns_plus(p)
+    checks["degree_matches_index"] = len(fibers) == degree
+    n_ambient = p * p * level_m
+    good, ell = [], 1
+    while len(good) < 5:
+        ell += 1
+        if isprime(ell) and n_ambient % ell:
+            good.append(ell)
+    elements = [find_common_norm_element(p, ell) for ell in good]
+    checks["common_norm_elements"] = all(
+        (a * d - b * c - ell) % p == 0 for ell, (a, b, c, d) in zip(good, elements))
+    return FiniteReport(p=p, dK=spec.dK, f=spec.f, level_m=level_m, checks=checks,
+                        fiber_count=len(fibers), degree=degree, classes=classes, fibers=fibers)

@@ -110,7 +110,7 @@ from math import ceil, expm1, gcd, isqrt, log, pi, sqrt
 import mpmath as mp
 
 from .curves import Curve, CurveModel, _valuation, an_cached, ap_bad, tate_local
-from .errors import CmtraceError, InputError
+from .errors import AlConstantError, CmtraceError, InputError
 from .fp import _xgcd, factorint, kronecker
 from .periods import PeriodLattice, _reduced_basis, nearest_vector
 
@@ -270,11 +270,6 @@ def al_constant_points(n_level: int, q_div: int, w: int, digits: int) -> list:
         height = mp.sqrt(q_div) / n
         s0 = mp.mpc(mp.mpf(-d) / n, height)
         return [(2, s0)] if fixed else [(1, mp.mpc(mp.mpf(a) / n, height)), (-w, s0)]
-
-
-class AlConstantError(CmtraceError, ArithmeticError):
-    """K_Q is no torsion point of the lattice that Mazur's theorem allows:
-    the lattice is not that of phi."""
 
 
 @lru_cache(maxsize=128)

@@ -84,9 +84,9 @@ import mpmath as mp
 
 from .curves import Curve
 from .errors import CmtraceError
+from .finite import DIGITS_CAP
 from .quadforms import lagrange_reduce
 
-DIGITS_CAP = 200
 GUARD = 25
 FIXED_GUARD = 10            # guard bits of the fixed-point routines (module docstring)
 NEWTON_GUARD = 20           # guard bits of the Newton iteration for the 2-torsion

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,15 +10,13 @@ import mpmath as mp
 import pytest
 
 import cmtrace
-from cmtrace import cli, experiments, modparam
+from cmtrace import cli, experiments, finite, modparam
 from cmtrace.cli import EXIT_CODES, main
 from cmtrace.curves import curve_model
-from cmtrace.embeddings import EmbeddingError, FiberStructureError
-from cmtrace.errors import CmtraceError, InputError
-from cmtrace.experiments import ExperimentSpec, HypothesisError, trace_point
-from cmtrace.fp import ArithmeticBoundError
-from cmtrace.heegner import NoHeegnerPoint
-from cmtrace.modparam import AlConstantError, SeriesBudgetError, SignConsistencyError
+from cmtrace.embeddings import FiberStructureError
+from cmtrace.errors import AlConstantError, CmtraceError, FiberPairingError, InputError
+from cmtrace.experiments import trace_point
+from cmtrace.finite import ExperimentSpec
 from cmtrace.periods import PrecisionError
 
 
@@ -175,7 +175,7 @@ def test_unwritable_json_path_exits_1(capsys, tmp_path, argv):
 
 
 def test_trace_json_path_is_checked_before_the_run(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr("cmtrace.cli.trace_point", _no_work)
+    monkeypatch.setattr("cmtrace.experiments.trace_point", _no_work)
     path = tmp_path / "missing" / "t.json"
     code = main(["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--json", str(path)])
     assert code == 1
@@ -209,7 +209,7 @@ def _no_work(*args, **kwargs):
 ])
 def test_bad_precision_and_torsion_bound_rejected(monkeypatch, capsys, argv, bound):
     monkeypatch.setattr("cmtrace.experiments.atkin_lehner_sign", _no_work)
-    monkeypatch.setattr("cmtrace.cli.atkin_lehner_sign", _no_work)
+    monkeypatch.setattr("cmtrace.modparam.atkin_lehner_sign", _no_work)
     extra = ["--q", "49"] if argv[0] == "sign" else ["--dk", "-11"]
     code = main([argv[0], "--curve", "1,-1,0,-2,-1", *extra, *argv[1:]])
     assert code == 1                  # an uncaught error would fail the test instead
@@ -261,7 +261,7 @@ def test_primality_bound_exits_1_at_once(monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("the finite layer ran past the primality bound")
 
-    monkeypatch.setattr("cmtrace.experiments.build_embedding", no_work)
+    monkeypatch.setattr("cmtrace.finite.build_embedding", no_work)
     code = main(["finite-check", "--p", "3317044064679887385961981", "--dk", "-7"])
     assert code == 1
     assert "decided exactly only below 3317044064679887385961981" in capsys.readouterr().err
@@ -315,13 +315,73 @@ def test_sieve_runs_with_numpy_blocked():
     assert proc.stdout.split() == ["12001", "-57"]     # a_11987 by tests/oracles.py's char sum
 
 
+def test_finite_path_leaves_mpmath_out():
+    proc = _python(
+        "import sys, cmtrace\n"
+        "from cmtrace.cli import main\n"
+        "assert main(['finite-check', '--p', '101', '--dk', '-7']) == 0\n"
+        "assert main(['classgroup', '--disc', '-23']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_finite_check_runs_with_mpmath_blocked():
+    proc = _python(
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from cmtrace.cli import main\n"
+        "sys.exit(main(['finite-check', '--p', '10009', '--dk', '-7']))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert "5005 fibers of size 2" in proc.stdout
+
+
+# the package's names before its analytic half became lazy
+EXPORTS = (
+    "Curve", "CurveModel", "an_coefficients", "conductor", "curve_model", "minimal_model",
+    "EmbeddingData", "build_embedding", "find_common_norm_element", "lemma_converse_check",
+    "signo_pairing_check", "two_to_one_check", "verify_optimal", "CmtraceError",
+    "InputError", "ExperimentSpec", "FiniteReport", "TraceReport", "experiment_finite",
+    "trace_point", "ArithmeticBoundError", "index_ns_plus", "HeegnerTau", "NoHeegnerPoint",
+    "galois_orbit", "heegner_form", "atkin_lehner_sign", "eval_phi", "PeriodLattice",
+    "elliptic_exp", "is_torsion", "period_lattice", "BinaryForm", "QuadOrder",
+    "class_number", "kernel_classes", "order_data", "reduce_form", "reduced_forms",
+    "AlgebraicNumber", "recognize_in_quadratic", "recognize_rational",
+)
+
+
+def test_every_export_resolves_to_its_defining_modules_object():
+    # in a fresh interpreter, so that each analytic name resolves lazily
+    proc = _python(
+        "import sys, cmtrace\n"
+        f"for name in {EXPORTS!r}:\n"
+        "    obj = getattr(cmtrace, name)\n"
+        "    assert vars(sys.modules[obj.__module__])[name] is obj, name\n"
+        "    assert name in dir(cmtrace), name\n"
+        "assert getattr(cmtrace, 'modparam') is sys.modules['cmtrace.modparam']\n"
+        "try:\n"
+        "    cmtrace.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "module 'cmtrace' has no attribute 'no_such_name'"
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 def test_every_package_error_class_has_an_exit_code():
-    for cls in (InputError, HypothesisError, NoHeegnerPoint, EmbeddingError,
-                ArithmeticBoundError, SeriesBudgetError, PrecisionError, SignConsistencyError,
-                FiberStructureError, AlConstantError):
-        assert issubclass(cls, CmtraceError)
+    for info in pkgutil.iter_modules(cmtrace.__path__):
+        importlib.import_module(f"cmtrace.{info.name}")
+    classes = {cls for cls in _subclasses(CmtraceError) if cls.__module__.startswith("cmtrace.")}
+    failed_checks = {FiberStructureError, AlConstantError, FiberPairingError}
+    assert failed_checks | {InputError, PrecisionError} <= classes
+    for cls in classes:
         code = next(EXIT_CODES[c] for c in cls.__mro__ if c in EXIT_CODES)
-        assert code == (3 if cls in (FiberStructureError, AlConstantError) else 1)
+        assert code == (3 if cls in failed_checks else 1), cls
     assert issubclass(InputError, ValueError)
 
 
@@ -338,7 +398,7 @@ def test_fiber_structure_error_exits_3_without_a_traceback(monkeypatch, capsys):
 def test_a_failed_finite_check_exits_3(monkeypatch, capsys, tmp_path):
     # a shadow check that reads false is a failed check of the theory, in
     # finite-check and in the shadow of a trace alike, and the report says so
-    monkeypatch.setattr(experiments, "verify_optimal", lambda emb: False)
+    monkeypatch.setattr(finite, "verify_optimal", lambda emb: False)
     out = tmp_path / "finite.json"
     assert main(["finite-check", "--p", "5", "--dk", "-7", "--json", str(out)]) == 3
     assert "optimal_embedding: FAILED" in capsys.readouterr().out

@@ -8,9 +8,8 @@ import pytest
 from cmtrace import curves
 from cmtrace.curves import an_coefficients, curve_model
 from cmtrace.errors import InputError
-from cmtrace.experiments import (TRACE_MIN_DIGITS, ExperimentSpec, HypothesisError,
-                                 experiment_finite, fiber_pairs, orbit_options, orbit_trace,
-                                 trace_point)
+from cmtrace.experiments import fiber_pairs, orbit_options, orbit_trace, trace_point
+from cmtrace.finite import TRACE_MIN_DIGITS, ExperimentSpec, HypothesisError, experiment_finite
 from cmtrace.heegner import HeegnerTau, galois_orbit, heegner_form
 from cmtrace.modparam import (K_DIGITS, SeriesBudgetError, al_constant_points,
                               atkin_lehner_sign, eval_phi, phi_terms)
@@ -52,6 +51,21 @@ def test_spec_rejects_a_p_other_than_the_curves():
     with pytest.raises(InputError, match="differs from the curve's p = 7"):
         ExperimentSpec(dK=-11, f=1, curve=M49, p=5)
     assert ExperimentSpec(dK=-11, f=1, curve=M49, p=7).prime == 7
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"dK": -7, "f": 1.0, "p": 101}, "f"),
+    ({"dK": -7.0, "f": 1, "p": 101}, "dK"),
+    ({"dK": -7, "f": 1, "p": 101.0}, "p"),
+    ({"dK": -7, "f": 1, "p": "101"}, "p"),
+    ({"dK": -7, "f": 1, "p": 101, "digits": 60.5}, "digits"),
+    ({"dK": -7, "f": True, "p": 101}, "f"),
+], ids=["float-f", "float-dK", "float-p", "str-p", "float-digits", "bool-f"])
+def test_spec_rejects_a_field_that_is_no_int(kwargs, name):
+    # a float or str once reached pow() as a bare TypeError, and a float
+    # precision or a bool conductor ran silently
+    with pytest.raises(InputError, match=f"^{name} must be an integer, got "):
+        ExperimentSpec(**kwargs, mode="finite_only")
 
 
 def test_spec_rejects_p_dividing_the_conductor_at_entry():
@@ -312,14 +326,14 @@ def test_trace_combined_conductor_and_level_part():
 
 
 def test_trace_point_builds_the_kernel_once(monkeypatch):
-    import cmtrace.experiments as experiments
+    import cmtrace.finite as finite
     calls = []
 
     def counting(order, p):
         calls.append((order.dK, order.f, p))
         return kernel_classes(order, p)
 
-    monkeypatch.setattr(experiments, "kernel_classes", counting)
+    monkeypatch.setattr(finite, "kernel_classes", counting)
     for model, dK, f in ((M49, -11, 1), (M49, -8, 3), (M121, -67, 1)):
         del calls[:]
         report = trace_point(ExperimentSpec(dK=dK, f=f, curve=model, digits=30,

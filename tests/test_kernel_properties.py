@@ -23,7 +23,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import primefactors, primerange
 
-from cmtrace.experiments import ExperimentSpec, experiment_finite
+from cmtrace.finite import ExperimentSpec, experiment_finite
 from cmtrace.fp import kronecker
 from cmtrace.heegner import (HeegnerTau, _complete_unimodular, galois_orbit, gamma0_reduce,
                              heegner_form)

@@ -8,7 +8,7 @@ import pytest
 from sympy import primerange
 
 from cmtrace.embeddings import EmbeddingData, build_embedding, signo_pairing_check, two_to_one_check
-from cmtrace.experiments import ExperimentSpec, experiment_finite
+from cmtrace.finite import ExperimentSpec, experiment_finite
 from cmtrace.fp import kronecker, smallest_nonsquare
 from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
 from oracles import (coset_label, coset_label_by_matrices, decompose_gamma, enumerate_cartan,
