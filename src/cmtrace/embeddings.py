@@ -98,9 +98,28 @@ def lemma_converse_check(emb: EmbeddingData) -> bool:
     return (b % p, c % p) != (0, 0) and (a - d) % p == 0
 
 
-def _label_entries(p: int, a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+def inverse_table(p: int) -> list[int]:
+    """The inverses mod the prime p as a list: inv[i] * i = 1 mod p for
+    0 < i < p, and inv[0] = 0.
+
+    O(p), one product per entry, by inv[i] = -(p // i) * inv[p mod i] mod p:
+    from p = (p // i) * i + (p mod i), reading mod p gives
+    (p mod i) = -(p // i) * i, and p mod i lies in (0, i) since the prime p
+    has no divisor i in (1, p), so its inverse is already in the table;
+    multiplying by inv[p mod i] * inv[i] gives inv[i] = -(p // i) * inv[p mod i].
+    """
+    inv = [0, 1]
+    for i in range(2, p):
+        inv.append(-(p // i) * inv[p % i] % p)
+    return inv
+
+
+def _label_entries(inv: list[int], a: int, b: int, c: int,
+                   d: int) -> tuple[int, int, int, int]:
     """The entries of the coset label of g = (a, b; c, d), row-major, in [0, p):
     the lexicographically minimal determinant-one element of C_s+ * g^{-1}.
+    inv is inverse_table(p), so p = len(inv), and every inverse is read
+    from it.
 
     C_s+ holds the scalars, so C_s+ * g^{-1} = C_s+ * h for the adjugate
     h = (d, -b; -c, a), of determinant delta = det(g).  The determinant-one
@@ -110,15 +129,16 @@ def _label_entries(p: int, a: int, b: int, c: int, d: int) -> tuple[int, int, in
     Each part has its minimum at the one x that makes the first nonzero entry
     of the top row 1, x = 1/lead; the label is the smaller of those two.
     """
+    p = len(inv)
     delta = (a * d - b * c) % p
     if delta == 0:
         raise InputError("coset labels are defined for invertible matrices")
-    dinv = pow(delta, -1, p)
+    dinv = inv[delta]
     lead = d % p or -b % p
-    x = pow(lead, -1, p)
+    x = inv[lead]
     diag = (x * d % p, -x * b % p, -c * lead * dinv % p, a * lead * dinv % p)
     lead = -c % p or a % p
-    x = pow(lead, -1, p)
+    x = inv[lead]
     anti = (-x * c % p, x * a % p, -d * lead * dinv % p, b * lead * dinv % p)
     return min(diag, anti)
 
@@ -127,11 +147,14 @@ def two_to_one_check(emb: EmbeddingData,
                      classes) -> dict[tuple[int, int, int, int], list[tuple[int, int]]]:
     """Map each kernel class x1 + x2*w_f to the coset label of its matrix
     x1*I + x2*iota_omega, the 4-tuple of _label_entries (which raises if the
-    matrix is singular).  The classes must be the p + 1 kernel classes of
-    the embedding's order, each of discriminant p^2 times the order's.
-    Enforces the expected structure: (p+1)/2 distinct labels, every fiber of
-    size exactly two, and fiber partners differing by the involution class
-    [-a : 1], a = t/2 the diagonal entry of iota_omega.
+    matrix is singular).  Every inverse is read from one table built here,
+    inverse_table(p), by inv[i] = -(p // i) inv[p mod i] mod p (proved from
+    p = (p // i) i + (p mod i) in its docstring), one product per entry and
+    no modular exponentiation per class.  The classes must be the p + 1
+    kernel classes of the embedding's order, each of discriminant p^2 times
+    the order's.  Enforces the expected structure: (p+1)/2 distinct labels,
+    every fiber of size exactly two, and fiber partners differing by the
+    involution class [-a : 1], a = t/2 the diagonal entry of iota_omega.
 
     The mate check is the group law of P^1(F_p) (quadforms docstring) with
     y = [-a : 1] and t = 2a in closed form:
@@ -149,10 +172,11 @@ def two_to_one_check(emb: EmbeddingData,
     a, b, c, d = emb.iota_omega
     if (2 * a - emb.order.t) % p:
         raise InputError(f"2a = {2 * a % p} differs from t = {emb.order.t % p} mod {p}")
+    inv = inverse_table(p)
     fibers: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
     for kc in classes:
         x1, x2 = kc.proj
-        label = _label_entries(p, x1 + x2 * a, x2 * b, x2 * c, x1 + x2 * d)
+        label = _label_entries(inv, x1 + x2 * a, x2 * b, x2 * c, x1 + x2 * d)
         fibers.setdefault(label, []).append(kc.proj)
     if len(fibers) != (p + 1) // 2:
         raise FiberStructureError(f"expected {(p + 1) // 2} labels, got {len(fibers)}")

@@ -44,9 +44,10 @@ def check_digits(digits: int):
 class ExperimentSpec:
     """Inputs of one experiment, shared by experiment_finite and
     experiments.trace_point; curve may be omitted for finite-only runs.  dK,
-    f, digits and a given p must be ints (a bool is none).  Modes
-    "signo_minus" and "main_plus" select the same run (trace_point reads w_p
-    off the curve); they stay because perfbench/cases.py passes them."""
+    f, digits and a given p must be ints (a bool is none), and a given curve
+    a CurveModel.  Modes "signo_minus" and "main_plus" select the same run
+    (trace_point reads w_p off the curve); they stay because
+    perfbench/cases.py passes them."""
 
     dK: int
     f: int
@@ -62,6 +63,8 @@ class ExperimentSpec:
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InputError(f"{name} must be an integer, got {value!r}")
+        if self.curve is not None and not isinstance(self.curve, CurveModel):
+            raise InputError(f"curve must be a CurveModel, got {type(self.curve).__name__}")
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}")
         if self.curve is None and self.p is None:

@@ -37,13 +37,18 @@ mates by that involution.
 lagrange_reduce is the one Lagrange reduction of a basis, on an
 integer Gram triple: heegner.gamma0_reduce runs it on the Gram triple of a
 form and periods.PeriodLattice.reduction on the periods cut to integers.
-reduce_form keeps its own loop on (a, b, c): it runs p + 1 times per
-kernel, and going through a basis would add a transform and an orientation
-fix to every call.
+reduce_form keeps its own loop on (a, b, c), since going through a basis
+would add a transform and an orientation fix to every call.  kernel_classes
+runs that loop inline on plain ints, p times per kernel, and builds one
+BinaryForm per class, the reduced one, instead of a form to reduce and its
+reduction; the tests hold it to the per-class reduce_form route
+(tests/oracles.py).  BinaryForm and KernelClass are named tuples, the
+cheapest immutable records to build and hash.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -106,13 +111,14 @@ def order_data(dK: int, f: int) -> QuadOrder:
 # Forms
 
 
-@dataclass(frozen=True, order=True)
-class BinaryForm:
-    """Primitive positive definite integral form A x^2 + B xy + C y^2."""
+class BinaryForm(namedtuple("BinaryForm", "a b c")):
+    """Primitive positive definite integral form A x^2 + B xy + C y^2.
 
-    a: int
-    b: int
-    c: int
+    A named tuple: immutable, ordered, hashed and printed as the tuple
+    (a, b, c) of its coefficients, and equal to any tuple of the same
+    coefficients."""
+
+    __slots__ = ()
 
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -221,13 +227,11 @@ def lagrange_reduce(gram: tuple[int, int, int], v1, v2):
 # The Galois kernel Pic(O_pf) -> Pic(O_f) with unit-class generators.
 
 
-@dataclass(frozen=True)
-class KernelClass:
+class KernelClass(namedtuple("KernelClass", "proj form")):
     """A kernel class: its unit-class generator [x1 : x2] as the pair
     (x1, x2), and its reduced form."""
 
-    proj: tuple[int, int]
-    form: BinaryForm
+    __slots__ = ()
 
 
 def kernel_classes(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
@@ -236,8 +240,9 @@ def kernel_classes(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
     One class per unit class of P^1(F_p), read off in closed form (module
     docstring): the principal form at [1 : 0], and at [x1 : 1], with
     lam = x1 + w_f, the reduced form of (N(lam), -p Tr(lam), p^2), the form of
-    the oriented basis (N(lam), p lam) of lam O_f cap O_pf.  The forms must be
-    pairwise distinct.
+    the oriented basis (N(lam), p lam) of lam O_f cap O_pf.  Each form is
+    reduced here on plain ints by reduce_form's loop and asserted reduced, of
+    discriminant p^2 times the order's; the forms must be pairwise distinct.
     """
     if not isprime(p) or p == 2:
         raise InputError("p must be an odd prime")
@@ -247,10 +252,21 @@ def kernel_classes(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
         raise InputError("p must not divide the conductor")
     t, n, p2 = order.t, order.n, p * p
     disc = p2 * order.disc
-    classes = [KernelClass(proj=(1, 0), form=BinaryForm(1, disc % 2, (disc % 2 - disc) // 4))]
+    classes = [KernelClass((1, 0), BinaryForm(1, disc % 2, (disc % 2 - disc) // 4))]
     for x1 in range(p):
-        form = reduce_form(BinaryForm(x1 * x1 + t * x1 + n, -p * (2 * x1 + t), p2))
-        classes.append(KernelClass(proj=(x1, 1), form=form))
+        a, b, c = x1 * x1 + t * x1 + n, -p * (2 * x1 + t), p2
+        while True:
+            if b > a or b <= -a:
+                k = (a - b) // (2 * a)
+                c = a * k * k + b * k + c
+                b = b + 2 * a * k
+            if a > c or (a == c and b < 0):
+                a, b, c = c, -b, a
+                continue
+            break
+        assert -a < b <= a <= c and (a < c or b >= 0) and b * b - 4 * a * c == disc, \
+            f"kernel form ({a}, {b}, {c}) is not reduced of discriminant {disc}"
+        classes.append(KernelClass((x1, 1), BinaryForm(a, b, c)))
     if len({kc.form for kc in classes}) != p + 1:
         raise AssertionError("unit classes gave coinciding ideal classes")
     return tuple(classes)

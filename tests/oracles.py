@@ -27,9 +27,12 @@ Hermite normal form of two rows, generator_ideal_by_intersection
 intersects the two lattices with lattice_intersect, an integer left-kernel
 row reduction (_left_kernel_rows), and generator_ideal_three_rows builds it
 as N(lam) Z + p lam O_f, from three rows; the HNF of a lattice is unique,
-so the three routes must agree row for row.  kernel_classes_by_hnf reads every kernel form off the Hermite normal form of
-the three-row ideal (ideal_to_form), where cmtrace.quadforms.kernel_classes
-writes (N(lam), -p Tr(lam), p^2) down directly.  coset_label_by_matrices
+so the three routes must agree row for row.  kernel_classes_by_hnf reads
+every kernel form off the Hermite normal form of the three-row ideal
+(ideal_to_form), where cmtrace.quadforms.kernel_classes writes
+(N(lam), -p Tr(lam), p^2) down directly, and kernel_classes_by_reduce_form
+reduces each of those forms with one reduce_form call, where kernel_classes
+reduces the coefficients inline.  coset_label_by_matrices
 labels a matrix through its inverse and two candidate matrices, and
 two_to_one_by_matrices groups the kernel classes by those labels of
 galois_matrix and pairs the fiber mates by proj_mul with the
@@ -103,7 +106,8 @@ import sympy
 from sympy.ntheory import sqrt_mod
 
 from cmtrace.curves import Curve, CurveModel, an_coefficients
-from cmtrace.embeddings import EmbeddingData, EmbeddingError, FiberStructureError, _label_entries
+from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureError, _label_entries,
+                                inverse_table)
 from cmtrace.fp import _xgcd, isprime, kronecker, smallest_nonsquare
 from cmtrace.heegner import HeegnerTau, NoHeegnerPoint, _complete_unimodular, gamma0_reduce
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
@@ -301,9 +305,10 @@ def coset_label(p: int, g) -> tuple[int, int, int, int]:
 
     For det(g) = 1 this is the minimum of the coset (C_s+ cap SL_2) * g^{-1}.
     The entries come from cmtrace.embeddings._label_entries, which
-    two_to_one_check reads for each kernel class.
+    two_to_one_check reads for each kernel class, with the inverses of
+    inverse_table(p).
     """
-    return _label_entries(p, *g)
+    return _label_entries(inverse_table(p), *g)
 
 
 def coset_label_by_matrices(p: int, g) -> tuple[int, int, int, int]:
@@ -663,6 +668,19 @@ def kernel_classes_by_hnf(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
         classes.append(KernelClass(proj=pt, form=ideal_to_form(ideal, order.dK, p * order.f)))
     if len({kc.form for kc in classes}) != p + 1:
         raise AssertionError("unit classes gave coinciding ideal classes")
+    return tuple(classes)
+
+
+def kernel_classes_by_reduce_form(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
+    """cmtrace.quadforms.kernel_classes with each form reduced by a
+    reduce_form call on a BinaryForm of (N(lam), -p Tr(lam), p^2), where
+    the package reduces the coefficients inline, and the principal form at
+    [1 : 0]; same order of classes, no checks."""
+    t, n, p2 = order.t, order.n, p * p
+    classes = [KernelClass(proj=(1, 0), form=principal_form(p2 * order.disc))]
+    for x1 in range(p):
+        form = reduce_form(BinaryForm(x1 * x1 + t * x1 + n, -p * (2 * x1 + t), p2))
+        classes.append(KernelClass(proj=(x1, 1), form=form))
     return tuple(classes)
 
 

@@ -5,8 +5,9 @@ import pytest
 from sympy import primerange
 
 from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureError,
-                                build_embedding, find_common_norm_element, lemma_converse_check,
-                                signo_pairing_check, two_to_one_check, verify_optimal)
+                                build_embedding, find_common_norm_element, inverse_table,
+                                lemma_converse_check, signo_pairing_check, two_to_one_check,
+                                verify_optimal)
 from cmtrace.errors import InputError
 from cmtrace.fp import index_ns_plus, kronecker, smallest_nonsquare
 from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
@@ -248,6 +249,37 @@ def test_two_to_one_rejects_mismatched_kernel():
     kernel = kernel_classes(order_data(-11, 1), 7)
     with pytest.raises(ValueError):
         two_to_one_check(emb, kernel)
+    # as many classes as the embedding needs, but of the order of conductor 2
+    kernel = kernel_classes(order_data(-7, 2), 5)
+    with pytest.raises(InputError, match="disagree on"):
+        two_to_one_check(emb, kernel)
+
+
+def test_inverse_table_inverts_every_unit():
+    assert inverse_table(3) == [0, 1, 2]
+    for p in [*primerange(2, 2000), 10009]:
+        inv = inverse_table(p)
+        assert len(inv) == p and inv[0] == 0
+        assert all(i * inv[i] % p == 1 for i in range(1, p)), p
+
+
+def test_two_to_one_names_each_broken_fiber_structure():
+    # the kernel classes of -7 at p = 13 with unit classes moved between fibers
+    order = order_data(-7, 1)
+    emb = build_embedding(13, order)
+    kernel = kernel_classes(order, 13)
+    (u1, v1), (u2, v2) = list(two_to_one_check(emb, kernel).values())[:2]
+
+    def moved(points):
+        return [kc._replace(proj=points.get(kc.proj, kc.proj)) for kc in kernel]
+
+    with pytest.raises(FiberStructureError, match=r"^fiber of \(.*\) has size [13]$"):
+        two_to_one_check(emb, moved({u1: u2}))
+    with pytest.raises(FiberStructureError, match="^expected 7 labels, got 6$"):
+        two_to_one_check(emb, moved({u1: u2, v1: v2}))
+    # [0 : 0] is no point: its matrix is zero, so it has no coset label
+    with pytest.raises(InputError, match="invertible matrices"):
+        two_to_one_check(emb, moved({u1: (0, 0)}))
 
 
 def test_two_to_one_rejects_fibers_not_paired_by_the_involution():

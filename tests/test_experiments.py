@@ -68,6 +68,16 @@ def test_spec_rejects_a_field_that_is_no_int(kwargs, name):
         ExperimentSpec(**kwargs, mode="finite_only")
 
 
+@pytest.mark.parametrize("curve,name", [
+    ((1, -1, 0, -2, -1), "tuple"),
+    (M49.curve, "Curve"),
+], ids=["a-invariants", "bare-curve"])
+def test_spec_rejects_a_curve_that_is_no_curve_model(curve, name):
+    # a tuple of a-invariants once raised a bare AttributeError on curve.p
+    with pytest.raises(InputError, match=f"^curve must be a CurveModel, got {name}$"):
+        ExperimentSpec(dK=-7, f=1, curve=curve)
+
+
 def test_spec_rejects_p_dividing_the_conductor_at_entry():
     spec = ExperimentSpec(dK=-7, f=5, p=5, mode="finite_only")
     with pytest.raises(HypothesisError, match="^p must not divide the conductor$"):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import gcd
 
@@ -6,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import primerange
 
+from cmtrace import quadforms
 from cmtrace.fp import kronecker
-from cmtrace.quadforms import (BinaryForm, class_number, is_fundamental_discriminant,
-                               kernel_classes, lagrange_reduce, order_data, reduce_form,
-                               reduced_forms)
+from cmtrace.quadforms import (BinaryForm, KernelClass, QuadOrder, class_number,
+                               is_fundamental_discriminant, kernel_classes, lagrange_reduce,
+                               order_data, reduce_form, reduced_forms)
 from oracles import (ClassGroup, _hnf2, basis_form, class_to_proj, compose, element_order,
-                     form_inverse, form_pow, form_to_ideal, ideal_to_form, principal_form,
-                     proj_elements, proj_mul, proj_params, project_form)
+                     form_inverse, form_pow, form_to_ideal, ideal_to_form,
+                     kernel_classes_by_reduce_form, principal_form, proj_elements, proj_mul,
+                     proj_params, project_form)
 
 # ---------------------------------------------------------------------------
 # Independent oracles.  Ideal arithmetic here is written from scratch against
@@ -436,3 +439,99 @@ def test_reduce_form_reads_the_discriminant_off_its_coefficients(monkeypatch):
     out = reduce_form(form)
     assert calls == []
     assert out.is_reduced() and disc(out) == disc(form) == -1075
+
+
+# ---------------------------------------------------------------------------
+# kernel_classes reduces each (N(lam), -p Tr(lam), p^2) inline: the per-class
+# reduce_form route is its oracle, and every check it keeps must still fire.
+
+KERNEL_GRID = [(dK, f, p) for dK in (-7, -8, -11, -15, -19, -20, -23, -24, -39, -40, -43,
+                                    -67, -84, -91, -163)
+               for f in (1, 2, 3, 5) for p in primerange(3, 60)
+               if kronecker(dK, p) == -1 and f % p]
+
+
+def test_kernel_classes_match_the_reduce_form_route():
+    assert any(p == 3 for _, _, p in KERNEL_GRID)
+    for dK, f, p in KERNEL_GRID + [(-7, 1, 10009), (-7, 3, 10009)]:
+        order = order_data(dK, f)
+        kernel = kernel_classes(order, p)
+        assert kernel == kernel_classes_by_reduce_form(order, p), (dK, f, p)
+        # equal as tuples is not enough: the records must be of their own types
+        assert all(type(kc) is KernelClass and type(kc.form) is BinaryForm for kc in kernel)
+
+
+def test_kernel_classes_call_reduce_form_zero_times(monkeypatch):
+    order = order_data(-91, 1)
+    expected = kernel_classes_by_reduce_form(order, 199)
+    calls = []
+    monkeypatch.setattr(quadforms, "reduce_form", lambda form: calls.append(form))
+    assert kernel_classes(order, 199) == expected
+    assert calls == []
+
+
+def test_kernel_classes_reject_two_coinciding_classes(monkeypatch):
+    # the third form built, that of [1 : 1], comes out as the second, [0 : 1]
+    built = []
+
+    def collapsing(a, b, c):
+        built.append(BinaryForm(a, b, c))
+        return built[1] if len(built) == 3 else built[-1]
+
+    monkeypatch.setattr(quadforms, "BinaryForm", collapsing)
+    with pytest.raises(AssertionError, match="coinciding ideal classes"):
+        kernel_classes(order_data(-7, 1), 5)
+    assert len(built) == 6
+
+
+def test_kernel_classes_assert_each_form_reduced_of_the_kernel_discriminant():
+    # an order whose (t, n) has t^2 - 4n = -11, not its disc -7: every kernel
+    # form reduces, but to discriminant 25 * -11, which the per-form check
+    # holds against 25 * -7
+    bad = QuadOrder(dK=-7, f=1, disc=-7, t=1, n=3)
+    with pytest.raises(AssertionError, match=r"^kernel form \(3, 1, 23\) is not reduced "
+                                             r"of discriminant -175$"):
+        kernel_classes(bad, 5)
+
+
+def test_reduced_forms_keep_their_order_below_5000():
+    # the forms of every discriminant -4999 <= D <= -3 in (a, b, c) order,
+    # the digest pinning that order and those forms
+    digest = hashlib.sha256()
+    count = 0
+    for disc in range(-3, -5000, -1):
+        if disc % 4 in (0, 1):
+            forms = reduced_forms(disc)
+            assert forms == sorted(forms, key=lambda g: (g.a, g.b, g.c))
+            count += len(forms)
+            digest.update(repr([(g.a, g.b, g.c) for g in forms]).encode())
+    assert count == 50574
+    assert digest.hexdigest() == (
+        "2af076212862e5b0fe2c71f390375ee04fd19e14507480df3e79f250f766c629")
+
+
+def test_forms_and_kernel_classes_are_immutable():
+    form = BinaryForm(1, 1, 2)
+    kc = kernel_classes(order_data(-7, 1), 5)[1]
+    for record, name in ((form, "a"), (form, "d"), (kc, "form"), (kc, "x")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 3)
+    assert form == (1, 1, 2) and kc.form == BinaryForm(2, -1, 22)
+
+
+def test_forms_from_every_route_agree_in_repr_hash_and_equality():
+    from cmtrace.heegner import heegner_form
+    kernel = kernel_classes(order_data(-7, 1), 5)
+    assert repr(kernel[2]) == "KernelClass(proj=(1, 1), form=BinaryForm(a=4, b=1, c=11))"
+    # each form of discriminant -175 from heegner_form, reduce_form and
+    # kernel_classes
+    for level, unreduced, kc, text in [
+            (1, (1, 3, 46), kernel[0], "BinaryForm(a=1, b=1, c=44)"),
+            (2, (22, -1, 2), kernel[5], "BinaryForm(a=2, b=1, c=22)"),
+            (4, (11, -1, 4), kernel[2], "BinaryForm(a=4, b=1, c=11)")]:
+        forms = [heegner_form(level, -7, 5), reduce_form(BinaryForm(*unreduced)), kc.form]
+        assert {repr(g) for g in forms} == {text}
+        assert len({hash(g) for g in forms}) == 1 and forms[0] == forms[1] == forms[2]
+    assert sorted(kc.form for kc in kernel) == [
+        BinaryForm(1, 1, 44), BinaryForm(2, -1, 22), BinaryForm(2, 1, 22),
+        BinaryForm(4, -1, 11), BinaryForm(4, 1, 11), BinaryForm(7, 7, 8)]
