@@ -64,7 +64,7 @@ multiplicative, or additive reduction; _extended derives every other a_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import gcd, isqrt, prod
 
@@ -72,15 +72,23 @@ from .errors import InputError
 from .fp import factorint, isprime, kronecker
 
 
-@dataclass(frozen=True)
-class Curve:
-    """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
+class Curve(namedtuple("Curve", "a1 a2 a3 a4 a6")):
+    """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
+    A named tuple of the a-invariants with no __slots__, so that each
+    instance has the __dict__ its cached invariants are kept in."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        assert 4 * self.b8 == self.b2 * self.b6 - self.b4 * self.b4
+        if self.disc == 0:
+            raise InputError("singular Weierstrass equation")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace checks the curve too
+        return cls(*iterable)
 
     @property
     def ainvs(self) -> tuple[int, int, int, int, int]:
@@ -124,11 +132,6 @@ class Curve:
         if num % self.disc:
             return 0
         return _CM_FIELDS.get(num // self.disc, 0)
-
-    def __post_init__(self):
-        assert 4 * self.b8 == self.b2 * self.b6 - self.b4 * self.b4
-        if self.disc == 0:
-            raise InputError("singular Weierstrass equation")
 
 
 # The 13 rational j-invariants with complex multiplication, by the
@@ -226,13 +229,11 @@ def _valuation(n: int, q: int) -> int:
 # and the conductor exponent read off from Ogg's formula f = v(disc) + 1 - m.
 
 
-@dataclass(frozen=True)
-class LocalData:
-    q: int
-    v_disc: int
-    kodaira: str
-    f: int
-    reduction: str          # good | split | nonsplit | additive
+class LocalData(namedtuple("LocalData", "q v_disc kodaira f reduction")):
+    """Tate's data at the prime q: v(disc), the Kodaira symbol, the conductor
+    exponent f, and the reduction: good, split, nonsplit or additive."""
+
+    __slots__ = ()
 
 
 def tate_local(cur: Curve, q: int) -> LocalData:
@@ -647,15 +648,11 @@ def _smallest_prime_factors(bound: int) -> list[int]:
 # The distinguished-level wrapper N = p^2 M.
 
 
-@dataclass(frozen=True)
-class CurveModel:
-    """A rational elliptic curve with conductor factored as p^2 * M, p odd."""
+class CurveModel(namedtuple("CurveModel", "curve minimal n p m")):
+    """A rational elliptic curve with conductor factored as p^2 * M, p odd:
+    the curve, its minimal model, N, p and M."""
 
-    curve: Curve
-    minimal: Curve
-    n: int
-    p: int
-    m: int
+    __slots__ = ()
 
     @property
     def ainvs(self):

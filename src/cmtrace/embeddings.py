@@ -18,7 +18,7 @@ included (tests/oracles.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CmtraceError, InputError
 from .fp import isprime, kronecker, smallest_nonsquare, sqrt_mod_p
@@ -33,8 +33,7 @@ class FiberStructureError(CmtraceError, AssertionError):
     """The two-to-one fiber structure failed; indicates corrupted inputs."""
 
 
-@dataclass(frozen=True)
-class EmbeddingData:
+class EmbeddingData(namedtuple("EmbeddingData", "p eps order iota_omega")):
     """Matrix-level data of an optimal embedding at the odd prime p, with
     eps the smallest non-square mod p.
 
@@ -44,10 +43,7 @@ class EmbeddingData:
     4-tuple of its entries in [0, p).
     """
 
-    p: int
-    eps: int
-    order: QuadOrder
-    iota_omega: tuple[int, int, int, int]
+    __slots__ = ()
 
 
 def build_embedding(p: int, order: QuadOrder) -> EmbeddingData:
@@ -152,7 +148,8 @@ def two_to_one_check(emb: EmbeddingData,
     p = (p // i) i + (p mod i) in its docstring), one product per entry and
     no modular exponentiation per class.  The classes must be the p + 1
     kernel classes of the embedding's order, each of discriminant p^2 times
-    the order's.  Enforces the expected structure: (p+1)/2 distinct labels,
+    the order's, which the label loop checks class by class before it labels
+    one.  Enforces the expected structure: (p+1)/2 distinct labels,
     every fiber of size exactly two, and fiber partners differing by the
     involution class [-a : 1], a = t/2 the diagonal entry of iota_omega.
 
@@ -167,17 +164,19 @@ def two_to_one_check(emb: EmbeddingData,
     """
     p, n = emb.p, emb.order.n
     disc = p * p * emb.order.disc
-    if len(classes) != p + 1 or any(kc.form.disc() != disc for kc in classes):
+    if len(classes) != p + 1:
         raise InputError("kernel classes and embedding disagree on (order, p)")
     a, b, c, d = emb.iota_omega
     if (2 * a - emb.order.t) % p:
         raise InputError(f"2a = {2 * a % p} differs from t = {emb.order.t % p} mod {p}")
     inv = inverse_table(p)
     fibers: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
-    for kc in classes:
-        x1, x2 = kc.proj
+    for proj, (fa, fb, fc) in classes:
+        if fb * fb - 4 * fa * fc != disc:
+            raise InputError("kernel classes and embedding disagree on (order, p)")
+        x1, x2 = proj
         label = _label_entries(inv, x1 + x2 * a, x2 * b, x2 * c, x1 + x2 * d)
-        fibers.setdefault(label, []).append(kc.proj)
+        fibers.setdefault(label, []).append(proj)
     if len(fibers) != (p + 1) // 2:
         raise FiberStructureError(f"expected {(p + 1) // 2} labels, got {len(fibers)}")
     for label, mates in fibers.items():

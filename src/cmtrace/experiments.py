@@ -57,7 +57,7 @@ lam.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from math import prod
@@ -80,43 +80,31 @@ LAMBDA_DIGITS = 5           # the values a fiber's lattice vector is read from (
 LAMBDA_BUDGET = 1e-9
 
 
-@dataclass(frozen=True)
-class OrbitEntry:
-    proj: tuple[int, int]
-    form: tuple[int, int, int]
-    tau: str
-    z: tuple[str, str]
-    digits: int                      # z is known to this many digits
-    q: int                           # the W_Q the point went through, 1 for none
-    n_max: int                       # terms of the series its value or lam was read from
-    source: str                      # "series"; "same:i" / "conj:i": entry i's series reused;
-                                     # "fiber:i": from fiber mate i by K_{p^2} + lam
+class OrbitEntry(namedtuple("OrbitEntry", "proj form tau z digits q n_max source")):
+    """One orbit point of a trace: its kernel class proj, its form, tau and
+    z as text, z known to `digits` digits, q the W_Q the point went through
+    (1 for none), n_max the terms of the series its value or lam was read
+    from, and source: "series"; "same:i" / "conj:i": entry i's series
+    reused; "fiber:i": from fiber mate i by K_{p^2} + lam."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OrbitMove:
+class OrbitMove(namedtuple("OrbitMove", "q point n_max")):
     """How one orbit point tau is evaluated: phi(tau) = w_Q (phi(point) -
     K_Q), point = W_Q (tau + k).  q = 1 keeps tau."""
 
-    q: int
-    point: HeegnerTau
-    n_max: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TraceReport:
-    spec: ExperimentSpec
-    wp: int
-    orbit: tuple[OrbitEntry, ...]
-    trace_z: object
-    residual: object
-    verdict: str                     # torsion | non_torsion | undecided
-    recognized: tuple | None
-    n_max: int
-    finite_shadow: FiniteReport
-    constants: tuple                 # (Q, w_Q, i, j, n): K_Q = (i w1 + j w2) / n
-    series: tuple[int, int]          # orbit series run at digits and at LAMBDA_DIGITS
-    timings: dict = field(default_factory=dict)
+class TraceReport(namedtuple("TraceReport", "spec wp orbit trace_z residual verdict recognized "
+                                             "n_max finite_shadow constants series timings")):
+    """One trace_point run: verdict is torsion, non_torsion or undecided;
+    recognized the point (x, y) as AlgebraicNumbers or None; constants the
+    (Q, w_Q, i, j, n) with K_Q = (i w1 + j w2) / n; series the orbit series
+    run at digits and at LAMBDA_DIGITS; timings the seconds per stage."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         digits = self.spec.digits
@@ -129,7 +117,7 @@ class TraceReport:
                 "digits": digits,
             },
             "wp": self.wp,
-            "orbit": [entry.__dict__ for entry in self.orbit],
+            "orbit": [entry._asdict() for entry in self.orbit],
             "traceZ": _cstr(self.trace_z, digits),
             "residual": mp.nstr(self.residual, 8),
             "verdict": self.verdict,
@@ -201,7 +189,7 @@ def orbit_options(model: CurveModel, orbit, digits: int) -> tuple[OrbitMove, ...
                 _, form = al_move(pt.form, pt.n_level, q_div)
                 if form.a < pt.form.a:
                     opts.append((*_terms(root / (2 * form.a), digits), q_div,
-                                 replace(pt, form=form)))
+                                 pt._replace(form=form)))
             picks.append(min(opts, key=lambda o: (o[0], o[2])))
     if not all(ok for _, ok, _, _ in picks):
         raise SeriesBudgetError(max(n for n, _, _, _ in picks))

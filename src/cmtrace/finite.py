@@ -12,7 +12,7 @@ experiments.trace_point adds on top of this report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd
 
 from .curves import CurveModel
@@ -20,7 +20,7 @@ from .embeddings import (build_embedding, find_common_norm_element, lemma_conver
                          signo_pairing_check, two_to_one_check, verify_optimal)
 from .errors import InputError
 from .fp import factorint, index_ns_plus, isprime, kronecker
-from .quadforms import KernelClass, kernel_classes, order_data
+from .quadforms import kernel_classes, order_data
 
 MODES = ("signo_minus", "main_plus", "finite_only")
 DEFAULT_DIGITS = 60
@@ -40,8 +40,8 @@ def check_digits(digits: int):
         raise InputError(f"digits must be between 1 and {DIGITS_CAP}, got {digits}")
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(namedtuple("ExperimentSpec", "dK f curve p digits mode",
+                                 defaults=(None, None, DEFAULT_DIGITS, "main_plus"))):
     """Inputs of one experiment, shared by experiment_finite and
     experiments.trace_point; curve may be omitted for finite-only runs.  dK,
     f, digits and a given p must be ints (a bool is none), and a given curve
@@ -49,14 +49,10 @@ class ExperimentSpec:
     (trace_point reads w_p off the curve); they stay because
     perfbench/cases.py passes them."""
 
-    dK: int
-    f: int
-    curve: CurveModel | None = None
-    p: int | None = None
-    digits: int = DEFAULT_DIGITS
-    mode: str = "main_plus"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("dK", "f", "digits", "p"):
             value = getattr(self, name)
             if name == "p" and value is None:
@@ -71,6 +67,12 @@ class ExperimentSpec:
             raise InputError("either a curve or an explicit p is required")
         if self.curve is not None and self.p not in (None, self.curve.p):
             raise InputError(f"p = {self.p} differs from the curve's p = {self.curve.p}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace checks the inputs too
+        return cls(*iterable)
 
     @property
     def prime(self) -> int:
@@ -105,17 +107,19 @@ class ExperimentSpec:
             raise HypothesisError("p must not divide the conductor")
 
 
-@dataclass(frozen=True)
-class FiniteReport:
-    p: int
-    dK: int
-    f: int
-    level_m: int
-    checks: dict
-    fiber_count: int
-    degree: int
-    classes: tuple[KernelClass, ...] = field(repr=False)   # reused by trace_point; not in to_json
-    fibers: dict = field(default_factory=dict)
+class FiniteReport(namedtuple("FiniteReport", "p dK f level_m checks fiber_count degree "
+                                               "classes fibers")):
+    """The finite shadow at p: the named checks, the fiber count, the index of
+    the non-split Cartan normalizer, the kernel classes (tuple of KernelClass,
+    reused by trace_point, in neither the repr nor to_json), and the fibers
+    as {coset label: [projective pair, ...]}."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={value!r}" for name, value in zip(self._fields, self)
+                 if name != "classes")
+        return f"{type(self).__name__}({', '.join(shown)})"
 
     @property
     def all_passed(self) -> bool:

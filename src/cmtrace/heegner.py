@@ -31,7 +31,7 @@ Everything stays in integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from math import gcd, isqrt
 
 import mpmath as mp
@@ -46,20 +46,23 @@ class NoHeegnerPoint(InputError):
     """The discriminant admits no form with N | A (square-root obstruction)."""
 
 
-@dataclass(frozen=True)
-class HeegnerTau:
+class HeegnerTau(namedtuple("HeegnerTau", "form n_level dK conductor")):
     """CM point data: an N-divisible form with its level and discriminant split."""
 
-    form: BinaryForm
-    n_level: int
-    dK: int
-    conductor: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.form.a % self.n_level:
             raise InputError("leading coefficient must be divisible by N")
         if self.form.disc() != self.conductor ** 2 * self.dK:
             raise InputError("discriminant mismatch")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace checks the point too
+        return cls(*iterable)
 
     def tau(self, digits: int):
         """Upper half plane representative at the requested precision."""
@@ -259,5 +262,5 @@ def galois_orbit(base: HeegnerTau, forms) -> list[HeegnerTau]:
         big_b = b0 + 2 * a0 * ((rep.b - b0) // 2 * pow(a0, -1, rep.a) % rep.a)
         assert (big_b * big_b - disc) % (4 * big_a) == 0
         composite = BinaryForm(big_a, big_b, (big_b * big_b - disc) // (4 * big_a))
-        out.append(replace(base, form=gamma0_reduce(composite, n_level)))
+        out.append(base._replace(form=gamma0_reduce(composite, n_level)))
     return out

@@ -77,7 +77,7 @@ plus duplication (tests/oracles.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 import mpmath as mp
@@ -97,12 +97,10 @@ class PrecisionError(CmtraceError, ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class PeriodLattice:
-    curve: Curve
-    w1: mp.mpc
-    w2: mp.mpc
-    digits: int
+class PeriodLattice(namedtuple("PeriodLattice", "curve w1 w2 digits")):
+    """The periods w1, w2 of the curve at `digits`: a named tuple with no
+    __slots__, so that each instance has the __dict__ its cached reduction is
+    kept in."""
 
     @cached_property
     def reduction(self) -> tuple:

@@ -49,7 +49,6 @@ cheapest immutable records to build and hash.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import InputError
@@ -75,19 +74,14 @@ def _squarefree(n: int) -> bool:
     return all(e == 1 for e in factorint(abs(n)).values())
 
 
-@dataclass(frozen=True)
-class QuadOrder:
+class QuadOrder(namedtuple("QuadOrder", "dK f disc t n")):
     """Order of conductor f in the imaginary quadratic field of discriminant dK.
 
     The standard generator w_f = (t + sqrt(disc)) / 2 has characteristic
     polynomial X^2 - t X + n with t^2 - 4n = disc = f^2 dK.
     """
 
-    dK: int
-    f: int
-    disc: int
-    t: int
-    n: int
+    __slots__ = ()
 
 
 def check_fundamental(dK: int):

@@ -10,7 +10,7 @@ one-dimensional and robust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -19,14 +19,10 @@ import mpmath as mp
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class AlgebraicNumber:
+class AlgebraicNumber(namedtuple("AlgebraicNumber", "nu mu den field_disc")):
     """Exact value (nu + mu*sqrt(field_disc)) / den; field_disc None means rational."""
 
-    nu: int
-    mu: int
-    den: int
-    field_disc: int | None
+    __slots__ = ()
 
     def to_mpc(self):
         root = mp.sqrt(mp.mpf(self.field_disc)) if self.field_disc is not None else 0

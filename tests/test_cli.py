@@ -336,6 +336,23 @@ def test_finite_check_runs_with_mpmath_blocked():
     assert "5005 fibers of size 2" in proc.stdout
 
 
+def test_import_and_runs_leave_dataclasses_out():
+    # the records are named tuples, so no module imports dataclasses
+    proc = _python("import sys, cmtrace, cmtrace.cli, cmtrace.experiments\n"
+                   "print('dataclasses' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    proc = _python(
+        "import sys\n"
+        "sys.modules['dataclasses'] = None\n"
+        "from cmtrace.cli import main\n"
+        "assert main(['finite-check', '--p', '199', '--dk', '-91']) == 0\n"
+        "sys.exit(main(['trace', '--curve', '0,-1,1,-7,10', '--dk', '-67', '--digits', '30']))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert "100 fibers of size 2" in proc.stdout
+    assert "verdict: non_torsion" in proc.stdout
+
+
 # the package's names before its analytic half became lazy
 EXPORTS = (
     "Curve", "CurveModel", "an_coefficients", "conductor", "curve_model", "minimal_model",

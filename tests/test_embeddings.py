@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from sympy import primerange
@@ -10,7 +9,7 @@ from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureErr
                                 verify_optimal)
 from cmtrace.errors import InputError
 from cmtrace.fp import index_ns_plus, kronecker, smallest_nonsquare
-from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
+from cmtrace.quadforms import BinaryForm, is_fundamental_discriminant, kernel_classes, order_data
 from oracles import (IDENTITY, coset_label, decompose_gamma, enumerate_cartan, galois_matrix,
                      in_cartan_group, involution_class, mat, mat_det, mat_inv, mat_mul,
                      proj_class, proj_elements, proj_mul, proj_params, sl2_elements,
@@ -159,7 +158,7 @@ def test_lemma_converse_on_hand_built_matrices():
                         assert got is _converse_by_scan(emb), (p, a, b, c, d)
                         seen.add(((b, c) == (0, 0), a == d, got))
                         # entries outside [0, p) are read mod p
-                        shifted = replace(emb, iota_omega=(a + p, b - p, c + 2 * p, d - 3 * p))
+                        shifted = emb._replace(iota_omega=(a + p, b - p, c + 2 * p, d - 3 * p))
                         assert lemma_converse_check(shifted) is got, (p, a, b, c, d)
     assert seen == {(True, True, False), (True, False, False),
                     (False, True, True), (False, False, False)}
@@ -253,6 +252,13 @@ def test_two_to_one_rejects_mismatched_kernel():
     kernel = kernel_classes(order_data(-7, 2), 5)
     with pytest.raises(InputError, match="disagree on"):
         two_to_one_check(emb, kernel)
+    # one class of another discriminant, last, after every other class is
+    # labelled; and with two fibers broken as well, which must not be named
+    kernel = kernel_classes(order_data(-7, 1), 5)
+    stray = kernel[-1]._replace(form=BinaryForm(1, 1, 2))
+    for classes in (kernel[:-1] + (stray,), (kernel[1], *kernel[1:-1], stray)):
+        with pytest.raises(InputError, match="disagree on"):
+            two_to_one_check(emb, classes)
 
 
 def test_inverse_table_inverts_every_unit():

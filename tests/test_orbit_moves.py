@@ -10,7 +10,6 @@ lattice vector exact, never more series terms, and the fixed-point pair
 kernel against the term-by-term sum."""
 
 from collections import Counter
-from dataclasses import replace
 from math import gcd, isqrt
 
 import mpmath as mp
@@ -429,7 +428,7 @@ def test_a_swapped_mate_or_a_lattice_vector_off_by_a_period_raises(monkeypatch, 
         return orbit_trace(model, orbit, shadow, moves, _wp(label), lat)
 
     (l1, (u1, v1)), (l2, (u2, v2)) = sorted(shadow.fibers.items())[:2]
-    swapped = replace(shadow, fibers={**shadow.fibers, l1: [u1, v2], l2: [u2, v1]})
+    swapped = shadow._replace(fibers={**shadow.fibers, l1: [u1, v2], l2: [u2, v1]})
     with pytest.raises(FiberPairingError, match="fiber mate"):
         run(swapped)
     # a lattice vector one period off, for a fiber's lam or for 2520 K_Q

@@ -1,0 +1,192 @@
+"""The package's records are named tuples.  Each keeps the repr,
+immutability, equality and hash of the frozen dataclass it replaced, and a
+record with input checks runs them on _replace as on construction."""
+
+import hashlib
+import json
+
+import mpmath as mp
+import pytest
+
+from cmtrace.curves import Curve, LocalData, curve_model
+from cmtrace.embeddings import build_embedding
+from cmtrace.errors import InputError
+from cmtrace.experiments import OrbitEntry, OrbitMove, TraceReport
+from cmtrace.finite import ExperimentSpec, experiment_finite
+from cmtrace.heegner import HeegnerTau, heegner_form
+from cmtrace.periods import PeriodLattice
+from cmtrace.quadforms import BinaryForm, order_data
+from cmtrace.recognize import AlgebraicNumber
+
+
+def _samples() -> dict:
+    curve = Curve(0, -1, 1, -7, 10)
+    spec = ExperimentSpec(dK=-7, f=1, p=5, mode="finite_only")
+    shadow = experiment_finite(spec)
+    tau = HeegnerTau(form=heegner_form(121, -67, 11), n_level=121, dK=-67, conductor=11)
+    entry = OrbitEntry(proj=(1, 0), form=(121, 109, 25), tau="(-0.45, 0.0338)",
+                       z=("0.5", "-0.25"), digits=30, q=1, n_max=812, source="series")
+    x = AlgebraicNumber(nu=49, mu=-13, den=32, field_disc=-7)
+    return {
+        "Curve": curve,
+        "LocalData": LocalData(q=11, v_disc=2, kodaira="II", f=2, reduction="additive"),
+        "CurveModel": curve_model(curve.ainvs),
+        "QuadOrder": order_data(-67, 1),
+        "EmbeddingData": build_embedding(11, order_data(-67, 1)),
+        "ExperimentSpec": spec,
+        "FiniteReport": shadow,
+        "OrbitEntry": entry,
+        "OrbitMove": OrbitMove(q=1, point=tau, n_max=812),
+        "TraceReport": TraceReport(
+            spec=spec, wp=1, orbit=(entry,), trace_z=mp.mpc(1, -2), residual=mp.mpf(0.5),
+            verdict="torsion", recognized=(x, x), n_max=812, finite_shadow=shadow,
+            constants=((121, 1, 0, 0, 1),), series=(1, 0), timings={"orbit_evaluation": 0.25}),
+        "HeegnerTau": tau,
+        "PeriodLattice": PeriodLattice(curve=curve, w1=mp.mpc(2, 0), w2=mp.mpc(1, 3), digits=30),
+        "AlgebraicNumber": x,
+    }
+
+
+SAMPLES = _samples()
+
+# the repr of each sample, recorded when the records were frozen dataclasses
+DATACLASS_REPRS = {
+    "Curve": 'Curve(a1=0, a2=-1, a3=1, a4=-7, a6=10)',
+    "LocalData": "LocalData(q=11, v_disc=2, kodaira='II', f=2, reduction='additive')",
+    "CurveModel": (
+        'CurveModel(curve=Curve(a1=0, a2=-1, a3=1, a4=-7, a6=10), minimal=Curve(a1=0, a2=-1, '
+        'a3=1, a4=-7, a6=10), n=121, p=11, m=1)'),
+    "QuadOrder": 'QuadOrder(dK=-67, f=1, disc=-67, t=1, n=17)',
+    "EmbeddingData": (
+        'EmbeddingData(p=11, eps=2, order=QuadOrder(dK=-67, f=1, disc=-67, t=1, n=17), '
+        'iota_omega=(6, 2, 4, 6))'),
+    "ExperimentSpec": "ExperimentSpec(dK=-7, f=1, curve=None, p=5, digits=60, mode='finite_only')",
+    "FiniteReport": (
+        "FiniteReport(p=5, dK=-7, f=1, level_m=1, checks={'optimal_embedding': True, "
+        "'lemma_converse': True, 'signo_pairing': True, 'two_to_one': True, "
+        "'degree_matches_index': True, 'common_norm_elements': True}, fiber_count=3, degree=3, "
+        'fibers={(0, 1, 4, 0): [(1, 0), (2, 1)], (1, 1, 3, 4): [(0, 1), (1, 1)], (1, 2, 3, '
+        '2): [(3, 1), (4, 1)]})'),
+    "OrbitEntry": (
+        "OrbitEntry(proj=(1, 0), form=(121, 109, 25), tau='(-0.45, 0.0338)', z=('0.5', "
+        "'-0.25'), digits=30, q=1, n_max=812, source='series')"),
+    "OrbitMove": (
+        'OrbitMove(q=1, point=HeegnerTau(form=BinaryForm(a=121, b=121, c=47), n_level=121, '
+        'dK=-67, conductor=11), n_max=812)'),
+    "TraceReport": (
+        'TraceReport(spec=ExperimentSpec(dK=-7, f=1, curve=None, p=5, digits=60, '
+        "mode='finite_only'), wp=1, orbit=(OrbitEntry(proj=(1, 0), form=(121, 109, 25), "
+        "tau='(-0.45, 0.0338)', z=('0.5', '-0.25'), digits=30, q=1, n_max=812, "
+        "source='series'),), trace_z=mpc(real='1.0', imag='-2.0'), residual=mpf('0.5'), "
+        "verdict='torsion', recognized=(AlgebraicNumber(nu=49, mu=-13, den=32, field_disc=-7), "
+        'AlgebraicNumber(nu=49, mu=-13, den=32, field_disc=-7)), n_max=812, '
+        'finite_shadow=FiniteReport(p=5, dK=-7, f=1, level_m=1, '
+        "checks={'optimal_embedding': True, 'lemma_converse': True, 'signo_pairing': True, "
+        "'two_to_one': True, 'degree_matches_index': True, 'common_norm_elements': True}, "
+        'fiber_count=3, degree=3, fibers={(0, 1, 4, 0): [(1, 0), (2, 1)], (1, 1, 3, 4): [(0, '
+        '1), (1, 1)], (1, 2, 3, 2): [(3, 1), (4, 1)]}), constants=((121, 1, 0, 0, 1),), '
+        "series=(1, 0), timings={'orbit_evaluation': 0.25})"),
+    "HeegnerTau": (
+        'HeegnerTau(form=BinaryForm(a=121, b=121, c=47), n_level=121, dK=-67, conductor=11)'),
+    "PeriodLattice": (
+        "PeriodLattice(curve=Curve(a1=0, a2=-1, a3=1, a4=-7, a6=10), w1=mpc(real='2.0', "
+        "imag='0.0'), w2=mpc(real='1.0', imag='3.0'), digits=30)"),
+    "AlgebraicNumber": 'AlgebraicNumber(nu=49, mu=-13, den=32, field_disc=-7)',
+}
+
+# a field of each record, and another value for it that passes its checks
+CHANGED = {
+    "Curve": ("a6", 11),
+    "LocalData": ("f", 3),
+    "CurveModel": ("m", 2),
+    "QuadOrder": ("n", 18),
+    "EmbeddingData": ("eps", 3),
+    "ExperimentSpec": ("digits", 30),
+    "FiniteReport": ("degree", 4),
+    "OrbitEntry": ("source", "same:0"),
+    "OrbitMove": ("n_max", 900),
+    "TraceReport": ("verdict", "non_torsion"),
+    "HeegnerTau": ("form", BinaryForm(121, -121, 47)),
+    "PeriodLattice": ("digits", 60),
+    "AlgebraicNumber": ("den", 16),
+}
+
+
+def test_every_record_has_a_sample():
+    assert set(SAMPLES) == set(DATACLASS_REPRS) == set(CHANGED)
+    assert all(type(rec).__name__ == name for name, rec in SAMPLES.items())
+
+
+@pytest.mark.parametrize("name", DATACLASS_REPRS)
+def test_repr_is_the_dataclass_repr(name):
+    assert repr(SAMPLES[name]) == DATACLASS_REPRS[name]
+
+
+def test_finite_report_repr_leaves_the_classes_out():
+    report = SAMPLES["FiniteReport"]
+    assert len(report.classes) == 6 and "classes" not in repr(report)
+    assert repr(report.classes[0]) not in repr(report)
+
+
+@pytest.mark.parametrize("name", CHANGED)
+def test_fields_are_read_only_and_replace_keeps_the_type(name):
+    rec = SAMPLES[name]
+    field, value = CHANGED[name]
+    with pytest.raises(AttributeError):
+        setattr(rec, field, value)
+    new = rec._replace(**{field: value})
+    assert type(new) is type(rec) and getattr(new, field) == value
+    assert getattr(rec, field) != value and new != rec
+
+
+@pytest.mark.parametrize("name", DATACLASS_REPRS)
+def test_equality_and_hash_go_by_fields(name):
+    rec = SAMPLES[name]
+    twin = type(rec)(**{field: getattr(rec, field) for field in rec._fields})
+    assert twin == rec and twin is not rec
+    # unlike a dataclass, a record is the tuple of its fields
+    assert rec == tuple(rec) and len(rec) == len(rec._fields)
+    if name in ("FiniteReport", "TraceReport"):      # their dict fields have no hash
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(twin) == hash(rec) == hash(tuple(rec))
+
+
+def test_trace_report_json_is_the_dataclass_json():
+    report = SAMPLES["TraceReport"]._replace(
+        spec=ExperimentSpec(dK=-7, f=1, curve=SAMPLES["CurveModel"], digits=30))
+    text = json.dumps(report.to_json())
+    # each orbit entry's keys in field order, as the dataclass's __dict__ had them
+    assert json.dumps(report.to_json()["orbit"]) == (
+        '[{"proj": [1, 0], "form": [121, 109, 25], "tau": "(-0.45, 0.0338)", '
+        '"z": ["0.5", "-0.25"], "digits": 30, "q": 1, "n_max": 812, "source": "series"}]')
+    # the whole report, recorded when the records were frozen dataclasses
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d53736013335e3c0519306d626d847ff22d05843c42a05d97bbf52d658d2fe65")
+
+
+def test_replace_runs_the_construction_checks():
+    with pytest.raises(InputError, match="f must be an integer"):
+        SAMPLES["ExperimentSpec"]._replace(f=True)
+    with pytest.raises(InputError, match="singular"):
+        SAMPLES["Curve"]._replace(a2=0, a3=0, a4=0, a6=0)
+    with pytest.raises(InputError, match="divisible by N"):
+        SAMPLES["HeegnerTau"]._replace(n_level=7)
+
+
+def test_defaults_and_required_fields():
+    spec = ExperimentSpec(-7, 1, p=5)
+    assert (spec.curve, spec.digits, spec.mode) == (None, 60, "main_plus")
+    # the mutable fields have no shared default
+    for name in ("FiniteReport", "TraceReport"):
+        rec = SAMPLES[name]
+        with pytest.raises(TypeError):
+            type(rec)(*rec[:-1])
+
+
+def test_curve_and_lattice_keep_their_cached_properties():
+    curve, lat = SAMPLES["Curve"], SAMPLES["PeriodLattice"]
+    assert curve.__dict__ == {"disc": -1331}           # cached by the singularity check
+    assert curve.c4 == 352 and curve.__dict__["c4"] == 352
+    assert lat.reduction is lat.reduction and "reduction" in lat.__dict__
