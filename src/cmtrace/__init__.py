@@ -29,7 +29,7 @@ _LAZY = {name: module for module, names in (
     ("experiments", ("TraceReport", "trace_point")),
     ("heegner", ("HeegnerTau", "NoHeegnerPoint", "galois_orbit", "heegner_form")),
     ("modparam", ("atkin_lehner_sign", "eval_phi")),
-    ("periods", ("PeriodLattice", "elliptic_exp", "is_torsion", "period_lattice")),
+    ("periods", ("PeriodLattice", "elliptic_exp", "is_torsion", "locate", "period_lattice")),
     ("recognize", ("AlgebraicNumber", "recognize_in_quadratic", "recognize_rational")),
     ("cli", ()),
 ) for name in (module, *names)}

@@ -8,13 +8,12 @@ cannot be written, and 3 when a check of the theory fails (EXIT_CODES).  An
 exception outside that table is a bug and ends in a traceback.
 
 The heegner, sign and trace handlers import the analytic layer when they
-run, so finite-check and classgroup never load mpmath.
+run, so finite-check and classgroup never load mpmath; json loads on --json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import nullcontext
 
@@ -176,6 +175,7 @@ def main(argv=None) -> int:
         with open(args.json_path, "w") if args.json_path else nullcontext() as fh:
             code, payload = handlers[args.command](args)
             if fh is not None:
+                import json
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")
             return code

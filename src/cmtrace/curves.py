@@ -72,11 +72,17 @@ from .errors import InputError
 from .fp import factorint, isprime, kronecker
 
 
+def _read_only(self, name, *_):      # cached_property writes __dict__ directly
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+
 class Curve(namedtuple("Curve", "a1 a2 a3 a4 a6")):
     """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
     A named tuple of the a-invariants with no __slots__, so that each
     instance has the __dict__ its cached invariants are kept in."""
+
+    __setattr__ = __delattr__ = _read_only
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

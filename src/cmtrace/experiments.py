@@ -71,8 +71,8 @@ from .fp import factorint
 from .heegner import HeegnerTau, al_move, galois_orbit, heegner_form
 from .modparam import (GUARD, K_DIGITS, SeriesBudgetError, al_constant, al_constant_points,
                        atkin_lehner_sign, eval_phi, local_sign, phi_terms)
-from .periods import (PeriodLattice, _reduced_basis, elliptic_exp, is_torsion, nearest_vector,
-                      period_lattice, torsion_residual)
+from .periods import (PeriodLattice, _reduced_basis, elliptic_exp, is_torsion, locate,
+                      nearest_vector, period_lattice, torsion_residual)
 from .quadforms import class_number, reduce_form
 from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
 
@@ -357,23 +357,19 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     timings["orbit_evaluation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    residual = torsion_residual(trace_z, lat)
-    torsion = is_torsion(trace_z, lat)
-    recognized = None
-    if torsion:
-        verdict = "torsion"
-    else:
-        verdict = "undecided"
-        if spec.f == 1 and class_number(spec.dK) == 1:
-            point = elliptic_exp(lat, trace_z)
-            if point is not None:
-                hb = max(4, digits // 3)
-                rx = recognize_in_quadratic(point[0], spec.dK, digits, hb)
-                ry = recognize_in_quadratic(point[1], spec.dK, digits, hb)
-                if (rx is not None and ry is not None
-                        and curve_equation_holds_exactly(model.minimal.ainvs, rx, ry)):
-                    recognized = (rx, ry)
-                    verdict = "non_torsion"
+    point = locate(lat, trace_z)                 # one solve for the three readers
+    residual = torsion_residual(point)
+    verdict, recognized = ("torsion" if is_torsion(point) else "undecided"), None
+    if verdict == "undecided" and spec.f == 1 and class_number(spec.dK) == 1:
+        xy = elliptic_exp(point)
+        if xy is not None:
+            hb = max(4, digits // 3)
+            rx = recognize_in_quadratic(xy[0], spec.dK, digits, hb)
+            ry = recognize_in_quadratic(xy[1], spec.dK, digits, hb)
+            if (rx is not None and ry is not None
+                    and curve_equation_holds_exactly(model.minimal.ainvs, rx, ry)):
+                recognized = (rx, ry)
+                verdict = "non_torsion"
     timings["classification"] = time.perf_counter() - t0
 
     return TraceReport(spec=spec, wp=wp, orbit=tuple(entries), trace_z=trace_z,

@@ -45,21 +45,24 @@ points of that vertex's Voronoi cell, so it lies in the cell.  Hence the
 squared distance of the point to the lattice is the minimum of the Gram
 form over its offsets from the four corners.
 
-Precision budget.  With P the working precision of lat.digits + GUARD
-decimal digits, the torsion test for m <= bound uses integers scaled by
-2^F, F = P + bit_length(bound) + FIXED_GUARD.  w1, w2 and z are cut to
-integers scaled by 2^e, e = F + 24 + log2 |z / w1|, the reduced basis is
-formed from them exactly, and the coordinates of z are solved exactly from
-those and rounded down to units of 2^-F: each is off by less than two
-units.  Those of m z are the exact multiples, so they are off by less than
-2m 2^-F <= 2^(1 - P - FIXED_GUARD), and the reduction mod 1 (a shift by F
-bits) and the choice of corner are exact on them.  That moves a distance by
-at most 2^(1 - P - FIXED_GUARD) (|b1| + |b2|), below 10^-(digits+27) |b2|.
-The Gram form is exact for the cut basis, which is off by about 2^-e times
-the entries of the reduction, far less.  Squared distances stay integers
-scaled by 2^-2(e+F) until the one square root.  nearest_vector takes
-F = P + FIXED_GUARD at the caller's precision and only uses the corner it
-picks; modparam and experiments read every lattice vector through it.
+Precision budget.  locate solves each point z once, at the lattice's own
+working precision P, that of lat.digits + GUARD decimal digits, whatever
+the caller's: z rounded to P bits, and w1, w2 and z cut to integers scaled
+by 2^e, e = F + 24 + max(0, log2 |z / w1|), F = P + bit_length(TORSION_BOUND)
++ FIXED_GUARD.  The reduced basis is formed from those exactly, and the
+coordinates of z are solved exactly and rounded down to units of 2^-F:
+each is off by less than two units.  Those of m z, m <= TORSION_BOUND, are
+the exact multiples, off by less than 2m 2^-F <= 2^(1 - P - FIXED_GUARD),
+and the reduction mod 1 (a shift by F bits) and the choice of corner are
+exact on them.  That moves a distance by at most 2^(1 - P - FIXED_GUARD)
+(|b1| + |b2|), below 10^-(digits+27) |b2|.  The Gram form is exact for the
+cut basis, which is off by about 2^-e times the entries of the reduction,
+far less.  A squared distance is an integer n times 2^shift, shift =
+-2(e + F), up to the one square root, so each threshold is an integer
+comparison, n < ceil(r^2 2^-shift) for a distance r: 10^(-digits/2) |w1|
+for the torsion test, 10^-digits |w1| at m = 1 for elliptic_exp's point
+at infinity.  nearest_vector is the nearest corner at m = 1, and modparam
+and experiments read every lattice vector through it.
 
 The Weierstrass function.  DLMF 23.6.5 with 2 omega_1 = b1 and
 tau = b2 / b1 gives wp(z) = (pi / b1)^2 [(theta2 theta3 theta4(v) /
@@ -82,7 +85,7 @@ from functools import cached_property, lru_cache
 
 import mpmath as mp
 
-from .curves import Curve
+from .curves import Curve, _read_only
 from .errors import CmtraceError
 from .finite import DIGITS_CAP
 from .quadforms import lagrange_reduce
@@ -101,6 +104,8 @@ class PeriodLattice(namedtuple("PeriodLattice", "curve w1 w2 digits")):
     """The periods w1, w2 of the curve at `digits`: a named tuple with no
     __slots__, so that each instance has the __dict__ its cached reduction is
     kept in."""
+
+    __setattr__ = __delattr__ = _read_only
 
     @cached_property
     def reduction(self) -> tuple:
@@ -175,15 +180,20 @@ def _reduced_basis(lat: PeriodLattice) -> tuple:
     return p * lat.w1 + q * lat.w2, r * lat.w1 + s * lat.w2
 
 
-def _cell(lat: PeriodLattice, z, frac: int) -> tuple:
-    """(gram, x, y, shift), all integers: the coordinates of z = (x b1 + y b2)
-    / 2^frac in the reduced basis, rounded down, and the Gram form of the
-    basis, whose value n at an offset (s, t) / 2^frac is the squared length
-    n 2^shift.  w1, w2 and z enter cut to integers scaled by 2^e."""
-    z = mp.mpc(z)
-    e = frac + max(0, mp.mag(z) - mp.mag(lat.w1)) + 24
-    w1r, w1i, w2r, w2i, zr, zi = (int(mp.ldexp(v, e)) for v in (
-        mp.re(lat.w1), mp.im(lat.w1), mp.re(lat.w2), mp.im(lat.w2), z.real, z.imag))
+LatticePoint = namedtuple("LatticePoint", "lat x y frac gram shift")
+
+
+def locate(lat: PeriodLattice, z) -> LatticePoint:
+    """(lat, x, y, frac, gram, shift): z = (x b1 + y b2) / 2^frac in the reduced
+    basis, x and y rounded down, and the Gram form of the basis, whose value n
+    at an offset (s, t) / 2^frac is the squared length n 2^shift; solved at
+    the lattice's working precision, whatever the caller's (module docstring)."""
+    with mp.workdps(lat.digits + GUARD):
+        frac = mp.mp.prec + TORSION_BOUND.bit_length() + FIXED_GUARD
+        z = mp.mpc(z)
+        e = frac + max(0, mp.mag(z) - mp.mag(lat.w1)) + 24
+        w1r, w1i, w2r, w2i, zr, zi = (int(mp.ldexp(v, e)) for v in (
+            mp.re(lat.w1), mp.im(lat.w1), mp.re(lat.w2), mp.im(lat.w2), z.real, z.imag))
     (p, q), (r, s) = lat.reduction
     b1r, b1i = p * w1r + q * w2r, p * w1i + q * w2i
     b2r, b2i = r * w1r + s * w2r, r * w1i + s * w2i
@@ -191,16 +201,16 @@ def _cell(lat: PeriodLattice, z, frac: int) -> tuple:
     x = ((zr * b2i - zi * b2r) << frac) // det
     y = ((b1r * zi - b1i * zr) << frac) // det
     gram = (b1r * b1r + b1i * b1i, b1r * b2r + b1i * b2i, b2r * b2r + b2i * b2i)
-    return gram, x, y, -2 * (e + frac)
+    return LatticePoint(lat, x, y, frac, gram, -2 * (e + frac))
 
 
-def _nearest_multiples(gram: tuple, x: int, y: int, frac: int, bound: int):
+def _nearest_multiples(point: LatticePoint, bound: int):
     """For m = 1..bound in order, (n, i, j): the corner (i, j) of the reduced
     cell that holds m (x, y) / 2^frac nearest to it, and the Gram form value n
     of its offset.  The form is expanded about the corner, m^2 Q(x, y)
     - 2^(frac+1) m B((x, y), (i, j)) + 4^frac Q(i, j), so that per m only the
     small m, i and j multiply the big integers."""
-    g11, g12, g22 = gram
+    _, x, y, frac, (g11, g12, g22), _ = point
     ax, bx = g11 * x + g12 * y, g12 * x + g22 * y
     qxy = x * ax + y * bx
     for m in range(1, bound + 1):
@@ -211,21 +221,18 @@ def _nearest_multiples(gram: tuple, x: int, y: int, frac: int, bound: int):
                   for i in (i0, i0 + 1) for j in (j0, j0 + 1))
 
 
+def _limit(point: LatticePoint, power) -> int:
+    """n < _limit(point, power) iff n 2^shift < (10^power |w1|)^2."""
+    with mp.workdps(point.lat.digits + GUARD):
+        return int(mp.ceil(mp.ldexp((mp.mpf(10) ** power * abs(point.lat.w1)) ** 2, -point.shift)))
+
+
 def nearest_vector(lat: PeriodLattice, z) -> tuple[int, int]:
-    """(i, j) with i w1 + j w2 the lattice vector nearest to z at the working
-    precision: the nearest corner of z's reduced cell, mapped to the
-    coordinates of w1 and w2 by the integer rows of lat.reduction."""
-    frac = mp.mp.prec + FIXED_GUARD
-    gram, x, y, _ = _cell(lat, z, frac)
-    _, i, j = next(_nearest_multiples(gram, x, y, frac, 1))
+    """(i, j) with i w1 + j w2 the lattice vector nearest to z: the nearest corner
+    of locate(lat, z), mapped to (w1, w2) by the integer rows of lat.reduction."""
+    _, i, j = next(_nearest_multiples(locate(lat, z), 1))
     (p, q), (r, s) = lat.reduction
     return i * p + j * r, i * q + j * s
-
-
-def lattice_reduce(lat: PeriodLattice, z):
-    """z minus the lattice vector nearest to it, at the working precision."""
-    i, j = nearest_vector(lat, z)
-    return mp.mpc(z) - i * lat.w1 - j * lat.w2
 
 
 def _wp_pair(lat: PeriodLattice, z):
@@ -245,50 +252,40 @@ def _wp_pair(lat: PeriodLattice, z):
     return wp, wpd
 
 
-def elliptic_exp(lat: PeriodLattice, z) -> tuple | None:
-    """The affine point (x, y) of E(C) with lattice coordinate z, or None at
-    a lattice point (the point at infinity); satisfies the model equation to
-    roughly 10^(5 - digits)."""
-    cur = lat.curve
-    digits = lat.digits
-    with mp.workdps(digits + GUARD):
-        zr = lattice_reduce(lat, mp.mpc(z))
-        if abs(zr) < mp.mpf(10) ** (-digits) * abs(lat.w1):
-            return None
-        wp, wpd = _wp_pair(lat, zr)
-        x = wp - mp.mpf(cur.b2) / 12
-        y = (wpd - cur.a1 * x - cur.a3) / 2
-        return x, y
-
-
-def _scaled_dist2(z, lat: PeriodLattice, bound: int) -> tuple:
-    """(shift, values): values yields, for m = 1..bound in order, an integer n
-    with n 2^shift the squared distance of m*z to the lattice."""
-    frac = mp.mp.prec + bound.bit_length() + FIXED_GUARD
-    gram, x, y, shift = _cell(lat, z, frac)
-    return shift, (n for n, _, _ in _nearest_multiples(gram, x, y, frac, bound))
-
-
-def is_torsion(z, lat: PeriodLattice) -> bool:
-    """Whether some multiple m*z, m <= TORSION_BOUND, falls on the lattice to
-    10^(-lat.digits/2)."""
-    return torsion_order(z, lat) is not None
-
-
-def torsion_order(z, lat: PeriodLattice):
-    """The least m <= TORSION_BOUND with m*z within 10^(-lat.digits/2)*|w1| of the lattice."""
+def elliptic_exp(point: LatticePoint) -> tuple | None:
+    """The affine point (x, y) of E(C) at the point, by wp at z minus its nearest
+    corner, or None within 10^-digits |w1| of the lattice (the point at
+    infinity); satisfies the model equation to roughly 10^(5 - digits)."""
+    lat, x, y, frac, _, _ = point
+    n, i, j = next(_nearest_multiples(point, 1))
+    if n < _limit(point, -lat.digits):
+        return None
     with mp.workdps(lat.digits + GUARD):
-        shift, values = _scaled_dist2(z, lat, TORSION_BOUND)
-        tol2 = (mp.mpf(10) ** (-lat.digits / 2) * abs(lat.w1)) ** 2
-        limit = int(mp.ceil(mp.ldexp(tol2, -shift)))      # n < limit iff n 2^shift < tol2
-        for m, n in enumerate(values, 1):
-            if n < limit:
-                return m
+        b1, b2 = _reduced_basis(lat)
+        wp, wpd = _wp_pair(lat, mp.ldexp(x - (i << frac), -frac) * b1
+                           + mp.ldexp(y - (j << frac), -frac) * b2)
+        px = wp - mp.mpf(lat.curve.b2) / 12
+        py = (wpd - lat.curve.a1 * px - lat.curve.a3) / 2
+        return px, py
+
+
+def is_torsion(point: LatticePoint) -> bool:
+    """Whether some multiple m*z, m <= TORSION_BOUND, falls on the lattice to
+    10^(-digits/2) |w1|."""
+    return torsion_order(point) is not None
+
+
+def torsion_order(point: LatticePoint):
+    """The least m <= TORSION_BOUND with m*z within 10^(-digits/2)*|w1| of the lattice."""
+    limit = _limit(point, -point.lat.digits / 2)
+    for m, (n, _, _) in enumerate(_nearest_multiples(point, TORSION_BOUND), 1):
+        if n < limit:
+            return m
     return None
 
 
-def torsion_residual(z, lat: PeriodLattice):
+def torsion_residual(point: LatticePoint):
     """Smallest distance of m*z to the lattice over 1 <= m <= TORSION_BOUND."""
-    with mp.workdps(lat.digits + GUARD):
-        shift, values = _scaled_dist2(z, lat, TORSION_BOUND)
-        return mp.sqrt(mp.ldexp(min(values), shift))
+    n = min(n for n, _, _ in _nearest_multiples(point, TORSION_BOUND))
+    with mp.workdps(point.lat.digits + GUARD):
+        return mp.sqrt(mp.ldexp(n, point.shift))

@@ -91,8 +91,8 @@ Square-and-multiply powers, element orders and the
 curve-equation residual are test-only helpers: the pipeline never needs
 them.  So is the API that
 cmtrace kept only for its tests: principal_form, coset_label, lift_to_integral_sl2, Gaussian composition
-(compose, form_inverse, ClassGroup, class_to_proj), proj_inverse, recognize_algebraic with minpoly, root_number and
-lattice_distance.  Their bodies are as they were in the package.
+(compose, form_inverse, ClassGroup, class_to_proj), proj_inverse, recognize_algebraic with minpoly, root_number,
+lattice_reduce and lattice_distance.  Their bodies are as they were in the package.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureErr
 from cmtrace.fp import _xgcd, isprime, kronecker, smallest_nonsquare
 from cmtrace.heegner import HeegnerTau, NoHeegnerPoint, _complete_unimodular, gamma0_reduce
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
-from cmtrace.periods import PeriodLattice, _reduced_basis, lattice_reduce
+from cmtrace.periods import PeriodLattice, _reduced_basis, nearest_vector
 from cmtrace.quadforms import (BinaryForm, KernelClass, QuadOrder,
                                check_fundamental, lagrange_reduce, reduce_form,
                                reduced_forms)
@@ -1185,6 +1185,12 @@ def minpoly(num: AlgebraicNumber) -> tuple[int, ...]:
 def root_number(model: CurveModel, digits: int = 40) -> int:
     """Sign of the functional equation, -1 times the Fricke eigenvalue."""
     return -atkin_lehner_sign(model.minimal, model.n, model.n, digits)
+
+
+def lattice_reduce(lat: PeriodLattice, z):
+    """z minus the lattice vector nearest to it, at the working precision."""
+    i, j = nearest_vector(lat, z)
+    return mp.mpc(z) - i * lat.w1 - j * lat.w2
 
 
 def lattice_distance(lat: PeriodLattice, z):

@@ -336,6 +336,16 @@ def test_finite_check_runs_with_mpmath_blocked():
     assert "5005 fibers of size 2" in proc.stdout
 
 
+def test_runs_without_json_leave_json_out():
+    # only a --json run writes JSON, so only it imports json
+    proc = _python(
+        "import sys, cmtrace.cli\n"
+        "assert cmtrace.cli.main(['finite-check', '--p', '101', '--dk', '-7']) == 0\n"
+        "print('json' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_import_and_runs_leave_dataclasses_out():
     # the records are named tuples, so no module imports dataclasses
     proc = _python("import sys, cmtrace, cmtrace.cli, cmtrace.experiments\n"
@@ -371,7 +381,7 @@ def test_every_export_resolves_to_its_defining_modules_object():
     # in a fresh interpreter, so that each analytic name resolves lazily
     proc = _python(
         "import sys, cmtrace\n"
-        f"for name in {EXPORTS!r}:\n"
+        f"for name in {EXPORTS + ('locate',)!r}:\n"
         "    obj = getattr(cmtrace, name)\n"
         "    assert vars(sys.modules[obj.__module__])[name] is obj, name\n"
         "    assert name in dir(cmtrace), name\n"

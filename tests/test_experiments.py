@@ -353,6 +353,43 @@ def test_trace_point_builds_the_kernel_once(monkeypatch):
         assert "classes" not in report.finite_shadow.to_json()
 
 
+@pytest.mark.parametrize("model,dK,mode,verdict", [
+    (M49, -11, "signo_minus", "torsion"),
+    (curve_model((0, 0, 0, 0, 1)), -7, "main_plus", "non_torsion"),
+])
+def test_trace_point_locates_the_trace_once(monkeypatch, model, dK, mode, verdict):
+    # the residual, the torsion test and elliptic_exp read one solve of the
+    # trace: trace_point's own locate is the last solve of the run, after
+    # the lattice reads of the stages before it (a fiber's lam, 2520 K_Q,
+    # through nearest_vector), which may meet the same value: 49a1's trace
+    # and its fibers' offsets are all 0 here
+    from cmtrace import experiments, periods
+    solves, exp_points = [], []
+    locate, elliptic_exp = periods.locate, experiments.elliptic_exp
+
+    def counting(caller):
+        def run(lat, z):
+            solves.append((caller, z, locate(lat, z)))
+            return solves[-1][2]
+        return run
+
+    def spying(point):
+        exp_points.append(point)
+        return elliptic_exp(point)
+
+    for module in (experiments, periods):
+        monkeypatch.setattr(module, "locate", counting(module.__name__))
+    monkeypatch.setattr(experiments, "elliptic_exp", spying)
+    rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=model, digits=60, mode=mode))
+    assert rep.verdict == verdict
+    caller, z, point = solves[-1]
+    assert caller == "cmtrace.experiments" and z == rep.trace_z
+    assert [s[0] for s in solves].count("cmtrace.experiments") == 1
+    assert exp_points == [point] * (verdict == "non_torsion")
+    if exp_points:
+        assert exp_points[0] is point
+
+
 def test_experiment_finite_builds_no_lattice():
     # the package holds no lattice arithmetic: the Hermite normal form, ideal
     # products and kernel ideals live in tests/oracles.py, and the finite

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from cmtrace.curves import Curve
 from cmtrace.errors import InputError
-from cmtrace.periods import (GUARD, PeriodLattice, PrecisionError, _reduced_basis, _scaled_dist2,
-                             _wp_pair, elliptic_exp, is_torsion, lattice_reduce, nearest_vector,
-                             period_lattice, torsion_order, torsion_residual, two_torsion_roots)
+from cmtrace.periods import (GUARD, PeriodLattice, PrecisionError, _nearest_multiples,
+                             _reduced_basis, _wp_pair, elliptic_exp, is_torsion, locate,
+                             nearest_vector, period_lattice, torsion_order, torsion_residual,
+                             two_torsion_roots)
 from oracles import (equation_residual, lattice_coords, lattice_distance,
-                     lattice_distance_by_search, lattice_reduce_descent,
+                     lattice_distance_by_search, lattice_reduce, lattice_reduce_descent,
                      two_torsion_roots_by_polyroots, wp_pair_by_laurent)
 
 LATTICE_CURVES = {              # the five catalogue curves (disc < 0) and 37a1 (disc > 0)
@@ -79,7 +80,7 @@ def test_two_torsion_at_half_periods(ai):
     lat = period_lattice(cur, 50)
     with mp.workdps(60):
         for half in (lat.w1 / 2, lat.w2 / 2, (lat.w1 + lat.w2) / 2):
-            pt = elliptic_exp(lat, half)
+            pt = elliptic_exp(locate(lat, half))
             assert pt is not None
             x, y = pt
             assert equation_residual(cur, x, y) < mp.mpf(10) ** -40
@@ -96,7 +97,7 @@ def test_exp_satisfies_equation_random():
         for k in range(100):
             z = (z + rng) % 1
             w = z * lat.w1 + ((z * 7919) % 1) * lat.w2
-            pt = elliptic_exp(lat, w)
+            pt = elliptic_exp(locate(lat, w))
             assert pt is not None
             assert equation_residual(cur, *pt) < mp.mpf(10) ** -50
 
@@ -106,13 +107,29 @@ def test_exp_periodicity_and_infinity():
     lat = period_lattice(cur, 50)
     with mp.workdps(65):
         z = mp.mpf("0.3") * lat.w1 + mp.mpf("0.31") * lat.w2
-        p1 = elliptic_exp(lat, z)
-        p2 = elliptic_exp(lat, z + lat.w1)
-        p3 = elliptic_exp(lat, z - 3 * lat.w2)
+        p1 = elliptic_exp(locate(lat, z))
+        p2 = elliptic_exp(locate(lat, z + lat.w1))
+        p3 = elliptic_exp(locate(lat, z - 3 * lat.w2))
         assert abs(p1[0] - p2[0]) < mp.mpf(10) ** -40
         assert abs(p1[1] - p3[1]) < mp.mpf(10) ** -40
-        assert elliptic_exp(lat, mp.mpc(0)) is None
-        assert elliptic_exp(lat, 2 * lat.w1 + lat.w2) is None
+        assert elliptic_exp(locate(lat, mp.mpc(0))) is None
+        assert elliptic_exp(locate(lat, 2 * lat.w1 + lat.w2)) is None
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+@pytest.mark.parametrize("label", ["121b1", "37a1", "36a1"])
+def test_exp_is_infinity_within_10_to_the_minus_digits_of_w1(label, digits):
+    # the point at infinity within 10^-digits |w1| of the lattice vector
+    # 2 w1 - w2, an affine point on the curve two orders of magnitude out,
+    # with x = 1 / d^2 up to the 25 digits d keeps beside 2 w1 - w2
+    lat = _lattice(label, digits)
+    with mp.workdps(digits + GUARD):
+        v, u = 2 * lat.w1 - lat.w2, mp.expjpi(mp.mpf(1) / 5) * abs(lat.w1)
+        assert elliptic_exp(locate(lat, v + u * mp.mpf(10) ** -(digits + 2))) is None
+        d = u * mp.mpf(10) ** -(digits - 2)
+        x, y = elliptic_exp(locate(lat, v + d))
+        assert equation_residual(lat.curve, x, y) < mp.mpf(10) ** -(digits + 20) * abs(x) ** 3
+        assert abs(x * d * d - 1) < mp.mpf(10) ** -20
 
 
 def test_wp_differential_equation():
@@ -143,12 +160,12 @@ def test_torsion_detection():
     cur = Curve(1, -1, 0, -2, -1)
     lat = period_lattice(cur, 60)
     with mp.workdps(75):
-        assert is_torsion(lat.w1 / 2, lat)
-        assert torsion_order(lat.w1 / 2, lat) == 2
-        assert torsion_order((lat.w1 + 2 * lat.w2) / 6, lat) == 6
-        z = mp.mpf("0.3") * lat.w1 + mp.mpf("0.31") * lat.w2
-        assert not is_torsion(z, lat)
-        assert torsion_residual(z, lat) > mp.mpf(10) ** -10
+        assert is_torsion(locate(lat, lat.w1 / 2))
+        assert torsion_order(locate(lat, lat.w1 / 2)) == 2
+        assert torsion_order(locate(lat, (lat.w1 + 2 * lat.w2) / 6)) == 6
+        z = locate(lat, mp.mpf("0.3") * lat.w1 + mp.mpf("0.31") * lat.w2)
+        assert not is_torsion(z)
+        assert torsion_residual(z) > mp.mpf(10) ** -10
 
 
 @lru_cache(maxsize=None)
@@ -167,9 +184,9 @@ def _points(lat: PeriodLattice, seed: int, count: int) -> list:
 
 
 def _distances(z, lat: PeriodLattice, bound: int) -> list:
+    point = locate(lat, z)
     with mp.workdps(lat.digits + GUARD):
-        shift, values = _scaled_dist2(z, lat, bound)
-        return [mp.sqrt(mp.ldexp(n, shift)) for n in values]
+        return [mp.sqrt(mp.ldexp(n, point.shift)) for n, _, _ in _nearest_multiples(point, bound)]
 
 
 def test_lattice_signs_and_reduction():
@@ -209,7 +226,7 @@ def test_multiple_distances_match_search(label, digits):
                 assert abs(public[m - 1] - want) < tol
                 # the old descent is exact once it steps along a reduced basis
                 assert abs(abs(lattice_reduce_descent(reduced, m * z)) - want) < tol
-        assert torsion_residual(z, lat) == min(got)
+        assert torsion_residual(locate(lat, z)) == min(got)
 
 
 def test_descent_in_the_period_basis_missed_the_nearest_vector():
@@ -274,9 +291,11 @@ def test_unreduced_basis_gives_the_same_distances(label):
 
 
 def test_large_bound_keeps_the_guard_bits():
-    # m up to 1000 multiplies the rounding of the coordinates of z; the
-    # bit_length(bound) guard bits keep the distances within 2^-P |w1|,
-    # P the working precision
+    # m up to 1000 multiplies the rounding of the coordinates of z, each off
+    # by less than two units of 2^-F, F = P + bit_length(TORSION_BOUND) +
+    # FIXED_GUARD = P + 15, P the working precision: those of m z are off by
+    # less than 2000 units < 2^(11 - F) = 2^(-P-4), and the distances stay
+    # within 2^-P |w1| though m is about 40 times TORSION_BOUND
     lat = _lattice("121b1", 60)
     z = _points(lat, 1000, 1)[0]
     got = _distances(z, lat, 1000)
@@ -287,6 +306,20 @@ def test_large_bound_keeps_the_guard_bits():
             assert abs(got[m - 1] - lattice_distance_by_search(lat, m * z)) < tol, m
 
 
+def test_locate_ignores_the_callers_precision():
+    # every point is solved at the lattice's own precision, so a caller at
+    # 15 digits or at 200 reads the same coordinates and nearest vector
+    lat = _lattice("121b1", 60)
+    for z in _points(lat, 5, 3):
+        seen = []
+        for dps in (15, 60 + GUARD, 200):
+            with mp.workdps(dps):
+                seen.append((locate(lat, z), nearest_vector(lat, z)))
+        assert seen[0] == seen[1] == seen[2]
+    with mp.workdps(60 + GUARD):
+        assert seen[0][0].frac == mp.mp.prec + 15
+
+
 @settings(max_examples=60, deadline=None)
 @given(label=st.sampled_from(sorted(LATTICE_CURVES)), n=st.integers(1, 24),
        k1=st.integers(-60, 60), k2=st.integers(-60, 60))
@@ -294,7 +327,7 @@ def test_torsion_order_of_rational_points(label, n, k1, k2):
     lat = _lattice(label, 60)
     with mp.workdps(60 + GUARD):
         z = mp.mpf(k1) / n * lat.w1 + mp.mpf(k2) / n * lat.w2
-    assert torsion_order(z, lat) == n // gcd(n, k1, k2)
+    assert torsion_order(locate(lat, z)) == n // gcd(n, k1, k2)
 
 
 def test_period_lattice_is_computed_once_per_curve_and_digits():

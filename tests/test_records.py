@@ -190,3 +190,22 @@ def test_curve_and_lattice_keep_their_cached_properties():
     assert curve.__dict__ == {"disc": -1331}           # cached by the singularity check
     assert curve.c4 == 352 and curve.__dict__["c4"] == 352
     assert lat.reduction is lat.reduction and "reduction" in lat.__dict__
+
+
+@pytest.mark.parametrize("name,cached", [("Curve", "disc"), ("PeriodLattice", "reduction")])
+def test_curve_and_lattice_take_no_assignment(name, cached):
+    # a Curve whose disc read 0 after an assignment once reached
+    # period_lattice as a bare ZeroDivisionError
+    rec = type(SAMPLES[name])(*SAMPLES[name])
+    field = rec._fields[-1]
+    before = getattr(rec, field)
+    for attr in (field, cached, "new_name"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(rec, attr, 0)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(rec, attr)
+    assert getattr(rec, field) == before and not hasattr(rec, "new_name")
+    assert getattr(rec, cached) == getattr(SAMPLES[name], cached)
+    assert rec.__dict__ == {cached: getattr(SAMPLES[name], cached)}
+    if name == "Curve":
+        assert rec.c4 == 352 and rec.__dict__["c4"] == 352
