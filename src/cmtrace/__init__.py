@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 # name -> the submodule that defines it; a submodule's own name maps to itself
 _LAZY = {name: module for module, names in (
     ("experiments", ("TraceReport", "trace_point")),
-    ("heegner", ("HeegnerTau", "NoHeegnerPoint", "galois_orbit", "heegner_form")),
+    ("heegner", ("NoHeegnerPoint", "galois_orbit", "heegner_form")),
     ("modparam", ("atkin_lehner_sign", "eval_phi")),
     ("periods", ("PeriodLattice", "elliptic_exp", "is_torsion", "locate", "period_lattice")),
     ("recognize", ("AlgebraicNumber", "recognize_in_quadratic", "recognize_rational")),

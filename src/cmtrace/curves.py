@@ -155,18 +155,14 @@ _CM_FIELDS = {
 }
 
 
-def transform(cur: Curve, u: int, r: int, s: int, t: int) -> Curve:
-    """Coordinate change x = u^2 x' + r, y = u^3 y' + u^2 s x' + t."""
+def transform(cur: Curve, r: int, s: int, t: int) -> Curve:
+    """Coordinate change x = x' + r, y = y' + s x' + t."""
     a1, a2, a3, a4, a6 = cur.ainvs
-    n1 = a1 + 2 * s
-    n2 = a2 - s * a1 + 3 * r - s * s
-    n3 = a3 + r * a1 + 2 * t
-    n4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
-    n6 = a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1
-    for name, val, k in (("a1", n1, 1), ("a2", n2, 2), ("a3", n3, 3), ("a4", n4, 4), ("a6", n6, 6)):
-        if val % u ** k:
-            raise InputError(f"non-integral transform at {name}")
-    return Curve(n1 // u, n2 // u ** 2, n3 // u ** 3, n4 // u ** 4, n6 // u ** 6)
+    return Curve(a1 + 2 * s,
+                 a2 - s * a1 + 3 * r - s * s,
+                 a3 + r * a1 + 2 * t,
+                 a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+                 a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1)
 
 
 def curve_from_c4c6(c4: int, c6: int) -> Curve | None:
@@ -229,15 +225,15 @@ def _valuation(n: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Tate's algorithm.  The curve must be globally minimal.  For q >= 5 the tame
-# classification by valuations suffices; at q in {2, 3} the full step chain
-# runs, with normalising coordinate changes found by brute force (q is tiny)
-# and the conductor exponent read off from Ogg's formula f = v(disc) + 1 - m.
+# Tate's algorithm.  The curve must be globally minimal.  For q >= 5 additive
+# reduction is tame, so f = 2; at q in {2, 3} the full step chain runs, with
+# normalising coordinate changes found by brute force (q is tiny), and the
+# conductor exponent is read off from Ogg's formula f = v(disc) + 1 - m.
 
 
-class LocalData(namedtuple("LocalData", "q v_disc kodaira f reduction")):
-    """Tate's data at the prime q: v(disc), the Kodaira symbol, the conductor
-    exponent f, and the reduction: good, split, nonsplit or additive."""
+class LocalData(namedtuple("LocalData", "q v_disc f reduction")):
+    """Tate's data at the prime q: v(disc), the conductor exponent f, and the
+    reduction: good, split, nonsplit or additive."""
 
     __slots__ = ()
 
@@ -245,33 +241,19 @@ class LocalData(namedtuple("LocalData", "q v_disc kodaira f reduction")):
 def tate_local(cur: Curve, q: int) -> LocalData:
     disc = cur.disc
     if disc % q:
-        return LocalData(q, 0, "I0", 0, "good")
+        return LocalData(q, 0, 0, "good")
     v = _valuation(disc, q)
-    vc4 = _valuation(cur.c4, q) if cur.c4 else v + 100
-
-    if vc4 == 0:
+    if cur.c4 % q:
         # Multiplicative: I_n with n = v(disc); split iff the tangent cone at
         # the node splits, detected by -c6 being a square (odd q).
         if q == 2:
             split = _split_at_two(cur)
         else:
             split = kronecker(-cur.c6, q) == 1
-        return LocalData(q, v, f"I{v}", 1, "split" if split else "nonsplit")
-
+        return LocalData(q, v, 1, "split" if split else "nonsplit")
     if q >= 5:
-        kod = _tame_kodaira(v, vc4)
-        return LocalData(q, v, kod, 2, "additive")
-
-    kod, m = _tate_chain_23(cur, q, v)
-    f = v + 1 - m
-    return LocalData(q, v, kod, f, "additive")
-
-
-def _tame_kodaira(v: int, vc4: int) -> str:
-    if 3 * vc4 < v:             # potentially multiplicative (v(j) < 0): I_n*, n = v - 6
-        return f"I{v - 6}*"
-    table = {2: "II", 3: "III", 4: "IV", 6: "I0*", 8: "IV*", 9: "III*", 10: "II*"}
-    return table[v]
+        return LocalData(q, v, 2, "additive")
+    return LocalData(q, v, v + 1 - _tate_chain_23(cur, q), "additive")
 
 
 def _singular_point(cur: Curve, q: int) -> tuple[int, int]:
@@ -288,19 +270,21 @@ def _singular_point(cur: Curve, q: int) -> tuple[int, int]:
 
 def _split_at_two(cur: Curve) -> bool:
     x0, y0 = _singular_point(cur, 2)
-    c = transform(cur, 1, x0, 0, y0)
+    c = transform(cur, x0, 0, y0)
     return any((t * t + c.a1 * t - c.a2) % 2 == 0 for t in (0, 1))
 
 
-def _tate_chain_23(cur: Curve, q: int, v: int) -> tuple[str, int]:
+def _tate_chain_23(cur: Curve, q: int) -> int:
+    """The component count m of the additive fibre at q in {2, 3}: II 1, III 2,
+    IV 3, I_n* 5 + n, IV* 7, III* 8, II* 9."""
     x0, y0 = _singular_point(cur, q)
-    c = transform(cur, 1, x0, 0, y0)
+    c = transform(cur, x0, 0, y0)
     if c.a6 % q ** 2:
-        return "II", 1
+        return 1
     if c.b8 % q ** 3:
-        return "III", 2
+        return 2
     if c.b6 % q ** 3:
-        return "IV", 3
+        return 3
 
     # Normalise so that q | a1, a2; q^2 | a3, a4; q^3 | a6 (brute-forced shift,
     # which must exist once types II/III/IV are excluded).
@@ -311,7 +295,7 @@ def _tate_chain_23(cur: Curve, q: int, v: int) -> tuple[str, int]:
     disc_p = (18 * a2t * a4t * a6t - 4 * a2t ** 3 * a6t + a2t ** 2 * a4t ** 2
               - 4 * a4t ** 3 - 27 * a6t ** 2)
     if disc_p % q:
-        return "I0*", 5
+        return 5
     # A repeated root of a cubic is rational; locate it and its multiplicity
     # by synthetic division (derivative tests degenerate in char 2 and 3).
     roots = [r for r in range(q) if (r ** 3 + a2t * r * r + a4t * r + a6t) % q == 0]
@@ -326,27 +310,26 @@ def _tate_chain_23(cur: Curve, q: int, v: int) -> tuple[str, int]:
 
     if max(mult.values()) == 2:
         theta = next(r for r in roots if mult[r] == 2)
-        n = _star_chain_length(transform(c, 1, q * theta, 0, 0), q)
-        return f"I{n}*", 5 + n
+        return 5 + _star_chain_length(transform(c, q * theta, 0, 0), q)
 
     theta = next(r for r in roots if mult[r] == 3)
-    c = transform(c, 1, q * theta, 0, 0)
+    c = transform(c, q * theta, 0, 0)
     a3t, a6t = c.a3 // q ** 2, c.a6 // q ** 4
     if (a3t * a3t + 4 * a6t) % q:
-        return "IV*", 7
+        return 7
     y0 = a6t % q if q == 2 else (-a3t * pow(2, -1, q)) % q
-    c = transform(c, 1, 0, 0, q * q * y0)
+    c = transform(c, 0, 0, q * q * y0)
     if c.a4 % q ** 4:
-        return "III*", 8
+        return 8
     if c.a6 % q ** 6:
-        return "II*", 9
+        return 9
     raise AssertionError("reached non-minimal branch on a minimal model")
 
 
 def _normalise_star(c: Curve, q: int) -> Curve:
     for s in range(q):
         for t in range(q * q):
-            cand = transform(c, 1, 0, s, q * t)
+            cand = transform(c, 0, s, q * t)
             if (cand.a1 % q == 0 and cand.a2 % q == 0 and cand.a3 % q ** 2 == 0
                     and cand.a4 % q ** 2 == 0 and cand.a6 % q ** 3 == 0):
                 return cand
@@ -370,7 +353,7 @@ def _star_chain_length(c: Curve, q: int) -> int:
         if (a3t * a3t + 4 * a6t) % q:
             return n
         y0 = a6t % q if q == 2 else (-a3t * pow(2, -1, q)) % q
-        c = transform(c, 1, 0, 0, my * y0)
+        c = transform(c, 0, 0, my * y0)
         my *= q
         n += 1
         a2t = _exact_div(c.a2, q)
@@ -382,7 +365,7 @@ def _star_chain_length(c: Curve, q: int) -> int:
             x0 = (a6t * a2t) % q
         else:
             x0 = (-a4t * pow(2 * a2t, -1, q)) % q
-        c = transform(c, 1, mx * x0, 0, 0)
+        c = transform(c, mx * x0, 0, 0)
         mx *= q
         n += 1
 

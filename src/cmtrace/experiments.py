@@ -68,7 +68,7 @@ from .curves import CurveModel
 from .errors import FiberPairingError, InputError
 from .finite import ExperimentSpec, FiniteReport, experiment_finite
 from .fp import factorint
-from .heegner import HeegnerTau, al_move, galois_orbit, heegner_form
+from .heegner import al_move, galois_orbit, heegner_form
 from .modparam import (GUARD, K_DIGITS, SeriesBudgetError, al_constant, al_constant_points,
                        atkin_lehner_sign, eval_phi, local_sign, phi_terms)
 from .periods import (PeriodLattice, _reduced_basis, elliptic_exp, is_torsion, locate,
@@ -90,9 +90,9 @@ class OrbitEntry(namedtuple("OrbitEntry", "proj form tau z digits q n_max source
     __slots__ = ()
 
 
-class OrbitMove(namedtuple("OrbitMove", "q point n_max")):
-    """How one orbit point tau is evaluated: phi(tau) = w_Q (phi(point) -
-    K_Q), point = W_Q (tau + k).  q = 1 keeps tau."""
+class OrbitMove(namedtuple("OrbitMove", "q form n_max")):
+    """How one orbit point tau is evaluated: phi(tau) = w_Q (phi(s) - K_Q),
+    s = W_Q (tau + k) the point of form.  q = 1 keeps tau and its form."""
 
     __slots__ = ()
 
@@ -175,25 +175,24 @@ def orbit_options(model: CurveModel, orbit, digits: int) -> tuple[OrbitMove, ...
     points need at most NMAX_CAP terms at K_DIGITS.  K_Q is exact and costs
     one short evaluation (modparam docstring), so no sign enters the choice
     and trace_point runs this before atkin_lehner_sign.  The points share one
-    D, and each Im tau is sqrt|D| / (2A) at digits + GUARD, as HeegnerTau.tau
-    computes it.  SeriesBudgetError, with the least n_max any choice has,
+    D, and each Im tau is sqrt|D| / (2A) at digits + GUARD, as orbit_trace
+    computes tau.  SeriesBudgetError, with the least n_max any choice has,
     when some point has no option within the budget."""
     with mp.workdps(K_DIGITS + GUARD):
         qs = [q for q, _ in al_signs(model) if _terms(mp.sqrt(q) / model.n, K_DIGITS)[1]]
     picks = []
     with mp.workdps(digits + GUARD):
-        root = mp.sqrt(-orbit[0].form.disc())
+        root = mp.sqrt(-orbit[0].disc())
         for pt in orbit:
-            opts = [(*_terms(root / (2 * pt.form.a), digits), 1, pt)]
+            opts = [(*_terms(root / (2 * pt.a), digits), 1, pt)]
             for q_div in qs:
-                _, form = al_move(pt.form, pt.n_level, q_div)
-                if form.a < pt.form.a:
-                    opts.append((*_terms(root / (2 * form.a), digits), q_div,
-                                 pt._replace(form=form)))
+                _, form = al_move(pt, model.n, q_div)
+                if form.a < pt.a:
+                    opts.append((*_terms(root / (2 * form.a), digits), q_div, form))
             picks.append(min(opts, key=lambda o: (o[0], o[2])))
     if not all(ok for _, ok, _, _ in picks):
         raise SeriesBudgetError(max(n for n, _, _, _ in picks))
-    return tuple(OrbitMove(q=q_div, point=pt, n_max=n) for n, _, q_div, pt in picks)
+    return tuple(OrbitMove(q=q_div, form=form, n_max=n) for n, _, q_div, form in picks)
 
 
 def fiber_pairs(model: CurveModel, orbit, shadow: FiniteReport) -> tuple[tuple[int, int], ...]:
@@ -206,7 +205,7 @@ def fiber_pairs(model: CurveModel, orbit, shadow: FiniteReport) -> tuple[tuple[i
     n, p2 = model.n, model.p ** 2
     pairs = sorted(tuple(sorted(index[u] for u in members)) for members in shadow.fibers.values())
     for i, j in pairs:
-        image, mate = al_move(orbit[i].form, n, p2)[1], orbit[j].form
+        image, mate = al_move(orbit[i], n, p2)[1], orbit[j]
         if (image.b - mate.b) % (2 * n) or reduce_form(image) != reduce_form(mate):
             raise FiberPairingError(f"W_{p2} does not send orbit point {i} to the "
                                     f"Gamma_0({n}) class of its fiber mate {j}")
@@ -261,11 +260,11 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
     full = {a for a, _ in pairs} if wp == 1 else set()
     want = [digits if i in full else LAMBDA_DIGITS for i in range(len(orbit))]
     with mp.workdps(digits + GUARD):
-        root = mp.sqrt(-orbit[0].form.disc())
+        root = mp.sqrt(-orbit[0].disc())
         evaluated, jobs = {}, []            # evaluated: key -> (point, precision, terms)
         keys, conj, sources, precs = ([None] * len(orbit) for _ in range(4))
         for i in sorted(range(len(orbit)), key=lambda i: (-want[i], -moves[i].n_max, i)):
-            form = moves[i].point.form
+            form = moves[i].form
             key, mate = (form.a, form.b % (2 * form.a)), (form.a, -form.b % (2 * form.a))
             conj[i] = key not in evaluated and mate in evaluated
             keys[i] = mate if conj[i] else key
@@ -315,8 +314,8 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
                                                      keys, sources):
             entries.append(OrbitEntry(
                 proj=kc.proj,
-                form=(pt.form.a, pt.form.b, pt.form.c),
-                tau=mp.nstr(pt.tau(digits), min(digits, 30)),
+                form=tuple(pt),
+                tau=mp.nstr(mp.mpc(-pt.b, root) / (2 * pt.a), min(digits, 30)),
                 z=(mp.nstr(z.real, min(prec, 30)), mp.nstr(z.imag, min(prec, 30))),
                 digits=prec, q=mv.q, n_max=evaluated[key][2], source=source,
             ))
@@ -339,9 +338,8 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
 
     t0 = time.perf_counter()
     shadow = experiment_finite(spec)             # validates the spec first
-    base = HeegnerTau(form=heegner_form(model.n, spec.dK, model.p * spec.f),
-                      n_level=model.n, dK=spec.dK, conductor=model.p * spec.f)
-    orbit = galois_orbit(base, [kc.form for kc in shadow.classes])
+    base = heegner_form(model.n, spec.dK, model.p * spec.f)
+    orbit = galois_orbit(base, model.n, [kc.form for kc in shadow.classes])
     # an over-budget orbit fails here, before the sign can evaluate a series
     moves = orbit_options(model, orbit, digits)
     t_finite = time.perf_counter() - t0

@@ -2,7 +2,9 @@
 
 A CM point of discriminant D = c^2 dK on X_0(N) is carried by a primitive
 form (A, B, C) with N | A and B^2 = D mod 4N, with representative
-tau = (-B + sqrt(D)) / (2A) in the upper half plane.
+tau = (-B + sqrt(D)) / (2A) in the upper half plane.  A point is that form
+alone; its level N travels beside it, and tau is computed where a series
+needs it.
 
 Pic(O_D) acts on these Heegner forms by Dirichlet composition (Gross, Kohnen
 and Zagier, Math. Ann. 278, 1987, section I.1; Cox, Primes of the form
@@ -31,43 +33,16 @@ Everything stays in integer arithmetic.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import gcd, isqrt
-
-import mpmath as mp
 
 from .errors import InputError
 from .fp import _xgcd, factorint, kronecker
-from .modparam import GUARD, al_matrix
+from .modparam import al_matrix
 from .quadforms import BinaryForm, check_fundamental, lagrange_reduce
 
 
 class NoHeegnerPoint(InputError):
     """The discriminant admits no form with N | A (square-root obstruction)."""
-
-
-class HeegnerTau(namedtuple("HeegnerTau", "form n_level dK conductor")):
-    """CM point data: an N-divisible form with its level and discriminant split."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.form.a % self.n_level:
-            raise InputError("leading coefficient must be divisible by N")
-        if self.form.disc() != self.conductor ** 2 * self.dK:
-            raise InputError("discriminant mismatch")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # through __new__, so that _replace checks the point too
-        return cls(*iterable)
-
-    def tau(self, digits: int):
-        """Upper half plane representative at the requested precision."""
-        with mp.workdps(digits + GUARD):
-            return mp.mpc(-self.form.b, mp.sqrt(-self.form.disc())) / (2 * self.form.a)
 
 
 def heegner_form(n_level: int, dK: int, c: int) -> BinaryForm:
@@ -233,9 +208,11 @@ def _prime_to(form: BinaryForm, m: int) -> BinaryForm:
     raise AssertionError(f"no value F(1, k) prime to {m} below k = {m}")
 
 
-def galois_orbit(base: HeegnerTau, forms) -> list[HeegnerTau]:
-    """The images of the base point under the Artin symbols of the classes of
-    the given forms, one member per form, in their order.
+def galois_orbit(base: BinaryForm, n_level: int, forms) -> list[BinaryForm]:
+    """The images of the Heegner form base of level N = n_level under the
+    Artin symbols of the classes of the given forms, one Gamma_0(N)-reduced
+    form per given form, in their order.  InputError unless N | A for the
+    base (A0, B0, C0).
 
     Every form must have the base's discriminant D: the kernel forms give the
     Gal(H_pf / H_f) orbit that trace_point traces, and reduced_forms(D) the
@@ -249,10 +226,11 @@ def galois_orbit(base: HeegnerTau, forms) -> list[HeegnerTau]:
     which the Gamma_0(N) class is fixed by the ideal class alone (Gross,
     Kohnen and Zagier), so the member does not depend on the representative
     a' or on the base form chosen in its Gamma_0(N) class.  The principal
-    class reproduces the base point.
+    class reproduces the base form's reduction.
     """
-    n_level = base.n_level
-    a0, b0, disc = base.form.a, base.form.b, base.form.disc()
+    a0, b0, disc = base.a, base.b, base.disc()
+    if a0 % n_level:
+        raise InputError(f"the base form {base} is not N-divisible at N = {n_level}")
     if any(form.disc() != disc for form in forms):
         raise InputError(f"every form must have the base's discriminant {disc}")
     out = []
@@ -262,5 +240,5 @@ def galois_orbit(base: HeegnerTau, forms) -> list[HeegnerTau]:
         big_b = b0 + 2 * a0 * ((rep.b - b0) // 2 * pow(a0, -1, rep.a) % rep.a)
         assert (big_b * big_b - disc) % (4 * big_a) == 0
         composite = BinaryForm(big_a, big_b, (big_b * big_b - disc) // (4 * big_a))
-        out.append(base._replace(form=gamma0_reduce(composite, n_level)))
+        out.append(gamma0_reduce(composite, n_level))
     return out

@@ -109,7 +109,7 @@ from cmtrace.curves import Curve, CurveModel, an_coefficients
 from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureError, _label_entries,
                                 inverse_table)
 from cmtrace.fp import _xgcd, isprime, kronecker, smallest_nonsquare
-from cmtrace.heegner import HeegnerTau, NoHeegnerPoint, _complete_unimodular, gamma0_reduce
+from cmtrace.heegner import NoHeegnerPoint, _complete_unimodular, gamma0_reduce
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
 from cmtrace.periods import PeriodLattice, _reduced_basis, nearest_vector
 from cmtrace.quadforms import (BinaryForm, KernelClass, QuadOrder,
@@ -471,9 +471,10 @@ def generator_ideal(order: QuadOrder, p: int, x1: int, x2: int):
     return _hnf2([(2 * g * norm, 0), (g * p * (2 * u1 * v + order.t), g * p * order.f)])
 
 
-def galois_orbit_by_lattices(base: HeegnerTau, order: QuadOrder, p: int,
-                             classes) -> list[HeegnerTau]:
-    """cmtrace.heegner.galois_orbit through the lattice pair of the point.
+def galois_orbit_by_lattices(base: BinaryForm, n_level: int, order: QuadOrder, p: int,
+                             classes) -> list[BinaryForm]:
+    """cmtrace.heegner.galois_orbit through the lattice pair of the point of
+    the Heegner form base at level N = n_level, of conductor p * order.f.
 
     Multiplies the point's lattice pair by the conjugate of each kernel
     ideal, the generator_ideal of the class's generator, and reads the new point off a
@@ -481,12 +482,10 @@ def galois_orbit_by_lattices(base: HeegnerTau, order: QuadOrder, p: int,
     second lattice's Hermite normal form.  Members come back in the order
     of the classes; the identity class reproduces the base point.
     """
-    if base.dK != order.dK or base.conductor != p * order.f:
-        raise ValueError("kernel and base point disagree on the order")
-    n_level = base.n_level
-    dK = order.dK
-    cond = base.conductor
-    l1 = form_to_ideal(base.form, dK, cond)
+    dK, cond = order.dK, p * order.f
+    if base.disc() != cond * cond * dK or base.a % n_level:
+        raise ValueError("base form is not a Heegner form of the kernel's order at level N")
+    l1 = form_to_ideal(base, dK, cond)
     # index-N cyclic sublattice <A, N*(-B + sqrt(disc))/2>
     l2 = (l1[0], (n_level * l1[1][0], n_level * l1[1][1]))
 
@@ -513,8 +512,7 @@ def galois_orbit_by_lattices(base: HeegnerTau, order: QuadOrder, p: int,
         v1, v2 = ((s[0] * a1, s[0] * b1 + s[1] * c1) for s in (s1, s2))
         form = basis_form(v1, v2, dK)
         assert form.a % n_level == 0, "adapted basis lost the level structure"
-        form = gamma0_reduce(form, n_level)
-        out.append(HeegnerTau(form=form, n_level=n_level, dK=dK, conductor=cond))
+        out.append(gamma0_reduce(form, n_level))
     return out
 
 
@@ -741,13 +739,19 @@ def eval_series_direct(cur, tau, digits: int, weight: int):
         return +acc
 
 
+def heegner_tau(form: BinaryForm, digits: int):
+    """The point tau = (-B + sqrt D) / (2A) of a form, at digits + GUARD."""
+    with mp.workdps(digits + GUARD):
+        return mp.mpc(-form.b, mp.sqrt(-form.disc())) / (2 * form.a)
+
+
 def orbit_trace_direct(model: CurveModel, orbit, digits: int):
     """(zs, trace) with zs the values eval_phi(tau) at the orbit points
     themselves, in orbit order, and trace their sum: the route
     cmtrace.experiments.orbit_trace took before it moved points by W_Q."""
     from cmtrace.modparam import eval_phi
     with mp.workdps(digits + 15):
-        zs = [eval_phi(model, pt.tau(digits), digits) for pt in orbit]
+        zs = [eval_phi(model, heegner_tau(pt, digits), digits) for pt in orbit]
         trace = mp.mpc(0)
         for z in zs:
             trace += z
@@ -773,11 +777,11 @@ def w_p2_pairs(model: CurveModel, orbit) -> list[tuple[int, int]]:
     n, p2 = model.n, model.p ** 2
     mates = []
     for pt in orbit:
-        image = al_move(pt.form, n, p2)[1]
-        hits = [j for j, other in enumerate(orbit) if (image.b - other.form.b) % (2 * n) == 0
-                and reduce_form(image) == reduce_form(other.form)]
+        image = al_move(pt, n, p2)[1]
+        hits = [j for j, other in enumerate(orbit) if (image.b - other.b) % (2 * n) == 0
+                and reduce_form(image) == reduce_form(other)]
         if len(hits) != 1:
-            raise AssertionError(f"W_{p2} image of {pt.form} matches orbit points {hits}")
+            raise AssertionError(f"W_{p2} image of {pt} matches orbit points {hits}")
         mates.append(hits[0])
     if any(mates[j] != i for i, j in enumerate(mates)):
         raise AssertionError(f"W_{p2} does not pair the orbit: {mates}")
@@ -811,10 +815,10 @@ def orbit_values_by_fiber(model: CurveModel, moves, pairs, wp: int, lat):
             i, j, order = al_constant(lat, model.n, q_div, signs[q_div])
             return (i * lat.w1 + j * lat.w2) / order
 
-        root = mp.sqrt(-moves[0].point.form.disc())
+        root = mp.sqrt(-moves[0].form.disc())
         for prec, members in ((digits, cheap), (LAMBDA_DIGITS, rest)):
             for i in members:
-                key, mate = evaluation_key(moves[i].point.form)
+                key, mate = evaluation_key(moves[i].form)
                 if key in first:
                     j, precs[i], terms[i], z = first[key]
                     sources[i] = f"same:{j}"

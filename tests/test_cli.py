@@ -363,13 +363,14 @@ def test_import_and_runs_leave_dataclasses_out():
     assert "verdict: non_torsion" in proc.stdout
 
 
-# the package's names before its analytic half became lazy
+# the package's names before its analytic half became lazy, less the orbit
+# point record, whose points are now plain Heegner forms
 EXPORTS = (
     "Curve", "CurveModel", "an_coefficients", "conductor", "curve_model", "minimal_model",
     "EmbeddingData", "build_embedding", "find_common_norm_element", "lemma_converse_check",
     "signo_pairing_check", "two_to_one_check", "verify_optimal", "CmtraceError",
     "InputError", "ExperimentSpec", "FiniteReport", "TraceReport", "experiment_finite",
-    "trace_point", "ArithmeticBoundError", "index_ns_plus", "HeegnerTau", "NoHeegnerPoint",
+    "trace_point", "ArithmeticBoundError", "index_ns_plus", "NoHeegnerPoint",
     "galois_orbit", "heegner_form", "atkin_lehner_sign", "eval_phi", "PeriodLattice",
     "elliptic_exp", "is_torsion", "period_lattice", "BinaryForm", "QuadOrder",
     "class_number", "kernel_classes", "order_data", "reduce_form", "reduced_forms",

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from cmtrace.errors import InputError
 from cmtrace.fp import kronecker
-from cmtrace.heegner import (HeegnerTau, NoHeegnerPoint, _has_square_root, _prime_to,
-                             galois_orbit, gamma0_reduce, heegner_form)
+from cmtrace.heegner import (NoHeegnerPoint, _has_square_root, _prime_to, galois_orbit,
+                             gamma0_reduce, heegner_form)
 from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes,
                                lagrange_reduce, order_data, reduce_form)
 from oracles import (compose, galois_orbit_by_lattices, gamma0_reduce_all_candidates,
-                     generator_ideal, generator_ideal_three_rows, heegner_form_all_roots)
+                     generator_ideal, generator_ideal_three_rows, heegner_form_all_roots,
+                     heegner_tau)
 
 
 def brute_stratum_minimum(n_level, dK, c, p):
@@ -56,15 +57,11 @@ def test_heegner_form_classical_level():
     assert f.a == 11 and f.disc() == -7
 
 
-def test_heegner_tau():
-    ht = HeegnerTau(form=BinaryForm(49, 49, 15), n_level=49, dK=-11, conductor=7)
-    tau = ht.tau(40)
-    with mp.workdps(50):
-        assert mp.im(tau) > 0
-        val = 49 * tau ** 2 + 49 * tau + 15
-        assert abs(val) < mp.mpf(10) ** -35
-    with pytest.raises(ValueError):
-        HeegnerTau(form=BinaryForm(7, 7, 21), n_level=49, dK=-11, conductor=7)
+def test_galois_orbit_rejects_a_base_form_not_divisible_by_n():
+    # (7, 7, 21) has the discriminant -539 of the kernel forms, but 49 does not divide 7
+    kernel = kernel_classes(order_data(-11, 1), 7)
+    with pytest.raises(InputError, match="base form"):
+        galois_orbit(BinaryForm(7, 7, 21), 49, [kc.form for kc in kernel])
 
 
 def test_gamma0_reduce():
@@ -99,69 +96,64 @@ def test_gamma0_reduce_when_no_short_basis_vector_is_primitive(form, n_level):
 def orbit_setup(dK, p, ai_level):
     order = order_data(dK, 1)
     kernel = kernel_classes(order, p)
-    base = HeegnerTau(form=heegner_form(ai_level, dK, p), n_level=ai_level,
-                      dK=dK, conductor=p)
-    return order, kernel, base
+    return order, kernel, heegner_form(ai_level, dK, p)
 
 
 def test_orbit_size_and_base_membership():
     order, kernel, base = orbit_setup(-11, 7, 49)
-    orbit = galois_orbit(base, [kc.form for kc in kernel])
+    orbit = galois_orbit(base, 49, [kc.form for kc in kernel])
     assert len(orbit) == 8
     # identity class reproduces the base point
-    assert reduce_form(orbit[0].form) == reduce_form(base.form)
-    assert orbit[0].form == gamma0_reduce(base.form, 49)
+    assert reduce_form(orbit[0]) == reduce_form(base)
+    assert orbit[0] == gamma0_reduce(base, 49)
     # distinct ideal classes
-    assert len({reduce_form(pt.form) for pt in orbit}) == 8
+    assert len({reduce_form(pt) for pt in orbit}) == 8
 
 
 def test_orbit_classes_are_base_times_kernel():
     order, kernel, base = orbit_setup(-11, 7, 49)
-    orbit = galois_orbit(base, [kc.form for kc in kernel])
-    base_class = reduce_form(base.form)
-    got = {reduce_form(pt.form) for pt in orbit}
+    orbit = galois_orbit(base, 49, [kc.form for kc in kernel])
+    base_class = reduce_form(base)
+    got = {reduce_form(pt) for pt in orbit}
     expected = {reduce_form(compose(base_class, kc.form)) for kc in kernel}
     assert got == expected
 
 
 def test_orbit_stable_under_rebasing():
     order, kernel, base = orbit_setup(-11, 7, 49)
-    orbit = galois_orbit(base, [kc.form for kc in kernel])
-    first = {pt.form for pt in orbit}
-    again = {pt.form for pt in galois_orbit(orbit[3], [kc.form for kc in kernel])}
-    assert first == again
+    orbit = galois_orbit(base, 49, [kc.form for kc in kernel])
+    assert set(orbit) == set(galois_orbit(orbit[3], 49, [kc.form for kc in kernel]))
 
 
 def test_acting_twice_equals_squared_class():
     from oracles import proj_mul, proj_params
     order, kernel, base = orbit_setup(-11, 7, 49)
     params = proj_params(7, order.t, order.n)
-    orbit = galois_orbit(base, [kc.form for kc in kernel])
+    orbit = galois_orbit(base, 49, [kc.form for kc in kernel])
     index_of = {kc.proj: i for i, kc in enumerate(kernel)}
     # acting twice by the class at idx = acting once by its square
     for idx in (1, 2, 4):
         sq = index_of[proj_mul(params, kernel[idx].proj, kernel[idx].proj)]
-        twice = galois_orbit(orbit[idx], [kc.form for kc in kernel])[idx]
-        assert reduce_form(twice.form) == reduce_form(orbit[sq].form)
+        twice = galois_orbit(orbit[idx], 49, [kc.form for kc in kernel])[idx]
+        assert reduce_form(twice) == reduce_form(orbit[sq])
 
 
 def test_orbit_121():
     order, kernel, base = orbit_setup(-67, 11, 121)
-    orbit = galois_orbit(base, [kc.form for kc in kernel])
+    orbit = galois_orbit(base, 121, [kc.form for kc in kernel])
     assert len(orbit) == 12
-    assert len({reduce_form(pt.form) for pt in orbit}) == 12
+    assert len({reduce_form(pt) for pt in orbit}) == 12
     for pt in orbit:
-        assert pt.form.a % 121 == 0
+        assert pt.a % 121 == 0
         with mp.workdps(40):
-            assert mp.im(pt.tau(30)) > mp.mpf("0.003")
+            assert mp.im(heegner_tau(pt, 30)) > mp.mpf("0.003")
 
 
 def test_orbit_rejects_mismatched_kernel():
     order = order_data(-11, 1)
     kernel = kernel_classes(order, 7)
-    base = HeegnerTau(form=heegner_form(121, -67, 11), n_level=121, dK=-67, conductor=11)
     with pytest.raises(ValueError):
-        galois_orbit(base, [kc.form for kc in kernel])
+        galois_orbit(heegner_form(121, -67, 11), 121, [kc.form for kc in kernel])
 
 
 PRIMORIALS = (2, 6, 30, 210, 2310, 30030, 510510, 9699690)
@@ -211,10 +203,9 @@ def test_orbit_from_kept_ideals_matches_recorded_anchor_forms(dK, p, n_level):
         x1, x2 = kc.proj
         assert (generator_ideal(order, p, x1, x2)
                 == generator_ideal_three_rows(order, p, x1, x2))
-    for orbit in (galois_orbit(base, [kc.form for kc in kernel]),
-                  galois_orbit_by_lattices(base, order, p, kernel)):
-        forms = [(pt.form.a, pt.form.b, pt.form.c) for pt in orbit]
-        assert forms == ANCHOR_ORBITS[dK, p, n_level]
+    for orbit in (galois_orbit(base, n_level, [kc.form for kc in kernel]),
+                  galois_orbit_by_lattices(base, n_level, order, p, kernel)):
+        assert [tuple(pt) for pt in orbit] == ANCHOR_ORBITS[dK, p, n_level]
 
 
 @pytest.mark.parametrize("dK", [-12, -44, -1, -28, 5])

@@ -25,7 +25,7 @@ from sympy import primefactors, primerange
 
 from cmtrace.finite import ExperimentSpec, experiment_finite
 from cmtrace.fp import kronecker
-from cmtrace.heegner import (HeegnerTau, _complete_unimodular, galois_orbit, gamma0_reduce,
+from cmtrace.heegner import (_complete_unimodular, galois_orbit, gamma0_reduce,
                              heegner_form)
 from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes,
                                lagrange_reduce, order_data, reduce_form)
@@ -100,21 +100,20 @@ def test_finite_checks_hold_and_fibers_pair_by_the_involution(case):
 
 def _orbit(dK, f, p):
     kernel = kernel_classes(order_data(dK, f), p)
-    base = HeegnerTau(form=heegner_form(p * p, dK, p * f), n_level=p * p, dK=dK,
-                      conductor=p * f)
-    return kernel, base, galois_orbit(base, [kc.form for kc in kernel])
+    base = heegner_form(p * p, dK, p * f)
+    return kernel, base, galois_orbit(base, p * p, [kc.form for kc in kernel])
 
 
 @PROPERTY
 @given(st.sampled_from(CASES))
 def test_orbit_member_is_base_times_its_conjugate_kernel_ideal(case):
     kernel, base, orbit = _orbit(*case)
-    base_class = reduce_form(base.form)
+    base_class = reduce_form(base)
     assert len(orbit) == len(kernel)
     for kc, pt in zip(kernel, orbit):
         # the orbit multiplies by the conjugate ideal, whose class is the inverse
-        assert reduce_form(pt.form) == compose(base_class, form_inverse(kc.form))
-        assert pt.form.a % (case[2] ** 2) == 0
+        assert reduce_form(pt) == compose(base_class, form_inverse(kc.form))
+        assert pt.a % (case[2] ** 2) == 0
 
 
 @PROPERTY
@@ -122,7 +121,7 @@ def test_orbit_member_is_base_times_its_conjugate_kernel_ideal(case):
 def test_identity_class_reproduces_the_base_point(case):
     kernel, base, orbit = _orbit(*case)
     assert kernel[0].proj == (1, 0)
-    assert orbit[0].form == gamma0_reduce(base.form, base.n_level)
+    assert orbit[0] == gamma0_reduce(base, case[2] ** 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -160,12 +159,12 @@ def test_orbit_by_composition_equals_the_lattice_route(case):
     order = order_data(dK, f)
     kernel = kernel_classes(order, p)
     forms = [kc.form for kc in kernel]
-    base = HeegnerTau(form=heegner_form(n_level, dK, p * f), n_level=n_level, dK=dK,
-                      conductor=p * f)
-    orbit = galois_orbit(base, forms)
-    assert orbit == galois_orbit_by_lattices(base, order, p, kernel)
+    base = heegner_form(n_level, dK, p * f)
+    orbit = galois_orbit(base, n_level, forms)
+    assert orbit == galois_orbit_by_lattices(base, n_level, order, p, kernel)
     # rebased on a member with A0 > N: the representative of each inverse
     # kernel form must be prime to A0, not only to N
-    rebased = max(orbit, key=lambda pt: pt.form.a)
-    assert rebased.form.a > n_level
-    assert galois_orbit(rebased, forms) == galois_orbit_by_lattices(rebased, order, p, kernel)
+    rebased = max(orbit, key=lambda pt: pt.a)
+    assert rebased.a > n_level
+    assert (galois_orbit(rebased, n_level, forms)
+            == galois_orbit_by_lattices(rebased, n_level, order, p, kernel))

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from cmtrace.curves import (Curve, _valuation, an_coefficients, curve_from_c4c6, curve_model,
                             minimal_model, tate_local)
-from cmtrace.heegner import HeegnerTau, heegner_form
+from cmtrace.heegner import heegner_form
 from cmtrace.modparam import (NMAX_CAP, SeriesBudgetError, _local_sign, _numerical_sign,
                               al_matrix, atkin_lehner_sign, eval_newform, eval_phi, phi_terms)
 from cmtrace.periods import period_lattice
-from oracles import eval_series_direct, lattice_distance, phi_terms_mp, root_number
+from oracles import eval_series_direct, heegner_tau, lattice_distance, phi_terms_mp, root_number
 
 
 def sigma0(n):
@@ -231,8 +231,7 @@ def _series_taus(model, dK, digits):
     """An orbit point, a point on the W_{p^2} circle, and a point deep enough
     that the series needs more than 10^4 terms."""
     p = model.p
-    orbit_tau = HeegnerTau(form=heegner_form(model.n, dK, p), n_level=model.n, dK=dK,
-                           conductor=p).tau(digits)
+    orbit_tau = heegner_tau(heegner_form(model.n, dK, p), digits)
     _, _, wc, wd = al_matrix(model.n, p * p)
     with mp.workdps(digits + 15):
         circle_tau = (p * mp.exp(1j * mp.pi / 3) - wd) / wc

@@ -24,7 +24,7 @@ from cmtrace.experiments import (LAMBDA_DIGITS, ExperimentSpec, FiberPairingErro
                                  experiment_finite, fiber_pairs, orbit_options, orbit_trace,
                                  trace_point)
 from cmtrace.fp import kronecker
-from cmtrace.heegner import HeegnerTau, al_move, galois_orbit, heegner_form
+from cmtrace.heegner import al_move, galois_orbit, heegner_form
 from cmtrace.modparam import (GUARD, K_DIGITS, MAZUR_ORDERS, NMAX_CAP, AlConstantError,
                               al_constant, al_constant_points, al_matrix, atkin_lehner_sign,
                               eval_newform, eval_phi, phi_terms)
@@ -32,7 +32,7 @@ from cmtrace.periods import is_torsion, locate, period_lattice, torsion_residual
 from cmtrace.quadforms import (is_fundamental_discriminant, kernel_classes, order_data,
                                reduced_forms)
 from oracles import (al_constant_by_series, eval_series_direct, evaluation_key,
-                     galois_orbit_by_lattices, lattice_reduce, orbit_trace_direct,
+                     galois_orbit_by_lattices, heegner_tau, lattice_reduce, orbit_trace_direct,
                      orbit_values_by_fiber, phi_terms_mp, w_p2_pairs)
 
 # the five curves of the trace catalogue, with the modes the suite uses
@@ -103,9 +103,8 @@ def _orbit(label: str, dK: int, f: int):
     """(model, finite shadow, orbit) as trace_point builds them."""
     model = MODELS[label]
     shadow = experiment_finite(ExperimentSpec(dK=dK, f=f, curve=model))
-    base = HeegnerTau(form=heegner_form(model.n, dK, model.p * f), n_level=model.n, dK=dK,
-                      conductor=model.p * f)
-    return model, shadow, galois_orbit(base, [kc.form for kc in shadow.classes])
+    base = heegner_form(model.n, dK, model.p * f)
+    return model, shadow, galois_orbit(base, model.n, [kc.form for kc in shadow.classes])
 
 
 def test_catalogue_has_115_cases():
@@ -121,10 +120,9 @@ def test_orbit_equals_the_lattice_route_on_the_catalogue():
         model = MODELS[label]
         order = order_data(dK, f)
         kernel = kernel_classes(order, model.p)
-        base = HeegnerTau(form=heegner_form(model.n, dK, model.p * f), n_level=model.n, dK=dK,
-                          conductor=model.p * f)
-        assert (galois_orbit(base, [kc.form for kc in kernel])
-                == galois_orbit_by_lattices(base, order, model.p, kernel)), (label, dK, f)
+        base = heegner_form(model.n, dK, model.p * f)
+        assert (galois_orbit(base, model.n, [kc.form for kc in kernel])
+                == galois_orbit_by_lattices(base, model.n, order, model.p, kernel)), (label, dK, f)
 
 
 # (label, dK, l) with both f = 1 and f = l in the catalogue, l in {2, 3}
@@ -136,10 +134,9 @@ RELATION_DIGITS = 30
 def _k_trace(model, dK: int, c: int, digits: int):
     """(S_c, h(O_c)): the sum of phi over the Pic(O_c) orbit of the Heegner
     point of conductor c, the orbit of galois_orbit over reduced_forms(D)."""
-    base = HeegnerTau(form=heegner_form(model.n, dK, c), n_level=model.n, dK=dK, conductor=c)
-    orbit = galois_orbit(base, reduced_forms(c * c * dK))
+    orbit = galois_orbit(heegner_form(model.n, dK, c), model.n, reduced_forms(c * c * dK))
     with mp.workdps(digits + GUARD):
-        return mp.fsum(eval_phi(model, pt.tau(digits), digits) for pt in orbit), len(orbit)
+        return mp.fsum(eval_phi(model, heegner_tau(pt, digits), digits) for pt in orbit), len(orbit)
 
 
 def test_heegner_norm_relation_across_conductors():
@@ -201,13 +198,12 @@ def test_al_move_is_the_moebius_image_with_the_largest_imaginary_part(label, dK,
     for pt in orbit:
         for q_div in (q for q in range(2, model.n + 1)
                       if model.n % q == 0 and gcd(q, model.n // q) == 1):
-            k, form = al_move(pt.form, model.n, q_div)
+            k, form = al_move(pt, model.n, q_div)
             a, b, c, d = al_matrix(model.n, q_div)
-            image = HeegnerTau(form=form, n_level=model.n, dK=dK, conductor=pt.conductor)
             with mp.workdps(digits + 15):
-                tau = pt.tau(digits)
+                tau = heegner_tau(pt, digits)
                 moved = [(a * (tau + j) + b) / (c * (tau + j) + d) for j in (k - 1, k, k + 1)]
-                assert abs(moved[1] - image.tau(digits)) < mp.mpf(10) ** -(digits + 10)
+                assert abs(moved[1] - heegner_tau(form, digits)) < mp.mpf(10) ** -(digits + 10)
                 assert moved[1].imag >= max(moved[0].imag, moved[2].imag)
 
 
@@ -307,7 +303,7 @@ def _evaluation_classes(model, orbit, moves, wp: int) -> tuple[int, int]:
     cheap = {a for a, _ in _cheaper_first(w_p2_pairs(model, orbit), moves)} if wp == 1 else set()
 
     def key(i):
-        return frozenset(evaluation_key(moves[i].point.form))
+        return frozenset(evaluation_key(moves[i].form))
 
     full = {key(i) for i in cheap}
     return len(full), len({key(i) for i in range(len(orbit)) if i not in cheap} - full)
@@ -356,8 +352,9 @@ def _check_against_direct(label, dK, f, digits):
     precision within 10^-(digits+5), each LAMBDA_DIGITS value within 10^-10
     (the module docstring's bound), each fiber's z_j - w_p z_i - K_{p^2} on
     the lattice within 10^-(digits+5), and the trace within 10^-(digits+10)
-    of the direct sum, with the same torsion verdict.  Returns the moves' Q
-    and the sources."""
+    of the direct sum, with the same torsion verdict; each entry's form is
+    its orbit form, and its tau a root of that form to the digits printed.
+    Returns the moves' Q and the sources."""
     model, shadow, orbit = _orbit(label, dK, f)
     moves = orbit_options(model, orbit, digits)
     lat, wp = period_lattice(model.minimal, digits), _wp(label)
@@ -386,6 +383,15 @@ def _check_against_direct(label, dK, f, digits):
     assert set(precs) <= {digits, LAMBDA_DIGITS} and n_max >= max(terms)
     if wp == -1:
         assert set(precs) == {LAMBDA_DIGITS}
+    # each tau, printed to d = min(digits, 30) digits, is within |tau| 10^(1-d)
+    # of the root r in H of its form F: |F(tau)| <= |F'(tau)| |tau - r| nearly
+    printed = min(digits, 30)
+    with mp.workdps(printed + 15):
+        for pt, e in zip(orbit, entries):
+            (a, b, c), tau = e.form, mp.mpmathify(e.tau)
+            assert e.form == tuple(pt) and tau.imag > 0
+            bound = abs(2 * a * tau + b) * abs(tau) * mp.mpf(10) ** (1 - printed)
+            assert abs((a * tau + b) * tau + c) <= bound, (label, dK, f, e.form, e.tau)
     return [mv.q for mv in moves], sources
 
 
@@ -491,7 +497,7 @@ def test_a_self_conjugate_point_keeps_only_the_real_part(monkeypatch):
     entries = orbit_trace(model, orbit, shadow, moves, _wp("49a1"),
                           period_lattice(model.minimal, 60))[0]
     mirrored = [e for e, mv in zip(entries, moves)
-                if e.q == 1 and len(set(evaluation_key(mv.point.form))) == 1]
+                if e.q == 1 and len(set(evaluation_key(mv.form))) == 1]
     assert mirrored and all(e.z[1] == "0.0" for e in mirrored)
     assert any(e.z[1] != "0.0" for e in entries if e.q == 1 and e not in mirrored)
 
@@ -536,7 +542,7 @@ def test_plan_never_evaluates_more_terms_than_the_direct_route(digits):
         model, _, orbit = _orbit(label, dK, f)
         moves = orbit_options(model, orbit, digits)
         with mp.workdps(digits + 15):
-            unmoved = [phi_terms(pt.tau(digits).imag, digits) for pt in orbit]
+            unmoved = [phi_terms(heegner_tau(pt, digits).imag, digits) for pt in orbit]
         assert all(mv.n_max <= n for mv, n in zip(moves, unmoved)), (label, dK, f)
         terms = _moved_terms(label, moves)
         assert terms <= sum(unmoved), (label, dK, f)
