@@ -40,23 +40,47 @@ Hamburg 14, 1941), so a_ell = 0 mod ell, and for ell >= 5 the Hasse bound
 |a_ell| <= 2 sqrt(ell) < ell leaves a_ell = 0.  The CM field is read off
 the j-invariant, which for a rational CM curve is one of 13 integers.
 
-A CM curve needs no count at all when d is odd and below -3, so that
-d in {-7, -11, -19, -43, -67, -163}, K has class number one and units +-1,
-and its conductor is d^2.  Then L(E, s) = L(psi, s) for a Hecke character
-psi of K with psi((pi)) = eps(pi) pi (Deuring; Silverman, Advanced Topics
-in the Arithmetic of Elliptic Curves, Thm. II.10.5; Gross, Arithmetic on
-Elliptic Curves with Complex Multiplication, LNM 776, 1980).  The conductor
-is |d| N(f) for the conductor f of psi, so f = (sqrt d), and eps is a
-character of (O_K / sqrt d)^x = F_|d|^x with eps(-1) = -1, because psi
-takes the same value on (pi) and (-pi).  F_|d|^x is cyclic, so its only
-characters with values +-1 are the trivial one and the Legendre symbol mod
-|d|, and -1 is a non-square mod |d| = 3 mod 4: eps is the Legendre symbol.
-With 2 pi = Tr pi + y sqrt d, pi = pi-bar = Tr pi / 2 mod sqrt d, so at a
-split ell = N(pi), a_ell = psi(pi) + psi(pi-bar) = (Tr pi / 2 | |d|) Tr pi,
-the same for each of +-pi and +-pi-bar; at an inert ell, 2 and 3 included,
-the Euler factor of L(psi, s) has no ell^-s term, so a_ell = 0.  One walk
-over the elements x + y (1 + sqrt d) / 2 of norm up to the bound gives
-every split prime at once, with no sign to test.
+A CM curve needs no count at all when its conductor forces its Hecke
+character.  K = Q(sqrt d) has class number one for every rational CM
+curve, and L(E, s) = L(psi, s) = sum over the ideals a of O_K of psi(a)
+N(a)^-s for a Hecke character psi with psi((alpha)) = chi(alpha) alpha
+at alpha prime to its conductor f, chi a character of (O_K / f)^x
+(Deuring; Silverman, Advanced Topics in the Arithmetic of Elliptic Curves,
+Thm. II.10.5; Gross, Arithmetic on Elliptic Curves with Complex
+Multiplication, LNM 776, 1980), and the conductor of E is |d| N(f).
+psi((alpha)) must not depend on the generator, so chi(u) = u^-1 on the
+units U of O_K.  Each ideal prime to f has |U| generators, so a_n =
+(1/|U|) sum chi(alpha) alpha over the alpha of norm n (chi = 0 off the
+units mod f), a real number.  Two cases force chi:
+- d odd and below -3 (d in {-7, -11, -19, -43, -67, -163}), U = {+-1},
+  conductor d^2.  Then N(f) = |d|, so f = (sqrt d), the one ideal of
+  that norm, and chi is a character of (O_K / sqrt d)^x = F_|d|^x with
+  chi(-1) = -1.  F_|d|^x is cyclic, so its only characters with values +-1
+  are the trivial one and the Legendre symbol mod |d|, and -1 is a
+  non-square mod |d| = 3 mod 4: chi is the Legendre symbol, and a_n =
+  (1/2) sum chi(alpha) Re(alpha).
+- The units map onto (O_K / f)^x.  At d = -3, conductor 27 gives N(f) =
+  9 and 36 gives N(f) = 12; 3 ramifies and 2 is inert in Q(sqrt -3), so
+  the only ideals of those norms are (3) = (sqrt -3)^2 and (2 sqrt -3),
+  and (O_K / f)^x has 9 - 3 = 6 or 3 * 2 = 6 elements.  At d = -4,
+  conductor 32 gives N(f) = 8, and 2 = -i (1 + i)^2 ramifies, so f = (1 +
+  i)^3 and (O_K / f)^x has 8 - 4 = 4 elements.  Each time the |U| units
+  are distinct mod f (for u != 1, N(u - 1) <= 4 < N(f)), so they fill
+  (O_K / f)^x, chi is fixed by chi(u) = u^-1, and chi(alpha) alpha is the
+  one generator of (alpha) that is 1 mod f: a_n = sum Re(alpha) over the
+  alpha = 1 mod f of norm n.
+Every other CM curve, a twist of these to another conductor or y^2 = x^3
++- x at conductor 64, where two characters fit, is point-counted.
+With alpha = (t + y sqrt d) / 2, t = d y mod 2, N(alpha) = (t^2 + |d| y^2)
+/ 4 and Re(alpha) = t / 2; alpha = t / 2 mod sqrt d, so in the quadratic
+case chi(alpha) = (t / 2 | |d|), and alpha = 1 mod f is t = 2 + k y mod s
+on the rows y = 0 mod r, (r, k, s) = (3, 3, 6), (2, 3, 12) and (2, 6, 8)
+at conductors 27, 36 and 32, a progression that never holds 0.  So one
+walk over the rows y >= 0 and their progressions of t, conjugates paired
+(weight 2 at y > 0) and, in the quadratic case, -alpha paired with alpha
+(t > 0 only, weight 2), adds every alpha of norm up to the bound to its
+a_n: no prime list, no recursion, the bad primes included (no alpha of
+their norm is prime to f).
 
 Bad primes contribute +1, -1, 0 according to split multiplicative, non-split
 multiplicative, or additive reduction; _extended derives every other a_n.
@@ -560,18 +584,20 @@ def an_cached(cur: Curve, bound: int) -> list[int]:
 
 
 def _extended(m: Curve, known: list[int], bound: int) -> list[int]:
-    """A copy of `known` (a[0..old]) extended to a[0..bound] in one pass over
-    the new n: a prime takes its a_ell (bad, from the Hecke character (module
-    docstring) or point-counted), ell^k the Hecke recursion a_ell a_(n/ell) -
-    ell a_(n/ell^2) (ell as 0 at a bad prime), any other n = ell^k r the
-    product a_(ell^k) a_r, ell the least prime of n."""
+    """A copy of `known` (a[0..old]) extended to a[0..bound]: by the walk
+    over O_K when the conductor forces the Hecke character (module
+    docstring), else in one pass over the new n: a prime takes its a_ell
+    (bad or point-counted), ell^k the Hecke recursion a_ell a_(n/ell) - ell
+    a_(n/ell^2) (ell as 0 at a bad prime), any other n = ell^k r the product
+    a_(ell^k) a_r, ell the least prime of n."""
     old = len(known) - 1
     a = known + [0] * (bound - old)
-    spf = _smallest_prime_factors(bound)
     bad = {q: tate_local(m, q) for q in factorint(abs(m.disc))}
-    d = _hecke_disc(m, bad)
-    if d:
-        _hecke_split_ap(a, d, old, bound, spf)
+    rows = _hecke_rows(m, bad)
+    if rows:
+        _walk(a, m.cm_disc, rows, old, bound)
+        return a
+    spf = _smallest_prime_factors(bound)
     for n in range(old + 1, bound + 1):
         ell, pk, rest = spf[n], spf[n], n // spf[n]
         while rest % ell == 0:
@@ -582,41 +608,51 @@ def _extended(m: Curve, known: list[int], bound: int) -> list[int]:
             a[n] = ap_bad(bad[n])
         elif n > ell:
             a[n] = a[ell] * a[n // ell] - (0 if ell in bad else ell) * a[n // ell // ell]
-        elif not d:
+        else:
             a[n] = ap_good(m, n)
     return a
 
 
-def _hecke_disc(m: Curve, bad: dict) -> int:
-    """d when the minimal model m has CM by Q(sqrt d), d odd and below -3,
-    and conductor d^2, so that its a_ell come from the Hecke character;
-    else 0."""
-    d = m.cm_disc
-    if d % 2 == 0 or d == -3:
-        return 0
-    return d if prod(q ** loc.f for q, loc in bad.items()) == d * d else 0
+# (d, conductor) -> (r, k, s): alpha = 1 mod f on the rows y = 0 mod r at
+# t = 2 + k y mod s, where the units fill (O_K / f)^x (module docstring)
+_UNIT_ROWS = {(-3, 27): (3, 3, 6), (-3, 36): (2, 3, 12), (-4, 32): (2, 6, 8)}
 
 
-def _hecke_split_ap(a: list[int], d: int, old: int, bound: int, spf: list[int]) -> None:
-    """Set a[ell] for every prime old < ell <= bound that splits in Q(sqrt d).
+def _hecke_rows(m: Curve, bad: dict):
+    """The walk's rows when the conductor of the minimal model m forces its
+    Hecke character: (1, 1, 2), every t = y mod 2, with the Legendre symbol
+    when d is odd and below -3 at conductor d^2, the _UNIT_ROWS entry when
+    the units fill (O_K / f)^x, else None (module docstring)."""
+    d, n = m.cm_disc, prod(q ** loc.f for q, loc in bad.items())
+    if d % 2 and d < -3 and n == d * d:
+        return 1, 1, 2
+    return _UNIT_ROWS.get((d, n))
 
-    ell = N(pi) with pi = x + y (1 + sqrt d) / 2, that is 4 ell = t^2 + |d| y^2
-    with t = Tr pi = 2x + y; y >= 1 and t >= 0 pick one of the four
-    generators of pi and its conjugate, and a_ell = (t / 2 | |d|) t for all
-    four.  Each row y runs t over the ellipse only, past the primes already
-    known."""
+
+def _walk(a: list[int], d: int, rows, old: int, bound: int) -> None:
+    """Add to a[n], old < n <= bound, its share of sum chi(alpha) Re(alpha)
+    / |U| over the alpha = (t + y sqrt d) / 2 of norm n = (t^2 + |d| y^2) / 4
+    (module docstring).  Rows y = 0 mod r, t = 2 + k y mod s on each, and
+    |t| above the known n; a row y > 0 stands for y and -y, and in the
+    quadratic case t > 0 for t and -t, so a_n comes out integral with the
+    row y = 0 at half weight (t even there)."""
     n = -d
-    chi = [kronecker(r, n) for r in range(n)]
+    r, k, s = rows
+    chi = [kronecker(c, n) for c in range(n)] if d < -4 else None     # U = {+-1}
     half = (n + 1) // 2                     # 2^-1 mod |d|
-    for y in range(1, isqrt(4 * bound // n) + 1):
+    for y in range(0, isqrt(4 * bound // n) + 1, r):
         base = n * y * y
-        low = 4 * old - base                # t^2 > low: above the known primes
-        t0 = isqrt(low) + 1 if low >= 0 else 0
-        t0 += (t0 - y) % 2                  # t = y mod 2, so that 4 | t^2 + |d| y^2
-        for t in range(t0, isqrt(4 * bound - base) + 1, 2):
-            ell = (t * t + base) >> 2
-            if spf[ell] == ell:
-                a[ell] = chi[t * half % n] * t
+        top, low = isqrt(4 * bound - base), 4 * old - base
+        t0 = isqrt(low) + 1 if low >= 0 else 0      # t^2 > low: above the known n
+        c, shift = (2 + k * y) % s, 0 if y else 1
+        if chi:
+            t0 = max(t0, 1)
+            for t in range(t0 + (c - t0) % s, top + 1, s):
+                a[(t * t + base) >> 2] += chi[t * half % n] * t >> shift
+            continue
+        for lo, hi in ((t0, top), (-top, -t0)):
+            for t in range(lo + (c - lo) % s, hi + 1, s):
+                a[(t * t + base) >> 2] += t >> shift
 
 
 def _smallest_prime_factors(bound: int) -> list[int]:

@@ -24,5 +24,6 @@ class AlConstantError(CmtraceError, ArithmeticError):
 
 class FiberPairingError(CmtraceError, ArithmeticError):
     """A fiber of the finite shadow is no W_{p^2} pair of the orbit, or a
-    fiber mate's value misses its LAMBDA_DIGITS evaluation by more than
-    LAMBDA_BUDGET (experiments module docstring)."""
+    lattice vector read at LAMBDA_DIGITS, a fiber mate's lam or the period
+    Omega of a move into the whole coset, misses by more than LAMBDA_BUDGET
+    (experiments module docstring)."""

@@ -9,7 +9,8 @@ produced side by side, and builds the orbit from the kernel forms the shadow
 computed.  Then, in stages:
 orbit_options (each point's W_Q move and the series budget, before any
 sign), atkin_lehner_sign, period_lattice, and orbit_trace (the moves
-evaluated, with w_Q applied and each K_Q exact on the lattice, fiber by
+evaluated, with w_Q applied, each K_Q exact on the lattice and each period
+Omega of a move into the whole coset read off the lattice, fiber by
 fiber).
 
 The fibers of W_{p^2}.  The shadow pairs the p + 1 kernel classes into
@@ -52,6 +53,26 @@ So the fiber sum is exact up to the trace-precision value of z_i, and z_j
 A failed check means that the pairing or the lattice is not phi's, or that
 an evaluation broke its bound; it raises FiberPairingError, never a wrong
 lam.
+
+Moves into the whole coset.  Every integer matrix M = (Q x, y; N z, Q w) of
+determinant Q, Q || N, lies in W_Q Gamma_0(N) (Atkin and Lehner, Math. Ann.
+185, 1970): gamma = W_Q^-1 M has determinant 1 and N divides its lower left
+entry.  phi(W_Q s) = w_Q phi(s) + K_Q (modparam docstring), and Omega =
+phi(gamma tau) - phi(tau) does not depend on tau and is a period, so phi(tau)
+= w_Q (phi(M tau) - K_Q) - Omega, with Omega = 0 when gamma = +-T^k, the
+translation moves W_Q (tau + k).  M tau has the leading coefficient F(Q w,
+-N z) / Q, so the best M is a shortest vector (w, z) of the positive
+definite form F(Q w, -N z) with gcd(Q w, (N/Q) z) = 1 (heegner.coset_move).
+orbit_trace reads Omega as it reads lam: v = w_Q (phi(M tau) - K_Q) - z5,
+z5 the point's value by its translation move at LAMBDA_DIGITS, and Omega is
+the nearest lattice vector to v, accepted only when |v - Omega| <=
+LAMBDA_BUDGET < |b1| / 2.  The budget above holds unchanged: phi(M tau) is
+known to the trace precision, every K_Q is exact, and the translation move
+is within the series budget at the trace precision, so z5 errs by less
+than 10^-10, as above, and v is within 1.1 10^-10 of Omega; a vector that
+passes is Omega, and one that fails raises FiberPairingError.  A point
+evaluated at LAMBDA_DIGITS keeps its translation move, since a read there
+would cost as much as the series it saves.
 """
 
 from __future__ import annotations
@@ -68,7 +89,7 @@ from .curves import CurveModel
 from .errors import FiberPairingError, InputError
 from .finite import ExperimentSpec, FiniteReport, experiment_finite
 from .fp import factorint
-from .heegner import al_move, galois_orbit, heegner_form
+from .heegner import al_move, coset_move, galois_orbit, heegner_form
 from .modparam import (GUARD, K_DIGITS, SeriesBudgetError, al_constant, al_constant_points,
                        atkin_lehner_sign, eval_phi, local_sign, phi_terms)
 from .periods import (PeriodLattice, _reduced_basis, elliptic_exp, is_torsion, locate,
@@ -90,9 +111,13 @@ class OrbitEntry(namedtuple("OrbitEntry", "proj form tau z digits q n_max source
     __slots__ = ()
 
 
-class OrbitMove(namedtuple("OrbitMove", "q form n_max")):
-    """How one orbit point tau is evaluated: phi(tau) = w_Q (phi(s) - K_Q),
-    s = W_Q (tau + k) the point of form.  q = 1 keeps tau and its form."""
+class OrbitMove(namedtuple("OrbitMove", "q form n_max low")):
+    """How one orbit point tau is evaluated at the trace precision: phi(tau)
+    = w_Q (phi(s) - K_Q) - Omega, s = M tau the point of form, M in W_Q
+    Gamma_0(N), with n_max terms there.  q = 1 keeps tau and its form.  low
+    is None when M = +-W_Q T^k, so that Omega = 0; else it is the point's
+    best translation move (q, form, n_max, None), which the point takes at
+    LAMBDA_DIGITS and Omega is read from (module docstring)."""
 
     __slots__ = ()
 
@@ -169,18 +194,31 @@ def _terms(im_tau, digits: int) -> tuple[int, bool]:
 
 
 def orbit_options(model: CurveModel, orbit, digits: int) -> tuple[OrbitMove, ...]:
-    """The move of each orbit point: its cheapest option within the budget,
-    tau itself on a tie, among tau (q = 1) and its best W_Q (tau + k) for each
-    Q of al_signs(model) whose leading coefficient is smaller and whose K_Q
-    points need at most NMAX_CAP terms at K_DIGITS.  K_Q is exact and costs
-    one short evaluation (modparam docstring), so no sign enters the choice
-    and trace_point runs this before atkin_lehner_sign.  The points share one
-    D, and each Im tau is sqrt|D| / (2A) at digits + GUARD, as orbit_trace
-    computes tau.  SeriesBudgetError, with the least n_max any choice has,
-    when some point has no option within the budget."""
+    """The move of each orbit point.  Its translation move is the cheapest
+    option within the budget, tau itself on a tie, among tau (q = 1) and its
+    best W_Q (tau + k) for each Q of al_signs(model) whose leading
+    coefficient is smaller and whose K_Q points need at most NMAX_CAP terms
+    at K_DIGITS.  K_Q is exact and costs one short evaluation (modparam
+    docstring), so no sign enters the choice and trace_point runs this
+    before atkin_lehner_sign.  The move is the best point of the whole
+    coset W_Q Gamma_0(N) for those Q but p^2 (heegner.coset_move, the least
+    leading coefficient, the smallest Q on a tie) instead, when its terms
+    plus those of the LAMBDA_DIGITS read of Omega at the translation move
+    are fewer than the translation move's.  Q = p^2 is left out: W_{p^2}
+    Gamma_0(N) tau is the Gamma_0(N) class of tau's fiber mate (module
+    docstring), whose best point is the mate's own Gamma_0(N)-reduced orbit
+    form, never cheaper than the fiber's trace-precision point.  No coset
+    is searched when w_p = -1 from local data, since then orbit_trace
+    evaluates every point at LAMBDA_DIGITS by its translation move.  The
+    points share one D, and each Im tau is sqrt|D| / (2A) at digits + GUARD,
+    as orbit_trace computes tau.  SeriesBudgetError, with the least n_max
+    any translation move has, when some point has no option within the
+    budget: a read of Omega needs the translation within it."""
     with mp.workdps(K_DIGITS + GUARD):
         qs = [q for q, _ in al_signs(model) if _terms(mp.sqrt(q) / model.n, K_DIGITS)[1]]
-    picks = []
+    picks, p2 = [], model.p ** 2
+    # w_p = -1 from local data: every point is evaluated at LAMBDA_DIGITS
+    cosets_wanted = dict(al_signs(model))[p2] != -1
     with mp.workdps(digits + GUARD):
         root = mp.sqrt(-orbit[0].disc())
         for pt in orbit:
@@ -189,10 +227,22 @@ def orbit_options(model: CurveModel, orbit, digits: int) -> tuple[OrbitMove, ...
                 _, form = al_move(pt, model.n, q_div)
                 if form.a < pt.a:
                     opts.append((*_terms(root / (2 * form.a), digits), q_div, form))
-            picks.append(min(opts, key=lambda o: (o[0], o[2])))
-    if not all(ok for _, ok, _, _ in picks):
-        raise SeriesBudgetError(max(n for n, _, _, _ in picks))
-    return tuple(OrbitMove(q=q_div, form=form, n_max=n) for n, _, q_div, form in picks)
+            n, ok, q_div, form = min(opts, key=lambda o: (o[0], o[2]))
+            move = OrbitMove(q_div, form, n, None)
+            cosets = []
+            for q_div in (q for q in qs if q != p2) if ok and cosets_wanted else ():
+                translation, image = coset_move(pt, model.n, q_div)
+                if not translation and image.a < form.a:
+                    cosets.append((image.a, q_div, image))
+            if cosets:
+                _, q_div, image = min(cosets)
+                terms = phi_terms(root / (2 * image.a), digits)
+                if terms + phi_terms(root / (2 * form.a), LAMBDA_DIGITS) < n:
+                    move = OrbitMove(q_div, image, terms, move)
+            picks.append((ok, move))
+    if not all(ok for ok, _ in picks):
+        raise SeriesBudgetError(max((mv.low or mv).n_max for _, mv in picks))
+    return tuple(mv for _, mv in picks)
 
 
 def fiber_pairs(model: CurveModel, orbit, shadow: FiniteReport) -> tuple[tuple[int, int], ...]:
@@ -216,17 +266,22 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
                 lat: PeriodLattice):
     """Evaluate the parametrisation over the orbit by the moves and the
     fibers of the shadow, and sum the fibers in order of their first point:
-    phi(tau) = w_Q (phi(W_Q (tau + k)) - K_Q) is exact, so no period enters
-    (modparam docstring), with w_p in place of a None sign of al_signs and
-    each K_Q = (i w1 + j w2) / n on lat (al_constant).
+    phi(tau) = w_Q (phi(M tau) - K_Q) - Omega (modparam docstring), with w_p
+    in place of a None sign of al_signs and each K_Q = (i w1 + j w2) / n on
+    lat (al_constant).  A point evaluated at the trace precision takes its
+    move; one whose move is off the translations (move.low) also takes its
+    translation move at LAMBDA_DIGITS, and Omega is the lattice vector read
+    off the difference, checked against LAMBDA_BUDGET (module docstring).  A
+    point evaluated at LAMBDA_DIGITS takes its translation move, Omega = 0.
 
-    Each fiber (a, b) of fiber_pairs, a the point with fewer terms (the
-    first in kernel order on a tie), sums to (1 + w_p) z_a + K_{p^2} + lam,
-    lam in the lattice (module docstring): a is evaluated at the trace
-    precision when w_p = +1, b's value z_b = z_a + K_{p^2} + lam ("fiber:a"),
-    and with w_p = -1 both are evaluated at LAMBDA_DIGITS only.  lam is read
-    off b's LAMBDA_DIGITS value (and a's when w_p = -1), and the fiber is
-    rejected unless w_p z_a + K_{p^2} + lam is within LAMBDA_BUDGET of it.
+    Each fiber (a, b) of fiber_pairs, a the point with fewer terms (a
+    translation move, then the first in kernel order, on a tie), sums to
+    (1 + w_p) z_a + K_{p^2} + lam, lam in the lattice (module docstring): a
+    is evaluated at the trace precision when w_p = +1, b's value z_b = z_a +
+    K_{p^2} + lam ("fiber:a"), and with w_p = -1 both are evaluated at
+    LAMBDA_DIGITS only.  lam is read off b's LAMBDA_DIGITS value (and a's
+    when w_p = -1), and the fiber is rejected unless w_p z_a + K_{p^2} + lam
+    is within LAMBDA_BUDGET of it.
 
     One series serves each evaluation point up to conjugation.  The a_n are
     real, so phi(-conj s) = conj phi(s), and phi has period 1.  The point
@@ -252,31 +307,41 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
     depends only on (s, digits, a[0..n_max]), so the order changes nothing.
     Returns the entries, the trace, the most terms evaluated, (Q, w_Q, i, j,
     n) for each K_Q used, and the number of orbit series run at the trace
-    precision and at LAMBDA_DIGITS."""
+    precision and at LAMBDA_DIGITS, the reads of Omega among them."""
     signs = {q_div: wp if w is None else w for q_div, w in al_signs(model)}
-    digits, p2 = lat.digits, model.p ** 2
-    pairs = [(i, j) if moves[i].n_max <= moves[j].n_max else (j, i)
-             for i, j in fiber_pairs(model, orbit, shadow)]
+    digits, p2, count = lat.digits, model.p ** 2, len(orbit)
+    # fewer terms first, then a translation move (no Omega to read), then kernel order
+    pairs = [tuple(sorted(pair, key=lambda i: (moves[i].n_max, moves[i].low is not None)))
+             for pair in fiber_pairs(model, orbit, shadow)]
     full = {a for a, _ in pairs} if wp == 1 else set()
-    want = [digits if i in full else LAMBDA_DIGITS for i in range(len(orbit))]
+    want = [digits if i in full else LAMBDA_DIGITS for i in range(count)]
+    used = [mv if i in full else mv.low or mv for i, mv in enumerate(moves)]
+    reads = [i for i in sorted(full) if moves[i].low]
     with mp.workdps(digits + GUARD):
         root = mp.sqrt(-orbit[0].disc())
         evaluated, jobs = {}, []            # evaluated: key -> (point, precision, terms)
-        keys, conj, sources, precs = ([None] * len(orbit) for _ in range(4))
-        for i in sorted(range(len(orbit)), key=lambda i: (-want[i], -moves[i].n_max, i)):
-            form = moves[i].form
+
+        def plan(i: int, form, prec: int):
+            """(key, conjugated, precision, source) of point i's evaluation at
+            the point of form, a new series only for a new key and mate."""
             key, mate = (form.a, form.b % (2 * form.a)), (form.a, -form.b % (2 * form.a))
-            conj[i] = key not in evaluated and mate in evaluated
-            keys[i] = mate if conj[i] else key
-            if keys[i] in evaluated:
-                j, precs[i], _ = evaluated[keys[i]]
-                sources[i] = f"{'conj' if conj[i] else 'same'}:{j}"
-            else:
-                terms = phi_terms(root / (2 * form.a), want[i])
-                evaluated[key], precs[i], sources[i] = (i, want[i], terms), want[i], "series"
-                jobs.append((terms, key))
+            conj = key not in evaluated and mate in evaluated
+            if conj or key in evaluated:
+                j, done, _ = evaluated[mate if conj else key]
+                return mate if conj else key, conj, done, f"{'conj' if conj else 'same'}:{j}"
+            evaluated[key] = (i, prec, phi_terms(root / (2 * form.a), prec))
+            jobs.append((evaluated[key][2], key))
+            return key, False, prec, "series"
+
+        plans = [None] * count
+        for i in sorted(range(count), key=lambda i: (-want[i], -used[i].form.a, i)):
+            plans[i] = plan(i, used[i].form, want[i])
+        read_plans = [plan(i, moves[i].low.form, LAMBDA_DIGITS) for i in reads]
+        precs = [prec for _, _, prec, _ in plans]
+        sources = [source for *_, source in plans]
         reads_lam = any(precs[b] < digits for _, b in pairs)
-        for q_div in sorted({mv.q for mv in moves} - {1} | ({p2} if reads_lam else set())):
+        qs = {mv.q for mv in used} | {moves[i].low.q for i in reads}
+        for q_div in sorted(qs - {1} | ({p2} if reads_lam else set())):
             pts = al_constant_points(model.n, q_div, signs[q_div], K_DIGITS)
             jobs.append((phi_terms(pts[0][1].imag, K_DIGITS) if pts else 0, q_div))
         values, exact = {}, {}
@@ -288,11 +353,23 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
             z = eval_phi(model, mp.mpc(-b, root) / (2 * a), evaluated[job][1])
             values[job] = mp.mpc(z.real) if (a, -b % (2 * a)) == job else z
         consts = {q_div: (i * lat.w1 + j * lat.w2) / n for q_div, (i, j, n) in exact.items()}
-        zs = []
-        for mv, key, c in zip(moves, keys, conj):
-            z = mp.conj(values[key]) if c else values[key]
-            zs.append(z if mv.q == 1 else signs[mv.q] * (z - consts[mv.q]))
+
+        def value(mv, key, conj):
+            z = mp.conj(values[key]) if conj else values[key]
+            return z if mv.q == 1 else signs[mv.q] * (z - consts[mv.q])
+
+        zs = [value(mv, key, conj) for mv, (key, conj, *_) in zip(used, plans)]
         half = abs(_reduced_basis(lat)[0]) / 2
+        for i, (key, conj, *_) in zip(reads, read_plans):
+            v = zs[i] - value(moves[i].low, key, conj)                 # Omega, read
+            omega = nearest_vector(lat, v)
+            miss = abs(v - omega[0] * lat.w1 - omega[1] * lat.w2)
+            if not miss <= LAMBDA_BUDGET < half:
+                raise FiberPairingError(
+                    f"orbit point {i}: the period of its W_{moves[i].q} move misses its "
+                    f"{LAMBDA_DIGITS}-digit value by {mp.nstr(miss, 3)}, against "
+                    f"{LAMBDA_BUDGET:.2g} and |b1| / 2 = {mp.nstr(half, 3)}")
+            zs[i] -= omega[0] * lat.w1 + omega[1] * lat.w2
         trace_z = mp.mpc(0)
         for a, b in pairs:               # fixed order of the fibers' first points
             if precs[b] == digits:
@@ -310,8 +387,8 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
             if wp == 1:
                 zs[b], precs[b], sources[b] = zs[a] + shift, digits, f"fiber:{a}"
         entries = []
-        for kc, pt, mv, z, prec, key, source in zip(shadow.classes, orbit, moves, zs, precs,
-                                                     keys, sources):
+        for kc, pt, mv, z, prec, (key, *_), source in zip(shadow.classes, orbit, used, zs, precs,
+                                                          plans, sources):
             entries.append(OrbitEntry(
                 proj=kc.proj,
                 form=tuple(pt),
@@ -345,7 +422,8 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     t_finite = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    wp = atkin_lehner_sign(model.minimal, model.n, model.p * model.p, digits)
+    # a sign is +-1: a numerical w_p (additive at 3) needs only K_DIGITS
+    wp = atkin_lehner_sign(model.minimal, model.n, model.p * model.p, K_DIGITS)
     timings = {"atkin_lehner": time.perf_counter() - t0, "finite_layer": t_finite}
 
     t0 = time.perf_counter()

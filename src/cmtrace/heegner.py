@@ -28,7 +28,10 @@ q-series.  The forms may be any forms of the base's discriminant:
 experiments.trace_point passes the kernel forms of Pic(O_pf) -> Pic(O_f),
 whose orbit is the Gal(H_pf / H_f) orbit it traces, and reduced_forms(D)
 gives the whole Pic(O_D) orbit, whose sum is the trace down to K.
-Everything stays in integer arithmetic.
+The moves of the orbit points are found here too: al_move, the best W_Q
+(tau + k), and coset_move, the best point of the whole coset W_Q
+Gamma_0(N) tau, by the least-vector search (_least_vectors) that
+gamma0_reduce runs at Q = 1.  Everything stays in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -110,53 +113,68 @@ def _has_square_root(disc: int, modulus: int) -> bool:
     return True
 
 
-def _complete_unimodular(x: int, y: int):
-    """(u, v) with x*v - y*u = 1 for coprime (x, y)."""
-    g, u0, v0 = _xgcd(x, y)
-    assert g == 1
-    return -v0, u0
-
-
 def gamma0_reduce(form: BinaryForm, n_level: int) -> BinaryForm:
     """Small representative of the Gamma_0(N) class of an N-divisible form.
 
     Minimises A = Q(x, y) over primitive vectors with y = 0 mod N (columns of
-    Gamma_0(N) matrices), then translates B into (-A, A]; only the vectors of
-    minimal A are completed to a matrix, and ties go to the smallest (|B|, -B).
-    With v1, v2 the basis (1, 0), (0, N) of that sublattice Lagrange-reduced
-    for the Gram triple (2A, B, 2C), n_i = 2Q(v_i), b = v1.v2 in it and det =
-    n1 n2 - b^2 > 0, n1 2Q(s v1 + t v2) = (n1 s + b t)^2 + det t^2: the loops
-    visit every s v1 + t v2 with Q <= bound (det t^2 <= 2 bound n1, then |n1 s
-    + b t| <= isqrt(2 bound n1 - det t^2)), for bound = Q(v1), 2 Q(v1), ...
-    until some are primitive; those include every vector of least value."""
+    Gamma_0(N) matrices, _least_vectors at Q = 1), then translates B into
+    (-A, A]; only the vectors of minimal A are completed to a matrix, and
+    ties go to the smallest (|B|, -B)."""
     if form.a % n_level:
         raise InputError("form is not N-divisible")
-    (x1, y1), (x2, y2) = lagrange_reduce((2 * form.a, form.b, 2 * form.c), (1, 0), (0, n_level))
-    n1, n2 = 2 * form.value(x1, y1), 2 * form.value(x2, y2)
-    b = form.value(x1 + x2, y1 + y2) - (n1 + n2) // 2
-    det = n1 * n2 - b * b
-    bound, primitive = n1 // 2, []
-    while not primitive:
-        t_max = isqrt(2 * bound * n1 // det)
-        for t in range(-t_max, t_max + 1):
-            r = isqrt(2 * bound * n1 - det * t * t)
-            for s in range(-((r + b * t) // n1), (r - b * t) // n1 + 1):
-                x, y = s * x1 + t * x2, s * y1 + t * y2
-                if gcd(x, y) == 1:
-                    primitive.append((form.value(x, y), x, y))
-        bound *= 2
-    a_min = min(primitive)[0]
-    cands = []
-    for a, x, y in primitive:
-        if a == a_min:
-            u, v = _complete_unimodular(x, y)
-            cand = form.transform(x, u, y, v)
-            k = (cand.a - cand.b) // (2 * cand.a)
-            cands.append(BinaryForm(cand.a, cand.b + 2 * cand.a * k,
-                                    cand.a * k * k + cand.b * k + cand.c))
+    cands = [_image(form, x, y, 1) for x, y in _least_vectors(form, n_level, 1)]
     out = min(cands, key=lambda f: (abs(f.b), -f.b))
     assert out.a % n_level == 0 and out.disc() == form.disc()
     return out
+
+
+def _least_vectors(form: BinaryForm, n_level: int, q_div: int) -> list[tuple[int, int]]:
+    """The (x, y) = (Q w, -N z) with gcd(x, y / Q) = 1 at which F = form
+    takes its least value: the first columns (the bottom rows (N z, Q w)
+    read backwards) of the adjugates of W_Q Gamma_0(N), Gamma_0(N) at Q = 1.
+
+    With v1, v2 the basis (Q, 0), (0, N) of that lattice Lagrange-reduced for
+    the Gram triple (2A, B, 2C), n_i = 2F(v_i), b = v1.v2 in it and det = n1
+    n2 - b^2 > 0, n1 2F(s v1 + t v2) = (n1 s + b t)^2 + det t^2: the loops
+    visit every s v1 + t v2 with F <= bound (det t^2 <= 2 bound n1, then |n1 s
+    + b t| <= isqrt(2 bound n1 - det t^2)), for bound = F(v1), 2 F(v1), ...
+    until some pass the gcd; those include every vector of least value.  Of
+    v and -v, which give the same matrix up to sign, only the one with t > 0,
+    or t = 0 and s > 0, is visited."""
+    (x1, y1), (x2, y2) = lagrange_reduce((2 * form.a, form.b, 2 * form.c), (q_div, 0),
+                                         (0, n_level))
+    n1, n2 = 2 * form.value(x1, y1), 2 * form.value(x2, y2)
+    b = form.value(x1 + x2, y1 + y2) - (n1 + n2) // 2
+    det = n1 * n2 - b * b
+    bound, found = n1 // 2, []
+    while not found:
+        t_max = isqrt(2 * bound * n1 // det)
+        for t in range(t_max + 1):
+            r = isqrt(2 * bound * n1 - det * t * t)
+            low = -((r + b * t) // n1)
+            for s in range(low if t else max(low, 1), (r - b * t) // n1 + 1):
+                x, y = s * x1 + t * x2, s * y1 + t * y2
+                if gcd(x, y // q_div) == 1:
+                    found.append((form.value(x, y), x, y))
+        bound *= 2
+    least = min(found)[0]
+    return [(x, y) for value, x, y in found if value == least]
+
+
+def _image(form: BinaryForm, x: int, y: int, q_div: int) -> BinaryForm:
+    """The form of M tau, B in (-A, A], tau the point of F = form and M of
+    determinant Q with bottom row (-y, x), x = Q w, y = N z, gcd(x, y / Q) =
+    1: one _xgcd gives x s + (y / Q) t = 1, and the columns (x, y), (u, v) =
+    (-t, Q s) of determinant Q carry F to Q times the form (al_move)."""
+    g, s, t = _xgcd(x, y // q_div)
+    assert g == 1
+    u, v = -t, q_div * s
+    big_a, big_c = form.value(x, y), form.value(u, v)
+    big_b = 2 * (form.a * x * u + form.c * y * v) + form.b * (x * v + y * u)
+    assert big_a % q_div == 0 and big_b % q_div == 0 and big_c % q_div == 0
+    a, b, c = big_a // q_div, big_b // q_div, big_c // q_div
+    k = (a - b) // (2 * a)
+    return BinaryForm(a, b + 2 * a * k, a * k * k + b * k + c)
 
 
 def al_move(form: BinaryForm, n_level: int, q_div: int) -> tuple[int, BinaryForm]:
@@ -182,6 +200,27 @@ def al_move(form: BinaryForm, n_level: int, q_div: int) -> tuple[int, BinaryForm
     out = BinaryForm(big_a // q_div, big_b // q_div, big_c // q_div)
     assert out.a % n_level == 0 and out.disc() == form.disc()
     return k, out
+
+
+def coset_move(form: BinaryForm, n_level: int, q_div: int) -> tuple[bool, BinaryForm]:
+    """(translation, G): G the form of M tau, tau the point of the N-divisible
+    form F, for the M = (Q x, y; N z, Q w) of determinant Q whose image has
+    the least leading coefficient F(Q w, -N z) / Q, hence the greatest Im M
+    tau, among all of W_Q Gamma_0(N) (Atkin and Lehner, Math. Ann. 185,
+    1970: every such integer matrix lies in that coset).  translation is
+    True when M = +-W_Q T^k, W_Q = al_matrix(N, Q), that is z = +-1 and w =
+    z mod N/Q, which al_move already offers; ties go to such an M, then to
+    the smallest (|B|, -B).  One lagrange_reduce and a few short vectors
+    (_least_vectors), not a scan."""
+    comp = n_level // q_div
+    # off the translations unless z = -y / N = +-1 and w - z = x / Q + y / N = 0 mod N/Q
+    least = [(abs(y) != n_level or (x // q_div + y // n_level) % comp != 0, x, y)
+             for x, y in _least_vectors(form, n_level, q_div)]
+    off = min(least)[0]
+    out = min((_image(form, x, y, q_div) for o, x, y in least if o == off),
+              key=lambda f: (abs(f.b), -f.b))
+    assert out.a % n_level == 0 and out.disc() == form.disc()
+    return not off, out
 
 
 def _prime_to(form: BinaryForm, m: int) -> BinaryForm:

@@ -41,9 +41,15 @@ of determinant Q, f | W_Q = w_Q f reads Q (N tau + d)^-2 f(W_Q tau) = w_Q
 f(tau), so phi(W_Q tau) and w_Q phi(tau) have the same derivative: K_Q =
 phi(W_Q tau) - w_Q phi(tau) is a constant.  As phi has period 1, phi(tau) =
 w_Q (phi(W_Q (tau + k)) - K_Q) for every integer k, exactly: no period
-enters, unlike a move inside Gamma_0(N), which adds one.  So an orbit point
+enters, unlike a move inside Gamma_0(N), which adds one.  Every integer
+matrix M of determinant Q with Q | its diagonal and N | its lower left
+entry is W_Q gamma, gamma in Gamma_0(N) (Atkin and Lehner, Math. Ann. 185,
+1970), so phi(tau) = w_Q (phi(M tau) - K_Q) - Omega with Omega = phi(gamma
+tau) - phi(tau) a period of phi, 0 when gamma = +-T^k.  So an orbit point
 can be evaluated where Im is larger and the series shorter:
-cmtrace.experiments.orbit_options picks each point's move before any sign.
+cmtrace.experiments.orbit_options picks each point's move before any sign,
+and orbit_trace reads each nonzero Omega off the lattice, with the budget
+of a fiber's lattice vector (cmtrace.experiments docstring).
 The a_n are real, so phi(-conj tau) = conj phi(tau), and with period 1 the
 points of the forms (A, B, C) and (A, +-B mod 2A, C') share one series:
 orbit_trace evaluates one per such class of the moved points.  With

@@ -198,23 +198,25 @@ def lagrange_reduce(gram: tuple[int, int, int], v1, v2):
     section 1.3).  Returns the basis with B(v1, v1) <= B(v2, v2) and
     |B(v1, v2)| <= B(v1, v1) / 2, related to the input by a matrix of
     determinant +-1.  mu = B(v1, v2) / B(v1, v1) is rounded to the nearest
-    integer exactly, ties to even."""
+    integer exactly, ties to even.  The three products are computed once and
+    updated with each step v2 - mu v1."""
     g11, g12, g22 = gram
 
     def inner(x, y):
         return g11 * x[0] * y[0] + g12 * (x[0] * y[1] + x[1] * y[0]) + g22 * x[1] * y[1]
 
-    n1, n2 = inner(v1, v1), inner(v2, v2)
+    n1, n2, m = inner(v1, v1), inner(v2, v2), inner(v1, v2)
     while True:
         if n2 < n1:
             v1, v2, n1, n2 = v2, v1, n2, n1
-        mu, r = divmod(2 * inner(v1, v2) + n1, 2 * n1)
+        mu, r = divmod(2 * m + n1, 2 * n1)
         if r == 0 and mu % 2:
             mu -= 1
         if mu == 0:
             return v1, v2
         v2 = (v2[0] - mu * v1[0], v2[1] - mu * v1[1])
-        n2 = inner(v2, v2)
+        n2 += mu * (mu * n1 - 2 * m)
+        m -= mu * n1
 
 
 # ---------------------------------------------------------------------------

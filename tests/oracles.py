@@ -62,6 +62,9 @@ themselves, where cmtrace.experiments.orbit_trace evaluates some of them at
 W_Q (tau + k) and one series per evaluation point up to conjugation,
 w_p2_pairs the W_{p^2} pairing of the orbit found by search, where
 orbit_trace checks the finite shadow's fibers against it,
+coset_least_by_search the best point of an Atkin-Lehner coset W_Q
+Gamma_0(N) by a search of a box, where cmtrace.heegner.coset_move reads it
+off a Lagrange-reduced basis,
 orbit_values_by_fiber orbit_trace's fiber route rebuilt in kernel order,
 where orbit_trace evaluates deepest first, al_constant_by_series the constant K_Q of such a move summed
 at full precision, where cmtrace.modparam.al_constant reads it off the
@@ -109,7 +112,7 @@ from cmtrace.curves import Curve, CurveModel, an_coefficients
 from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureError, _label_entries,
                                 inverse_table)
 from cmtrace.fp import _xgcd, isprime, kronecker, smallest_nonsquare
-from cmtrace.heegner import NoHeegnerPoint, _complete_unimodular, gamma0_reduce
+from cmtrace.heegner import NoHeegnerPoint, gamma0_reduce
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
 from cmtrace.periods import PeriodLattice, _reduced_basis, nearest_vector
 from cmtrace.quadforms import (BinaryForm, KernelClass, QuadOrder,
@@ -682,6 +685,13 @@ def kernel_classes_by_reduce_form(order: QuadOrder, p: int) -> tuple[KernelClass
     return tuple(classes)
 
 
+def _complete_unimodular(x: int, y: int):
+    """(u, v) with x*v - y*u = 1 for coprime (x, y)."""
+    g, u0, v0 = _xgcd(x, y)
+    assert g == 1
+    return -v0, u0
+
+
 def gamma0_reduce_all_candidates(form: BinaryForm, n_level: int) -> BinaryForm:
     """heegner.gamma0_reduce by completing, transforming and translating every
     primitive candidate vector, not only those of minimal A."""
@@ -758,11 +768,31 @@ def orbit_trace_direct(model: CurveModel, orbit, digits: int):
         return zs, +trace
 
 
+def evaluated_moves(moves, pairs, wp: int) -> list:
+    """The move each orbit point is evaluated by in
+    cmtrace.experiments.orbit_trace: its own move at the trace precision
+    (the a of each fiber (a, b) when w_p = +1), its translation move (low,
+    or the move itself when that is one) at LAMBDA_DIGITS."""
+    full = {a for a, _ in pairs} if wp == 1 else set()
+    return [mv if i in full else mv.low or mv for i, mv in enumerate(moves)]
+
+
 def evaluation_key(form) -> tuple[tuple[int, int], tuple[int, int]]:
     """((A, B mod 2A), (A, -B mod 2A)) of an evaluation point's form: the
     points of one key are equal mod 1, those of a key and its mate are
     conjugate mod 1 (s and -conj s)."""
     return (form.a, form.b % (2 * form.a)), (form.a, -form.b % (2 * form.a))
+
+
+def coset_least_by_search(form, n_level: int, q_div: int, box: int = 20) -> int:
+    """The least leading coefficient F(Q w, -N z) / Q of the form of M tau,
+    that is the largest Im M tau, over every M = (Q x, y; N z, Q w) of
+    determinant Q with |z|, |w| <= box, found by search, where
+    cmtrace.heegner.coset_move reads it off a Lagrange-reduced basis."""
+    comp = n_level // q_div
+    return min(form.value(q_div * w, -n_level * z) // q_div
+               for z in range(-box, box + 1) for w in range(-box, box + 1)
+               if gcd(q_div * w, comp * z) == 1)
 
 
 def w_p2_pairs(model: CurveModel, orbit) -> list[tuple[int, int]]:
@@ -793,13 +823,17 @@ def orbit_values_by_fiber(model: CurveModel, moves, pairs, wp: int, lat):
     cmtrace.experiments.orbit_trace defines them, rebuilt in kernel order
     where orbit_trace evaluates deepest first.  pairs are the fibers (a, b),
     a the point of fewer terms, in order of their first point.  A pass at the
-    trace precision over the a of each fiber (none when w_p = -1), then one at
-    LAMBDA_DIGITS over the other points, evaluates phi at the point of the
-    first move of each key in kernel order with 0 <= B < 2A, only its real
-    part where the key is its own mate, and gives a later move of that key
-    the same value ("same:i") and one of its mate the conjugate ("conj:i"),
-    at the precision it was evaluated at.  Each move applies its w_Q and
-    K_Q.  A fiber whose b has only LAMBDA_DIGITS sums to (1 + w_p) z_a + K +
+    trace precision over the a of each fiber (none when w_p = -1) and its
+    move, one at LAMBDA_DIGITS over the other points and their translation
+    moves, and one at LAMBDA_DIGITS over the translation moves of the a whose
+    move is none, evaluate phi at the point of the first move of each key in
+    kernel order with 0 <= B < 2A, only its real part where the key is its
+    own mate, and give a later move of that key the same value ("same:i")
+    and one of its mate the conjugate ("conj:i"), at the precision it was
+    evaluated at.  Each move applies its w_Q and K_Q, and an a off the
+    translations subtracts the lattice vector of the rounded real
+    coordinates of its value less that of its translation move (Omega).  A
+    fiber whose b has only LAMBDA_DIGITS sums to (1 + w_p) z_a + K +
     lam, lam the lattice vector of the rounded real coordinates of z_b - w_p
     z_a - K, and with w_p = +1 z_b becomes z_a + K + lam ("fiber:a");
     otherwise it sums to z_a + z_b.  The trace sums the fibers in order."""
@@ -815,24 +849,33 @@ def orbit_values_by_fiber(model: CurveModel, moves, pairs, wp: int, lat):
             i, j, order = al_constant(lat, model.n, q_div, signs[q_div])
             return (i * lat.w1 + j * lat.w2) / order
 
+        def evaluate(i, mv, prec):
+            """(value, precision, terms, source) of point i by the move mv."""
+            key, mate = evaluation_key(mv.form)
+            if key in first:
+                j, prec, n, z = first[key]
+                source = f"same:{j}"
+            elif mate in first:
+                j, prec, n, z = first[mate]
+                z, source = mp.conj(z), f"conj:{j}"
+            else:
+                s = mp.mpc(-key[1], root) / (2 * key[0])
+                z = eval_phi(model, s, prec)
+                z = mp.mpc(z.real) if key == mate else z
+                first[key] = (i, prec, phi_terms(s.imag, prec), z)
+                n, source = first[key][2], "series"
+            z = z if mv.q == 1 else signs[mv.q] * (z - constant(mv.q))
+            return z, prec, n, source
+
         root = mp.sqrt(-moves[0].form.disc())
+        used = evaluated_moves(moves, pairs, wp)
         for prec, members in ((digits, cheap), (LAMBDA_DIGITS, rest)):
             for i in members:
-                key, mate = evaluation_key(moves[i].form)
-                if key in first:
-                    j, precs[i], terms[i], z = first[key]
-                    sources[i] = f"same:{j}"
-                elif mate in first:
-                    j, precs[i], terms[i], z = first[mate]
-                    z, sources[i] = mp.conj(z), f"conj:{j}"
-                else:
-                    s = mp.mpc(-key[1], root) / (2 * key[0])
-                    z = eval_phi(model, s, prec)
-                    z = mp.mpc(z.real) if key == mate else z
-                    first[key] = (i, prec, phi_terms(s.imag, prec), z)
-                    precs[i], terms[i], sources[i] = prec, first[key][2], "series"
-                q_div = moves[i].q
-                zs[i] = z if q_div == 1 else signs[q_div] * (z - constant(q_div))
+                zs[i], precs[i], terms[i], sources[i] = evaluate(i, used[i], prec)
+        for i in cheap:
+            if moves[i].low:
+                x, y = lattice_coords(lat, zs[i] - evaluate(i, moves[i].low, LAMBDA_DIGITS)[0])
+                zs[i] -= int(mp.nint(x)) * lat.w1 + int(mp.nint(y)) * lat.w2
         trace = mp.mpc(0)
         for a, b in pairs:
             if wp == 1 and precs[b] == digits:

@@ -398,18 +398,33 @@ def test_an_coefficients_unchanged_without_cm_shortcut(monkeypatch, cur):
 
 
 # The conductor-d^2 CM curves, d odd and below -3: 49a1, 49a2, 121b1, 361a1,
-# 1849a1, 4489a1 and 26569a1.  Their a_ell come from the Hecke character.
+# 1849a1, 4489a1 and 26569a1.  Their a_n come from the walk with the
+# Legendre symbol.
 HECKE_CURVES = [(ai, d) for ai, d in CM_CURVES if d % 2 and d < -3]
+# The curves whose units fill (O_K / f)^x: 36a1 (d = -3, f = 2 sqrt -3),
+# 27a1 and 27a3 (d = -3, f = 3), 32a1 and 32a2 (d = -4, f = (1 + i)^3).
+UNIT_CURVES = [((0, 0, 0, 0, 1), -3), ((0, 0, 1, 0, -7), -3), ((0, 0, 1, 0, 0), -3),
+               ((0, 0, 0, 4, 0), -4), ((0, 0, 0, -1, 0), -4)]
 
 
-@pytest.mark.parametrize("ai,d", HECKE_CURVES)
-def test_hecke_route_matches_char_sum_route(monkeypatch, ai, d):
-    cur = Curve(*ai)
+def _walk_rows(cur: Curve):
     m = minimal_model(cur)
-    assert curves._hecke_disc(m, {q: tate_local(m, q) for q in factorint(abs(m.disc))}) == d
-    bound = 20000 if ai in ((1, -1, 0, -2, -1), (0, -1, 1, -7, 10)) else 5000
+    return curves._hecke_rows(m, {q: tate_local(m, q) for q in factorint(abs(m.disc))})
+
+
+@pytest.mark.parametrize("ai,d", HECKE_CURVES + UNIT_CURVES)
+def test_hecke_route_matches_char_sum_route(monkeypatch, ai, d):
+    # the walk over O_K, cold and extended from a third of the bound, against
+    # the point count of every good prime
+    cur = Curve(*ai)
+    assert minimal_model(cur).cm_disc == d and _walk_rows(cur)
+    slow = ai not in ((1, -1, 0, -2, -1), (0, -1, 1, -7, 10)) and d < -4
+    bound = 5000 if slow else 20000
     monkeypatch.setattr(curves, "_an_cache", {})
     hecke = an_coefficients(cur, bound)
+    monkeypatch.setattr(curves, "_an_cache", {})
+    an_coefficients(cur, bound // 3)
+    assert an_coefficients(cur, bound) == hecke
     assert hecke == point_count_route(monkeypatch, cur, bound)
 
 
@@ -417,10 +432,12 @@ def test_hecke_route_not_taken(monkeypatch):
     e49 = Curve(1, -1, 0, -2, -1)
     twist = quadratic_twist(e49, 5)       # c4, c6 -> 25 c4, 125 c6, up to scaling
     assert (twist.cm_disc, conductor(twist)) == (-7, 1225)
-    # 36a1 (d = -3), 50a1 (no CM) and the twist (conductor 5^2 7^2)
-    for cur in (Curve(0, 0, 0, 0, 1), Curve(1, 0, 1, -1, -2), twist):
-        m = minimal_model(cur)
-        assert curves._hecke_disc(m, {q: tate_local(m, q) for q in factorint(abs(m.disc))}) == 0
+    # 50a1 (no CM), the twist (conductor 5^2 7^2), y^2 = x^3 + x (d = -4 at
+    # conductor 64, two characters) and y^2 = x^3 + 2 (d = -3 at 1728)
+    others = (Curve(1, 0, 1, -1, -2), twist, Curve(0, 0, 0, 1, 0), Curve(0, 0, 0, 0, 2))
+    assert [conductor(cur) for cur in others[2:]] == [64, 1728]
+    for cur in others:
+        assert _walk_rows(cur) is None
     counted = []
     good = curves.ap_good
 
@@ -429,9 +446,14 @@ def test_hecke_route_not_taken(monkeypatch):
         return good(cur, ell)
 
     monkeypatch.setattr(curves, "ap_good", counting)
+    for cur in others[1:]:
+        monkeypatch.setattr(curves, "_an_cache", {})
+        del counted[:]
+        a = an_coefficients(cur, 2000)
+        bad = {q for q in (2, 3, 5, 7) if conductor(cur) % q == 0}
+        assert counted == [ell for ell in primerange(2, 2001) if ell not in bad]
     monkeypatch.setattr(curves, "_an_cache", {})
     a = an_coefficients(twist, 2000)
-    assert counted == [ell for ell in primerange(2, 2001) if ell not in (5, 7)]
     a49 = an_coefficients(e49, 2000)
     for ell in primerange(2, 2001):
         if ell not in (5, 7):

@@ -15,7 +15,7 @@ from cmtrace.modparam import (K_DIGITS, SeriesBudgetError, al_constant_points,
                               atkin_lehner_sign, eval_phi, phi_terms)
 from cmtrace.periods import period_lattice
 from cmtrace.quadforms import BinaryForm, kernel_classes, order_data
-from oracles import heegner_tau, lattice_distance, orbit_values_by_fiber
+from oracles import evaluated_moves, heegner_tau, lattice_distance, orbit_values_by_fiber
 
 M49 = curve_model((1, -1, 0, -2, -1))
 M121 = curve_model((0, -1, 1, -7, 10))
@@ -442,9 +442,29 @@ def test_cold_headline_trace_counts_no_points(monkeypatch, model, dK, verdict):
     # digits; w_p = -1 on 49a1 evaluates every point at LAMBDA_DIGITS only
     assert (rep.n_max > 3000) == (rep.wp == 1)
     # the sieve up to the 200-digit plan's deepest point counts none either
-    deepest = max(mv.n_max for mv in orbit_options(model, _orbit(model, dK)[1], 200))
+    deepest = max((mv.low or mv).n_max
+                  for mv in orbit_options(model, _orbit(model, dK)[1], 200))
     assert deepest > 3000
     an_coefficients(model.minimal, deepest)
+    assert counted == []
+
+
+def test_cold_36a1_trace_counts_no_points(monkeypatch):
+    # 36a1 (d = -3, conductor 36): the six units fill (O_K / 2 sqrt -3)^x, so
+    # its a_n, the numerical w_9's newform series included, come from the walk
+    counted = []
+    count = curves._ap_count
+
+    def counting(*args):
+        counted.append(args)
+        return count(*args)
+
+    model = curve_model((0, 0, 0, 0, 1))
+    monkeypatch.setattr(curves, "_an_cache", {})
+    monkeypatch.setattr(curves, "_ap_count", counting)
+    rep = trace_point(ExperimentSpec(dK=-7, f=1, curve=model, digits=200))
+    assert rep.verdict == "non_torsion" and rep.n_max > 1000
+    assert len(curves._an_cache[model.minimal.ainvs][1]) - 1 == rep.n_max
     assert counted == []
 
 
@@ -457,7 +477,7 @@ def _orbit(model, dK, digits=60):
 
 def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
     # the trace is bit for bit its rebuild in kernel order: the values the
-    # moves prescribe, w_Q (phi(W_Q (tau + k)) - K_Q) for a moved point, one
+    # moves prescribe, w_Q (phi(M tau) - K_Q) - Omega for a moved point, one
     # series per evaluation point and precision up to conjugation, and each
     # fiber's sum, z_a + z_b or (1 + w_p) z_a + K_{p^2} + lam, however the
     # evaluations were ordered
@@ -475,28 +495,32 @@ def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
         # grows differently from orbit_trace's deepest-first order
         assert len(set(terms)) > 1 and terms[0] < max(terms)
         assert {mv.q for mv in moves} > {1}               # some points move, some stay
-        pairs = [tuple(sorted(pair, key=lambda i: (terms[i], i)))
+        pairs = [tuple(sorted(pair, key=lambda i: (terms[i], moves[i].low is not None, i)))
                  for pair in fiber_pairs(model, orbit, shadow)]
+        used = evaluated_moves(moves, pairs, wp)
+        reads = {moves[a].low.q for a, _ in pairs if wp == 1 and moves[a].low}
         # kernel order, the sieve grows with each series
         zs, precs, sources, series_terms, in_order = orbit_values_by_fiber(
             model, moves, pairs, wp, lat)
         assert 1 < sources.count("series") < len(moves)
         reads_lam = wp == -1 or any(source.startswith("fiber:") for source in sources)
-        qs = sorted({mv.q for mv in moves} - {1} | ({model.p ** 2} if reads_lam else set()))
+        qs = sorted(({mv.q for mv in used} | reads) - {1}
+                    | ({model.p ** 2} if reads_lam else set()))
         assert [c[0] for c in constants] == qs
         k_terms = [phi_terms(pts[0][1].imag, K_DIGITS) for q_div, w, *_ in constants
                    if (pts := al_constant_points(model.n, q_div, w, K_DIGITS))]
         assert n_max == max(series_terms + k_terms)
         assert [(e.digits, e.q, e.n_max, e.source) for e in entries] == [
             (prec, mv.q, n, source)
-            for prec, mv, n, source in zip(precs, moves, series_terms, sources)]
+            for prec, mv, n, source in zip(precs, used, series_terms, sources)]
         assert (trace_z.real, trace_z.imag) == (in_order.real, in_order.imag)
 
 
 def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
     digits = 60
     shadow, orbit = _orbit(M121, -67)
-    deepest = max(mv.n_max for mv in orbit_options(M121, orbit, digits))
+    # the budget binds the translation moves, whose values the reads of Omega need
+    deepest = max((mv.low or mv).n_max for mv in orbit_options(M121, orbit, digits))
     with mp.workdps(digits + 15):
         unmoved = max(phi_terms(heegner_tau(pt, digits).imag, digits) for pt in orbit)
     assert deepest < unmoved                   # the cap below binds only after the moves

@@ -25,13 +25,13 @@ from sympy import primefactors, primerange
 
 from cmtrace.finite import ExperimentSpec, experiment_finite
 from cmtrace.fp import kronecker
-from cmtrace.heegner import (_complete_unimodular, galois_orbit, gamma0_reduce,
-                             heegner_form)
+from cmtrace.heegner import galois_orbit, gamma0_reduce, heegner_form
 from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes,
                                lagrange_reduce, order_data, reduce_form)
-from oracles import (compose, form_inverse, galois_orbit_by_lattices, gamma0_reduce_all_candidates,
-                     generator_ideal, generator_ideal_by_intersection, involution_class,
-                     kernel_classes_by_hnf, principal_form, project_form, proj_mul, proj_params)
+from oracles import (_complete_unimodular, compose, form_inverse, galois_orbit_by_lattices,
+                     gamma0_reduce_all_candidates, generator_ideal,
+                     generator_ideal_by_intersection, involution_class, kernel_classes_by_hnf,
+                     principal_form, project_form, proj_mul, proj_params)
 
 CASES = [(dK, f, p)
          for dK in range(-200, -6) if is_fundamental_discriminant(dK)

@@ -24,16 +24,17 @@ from cmtrace.experiments import (LAMBDA_DIGITS, ExperimentSpec, FiberPairingErro
                                  experiment_finite, fiber_pairs, orbit_options, orbit_trace,
                                  trace_point)
 from cmtrace.fp import kronecker
-from cmtrace.heegner import al_move, galois_orbit, heegner_form
+from cmtrace.heegner import al_move, coset_move, galois_orbit, heegner_form
 from cmtrace.modparam import (GUARD, K_DIGITS, MAZUR_ORDERS, NMAX_CAP, AlConstantError,
                               al_constant, al_constant_points, al_matrix, atkin_lehner_sign,
                               eval_newform, eval_phi, phi_terms)
 from cmtrace.periods import is_torsion, locate, period_lattice, torsion_residual
 from cmtrace.quadforms import (is_fundamental_discriminant, kernel_classes, order_data,
                                reduced_forms)
-from oracles import (al_constant_by_series, eval_series_direct, evaluation_key,
-                     galois_orbit_by_lattices, heegner_tau, lattice_reduce, orbit_trace_direct,
-                     orbit_values_by_fiber, phi_terms_mp, w_p2_pairs)
+from oracles import (al_constant_by_series, coset_least_by_search, eval_series_direct,
+                     evaluated_moves, evaluation_key, galois_orbit_by_lattices, heegner_tau,
+                     lattice_reduce, orbit_trace_direct, orbit_values_by_fiber, phi_terms_mp,
+                     w_p2_pairs)
 
 # the five curves of the trace catalogue, with the modes the suite uses
 CURVES = {
@@ -207,6 +208,61 @@ def test_al_move_is_the_moebius_image_with_the_largest_imaginary_part(label, dK,
                 assert moved[1].imag >= max(moved[0].imag, moved[2].imag)
 
 
+def test_coset_move_reaches_the_largest_imaginary_part_of_the_coset():
+    # every 50b1 and 36a1 point at 60 digits: coset_move finds the best M of
+    # W_Q Gamma_0(N) that a search of |z|, |w| <= 20 finds; at Q = p^2 that
+    # is the fiber mate's own orbit form, so orbit_options leaves p^2 out,
+    # and moves to the best of the other Q unless reading Omega would cost
+    # more terms than it saves
+    digits, moved = 60, Counter()
+    for label, dK, f in CATALOGUE:
+        if label not in ("50b1", "36a1"):
+            continue
+        model, _, orbit = _orbit(label, dK, f)
+        moves = orbit_options(model, orbit, digits)
+        p2 = model.p ** 2
+        with mp.workdps(digits + 15):
+            root = mp.sqrt(-orbit[0].disc())
+        mates = {i: j for pair in w_p2_pairs(model, orbit) for i, j in (pair, pair[::-1])}
+        for i, (pt, mv) in enumerate(zip(orbit, moves)):
+            least = {}
+            for q_div, _ in al_signs(model):
+                translation, image = coset_move(pt, model.n, q_div)
+                assert image.a == coset_least_by_search(pt, model.n, q_div), (label, pt, q_div)
+                assert translation == (image.a == al_move(pt, model.n, q_div)[1].a)
+                least[q_div] = image.a
+            assert least[p2] == orbit[mates[i]].a
+            others = [a for q, a in least.items() if q != p2]
+            if not others:                  # 36a1: al_signs offers Q = 9 = p^2 alone
+                assert mv.low is None
+                continue
+            best = phi_terms(root / (2 * min(others)), digits)
+            low = mv.low or mv
+            read = phi_terms(root / (2 * low.form.a), LAMBDA_DIGITS)
+            if mv.low:
+                assert mv.n_max == best and mv.form.a == least[mv.q]
+                moved[label] += 1
+            else:
+                assert best == mv.n_max or best + read >= mv.n_max, (label, pt)
+    assert moved == {"50b1": 24}
+
+
+def test_a_period_off_by_one_makes_the_read_of_omega_raise(monkeypatch):
+    # 50b1/-7/3 evaluates two points off the translations at the trace
+    # precision; a nearest vector one period off misses the read, which runs
+    # before any fiber's
+    model, shadow, orbit = _orbit("50b1", -7, 3)
+    moves = orbit_options(model, orbit, 60)
+    lat = period_lattice(model.minimal, 60)
+    nearest = experiments.nearest_vector
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "nearest_vector",
+                      lambda lat, z: (nearest(lat, z)[0], nearest(lat, z)[1] + 1))
+        with pytest.raises(FiberPairingError, match="the period of its W_.* move misses"):
+            orbit_trace(model, orbit, shadow, moves, _wp("50b1"), lat)
+    orbit_trace(model, orbit, shadow, moves, _wp("50b1"), lat)
+
+
 @pytest.mark.parametrize("label,q_div",
                          [(label, q) for label in CURVES for q, _ in al_signs(MODELS[label])])
 @settings(max_examples=6, deadline=None)
@@ -272,7 +328,8 @@ def _reads_lam(rep) -> bool:
 
 
 def test_the_report_lists_each_constant_it_used():
-    # K_Q of each move, and K_{p^2} when some fiber reads its lattice vector
+    # K_Q of each move and of each read of Omega, and K_{p^2} when some fiber
+    # reads its lattice vector
     rep = trace_point(ExperimentSpec(dK=-11, f=1, curve=MODELS["49a1"], digits=60))
     assert rep.to_json()["constants"] == [{"Q": 49, "w": -1, "i": 1, "j": 0, "n": 2}]
     rep = trace_point(ExperimentSpec(dK=-7, f=1, curve=MODELS["50b1"], digits=60))
@@ -282,17 +339,26 @@ def test_the_report_lists_each_constant_it_used():
     firsts = {}
     for label, dK, f in CATALOGUE + W9_CASES:
         firsts.setdefault(label, (dK, f))
+    firsts["50b1/3"] = (-7, 3)                      # a trace that reads Omega
     for label, (dK, f) in firsts.items():
-        rep = trace_point(ExperimentSpec(dK=dK, f=f, curve=MODELS[label], digits=60))
-        lam = {MODELS[label].p ** 2} if _reads_lam(rep) else set()
-        assert {q for q, *_ in rep.constants} == {e.q for e in rep.orbit} - {1} | lam, label
+        model, _, orbit = _orbit(label.split("/")[0], dK, f)
+        rep = trace_point(ExperimentSpec(dK=dK, f=f, curve=model, digits=60))
+        lam = {model.p ** 2} if _reads_lam(rep) else set()
+        # the translation move of each trace-precision point that reads Omega
+        moves = orbit_options(model, orbit, 60)
+        full = {a for a, _ in _cheaper_first(w_p2_pairs(model, orbit), moves)}
+        reads = {moves[a].low.q for a in full if moves[a].low and rep.wp == 1}
+        assert reads or label != "50b1/3"
+        assert {q for q, *_ in rep.constants} == ({e.q for e in rep.orbit} | reads) - {1} | lam
     # no 50b1 orbit moves by W_2, whose constant also has order 5
     assert al_constant(period_lattice(MODELS["50b1"].minimal, 60), 50, 2, -1)[2] == 5
 
 
 def _cheaper_first(pairs, moves) -> list:
-    """Each pair (a, b) with a the point of fewer terms, the first on a tie."""
-    return [tuple(sorted(pair, key=lambda i: (moves[i].n_max, i))) for pair in pairs]
+    """Each pair (a, b) with a the point of fewer terms, a translation move
+    (no period to read) then the first on a tie."""
+    return [tuple(sorted(pair, key=lambda i: (moves[i].n_max, moves[i].low is not None, i)))
+            for pair in pairs]
 
 
 def _evaluation_classes(model, orbit, moves, wp: int) -> tuple[int, int]:
@@ -302,11 +368,12 @@ def _evaluation_classes(model, orbit, moves, wp: int) -> tuple[int, int]:
     other points whose key the first set lacks."""
     cheap = {a for a, _ in _cheaper_first(w_p2_pairs(model, orbit), moves)} if wp == 1 else set()
 
-    def key(i):
-        return frozenset(evaluation_key(moves[i].form))
+    def key(mv):
+        return frozenset(evaluation_key(mv.form))
 
-    full = {key(i) for i in cheap}
-    return len(full), len({key(i) for i in range(len(orbit)) if i not in cheap} - full)
+    full = {key(moves[i]) for i in cheap}
+    low = {key(mv.low or mv) for i, mv in enumerate(moves) if i not in cheap}
+    return len(full), len((low | {key(moves[i].low) for i in cheap if moves[i].low}) - full)
 
 
 def test_no_constant_point_is_evaluated_at_the_trace_precision(monkeypatch):
@@ -375,8 +442,9 @@ def _check_against_direct(label, dK, f, digits):
         here, direct = locate(lat, trace_z), locate(lat, trace_direct)
         assert is_torsion(here) == is_torsion(direct)
         assert abs(torsion_residual(here) - torsion_residual(direct)) < tol
+    used = evaluated_moves(moves, pairs, wp)
     assert [(e.digits, e.q, e.n_max, e.source) for e in entries] == [
-        (prec, mv.q, n, source) for prec, mv, n, source in zip(precs, moves, terms, sources)]
+        (prec, mv.q, n, source) for prec, mv, n, source in zip(precs, used, terms, sources)]
     assert [e.z for e in entries] == [
         (mp.nstr(z.real, min(prec, 30)), mp.nstr(z.imag, min(prec, 30)))
         for z, prec in zip(zs, precs)]
@@ -392,7 +460,7 @@ def _check_against_direct(label, dK, f, digits):
             assert e.form == tuple(pt) and tau.imag > 0
             bound = abs(2 * a * tau + b) * abs(tau) * mp.mpf(10) ** (1 - printed)
             assert abs((a * tau + b) * tau + c) <= bound, (label, dK, f, e.form, e.tau)
-    return [mv.q for mv in moves], sources
+    return [mv.q for mv in used], sources
 
 
 def test_orbit_values_match_the_direct_route_on_the_catalogue_at_60_digits():
@@ -474,8 +542,10 @@ def test_the_catalogue_evaluates_219_series_for_1040_points_at_60_digits(monkeyp
         points += len(entries)
         series.update({60: full, LAMBDA_DIGITS: low})
         sources.update((e.source.split(":")[0], e.digits, _wp(label)) for e in entries)
-    assert (calls.count(60), calls.count(LAMBDA_DIGITS), points) == (219, 320, 1040)
-    assert series == {60: 219, LAMBDA_DIGITS: 320}          # as the reports count them
+    # 320 LAMBDA_DIGITS series for the points, and 8 more where a 50b1 point's
+    # move off the translations reads Omega at its translation move
+    assert (calls.count(60), calls.count(LAMBDA_DIGITS), points) == (219, 328, 1040)
+    assert series == {60: 219, LAMBDA_DIGITS: 328}          # as the reports count them
     # (kind, digits, w_p): 620 points of w_p = +1 orbits, 219 + 70 + 155 of
     # them at the trace precision from a series and 176 from a fiber mate
     # (their lam from 104 series at LAMBDA_DIGITS), and 420 of w_p = -1 orbits
@@ -526,10 +596,13 @@ def test_a_point_shares_its_series_with_its_translates_and_its_mirror(n_level, m
         if b % a == 0:                                  # self-conjugate: a real value
             assert abs(z.imag) < proven
 def _moved_terms(label, moves) -> int:
-    """Series terms the moves evaluate, each K_Q used at its K_DIGITS cost."""
+    """Series terms the moves evaluate, each read of Omega at its
+    LAMBDA_DIGITS cost and each K_Q used at its K_DIGITS cost."""
     model, signs = MODELS[label], dict(_signs(label))
+    reads = [mv.low for mv in moves if mv.low]
     terms = sum(mv.n_max for mv in moves)
-    for q_div in {mv.q for mv in moves} - {1}:
+    terms += sum(phi_terms(heegner_tau(low.form, 30).imag, LAMBDA_DIGITS) for low in reads)
+    for q_div in {mv.q for mv in moves + tuple(reads)} - {1}:
         pts = al_constant_points(model.n, q_div, signs[q_div], K_DIGITS)
         terms += phi_terms(pts[0][1].imag, K_DIGITS) * len(pts) if pts else 0
     return terms
@@ -537,7 +610,7 @@ def _moved_terms(label, moves) -> int:
 
 @pytest.mark.parametrize("digits", [60, 200])
 def test_plan_never_evaluates_more_terms_than_the_direct_route(digits):
-    planned, direct = {}, {}
+    planned, direct, reads = {}, {}, {}
     for label, dK, f in CATALOGUE:
         model, _, orbit = _orbit(label, dK, f)
         moves = orbit_options(model, orbit, digits)
@@ -547,16 +620,27 @@ def test_plan_never_evaluates_more_terms_than_the_direct_route(digits):
         terms = _moved_terms(label, moves)
         assert terms <= sum(unmoved), (label, dK, f)
         planned[label] = planned.get(label, 0) + terms
+        reads[label] = reads.get(label, 0) + sum(
+            phi_terms(heegner_tau(mv.low.form, 30).imag, LAMBDA_DIGITS) for mv in moves if mv.low)
         direct[label] = direct.get(label, 0) + sum(unmoved)
     for label in ("49a1", "121b1", "50a1", "50b1"):
         assert planned[label] < 0.9 * direct[label]
-    assert planned["36a1"] == direct["36a1"]        # W_9 lowers none of its A
+    # W_9 T^k lowers none of 36a1's A; the rest of W_9 Gamma_0(36) lowers
+    # some, but only to the fiber mate's own A, which orbit_options leaves out
+    assert planned["36a1"] == direct["36a1"]
+    if digits == 200:
+        # 50b1 planned 215,699 terms with translation moves alone: the moves
+        # into the whole coset and their constants take 0.61 of that, and
+        # with the reads of Omega at LAMBDA_DIGITS 0.67
+        assert planned["50b1"] - reads["50b1"] <= 0.65 * 215_699
+        assert planned["50b1"] <= 0.67 * 215_699
 
 
 @pytest.mark.parametrize("digits", [60, 200])
 def test_phi_terms_in_doubles_equals_the_30_digit_count_on_the_catalogue(monkeypatch, digits):
     # every Im tau orbit_options prices on the catalogue: orbit points, their
-    # W_Q images, and the K_Q points at K_DIGITS
+    # W_Q images, the K_Q points at K_DIGITS, and the translation moves at
+    # LAMBDA_DIGITS where a coset move would read Omega there
     priced = set()
 
     def recording(im_tau, d):
@@ -568,7 +652,7 @@ def test_phi_terms_in_doubles_equals_the_30_digit_count_on_the_catalogue(monkeyp
         for label, dK, f in CATALOGUE:
             model, _, orbit = _orbit(label, dK, f)
             orbit_options(model, orbit, digits)
-    assert len(priced) > 600 and {d for _, d in priced} == {digits, K_DIGITS}
+    assert len(priced) > 600 and {d for _, d in priced} == {digits, K_DIGITS, LAMBDA_DIGITS}
     for im_tau, d in priced:
         want = phi_terms_mp(im_tau, d)
         assert experiments._terms(im_tau, d) == (want, want <= NMAX_CAP), im_tau
@@ -578,9 +662,10 @@ def test_phi_terms_in_doubles_equals_the_30_digit_count_on_the_catalogue(monkeyp
 def test_cold_trace_with_constants_extends_the_sieve_once(monkeypatch, label, dK):
     # the orbit's evaluations at every precision, the K_Q points at K_DIGITS
     # among them, extend the sieve at most once; before them only a numerical
-    # w_p (1,-1,0,0,-5 is additive at 3) evaluates a series, the newform's,
-    # and there the orbit (w_p = -1, every point at LAMBDA_DIGITS) needs fewer
-    # terms still, so the cold trace extends the sieve once in all
+    # w_p (1,-1,0,0,-5 is additive at 3) evaluates a series, the newform's at
+    # K_DIGITS, whose 196 terms the orbit (w_p = -1, every point at
+    # LAMBDA_DIGITS) extends once more, to its own 255: no a_n past the
+    # orbit's deepest series
     calls, signed = [], []
     extended, sign = curves._extended, experiments.atkin_lehner_sign
 
@@ -601,7 +686,7 @@ def test_cold_trace_with_constants_extends_the_sieve_once(monkeypatch, label, dK
     k = signed[0]
     assert k == (label in W9_CURVES)
     if k:
-        assert calls == [(1, 450)] and rep.n_max == 255
+        assert calls == [(1, 196), (196, 255)] and rep.n_max == 255
     else:
         assert calls == [(1, rep.n_max)]
     assert {e.q for e in rep.orbit} > {1}

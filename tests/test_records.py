@@ -35,7 +35,7 @@ def _samples() -> dict:
         "ExperimentSpec": spec,
         "FiniteReport": shadow,
         "OrbitEntry": entry,
-        "OrbitMove": OrbitMove(q=1, form=heegner_form(121, -67, 11), n_max=812),
+        "OrbitMove": OrbitMove(q=1, form=heegner_form(121, -67, 11), n_max=812, low=None),
         "TraceReport": TraceReport(
             spec=spec, wp=1, orbit=(entry,), trace_z=mp.mpc(1, -2), residual=mp.mpf(0.5),
             verdict="torsion", recognized=(x, x), n_max=812, finite_shadow=shadow,
@@ -48,7 +48,8 @@ def _samples() -> dict:
 SAMPLES = _samples()
 
 # the repr of each sample, recorded when the records were frozen dataclasses;
-# LocalData and OrbitMove since have the fields their readers use
+# LocalData and OrbitMove since have the fields their readers use, and
+# OrbitMove the translation move (low) of a move into the whole coset
 DATACLASS_REPRS = {
     "Curve": 'Curve(a1=0, a2=-1, a3=1, a4=-7, a6=10)',
     "LocalData": "LocalData(q=11, v_disc=2, f=2, reduction='additive')",
@@ -69,7 +70,7 @@ DATACLASS_REPRS = {
     "OrbitEntry": (
         "OrbitEntry(proj=(1, 0), form=(121, 109, 25), tau='(-0.45, 0.0338)', z=('0.5', "
         "'-0.25'), digits=30, q=1, n_max=812, source='series')"),
-    "OrbitMove": 'OrbitMove(q=1, form=BinaryForm(a=121, b=121, c=47), n_max=812)',
+    "OrbitMove": 'OrbitMove(q=1, form=BinaryForm(a=121, b=121, c=47), n_max=812, low=None)',
     "TraceReport": (
         'TraceReport(spec=ExperimentSpec(dK=-7, f=1, curve=None, p=5, digits=60, '
         "mode='finite_only'), wp=1, orbit=(OrbitEntry(proj=(1, 0), form=(121, 109, 25), "
