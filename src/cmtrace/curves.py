@@ -110,7 +110,6 @@ class Curve(namedtuple("Curve", "a1 a2 a3 a4 a6")):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        assert 4 * self.b8 == self.b2 * self.b6 - self.b4 * self.b4
         if self.disc == 0:
             raise InputError("singular Weierstrass equation")
         return self

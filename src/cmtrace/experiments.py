@@ -29,9 +29,10 @@ the fiber sums to (1 + w_p) z_i + K_{p^2} + lam: that is K_{p^2} + lam
 when w_p = -1, with no series at the trace precision, and when w_p = +1
 only the point of fewer terms is evaluated at the trace precision.
 
-Reading lam.  orbit_trace takes the lattice vector lam nearest to v = z_j -
-w_p z_i - K_{p^2} (periods.nearest_vector), with z_j, and z_i when w_p =
--1, evaluated at LAMBDA_DIGITS = 5, and accepts it only when |v - lam| <=
+Reading lam.  orbit_trace reads lam off v = z_j - w_p z_i - K_{p^2}, with
+z_j, and z_i when w_p = -1, evaluated at LAMBDA_DIGITS = 5, as every
+lattice vector is read (periods.read_vector; 2520 K_Q too, modparam
+docstring): the nearest lattice vector, accepted only when |v - lam| <
 LAMBDA_BUDGET = 10^-9 < |b1| / 2, b1 the shortest lattice vector.  A
 LAMBDA_DIGITS value errs by less than 10^-10.  The series at the point it is
 given errs by under 10^-15 (tail) plus 10^-20 (rounding; modparam
@@ -44,9 +45,8 @@ within the series budget at the trace precision, at least TRACE_MIN_DIGITS
 = 15, so NMAX_CAP >= (15 + 10) ln 10 / t and t >= 5.7 10^-5, which bounds
 that by 3.4 10^-11.  A value at the trace precision errs by less than
 10^-(digits+5) the same way, and K_{p^2}, w_Q and each K_Q of a move are
-exact, so v is within 2.1 10^-10 of the true lam*.  Then lam* is the
-nearest vector and passes the check, and a lam that passes is lam*: |lam -
-lam*| < 2 LAMBDA_BUDGET < |b1|.
+exact, so v is within 2.1 10^-10 of the true lam*, and the read returns
+lam* (periods docstring).
 So the fiber sum is exact up to the trace-precision value of z_i, and z_j
 = z_i + K_{p^2} + lam at w_p = +1 is known to the trace precision; at w_p =
 -1 each point's own value is known to LAMBDA_DIGITS, which its entry states.
@@ -65,14 +65,14 @@ translation moves W_Q (tau + k).  M tau has the leading coefficient F(Q w,
 definite form F(Q w, -N z) with gcd(Q w, (N/Q) z) = 1 (heegner.coset_move).
 orbit_trace reads Omega as it reads lam: v = w_Q (phi(M tau) - K_Q) - z5,
 z5 the point's value by its translation move at LAMBDA_DIGITS, and Omega is
-the nearest lattice vector to v, accepted only when |v - Omega| <=
-LAMBDA_BUDGET < |b1| / 2.  The budget above holds unchanged: phi(M tau) is
-known to the trace precision, every K_Q is exact, and the translation move
-is within the series budget at the trace precision, so z5 errs by less
-than 10^-10, as above, and v is within 1.1 10^-10 of Omega; a vector that
-passes is Omega, and one that fails raises FiberPairingError.  A point
-evaluated at LAMBDA_DIGITS keeps its translation move, since a read there
-would cost as much as the series it saves.
+read off v against LAMBDA_BUDGET.  The budget above holds unchanged:
+phi(M tau) is known to the trace precision, every K_Q is exact, and the
+translation move is within the series budget at the trace precision, so
+z5 errs by less than 10^-10, as above, and v is within 1.1 10^-10 of
+Omega: the read returns Omega, and one that fails raises
+FiberPairingError.  A point evaluated at LAMBDA_DIGITS keeps its
+translation move, since a read there would cost as much as the series it
+saves.
 """
 
 from __future__ import annotations
@@ -90,15 +90,12 @@ from .errors import FiberPairingError, InputError
 from .finite import ExperimentSpec, FiniteReport, experiment_finite
 from .fp import factorint
 from .heegner import al_move, coset_move, galois_orbit, heegner_form
-from .modparam import (GUARD, K_DIGITS, SeriesBudgetError, al_constant, al_constant_points,
-                       atkin_lehner_sign, eval_phi, local_sign, phi_terms)
-from .periods import (PeriodLattice, _reduced_basis, elliptic_exp, is_torsion, locate,
-                      nearest_vector, period_lattice, torsion_residual)
+from .modparam import (GUARD, LAMBDA_BUDGET, LAMBDA_DIGITS, SeriesBudgetError, al_constant,
+                       al_constant_points, atkin_lehner_sign, eval_phi, local_sign, phi_terms)
+from .periods import (PeriodLattice, elliptic_exp, is_torsion, locate, period_lattice,
+                      read_vector, torsion_residual)
 from .quadforms import class_number, reduce_form
 from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
-
-LAMBDA_DIGITS = 5           # the values a fiber's lattice vector is read from (module docstring)
-LAMBDA_BUDGET = 1e-9
 
 
 class OrbitEntry(namedtuple("OrbitEntry", "proj form tau z digits q n_max source")):
@@ -198,7 +195,7 @@ def orbit_options(model: CurveModel, orbit, digits: int) -> tuple[OrbitMove, ...
     option within the budget, tau itself on a tie, among tau (q = 1) and its
     best W_Q (tau + k) for each Q of al_signs(model) whose leading
     coefficient is smaller and whose K_Q points need at most NMAX_CAP terms
-    at K_DIGITS.  K_Q is exact and costs one short evaluation (modparam
+    at LAMBDA_DIGITS.  K_Q is exact and costs one short evaluation (modparam
     docstring), so no sign enters the choice and trace_point runs this
     before atkin_lehner_sign.  The move is the best point of the whole
     coset W_Q Gamma_0(N) for those Q but p^2 (heegner.coset_move, the least
@@ -214,8 +211,8 @@ def orbit_options(model: CurveModel, orbit, digits: int) -> tuple[OrbitMove, ...
     as orbit_trace computes tau.  SeriesBudgetError, with the least n_max
     any translation move has, when some point has no option within the
     budget: a read of Omega needs the translation within it."""
-    with mp.workdps(K_DIGITS + GUARD):
-        qs = [q for q, _ in al_signs(model) if _terms(mp.sqrt(q) / model.n, K_DIGITS)[1]]
+    with mp.workdps(LAMBDA_DIGITS + GUARD):
+        qs = [q for q, _ in al_signs(model) if _terms(mp.sqrt(q) / model.n, LAMBDA_DIGITS)[1]]
     picks, p2 = [], model.p ** 2
     # w_p = -1 from local data: every point is evaluated at LAMBDA_DIGITS
     cosets_wanted = dict(al_signs(model))[p2] != -1
@@ -224,7 +221,7 @@ def orbit_options(model: CurveModel, orbit, digits: int) -> tuple[OrbitMove, ...
         for pt in orbit:
             opts = [(*_terms(root / (2 * pt.a), digits), 1, pt)]
             for q_div in qs:
-                _, form = al_move(pt, model.n, q_div)
+                form = al_move(pt, model.n, q_div)
                 if form.a < pt.a:
                     opts.append((*_terms(root / (2 * form.a), digits), q_div, form))
             n, ok, q_div, form = min(opts, key=lambda o: (o[0], o[2]))
@@ -255,7 +252,7 @@ def fiber_pairs(model: CurveModel, orbit, shadow: FiniteReport) -> tuple[tuple[i
     n, p2 = model.n, model.p ** 2
     pairs = sorted(tuple(sorted(index[u] for u in members)) for members in shadow.fibers.values())
     for i, j in pairs:
-        image, mate = al_move(orbit[i], n, p2)[1], orbit[j]
+        image, mate = al_move(orbit[i], n, p2), orbit[j]
         if (image.b - mate.b) % (2 * n) or reduce_form(image) != reduce_form(mate):
             raise FiberPairingError(f"W_{p2} does not send orbit point {i} to the "
                                     f"Gamma_0({n}) class of its fiber mate {j}")
@@ -270,8 +267,8 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
     in place of a None sign of al_signs and each K_Q = (i w1 + j w2) / n on
     lat (al_constant).  A point evaluated at the trace precision takes its
     move; one whose move is off the translations (move.low) also takes its
-    translation move at LAMBDA_DIGITS, and Omega is the lattice vector read
-    off the difference, checked against LAMBDA_BUDGET (module docstring).  A
+    translation move at LAMBDA_DIGITS, and Omega is read off the difference
+    against LAMBDA_BUDGET (periods.read_vector, module docstring).  A
     point evaluated at LAMBDA_DIGITS takes its translation move, Omega = 0.
 
     Each fiber (a, b) of fiber_pairs, a the point with fewer terms (a
@@ -280,8 +277,7 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
     is evaluated at the trace precision when w_p = +1, b's value z_b = z_a +
     K_{p^2} + lam ("fiber:a"), and with w_p = -1 both are evaluated at
     LAMBDA_DIGITS only.  lam is read off b's LAMBDA_DIGITS value (and a's
-    when w_p = -1), and the fiber is rejected unless w_p z_a + K_{p^2} + lam
-    is within LAMBDA_BUDGET of it.
+    when w_p = -1) by periods.read_vector, against LAMBDA_BUDGET.
 
     One series serves each evaluation point up to conjugation.  The a_n are
     real, so phi(-conj s) = conj phi(s), and phi has period 1.  The point
@@ -302,7 +298,7 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
     n_max, and at each precision the first point of each in kernel order is
     the one evaluated.
 
-    The evaluations at every precision, the K_Q points at K_DIGITS included,
+    The evaluations at every precision, the K_Q points included,
     run from the most terms down: the a_n sieve is extended once.  Each value
     depends only on (s, digits, a[0..n_max]), so the order changes nothing.
     Returns the entries, the trace, the most terms evaluated, (Q, w_Q, i, j,
@@ -342,8 +338,8 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
         reads_lam = any(precs[b] < digits for _, b in pairs)
         qs = {mv.q for mv in used} | {moves[i].low.q for i in reads}
         for q_div in sorted(qs - {1} | ({p2} if reads_lam else set())):
-            pts = al_constant_points(model.n, q_div, signs[q_div], K_DIGITS)
-            jobs.append((phi_terms(pts[0][1].imag, K_DIGITS) if pts else 0, q_div))
+            pts = al_constant_points(model.n, q_div, signs[q_div], LAMBDA_DIGITS)
+            jobs.append((phi_terms(pts[0][1].imag, LAMBDA_DIGITS) if pts else 0, q_div))
         values, exact = {}, {}
         for _, job in sorted(jobs, key=lambda j: -j[0]):
             if isinstance(job, int):
@@ -359,30 +355,20 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
             return z if mv.q == 1 else signs[mv.q] * (z - consts[mv.q])
 
         zs = [value(mv, key, conj) for mv, (key, conj, *_) in zip(used, plans)]
-        half = abs(_reduced_basis(lat)[0]) / 2
         for i, (key, conj, *_) in zip(reads, read_plans):
-            v = zs[i] - value(moves[i].low, key, conj)                 # Omega, read
-            omega = nearest_vector(lat, v)
-            miss = abs(v - omega[0] * lat.w1 - omega[1] * lat.w2)
-            if not miss <= LAMBDA_BUDGET < half:
-                raise FiberPairingError(
-                    f"orbit point {i}: the period of its W_{moves[i].q} move misses its "
-                    f"{LAMBDA_DIGITS}-digit value by {mp.nstr(miss, 3)}, against "
-                    f"{LAMBDA_BUDGET:.2g} and |b1| / 2 = {mp.nstr(half, 3)}")
-            zs[i] -= omega[0] * lat.w1 + omega[1] * lat.w2
+            x, y = read_vector(lat, zs[i] - value(moves[i].low, key, conj), LAMBDA_BUDGET,
+                               FiberPairingError, f"orbit point {i}: the {LAMBDA_DIGITS}-digit "
+                               f"read of the period of its W_{moves[i].q} move")
+            zs[i] -= x * lat.w1 + y * lat.w2                              # Omega
         trace_z = mp.mpc(0)
         for a, b in pairs:               # fixed order of the fibers' first points
             if precs[b] == digits:
                 trace_z += zs[a] + zs[b]
                 continue
-            i, j = nearest_vector(lat, zs[b] - wp * zs[a] - consts[p2])
-            shift = consts[p2] + i * lat.w1 + j * lat.w2         # K_{p^2} + lam
-            miss = abs(wp * zs[a] + shift - zs[b])
-            if not miss <= LAMBDA_BUDGET < half:
-                raise FiberPairingError(
-                    f"orbit points {a} and {b}: w_p z_a + K_{p2} + lam misses the mate's "
-                    f"{LAMBDA_DIGITS}-digit value by {mp.nstr(miss, 3)}, against "
-                    f"{LAMBDA_BUDGET:.2g} and |b1| / 2 = {mp.nstr(half, 3)}")
+            x, y = read_vector(lat, zs[b] - wp * zs[a] - consts[p2], LAMBDA_BUDGET,
+                               FiberPairingError, f"orbit points {a} and {b}: the "
+                               f"{LAMBDA_DIGITS}-digit read of lam")
+            shift = consts[p2] + x * lat.w1 + y * lat.w2         # K_{p^2} + lam
             trace_z += (1 + wp) * zs[a] + shift
             if wp == 1:
                 zs[b], precs[b], sources[b] = zs[a] + shift, digits, f"fiber:{a}"
@@ -422,8 +408,8 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     t_finite = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # a sign is +-1: a numerical w_p (additive at 3) needs only K_DIGITS
-    wp = atkin_lehner_sign(model.minimal, model.n, model.p * model.p, K_DIGITS)
+    # a sign is +-1: a numerical w_p (additive at 3) needs only LAMBDA_DIGITS
+    wp = atkin_lehner_sign(model.minimal, model.n, model.p * model.p, LAMBDA_DIGITS)
     timings = {"atkin_lehner": time.perf_counter() - t0, "finite_layer": t_finite}
 
     t0 = time.perf_counter()

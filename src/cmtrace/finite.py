@@ -25,6 +25,7 @@ from .quadforms import kernel_classes, order_data
 MODES = ("signo_minus", "main_plus", "finite_only")
 DEFAULT_DIGITS = 60
 DIGITS_CAP = 200            # the largest working precision any run accepts
+P_CAP = 10 ** 6             # the finite layer's O(p) lists take about 0.7 KB per p
 # Below this a trace is not trusted: PSLQ in recognize_rational needs 53 bits,
 # and at 1-3 digits the torsion test has misread a non-torsion point.
 TRACE_MIN_DIGITS = 15
@@ -80,7 +81,8 @@ class ExperimentSpec(namedtuple("ExperimentSpec", "dK f curve p digits mode",
 
     def validate(self):
         """Input bounds, then the running hypotheses: inertness, coprimality,
-        ramification, sign, and p prime to f."""
+        ramification, sign, and p prime to f; p is capped after its primality
+        test, whose own bound comes first."""
         check_digits(self.digits)
         if self.mode != "finite_only" and self.digits < TRACE_MIN_DIGITS:
             raise InputError(f"a trace needs at least {TRACE_MIN_DIGITS} digits, "
@@ -89,6 +91,8 @@ class ExperimentSpec(namedtuple("ExperimentSpec", "dK f curve p digits mode",
         p = self.prime
         if not isprime(p) or p == 2:
             raise HypothesisError("p must be an odd prime")
+        if p > P_CAP:
+            raise InputError(f"p = {p} is above the cap {P_CAP} of the finite layer")
         if kronecker(self.dK, p) != -1:
             raise HypothesisError(f"p = {p} must be inert in Q(sqrt({self.dK}))")
         if self.curve is not None:

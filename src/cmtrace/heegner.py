@@ -165,7 +165,7 @@ def _image(form: BinaryForm, x: int, y: int, q_div: int) -> BinaryForm:
     """The form of M tau, B in (-A, A], tau the point of F = form and M of
     determinant Q with bottom row (-y, x), x = Q w, y = N z, gcd(x, y / Q) =
     1: one _xgcd gives x s + (y / Q) t = 1, and the columns (x, y), (u, v) =
-    (-t, Q s) of determinant Q carry F to Q times the form (al_move)."""
+    (-t, Q s) of determinant Q carry F to Q times the form."""
     g, s, t = _xgcd(x, y // q_div)
     assert g == 1
     u, v = -t, q_div * s
@@ -177,29 +177,22 @@ def _image(form: BinaryForm, x: int, y: int, q_div: int) -> BinaryForm:
     return BinaryForm(a, b + 2 * a * k, a * k * k + b * k + c)
 
 
-def al_move(form: BinaryForm, n_level: int, q_div: int) -> tuple[int, BinaryForm]:
-    """(k, G): G the form of W_Q (tau + k), tau the point of the N-divisible
-    form F = (A, B, C) and W_Q = al_matrix(N, Q) = (a, b; N, d), for the
-    integer k that makes the leading coefficient of G least, hence Im W_Q
-    (tau + k) greatest.
-
-    With W = W_Q T^k = (a, a k + b; N, N k + d) of determinant Q, the point
-    W tau is the root of F(d' x - b' y, -N x + a y) / Q, d' = N k + d and b'
-    = a k + b: W^{-1} is the adjugate over Q, and W keeps the upper half
-    plane.  Its leading coefficient F(N k + d, -N) / Q is least at N k + d
-    nearest B N / (2 A).  W_Q maps Heegner forms of level N and discriminant
-    D to Heegner forms of the same level and discriminant (Gross, Kohnen and
+def al_move(form: BinaryForm, n_level: int, q_div: int) -> BinaryForm:
+    """The form of W_Q (tau + k) up to translation, tau the point of the
+    N-divisible form F = (A, B, C) and W_Q = al_matrix(N, Q) = (a, b; N, d),
+    for the k that makes its leading coefficient F(N k + d, -N) / Q least,
+    at N k + d nearest B N / (2 A), hence Im W_Q (tau + k) greatest.  It is
+    _image's at the bottom row (N, N k + d) of W_Q T^k: another matrix of
+    that row moves the point by an integer and B by a multiple of 2A, which
+    keeps the keys (A, B mod 2A), B mod 2N and the reduced form.  W_Q keeps
+    the Heegner forms of level N and discriminant D (Gross, Kohnen and
     Zagier, Math. Ann. 278, 1987), which the closing assertion checks."""
-    a, b, n, d = al_matrix(n_level, q_div)
+    _, _, n, d = al_matrix(n_level, q_div)
     k0 = (form.b * n - 2 * form.a * d) // (2 * form.a * n)
     k = min((k0, k0 + 1), key=lambda k: (form.value(n * k + d, -n), k))
-    x, y, u, v = n * k + d, -n, -(a * k + b), a        # columns (x, y), (u, v)
-    big_a, big_c = form.value(x, y), form.value(u, v)
-    big_b = 2 * (form.a * x * u + form.c * y * v) + form.b * (x * v + y * u)
-    assert big_a % q_div == 0 and big_b % q_div == 0 and big_c % q_div == 0
-    out = BinaryForm(big_a // q_div, big_b // q_div, big_c // q_div)
+    out = _image(form, n * k + d, -n, q_div)
     assert out.a % n_level == 0 and out.disc() == form.disc()
-    return k, out
+    return out
 
 
 def coset_move(form: BinaryForm, n_level: int, q_div: int) -> tuple[bool, BinaryForm]:

@@ -64,25 +64,23 @@ Q(zeta_gcd(c, N/c)): here gcd(N/Q, Q) = 1, so it is rational.  phi is defined
 over Q, so K_Q lies in E(Q), and it is torsion (Manin-Drinfeld).  By Mazur
 (Publ. Math. IHES 47, 1977) its order is in MAZUR_ORDERS = {1..10, 12}, each
 dividing K_EXPONENT = 2520, so 2520 K_Q is a vector of the lattice of phi.
-al_constant evaluates K_Q once, at K_DIGITS = 20, from the top s0 of the
-isometric circle of W_Q, where Im s0 = Im W_Q s0 = sqrt(Q) / N is as large
-as it can be for both; when N | a + d, W_Q s0 = s0 + (a + d) / N, so K_Q =
-(1 - w_Q) phi(s0), which is 0 for w_Q = +1 (W_121 on 121b1).  Each
-evaluation errs by less than 10^-(K_DIGITS+10) (tail) plus 10^-(K_DIGITS+15)
-(rounding).  The points themselves are rounded to 120 bits, |s| < 1.5, and
+al_constant evaluates K_Q once, at LAMBDA_DIGITS = 5, from the top s0 of
+the isometric circle of W_Q, where Im s0 = Im W_Q s0 = sqrt(Q) / N is as
+large as it can be for both; when N | a + d, W_Q s0 = s0 + (a + d) / N, so
+K_Q = (1 - w_Q) phi(s0), which is 0 for w_Q = +1 (W_121 on 121b1).  Each
+evaluation errs by less than 10^-15 (tail) plus 10^-20 (rounding).  The
+points themselves are rounded to the 70 bits of 20 digits, |s| < 1.5, and
 |phi'| = 2 pi |f| <= 2 pi sqrt(3) |q| / (1 - |q|)^2 (|a_n| <= sqrt(3) n), so
-each value moves by under 9 10^-32 more while Im s >= 2 10^-3, that is N <=
+each value moves by under 9 10^-17 more while Im s >= 2 10^-3, that is N <=
 500 sqrt(Q) (every level the tests use).  The weights of the points sum to
-2, so the value v is within 2.2 10^-30 of K_Q, and 2520 v within K_BUDGET =
-2520 * 2.2 10^-30 of 2520 K_Q.  Two lattice vectors are at least |b1|
-apart (b1 the shortest vector, cmtrace.periods), so when K_BUDGET < |b1| /
-2 the lattice vector nearest to 2520 v (periods.nearest_vector) is 2520
-K_Q, and it is accepted only within K_BUDGET of 2520 v: K_Q = (i w1 + j w2)
-/ 2520 exactly, for the integer coordinates (i, j) of that vector, and
-dividing out gcd(i, j, 2520) leaves the order n.  A nearest vector within
-the budget is right whenever 2520 v errs by less than |b1| / 2, so an error
+2, so the value v is within 2.2 10^-15 of K_Q, and 2520 v within 5.6
+10^-12 of 2520 K_Q, below LAMBDA_BUDGET = 10^-9.  So 2520 K_Q is read off
+2520 v as every lattice vector is (periods.read_vector): the nearest
+vector, accepted only within LAMBDA_BUDGET < |b1| / 2 of 2520 v.  K_Q = (i
+w1 + j w2) / 2520 exactly, for the integer coordinates (i, j) of that
+vector, and dividing out gcd(i, j, 2520) leaves the order n.  An error
 above the budget (a larger N) can only raise, never return a wrong
-constant.  When a check fails, or n is not in Mazur's list, the lattice is
+constant.  When the read fails, or n is not in Mazur's list, the lattice is
 not phi's (the model is not the optimal curve of its class, say) or the
 budget was exceeded, and AlConstantError is raised; there is no other
 route.  A moved value thus errs as one evaluation does, below
@@ -118,16 +116,16 @@ import mpmath as mp
 from .curves import Curve, CurveModel, _valuation, an_cached, ap_bad, tate_local
 from .errors import AlConstantError, CmtraceError, InputError
 from .fp import _xgcd, factorint, kronecker
-from .periods import PeriodLattice, _reduced_basis, nearest_vector
+from .periods import PeriodLattice, read_vector
 
 GUARD = 15
 FIXED_GUARD = 10            # guard bits of the fixed-point evaluator beyond bit_length(n_max)
 NMAX_CAP = 10 ** 6
 AL_SAMPLES = 5              # points on the W_Q-stable circle that must agree on the sign
-K_DIGITS = 20               # the one evaluation that fixes each K_Q (module docstring)
+LAMBDA_DIGITS = 5           # the values every lattice vector is read from (module docstring)
+LAMBDA_BUDGET = 1e-9        # how far such a value may miss its vector (periods.read_vector)
 MAZUR_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 K_EXPONENT = 2520           # lcm of MAZUR_ORDERS
-K_BUDGET = K_EXPONENT * 2.2e-30
 
 
 class SeriesBudgetError(CmtraceError, ArithmeticError):
@@ -282,23 +280,19 @@ def al_constant_points(n_level: int, q_div: int, w: int, digits: int) -> list:
 def al_constant(lat: PeriodLattice, n_level: int, q_div: int, w: int) -> tuple[int, int, int]:
     """(i, j, n) with K_Q = (i w1 + j w2) / n exactly, n the order of K_Q and
     gcd(i, j, n) = 1, for the periods w1, w2 of lat and w = w_Q: read off one
-    evaluation of al_constant_points at K_DIGITS (module docstring), once per
-    (lattice, Q) and process.  AlConstantError when no lattice vector is
+    evaluation of al_constant_points at LAMBDA_DIGITS (module docstring), once
+    per (lattice, Q) and process.  AlConstantError when no lattice vector is
     provably 2520 K_Q, or n is not in MAZUR_ORDERS."""
     with mp.workdps(lat.digits + GUARD):
         v = mp.mpc(0)
-        for c, s in al_constant_points(n_level, q_div, w, K_DIGITS):
-            v += c * eval_phi(lat.curve, s, K_DIGITS)
-        z = K_EXPONENT * v
-        i, j = nearest_vector(lat, z)
-        miss = abs(z - i * lat.w1 - j * lat.w2)
-        half = abs(_reduced_basis(lat)[0]) / 2
+        for c, s in al_constant_points(n_level, q_div, w, LAMBDA_DIGITS):
+            v += c * eval_phi(lat.curve, s, LAMBDA_DIGITS)
+        i, j = read_vector(lat, K_EXPONENT * v, LAMBDA_BUDGET, AlConstantError,
+                           f"K_{q_div} = {mp.nstr(v, 12)}: {K_EXPONENT} K_{q_div}")
     g = gcd(i, j, K_EXPONENT)
-    if not miss <= K_BUDGET < half or K_EXPONENT // g not in MAZUR_ORDERS:
-        raise AlConstantError(
-            f"K_{q_div} = {mp.nstr(v, 12)} is no point of order in {MAZUR_ORDERS}: "
-            f"{K_EXPONENT} K_{q_div} misses the lattice by {mp.nstr(miss, 3)}, "
-            f"against {K_BUDGET:.2g} and |b1| / 2 = {mp.nstr(half, 3)}")
+    if K_EXPONENT // g not in MAZUR_ORDERS:
+        raise AlConstantError(f"K_{q_div} = ({i} w1 + {j} w2) / {K_EXPONENT} has order "
+                              f"{K_EXPONENT // g}, not in {MAZUR_ORDERS}")
     return i // g, j // g, K_EXPONENT // g
 
 

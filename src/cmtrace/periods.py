@@ -61,8 +61,15 @@ far less.  A squared distance is an integer n times 2^shift, shift =
 -2(e + F), up to the one square root, so each threshold is an integer
 comparison, n < ceil(r^2 2^-shift) for a distance r: 10^(-digits/2) |w1|
 for the torsion test, 10^-digits |w1| at m = 1 for elliptic_exp's point
-at infinity.  nearest_vector is the nearest corner at m = 1, and modparam
-and experiments read every lattice vector through it.
+at infinity, and a read's budget at m = 1.
+
+Reading a lattice vector.  modparam and experiments read each lattice
+vector (2520 K_Q, a fiber's lam, a period Omega) off a value v by
+read_vector: v's nearest corner lam at m = 1, accepted only when |v - lam|
+< budget < |b1| / 2 (|b1|^2 = g11 4^F 2^shift), two integer comparisons.
+Lattice vectors are at least |b1| apart, so when v is within the budget of
+the true vector lam*, lam* is accepted, and when v is within |b1| - budget
+of lam*, an accepted lam is lam*: a larger error raises, never a wrong lam.
 
 The Weierstrass function.  DLMF 23.6.5 with 2 omega_1 = b1 and
 tau = b2 / b1 gives wp(z) = (pi / b1)^2 [(theta2 theta3 theta4(v) /
@@ -221,16 +228,26 @@ def _nearest_multiples(point: LatticePoint, bound: int):
                   for i in (i0, i0 + 1) for j in (j0, j0 + 1))
 
 
-def _limit(point: LatticePoint, power) -> int:
-    """n < _limit(point, power) iff n 2^shift < (10^power |w1|)^2."""
+def _limit(point: LatticePoint, radius, power) -> int:
+    """n < _limit(point, radius, power) iff n 2^shift < (10^power |radius|)^2."""
     with mp.workdps(point.lat.digits + GUARD):
-        return int(mp.ceil(mp.ldexp((mp.mpf(10) ** power * abs(point.lat.w1)) ** 2, -point.shift)))
+        return int(mp.ceil(mp.ldexp((mp.mpf(10) ** power * abs(radius)) ** 2, -point.shift)))
 
 
-def nearest_vector(lat: PeriodLattice, z) -> tuple[int, int]:
-    """(i, j) with i w1 + j w2 the lattice vector nearest to z: the nearest corner
-    of locate(lat, z), mapped to (w1, w2) by the integer rows of lat.reduction."""
-    _, i, j = next(_nearest_multiples(locate(lat, z), 1))
+def read_vector(lat: PeriodLattice, z, budget, error, what: str) -> tuple[int, int]:
+    """(i, j) with i w1 + j w2 the lattice vector within budget of z, for a z
+    known to less than budget: the nearest corner of locate(lat, z), mapped
+    to (w1, w2) by the integer rows of lat.reduction, accepted only when it
+    is within budget of z and budget < |b1| / 2 (module docstring).  Else
+    error(f"{what} misses the lattice by ..."), with the miss and |b1| / 2."""
+    point = locate(lat, z)
+    n, i, j = next(_nearest_multiples(point, 1))
+    limit, shortest = _limit(point, budget, 0), point.gram[0] << 2 * point.frac
+    if not (n < limit and 4 * limit < shortest):
+        with mp.workdps(lat.digits + GUARD):
+            miss, b1 = (mp.sqrt(mp.ldexp(v, point.shift)) for v in (n, shortest))
+        raise error(f"{what} misses the lattice by {mp.nstr(miss, 3)}, against "
+                    f"{mp.nstr(budget, 2)} and |b1| / 2 = {mp.nstr(b1 / 2, 3)}")
     (p, q), (r, s) = lat.reduction
     return i * p + j * r, i * q + j * s
 
@@ -258,7 +275,7 @@ def elliptic_exp(point: LatticePoint) -> tuple | None:
     infinity); satisfies the model equation to roughly 10^(5 - digits)."""
     lat, x, y, frac, _, _ = point
     n, i, j = next(_nearest_multiples(point, 1))
-    if n < _limit(point, -lat.digits):
+    if n < _limit(point, lat.w1, -lat.digits):
         return None
     with mp.workdps(lat.digits + GUARD):
         b1, b2 = _reduced_basis(lat)
@@ -277,7 +294,7 @@ def is_torsion(point: LatticePoint) -> bool:
 
 def torsion_order(point: LatticePoint):
     """The least m <= TORSION_BOUND with m*z within 10^(-digits/2)*|w1| of the lattice."""
-    limit = _limit(point, -point.lat.digits / 2)
+    limit = _limit(point, point.lat.w1, -point.lat.digits / 2)
     for m, (n, _, _) in enumerate(_nearest_multiples(point, TORSION_BOUND), 1):
         if n < limit:
             return m

@@ -114,7 +114,7 @@ from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureErr
 from cmtrace.fp import _xgcd, isprime, kronecker, smallest_nonsquare
 from cmtrace.heegner import NoHeegnerPoint, gamma0_reduce
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
-from cmtrace.periods import PeriodLattice, _reduced_basis, nearest_vector
+from cmtrace.periods import PeriodLattice, _nearest_multiples, locate
 from cmtrace.quadforms import (BinaryForm, KernelClass, QuadOrder,
                                check_fundamental, lagrange_reduce, reduce_form,
                                reduced_forms)
@@ -807,7 +807,7 @@ def w_p2_pairs(model: CurveModel, orbit) -> list[tuple[int, int]]:
     n, p2 = model.n, model.p ** 2
     mates = []
     for pt in orbit:
-        image = al_move(pt, n, p2)[1]
+        image = al_move(pt, n, p2)
         hits = [j for j, other in enumerate(orbit) if (image.b - other.b) % (2 * n) == 0
                 and reduce_form(image) == reduce_form(other)]
         if len(hits) != 1:
@@ -893,7 +893,7 @@ def orbit_values_by_fiber(model: CurveModel, moves, pairs, wp: int, lat):
 def al_constant_by_series(cur: Curve, n_level: int, q_div: int, w: int, digits: int):
     """K_Q summed from al_constant_points at `digits` itself: the route
     cmtrace.modparam.al_constant took before it read K_Q off the lattice from
-    one evaluation at K_DIGITS.  Each point errs by under 10^-(digits+10),
+    one evaluation at LAMBDA_DIGITS.  Each point errs by under 10^-(digits+10),
     and the weights sum to 2."""
     from cmtrace.modparam import GUARD, al_constant_points, eval_phi
     with mp.workdps(digits + GUARD):
@@ -988,7 +988,7 @@ def wp_pair_by_laurent(lat: PeriodLattice, z):
     the theta quotients."""
     cur = lat.curve
     g2, g3 = mp.mpf(cur.c4) / 12, mp.mpf(cur.c6) / 216
-    radius = abs(_reduced_basis(lat)[0]) / 8
+    radius = abs(reduced_basis(lat)[0]) / 8
     k = 0
     while abs(z) / 2 ** k > radius:
         k += 1
@@ -1232,6 +1232,22 @@ def minpoly(num: AlgebraicNumber) -> tuple[int, ...]:
 def root_number(model: CurveModel, digits: int = 40) -> int:
     """Sign of the functional equation, -1 times the Fricke eigenvalue."""
     return -atkin_lehner_sign(model.minimal, model.n, model.n, digits)
+
+
+def reduced_basis(lat: PeriodLattice) -> tuple:
+    """(b1, b2) of lat.reduction, at the working precision."""
+    (p, q), (r, s) = lat.reduction
+    return p * lat.w1 + q * lat.w2, r * lat.w1 + s * lat.w2
+
+
+def nearest_vector(lat: PeriodLattice, z) -> tuple[int, int]:
+    """(i, j) with i w1 + j w2 the lattice vector nearest to z: the nearest corner
+    of periods.locate(lat, z), mapped to (w1, w2) by the integer rows of
+    lat.reduction, with no budget; cmtrace.periods.read_vector reads the same
+    vector and accepts it only within its budget."""
+    _, i, j = next(_nearest_multiples(locate(lat, z), 1))
+    (p, q), (r, s) = lat.reduction
+    return i * p + j * r, i * q + j * s
 
 
 def lattice_reduce(lat: PeriodLattice, z):

@@ -267,6 +267,19 @@ def test_primality_bound_exits_1_at_once(monkeypatch, capsys):
     assert "decided exactly only below 3317044064679887385961981" in capsys.readouterr().err
 
 
+def test_a_p_above_the_cap_exits_1_at_once(monkeypatch, capsys):
+    # the finite layer builds O(p) lists, so p is capped after its primality
+    # test; 1000033 is prime and inert in Q(sqrt -7)
+    def no_work(*args, **kwargs):
+        raise AssertionError("the finite layer ran past the cap on p")
+
+    monkeypatch.setattr("cmtrace.finite.build_embedding", no_work)
+    assert main(["finite-check", "--p", "1000033", "--dk", "-7"]) == 1
+    assert "p = 1000033 is above the cap 1000000" in capsys.readouterr().err
+    with pytest.raises(InputError, match="above the cap"):
+        ExperimentSpec(dK=-7, f=1, p=1000033, mode="finite_only").validate()
+
+
 def _python(code: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports this checkout's cmtrace."""
     src = str(Path(cmtrace.__file__).resolve().parents[1])
@@ -440,13 +453,13 @@ def test_a_failed_finite_check_exits_3(monkeypatch, capsys, tmp_path):
 
 
 def test_a_constant_off_the_lattice_exits_3(monkeypatch, capsys):
-    # a K_Q point's value moved by 10^-12: 2520 K_Q misses the lattice by far
+    # a K_Q point's value moved by 10^-12: 2520 K_Q misses the lattice by
     # more than the budget, so no torsion point of Mazur's list fits it
     exact = modparam.eval_phi
 
     def perturbed(model, tau, digits):
         z = exact(model, tau, digits)
-        return z + mp.mpf(10) ** -12 if digits == modparam.K_DIGITS else z
+        return z + mp.mpf(10) ** -12 if digits == modparam.LAMBDA_DIGITS else z
 
     monkeypatch.setattr(modparam, "eval_phi", perturbed)
     modparam.al_constant.cache_clear()
@@ -458,25 +471,26 @@ def test_a_constant_off_the_lattice_exits_3(monkeypatch, capsys):
     assert err.startswith("error: K_49 = ") and "Traceback" not in err
 
 
-def _one_period_off(module, monkeypatch):
-    nearest = module.nearest_vector
-    monkeypatch.setattr(module, "nearest_vector",
-                        lambda lat, z: (nearest(lat, z)[0] + 1, nearest(lat, z)[1]))
+def _read_off(module, monkeypatch):
+    # each value the module reads a lattice vector off, moved by 10^-6: above
+    # LAMBDA_BUDGET and below |b1| / 2, as an evaluation that broke its bound
+    read = module.read_vector
+    monkeypatch.setattr(module, "read_vector",
+                        lambda lat, z, *args: read(lat, z + mp.mpf(10) ** -6, *args))
 
 
 def test_a_fiber_mate_off_by_a_period_exits_3(monkeypatch, capsys):
-    # a lattice vector one period off: the mate's value misses its
-    # LAMBDA_DIGITS evaluation by a period, far above the budget
-    _one_period_off(experiments, monkeypatch)
+    # a mate's LAMBDA_DIGITS value 10^-6 off: the read of its lam misses the
+    # lattice by more than the budget
+    _read_off(experiments, monkeypatch)
     assert main(["trace", "--curve", "0,-1,1,-7,10", "--dk", "-67", "--digits", "30"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: orbit points ") and "Traceback" not in err
 
 
 def test_a_constant_read_a_period_off_exits_3(monkeypatch, capsys):
-    # 2520 K_Q read one period off the nearest vector misses its value by a
-    # period, far above the budget
-    _one_period_off(modparam, monkeypatch)
+    # 2520 K_Q's value 10^-6 off misses the lattice by more than the budget
+    _read_off(modparam, monkeypatch)
     modparam.al_constant.cache_clear()
     spec = ExperimentSpec(dK=-11, f=1, curve=curve_model((1, -1, 0, -2, -1)), digits=30)
     with pytest.raises(AlConstantError, match="K_49"):

@@ -11,7 +11,7 @@ from cmtrace.errors import InputError
 from cmtrace.experiments import fiber_pairs, orbit_options, orbit_trace, trace_point
 from cmtrace.finite import TRACE_MIN_DIGITS, ExperimentSpec, HypothesisError, experiment_finite
 from cmtrace.heegner import galois_orbit, heegner_form
-from cmtrace.modparam import (K_DIGITS, SeriesBudgetError, al_constant_points,
+from cmtrace.modparam import (LAMBDA_DIGITS, SeriesBudgetError, al_constant_points,
                               atkin_lehner_sign, eval_phi, phi_terms)
 from cmtrace.periods import period_lattice
 from cmtrace.quadforms import BinaryForm, kernel_classes, order_data
@@ -359,7 +359,7 @@ def test_trace_point_locates_the_trace_once(monkeypatch, model, dK, mode, verdic
     # the residual, the torsion test and elliptic_exp read one solve of the
     # trace: trace_point's own locate is the last solve of the run, after
     # the lattice reads of the stages before it (a fiber's lam, 2520 K_Q,
-    # through nearest_vector), which may meet the same value: 49a1's trace
+    # through read_vector), which may meet the same value: 49a1's trace
     # and its fibers' offsets are all 0 here
     from cmtrace import experiments, periods
     solves, exp_points = [], []
@@ -507,8 +507,8 @@ def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
         qs = sorted(({mv.q for mv in used} | reads) - {1}
                     | ({model.p ** 2} if reads_lam else set()))
         assert [c[0] for c in constants] == qs
-        k_terms = [phi_terms(pts[0][1].imag, K_DIGITS) for q_div, w, *_ in constants
-                   if (pts := al_constant_points(model.n, q_div, w, K_DIGITS))]
+        k_terms = [phi_terms(pts[0][1].imag, LAMBDA_DIGITS) for q_div, w, *_ in constants
+                   if (pts := al_constant_points(model.n, q_div, w, LAMBDA_DIGITS))]
         assert n_max == max(series_terms + k_terms)
         assert [(e.digits, e.q, e.n_max, e.source) for e in entries] == [
             (prec, mv.q, n, source)

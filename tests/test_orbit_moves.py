@@ -25,7 +25,7 @@ from cmtrace.experiments import (LAMBDA_DIGITS, ExperimentSpec, FiberPairingErro
                                  trace_point)
 from cmtrace.fp import kronecker
 from cmtrace.heegner import al_move, coset_move, galois_orbit, heegner_form
-from cmtrace.modparam import (GUARD, K_DIGITS, MAZUR_ORDERS, NMAX_CAP, AlConstantError,
+from cmtrace.modparam import (GUARD, MAZUR_ORDERS, NMAX_CAP, AlConstantError,
                               al_constant, al_constant_points, al_matrix, atkin_lehner_sign,
                               eval_newform, eval_phi, phi_terms)
 from cmtrace.periods import is_torsion, locate, period_lattice, torsion_residual
@@ -194,18 +194,25 @@ def test_usable_involutions_have_signs_from_local_data_or_wp():
 
 @pytest.mark.parametrize("label,dK,f", [("49a1", -11, 1), ("50b1", -7, 3), ("36a1", -7, 1)])
 def test_al_move_is_the_moebius_image_with_the_largest_imaginary_part(label, dK, f):
+    # the form's point is W_Q (tau + k) mod 1 for a k of the largest Im W_Q
+    # (tau + k): Im W_Q (tau + j) = Q Im tau / |N (tau + j) + d|^2 is largest
+    # at the j nearest -Re tau - d / N
     model, _, orbit = _orbit(label, dK, f)
     digits = 30
     for pt in orbit:
         for q_div in (q for q in range(2, model.n + 1)
                       if model.n % q == 0 and gcd(q, model.n // q) == 1):
-            k, form = al_move(pt, model.n, q_div)
+            form = al_move(pt, model.n, q_div)
             a, b, c, d = al_matrix(model.n, q_div)
             with mp.workdps(digits + 15):
-                tau = heegner_tau(pt, digits)
-                moved = [(a * (tau + j) + b) / (c * (tau + j) + d) for j in (k - 1, k, k + 1)]
-                assert abs(moved[1] - heegner_tau(form, digits)) < mp.mpf(10) ** -(digits + 10)
-                assert moved[1].imag >= max(moved[0].imag, moved[2].imag)
+                tau, tol = heegner_tau(pt, digits), mp.mpf(10) ** -(digits + 10)
+                near = int(mp.nint(-tau.real - mp.mpf(d) / c))
+                moved = [(a * (tau + j) + b) / (c * (tau + j) + d)
+                         for j in range(near - 2, near + 3)]
+                got = heegner_tau(form, digits)
+                assert got.imag >= max(z.imag for z in moved) - tol
+                offsets = [got - z for z in moved]
+                assert min(abs(o - mp.nint(o.real)) for o in offsets) < tol
 
 
 def test_coset_move_reaches_the_largest_imaginary_part_of_the_coset():
@@ -229,7 +236,7 @@ def test_coset_move_reaches_the_largest_imaginary_part_of_the_coset():
             for q_div, _ in al_signs(model):
                 translation, image = coset_move(pt, model.n, q_div)
                 assert image.a == coset_least_by_search(pt, model.n, q_div), (label, pt, q_div)
-                assert translation == (image.a == al_move(pt, model.n, q_div)[1].a)
+                assert translation == (image.a == al_move(pt, model.n, q_div).a)
                 least[q_div] = image.a
             assert least[p2] == orbit[mates[i]].a
             others = [a for q, a in least.items() if q != p2]
@@ -247,18 +254,25 @@ def test_coset_move_reaches_the_largest_imaginary_part_of_the_coset():
     assert moved == {"50b1": 24}
 
 
+def _read_off(module, patch):
+    """Move each value the module reads a lattice vector off by 10^-6: above
+    LAMBDA_BUDGET, below |b1| / 2, the way an evaluation that broke its bound
+    would miss."""
+    read = module.read_vector
+    patch.setattr(module, "read_vector",
+                  lambda lat, z, *args: read(lat, z + mp.mpf(10) ** -6, *args))
+
+
 def test_a_period_off_by_one_makes_the_read_of_omega_raise(monkeypatch):
     # 50b1/-7/3 evaluates two points off the translations at the trace
-    # precision; a nearest vector one period off misses the read, which runs
+    # precision; a value 10^-6 off misses the read of Omega, which runs
     # before any fiber's
     model, shadow, orbit = _orbit("50b1", -7, 3)
     moves = orbit_options(model, orbit, 60)
     lat = period_lattice(model.minimal, 60)
-    nearest = experiments.nearest_vector
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "nearest_vector",
-                      lambda lat, z: (nearest(lat, z)[0], nearest(lat, z)[1] + 1))
-        with pytest.raises(FiberPairingError, match="the period of its W_.* move misses"):
+        _read_off(experiments, patch)
+        with pytest.raises(FiberPairingError, match="read of the period of its W_.* move misses"):
             orbit_trace(model, orbit, shadow, moves, _wp("50b1"), lat)
     orbit_trace(model, orbit, shadow, moves, _wp("50b1"), lat)
 
@@ -303,7 +317,7 @@ ORDERS = {
 
 @pytest.mark.parametrize("digits", [60, 200])
 def test_every_constant_is_a_torsion_point_equal_to_its_series(digits):
-    # K_Q = (i w1 + j w2) / n, read off one K_DIGITS evaluation, is the
+    # K_Q = (i w1 + j w2) / n, read off one LAMBDA_DIGITS evaluation, is the
     # full-precision series K_Q to 10^-(digits+5), with n in Mazur's list
     orders = {}
     for label, model in MODELS.items():
@@ -377,7 +391,7 @@ def _evaluation_classes(model, orbit, moves, wp: int) -> tuple[int, int]:
 
 
 def test_no_constant_point_is_evaluated_at_the_trace_precision(monkeypatch):
-    # a 200-digit trace evaluates each K_Q point once, at K_DIGITS, and the
+    # a 200-digit trace evaluates each K_Q point once, at LAMBDA_DIGITS, and the
     # orbit at 200 digits only at the cheaper point of each w_p = +1 fiber,
     # one series per evaluation point up to conjugation: none on 49a1/-11
     # (w_p = -1) and at most one per fiber on 121b1/-67; every other point
@@ -395,13 +409,13 @@ def test_no_constant_point_is_evaluated_at_the_trace_precision(monkeypatch):
         model, _, orbit = _orbit(label, dK, 1)
         del calls[:]
         rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=model, digits=200))
-        points = sum(len(al_constant_points(model.n, q_div, w, K_DIGITS))
+        points = sum(len(al_constant_points(model.n, q_div, w, LAMBDA_DIGITS))
                      for q_div, w, *_ in rep.constants)
         full[label], low = _evaluation_classes(model, orbit, orbit_options(model, orbit, 200),
                                                rep.wp)
         assert low > 0 and (points > 0) == (label != "121b1")     # K_121 = 0: no point
         assert sorted(calls) == sorted(
-            [K_DIGITS] * points + [LAMBDA_DIGITS] * low + [200] * full[label]), label
+            [LAMBDA_DIGITS] * (points + low) + [200] * full[label]), label
         # a w_p = +1 point whose lam a LAMBDA_DIGITS series gave is "fiber:i"
         series = [e.digits for e in rep.orbit if e.source == "series"]
         assert sorted(series) == [LAMBDA_DIGITS] * low * (rep.wp == -1) + [200] * full[label]
@@ -506,20 +520,14 @@ def test_a_swapped_mate_or_a_lattice_vector_off_by_a_period_raises(monkeypatch, 
     swapped = shadow._replace(fibers={**shadow.fibers, l1: [u1, v2], l2: [u2, v1]})
     with pytest.raises(FiberPairingError, match="fiber mate"):
         run(swapped)
-    # a lattice vector one period off, for a fiber's lam or for 2520 K_Q
+    # a value 10^-6 off, for a fiber's lam or for 2520 K_Q
     for module, error in ((experiments, FiberPairingError), (modparam, AlConstantError)):
-        nearest = module.nearest_vector
         with monkeypatch.context() as patch:
-            patch.setattr(module, "nearest_vector",
-                          lambda lat, z: (nearest(lat, z)[0] + 1, nearest(lat, z)[1]))
+            _read_off(module, patch)
             modparam.al_constant.cache_clear()
-            with pytest.raises(error, match="misses"):
+            with pytest.raises(error, match="misses the lattice"):
                 run(shadow)
-    # a budget of |b1| / 2 or more would not single out the lattice vector
-    with monkeypatch.context() as patch:
-        patch.setattr(experiments, "LAMBDA_BUDGET", 10.0)
-        with pytest.raises(FiberPairingError, match="misses"):
-            run(shadow)
+    modparam.al_constant.cache_clear()
     run(shadow)
 
 
@@ -597,14 +605,14 @@ def test_a_point_shares_its_series_with_its_translates_and_its_mirror(n_level, m
             assert abs(z.imag) < proven
 def _moved_terms(label, moves) -> int:
     """Series terms the moves evaluate, each read of Omega at its
-    LAMBDA_DIGITS cost and each K_Q used at its K_DIGITS cost."""
+    LAMBDA_DIGITS cost and each K_Q used at its LAMBDA_DIGITS cost."""
     model, signs = MODELS[label], dict(_signs(label))
     reads = [mv.low for mv in moves if mv.low]
     terms = sum(mv.n_max for mv in moves)
     terms += sum(phi_terms(heegner_tau(low.form, 30).imag, LAMBDA_DIGITS) for low in reads)
     for q_div in {mv.q for mv in moves + tuple(reads)} - {1}:
-        pts = al_constant_points(model.n, q_div, signs[q_div], K_DIGITS)
-        terms += phi_terms(pts[0][1].imag, K_DIGITS) * len(pts) if pts else 0
+        pts = al_constant_points(model.n, q_div, signs[q_div], LAMBDA_DIGITS)
+        terms += phi_terms(pts[0][1].imag, LAMBDA_DIGITS) * len(pts) if pts else 0
     return terms
 
 
@@ -639,8 +647,8 @@ def test_plan_never_evaluates_more_terms_than_the_direct_route(digits):
 @pytest.mark.parametrize("digits", [60, 200])
 def test_phi_terms_in_doubles_equals_the_30_digit_count_on_the_catalogue(monkeypatch, digits):
     # every Im tau orbit_options prices on the catalogue: orbit points, their
-    # W_Q images, the K_Q points at K_DIGITS, and the translation moves at
-    # LAMBDA_DIGITS where a coset move would read Omega there
+    # W_Q images, and at LAMBDA_DIGITS the K_Q points and the translation
+    # moves where a coset move would read Omega there
     priced = set()
 
     def recording(im_tau, d):
@@ -652,7 +660,7 @@ def test_phi_terms_in_doubles_equals_the_30_digit_count_on_the_catalogue(monkeyp
         for label, dK, f in CATALOGUE:
             model, _, orbit = _orbit(label, dK, f)
             orbit_options(model, orbit, digits)
-    assert len(priced) > 600 and {d for _, d in priced} == {digits, K_DIGITS, LAMBDA_DIGITS}
+    assert len(priced) > 600 and {d for _, d in priced} == {digits, LAMBDA_DIGITS}
     for im_tau, d in priced:
         want = phi_terms_mp(im_tau, d)
         assert experiments._terms(im_tau, d) == (want, want <= NMAX_CAP), im_tau
@@ -660,10 +668,10 @@ def test_phi_terms_in_doubles_equals_the_30_digit_count_on_the_catalogue(monkeyp
 
 @pytest.mark.parametrize("label,dK", [("49a1", -11), ("50b1", -7), ("1,-1,0,0,-5", -31)])
 def test_cold_trace_with_constants_extends_the_sieve_once(monkeypatch, label, dK):
-    # the orbit's evaluations at every precision, the K_Q points at K_DIGITS
-    # among them, extend the sieve at most once; before them only a numerical
-    # w_p (1,-1,0,0,-5 is additive at 3) evaluates a series, the newform's at
-    # K_DIGITS, whose 196 terms the orbit (w_p = -1, every point at
+    # the orbit's evaluations at every precision, the K_Q points among
+    # them, extend the sieve at most once; before them only a numerical w_p
+    # (1,-1,0,0,-5 is additive at 3) evaluates a series, the newform's at
+    # LAMBDA_DIGITS, whose 101 terms the orbit (w_p = -1, every point at
     # LAMBDA_DIGITS) extends once more, to its own 255: no a_n past the
     # orbit's deepest series
     calls, signed = [], []
@@ -686,7 +694,7 @@ def test_cold_trace_with_constants_extends_the_sieve_once(monkeypatch, label, dK
     k = signed[0]
     assert k == (label in W9_CURVES)
     if k:
-        assert calls == [(1, 196), (196, 255)] and rep.n_max == 255
+        assert calls == [(1, 101), (101, 255)] and rep.n_max == 255
     else:
         assert calls == [(1, rep.n_max)]
     assert {e.q for e in rep.orbit} > {1}

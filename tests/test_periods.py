@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from cmtrace.curves import Curve
 from cmtrace.errors import InputError
+from cmtrace.modparam import LAMBDA_BUDGET
 from cmtrace.periods import (GUARD, PeriodLattice, PrecisionError, _nearest_multiples,
-                             _reduced_basis, _wp_pair, elliptic_exp, is_torsion, locate,
-                             nearest_vector, period_lattice, torsion_order, torsion_residual,
-                             two_torsion_roots)
+                             _wp_pair, elliptic_exp, is_torsion, locate, period_lattice,
+                             read_vector, torsion_order, torsion_residual, two_torsion_roots)
 from oracles import (equation_residual, lattice_coords, lattice_distance,
                      lattice_distance_by_search, lattice_reduce, lattice_reduce_descent,
-                     two_torsion_roots_by_polyroots, wp_pair_by_laurent)
+                     nearest_vector, reduced_basis, two_torsion_roots_by_polyroots,
+                     wp_pair_by_laurent)
 
 LATTICE_CURVES = {              # the five catalogue curves (disc < 0) and 37a1 (disc > 0)
     "49a1": (1, -1, 0, -2, -1),
@@ -320,6 +321,56 @@ def test_locate_ignores_the_callers_precision():
         assert seen[0][0].frac == mp.mp.prec + 15
 
 
+class _Missed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+def test_read_vector_accepts_exactly_what_the_oracle_accepts(digits):
+    # lattice vectors plus offsets of 10^-12 to 10^-6, log-uniform about
+    # LAMBDA_BUDGET = 10^-9: read_vector's integer comparisons accept the
+    # oracle's nearest vector exactly when its distance in mpmath is below the
+    # budget, and the budget below |b1| / 2; else they raise the caller's error
+    rng, accepted = random.Random(digits), 0
+    for label in ("49a1", "121b1", "50a1", "50b1", "36a1"):
+        lat = _lattice(label, digits)
+        for _ in range(60):
+            i0, j0 = rng.randint(-20, 20), rng.randint(-20, 20)
+            with mp.workdps(digits + GUARD):
+                offset = mp.mpf(10) ** rng.uniform(-12, -6) * mp.expjpi(rng.uniform(0, 2))
+                z = i0 * lat.w1 + j0 * lat.w2 + offset
+            i, j = nearest_vector(lat, z)
+            with mp.workdps(digits + GUARD + 20):
+                miss = abs(z - i * lat.w1 - j * lat.w2)
+                half = abs(reduced_basis(lat)[0]) / 2
+            assert (i, j) == (i0, j0) and LAMBDA_BUDGET < half
+            if miss < LAMBDA_BUDGET:
+                assert read_vector(lat, z, LAMBDA_BUDGET, _Missed, "z") == (i, j)
+                accepted += 1
+            else:
+                with pytest.raises(_Missed, match="^z misses the lattice by"):
+                    read_vector(lat, z, LAMBDA_BUDGET, _Missed, "z")
+    assert 100 < accepted < 200
+
+
+@pytest.mark.parametrize("label", sorted(LATTICE_CURVES))
+def test_a_read_budget_of_half_the_shortest_vector_or_more_raises(label):
+    # two lattice vectors may then both be within the budget of a value, so
+    # read_vector raises even on a lattice vector itself, with the miss and
+    # |b1| / 2 in the message; just below |b1| / 2 it reads the vector
+    lat = _lattice(label, 60)
+    with mp.workdps(60 + GUARD):
+        half = abs(reduced_basis(lat)[0]) / 2
+        z = 3 * lat.w1 - 2 * lat.w2
+        tiny = mp.mpf(10) ** -30
+        above, below = (half * (1 + tiny), 2 * half, mp.mpf(10)), half * (1 - tiny)
+    for budget in above:
+        with pytest.raises(_Missed, match=r"^z misses the lattice by .*, against .* and "
+                                          r"\|b1\| / 2 = "):
+            read_vector(lat, z, budget, _Missed, "z")
+    assert read_vector(lat, z, below, _Missed, "z") == (3, -2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(label=st.sampled_from(sorted(LATTICE_CURVES)), n=st.integers(1, 24),
        k1=st.integers(-60, 60), k2=st.integers(-60, 60))
@@ -356,7 +407,7 @@ def test_wp_pair_matches_laurent_series(ai, digits):
     lat = period_lattice(Curve(*ai), digits)
     rng = random.Random(digits)
     with mp.workdps(digits + GUARD):
-        b1, b2 = _reduced_basis(lat)
+        b1, b2 = reduced_basis(lat)
         points = [(b1 / mp.mpf(10) ** 5, 2), (b1 / 2, 1), (b2 / 2, 1), ((b1 + b2) / 2, 1)]
         points += [(mp.mpf(rng.random()) * b1 + mp.mpf(rng.random()) * b2, 2) for _ in range(4)]
         for z, count in points:
@@ -373,7 +424,7 @@ def test_wp_pair_on_a_reduced_basis_of_negative_orientation(label, digits):
     lat = _lattice(label, digits)
     cur = lat.curve
     with mp.workdps(digits + GUARD):
-        b1, b2 = _reduced_basis(lat)
+        b1, b2 = reduced_basis(lat)
         assert mp.im(b2 / b1) < 0
         z = lattice_reduce(lat, (b1 + 3 * b2) / 7)
         wp, wpd = _wp_pair(lat, z)
