@@ -139,9 +139,10 @@ def smallest_nonsquare(p: int) -> int:
     raise InputError(f"no non-square mod {p}")
 
 
-def sqrt_mod_p(a: int, p: int) -> int:
+def sqrt_mod_p(a: int, p: int, eps: int | None = None) -> int:
     """The square root r <= p // 2 of a mod the odd prime p (the smaller of
-    r and p - r), or InputError if a is a non-square.
+    r and p - r), or InputError if a is a non-square; eps, a non-square mod
+    p, is smallest_nonsquare(p) unless the caller has it.
 
     p is not tested for primality.  At an odd composite p the Jacobi symbol
     can read 1 at a non-square, so both routes check what they found: a
@@ -164,7 +165,7 @@ def sqrt_mod_p(a: int, p: int) -> int:
         while q % 2 == 0:
             q //= 2
             s += 1
-        m, c = s, pow(smallest_nonsquare(p), q, p)
+        m, c = s, pow(eps or smallest_nonsquare(p), q, p)
         t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
         while t != 1:
             i, t2 = 0, t

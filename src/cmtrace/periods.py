@@ -61,12 +61,17 @@ far less.  A squared distance is an integer n times 2^shift, shift =
 -2(e + F), up to the one square root, so each threshold is an integer
 comparison, n < ceil(r^2 2^-shift) for a distance r: 10^(-digits/2) |w1|
 for the torsion test, 10^-digits |w1| at m = 1 for elliptic_exp's point
-at infinity, and a read's budget at m = 1.
+at infinity, and a read's budget at m = 1.  What depends on the lattice and
+e alone (w1 and w2 cut, b1, b2, their determinant and Gram triple, the three
+limits) is fixed once per lattice and e, in lat.cuts, so locate cuts only z;
+one scan of the multiples, kept on the point, yields both the torsion order
+(the first m under the limit) and the residual (the least n).
 
 Reading a lattice vector.  modparam and experiments read each lattice
 vector (2520 K_Q, a fiber's lam, a period Omega) off a value v by
 read_vector: v's nearest corner lam at m = 1, accepted only when |v - lam|
-< budget < |b1| / 2 (|b1|^2 = g11 4^F 2^shift), two integer comparisons.
+< budget < |b1| / 2 (|b1|^2 = g11 4^F 2^shift), one integer comparison
+n < limit, the limit being 0 when the budget is |b1| / 2 or more.
 Lattice vectors are at least |b1| apart, so when v is within the budget of
 the true vector lam*, lam* is accepted, and when v is within |b1| - budget
 of lam*, an accepted lam is lam*: a larger error raises, never a wrong lam.
@@ -109,8 +114,8 @@ class PrecisionError(CmtraceError, ArithmeticError):
 
 class PeriodLattice(namedtuple("PeriodLattice", "curve w1 w2 digits")):
     """The periods w1, w2 of the curve at `digits`: a named tuple with no
-    __slots__, so that each instance has the __dict__ its cached reduction is
-    kept in."""
+    __slots__, so that each instance has the __dict__ its cached reduction and
+    cuts are kept in."""
 
     __setattr__ = __delattr__ = _read_only
 
@@ -125,6 +130,11 @@ class PeriodLattice(namedtuple("PeriodLattice", "curve w1 w2 digits")):
                 mp.re(self.w1), mp.im(self.w1), mp.re(self.w2), mp.im(self.w2)))
         gram = (w1r * w1r + w1i * w1i, w1r * w2r + w1i * w2i, w2r * w2r + w2i * w2i)
         return lagrange_reduce(gram, (1, 0), (0, 1))
+
+    @cached_property
+    def cuts(self) -> dict:
+        """k -> the lattice's Cut at e = F + 24 + k, (e, budget) -> a read's limit."""
+        return {}
 
 
 @lru_cache(maxsize=128)
@@ -187,51 +197,84 @@ def _reduced_basis(lat: PeriodLattice) -> tuple:
     return p * lat.w1 + q * lat.w2, r * lat.w1 + s * lat.w2
 
 
-LatticePoint = namedtuple("LatticePoint", "lat x y frac gram shift")
+Cut = namedtuple("Cut", "e frac b1r b1i b2r b2i det gram shift torsion infinity")
 
 
-def locate(lat: PeriodLattice, z) -> LatticePoint:
-    """(lat, x, y, frac, gram, shift): z = (x b1 + y b2) / 2^frac in the reduced
-    basis, x and y rounded down, and the Gram form of the basis, whose value n
-    at an offset (s, t) / 2^frac is the squared length n 2^shift; solved at
-    the lattice's working precision, whatever the caller's (module docstring)."""
+def _cut(lat: PeriodLattice, k: int) -> Cut:
+    """The reduced basis cut to integers at e = F + 24 + k, with its determinant,
+    Gram triple, shift and torsion and infinity limits, kept in lat.cuts."""
     with mp.workdps(lat.digits + GUARD):
         frac = mp.mp.prec + TORSION_BOUND.bit_length() + FIXED_GUARD
-        z = mp.mpc(z)
-        e = frac + max(0, mp.mag(z) - mp.mag(lat.w1)) + 24
-        w1r, w1i, w2r, w2i, zr, zi = (int(mp.ldexp(v, e)) for v in (
-            mp.re(lat.w1), mp.im(lat.w1), mp.re(lat.w2), mp.im(lat.w2), z.real, z.imag))
+        e = frac + k + 24
+        w1r, w1i, w2r, w2i = (int(mp.ldexp(v, e)) for v in (
+            mp.re(lat.w1), mp.im(lat.w1), mp.re(lat.w2), mp.im(lat.w2)))
     (p, q), (r, s) = lat.reduction
     b1r, b1i = p * w1r + q * w2r, p * w1i + q * w2i
     b2r, b2i = r * w1r + s * w2r, r * w1i + s * w2i
-    det = b1r * b2i - b1i * b2r
-    x = ((zr * b2i - zi * b2r) << frac) // det
-    y = ((b1r * zi - b1i * zr) << frac) // det
     gram = (b1r * b1r + b1i * b1i, b1r * b2r + b1i * b2i, b2r * b2r + b2i * b2i)
-    return LatticePoint(lat, x, y, frac, gram, -2 * (e + frac))
+    shift = -2 * (e + frac)
+    lat.cuts[k] = cut = Cut(e, frac, b1r, b1i, b2r, b2i, b1r * b2i - b1i * b2r, gram, shift,
+                            _limit(lat, shift, lat.w1, -lat.digits / 2),
+                            _limit(lat, shift, lat.w1, -lat.digits))
+    return cut
+
+
+class LatticePoint(namedtuple("LatticePoint", "lat x y cut")):
+    """A point located in the reduced basis (locate), with no __slots__, so
+    that each instance has the __dict__ its one scan is kept in."""
+
+    __setattr__ = __delattr__ = _read_only
+
+    @cached_property
+    def scan(self) -> tuple:
+        """(order, n): the least m <= TORSION_BOUND with m z within 10^(-digits/2)
+        |w1| of the lattice, or None, and the least Gram value over all m."""
+        ns = [n for n, _, _ in _nearest_multiples(self, TORSION_BOUND)]
+        return next((m for m, n in enumerate(ns, 1) if n < self.cut.torsion), None), min(ns)
+
+
+def locate(lat: PeriodLattice, z) -> LatticePoint:
+    """(lat, x, y, cut): z = (x b1 + y b2) / 2^cut.frac in the reduced basis, x
+    and y rounded down, at the lattice's cut for |z|, whose Gram value n at an
+    offset (s, t) / 2^frac is the squared length n 2^cut.shift; solved at the
+    lattice's working precision, whatever the caller's (module docstring)."""
+    with mp.workdps(lat.digits + GUARD):
+        z = mp.mpc(z)
+    k = max(0, mp.mag(z) - mp.mag(lat.w1))
+    cut = lat.cuts.get(k) or _cut(lat, k)
+    zr, zi = int(mp.ldexp(z.real, cut.e)), int(mp.ldexp(z.imag, cut.e))
+    x = ((zr * cut.b2i - zi * cut.b2r) << cut.frac) // cut.det
+    y = ((cut.b1r * zi - cut.b1i * zr) << cut.frac) // cut.det
+    return LatticePoint(lat, x, y, cut)
 
 
 def _nearest_multiples(point: LatticePoint, bound: int):
     """For m = 1..bound in order, (n, i, j): the corner (i, j) of the reduced
-    cell that holds m (x, y) / 2^frac nearest to it, and the Gram form value n
-    of its offset.  The form is expanded about the corner, m^2 Q(x, y)
-    - 2^(frac+1) m B((x, y), (i, j)) + 4^frac Q(i, j), so that per m only the
-    small m, i and j multiply the big integers."""
-    _, x, y, frac, (g11, g12, g22), _ = point
+    cell that holds m (x, y) / 2^F nearest to it, and the Gram form value n
+    of its offset.  About the lowest corner (i, j), n = m^2 Q(x, y) - 2^(F+1)
+    B(m (x, y), (i, j)) + 4^F Q(i, j), and the other three differ from it by
+    4^F Q(a, b) - 2^(F+1) (a, b) . (A, B), (A, B) = G (m (x, y) - 2^F (i, j)),
+    so that per m only the small m, i and j multiply the big integers."""
+    _, x, y, cut = point
+    frac, (g11, g12, g22) = cut.frac, cut.gram
     ax, bx = g11 * x + g12 * y, g12 * x + g22 * y
     qxy = x * ax + y * bx
+    c10, c01 = g11 << 2 * frac, g22 << 2 * frac
+    c11 = c10 + c01 + (g12 << 2 * frac + 1)
     for m in range(1, bound + 1):
-        i0, j0 = (m * x) >> frac, (m * y) >> frac
-        base = m * m * qxy
-        yield min((base - ((m * (i * ax + j * bx)) << (frac + 1))
-                   + (((g11 * i + 2 * g12 * j) * i + g22 * j * j) << (2 * frac)), i, j)
-                  for i in (i0, i0 + 1) for j in (j0, j0 + 1))
+        i, j = (m * x) >> frac, (m * y) >> frac
+        ma, mb = m * ax, m * bx
+        p, r = g11 * i + g12 * j, g12 * i + g22 * j
+        n = m * m * qxy - ((i * ma + j * mb) << frac + 1) + ((i * p + j * r) << 2 * frac)
+        a, b = (ma - (p << frac)) << frac + 1, (mb - (r << frac)) << frac + 1
+        yield min((n, i, j), (n - a + c10, i + 1, j), (n - b + c01, i, j + 1),
+                  (n - a - b + c11, i + 1, j + 1))
 
 
-def _limit(point: LatticePoint, radius, power) -> int:
-    """n < _limit(point, radius, power) iff n 2^shift < (10^power |radius|)^2."""
-    with mp.workdps(point.lat.digits + GUARD):
-        return int(mp.ceil(mp.ldexp((mp.mpf(10) ** power * abs(radius)) ** 2, -point.shift)))
+def _limit(lat: PeriodLattice, shift: int, radius, power) -> int:
+    """n < _limit(lat, shift, radius, power) iff n 2^shift < (10^power |radius|)^2."""
+    with mp.workdps(lat.digits + GUARD):
+        return int(mp.ceil(mp.ldexp((mp.mpf(10) ** power * abs(radius)) ** 2, -shift)))
 
 
 def read_vector(lat: PeriodLattice, z, budget, error, what: str) -> tuple[int, int]:
@@ -241,11 +284,15 @@ def read_vector(lat: PeriodLattice, z, budget, error, what: str) -> tuple[int, i
     is within budget of z and budget < |b1| / 2 (module docstring).  Else
     error(f"{what} misses the lattice by ..."), with the miss and |b1| / 2."""
     point = locate(lat, z)
+    cut = point.cut
     n, i, j = next(_nearest_multiples(point, 1))
-    limit, shortest = _limit(point, budget, 0), point.gram[0] << 2 * point.frac
-    if not (n < limit and 4 * limit < shortest):
+    key = cut.e, budget
+    if key not in lat.cuts:                      # 0 when budget >= |b1| / 2: nothing reads
+        limit = _limit(lat, cut.shift, budget, 0)
+        lat.cuts[key] = limit if 4 * limit < cut.gram[0] << 2 * cut.frac else 0
+    if not n < lat.cuts[key]:
         with mp.workdps(lat.digits + GUARD):
-            miss, b1 = (mp.sqrt(mp.ldexp(v, point.shift)) for v in (n, shortest))
+            miss, b1 = (mp.sqrt(mp.ldexp(v, cut.shift)) for v in (n, cut.gram[0] << 2 * cut.frac))
         raise error(f"{what} misses the lattice by {mp.nstr(miss, 3)}, against "
                     f"{mp.nstr(budget, 2)} and |b1| / 2 = {mp.nstr(b1 / 2, 3)}")
     (p, q), (r, s) = lat.reduction
@@ -273,14 +320,14 @@ def elliptic_exp(point: LatticePoint) -> tuple | None:
     """The affine point (x, y) of E(C) at the point, by wp at z minus its nearest
     corner, or None within 10^-digits |w1| of the lattice (the point at
     infinity); satisfies the model equation to roughly 10^(5 - digits)."""
-    lat, x, y, frac, _, _ = point
+    lat, x, y, cut = point
     n, i, j = next(_nearest_multiples(point, 1))
-    if n < _limit(point, lat.w1, -lat.digits):
+    if n < cut.infinity:
         return None
     with mp.workdps(lat.digits + GUARD):
         b1, b2 = _reduced_basis(lat)
-        wp, wpd = _wp_pair(lat, mp.ldexp(x - (i << frac), -frac) * b1
-                           + mp.ldexp(y - (j << frac), -frac) * b2)
+        wp, wpd = _wp_pair(lat, mp.ldexp(x - (i << cut.frac), -cut.frac) * b1
+                           + mp.ldexp(y - (j << cut.frac), -cut.frac) * b2)
         px = wp - mp.mpf(lat.curve.b2) / 12
         py = (wpd - lat.curve.a1 * px - lat.curve.a3) / 2
         return px, py
@@ -289,20 +336,10 @@ def elliptic_exp(point: LatticePoint) -> tuple | None:
 def is_torsion(point: LatticePoint) -> bool:
     """Whether some multiple m*z, m <= TORSION_BOUND, falls on the lattice to
     10^(-digits/2) |w1|."""
-    return torsion_order(point) is not None
-
-
-def torsion_order(point: LatticePoint):
-    """The least m <= TORSION_BOUND with m*z within 10^(-digits/2)*|w1| of the lattice."""
-    limit = _limit(point, point.lat.w1, -point.lat.digits / 2)
-    for m, (n, _, _) in enumerate(_nearest_multiples(point, TORSION_BOUND), 1):
-        if n < limit:
-            return m
-    return None
+    return point.scan[0] is not None
 
 
 def torsion_residual(point: LatticePoint):
     """Smallest distance of m*z to the lattice over 1 <= m <= TORSION_BOUND."""
-    n = min(n for n, _, _ in _nearest_multiples(point, TORSION_BOUND))
     with mp.workdps(point.lat.digits + GUARD):
-        return mp.sqrt(mp.ldexp(n, point.shift))
+        return mp.sqrt(mp.ldexp(point.scan[1], point.cut.shift))

@@ -114,7 +114,8 @@ from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureErr
 from cmtrace.fp import _xgcd, isprime, kronecker, smallest_nonsquare
 from cmtrace.heegner import NoHeegnerPoint, gamma0_reduce
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
-from cmtrace.periods import PeriodLattice, _nearest_multiples, locate
+from cmtrace.periods import (GUARD as PERIODS_GUARD, TORSION_BOUND, PeriodLattice,
+                             _nearest_multiples, locate)
 from cmtrace.quadforms import (BinaryForm, KernelClass, QuadOrder,
                                check_fundamental, lagrange_reduce, reduce_form,
                                reduced_forms)
@@ -1248,6 +1249,49 @@ def nearest_vector(lat: PeriodLattice, z) -> tuple[int, int]:
     _, i, j = next(_nearest_multiples(locate(lat, z), 1))
     (p, q), (r, s) = lat.reduction
     return i * p + j * r, i * q + j * s
+
+
+def nearest_multiples_expanded(point, bound: int):
+    """periods._nearest_multiples by a second route: each of the four corners
+    (i, j) of the cell of m (x, y) / 2^F expanded on its own, m^2 Q(x, y)
+    - 2^(F+1) m B((x, y), (i, j)) + 4^F Q(i, j)."""
+    _, x, y, cut = point
+    frac, (g11, g12, g22) = cut.frac, cut.gram
+    ax, bx = g11 * x + g12 * y, g12 * x + g22 * y
+    qxy = x * ax + y * bx
+    for m in range(1, bound + 1):
+        i0, j0 = (m * x) >> frac, (m * y) >> frac
+        yield min((m * m * qxy - ((m * (i * ax + j * bx)) << (frac + 1))
+                   + (((g11 * i + 2 * g12 * j) * i + g22 * j * j) << (2 * frac)), i, j)
+                  for i in (i0, i0 + 1) for j in (j0, j0 + 1))
+
+
+def _torsion_limit(point) -> int:
+    """The torsion test's limit ceil((10^(-digits/2) |w1|)^2 2^-shift), made
+    anew in mpmath at each call."""
+    lat = point.lat
+    with mp.workdps(lat.digits + PERIODS_GUARD):
+        radius = mp.mpf(10) ** (-lat.digits / 2) * abs(lat.w1)
+        return int(mp.ceil(mp.ldexp(radius ** 2, -point.cut.shift)))
+
+
+def torsion_order_two_pass(point):
+    """The least m <= TORSION_BOUND with m z within 10^(-digits/2) |w1| of the
+    lattice, by its own pass over the multiples from m = 1, against a limit
+    made anew (the order of periods' one scan)."""
+    limit = _torsion_limit(point)
+    for m, (n, _, _) in enumerate(nearest_multiples_expanded(point, TORSION_BOUND), 1):
+        if n < limit:
+            return m
+    return None
+
+
+def torsion_residual_two_pass(point):
+    """The least distance of m z to the lattice over m <= TORSION_BOUND, by a
+    second, full pass over the multiples (periods.torsion_residual)."""
+    n = min(n for n, _, _ in nearest_multiples_expanded(point, TORSION_BOUND))
+    with mp.workdps(point.lat.digits + PERIODS_GUARD):
+        return mp.sqrt(mp.ldexp(n, point.cut.shift))
 
 
 def lattice_reduce(lat: PeriodLattice, z):

@@ -8,6 +8,7 @@ from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureErr
                                 lemma_converse_check, signo_pairing_check, two_to_one_check,
                                 verify_optimal)
 from cmtrace.errors import InputError
+from cmtrace.finite import ExperimentSpec, experiment_finite
 from cmtrace.fp import index_ns_plus, kronecker, smallest_nonsquare
 from cmtrace.quadforms import BinaryForm, is_fundamental_discriminant, kernel_classes, order_data
 from oracles import (IDENTITY, coset_label, decompose_gamma, enumerate_cartan, galois_matrix,
@@ -64,6 +65,51 @@ def test_build_embedding_rejects_a_p_that_is_no_odd_prime():
     for p in (33, 27, 1, -5):
         with pytest.raises(InputError, match="odd prime"):
             build_embedding(p, order_data(-7, 1))
+
+
+@pytest.mark.parametrize("p,dK,f", [(199, -91, 1), (101, -7, 1), (157, -43, 3), (173, -8, 2)])
+def test_experiment_finite_tests_p_once(monkeypatch, p, dK, f):
+    # ExperimentSpec.validate tests p, and the one smallest non-square mod p
+    # goes to build_embedding, the five find_common_norm_element calls and
+    # their square roots, which need one at p = 1 mod 4 (Tonelli-Shanks:
+    # 101, 157 and 173 here)
+    from cmtrace import embeddings as emb_module
+    from cmtrace import finite, fp, quadforms
+    calls = []
+
+    def counting(fn):
+        def run(*args):
+            calls.append((fn.__name__, args[0]))
+            return fn(*args)
+        return run
+
+    for name in ("isprime", "smallest_nonsquare"):
+        wrapped = counting(getattr(fp, name))
+        for module in (fp, finite, emb_module, quadforms):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    report = experiment_finite(ExperimentSpec(dK=dK, f=f, p=p, mode="finite_only"))
+    assert report.all_passed
+    assert [c for c in calls if c[1] == p] == [("isprime", p), ("smallest_nonsquare", p)]
+
+
+def test_raw_input_keeps_its_checks_and_meets_the_validated_path():
+    # without eps (or validated=True) each layer tests p itself, so a public
+    # caller with a p that is no odd prime gets an InputError; on valid input
+    # the path a validated spec takes gives the same results
+    order = order_data(-7, 1)
+    for p in (33, 27, 1, -5):
+        for call in (lambda: kernel_classes(order, p), lambda: find_common_norm_element(p, 2),
+                     lambda: build_embedding(p, order)):
+            with pytest.raises(InputError, match="odd prime"):
+                call()
+    for dK, f, p in random_inert_triples(40, pmax=211, seed=11):
+        order, eps = order_data(dK, f), smallest_nonsquare(p)
+        assert kernel_classes(order, p) == kernel_classes(order, p, validated=True)
+        assert build_embedding(p, order) == build_embedding(p, order, eps)
+        for ell in (2, 3, 5, 7, 11, 13):
+            if ell != p:
+                assert find_common_norm_element(p, ell) == find_common_norm_element(p, ell, eps)
 
 
 def test_build_embedding_rejects_split_prime():

@@ -13,7 +13,7 @@ from cmtrace.finite import TRACE_MIN_DIGITS, ExperimentSpec, HypothesisError, ex
 from cmtrace.heegner import galois_orbit, heegner_form
 from cmtrace.modparam import (LAMBDA_DIGITS, SeriesBudgetError, al_constant_points,
                               atkin_lehner_sign, eval_phi, phi_terms)
-from cmtrace.periods import period_lattice
+from cmtrace.periods import TORSION_BOUND, period_lattice
 from cmtrace.quadforms import BinaryForm, kernel_classes, order_data
 from oracles import evaluated_moves, heegner_tau, lattice_distance, orbit_values_by_fiber
 
@@ -337,9 +337,9 @@ def test_trace_point_builds_the_kernel_once(monkeypatch):
     import cmtrace.finite as finite
     calls = []
 
-    def counting(order, p):
+    def counting(order, p, **kwargs):
         calls.append((order.dK, order.f, p))
-        return kernel_classes(order, p)
+        return kernel_classes(order, p, **kwargs)
 
     monkeypatch.setattr(finite, "kernel_classes", counting)
     for model, dK, f in ((M49, -11, 1), (M49, -8, 3), (M121, -67, 1)):
@@ -386,6 +386,34 @@ def test_trace_point_locates_the_trace_once(monkeypatch, model, dK, mode, verdic
     assert exp_points == [point] * (verdict == "non_torsion")
     if exp_points:
         assert exp_points[0] is point
+
+
+@pytest.mark.parametrize("model,dK,mode", [(M49, -11, "signo_minus"),
+                                            (M121, -67, "main_plus")])
+def test_trace_point_scans_the_multiples_once_and_cuts_each_exponent_once(monkeypatch, model,
+                                                                         dK, mode):
+    # is_torsion and torsion_residual share one scan of the TORSION_BOUND
+    # multiples of the trace, and on a lattice made fresh for the run the
+    # periods are cut once per exponent, however many values are read there
+    from cmtrace import experiments, periods
+    scans, cuts = [], []
+    nearest, cut = periods._nearest_multiples, periods._cut
+
+    def scanning(point, bound):
+        scans.append(bound)
+        return nearest(point, bound)
+
+    def cutting(lat, k):
+        cuts.append((id(lat), k))
+        return cut(lat, k)
+
+    monkeypatch.setattr(periods, "_nearest_multiples", scanning)
+    monkeypatch.setattr(periods, "_cut", cutting)
+    monkeypatch.setattr(experiments, "period_lattice", period_lattice.__wrapped__)
+    rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=model, digits=60, mode=mode))
+    assert rep.verdict == ("torsion" if model is M49 else "non_torsion")
+    assert scans.count(TORSION_BOUND) == 1 and set(scans) == {1, TORSION_BOUND}
+    assert cuts and len(set(cuts)) == len(cuts) < scans.count(1)
 
 
 def test_experiment_finite_builds_no_lattice():

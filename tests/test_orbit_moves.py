@@ -34,7 +34,7 @@ from cmtrace.quadforms import (is_fundamental_discriminant, kernel_classes, orde
 from oracles import (al_constant_by_series, coset_least_by_search, eval_series_direct,
                      evaluated_moves, evaluation_key, galois_orbit_by_lattices, heegner_tau,
                      lattice_reduce, orbit_trace_direct, orbit_values_by_fiber, phi_terms_mp,
-                     w_p2_pairs)
+                     torsion_order_two_pass, torsion_residual_two_pass, w_p2_pairs)
 
 # the five curves of the trace catalogue, with the modes the suite uses
 CURVES = {
@@ -433,7 +433,8 @@ def _check_against_direct(label, dK, f, digits):
     precision within 10^-(digits+5), each LAMBDA_DIGITS value within 10^-10
     (the module docstring's bound), each fiber's z_j - w_p z_i - K_{p^2} on
     the lattice within 10^-(digits+5), and the trace within 10^-(digits+10)
-    of the direct sum, with the same torsion verdict; each entry's form is
+    of the direct sum, with the same torsion verdict, and each trace's order
+    and residual those of the two-pass oracle exactly; each entry's form is
     its orbit form, and its tau a root of that form to the digits printed.
     Returns the moves' Q and the sources."""
     model, shadow, orbit = _orbit(label, dK, f)
@@ -456,6 +457,9 @@ def _check_against_direct(label, dK, f, digits):
         here, direct = locate(lat, trace_z), locate(lat, trace_direct)
         assert is_torsion(here) == is_torsion(direct)
         assert abs(torsion_residual(here) - torsion_residual(direct)) < tol
+        for point in (here, direct):             # the one scan against two passes
+            assert point.scan[0] == torsion_order_two_pass(point)
+            assert torsion_residual(point) == torsion_residual_two_pass(point)
     used = evaluated_moves(moves, pairs, wp)
     assert [(e.digits, e.q, e.n_max, e.source) for e in entries] == [
         (prec, mv.q, n, source) for prec, mv, n, source in zip(precs, used, terms, sources)]

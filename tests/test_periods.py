@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from cmtrace.curves import Curve
 from cmtrace.errors import InputError
 from cmtrace.modparam import LAMBDA_BUDGET
-from cmtrace.periods import (GUARD, PeriodLattice, PrecisionError, _nearest_multiples,
-                             _wp_pair, elliptic_exp, is_torsion, locate, period_lattice,
-                             read_vector, torsion_order, torsion_residual, two_torsion_roots)
+from cmtrace.periods import (GUARD, TORSION_BOUND, PeriodLattice, PrecisionError,
+                             _nearest_multiples, _wp_pair, elliptic_exp, is_torsion, locate,
+                             period_lattice, read_vector, torsion_residual, two_torsion_roots)
 from oracles import (equation_residual, lattice_coords, lattice_distance,
                      lattice_distance_by_search, lattice_reduce, lattice_reduce_descent,
-                     nearest_vector, reduced_basis, two_torsion_roots_by_polyroots,
-                     wp_pair_by_laurent)
+                     nearest_multiples_expanded, nearest_vector, reduced_basis,
+                     torsion_order_two_pass, torsion_residual_two_pass,
+                     two_torsion_roots_by_polyroots, wp_pair_by_laurent)
 
 LATTICE_CURVES = {              # the five catalogue curves (disc < 0) and 37a1 (disc > 0)
     "49a1": (1, -1, 0, -2, -1),
@@ -162,8 +163,8 @@ def test_torsion_detection():
     lat = period_lattice(cur, 60)
     with mp.workdps(75):
         assert is_torsion(locate(lat, lat.w1 / 2))
-        assert torsion_order(locate(lat, lat.w1 / 2)) == 2
-        assert torsion_order(locate(lat, (lat.w1 + 2 * lat.w2) / 6)) == 6
+        assert locate(lat, lat.w1 / 2).scan[0] == 2             # the torsion order
+        assert locate(lat, (lat.w1 + 2 * lat.w2) / 6).scan[0] == 6
         z = locate(lat, mp.mpf("0.3") * lat.w1 + mp.mpf("0.31") * lat.w2)
         assert not is_torsion(z)
         assert torsion_residual(z) > mp.mpf(10) ** -10
@@ -187,7 +188,8 @@ def _points(lat: PeriodLattice, seed: int, count: int) -> list:
 def _distances(z, lat: PeriodLattice, bound: int) -> list:
     point = locate(lat, z)
     with mp.workdps(lat.digits + GUARD):
-        return [mp.sqrt(mp.ldexp(n, point.shift)) for n, _, _ in _nearest_multiples(point, bound)]
+        return [mp.sqrt(mp.ldexp(n, point.cut.shift))
+                for n, _, _ in _nearest_multiples(point, bound)]
 
 
 def test_lattice_signs_and_reduction():
@@ -309,48 +311,111 @@ def test_large_bound_keeps_the_guard_bits():
 
 def test_locate_ignores_the_callers_precision():
     # every point is solved at the lattice's own precision, so a caller at
-    # 15 digits or at 200 reads the same coordinates and nearest vector
+    # 15 digits or at 200 reads the same coordinates and nearest vector, on
+    # the warm lattice and on a cold copy that has cut nothing yet
     lat = _lattice("121b1", 60)
     for z in _points(lat, 5, 3):
         seen = []
         for dps in (15, 60 + GUARD, 200):
             with mp.workdps(dps):
-                seen.append((locate(lat, z), nearest_vector(lat, z)))
-        assert seen[0] == seen[1] == seen[2]
+                for basis in (lat, PeriodLattice(*lat)):
+                    seen.append((locate(basis, z), nearest_vector(basis, z)))
+        assert all(s == seen[0] for s in seen)
     with mp.workdps(60 + GUARD):
-        assert seen[0][0].frac == mp.mp.prec + 15
+        assert seen[0][0].cut.frac == mp.mp.prec + 15
 
 
 class _Missed(Exception):
     pass
 
 
-@pytest.mark.parametrize("digits", [60, 200])
-def test_read_vector_accepts_exactly_what_the_oracle_accepts(digits):
-    # lattice vectors plus offsets of 10^-12 to 10^-6, log-uniform about
-    # LAMBDA_BUDGET = 10^-9: read_vector's integer comparisons accept the
-    # oracle's nearest vector exactly when its distance in mpmath is below the
-    # budget, and the budget below |b1| / 2; else they raise the caller's error
-    rng, accepted = random.Random(digits), 0
+def _read_cases(digits: int) -> list:
+    """(lat, z, (i0, j0)): 600 lattice vectors i0 w1 + j0 w2 of the five
+    catalogue curves plus offsets of 10^-12 to 10^-6, log-uniform about
+    LAMBDA_BUDGET = 10^-9."""
+    rng, cases = random.Random(digits), []
     for label in ("49a1", "121b1", "50a1", "50b1", "36a1"):
         lat = _lattice(label, digits)
         for _ in range(60):
             i0, j0 = rng.randint(-20, 20), rng.randint(-20, 20)
             with mp.workdps(digits + GUARD):
                 offset = mp.mpf(10) ** rng.uniform(-12, -6) * mp.expjpi(rng.uniform(0, 2))
-                z = i0 * lat.w1 + j0 * lat.w2 + offset
-            i, j = nearest_vector(lat, z)
-            with mp.workdps(digits + GUARD + 20):
-                miss = abs(z - i * lat.w1 - j * lat.w2)
-                half = abs(reduced_basis(lat)[0]) / 2
-            assert (i, j) == (i0, j0) and LAMBDA_BUDGET < half
-            if miss < LAMBDA_BUDGET:
-                assert read_vector(lat, z, LAMBDA_BUDGET, _Missed, "z") == (i, j)
-                accepted += 1
-            else:
-                with pytest.raises(_Missed, match="^z misses the lattice by"):
-                    read_vector(lat, z, LAMBDA_BUDGET, _Missed, "z")
+                cases.append((lat, i0 * lat.w1 + j0 * lat.w2 + offset, (i0, j0)))
+    return cases
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+def test_read_vector_accepts_exactly_what_the_oracle_accepts(digits):
+    # read_vector's integer comparisons accept the oracle's nearest vector
+    # exactly when its distance in mpmath is below the budget, and the budget
+    # below |b1| / 2; else they raise the caller's error
+    accepted = 0
+    for lat, z, (i0, j0) in _read_cases(digits):
+        i, j = nearest_vector(lat, z)
+        with mp.workdps(digits + GUARD + 20):
+            miss = abs(z - i * lat.w1 - j * lat.w2)
+            half = abs(reduced_basis(lat)[0]) / 2
+        assert (i, j) == (i0, j0) and LAMBDA_BUDGET < half
+        if miss < LAMBDA_BUDGET:
+            assert read_vector(lat, z, LAMBDA_BUDGET, _Missed, "z") == (i, j)
+            accepted += 1
+        else:
+            with pytest.raises(_Missed, match="^z misses the lattice by"):
+                read_vector(lat, z, LAMBDA_BUDGET, _Missed, "z")
     assert 100 < accepted < 200
+
+
+def _read_or_raise(lat, z, budget):
+    try:
+        return read_vector(lat, z, budget, _Missed, "z")
+    except _Missed as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+def test_a_cold_and_a_warm_lattice_read_alike(digits):
+    # the integers a lattice keeps per cut are invisible: on the 600 read
+    # vectors, a cold copy of the lattice (nothing cut yet) and the warm
+    # lattice locate each value alike, read the same vector or raise the same
+    # message at LAMBDA_BUDGET and at a budget above |b1| / 2, and map every
+    # tenth value to the same point of E(C)
+    for n, (lat, z, _) in enumerate(_read_cases(digits)):
+        cold = PeriodLattice(*lat)
+        assert cold == lat and "cuts" not in vars(cold)
+        assert locate(cold, z) == locate(lat, z)
+        for budget in (LAMBDA_BUDGET, mp.mpf(10)):
+            assert _read_or_raise(PeriodLattice(*lat), z, budget) == _read_or_raise(lat, z, budget)
+        if n % 10 == 0:
+            assert elliptic_exp(locate(PeriodLattice(*lat), z)) == elliptic_exp(locate(lat, z))
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+def test_one_scan_equals_the_two_pass_oracle(digits):
+    # on random points, on torsion points k/n (n <= 30) and on torsion points
+    # moved by about the torsion limit 10^(-digits/2) |w1|, the one scan's
+    # order and residual are exactly those of two separate passes, the order
+    # against a limit made anew in mpmath, and every (n, i, j) of the
+    # multiples is that of the expansion about each corner on its own
+    rng, count, orders = random.Random(digits + 1), 0, set()
+    for label in ("49a1", "121b1", "50b1", "36a1", "37a1"):
+        lat = _lattice(label, digits)
+        points = _points(lat, digits + 2, 42)
+        with mp.workdps(digits + GUARD):
+            for _ in range(30):
+                n, k1, k2 = rng.randint(1, 30), rng.randint(-60, 60), rng.randint(-60, 60)
+                t = (k1 * lat.w1 + k2 * lat.w2) / n
+                off = mp.mpf(10) ** (rng.uniform(-1.5, 0.5) - digits / 2) * abs(lat.w1)
+                points += [t, t + off * mp.expjpi(rng.uniform(0, 2))]
+        for z in points:
+            point = locate(lat, z)
+            assert list(_nearest_multiples(point, TORSION_BOUND)) == \
+                list(nearest_multiples_expanded(point, TORSION_BOUND))
+            assert point.scan[0] == torsion_order_two_pass(point)
+            assert torsion_residual(point) == torsion_residual_two_pass(point)
+            assert is_torsion(point) == (point.scan[0] is not None)
+            orders.add(point.scan[0])
+            count += 1
+    assert count >= 500 and None in orders and len(orders) > 15
 
 
 @pytest.mark.parametrize("label", sorted(LATTICE_CURVES))
@@ -378,7 +443,7 @@ def test_torsion_order_of_rational_points(label, n, k1, k2):
     lat = _lattice(label, 60)
     with mp.workdps(60 + GUARD):
         z = mp.mpf(k1) / n * lat.w1 + mp.mpf(k2) / n * lat.w2
-    assert torsion_order(locate(lat, z)) == n // gcd(n, k1, k2)
+    assert locate(lat, z).scan[0] == n // gcd(n, k1, k2)
 
 
 def test_period_lattice_is_computed_once_per_curve_and_digits():
