@@ -254,9 +254,9 @@ def _valuation(n: int, q: int) -> int:
 # conductor exponent is read off from Ogg's formula f = v(disc) + 1 - m.
 
 
-class LocalData(namedtuple("LocalData", "q v_disc f reduction")):
-    """Tate's data at the prime q: v(disc), the conductor exponent f, and the
-    reduction: good, split, nonsplit or additive."""
+class LocalData(namedtuple("LocalData", "v_disc f reduction")):
+    """Tate's data at a prime q, which its readers key by q: v(disc), the
+    conductor exponent f, and the reduction (good, split, nonsplit, additive)."""
 
     __slots__ = ()
 
@@ -264,7 +264,7 @@ class LocalData(namedtuple("LocalData", "q v_disc f reduction")):
 def tate_local(cur: Curve, q: int) -> LocalData:
     disc = cur.disc
     if disc % q:
-        return LocalData(q, 0, 0, "good")
+        return LocalData(0, 0, "good")
     v = _valuation(disc, q)
     if cur.c4 % q:
         # Multiplicative: I_n with n = v(disc); split iff the tangent cone at
@@ -273,10 +273,10 @@ def tate_local(cur: Curve, q: int) -> LocalData:
             split = _split_at_two(cur)
         else:
             split = kronecker(-cur.c6, q) == 1
-        return LocalData(q, v, 1, "split" if split else "nonsplit")
+        return LocalData(v, 1, "split" if split else "nonsplit")
     if q >= 5:
-        return LocalData(q, v, 2, "additive")
-    return LocalData(q, v, v + 1 - _tate_chain_23(cur, q), "additive")
+        return LocalData(v, 2, "additive")
+    return LocalData(v, v + 1 - _tate_chain_23(cur, q), "additive")
 
 
 def _singular_point(cur: Curve, q: int) -> tuple[int, int]:

@@ -46,24 +46,21 @@ class EmbeddingData(namedtuple("EmbeddingData", "p eps order iota_omega")):
     __slots__ = ()
 
 
-def build_embedding(p: int, order: QuadOrder, eps: int | None = None) -> EmbeddingData:
-    """Construct the embedding data for an inert prime p coprime to f, checked
-    here unless the caller passes eps, the smallest non-square mod p."""
-    if eps is None:
-        if p < 3 or not isprime(p):
-            raise InputError(f"p must be an odd prime, got {p}")
-        eps = smallest_nonsquare(p)
-        # p | f puts p^2 into the discriminant, which the inertness test would
-        # misread as a square mod p, so it is named first
-        if order.f % p == 0:
-            raise EmbeddingError(f"p = {p} divides the conductor f = {order.f}")
-        if kronecker(order.disc, p) != -1:
-            raise EmbeddingError(f"p = {p} is not inert (discriminant is a square mod p)")
+def build_embedding(p: int, order: QuadOrder) -> EmbeddingData:
+    """The embedding data for an inert odd prime p coprime to f, all checked here."""
+    if p < 3 or not isprime(p):
+        raise InputError(f"p must be an odd prime, got {p}")
+    # p | f puts p^2 into the discriminant, which the inertness test would
+    # misread as a square mod p, so it is named first
+    if order.f % p == 0:
+        raise EmbeddingError(f"p = {p} divides the conductor f = {order.f}")
+    if kronecker(order.disc, p) != -1:
+        raise EmbeddingError(f"p = {p} is not inert (discriminant is a square mod p)")
     # eps*s^2 = (t^2-4n)/4: the right side is a non-square times the inverse
     # of a square, so s exists, and s != 0
-    t, n = order.t % p, order.n % p
+    eps, t, n = smallest_nonsquare(p), order.t % p, order.n % p
     half_t = t * pow(2, -1, p) % p
-    s = sqrt_mod_p((t * t - 4 * n) * pow(4 * eps, -1, p), p, eps)
+    s = sqrt_mod_p((t * t - 4 * n) * pow(4 * eps, -1, p), p)
     return EmbeddingData(p=p, eps=eps, order=order, iota_omega=(half_t, s, eps * s % p, half_t))
 
 
@@ -203,21 +200,19 @@ def signo_pairing_check(emb: EmbeddingData) -> bool:
     return (a - d) % p == 0 and b * c % p != 0
 
 
-def find_common_norm_element(p: int, l: int,
-                             eps: int | None = None) -> tuple[int, int, int, int]:
+def find_common_norm_element(p: int, l: int) -> tuple[int, int, int, int]:
     """Element of C_s+ cap C_ns+ with determinant l, as a row-major 4-tuple
     in [0, p): a scalar when l is a square, an antidiagonal (0, b; -eps*b, 0)
     with eps*b^2 = l otherwise, eps the smallest non-square mod the odd
-    prime p, passed by a caller that has validated p (as build_embedding)."""
-    if eps is None:
-        if p < 3 or not isprime(p):
-            raise InputError(f"p must be an odd prime, got {p}")
-        eps = smallest_nonsquare(p)
+    prime p."""
+    if p < 3 or not isprime(p):
+        raise InputError(f"p must be an odd prime, got {p}")
     l %= p
     if l == 0:
         raise InputError("determinant must be a unit")
     if kronecker(l, p) == 1:
-        mu = sqrt_mod_p(l, p, eps)
+        mu = sqrt_mod_p(l, p)
         return (mu, 0, 0, mu)
-    b = sqrt_mod_p(l * pow(eps, -1, p) % p, p, eps)
+    eps = smallest_nonsquare(p)
+    b = sqrt_mod_p(l * pow(eps, -1, p) % p, p)
     return (0, b, -eps * b % p, 0)

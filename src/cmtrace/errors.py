@@ -20,12 +20,12 @@ class InputError(CmtraceError, ValueError):
 class AlConstantError(CmtraceError, ArithmeticError):
     """K_Q is no torsion point of the lattice that Mazur's theorem allows:
     2520 K_Q, read at LAMBDA_DIGITS, misses the lattice by more than
-    LAMBDA_BUDGET, or its order is not in Mazur's list, so the lattice is not
-    that of phi (modparam.al_constant, periods.read_vector)."""
+    periods.LAMBDA_BUDGET, or its order is not in Mazur's list, so the
+    lattice is not that of phi (modparam.al_constant, periods.read_vector)."""
 
 
 class FiberPairingError(CmtraceError, ArithmeticError):
     """A fiber of the finite shadow is no W_{p^2} pair of the orbit, or a
     lattice vector read at LAMBDA_DIGITS, a fiber mate's lam or the period
-    Omega of a move into the whole coset, misses by more than LAMBDA_BUDGET
-    (experiments module docstring, periods.read_vector)."""
+    Omega of a move into the whole coset, misses by more than
+    periods.LAMBDA_BUDGET (experiments module docstring, periods.read_vector)."""

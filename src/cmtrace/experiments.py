@@ -33,7 +33,7 @@ Reading lam.  orbit_trace reads lam off v = z_j - w_p z_i - K_{p^2}, with
 z_j, and z_i when w_p = -1, evaluated at LAMBDA_DIGITS = 5, as every
 lattice vector is read (periods.read_vector; 2520 K_Q too, modparam
 docstring): the nearest lattice vector, accepted only when |v - lam| <
-LAMBDA_BUDGET = 10^-9 < |b1| / 2, b1 the shortest lattice vector.  A
+periods.LAMBDA_BUDGET = 10^-9 < |b1| / 2, b1 the shortest lattice vector.  A
 LAMBDA_DIGITS value errs by less than 10^-10.  The series at the point it is
 given errs by under 10^-15 (tail) plus 10^-20 (rounding; modparam
 docstring).  The point s, with 0 <= B < 2A so |Re s| < 1, enters the
@@ -90,8 +90,8 @@ from .errors import FiberPairingError, InputError
 from .finite import ExperimentSpec, FiniteReport, experiment_finite
 from .fp import factorint
 from .heegner import al_move, coset_move, galois_orbit, heegner_form
-from .modparam import (GUARD, LAMBDA_BUDGET, LAMBDA_DIGITS, SeriesBudgetError, al_constant,
-                       al_constant_points, atkin_lehner_sign, eval_phi, local_sign, phi_terms)
+from .modparam import (GUARD, LAMBDA_DIGITS, SeriesBudgetError, al_constant, al_constant_points,
+                       atkin_lehner_sign, eval_phi, local_sign, phi_terms)
 from .periods import (PeriodLattice, elliptic_exp, is_torsion, locate, period_lattice,
                       read_vector, torsion_residual)
 from .quadforms import class_number, reduce_form
@@ -356,18 +356,17 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
 
         zs = [value(mv, key, conj) for mv, (key, conj, *_) in zip(used, plans)]
         for i, (key, conj, *_) in zip(reads, read_plans):
-            x, y = read_vector(lat, zs[i] - value(moves[i].low, key, conj), LAMBDA_BUDGET,
-                               FiberPairingError, f"orbit point {i}: the {LAMBDA_DIGITS}-digit "
-                               f"read of the period of its W_{moves[i].q} move")
+            x, y = read_vector(lat, zs[i] - value(moves[i].low, key, conj), FiberPairingError,
+                               f"orbit point {i}: the {LAMBDA_DIGITS}-digit read of the "
+                               f"period of its W_{moves[i].q} move")
             zs[i] -= x * lat.w1 + y * lat.w2                              # Omega
         trace_z = mp.mpc(0)
         for a, b in pairs:               # fixed order of the fibers' first points
             if precs[b] == digits:
                 trace_z += zs[a] + zs[b]
                 continue
-            x, y = read_vector(lat, zs[b] - wp * zs[a] - consts[p2], LAMBDA_BUDGET,
-                               FiberPairingError, f"orbit points {a} and {b}: the "
-                               f"{LAMBDA_DIGITS}-digit read of lam")
+            x, y = read_vector(lat, zs[b] - wp * zs[a] - consts[p2], FiberPairingError,
+                               f"orbit points {a} and {b}: the {LAMBDA_DIGITS}-digit read of lam")
             shift = consts[p2] + x * lat.w1 + y * lat.w2         # K_{p^2} + lam
             trace_z += (1 + wp) * zs[a] + shift
             if wp == 1:
@@ -401,16 +400,17 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
 
     t0 = time.perf_counter()
     shadow = experiment_finite(spec)             # validates the spec first
+    t1 = time.perf_counter()
     base = heegner_form(model.n, spec.dK, model.p * spec.f)
     orbit = galois_orbit(base, model.n, [kc.form for kc in shadow.classes])
     # an over-budget orbit fails here, before the sign can evaluate a series
     moves = orbit_options(model, orbit, digits)
-    t_finite = time.perf_counter() - t0
+    t2 = time.perf_counter()
+    timings = {"finite_layer": t1 - t0, "orbit_plan": t2 - t1}
 
-    t0 = time.perf_counter()
     # a sign is +-1: a numerical w_p (additive at 3) needs only LAMBDA_DIGITS
     wp = atkin_lehner_sign(model.minimal, model.n, model.p * model.p, LAMBDA_DIGITS)
-    timings = {"atkin_lehner": time.perf_counter() - t0, "finite_layer": t_finite}
+    timings["atkin_lehner"] = time.perf_counter() - t2
 
     t0 = time.perf_counter()
     lat = period_lattice(model.minimal, digits)
@@ -423,15 +423,15 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     residual = torsion_residual(point)
     verdict, recognized = ("torsion" if is_torsion(point) else "undecided"), None
     if verdict == "undecided" and spec.f == 1 and class_number(spec.dK) == 1:
-        xy = elliptic_exp(point)
-        if xy is not None:
-            hb = max(4, digits // 3)
-            rx = recognize_in_quadratic(xy[0], spec.dK, digits, hb)
-            ry = recognize_in_quadratic(xy[1], spec.dK, digits, hb)
-            if (rx is not None and ry is not None
-                    and curve_equation_holds_exactly(model.minimal.ainvs, rx, ry)):
-                recognized = (rx, ry)
-                verdict = "non_torsion"
+        # not torsion, so m = 1 is above the torsion limit, hence the infinity one
+        px, py = elliptic_exp(point)
+        hb = max(4, digits // 3)
+        rx = recognize_in_quadratic(px, spec.dK, digits, hb)
+        ry = recognize_in_quadratic(py, spec.dK, digits, hb)
+        if (rx is not None and ry is not None
+                and curve_equation_holds_exactly(model.minimal.ainvs, rx, ry)):
+            recognized = (rx, ry)
+            verdict = "non_torsion"
     timings["classification"] = time.perf_counter() - t0
 
     return TraceReport(spec=spec, wp=wp, orbit=tuple(entries), trace_z=trace_z,

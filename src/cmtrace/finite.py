@@ -19,7 +19,7 @@ from .curves import CurveModel
 from .embeddings import (build_embedding, find_common_norm_element, lemma_converse_check,
                          signo_pairing_check, two_to_one_check, verify_optimal)
 from .errors import InputError
-from .fp import factorint, index_ns_plus, isprime, kronecker, smallest_nonsquare
+from .fp import factorint, index_ns_plus, isprime, kronecker
 from .quadforms import kernel_classes, order_data
 
 MODES = ("signo_minus", "main_plus", "finite_only")
@@ -145,15 +145,15 @@ class FiniteReport(namedtuple("FiniteReport", "p dK f level_m checks fiber_count
 
 def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
     """The purely finite layer: embedding, converse scan, fibers, pairings,
-    and common-norm elements for the first five good primes, with the smallest
-    non-square mod p and the curve's level M (1 without a curve)."""
-    spec.validate()                      # p is tested once, here
+    and common-norm elements for the first five good primes, with the curve's
+    level M (1 without a curve).  Each layer checks p itself; isprime and
+    smallest_nonsquare are cached, so p is tested once per process."""
+    spec.validate()
     p = spec.prime
     level_m = spec.curve.m if spec.curve is not None else 1
     order = order_data(spec.dK, spec.f)
-    eps = smallest_nonsquare(p)
-    classes = kernel_classes(order, p, validated=True)
-    emb = build_embedding(p, order, eps)
+    classes = kernel_classes(order, p)
+    emb = build_embedding(p, order)
     checks = {
         "optimal_embedding": verify_optimal(emb),
         "lemma_converse": lemma_converse_check(emb),
@@ -170,7 +170,7 @@ def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
         ell += 1
         if isprime(ell) and n_ambient % ell:
             good.append(ell)
-    elements = [find_common_norm_element(p, ell, eps) for ell in good]
+    elements = [find_common_norm_element(p, ell) for ell in good]
     checks["common_norm_elements"] = all(
         (a * d - b * c - ell) % p == 0 for ell, (a, b, c, d) in zip(good, elements))
     return FiniteReport(p=p, dK=spec.dK, f=spec.f, level_m=level_m, checks=checks,

@@ -20,6 +20,8 @@ coset index of the Cartan normalizers in closed form.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InputError
 
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -31,9 +33,10 @@ class ArithmeticBoundError(InputError):
     """An integer beyond what isprime or factorint decide exactly."""
 
 
+@lru_cache(maxsize=1024)
 def isprime(n: int) -> bool:
     """Whether n is prime; ArithmeticBoundError for a probable prime
-    n >= MR_BOUND (a composite one is still reported composite)."""
+    n >= MR_BOUND (a composite one is still reported composite); cached."""
     if n < 2:
         return False
     for q in MR_BASES:
@@ -132,17 +135,18 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
+@lru_cache(maxsize=1024)
 def smallest_nonsquare(p: int) -> int:
+    """The least x >= 2 with (x|p) = -1, found once per p and process."""
     for x in range(2, p):
         if kronecker(x, p) == -1:
             return x
     raise InputError(f"no non-square mod {p}")
 
 
-def sqrt_mod_p(a: int, p: int, eps: int | None = None) -> int:
+def sqrt_mod_p(a: int, p: int) -> int:
     """The square root r <= p // 2 of a mod the odd prime p (the smaller of
-    r and p - r), or InputError if a is a non-square; eps, a non-square mod
-    p, is smallest_nonsquare(p) unless the caller has it.
+    r and p - r), or InputError if a is a non-square.
 
     p is not tested for primality.  At an odd composite p the Jacobi symbol
     can read 1 at a non-square, so both routes check what they found: a
@@ -165,7 +169,7 @@ def sqrt_mod_p(a: int, p: int, eps: int | None = None) -> int:
         while q % 2 == 0:
             q //= 2
             s += 1
-        m, c = s, pow(eps or smallest_nonsquare(p), q, p)
+        m, c = s, pow(smallest_nonsquare(p), q, p)
         t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
         while t != 1:
             i, t2 = 0, t

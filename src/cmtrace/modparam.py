@@ -74,7 +74,7 @@ points themselves are rounded to the 70 bits of 20 digits, |s| < 1.5, and
 each value moves by under 9 10^-17 more while Im s >= 2 10^-3, that is N <=
 500 sqrt(Q) (every level the tests use).  The weights of the points sum to
 2, so the value v is within 2.2 10^-15 of K_Q, and 2520 v within 5.6
-10^-12 of 2520 K_Q, below LAMBDA_BUDGET = 10^-9.  So 2520 K_Q is read off
+10^-12 of 2520 K_Q, below periods.LAMBDA_BUDGET = 10^-9.  So 2520 K_Q is read off
 2520 v as every lattice vector is (periods.read_vector): the nearest
 vector, accepted only within LAMBDA_BUDGET < |b1| / 2 of 2520 v.  K_Q = (i
 w1 + j w2) / 2520 exactly, for the integer coordinates (i, j) of that
@@ -123,7 +123,6 @@ FIXED_GUARD = 10            # guard bits of the fixed-point evaluator beyond bit
 NMAX_CAP = 10 ** 6
 AL_SAMPLES = 5              # points on the W_Q-stable circle that must agree on the sign
 LAMBDA_DIGITS = 5           # the values every lattice vector is read from (module docstring)
-LAMBDA_BUDGET = 1e-9        # how far such a value may miss its vector (periods.read_vector)
 MAZUR_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 K_EXPONENT = 2520           # lcm of MAZUR_ORDERS
 
@@ -287,7 +286,7 @@ def al_constant(lat: PeriodLattice, n_level: int, q_div: int, w: int) -> tuple[i
         v = mp.mpc(0)
         for c, s in al_constant_points(n_level, q_div, w, LAMBDA_DIGITS):
             v += c * eval_phi(lat.curve, s, LAMBDA_DIGITS)
-        i, j = read_vector(lat, K_EXPONENT * v, LAMBDA_BUDGET, AlConstantError,
+        i, j = read_vector(lat, K_EXPONENT * v, AlConstantError,
                            f"K_{q_div} = {mp.nstr(v, 12)}: {K_EXPONENT} K_{q_div}")
     g = gcd(i, j, K_EXPONENT)
     if K_EXPONENT // g not in MAZUR_ORDERS:

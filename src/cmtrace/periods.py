@@ -61,20 +61,22 @@ far less.  A squared distance is an integer n times 2^shift, shift =
 -2(e + F), up to the one square root, so each threshold is an integer
 comparison, n < ceil(r^2 2^-shift) for a distance r: 10^(-digits/2) |w1|
 for the torsion test, 10^-digits |w1| at m = 1 for elliptic_exp's point
-at infinity, and a read's budget at m = 1.  What depends on the lattice and
-e alone (w1 and w2 cut, b1, b2, their determinant and Gram triple, the three
-limits) is fixed once per lattice and e, in lat.cuts, so locate cuts only z;
-one scan of the multiples, kept on the point, yields both the torsion order
-(the first m under the limit) and the residual (the least n).
+at infinity, and LAMBDA_BUDGET at m = 1 for a read.  What depends on the
+lattice and e alone (w1 and w2 cut, b1, b2, their determinant and Gram
+triple, the three limits) is fixed once per lattice and e, in the Cut that
+lat.cuts keeps under k, so locate cuts only z; one scan of the multiples,
+kept on the point, yields both the torsion order (the first m under the
+limit) and the residual (the least n).
 
 Reading a lattice vector.  modparam and experiments read each lattice
 vector (2520 K_Q, a fiber's lam, a period Omega) off a value v by
 read_vector: v's nearest corner lam at m = 1, accepted only when |v - lam|
-< budget < |b1| / 2 (|b1|^2 = g11 4^F 2^shift), one integer comparison
-n < limit, the limit being 0 when the budget is |b1| / 2 or more.
-Lattice vectors are at least |b1| apart, so when v is within the budget of
-the true vector lam*, lam* is accepted, and when v is within |b1| - budget
-of lam*, an accepted lam is lam*: a larger error raises, never a wrong lam.
+< LAMBDA_BUDGET < |b1| / 2 (|b1|^2 = g11 4^F 2^shift), one integer
+comparison n < cut.read, the read limit being 0 when LAMBDA_BUDGET is
+|b1| / 2 or more.  Lattice vectors are at least |b1| apart, so when v is
+within the budget of the true vector lam*, lam* is accepted, and when v is
+within |b1| - budget of lam*, an accepted lam is lam*: a larger error
+raises, never a wrong lam.
 
 The Weierstrass function.  DLMF 23.6.5 with 2 omega_1 = b1 and
 tau = b2 / b1 gives wp(z) = (pi / b1)^2 [(theta2 theta3 theta4(v) /
@@ -106,6 +108,7 @@ GUARD = 25
 FIXED_GUARD = 10            # guard bits of the fixed-point routines (module docstring)
 NEWTON_GUARD = 20           # guard bits of the Newton iteration for the 2-torsion
 TORSION_BOUND = 24          # the torsion test tries the multiples m*z, m <= TORSION_BOUND
+LAMBDA_BUDGET = 1e-9        # how far a value read_vector reads may miss its vector
 
 
 class PrecisionError(CmtraceError, ArithmeticError):
@@ -133,7 +136,7 @@ class PeriodLattice(namedtuple("PeriodLattice", "curve w1 w2 digits")):
 
     @cached_property
     def cuts(self) -> dict:
-        """k -> the lattice's Cut at e = F + 24 + k, (e, budget) -> a read's limit."""
+        """k -> the lattice's Cut at e = F + 24 + k."""
         return {}
 
 
@@ -197,12 +200,13 @@ def _reduced_basis(lat: PeriodLattice) -> tuple:
     return p * lat.w1 + q * lat.w2, r * lat.w1 + s * lat.w2
 
 
-Cut = namedtuple("Cut", "e frac b1r b1i b2r b2i det gram shift torsion infinity")
+Cut = namedtuple("Cut", "e frac b1r b1i b2r b2i det gram shift torsion infinity read")
 
 
 def _cut(lat: PeriodLattice, k: int) -> Cut:
     """The reduced basis cut to integers at e = F + 24 + k, with its determinant,
-    Gram triple, shift and torsion and infinity limits, kept in lat.cuts."""
+    Gram triple, shift and torsion, infinity and read limits, kept in lat.cuts;
+    the read limit is 0 when LAMBDA_BUDGET is |b1| / 2 or more."""
     with mp.workdps(lat.digits + GUARD):
         frac = mp.mp.prec + TORSION_BOUND.bit_length() + FIXED_GUARD
         e = frac + k + 24
@@ -213,9 +217,11 @@ def _cut(lat: PeriodLattice, k: int) -> Cut:
     b2r, b2i = r * w1r + s * w2r, r * w1i + s * w2i
     gram = (b1r * b1r + b1i * b1i, b1r * b2r + b1i * b2i, b2r * b2r + b2i * b2i)
     shift = -2 * (e + frac)
+    read = _limit(lat, shift, LAMBDA_BUDGET, 0)
     lat.cuts[k] = cut = Cut(e, frac, b1r, b1i, b2r, b2i, b1r * b2i - b1i * b2r, gram, shift,
                             _limit(lat, shift, lat.w1, -lat.digits / 2),
-                            _limit(lat, shift, lat.w1, -lat.digits))
+                            _limit(lat, shift, lat.w1, -lat.digits),
+                            read if 4 * read < gram[0] << 2 * frac else 0)
     return cut
 
 
@@ -277,24 +283,20 @@ def _limit(lat: PeriodLattice, shift: int, radius, power) -> int:
         return int(mp.ceil(mp.ldexp((mp.mpf(10) ** power * abs(radius)) ** 2, -shift)))
 
 
-def read_vector(lat: PeriodLattice, z, budget, error, what: str) -> tuple[int, int]:
-    """(i, j) with i w1 + j w2 the lattice vector within budget of z, for a z
-    known to less than budget: the nearest corner of locate(lat, z), mapped
-    to (w1, w2) by the integer rows of lat.reduction, accepted only when it
-    is within budget of z and budget < |b1| / 2 (module docstring).  Else
+def read_vector(lat: PeriodLattice, z, error, what: str) -> tuple[int, int]:
+    """(i, j) with i w1 + j w2 the lattice vector within LAMBDA_BUDGET of z, for
+    a z known to less than that: the nearest corner of locate(lat, z), mapped
+    to (w1, w2) by the integer rows of lat.reduction, accepted only when its
+    Gram value is under the cut's read limit (module docstring).  Else
     error(f"{what} misses the lattice by ..."), with the miss and |b1| / 2."""
     point = locate(lat, z)
     cut = point.cut
     n, i, j = next(_nearest_multiples(point, 1))
-    key = cut.e, budget
-    if key not in lat.cuts:                      # 0 when budget >= |b1| / 2: nothing reads
-        limit = _limit(lat, cut.shift, budget, 0)
-        lat.cuts[key] = limit if 4 * limit < cut.gram[0] << 2 * cut.frac else 0
-    if not n < lat.cuts[key]:
+    if not n < cut.read:
         with mp.workdps(lat.digits + GUARD):
             miss, b1 = (mp.sqrt(mp.ldexp(v, cut.shift)) for v in (n, cut.gram[0] << 2 * cut.frac))
         raise error(f"{what} misses the lattice by {mp.nstr(miss, 3)}, against "
-                    f"{mp.nstr(budget, 2)} and |b1| / 2 = {mp.nstr(b1 / 2, 3)}")
+                    f"{mp.nstr(LAMBDA_BUDGET, 2)} and |b1| / 2 = {mp.nstr(b1 / 2, 3)}")
     (p, q), (r, s) = lat.reduction
     return i * p + j * r, i * q + j * s
 

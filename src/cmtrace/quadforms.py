@@ -230,8 +230,7 @@ class KernelClass(namedtuple("KernelClass", "proj form")):
     __slots__ = ()
 
 
-def kernel_classes(order: QuadOrder, p: int,
-                   validated: bool = False) -> tuple[KernelClass, ...]:
+def kernel_classes(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
     """The p + 1 classes of Pic(O_pf) that become principal in Pic(O_f).
 
     One class per unit class of P^1(F_p), read off in closed form (module
@@ -240,15 +239,14 @@ def kernel_classes(order: QuadOrder, p: int,
     the oriented basis (N(lam), p lam) of lam O_f cap O_pf.  Each form is
     reduced here on plain ints by reduce_form's loop and asserted reduced, of
     discriminant p^2 times the order's; the forms must be pairwise distinct.
-    p and the order are checked first, unless validated (ExperimentSpec).
+    p and the order are checked first (isprime is cached, so once per p).
     """
-    if not validated:
-        if not isprime(p) or p == 2:
-            raise InputError("p must be an odd prime")
-        if kronecker(order.dK, p) != -1:
-            raise InputError(f"p = {p} is not inert in the field of discriminant {order.dK}")
-        if order.f % p == 0:
-            raise InputError("p must not divide the conductor")
+    if not isprime(p) or p == 2:
+        raise InputError("p must be an odd prime")
+    if kronecker(order.dK, p) != -1:
+        raise InputError(f"p = {p} is not inert in the field of discriminant {order.dK}")
+    if order.f % p == 0:
+        raise InputError("p must not divide the conductor")
     t, n, p2 = order.t, order.n, p * p
     disc = p2 * order.disc
     classes = [KernelClass((1, 0), BinaryForm(1, disc % 2, (disc % 2 - disc) // 4))]

@@ -1,8 +1,10 @@
 import random
+from functools import lru_cache
 
 import pytest
 from sympy import primerange
 
+from cmtrace import fp
 from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureError,
                                 build_embedding, find_common_norm_element, inverse_table,
                                 lemma_converse_check, signo_pairing_check, two_to_one_check,
@@ -69,34 +71,34 @@ def test_build_embedding_rejects_a_p_that_is_no_odd_prime():
 
 @pytest.mark.parametrize("p,dK,f", [(199, -91, 1), (101, -7, 1), (157, -43, 3), (173, -8, 2)])
 def test_experiment_finite_tests_p_once(monkeypatch, p, dK, f):
-    # ExperimentSpec.validate tests p, and the one smallest non-square mod p
-    # goes to build_embedding, the five find_common_norm_element calls and
-    # their square roots, which need one at p = 1 mod 4 (Tonelli-Shanks:
-    # 101, 157 and 173 here)
-    from cmtrace import embeddings as emb_module
-    from cmtrace import finite, fp, quadforms
-    calls = []
-
-    def counting(fn):
-        def run(*args):
-            calls.append((fn.__name__, args[0]))
-            return fn(*args)
-        return run
-
-    for name in ("isprime", "smallest_nonsquare"):
-        wrapped = counting(getattr(fp, name))
-        for module in (fp, finite, emb_module, quadforms):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapped)
-    report = experiment_finite(ExperimentSpec(dK=dK, f=f, p=p, mode="finite_only"))
-    assert report.all_passed
-    assert [c for c in calls if c[1] == p] == [("isprime", p), ("smallest_nonsquare", p)]
+    # every layer checks p itself, and isprime and smallest_nonsquare are
+    # cached: one run finds the smallest non-square mod p once, though
+    # build_embedding, the five find_common_norm_element calls and their
+    # square roots (Tonelli-Shanks at p = 1 mod 4: 101, 157 and 173 here)
+    # all ask for it, and a second run of the same spec computes nothing of
+    # either again
+    spec = ExperimentSpec(dK=dK, f=f, p=p, mode="finite_only")
+    fp.isprime.cache_clear()
+    fp.smallest_nonsquare.cache_clear()
+    assert experiment_finite(spec).all_passed
+    first = fp.isprime.cache_info().misses, fp.smallest_nonsquare.cache_info().misses
+    assert first[1] == 1
+    assert experiment_finite(spec).all_passed
+    assert (fp.isprime.cache_info().misses, fp.smallest_nonsquare.cache_info().misses) == first
+    # and the primality test itself runs on p once, through every layer's check
+    from cmtrace import embeddings, finite, quadforms
+    tested, test = [], fp.isprime.__wrapped__
+    counting = lru_cache(maxsize=1024)(lambda n: tested.append(n) or test(n))
+    for module in (fp, finite, embeddings, quadforms):
+        monkeypatch.setattr(module, "isprime", counting)
+    assert experiment_finite(spec).all_passed
+    assert tested.count(p) == 1
 
 
 def test_raw_input_keeps_its_checks_and_meets_the_validated_path():
-    # without eps (or validated=True) each layer tests p itself, so a public
-    # caller with a p that is no odd prime gets an InputError; on valid input
-    # the path a validated spec takes gives the same results
+    # each layer tests p itself, so a public caller with a p that is no odd
+    # prime gets an InputError; on valid input a p tested before (the path
+    # a validated spec takes) gives the same results as one met first
     order = order_data(-7, 1)
     for p in (33, 27, 1, -5):
         for call in (lambda: kernel_classes(order, p), lambda: find_common_norm_element(p, 2),
@@ -104,12 +106,16 @@ def test_raw_input_keeps_its_checks_and_meets_the_validated_path():
             with pytest.raises(InputError, match="odd prime"):
                 call()
     for dK, f, p in random_inert_triples(40, pmax=211, seed=11):
-        order, eps = order_data(dK, f), smallest_nonsquare(p)
-        assert kernel_classes(order, p) == kernel_classes(order, p, validated=True)
-        assert build_embedding(p, order) == build_embedding(p, order, eps)
-        for ell in (2, 3, 5, 7, 11, 13):
-            if ell != p:
-                assert find_common_norm_element(p, ell) == find_common_norm_element(p, ell, eps)
+        order = order_data(dK, f)
+        fp.isprime.cache_clear()
+        fp.smallest_nonsquare.cache_clear()
+        cold = (kernel_classes(order, p), build_embedding(p, order),
+                [find_common_norm_element(p, ell) for ell in (2, 3, 5, 7, 11, 13) if ell != p])
+        assert fp.smallest_nonsquare.cache_info().misses == 1
+        assert cold[1].eps == smallest_nonsquare(p)
+        assert cold == (kernel_classes(order, p), build_embedding(p, order),
+                        [find_common_norm_element(p, ell) for ell in (2, 3, 5, 7, 11, 13)
+                         if ell != p])
 
 
 def test_build_embedding_rejects_split_prime():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -414,6 +415,23 @@ def test_trace_point_scans_the_multiples_once_and_cuts_each_exponent_once(monkey
     assert rep.verdict == ("torsion" if model is M49 else "non_torsion")
     assert scans.count(TORSION_BOUND) == 1 and set(scans) == {1, TORSION_BOUND}
     assert cuts and len(set(cuts)) == len(cuts) < scans.count(1)
+
+
+def test_timings_time_the_finite_layer_and_the_orbit_plan_apart(monkeypatch):
+    # finite_layer times experiment_finite alone: a slow orbit_options shows
+    # up under orbit_plan, beside heegner_form and galois_orbit
+    from cmtrace import experiments
+    options = experiments.orbit_options
+
+    def slow(*args):
+        time.sleep(0.2)
+        return options(*args)
+
+    monkeypatch.setattr(experiments, "orbit_options", slow)
+    rep = trace_point(ExperimentSpec(dK=-67, f=1, curve=M121, digits=30))
+    assert list(rep.timings) == ["finite_layer", "orbit_plan", "atkin_lehner",
+                                 "orbit_evaluation", "classification"]
+    assert rep.timings["orbit_plan"] >= 0.2 > rep.timings["finite_layer"]
 
 
 def test_experiment_finite_builds_no_lattice():

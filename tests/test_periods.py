@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmtrace import experiments, modparam, periods
 from cmtrace.curves import Curve
 from cmtrace.errors import InputError
-from cmtrace.modparam import LAMBDA_BUDGET
-from cmtrace.periods import (GUARD, TORSION_BOUND, PeriodLattice, PrecisionError,
-                             _nearest_multiples, _wp_pair, elliptic_exp, is_torsion, locate,
-                             period_lattice, read_vector, torsion_residual, two_torsion_roots)
+from cmtrace.periods import (GUARD, LAMBDA_BUDGET, TORSION_BOUND, Cut, PeriodLattice,
+                             PrecisionError, _nearest_multiples, _wp_pair, elliptic_exp,
+                             is_torsion, locate, period_lattice, read_vector, torsion_residual,
+                             two_torsion_roots)
 from oracles import (equation_residual, lattice_coords, lattice_distance,
                      lattice_distance_by_search, lattice_reduce, lattice_reduce_descent,
                      nearest_multiples_expanded, nearest_vector, reduced_basis,
@@ -349,42 +350,52 @@ def test_read_vector_accepts_exactly_what_the_oracle_accepts(digits):
     # read_vector's integer comparisons accept the oracle's nearest vector
     # exactly when its distance in mpmath is below the budget, and the budget
     # below |b1| / 2; else they raise the caller's error
-    accepted = 0
-    for lat, z, (i0, j0) in _read_cases(digits):
+    accepted, cases = 0, _read_cases(digits)
+    for lat, z, (i0, j0) in cases:
         i, j = nearest_vector(lat, z)
         with mp.workdps(digits + GUARD + 20):
             miss = abs(z - i * lat.w1 - j * lat.w2)
             half = abs(reduced_basis(lat)[0]) / 2
         assert (i, j) == (i0, j0) and LAMBDA_BUDGET < half
         if miss < LAMBDA_BUDGET:
-            assert read_vector(lat, z, LAMBDA_BUDGET, _Missed, "z") == (i, j)
+            assert read_vector(lat, z, _Missed, "z") == (i, j)
             accepted += 1
         else:
             with pytest.raises(_Missed, match="^z misses the lattice by"):
-                read_vector(lat, z, LAMBDA_BUDGET, _Missed, "z")
+                read_vector(lat, z, _Missed, "z")
     assert 100 < accepted < 200
+    # the budget is defined once, and each cut holds its read limit
+    assert not hasattr(modparam, "LAMBDA_BUDGET") and not hasattr(experiments, "LAMBDA_BUDGET")
+    assert all(type(cut) is Cut and cut.read > 0 for lat, _, _ in cases
+               for cut in lat.cuts.values())
 
 
-def _read_or_raise(lat, z, budget):
+def _read_or_raise(lat, z):
     try:
-        return read_vector(lat, z, budget, _Missed, "z")
+        return read_vector(lat, z, _Missed, "z")
     except _Missed as exc:
         return str(exc)
 
 
 @pytest.mark.parametrize("digits", [60, 200])
-def test_a_cold_and_a_warm_lattice_read_alike(digits):
+def test_a_cold_and_a_warm_lattice_read_alike(monkeypatch, digits):
     # the integers a lattice keeps per cut are invisible: on the 600 read
     # vectors, a cold copy of the lattice (nothing cut yet) and the warm
     # lattice locate each value alike, read the same vector or raise the same
-    # message at LAMBDA_BUDGET and at a budget above |b1| / 2, and map every
-    # tenth value to the same point of E(C)
+    # message at LAMBDA_BUDGET, and map every tenth value to the same point
+    # of E(C); with a budget above |b1| / 2, fixed in a cold copy's cut, the
+    # first read (which makes the cut) and a second raise the same message
     for n, (lat, z, _) in enumerate(_read_cases(digits)):
         cold = PeriodLattice(*lat)
         assert cold == lat and "cuts" not in vars(cold)
         assert locate(cold, z) == locate(lat, z)
-        for budget in (LAMBDA_BUDGET, mp.mpf(10)):
-            assert _read_or_raise(PeriodLattice(*lat), z, budget) == _read_or_raise(lat, z, budget)
+        assert _read_or_raise(PeriodLattice(*lat), z) == _read_or_raise(lat, z)
+        with monkeypatch.context() as patch:
+            patch.setattr(periods, "LAMBDA_BUDGET", mp.mpf(10))
+            cold = PeriodLattice(*lat)
+            message = _read_or_raise(cold, z)
+            assert message.startswith("z misses the lattice by")
+            assert _read_or_raise(cold, z) == message
         if n % 10 == 0:
             assert elliptic_exp(locate(PeriodLattice(*lat), z)) == elliptic_exp(locate(lat, z))
 
@@ -419,10 +430,11 @@ def test_one_scan_equals_the_two_pass_oracle(digits):
 
 
 @pytest.mark.parametrize("label", sorted(LATTICE_CURVES))
-def test_a_read_budget_of_half_the_shortest_vector_or_more_raises(label):
+def test_a_read_budget_of_half_the_shortest_vector_or_more_raises(monkeypatch, label):
     # two lattice vectors may then both be within the budget of a value, so
     # read_vector raises even on a lattice vector itself, with the miss and
-    # |b1| / 2 in the message; just below |b1| / 2 it reads the vector
+    # |b1| / 2 in the message; just below |b1| / 2 it reads the vector.  The
+    # read limit is fixed when a cut is made, so each budget reads a cold copy
     lat = _lattice(label, 60)
     with mp.workdps(60 + GUARD):
         half = abs(reduced_basis(lat)[0]) / 2
@@ -430,10 +442,35 @@ def test_a_read_budget_of_half_the_shortest_vector_or_more_raises(label):
         tiny = mp.mpf(10) ** -30
         above, below = (half * (1 + tiny), 2 * half, mp.mpf(10)), half * (1 - tiny)
     for budget in above:
+        monkeypatch.setattr(periods, "LAMBDA_BUDGET", budget)
         with pytest.raises(_Missed, match=r"^z misses the lattice by .*, against .* and "
                                           r"\|b1\| / 2 = "):
-            read_vector(lat, z, budget, _Missed, "z")
-    assert read_vector(lat, z, below, _Missed, "z") == (3, -2)
+            read_vector(PeriodLattice(*lat), z, _Missed, "z")
+    monkeypatch.setattr(periods, "LAMBDA_BUDGET", below)
+    assert read_vector(PeriodLattice(*lat), z, _Missed, "z") == (3, -2)
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+def test_a_point_just_outside_the_torsion_limit_has_an_affine_image(digits):
+    # the torsion limit 10^(-digits/2) |w1| is above elliptic_exp's infinity
+    # limit 10^-digits |w1|, so a point that is_torsion rejects is never the
+    # point at infinity: points up to 1% beyond the torsion limit from a
+    # torsion point of order n <= 24, the lattice included (n = 1)
+    rng, count = random.Random(digits + 3), 0
+    for label in LATTICE_CURVES:
+        lat = _lattice(label, digits)
+        with mp.workdps(digits + GUARD):
+            limit = mp.mpf(10) ** (-mp.mpf(digits) / 2) * abs(lat.w1)
+            points = []
+            for n in (1, 1, 2, 3, rng.randint(4, 24), rng.randint(4, 24)):
+                k1, k2 = rng.randint(-24, 24), rng.randint(-24, 24)
+                off = limit * (1 + mp.mpf(10) ** rng.uniform(-6, -2))
+                points.append((k1 * lat.w1 + k2 * lat.w2) / n + off * mp.expjpi(rng.uniform(0, 2)))
+        for z in points:
+            point = locate(lat, z)
+            assert not is_torsion(point) and elliptic_exp(point) is not None
+            count += 1
+    assert count == 6 * len(LATTICE_CURVES)
 
 
 @settings(max_examples=60, deadline=None)

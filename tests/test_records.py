@@ -28,7 +28,7 @@ def _samples() -> dict:
     x = AlgebraicNumber(nu=49, mu=-13, den=32, field_disc=-7)
     return {
         "Curve": curve,
-        "LocalData": LocalData(q=11, v_disc=2, f=2, reduction="additive"),
+        "LocalData": LocalData(v_disc=2, f=2, reduction="additive"),
         "CurveModel": curve_model(curve.ainvs),
         "QuadOrder": order_data(-67, 1),
         "EmbeddingData": build_embedding(11, order_data(-67, 1)),
@@ -52,7 +52,7 @@ SAMPLES = _samples()
 # OrbitMove the translation move (low) of a move into the whole coset
 DATACLASS_REPRS = {
     "Curve": 'Curve(a1=0, a2=-1, a3=1, a4=-7, a6=10)',
-    "LocalData": "LocalData(q=11, v_disc=2, f=2, reduction='additive')",
+    "LocalData": "LocalData(v_disc=2, f=2, reduction='additive')",
     "CurveModel": (
         'CurveModel(curve=Curve(a1=0, a2=-1, a3=1, a4=-7, a6=10), minimal=Curve(a1=0, a2=-1, '
         'a3=1, a4=-7, a6=10), n=121, p=11, m=1)'),
