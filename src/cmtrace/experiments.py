@@ -35,7 +35,8 @@ lattice vector is read (periods.read_vector; 2520 K_Q too, modparam
 docstring): the nearest lattice vector, accepted only when |v - lam| <
 periods.LAMBDA_BUDGET = 10^-9 < |b1| / 2, b1 the shortest lattice vector.  A
 LAMBDA_DIGITS value errs by less than 10^-10.  The series at the point it is
-given errs by under 10^-15 (tail) plus 10^-20 (rounding; modparam
+given errs by under 10^-15 (tail) plus 1.5 10^-13 (rounding: in hardware
+floats up to modparam.FLOAT_CAP terms, 10^-20 in fixed point above; modparam
 docstring).  The point s, with 0 <= B < 2A so |Re s| < 1, enters the
 evaluator rounded to its P bits, 2^-P < 10^-20, which moves s by at most
 2^-P (1 + y), y = Im s.  With t = 2 pi y, |phi'| = 2 pi |f| <= 2 pi sqrt(3)
@@ -81,7 +82,7 @@ import time
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 
 import mpmath as mp
 
@@ -91,7 +92,7 @@ from .finite import ExperimentSpec, FiniteReport, experiment_finite
 from .fp import factorint
 from .heegner import al_move, coset_move, galois_orbit, heegner_form
 from .modparam import (GUARD, LAMBDA_DIGITS, SeriesBudgetError, al_constant, al_constant_points,
-                       atkin_lehner_sign, eval_phi, local_sign, phi_terms)
+                       atkin_lehner_sign, eval_phi, im_tau, local_sign, phi_terms)
 from .periods import (PeriodLattice, elliptic_exp, is_torsion, locate, period_lattice,
                       read_vector, torsion_residual)
 from .quadforms import class_number, reduce_form
@@ -100,10 +101,12 @@ from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
 
 class OrbitEntry(namedtuple("OrbitEntry", "proj form tau z digits q n_max source")):
     """One orbit point of a trace: its kernel class proj, its form, tau and
-    z as text, z known to `digits` digits, q the W_Q the point went through
-    (1 for none), n_max the terms of the series its value or lam was read
-    from, and source: "series"; "same:i" / "conj:i": entry i's series
-    reused; "fiber:i": from fiber mate i by K_{p^2} + lam."""
+    z as mpc numbers at the trace's working precision (TraceReport.to_json
+    prints tau to min(digits, 30) digits and z's parts to min(`digits`, 30)),
+    z known to `digits` digits, q the W_Q the point went through (1 for
+    none), n_max the terms of the series its value or lam was read from, and
+    source: "series"; "same:i" / "conj:i": entry i's series reused;
+    "fiber:i": from fiber mate i by K_{p^2} + lam."""
 
     __slots__ = ()
 
@@ -139,7 +142,7 @@ class TraceReport(namedtuple("TraceReport", "spec wp orbit trace_z residual verd
                 "digits": digits,
             },
             "wp": self.wp,
-            "orbit": [entry._asdict() for entry in self.orbit],
+            "orbit": [_entry_json(entry, digits) for entry in self.orbit],
             "traceZ": _cstr(self.trace_z, digits),
             "residual": mp.nstr(self.residual, 8),
             "verdict": self.verdict,
@@ -157,6 +160,14 @@ class TraceReport(namedtuple("TraceReport", "spec wp orbit trace_z residual verd
                 "y": {"nu": y.nu, "mu": y.mu, "den": y.den, "field_disc": y.field_disc},
             }
         return out
+
+
+def _entry_json(entry: OrbitEntry, digits: int) -> dict:
+    """The entry's fields, tau as text to min(digits, 30) digits and z's parts
+    to min(entry.digits, 30)."""
+    shown = min(entry.digits, 30)
+    return {**entry._asdict(), "tau": mp.nstr(entry.tau, min(digits, 30)),
+            "z": (mp.nstr(entry.z.real, shown), mp.nstr(entry.z.imag, shown))}
 
 
 def _cstr(z, digits: int) -> dict:
@@ -190,53 +201,74 @@ def _terms(im_tau, digits: int) -> tuple[int, bool]:
         return exc.needed, False
 
 
-def orbit_options(model: CurveModel, orbit, digits: int) -> tuple[OrbitMove, ...]:
-    """The move of each orbit point.  Its translation move is the cheapest
-    option within the budget, tau itself on a tie, among tau (q = 1) and its
-    best W_Q (tau + k) for each Q of al_signs(model) whose leading
-    coefficient is smaller and whose K_Q points need at most NMAX_CAP terms
-    at LAMBDA_DIGITS.  K_Q is exact and costs one short evaluation (modparam
-    docstring), so no sign enters the choice and trace_point runs this
-    before atkin_lehner_sign.  The move is the best point of the whole
-    coset W_Q Gamma_0(N) for those Q but p^2 (heegner.coset_move, the least
-    leading coefficient, the smallest Q on a tie) instead, when its terms
-    plus those of the LAMBDA_DIGITS read of Omega at the translation move
-    are fewer than the translation move's.  Q = p^2 is left out: W_{p^2}
-    Gamma_0(N) tau is the Gamma_0(N) class of tau's fiber mate (module
-    docstring), whose best point is the mate's own Gamma_0(N)-reduced orbit
-    form, never cheaper than the fiber's trace-precision point.  No coset
-    is searched when w_p = -1 from local data, since then orbit_trace
-    evaluates every point at LAMBDA_DIGITS by its translation move.  The
-    points share one D, and each Im tau is sqrt|D| / (2A) at digits + GUARD,
-    as orbit_trace computes tau.  SeriesBudgetError, with the least n_max
-    any translation move has, when some point has no option within the
-    budget: a read of Omega needs the translation within it."""
+def orbit_options(model: CurveModel, orbit, pairs, digits: int) -> tuple[OrbitMove, ...]:
+    """The move of each orbit point, for the fibers `pairs` of fiber_pairs.
+    Its translation move is the cheapest option within the budget, tau
+    itself on a tie, among tau (q = 1) and its best W_Q (tau + k) for each Q
+    of al_signs(model) whose leading coefficient is smaller and whose K_Q
+    points need at most NMAX_CAP terms at LAMBDA_DIGITS.  K_Q is exact and
+    costs one short evaluation (modparam docstring), so no sign enters the
+    choice and trace_point runs this before atkin_lehner_sign.  The move is
+    the best point of the whole coset W_Q Gamma_0(N) for those Q but p^2
+    (heegner.coset_move, the least leading coefficient, the smallest Q on a
+    tie) instead, when its terms plus those of the LAMBDA_DIGITS read of
+    Omega at the translation move are fewer than the translation move's.  Q
+    = p^2 is left out: W_{p^2} Gamma_0(N) tau is the Gamma_0(N) class of
+    tau's fiber mate (module docstring), whose best point is the mate's own
+    Gamma_0(N)-reduced orbit form, never cheaper than the fiber's
+    trace-precision point.  No coset is searched when w_p = -1 from local
+    data, since then orbit_trace evaluates every point at LAMBDA_DIGITS by
+    its translation move.
+
+    Each coset is searched once per fiber.  For the mate tau' ~ W_{p^2} tau,
+    W_Q Gamma_0(N) tau' = W_Q W_{p^2} Gamma_0(N) tau = W_Q' Gamma_0(N) tau,
+    Q' = Q p^2 / gcd(Q, p^2)^2, so the second point of a fiber takes each
+    coset's least leading coefficient A from its mate's search when Q' is
+    searched there.  The best such A is taken only if it is no translation
+    move of this point: were it one, that W_Q (tau + k) is an option of A,
+    so the translation move already has at most its terms, and no coset
+    move is taken either way.  A taken coset's form is the mate's when the
+    mate's search found no translation move either: coset_move then takes,
+    from each side, the least (|B|, -B) over every form of least A, and
+    those are the forms, B in (-A, A], of one set of points.  Else this
+    point searches that one coset itself.  The points share one D, and
+    each Im tau is sqrt|D| / (2A) as a correctly rounded double
+    (modparam.im_tau).  SeriesBudgetError, with the least n_max any
+    translation move has, when some point has no option within the budget:
+    a read of Omega needs the translation within it."""
     with mp.workdps(LAMBDA_DIGITS + GUARD):
         qs = [q for q, _ in al_signs(model) if _terms(mp.sqrt(q) / model.n, LAMBDA_DIGITS)[1]]
-    picks, p2 = [], model.p ** 2
+    picks, p2, disc = [], model.p ** 2, orbit[0].disc()
+    mates = {i: j for pair in pairs for i, j in (pair, pair[::-1])}
+    searched = {}                                 # (point, Q) -> coset_move
     # w_p = -1 from local data: every point is evaluated at LAMBDA_DIGITS
     cosets_wanted = dict(al_signs(model))[p2] != -1
-    with mp.workdps(digits + GUARD):
-        root = mp.sqrt(-orbit[0].disc())
-        for pt in orbit:
-            opts = [(*_terms(root / (2 * pt.a), digits), 1, pt)]
-            for q_div in qs:
-                form = al_move(pt, model.n, q_div)
-                if form.a < pt.a:
-                    opts.append((*_terms(root / (2 * form.a), digits), q_div, form))
-            n, ok, q_div, form = min(opts, key=lambda o: (o[0], o[2]))
-            move = OrbitMove(q_div, form, n, None)
-            cosets = []
-            for q_div in (q for q in qs if q != p2) if ok and cosets_wanted else ():
-                translation, image = coset_move(pt, model.n, q_div)
+    for i, pt in enumerate(orbit):
+        opts = [(*_terms(im_tau(disc, pt.a), digits), 1, pt)]
+        for q_div in qs:
+            form = al_move(pt, model.n, q_div)
+            if form.a < pt.a:
+                opts.append((*_terms(im_tau(disc, form.a), digits), q_div, form))
+        n, ok, q_div, form = min(opts, key=lambda o: (o[0], o[2]))
+        move = OrbitMove(q_div, form, n, None)
+        cosets = []
+        for q_div in (q for q in qs if q != p2) if ok and cosets_wanted else ():
+            known = searched.get((mates[i], q_div * p2 // gcd(q_div, p2) ** 2))
+            if known is None:
+                translation, image = searched[i, q_div] = coset_move(pt, model.n, q_div)
                 if not translation and image.a < form.a:
                     cosets.append((image.a, q_div, image))
-            if cosets:
-                _, q_div, image = min(cosets)
-                terms = phi_terms(root / (2 * image.a), digits)
-                if terms + phi_terms(root / (2 * form.a), LAMBDA_DIGITS) < n:
-                    move = OrbitMove(q_div, image, terms, move)
-            picks.append((ok, move))
+            elif known[1].a < form.a:               # the same coset, searched from the mate
+                cosets.append((known[1].a, q_div, None if known[0] else known[1]))
+        if cosets:
+            least, q_div, image = min(cosets, key=lambda c: c[:2])
+            terms = phi_terms(im_tau(disc, least), digits)
+            if terms + phi_terms(im_tau(disc, form.a), LAMBDA_DIGITS) < n:
+                if image is None:
+                    translation, image = coset_move(pt, model.n, q_div)
+                    assert not translation and image.a == least
+                move = OrbitMove(q_div, image, terms, move)
+        picks.append((ok, move))
     if not all(ok for ok, _ in picks):
         raise SeriesBudgetError(max((mv.low or mv).n_max for _, mv in picks))
     return tuple(mv for _, mv in picks)
@@ -259,7 +291,7 @@ def fiber_pairs(model: CurveModel, orbit, shadow: FiniteReport) -> tuple[tuple[i
     return tuple(pairs)
 
 
-def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
+def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, pairs, moves, wp: int,
                 lat: PeriodLattice):
     """Evaluate the parametrisation over the orbit by the moves and the
     fibers of the shadow, and sum the fibers in order of their first point:
@@ -308,13 +340,14 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
     digits, p2, count = lat.digits, model.p ** 2, len(orbit)
     # fewer terms first, then a translation move (no Omega to read), then kernel order
     pairs = [tuple(sorted(pair, key=lambda i: (moves[i].n_max, moves[i].low is not None)))
-             for pair in fiber_pairs(model, orbit, shadow)]
+             for pair in pairs]
     full = {a for a, _ in pairs} if wp == 1 else set()
     want = [digits if i in full else LAMBDA_DIGITS for i in range(count)]
     used = [mv if i in full else mv.low or mv for i, mv in enumerate(moves)]
     reads = [i for i in sorted(full) if moves[i].low]
+    disc = orbit[0].disc()
     with mp.workdps(digits + GUARD):
-        root = mp.sqrt(-orbit[0].disc())
+        root = mp.sqrt(-disc)
         evaluated, jobs = {}, []            # evaluated: key -> (point, precision, terms)
 
         def plan(i: int, form, prec: int):
@@ -325,7 +358,7 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
             if conj or key in evaluated:
                 j, done, _ = evaluated[mate if conj else key]
                 return mate if conj else key, conj, done, f"{'conj' if conj else 'same'}:{j}"
-            evaluated[key] = (i, prec, phi_terms(root / (2 * form.a), prec))
+            evaluated[key] = (i, prec, phi_terms(im_tau(disc, form.a), prec))
             jobs.append((evaluated[key][2], key))
             return key, False, prec, "series"
 
@@ -377,9 +410,8 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, moves, wp: int,
             entries.append(OrbitEntry(
                 proj=kc.proj,
                 form=tuple(pt),
-                tau=mp.nstr(mp.mpc(-pt.b, root) / (2 * pt.a), min(digits, 30)),
-                z=(mp.nstr(z.real, min(prec, 30)), mp.nstr(z.imag, min(prec, 30))),
-                digits=prec, q=mv.q, n_max=evaluated[key][2], source=source,
+                tau=mp.mpc(-pt.b, root) / (2 * pt.a),
+                z=z, digits=prec, q=mv.q, n_max=evaluated[key][2], source=source,
             ))
         constants = tuple((q_div, signs[q_div], *exact[q_div]) for q_div in sorted(exact))
         runs = [prec for _, prec, _ in evaluated.values()]
@@ -403,8 +435,9 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     t1 = time.perf_counter()
     base = heegner_form(model.n, spec.dK, model.p * spec.f)
     orbit = galois_orbit(base, model.n, [kc.form for kc in shadow.classes])
+    pairs = fiber_pairs(model, orbit, shadow)
     # an over-budget orbit fails here, before the sign can evaluate a series
-    moves = orbit_options(model, orbit, digits)
+    moves = orbit_options(model, orbit, pairs, digits)
     t2 = time.perf_counter()
     timings = {"finite_layer": t1 - t0, "orbit_plan": t2 - t1}
 
@@ -414,8 +447,8 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
 
     t0 = time.perf_counter()
     lat = period_lattice(model.minimal, digits)
-    entries, trace_z, n_max, constants, series = orbit_trace(model, orbit, shadow, moves, wp,
-                                                             lat)
+    entries, trace_z, n_max, constants, series = orbit_trace(model, orbit, shadow, pairs, moves,
+                                                             wp, lat)
     timings["orbit_evaluation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

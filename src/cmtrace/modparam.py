@@ -11,8 +11,11 @@ fixed-point evaluator using rectangular splitting (Paterson-Stockmeyer 1973;
 Johansson, ISSAC 2014).  With P the working precision of digits + GUARD
 decimal digits (so 2^-P < 10^(-digits-15)), numbers are Python integers
 scaled by 2^F, F = P + bit_length(n_max) + FIXED_GUARD, and u = 2^-F.  q is
-computed once by mpmath; the baby steps q^0..q^m, m = isqrt(n_max), are
-chained with bit_length(m) + 2 more bits, so each carries at most 2 ulps.
+one raw mpc_exp of 2 pi i tau at the precision of the baby steps, rounded
+to nearest and cut to integers toward zero, the integers int(mp.ldexp(...))
+gives for mp.exp(2j * mp.pi * tau) there, without mpmath's objects; the
+baby steps q^0..q^m, m = isqrt(n_max), are chained with bit_length(m) + 2
+more bits, so each carries at most 2 ulps.
 Writing n = j m + i, block j is sum_i a_n q^i / n over the n of the block
 with a_n != 0 (itertools.compress picks them from the block's slice of the
 a_n list), and the blocks are combined by Horner in q^m: only the
@@ -35,6 +38,56 @@ sqrt(3) n instead of sqrt(3), which the same budget absorbs for the
 Atkin-Lehner sign test and its 10^(-digits/2) tolerance; the tests compare
 both weights with the term-by-term mpc sum (tests/oracles.py).  The error
 is absolute, not relative: a value far below 2^-P comes back as noise or 0.
+
+LAMBDA_DIGITS values in doubles.  A series asked for at LAMBDA_DIGITS with
+n_max <= FLOAT_CAP terms is summed in hardware floats, u = 2^-53, by C-level
+iterators: q once, q^1..q^n_max by chained products (itertools.accumulate),
+a_n / n by int division (correctly rounded), and one sum of the products
+taken from n = n_max down; the precision asked for and n_max alone choose
+it.  q comes from mpc_exp at the working precision P >= 70 bits, rounded
+to the nearest double in each part.  For |Re tau| <= 2 (orbit points have
+-1 < Re tau <= 0, the K_Q points |Re| < 1, the sign's samples and their W_Q
+images |Re| <= 2) and t = 2 pi Im tau < 745 (beyond, q is 0 in doubles) the
+P-bit value errs by under 2^-59 relatively, so the double is q (1 + d),
+|d| <= 1.02 u.  A complex product errs by at most sqrt(5) u in norm (Brent,
+Percival and Zimmermann, Math. Comp. 76, 2007), so q^n comes out as q^n (1 +
+e_n), |e_n| <= n (1.02 + sqrt 5) u (1 + 2^-40) for n <= FLOAT_CAP.  The
+coefficient and its product with q^n round once more each (u each), and in
+a sum taken from n_max down the n-th term passes through n additions, each
+rounding each part once: n u more in norm (Higham, Accuracy and Stability
+of Numerical Algorithms, 2nd ed., 2002, ch. 4, part by part, and the norm of
+the two part bounds is at most the sum of the norms).  So with kappa = 4.26
+the error is at most u sum_n |c_n| |q|^n (kappa n + 2), c_n = a_n / n^weight.
+With g = |q| / (1 - |q|) = 1 / (e^t - 1), sum |q|^n = g, sum n |q|^n = g (1 +
+g) and sum n^2 |q|^n = g (1 + g) (1 + 2 g), so |a_n / n| <= sqrt 3 bounds the
+parametrisation's error by E1 = sqrt(3) u (kappa g (1 + g) + 2 g), and |a_n|
+<= sqrt(3) n the newform's by E0 = sqrt(3) u (kappa g (1 + g) (1 + 2 g) + 2 g
+(1 + g)); an underflow adds 2^-1074 per operation at most.
+
+FLOAT_CAP.  The tightest budget a LAMBDA_DIGITS value feeds is the constant
+read below: 2520 v within LAMBDA_BUDGET = 10^-9 of 2520 K_Q, v a sum of
+values whose weights sum to 2, so each value may err by 1.98 10^-13 in all.
+phi_terms gives n_max <= 500 only when t >= 0.0754, where g <= 12.77 and E1
+<= 1.49 10^-13; with the tail and the rounding of the point, 2520 v is
+within 7.6 10^-10 of 2520 K_Q.  At 577 terms that would be 9.93 10^-10, at
+600 over the budget: FLOAT_CAP = 500 keeps a quarter of it free.  A read of
+lam or Omega allows 10^-10 per value (cmtrace.experiments docstring), and
+the numerical sign a tolerance of 10^(-5/2) on a ratio of values it keeps
+only above it, against which E0 <= 3.9 10^-12 is nothing.  Every other
+series, at any other precision, runs the fixed-point evaluator.
+
+Term counts from integers.  phi_terms reads Im tau as a double, and
+experiments takes it for the point of a form (A, B, C) of discriminant D
+from integers, without an mpf (im_tau): s = isqrt(|D| 4^k) = floor(sqrt|D|
+2^k) and s / (2A 2^k), one correctly rounded division of integers, with k =
+114 + 2 bit_length(A).  s / 2^k is below sqrt|D| by a relative 2^-k at
+most.  A rounding boundary mu of doubles within a factor 2 of v = sqrt|D| /
+(2A) is an odd multiple of 2^(e-53), 2^e <= mu < 2^(e+1), so |D| - 4 A^2
+mu^2 is a multiple of 4^(e-53), nonzero when |D| is not a square, and |v -
+mu| / v = ||D| - 4 A^2 mu^2| / (sqrt|D| (sqrt|D| + 2 A mu)) >= 4^(e-53) /
+(3 |D|) > 2^-114 / A^2 > 2^-k, as 2^e > v / 4.  So no boundary lies between
+the quotient and v, and the double is v correctly rounded (exactly so when
+|D| is a square, where s is exact).
 
 Atkin-Lehner moves.  phi'(tau) = 2 pi i f(tau), and for W_Q = (a, b; N, d)
 of determinant Q, f | W_Q = w_Q f reads Q (N tau + d)^-2 f(W_Q tau) = w_Q
@@ -68,13 +121,14 @@ al_constant evaluates K_Q once, at LAMBDA_DIGITS = 5, from the top s0 of
 the isometric circle of W_Q, where Im s0 = Im W_Q s0 = sqrt(Q) / N is as
 large as it can be for both; when N | a + d, W_Q s0 = s0 + (a + d) / N, so
 K_Q = (1 - w_Q) phi(s0), which is 0 for w_Q = +1 (W_121 on 121b1).  Each
-evaluation errs by less than 10^-15 (tail) plus 10^-20 (rounding).  The
+evaluation errs by less than 10^-15 (tail) plus 1.49 10^-13 (rounding in
+doubles up to FLOAT_CAP terms, 10^-20 in fixed point).  The
 points themselves are rounded to the 70 bits of 20 digits, |s| < 1.5, and
 |phi'| = 2 pi |f| <= 2 pi sqrt(3) |q| / (1 - |q|)^2 (|a_n| <= sqrt(3) n), so
 each value moves by under 9 10^-17 more while Im s >= 2 10^-3, that is N <=
 500 sqrt(Q) (every level the tests use).  The weights of the points sum to
-2, so the value v is within 2.2 10^-15 of K_Q, and 2520 v within 5.6
-10^-12 of 2520 K_Q, below periods.LAMBDA_BUDGET = 10^-9.  So 2520 K_Q is read off
+2, so the value v is within 3.0 10^-13 of K_Q, and 2520 v within 7.6
+10^-10 of 2520 K_Q, below periods.LAMBDA_BUDGET = 10^-9.  So 2520 K_Q is read off
 2520 v as every lattice vector is (periods.read_vector): the nearest
 vector, accepted only within LAMBDA_BUDGET < |b1| / 2 of 2520 v.  K_Q = (i
 w1 + j w2) / 2520 exactly, for the integer coordinates (i, j) of that
@@ -108,10 +162,13 @@ form against the numerical route.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, compress, repeat
 from math import ceil, expm1, gcd, isqrt, log, pi, sqrt
+from operator import mul, truediv
 
 import mpmath as mp
+from mpmath.libmp import (mpc_exp, mpc_to_complex, mpf_mul, mpf_neg, mpf_pi, mpf_shift,
+                          round_nearest, to_int)
 
 from .curves import Curve, CurveModel, _valuation, an_cached, ap_bad, tate_local
 from .errors import AlConstantError, CmtraceError, InputError
@@ -123,6 +180,7 @@ FIXED_GUARD = 10            # guard bits of the fixed-point evaluator beyond bit
 NMAX_CAP = 10 ** 6
 AL_SAMPLES = 5              # points on the W_Q-stable circle that must agree on the sign
 LAMBDA_DIGITS = 5           # the values every lattice vector is read from (module docstring)
+FLOAT_CAP = 500             # most terms a LAMBDA_DIGITS series sums in doubles (module docstring)
 MAZUR_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 K_EXPONENT = 2520           # lcm of MAZUR_ORDERS
 
@@ -155,6 +213,14 @@ def phi_terms(im_tau, digits: int) -> int:
     return n
 
 
+def im_tau(disc: int, a: int) -> float:
+    """Im tau = sqrt|D| / (2A) at the point of a form (A, B, C) of discriminant
+    D < 0, as the correctly rounded double, from exact integers (module
+    docstring): phi_terms' input without an mpf."""
+    k = 114 + 2 * a.bit_length()
+    return isqrt(-disc << 2 * k) / (2 * a << k)
+
+
 def eval_phi(model: CurveModel | Curve, tau, digits: int) -> mp.mpc:
     """Modular parametrisation sum_{n <= n_max} a_n e^{2 pi i n tau} / n."""
     return _eval_series(model, tau, digits, weight=1)
@@ -166,8 +232,9 @@ def eval_newform(model: CurveModel | Curve, tau, digits: int) -> mp.mpc:
 
 
 def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int) -> mp.mpc:
-    """sum_{n <= n_max} a_n q^n / n^weight in fixed point, by rectangular
-    splitting; the error budget is in the module docstring."""
+    """sum_{n <= n_max} a_n q^n / n^weight: in doubles at LAMBDA_DIGITS up to
+    FLOAT_CAP terms, else in fixed point by rectangular splitting; the error
+    budgets are in the module docstring."""
     cur = model.minimal if isinstance(model, CurveModel) else model
     with mp.workdps(digits + GUARD):
         tau = mp.mpc(tau)
@@ -175,15 +242,19 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int) -> mp
             raise InputError("tau must be in the upper half plane")
         nmax = phi_terms(tau.imag, digits)
         a = an_cached(cur, nmax)                  # not a copy: read a[0..nmax] only
+        if digits == LAMBDA_DIGITS and nmax <= FLOAT_CAP:
+            # q^1..q^nmax by chained products, summed from n = nmax down
+            q = mpc_to_complex(_q(tau, mp.mp.prec), rnd=round_nearest)
+            powers = list(accumulate(repeat(q, nmax), mul))
+            coef = a[nmax:0:-1] if weight == 0 else map(truediv, a[nmax:0:-1], range(nmax, 0, -1))
+            return mp.mpc(sum(map(mul, coef, reversed(powers))))
         frac = mp.mp.prec + nmax.bit_length() + FIXED_GUARD
         m = isqrt(nmax)
         # Baby steps q^0..q^m, chained with bit_length(m) + 2 extra bits so
         # each carries at most two ulps at `frac` bits after the final shift.
         extra = m.bit_length() + 2
         fine = frac + extra
-        with mp.workprec(fine):
-            q = mp.exp(2j * mp.pi * tau)
-            qre, qim = int(mp.ldexp(q.real, fine)), int(mp.ldexp(q.imag, fine))
+        qre, qim = (to_int(mpf_shift(v, fine)) for v in _q(tau, fine))   # truncated as int() does
         x, y = 1 << fine, 0
         pre, pim = [], []
         for _ in range(m):
@@ -214,6 +285,15 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int) -> mp
                 re += (c1 * x1 + c2 * x2) // d
                 im += (c1 * y1 + c2 * y2) // d
         return mp.mpc(mp.ldexp(re, -frac), mp.ldexp(im, -frac))
+
+
+def _q(tau: mp.mpc, prec: int) -> tuple:
+    """e^(2 pi i tau) as raw (re, im) at prec bits, rounded to nearest: the
+    value mp.exp(2j * mp.pi * tau) has at that precision, without its objects."""
+    x, y = tau._mpc_
+    two_pi = mpf_shift(mpf_pi(prec, round_nearest), 1)
+    w = (mpf_neg(mpf_mul(two_pi, y, prec, round_nearest)), mpf_mul(two_pi, x, prec, round_nearest))
+    return mpc_exp(w, prec, round_nearest)
 
 
 def al_matrix(n_level: int, q_div: int) -> tuple[int, int, int, int]:
@@ -286,8 +366,10 @@ def al_constant(lat: PeriodLattice, n_level: int, q_div: int, w: int) -> tuple[i
         v = mp.mpc(0)
         for c, s in al_constant_points(n_level, q_div, w, LAMBDA_DIGITS):
             v += c * eval_phi(lat.curve, s, LAMBDA_DIGITS)
-        i, j = read_vector(lat, K_EXPONENT * v, AlConstantError,
-                           f"K_{q_div} = {mp.nstr(v, 12)}: {K_EXPONENT} K_{q_div}")
+        try:
+            i, j = read_vector(lat, K_EXPONENT * v, AlConstantError, f"{K_EXPONENT} K_{q_div}")
+        except AlConstantError as exc:               # v is formatted only for the message
+            raise AlConstantError(f"K_{q_div} = {mp.nstr(v, 12)}: {exc}") from None
     g = gcd(i, j, K_EXPONENT)
     if K_EXPONENT // g not in MAZUR_ORDERS:
         raise AlConstantError(f"K_{q_div} = ({i} w1 + {j} w2) / {K_EXPONENT} has order "

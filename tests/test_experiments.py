@@ -26,9 +26,11 @@ M50B = curve_model((1, 1, 1, -3, 1))
 def _trace(model, orbit, shadow, digits):
     """The orbit layer's stages as trace_point runs them: moves, sign,
     periods, evaluation."""
-    moves = orbit_options(model, orbit, digits)
+    pairs = fiber_pairs(model, orbit, shadow)
+    moves = orbit_options(model, orbit, pairs, digits)
     wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, digits)
-    return orbit_trace(model, orbit, shadow, moves, wp, period_lattice(model.minimal, digits))
+    return orbit_trace(model, orbit, shadow, pairs, moves, wp,
+                       period_lattice(model.minimal, digits))
 
 
 def test_spec_validation():
@@ -488,8 +490,9 @@ def test_cold_headline_trace_counts_no_points(monkeypatch, model, dK, verdict):
     # digits; w_p = -1 on 49a1 evaluates every point at LAMBDA_DIGITS only
     assert (rep.n_max > 3000) == (rep.wp == 1)
     # the sieve up to the 200-digit plan's deepest point counts none either
+    shadow, orbit = _orbit(model, dK)
     deepest = max((mv.low or mv).n_max
-                  for mv in orbit_options(model, _orbit(model, dK)[1], 200))
+                  for mv in orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), 200))
     assert deepest > 3000
     an_coefficients(model.minimal, deepest)
     assert counted == []
@@ -533,8 +536,9 @@ def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
         monkeypatch.setattr(curves, "_an_cache", {})
         wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, digits)
         lat = period_lattice(model.minimal, digits)
-        moves = orbit_options(model, orbit, digits)
-        entries, trace_z, n_max, constants, _ = orbit_trace(model, orbit, shadow, moves, wp, lat)
+        moves = orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), digits)
+        entries, trace_z, n_max, constants, _ = orbit_trace(
+            model, orbit, shadow, fiber_pairs(model, orbit, shadow), moves, wp, lat)
         monkeypatch.setattr(curves, "_an_cache", {})
         terms = [mv.n_max for mv in moves]
         # kernel order starts below the deepest evaluation, so the sieve
@@ -566,7 +570,8 @@ def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
     digits = 60
     shadow, orbit = _orbit(M121, -67)
     # the budget binds the translation moves, whose values the reads of Omega need
-    deepest = max((mv.low or mv).n_max for mv in orbit_options(M121, orbit, digits))
+    pairs = fiber_pairs(M121, orbit, shadow)
+    deepest = max((mv.low or mv).n_max for mv in orbit_options(M121, orbit, pairs, digits))
     with mp.workdps(digits + 15):
         unmoved = max(phi_terms(heegner_tau(pt, digits).imag, digits) for pt in orbit)
     assert deepest < unmoved                   # the cap below binds only after the moves
@@ -587,9 +592,8 @@ def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
     monkeypatch.setattr("cmtrace.modparam.NMAX_CAP", deepest)
     monkeypatch.setattr("cmtrace.experiments.eval_phi", eval_phi)
     monkeypatch.setattr("cmtrace.modparam.eval_phi", eval_phi)
-    moves = orbit_options(M121, orbit, digits)
-    cheaper = max(min(moves[i].n_max, moves[j].n_max)
-                  for i, j in fiber_pairs(M121, orbit, shadow))
+    moves = orbit_options(M121, orbit, pairs, digits)
+    cheaper = max(min(moves[i].n_max, moves[j].n_max) for i, j in pairs)
     assert cheaper < deepest
     assert _trace(M121, orbit, shadow, digits)[2] == cheaper
 

@@ -1,15 +1,20 @@
+import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import mpf_shift, to_fixed, to_int
 
+from cmtrace import modparam
 from cmtrace.curves import (Curve, _valuation, an_coefficients, curve_from_c4c6, curve_model,
                             minimal_model, tate_local)
 from cmtrace.heegner import heegner_form
-from cmtrace.modparam import (NMAX_CAP, SeriesBudgetError, _local_sign, _numerical_sign,
-                              al_matrix, atkin_lehner_sign, eval_newform, eval_phi, phi_terms)
+from cmtrace.modparam import (FLOAT_CAP, GUARD, LAMBDA_DIGITS, NMAX_CAP, SeriesBudgetError,
+                              _local_sign, _numerical_sign, al_matrix, atkin_lehner_sign,
+                              eval_newform, eval_phi, im_tau, phi_terms)
 from cmtrace.periods import period_lattice
 from oracles import eval_series_direct, heegner_tau, lattice_distance, phi_terms_mp, root_number
 
@@ -252,6 +257,111 @@ def test_fixed_point_series_matches_direct_sum(label):
                 got = fast(model, tau, digits)
                 with mp.workdps(digits + 30):
                     assert abs(got - want) < mp.mpf(10) ** -(digits + 5), (digits, tau, weight)
+
+
+def _float_bound(im, weight: int) -> float:
+    """E1 (weight 1) or E0 (weight 0) of the module docstring: the float
+    route's rounding error at Im tau = im."""
+    u, g, kappa = 2.0 ** -53, 1 / math.expm1(2 * math.pi * float(im)), 4.26
+    if weight:
+        return math.sqrt(3) * u * (kappa * g * (1 + g) + 2 * g)
+    return math.sqrt(3) * u * (kappa * g * (1 + g) * (1 + 2 * g) + 2 * g * (1 + g))
+
+
+def _im_with_terms(n: int) -> float:
+    """The least double Im tau, to bisection, with phi_terms(Im tau,
+    LAMBDA_DIGITS) <= n."""
+    lo, hi = 1e-3, 10.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if phi_terms(mid, LAMBDA_DIGITS) > n else (lo, mid)
+    return hi
+
+
+def _counting_floats(monkeypatch) -> list:
+    """Patch the float route's accumulate to record each series it runs."""
+    runs, accumulate = [], modparam.accumulate
+
+    def counting(*args):
+        runs.append(args)
+        return accumulate(*args)
+
+    monkeypatch.setattr(modparam, "accumulate", counting)
+    return runs
+
+
+@pytest.mark.parametrize("ai", [(1, -1, 0, -2, -1), (0, -1, 1, -7, 10), (1, 1, 1, -3, 1),
+                                (0, 0, 0, 0, 1), (0, -1, 1, -10, -20)])
+def test_float_route_is_within_its_proven_bound(monkeypatch, ai):
+    # LAMBDA_DIGITS series of 4 to FLOAT_CAP terms, both weights, against the
+    # term-by-term mpc sum, at random points of -1 < Re tau < 1 whose term
+    # counts are spread evenly (n is about 35 / (2 pi Im tau))
+    cur, rng = Curve(*ai), random.Random(str(ai))
+    runs = _counting_floats(monkeypatch)
+    lo, hi = _im_with_terms(FLOAT_CAP), _im_with_terms(4)
+    ims = [lo, hi] + [1 / (1 / hi + (1 / lo - 1 / hi) * rng.random()) for _ in range(28)]
+    counts = set()
+    for im in ims:
+        with mp.workdps(LAMBDA_DIGITS + GUARD):
+            tau = mp.mpc(rng.uniform(-1, 1), im)
+        counts.add(phi_terms(tau.imag, LAMBDA_DIGITS))
+        for weight, fast in ((1, eval_phi), (0, eval_newform)):
+            want = eval_series_direct(cur, tau, LAMBDA_DIGITS, weight)
+            got = fast(cur, tau, LAMBDA_DIGITS)
+            with mp.workdps(30):
+                assert abs(got - want) <= _float_bound(tau.imag, weight) + 1e-20, (tau, weight)
+    assert len(runs) == 60 and min(counts) == 4 and max(counts) == FLOAT_CAP
+
+
+def test_a_series_over_the_float_cap_or_at_another_precision_runs_in_fixed_point(monkeypatch):
+    model = curve_model((0, -1, 1, -7, 10))
+    runs = _counting_floats(monkeypatch)
+    at_cap, over = (mp.mpc(0.3, _im_with_terms(n)) for n in (FLOAT_CAP, FLOAT_CAP + 1))
+    assert phi_terms(at_cap.imag, LAMBDA_DIGITS) == FLOAT_CAP
+    assert phi_terms(over.imag, LAMBDA_DIGITS) == FLOAT_CAP + 1
+    for tau, digits, floats in ((at_cap, LAMBDA_DIGITS, 1), (over, LAMBDA_DIGITS, 0),
+                                (at_cap, LAMBDA_DIGITS + 1, 0), (mp.mpc(0.3, 1), 15, 0)):
+        runs.clear()
+        got = eval_phi(model, tau, digits)
+        assert len(runs) == floats, (tau, digits)
+        want = eval_series_direct(model.minimal, tau, digits, 1)
+        with mp.workdps(30):
+            assert abs(got - want) < 1e-13 * 10 ** (LAMBDA_DIGITS - digits)
+
+
+def test_raw_q_integers_are_those_int_cuts_from_mp_exp():
+    # the fixed-point route's q: one raw mpc_exp at the precision of the baby
+    # steps, cut toward zero as int(mp.ldexp(...)) cuts it; libmp.to_fixed
+    # floors instead, which differs on a negative real or imaginary part
+    rng, floored = random.Random(38), 0
+    for _ in range(300):
+        with mp.workdps(rng.choice([20, 45, 75, 215])):
+            tau = mp.mpc(rng.uniform(-1, 1), 10 ** rng.uniform(-3, 0.3))
+            fine = mp.mp.prec + rng.randrange(8, 40)
+            with mp.workprec(fine):
+                q = mp.exp(2j * mp.pi * tau)
+                want = int(mp.ldexp(q.real, fine)), int(mp.ldexp(q.imag, fine))
+        if q.real >= 0 and q.imag >= 0:
+            continue
+        raw = modparam._q(tau, fine)
+        assert tuple(to_int(mpf_shift(v, fine)) for v in raw) == want, tau
+        floored += tuple(to_fixed(v, fine) for v in raw) != want
+    assert floored > 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(3, 10 ** 15), a=st.integers(1, 10 ** 18))
+def test_im_tau_is_sqrt_d_over_2a_correctly_rounded(m, a):
+    # the double im_tau gives is the nearest to sqrt(m) / (2a), checked in
+    # exact rationals against the midpoints to both neighbours, and the one
+    # float(mp.sqrt(m) / (2a)) gives at 60 and 200 digits + GUARD
+    got = Fraction(im_tau(-m, a))
+    for side in (0.0, math.inf):
+        mid = (got + Fraction(math.nextafter(float(got), side))) / 2
+        assert (4 * a * a * mid * mid <= m) == (side == 0.0)
+    for digits in (60, 200):
+        with mp.workdps(digits + GUARD):
+            assert im_tau(-m, a) == float(mp.sqrt(m) / (2 * a))
 
 
 def _twist(ai, d):

@@ -20,14 +20,14 @@ from hypothesis import strategies as st
 from cmtrace import curves, experiments, modparam
 from cmtrace.curves import an_coefficients, curve_model
 from cmtrace.errors import InputError
-from cmtrace.experiments import (LAMBDA_DIGITS, ExperimentSpec, FiberPairingError, al_signs,
-                                 experiment_finite, fiber_pairs, orbit_options, orbit_trace,
-                                 trace_point)
+from cmtrace.experiments import (LAMBDA_DIGITS, ExperimentSpec, FiberPairingError, TraceReport,
+                                 al_signs, experiment_finite, fiber_pairs, orbit_options,
+                                 orbit_trace, trace_point)
 from cmtrace.fp import kronecker
 from cmtrace.heegner import al_move, coset_move, galois_orbit, heegner_form
-from cmtrace.modparam import (GUARD, MAZUR_ORDERS, NMAX_CAP, AlConstantError,
+from cmtrace.modparam import (GUARD, MAZUR_ORDERS, NMAX_CAP, AlConstantError, SeriesBudgetError,
                               al_constant, al_constant_points, al_matrix, atkin_lehner_sign,
-                              eval_newform, eval_phi, phi_terms)
+                              eval_newform, eval_phi, im_tau, phi_terms)
 from cmtrace.periods import is_torsion, locate, period_lattice, torsion_residual
 from cmtrace.quadforms import (is_fundamental_discriminant, kernel_classes, order_data,
                                reduced_forms)
@@ -106,6 +106,15 @@ def _orbit(label: str, dK: int, f: int):
     shadow = experiment_finite(ExperimentSpec(dK=dK, f=f, curve=model))
     base = heegner_form(model.n, dK, model.p * f)
     return model, shadow, galois_orbit(base, model.n, [kc.form for kc in shadow.classes])
+
+
+def _orbit_json(entries, model, shadow, dK: int, f: int, digits: int) -> list:
+    """The entries as TraceReport.to_json prints them."""
+    spec = ExperimentSpec(dK=dK, f=f, curve=model, digits=digits)
+    report = TraceReport(spec=spec, wp=1, orbit=entries, trace_z=mp.mpc(0), residual=mp.mpf(0),
+                         verdict="undecided", recognized=None, n_max=0, finite_shadow=shadow,
+                         constants=(), series=(0, 0), timings={})
+    return report.to_json()["orbit"]
 
 
 def test_catalogue_has_115_cases():
@@ -225,8 +234,8 @@ def test_coset_move_reaches_the_largest_imaginary_part_of_the_coset():
     for label, dK, f in CATALOGUE:
         if label not in ("50b1", "36a1"):
             continue
-        model, _, orbit = _orbit(label, dK, f)
-        moves = orbit_options(model, orbit, digits)
+        model, shadow, orbit = _orbit(label, dK, f)
+        moves = orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), digits)
         p2 = model.p ** 2
         with mp.workdps(digits + 15):
             root = mp.sqrt(-orbit[0].disc())
@@ -254,6 +263,33 @@ def test_coset_move_reaches_the_largest_imaginary_part_of_the_coset():
     assert moved == {"50b1": 24}
 
 
+def test_each_coset_of_a_50b1_fiber_is_searched_once_per_fiber(monkeypatch):
+    # on 50b1 (N = 50, p^2 = 25) W_2 Gamma_0(50) of a point is W_50
+    # Gamma_0(50) of its fiber mate: orbit_options searches each coset once
+    # per fiber (60 searches for the 30 fibers, not 120), plus 7 from a
+    # second point that takes a coset its mate saw as a translation move;
+    # every move into a coset is the point's own search
+    searches = []
+
+    def counting(*args, search=coset_move):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(experiments, "coset_move", counting)
+    fibers, moved = 0, 0
+    for label, dK, f in CATALOGUE:
+        if label != "50b1":
+            continue
+        model, shadow, orbit = _orbit(label, dK, f)
+        pairs = fiber_pairs(model, orbit, shadow)
+        fibers += len(pairs)
+        for pt, mv in zip(orbit, orbit_options(model, orbit, pairs, 60)):
+            if mv.low:
+                assert coset_move(pt, model.n, mv.q) == (False, mv.form), (dK, f, pt)
+                moved += 1
+    assert (len(searches), fibers, moved) == (67, 30, 24)
+
+
 def _read_off(module, patch):
     """Move each value the module reads a lattice vector off by 10^-6: above
     LAMBDA_BUDGET, below |b1| / 2, the way an evaluation that broke its bound
@@ -268,13 +304,14 @@ def test_a_period_off_by_one_makes_the_read_of_omega_raise(monkeypatch):
     # precision; a value 10^-6 off misses the read of Omega, which runs
     # before any fiber's
     model, shadow, orbit = _orbit("50b1", -7, 3)
-    moves = orbit_options(model, orbit, 60)
+    fibers = fiber_pairs(model, orbit, shadow)
+    moves = orbit_options(model, orbit, fibers, 60)
     lat = period_lattice(model.minimal, 60)
     with monkeypatch.context() as patch:
         _read_off(experiments, patch)
         with pytest.raises(FiberPairingError, match="read of the period of its W_.* move misses"):
-            orbit_trace(model, orbit, shadow, moves, _wp("50b1"), lat)
-    orbit_trace(model, orbit, shadow, moves, _wp("50b1"), lat)
+            orbit_trace(model, orbit, shadow, fibers, moves, _wp("50b1"), lat)
+    orbit_trace(model, orbit, shadow, fibers, moves, _wp("50b1"), lat)
 
 
 @pytest.mark.parametrize("label,q_div",
@@ -355,11 +392,11 @@ def test_the_report_lists_each_constant_it_used():
         firsts.setdefault(label, (dK, f))
     firsts["50b1/3"] = (-7, 3)                      # a trace that reads Omega
     for label, (dK, f) in firsts.items():
-        model, _, orbit = _orbit(label.split("/")[0], dK, f)
+        model, shadow, orbit = _orbit(label.split("/")[0], dK, f)
         rep = trace_point(ExperimentSpec(dK=dK, f=f, curve=model, digits=60))
         lam = {model.p ** 2} if _reads_lam(rep) else set()
         # the translation move of each trace-precision point that reads Omega
-        moves = orbit_options(model, orbit, 60)
+        moves = orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), 60)
         full = {a for a, _ in _cheaper_first(w_p2_pairs(model, orbit), moves)}
         reads = {moves[a].low.q for a in full if moves[a].low and rep.wp == 1}
         assert reads or label != "50b1/3"
@@ -406,13 +443,13 @@ def test_no_constant_point_is_evaluated_at_the_trace_precision(monkeypatch):
     monkeypatch.setattr("cmtrace.modparam.eval_phi", recording)
     al_constant.cache_clear()
     for label, dK in [("49a1", -11), ("121b1", -67), ("50b1", -7), ("1,-1,0,0,-5", -31)]:
-        model, _, orbit = _orbit(label, dK, 1)
+        model, shadow, orbit = _orbit(label, dK, 1)
         del calls[:]
         rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=model, digits=200))
         points = sum(len(al_constant_points(model.n, q_div, w, LAMBDA_DIGITS))
                      for q_div, w, *_ in rep.constants)
-        full[label], low = _evaluation_classes(model, orbit, orbit_options(model, orbit, 200),
-                                               rep.wp)
+        moves = orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), 200)
+        full[label], low = _evaluation_classes(model, orbit, moves, rep.wp)
         assert low > 0 and (points > 0) == (label != "121b1")     # K_121 = 0: no point
         assert sorted(calls) == sorted(
             [LAMBDA_DIGITS] * (points + low) + [200] * full[label]), label
@@ -438,9 +475,10 @@ def _check_against_direct(label, dK, f, digits):
     its orbit form, and its tau a root of that form to the digits printed.
     Returns the moves' Q and the sources."""
     model, shadow, orbit = _orbit(label, dK, f)
-    moves = orbit_options(model, orbit, digits)
+    fibers = fiber_pairs(model, orbit, shadow)
+    moves = orbit_options(model, orbit, fibers, digits)
     lat, wp = period_lattice(model.minimal, digits), _wp(label)
-    entries, trace_z, n_max, _, _ = orbit_trace(model, orbit, shadow, moves, wp, lat)
+    entries, trace_z, n_max, _, _ = orbit_trace(model, orbit, shadow, fibers, moves, wp, lat)
     pairs = _cheaper_first(w_p2_pairs(model, orbit), moves)
     zs, precs, sources, terms, trace = orbit_values_by_fiber(model, moves, pairs, wp, lat)
     zs_direct, trace_direct = orbit_trace_direct(model, orbit, digits)
@@ -463,7 +501,8 @@ def _check_against_direct(label, dK, f, digits):
     used = evaluated_moves(moves, pairs, wp)
     assert [(e.digits, e.q, e.n_max, e.source) for e in entries] == [
         (prec, mv.q, n, source) for prec, mv, n, source in zip(precs, used, terms, sources)]
-    assert [e.z for e in entries] == [
+    printed = _orbit_json(entries, model, shadow, dK, f, digits)
+    assert [e["z"] for e in printed] == [
         (mp.nstr(z.real, min(prec, 30)), mp.nstr(z.imag, min(prec, 30)))
         for z, prec in zip(zs, precs)]
     assert set(precs) <= {digits, LAMBDA_DIGITS} and n_max >= max(terms)
@@ -471,13 +510,13 @@ def _check_against_direct(label, dK, f, digits):
         assert set(precs) == {LAMBDA_DIGITS}
     # each tau, printed to d = min(digits, 30) digits, is within |tau| 10^(1-d)
     # of the root r in H of its form F: |F(tau)| <= |F'(tau)| |tau - r| nearly
-    printed = min(digits, 30)
-    with mp.workdps(printed + 15):
-        for pt, e in zip(orbit, entries):
-            (a, b, c), tau = e.form, mp.mpmathify(e.tau)
+    shown = min(digits, 30)
+    with mp.workdps(shown + 15):
+        for pt, e, text in zip(orbit, entries, printed):
+            (a, b, c), tau = e.form, mp.mpmathify(text["tau"])
             assert e.form == tuple(pt) and tau.imag > 0
-            bound = abs(2 * a * tau + b) * abs(tau) * mp.mpf(10) ** (1 - printed)
-            assert abs((a * tau + b) * tau + c) <= bound, (label, dK, f, e.form, e.tau)
+            bound = abs(2 * a * tau + b) * abs(tau) * mp.mpf(10) ** (1 - shown)
+            assert abs((a * tau + b) * tau + c) <= bound, (label, dK, f, e.form, text["tau"])
     return [mv.q for mv in used], sources
 
 
@@ -514,11 +553,12 @@ def test_the_shadow_fibers_are_the_w_p2_pairing_of_every_orbit():
 @pytest.mark.parametrize("label,dK", [("121b1", -67), ("49a1", -11)])
 def test_a_swapped_mate_or_a_lattice_vector_off_by_a_period_raises(monkeypatch, label, dK):
     model, shadow, orbit = _orbit(label, dK, 1)
-    moves = orbit_options(model, orbit, 60)
+    moves = orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), 60)
     lat = period_lattice(model.minimal, 60)
 
     def run(shadow):
-        return orbit_trace(model, orbit, shadow, moves, _wp(label), lat)
+        fibers = fiber_pairs(model, orbit, shadow)
+        return orbit_trace(model, orbit, shadow, fibers, moves, _wp(label), lat)
 
     (l1, (u1, v1)), (l2, (u2, v2)) = sorted(shadow.fibers.items())[:2]
     swapped = shadow._replace(fibers={**shadow.fibers, l1: [u1, v2], l2: [u2, v1]})
@@ -535,6 +575,71 @@ def test_a_swapped_mate_or_a_lattice_vector_off_by_a_period_raises(monkeypatch, 
     run(shadow)
 
 
+def _terms_or_needed(im, digits: int) -> int:
+    try:
+        return phi_terms(im, digits)
+    except SeriesBudgetError as exc:
+        return exc.needed
+
+
+def test_term_counts_from_integers_are_those_of_the_mpf_quotient_on_the_catalogue():
+    # every orbit form and move of the catalogue at 60 and 200 digits: the
+    # double im_tau builds from integers is float(sqrt|D| / (2A)) at digits +
+    # GUARD for digits 5, 60 and 200, and phi_terms counts the same terms
+    checked = 0
+    for label, dK, f in CATALOGUE:
+        model, shadow, orbit = _orbit(label, dK, f)
+        disc, forms = orbit[0].disc(), set(orbit)
+        for digits in (60, 200):
+            for mv in orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), digits):
+                forms |= {mv.form} | ({mv.low.form} if mv.low else set())
+        for digits in (LAMBDA_DIGITS, 60, 200):
+            with mp.workdps(digits + GUARD):
+                root = mp.sqrt(-disc)
+                for a in {form.a for form in forms}:
+                    im, want = im_tau(disc, a), root / (2 * a)
+                    assert im == float(want), (label, dK, f, a, digits)
+                    assert _terms_or_needed(im, digits) == _terms_or_needed(want, digits)
+                    checked += 1
+    assert checked > 2000
+
+
+def test_a_cold_trace_of_reads_extends_the_sieve_once_under_eval_phi(monkeypatch):
+    # 49a1/-11/1 at 200 digits has w_p = -1: every orbit value, and K_49, is
+    # a LAMBDA_DIGITS series in doubles, and the largest of them still
+    # extends the empty a_n sieve, once, inside eval_phi
+    depth, sieve_calls, floats = [0], [], []
+
+    def nested(fn):
+        def wrapper(*args):
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    def sieve(cur, bound, an_coefficients=curves.an_coefficients):
+        sieve_calls.append(depth[0])
+        return an_coefficients(cur, bound)
+
+    def counting(*args, accumulate=modparam.accumulate):
+        floats.append(args)
+        return accumulate(*args)
+
+    for module in (experiments, modparam):
+        monkeypatch.setattr(module, "eval_phi", nested(module.eval_phi))
+    monkeypatch.setattr(curves, "an_coefficients", sieve)
+    monkeypatch.setattr(curves, "_an_cache", {})
+    monkeypatch.setattr(modparam, "accumulate", counting)
+    al_constant.cache_clear()
+    rep = trace_point(ExperimentSpec(dK=-11, f=1, curve=MODELS["49a1"], digits=200))
+    al_constant.cache_clear()
+    assert rep.wp == -1 and {e.digits for e in rep.orbit} == {LAMBDA_DIGITS}
+    assert [c[0] for c in rep.constants] == [49] and rep.series == (0, len(floats) - 1)
+    assert sieve_calls == [1]
+
+
 def test_the_catalogue_evaluates_219_series_for_1040_points_at_60_digits(monkeypatch):
     # the trace precision only at the cheaper point of each w_p = +1 fiber,
     # one series per evaluation point up to conjugation; the other points at
@@ -548,8 +653,9 @@ def test_the_catalogue_evaluates_219_series_for_1040_points_at_60_digits(monkeyp
     monkeypatch.setattr(experiments, "eval_phi", recording)
     for label, dK, f in CATALOGUE:
         model, shadow, orbit = _orbit(label, dK, f)
-        moves = orbit_options(model, orbit, 60)
-        entries, *_, (full, low) = orbit_trace(model, orbit, shadow, moves, _wp(label),
+        fibers = fiber_pairs(model, orbit, shadow)
+        moves = orbit_options(model, orbit, fibers, 60)
+        entries, *_, (full, low) = orbit_trace(model, orbit, shadow, fibers, moves, _wp(label),
                                                period_lattice(model.minimal, 60))
         points += len(entries)
         series.update({60: full, LAMBDA_DIGITS: low})
@@ -575,13 +681,16 @@ def test_a_self_conjugate_point_keeps_only_the_real_part(monkeypatch):
 
     monkeypatch.setattr(experiments, "eval_phi", noisy)
     model, shadow, orbit = _orbit("49a1", -107, 1)
-    moves = orbit_options(model, orbit, 60)
-    entries = orbit_trace(model, orbit, shadow, moves, _wp("49a1"),
+    fibers = fiber_pairs(model, orbit, shadow)
+    moves = orbit_options(model, orbit, fibers, 60)
+    entries = orbit_trace(model, orbit, shadow, fibers, moves, _wp("49a1"),
                           period_lattice(model.minimal, 60))[0]
-    mirrored = [e for e, mv in zip(entries, moves)
+    printed = _orbit_json(entries, model, shadow, -107, 1, 60)
+    mirrored = [text for e, text, mv in zip(entries, printed, moves)
                 if e.q == 1 and len(set(evaluation_key(mv.form))) == 1]
-    assert mirrored and all(e.z[1] == "0.0" for e in mirrored)
-    assert any(e.z[1] != "0.0" for e in entries if e.q == 1 and e not in mirrored)
+    assert mirrored and all(text["z"][1] == "0.0" for text in mirrored)
+    assert any(text["z"][1] != "0.0" for e, text in zip(entries, printed)
+               if e.q == 1 and text not in mirrored)
 
 
 @pytest.mark.parametrize("n_level", [49, 121])
@@ -624,8 +733,8 @@ def _moved_terms(label, moves) -> int:
 def test_plan_never_evaluates_more_terms_than_the_direct_route(digits):
     planned, direct, reads = {}, {}, {}
     for label, dK, f in CATALOGUE:
-        model, _, orbit = _orbit(label, dK, f)
-        moves = orbit_options(model, orbit, digits)
+        model, shadow, orbit = _orbit(label, dK, f)
+        moves = orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), digits)
         with mp.workdps(digits + 15):
             unmoved = [phi_terms(heegner_tau(pt, digits).imag, digits) for pt in orbit]
         assert all(mv.n_max <= n for mv, n in zip(moves, unmoved)), (label, dK, f)
@@ -662,8 +771,8 @@ def test_phi_terms_in_doubles_equals_the_30_digit_count_on_the_catalogue(monkeyp
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "phi_terms", recording)
         for label, dK, f in CATALOGUE:
-            model, _, orbit = _orbit(label, dK, f)
-            orbit_options(model, orbit, digits)
+            model, shadow, orbit = _orbit(label, dK, f)
+            orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), digits)
     assert len(priced) > 600 and {d for _, d in priced} == {digits, LAMBDA_DIGITS}
     for im_tau, d in priced:
         want = phi_terms_mp(im_tau, d)

@@ -11,9 +11,10 @@ import pytest
 from cmtrace.curves import Curve, LocalData, curve_model
 from cmtrace.embeddings import build_embedding
 from cmtrace.errors import InputError
-from cmtrace.experiments import OrbitEntry, OrbitMove, TraceReport
+from cmtrace.experiments import OrbitEntry, OrbitMove, TraceReport, trace_point
 from cmtrace.finite import ExperimentSpec, experiment_finite
 from cmtrace.heegner import heegner_form
+from cmtrace.modparam import al_constant
 from cmtrace.periods import PeriodLattice
 from cmtrace.quadforms import order_data
 from cmtrace.recognize import AlgebraicNumber
@@ -149,16 +150,50 @@ def test_equality_and_hash_go_by_fields(name):
 
 
 def test_trace_report_json_is_the_dataclass_json():
+    # an entry holds tau and z as numbers, and to_json prints them: the sample's
+    # text "(-0.45, 0.0338)" becomes the number it names, printed as nstr does
+    with mp.workdps(40):
+        tau = mp.mpc("-0.45", "0.0338")
+    entry = SAMPLES["OrbitEntry"]._replace(tau=tau, z=mp.mpc(0.5, -0.25))
     report = SAMPLES["TraceReport"]._replace(
-        spec=ExperimentSpec(dK=-7, f=1, curve=SAMPLES["CurveModel"], digits=30))
+        spec=ExperimentSpec(dK=-7, f=1, curve=SAMPLES["CurveModel"], digits=30), orbit=(entry,))
     text = json.dumps(report.to_json())
     # each orbit entry's keys in field order, as the dataclass's __dict__ had them
     assert json.dumps(report.to_json()["orbit"]) == (
-        '[{"proj": [1, 0], "form": [121, 109, 25], "tau": "(-0.45, 0.0338)", '
+        '[{"proj": [1, 0], "form": [121, 109, 25], "tau": "(-0.45 + 0.0338j)", '
         '"z": ["0.5", "-0.25"], "digits": 30, "q": 1, "n_max": 812, "source": "series"}]')
-    # the whole report, recorded when the records were frozen dataclasses
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    # the whole report, recorded when the records were frozen dataclasses and
+    # the sample's tau was that text
+    recorded = text.replace('"(-0.45 + 0.0338j)"', '"(-0.45, 0.0338)"')
+    assert hashlib.sha256(recorded.encode()).hexdigest() == (
         "d53736013335e3c0519306d626d847ff22d05843c42a05d97bbf52d658d2fe65")
+
+
+@pytest.mark.parametrize("ainvs,dK,digits,digest", [
+    ((0, -1, 1, -7, 10), -67, 30,
+     "3e3350bda074e29c8ffd3f92883dabf22c71af32519a6e840f00edfdb5371db6"),
+    ((1, -1, 0, -2, -1), -11, 200,
+     "997e018071122d6d148429a4489e0faa7b1f475dcbb5930285b704dcdfda7c4f"),
+])
+def test_trace_point_formats_no_entry_and_to_json_prints_the_recorded_text(
+        monkeypatch, ainvs, dK, digits, digest):
+    # trace_point keeps each entry's tau and z as numbers, a cold K_Q read
+    # included: mp.nstr runs only in to_json, whose orbit is the text the
+    # entries held when trace_point formatted them (digests recorded then)
+    def refuse(*args, **kwargs):
+        raise AssertionError("mp.nstr called inside trace_point")
+
+    al_constant.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(mp, "nstr", refuse)
+        report = trace_point(ExperimentSpec(dK=dK, f=1, curve=curve_model(ainvs), digits=digits))
+    orbit = report.to_json()["orbit"]
+    assert hashlib.sha256(json.dumps(orbit).encode()).hexdigest() == digest
+    if dK == -67:
+        assert orbit[0]["tau"] == "(-0.5 + 0.372061489630565907725168351124j)"
+        assert orbit[0]["z"] == ("-0.0962848589707938548740404006243", "0.0")
+    else:
+        assert orbit[1]["z"] == ("0.23707", "-0.7101")
 
 
 def test_replace_runs_the_construction_checks():
