@@ -82,7 +82,7 @@ import time
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, prod
+from math import prod
 
 import mpmath as mp
 
@@ -99,14 +99,14 @@ from .quadforms import class_number, reduce_form
 from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
 
 
-class OrbitEntry(namedtuple("OrbitEntry", "proj form tau z digits q n_max source")):
-    """One orbit point of a trace: its kernel class proj, its form, tau and
-    z as mpc numbers at the trace's working precision (TraceReport.to_json
-    prints tau to min(digits, 30) digits and z's parts to min(`digits`, 30)),
-    z known to `digits` digits, q the W_Q the point went through (1 for
-    none), n_max the terms of the series its value or lam was read from, and
-    source: "series"; "same:i" / "conj:i": entry i's series reused;
-    "fiber:i": from fiber mate i by K_{p^2} + lam."""
+class OrbitEntry(namedtuple("OrbitEntry", "proj form z digits q n_max source")):
+    """One orbit point of a trace: its kernel class proj; its form (a, b, c),
+    which fixes its point tau (TraceReport.to_json prints tau to min(digits,
+    30) digits); z, an mpc number at the trace's working precision known to
+    `digits` digits (printed to min(`digits`, 30)); q the W_Q the point went
+    through (1 for none), n_max the terms of the series its value or lam was
+    read from, and source: "series"; "same:i" / "conj:i": entry i's series
+    reused; "fiber:i": from fiber mate i by K_{p^2} + lam."""
 
     __slots__ = ()
 
@@ -163,11 +163,16 @@ class TraceReport(namedtuple("TraceReport", "spec wp orbit trace_z residual verd
 
 
 def _entry_json(entry: OrbitEntry, digits: int) -> dict:
-    """The entry's fields, tau as text to min(digits, 30) digits and z's parts
-    to min(entry.digits, 30)."""
+    """The entry's fields and its form's point tau, computed at digits +
+    GUARD and printed to min(digits, 30) digits, z's parts to
+    min(entry.digits, 30)."""
+    a, b, c = entry.form
+    with mp.workdps(digits + GUARD):
+        tau = mp.mpc(-b, mp.sqrt(4 * a * c - b * b)) / (2 * a)
     shown = min(entry.digits, 30)
-    return {**entry._asdict(), "tau": mp.nstr(entry.tau, min(digits, 30)),
-            "z": (mp.nstr(entry.z.real, shown), mp.nstr(entry.z.imag, shown))}
+    # tau between form and z, the key order of every report's JSON
+    return {"proj": entry.proj, "form": entry.form, "tau": mp.nstr(tau, min(digits, 30)),
+            **entry._asdict(), "z": (mp.nstr(entry.z.real, shown), mp.nstr(entry.z.imag, shown))}
 
 
 def _cstr(z, digits: int) -> dict:
@@ -201,49 +206,34 @@ def _terms(im_tau, digits: int) -> tuple[int, bool]:
         return exc.needed, False
 
 
-def orbit_options(model: CurveModel, orbit, pairs, digits: int) -> tuple[OrbitMove, ...]:
-    """The move of each orbit point, for the fibers `pairs` of fiber_pairs.
-    Its translation move is the cheapest option within the budget, tau
-    itself on a tie, among tau (q = 1) and its best W_Q (tau + k) for each Q
-    of al_signs(model) whose leading coefficient is smaller and whose K_Q
-    points need at most NMAX_CAP terms at LAMBDA_DIGITS.  K_Q is exact and
-    costs one short evaluation (modparam docstring), so no sign enters the
-    choice and trace_point runs this before atkin_lehner_sign.  The move is
-    the best point of the whole coset W_Q Gamma_0(N) for those Q but p^2
-    (heegner.coset_move, the least leading coefficient, the smallest Q on a
-    tie) instead, when its terms plus those of the LAMBDA_DIGITS read of
-    Omega at the translation move are fewer than the translation move's.  Q
-    = p^2 is left out: W_{p^2} Gamma_0(N) tau is the Gamma_0(N) class of
-    tau's fiber mate (module docstring), whose best point is the mate's own
-    Gamma_0(N)-reduced orbit form, never cheaper than the fiber's
-    trace-precision point.  No coset is searched when w_p = -1 from local
-    data, since then orbit_trace evaluates every point at LAMBDA_DIGITS by
-    its translation move.
-
-    Each coset is searched once per fiber.  For the mate tau' ~ W_{p^2} tau,
-    W_Q Gamma_0(N) tau' = W_Q W_{p^2} Gamma_0(N) tau = W_Q' Gamma_0(N) tau,
-    Q' = Q p^2 / gcd(Q, p^2)^2, so the second point of a fiber takes each
-    coset's least leading coefficient A from its mate's search when Q' is
-    searched there.  The best such A is taken only if it is no translation
-    move of this point: were it one, that W_Q (tau + k) is an option of A,
-    so the translation move already has at most its terms, and no coset
-    move is taken either way.  A taken coset's form is the mate's when the
-    mate's search found no translation move either: coset_move then takes,
-    from each side, the least (|B|, -B) over every form of least A, and
-    those are the forms, B in (-A, A], of one set of points.  Else this
-    point searches that one coset itself.  The points share one D, and
+def orbit_options(model: CurveModel, orbit, digits: int) -> tuple[OrbitMove, ...]:
+    """The move of each orbit point.  Its translation move is the cheapest
+    option within the budget, tau itself on a tie, among tau (q = 1) and its
+    best W_Q (tau + k) for each Q of al_signs(model) whose leading
+    coefficient is smaller and whose K_Q points need at most NMAX_CAP terms
+    at LAMBDA_DIGITS (Im = sqrt(Q) / N, as modparam.im_tau of D = -4Q and
+    A = N).  K_Q is exact and costs one short evaluation (modparam
+    docstring), so no sign enters the choice and trace_point runs this
+    before atkin_lehner_sign.  The move is the best point of the whole
+    coset W_Q Gamma_0(N) for those Q but p^2 (heegner.coset_move, the least
+    leading coefficient, the smallest Q on a tie) instead, when its terms
+    plus those of the LAMBDA_DIGITS read of Omega at the translation move
+    are fewer than the translation move's.  Each point searches its own
+    cosets.  Q = p^2 is left out: W_{p^2} Gamma_0(N) tau is the Gamma_0(N)
+    class of tau's fiber mate (module docstring), whose best point is the
+    mate's own Gamma_0(N)-reduced orbit form, never cheaper than the
+    fiber's trace-precision point.  No coset is searched when w_p = -1 from
+    local data, since then orbit_trace evaluates every point at
+    LAMBDA_DIGITS by its translation move.  The points share one D, and
     each Im tau is sqrt|D| / (2A) as a correctly rounded double
     (modparam.im_tau).  SeriesBudgetError, with the least n_max any
     translation move has, when some point has no option within the budget:
     a read of Omega needs the translation within it."""
-    with mp.workdps(LAMBDA_DIGITS + GUARD):
-        qs = [q for q, _ in al_signs(model) if _terms(mp.sqrt(q) / model.n, LAMBDA_DIGITS)[1]]
+    qs = [q for q, _ in al_signs(model) if _terms(im_tau(-4 * q, model.n), LAMBDA_DIGITS)[1]]
     picks, p2, disc = [], model.p ** 2, orbit[0].disc()
-    mates = {i: j for pair in pairs for i, j in (pair, pair[::-1])}
-    searched = {}                                 # (point, Q) -> coset_move
     # w_p = -1 from local data: every point is evaluated at LAMBDA_DIGITS
     cosets_wanted = dict(al_signs(model))[p2] != -1
-    for i, pt in enumerate(orbit):
+    for pt in orbit:
         opts = [(*_terms(im_tau(disc, pt.a), digits), 1, pt)]
         for q_div in qs:
             form = al_move(pt, model.n, q_div)
@@ -253,20 +243,13 @@ def orbit_options(model: CurveModel, orbit, pairs, digits: int) -> tuple[OrbitMo
         move = OrbitMove(q_div, form, n, None)
         cosets = []
         for q_div in (q for q in qs if q != p2) if ok and cosets_wanted else ():
-            known = searched.get((mates[i], q_div * p2 // gcd(q_div, p2) ** 2))
-            if known is None:
-                translation, image = searched[i, q_div] = coset_move(pt, model.n, q_div)
-                if not translation and image.a < form.a:
-                    cosets.append((image.a, q_div, image))
-            elif known[1].a < form.a:               # the same coset, searched from the mate
-                cosets.append((known[1].a, q_div, None if known[0] else known[1]))
+            translation, image = coset_move(pt, model.n, q_div)
+            if not translation and image.a < form.a:
+                cosets.append((image.a, q_div, image))
         if cosets:
-            least, q_div, image = min(cosets, key=lambda c: c[:2])
+            least, q_div, image = min(cosets)
             terms = phi_terms(im_tau(disc, least), digits)
             if terms + phi_terms(im_tau(disc, form.a), LAMBDA_DIGITS) < n:
-                if image is None:
-                    translation, image = coset_move(pt, model.n, q_div)
-                    assert not translation and image.a == least
                 move = OrbitMove(q_div, image, terms, move)
         picks.append((ok, move))
     if not all(ok for ok, _ in picks):
@@ -410,7 +393,6 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, pairs, moves, wp
             entries.append(OrbitEntry(
                 proj=kc.proj,
                 form=tuple(pt),
-                tau=mp.mpc(-pt.b, root) / (2 * pt.a),
                 z=z, digits=prec, q=mv.q, n_max=evaluated[key][2], source=source,
             ))
         constants = tuple((q_div, signs[q_div], *exact[q_div]) for q_div in sorted(exact))
@@ -437,7 +419,7 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     orbit = galois_orbit(base, model.n, [kc.form for kc in shadow.classes])
     pairs = fiber_pairs(model, orbit, shadow)
     # an over-budget orbit fails here, before the sign can evaluate a series
-    moves = orbit_options(model, orbit, pairs, digits)
+    moves = orbit_options(model, orbit, digits)
     t2 = time.perf_counter()
     timings = {"finite_layer": t1 - t0, "orbit_plan": t2 - t1}
 

@@ -27,7 +27,7 @@ def _trace(model, orbit, shadow, digits):
     """The orbit layer's stages as trace_point runs them: moves, sign,
     periods, evaluation."""
     pairs = fiber_pairs(model, orbit, shadow)
-    moves = orbit_options(model, orbit, pairs, digits)
+    moves = orbit_options(model, orbit, digits)
     wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, digits)
     return orbit_trace(model, orbit, shadow, pairs, moves, wp,
                        period_lattice(model.minimal, digits))
@@ -490,9 +490,7 @@ def test_cold_headline_trace_counts_no_points(monkeypatch, model, dK, verdict):
     # digits; w_p = -1 on 49a1 evaluates every point at LAMBDA_DIGITS only
     assert (rep.n_max > 3000) == (rep.wp == 1)
     # the sieve up to the 200-digit plan's deepest point counts none either
-    shadow, orbit = _orbit(model, dK)
-    deepest = max((mv.low or mv).n_max
-                  for mv in orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), 200))
+    deepest = max((mv.low or mv).n_max for mv in orbit_options(model, _orbit(model, dK)[1], 200))
     assert deepest > 3000
     an_coefficients(model.minimal, deepest)
     assert counted == []
@@ -536,7 +534,7 @@ def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
         monkeypatch.setattr(curves, "_an_cache", {})
         wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, digits)
         lat = period_lattice(model.minimal, digits)
-        moves = orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), digits)
+        moves = orbit_options(model, orbit, digits)
         entries, trace_z, n_max, constants, _ = orbit_trace(
             model, orbit, shadow, fiber_pairs(model, orbit, shadow), moves, wp, lat)
         monkeypatch.setattr(curves, "_an_cache", {})
@@ -571,7 +569,7 @@ def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
     shadow, orbit = _orbit(M121, -67)
     # the budget binds the translation moves, whose values the reads of Omega need
     pairs = fiber_pairs(M121, orbit, shadow)
-    deepest = max((mv.low or mv).n_max for mv in orbit_options(M121, orbit, pairs, digits))
+    deepest = max((mv.low or mv).n_max for mv in orbit_options(M121, orbit, digits))
     with mp.workdps(digits + 15):
         unmoved = max(phi_terms(heegner_tau(pt, digits).imag, digits) for pt in orbit)
     assert deepest < unmoved                   # the cap below binds only after the moves
@@ -592,7 +590,7 @@ def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
     monkeypatch.setattr("cmtrace.modparam.NMAX_CAP", deepest)
     monkeypatch.setattr("cmtrace.experiments.eval_phi", eval_phi)
     monkeypatch.setattr("cmtrace.modparam.eval_phi", eval_phi)
-    moves = orbit_options(M121, orbit, pairs, digits)
+    moves = orbit_options(M121, orbit, digits)
     cheaper = max(min(moves[i].n_max, moves[j].n_max) for i, j in pairs)
     assert cheaper < deepest
     assert _trace(M121, orbit, shadow, digits)[2] == cheaper

@@ -9,6 +9,8 @@ pairing with at most one trace-precision series per fiber and each mate's
 lattice vector exact, never more series terms, and the fixed-point pair
 kernel against the term-by-term sum."""
 
+import hashlib
+import json
 from collections import Counter
 from math import gcd, isqrt
 
@@ -234,8 +236,8 @@ def test_coset_move_reaches_the_largest_imaginary_part_of_the_coset():
     for label, dK, f in CATALOGUE:
         if label not in ("50b1", "36a1"):
             continue
-        model, shadow, orbit = _orbit(label, dK, f)
-        moves = orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), digits)
+        model, _, orbit = _orbit(label, dK, f)
+        moves = orbit_options(model, orbit, digits)
         p2 = model.p ** 2
         with mp.workdps(digits + 15):
             root = mp.sqrt(-orbit[0].disc())
@@ -263,12 +265,12 @@ def test_coset_move_reaches_the_largest_imaginary_part_of_the_coset():
     assert moved == {"50b1": 24}
 
 
-def test_each_coset_of_a_50b1_fiber_is_searched_once_per_fiber(monkeypatch):
-    # on 50b1 (N = 50, p^2 = 25) W_2 Gamma_0(50) of a point is W_50
-    # Gamma_0(50) of its fiber mate: orbit_options searches each coset once
-    # per fiber (60 searches for the 30 fibers, not 120), plus 7 from a
-    # second point that takes a coset its mate saw as a translation move;
-    # every move into a coset is the point's own search
+def test_each_50b1_point_searches_its_own_cosets(monkeypatch):
+    # on 50b1 (N = 50, p^2 = 25) every point of the 30 fibers searches W_2
+    # and W_50 Gamma_0(50) itself: 120 searches, though W_2 Gamma_0(50) of a
+    # point is W_50 Gamma_0(50) of its fiber mate, since sharing them across
+    # a fiber saves too little to measure; every move into a coset is the
+    # point's own search
     searches = []
 
     def counting(*args, search=coset_move):
@@ -283,11 +285,65 @@ def test_each_coset_of_a_50b1_fiber_is_searched_once_per_fiber(monkeypatch):
         model, shadow, orbit = _orbit(label, dK, f)
         pairs = fiber_pairs(model, orbit, shadow)
         fibers += len(pairs)
-        for pt, mv in zip(orbit, orbit_options(model, orbit, pairs, 60)):
+        for pt, mv in zip(orbit, orbit_options(model, orbit, 60)):
             if mv.low:
                 assert coset_move(pt, model.n, mv.q) == (False, mv.form), (dK, f, pt)
                 moved += 1
-    assert (len(searches), fibers, moved) == (67, 30, 24)
+    assert (len(searches), fibers, moved) == (120, 30, 24)
+
+
+def _planned(orbits) -> str:
+    """Every move orbit_options plans for the orbits, (key, model, orbit),
+    at 60 and 200 digits, as JSON text: [q, form, n_max, low] per move, and
+    the needed terms of a SeriesBudgetError in place of an orbit's moves."""
+    def text(mv):
+        return None if mv is None else [mv.q, list(mv.form), mv.n_max, text(mv.low)]
+
+    out = []
+    for key, model, orbit in orbits:
+        for digits in (60, 200):
+            try:
+                moves = [text(mv) for mv in orbit_options(model, orbit, digits)]
+            except SeriesBudgetError as exc:
+                moves = exc.needed
+            out.append([*key, digits, moves])
+    return json.dumps(out)
+
+
+def _planner_orbits() -> list:
+    """((label, dK, f), model, orbit) for the catalogue and W9_CASES."""
+    out = []
+    for key in CATALOGUE + W9_CASES:
+        model, _, orbit = _orbit(*key)
+        out.append((key, model, orbit))
+    return out
+
+
+# the moves of the 115 catalogue and 20 level-45/90 orbits at 60 and 200
+# digits, recorded when orbit_options searched each coset once per fiber
+PLANNED_SHA256 = "23d572ad0182cdc59927ae73db377ceede3d825823d3ea8c50efd57535e7712a"
+
+
+def test_the_planner_moves_are_the_recorded_ones():
+    text = _planned(_planner_orbits())
+    assert len(json.loads(text)) == 270
+    assert hashlib.sha256(text.encode()).hexdigest() == PLANNED_SHA256
+
+
+def test_the_planner_calls_nothing_in_mpmath(monkeypatch):
+    # every Im tau the planner prices, sqrt(Q) / N of the K_Q points too,
+    # is a double from integers (modparam.im_tau)
+    class NoMpmath:
+        def __getattr__(self, name):
+            raise AssertionError(f"the planner read mpmath.{name}")
+
+    orbits = _planner_orbits()
+    al_signs.cache_clear()                  # its local signs run under the patch too
+    monkeypatch.setattr(experiments, "mp", NoMpmath())
+    monkeypatch.setattr(modparam, "mp", NoMpmath())
+    text = _planned(orbits)
+    monkeypatch.undo()
+    assert hashlib.sha256(text.encode()).hexdigest() == PLANNED_SHA256
 
 
 def _read_off(module, patch):
@@ -305,7 +361,7 @@ def test_a_period_off_by_one_makes_the_read_of_omega_raise(monkeypatch):
     # before any fiber's
     model, shadow, orbit = _orbit("50b1", -7, 3)
     fibers = fiber_pairs(model, orbit, shadow)
-    moves = orbit_options(model, orbit, fibers, 60)
+    moves = orbit_options(model, orbit, 60)
     lat = period_lattice(model.minimal, 60)
     with monkeypatch.context() as patch:
         _read_off(experiments, patch)
@@ -392,11 +448,11 @@ def test_the_report_lists_each_constant_it_used():
         firsts.setdefault(label, (dK, f))
     firsts["50b1/3"] = (-7, 3)                      # a trace that reads Omega
     for label, (dK, f) in firsts.items():
-        model, shadow, orbit = _orbit(label.split("/")[0], dK, f)
+        model, _, orbit = _orbit(label.split("/")[0], dK, f)
         rep = trace_point(ExperimentSpec(dK=dK, f=f, curve=model, digits=60))
         lam = {model.p ** 2} if _reads_lam(rep) else set()
         # the translation move of each trace-precision point that reads Omega
-        moves = orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), 60)
+        moves = orbit_options(model, orbit, 60)
         full = {a for a, _ in _cheaper_first(w_p2_pairs(model, orbit), moves)}
         reads = {moves[a].low.q for a in full if moves[a].low and rep.wp == 1}
         assert reads or label != "50b1/3"
@@ -443,12 +499,12 @@ def test_no_constant_point_is_evaluated_at_the_trace_precision(monkeypatch):
     monkeypatch.setattr("cmtrace.modparam.eval_phi", recording)
     al_constant.cache_clear()
     for label, dK in [("49a1", -11), ("121b1", -67), ("50b1", -7), ("1,-1,0,0,-5", -31)]:
-        model, shadow, orbit = _orbit(label, dK, 1)
+        model, _, orbit = _orbit(label, dK, 1)
         del calls[:]
         rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=model, digits=200))
         points = sum(len(al_constant_points(model.n, q_div, w, LAMBDA_DIGITS))
                      for q_div, w, *_ in rep.constants)
-        moves = orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), 200)
+        moves = orbit_options(model, orbit, 200)
         full[label], low = _evaluation_classes(model, orbit, moves, rep.wp)
         assert low > 0 and (points > 0) == (label != "121b1")     # K_121 = 0: no point
         assert sorted(calls) == sorted(
@@ -476,7 +532,7 @@ def _check_against_direct(label, dK, f, digits):
     Returns the moves' Q and the sources."""
     model, shadow, orbit = _orbit(label, dK, f)
     fibers = fiber_pairs(model, orbit, shadow)
-    moves = orbit_options(model, orbit, fibers, digits)
+    moves = orbit_options(model, orbit, digits)
     lat, wp = period_lattice(model.minimal, digits), _wp(label)
     entries, trace_z, n_max, _, _ = orbit_trace(model, orbit, shadow, fibers, moves, wp, lat)
     pairs = _cheaper_first(w_p2_pairs(model, orbit), moves)
@@ -553,7 +609,7 @@ def test_the_shadow_fibers_are_the_w_p2_pairing_of_every_orbit():
 @pytest.mark.parametrize("label,dK", [("121b1", -67), ("49a1", -11)])
 def test_a_swapped_mate_or_a_lattice_vector_off_by_a_period_raises(monkeypatch, label, dK):
     model, shadow, orbit = _orbit(label, dK, 1)
-    moves = orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), 60)
+    moves = orbit_options(model, orbit, 60)
     lat = period_lattice(model.minimal, 60)
 
     def run(shadow):
@@ -588,10 +644,10 @@ def test_term_counts_from_integers_are_those_of_the_mpf_quotient_on_the_catalogu
     # GUARD for digits 5, 60 and 200, and phi_terms counts the same terms
     checked = 0
     for label, dK, f in CATALOGUE:
-        model, shadow, orbit = _orbit(label, dK, f)
+        model, _, orbit = _orbit(label, dK, f)
         disc, forms = orbit[0].disc(), set(orbit)
         for digits in (60, 200):
-            for mv in orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), digits):
+            for mv in orbit_options(model, orbit, digits):
                 forms |= {mv.form} | ({mv.low.form} if mv.low else set())
         for digits in (LAMBDA_DIGITS, 60, 200):
             with mp.workdps(digits + GUARD):
@@ -654,7 +710,7 @@ def test_the_catalogue_evaluates_219_series_for_1040_points_at_60_digits(monkeyp
     for label, dK, f in CATALOGUE:
         model, shadow, orbit = _orbit(label, dK, f)
         fibers = fiber_pairs(model, orbit, shadow)
-        moves = orbit_options(model, orbit, fibers, 60)
+        moves = orbit_options(model, orbit, 60)
         entries, *_, (full, low) = orbit_trace(model, orbit, shadow, fibers, moves, _wp(label),
                                                period_lattice(model.minimal, 60))
         points += len(entries)
@@ -682,7 +738,7 @@ def test_a_self_conjugate_point_keeps_only_the_real_part(monkeypatch):
     monkeypatch.setattr(experiments, "eval_phi", noisy)
     model, shadow, orbit = _orbit("49a1", -107, 1)
     fibers = fiber_pairs(model, orbit, shadow)
-    moves = orbit_options(model, orbit, fibers, 60)
+    moves = orbit_options(model, orbit, 60)
     entries = orbit_trace(model, orbit, shadow, fibers, moves, _wp("49a1"),
                           period_lattice(model.minimal, 60))[0]
     printed = _orbit_json(entries, model, shadow, -107, 1, 60)
@@ -733,8 +789,8 @@ def _moved_terms(label, moves) -> int:
 def test_plan_never_evaluates_more_terms_than_the_direct_route(digits):
     planned, direct, reads = {}, {}, {}
     for label, dK, f in CATALOGUE:
-        model, shadow, orbit = _orbit(label, dK, f)
-        moves = orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), digits)
+        model, _, orbit = _orbit(label, dK, f)
+        moves = orbit_options(model, orbit, digits)
         with mp.workdps(digits + 15):
             unmoved = [phi_terms(heegner_tau(pt, digits).imag, digits) for pt in orbit]
         assert all(mv.n_max <= n for mv, n in zip(moves, unmoved)), (label, dK, f)
@@ -771,8 +827,8 @@ def test_phi_terms_in_doubles_equals_the_30_digit_count_on_the_catalogue(monkeyp
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "phi_terms", recording)
         for label, dK, f in CATALOGUE:
-            model, shadow, orbit = _orbit(label, dK, f)
-            orbit_options(model, orbit, fiber_pairs(model, orbit, shadow), digits)
+            model, _, orbit = _orbit(label, dK, f)
+            orbit_options(model, orbit, digits)
     assert len(priced) > 600 and {d for _, d in priced} == {digits, LAMBDA_DIGITS}
     for im_tau, d in priced:
         want = phi_terms_mp(im_tau, d)

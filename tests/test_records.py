@@ -24,8 +24,8 @@ def _samples() -> dict:
     curve = Curve(0, -1, 1, -7, 10)
     spec = ExperimentSpec(dK=-7, f=1, p=5, mode="finite_only")
     shadow = experiment_finite(spec)
-    entry = OrbitEntry(proj=(1, 0), form=(121, 109, 25), tau="(-0.45, 0.0338)",
-                       z=("0.5", "-0.25"), digits=30, q=1, n_max=812, source="series")
+    entry = OrbitEntry(proj=(1, 0), form=(121, 109, 25), z=("0.5", "-0.25"), digits=30, q=1,
+                       n_max=812, source="series")
     x = AlgebraicNumber(nu=49, mu=-13, den=32, field_disc=-7)
     return {
         "Curve": curve,
@@ -49,8 +49,9 @@ def _samples() -> dict:
 SAMPLES = _samples()
 
 # the repr of each sample, recorded when the records were frozen dataclasses;
-# LocalData and OrbitMove since have the fields their readers use, and
-# OrbitMove the translation move (low) of a move into the whole coset
+# LocalData and OrbitMove since have the fields their readers use, OrbitMove
+# the translation move (low) of a move into the whole coset, and OrbitEntry
+# no tau, which its form determines
 DATACLASS_REPRS = {
     "Curve": 'Curve(a1=0, a2=-1, a3=1, a4=-7, a6=10)',
     "LocalData": "LocalData(v_disc=2, f=2, reduction='additive')",
@@ -69,14 +70,14 @@ DATACLASS_REPRS = {
         'fibers={(0, 1, 4, 0): [(1, 0), (2, 1)], (1, 1, 3, 4): [(0, 1), (1, 1)], (1, 2, 3, '
         '2): [(3, 1), (4, 1)]})'),
     "OrbitEntry": (
-        "OrbitEntry(proj=(1, 0), form=(121, 109, 25), tau='(-0.45, 0.0338)', z=('0.5', "
-        "'-0.25'), digits=30, q=1, n_max=812, source='series')"),
+        "OrbitEntry(proj=(1, 0), form=(121, 109, 25), z=('0.5', '-0.25'), digits=30, q=1, "
+        "n_max=812, source='series')"),
     "OrbitMove": 'OrbitMove(q=1, form=BinaryForm(a=121, b=121, c=47), n_max=812, low=None)',
     "TraceReport": (
         'TraceReport(spec=ExperimentSpec(dK=-7, f=1, curve=None, p=5, digits=60, '
         "mode='finite_only'), wp=1, orbit=(OrbitEntry(proj=(1, 0), form=(121, 109, 25), "
-        "tau='(-0.45, 0.0338)', z=('0.5', '-0.25'), digits=30, q=1, n_max=812, "
-        "source='series'),), trace_z=mpc(real='1.0', imag='-2.0'), residual=mpf('0.5'), "
+        "z=('0.5', '-0.25'), digits=30, q=1, n_max=812, source='series'),), "
+        "trace_z=mpc(real='1.0', imag='-2.0'), residual=mpf('0.5'), "
         "verdict='torsion', recognized=(AlgebraicNumber(nu=49, mu=-13, den=32, field_disc=-7), "
         'AlgebraicNumber(nu=49, mu=-13, den=32, field_disc=-7)), n_max=812, '
         'finite_shadow=FiniteReport(p=5, dK=-7, f=1, level_m=1, '
@@ -150,21 +151,21 @@ def test_equality_and_hash_go_by_fields(name):
 
 
 def test_trace_report_json_is_the_dataclass_json():
-    # an entry holds tau and z as numbers, and to_json prints them: the sample's
-    # text "(-0.45, 0.0338)" becomes the number it names, printed as nstr does
-    with mp.workdps(40):
-        tau = mp.mpc("-0.45", "0.0338")
-    entry = SAMPLES["OrbitEntry"]._replace(tau=tau, z=mp.mpc(0.5, -0.25))
+    # an entry holds z as a number and no tau, and to_json prints both: z as
+    # nstr does, and tau = (-109 + sqrt(-219)) / 242, the point of the
+    # sample's form (121, 109, 25), to the report's 30 digits
+    entry = SAMPLES["OrbitEntry"]._replace(z=mp.mpc(0.5, -0.25))
     report = SAMPLES["TraceReport"]._replace(
         spec=ExperimentSpec(dK=-7, f=1, curve=SAMPLES["CurveModel"], digits=30), orbit=(entry,))
     text = json.dumps(report.to_json())
-    # each orbit entry's keys in field order, as the dataclass's __dict__ had them
+    tau = '"(-0.450413223140495867768595041322 + 0.0611514404419369506491088554933j)"'
+    # each orbit entry's keys in the dataclass's field order, tau between form and z
     assert json.dumps(report.to_json()["orbit"]) == (
-        '[{"proj": [1, 0], "form": [121, 109, 25], "tau": "(-0.45 + 0.0338j)", '
+        '[{"proj": [1, 0], "form": [121, 109, 25], "tau": ' + tau + ', '
         '"z": ["0.5", "-0.25"], "digits": 30, "q": 1, "n_max": 812, "source": "series"}]')
     # the whole report, recorded when the records were frozen dataclasses and
-    # the sample's tau was that text
-    recorded = text.replace('"(-0.45 + 0.0338j)"', '"(-0.45, 0.0338)"')
+    # the sample's tau was the text "(-0.45, 0.0338)"
+    recorded = text.replace(tau, '"(-0.45, 0.0338)"')
     assert hashlib.sha256(recorded.encode()).hexdigest() == (
         "d53736013335e3c0519306d626d847ff22d05843c42a05d97bbf52d658d2fe65")
 
