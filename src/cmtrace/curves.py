@@ -434,13 +434,12 @@ def _ap_count(cur: Curve, ell: int) -> int:
     a, b = -27 * cur.c4 % ell, -54 * cur.c6 % ell
     if ell <= MESTRE_BOUND:
         return _ap_char_sum(ell, a, b)
-    h = isqrt(4 * ell)
     tried = 0
     for x0 in range(1, ell):
         v = ((x0 * x0 + a) * x0 + b) % ell
         if not v:
             continue
-        n = _hasse_multiple(ell, a * v * v % ell, x0 * v % ell, v * v % ell, ell + 1 - h, 2 * h)
+        n = _hasse_multiple(ell, a * v * v % ell, x0 * v % ell, v * v % ell)
         if n:                               # n = #E^v; #E = 2 ell + 2 - n for the twist
             return ell + 1 - n if pow(v, (ell - 1) // 2, ell) == 1 else n - ell - 1
         tried += 1
@@ -449,15 +448,17 @@ def _ap_count(cur: Curve, ell: int) -> int:
     return _ap_char_sum(ell, a, b)
 
 
-def _hasse_multiple(ell: int, a: int, x: int, y: int, low: int, width: int) -> int:
-    """The n in [low, low + width] with n P = O, P = (x, y) with y != 0 on
-    y^2 = x^3 + a x + b over F_ell, when it is the only one; else 0.
+def _hasse_multiple(ell: int, a: int, x: int, y: int) -> int:
+    """The n in the Hasse interval [low, low + 2h], h = isqrt(4 ell) and low
+    = ell + 1 - h, with n P = O, P = (x, y) with y != 0 on y^2 = x^3 + a x +
+    b over F_ell, when it is the only one; else 0.
 
-    Baby steps jP, j <= m = isqrt(width / 2), keyed by x; giant steps Q_i =
+    Baby steps jP, j <= m = isqrt(h), keyed by x; giant steps Q_i =
     (low + m + i (2m + 1)) P from the start (low + m) P by (2m + 1) P, both
     built from the babies.  Q_i = O or Q_i = +-jP is the multiple
     low + m + i (2m + 1) -+ j (module docstring)."""
-    m = isqrt(width // 2)
+    h = isqrt(4 * ell)
+    low, m = ell + 1 - h, isqrt(h)
     # the babies P..(m + 1)P: the tangent at P, then chords through P
     lam = (3 * x * x + a) * pow(2 * y, -1, ell) % ell
     bx = (lam * lam - 2 * x) % ell
@@ -480,7 +481,7 @@ def _hasse_multiple(ell: int, a: int, x: int, y: int, low: int, width: int) -> i
     if r != m:
         j = abs(r - m) - 1
         s = _add(s, (xs[j], ys[j] if r > m else ell - ys[j]), a, ell)
-    found, n, top = 0, low + m, low + width
+    found, n, top = 0, low + m, low + 2 * h
     while True:
         if s is None:
             hit = n
@@ -568,18 +569,6 @@ def an_coefficients(cur: Curve, bound: int) -> list[int]:
     if len(a) <= bound:
         a = entry[1] = _extended(m, a, bound)
     return a[: bound + 1]
-
-
-def an_cached(cur: Curve, bound: int) -> list[int]:
-    """The cached list itself, a[0..] with at least bound + 1 entries, for a
-    reader that must not change it: the series evaluator, which would
-    otherwise pay an_coefficients' copy on every call.  A shorter cache is
-    extended through an_coefficients, so each extension is one call of it."""
-    entry = _an_cache.get(cur.ainvs)
-    if entry is None or len(entry[1]) <= bound:
-        an_coefficients(cur, bound)
-        entry = _an_cache[cur.ainvs]
-    return entry[1]
 
 
 def _extended(m: Curve, known: list[int], bound: int) -> list[int]:

@@ -354,8 +354,9 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, pairs, moves, wp
         reads_lam = any(precs[b] < digits for _, b in pairs)
         qs = {mv.q for mv in used} | {moves[i].low.q for i in reads}
         for q_div in sorted(qs - {1} | ({p2} if reads_lam else set())):
-            pts = al_constant_points(model.n, q_div, signs[q_div], LAMBDA_DIGITS)
-            jobs.append((phi_terms(pts[0][1].imag, LAMBDA_DIGITS) if pts else 0, q_div))
+            pts = al_constant_points(model.n, q_div, signs[q_div])     # both at Im sqrt(Q) / N
+            terms = phi_terms(im_tau(-4 * q_div, model.n), LAMBDA_DIGITS) if pts else 0
+            jobs.append((terms, q_div))
         values, exact = {}, {}
         for _, job in sorted(jobs, key=lambda j: -j[0]):
             if isinstance(job, int):

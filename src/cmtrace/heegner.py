@@ -31,7 +31,9 @@ gives the whole Pic(O_D) orbit, whose sum is the trace down to K.
 The moves of the orbit points are found here too: al_move, the best W_Q
 (tau + k), and coset_move, the best point of the whole coset W_Q
 Gamma_0(N) tau, by the least-vector search (_least_vectors) that
-gamma0_reduce runs at Q = 1.  Everything stays in integer arithmetic.
+gamma0_reduce runs at Q = 1, with W_Q itself from al_matrix, which
+cmtrace.modparam imports from here.  Everything stays in integer
+arithmetic: the module imports no mpmath.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from math import gcd, isqrt
 
 from .errors import InputError
 from .fp import _xgcd, factorint, kronecker
-from .modparam import al_matrix
 from .quadforms import BinaryForm, check_fundamental, lagrange_reduce
 
 
@@ -175,6 +176,21 @@ def _image(form: BinaryForm, x: int, y: int, q_div: int) -> BinaryForm:
     a, b, c = big_a // q_div, big_b // q_div, big_c // q_div
     k = (a - b) // (2 * a)
     return BinaryForm(a, b + 2 * a * k, a * k * k + b * k + c)
+
+
+def al_matrix(n_level: int, q_div: int) -> tuple[int, int, int, int]:
+    """Integral matrix (Qa, b; Nc, Qd) of determinant Q for the involution W_Q."""
+    if q_div < 1 or n_level % q_div:
+        raise InputError(f"Q must be a positive divisor of N = {n_level}, got Q = {q_div}")
+    comp = n_level // q_div
+    if gcd(q_div, comp) != 1:
+        raise InputError("W_Q needs gcd(Q, N/Q) = 1")
+    if q_div == n_level:
+        return (0, -1, n_level, 0)
+    g, x, y = _xgcd(q_div, comp)
+    assert g == 1
+    # Q*a*d - (N/Q)*b*c = 1 with a = x, d = 1, b = -y, c = 1.
+    return (q_div * x, -y, n_level, q_div)
 
 
 def al_move(form: BinaryForm, n_level: int, q_div: int) -> BinaryForm:

@@ -120,14 +120,16 @@ dividing K_EXPONENT = 2520, so 2520 K_Q is a vector of the lattice of phi.
 al_constant evaluates K_Q once, at LAMBDA_DIGITS = 5, from the top s0 of
 the isometric circle of W_Q, where Im s0 = Im W_Q s0 = sqrt(Q) / N is as
 large as it can be for both; when N | a + d, W_Q s0 = s0 + (a + d) / N, so
-K_Q = (1 - w_Q) phi(s0), which is 0 for w_Q = +1 (W_121 on 121b1).  Each
-evaluation errs by less than 10^-15 (tail) plus 1.49 10^-13 (rounding in
-doubles up to FLOAT_CAP terms, 10^-20 in fixed point).  The
-points themselves are rounded to the 70 bits of 20 digits, |s| < 1.5, and
-|phi'| = 2 pi |f| <= 2 pi sqrt(3) |q| / (1 - |q|)^2 (|a_n| <= sqrt(3) n), so
-each value moves by under 9 10^-17 more while Im s >= 2 10^-3, that is N <=
-500 sqrt(Q) (every level the tests use).  The weights of the points sum to
-2, so the value v is within 3.0 10^-13 of K_Q, and 2520 v within 7.6
+K_Q = (1 - w_Q) phi(s0), which is 0 for w_Q = +1 (W_121 on 121b1).  The
+points are exact until then, the integers (c, x) of c phi((x + i sqrt Q) /
+N), x = a or -d, from al_matrix alone (al_constant_points), priced by
+im_tau(-4 Q, N).  Each evaluation errs by less than 10^-15 (tail) plus 1.49
+10^-13 (rounding in doubles up to FLOAT_CAP terms, 10^-20 in fixed point).
+al_constant rounds the points to the 70 bits of 20 digits, |s| < 1.5, and
+|phi'| = 2 pi |f| <= 2 pi sqrt(3) |q| / (1 - |q|)^2 (|a_n| <= sqrt(3) n),
+so each value moves by under 9 10^-17 more while Im s >= 2 10^-3, that is
+N <= 500 sqrt(Q) (every level the tests use).  The weights of the points
+sum to 2, so the value v is within 3.0 10^-13 of K_Q, and 2520 v within 7.6
 10^-10 of 2520 K_Q, below periods.LAMBDA_BUDGET = 10^-9.  So 2520 K_Q is read off
 2520 v as every lattice vector is (periods.read_vector): the nearest
 vector, accepted only within LAMBDA_BUDGET < |b1| / 2 of 2520 v.  K_Q = (i
@@ -170,10 +172,12 @@ import mpmath as mp
 from mpmath.libmp import (mpc_exp, mpc_to_complex, mpf_mul, mpf_neg, mpf_pi, mpf_shift,
                           round_nearest, to_int)
 
-from .curves import Curve, CurveModel, _valuation, an_cached, ap_bad, tate_local
+from .curves import Curve, CurveModel, _valuation, an_coefficients, ap_bad, tate_local
 from .errors import AlConstantError, CmtraceError, InputError
-from .fp import _xgcd, factorint, kronecker
+from .fp import factorint, kronecker
 from .periods import PeriodLattice, read_vector
+# after periods: imported before it, heegner put finite-wide-p's peak RSS 0.15 MB higher
+from .heegner import al_matrix
 
 GUARD = 15
 FIXED_GUARD = 10            # guard bits of the fixed-point evaluator beyond bit_length(n_max)
@@ -241,12 +245,12 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int) -> mp
         if tau.imag <= 0:
             raise InputError("tau must be in the upper half plane")
         nmax = phi_terms(tau.imag, digits)
-        a = an_cached(cur, nmax)                  # not a copy: read a[0..nmax] only
+        a = an_coefficients(cur, nmax)
         if digits == LAMBDA_DIGITS and nmax <= FLOAT_CAP:
             # q^1..q^nmax by chained products, summed from n = nmax down
             q = mpc_to_complex(_q(tau, mp.mp.prec), rnd=round_nearest)
             powers = list(accumulate(repeat(q, nmax), mul))
-            coef = a[nmax:0:-1] if weight == 0 else map(truediv, a[nmax:0:-1], range(nmax, 0, -1))
+            coef = a[:0:-1] if weight == 0 else map(truediv, a[:0:-1], range(nmax, 0, -1))
             return mp.mpc(sum(map(mul, coef, reversed(powers))))
         frac = mp.mp.prec + nmax.bit_length() + FIXED_GUARD
         m = isqrt(nmax)
@@ -267,7 +271,7 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int) -> mp
         re = im = 0
         for base in range(nmax - nmax % m, -1, -m):
             re, im = (re * gre - im * gim) >> frac, (re * gim + im * gre) >> frac
-            coef = a[base:min(base + m, nmax + 1)]
+            coef = a[base:base + m]                 # a holds a[0..nmax] only
             terms = list(compress(zip(range(base, base + m), coef, pre, pim), coef))
             if weight == 0:
                 for _, c, x, y in terms:
@@ -296,21 +300,6 @@ def _q(tau: mp.mpc, prec: int) -> tuple:
     return mpc_exp(w, prec, round_nearest)
 
 
-def al_matrix(n_level: int, q_div: int) -> tuple[int, int, int, int]:
-    """Integral matrix (Qa, b; Nc, Qd) of determinant Q for the involution W_Q."""
-    if q_div < 1 or n_level % q_div:
-        raise InputError(f"Q must be a positive divisor of N = {n_level}, got Q = {q_div}")
-    comp = n_level // q_div
-    if gcd(q_div, comp) != 1:
-        raise InputError("W_Q needs gcd(Q, N/Q) = 1")
-    if q_div == n_level:
-        return (0, -1, n_level, 0)
-    g, x, y = _xgcd(q_div, comp)
-    assert g == 1
-    # Q*a*d - (N/Q)*b*c = 1 with a = x, d = 1, b = -y, c = 1.
-    return (q_div * x, -y, n_level, q_div)
-
-
 class SignConsistencyError(CmtraceError, ArithmeticError):
     pass
 
@@ -337,34 +326,36 @@ def local_sign(cur: Curve, q_div: int) -> int | None:
     return w
 
 
-def al_constant_points(n_level: int, q_div: int, w: int, digits: int) -> list:
-    """[(c, s)] with K_Q = sum c phi(s), K_Q = phi(W_Q s0) - w phi(s0) the
-    constant of the identity phi(W_Q tau) = w phi(tau) + K_Q (module
-    docstring), for w = w_Q.  s0 = (-d + i sqrt Q) / N is the top of the
-    isometric circle of W_Q = (a, b; N, d), where both s0 and W_Q s0 = (a +
-    i sqrt Q) / N have the largest possible Im, sqrt Q / N.  When N divides
-    a + d, W_Q s0 = s0 + (a + d) / N, phi takes one value at both and K_Q =
-    (1 - w) phi(s0): no point at all for w = +1."""
+def al_constant_points(n_level: int, q_div: int, w: int) -> list[tuple[int, int]]:
+    """[(c, x)] with K_Q = sum c phi((x + i sqrt Q) / N), K_Q = phi(W_Q s0)
+    - w phi(s0) the constant of the identity phi(W_Q tau) = w phi(tau) + K_Q
+    (module docstring), for w = w_Q; exact integers from al_matrix alone.
+    s0 = (-d + i sqrt Q) / N is the top of the isometric circle of W_Q = (a,
+    b; N, d), where both s0 and W_Q s0 = (a + i sqrt Q) / N have the largest
+    possible Im, sqrt Q / N (modparam.im_tau(-4 Q, N)).  When N divides a +
+    d, W_Q s0 = s0 + (a + d) / N, phi takes one value at both and K_Q = (1 -
+    w) phi(s0): no point at all for w = +1."""
     a, _, n, d = al_matrix(n_level, q_div)
-    fixed = (a + d) % n == 0
-    if fixed and w == 1:
-        return []
-    with mp.workdps(digits + GUARD):
-        height = mp.sqrt(q_div) / n
-        s0 = mp.mpc(mp.mpf(-d) / n, height)
-        return [(2, s0)] if fixed else [(1, mp.mpc(mp.mpf(a) / n, height)), (-w, s0)]
+    if (a + d) % n:
+        return [(1, a), (-w, -d)]
+    return [] if w == 1 else [(2, -d)]
 
 
 @lru_cache(maxsize=128)
 def al_constant(lat: PeriodLattice, n_level: int, q_div: int, w: int) -> tuple[int, int, int]:
     """(i, j, n) with K_Q = (i w1 + j w2) / n exactly, n the order of K_Q and
     gcd(i, j, n) = 1, for the periods w1, w2 of lat and w = w_Q: read off one
-    evaluation of al_constant_points at LAMBDA_DIGITS (module docstring), once
-    per (lattice, Q) and process.  AlConstantError when no lattice vector is
+    evaluation at the points of al_constant_points, each rounded to the
+    precision of a LAMBDA_DIGITS series (module docstring), once per
+    (lattice, Q) and process.  AlConstantError when no lattice vector is
     provably 2520 K_Q, or n is not in MAZUR_ORDERS."""
+    with mp.workdps(LAMBDA_DIGITS + GUARD):
+        height = mp.sqrt(q_div) / n_level
+        points = [(c, mp.mpc(mp.mpf(x) / n_level, height))
+                  for c, x in al_constant_points(n_level, q_div, w)]
     with mp.workdps(lat.digits + GUARD):
         v = mp.mpc(0)
-        for c, s in al_constant_points(n_level, q_div, w, LAMBDA_DIGITS):
+        for c, s in points:
             v += c * eval_phi(lat.curve, s, LAMBDA_DIGITS)
         try:
             i, j = read_vector(lat, K_EXPONENT * v, AlConstantError, f"{K_EXPONENT} K_{q_div}")

@@ -894,13 +894,13 @@ def orbit_values_by_fiber(model: CurveModel, moves, pairs, wp: int, lat):
 def al_constant_by_series(cur: Curve, n_level: int, q_div: int, w: int, digits: int):
     """K_Q summed from al_constant_points at `digits` itself: the route
     cmtrace.modparam.al_constant took before it read K_Q off the lattice from
-    one evaluation at LAMBDA_DIGITS.  Each point errs by under 10^-(digits+10),
-    and the weights sum to 2."""
+    one evaluation at LAMBDA_DIGITS.  Each point (x + i sqrt Q) / N is built
+    at `digits` and errs by under 10^-(digits+10), and the weights sum to 2."""
     from cmtrace.modparam import GUARD, al_constant_points, eval_phi
     with mp.workdps(digits + GUARD):
-        k = mp.mpc(0)
-        for c, s in al_constant_points(n_level, q_div, w, digits):
-            k += c * eval_phi(cur, s, digits)
+        k, height = mp.mpc(0), mp.sqrt(q_div) / n_level
+        for c, x in al_constant_points(n_level, q_div, w):
+            k += c * eval_phi(cur, mp.mpc(mp.mpf(x) / n_level, height), digits)
         return k
 
 

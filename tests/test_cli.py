@@ -349,6 +349,27 @@ def test_finite_check_runs_with_mpmath_blocked():
     assert "5005 fibers of size 2" in proc.stdout
 
 
+def test_heegner_runs_with_mpmath_blocked():
+    # the Heegner forms, the kernel orbit and the Atkin-Lehner moves are all
+    # integer arithmetic: the headline 121b1/-67 orbit and the W_121 move of
+    # its point 1, by translation and by the coset search
+    proc = _python(
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from cmtrace.heegner import al_move, coset_move, galois_orbit, heegner_form\n"
+        "from cmtrace.quadforms import kernel_classes, order_data\n"
+        "base = heegner_form(121, -67, 11)\n"
+        "kernel = kernel_classes(order_data(-67, 1), 11)\n"
+        "orbit = galois_orbit(base, 121, [kc.form for kc in kernel])\n"
+        "print(tuple(base), len(orbit))\n"
+        "print(tuple(al_move(orbit[1], 121, 121)))\n"
+        "translation, form = coset_move(orbit[1], 121, 121)\n"
+        "print(translation, tuple(form))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["(121, 121, 47) 12", "(2057, 363, 17)",
+                                        "True (2057, 363, 17)"]
+
+
 def test_runs_without_json_leave_json_out():
     # only a --json run writes JSON, so only it imports json
     proc = _python(

@@ -13,7 +13,7 @@ from cmtrace.experiments import fiber_pairs, orbit_options, orbit_trace, trace_p
 from cmtrace.finite import TRACE_MIN_DIGITS, ExperimentSpec, HypothesisError, experiment_finite
 from cmtrace.heegner import galois_orbit, heegner_form
 from cmtrace.modparam import (LAMBDA_DIGITS, SeriesBudgetError, al_constant_points,
-                              atkin_lehner_sign, eval_phi, phi_terms)
+                              atkin_lehner_sign, eval_phi, im_tau, phi_terms)
 from cmtrace.periods import TORSION_BOUND, period_lattice
 from cmtrace.quadforms import BinaryForm, kernel_classes, order_data
 from oracles import evaluated_moves, heegner_tau, lattice_distance, orbit_values_by_fiber
@@ -555,8 +555,8 @@ def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
         qs = sorted(({mv.q for mv in used} | reads) - {1}
                     | ({model.p ** 2} if reads_lam else set()))
         assert [c[0] for c in constants] == qs
-        k_terms = [phi_terms(pts[0][1].imag, LAMBDA_DIGITS) for q_div, w, *_ in constants
-                   if (pts := al_constant_points(model.n, q_div, w, LAMBDA_DIGITS))]
+        k_terms = [phi_terms(im_tau(-4 * q_div, model.n), LAMBDA_DIGITS)
+                   for q_div, w, *_ in constants if al_constant_points(model.n, q_div, w)]
         assert n_max == max(series_terms + k_terms)
         assert [(e.digits, e.q, e.n_max, e.source) for e in entries] == [
             (prec, mv.q, n, source)

@@ -428,6 +428,45 @@ def test_every_constant_is_a_torsion_point_equal_to_its_series(digits):
     assert al_constant(period_lattice(MODELS["50a1"].minimal, digits), 50, 2, 1) == (-1, 0, 1)
 
 
+def test_the_constant_points_are_integers_from_al_matrix_alone(monkeypatch):
+    # every Q || N of the eight test models, both signs, with modparam's
+    # mpmath refusing every attribute: K_Q = phi(W_Q s0) - w phi(s0) has
+    # weights summing to 1 - w, at s0 = (-d + i sqrt Q) / N and W_Q s0 = (a
+    # + i sqrt Q) / N
+    class Refusing:
+        def __getattr__(self, name):
+            raise AssertionError(f"al_constant_points read mp.{name}")
+
+    monkeypatch.setattr(modparam, "mp", Refusing())
+    checked = 0
+    for model in MODELS.values():
+        for q_div in (q for q in range(2, model.n + 1)
+                      if model.n % q == 0 and gcd(q, model.n // q) == 1):
+            a, _, n, d = al_matrix(model.n, q_div)
+            for w in (1, -1):
+                pts = al_constant_points(model.n, q_div, w)
+                assert all(type(c) is int and type(x) is int for c, x in pts)
+                assert {x for _, x in pts} <= {a, -d} and sum(c for c, _ in pts) == 1 - w
+                assert len(pts) == ((1 - w) // 2 if (a + d) % n == 0 else 2)
+                checked += 1
+    assert checked == 2 * 28
+
+
+def test_the_constant_points_are_priced_as_their_20_digit_height_was():
+    # Im of both points is sqrt(Q) / N; orbit_trace prices it as the double
+    # im_tau(-4 Q, N), which gives the terms of the mpf sqrt(Q) / N at the
+    # points' 20 digits for every Q || N, Q > 1, N < 3000
+    checked = 0
+    with mp.workdps(LAMBDA_DIGITS + GUARD):
+        for n_level in range(2, 3000):
+            for q_div in range(2, n_level + 1):
+                if n_level % q_div == 0 and gcd(q_div, n_level // q_div) == 1:
+                    want = phi_terms(mp.sqrt(q_div) / n_level, LAMBDA_DIGITS)
+                    assert phi_terms(im_tau(-4 * q_div, n_level), LAMBDA_DIGITS) == want
+                    checked += 1
+    assert checked == 13954
+
+
 def _reads_lam(rep) -> bool:
     """Whether some fiber of a report reads its lattice vector: every fiber
     when w_p = -1, and each "fiber:i" point when w_p = +1."""
@@ -502,7 +541,7 @@ def test_no_constant_point_is_evaluated_at_the_trace_precision(monkeypatch):
         model, _, orbit = _orbit(label, dK, 1)
         del calls[:]
         rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=model, digits=200))
-        points = sum(len(al_constant_points(model.n, q_div, w, LAMBDA_DIGITS))
+        points = sum(len(al_constant_points(model.n, q_div, w))
                      for q_div, w, *_ in rep.constants)
         moves = orbit_options(model, orbit, 200)
         full[label], low = _evaluation_classes(model, orbit, moves, rep.wp)
@@ -675,9 +714,9 @@ def test_a_cold_trace_of_reads_extends_the_sieve_once_under_eval_phi(monkeypatch
                 depth[0] -= 1
         return wrapper
 
-    def sieve(cur, bound, an_coefficients=curves.an_coefficients):
+    def sieve(m, known, bound, extended=curves._extended):
         sieve_calls.append(depth[0])
-        return an_coefficients(cur, bound)
+        return extended(m, known, bound)
 
     def counting(*args, accumulate=modparam.accumulate):
         floats.append(args)
@@ -685,7 +724,7 @@ def test_a_cold_trace_of_reads_extends_the_sieve_once_under_eval_phi(monkeypatch
 
     for module in (experiments, modparam):
         monkeypatch.setattr(module, "eval_phi", nested(module.eval_phi))
-    monkeypatch.setattr(curves, "an_coefficients", sieve)
+    monkeypatch.setattr(curves, "_extended", sieve)
     monkeypatch.setattr(curves, "_an_cache", {})
     monkeypatch.setattr(modparam, "accumulate", counting)
     al_constant.cache_clear()
@@ -780,8 +819,8 @@ def _moved_terms(label, moves) -> int:
     terms = sum(mv.n_max for mv in moves)
     terms += sum(phi_terms(heegner_tau(low.form, 30).imag, LAMBDA_DIGITS) for low in reads)
     for q_div in {mv.q for mv in moves + tuple(reads)} - {1}:
-        pts = al_constant_points(model.n, q_div, signs[q_div], LAMBDA_DIGITS)
-        terms += phi_terms(pts[0][1].imag, LAMBDA_DIGITS) * len(pts) if pts else 0
+        pts = al_constant_points(model.n, q_div, signs[q_div])
+        terms += phi_terms(im_tau(-4 * q_div, model.n), LAMBDA_DIGITS) * len(pts)
     return terms
 
 
