@@ -8,12 +8,12 @@ as the companion matrix of X^2 - tX + n, which is irreducible at an inert p,
 so the two are conjugate in GL_2(F_p), and even in SL_2(F_p): the
 determinant is surjective on the centralizer F_p[companion]^x = F_{p^2}^x.
 On top of that sit the coset labels of the split normalizer, and the
-two-to-one fiber structure over P^1(F_p) whose fiber partners differ by
-the unique involution.  A matrix is a row-major 4-tuple of residues, and
-every routine reads it in closed form: none lists a Cartan subgroup,
-SL_2(F_p) or P^1(F_p), or multiplies matrices.  The tests check the closed
-forms against such enumerations and matrix routes, the SL_2 conjugator
-included (tests/oracles.py).
+two-to-one fiber structure over P^1(F_p) whose fiber partners differ by the
+unique involution.  A matrix is a row-major 4-tuple of residues, and every
+routine reads it in closed form: none lists a Cartan subgroup or SL_2(F_p),
+or multiplies matrices; two_to_one_check walks P^1(F_p) once.  The tests
+check the closed forms against such enumerations and matrix routes, the SL_2
+conjugator included (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -138,19 +138,19 @@ def _label_entries(inv: list[int], a: int, b: int, c: int,
     return min(diag, anti)
 
 
-def two_to_one_check(emb: EmbeddingData,
-                     classes) -> dict[tuple[int, int, int, int], list[tuple[int, int]]]:
-    """Map each kernel class x1 + x2*w_f to the coset label of its matrix
+def two_to_one_check(emb: EmbeddingData) -> dict[tuple[int, int, int, int], list[tuple[int, int]]]:
+    """Map each point [x1 : x2] of P^1(F_p) to the coset label of its matrix
     x1*I + x2*iota_omega, the 4-tuple of _label_entries (which raises if the
-    matrix is singular).  Every inverse is read from one table built here,
-    inverse_table(p), by inv[i] = -(p // i) inv[p mod i] mod p (proved from
-    p = (p // i) i + (p mod i) in its docstring), one product per entry and
-    no modular exponentiation per class.  The classes must be the p + 1
-    kernel classes of the embedding's order, each of discriminant p^2 times
-    the order's, which the label loop checks class by class before it labels
-    one.  Enforces the expected structure: (p+1)/2 distinct labels,
-    every fiber of size exactly two, and fiber partners differing by the
-    involution class [-a : 1], a = t/2 the diagonal entry of iota_omega.
+    matrix is singular), in kernel order: (1, 0), then (x1, 1) for x1 =
+    0..p-1, as quadforms.kernel_classes lists them; the fibers, and the
+    points of each, come in the order the loop met them first (which
+    experiments.fiber_pairs relies on).  Every inverse is read from one table
+    built here, inverse_table(p), by inv[i] = -(p // i) inv[p mod i] mod p
+    (proved from p = (p // i) i + (p mod i) in its docstring), one product
+    per entry and no modular exponentiation per point.  Enforces the expected
+    structure: (p+1)/2 distinct labels, every fiber of size exactly two, and
+    fiber partners differing by the involution class [-a : 1], a = t/2 the
+    diagonal entry of iota_omega.
 
     The mate check is the group law of P^1(F_p) (quadforms docstring) with
     y = [-a : 1] and t = 2a in closed form:
@@ -162,20 +162,14 @@ def two_to_one_check(emb: EmbeddingData,
     y2 (-a x1 - n x2) mod p, with no inverse taken.
     """
     p, n = emb.p, emb.order.n
-    disc = p * p * emb.order.disc
-    if len(classes) != p + 1:
-        raise InputError("kernel classes and embedding disagree on (order, p)")
     a, b, c, d = emb.iota_omega
     if (2 * a - emb.order.t) % p:
         raise InputError(f"2a = {2 * a % p} differs from t = {emb.order.t % p} mod {p}")
     inv = inverse_table(p)
-    fibers: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
-    for proj, (fa, fb, fc) in classes:
-        if fb * fb - 4 * fa * fc != disc:
-            raise InputError("kernel classes and embedding disagree on (order, p)")
-        x1, x2 = proj
-        label = _label_entries(inv, x1 + x2 * a, x2 * b, x2 * c, x1 + x2 * d)
-        fibers.setdefault(label, []).append(proj)
+    fibers: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {
+        _label_entries(inv, 1, 0, 0, 1): [(1, 0)]}
+    for x1 in range(p):
+        fibers.setdefault(_label_entries(inv, x1 + a, b, c, x1 + d), []).append((x1, 1))
     if len(fibers) != (p + 1) // 2:
         raise FiberStructureError(f"expected {(p + 1) // 2} labels, got {len(fibers)}")
     for label, mates in fibers.items():

@@ -5,15 +5,15 @@ The inputs (ExperimentSpec) and the finite shadow (experiment_finite: optimal
 embedding, converse scan, two-to-one fiber structure, involution pairing) live
 in cmtrace.finite, which imports no mpmath.  trace_point runs that shadow
 first, so the analytic outcome and the group-theoretic bookkeeping are
-produced side by side, and builds the orbit from the kernel forms the shadow
-computed.  Then, in stages:
+produced side by side, and builds the kernel forms, which the shadow does not
+need, and the orbit from them.  Then, in stages:
 orbit_options (each point's W_Q move and the series budget, before any
 sign), atkin_lehner_sign, period_lattice, and orbit_trace (the moves
 evaluated, with w_Q applied, each K_Q exact on the lattice and each period
 Omega of a move into the whole coset read off the lattice, fiber by
 fiber).
 
-The fibers of W_{p^2}.  The shadow pairs the p + 1 kernel classes into
+The fibers of W_{p^2}.  The shadow pairs the p + 1 points of P^1(F_p) into
 (p + 1) / 2 fibers, and W_{p^2} pairs the orbit the same way.  For a fiber
 {i, j}, the form G of W_{p^2} (tau_i + k) (heegner.al_move) must have tau_j's
 B mod 2N and tau_j's reduced form: Heegner forms of one B mod 2N are
@@ -95,7 +95,7 @@ from .modparam import (GUARD, LAMBDA_DIGITS, SeriesBudgetError, al_constant, al_
                        atkin_lehner_sign, eval_phi, im_tau, local_sign, phi_terms)
 from .periods import (PeriodLattice, elliptic_exp, is_torsion, locate, period_lattice,
                       read_vector, torsion_residual)
-from .quadforms import class_number, reduce_form
+from .quadforms import class_number, kernel_classes, order_data, reduce_form
 from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
 
 
@@ -257,13 +257,14 @@ def orbit_options(model: CurveModel, orbit, digits: int) -> tuple[OrbitMove, ...
     return tuple(mv for _, mv in picks)
 
 
-def fiber_pairs(model: CurveModel, orbit, shadow: FiniteReport) -> tuple[tuple[int, int], ...]:
-    """The shadow's fibers as pairs (i, j), i < j, of orbit indices in kernel
-    order, sorted, each checked in integers: the form of W_{p^2} (tau_i + k)
-    (al_move) has tau_j's B mod 2N and tau_j's reduced form, so the two
-    points are one point of X_0(N) (module docstring).  FiberPairingError
-    for a fiber that fails."""
-    index = {kc.proj: i for i, kc in enumerate(shadow.classes)}
+def fiber_pairs(model: CurveModel, orbit, classes,
+                shadow: FiniteReport) -> tuple[tuple[int, int], ...]:
+    """The shadow's fibers as pairs (i, j), i < j, of orbit indices (orbit[i]
+    is the point of classes[i]), sorted, each checked in integers: the form
+    of W_{p^2} (tau_i + k) (al_move) has tau_j's B mod 2N and tau_j's
+    reduced form, so the two points are one point of X_0(N) (module
+    docstring).  FiberPairingError for a fiber that fails."""
+    index = {kc.proj: i for i, kc in enumerate(classes)}
     n, p2 = model.n, model.p ** 2
     pairs = sorted(tuple(sorted(index[u] for u in members)) for members in shadow.fibers.values())
     for i, j in pairs:
@@ -274,10 +275,10 @@ def fiber_pairs(model: CurveModel, orbit, shadow: FiniteReport) -> tuple[tuple[i
     return tuple(pairs)
 
 
-def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, pairs, moves, wp: int,
-                lat: PeriodLattice):
-    """Evaluate the parametrisation over the orbit by the moves and the
-    fibers of the shadow, and sum the fibers in order of their first point:
+def orbit_trace(model: CurveModel, orbit, classes, pairs, moves, wp: int, lat: PeriodLattice):
+    """Evaluate the parametrisation over the orbit (orbit[i] the point of
+    classes[i]) by the moves and the fibers of the shadow, and sum the
+    fibers in order of their first point:
     phi(tau) = w_Q (phi(M tau) - K_Q) - Omega (modparam docstring), with w_p
     in place of a None sign of al_signs and each K_Q = (i w1 + j w2) / n on
     lat (al_constant).  A point evaluated at the trace precision takes its
@@ -389,8 +390,8 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, pairs, moves, wp
             if wp == 1:
                 zs[b], precs[b], sources[b] = zs[a] + shift, digits, f"fiber:{a}"
         entries = []
-        for kc, pt, mv, z, prec, (key, *_), source in zip(shadow.classes, orbit, used, zs, precs,
-                                                          plans, sources):
+        for kc, pt, mv, z, prec, (key, *_), source in zip(classes, orbit, used, zs, precs, plans,
+                                                          sources):
             entries.append(OrbitEntry(
                 proj=kc.proj,
                 form=tuple(pt),
@@ -403,9 +404,9 @@ def orbit_trace(model: CurveModel, orbit, shadow: FiniteReport, pairs, moves, wp
 
 
 def trace_point(spec: ExperimentSpec) -> TraceReport:
-    """Full pipeline: kernel, oriented orbit, moves and series budget, sign,
-    periods, q-series values, trace, torsion verdict and (for class number one at f = 1) exact
-    recognition."""
+    """Full pipeline: finite shadow; kernel (built once, here), oriented orbit,
+    fibers, moves and series budget; sign, periods, q-series values, trace,
+    torsion verdict and (for class number one at f = 1) exact recognition."""
     if spec.mode == "finite_only":
         raise InputError("trace_point needs an analytic mode")
     if spec.curve is None:
@@ -416,9 +417,10 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     t0 = time.perf_counter()
     shadow = experiment_finite(spec)             # validates the spec first
     t1 = time.perf_counter()
+    classes = kernel_classes(order_data(spec.dK, spec.f), model.p)
     base = heegner_form(model.n, spec.dK, model.p * spec.f)
-    orbit = galois_orbit(base, model.n, [kc.form for kc in shadow.classes])
-    pairs = fiber_pairs(model, orbit, shadow)
+    orbit = galois_orbit(base, model.n, [kc.form for kc in classes])
+    pairs = fiber_pairs(model, orbit, classes, shadow)
     # an over-budget orbit fails here, before the sign can evaluate a series
     moves = orbit_options(model, orbit, digits)
     t2 = time.perf_counter()
@@ -430,7 +432,7 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
 
     t0 = time.perf_counter()
     lat = period_lattice(model.minimal, digits)
-    entries, trace_z, n_max, constants, series = orbit_trace(model, orbit, shadow, pairs, moves,
+    entries, trace_z, n_max, constants, series = orbit_trace(model, orbit, classes, pairs, moves,
                                                              wp, lat)
     timings["orbit_evaluation"] = time.perf_counter() - t0
 

@@ -3,9 +3,10 @@
 ExperimentSpec holds and validates the inputs of one run: the field, the
 conductor, the curve or the prime p, and the working precision.
 experiment_finite runs the exact layer at p: the optimal embedding, the
-converse scan, the two-to-one coset fibers, the involution pairing, the
-index of the non-split Cartan normalizer, and common-norm elements.  All of
-it is integer arithmetic, and this module and everything it imports load no
+converse scan, the two-to-one coset fibers over P^1(F_p), the involution
+pairing, the index of the non-split Cartan normalizer, and common-norm
+elements.  All of it is integer arithmetic, with no binary form (the trace
+builds the kernel forms), and this module and everything it imports load no
 mpmath: a finite-only process never pays for the analytic layer, which
 experiments.trace_point adds on top of this report.
 """
@@ -20,12 +21,12 @@ from .embeddings import (build_embedding, find_common_norm_element, lemma_conver
                          signo_pairing_check, two_to_one_check, verify_optimal)
 from .errors import InputError
 from .fp import factorint, index_ns_plus, isprime, kronecker
-from .quadforms import kernel_classes, order_data
+from .quadforms import order_data
 
 MODES = ("signo_minus", "main_plus", "finite_only")
 DEFAULT_DIGITS = 60
 DIGITS_CAP = 200            # the largest working precision any run accepts
-P_CAP = 10 ** 6             # the finite layer's O(p) lists take about 0.7 KB per p
+P_CAP = 10 ** 6             # the finite layer's O(p) lists take about 0.3 KB per p
 # Below this a trace is not trusted: PSLQ in recognize_rational needs 53 bits,
 # and at 1-3 digits the torsion test has misread a non-torsion point.
 TRACE_MIN_DIGITS = 15
@@ -111,19 +112,12 @@ class ExperimentSpec(namedtuple("ExperimentSpec", "dK f curve p digits mode",
             raise HypothesisError("p must not divide the conductor")
 
 
-class FiniteReport(namedtuple("FiniteReport", "p dK f level_m checks fiber_count degree "
-                                               "classes fibers")):
+class FiniteReport(namedtuple("FiniteReport", "p dK f level_m checks fiber_count degree fibers")):
     """The finite shadow at p: the named checks, the fiber count, the index of
-    the non-split Cartan normalizer, the kernel classes (tuple of KernelClass,
-    reused by trace_point, in neither the repr nor to_json), and the fibers
-    as {coset label: [projective pair, ...]}."""
+    the non-split Cartan normalizer, and the fibers over P^1(F_p) as {coset
+    label: [projective pair, ...]}, in embeddings.two_to_one_check's order."""
 
     __slots__ = ()
-
-    def __repr__(self) -> str:
-        shown = (f"{name}={value!r}" for name, value in zip(self._fields, self)
-                 if name != "classes")
-        return f"{type(self).__name__}({', '.join(shown)})"
 
     @property
     def all_passed(self) -> bool:
@@ -151,15 +145,13 @@ def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
     spec.validate()
     p = spec.prime
     level_m = spec.curve.m if spec.curve is not None else 1
-    order = order_data(spec.dK, spec.f)
-    classes = kernel_classes(order, p)
-    emb = build_embedding(p, order)
+    emb = build_embedding(p, order_data(spec.dK, spec.f))
     checks = {
         "optimal_embedding": verify_optimal(emb),
         "lemma_converse": lemma_converse_check(emb),
         "signo_pairing": signo_pairing_check(emb),
     }
-    fibers = two_to_one_check(emb, classes)
+    fibers = two_to_one_check(emb)
     checks["two_to_one"] = (len(fibers) == (p + 1) // 2
                             and all(len(v) == 2 for v in fibers.values()))
     degree = index_ns_plus(p)
@@ -174,4 +166,4 @@ def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
     checks["common_norm_elements"] = all(
         (a * d - b * c - ell) % p == 0 for ell, (a, b, c, d) in zip(good, elements))
     return FiniteReport(p=p, dK=spec.dK, f=spec.f, level_m=level_m, checks=checks,
-                        fiber_count=len(fibers), degree=degree, classes=classes, fibers=fibers)
+                        fiber_count=len(fibers), degree=degree, fibers=fibers)

@@ -6,11 +6,11 @@ step H_pf / H_f is realised as the kernel of Pic(O_pf) -> Pic(O_f), built
 directly from its generators: each kernel class is the class of
 lam O_f cap O_pf for a unit class lam = x1 + x2*w_f in
 (O_f / p O_f)^x / F_p^x, and keeps that unit class as its point
-[x1 : x2] of P^1(F_p), the pair (x1, 1) or (1, 0), which is what the
-matrix side of the theory consumes.  The kernel classes are the classes
-of the p + 1 index-p sublattices of O_f, each a proper O_pf-ideal (Cox,
-Primes of the form x^2 + ny^2, section 7), and each has a closed form: for
-[x1 : 1] and lam = x1 + w_f,
+[x1 : x2] of P^1(F_p): (1, 0), then (x1, 1) for x1 = 0..p-1, the points
+embeddings.two_to_one_check walks in that order with no form.  The kernel
+classes are the classes of the p + 1 index-p sublattices of O_f, each a
+proper O_pf-ideal (Cox, Primes of the form x^2 + ny^2, section 7), and each
+has a closed form: for [x1 : 1] and lam = x1 + w_f,
 
     lam O_f cap O_pf = N(lam) Z + p lam Z.
 
@@ -42,8 +42,10 @@ would add a transform and an orientation fix to every call.  kernel_classes
 runs that loop inline on plain ints, p times per kernel, and builds one
 BinaryForm per class, the reduced one, instead of a form to reduce and its
 reduction; the tests hold it to the per-class reduce_form route
-(tests/oracles.py).  BinaryForm and KernelClass are named tuples, the
-cheapest immutable records to build and hash.
+(tests/oracles.py).  Only a trace reads the forms: experiments.trace_point
+builds the kernel once; finite.experiment_finite builds none.  BinaryForm
+and KernelClass are named tuples, the cheapest immutable records to build
+and hash.
 """
 
 from __future__ import annotations

@@ -309,7 +309,7 @@ def coset_label(p: int, g) -> tuple[int, int, int, int]:
 
     For det(g) = 1 this is the minimum of the coset (C_s+ cap SL_2) * g^{-1}.
     The entries come from cmtrace.embeddings._label_entries, which
-    two_to_one_check reads for each kernel class, with the inverses of
+    two_to_one_check reads for each point of P^1(F_p), with the inverses of
     inverse_table(p).
     """
     return _label_entries(inverse_table(p), *g)
@@ -336,7 +336,10 @@ def two_to_one_by_matrices(emb: EmbeddingData,
                            classes) -> dict[tuple[int, int, int, int], list[tuple[int, int]]]:
     """cmtrace.embeddings.two_to_one_check with each label taken by
     coset_label_by_matrices of galois_matrix, and the fiber mates paired by
-    proj_mul with the involution_class, and the same checks."""
+    proj_mul with the involution_class, and the same checks.  It labels the
+    points of the given kernel classes in their order, where
+    two_to_one_check walks P^1(F_p) itself, so equal dicts hold that walk
+    to the kernel order; the classes must match the embedding."""
     p = emb.p
     if len(classes) != p + 1 or any(kc.form.disc() != p * p * emb.order.disc for kc in classes):
         raise ValueError("kernel classes and embedding disagree on (order, p)")

@@ -17,7 +17,7 @@ from cmtrace.experiments import ExperimentSpec, trace_point
 from cmtrace.fp import index_ns_plus, kronecker
 from cmtrace.heegner import NoHeegnerPoint, heegner_form
 from cmtrace.periods import period_lattice
-from cmtrace.quadforms import BinaryForm, is_fundamental_discriminant, kernel_classes, order_data
+from cmtrace.quadforms import BinaryForm, is_fundamental_discriminant, order_data
 from oracles import (in_cartan_group, index_ns_plus_by_enumeration, involution_class,
                      lattice_distance, mat_det, proj_class, proj_elements, proj_mul, proj_params)
 
@@ -129,8 +129,7 @@ def test_criterion_4_two_to_one():
         for dK in dks:
             order = order_data(dK, 1)
             emb = build_embedding(p, order)
-            kernel = kernel_classes(order, p)
-            fibers = two_to_one_check(emb, kernel)
+            fibers = two_to_one_check(emb)
             assert len(fibers) == (p + 1) // 2
             assert all(len(v) == 2 for v in fibers.values())
             pp = proj_params(p, order.t, order.n)

@@ -4,15 +4,15 @@ from functools import lru_cache
 import pytest
 from sympy import primerange
 
-from cmtrace import fp
+from cmtrace import embeddings, fp
 from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureError,
-                                build_embedding, find_common_norm_element, inverse_table,
-                                lemma_converse_check, signo_pairing_check, two_to_one_check,
-                                verify_optimal)
+                                _label_entries, build_embedding, find_common_norm_element,
+                                inverse_table, lemma_converse_check, signo_pairing_check,
+                                two_to_one_check, verify_optimal)
 from cmtrace.errors import InputError
 from cmtrace.finite import ExperimentSpec, experiment_finite
 from cmtrace.fp import index_ns_plus, kronecker, smallest_nonsquare
-from cmtrace.quadforms import BinaryForm, is_fundamental_discriminant, kernel_classes, order_data
+from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
 from oracles import (IDENTITY, coset_label, decompose_gamma, enumerate_cartan, galois_matrix,
                      in_cartan_group, involution_class, mat, mat_det, mat_inv, mat_mul,
                      proj_class, proj_elements, proj_mul, proj_params, sl2_elements,
@@ -284,8 +284,7 @@ def test_two_to_one_structure(p, dKs):
         assert kronecker(dK, p) == -1, (p, dK)
         order = order_data(dK, 1)
         emb = build_embedding(p, order)
-        kernel = kernel_classes(order, p)
-        fibers = two_to_one_check(emb, kernel)
+        fibers = two_to_one_check(emb)
         assert len(fibers) == (p + 1) // 2
         assert all(len(v) == 2 for v in fibers.values())
         pp = proj_params(p, order.t, order.n)
@@ -295,22 +294,28 @@ def test_two_to_one_structure(p, dKs):
         assert len(fibers) == index_ns_plus(p)
 
 
-def test_two_to_one_rejects_mismatched_kernel():
-    emb = build_embedding(5, order_data(-7, 1))
-    kernel = kernel_classes(order_data(-11, 1), 7)
-    with pytest.raises(ValueError):
-        two_to_one_check(emb, kernel)
-    # as many classes as the embedding needs, but of the order of conductor 2
-    kernel = kernel_classes(order_data(-7, 2), 5)
-    with pytest.raises(InputError, match="disagree on"):
-        two_to_one_check(emb, kernel)
-    # one class of another discriminant, last, after every other class is
-    # labelled; and with two fibers broken as well, which must not be named
-    kernel = kernel_classes(order_data(-7, 1), 5)
-    stray = kernel[-1]._replace(form=BinaryForm(1, 1, 2))
-    for classes in (kernel[:-1] + (stray,), (kernel[1], *kernel[1:-1], stray)):
-        with pytest.raises(InputError, match="disagree on"):
-            two_to_one_check(emb, classes)
+def test_the_fibers_meet_the_kernel_points_in_kernel_order():
+    # the shadow's fiber members, in the order the label loop first met
+    # them, are the points of kernel_classes in its order: replaying those
+    # points in order into their fibers gives back the same dict, labels and
+    # members in the same order.  experiments.fiber_pairs reads orbit indices
+    # from that order
+    checked = 0
+    for p in primerange(3, 200):
+        inert = [dK for dK in range(-7, -200, -1)
+                 if is_fundamental_discriminant(dK) and kronecker(dK, p) == -1][:2]
+        for dK in inert:
+            for f in (1, 2):
+                fibers = experiment_finite(
+                    ExperimentSpec(dK=dK, f=f, p=p, mode="finite_only")).fibers
+                fiber_of = {u: label for label, members in fibers.items() for u in members}
+                assert sum(map(len, fibers.values())) == len(fiber_of) == p + 1
+                replayed = {}
+                for kc in kernel_classes(order_data(dK, f), p):
+                    replayed.setdefault(fiber_of[kc.proj], []).append(kc.proj)
+                assert list(replayed.items()) == list(fibers.items()), (p, dK, f)
+                checked += 1
+    assert checked == 45 * 2 * 2
 
 
 def test_inverse_table_inverts_every_unit():
@@ -321,23 +326,40 @@ def test_inverse_table_inverts_every_unit():
         assert all(i * inv[i] % p == 1 for i in range(1, p)), p
 
 
-def test_two_to_one_names_each_broken_fiber_structure():
-    # the kernel classes of -7 at p = 13 with unit classes moved between fibers
-    order = order_data(-7, 1)
-    emb = build_embedding(13, order)
-    kernel = kernel_classes(order, 13)
-    (u1, v1), (u2, v2) = list(two_to_one_check(emb, kernel).values())[:2]
+def test_two_to_one_names_each_broken_fiber_structure(monkeypatch):
+    # the fibers of -7 at p = 13 with points moved between fibers, by a
+    # _label_entries that gives the first fiber's label l1 as the second's, l2
+    emb = build_embedding(13, order_data(-7, 1))
+    l1, l2 = list(two_to_one_check(emb))[:2]
 
-    def moved(points):
-        return [kc._replace(proj=points.get(kc.proj, kc.proj)) for kc in kernel]
+    def relabelled(first_only):
+        moved = []
 
+        def label(inv, *entries):
+            got = _label_entries(inv, *entries)
+            if got == l1 and not (first_only and moved):
+                moved.append(entries)
+                return l2
+            return got
+
+        return label
+
+    # one point of l1's fiber moved to l2's: fibers of size 1 and 3
+    monkeypatch.setattr(embeddings, "_label_entries", relabelled(first_only=True))
     with pytest.raises(FiberStructureError, match=r"^fiber of \(.*\) has size [13]$"):
-        two_to_one_check(emb, moved({u1: u2}))
+        two_to_one_check(emb)
+    # both points moved: one label fewer
+    monkeypatch.setattr(embeddings, "_label_entries", relabelled(first_only=False))
     with pytest.raises(FiberStructureError, match="^expected 7 labels, got 6$"):
-        two_to_one_check(emb, moved({u1: u2, v1: v2}))
-    # [0 : 0] is no point: its matrix is zero, so it has no coset label
+        two_to_one_check(emb)
+    monkeypatch.undo()
+    # iota = (3, 1; 1, 3) at p = 5 has the trace t = 1 of -7's order, but bc
+    # = 1 is a square, so iota lies in the split Cartan, outside C_ns, and
+    # the matrix of [1 : 1] (and of [3 : 1]) has determinant (x1 + 3)^2 - 1
+    # = 0: it has no coset label
+    split = EmbeddingData(p=5, eps=2, order=order_data(-7, 1), iota_omega=(3, 1, 1, 3))
     with pytest.raises(InputError, match="invertible matrices"):
-        two_to_one_check(emb, moved({u1: (0, 0)}))
+        two_to_one_check(split)
 
 
 def test_two_to_one_rejects_fibers_not_paired_by_the_involution():
@@ -345,14 +367,13 @@ def test_two_to_one_rejects_fibers_not_paired_by_the_involution():
     # order but det 1, not its norm n = 2: the labels still pair the classes,
     # by the involution of X^2 - X + 1, so [x1 : x2] * [-a : 1] at n = 2 misses
     order = order_data(-7, 1)
-    kernel = kernel_classes(order, 5)
     emb = EmbeddingData(p=5, eps=2, order=order, iota_omega=(3, 2, 4, 3))
     with pytest.raises(FiberStructureError, match="involution"):
-        two_to_one_check(emb, kernel)
+        two_to_one_check(emb)
     # a diagonal entry a != t/2 gives no involution [-a : 1] at all
     bad = EmbeddingData(p=5, eps=2, order=order, iota_omega=(2, 1, 2, 2))
     with pytest.raises(InputError, match="differs from t"):
-        two_to_one_check(bad, kernel)
+        two_to_one_check(bad)
 
 
 def test_signo_pairing():

@@ -23,13 +23,13 @@ M121 = curve_model((0, -1, 1, -7, 10))
 M50B = curve_model((1, 1, 1, -3, 1))
 
 
-def _trace(model, orbit, shadow, digits):
+def _trace(model, orbit, kernel, shadow, digits):
     """The orbit layer's stages as trace_point runs them: moves, sign,
     periods, evaluation."""
-    pairs = fiber_pairs(model, orbit, shadow)
+    pairs = fiber_pairs(model, orbit, kernel, shadow)
     moves = orbit_options(model, orbit, digits)
     wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, digits)
-    return orbit_trace(model, orbit, shadow, pairs, moves, wp,
+    return orbit_trace(model, orbit, kernel, pairs, moves, wp,
                        period_lattice(model.minimal, digits))
 
 
@@ -229,16 +229,17 @@ def test_trace_point_requires_curve_and_mode():
 def test_trace_invariant_under_base_replacement():
     digits = 40
     shadow = experiment_finite(ExperimentSpec(dK=-11, f=1, curve=M49, digits=digits))
-    kernel = shadow.classes
+    kernel = kernel_classes(order_data(-11, 1), 7)
+    forms = [kc.form for kc in kernel]
     lat = period_lattice(M49.minimal, digits)
     f = heegner_form(49, -11, 7)
-    tz0 = _trace(M49, galois_orbit(f, 49, [kc.form for kc in kernel]), shadow, digits)[1]
+    tz0 = _trace(M49, galois_orbit(f, 49, forms), kernel, shadow, digits)[1]
     # translated base form (same point, shifted representative)
     shifted = BinaryForm(f.a, f.b + 2 * 49, f.a + f.b + f.c)
-    tz2 = _trace(M49, galois_orbit(shifted, 49, [kc.form for kc in kernel]), shadow, digits)[1]
+    tz2 = _trace(M49, galois_orbit(shifted, 49, forms), kernel, shadow, digits)[1]
     # a genuinely transformed Gamma_0(49) representative
     big = f.transform(1, 0, 49, 1)
-    tz3 = _trace(M49, galois_orbit(big, 49, [kc.form for kc in kernel]), shadow, digits)[1]
+    tz3 = _trace(M49, galois_orbit(big, 49, forms), kernel, shadow, digits)[1]
     with mp.workdps(55):
         assert lattice_distance(lat, mp.mpc(tz2) - mp.mpc(tz0)) < mp.mpf(10) ** -20
         assert lattice_distance(lat, mp.mpc(tz3) - mp.mpc(tz0)) < mp.mpf(10) ** -20
@@ -337,21 +338,40 @@ def test_trace_combined_conductor_and_level_part():
 
 
 def test_trace_point_builds_the_kernel_once(monkeypatch):
-    import cmtrace.finite as finite
+    import cmtrace.experiments as experiments
     calls = []
 
     def counting(order, p, **kwargs):
         calls.append((order.dK, order.f, p))
         return kernel_classes(order, p, **kwargs)
 
-    monkeypatch.setattr(finite, "kernel_classes", counting)
+    monkeypatch.setattr(experiments, "kernel_classes", counting)
     for model, dK, f in ((M49, -11, 1), (M49, -8, 3), (M121, -67, 1)):
         del calls[:]
         report = trace_point(ExperimentSpec(dK=dK, f=f, curve=model, digits=30,
                                             mode="signo_minus" if model is M49 else "main_plus"))
         assert calls == [(dK, f, model.p)]
-        assert report.finite_shadow.classes[0].proj == report.orbit[0].proj == (1, 0)
-        assert "classes" not in report.finite_shadow.to_json()
+        assert report.orbit[0].proj == (1, 0)
+
+
+def test_experiment_finite_builds_no_binary_form(monkeypatch):
+    # the shadow labels the points of P^1(F_p) and builds no ideal class:
+    # with BinaryForm and kernel_classes raising, every report of criterion
+    # 4's (p, dK), at f = 1 and 2, and at p = 3 and p = 10009, is the same
+    from cmtrace import quadforms
+    criterion_4 = {5: (-7, -23, -43), 7: (-11, -15, -23), 11: (-67, -20, -23),
+                   13: (-7, -11, -19)}
+    cases = [(p, dK, f) for p, dks in criterion_4.items() for dK in dks for f in (1, 2)]
+    specs = [ExperimentSpec(dK=dK, f=f, p=p, mode="finite_only")
+             for p, dK, f in cases + [(3, -7, 1), (10009, -7, 1)]]
+    want = [experiment_finite(spec).to_json() for spec in specs]
+
+    def no_form(*args, **kwargs):
+        raise AssertionError("the finite layer built a binary form")
+
+    monkeypatch.setattr(quadforms.BinaryForm, "__new__", no_form)
+    monkeypatch.setattr(quadforms, "kernel_classes", no_form)
+    assert [experiment_finite(spec).to_json() for spec in specs] == want
 
 
 @pytest.mark.parametrize("model,dK,mode,verdict", [
@@ -490,7 +510,7 @@ def test_cold_headline_trace_counts_no_points(monkeypatch, model, dK, verdict):
     # digits; w_p = -1 on 49a1 evaluates every point at LAMBDA_DIGITS only
     assert (rep.n_max > 3000) == (rep.wp == 1)
     # the sieve up to the 200-digit plan's deepest point counts none either
-    deepest = max((mv.low or mv).n_max for mv in orbit_options(model, _orbit(model, dK)[1], 200))
+    deepest = max((mv.low or mv).n_max for mv in orbit_options(model, _orbit(model, dK)[2], 200))
     assert deepest > 3000
     an_coefficients(model.minimal, deepest)
     assert counted == []
@@ -516,10 +536,11 @@ def test_cold_36a1_trace_counts_no_points(monkeypatch):
 
 
 def _orbit(model, dK, digits=60):
-    """(finite shadow, orbit) as trace_point builds them, at f = 1."""
+    """(finite shadow, kernel classes, orbit) as trace_point builds them, at f = 1."""
     shadow = experiment_finite(ExperimentSpec(dK=dK, f=1, curve=model, digits=digits))
+    kernel = kernel_classes(order_data(dK, 1), model.p)
     base = heegner_form(model.n, dK, model.p)
-    return shadow, galois_orbit(base, model.n, [kc.form for kc in shadow.classes])
+    return shadow, kernel, galois_orbit(base, model.n, [kc.form for kc in kernel])
 
 
 def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
@@ -530,13 +551,13 @@ def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
     # evaluations were ordered
     digits = 60
     for model, dK in [(M121, -67), (M49, -11), (M50B, -7)]:
-        shadow, orbit = _orbit(model, dK)
+        shadow, kernel, orbit = _orbit(model, dK)
         monkeypatch.setattr(curves, "_an_cache", {})
         wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, digits)
         lat = period_lattice(model.minimal, digits)
         moves = orbit_options(model, orbit, digits)
         entries, trace_z, n_max, constants, _ = orbit_trace(
-            model, orbit, shadow, fiber_pairs(model, orbit, shadow), moves, wp, lat)
+            model, orbit, kernel, fiber_pairs(model, orbit, kernel, shadow), moves, wp, lat)
         monkeypatch.setattr(curves, "_an_cache", {})
         terms = [mv.n_max for mv in moves]
         # kernel order starts below the deepest evaluation, so the sieve
@@ -544,7 +565,7 @@ def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
         assert len(set(terms)) > 1 and terms[0] < max(terms)
         assert {mv.q for mv in moves} > {1}               # some points move, some stay
         pairs = [tuple(sorted(pair, key=lambda i: (terms[i], moves[i].low is not None, i)))
-                 for pair in fiber_pairs(model, orbit, shadow)]
+                 for pair in fiber_pairs(model, orbit, kernel, shadow)]
         used = evaluated_moves(moves, pairs, wp)
         reads = {moves[a].low.q for a, _ in pairs if wp == 1 and moves[a].low}
         # kernel order, the sieve grows with each series
@@ -566,9 +587,9 @@ def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
 
 def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
     digits = 60
-    shadow, orbit = _orbit(M121, -67)
+    shadow, kernel, orbit = _orbit(M121, -67)
     # the budget binds the translation moves, whose values the reads of Omega need
-    pairs = fiber_pairs(M121, orbit, shadow)
+    pairs = fiber_pairs(M121, orbit, kernel, shadow)
     deepest = max((mv.low or mv).n_max for mv in orbit_options(M121, orbit, digits))
     with mp.workdps(digits + 15):
         unmoved = max(phi_terms(heegner_tau(pt, digits).imag, digits) for pt in orbit)
@@ -582,7 +603,7 @@ def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
     monkeypatch.setattr("cmtrace.experiments.eval_phi", no_eval)
     monkeypatch.setattr("cmtrace.modparam.eval_phi", no_eval)
     with pytest.raises(SeriesBudgetError) as exc:
-        _trace(M121, orbit, shadow, digits)          # raised by orbit_options
+        _trace(M121, orbit, kernel, shadow, digits)          # raised by orbit_options
     assert exc.value.needed == deepest
     # at the deepest need itself the same orbit is evaluated: w_p = +1, so
     # the cheaper point of each fiber at the trace precision, and the deepest
@@ -593,7 +614,7 @@ def test_orbit_trace_over_budget_fails_before_any_evaluation(monkeypatch):
     moves = orbit_options(M121, orbit, digits)
     cheaper = max(min(moves[i].n_max, moves[j].n_max) for i, j in pairs)
     assert cheaper < deepest
-    assert _trace(M121, orbit, shadow, digits)[2] == cheaper
+    assert _trace(M121, orbit, kernel, shadow, digits)[2] == cheaper
 
 
 def test_over_budget_trace_fails_before_the_sign(monkeypatch):

@@ -103,11 +103,12 @@ def _wp(label: str) -> int:
 
 
 def _orbit(label: str, dK: int, f: int):
-    """(model, finite shadow, orbit) as trace_point builds them."""
+    """(model, finite shadow, kernel classes, orbit) as trace_point builds them."""
     model = MODELS[label]
     shadow = experiment_finite(ExperimentSpec(dK=dK, f=f, curve=model))
+    kernel = kernel_classes(order_data(dK, f), model.p)
     base = heegner_form(model.n, dK, model.p * f)
-    return model, shadow, galois_orbit(base, model.n, [kc.form for kc in shadow.classes])
+    return model, shadow, kernel, galois_orbit(base, model.n, [kc.form for kc in kernel])
 
 
 def _orbit_json(entries, model, shadow, dK: int, f: int, digits: int) -> list:
@@ -208,7 +209,7 @@ def test_al_move_is_the_moebius_image_with_the_largest_imaginary_part(label, dK,
     # the form's point is W_Q (tau + k) mod 1 for a k of the largest Im W_Q
     # (tau + k): Im W_Q (tau + j) = Q Im tau / |N (tau + j) + d|^2 is largest
     # at the j nearest -Re tau - d / N
-    model, _, orbit = _orbit(label, dK, f)
+    model, _, _, orbit = _orbit(label, dK, f)
     digits = 30
     for pt in orbit:
         for q_div in (q for q in range(2, model.n + 1)
@@ -236,7 +237,7 @@ def test_coset_move_reaches_the_largest_imaginary_part_of_the_coset():
     for label, dK, f in CATALOGUE:
         if label not in ("50b1", "36a1"):
             continue
-        model, _, orbit = _orbit(label, dK, f)
+        model, _, _, orbit = _orbit(label, dK, f)
         moves = orbit_options(model, orbit, digits)
         p2 = model.p ** 2
         with mp.workdps(digits + 15):
@@ -282,8 +283,8 @@ def test_each_50b1_point_searches_its_own_cosets(monkeypatch):
     for label, dK, f in CATALOGUE:
         if label != "50b1":
             continue
-        model, shadow, orbit = _orbit(label, dK, f)
-        pairs = fiber_pairs(model, orbit, shadow)
+        model, shadow, kernel, orbit = _orbit(label, dK, f)
+        pairs = fiber_pairs(model, orbit, kernel, shadow)
         fibers += len(pairs)
         for pt, mv in zip(orbit, orbit_options(model, orbit, 60)):
             if mv.low:
@@ -314,7 +315,7 @@ def _planner_orbits() -> list:
     """((label, dK, f), model, orbit) for the catalogue and W9_CASES."""
     out = []
     for key in CATALOGUE + W9_CASES:
-        model, _, orbit = _orbit(*key)
+        model, _, _, orbit = _orbit(*key)
         out.append((key, model, orbit))
     return out
 
@@ -359,15 +360,15 @@ def test_a_period_off_by_one_makes_the_read_of_omega_raise(monkeypatch):
     # 50b1/-7/3 evaluates two points off the translations at the trace
     # precision; a value 10^-6 off misses the read of Omega, which runs
     # before any fiber's
-    model, shadow, orbit = _orbit("50b1", -7, 3)
-    fibers = fiber_pairs(model, orbit, shadow)
+    model, shadow, kernel, orbit = _orbit("50b1", -7, 3)
+    fibers = fiber_pairs(model, orbit, kernel, shadow)
     moves = orbit_options(model, orbit, 60)
     lat = period_lattice(model.minimal, 60)
     with monkeypatch.context() as patch:
         _read_off(experiments, patch)
         with pytest.raises(FiberPairingError, match="read of the period of its W_.* move misses"):
-            orbit_trace(model, orbit, shadow, fibers, moves, _wp("50b1"), lat)
-    orbit_trace(model, orbit, shadow, fibers, moves, _wp("50b1"), lat)
+            orbit_trace(model, orbit, kernel, fibers, moves, _wp("50b1"), lat)
+    orbit_trace(model, orbit, kernel, fibers, moves, _wp("50b1"), lat)
 
 
 @pytest.mark.parametrize("label,q_div",
@@ -487,7 +488,7 @@ def test_the_report_lists_each_constant_it_used():
         firsts.setdefault(label, (dK, f))
     firsts["50b1/3"] = (-7, 3)                      # a trace that reads Omega
     for label, (dK, f) in firsts.items():
-        model, _, orbit = _orbit(label.split("/")[0], dK, f)
+        model, _, _, orbit = _orbit(label.split("/")[0], dK, f)
         rep = trace_point(ExperimentSpec(dK=dK, f=f, curve=model, digits=60))
         lam = {model.p ** 2} if _reads_lam(rep) else set()
         # the translation move of each trace-precision point that reads Omega
@@ -538,7 +539,7 @@ def test_no_constant_point_is_evaluated_at_the_trace_precision(monkeypatch):
     monkeypatch.setattr("cmtrace.modparam.eval_phi", recording)
     al_constant.cache_clear()
     for label, dK in [("49a1", -11), ("121b1", -67), ("50b1", -7), ("1,-1,0,0,-5", -31)]:
-        model, _, orbit = _orbit(label, dK, 1)
+        model, _, _, orbit = _orbit(label, dK, 1)
         del calls[:]
         rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=model, digits=200))
         points = sum(len(al_constant_points(model.n, q_div, w))
@@ -569,11 +570,11 @@ def _check_against_direct(label, dK, f, digits):
     and residual those of the two-pass oracle exactly; each entry's form is
     its orbit form, and its tau a root of that form to the digits printed.
     Returns the moves' Q and the sources."""
-    model, shadow, orbit = _orbit(label, dK, f)
-    fibers = fiber_pairs(model, orbit, shadow)
+    model, shadow, kernel, orbit = _orbit(label, dK, f)
+    fibers = fiber_pairs(model, orbit, kernel, shadow)
     moves = orbit_options(model, orbit, digits)
     lat, wp = period_lattice(model.minimal, digits), _wp(label)
-    entries, trace_z, n_max, _, _ = orbit_trace(model, orbit, shadow, fibers, moves, wp, lat)
+    entries, trace_z, n_max, _, _ = orbit_trace(model, orbit, kernel, fibers, moves, wp, lat)
     pairs = _cheaper_first(w_p2_pairs(model, orbit), moves)
     zs, precs, sources, terms, trace = orbit_values_by_fiber(model, moves, pairs, wp, lat)
     zs_direct, trace_direct = orbit_trace_direct(model, orbit, digits)
@@ -639,21 +640,21 @@ def test_the_shadow_fibers_are_the_w_p2_pairing_of_every_orbit():
     # the fibers fiber_pairs checks in integers are the pairs the search finds
     points = 0
     for label, dK, f in CATALOGUE + W9_CASES:
-        model, shadow, orbit = _orbit(label, dK, f)
-        assert list(fiber_pairs(model, orbit, shadow)) == w_p2_pairs(model, orbit), (label, dK)
+        model, shadow, kernel, orbit = _orbit(label, dK, f)
+        assert list(fiber_pairs(model, orbit, kernel, shadow)) == w_p2_pairs(model, orbit), (label, dK)
         points += len(orbit) * ((label, dK, f) in CATALOGUE)
     assert points == 1040
 
 
 @pytest.mark.parametrize("label,dK", [("121b1", -67), ("49a1", -11)])
 def test_a_swapped_mate_or_a_lattice_vector_off_by_a_period_raises(monkeypatch, label, dK):
-    model, shadow, orbit = _orbit(label, dK, 1)
+    model, shadow, kernel, orbit = _orbit(label, dK, 1)
     moves = orbit_options(model, orbit, 60)
     lat = period_lattice(model.minimal, 60)
 
     def run(shadow):
-        fibers = fiber_pairs(model, orbit, shadow)
-        return orbit_trace(model, orbit, shadow, fibers, moves, _wp(label), lat)
+        fibers = fiber_pairs(model, orbit, kernel, shadow)
+        return orbit_trace(model, orbit, kernel, fibers, moves, _wp(label), lat)
 
     (l1, (u1, v1)), (l2, (u2, v2)) = sorted(shadow.fibers.items())[:2]
     swapped = shadow._replace(fibers={**shadow.fibers, l1: [u1, v2], l2: [u2, v1]})
@@ -683,7 +684,7 @@ def test_term_counts_from_integers_are_those_of_the_mpf_quotient_on_the_catalogu
     # GUARD for digits 5, 60 and 200, and phi_terms counts the same terms
     checked = 0
     for label, dK, f in CATALOGUE:
-        model, _, orbit = _orbit(label, dK, f)
+        model, _, _, orbit = _orbit(label, dK, f)
         disc, forms = orbit[0].disc(), set(orbit)
         for digits in (60, 200):
             for mv in orbit_options(model, orbit, digits):
@@ -747,10 +748,10 @@ def test_the_catalogue_evaluates_219_series_for_1040_points_at_60_digits(monkeyp
 
     monkeypatch.setattr(experiments, "eval_phi", recording)
     for label, dK, f in CATALOGUE:
-        model, shadow, orbit = _orbit(label, dK, f)
-        fibers = fiber_pairs(model, orbit, shadow)
+        model, shadow, kernel, orbit = _orbit(label, dK, f)
+        fibers = fiber_pairs(model, orbit, kernel, shadow)
         moves = orbit_options(model, orbit, 60)
-        entries, *_, (full, low) = orbit_trace(model, orbit, shadow, fibers, moves, _wp(label),
+        entries, *_, (full, low) = orbit_trace(model, orbit, kernel, fibers, moves, _wp(label),
                                                period_lattice(model.minimal, 60))
         points += len(entries)
         series.update({60: full, LAMBDA_DIGITS: low})
@@ -775,10 +776,10 @@ def test_a_self_conjugate_point_keeps_only_the_real_part(monkeypatch):
         return eval_phi(model, tau, digits) + mp.mpc(0, 10 ** -70)
 
     monkeypatch.setattr(experiments, "eval_phi", noisy)
-    model, shadow, orbit = _orbit("49a1", -107, 1)
-    fibers = fiber_pairs(model, orbit, shadow)
+    model, shadow, kernel, orbit = _orbit("49a1", -107, 1)
+    fibers = fiber_pairs(model, orbit, kernel, shadow)
     moves = orbit_options(model, orbit, 60)
-    entries = orbit_trace(model, orbit, shadow, fibers, moves, _wp("49a1"),
+    entries = orbit_trace(model, orbit, kernel, fibers, moves, _wp("49a1"),
                           period_lattice(model.minimal, 60))[0]
     printed = _orbit_json(entries, model, shadow, -107, 1, 60)
     mirrored = [text for e, text, mv in zip(entries, printed, moves)
@@ -828,7 +829,7 @@ def _moved_terms(label, moves) -> int:
 def test_plan_never_evaluates_more_terms_than_the_direct_route(digits):
     planned, direct, reads = {}, {}, {}
     for label, dK, f in CATALOGUE:
-        model, _, orbit = _orbit(label, dK, f)
+        model, _, _, orbit = _orbit(label, dK, f)
         moves = orbit_options(model, orbit, digits)
         with mp.workdps(digits + 15):
             unmoved = [phi_terms(heegner_tau(pt, digits).imag, digits) for pt in orbit]
@@ -866,7 +867,7 @@ def test_phi_terms_in_doubles_equals_the_30_digit_count_on_the_catalogue(monkeyp
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "phi_terms", recording)
         for label, dK, f in CATALOGUE:
-            model, _, orbit = _orbit(label, dK, f)
+            model, _, _, orbit = _orbit(label, dK, f)
             orbit_options(model, orbit, digits)
     assert len(priced) > 600 and {d for _, d in priced} == {digits, LAMBDA_DIGITS}
     for im_tau, d in priced:

@@ -119,12 +119,6 @@ def test_repr_is_the_dataclass_repr(name):
     assert repr(SAMPLES[name]) == DATACLASS_REPRS[name]
 
 
-def test_finite_report_repr_leaves_the_classes_out():
-    report = SAMPLES["FiniteReport"]
-    assert len(report.classes) == 6 and "classes" not in repr(report)
-    assert repr(report.classes[0]) not in repr(report)
-
-
 @pytest.mark.parametrize("name", CHANGED)
 def test_fields_are_read_only_and_replace_keeps_the_type(name):
     rec = SAMPLES[name]
