@@ -5,14 +5,14 @@ imaginary quadratic orders, optimal embeddings and coset fibers) together
 with an arbitrary-precision analytic layer (q-expansions, period lattices,
 Atkin-Lehner signs, algebraic recognition) and end-to-end trace experiments.
 
-Importing the package loads the exact layer and curves only.  The analytic
-names and submodules below import mpmath, and each resolves on first use
-(PEP 562), so a finite-only process never loads it.
+Importing the package loads the exact layer only: errors, fp, quadforms,
+embeddings and finite.  The curve names and the analytic names and
+submodules below each resolve on first use (PEP 562), so a finite-only
+process never compiles curves and never loads mpmath.
 """
 
 import importlib
 
-from .curves import Curve, CurveModel, an_coefficients, conductor, curve_model, minimal_model
 from .embeddings import (EmbeddingData, build_embedding, find_common_norm_element,
                          lemma_converse_check, signo_pairing_check, two_to_one_check,
                          verify_optimal)
@@ -26,6 +26,8 @@ __version__ = "0.1.0"
 
 # name -> the submodule that defines it; a submodule's own name maps to itself
 _LAZY = {name: module for module, names in (
+    ("curves", ("Curve", "CurveModel", "an_coefficients", "conductor", "curve_model",
+                "minimal_model")),
     ("experiments", ("TraceReport", "trace_point")),
     ("heegner", ("NoHeegnerPoint", "galois_orbit", "heegner_form")),
     ("modparam", ("atkin_lehner_sign", "eval_phi")),

@@ -7,8 +7,9 @@ unsatisfiable input, on a bound of the package and on a --json path that
 cannot be written, and 3 when a check of the theory fails (EXIT_CODES).  An
 exception outside that table is a bug and ends in a traceback.
 
-The heegner, sign and trace handlers import the analytic layer when they
-run, so finite-check and classgroup never load mpmath; json loads on --json.
+The heegner, sign and trace handlers import the analytic layer, and sign and
+trace the curves, when they run, so finite-check and classgroup never load
+mpmath or cmtrace.curves; json loads on --json.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import sys
 from contextlib import nullcontext
 
-from .curves import Curve, conductor, curve_model, minimal_model
 from .embeddings import FiberStructureError
 from .errors import AlConstantError, CmtraceError, FiberPairingError
 from .finite import DEFAULT_DIGITS, ExperimentSpec, check_digits, experiment_finite
@@ -119,6 +119,7 @@ def _cmd_heegner(args) -> tuple[int, dict]:
 
 
 def _cmd_sign(args) -> tuple[int, dict]:
+    from .curves import Curve, conductor, minimal_model
     from .modparam import atkin_lehner_sign
 
     digits = args.digits
@@ -134,6 +135,7 @@ def _cmd_sign(args) -> tuple[int, dict]:
 def _cmd_trace(args) -> tuple[int, dict]:
     import mpmath as mp
 
+    from .curves import curve_model
     from .experiments import LAMBDA_DIGITS, trace_point
 
     digits = args.digits

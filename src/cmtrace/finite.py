@@ -6,9 +6,9 @@ experiment_finite runs the exact layer at p: the optimal embedding, the
 converse scan, the two-to-one coset fibers over P^1(F_p), the involution
 pairing, the index of the non-split Cartan normalizer, and common-norm
 elements.  All of it is integer arithmetic, with no binary form (the trace
-builds the kernel forms), and this module and everything it imports load no
-mpmath: a finite-only process never pays for the analytic layer, which
-experiments.trace_point adds on top of this report.
+builds the kernel forms), and this module and everything it imports load
+neither mpmath nor cmtrace.curves: a finite-only process never pays for the
+analytic layer, which experiments.trace_point adds on top of this report.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .curves import CurveModel
 from .embeddings import (build_embedding, find_common_norm_element, lemma_converse_check,
                          signo_pairing_check, two_to_one_check, verify_optimal)
 from .errors import InputError
@@ -61,8 +60,10 @@ class ExperimentSpec(namedtuple("ExperimentSpec", "dK f curve p digits mode",
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InputError(f"{name} must be an integer, got {value!r}")
-        if self.curve is not None and not isinstance(self.curve, CurveModel):
-            raise InputError(f"curve must be a CurveModel, got {type(self.curve).__name__}")
+        if self.curve is not None:
+            from .curves import CurveModel      # loaded already when the curve is one
+            if not isinstance(self.curve, CurveModel):
+                raise InputError(f"curve must be a CurveModel, got {type(self.curve).__name__}")
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}")
         if self.curve is None and self.p is None:

@@ -173,6 +173,7 @@ from mpmath.libmp import (mpc_exp, mpc_to_complex, mpf_mul, mpf_neg, mpf_pi, mpf
                           round_nearest, to_int)
 
 from .curves import Curve, CurveModel, _valuation, an_coefficients, ap_bad, tate_local
+from . import sieve          # with this layer, so a process forked after import never compiles it
 from .errors import AlConstantError, CmtraceError, InputError
 from .fp import factorint, kronecker
 from .periods import PeriodLattice, read_vector

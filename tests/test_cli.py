@@ -339,6 +339,75 @@ def test_finite_path_leaves_mpmath_out():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+# prints which of curves, the sieve and mpmath's modules the process has loaded
+_LOADED = ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'\n"
+           "             or m in ('cmtrace.curves', 'cmtrace.sieve')))\n")
+
+
+def test_finite_path_leaves_curves_and_sieve_out():
+    # import cmtrace loads the exact layer only; the finite commands load no more
+    proc = _python(
+        "import sys, cmtrace\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cmtrace.')))\n"
+        "spec = cmtrace.ExperimentSpec(dK=-91, f=1, p=199, mode='finite_only')\n"
+        "assert cmtrace.experiment_finite(spec).all_passed\n"
+        + _LOADED +
+        "from cmtrace.cli import main\n"
+        "assert main(['finite-check', '--p', '101', '--dk', '-7']) == 0\n"
+        "assert main(['classgroup', '--disc', '-23']) == 0\n"
+        + _LOADED)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == str(["cmtrace.embeddings", "cmtrace.errors", "cmtrace.finite",
+                            "cmtrace.fp", "cmtrace.quadforms"])
+    assert lines[1] == lines[-1] == "[]"
+
+
+def test_curve_models_leave_the_sieve_out():
+    # the five benchmark curves (49a1, 121b1, 50a1, 50b1, 36a1): their models
+    # need Tate's algorithm, not the a_n
+    catalogue = [(1, -1, 0, -2, -1), (0, -1, 1, -7, 10), (1, 0, 1, -1, -2), (1, 1, 1, -3, 1),
+                 (0, 0, 0, 0, 1)]
+    proc = _python(
+        "import sys, cmtrace\n"
+        f"for ainvs in {catalogue!r}:\n"
+        "    cmtrace.curve_model(ainvs)\n"
+        + _LOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['cmtrace.curves']"
+
+
+def test_the_analytic_layer_loads_the_sieve():
+    # a forked op (the trace-deep workload) finds the sieve compiled already
+    proc = _python("import sys, cmtrace.modparam\nprint('cmtrace.sieve' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
+def test_a_curve_of_another_type_is_refused_before_curves_loads():
+    proc = _python(
+        "import sys, cmtrace\n"
+        "assert 'cmtrace.curves' not in sys.modules\n"
+        "try:\n"
+        "    cmtrace.ExperimentSpec(dK=-7, f=1, curve=object(), p=101)\n"
+        "except cmtrace.InputError as exc:\n"
+        "    print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "curve must be a CurveModel, got object"
+
+
+def test_finite_commands_run_with_curves_blocked():
+    for args, line in ((["finite-check", "--p", "10009", "--dk", "-7"], "5005 fibers of size 2"),
+                       (["classgroup", "--disc", "-23"], "h = 3")):
+        proc = _python(
+            "import sys\n"
+            "sys.modules['cmtrace.curves'] = None\n"
+            "from cmtrace.cli import main\n"
+            f"sys.exit(main({args!r}))\n")
+        assert proc.returncode == 0, proc.stderr
+        assert line in proc.stdout
+
+
 def test_finite_check_runs_with_mpmath_blocked():
     proc = _python(
         "import sys\n"

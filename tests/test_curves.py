@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from sympy import factorint, primerange
 
-from cmtrace import curves
-from cmtrace.curves import (AN_BOUND, Curve, an_coefficients, ap_good,
-                            conductor, curve_from_c4c6, curve_model, minimal_model,
-                            tate_local, transform)
+from cmtrace import curves, sieve
+from cmtrace.curves import (AN_BOUND, Curve, an_coefficients, conductor, curve_from_c4c6,
+                            curve_model, minimal_model, tate_local, transform)
+from cmtrace.sieve import ap_good
 from cmtrace.fp import kronecker
 from oracles import ap_char_sum_reduced
 
@@ -178,7 +178,7 @@ def test_ap_matches_reduced_char_sum():
 
 @pytest.mark.parametrize("bound", [5000, 71 ** 2])
 def test_smallest_prime_factors(bound):
-    spf = curves._smallest_prime_factors(bound)
+    spf = sieve._smallest_prime_factors(bound)
     assert spf[:2] == [0, 1]
     assert all(spf[n] == min(factorint(n)) for n in range(2, bound + 1))
 
@@ -252,7 +252,7 @@ def point_count_route(monkeypatch, cur: Curve, bound: int) -> list[int]:
     point-counted, each one from 5 on once by _ap_count; the a_n cache is
     left empty."""
     counted = []
-    count = curves._ap_count
+    count = sieve._ap_count
 
     def counting(cur, ell):
         counted.append(ell)
@@ -261,7 +261,7 @@ def point_count_route(monkeypatch, cur: Curve, bound: int) -> list[int]:
     monkeypatch.setattr(curves, "_an_cache", {})
     with monkeypatch.context() as patch:
         patch.setattr(curves.Curve, "cm_disc", 0)
-        patch.setattr(curves, "_ap_count", counting)
+        patch.setattr(sieve, "_ap_count", counting)
         m = minimal_model(cur)
         assert m.cm_disc == 0
         a = an_coefficients(cur, bound)
@@ -272,7 +272,7 @@ def point_count_route(monkeypatch, cur: Curve, bound: int) -> list[int]:
 
 def test_ap_good_counted_once_per_prime(monkeypatch):
     counts = Counter()
-    good, count = curves.ap_good, curves._ap_count
+    good, count = sieve.ap_good, sieve._ap_count
 
     def counting_good(cur, ell):
         counts["ap_good", cur.ainvs, ell] += 1
@@ -282,8 +282,8 @@ def test_ap_good_counted_once_per_prime(monkeypatch):
         counts["count", cur.ainvs, ell] += 1
         return count(cur, ell)
 
-    monkeypatch.setattr(curves, "ap_good", counting_good)
-    monkeypatch.setattr(curves, "_ap_count", counting_count)
+    monkeypatch.setattr(sieve, "ap_good", counting_good)
+    monkeypatch.setattr(sieve, "_ap_count", counting_count)
     monkeypatch.setattr(curves, "_an_cache", {})
     bounds = (100, 50, 1000, 999, 4000, 1000, 4001)
     # 49a1 and 121b1 have conductor d^2: no point count, the Hecke character
@@ -367,13 +367,13 @@ def test_cm_disc_reads_the_cm_field_off_j():
 @pytest.mark.parametrize("cur,d", CM_CASES)
 def test_cm_shortcut_matches_point_counts(monkeypatch, cur, d):
     counted = []
-    count = curves._ap_count
+    count = sieve._ap_count
 
     def counting(cur, ell):
         counted.append(ell)
         return count(cur, ell)
 
-    monkeypatch.setattr(curves, "_ap_count", counting)
+    monkeypatch.setattr(sieve, "_ap_count", counting)
     for ell in primerange(2, 300):
         if cur.disc % ell:
             assert ap_good(cur, ell) == ell + 1 - brute_count(cur, ell), (cur, ell)
@@ -409,7 +409,7 @@ UNIT_CURVES = [((0, 0, 0, 0, 1), -3), ((0, 0, 1, 0, -7), -3), ((0, 0, 1, 0, 0), 
 
 def _walk_rows(cur: Curve):
     m = minimal_model(cur)
-    return curves._hecke_rows(m, {q: tate_local(m, q) for q in factorint(abs(m.disc))})
+    return sieve._hecke_rows(m, {q: tate_local(m, q) for q in factorint(abs(m.disc))})
 
 
 @pytest.mark.parametrize("ai,d", HECKE_CURVES + UNIT_CURVES)
@@ -439,13 +439,13 @@ def test_hecke_route_not_taken(monkeypatch):
     for cur in others:
         assert _walk_rows(cur) is None
     counted = []
-    good = curves.ap_good
+    good = sieve.ap_good
 
     def counting(cur, ell):
         counted.append(ell)
         return good(cur, ell)
 
-    monkeypatch.setattr(curves, "ap_good", counting)
+    monkeypatch.setattr(sieve, "ap_good", counting)
     for cur in others[1:]:
         monkeypatch.setattr(curves, "_an_cache", {})
         del counted[:]
@@ -486,34 +486,34 @@ def test_a_search_that_never_accepts_still_counts_exactly(monkeypatch):
         tried[ell] += 1
         return 0
 
-    monkeypatch.setattr(curves, "_hasse_multiple", refusing)
-    ells = list(primerange(curves.MESTRE_BOUND - 20, 3000))
+    monkeypatch.setattr(sieve, "_hasse_multiple", refusing)
+    ells = list(primerange(sieve.MESTRE_BOUND - 20, 3000))
     for cur in ORACLE_CURVES:
         tried.clear()
         for ell in ells:
             if cur.disc % ell and not (cur.cm_disc and kronecker(cur.cm_disc, ell) == -1):
                 assert ap_good(cur, ell) == ap_char_sum_reduced(cur, ell), (cur, ell)
-        assert tried and set(tried.values()) == {curves.SEARCH_POINTS}
-        assert min(tried) > curves.MESTRE_BOUND
+        assert tried and set(tried.values()) == {sieve.SEARCH_POINTS}
+        assert min(tried) > sieve.MESTRE_BOUND
 
 
 def test_character_sum_fallbacks_over_the_catalogue_are_pinned(monkeypatch):
     # above the crossover the search decides every good prime of the
     # catalogue below 20,000 within SEARCH_POINTS points (module docstring)
     summed = []
-    char_sum = curves._ap_char_sum
+    char_sum = sieve._ap_char_sum
 
     def counting(ell, a, b):
         summed.append(ell)
         return char_sum(ell, a, b)
 
-    monkeypatch.setattr(curves, "_ap_char_sum", counting)
+    monkeypatch.setattr(sieve, "_ap_char_sum", counting)
     for cur in CATALOGUE_CURVES:
         for ell in primerange(2, 20000):
             if cur.disc % ell:
                 ap_good(cur, ell)
-    assert min(summed) == 5 and max(summed) == curves.MESTRE_BOUND
-    assert [ell for ell in summed if ell > curves.MESTRE_BOUND] == []
+    assert min(summed) == 5 and max(summed) == sieve.MESTRE_BOUND
+    assert [ell for ell in summed if ell > sieve.MESTRE_BOUND] == []
 
 
 @pytest.mark.parametrize("ell", [233, 239, 241, 251])
@@ -527,14 +527,14 @@ def test_mul_is_repeated_addition(ell):
     y0 = next(y for y in range(1, ell) if (y * y - x0 ** 3 - a * x0 - b) % ell == 0)
     pt, acc = (x0, y0), None
     for k in range(1, order + 3):
-        acc = curves._add(acc, pt, a, ell)
-        assert curves._mul(k, pt, a, ell) == acc, k
+        acc = sieve._add(acc, pt, a, ell)
+        assert sieve._mul(k, pt, a, ell) == acc, k
         assert acc is None or (acc[1] ** 2 - acc[0] ** 3 - a * acc[0] - b) % ell == 0
-    assert curves._mul(order, pt, a, ell) is None
+    assert sieve._mul(order, pt, a, ell) is None
     for r in range(ell):
         if (r ** 3 + a * r + b) % ell == 0:
-            assert curves._mul(2, (r, 0), a, ell) is None
-            assert curves._mul(3, (r, 0), a, ell) == (r, 0)
+            assert sieve._mul(2, (r, 0), a, ell) is None
+            assert sieve._mul(3, (r, 0), a, ell) == (r, 0)
 
 
 @pytest.mark.parametrize("ai,ell,x0s,on_giant", [
@@ -552,9 +552,9 @@ def test_the_search_walks_through_o(ai, ell, x0s, on_giant):
         v = ((x0 * x0 + a) * x0 + b) % ell
         order = ell + 1 - t * kronecker(v, ell)             # #E^v
         av, pt = a * v * v % ell, (x0 * v % ell, v * v % ell)
-        g = curves._mul(2 * m + 1, pt, av, ell)
+        g = sieve._mul(2 * m + 1, pt, av, ell)
         if on_giant:
             assert (order - low - m) % (2 * m + 1) == 0
         else:
-            assert curves._mul((low + 2 * m) // (2 * m + 1), g, av, ell) is None
-        assert curves._hasse_multiple(ell, av, *pt) == order, x0
+            assert sieve._mul((low + 2 * m) // (2 * m + 1), g, av, ell) is None
+        assert sieve._hasse_multiple(ell, av, *pt) == order, x0

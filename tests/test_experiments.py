@@ -6,7 +6,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from cmtrace import curves
+from cmtrace import curves, sieve
 from cmtrace.curves import an_coefficients, curve_model
 from cmtrace.errors import InputError
 from cmtrace.experiments import fiber_pairs, orbit_options, orbit_trace, trace_point
@@ -475,14 +475,14 @@ def test_experiment_finite_builds_no_lattice():
 
 def test_cold_trace_extends_the_sieve_once(monkeypatch):
     calls = []
-    extended = curves._extended
+    extended = sieve._extended
 
     def counting(m, known, bound):
         calls.append((len(known) - 1, bound))
         return extended(m, known, bound)
 
     monkeypatch.setattr(curves, "_an_cache", {})
-    monkeypatch.setattr(curves, "_extended", counting)
+    monkeypatch.setattr(sieve, "_extended", counting)
     rep = trace_point(ExperimentSpec(dK=-67, f=1, curve=M121, digits=60, mode="main_plus"))
     assert calls == [(1, rep.n_max)]
 
@@ -502,10 +502,10 @@ def test_cold_headline_trace_counts_no_points(monkeypatch, model, dK, verdict):
     monkeypatch.setattr(curves, "_an_cache", {})
     # every route to a counted a_ell: the entry, the per-prime count and both of its methods
     for name in ("ap_good", "_ap_count", "_ap_char_sum", "_hasse_multiple"):
-        monkeypatch.setattr(curves, name, counting(getattr(curves, name)))
+        monkeypatch.setattr(sieve, name, counting(getattr(sieve, name)))
     rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=model, digits=200))
-    sieve = len(curves._an_cache[model.minimal.ainvs][1]) - 1
-    assert rep.verdict == verdict and sieve == rep.n_max
+    sieved = len(curves._an_cache[model.minimal.ainvs][1]) - 1
+    assert rep.verdict == verdict and sieved == rep.n_max
     # w_p = +1 on 121b1 evaluates the cheaper point of each fiber at 200
     # digits; w_p = -1 on 49a1 evaluates every point at LAMBDA_DIGITS only
     assert (rep.n_max > 3000) == (rep.wp == 1)
@@ -520,7 +520,7 @@ def test_cold_36a1_trace_counts_no_points(monkeypatch):
     # 36a1 (d = -3, conductor 36): the six units fill (O_K / 2 sqrt -3)^x, so
     # its a_n, the numerical w_9's newform series included, come from the walk
     counted = []
-    count = curves._ap_count
+    count = sieve._ap_count
 
     def counting(*args):
         counted.append(args)
@@ -528,7 +528,7 @@ def test_cold_36a1_trace_counts_no_points(monkeypatch):
 
     model = curve_model((0, 0, 0, 0, 1))
     monkeypatch.setattr(curves, "_an_cache", {})
-    monkeypatch.setattr(curves, "_ap_count", counting)
+    monkeypatch.setattr(sieve, "_ap_count", counting)
     rep = trace_point(ExperimentSpec(dK=-7, f=1, curve=model, digits=200))
     assert rep.verdict == "non_torsion" and rep.n_max > 1000
     assert len(curves._an_cache[model.minimal.ainvs][1]) - 1 == rep.n_max

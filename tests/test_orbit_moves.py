@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtrace import curves, experiments, modparam
+from cmtrace import curves, experiments, modparam, sieve
 from cmtrace.curves import an_coefficients, curve_model
 from cmtrace.errors import InputError
 from cmtrace.experiments import (LAMBDA_DIGITS, ExperimentSpec, FiberPairingError, TraceReport,
@@ -715,7 +715,7 @@ def test_a_cold_trace_of_reads_extends_the_sieve_once_under_eval_phi(monkeypatch
                 depth[0] -= 1
         return wrapper
 
-    def sieve(m, known, bound, extended=curves._extended):
+    def extending(m, known, bound, extended=sieve._extended):
         sieve_calls.append(depth[0])
         return extended(m, known, bound)
 
@@ -725,7 +725,7 @@ def test_a_cold_trace_of_reads_extends_the_sieve_once_under_eval_phi(monkeypatch
 
     for module in (experiments, modparam):
         monkeypatch.setattr(module, "eval_phi", nested(module.eval_phi))
-    monkeypatch.setattr(curves, "_extended", sieve)
+    monkeypatch.setattr(sieve, "_extended", extending)
     monkeypatch.setattr(curves, "_an_cache", {})
     monkeypatch.setattr(modparam, "accumulate", counting)
     al_constant.cache_clear()
@@ -884,7 +884,7 @@ def test_cold_trace_with_constants_extends_the_sieve_once(monkeypatch, label, dK
     # LAMBDA_DIGITS) extends once more, to its own 255: no a_n past the
     # orbit's deepest series
     calls, signed = [], []
-    extended, sign = curves._extended, experiments.atkin_lehner_sign
+    extended, sign = sieve._extended, experiments.atkin_lehner_sign
 
     def counting(m, known, bound):
         calls.append((len(known) - 1, bound))
@@ -896,7 +896,7 @@ def test_cold_trace_with_constants_extends_the_sieve_once(monkeypatch, label, dK
         return w
 
     monkeypatch.setattr(curves, "_an_cache", {})
-    monkeypatch.setattr(curves, "_extended", counting)
+    monkeypatch.setattr(sieve, "_extended", counting)
     monkeypatch.setattr(experiments, "atkin_lehner_sign", marking)
     al_constant.cache_clear()
     rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=MODELS[label], digits=60))
