@@ -13,7 +13,25 @@ unique involution.  A matrix is a row-major 4-tuple of residues, and every
 routine reads it in closed form: none lists a Cartan subgroup or SL_2(F_p),
 or multiplies matrices; two_to_one_check walks P^1(F_p) once.  The tests
 check the closed forms against such enumerations and matrix routes, the SL_2
-conjugator included (tests/oracles.py).
+conjugator and the label of any invertible matrix included (tests/oracles.py).
+
+The coset label of an invertible g is the lexicographically least
+determinant-one element of C_s+ * g^{-1}.  two_to_one_check labels only the
+identity, at [1 : 0], and the pencil g = x1*I + iota_omega = (u, b; c, u),
+u = x1 + a, at [x1 : 1].  C_s+ holds the scalars, so C_s+ * g^{-1} = C_s+ * h
+for the adjugate h = (u, -b; -c, u), of determinant delta = u^2 - bc, which
+is nonzero because bc = eps*s^2 is a non-square.  The determinant-one
+elements of C_s+ * h are diag(x, 1/(x delta)) * h = (xu, -xb; -c/(x delta),
+u/(x delta)) and (0, x; -1/(x delta), 0) * h = (-xc, xu; -u/(x delta),
+b/(x delta)), and each part is least at the one x that makes the first
+nonzero entry of its top row 1.  As c != 0, that is x = -1/c in the
+antidiagonal part, (1, -u/c, cu/delta, -bc/delta), and for u != 0 it is
+x = 1/u in the diagonal part, (1, -b/u, -cu/delta, u^2/delta).  Both start
+with 1, so the label is the diagonal one exactly when -b/u < -u/c as residues
+in [0, p); they never tie, since -b/u = -u/c would mean u^2 = bc.  At u = 0
+the diagonal part is least at x = -1/b, (0, 1, bc/delta, 0) = (0, 1, p - 1, 0)
+as delta = -bc, below the antidiagonal one, which starts with 1.  The identity
+has that label too: its parts are least at (1, 0, 0, 1) and (0, 1, p - 1, 0).
 """
 
 from __future__ import annotations
@@ -109,51 +127,42 @@ def inverse_table(p: int) -> list[int]:
     return inv
 
 
-def _label_entries(inv: list[int], a: int, b: int, c: int,
-                   d: int) -> tuple[int, int, int, int]:
-    """The entries of the coset label of g = (a, b; c, d), row-major, in [0, p):
-    the lexicographically minimal determinant-one element of C_s+ * g^{-1}.
-    inv is inverse_table(p), so p = len(inv), and every inverse is read
-    from it.
-
-    C_s+ holds the scalars, so C_s+ * g^{-1} = C_s+ * h for the adjugate
-    h = (d, -b; -c, a), of determinant delta = det(g).  The determinant-one
-    elements of the diagonal part are diag(x, 1/(x delta)) * h =
-    (xd, -xb; -c/(x delta), a/(x delta)), and those of the antidiagonal part
-    are (0, x; -1/(x delta), 0) * h = (-xc, xa; -d/(x delta), b/(x delta)).
-    Each part has its minimum at the one x that makes the first nonzero entry
-    of the top row 1, x = 1/lead; the label is the smaller of those two.
-    """
-    p = len(inv)
-    delta = (a * d - b * c) % p
-    if delta == 0:
-        raise InputError("coset labels are defined for invertible matrices")
-    dinv = inv[delta]
-    lead = d % p or -b % p
-    x = inv[lead]
-    diag = (x * d % p, -x * b % p, -c * lead * dinv % p, a * lead * dinv % p)
-    lead = -c % p or a % p
-    x = inv[lead]
-    anti = (-x * c % p, x * a % p, -d * lead * dinv % p, b * lead * dinv % p)
-    return min(diag, anti)
+def _pencil_fibers(p: int, a: int, b: int,
+                   c: int) -> dict[tuple[int, int, int, int], list[tuple[int, int]]]:
+    """The points of P^1(F_p) in kernel order, [1 : 0] and then [x1 : 1] for
+    x1 = 0..p-1, grouped by the closed-form coset labels of their matrices
+    (module docstring), for the residues of iota_omega = (a, b; c, a) with bc
+    a non-square mod the odd prime p.  Every inverse is read from one
+    inverse_table(p); none is taken per point."""
+    inv = inverse_table(p)
+    bc, c_inv, minus_b = b * c % p, inv[c], -b % p
+    identity = (0, 1, p - 1, 0)         # the label of [1 : 0] and of u = 0
+    fibers = {identity: [(1, 0)]}
+    for x1 in range(p):
+        u = (x1 + a) % p
+        if u:
+            cu, dinv = c * u, inv[(u * u - bc) % p]
+            diag, anti = minus_b * inv[u] % p, (p - u) * c_inv % p
+            label = ((1, diag, -cu * dinv % p, u * u * dinv % p) if diag < anti
+                     else (1, anti, cu * dinv % p, -bc * dinv % p))
+        else:
+            label = identity
+        fibers.setdefault(label, []).append((x1, 1))
+    return fibers
 
 
 def two_to_one_check(emb: EmbeddingData) -> dict[tuple[int, int, int, int], list[tuple[int, int]]]:
     """Map each point [x1 : x2] of P^1(F_p) to the coset label of its matrix
-    x1*I + x2*iota_omega, the 4-tuple of _label_entries (which raises if the
-    matrix is singular), in kernel order: (1, 0), then (x1, 1) for x1 =
-    0..p-1, as quadforms.kernel_classes lists them; the fibers, and the
-    points of each, come in the order the loop met them first (which
-    experiments.fiber_pairs relies on).  Every inverse is read from one table
-    built here, inverse_table(p), by inv[i] = -(p // i) inv[p mod i] mod p
-    (proved from p = (p // i) i + (p mod i) in its docstring), one product
-    per entry and no modular exponentiation per point.  Enforces the expected
-    structure: (p+1)/2 distinct labels, every fiber of size exactly two, and
-    fiber partners differing by the involution class [-a : 1], a = t/2 the
-    diagonal entry of iota_omega.
-
-    The mate check is the group law of P^1(F_p) (quadforms docstring) with
-    y = [-a : 1] and t = 2a in closed form:
+    x1*I + x2*iota_omega (_pencil_fibers), in kernel order: (1, 0), then
+    (x1, 1) for x1 = 0..p-1, as quadforms.kernel_classes lists them; the
+    fibers, and the points of each, come in the order the walk met them first
+    (which experiments.fiber_pairs relies on).  The closed form needs an odd
+    prime p and iota_omega = (a, b; c, a) with 2a = t and bc a non-square, so
+    that every matrix of the pencil is invertible; any other input is an
+    InputError.  Enforces the expected structure: (p+1)/2 distinct labels,
+    every fiber of size exactly two, and fiber partners differing by the
+    involution class [-a : 1].  The mate check is the group law of P^1(F_p)
+    (quadforms docstring) with y = [-a : 1] and t = 2a in closed form:
 
         [x1 : x2] * [-a : 1] = [-a x1 - n x2 : x1 - a x2 + t x2]
                              = [-a x1 - n x2 : x1 + a x2],
@@ -162,14 +171,17 @@ def two_to_one_check(emb: EmbeddingData) -> dict[tuple[int, int, int, int], list
     y2 (-a x1 - n x2) mod p, with no inverse taken.
     """
     p, n = emb.p, emb.order.n
-    a, b, c, d = emb.iota_omega
+    if p < 3 or not isprime(p):
+        raise InputError(f"p must be an odd prime, got {p}")
+    a, b, c, d = (x % p for x in emb.iota_omega)
+    if a != d:
+        raise InputError(f"a = {a} differs from d = {d} mod {p}")
     if (2 * a - emb.order.t) % p:
         raise InputError(f"2a = {2 * a % p} differs from t = {emb.order.t % p} mod {p}")
-    inv = inverse_table(p)
-    fibers: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {
-        _label_entries(inv, 1, 0, 0, 1): [(1, 0)]}
-    for x1 in range(p):
-        fibers.setdefault(_label_entries(inv, x1 + a, b, c, x1 + d), []).append((x1, 1))
+    if kronecker(b * c, p) != -1:
+        raise InputError(f"coset labels are defined for invertible matrices: "
+                         f"bc = {b * c % p} is a square mod {p}")
+    fibers = _pencil_fibers(p, a, b, c)
     if len(fibers) != (p + 1) // 2:
         raise FiberStructureError(f"expected {(p + 1) // 2} labels, got {len(fibers)}")
     for label, mates in fibers.items():

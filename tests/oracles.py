@@ -36,11 +36,12 @@ reduces the coefficients inline.  coset_label_by_matrices
 labels a matrix through its inverse and two candidate matrices, and
 two_to_one_by_matrices groups the kernel classes by those labels of
 galois_matrix and pairs the fiber mates by proj_mul with the
-involution_class; cmtrace.embeddings reads the label entries off the matrix
-entries (_label_entries), keys each fiber by that 4-tuple and checks each
-mate by the group law in closed form, and coset_label is the label of one
-matrix from those entries.  A label is the row-major 4-tuple of entries in
-every route.  signo_pairing_by_matrices builds the involution's matrix with
+involution_class; cmtrace.embeddings reads each label of the pencil
+x1*I + iota_omega off its entries in closed form, keys each fiber by that
+4-tuple and checks each mate by the group law in closed form, and
+coset_label is the label of any invertible matrix, read off its entries by
+_label_entries.  A label is the row-major 4-tuple of entries in every
+route.  signo_pairing_by_matrices builds the involution's matrix with
 galois_matrix, tests its Cartan membership and factors it through
 (0,1;-1,0), where cmtrace.embeddings.signo_pairing_check reads the answer
 off two entries.
@@ -93,7 +94,7 @@ factorisation and square roots.
 Square-and-multiply powers, element orders and the
 curve-equation residual are test-only helpers: the pipeline never needs
 them.  So is the API that
-cmtrace kept only for its tests: principal_form, coset_label, lift_to_integral_sl2, Gaussian composition
+cmtrace kept only for its tests: principal_form, coset_label with _label_entries, lift_to_integral_sl2, Gaussian composition
 (compose, form_inverse, ClassGroup, class_to_proj), proj_inverse, recognize_algebraic with minpoly, root_number,
 lattice_reduce and lattice_distance.  Their bodies are as they were in the package.
 """
@@ -101,6 +102,7 @@ lattice_reduce and lattice_distance.  Their bodies are as they were in the packa
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import mpmath as mp
@@ -109,8 +111,8 @@ import sympy
 from sympy.ntheory import sqrt_mod
 
 from cmtrace.curves import Curve, CurveModel, an_coefficients
-from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureError, _label_entries,
-                                inverse_table)
+from cmtrace.embeddings import EmbeddingData, EmbeddingError, FiberStructureError, inverse_table
+from cmtrace.errors import InputError
 from cmtrace.fp import _xgcd, isprime, kronecker, smallest_nonsquare
 from cmtrace.heegner import NoHeegnerPoint, gamma0_reduce
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
@@ -304,15 +306,47 @@ def sorted_min_label(p: int, g) -> tuple[int, int, int, int]:
     return min(mat_mul(p, h, ginv) for h in split_normalizer_sl2(p))
 
 
+def _label_entries(inv: list[int], a: int, b: int, c: int,
+                   d: int) -> tuple[int, int, int, int]:
+    """The entries of the coset label of g = (a, b; c, d), row-major, in [0, p):
+    the lexicographically minimal determinant-one element of C_s+ * g^{-1}.
+    inv is inverse_table(p), so p = len(inv), and every inverse is read
+    from it.
+
+    C_s+ holds the scalars, so C_s+ * g^{-1} = C_s+ * h for the adjugate
+    h = (d, -b; -c, a), of determinant delta = det(g).  The determinant-one
+    elements of the diagonal part are diag(x, 1/(x delta)) * h =
+    (xd, -xb; -c/(x delta), a/(x delta)), and those of the antidiagonal part
+    are (0, x; -1/(x delta), 0) * h = (-xc, xa; -d/(x delta), b/(x delta)).
+    Each part has its minimum at the one x that makes the first nonzero entry
+    of the top row 1, x = 1/lead; the label is the smaller of those two.
+    """
+    p = len(inv)
+    delta = (a * d - b * c) % p
+    if delta == 0:
+        raise InputError("coset labels are defined for invertible matrices")
+    dinv = inv[delta]
+    lead = d % p or -b % p
+    x = inv[lead]
+    diag = (x * d % p, -x * b % p, -c * lead * dinv % p, a * lead * dinv % p)
+    lead = -c % p or a % p
+    x = inv[lead]
+    anti = (-x * c % p, x * a % p, -d * lead * dinv % p, b * lead * dinv % p)
+    return min(diag, anti)
+
+
+_inverses = lru_cache(maxsize=None)(inverse_table)
+
+
 def coset_label(p: int, g) -> tuple[int, int, int, int]:
     """Lexicographically minimal determinant-one element of C_s+ * g^{-1}.
 
     For det(g) = 1 this is the minimum of the coset (C_s+ cap SL_2) * g^{-1}.
-    The entries come from cmtrace.embeddings._label_entries, which
-    two_to_one_check reads for each point of P^1(F_p), with the inverses of
-    inverse_table(p).
+    The entries come from _label_entries, the label of any invertible matrix,
+    with the inverses of inverse_table(p), built once per p; the closed form
+    of cmtrace.embeddings labels only the pencil x1*I + iota_omega.
     """
-    return _label_entries(inverse_table(p), *g)
+    return _label_entries(_inverses(p), *g)
 
 
 def coset_label_by_matrices(p: int, g) -> tuple[int, int, int, int]:

@@ -1,14 +1,15 @@
 import random
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from sympy import primerange
 
 from cmtrace import embeddings, fp
 from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureError,
-                                _label_entries, build_embedding, find_common_norm_element,
-                                inverse_table, lemma_converse_check, signo_pairing_check,
-                                two_to_one_check, verify_optimal)
+                                build_embedding, find_common_norm_element, inverse_table,
+                                lemma_converse_check, signo_pairing_check, two_to_one_check,
+                                verify_optimal)
 from cmtrace.errors import InputError
 from cmtrace.finite import ExperimentSpec, experiment_finite
 from cmtrace.fp import index_ns_plus, kronecker, smallest_nonsquare
@@ -327,29 +328,26 @@ def test_inverse_table_inverts_every_unit():
 
 
 def test_two_to_one_names_each_broken_fiber_structure(monkeypatch):
-    # the fibers of -7 at p = 13 with points moved between fibers, by a
-    # _label_entries that gives the first fiber's label l1 as the second's, l2
+    # the fibers of -7 at p = 13 with points moved between fibers, as by a
+    # label that gives the first fiber's label l1 as the second's, l2
     emb = build_embedding(13, order_data(-7, 1))
     l1, l2 = list(two_to_one_check(emb))[:2]
+    pencil_fibers = embeddings._pencil_fibers
 
     def relabelled(first_only):
-        moved = []
-
-        def label(inv, *entries):
-            got = _label_entries(inv, *entries)
-            if got == l1 and not (first_only and moved):
-                moved.append(entries)
-                return l2
+        def fibers(*args):
+            got = pencil_fibers(*args)
+            got[l2] += [got[l1].pop(0)] if first_only else got.pop(l1)
             return got
 
-        return label
+        return fibers
 
     # one point of l1's fiber moved to l2's: fibers of size 1 and 3
-    monkeypatch.setattr(embeddings, "_label_entries", relabelled(first_only=True))
+    monkeypatch.setattr(embeddings, "_pencil_fibers", relabelled(first_only=True))
     with pytest.raises(FiberStructureError, match=r"^fiber of \(.*\) has size [13]$"):
         two_to_one_check(emb)
     # both points moved: one label fewer
-    monkeypatch.setattr(embeddings, "_label_entries", relabelled(first_only=False))
+    monkeypatch.setattr(embeddings, "_pencil_fibers", relabelled(first_only=False))
     with pytest.raises(FiberStructureError, match="^expected 7 labels, got 6$"):
         two_to_one_check(emb)
     monkeypatch.undo()
@@ -374,6 +372,23 @@ def test_two_to_one_rejects_fibers_not_paired_by_the_involution():
     bad = EmbeddingData(p=5, eps=2, order=order, iota_omega=(2, 1, 2, 2))
     with pytest.raises(InputError, match="differs from t"):
         two_to_one_check(bad)
+
+
+def test_two_to_one_refuses_inputs_outside_the_closed_form():
+    # a modulus that is no odd prime, with a = d = t/2 and every (b, c), is
+    # an input error (exit 1), never a FiberStructureError, a failed check
+    # of the theory (exit 3)
+    order = order_data(-7, 1)
+    for p in (1, 9, 15, 25):
+        half_t = order.t * pow(2, -1, p) % p
+        for b, c in product(range(p), repeat=2):
+            emb = EmbeddingData(p=p, eps=2, order=order, iota_omega=(half_t, b, c, half_t))
+            with pytest.raises(InputError, match=f"^p must be an odd prime, got {p}$"):
+                two_to_one_check(emb)
+    # the pencil x1*I + iota_omega needs a = d: here a = t/2 = 3 and d = 2
+    emb = EmbeddingData(p=5, eps=2, order=order, iota_omega=(3, 2, 4, 2))
+    with pytest.raises(InputError, match="^a = 3 differs from d = 2 mod 5$"):
+        two_to_one_check(emb)
 
 
 def test_signo_pairing():

@@ -107,6 +107,26 @@ def test_two_to_one_check_returns_the_dict_of_the_matrix_route():
     assert checked == 458
 
 
+def test_two_to_one_labels_each_point_by_the_reference_coset_label():
+    # the closed form of the pencil x1*I + iota_omega against the label of
+    # any invertible matrix, at every point of P^1(F_p): every prime p < 200
+    # with two inert dK and f in {1, 2}, and two primes far beyond
+    cases = [(p, dK, f)
+             for p in primerange(3, 200)
+             for dK in [dK for dK in range(-7, -200, -1)
+                        if is_fundamental_discriminant(dK) and kronecker(dK, p) == -1][:2]
+             for f in (1, 2)]
+    for p, dK, f in cases + [(10009, -7, 1), (20089, -7, 2)]:
+        emb = build_embedding(p, order_data(dK, f))
+        a, b, c, _ = emb.iota_omega
+        label_of = {x: label for label, points in two_to_one_check(emb).items() for x in points}
+        assert len(label_of) == p + 1
+        assert label_of.pop((1, 0)) == (0, 1, p - 1, 0), (p, dK, f)
+        for (x1, x2), label in label_of.items():
+            assert x2 == 1 and label == coset_label(p, (x1 + a, b, c, x1 + a)), (p, dK, f, x1)
+    assert len(cases) == 45 * 2 * 2
+
+
 def test_signo_pairing_closed_form_matches_the_matrix_route():
     rng = random.Random(18)
     fundamentals = [d for d in range(-300, -4) if is_fundamental_discriminant(d)]
