@@ -26,8 +26,9 @@ MODES = ("signo_minus", "main_plus", "finite_only")
 DEFAULT_DIGITS = 60
 DIGITS_CAP = 200            # the largest working precision any run accepts
 P_CAP = 10 ** 6             # the finite layer's O(p) lists take about 0.3 KB per p
-# Below this a trace is not trusted: PSLQ in recognize_rational needs 53 bits,
-# and at 1-3 digits the torsion test has misread a non-torsion point.
+# Below this a trace is not trusted: at 1-3 digits the torsion test has misread a
+# non-torsion point, and the fiber reads bound each move's error by the series
+# budget at 15 digits or more (experiments docstring).
 TRACE_MIN_DIGITS = 15
 
 

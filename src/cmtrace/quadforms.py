@@ -38,14 +38,11 @@ lagrange_reduce is the one Lagrange reduction of a basis, on an
 integer Gram triple: heegner.gamma0_reduce runs it on the Gram triple of a
 form and periods.PeriodLattice.reduction on the periods cut to integers.
 reduce_form keeps its own loop on (a, b, c), since going through a basis
-would add a transform and an orientation fix to every call.  kernel_classes
-runs that loop inline on plain ints, p times per kernel, and builds one
-BinaryForm per class, the reduced one, instead of a form to reduce and its
-reduction; the tests hold it to the per-class reduce_form route
-(tests/oracles.py).  Only a trace reads the forms: experiments.trace_point
-builds the kernel once; finite.experiment_finite builds none.  BinaryForm
-and KernelClass are named tuples, the cheapest immutable records to build
-and hash.
+would add a transform and an orientation fix to every call; kernel_classes
+reduces each of its p forms by it.  Only a trace reads the forms:
+experiments.trace_point builds the kernel once; finite.experiment_finite
+builds none.  BinaryForm and KernelClass are named tuples, the cheapest
+immutable records to build and hash.
 """
 
 from __future__ import annotations
@@ -238,9 +235,8 @@ def kernel_classes(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
     One class per unit class of P^1(F_p), read off in closed form (module
     docstring): the principal form at [1 : 0], and at [x1 : 1], with
     lam = x1 + w_f, the reduced form of (N(lam), -p Tr(lam), p^2), the form of
-    the oriented basis (N(lam), p lam) of lam O_f cap O_pf.  Each form is
-    reduced here on plain ints by reduce_form's loop and asserted reduced, of
-    discriminant p^2 times the order's; the forms must be pairwise distinct.
+    the oriented basis (N(lam), p lam) of lam O_f cap O_pf, reduced by
+    reduce_form; the forms must be pairwise distinct.
     p and the order are checked first (isprime is cached, so once per p).
     """
     if not isprime(p) or p == 2:
@@ -253,19 +249,8 @@ def kernel_classes(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
     disc = p2 * order.disc
     classes = [KernelClass((1, 0), BinaryForm(1, disc % 2, (disc % 2 - disc) // 4))]
     for x1 in range(p):
-        a, b, c = x1 * x1 + t * x1 + n, -p * (2 * x1 + t), p2
-        while True:
-            if b > a or b <= -a:
-                k = (a - b) // (2 * a)
-                c = a * k * k + b * k + c
-                b = b + 2 * a * k
-            if a > c or (a == c and b < 0):
-                a, b, c = c, -b, a
-                continue
-            break
-        assert -a < b <= a <= c and (a < c or b >= 0) and b * b - 4 * a * c == disc, \
-            f"kernel form ({a}, {b}, {c}) is not reduced of discriminant {disc}"
-        classes.append(KernelClass((x1, 1), BinaryForm(a, b, c)))
+        form = BinaryForm(x1 * x1 + t * x1 + n, -p * (2 * x1 + t), p2)
+        classes.append(KernelClass((x1, 1), reduce_form(form)))
     if len({kc.form for kc in classes}) != p + 1:
         raise AssertionError("unit classes gave coinciding ideal classes")
     return tuple(classes)

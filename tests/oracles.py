@@ -30,9 +30,7 @@ as N(lam) Z + p lam O_f, from three rows; the HNF of a lattice is unique,
 so the three routes must agree row for row.  kernel_classes_by_hnf reads
 every kernel form off the Hermite normal form of the three-row ideal
 (ideal_to_form), where cmtrace.quadforms.kernel_classes writes
-(N(lam), -p Tr(lam), p^2) down directly, and kernel_classes_by_reduce_form
-reduces each of those forms with one reduce_form call, where kernel_classes
-reduces the coefficients inline.  coset_label_by_matrices
+(N(lam), -p Tr(lam), p^2) down directly.  coset_label_by_matrices
 labels a matrix through its inverse and two candidate matrices, and
 two_to_one_by_matrices groups the kernel classes by those labels of
 galois_matrix and pairs the fiber mates by proj_mul with the
@@ -707,19 +705,6 @@ def kernel_classes_by_hnf(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
         classes.append(KernelClass(proj=pt, form=ideal_to_form(ideal, order.dK, p * order.f)))
     if len({kc.form for kc in classes}) != p + 1:
         raise AssertionError("unit classes gave coinciding ideal classes")
-    return tuple(classes)
-
-
-def kernel_classes_by_reduce_form(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
-    """cmtrace.quadforms.kernel_classes with each form reduced by a
-    reduce_form call on a BinaryForm of (N(lam), -p Tr(lam), p^2), where
-    the package reduces the coefficients inline, and the principal form at
-    [1 : 0]; same order of classes, no checks."""
-    t, n, p2 = order.t, order.n, p * p
-    classes = [KernelClass(proj=(1, 0), form=principal_form(p2 * order.disc))]
-    for x1 in range(p):
-        form = reduce_form(BinaryForm(x1 * x1 + t * x1 + n, -p * (2 * x1 + t), p2))
-        classes.append(KernelClass(proj=(x1, 1), form=form))
     return tuple(classes)
 
 

@@ -16,6 +16,7 @@ from cmtrace.modparam import (LAMBDA_DIGITS, SeriesBudgetError, al_constant_poin
                               atkin_lehner_sign, eval_phi, im_tau, phi_terms)
 from cmtrace.periods import TORSION_BOUND, period_lattice
 from cmtrace.quadforms import BinaryForm, kernel_classes, order_data
+from cmtrace.recognize import curve_equation_holds_exactly
 from oracles import evaluated_moves, heegner_tau, lattice_distance, orbit_values_by_fiber
 
 M49 = curve_model((1, -1, 0, -2, -1))
@@ -280,6 +281,20 @@ def test_trace_level_m_four_quadratic_point():
     assert (rx.nu, rx.mu, rx.den, rx.field_disc) == (49, -13, 32, -7)
     assert (ry.nu, ry.mu, ry.den, ry.field_disc) == (215, -91, 128, -7)
     assert rep.finite_shadow.level_m == 4 and rep.finite_shadow.all_passed
+
+
+@pytest.mark.parametrize("dK,y_nu", [(-11, -101539334449472239), (-7, 101538721191064303)])
+def test_trace_conductor_361_rational_point(dK, y_nu):
+    # 0,0,1,-38,90 (N = 19^2, CM by Q(sqrt -19)): the trace is the rational
+    # point with x = 217648630369/8496^2, and over Q(sqrt -7) its negative
+    m361 = curve_model((0, 0, 1, -38, 90))
+    rep = trace_point(ExperimentSpec(dK=dK, f=1, curve=m361, digits=60, mode="main_plus"))
+    assert rep.wp == 1 and len(rep.orbit) == 20
+    assert rep.verdict == "non_torsion"
+    rx, ry = rep.recognized
+    assert (rx.nu, rx.mu, rx.den, rx.field_disc) == (217648630369, 0, 72182016, dK)
+    assert (ry.nu, ry.mu, ry.den, ry.field_disc) == (y_nu, 0, 613258407936, dK)
+    assert curve_equation_holds_exactly(m361.minimal.ainvs, rx, ry)
 
 
 def test_trace_conductor_f_three():

@@ -13,9 +13,8 @@ from cmtrace.quadforms import (BinaryForm, KernelClass, QuadOrder, class_number,
                                is_fundamental_discriminant, kernel_classes, lagrange_reduce,
                                order_data, reduce_form, reduced_forms)
 from oracles import (ClassGroup, _hnf2, basis_form, class_to_proj, compose, element_order,
-                     form_inverse, form_pow, form_to_ideal, ideal_to_form,
-                     kernel_classes_by_reduce_form, principal_form, proj_elements, proj_mul,
-                     proj_params, project_form)
+                     form_inverse, form_pow, form_to_ideal, ideal_to_form, principal_form,
+                     proj_elements, proj_mul, proj_params, project_form)
 
 # ---------------------------------------------------------------------------
 # Independent oracles.  Ideal arithmetic here is written from scratch against
@@ -442,8 +441,8 @@ def test_reduce_form_reads_the_discriminant_off_its_coefficients(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# kernel_classes reduces each (N(lam), -p Tr(lam), p^2) inline: the per-class
-# reduce_form route is its oracle, and every check it keeps must still fire.
+# kernel_classes reduces each (N(lam), -p Tr(lam), p^2) by reduce_form, and the
+# check it keeps must still fire.
 
 KERNEL_GRID = [(dK, f, p) for dK in (-7, -8, -11, -15, -19, -20, -23, -24, -39, -40, -43,
                                     -67, -84, -91, -163)
@@ -451,47 +450,45 @@ KERNEL_GRID = [(dK, f, p) for dK in (-7, -8, -11, -15, -19, -20, -23, -24, -39, 
                if kronecker(dK, p) == -1 and f % p]
 
 
-def test_kernel_classes_match_the_reduce_form_route():
+def test_kernel_classes_are_reduced_records_of_the_kernel_discriminant():
     assert any(p == 3 for _, _, p in KERNEL_GRID)
     for dK, f, p in KERNEL_GRID + [(-7, 1, 10009), (-7, 3, 10009)]:
         order = order_data(dK, f)
         kernel = kernel_classes(order, p)
-        assert kernel == kernel_classes_by_reduce_form(order, p), (dK, f, p)
+        assert [kc.proj for kc in kernel] == [(1, 0)] + [(x1, 1) for x1 in range(p)]
+        assert kernel[0].form == principal_form(p * p * order.disc), (dK, f, p)
+        for kc in kernel:
+            assert kc.form.is_reduced() and kc.form.disc() == p * p * order.disc, (dK, f, p)
         # equal as tuples is not enough: the records must be of their own types
         assert all(type(kc) is KernelClass and type(kc.form) is BinaryForm for kc in kernel)
 
 
-def test_kernel_classes_call_reduce_form_zero_times(monkeypatch):
+def test_kernel_classes_call_reduce_form_once_per_form(monkeypatch):
     order = order_data(-91, 1)
-    expected = kernel_classes_by_reduce_form(order, 199)
+    expected = kernel_classes(order, 199)
     calls = []
-    monkeypatch.setattr(quadforms, "reduce_form", lambda form: calls.append(form))
+
+    def counting(form):
+        calls.append(form)
+        return reduce_form(form)
+
+    monkeypatch.setattr(quadforms, "reduce_form", counting)
     assert kernel_classes(order, 199) == expected
-    assert calls == []
+    assert len(calls) == 199
 
 
 def test_kernel_classes_reject_two_coinciding_classes(monkeypatch):
-    # the third form built, that of [1 : 1], comes out as the second, [0 : 1]
-    built = []
+    # the second form reduced, that of [1 : 1], comes out as the first, [0 : 1]
+    reduced = []
 
-    def collapsing(a, b, c):
-        built.append(BinaryForm(a, b, c))
-        return built[1] if len(built) == 3 else built[-1]
+    def collapsing(form):
+        reduced.append(reduce_form(form))
+        return reduced[0] if len(reduced) == 2 else reduced[-1]
 
-    monkeypatch.setattr(quadforms, "BinaryForm", collapsing)
+    monkeypatch.setattr(quadforms, "reduce_form", collapsing)
     with pytest.raises(AssertionError, match="coinciding ideal classes"):
         kernel_classes(order_data(-7, 1), 5)
-    assert len(built) == 6
-
-
-def test_kernel_classes_assert_each_form_reduced_of_the_kernel_discriminant():
-    # an order whose (t, n) has t^2 - 4n = -11, not its disc -7: every kernel
-    # form reduces, but to discriminant 25 * -11, which the per-form check
-    # holds against 25 * -7
-    bad = QuadOrder(dK=-7, f=1, disc=-7, t=1, n=3)
-    with pytest.raises(AssertionError, match=r"^kernel form \(3, 1, 23\) is not reduced "
-                                             r"of discriminant -175$"):
-        kernel_classes(bad, 5)
+    assert len(reduced) == 5
 
 
 def test_reduced_forms_keep_their_order_below_5000():

@@ -13,7 +13,35 @@ def test_recognize_rational():
         assert recognize_rational(x, 60, 10) == Fraction(1, 3)
         assert recognize_rational(mp.mpf("-22") / 7, 60, 10) == Fraction(-22, 7)
         assert recognize_rational(mp.mpf(0), 60, 10) == Fraction(0)
+        # below the tolerance 10^-(digits-5) a value reads 0, above it nothing
+        assert recognize_rational(-mp.mpf(10) ** -58, 60, 20) == Fraction(0)
+        assert recognize_rational(mp.mpf(10) ** -40, 60, 20) is None
         assert recognize_rational(mp.pi, 60, 6) is None
+
+
+def test_recognize_rational_at_a_large_relation():
+    # the x of the rational point of 0,0,1,-38,90 (N = 361): the relation
+    # a x + b = 0 has a = 72182016, so |a| |x| is about 2e11 and its residual
+    # at x rounded to `digits` is far above 10^-digits
+    exact = Fraction(217648630369, 72182016)
+    with mp.workdps(110):
+        x = mp.mpf(exact.numerator) / exact.denominator
+        assert recognize_rational(x, 100, 33) == exact
+        assert recognize_rational(-x, 100, 33) == -exact
+
+
+def test_recognize_rational_refuses_a_perturbed_value():
+    # at trace_point's height bound; the larger x only where it is in bound
+    for digits in (15, 60, 100):
+        hb = max(4, digits // 3)
+        with mp.workdps(digits + 10):
+            for exact in (Fraction(1, 3), Fraction(217648630369, 72182016)):
+                x = mp.mpf(exact.numerator) / exact.denominator
+                if exact.numerator < 10 ** hb:
+                    assert recognize_rational(x, digits, hb) == exact
+                eps = mp.mpf(10) ** (-(digits // 2)) * max(1, abs(x))
+                assert recognize_rational(x + eps, digits, hb) is None
+                assert recognize_rational(x - eps, digits, hb) is None
 
 
 def test_recognize_sqrt_minus_eleven():
@@ -37,7 +65,8 @@ def test_quadratic_roundtrips():
             got = recognize_in_quadratic(val, d, 70, 12)
             assert got is not None
             # same value, possibly unreduced representation
-            assert abs(got.to_mpc() - val) < mp.mpf(10) ** -60
+            back = (got.nu + got.mu * mp.sqrt(mp.mpc(got.field_disc))) / got.den
+            assert abs(back - val) < mp.mpf(10) ** -60
 
 
 def test_degree_four_minpoly():
