@@ -5,10 +5,11 @@ imaginary quadratic orders, optimal embeddings and coset fibers) together
 with an arbitrary-precision analytic layer (q-expansions, period lattices,
 Atkin-Lehner signs, algebraic recognition) and end-to-end trace experiments.
 
-Importing the package loads the exact layer only: errors, fp, quadforms,
-embeddings and finite.  The curve names and the analytic names and
-submodules below each resolve on first use (PEP 562), so a finite-only
-process never compiles curves and never loads mpmath.
+Importing the package loads the finite layer only: errors, fp (with the
+orders), embeddings and finite.  The binary forms, the curve names and the
+analytic names and submodules below each resolve on first use (PEP 562), so
+a finite-only process never compiles quadforms or curves and never loads
+mpmath.
 """
 
 import importlib
@@ -18,9 +19,7 @@ from .embeddings import (EmbeddingData, build_embedding, find_common_norm_elemen
                          verify_optimal)
 from .errors import CmtraceError, InputError
 from .finite import ExperimentSpec, FiniteReport, experiment_finite
-from .fp import ArithmeticBoundError, index_ns_plus
-from .quadforms import (BinaryForm, QuadOrder, class_number, kernel_classes, order_data,
-                        reduce_form, reduced_forms)
+from .fp import ArithmeticBoundError, QuadOrder, index_ns_plus, order_data
 
 __version__ = "0.1.0"
 
@@ -32,6 +31,8 @@ _LAZY = {name: module for module, names in (
     ("heegner", ("NoHeegnerPoint", "galois_orbit", "heegner_form")),
     ("modparam", ("atkin_lehner_sign", "eval_phi")),
     ("periods", ("PeriodLattice", "elliptic_exp", "is_torsion", "locate", "period_lattice")),
+    ("quadforms", ("BinaryForm", "class_number", "kernel_classes", "reduce_form",
+                   "reduced_forms")),
     ("recognize", ("AlgebraicNumber", "recognize_in_quadratic", "recognize_rational")),
     ("cli", ()),
 ) for name in (module, *names)}

@@ -9,7 +9,8 @@ exception outside that table is a bug and ends in a traceback.
 
 The heegner, sign and trace handlers import the analytic layer, and sign and
 trace the curves, when they run, so finite-check and classgroup never load
-mpmath or cmtrace.curves; json loads on --json.
+mpmath or cmtrace.curves; classgroup imports quadforms when it runs, so
+finite-check loads no binary-form code either; json loads on --json.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from contextlib import nullcontext
 from .embeddings import FiberStructureError
 from .errors import AlConstantError, CmtraceError, FiberPairingError
 from .finite import DEFAULT_DIGITS, ExperimentSpec, check_digits, experiment_finite
-from .quadforms import reduced_forms
 
 # Exit code per error class; the most specific class of an error's MRO counts.
 EXIT_CODES = {
@@ -97,6 +97,8 @@ def _cmd_finite(args) -> tuple[int, dict]:
 
 
 def _cmd_classgroup(args) -> tuple[int, dict]:
+    from .quadforms import reduced_forms
+
     forms = reduced_forms(args.disc)
     print(f"discriminant {args.disc}: h = {len(forms)}")
     for f in forms:

@@ -39,8 +39,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import CmtraceError, InputError
-from .fp import isprime, kronecker, smallest_nonsquare, sqrt_mod_p
-from .quadforms import QuadOrder
+from .fp import QuadOrder, isprime, kronecker, smallest_nonsquare, sqrt_mod_p
 
 
 class EmbeddingError(InputError):

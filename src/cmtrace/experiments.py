@@ -89,14 +89,18 @@ import mpmath as mp
 from .curves import CurveModel
 from .errors import FiberPairingError, InputError
 from .finite import ExperimentSpec, FiniteReport, experiment_finite
-from .fp import factorint
+from .fp import factorint, order_data
 from .heegner import al_move, coset_move, galois_orbit, heegner_form
 from .modparam import (GUARD, LAMBDA_DIGITS, SeriesBudgetError, al_constant, al_constant_points,
                        atkin_lehner_sign, eval_phi, im_tau, local_sign, phi_terms)
 from .periods import (PeriodLattice, elliptic_exp, is_torsion, locate, period_lattice,
                       read_vector, torsion_residual)
-from .quadforms import class_number, kernel_classes, order_data, reduce_form
+from .quadforms import kernel_classes, reduce_form
 from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
+
+# The fundamental discriminants below -4 of class number one (Heegner, Baker
+# and Stark): the fields where a trace at f = 1 is recognised exactly.
+CLASS_NUMBER_ONE = frozenset((-7, -8, -11, -19, -43, -67, -163))
 
 
 class OrbitEntry(namedtuple("OrbitEntry", "proj form z digits q n_max source")):
@@ -440,7 +444,7 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     point = locate(lat, trace_z)                 # one solve for the three readers
     residual = torsion_residual(point)
     verdict, recognized = ("torsion" if is_torsion(point) else "undecided"), None
-    if verdict == "undecided" and spec.f == 1 and class_number(spec.dK) == 1:
+    if verdict == "undecided" and spec.f == 1 and spec.dK in CLASS_NUMBER_ONE:
         # not torsion, so m = 1 is above the torsion limit, hence the infinity one
         px, py = elliptic_exp(point)
         hb = max(4, digits // 3)

@@ -6,8 +6,9 @@ experiment_finite runs the exact layer at p: the optimal embedding, the
 converse scan, the two-to-one coset fibers over P^1(F_p), the involution
 pairing, the index of the non-split Cartan normalizer, and common-norm
 elements.  All of it is integer arithmetic, with no binary form (the trace
-builds the kernel forms), and this module and everything it imports load
-neither mpmath nor cmtrace.curves: a finite-only process never pays for the
+builds the kernel forms), and this module and everything it imports (errors,
+fp with the orders, embeddings) load neither quadforms nor mpmath nor
+cmtrace.curves: a finite-only process never pays for the forms or the
 analytic layer, which experiments.trace_point adds on top of this report.
 """
 
@@ -19,8 +20,7 @@ from math import gcd
 from .embeddings import (build_embedding, find_common_norm_element, lemma_converse_check,
                          signo_pairing_check, two_to_one_check, verify_optimal)
 from .errors import InputError
-from .fp import factorint, index_ns_plus, isprime, kronecker
-from .quadforms import order_data
+from .fp import factorint, index_ns_plus, isprime, kronecker, order_data
 
 MODES = ("signo_minus", "main_plus", "finite_only")
 DEFAULT_DIGITS = 60

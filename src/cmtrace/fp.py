@@ -1,8 +1,8 @@
-"""Small-integer arithmetic.
+"""Small-integer arithmetic, and the imaginary quadratic orders.
 
 This is everything the package needs of elementary number theory,
 always on small integers, one routine per idea: the extended gcd (_xgcd,
-which quadforms' Hermite normal form and every unimodular completion use),
+which the test oracles' Hermite normal form and every unimodular completion use),
 the Kronecker symbol (the one quadratic symbol, the Legendre symbol at odd
 primes included), square roots mod a prime (Tonelli-Shanks; Cohen, A Course
 in Computational Algebraic Number Theory, Alg. 1.5.1), a primality test and
@@ -16,10 +16,15 @@ ArithmeticBoundError rather than guess.  Any input of the package that
 reaches them has a bad prime above TRIAL_BOUND, so a level far beyond the
 q-series budget.  index_ns_plus is the one group-theoretic quantity, the
 coset index of the Cartan normalizers in closed form.
+
+The orders (QuadOrder, built by order_data) live here, below finite,
+embeddings and quadforms, which all read them, so the finite layer loads no
+binary-form code.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InputError
@@ -190,3 +195,49 @@ def sqrt_mod_p(a: int, p: int) -> int:
 def index_ns_plus(p: int) -> int:
     """[C_ns+ : C_ns+ cap C_s+] = 2(p^2-1) / 4(p-1) = (p+1)/2."""
     return (p + 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# Orders
+
+
+def is_fundamental_discriminant(d: int) -> bool:
+    if d >= 0:
+        return False
+    if d % 4 == 1:
+        return _squarefree(d)
+    if d % 4 == 0:
+        m = d // 4
+        return m % 4 in (2, 3) and _squarefree(m)
+    return False
+
+
+def _squarefree(n: int) -> bool:
+    return all(e == 1 for e in factorint(abs(n)).values())
+
+
+class QuadOrder(namedtuple("QuadOrder", "dK f disc t n")):
+    """Order of conductor f in the imaginary quadratic field of discriminant dK.
+
+    The standard generator w_f = (t + sqrt(disc)) / 2 has characteristic
+    polynomial X^2 - t X + n with t^2 - 4n = disc = f^2 dK.
+    """
+
+    __slots__ = ()
+
+
+def check_fundamental(dK: int):
+    if not is_fundamental_discriminant(dK):
+        raise InputError(f"dK = {dK} is not a fundamental discriminant")
+
+
+def order_data(dK: int, f: int) -> QuadOrder:
+    check_fundamental(dK)
+    if dK >= -4:
+        raise InputError("discriminants -3 and -4 are excluded (extra units)")
+    if f < 1:
+        raise InputError("conductor must be positive")
+    t = f * (dK % 2)
+    disc = f * f * dK
+    n = (t * t - disc) // 4
+    return QuadOrder(dK=dK, f=f, disc=disc, t=t, n=n)

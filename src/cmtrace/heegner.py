@@ -41,8 +41,8 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from .errors import InputError
-from .fp import _xgcd, factorint, kronecker
-from .quadforms import BinaryForm, check_fundamental, lagrange_reduce
+from .fp import _xgcd, check_fundamental, factorint, kronecker
+from .quadforms import BinaryForm, lagrange_reduce
 
 
 class NoHeegnerPoint(InputError):

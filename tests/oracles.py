@@ -111,14 +111,12 @@ from sympy.ntheory import sqrt_mod
 from cmtrace.curves import Curve, CurveModel, an_coefficients
 from cmtrace.embeddings import EmbeddingData, EmbeddingError, FiberStructureError, inverse_table
 from cmtrace.errors import InputError
-from cmtrace.fp import _xgcd, isprime, kronecker, smallest_nonsquare
+from cmtrace.fp import QuadOrder, _xgcd, check_fundamental, isprime, kronecker, smallest_nonsquare
 from cmtrace.heegner import NoHeegnerPoint, gamma0_reduce
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
 from cmtrace.periods import (GUARD as PERIODS_GUARD, TORSION_BOUND, PeriodLattice,
                              _nearest_multiples, locate)
-from cmtrace.quadforms import (BinaryForm, KernelClass, QuadOrder,
-                               check_fundamental, lagrange_reduce, reduce_form,
-                               reduced_forms)
+from cmtrace.quadforms import BinaryForm, KernelClass, lagrange_reduce, reduce_form, reduced_forms
 from cmtrace.recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational
 
 ENUMERATION_BOUND = 200

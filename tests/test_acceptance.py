@@ -14,10 +14,10 @@ from sympy import primerange
 from cmtrace.curves import curve_model
 from cmtrace.embeddings import build_embedding, find_common_norm_element, two_to_one_check, verify_optimal
 from cmtrace.experiments import ExperimentSpec, trace_point
-from cmtrace.fp import index_ns_plus, kronecker
+from cmtrace.fp import index_ns_plus, is_fundamental_discriminant, kronecker, order_data
 from cmtrace.heegner import NoHeegnerPoint, heegner_form
 from cmtrace.periods import period_lattice
-from cmtrace.quadforms import BinaryForm, is_fundamental_discriminant, order_data
+from cmtrace.quadforms import BinaryForm
 from oracles import (in_cartan_group, index_ns_plus_by_enumeration, involution_class,
                      lattice_distance, mat_det, proj_class, proj_elements, proj_mul, proj_params)
 

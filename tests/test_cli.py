@@ -344,23 +344,32 @@ _LOADED = ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'\n
            "             or m in ('cmtrace.curves', 'cmtrace.sieve')))\n")
 
 
+# prints the package's loaded submodules
+_PACKAGE = "print(sorted(m for m in sys.modules if m.startswith('cmtrace.')))\n"
+
+
 def test_finite_path_leaves_curves_and_sieve_out():
-    # import cmtrace loads the exact layer only; the finite commands load no more
+    # import cmtrace and finite-check load the finite layer only, with no
+    # binary-form code (the order names are fp's); classgroup adds quadforms
+    # and nothing analytic
     proc = _python(
         "import sys, cmtrace\n"
-        "print(sorted(m for m in sys.modules if m.startswith('cmtrace.')))\n"
+        "assert type(cmtrace.order_data(-91, 1)) is cmtrace.QuadOrder\n"
+        + _PACKAGE +
         "spec = cmtrace.ExperimentSpec(dK=-91, f=1, p=199, mode='finite_only')\n"
         "assert cmtrace.experiment_finite(spec).all_passed\n"
-        + _LOADED +
         "from cmtrace.cli import main\n"
         "assert main(['finite-check', '--p', '101', '--dk', '-7']) == 0\n"
+        + _PACKAGE + _LOADED +
         "assert main(['classgroup', '--disc', '-23']) == 0\n"
-        + _LOADED)
+        + _PACKAGE + _LOADED)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == str(["cmtrace.embeddings", "cmtrace.errors", "cmtrace.finite",
-                            "cmtrace.fp", "cmtrace.quadforms"])
-    assert lines[1] == lines[-1] == "[]"
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+    finite_layer = ["cmtrace.embeddings", "cmtrace.errors", "cmtrace.finite", "cmtrace.fp"]
+    assert lines[0] == str(finite_layer)
+    assert lines[1] == str(sorted(["cmtrace.cli", *finite_layer]))
+    assert lines[3] == str(sorted(["cmtrace.cli", "cmtrace.quadforms", *finite_layer]))
+    assert lines[2] == lines[4] == "[]"
 
 
 def test_curve_models_leave_the_sieve_out():
@@ -426,7 +435,8 @@ def test_heegner_runs_with_mpmath_blocked():
         "import sys\n"
         "sys.modules['mpmath'] = None\n"
         "from cmtrace.heegner import al_move, coset_move, galois_orbit, heegner_form\n"
-        "from cmtrace.quadforms import kernel_classes, order_data\n"
+        "from cmtrace.fp import order_data\n"
+        "from cmtrace.quadforms import kernel_classes\n"
         "base = heegner_form(121, -67, 11)\n"
         "kernel = kernel_classes(order_data(-67, 1), 11)\n"
         "orbit = galois_orbit(base, 121, [kc.form for kc in kernel])\n"
@@ -594,6 +604,6 @@ def test_a_bugs_value_error_is_not_an_input_error(monkeypatch):
     def buggy(disc):
         return int("not a number")              # a ValueError the package never meant
 
-    monkeypatch.setattr(cli, "reduced_forms", buggy)
+    monkeypatch.setattr("cmtrace.quadforms.reduced_forms", buggy)
     with pytest.raises(ValueError, match="invalid literal"):
         main(["classgroup", "--disc", "-23"])

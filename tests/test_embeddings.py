@@ -12,8 +12,9 @@ from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureErr
                                 verify_optimal)
 from cmtrace.errors import InputError
 from cmtrace.finite import ExperimentSpec, experiment_finite
-from cmtrace.fp import index_ns_plus, kronecker, smallest_nonsquare
-from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
+from cmtrace.fp import (index_ns_plus, is_fundamental_discriminant, kronecker, order_data,
+                        smallest_nonsquare)
+from cmtrace.quadforms import kernel_classes
 from oracles import (IDENTITY, coset_label, decompose_gamma, enumerate_cartan, galois_matrix,
                      in_cartan_group, involution_class, mat, mat_det, mat_inv, mat_mul,
                      proj_class, proj_elements, proj_mul, proj_params, sl2_elements,
@@ -87,10 +88,10 @@ def test_experiment_finite_tests_p_once(monkeypatch, p, dK, f):
     assert experiment_finite(spec).all_passed
     assert (fp.isprime.cache_info().misses, fp.smallest_nonsquare.cache_info().misses) == first
     # and the primality test itself runs on p once, through every layer's check
-    from cmtrace import embeddings, finite, quadforms
+    from cmtrace import finite
     tested, test = [], fp.isprime.__wrapped__
     counting = lru_cache(maxsize=1024)(lambda n: tested.append(n) or test(n))
-    for module in (fp, finite, embeddings, quadforms):
+    for module in (fp, finite, embeddings):
         monkeypatch.setattr(module, "isprime", counting)
     assert experiment_finite(spec).all_passed
     assert tested.count(p) == 1

@@ -9,13 +9,15 @@ import pytest
 from cmtrace import curves, sieve
 from cmtrace.curves import an_coefficients, curve_model
 from cmtrace.errors import InputError
-from cmtrace.experiments import fiber_pairs, orbit_options, orbit_trace, trace_point
+from cmtrace.experiments import (CLASS_NUMBER_ONE, fiber_pairs, orbit_options, orbit_trace,
+                                 trace_point)
 from cmtrace.finite import TRACE_MIN_DIGITS, ExperimentSpec, HypothesisError, experiment_finite
+from cmtrace.fp import is_fundamental_discriminant, order_data
 from cmtrace.heegner import galois_orbit, heegner_form
 from cmtrace.modparam import (LAMBDA_DIGITS, SeriesBudgetError, al_constant_points,
                               atkin_lehner_sign, eval_phi, im_tau, phi_terms)
 from cmtrace.periods import TORSION_BOUND, period_lattice
-from cmtrace.quadforms import BinaryForm, kernel_classes, order_data
+from cmtrace.quadforms import BinaryForm, class_number, kernel_classes
 from cmtrace.recognize import curve_equation_holds_exactly
 from oracles import evaluated_moves, heegner_tau, lattice_distance, orbit_values_by_fiber
 
@@ -367,6 +369,13 @@ def test_trace_point_builds_the_kernel_once(monkeypatch):
                                             mode="signo_minus" if model is M49 else "main_plus"))
         assert calls == [(dK, f, model.p)]
         assert report.orbit[0].proj == (1, 0)
+
+
+def test_class_number_one_table_matches_the_class_numbers():
+    # trace_point recognises at h = 1 by the table (Heegner, Baker and Stark),
+    # and no other fundamental dK in [-2000, -5] has a single reduced form
+    assert {dK for dK in range(-2000, -4)
+            if is_fundamental_discriminant(dK) and class_number(dK) == 1} == CLASS_NUMBER_ONE
 
 
 def test_experiment_finite_builds_no_binary_form(monkeypatch):

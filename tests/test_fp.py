@@ -10,8 +10,7 @@ from sympy.ntheory import sqrt_mod
 from cmtrace.embeddings import build_embedding
 from cmtrace.errors import InputError
 from cmtrace.fp import (MR_BOUND, TRIAL_BOUND, ArithmeticBoundError, factorint, index_ns_plus,
-                        isprime, kronecker, smallest_nonsquare, sqrt_mod_p)
-from cmtrace.quadforms import order_data
+                        isprime, kronecker, order_data, smallest_nonsquare, sqrt_mod_p)
 from oracles import (CARTAN_KINDS, IDENTITY, EnumerationBoundError, cartan_intersection_ns_s,
                      enumerate_cartan, in_cartan_group, index_ns_plus_by_enumeration,
                      lift_to_integral_sl2, mat, mat_det, mat_inv, mat_mul, sl2_elements)

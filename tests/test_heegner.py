@@ -6,11 +6,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cmtrace.errors import InputError
-from cmtrace.fp import kronecker
+from cmtrace.fp import is_fundamental_discriminant, kronecker, order_data
 from cmtrace.heegner import (NoHeegnerPoint, _has_square_root, _prime_to, galois_orbit,
                              gamma0_reduce, heegner_form)
-from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes,
-                               lagrange_reduce, order_data, reduce_form)
+from cmtrace.quadforms import BinaryForm, kernel_classes, lagrange_reduce, reduce_form
 from oracles import (compose, galois_orbit_by_lattices, gamma0_reduce_all_candidates,
                      generator_ideal, generator_ideal_three_rows, heegner_form_all_roots,
                      heegner_tau)

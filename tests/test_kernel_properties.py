@@ -24,10 +24,9 @@ from hypothesis import strategies as st
 from sympy import primefactors, primerange
 
 from cmtrace.finite import ExperimentSpec, experiment_finite
-from cmtrace.fp import kronecker
+from cmtrace.fp import is_fundamental_discriminant, kronecker, order_data
 from cmtrace.heegner import galois_orbit, gamma0_reduce, heegner_form
-from cmtrace.quadforms import (BinaryForm, is_fundamental_discriminant, kernel_classes,
-                               lagrange_reduce, order_data, reduce_form)
+from cmtrace.quadforms import BinaryForm, kernel_classes, lagrange_reduce, reduce_form
 from oracles import (_complete_unimodular, compose, form_inverse, galois_orbit_by_lattices,
                      gamma0_reduce_all_candidates, generator_ideal,
                      generator_ideal_by_intersection, involution_class, kernel_classes_by_hnf,

@@ -8,8 +8,8 @@ from sympy import primerange
 
 from cmtrace.embeddings import EmbeddingData, build_embedding, signo_pairing_check, two_to_one_check
 from cmtrace.finite import ExperimentSpec, experiment_finite
-from cmtrace.fp import kronecker, smallest_nonsquare
-from cmtrace.quadforms import is_fundamental_discriminant, kernel_classes, order_data
+from cmtrace.fp import is_fundamental_discriminant, kronecker, order_data, smallest_nonsquare
+from cmtrace.quadforms import kernel_classes
 from oracles import (coset_label, coset_label_by_matrices, decompose_gamma, enumerate_cartan,
                      generator_ideal, generator_ideal_by_intersection, kernel_classes_by_hnf,
                      kernel_forms_by_filter, mat_det, signo_pairing_by_matrices, sl2_elements,

@@ -25,14 +25,13 @@ from cmtrace.errors import InputError
 from cmtrace.experiments import (LAMBDA_DIGITS, ExperimentSpec, FiberPairingError, TraceReport,
                                  al_signs, experiment_finite, fiber_pairs, orbit_options,
                                  orbit_trace, trace_point)
-from cmtrace.fp import kronecker
+from cmtrace.fp import is_fundamental_discriminant, kronecker, order_data
 from cmtrace.heegner import al_move, coset_move, galois_orbit, heegner_form
 from cmtrace.modparam import (GUARD, MAZUR_ORDERS, NMAX_CAP, AlConstantError, SeriesBudgetError,
                               al_constant, al_constant_points, al_matrix, atkin_lehner_sign,
                               eval_newform, eval_phi, im_tau, phi_terms)
 from cmtrace.periods import is_torsion, locate, period_lattice, torsion_residual
-from cmtrace.quadforms import (is_fundamental_discriminant, kernel_classes, order_data,
-                               reduced_forms)
+from cmtrace.quadforms import kernel_classes, reduced_forms
 from oracles import (al_constant_by_series, coset_least_by_search, eval_series_direct,
                      evaluated_moves, evaluation_key, galois_orbit_by_lattices, heegner_tau,
                      lattice_reduce, orbit_trace_direct, orbit_values_by_fiber, phi_terms_mp,

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from sympy import primerange
 
 from cmtrace import quadforms
-from cmtrace.fp import kronecker
-from cmtrace.quadforms import (BinaryForm, KernelClass, QuadOrder, class_number,
-                               is_fundamental_discriminant, kernel_classes, lagrange_reduce,
-                               order_data, reduce_form, reduced_forms)
+from cmtrace.errors import InputError
+from cmtrace.fp import QuadOrder, is_fundamental_discriminant, kronecker, order_data
+from cmtrace.quadforms import (BinaryForm, KernelClass, class_number, kernel_classes,
+                               lagrange_reduce, reduce_form, reduced_forms)
 from oracles import (ClassGroup, _hnf2, basis_form, class_to_proj, compose, element_order,
                      form_inverse, form_pow, form_to_ideal, ideal_to_form, principal_form,
                      proj_elements, proj_mul, proj_params, project_form)
@@ -172,6 +172,21 @@ def test_reduced_forms_counts():
         reduced_forms(-6)
     with pytest.raises(ValueError):
         reduced_forms(7)
+
+
+def test_reduced_forms_stop_at_the_cap(monkeypatch):
+    # the cap itself is listed: -10^9 = 5000^2 * (-40), so by the conductor
+    # formula h = h(-40) * 5000 = 10000; the next discriminant beyond it is
+    # refused before any form is built
+    cap = quadforms.DISC_CAP
+    assert class_number(-cap) == oracle_class_number(-cap) == 10000
+
+    def no_form(*args, **kwargs):
+        raise AssertionError("reduced_forms built a form above the cap")
+
+    monkeypatch.setattr(quadforms, "BinaryForm", no_form)
+    with pytest.raises(InputError, match=f"= {cap + 3} is above the cap {cap} of reduced_forms"):
+        reduced_forms(-cap - 3)
 
 
 def test_class_numbers_against_dirichlet():

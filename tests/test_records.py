@@ -13,10 +13,10 @@ from cmtrace.embeddings import build_embedding
 from cmtrace.errors import InputError
 from cmtrace.experiments import OrbitEntry, OrbitMove, TraceReport, trace_point
 from cmtrace.finite import ExperimentSpec, experiment_finite
+from cmtrace.fp import order_data
 from cmtrace.heegner import heegner_form
 from cmtrace.modparam import al_constant
 from cmtrace.periods import PeriodLattice
-from cmtrace.quadforms import order_data
 from cmtrace.recognize import AlgebraicNumber
 
 
