@@ -21,7 +21,7 @@ from contextlib import nullcontext
 
 from .embeddings import FiberStructureError
 from .errors import AlConstantError, CmtraceError, FiberPairingError
-from .finite import DEFAULT_DIGITS, ExperimentSpec, check_digits, experiment_finite
+from .finite import DEFAULT_DIGITS, ExperimentSpec, experiment_finite
 
 # Exit code per error class; the most specific class of an error's MRO counts.
 EXIT_CODES = {
@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     sg = sub.add_parser("sign", help="Atkin-Lehner eigenvalue")
     sg.add_argument("--curve", type=_parse_curve, required=True)
     sg.add_argument("--q", type=int, required=True)
-    sg.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     sg.add_argument("--json", dest="json_path", default=None)
 
     tr = sub.add_parser("trace", help="full Galois-orbit trace experiment")
@@ -124,14 +123,11 @@ def _cmd_sign(args) -> tuple[int, dict]:
     from .curves import Curve, conductor, minimal_model
     from .modparam import atkin_lehner_sign
 
-    digits = args.digits
-    check_digits(digits)
     cur = minimal_model(Curve(*args.curve))
     n = conductor(cur)
-    w = atkin_lehner_sign(cur, n, args.q, digits)
+    w = atkin_lehner_sign(cur, n, args.q)
     print(f"w_{args.q} = {w:+d} for curve {list(args.curve)} (N = {n})")
-    return 0, {"curve": list(args.curve), "N": n, "q": args.q, "w": w,
-               "digits": digits}
+    return 0, {"curve": list(args.curve), "N": n, "q": args.q, "w": w}
 
 
 def _cmd_trace(args) -> tuple[int, dict]:

@@ -13,7 +13,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import InputError
-from .fp import factorint, isprime, kronecker
+from .fp import check_hypotheses, factorint, kronecker
 
 
 def _read_only(self, name, *_):      # cached_property writes __dict__ directly
@@ -381,8 +381,7 @@ def curve_model(ainvs, p: int | None = None) -> CurveModel:
             raise InputError(
                 f"conductor {n} has no unique odd prime with exact square power; pass p")
         p = cands[0]
-    if p == 2 or not isprime(p):
-        raise InputError("p must be an odd prime")
+    check_hypotheses(p)
     if _valuation(n, p) != 2:
         raise InputError(f"p^2 does not exactly divide the conductor {n}")
     m = n // (p * p)

@@ -39,11 +39,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import CmtraceError, InputError
-from .fp import QuadOrder, isprime, kronecker, smallest_nonsquare, sqrt_mod_p
-
-
-class EmbeddingError(InputError):
-    pass
+from .fp import QuadOrder, check_hypotheses, kronecker, smallest_nonsquare, sqrt_mod_p
 
 
 class FiberStructureError(CmtraceError, AssertionError):
@@ -64,15 +60,8 @@ class EmbeddingData(namedtuple("EmbeddingData", "p eps order iota_omega")):
 
 
 def build_embedding(p: int, order: QuadOrder) -> EmbeddingData:
-    """The embedding data for an inert odd prime p coprime to f, all checked here."""
-    if p < 3 or not isprime(p):
-        raise InputError(f"p must be an odd prime, got {p}")
-    # p | f puts p^2 into the discriminant, which the inertness test would
-    # misread as a square mod p, so it is named first
-    if order.f % p == 0:
-        raise EmbeddingError(f"p = {p} divides the conductor f = {order.f}")
-    if kronecker(order.disc, p) != -1:
-        raise EmbeddingError(f"p = {p} is not inert (discriminant is a square mod p)")
+    """The embedding data for an inert odd prime p coprime to f (fp.check_hypotheses)."""
+    check_hypotheses(p, order)
     # eps*s^2 = (t^2-4n)/4: the right side is a non-square times the inverse
     # of a square, so s exists, and s != 0
     eps, t, n = smallest_nonsquare(p), order.t % p, order.n % p
@@ -155,13 +144,14 @@ def two_to_one_check(emb: EmbeddingData) -> dict[tuple[int, int, int, int], list
     x1*I + x2*iota_omega (_pencil_fibers), in kernel order: (1, 0), then
     (x1, 1) for x1 = 0..p-1, as quadforms.kernel_classes lists them; the
     fibers, and the points of each, come in the order the walk met them first
-    (which experiments.fiber_pairs relies on).  The closed form needs an odd
-    prime p and iota_omega = (a, b; c, a) with 2a = t and bc a non-square, so
-    that every matrix of the pencil is invertible; any other input is an
-    InputError.  Enforces the expected structure: (p+1)/2 distinct labels,
-    every fiber of size exactly two, and fiber partners differing by the
-    involution class [-a : 1].  The mate check is the group law of P^1(F_p)
-    (quadforms docstring) with y = [-a : 1] and t = 2a in closed form:
+    (which experiments.fiber_pairs relies on).  The closed form needs p and
+    the order to pass fp.check_hypotheses and iota_omega = (a, b; c, a) with
+    2a = t and bc a non-square, so that every matrix of the pencil is
+    invertible; any other input is an InputError.  Enforces the expected
+    structure: (p+1)/2 distinct labels, every fiber of size exactly two, and
+    fiber partners differing by the involution class [-a : 1].  The mate check
+    is the group law of P^1(F_p) (quadforms docstring) with y = [-a : 1] and
+    t = 2a in closed form:
 
         [x1 : x2] * [-a : 1] = [-a x1 - n x2 : x1 - a x2 + t x2]
                              = [-a x1 - n x2 : x1 + a x2],
@@ -170,8 +160,7 @@ def two_to_one_check(emb: EmbeddingData) -> dict[tuple[int, int, int, int], list
     y2 (-a x1 - n x2) mod p, with no inverse taken.
     """
     p, n = emb.p, emb.order.n
-    if p < 3 or not isprime(p):
-        raise InputError(f"p must be an odd prime, got {p}")
+    check_hypotheses(p, emb.order)
     a, b, c, d = (x % p for x in emb.iota_omega)
     if a != d:
         raise InputError(f"a = {a} differs from d = {d} mod {p}")
@@ -210,8 +199,7 @@ def find_common_norm_element(p: int, l: int) -> tuple[int, int, int, int]:
     in [0, p): a scalar when l is a square, an antidiagonal (0, b; -eps*b, 0)
     with eps*b^2 = l otherwise, eps the smallest non-square mod the odd
     prime p."""
-    if p < 3 or not isprime(p):
-        raise InputError(f"p must be an odd prime, got {p}")
+    check_hypotheses(p)
     l %= p
     if l == 0:
         raise InputError("determinant must be a unit")

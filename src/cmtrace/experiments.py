@@ -86,7 +86,7 @@ from math import prod
 
 import mpmath as mp
 
-from .curves import CurveModel
+from .curves import _CM_FIELDS, CurveModel
 from .errors import FiberPairingError, InputError
 from .finite import ExperimentSpec, FiniteReport, experiment_finite
 from .fp import factorint, order_data
@@ -99,8 +99,9 @@ from .quadforms import kernel_classes, reduce_form
 from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
 
 # The fundamental discriminants below -4 of class number one (Heegner, Baker
-# and Stark): the fields where a trace at f = 1 is recognised exactly.
-CLASS_NUMBER_ONE = frozenset((-7, -8, -11, -19, -43, -67, -163))
+# and Stark), the CM fields of curves' table but -3 and -4: the fields where a
+# trace at f = 1 is recognised exactly.
+CLASS_NUMBER_ONE = frozenset(_CM_FIELDS.values()) - {-3, -4}
 
 
 class OrbitEntry(namedtuple("OrbitEntry", "proj form z digits q n_max source")):
@@ -430,8 +431,7 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     t2 = time.perf_counter()
     timings = {"finite_layer": t1 - t0, "orbit_plan": t2 - t1}
 
-    # a sign is +-1: a numerical w_p (additive at 3) needs only LAMBDA_DIGITS
-    wp = atkin_lehner_sign(model.minimal, model.n, model.p * model.p, LAMBDA_DIGITS)
+    wp = atkin_lehner_sign(model.minimal, model.n, model.p * model.p)
     timings["atkin_lehner"] = time.perf_counter() - t2
 
     t0 = time.perf_counter()
@@ -447,9 +447,8 @@ def trace_point(spec: ExperimentSpec) -> TraceReport:
     if verdict == "undecided" and spec.f == 1 and spec.dK in CLASS_NUMBER_ONE:
         # not torsion, so m = 1 is above the torsion limit, hence the infinity one
         px, py = elliptic_exp(point)
-        hb = max(4, digits // 3)
-        rx = recognize_in_quadratic(px, spec.dK, digits, hb)
-        ry = recognize_in_quadratic(py, spec.dK, digits, hb)
+        rx = recognize_in_quadratic(px, spec.dK, digits)
+        ry = recognize_in_quadratic(py, spec.dK, digits)
         if (rx is not None and ry is not None
                 and curve_equation_holds_exactly(model.minimal.ainvs, rx, ry)):
             recognized = (rx, ry)

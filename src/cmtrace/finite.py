@@ -20,7 +20,8 @@ from math import gcd
 from .embeddings import (build_embedding, find_common_norm_element, lemma_converse_check,
                          signo_pairing_check, two_to_one_check, verify_optimal)
 from .errors import InputError
-from .fp import factorint, index_ns_plus, isprime, kronecker, order_data
+from .fp import (HypothesisError, check_hypotheses, factorint, index_ns_plus, isprime,
+                 kronecker, order_data)
 
 MODES = ("signo_minus", "main_plus", "finite_only")
 DEFAULT_DIGITS = 60
@@ -30,10 +31,6 @@ P_CAP = 10 ** 6             # the finite layer's O(p) lists take about 0.3 KB pe
 # non-torsion point, and the fiber reads bound each move's error by the series
 # budget at 15 digits or more (experiments docstring).
 TRACE_MIN_DIGITS = 15
-
-
-class HypothesisError(InputError):
-    pass
 
 
 def check_digits(digits: int):
@@ -83,21 +80,19 @@ class ExperimentSpec(namedtuple("ExperimentSpec", "dK f curve p digits mode",
         return self.curve.p if self.curve is not None else self.p
 
     def validate(self):
-        """Input bounds, then the running hypotheses: inertness, coprimality,
-        ramification, sign, and p prime to f; p is capped after its primality
-        test, whose own bound comes first."""
+        """Input bounds, then the running hypotheses (fp.check_hypotheses; p is
+        capped after its primality test, whose own bound comes first), then,
+        with a curve, coprimality, ramification and sign."""
         check_digits(self.digits)
         if self.mode != "finite_only" and self.digits < TRACE_MIN_DIGITS:
             raise InputError(f"a trace needs at least {TRACE_MIN_DIGITS} digits, "
                              f"got {self.digits}")
-        order_data(self.dK, self.f)          # fundamental, dK < -4, f >= 1
+        order = order_data(self.dK, self.f)  # fundamental, dK < -4, f >= 1
         p = self.prime
-        if not isprime(p) or p == 2:
-            raise HypothesisError("p must be an odd prime")
+        check_hypotheses(p)
         if p > P_CAP:
             raise InputError(f"p = {p} is above the cap {P_CAP} of the finite layer")
-        if kronecker(self.dK, p) != -1:
-            raise HypothesisError(f"p = {p} must be inert in Q(sqrt({self.dK}))")
+        check_hypotheses(p, order)
         if self.curve is not None:
             n = self.curve.n
             if gcd(self.f, n) != 1:
@@ -110,8 +105,6 @@ class ExperimentSpec(namedtuple("ExperimentSpec", "dK f curve p digits mode",
                         f"q = {q} dividing M must split for a matrix-algebra run")
             if self.mode != "finite_only" and kronecker(self.dK, -n) != -1:
                 raise HypothesisError("the quadratic-symbol sign of E/K is not -1")
-        if self.f % p == 0:                  # with a curve, p | N already ruled it out
-            raise HypothesisError("p must not divide the conductor")
 
 
 class FiniteReport(namedtuple("FiniteReport", "p dK f level_m checks fiber_count degree fibers")):

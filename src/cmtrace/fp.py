@@ -19,7 +19,9 @@ coset index of the Cartan normalizers in closed form.
 
 The orders (QuadOrder, built by order_data) live here, below finite,
 embeddings and quadforms, which all read them, so the finite layer loads no
-binary-form code.
+binary-form code.  So does check_hypotheses, the one test of the paper's
+hypotheses on p (an odd prime, prime to f, inert in K), which every entry
+point that takes p calls, and HypothesisError, the one class it raises.
 """
 
 from __future__ import annotations
@@ -241,3 +243,21 @@ def order_data(dK: int, f: int) -> QuadOrder:
     disc = f * f * dK
     n = (t * t - disc) // 4
     return QuadOrder(dK=dK, f=f, disc=disc, t=t, n=n)
+
+
+class HypothesisError(InputError):
+    """p breaks a hypothesis of the trace relation (check_hypotheses), or,
+    from finite.ExperimentSpec.validate, the curve breaks one of its own."""
+
+
+def check_hypotheses(p: int, order: QuadOrder | None = None):
+    """The paper's hypotheses on p, in order: an odd prime, then, given the
+    order O_f of K, p prime to f and inert in K (module docstring)."""
+    if p < 3 or not isprime(p):
+        raise HypothesisError(f"p must be an odd prime, got {p}")
+    if order is None:
+        return
+    if order.f % p == 0:
+        raise HypothesisError(f"p = {p} divides the conductor f = {order.f}")
+    if kronecker(order.dK, p) != -1:
+        raise HypothesisError(f"p = {p} is not inert in Q(sqrt({order.dK}))")

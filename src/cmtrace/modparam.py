@@ -155,9 +155,10 @@ good reduction, w_q = (-1/q) for e in {2, 6},
 Kodaira label.  Additive reduction at 2 or 3 (36a1 at 3, for instance) has
 no such closed form here: when a prime of Q is of that kind, w_Q is read off
 numerically from f(W_Q tau) = w_Q * Q^{-1} (N c tau + Q d)^2 f(tau) at
-sample points on the circle the involution stabilises.  Both routes read
-only the minimal model and the conductor N, so any curve and any Q || N is
-accepted, whether or not N has the shape p^2 M.  The tests check the closed
+sample points on the circle the involution stabilises, at LAMBDA_DIGITS
+(enough for a sign: FLOAT_CAP above).  Both routes read only the minimal
+model and the conductor N, so any curve and any Q || N is accepted, whether
+or not N has the shape p^2 M.  The tests check the closed
 form against the numerical route.
 """
 
@@ -305,14 +306,14 @@ class SignConsistencyError(CmtraceError, ArithmeticError):
     pass
 
 
-def atkin_lehner_sign(cur: Curve, n_level: int, q_div: int, digits: int) -> int:
+def atkin_lehner_sign(cur: Curve, n_level: int, q_div: int) -> int:
     """Eigenvalue of W_Q on the newform of the curve with minimal model cur and
     conductor N = n_level, for Q || N: the product of the local signs when
-    every prime of Q has one, else measured numerically at `digits` (module
-    docstring)."""
+    every prime of Q has one, else measured numerically at LAMBDA_DIGITS
+    (module docstring)."""
     al_matrix(n_level, q_div)                   # raises unless Q || N
     w = local_sign(cur, q_div)
-    return _numerical_sign(cur, n_level, q_div, digits) if w is None else w
+    return _numerical_sign(cur, n_level, q_div) if w is None else w
 
 
 def local_sign(cur: Curve, q_div: int) -> int | None:
@@ -384,27 +385,28 @@ def _local_sign(cur: Curve, q: int) -> int | None:
     return kronecker({2: -1, 6: -1, 3: -3, 4: -2}[e], q)
 
 
-def _numerical_sign(cur: Curve, n_level: int, q_div: int, digits: int) -> int:
+def _numerical_sign(cur: Curve, n_level: int, q_div: int) -> int:
     """Eigenvalue of W_Q on the newform of the curve with minimal model cur and
     conductor N = n_level, for Q || N.
 
     Samples AL_SAMPLES points tau on the norm-Q circle |N c tau + Q d| =
     sqrt(Q), where both tau and W_Q tau have the same imaginary part, and
-    demands all sample ratios agree with the same sign to 10^(-digits/2).
+    demands all sample ratios, at LAMBDA_DIGITS, agree with the same sign to
+    10^(-LAMBDA_DIGITS/2).
     """
     wa, wb, wc, wd = al_matrix(n_level, q_div)
-    with mp.workdps(digits + GUARD):
-        tol = mp.mpf(10) ** (-mp.mpf(digits) / 2)
+    with mp.workdps(LAMBDA_DIGITS + GUARD):
+        tol = mp.mpf(10) ** (-mp.mpf(LAMBDA_DIGITS) / 2)
         signs = []
         for j in range(AL_SAMPLES):
             theta = mp.pi / 3 + j * mp.pi / (3 * (AL_SAMPLES - 1))
             # tau on the stabilised circle: N*c*tau + Q*d = sqrt(Q) e^{i theta}.
             tau = (mp.sqrt(q_div) * mp.exp(1j * theta) - wd) / wc
-            ftau = eval_newform(cur, tau, digits)
+            ftau = eval_newform(cur, tau, LAMBDA_DIGITS)
             if abs(ftau) < tol:
                 continue
             wtau = (wa * tau + wb) / (wc * tau + wd)
-            fw = eval_newform(cur, wtau, digits)
+            fw = eval_newform(cur, wtau, LAMBDA_DIGITS)
             ratio = q_div * fw / ((wc * tau + wd) ** 2 * ftau)
             sign = 1 if ratio.real > 0 else -1
             if abs(ratio - sign) > tol:

@@ -100,8 +100,7 @@ from functools import cached_property, lru_cache
 import mpmath as mp
 
 from .curves import Curve, _read_only
-from .errors import CmtraceError
-from .finite import DIGITS_CAP
+from .finite import check_digits
 from .quadforms import lagrange_reduce
 
 GUARD = 25
@@ -109,10 +108,6 @@ FIXED_GUARD = 10            # guard bits of the fixed-point routines (module doc
 NEWTON_GUARD = 20           # guard bits of the Newton iteration for the 2-torsion
 TORSION_BOUND = 24          # the torsion test tries the multiples m*z, m <= TORSION_BOUND
 LAMBDA_BUDGET = 1e-9        # how far a value read_vector reads may miss its vector
-
-
-class PrecisionError(CmtraceError, ArithmeticError):
-    pass
 
 
 class PeriodLattice(namedtuple("PeriodLattice", "curve w1 w2 digits")):
@@ -142,10 +137,10 @@ class PeriodLattice(namedtuple("PeriodLattice", "curve w1 w2 digits")):
 
 @lru_cache(maxsize=128)
 def period_lattice(curve: Curve, digits: int) -> PeriodLattice:
-    """The period lattice of the curve at `digits`, computed once per (curve,
-    digits) and process: a warm process reuses it, reduction included."""
-    if digits > DIGITS_CAP:
-        raise PrecisionError(f"precision capped at {DIGITS_CAP} digits")
+    """The period lattice of the curve at `digits` (finite.check_digits),
+    computed once per (curve, digits) and process: a warm process reuses it,
+    reduction included."""
+    check_digits(digits)
     with mp.workdps(digits + GUARD):
         if curve.disc > 0:
             e1, e2, e3 = two_torsion_roots(curve)

@@ -53,7 +53,7 @@ from collections import namedtuple
 from math import gcd, isqrt
 
 from .errors import InputError
-from .fp import QuadOrder, isprime, kronecker
+from .fp import QuadOrder, check_hypotheses
 
 DISC_CAP = 10 ** 9          # reduced_forms takes 3-4 s at |D| = 10^9, 0.3 s at 10^8
 
@@ -197,14 +197,9 @@ def kernel_classes(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
     lam = x1 + w_f, the reduced form of (N(lam), -p Tr(lam), p^2), the form of
     the oriented basis (N(lam), p lam) of lam O_f cap O_pf, reduced by
     reduce_form; the forms must be pairwise distinct.
-    p and the order are checked first (isprime is cached, so once per p).
+    p and the order are checked first (fp.check_hypotheses).
     """
-    if not isprime(p) or p == 2:
-        raise InputError("p must be an odd prime")
-    if kronecker(order.dK, p) != -1:
-        raise InputError(f"p = {p} is not inert in the field of discriminant {order.dK}")
-    if order.f % p == 0:
-        raise InputError("p must not divide the conductor")
+    check_hypotheses(p, order)
     t, n, p2 = order.t, order.n, p * p
     disc = p2 * order.disc
     classes = [KernelClass((1, 0), BinaryForm(1, disc % 2, (disc % 2 - disc) // 4))]

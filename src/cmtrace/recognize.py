@@ -2,19 +2,20 @@
 
 A rational value x is read by its best rational approximation.  x, rounded
 to `digits` digits, is taken exactly as the binary fraction it is, and
-Fraction.limit_denominator(10^height_bound) gives the fraction a/b nearest to
-it with b <= 10^height_bound, a convergent or semiconvergent of its continued
-fraction.  a/b is accepted when |a| < 10^height_bound and
+Fraction.limit_denominator(10^h) gives the fraction a/b nearest to it with
+b <= 10^h, a convergent or semiconvergent of its continued fraction, for
+h = max_height(digits) = max(4, digits // 3).  a/b is accepted when |a| <
+10^h and
 
     |x - a/b| < 10^-(digits - 5) max(1, |x|),
 
 one comparison of exact fractions; otherwise the answer is None (no relation
 found, never a proof of irrationality).  Two fractions with denominators at
-most N = 10^height_bound are at least 1/N^2 apart, so when x lies within
-1/(2 N^2) of some a/b of that height, a/b is the one returned.  The
-tolerance is relative, as the error of x is: the residual |b x - a| of the
-true relation is about |a| 10^-digits, 2 10^-49 for the point
-x = 217648630369/72182016 of 0,0,1,-38,90 (N = 361) at 60 digits.
+most N = 10^h are at least 1/N^2 apart, so when x lies within 1/(2 N^2) of
+some a/b of that height, a/b is the one returned.  The tolerance is
+relative, as the error of x is: the residual |b x - a| of the true relation
+is about |a| 10^-digits, 2 10^-49 for the point x = 217648630369/72182016 of
+0,0,1,-38,90 (N = 361) at 60 digits.
 
 The margin 10^5.  trace_point reads the coordinates c = x, y that
 periods.elliptic_exp gives at the trace z, a sum of at most p + 1 series
@@ -31,7 +32,7 @@ is the proof.  The bound is far from reached: every part of the coordinates
 of the three named catalogue points and of the point above reads within
 10^-(digits+8.5) max(1, |part|) of the exact value, before the rounding,
 at 15 to 200 digits (the point above from 60 digits: below 54, its y lies
-beyond trace_point's height bound digits // 3).
+beyond the height max_height(digits)).
 
 Values in an imaginary quadratic field Q(sqrt(d)), d < 0, split into a
 rational real part and a rational multiple of sqrt(d), each read as above;
@@ -55,28 +56,32 @@ class AlgebraicNumber(namedtuple("AlgebraicNumber", "nu mu den field_disc")):
     __slots__ = ()
 
 
-def recognize_rational(x, digits: int, height_bound: int) -> Fraction | None:
-    """x as a fraction a/b, |a| and b below 10^height_bound, within
+def max_height(digits: int) -> int:
+    """The decimal height h of every read at `digits` (module docstring)."""
+    return max(4, digits // 3)
+
+
+def recognize_rational(x, digits: int) -> Fraction | None:
+    """x as a fraction a/b, |a| and b below 10^max_height(digits), within
     10^-(digits - 5) max(1, |x|) of x rounded to `digits` (module docstring)."""
     with mp.workdps(digits):
         x = Fraction(*mp.libmp.to_rational(mp.mpf(x)._mpf_))
-    frac = x.limit_denominator(10 ** height_bound)
-    if (abs(frac.numerator) < 10 ** height_bound
-            and abs(x - frac) * 10 ** digits < 10 ** 5 * max(1, abs(x))):
+    bound = 10 ** max_height(digits)
+    frac = x.limit_denominator(bound)
+    if abs(frac.numerator) < bound and abs(x - frac) * 10 ** digits < 10 ** 5 * max(1, abs(x)):
         return frac
     return None
 
 
-def recognize_in_quadratic(x, field_disc: int, digits: int,
-                           height_bound: int) -> AlgebraicNumber | None:
+def recognize_in_quadratic(x, field_disc: int, digits: int) -> AlgebraicNumber | None:
     """x as an element of Q(sqrt(field_disc)), field_disc < 0, each part read
     by recognize_rational."""
     if field_disc >= 0:
         raise InputError("only imaginary quadratic fields are handled")
     with mp.workdps(digits):
         x = mp.mpc(x)
-        re = recognize_rational(x.real, digits, height_bound)
-        im = recognize_rational(x.imag / mp.sqrt(mp.mpf(-field_disc)), digits, height_bound)
+        re = recognize_rational(x.real, digits)
+        im = recognize_rational(x.imag / mp.sqrt(mp.mpf(-field_disc)), digits)
     if re is None or im is None:
         return None
     den = lcm(re.denominator, im.denominator)

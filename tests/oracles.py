@@ -109,7 +109,7 @@ import sympy
 from sympy.ntheory import sqrt_mod
 
 from cmtrace.curves import Curve, CurveModel, an_coefficients
-from cmtrace.embeddings import EmbeddingData, EmbeddingError, FiberStructureError, inverse_table
+from cmtrace.embeddings import EmbeddingData, FiberStructureError, inverse_table
 from cmtrace.errors import InputError
 from cmtrace.fp import QuadOrder, _xgcd, check_fundamental, isprime, kronecker, smallest_nonsquare
 from cmtrace.heegner import NoHeegnerPoint, gamma0_reduce
@@ -420,7 +420,7 @@ def decompose_gamma(emb: EmbeddingData, r_bar) -> GammaDecomposition:
     """
     p = emb.p
     if not in_cartan_group(p, r_bar, "ns"):
-        raise EmbeddingError("matrix is not in the non-split Cartan group")
+        raise InputError("matrix is not in the non-split Cartan group")
     want = pow(mat_det(p, r_bar), -1, p)
     m = next(x for x in cartan_intersection_ns_s(p) if mat_det(p, x) == want)
     gamma_i = mat_mul(p, r_bar, m)
@@ -1206,7 +1206,9 @@ def proj_inverse(params, u) -> tuple[int, int]:
 def recognize_algebraic(x, field_disc: int | None, degree_bound: int,
                         height_bound: int, digits: int) -> AlgebraicNumber | tuple | None:
     """Exact value of x: rational, quadratic over Q(sqrt(field_disc)), or an
-    integer minimal polynomial of degree <= degree_bound found by PSLQ.
+    integer minimal polynomial of degree <= degree_bound found by PSLQ.  The
+    rational and quadratic reads take recognize's height at `digits`;
+    height_bound bounds the PSLQ coefficients.
 
     Returns an AlgebraicNumber, a coefficient tuple (leading first), or None.
     """
@@ -1216,11 +1218,11 @@ def recognize_algebraic(x, field_disc: int | None, degree_bound: int,
         x = mp.mpc(x)
         tol = mp.mpf(10) ** (-digits / 2)
         if abs(x.imag) < tol:
-            frac = recognize_rational(x.real, digits, height_bound)
+            frac = recognize_rational(x.real, digits)
             if frac is not None:
                 return AlgebraicNumber(frac.numerator, 0, frac.denominator, None)
         if field_disc is not None:
-            quad = recognize_in_quadratic(x, field_disc, digits, height_bound)
+            quad = recognize_in_quadratic(x, field_disc, digits)
             if quad is not None:
                 return quad
         # Generic integer relation on powers of x (real values only).
@@ -1250,9 +1252,9 @@ def minpoly(num: AlgebraicNumber) -> tuple[int, ...]:
     return (c2 // g, c1 // g, c0 // g)
 
 
-def root_number(model: CurveModel, digits: int = 40) -> int:
+def root_number(model: CurveModel) -> int:
     """Sign of the functional equation, -1 times the Fricke eigenvalue."""
-    return -atkin_lehner_sign(model.minimal, model.n, model.n, digits)
+    return -atkin_lehner_sign(model.minimal, model.n, model.n)
 
 
 def reduced_basis(lat: PeriodLattice) -> tuple:

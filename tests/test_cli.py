@@ -17,7 +17,7 @@ from cmtrace.embeddings import FiberStructureError
 from cmtrace.errors import AlConstantError, CmtraceError, FiberPairingError, InputError
 from cmtrace.experiments import trace_point
 from cmtrace.finite import ExperimentSpec
-from cmtrace.periods import PrecisionError
+from cmtrace.fp import HypothesisError
 
 
 def test_finite_check(capsys, tmp_path):
@@ -59,10 +59,10 @@ def test_heegner_rejects_non_fundamental_dk(capsys):
 
 
 def test_sign(capsys):
-    code = main(["sign", "--curve", "1,-1,0,-2,-1", "--q", "49", "--digits", "30"])
+    code = main(["sign", "--curve", "1,-1,0,-2,-1", "--q", "49"])
     assert code == 0
     assert "w_49 = -1" in capsys.readouterr().out
-    code = main(["sign", "--curve", "0,0,0,0,1", "--q", "9", "--digits", "30"])
+    code = main(["sign", "--curve", "0,0,0,0,1", "--q", "9"])
     assert code == 0                       # additive at 3: the numerical route
     assert "w_9 = +1" in capsys.readouterr().out
 
@@ -73,7 +73,7 @@ def test_sign(capsys):
 ])
 def test_sign_of_a_curve_without_a_square_level(capsys, curve, q, line):
     # no odd p with p^2 || N: sign reads only the minimal model and N
-    code = main(["sign", "--curve", curve, "--q", q, "--digits", "30"])
+    code = main(["sign", "--curve", curve, "--q", q])
     assert code == 0
     assert line in capsys.readouterr().out
 
@@ -205,15 +205,22 @@ def _no_work(*args, **kwargs):
 @pytest.mark.parametrize("argv,bound", [
     (["trace", "--digits", "0"], "between 1 and 200"),
     (["trace", "--digits", "250"], "between 1 and 200"),
-    (["sign", "--digits", "0"], "between 1 and 200"),
+    (["trace", "--digits", "-1"], "between 1 and 200"),
 ])
 def test_bad_precision_and_torsion_bound_rejected(monkeypatch, capsys, argv, bound):
     monkeypatch.setattr("cmtrace.experiments.atkin_lehner_sign", _no_work)
-    monkeypatch.setattr("cmtrace.modparam.atkin_lehner_sign", _no_work)
-    extra = ["--q", "49"] if argv[0] == "sign" else ["--dk", "-11"]
-    code = main([argv[0], "--curve", "1,-1,0,-2,-1", *extra, *argv[1:]])
+    code = main([argv[0], "--curve", "1,-1,0,-2,-1", "--dk", "-11", *argv[1:]])
     assert code == 1                  # an uncaught error would fail the test instead
     assert bound in capsys.readouterr().err
+
+
+def test_sign_has_no_digits_option(monkeypatch, capsys):
+    # a sign is read at modparam.LAMBDA_DIGITS, so no caller sets a precision
+    monkeypatch.setattr("cmtrace.modparam.atkin_lehner_sign", _no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["sign", "--curve", "1,-1,0,-2,-1", "--q", "49", "--digits", "30"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --digits 30" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("digits", ["1", "3", "8", "14"])
@@ -232,13 +239,13 @@ def test_series_budget_error_exits_1(capsys):
 
 
 def test_precision_error_exits_1(monkeypatch, capsys):
-    def capped(*args, **kwargs):
-        raise PrecisionError("precision capped at 200 digits")
-
-    monkeypatch.setattr("cmtrace.experiments.period_lattice", capped)
+    # the period lattice checks its precision with the spec's own check
+    lattice = experiments.period_lattice
+    monkeypatch.setattr("cmtrace.experiments.period_lattice",
+                        lambda curve, digits: lattice(curve, 250))
     code = main(["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--digits", "20"])
     assert code == 1
-    assert "error: precision capped" in capsys.readouterr().err
+    assert "error: digits must be between 1 and 200, got 250" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n,c", [("0", "7"), ("-49", "7"), ("49", "0"), ("49", "-7")])
@@ -519,7 +526,8 @@ def test_every_package_error_class_has_an_exit_code():
         importlib.import_module(f"cmtrace.{info.name}")
     classes = {cls for cls in _subclasses(CmtraceError) if cls.__module__.startswith("cmtrace.")}
     failed_checks = {FiberStructureError, AlConstantError, FiberPairingError}
-    assert failed_checks | {InputError, PrecisionError} <= classes
+    assert failed_checks | {InputError, HypothesisError} <= classes
+    assert not {"EmbeddingError", "PrecisionError"} & {cls.__name__ for cls in classes}
     for cls in classes:
         code = next(EXIT_CODES[c] for c in cls.__mro__ if c in EXIT_CODES)
         assert code == (3 if cls in failed_checks else 1), cls

@@ -6,14 +6,13 @@ import pytest
 from sympy import primerange
 
 from cmtrace import embeddings, fp
-from cmtrace.embeddings import (EmbeddingData, EmbeddingError, FiberStructureError,
-                                build_embedding, find_common_norm_element, inverse_table,
-                                lemma_converse_check, signo_pairing_check, two_to_one_check,
-                                verify_optimal)
+from cmtrace.embeddings import (EmbeddingData, FiberStructureError, build_embedding,
+                                find_common_norm_element, inverse_table, lemma_converse_check,
+                                signo_pairing_check, two_to_one_check, verify_optimal)
 from cmtrace.errors import InputError
 from cmtrace.finite import ExperimentSpec, experiment_finite
-from cmtrace.fp import (index_ns_plus, is_fundamental_discriminant, kronecker, order_data,
-                        smallest_nonsquare)
+from cmtrace.fp import (HypothesisError, index_ns_plus, is_fundamental_discriminant, kronecker,
+                        order_data, smallest_nonsquare)
 from cmtrace.quadforms import kernel_classes
 from oracles import (IDENTITY, coset_label, decompose_gamma, enumerate_cartan, galois_matrix,
                      in_cartan_group, involution_class, mat, mat_det, mat_inv, mat_mul,
@@ -91,7 +90,7 @@ def test_experiment_finite_tests_p_once(monkeypatch, p, dK, f):
     from cmtrace import finite
     tested, test = [], fp.isprime.__wrapped__
     counting = lru_cache(maxsize=1024)(lambda n: tested.append(n) or test(n))
-    for module in (fp, finite, embeddings):
+    for module in (fp, finite):
         monkeypatch.setattr(module, "isprime", counting)
     assert experiment_finite(spec).all_passed
     assert tested.count(p) == 1
@@ -121,18 +120,18 @@ def test_raw_input_keeps_its_checks_and_meets_the_validated_path():
 
 
 def test_build_embedding_rejects_split_prime():
-    with pytest.raises(EmbeddingError):
+    with pytest.raises(HypothesisError, match="^p = 11 is not inert in Q\\(sqrt\\(-7\\)\\)$"):
         build_embedding(11, order_data(-7, 1))     # -7 is a square mod 11
 
 
 def test_build_embedding_names_p_dividing_the_conductor():
-    # -7 is inert at 5, and f = 5 makes the discriminant 0 mod 5, not a
-    # nonzero square: the error names p | f, not inertness
-    with pytest.raises(EmbeddingError, match="p = 5 divides the conductor f = 5"):
+    # -7 is inert at 5, and f = 5 makes the discriminant 0 mod 5: the error
+    # names p | f, which fp.check_hypotheses tests before inertness
+    with pytest.raises(HypothesisError, match="p = 5 divides the conductor f = 5"):
         build_embedding(5, order_data(-7, 5))
-    with pytest.raises(EmbeddingError, match="p = 5 divides the conductor f = 10"):
+    with pytest.raises(HypothesisError, match="p = 5 divides the conductor f = 10"):
         build_embedding(5, order_data(-7, 10))
-    with pytest.raises(EmbeddingError, match="not inert"):
+    with pytest.raises(HypothesisError, match="not inert"):
         build_embedding(11, order_data(-7, 5))     # f prime to 11, -7 split
 
 
@@ -252,7 +251,7 @@ def test_decompose_exhaustive_small_primes():
 
 def test_decompose_rejects_non_cartan():
     emb = build_embedding(5, order_data(-7, 1))
-    with pytest.raises(EmbeddingError):
+    with pytest.raises(InputError, match="not in the non-split Cartan group"):
         decompose_gamma(emb, (1, 1, 0, 1))
 
 

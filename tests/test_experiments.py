@@ -11,8 +11,8 @@ from cmtrace.curves import an_coefficients, curve_model
 from cmtrace.errors import InputError
 from cmtrace.experiments import (CLASS_NUMBER_ONE, fiber_pairs, orbit_options, orbit_trace,
                                  trace_point)
-from cmtrace.finite import TRACE_MIN_DIGITS, ExperimentSpec, HypothesisError, experiment_finite
-from cmtrace.fp import is_fundamental_discriminant, order_data
+from cmtrace.finite import TRACE_MIN_DIGITS, ExperimentSpec, experiment_finite
+from cmtrace.fp import HypothesisError, is_fundamental_discriminant, order_data
 from cmtrace.heegner import galois_orbit, heegner_form
 from cmtrace.modparam import (LAMBDA_DIGITS, SeriesBudgetError, al_constant_points,
                               atkin_lehner_sign, eval_phi, im_tau, phi_terms)
@@ -31,7 +31,7 @@ def _trace(model, orbit, kernel, shadow, digits):
     periods, evaluation."""
     pairs = fiber_pairs(model, orbit, kernel, shadow)
     moves = orbit_options(model, orbit, digits)
-    wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, digits)
+    wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2)
     return orbit_trace(model, orbit, kernel, pairs, moves, wp,
                        period_lattice(model.minimal, digits))
 
@@ -86,9 +86,9 @@ def test_spec_rejects_a_curve_that_is_no_curve_model(curve, name):
 
 def test_spec_rejects_p_dividing_the_conductor_at_entry():
     spec = ExperimentSpec(dK=-7, f=5, p=5, mode="finite_only")
-    with pytest.raises(HypothesisError, match="^p must not divide the conductor$"):
+    with pytest.raises(HypothesisError, match="^p = 5 divides the conductor f = 5$"):
         spec.validate()
-    with pytest.raises(HypothesisError, match="^p must not divide the conductor$"):
+    with pytest.raises(HypothesisError, match="^p = 5 divides the conductor f = 5$"):
         experiment_finite(spec)
 
 
@@ -577,7 +577,7 @@ def test_orbit_trace_equals_kernel_order_evaluation(monkeypatch):
     for model, dK in [(M121, -67), (M49, -11), (M50B, -7)]:
         shadow, kernel, orbit = _orbit(model, dK)
         monkeypatch.setattr(curves, "_an_cache", {})
-        wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, digits)
+        wp = atkin_lehner_sign(model.minimal, model.n, model.p ** 2)
         lat = period_lattice(model.minimal, digits)
         moves = orbit_options(model, orbit, digits)
         entries, trace_z, n_max, constants, _ = orbit_trace(

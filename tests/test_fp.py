@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 import sympy
@@ -7,10 +8,15 @@ from hypothesis import strategies as st
 from sympy import primerange
 from sympy.ntheory import sqrt_mod
 
-from cmtrace.embeddings import build_embedding
+from cmtrace.curves import curve_model
+from cmtrace.embeddings import (EmbeddingData, build_embedding, find_common_norm_element,
+                                two_to_one_check)
 from cmtrace.errors import InputError
-from cmtrace.fp import (MR_BOUND, TRIAL_BOUND, ArithmeticBoundError, factorint, index_ns_plus,
-                        isprime, kronecker, order_data, smallest_nonsquare, sqrt_mod_p)
+from cmtrace.finite import ExperimentSpec
+from cmtrace.fp import (MR_BOUND, TRIAL_BOUND, ArithmeticBoundError, HypothesisError, factorint,
+                        index_ns_plus, isprime, kronecker, order_data, smallest_nonsquare,
+                        sqrt_mod_p)
+from cmtrace.quadforms import kernel_classes
 from oracles import (CARTAN_KINDS, IDENTITY, EnumerationBoundError, cartan_intersection_ns_s,
                      enumerate_cartan, in_cartan_group, index_ns_plus_by_enumeration,
                      lift_to_integral_sl2, mat, mat_det, mat_inv, mat_mul, sl2_elements)
@@ -24,6 +30,37 @@ def test_params_validation():
         build_embedding(9, order_data(-7, 1))
     with pytest.raises(InputError, match="odd prime"):
         build_embedding(2, order_data(-7, 1))
+
+
+# (p, dK, f, message): a split p, a p dividing f, and three p that are no odd prime
+HYPOTHESIS_CASES = [
+    (7, -19, 1, "p = 7 is not inert in Q(sqrt(-19))"),
+    (5, -7, 5, "p = 5 divides the conductor f = 5"),
+    (2, -7, 1, "p must be an odd prime, got 2"),
+    (9, -7, 1, "p must be an odd prime, got 9"),
+    (-5, -7, 1, "p must be an odd prime, got -5"),
+]
+# each entry point that takes p, as a call at (p, order); the last two see p
+# alone, so only the odd-prime cases reach them
+ENTRY_POINTS = {
+    "validate": lambda p, order: ExperimentSpec(dK=order.dK, f=order.f, p=p,
+                                                mode="finite_only").validate(),
+    "build_embedding": lambda p, order: build_embedding(p, order),
+    "two_to_one_check": lambda p, order: two_to_one_check(
+        EmbeddingData(p=p, eps=2, order=order, iota_omega=(0, 1, 2, 0))),
+    "kernel_classes": lambda p, order: kernel_classes(order, p),
+    "find_common_norm_element": lambda p, order: find_common_norm_element(p, 2),
+    "curve_model": lambda p, order: curve_model((1, -1, 0, -2, -1), p=p),
+}
+
+
+@pytest.mark.parametrize("entry,p,dK,f,message", [
+    (entry, *case) for case in HYPOTHESIS_CASES for entry in ENTRY_POINTS
+    if case[0] in (2, 9, -5) or entry not in ("find_common_norm_element", "curve_model")])
+def test_every_entry_point_checks_the_hypotheses_alike(entry, p, dK, f, message):
+    # one check (fp.check_hypotheses), so one class and one message per case
+    with pytest.raises(HypothesisError, match=f"^{re.escape(message)}$"):
+        ENTRY_POINTS[entry](p, order_data(dK, f))
 
 
 def test_matrix_basics():

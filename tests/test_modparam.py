@@ -113,7 +113,7 @@ def test_phi_gamma0_invariance(ai):
 def test_fricke_functional_equation_pointwise():
     # f(-1/(N tau)) = w * N tau^2 f(tau), a hard identity for the series
     model = curve_model((1, -1, 0, -2, -1))
-    w = atkin_lehner_sign(model.minimal, model.n, 49, 50)
+    w = atkin_lehner_sign(model.minimal, model.n, 49)
     with mp.workdps(65):
         for tau in [mp.mpc("0.07", "0.21"), mp.mpc("-0.13", "0.17")]:
             lhs = eval_newform(model, -1 / (49 * tau), 50)
@@ -124,19 +124,31 @@ def test_fricke_functional_equation_pointwise():
 def test_atkin_lehner_signs_and_root_numbers():
     m49 = curve_model((1, -1, 0, -2, -1))
     m121 = curve_model((0, -1, 1, -7, 10))
-    w49 = atkin_lehner_sign(m49.minimal, m49.n, 49, 40)
-    w121 = atkin_lehner_sign(m121.minimal, m121.n, 121, 40)
+    w49 = atkin_lehner_sign(m49.minimal, m49.n, 49)
+    w121 = atkin_lehner_sign(m121.minimal, m121.n, 121)
     assert w49 == -1                        # rank 0: root number +1
     assert w121 == 1                        # rank 1: root number -1
     assert w49 * w49 == 1 and w121 * w121 == 1
-    assert root_number(m49, 40) == 1
-    assert root_number(m121, 40) == -1
+    assert root_number(m49) == 1
+    assert root_number(m121) == -1
 
 
 def test_sign_reproducible_across_precisions():
-    m49 = curve_model((1, -1, 0, -2, -1))
-    cur, n = m49.minimal, m49.n
-    assert atkin_lehner_sign(cur, n, 49, 30) == atkin_lehner_sign(cur, n, 49, 80)
+    # the sign is read at LAMBDA_DIGITS only (numerically for 36a1's W_9,
+    # additive at 3); the ratio f(W_Q tau) Q / ((N c tau + Q d)^2 f(tau)) at a
+    # point of the W_Q-stable circle has that sign at 30 and at 80 digits
+    for ainvs, q_div in [((1, -1, 0, -2, -1), 49), ((0, 0, 0, 0, 1), 9)]:
+        model = curve_model(ainvs)
+        cur, n = model.minimal, model.n
+        w = atkin_lehner_sign(cur, n, q_div)
+        a, b, c, d = al_matrix(n, q_div)
+        for digits in (30, 80):
+            with mp.workdps(digits + GUARD):
+                tau = (mp.sqrt(q_div) * mp.exp(1j * mp.pi / 2) - d) / c
+                image = (a * tau + b) / (c * tau + d)
+                ratio = (q_div * eval_newform(cur, image, digits)
+                         / ((c * tau + d) ** 2 * eval_newform(cur, tau, digits)))
+                assert abs(ratio - w) < mp.mpf(10) ** -(digits // 2), (ainvs, digits)
 
 
 def test_al_matrix_shapes():
@@ -210,16 +222,16 @@ def test_sign_convention_five_validation_curves():
     ]
     for ai, expected_w, witness in cases:
         model = curve_model(ai)
-        assert atkin_lehner_sign(model.minimal, model.n, model.n, 30) == expected_w, ai
+        assert atkin_lehner_sign(model.minimal, model.n, model.n) == expected_w, ai
         if witness is not None:
             assert _nontorsion_witness(ai, witness)
 
 
 def test_sign_multiplicativity_on_composite_level():
     m36 = curve_model((0, 0, 0, 0, 1))
-    w9 = atkin_lehner_sign(m36.minimal, m36.n, 9, 40)
-    w4 = atkin_lehner_sign(m36.minimal, m36.n, 4, 40)
-    w36 = atkin_lehner_sign(m36.minimal, m36.n, 36, 40)
+    w9 = atkin_lehner_sign(m36.minimal, m36.n, 9)
+    w4 = atkin_lehner_sign(m36.minimal, m36.n, 4)
+    w36 = atkin_lehner_sign(m36.minimal, m36.n, 36)
     assert (w9, w4, w36) == (1, -1, -1)
     assert w36 == w9 * w4
 
@@ -404,7 +416,7 @@ def test_local_sign_matches_numerical_route_potentially_good(ai, d, p, v):
     model = curve_model(cur.ainvs, p=p)
     assert _local_sign(cur, p) is not None
     mini, n = model.minimal, model.n
-    assert atkin_lehner_sign(mini, n, p * p, 20) == _numerical_sign(mini, n, p * p, 20)
+    assert atkin_lehner_sign(mini, n, p * p) == _numerical_sign(mini, n, p * p)
 
 
 @pytest.mark.parametrize("ai,n", POT_MULT_CASES)
@@ -415,7 +427,7 @@ def test_local_sign_potentially_multiplicative(ai, n):
     assert (local.v_disc, local.reduction) == (6 + n, "additive")
     assert 3 * _valuation(cur.c4, 5) < local.v_disc
     level = curve_model(ai, p=5).n
-    assert atkin_lehner_sign(cur, level, 25, 20) == _numerical_sign(cur, level, 25, 20) == 1
+    assert atkin_lehner_sign(cur, level, 25) == _numerical_sign(cur, level, 25) == 1
 
 
 @pytest.mark.parametrize("ai,q", [
@@ -428,11 +440,11 @@ def test_multiplicative_sign_is_minus_a_q(ai, q):
     cur, n = model.minimal, model.n
     a_q = an_coefficients(cur, q)[q]
     assert tate_local(cur, q).reduction in ("split", "nonsplit")
-    assert atkin_lehner_sign(cur, n, q, 20) == -a_q == _numerical_sign(cur, n, q, 20)
+    assert atkin_lehner_sign(cur, n, q) == -a_q == _numerical_sign(cur, n, q)
     # composite Q = N: the local sign at q times the numerical one of the rest
-    w_n = _numerical_sign(cur, n, n, 20)
-    assert atkin_lehner_sign(cur, n, q, 20) * _numerical_sign(cur, n, n // q, 20) == w_n
-    assert atkin_lehner_sign(cur, n, n, 20) == w_n
+    w_n = _numerical_sign(cur, n, n)
+    assert atkin_lehner_sign(cur, n, q) * _numerical_sign(cur, n, n // q) == w_n
+    assert atkin_lehner_sign(cur, n, n) == w_n
 
 
 def test_numerical_route_only_where_a_prime_has_no_closed_form(monkeypatch):
@@ -440,17 +452,17 @@ def test_numerical_route_only_where_a_prime_has_no_closed_form(monkeypatch):
     calls = []
     numerical = modparam._numerical_sign
 
-    def counting(cur, n_level, q_div, digits):
+    def counting(cur, n_level, q_div):
         calls.append((n_level, q_div))
-        return numerical(cur, n_level, q_div, digits)
+        return numerical(cur, n_level, q_div)
 
     monkeypatch.setattr(modparam, "_numerical_sign", counting)
     for ai in ((1, -1, 0, -2, -1), (0, -1, 1, -7, 10), (1, 0, 1, -1, -2), (1, 1, 1, -3, 1)):
         model = curve_model(ai)
-        atkin_lehner_sign(model.minimal, model.n, model.p ** 2, 30)
-        atkin_lehner_sign(model.minimal, model.n, model.n, 30)
+        atkin_lehner_sign(model.minimal, model.n, model.p ** 2)
+        atkin_lehner_sign(model.minimal, model.n, model.n)
     assert calls == []
     m36, m99 = curve_model((0, 0, 0, 0, 1)), curve_model((1, -1, 1, -2, 0))
-    assert atkin_lehner_sign(m36.minimal, m36.n, 9, 30) == 1            # additive at 3
-    assert atkin_lehner_sign(m99.minimal, 99, 99, 30) == 1     # 3 additive, 11 multiplicative
+    assert atkin_lehner_sign(m36.minimal, m36.n, 9) == 1            # additive at 3
+    assert atkin_lehner_sign(m99.minimal, 99, 99) == 1     # 3 additive, 11 multiplicative
     assert calls == [(36, 9), (99, 99)]

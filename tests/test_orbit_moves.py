@@ -97,7 +97,7 @@ def _constant(label: str, q_div: int, digits: int):
 def _wp(label: str) -> int:
     if label not in _WP:
         model = MODELS[label]
-        _WP[label] = atkin_lehner_sign(model.minimal, model.n, model.p ** 2, 30)
+        _WP[label] = atkin_lehner_sign(model.minimal, model.n, model.p ** 2)
     return _WP[label]
 
 
@@ -200,7 +200,7 @@ def test_usable_involutions_have_signs_from_local_data_or_wp():
     assert {label: _wp(label) for label in W9_CURVES} == W9_CURVES
     for label, model in MODELS.items():
         for q_div, w in _signs(label):
-            assert w == atkin_lehner_sign(model.minimal, model.n, q_div, 30)
+            assert w == atkin_lehner_sign(model.minimal, model.n, q_div)
 
 
 @pytest.mark.parametrize("label,dK,f", [("49a1", -11, 1), ("50b1", -7, 3), ("36a1", -7, 1)])

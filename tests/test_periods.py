@@ -11,9 +11,8 @@ from cmtrace import experiments, modparam, periods
 from cmtrace.curves import Curve
 from cmtrace.errors import InputError
 from cmtrace.periods import (GUARD, LAMBDA_BUDGET, TORSION_BOUND, Cut, PeriodLattice,
-                             PrecisionError, _nearest_multiples, _wp_pair, elliptic_exp,
-                             is_torsion, locate, period_lattice, read_vector, torsion_residual,
-                             two_torsion_roots)
+                             _nearest_multiples, _wp_pair, elliptic_exp, is_torsion, locate,
+                             period_lattice, read_vector, torsion_residual, two_torsion_roots)
 from oracles import (equation_residual, lattice_coords, lattice_distance,
                      lattice_distance_by_search, lattice_reduce, lattice_reduce_descent,
                      nearest_multiples_expanded, nearest_vector, reduced_basis,
@@ -73,8 +72,11 @@ def test_doubling_digits_stability():
 
 
 def test_precision_cap():
-    with pytest.raises(PrecisionError):
+    # the lattice checks its precision as every run does (finite.check_digits)
+    with pytest.raises(InputError, match="^digits must be between 1 and 200, got 300$"):
         period_lattice(Curve(0, 0, 0, -1, 0), 300)
+    with pytest.raises(InputError, match="^digits must be between 1 and 200, got 0$"):
+        period_lattice(Curve(0, 0, 0, -1, 0), 0)
 
 
 @pytest.mark.parametrize("ai", [(0, 0, 0, -1, 0), (1, -1, 0, -2, -1), (0, -1, 1, -7, 10)])
@@ -493,7 +495,7 @@ def test_period_lattice_is_computed_once_per_curve_and_digits():
     other = period_lattice(cur, 41)
     assert other is not lat and other.digits == 41
     assert period_lattice(cur, 41) is other
-    with pytest.raises(PrecisionError):
+    with pytest.raises(InputError, match="between 1 and 200"):
         period_lattice(cur, 201)
 
 

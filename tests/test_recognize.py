@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from cmtrace.recognize import (AlgebraicNumber, curve_equation_holds_exactly,
+from cmtrace.recognize import (AlgebraicNumber, curve_equation_holds_exactly, max_height,
                                recognize_in_quadratic, recognize_rational)
 from oracles import minpoly, recognize_algebraic
 
@@ -10,13 +10,13 @@ from oracles import minpoly, recognize_algebraic
 def test_recognize_rational():
     with mp.workdps(70):
         x = mp.mpf(1) / 3
-        assert recognize_rational(x, 60, 10) == Fraction(1, 3)
-        assert recognize_rational(mp.mpf("-22") / 7, 60, 10) == Fraction(-22, 7)
-        assert recognize_rational(mp.mpf(0), 60, 10) == Fraction(0)
+        assert recognize_rational(x, 60) == Fraction(1, 3)
+        assert recognize_rational(mp.mpf("-22") / 7, 60) == Fraction(-22, 7)
+        assert recognize_rational(mp.mpf(0), 60) == Fraction(0)
         # below the tolerance 10^-(digits-5) a value reads 0, above it nothing
-        assert recognize_rational(-mp.mpf(10) ** -58, 60, 20) == Fraction(0)
-        assert recognize_rational(mp.mpf(10) ** -40, 60, 20) is None
-        assert recognize_rational(mp.pi, 60, 6) is None
+        assert recognize_rational(-mp.mpf(10) ** -58, 60) == Fraction(0)
+        assert recognize_rational(mp.mpf(10) ** -40, 60) is None
+        assert recognize_rational(mp.pi, 60) is None
 
 
 def test_recognize_rational_at_a_large_relation():
@@ -26,22 +26,22 @@ def test_recognize_rational_at_a_large_relation():
     exact = Fraction(217648630369, 72182016)
     with mp.workdps(110):
         x = mp.mpf(exact.numerator) / exact.denominator
-        assert recognize_rational(x, 100, 33) == exact
-        assert recognize_rational(-x, 100, 33) == -exact
+        assert max_height(100) == 33
+        assert recognize_rational(x, 100) == exact
+        assert recognize_rational(-x, 100) == -exact
 
 
 def test_recognize_rational_refuses_a_perturbed_value():
-    # at trace_point's height bound; the larger x only where it is in bound
+    # at the height recognize fixes; the larger x only where it is in bound
     for digits in (15, 60, 100):
-        hb = max(4, digits // 3)
         with mp.workdps(digits + 10):
             for exact in (Fraction(1, 3), Fraction(217648630369, 72182016)):
                 x = mp.mpf(exact.numerator) / exact.denominator
-                if exact.numerator < 10 ** hb:
-                    assert recognize_rational(x, digits, hb) == exact
+                if exact.numerator < 10 ** max_height(digits):
+                    assert recognize_rational(x, digits) == exact
                 eps = mp.mpf(10) ** (-(digits // 2)) * max(1, abs(x))
-                assert recognize_rational(x + eps, digits, hb) is None
-                assert recognize_rational(x - eps, digits, hb) is None
+                assert recognize_rational(x + eps, digits) is None
+                assert recognize_rational(x - eps, digits) is None
 
 
 def test_recognize_sqrt_minus_eleven():
@@ -62,7 +62,7 @@ def test_quadratic_roundtrips():
     with mp.workdps(80):
         for nu, mu, den, d in [(3, -2, 7, -67), (-5, 1, 3, -11), (0, 4, 9, -7)]:
             val = (nu + mu * mp.sqrt(mp.mpc(d))) / den
-            got = recognize_in_quadratic(val, d, 70, 12)
+            got = recognize_in_quadratic(val, d, 70)
             assert got is not None
             # same value, possibly unreduced representation
             back = (got.nu + got.mu * mp.sqrt(mp.mpc(got.field_disc))) / got.den
