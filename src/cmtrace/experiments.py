@@ -34,20 +34,24 @@ z_j, and z_i when w_p = -1, evaluated at LAMBDA_DIGITS = 5, as every
 lattice vector is read (periods.read_vector; 2520 K_Q too, modparam
 docstring): the nearest lattice vector, accepted only when |v - lam| <
 periods.LAMBDA_BUDGET = 10^-9 < |b1| / 2, b1 the shortest lattice vector.  A
-LAMBDA_DIGITS value errs by less than 10^-10.  The series at the point it is
-given errs by under 10^-15 (tail) plus 1.5 10^-13 (rounding: in hardware
-floats up to modparam.FLOAT_CAP terms, 10^-20 in fixed point above; modparam
-docstring).  The point s, with 0 <= B < 2A so |Re s| < 1, enters the
-evaluator rounded to its P bits, 2^-P < 10^-20, which moves s by at most
-2^-P (1 + y), y = Im s.  With t = 2 pi y, |phi'| = 2 pi |f| <= 2 pi sqrt(3)
-|q| / (1 - |q|)^2 <= 2 pi sqrt(3) / t^2 (|a_n| <= sqrt(3) n), so phi moves
-by at most 2 pi sqrt(3) 2^-P (1 / t^2 + 1 / (2 pi t)).  Every move is
-within the series budget at the trace precision, at least TRACE_MIN_DIGITS
-= 15, so NMAX_CAP >= (15 + 10) ln 10 / t and t >= 5.7 10^-5, which bounds
-that by 3.4 10^-11.  A value at the trace precision errs by less than
-10^-(digits+5) the same way, and K_{p^2}, w_Q and each K_Q of a move are
-exact, so v is within 2.1 10^-10 of the true lam*, and the read returns
-lam* (periods docstring).
+LAMBDA_DIGITS value errs by less than VALUE_ALLOWANCE = 10^-10: in doubles
+by its allowance (modparam docstring); in fixed point by under 10^-15
+(tail) plus 10^-20, and the point s (0 <= B < 2A, so |Re s| < 1), taken at
+P bits, 2^-P < 10^-20, moves by at most 2^(1-P) (1 + y), y = Im s.  With t
+= 2 pi y, |phi'| = 2 pi |f| <= 2 pi sqrt(3) |q| / (1 - |q|)^2 <= 2 pi
+sqrt(3) / t^2 (|a_n| <= sqrt(3) n), so phi moves by at most 4 pi sqrt(3)
+2^-P (1 / t^2 + 1 / (2 pi t)).  Every move is within the series budget at
+the trace precision, at least TRACE_MIN_DIGITS = 15, so NMAX_CAP >= (15 +
+10) ln 10 / t and t >= 5.7 10^-5, which bounds that by 6.8 10^-11.  A
+value at the trace precision errs by less than 10^-(digits+5), and
+K_{p^2}, w_Q and each K_Q of a move are exact.  The read is made in
+doubles: each value, K_Q and trace-precision value it takes is a complex
+(the last two rounded once), and each subtraction rounds once: at most
+eight roundings by u = 2^-53 relatively, of sizes summing to at most 7 Z +
+11 K, Z = sqrt(3) / t >= |phi(s)| (Z < 3.1 10^4) and K = 2 sqrt(3) / t_K
+>= |K_Q| (K < 1.1 10^5, its points within NMAX_CAP at LAMBDA_DIGITS):
+under 1.6 10^-10.  So v is within 3.6 10^-10 of the true lam*, the read
+returns lam*, and it cuts v to integers exactly (periods docstring).
 So the fiber sum is exact up to the trace-precision value of z_i, and z_j
 = z_i + K_{p^2} + lam at w_p = +1 is known to the trace precision; at w_p =
 -1 each point's own value is known to LAMBDA_DIGITS, which its entry states.
@@ -69,8 +73,8 @@ z5 the point's value by its translation move at LAMBDA_DIGITS, and Omega is
 read off v against LAMBDA_BUDGET.  The budget above holds unchanged:
 phi(M tau) is known to the trace precision, every K_Q is exact, and the
 translation move is within the series budget at the trace precision, so
-z5 errs by less than 10^-10, as above, and v is within 1.1 10^-10 of
-Omega: the read returns Omega, and one that fails raises
+z5 errs by less than 10^-10, as above, and v, in doubles, is within 3.6
+10^-10 of Omega: the read returns Omega, and one that fails raises
 FiberPairingError.  A point evaluated at LAMBDA_DIGITS keeps its
 translation move, since a read there would cost as much as the series it
 saves.
@@ -91,12 +95,15 @@ from .errors import FiberPairingError, InputError
 from .finite import ExperimentSpec, FiniteReport, experiment_finite
 from .fp import factorint, order_data
 from .heegner import al_move, coset_move, galois_orbit, heegner_form
-from .modparam import (GUARD, LAMBDA_DIGITS, SeriesBudgetError, al_constant, al_constant_points,
-                       atkin_lehner_sign, eval_phi, im_tau, local_sign, phi_terms)
+from .modparam import (GUARD, LAMBDA_DIGITS, FormPoint, SeriesBudgetError, al_constant,
+                       al_constant_points, atkin_lehner_sign, eval_phi, im_tau, local_sign,
+                       phi_terms)
 from .periods import (PeriodLattice, elliptic_exp, is_torsion, locate, period_lattice,
                       read_vector, torsion_residual)
 from .quadforms import kernel_classes, reduce_form
 from .recognize import curve_equation_holds_exactly, recognize_in_quadratic
+
+VALUE_ALLOWANCE = 1e-10     # how far a value lam or Omega is read from may err (module docstring)
 
 # The fundamental discriminants below -4 of class number one (Heegner, Baker
 # and Stark), the CM fields of curves' table but -3 and -4: the fields where a
@@ -107,8 +114,9 @@ CLASS_NUMBER_ONE = frozenset(_CM_FIELDS.values()) - {-3, -4}
 class OrbitEntry(namedtuple("OrbitEntry", "proj form z digits q n_max source")):
     """One orbit point of a trace: its kernel class proj; its form (a, b, c),
     which fixes its point tau (TraceReport.to_json prints tau to min(digits,
-    30) digits); z, an mpc number at the trace's working precision known to
-    `digits` digits (printed to min(`digits`, 30)); q the W_Q the point went
+    30) digits); z, its value known to `digits` digits (printed to
+    min(`digits`, 30)): an mpc at the trace's working precision, a complex
+    of doubles at LAMBDA_DIGITS; q the W_Q the point went
     through (1 for none), n_max the terms of the series its value or lam was
     read from, and source: "series"; "same:i" / "conj:i": entry i's series
     reused; "fiber:i": from fiber mate i by K_{p^2} + lam."""
@@ -174,10 +182,11 @@ def _entry_json(entry: OrbitEntry, digits: int) -> dict:
     a, b, c = entry.form
     with mp.workdps(digits + GUARD):
         tau = mp.mpc(-b, mp.sqrt(4 * a * c - b * b)) / (2 * a)
-    shown = min(entry.digits, 30)
+    shown, z = min(entry.digits, 30), entry.z
+    z = mp.mpc(z) if isinstance(z, complex) else z      # exact: mpmath prints a double as is
     # tau between form and z, the key order of every report's JSON
     return {"proj": entry.proj, "form": entry.form, "tau": mp.nstr(tau, min(digits, 30)),
-            **entry._asdict(), "z": (mp.nstr(entry.z.real, shown), mp.nstr(entry.z.imag, shown))}
+            **entry._asdict(), "z": (mp.nstr(z.real, shown), mp.nstr(z.imag, shown))}
 
 
 def _cstr(z, digits: int) -> dict:
@@ -369,26 +378,36 @@ def orbit_trace(model: CurveModel, orbit, classes, pairs, moves, wp: int, lat: P
                 exact[job] = al_constant(lat, model.n, job, signs[job])
                 continue
             a, b = job
-            z = eval_phi(model, mp.mpc(-b, root) / (2 * a), evaluated[job][1])
-            values[job] = mp.mpc(z.real) if (a, -b % (2 * a)) == job else z
+            real = (a, -b % (2 * a)) == job
+            if evaluated[job][1] == digits:
+                z = eval_phi(model, mp.mpc(-b, root) / (2 * a), digits)
+                values[job] = mp.mpc(z.real) if real else z
+            else:                        # a complex, read only (module docstring)
+                z = complex(eval_phi(model, FormPoint(a, b, disc), LAMBDA_DIGITS, VALUE_ALLOWANCE))
+                values[job] = complex(z.real) if real else z
         consts = {q_div: (i * lat.w1 + j * lat.w2) / n for q_div, (i, j, n) in exact.items()}
+        reads_k = {q_div: complex(k) for q_div, k in consts.items()}
 
         def value(mv, key, conj):
-            z = mp.conj(values[key]) if conj else values[key]
-            return z if mv.q == 1 else signs[mv.q] * (z - consts[mv.q])
+            """The point's value by the move mv: an mpc at the trace precision,
+            a complex against reads_k at LAMBDA_DIGITS."""
+            z = values[key]
+            ks = consts if isinstance(z, mp.mpc) else reads_k
+            z = z.conjugate() if conj else z
+            return z if mv.q == 1 else signs[mv.q] * (z - ks[mv.q])
 
         zs = [value(mv, key, conj) for mv, (key, conj, *_) in zip(used, plans)]
         for i, (key, conj, *_) in zip(reads, read_plans):
-            x, y = read_vector(lat, zs[i] - value(moves[i].low, key, conj), FiberPairingError,
-                               f"orbit point {i}: the {LAMBDA_DIGITS}-digit read of the "
-                               f"period of its W_{moves[i].q} move")
+            x, y = read_vector(lat, complex(zs[i]) - value(moves[i].low, key, conj),
+                               FiberPairingError, f"orbit point {i}: the {LAMBDA_DIGITS}-digit "
+                               f"read of the period of its W_{moves[i].q} move")
             zs[i] -= x * lat.w1 + y * lat.w2                              # Omega
         trace_z = mp.mpc(0)
         for a, b in pairs:               # fixed order of the fibers' first points
             if precs[b] == digits:
                 trace_z += zs[a] + zs[b]
                 continue
-            x, y = read_vector(lat, zs[b] - wp * zs[a] - consts[p2], FiberPairingError,
+            x, y = read_vector(lat, zs[b] - wp * complex(zs[a]) - reads_k[p2], FiberPairingError,
                                f"orbit points {a} and {b}: the {LAMBDA_DIGITS}-digit read of lam")
             shift = consts[p2] + x * lat.w1 + y * lat.w2         # K_{p^2} + lam
             trace_z += (1 + wp) * zs[a] + shift

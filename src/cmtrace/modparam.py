@@ -39,42 +39,50 @@ Atkin-Lehner sign test and its 10^(-digits/2) tolerance; the tests compare
 both weights with the term-by-term mpc sum (tests/oracles.py).  The error
 is absolute, not relative: a value far below 2^-P comes back as noise or 0.
 
-LAMBDA_DIGITS values in doubles.  A series asked for at LAMBDA_DIGITS with
-n_max <= FLOAT_CAP terms is summed in hardware floats, u = 2^-53, by C-level
-iterators: q once, q^1..q^n_max by chained products (itertools.accumulate),
-a_n / n by int division (correctly rounded), and one sum of the products
-taken from n = n_max down; the precision asked for and n_max alone choose
-it.  q comes from mpc_exp at the working precision P >= 70 bits, rounded
-to the nearest double in each part.  For |Re tau| <= 2 (orbit points have
--1 < Re tau <= 0, the K_Q points |Re| < 1, the sign's samples and their W_Q
-images |Re| <= 2) and t = 2 pi Im tau < 745 (beyond, q is 0 in doubles) the
-P-bit value errs by under 2^-59 relatively, so the double is q (1 + d),
-|d| <= 1.02 u.  A complex product errs by at most sqrt(5) u in norm (Brent,
-Percival and Zimmermann, Math. Comp. 76, 2007), so q^n comes out as q^n (1 +
-e_n), |e_n| <= n (1.02 + sqrt 5) u (1 + 2^-40) for n <= FLOAT_CAP.  The
-coefficient and its product with q^n round once more each (u each), and in
-a sum taken from n_max down the n-th term passes through n additions, each
-rounding each part once: n u more in norm (Higham, Accuracy and Stability
-of Numerical Algorithms, 2nd ed., 2002, ch. 4, part by part, and the norm of
-the two part bounds is at most the sum of the norms).  So with kappa = 4.26
-the error is at most u sum_n |c_n| |q|^n (kappa n + 2), c_n = a_n / n^weight.
-With g = |q| / (1 - |q|) = 1 / (e^t - 1), sum |q|^n = g, sum n |q|^n = g (1 +
-g) and sum n^2 |q|^n = g (1 + g) (1 + 2 g), so |a_n / n| <= sqrt 3 bounds the
-parametrisation's error by E1 = sqrt(3) u (kappa g (1 + g) + 2 g), and |a_n|
-<= sqrt(3) n the newform's by E0 = sqrt(3) u (kappa g (1 + g) (1 + 2 g) + 2 g
-(1 + g)); an underflow adds 2^-1074 per operation at most.
+LAMBDA_DIGITS values in doubles.  A value read off the lattice comes with
+its read's allowance, all the error it may carry: LAMBDA_BUDGET / (2
+K_EXPONENT + 1) for K_Q (below), 10^-10 for lam or Omega
+(cmtrace.experiments docstring), tol^2 / 2 for the sign (below).  When the
+tail and the bound E below are under it, the series is summed in doubles, u
+= 2^-53, by the same rectangular splitting: q^1..q^m chained
+(itertools.accumulate), each block sum_i c_n q^i, n = j m + i, i = m down to
+1, c_n = a_n / n^weight by int division, as one C-level sum over its a_n !=
+0, and the blocks by Horner in q^m.  Else the fixed-point evaluator runs.
+At |Re tau| <= 1 the allowances admit 365, 8988 and 45107 (weight 0) terms
+at least.
 
-FLOAT_CAP.  The tightest budget a LAMBDA_DIGITS value feeds is the constant
-read below: 2520 v within LAMBDA_BUDGET = 10^-9 of 2520 K_Q, v a sum of
-values whose weights sum to 2, so each value may err by 1.98 10^-13 in all.
-phi_terms gives n_max <= 500 only when t >= 0.0754, where g <= 12.77 and E1
-<= 1.49 10^-13; with the tail and the rounding of the point, 2520 v is
-within 7.6 10^-10 of 2520 K_Q.  At 577 terms that would be 9.93 10^-10, at
-600 over the budget: FLOAT_CAP = 500 keeps a quarter of it free.  A read of
-lam or Omega allows 10^-10 per value (cmtrace.experiments docstring), and
-the numerical sign a tolerance of 10^(-5/2) on a ratio of values it keeps
-only above it, against which E0 <= 3.9 10^-12 is nothing.  Every other
-series, at any other precision, runs the fixed-point evaluator.
+q from integers (q_double), no libm.  tau enters as doubles x', y', each
+within u relatively (a FormPoint's -B / (2A) and im_tau(D, A) are correctly
+rounded).  In integers scaled by 2^F, F = Q_FRAC = 80, with PI = floor(pi
+2^128) and LN2 = floor(ln 2 2^128): t = 2 pi y' within 2^-F (1 + y'
+2^-47), q = 0 beyond t = 746 (|q| < 2^-1076); t = k ln 2 + r, k <= 1077
+nearest, r within (k + 2) 2^-F, |r| < 0.35; e^-r by Horner on its Taylor
+polynomial of degree 18 (left out: below 2^-85), within 40 2^-F.  x' is
+dyadic: 4 x' = j + f exactly, j an integer, |f| <= 1/2, and e^(2 pi i x')
+= i^j e^(i theta), theta = pi f / 2 within 2^-F; cos and sin of degrees 22
+and 23 (left out: below 2^-87) are within 30 2^-F each.  So e^-r (cos + i
+sin) is within 2^-68 relatively, and each part times 2^-k is one correctly
+rounded int division: q' = q(tau') (1 + d), |d| <= u + 2^-68 < 1.001 u,
+and |q'| too.  A | B gives f = 0 and sin = 0: q' is real.
+
+The error.  q(tau')^n = q^n e^(2 pi i n (tau' - tau)), |2 pi (tau' - tau)|
+<= u sigma, sigma = 2 pi (|Re tau| + Im tau).  The n-th term meets n
+factors 1 + d, n - 1 complex products (i - 1 baby steps and j Horner steps,
+each by q^m, itself m - 1 products), each within sqrt(5) u in norm (Brent,
+Percival and Zimmermann, Math. Comp. 76, 2007), two roundings (coefficient,
+product) and i + j + 1 <= n + 1 additions, each rounding each part once
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+ch. 4, part by part; the norm of the two part bounds is at most the sum of
+the norms).  So it is off by a factor within e^((n kappa + 2) u) - 1 <= (n
+kappa + 2) u / w of 1, kappa = KAPPA + sigma, KAPPA = 4.26 > 1.001 + sqrt
+5 + 1, w = 1 - (n_max kappa + 2) u.  With g = |q| / (1 - |q|) = 1 / (e^t -
+1), t = 2 pi Im tau, sum |q|^n = g, sum n |q|^n = g (1 + g) and sum n^2
+|q|^n = g (1 + g) (1 + 2 g), so |a_n / n| <= sqrt 3 bounds the
+parametrisation's error by E1 = sqrt(3) u (kappa g (1 + g) + 2 g) / w, and
+|a_n| <= sqrt(3) n the newform's by E0 = sqrt(3) u (kappa g (1 + g) (1 + 2
+g) + 2 g (1 + g)) / w; an underflow adds 2^-1074 per operation, nothing.
+float_error takes E in doubles from |q'|, x', y', times 1 + 2^-30 for its
+roundings and the error of g, (1 + g) (t + 2) u < 2^-36 up to NMAX_CAP.
 
 Term counts from integers.  phi_terms reads Im tau as a double, and
 experiments takes it for the point of a form (A, B, C) of discriminant D
@@ -123,14 +131,15 @@ large as it can be for both; when N | a + d, W_Q s0 = s0 + (a + d) / N, so
 K_Q = (1 - w_Q) phi(s0), which is 0 for w_Q = +1 (W_121 on 121b1).  The
 points are exact until then, the integers (c, x) of c phi((x + i sqrt Q) /
 N), x = a or -d, from al_matrix alone (al_constant_points), priced by
-im_tau(-4 Q, N).  Each evaluation errs by less than 10^-15 (tail) plus 1.49
-10^-13 (rounding in doubles up to FLOAT_CAP terms, 10^-20 in fixed point).
-al_constant rounds the points to the 70 bits of 20 digits, |s| < 1.5, and
-|phi'| = 2 pi |f| <= 2 pi sqrt(3) |q| / (1 - |q|)^2 (|a_n| <= sqrt(3) n),
-so each value moves by under 9 10^-17 more while Im s >= 2 10^-3, that is
-N <= 500 sqrt(Q) (every level the tests use).  The weights of the points
-sum to 2, so the value v is within 3.0 10^-13 of K_Q, and 2520 v within 7.6
-10^-10 of 2520 K_Q, below periods.LAMBDA_BUDGET = 10^-9.  So 2520 K_Q is read off
+im_tau(-4 Q, N): the FormPoint (N, -2x, -4Q).  A value errs by less than
+its allowance in doubles, and in fixed point by 10^-15 (tail) plus 10^-20,
+and by the point at the 70 bits of 20 digits (within 2^-69 relatively): |s|
+< 1.5 and |phi'| = 2 pi |f| <= 2 pi sqrt(3) |q| / (1 - |q|)^2 (|a_n| <=
+sqrt(3) n), so under 1.8 10^-16 more while Im s >= 2 10^-3, that is
+N <= 500 sqrt(Q) (every level the tests use).  The weights are 1, -1 or 2,
+of sizes summing to 2, and v is summed exactly at the lattice's precision,
+so 2520 v is within 5040 / 5041 of periods.LAMBDA_BUDGET = 10^-9 of 2520
+K_Q, the rest covering the cut of v.  So 2520 K_Q is read off
 2520 v as every lattice vector is (periods.read_vector): the nearest
 vector, accepted only within LAMBDA_BUDGET < |b1| / 2 of 2520 v.  K_Q = (i
 w1 + j w2) / 2520 exactly, for the integer coordinates (i, j) of that
@@ -156,27 +165,31 @@ Kodaira label.  Additive reduction at 2 or 3 (36a1 at 3, for instance) has
 no such closed form here: when a prime of Q is of that kind, w_Q is read off
 numerically from f(W_Q tau) = w_Q * Q^{-1} (N c tau + Q d)^2 f(tau) at
 sample points on the circle the involution stabilises, at LAMBDA_DIGITS
-(enough for a sign: FLOAT_CAP above).  Both routes read only the minimal
-model and the conductor N, so any curve and any Q || N is accepted, whether
-or not N has the shape p^2 M.  The tests check the closed
+with the allowance tol^2 / 2, tol = 10^(-LAMBDA_DIGITS / 2): there |Q / (N
+c tau + Q d)^2| = 1, so values within E of f(tau) and f(W_Q tau) put the
+ratio within 2 E / |f(tau)| <= tol of w_Q at every sample kept (|f(tau)| >=
+tol), and a wrong sign, 2 - tol away, cannot pass.  Both routes read only
+the minimal model and the conductor N, so any curve and any Q || N is
+accepted, whether or not N has the shape p^2 M.  The tests check the closed
 form against the numerical route.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
-from math import ceil, expm1, gcd, isqrt, log, pi, sqrt
+from math import ceil, expm1, factorial, gcd, isqrt, log, pi, sqrt
 from operator import mul, truediv
 
 import mpmath as mp
-from mpmath.libmp import (mpc_exp, mpc_to_complex, mpf_mul, mpf_neg, mpf_pi, mpf_shift,
-                          round_nearest, to_int)
+from mpmath.libmp import mpc_exp, mpf_mul, mpf_neg, mpf_pi, mpf_shift, round_nearest, to_int
 
 from .curves import Curve, CurveModel, _valuation, an_coefficients, ap_bad, tate_local
 from . import sieve          # with this layer, so a process forked after import never compiles it
 from .errors import AlConstantError, CmtraceError, InputError
 from .fp import factorint, kronecker
+from . import periods
 from .periods import PeriodLattice, read_vector
 # after periods: imported before it, heegner put finite-wide-p's peak RSS 0.15 MB higher
 from .heegner import al_matrix
@@ -186,9 +199,18 @@ FIXED_GUARD = 10            # guard bits of the fixed-point evaluator beyond bit
 NMAX_CAP = 10 ** 6
 AL_SAMPLES = 5              # points on the W_Q-stable circle that must agree on the sign
 LAMBDA_DIGITS = 5           # the values every lattice vector is read from (module docstring)
-FLOAT_CAP = 500             # most terms a LAMBDA_DIGITS series sums in doubles (module docstring)
 MAZUR_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 K_EXPONENT = 2520           # lcm of MAZUR_ORDERS
+# q from integers (module docstring): floor(pi 2^128), floor(ln 2 2^128), the fixed
+# point of Q_FRAC bits, and the Taylor coefficients of e^-r, cos and sin there
+PI = 0x3243F6A8885A308D313198A2E03707344
+LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF
+Q_FRAC = 80
+_LN2 = LN2 >> 128 - Q_FRAC
+_EXP = [(-1) ** j * (1 << Q_FRAC) // factorial(j) for j in range(18, -1, -1)]
+_COS = [(-1) ** j * (1 << Q_FRAC) // factorial(2 * j) for j in range(11, -1, -1)]
+_SIN = [(-1) ** j * (1 << Q_FRAC) // factorial(2 * j + 1) for j in range(11, -1, -1)]
+KAPPA = 4.26                # the float route's rounding factor per term (module docstring)
 
 
 class SeriesBudgetError(CmtraceError, ArithmeticError):
@@ -227,33 +249,59 @@ def im_tau(disc: int, a: int) -> float:
     return isqrt(-disc << 2 * k) / (2 * a << k)
 
 
-def eval_phi(model: CurveModel | Curve, tau, digits: int) -> mp.mpc:
-    """Modular parametrisation sum_{n <= n_max} a_n e^{2 pi i n tau} / n."""
-    return _eval_series(model, tau, digits, weight=1)
+class FormPoint(namedtuple("FormPoint", "a b disc")):
+    """The point (-b + i sqrt|disc|) / (2a) of a form of discriminant disc <
+    0, kept as its integers; real and imag are correctly rounded doubles."""
+
+    __slots__ = ()
+    real = property(lambda self: -self.b / (2 * self.a))
+    imag = property(lambda self: im_tau(self.disc, self.a))
 
 
-def eval_newform(model: CurveModel | Curve, tau, digits: int) -> mp.mpc:
-    """The weight-two form itself, sum a_n q^n, same tail control."""
-    return _eval_series(model, tau, digits, weight=0)
+def eval_phi(model: CurveModel | Curve, tau, digits: int, allowance: float = 0.0):
+    """Modular parametrisation sum_{n <= n_max} a_n e^{2 pi i n tau} / n: a
+    complex summed in doubles when its error bound is under the allowance of
+    the read the value feeds, else an mpc (module docstring)."""
+    return _eval_series(model, tau, digits, 1, allowance)
 
 
-def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int) -> mp.mpc:
-    """sum_{n <= n_max} a_n q^n / n^weight: in doubles at LAMBDA_DIGITS up to
-    FLOAT_CAP terms, else in fixed point by rectangular splitting; the error
-    budgets are in the module docstring."""
+def eval_newform(model: CurveModel | Curve, tau, digits: int, allowance: float = 0.0):
+    """The weight-two form itself, sum a_n q^n, same tail control and routes."""
+    return _eval_series(model, tau, digits, 0, allowance)
+
+
+def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int, allowance: float):
+    """sum_{n <= n_max} a_n q^n / n^weight: in doubles when the tail and
+    float_error are under the allowance, else in fixed point by rectangular
+    splitting; the error budgets are in the module docstring."""
     cur = model.minimal if isinstance(model, CurveModel) else model
+    if allowance:
+        x, y = float(tau.real), float(tau.imag)
+        if not y > 0:
+            raise InputError("tau must be in the upper half plane")
+        nmax = phi_terms(y, digits)
+        q, error = float_error(x, y, nmax, weight)
+        if error + 10.0 ** -(digits + 10) < allowance:
+            # baby steps q^1..q^m, each block n = base + m .. base + 1 summed
+            # from its top down, the blocks by Horner in q^m from the top
+            a, m = an_coefficients(cur, nmax), isqrt(nmax)
+            baby = list(accumulate(repeat(q, m), mul))
+            top, down = (nmax - 1) // m * m, baby[::-1]
+            blocks = [(nmax, top, baby[nmax - top - 1::-1])]
+            blocks += [(lo + m, lo, down) for lo in range(top - m, -1, -m)]
+            z = 0j
+            for hi, lo, powers in blocks:             # the n of a block with a_n != 0
+                c = a[hi:lo:-1]
+                n, powers, c = compress(range(hi, lo, -1), c), compress(powers, c), compress(c, c)
+                z = z * baby[-1] + sum(map(mul, map(truediv, c, n) if weight else c, powers))
+            return z
     with mp.workdps(digits + GUARD):
-        tau = mp.mpc(tau)
+        tau = (mp.mpc(-tau.b, mp.sqrt(-tau.disc)) / (2 * tau.a) if isinstance(tau, FormPoint)
+               else mp.mpc(tau))
         if tau.imag <= 0:
             raise InputError("tau must be in the upper half plane")
         nmax = phi_terms(tau.imag, digits)
         a = an_coefficients(cur, nmax)
-        if digits == LAMBDA_DIGITS and nmax <= FLOAT_CAP:
-            # q^1..q^nmax by chained products, summed from n = nmax down
-            q = mpc_to_complex(_q(tau, mp.mp.prec), rnd=round_nearest)
-            powers = list(accumulate(repeat(q, nmax), mul))
-            coef = a[:0:-1] if weight == 0 else map(truediv, a[:0:-1], range(nmax, 0, -1))
-            return mp.mpc(sum(map(mul, coef, reversed(powers))))
         frac = mp.mp.prec + nmax.bit_length() + FIXED_GUARD
         m = isqrt(nmax)
         # Baby steps q^0..q^m, chained with bit_length(m) + 2 extra bits so
@@ -291,6 +339,39 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int) -> mp
                 re += (c1 * x1 + c2 * x2) // d
                 im += (c1 * y1 + c2 * y2) // d
         return mp.mpc(mp.ldexp(re, -frac), mp.ldexp(im, -frac))
+
+
+def float_error(x: float, y: float, nmax: int, weight: int) -> tuple[complex, float]:
+    """(q, E): q_double(x, y) and the bound E1 (weight 1) or E0 (weight 0) on
+    the error of nmax terms summed in doubles (module docstring)."""
+    q, r = q_double(x, y)
+    g, kappa = r / (1 - r), KAPPA + 6.2832 * (abs(x) + y)     # 2 pi and sqrt 3 rounded up
+    h = kappa * g * (1 + g)
+    e = h + 2 * g if weight else h * (1 + 2 * g) + 2 * g * (1 + g)
+    return q, 1.7321 * 2.0 ** -53 * (1 + 2.0 ** -30) * e / (1 - (nmax * kappa + 2) * 2.0 ** -53)
+
+
+def q_double(x: float, y: float) -> tuple[complex, float]:
+    """(q, |q|), q = e^(2 pi i (x + i y)), each part correctly rounded from a
+    value within 2^-68 relatively, from integers alone (module docstring)."""
+    ny, dy = y.as_integer_ratio()                       # dy and dx are powers of 2
+    t = PI * ny >> dy.bit_length() + 126 - Q_FRAC       # 2 pi y
+    if t >> Q_FRAC >= 746:
+        return 0j, 0.0
+    k = (t + (_LN2 >> 1)) // _LN2
+    r, m = t - k * _LN2, 0                              # e^-t = 2^-k e^-r
+    for c in _EXP:
+        m = (m * r >> Q_FRAC) + c
+    nx, dx = x.as_integer_ratio()
+    j = (8 * nx + dx) // (2 * dx)                       # 4 x = j + f, -1/2 <= f < 1/2
+    theta = PI * (4 * nx - j * dx) >> dx.bit_length() + 128 - Q_FRAC     # pi f / 2
+    t2, c, s = theta * theta >> Q_FRAC, 0, 0
+    for a, b in zip(_COS, _SIN):
+        c, s = (c * t2 >> Q_FRAC) + a, (s * t2 >> Q_FRAC) + b
+    s = s * theta >> Q_FRAC
+    c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[j % 4]     # times i^j
+    scale = 1 << 2 * Q_FRAC + k
+    return complex(m * c / scale, m * s / scale), m / (scale >> Q_FRAC)
 
 
 def _q(tau: mp.mpc, prec: int) -> tuple:
@@ -351,14 +432,11 @@ def al_constant(lat: PeriodLattice, n_level: int, q_div: int, w: int) -> tuple[i
     precision of a LAMBDA_DIGITS series (module docstring), once per
     (lattice, Q) and process.  AlConstantError when no lattice vector is
     provably 2520 K_Q, or n is not in MAZUR_ORDERS."""
-    with mp.workdps(LAMBDA_DIGITS + GUARD):
-        height = mp.sqrt(q_div) / n_level
-        points = [(c, mp.mpc(mp.mpf(x) / n_level, height))
-                  for c, x in al_constant_points(n_level, q_div, w)]
     with mp.workdps(lat.digits + GUARD):
-        v = mp.mpc(0)
-        for c, s in points:
-            v += c * eval_phi(lat.curve, s, LAMBDA_DIGITS)
+        v = mp.mpc(0)                       # summed exactly: the c are 1, -1 and 2
+        for c, x in al_constant_points(n_level, q_div, w):
+            v += c * eval_phi(lat.curve, FormPoint(n_level, -2 * x, -4 * q_div), LAMBDA_DIGITS,
+                              periods.LAMBDA_BUDGET / (2 * K_EXPONENT + 1))
         try:
             i, j = read_vector(lat, K_EXPONENT * v, AlConstantError, f"{K_EXPONENT} K_{q_div}")
         except AlConstantError as exc:               # v is formatted only for the message
@@ -395,6 +473,7 @@ def _numerical_sign(cur: Curve, n_level: int, q_div: int) -> int:
     10^(-LAMBDA_DIGITS/2).
     """
     wa, wb, wc, wd = al_matrix(n_level, q_div)
+    allowance = 10.0 ** -LAMBDA_DIGITS / 2          # tol^2 / 2 (module docstring)
     with mp.workdps(LAMBDA_DIGITS + GUARD):
         tol = mp.mpf(10) ** (-mp.mpf(LAMBDA_DIGITS) / 2)
         signs = []
@@ -402,11 +481,11 @@ def _numerical_sign(cur: Curve, n_level: int, q_div: int) -> int:
             theta = mp.pi / 3 + j * mp.pi / (3 * (AL_SAMPLES - 1))
             # tau on the stabilised circle: N*c*tau + Q*d = sqrt(Q) e^{i theta}.
             tau = (mp.sqrt(q_div) * mp.exp(1j * theta) - wd) / wc
-            ftau = eval_newform(cur, tau, LAMBDA_DIGITS)
+            ftau = eval_newform(cur, tau, LAMBDA_DIGITS, allowance)
             if abs(ftau) < tol:
                 continue
             wtau = (wa * tau + wb) / (wc * tau + wd)
-            fw = eval_newform(cur, wtau, LAMBDA_DIGITS)
+            fw = eval_newform(cur, wtau, LAMBDA_DIGITS, allowance)
             ratio = q_div * fw / ((wc * tau + wd) ** 2 * ftau)
             sign = 1 if ratio.real > 0 else -1
             if abs(ratio - sign) > tol:

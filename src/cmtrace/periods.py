@@ -70,7 +70,9 @@ limit) and the residual (the least n).
 
 Reading a lattice vector.  modparam and experiments read each lattice
 vector (2520 K_Q, a fiber's lam, a period Omega) off a value v by
-read_vector: v's nearest corner lam at m = 1, accepted only when |v - lam|
+read_vector, v an mpc or a complex of doubles, which locate cuts exactly by
+their integer ratios, as mpmath would: v's nearest corner lam at m = 1,
+accepted only when |v - lam|
 < LAMBDA_BUDGET < |b1| / 2 (|b1|^2 = g11 4^F 2^shift), one integer
 comparison n < cut.read, the read limit being 0 when LAMBDA_BUDGET is
 |b1| / 2 or more.  Lattice vectors are at least |b1| apart, so when v is
@@ -239,14 +241,23 @@ def locate(lat: PeriodLattice, z) -> LatticePoint:
     and y rounded down, at the lattice's cut for |z|, whose Gram value n at an
     offset (s, t) / 2^frac is the squared length n 2^cut.shift; solved at the
     lattice's working precision, whatever the caller's (module docstring)."""
-    with mp.workdps(lat.digits + GUARD):
-        z = mp.mpc(z)
+    if not isinstance(z, complex):               # a double is cut as it is
+        with mp.workdps(lat.digits + GUARD):
+            z = mp.mpc(z)
     k = max(0, mp.mag(z) - mp.mag(lat.w1))
     cut = lat.cuts.get(k) or _cut(lat, k)
-    zr, zi = int(mp.ldexp(z.real, cut.e)), int(mp.ldexp(z.imag, cut.e))
+    zr, zi = _scaled(z.real, cut.e), _scaled(z.imag, cut.e)
     x = ((zr * cut.b2i - zi * cut.b2r) << cut.frac) // cut.det
     y = ((cut.b1r * zi - cut.b1i * zr) << cut.frac) // cut.det
     return LatticePoint(lat, x, y, cut)
+
+
+def _scaled(v, e: int) -> int:
+    """int(v 2^e), truncated toward zero; a double exactly, by its integer ratio."""
+    if isinstance(v, float):
+        n, d = v.as_integer_ratio()
+        return (n << e) // d if n >= 0 else -((-n << e) // d)
+    return int(mp.ldexp(v, e))
 
 
 def _nearest_multiples(point: LatticePoint, bound: int):

@@ -857,9 +857,11 @@ def orbit_values_by_fiber(model: CurveModel, moves, pairs, wp: int, lat):
     fiber whose b has only LAMBDA_DIGITS sums to (1 + w_p) z_a + K +
     lam, lam the lattice vector of the rounded real coordinates of z_b - w_p
     z_a - K, and with w_p = +1 z_b becomes z_a + K + lam ("fiber:a");
-    otherwise it sums to z_a + z_b.  The trace sums the fibers in order."""
-    from cmtrace.experiments import LAMBDA_DIGITS, al_signs
-    from cmtrace.modparam import GUARD, al_constant, eval_phi, phi_terms
+    otherwise it sums to z_a + z_b.  The trace sums the fibers in order.  A
+    value at LAMBDA_DIGITS is a complex, taken with the allowance of a read
+    and moved by K_Q as a complex, as orbit_trace takes it."""
+    from cmtrace.experiments import LAMBDA_DIGITS, VALUE_ALLOWANCE, al_signs
+    from cmtrace.modparam import GUARD, FormPoint, al_constant, eval_phi, phi_terms
     digits, n, p2 = lat.digits, len(moves), model.p ** 2
     signs = {q: wp if w is None else w for q, w in al_signs(model)}
     cheap = sorted(a for a, _ in pairs) if wp == 1 else []
@@ -878,17 +880,25 @@ def orbit_values_by_fiber(model: CurveModel, moves, pairs, wp: int, lat):
                 source = f"same:{j}"
             elif mate in first:
                 j, prec, n, z = first[mate]
-                z, source = mp.conj(z), f"conj:{j}"
+                z, source = z.conjugate(), f"conj:{j}"
             else:
                 s = mp.mpc(-key[1], root) / (2 * key[0])
-                z = eval_phi(model, s, prec)
-                z = mp.mpc(z.real) if key == mate else z
+                if prec == LAMBDA_DIGITS:
+                    z = complex(eval_phi(model, FormPoint(key[0], key[1], disc), prec,
+                                         VALUE_ALLOWANCE))
+                    z = complex(z.real) if key == mate else z
+                else:
+                    z = eval_phi(model, s, prec)
+                    z = mp.mpc(z.real) if key == mate else z
                 first[key] = (i, prec, phi_terms(s.imag, prec), z)
                 n, source = first[key][2], "series"
-            z = z if mv.q == 1 else signs[mv.q] * (z - constant(mv.q))
+            if mv.q != 1:
+                k = constant(mv.q)
+                z = signs[mv.q] * (z - (complex(k) if prec == LAMBDA_DIGITS else k))
             return z, prec, n, source
 
-        root = mp.sqrt(-moves[0].form.disc())
+        disc = moves[0].form.disc()
+        root = mp.sqrt(-disc)
         used = evaluated_moves(moves, pairs, wp)
         for prec, members in ((digits, cheap), (LAMBDA_DIGITS, rest)):
             for i in members:

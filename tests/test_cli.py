@@ -565,8 +565,8 @@ def test_a_constant_off_the_lattice_exits_3(monkeypatch, capsys):
     # more than the budget, so no torsion point of Mazur's list fits it
     exact = modparam.eval_phi
 
-    def perturbed(model, tau, digits):
-        z = exact(model, tau, digits)
+    def perturbed(model, tau, digits, *allowance):
+        z = exact(model, tau, digits, *allowance)
         return z + mp.mpf(10) ** -12 if digits == modparam.LAMBDA_DIGITS else z
 
     monkeypatch.setattr(modparam, "eval_phi", perturbed)

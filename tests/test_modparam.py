@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 import pytest
@@ -12,10 +13,13 @@ from cmtrace import modparam
 from cmtrace.curves import (Curve, _valuation, an_coefficients, curve_from_c4c6, curve_model,
                             minimal_model, tate_local)
 from cmtrace.heegner import heegner_form
-from cmtrace.modparam import (FLOAT_CAP, GUARD, LAMBDA_DIGITS, NMAX_CAP, SeriesBudgetError,
-                              _local_sign, _numerical_sign, al_matrix, atkin_lehner_sign,
-                              eval_newform, eval_phi, im_tau, phi_terms)
-from cmtrace.periods import period_lattice
+from cmtrace.experiments import VALUE_ALLOWANCE, trace_point
+from cmtrace.finite import ExperimentSpec
+from cmtrace.modparam import (GUARD, K_EXPONENT, LAMBDA_DIGITS, NMAX_CAP, FormPoint,
+                              SeriesBudgetError, _eval_series, _local_sign, _numerical_sign,
+                              al_constant, al_constant_points, al_matrix, atkin_lehner_sign,
+                              eval_newform, eval_phi, float_error, im_tau, phi_terms, q_double)
+from cmtrace.periods import LAMBDA_BUDGET, period_lattice
 from oracles import eval_series_direct, heegner_tau, lattice_distance, phi_terms_mp, root_number
 
 
@@ -171,6 +175,9 @@ def test_eval_phi_rejects_lower_half_plane():
         eval_phi(model, mp.mpc(0, -1), 30)
     with pytest.raises(ValueError):
         eval_newform(model, mp.mpc("0.1", "-0.2"), 30)
+    for tau in (complex(0.1, -0.2), complex(0.1, 0.0), FormPoint(-49, 1, -19)):
+        with pytest.raises(ValueError):
+            eval_phi(model, tau, LAMBDA_DIGITS, VALUE_ALLOWANCE)
 
 
 def _exact_add(ai, P, Q):
@@ -271,13 +278,64 @@ def test_fixed_point_series_matches_direct_sum(label):
                     assert abs(got - want) < mp.mpf(10) ** -(digits + 5), (digits, tau, weight)
 
 
-def _float_bound(im, weight: int) -> float:
-    """E1 (weight 1) or E0 (weight 0) of the module docstring: the float
-    route's rounding error at Im tau = im."""
-    u, g, kappa = 2.0 ** -53, 1 / math.expm1(2 * math.pi * float(im)), 4.26
-    if weight:
-        return math.sqrt(3) * u * (kappa * g * (1 + g) + 2 * g)
-    return math.sqrt(3) * u * (kappa * g * (1 + g) * (1 + 2 * g) + 2 * g * (1 + g))
+U = 2.0 ** -53
+# the allowances of the three readers of a LAMBDA_DIGITS value, and the weight
+# each reads: the 2520 K_Q read (al_constant), a read of lam or Omega
+# (experiments), and the numerical sign's tol^2 / 2 (_numerical_sign)
+ALLOWANCES = {"K_Q": (LAMBDA_BUDGET / (2 * K_EXPONENT + 1), 1),
+              "lam": (VALUE_ALLOWANCE, 1), "sign": (10.0 ** -LAMBDA_DIGITS / 2, 0)}
+
+
+def _grid_points() -> list:
+    """FormPoints (A, B, D) of the q tests: orbit-like points at N = 49, 121,
+    50 and 36 for several B, a real q at A | B, |Re tau| = 1, t = 2 pi Im tau
+    from about 744 to 747 (q underflows to 0.0 at about 745), and the K_Q
+    points (N, -2x, -4Q) of every Q || N the catalogue and level-45/90 curves
+    use."""
+    pts = []
+    for n, disc in ((49, -19), (121, -67), (50, -31), (36, -23)):
+        for m in (1, 2, 7):
+            a = m * n
+            pts += [FormPoint(a, b, disc) for b in range(-2 * a, 2 * a + 1)
+                    if (b * b - disc) % (4 * a) == 0][:12]
+    pts += [FormPoint(a, a * k, -3 - a * a * k * k) for a in (1, 5, 36) for k in (0, 1, 2, -3)]
+    pts += [FormPoint(1, 2 * s, -4 * c) for s in (-1, 1) for c in (11, 1003, 10 ** 6)]  # Re = -+1
+    pts += [FormPoint(1, 1, 1 - 4 * c) for c in range(14040, 14130, 3)]          # t near 745
+    for n in (49, 121, 50, 36, 45, 90):
+        for q_div in (q for q in range(2, n + 1) if n % q == 0 and gcd(q, n // q) == 1):
+            for w in (1, -1):
+                pts += [FormPoint(n, -2 * x, -4 * q_div)
+                        for _, x in al_constant_points(n, q_div, w)]
+    return pts
+
+
+def test_integer_pi_and_ln2_are_the_floors():
+    with mp.workdps(100):
+        assert modparam.PI == int(mp.floor(mp.pi * 2 ** 128))
+        assert modparam.LN2 == int(mp.floor(mp.log(2) * 2 ** 128))
+
+
+def test_q_from_integers_is_within_its_bound_on_a_grid():
+    # e^-t (|q|), cos and sin (q / |q|) and q itself, against mpmath at 100
+    # digits at the double point (x, y): each within (u + 2^-68) relatively,
+    # or within 2^-1075 of a subnormal part; q is real at A | B, and 0 beyond t = 746
+    grid, real, zero, subnormal = _grid_points(), 0, 0, 0
+    for pt in grid:
+        x, y = pt.real, pt.imag
+        q, r = q_double(x, y)
+        with mp.workdps(100):
+            want = mp.exp(2j * mp.pi * mp.mpc(x, y))
+            room = (U + 2.0 ** -68) * abs(want) + mp.mpf(2) ** -1075
+            assert abs(mp.mpc(q) - want) <= room and abs(r - abs(want)) <= room, pt
+            if abs(want) > 2.0 ** -1000:
+                unit = want / abs(want)
+                assert abs(mp.mpc(q) / r - unit) <= 3 * U, pt           # cos and sin
+        if pt.b % pt.a == 0:
+            assert q.imag == 0.0, pt
+            real += 1
+        zero += q == 0
+        subnormal += 0 < r < 2.0 ** -1022
+    assert len(grid) > 100 and real > 10 and zero > 3 and subnormal > 3
 
 
 def _im_with_terms(n: int) -> float:
@@ -302,43 +360,86 @@ def _counting_floats(monkeypatch) -> list:
     return runs
 
 
+def _admitted(x: float, allowance: float, weight: int, admit: bool = True) -> float:
+    """The least Im tau, to bisection, at which the float route's bound and
+    the tail at LAMBDA_DIGITS are under the allowance at Re tau = x (admit),
+    or the largest at which they are not."""
+    lo, hi = 1e-4, 10.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        fits = float_error(x, mid, phi_terms(mid, LAMBDA_DIGITS), weight)[1] + 1e-15 < allowance
+        lo, hi = (lo, mid) if fits else (mid, hi)
+    return hi if admit else lo
+
+
 @pytest.mark.parametrize("ai", [(1, -1, 0, -2, -1), (0, -1, 1, -7, 10), (1, 1, 1, -3, 1),
                                 (0, 0, 0, 0, 1), (0, -1, 1, -10, -20)])
 def test_float_route_is_within_its_proven_bound(monkeypatch, ai):
-    # LAMBDA_DIGITS series of 4 to FLOAT_CAP terms, both weights, against the
-    # term-by-term mpc sum, at random points of -1 < Re tau < 1 whose term
-    # counts are spread evenly (n is about 35 / (2 pi Im tau))
+    # LAMBDA_DIGITS series in doubles from 4 terms up to the most each
+    # allowance admits, at the weight its reader reads and at the other,
+    # against the term-by-term mpc sum, at points of -1 <= Re tau <= 1 whose
+    # term counts spread evenly (n is about 35 / (2 pi Im tau)); the largest
+    # count, at Re tau = 0, on the CM curves, whose a_n the Hecke walk gives
+    # cheaply, and up to 3000 terms on the point-counted 50b1 and 11a1
     cur, rng = Curve(*ai), random.Random(str(ai))
-    runs = _counting_floats(monkeypatch)
-    lo, hi = _im_with_terms(FLOAT_CAP), _im_with_terms(4)
-    ims = [lo, hi] + [1 / (1 / hi + (1 / lo - 1 / hi) * rng.random()) for _ in range(28)]
-    counts = set()
-    for im in ims:
-        with mp.workdps(LAMBDA_DIGITS + GUARD):
-            tau = mp.mpc(rng.uniform(-1, 1), im)
-        counts.add(phi_terms(tau.imag, LAMBDA_DIGITS))
-        for weight, fast in ((1, eval_phi), (0, eval_newform)):
-            want = eval_series_direct(cur, tau, LAMBDA_DIGITS, weight)
-            got = fast(cur, tau, LAMBDA_DIGITS)
-            with mp.workdps(30):
-                assert abs(got - want) <= _float_bound(tau.imag, weight) + 1e-20, (tau, weight)
-    assert len(runs) == 60 and min(counts) == 4 and max(counts) == FLOAT_CAP
+    runs, counts, cases = _counting_floats(monkeypatch), set(), []
+    counted = ai in ((1, 1, 1, -3, 1), (0, -1, 1, -10, -20))
+    for reader, weight in [*((r, w) for r, (_, w) in ALLOWANCES.items()), ("K_Q", 0), ("lam", 0)]:
+        allowance = ALLOWANCES[reader][0]
+        x = rng.choice([-1.0, -0.5, 0.3, 1.0])
+        lo, hi = _admitted(x, allowance, weight), _im_with_terms(4)
+        lo = max(lo, _im_with_terms(3000)) if counted else lo
+        im = 1 / (1 / hi + (1 / lo - 1 / hi) * rng.random())
+        cases += [(x, hi, weight, allowance), (x, im, weight, allowance)]
+        if not counted:
+            cases.append((0.0, _admitted(0.0, allowance, weight), weight, allowance))
+    for x, im, weight, allowance in cases:
+        n = phi_terms(im, LAMBDA_DIGITS)
+        counts.add(n)
+        got = _eval_series(cur, complex(x, im), LAMBDA_DIGITS, weight, allowance)
+        want = eval_series_direct(cur, complex(x, im), LAMBDA_DIGITS, weight)
+        bound = float_error(x, im, n, weight)[1]
+        assert isinstance(got, complex) and bound + 1e-15 < allowance
+        with mp.workdps(30):
+            assert abs(got - want) <= bound + 1e-15, (x, im, n, weight)
+    assert len(runs) == len(cases) and min(counts) == 4 and max(counts) > 1000
 
 
-def test_a_series_over_the_float_cap_or_at_another_precision_runs_in_fixed_point(monkeypatch):
+def test_a_series_over_its_allowance_or_with_none_runs_in_fixed_point(monkeypatch):
+    # just past the largest Im tau the lam allowance refuses, the series runs
+    # in fixed point and returns an mpc; without an allowance, at any precision
     model = curve_model((0, -1, 1, -7, 10))
     runs = _counting_floats(monkeypatch)
-    at_cap, over = (mp.mpc(0.3, _im_with_terms(n)) for n in (FLOAT_CAP, FLOAT_CAP + 1))
-    assert phi_terms(at_cap.imag, LAMBDA_DIGITS) == FLOAT_CAP
-    assert phi_terms(over.imag, LAMBDA_DIGITS) == FLOAT_CAP + 1
-    for tau, digits, floats in ((at_cap, LAMBDA_DIGITS, 1), (over, LAMBDA_DIGITS, 0),
-                                (at_cap, LAMBDA_DIGITS + 1, 0), (mp.mpc(0.3, 1), 15, 0)):
+    inside, outside = (complex(0.3, _admitted(0.3, VALUE_ALLOWANCE, 1, admit))
+                       for admit in (True, False))
+    for tau, digits, allowance, floats in ((inside, LAMBDA_DIGITS, VALUE_ALLOWANCE, 1),
+                                           (outside, LAMBDA_DIGITS, VALUE_ALLOWANCE, 0),
+                                           (inside, LAMBDA_DIGITS, 0.0, 0),
+                                           (inside, LAMBDA_DIGITS + 1, 0.0, 0),
+                                           (complex(0.3, 1), 15, 0.0, 0)):
         runs.clear()
-        got = eval_phi(model, tau, digits)
-        assert len(runs) == floats, (tau, digits)
+        got = eval_phi(model, tau, digits, allowance)
+        assert len(runs) == floats and isinstance(got, complex) == bool(floats), (tau, digits)
         want = eval_series_direct(model.minimal, tau, digits, 1)
         with mp.workdps(30):
-            assert abs(got - want) < 1e-13 * 10 ** (LAMBDA_DIGITS - digits)
+            assert abs(got - want) < VALUE_ALLOWANCE * 10 ** (LAMBDA_DIGITS - digits)
+
+
+def test_the_five_digit_layer_takes_no_q_from_mpmath(monkeypatch):
+    # with mpmath's q blocked, 49a1/-11 (w_p = -1: every series at 5 digits)
+    # still reads torsion with K_49 unchanged, and the sign of 36a1's W_9
+    def blocked(*args):
+        raise AssertionError("a 5-digit series took q from mpmath")
+
+    monkeypatch.setattr(modparam, "_q", blocked)
+    al_constant.cache_clear()
+    rep = trace_point(ExperimentSpec(dK=-11, f=1, curve=curve_model((1, -1, 0, -2, -1)),
+                                     digits=60))
+    assert rep.wp == -1 and rep.verdict == "torsion"
+    assert rep.constants == ((49, -1, 1, 0, 2),)
+    assert {e.digits for e in rep.orbit} == {LAMBDA_DIGITS}
+    m36 = curve_model((0, 0, 0, 0, 1))
+    assert _numerical_sign(m36.minimal, 36, 9) == atkin_lehner_sign(m36.minimal, 36, 9) == 1
 
 
 def test_raw_q_integers_are_those_int_cuts_from_mp_exp():
