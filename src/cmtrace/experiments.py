@@ -36,13 +36,10 @@ docstring): the nearest lattice vector, accepted only when |v - lam| <
 periods.LAMBDA_BUDGET = 10^-9 < |b1| / 2, b1 the shortest lattice vector.  A
 LAMBDA_DIGITS value errs by less than VALUE_ALLOWANCE = 10^-10: in doubles
 by its allowance (modparam docstring); in fixed point by under 10^-15
-(tail) plus 10^-20, and the point s (0 <= B < 2A, so |Re s| < 1), taken at
-P bits, 2^-P < 10^-20, moves by at most 2^(1-P) (1 + y), y = Im s.  With t
-= 2 pi y, |phi'| = 2 pi |f| <= 2 pi sqrt(3) |q| / (1 - |q|)^2 <= 2 pi
-sqrt(3) / t^2 (|a_n| <= sqrt(3) n), so phi moves by at most 4 pi sqrt(3)
-2^-P (1 / t^2 + 1 / (2 pi t)).  Every move is within the series budget at
-the trace precision, at least TRACE_MIN_DIGITS = 15, so NMAX_CAP >= (15 +
-10) ln 10 / t and t >= 5.7 10^-5, which bounds that by 6.8 10^-11.  A
+(tail) plus 10^-20, its q taken from the exact integers of the point s, a
+FormPoint.  Every move is within the series budget at the trace precision,
+at least TRACE_MIN_DIGITS = 15, so NMAX_CAP >= (15 + 10) ln 10 / t, t = 2
+pi Im s, and t >= 5.7 10^-5.  A
 value at the trace precision errs by less than 10^-(digits+5), and
 K_{p^2}, w_Q and each K_Q of a move are exact.  The read is made in
 doubles: each value, K_Q and trace-precision value it takes is a complex
@@ -345,7 +342,6 @@ def orbit_trace(model: CurveModel, orbit, classes, pairs, moves, wp: int, lat: P
     reads = [i for i in sorted(full) if moves[i].low]
     disc = orbit[0].disc()
     with mp.workdps(digits + GUARD):
-        root = mp.sqrt(-disc)
         evaluated, jobs = {}, []            # evaluated: key -> (point, precision, terms)
 
         def plan(i: int, form, prec: int):
@@ -380,7 +376,7 @@ def orbit_trace(model: CurveModel, orbit, classes, pairs, moves, wp: int, lat: P
             a, b = job
             real = (a, -b % (2 * a)) == job
             if evaluated[job][1] == digits:
-                z = eval_phi(model, mp.mpc(-b, root) / (2 * a), digits)
+                z = eval_phi(model, FormPoint(a, b, disc), digits)
                 values[job] = mp.mpc(z.real) if real else z
             else:                        # a complex, read only (module docstring)
                 z = complex(eval_phi(model, FormPoint(a, b, disc), LAMBDA_DIGITS, VALUE_ALLOWANCE))

@@ -10,12 +10,23 @@ Both series, sum a_n q^n / n and the newform sum a_n q^n, go through one
 fixed-point evaluator using rectangular splitting (Paterson-Stockmeyer 1973;
 Johansson, ISSAC 2014).  With P the working precision of digits + GUARD
 decimal digits (so 2^-P < 10^(-digits-15)), numbers are Python integers
-scaled by 2^F, F = P + bit_length(n_max) + FIXED_GUARD, and u = 2^-F.  q is
-one raw mpc_exp of 2 pi i tau at the precision of the baby steps, rounded
-to nearest and cut to integers toward zero, the integers int(mp.ldexp(...))
-gives for mp.exp(2j * mp.pi * tau) there, without mpmath's objects; the
-baby steps q^0..q^m, m = isqrt(n_max), are chained with bit_length(m) + 2
-more bits, so each carries at most 2 ulps.
+scaled by 2^F, F = P + bit_length(n_max) + FIXED_GUARD, and u = 2^-F.  The
+baby steps q^0..q^m, m = isqrt(n_max), are chained at F' = F + e bits, e =
+bit_length(m) + 2, from q cut toward zero there.  q comes by an exact
+quarter-turn reduction: 4 Re tau = j + f in integers, j nearest, |f| <= 1/2
+(-2B / A at a FormPoint, the dyadic value of an mpf), and q = i^j e^-t e^(i
+theta), t = 2 pi Im tau (pi sqrt|D| / A at a FormPoint, whose n_max comes
+from the double im_tau: no mpc tau is built), theta = pi f / 2, by libmp's
+mpf_exp and mpf_cos_sin at W = F' + 10 bits, at |theta| <= pi / 4 (no retry
+through cancellation) and with no cos or sin at f = 0, that is at A | 2B,
+where q is exactly real (j even) or imaginary.  With each libmp operation
+within 2^-W relatively, t is within 4 t 2^-W and theta within 3 |theta|
+2^-W, so e^-t is within 2 2^-W ((1 + 4 t) e^-t < 2), cos and sin within 4
+2^-W, and each part of q within 8 2^-W after the last product: cut toward
+zero, within 1.01 units of 2^-F'.  A baby step cuts each part once and
+carries the errors of the step before and of q (|q| < 1), so q^k is within
+2.9 k units in norm, under 2^e / 1.3 for k <= m, and the shift by e bits
+leaves each part within 2 ulps.
 Writing n = j m + i, block j is sum_i a_n q^i / n over the n of the block
 with a_n != 0 (itertools.compress picks them from the block's slice of the
 a_n list), and the blocks are combined by Horner in q^m: only the
@@ -133,10 +144,7 @@ points are exact until then, the integers (c, x) of c phi((x + i sqrt Q) /
 N), x = a or -d, from al_matrix alone (al_constant_points), priced by
 im_tau(-4 Q, N): the FormPoint (N, -2x, -4Q).  A value errs by less than
 its allowance in doubles, and in fixed point by 10^-15 (tail) plus 10^-20,
-and by the point at the 70 bits of 20 digits (within 2^-69 relatively): |s|
-< 1.5 and |phi'| = 2 pi |f| <= 2 pi sqrt(3) |q| / (1 - |q|)^2 (|a_n| <=
-sqrt(3) n), so under 1.8 10^-16 more while Im s >= 2 10^-3, that is
-N <= 500 sqrt(Q) (every level the tests use).  The weights are 1, -1 or 2,
+its q taken from the FormPoint's exact integers.  The weights are 1, -1 or 2,
 of sizes summing to 2, and v is summed exactly at the lattice's precision,
 so 2520 v is within 5040 / 5041 of periods.LAMBDA_BUDGET = 10^-9 of 2520
 K_Q, the rest covering the cut of v.  So 2520 K_Q is read off
@@ -183,7 +191,8 @@ from math import ceil, expm1, factorial, gcd, isqrt, log, pi, sqrt
 from operator import mul, truediv
 
 import mpmath as mp
-from mpmath.libmp import mpc_exp, mpf_mul, mpf_neg, mpf_pi, mpf_shift, round_nearest, to_int
+from mpmath.libmp import (fone, from_int, fzero, mpf_cos_sin, mpf_div, mpf_exp, mpf_mul, mpf_neg,
+                          mpf_pi, mpf_shift, mpf_sqrt, to_int, to_rational)
 
 from .curves import Curve, CurveModel, _valuation, an_coefficients, ap_bad, tate_local
 from . import sieve          # with this layer, so a process forked after import never compiles it
@@ -275,12 +284,12 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int, allow
     float_error are under the allowance, else in fixed point by rectangular
     splitting; the error budgets are in the module docstring."""
     cur = model.minimal if isinstance(model, CurveModel) else model
+    y = tau.imag                                # a FormPoint's is a double: no mpc is built
+    if not y > 0:
+        raise InputError("tau must be in the upper half plane")
+    nmax = phi_terms(y, digits)
     if allowance:
-        x, y = float(tau.real), float(tau.imag)
-        if not y > 0:
-            raise InputError("tau must be in the upper half plane")
-        nmax = phi_terms(y, digits)
-        q, error = float_error(x, y, nmax, weight)
+        q, error = float_error(float(tau.real), float(y), nmax, weight)
         if error + 10.0 ** -(digits + 10) < allowance:
             # baby steps q^1..q^m, each block n = base + m .. base + 1 summed
             # from its top down, the blocks by Horner in q^m from the top
@@ -296,11 +305,6 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int, allow
                 z = z * baby[-1] + sum(map(mul, map(truediv, c, n) if weight else c, powers))
             return z
     with mp.workdps(digits + GUARD):
-        tau = (mp.mpc(-tau.b, mp.sqrt(-tau.disc)) / (2 * tau.a) if isinstance(tau, FormPoint)
-               else mp.mpc(tau))
-        if tau.imag <= 0:
-            raise InputError("tau must be in the upper half plane")
-        nmax = phi_terms(tau.imag, digits)
         a = an_coefficients(cur, nmax)
         frac = mp.mp.prec + nmax.bit_length() + FIXED_GUARD
         m = isqrt(nmax)
@@ -374,13 +378,26 @@ def q_double(x: float, y: float) -> tuple[complex, float]:
     return complex(m * c / scale, m * s / scale), m / (scale >> Q_FRAC)
 
 
-def _q(tau: mp.mpc, prec: int) -> tuple:
-    """e^(2 pi i tau) as raw (re, im) at prec bits, rounded to nearest: the
-    value mp.exp(2j * mp.pi * tau) has at that precision, without its objects."""
-    x, y = tau._mpc_
-    two_pi = mpf_shift(mpf_pi(prec, round_nearest), 1)
-    w = (mpf_neg(mpf_mul(two_pi, y, prec, round_nearest)), mpf_mul(two_pi, x, prec, round_nearest))
-    return mpc_exp(w, prec, round_nearest)
+def _q(tau, prec: int) -> tuple:
+    """e^(2 pi i tau) as raw (re, im) at prec + 10 bits, for a FormPoint or a
+    number mpmath takes: 4 Re tau = j + f exactly, q = i^j e^(-2 pi Im tau)
+    e^(i pi f / 2) from mpf_exp and mpf_cos_sin, and no cos or sin at f = 0,
+    where q is exactly real or exactly imaginary (module docstring)."""
+    wp = prec + 10
+    pi = mpf_pi(wp)
+    if isinstance(tau, FormPoint):              # 4 x = -2b / a, 2 pi y = pi sqrt|disc| / a
+        num, den = -2 * tau.b, tau.a
+        t = mpf_div(mpf_mul(pi, mpf_sqrt(from_int(-tau.disc), wp), wp), from_int(den), wp)
+    else:                                       # at the working precision
+        x, y = mp.mpc(tau)._mpc_
+        (num, den), t = to_rational(mpf_shift(x, 2)), mpf_mul(mpf_shift(pi, 1), y, wp)
+    j = (2 * num + den) // (2 * den)            # 4 x = j + f, -1/2 <= f < 1/2
+    f = num - j * den                           # theta = pi f / 2, |theta| <= pi / 4
+    c, s = (mpf_cos_sin(mpf_div(mpf_mul(pi, from_int(f), wp), from_int(2 * den), wp), wp)
+            if f else (fone, fzero))
+    r = mpf_exp(mpf_neg(t), wp)
+    re, im = mpf_mul(r, c, wp), mpf_mul(r, s, wp)
+    return ((re, im), (mpf_neg(im), re), (mpf_neg(re), mpf_neg(im)), (im, mpf_neg(re)))[j % 4]
 
 
 class SignConsistencyError(CmtraceError, ArithmeticError):

@@ -5,22 +5,48 @@ w1 the real period and Im(w2 / w1) > 0.  The exponential map evaluates the
 Weierstrass function and its derivative as Jacobi theta quotients, then shifts
 into the given model.
 
-The 2-torsion.  The roots e of 4x^3 + b2 x^2 + 2 b4 x + b6, which the AGM
-takes, are e = (t - 3 b2) / 36 for the roots t of t^3 - 27 c4 t - 54 c6,
-whose discriminant is the exact integer 78732 (c4^3 - c6^2) = 136048896 Delta.
-Let t1 be the real root when Delta < 0 and the root of largest |t| when
-Delta > 0.  Its distance to each other root is at least R, the largest |t|:
-three real roots sum to 0, so both gaps are at least |t1| = R, and a complex
-pair -t1/2 +- i y is at sqrt(9 t1^2 / 4 + y^2) >= max(|t1|, sqrt(t1^2 / 4 +
-y^2)) = R.  So Newton's method converges on t1 from a seed in double
-precision, 6 sqrt(c4) cos(atan2(sqrt(1728 Delta), |c6|) / 3) or 3 (u + c4 /
-u), u^3 = |c6| + sqrt(-1728 Delta) (sign of c6 restored), doubling its
-precision each step up to the working precision plus NEWTON_GUARD bits.
-The other two are -t1/2 +- sqrt(D2) with D2 = 34012224 Delta / f'(t1)^2,
-since f'(t1) = (t1 - t2)(t1 - t3): D2 has no cancellation, however close
-t2 and t3 are, where polyroots or a Newton iteration on each root loses
-digits.  The tests compare the roots with mpmath's polyroots to
-10^-(digits+10) of the largest root on random curves of both signs.
+The 2-torsion, in integers scaled by 2^F (u = 2^-F).  The roots e of 4x^3 +
+b2 x^2 + 2 b4 x + b6 are e = (t - 3 b2) / 36 for the roots t of t^3 - 27 c4
+t - 54 c6, whose discriminant is the exact integer 78732 (c4^3 - c6^2) =
+136048896 Delta.  Let t1 be the real root when Delta < 0 and the root of
+largest |t| when Delta > 0.  Its distance to each other root is at least R,
+the largest |t| (R >= 3.7, as R^3 >= 54 |c6| or R^2 = 27 |c4|): three real
+roots sum to 0, so both gaps are at least |t1| = R, and a complex pair
+-t1/2 +- i y is at sqrt(9 t1^2 / 4 + y^2) >= max(|t1|, sqrt(t1^2 / 4 + y^2))
+= R.  Newton's method runs on t1 for |c6| (c6 gives its sign) from above,
+from the power of 2 over max(sqrt(54 |c4|), cbrt(108 |c6|)) >= R (as R^3
+<= 27 |c4| R + 54 |c6|): past the critical points f is increasing and
+convex, so the iterates fall to t1, at 60 fraction bits until a step is
+under 2^-36.  A step from t1 + e, |e| <= R / 4, lands within 8 e^2 / R,
+plus u for its floor division, so doubling the precision up to F and
+repeating the last step leaves x within 2 u of |t1|.  The other two are
+-t1/2 +- d, d = sqrt|D2| = 5832 sqrt|Delta| / f'(t1), as D2 = 34012224
+Delta / f'(t1)^2 = ((t2 - t3) / 2)^2 and f'(t1) = (t1 - t2)(t1 - t3) >= R^2
+(known to 4 u relatively): no cancellation, however close t2 and t3 are, and
+d is within 5 u d + u.
+
+The periods, in integers (Cremona, Algorithms for Modular Elliptic Curves,
+3.7).  With h = 3 |t1| / 2 (3 x // 2, within 4 u), the AGM M takes square
+roots of 36 (e1 - e3) = h + d and of 36 (e1 - e2), 36 (e2 - e3) = h - d, 2 d
+(the two swapped when c6 < 0) if Delta > 0: w1 = pi / M(sqrt(e1 - e3),
+sqrt(e1 - e2)), w2 = i pi / M(sqrt(e1 - e3), sqrt(e2 - e3)); if Delta < 0,
+of A = 36 |e1 - ec| = sqrt(h^2 + d^2) and 18 (|e1 - ec| +- (e1 - Re ec)) =
+(A + h) / 2, d^2 / (2 (A + h)) for w1 and v, w2 = (w1 + i v) / 2: w1 > 0 and
+Im w2 > 0 by construction.  F = P + NEWTON_GUARD + k, with every input X >=
+2^-k: the least is 11664 sqrt(Delta) / g if Delta > 0, at least 8503056
+|Delta| / g^(5/2) if Delta < 0 (A = sqrt g), g = f'(t1) < 2^G, G from the
+60-bit iterate, so k = G - 13 - (e - 1) // 2 or ceil(5 G / 2) - 22 - e (or
+0), e the bit length of Delta.  Each X is within (20 + 3 / X) u <= 23 2^(k -
+F) relatively (2 d >= X for the least).  isqrt takes the square roots, and
+a' = floor((a + b) / 2), b' = isqrt(a b) until |a - b| <= 1 (Brent and
+Zimmermann, Modern Computer Arithmetic, 4.8): M, homogeneous and increasing
+in both arguments, keeps the largest relative error of its inputs, and each
+of n <= 2 bit_length(F) + 3 steps adds a unit, under 2^(k/2) u relatively.
+So M is within 2^(6 + k - F) = 2^(-14 - P) relatively, and pi (mpf_pi) over
+M / 6, both rounded to P bits, puts each of w1, v and w2 within 2^(2 - P)
+relatively.  The tests hold the roots to 10^-(digits+10) of the largest of
+mpmath's polyroots, and w1 and w2 to 10^-(digits+10) |w1| of mpf Newton
+steps and mpmath's agm, on random curves of both signs.
 
 Nearest lattice vectors.  Each lattice is Lagrange-reduced once, by
 quadforms.lagrange_reduce on the Gram triple of w1 and w2 cut to integers at
@@ -59,9 +85,11 @@ exact on them.  That moves a distance by at most 2^(1 - P - FIXED_GUARD)
 cut basis, which is off by about 2^-e times the entries of the reduction,
 far less.  A squared distance is an integer n times 2^shift, shift =
 -2(e + F), up to the one square root, so each threshold is an integer
-comparison, n < ceil(r^2 2^-shift) for a distance r: 10^(-digits/2) |w1|
-for the torsion test, 10^-digits |w1| at m = 1 for elliptic_exp's point
-at infinity, and LAMBDA_BUDGET at m = 1 for a read.  What depends on the
+comparison with an exact integer, n < ceil(r^2 2^-shift) for a distance r:
+ceil(W 4^F / 10^digits), W = |w1|^2 4^e of the cut w1, for the torsion test
+(r = 10^(-digits/2) |w1|), ceil(W 4^F / 10^(2 digits)) at m = 1 for
+elliptic_exp's point at infinity (10^-digits |w1|), and LAMBDA_BUDGET's at m
+= 1 for a read.  What depends on the
 lattice and e alone (w1 and w2 cut, b1, b2, their determinant and Gram
 triple, the three limits) is fixed once per lattice and e, in the Cut that
 lat.cuts keeps under k, so locate cuts only z; one scan of the multiples,
@@ -98,8 +126,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
+from math import isqrt
 
 import mpmath as mp
+from mpmath.libmp import (dps_to_prec, from_man_exp, fzero, mpf_div, mpf_pi, mpf_shift,
+                          round_nearest, to_rational)
 
 from .curves import Curve, _read_only
 from .finite import check_digits
@@ -140,55 +171,65 @@ class PeriodLattice(namedtuple("PeriodLattice", "curve w1 w2 digits")):
 @lru_cache(maxsize=128)
 def period_lattice(curve: Curve, digits: int) -> PeriodLattice:
     """The period lattice of the curve at `digits` (finite.check_digits),
-    computed once per (curve, digits) and process: a warm process reuses it,
-    reduction included."""
+    computed once per (curve, digits) and process, in integers up to the
+    final divisions of pi (module docstring): a warm process reuses it,
+    reduction included.  w1 > 0 and Im w2 > 0 by construction."""
     check_digits(digits)
-    with mp.workdps(digits + GUARD):
-        if curve.disc > 0:
-            e1, e2, e3 = two_torsion_roots(curve)
-            w1 = mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
-            w2 = mp.pi * mp.mpc(0, 1) / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e2 - e3))
-        else:
-            e1, ec = two_torsion_roots(curve)
-            big_a = abs(e1 - ec)
-            cc = e1 - ec.real
-            w1 = mp.pi / mp.agm(mp.sqrt(big_a), mp.sqrt((big_a + cc) / 2))
-            v = mp.pi / mp.agm(mp.sqrt(big_a), mp.sqrt((big_a - cc) / 2))
-            w2 = (w1 + mp.mpc(0, 1) * v) / 2
-        assert mp.im(w2 / w1) > 0
-        return PeriodLattice(curve=curve, w1=+w1, w2=+w2, digits=digits)
+    prec = dps_to_prec(digits + GUARD)
+    x, d, frac = _cubic(curve, prec + NEWTON_GUARD)
+    h, pi = 3 * x >> 1, mpf_pi(prec, round_nearest)
+
+    def period(big: int, small: int):
+        """pi / M(sqrt(big / 36), sqrt(small / 36)), big and small times 2^frac."""
+        a, b = isqrt(big << frac), isqrt(small << frac)
+        while abs(a - b) > 1:
+            a, b = a + b >> 1, isqrt(a * b)
+        return mpf_div(pi, from_man_exp(a // 6, -frac, prec, round_nearest), prec, round_nearest)
+
+    if curve.disc > 0:          # 36 (e1 - e3), and 36 (e1 - e2), 36 (e2 - e3) for c6 >= 0
+        big, pair = h + d, (h - d, 2 * d)
+    else:                       # 36 |e1 - ec|, and 18 (|e1 - ec| +- 3 |t1| / 2)
+        big = isqrt(h * h + d * d)
+        pair = big + h >> 1, d * d // (2 * (big + h))
+    w1, v = (period(big, small) for small in (pair if curve.c6 >= 0 else pair[::-1]))
+    w2 = (fzero, v) if curve.disc > 0 else (mpf_shift(w1, -1), mpf_shift(v, -1))
+    return PeriodLattice(curve=curve, w1=mp.make_mpf(w1), w2=mp.make_mpc(w2), digits=digits)
+
+
+def _cubic(curve: Curve, bits: int) -> tuple[int, int, int]:
+    """(x, d, frac): |t1| for the root t1 of t^3 - 27 c4 t - 54 c6 farthest
+    from the other two, x within 2 units, and sqrt|D2|, both times 2^frac,
+    frac = bits + k, by Newton's method in integers from above (module
+    docstring)."""
+    c4, c6, disc = curve.c4, abs(curve.c6), curve.disc
+    b, step = 60, 1 << 60                      # t1 for |c6| (t -> -t for -c6), from above
+    x = 1 << b + max((54 * abs(c4)).bit_length() + 1 >> 1, ((108 * c6).bit_length() + 2) // 3)
+    while step > 1 << b - 36:
+        c = 27 * c4 << 2 * b
+        step = (x * x * x - c * x - (54 * c6 << 3 * b)) // (3 * x * x - c)
+        x -= step
+    g, e = (3 * x * x - c).bit_length() - 2 * b + 1, abs(disc).bit_length()    # f'(t1) < 2^g
+    frac = bits + max(0, g - 13 - (e - 1 >> 1) if disc > 0 else (5 * g + 1 >> 1) - 22 - e)
+    steps = [frac]
+    while steps[-1] > 100:
+        steps.append(steps[-1] // 2 + 10)
+    for bits in reversed([frac] + steps):      # the last step repeated at full precision
+        x, b, c = x << bits - b, bits, 27 * c4 << 2 * bits
+        x -= (x * x * x - c * x - (54 * c6 << 3 * bits)) // (3 * x * x - c)
+    fp = 3 * x * x - (27 * c4 << 2 * frac)     # f'(t1) 4^frac = (t1 - t2)(t1 - t3) 4^frac
+    return x, (5832 * isqrt(abs(disc) << 2 * frac) << 2 * frac) // fp, frac
 
 
 def two_torsion_roots(curve: Curve) -> tuple:
     """The roots of 4x^3 + b2 x^2 + 2 b4 x + b6 at the working precision:
     the three real ones in decreasing order when disc > 0, else the real one
-    and the one of positive imaginary part (module docstring)."""
-    c4, c6, disc = curve.c4, curve.c6, curve.disc
-    prec = mp.mp.prec + NEWTON_GUARD
-    sign = -1 if c6 < 0 else 1
-    with mp.workprec(53):                      # the seed, for |c6| (t -> -t for -c6)
-        if disc > 0:
-            t = 6 * mp.sqrt(c4) * mp.cos(mp.atan2(mp.sqrt(1728 * disc), abs(c6)) / 3)
-        else:
-            u = mp.cbrt(abs(c6) + mp.sqrt(-1728 * disc))
-            t = 3 * (u + c4 / u)
-    steps = [prec]
-    while steps[-1] > 100:
-        steps.append(steps[-1] // 2 + 10)
-    for bits in reversed([prec] + steps):      # the last step repeated at full precision
-        with mp.workprec(bits):
-            t = t - (t * t * t - 27 * c4 * t - 54 * abs(c6)) / (3 * t * t - 27 * c4)
-    with mp.workprec(prec):
-        t = sign * t
-        fp = 3 * t * t - 27 * c4               # f'(t1) = (t1 - t2)(t1 - t3), no cancellation
-        d2 = 34012224 * disc / (fp * fp)       # ((t2 - t3) / 2)^2
-        shift = 3 * curve.b2
-        if disc > 0:
-            r = mp.sqrt(d2)
-            roots = sorted(((x - shift) / 36 for x in (t, -t / 2 + r, -t / 2 - r)), reverse=True)
-        else:
-            roots = [(t - shift) / 36, mp.mpc(-t / 2 - shift, mp.sqrt(-d2)) / 36]
-    return tuple(+x for x in roots)
+    and the one of positive imaginary part, from _cubic (module docstring)."""
+    x, d, frac = _cubic(curve, mp.mp.prec + NEWTON_GUARD)
+    t, shift, scale = -x if curve.c6 < 0 else x, 6 * curve.b2 << frac, 72 << frac   # 72 e
+    if curve.disc > 0:
+        roots = (mp.mpf(v - shift) / scale for v in (2 * t, 2 * d - t, -2 * d - t))
+        return tuple(sorted(roots, reverse=True))
+    return mp.mpf(2 * t - shift) / scale, mp.mpc(-t - shift, 2 * d) / scale
 
 
 def _reduced_basis(lat: PeriodLattice) -> tuple:
@@ -202,7 +243,8 @@ Cut = namedtuple("Cut", "e frac b1r b1i b2r b2i det gram shift torsion infinity 
 
 def _cut(lat: PeriodLattice, k: int) -> Cut:
     """The reduced basis cut to integers at e = F + 24 + k, with its determinant,
-    Gram triple, shift and torsion, infinity and read limits, kept in lat.cuts;
+    Gram triple, shift and torsion, infinity and read limits, exact integer
+    ceilings from the cut w1 and the rational LAMBDA_BUDGET, kept in lat.cuts;
     the read limit is 0 when LAMBDA_BUDGET is |b1| / 2 or more."""
     with mp.workdps(lat.digits + GUARD):
         frac = mp.mp.prec + TORSION_BOUND.bit_length() + FIXED_GUARD
@@ -213,11 +255,11 @@ def _cut(lat: PeriodLattice, k: int) -> Cut:
     b1r, b1i = p * w1r + q * w2r, p * w1i + q * w2i
     b2r, b2i = r * w1r + s * w2r, r * w1i + s * w2i
     gram = (b1r * b1r + b1i * b1i, b1r * b2r + b1i * b2i, b2r * b2r + b2i * b2i)
-    shift = -2 * (e + frac)
-    read = _limit(lat, shift, LAMBDA_BUDGET, 0)
+    shift, w1 = -2 * (e + frac), w1r * w1r + w1i * w1i << 2 * frac    # |w1|^2 2^-shift
+    num, den = to_rational(mp.mpmathify(LAMBDA_BUDGET)._mpf_)             # exactly
+    read = -(-(num * num << -shift) // (den * den))
     lat.cuts[k] = cut = Cut(e, frac, b1r, b1i, b2r, b2i, b1r * b2i - b1i * b2r, gram, shift,
-                            _limit(lat, shift, lat.w1, -lat.digits / 2),
-                            _limit(lat, shift, lat.w1, -lat.digits),
+                            -(-w1 // 10 ** lat.digits), -(-w1 // 10 ** (2 * lat.digits)),
                             read if 4 * read < gram[0] << 2 * frac else 0)
     return cut
 
@@ -281,12 +323,6 @@ def _nearest_multiples(point: LatticePoint, bound: int):
         a, b = (ma - (p << frac)) << frac + 1, (mb - (r << frac)) << frac + 1
         yield min((n, i, j), (n - a + c10, i + 1, j), (n - b + c01, i, j + 1),
                   (n - a - b + c11, i + 1, j + 1))
-
-
-def _limit(lat: PeriodLattice, shift: int, radius, power) -> int:
-    """n < _limit(lat, shift, radius, power) iff n 2^shift < (10^power |radius|)^2."""
-    with mp.workdps(lat.digits + GUARD):
-        return int(mp.ceil(mp.ldexp((mp.mpf(10) ** power * abs(radius)) ** 2, -shift)))
 
 
 def read_vector(lat: PeriodLattice, z, error, what: str) -> tuple[int, int]:

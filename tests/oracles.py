@@ -69,7 +69,9 @@ where orbit_trace evaluates deepest first, al_constant_by_series the constant K_
 at full precision, where cmtrace.modparam.al_constant reads it off the
 lattice, two_torsion_roots_by_polyroots the roots of the 2-division
 cubic by mpmath's polyroots, where cmtrace.periods uses one Newton
-iteration and the discriminant,
+iteration and the discriminant, period_lattice_by_agm the periods by that
+Newton iteration in mpf and mpmath's agm, where cmtrace.periods runs both
+in integers,
 ap_char_sum_reduced the numpy point count with every product reduced mod
 ell, the reference for the baby-step giant-step count of cmtrace.curves,
 lattice_reduce_descent the descent from the nearest integer coordinates by
@@ -859,7 +861,8 @@ def orbit_values_by_fiber(model: CurveModel, moves, pairs, wp: int, lat):
     z_a - K, and with w_p = +1 z_b becomes z_a + K + lam ("fiber:a");
     otherwise it sums to z_a + z_b.  The trace sums the fibers in order.  A
     value at LAMBDA_DIGITS is a complex, taken with the allowance of a read
-    and moved by K_Q as a complex, as orbit_trace takes it."""
+    and moved by K_Q as a complex, as orbit_trace takes it, and every point
+    is evaluated as its FormPoint, at either precision."""
     from cmtrace.experiments import LAMBDA_DIGITS, VALUE_ALLOWANCE, al_signs
     from cmtrace.modparam import GUARD, FormPoint, al_constant, eval_phi, phi_terms
     digits, n, p2 = lat.digits, len(moves), model.p ** 2
@@ -882,10 +885,9 @@ def orbit_values_by_fiber(model: CurveModel, moves, pairs, wp: int, lat):
                 j, prec, n, z = first[mate]
                 z, source = z.conjugate(), f"conj:{j}"
             else:
-                s = mp.mpc(-key[1], root) / (2 * key[0])
+                s = FormPoint(key[0], key[1], disc)
                 if prec == LAMBDA_DIGITS:
-                    z = complex(eval_phi(model, FormPoint(key[0], key[1], disc), prec,
-                                         VALUE_ALLOWANCE))
+                    z = complex(eval_phi(model, s, prec, VALUE_ALLOWANCE))
                     z = complex(z.real) if key == mate else z
                 else:
                     z = eval_phi(model, s, prec)
@@ -898,7 +900,6 @@ def orbit_values_by_fiber(model: CurveModel, moves, pairs, wp: int, lat):
             return z, prec, n, source
 
         disc = moves[0].form.disc()
-        root = mp.sqrt(-disc)
         used = evaluated_moves(moves, pairs, wp)
         for prec, members in ((digits, cheap), (LAMBDA_DIGITS, rest)):
             for i in members:
@@ -945,6 +946,58 @@ def two_torsion_roots_by_polyroots(curve: Curve, digits: int) -> tuple:
         e1 = next(r.real for r in roots if abs(r.imag) < mp.mpf(10) ** (-digits))
         ec = next(r for r in roots if r.imag > mp.mpf(10) ** (-digits))
         return e1, ec
+
+
+def period_lattice_by_agm(curve: Curve, digits: int, extra: int = 0) -> tuple:
+    """(w1, w2) at digits + 25 + extra digits by mpf Newton steps on the
+    2-division cubic and mpmath's agm: the route cmtrace.periods.period_lattice
+    took before it ran both in integers, with extra more digits."""
+    with mp.workdps(digits + PERIODS_GUARD + extra):
+        if curve.disc > 0:
+            e1, e2, e3 = _two_torsion_roots_by_newton(curve)
+            w1 = mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
+            w2 = mp.pi * mp.mpc(0, 1) / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e2 - e3))
+        else:
+            e1, ec = _two_torsion_roots_by_newton(curve)
+            big_a = abs(e1 - ec)
+            cc = e1 - ec.real
+            w1 = mp.pi / mp.agm(mp.sqrt(big_a), mp.sqrt((big_a + cc) / 2))
+            v = mp.pi / mp.agm(mp.sqrt(big_a), mp.sqrt((big_a - cc) / 2))
+            w2 = (w1 + mp.mpc(0, 1) * v) / 2
+        return +w1, +w2
+
+
+def _two_torsion_roots_by_newton(curve: Curve) -> tuple:
+    """The roots of 4x^3 + b2 x^2 + 2 b4 x + b6 at the working precision, by
+    Newton steps in mpf at doubling precision on the root of t^3 - 27 c4 t -
+    54 |c6| farthest from the others, and the other two from the exact
+    discriminant (cmtrace.periods docstring)."""
+    c4, c6, disc = curve.c4, curve.c6, curve.disc
+    prec = mp.mp.prec + 20
+    sign = -1 if c6 < 0 else 1
+    with mp.workprec(53):
+        if disc > 0:
+            t = 6 * mp.sqrt(c4) * mp.cos(mp.atan2(mp.sqrt(1728 * disc), abs(c6)) / 3)
+        else:
+            u = mp.cbrt(abs(c6) + mp.sqrt(-1728 * disc))
+            t = 3 * (u + c4 / u)
+    steps = [prec]
+    while steps[-1] > 100:
+        steps.append(steps[-1] // 2 + 10)
+    for bits in reversed([prec] + steps):
+        with mp.workprec(bits):
+            t = t - (t * t * t - 27 * c4 * t - 54 * abs(c6)) / (3 * t * t - 27 * c4)
+    with mp.workprec(prec):
+        t = sign * t
+        fp = 3 * t * t - 27 * c4
+        d2 = 34012224 * disc / (fp * fp)
+        shift = 3 * curve.b2
+        if disc > 0:
+            r = mp.sqrt(d2)
+            roots = sorted(((x - shift) / 36 for x in (t, -t / 2 + r, -t / 2 - r)), reverse=True)
+        else:
+            roots = [(t - shift) / 36, mp.mpc(-t / 2 - shift, mp.sqrt(-d2)) / 36]
+    return tuple(+x for x in roots)
 
 
 def lattice_coords(lat, z) -> tuple:

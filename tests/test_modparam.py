@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import mpf_shift, to_fixed, to_int
+from mpmath.libmp import mpf_shift, to_int
 
 from cmtrace import modparam
 from cmtrace.curves import (Curve, _valuation, an_coefficients, curve_from_c4c6, curve_model,
@@ -442,24 +442,29 @@ def test_the_five_digit_layer_takes_no_q_from_mpmath(monkeypatch):
     assert _numerical_sign(m36.minimal, 36, 9) == atkin_lehner_sign(m36.minimal, 36, 9) == 1
 
 
-def test_raw_q_integers_are_those_int_cuts_from_mp_exp():
-    # the fixed-point route's q: one raw mpc_exp at the precision of the baby
-    # steps, cut toward zero as int(mp.ldexp(...)) cuts it; libmp.to_fixed
-    # floors instead, which differs on a negative real or imaginary part
-    rng, floored = random.Random(38), 0
-    for _ in range(300):
-        with mp.workdps(rng.choice([20, 45, 75, 215])):
-            tau = mp.mpc(rng.uniform(-1, 1), 10 ** rng.uniform(-3, 0.3))
+def test_q_at_a_form_point_is_within_two_units_and_exactly_real_or_imaginary():
+    # the fixed-point route's q at 300 random FormPoints, a third with A | B
+    # and a third with A even and A | 2B only: each part, cut toward zero at
+    # the fine precision of the baby steps, within 2 units of mp.exp(2 pi i
+    # tau) taken at fine + 64 bits; Im q exactly 0 when A | B, Re q exactly 0
+    # when A | 2B but not A | B, and neither otherwise
+    rng = random.Random(49)
+    for n in range(300):
+        a = rng.randint(1, 10 ** rng.randint(1, 4)) * (2 if n % 3 == 1 else 1)
+        b = [a * rng.randint(-3, 3), a // 2 * rng.randrange(-5, 6, 2), rng.randint(-a, a)][n % 3]
+        y = 10 ** rng.uniform(-3, 0.3)
+        c = (4 * a * a * round(y * y * 10 ** 6) // 10 ** 6 + b * b) // (4 * a) + 1
+        point = FormPoint(a, b, b * b - 4 * a * c)
+        with mp.workdps(rng.choice([20, 45, 75, 215]) + GUARD):
             fine = mp.mp.prec + rng.randrange(8, 40)
-            with mp.workprec(fine):
-                q = mp.exp(2j * mp.pi * tau)
-                want = int(mp.ldexp(q.real, fine)), int(mp.ldexp(q.imag, fine))
-        if q.real >= 0 and q.imag >= 0:
-            continue
-        raw = modparam._q(tau, fine)
-        assert tuple(to_int(mpf_shift(v, fine)) for v in raw) == want, tau
-        floored += tuple(to_fixed(v, fine) for v in raw) != want
-    assert floored > 100
+        with mp.workprec(fine + 64):
+            q = mp.exp(2j * mp.pi * mp.mpc(-b, mp.sqrt(-point.disc)) / (2 * a))
+            want = mp.ldexp(q.real, fine), mp.ldexp(q.imag, fine)
+        raw = modparam._q(point, fine)
+        got = [to_int(mpf_shift(v, fine)) for v in raw]
+        assert all(abs(g - w) < 2 for g, w in zip(got, want)), (point, got, want)
+        re, im = (mp.make_mpf(v) for v in raw)
+        assert (im == 0) == (b % a == 0) and (re == 0) == (2 * b % a == 0 != b % a), point
 
 
 @settings(max_examples=300, deadline=None)

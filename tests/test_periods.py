@@ -16,7 +16,7 @@ from cmtrace.periods import (GUARD, LAMBDA_BUDGET, TORSION_BOUND, Cut, PeriodLat
 from oracles import (equation_residual, lattice_coords, lattice_distance,
                      lattice_distance_by_search, lattice_reduce, lattice_reduce_descent,
                      nearest_multiples_expanded, nearest_vector, reduced_basis,
-                     torsion_order_two_pass, torsion_residual_two_pass,
+                     period_lattice_by_agm, torsion_order_two_pass, torsion_residual_two_pass,
                      two_torsion_roots_by_polyroots, wp_pair_by_laurent)
 
 LATTICE_CURVES = {              # the five catalogue curves (disc < 0) and 37a1 (disc > 0)
@@ -575,3 +575,27 @@ def test_two_torsion_roots_match_polyroots(sign):
             assert mp.im(got[0]) == 0 and mp.im(got[1]) > 0
         else:
             assert got[0] > got[1] > got[2]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_period_lattice_matches_mpf_newton_and_mpmaths_agm(sign):
+    # w1 and w2 from integers within 10^-(digits+10) |w1| of the mpf Newton
+    # and mp.agm route (oracles.period_lattice_by_agm, 20 digits deeper: at
+    # its own precision it loses digits to e2 - e3 near a double root), and
+    # oriented by construction: the catalogue curves at 200 digits, random
+    # curves of that discriminant sign at 30, 60 and 200 digits, and a root
+    # pair about 10^-10 apart near 10^20, where the least AGM input needs the
+    # extra bits k (and the oracle 60 digits more)
+    rng = random.Random(4049 + sign)
+    curves = [(Curve(*ai), 200, 20) for ai in LATTICE_CURVES.values() if Curve(*ai).disc * sign > 0]
+    curves += [(cur, (30, 60, 200)[i % 3], 20)
+               for i, cur in enumerate(_random_curves(sign, 60, rng))]
+    curves += [(Curve(0, 0, 0, -3 * 10 ** 40, 2 * 10 ** 60 - sign), digits, 60)
+               for digits in (30, 200)]
+    for cur, digits, extra in curves:
+        lat = period_lattice.__wrapped__(cur, digits)
+        w1, w2 = period_lattice_by_agm(cur, digits, extra)
+        with mp.workdps(digits + 40):
+            bound = mp.mpf(10) ** -(digits + 10) * abs(w1)
+            assert abs(lat.w1 - w1) <= bound and abs(lat.w2 - w2) <= bound, (cur, digits)
+        assert mp.im(lat.w1) == 0 < lat.w1 and mp.im(lat.w2) > 0

@@ -166,7 +166,7 @@ def test_trace_report_json_is_the_dataclass_json():
 
 @pytest.mark.parametrize("ainvs,dK,digits,digest", [
     ((0, -1, 1, -7, 10), -67, 30,
-     "3e3350bda074e29c8ffd3f92883dabf22c71af32519a6e840f00edfdb5371db6"),
+     "423cddfb171950706fd1daf38e8808fb4bdea8050a0f86d1176b6dde4db07f56"),
     ((1, -1, 0, -2, -1), -11, 200,
      "997e018071122d6d148429a4489e0faa7b1f475dcbb5930285b704dcdfda7c4f"),
 ])
