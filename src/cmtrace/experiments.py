@@ -175,15 +175,18 @@ class TraceReport(namedtuple("TraceReport", "spec wp orbit trace_z residual verd
 def _entry_json(entry: OrbitEntry, digits: int) -> dict:
     """The entry's fields and its form's point tau, computed at digits +
     GUARD and printed to min(digits, 30) digits, z's parts to
-    min(entry.digits, 30)."""
+    min(entry.digits, 30), a part below 10^-(entry.digits + 5), rounding
+    noise of a value within 10^-(entry.digits + 10), as 0."""
     a, b, c = entry.form
     with mp.workdps(digits + GUARD):
         tau = mp.mpc(-b, mp.sqrt(4 * a * c - b * b)) / (2 * a)
     shown, z = min(entry.digits, 30), entry.z
     z = mp.mpc(z) if isinstance(z, complex) else z      # exact: mpmath prints a double as is
+    noise = mp.mpf(10) ** -(entry.digits + 5)
+    parts = (mp.nstr(x, shown) if abs(x) >= noise else "0.0" for x in (z.real, z.imag))
     # tau between form and z, the key order of every report's JSON
     return {"proj": entry.proj, "form": entry.form, "tau": mp.nstr(tau, min(digits, 30)),
-            **entry._asdict(), "z": (mp.nstr(z.real, shown), mp.nstr(z.imag, shown))}
+            **entry._asdict(), "z": tuple(parts)}
 
 
 def _cstr(z, digits: int) -> dict:

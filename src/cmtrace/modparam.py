@@ -44,10 +44,11 @@ partial sum, which is at most sqrt(3) / (1 - |q|), about sqrt(3) n_max /
 ((digits + 10) log 10) by the choice of n_max.  The total is below 150 n_max
 u < 2^(7.3 - P - FIXED_GUARD) < 2^-P for every n_max up to NMAX_CAP: under
 10^(-digits-15), so the absolute target 10^(-digits-10) still holds and the
-tail bound is untouched.  The newform (weight 0, no division) has |a_n| <=
-sqrt(3) n instead of sqrt(3), which the same budget absorbs for the
-Atkin-Lehner sign test and its 10^(-digits/2) tolerance; the tests compare
-both weights with the term-by-term mpc sum (tests/oracles.py).  The error
+tail bound is untouched.  The newform (weight 0) runs the same pairs with n
+= 1, every division exact, and has |a_n| <= sqrt(3) n instead of sqrt(3),
+which the same budget absorbs for the Atkin-Lehner sign test and its
+10^(-digits/2) tolerance; the tests compare both weights with the
+term-by-term mpc sum (tests/oracles.py).  The error
 is absolute, not relative: a value far below 2^-P comes back as noise or 0.
 
 LAMBDA_DIGITS values in doubles.  A value read off the lattice comes with
@@ -171,15 +172,33 @@ good reduction, w_q = (-1/q) for e in {2, 6},
 3 v_q(c4) < v, gives (-1/q).  The formula reads v and v_q(c4), never the
 Kodaira label.  Additive reduction at 2 or 3 (36a1 at 3, for instance) has
 no such closed form here: when a prime of Q is of that kind, w_Q is read off
-numerically from f(W_Q tau) = w_Q * Q^{-1} (N c tau + Q d)^2 f(tau) at
-sample points on the circle the involution stabilises, at LAMBDA_DIGITS
-with the allowance tol^2 / 2, tol = 10^(-LAMBDA_DIGITS / 2): there |Q / (N
-c tau + Q d)^2| = 1, so values within E of f(tau) and f(W_Q tau) put the
-ratio within 2 E / |f(tau)| <= tol of w_Q at every sample kept (|f(tau)| >=
-tol), and a wrong sign, 2 - tol away, cannot pass.  Both routes read only
-the minimal model and the conductor N, so any curve and any Q || N is
-accepted, whether or not N has the shape p^2 M.  The tests check the closed
-form against the numerical route.
+the newform at five exact points of the circle |N tau + d|^2 = Q that W_Q =
+(a, b; N, d) stabilises (sign_points): u = N tau + d = (k + i s) / 4 with s^2
+= 16 Q - k^2, r = isqrt(16 Q) and k in (r // 2, r // 4, 0, -(r // 4), -(r //
+2)), so k^2 <= 4 Q and Im tau = s / (4N) >= sqrt(3 Q) / (2N); at a square Q
+the first point is u = sqrt(Q) e^(i pi / 3).  tau = (k - 4d + i s) / (4N) is
+the FormPoint (2N, 4d - k, k^2 - 16 Q).  As ad - bN = Q, a tau + b = (a u -
+Q) / N, so W_Q tau = a / N - Q / (N u) = (a - conj u) / N by |u|^2 = Q: the
+FormPoint (2N, k - 4a, k^2 - 16 Q), of the same Im.  Both are integers,
+priced by im_tau like every other series, with no Mobius arithmetic and no
+mpmath.  f | W_Q = w_Q f reads Q u^-2 f(W_Q tau) = w_Q f(tau), and Q / u^2 =
+conj(u)^2 / Q, of modulus 1, so the ratio conj(u)^2 f(W_Q tau) / (Q f(tau))
+is w_Q.  Each f is taken at LAMBDA_DIGITS with the allowance tol^2 / 2, tol
+= 10^(-LAMBDA_DIGITS / 2), so within delta < tol^2 / 2, tail included, and
+at a sample kept (|f(tau)| >= tol) the ratio of the two values is within 2
+delta / |f(tau)| < tol of w_Q.  It is taken in complex doubles, u = 2^-53,
+as (k^2 - 8Q - i k s) f(W_Q tau) / (8 Q f(tau)): the real part of the first
+factor exact, its imaginary part within 1.5 u (math.sqrt, one product), a
+value from fixed point rounded to doubles within u / 2, the product within
+sqrt(5) u (Brent, Percival and Zimmermann), 8 Q f(tau) within u and
+CPython's scaled quotient (Smith, CACM 5, 1962) within 8 u, all in norm and
+relative: under 16 u in all, 2^-48 at |ratio| <= 1 + tol.  So a wrong sign,
+2 - tol - 2^-48 away, never passes |ratio - sign| <= tol, and a right one
+can fail it only within 2^-48 of the bound, where SignConsistencyError is
+raised, as it is when the samples disagree; no sign is returned unproven.
+Both routes read only the minimal model and the conductor N, so any curve
+and any Q || N is accepted, whether or not N has the shape p^2 M.  The tests
+check the closed form against the numerical route.
 """
 
 from __future__ import annotations
@@ -206,7 +225,6 @@ from .heegner import al_matrix
 GUARD = 15
 FIXED_GUARD = 10            # guard bits of the fixed-point evaluator beyond bit_length(n_max)
 NMAX_CAP = 10 ** 6
-AL_SAMPLES = 5              # points on the W_Q-stable circle that must agree on the sign
 LAMBDA_DIGITS = 5           # the values every lattice vector is read from (module docstring)
 MAZUR_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 K_EXPONENT = 2520           # lcm of MAZUR_ORDERS
@@ -259,8 +277,9 @@ def im_tau(disc: int, a: int) -> float:
 
 
 class FormPoint(namedtuple("FormPoint", "a b disc")):
-    """The point (-b + i sqrt|disc|) / (2a) of a form of discriminant disc <
-    0, kept as its integers; real and imag are correctly rounded doubles."""
+    """The point (-b + i sqrt|disc|) / (2a), a > 0 and disc < 0 (of a form
+    when disc = b^2 mod 4a), kept as its integers; real and imag are
+    correctly rounded doubles."""
 
     __slots__ = ()
     real = property(lambda self: -self.b / (2 * self.a))
@@ -326,12 +345,8 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int, allow
         for base in range(nmax - nmax % m, -1, -m):
             re, im = (re * gre - im * gim) >> frac, (re * gim + im * gre) >> frac
             coef = a[base:base + m]                 # a holds a[0..nmax] only
-            terms = list(compress(zip(range(base, base + m), coef, pre, pim), coef))
-            if weight == 0:
-                for _, c, x, y in terms:
-                    re += c * x
-                    im += c * y
-                continue
+            ns = range(base, base + m) if weight else repeat(1)     # n = 1: exact divisions
+            terms = list(compress(zip(ns, coef, pre, pim), coef))
             if len(terms) & 1:                      # an odd count leaves one term alone
                 n, c, x, y = terms.pop()
                 re += c * x // n
@@ -415,14 +430,20 @@ def atkin_lehner_sign(cur: Curve, n_level: int, q_div: int) -> int:
 
 
 def local_sign(cur: Curve, q_div: int) -> int | None:
-    """w_Q as the product of the local signs at the primes of Q, or None
-    when one of them is additive at 2 or 3."""
+    """w_Q as the product of the local signs w_q at the primes q of Q, each
+    from the local data of the minimal model (module docstring), or None
+    when one of them is additive at q = 2 or 3."""
     w = 1
     for q in factorint(q_div):
-        w_q = _local_sign(cur, q)
-        if w_q is None:
+        local = tate_local(cur, q)
+        if local.reduction != "additive":
+            w *= -ap_bad(local)
+        elif q < 5:
             return None
-        w *= w_q
+        elif cur.c4 and 3 * _valuation(cur.c4, q) < local.v_disc:     # potentially multiplicative
+            w *= kronecker(-1, q)
+        else:
+            w *= kronecker({2: -1, 6: -1, 3: -3, 4: -2}[12 // gcd(12, local.v_disc)], q)
     return w
 
 
@@ -465,50 +486,37 @@ def al_constant(lat: PeriodLattice, n_level: int, q_div: int, w: int) -> tuple[i
     return i // g, j // g, K_EXPONENT // g
 
 
-def _local_sign(cur: Curve, q: int) -> int | None:
-    """w_q from the local data of the minimal model at a bad prime q, or None
-    when the reduction is additive at q = 2 or 3."""
-    local = tate_local(cur, q)
-    if local.reduction != "additive":
-        return -ap_bad(local)
-    if q < 5:
-        return None
-    v = local.v_disc
-    if cur.c4 and 3 * _valuation(cur.c4, q) < v:       # potentially multiplicative
-        return kronecker(-1, q)
-    e = 12 // gcd(12, v)
-    return kronecker({2: -1, 6: -1, 3: -3, 4: -2}[e], q)
+def sign_points(n_level: int, q_div: int) -> list[tuple[int, FormPoint, FormPoint]]:
+    """[(k, tau, W_Q tau)] at five exact points u = N tau + d = (k + i s) / 4,
+    s^2 = 16 Q - k^2, of the circle |N tau + d|^2 = Q that W_Q = (a, b; N, d)
+    stabilises, where W_Q tau = (a - conj u) / N (module docstring)."""
+    a, _, n, d = al_matrix(n_level, q_div)
+    r = isqrt(16 * q_div)
+    return [(k, FormPoint(2 * n, 4 * d - k, k * k - 16 * q_div),
+             FormPoint(2 * n, k - 4 * a, k * k - 16 * q_div))
+            for k in (r // 2, r // 4, 0, -(r // 4), -(r // 2))]
 
 
 def _numerical_sign(cur: Curve, n_level: int, q_div: int) -> int:
     """Eigenvalue of W_Q on the newform of the curve with minimal model cur and
-    conductor N = n_level, for Q || N.
-
-    Samples AL_SAMPLES points tau on the norm-Q circle |N c tau + Q d| =
-    sqrt(Q), where both tau and W_Q tau have the same imaginary part, and
-    demands all sample ratios, at LAMBDA_DIGITS, agree with the same sign to
-    10^(-LAMBDA_DIGITS/2).
-    """
-    wa, wb, wc, wd = al_matrix(n_level, q_div)
-    allowance = 10.0 ** -LAMBDA_DIGITS / 2          # tol^2 / 2 (module docstring)
-    with mp.workdps(LAMBDA_DIGITS + GUARD):
-        tol = mp.mpf(10) ** (-mp.mpf(LAMBDA_DIGITS) / 2)
-        signs = []
-        for j in range(AL_SAMPLES):
-            theta = mp.pi / 3 + j * mp.pi / (3 * (AL_SAMPLES - 1))
-            # tau on the stabilised circle: N*c*tau + Q*d = sqrt(Q) e^{i theta}.
-            tau = (mp.sqrt(q_div) * mp.exp(1j * theta) - wd) / wc
-            ftau = eval_newform(cur, tau, LAMBDA_DIGITS, allowance)
-            if abs(ftau) < tol:
-                continue
-            wtau = (wa * tau + wb) / (wc * tau + wd)
-            fw = eval_newform(cur, wtau, LAMBDA_DIGITS, allowance)
-            ratio = q_div * fw / ((wc * tau + wd) ** 2 * ftau)
-            sign = 1 if ratio.real > 0 else -1
-            if abs(ratio - sign) > tol:
-                raise SignConsistencyError(
-                    f"W_{q_div} ratio {mp.nstr(ratio, 8)} is not a sign at tolerance {mp.nstr(tol, 3)}")
-            signs.append(sign)
-        if not signs or any(s != signs[0] for s in signs):
-            raise SignConsistencyError(f"inconsistent W_{q_div} signs across samples: {signs}")
-        return signs[0]
+    conductor N = n_level, for Q || N: the ratio conj(u)^2 f(W_Q tau) / (Q
+    f(tau)) in complex doubles at each point of sign_points with |f(tau)| >=
+    tol, within tol = 10^(-LAMBDA_DIGITS / 2) of one sign at them all
+    (module docstring)."""
+    allowance, tol = 10.0 ** -LAMBDA_DIGITS / 2, 10.0 ** (-LAMBDA_DIGITS / 2)    # tol^2 / 2
+    signs = []
+    for k, tau, w_tau in sign_points(n_level, q_div):
+        ftau = complex(eval_newform(cur, tau, LAMBDA_DIGITS, allowance))
+        if abs(ftau) < tol:
+            continue
+        fw = complex(eval_newform(cur, w_tau, LAMBDA_DIGITS, allowance))
+        # conj(u)^2 / Q = (k^2 - 8 Q - i k s) / (8 Q)
+        ratio = complex(k * k - 8 * q_div, -k * sqrt(-tau.disc)) * fw / (8 * q_div * ftau)
+        sign = 1 if ratio.real > 0 else -1
+        if abs(ratio - sign) > tol:
+            raise SignConsistencyError(
+                f"W_{q_div} ratio {ratio:.8g} is not a sign at tolerance {tol:.3g}")
+        signs.append(sign)
+    if not signs or any(s != signs[0] for s in signs):
+        raise SignConsistencyError(f"inconsistent W_{q_div} signs across samples: {signs}")
+    return signs[0]

@@ -220,18 +220,6 @@ def _cubic(curve: Curve, bits: int) -> tuple[int, int, int]:
     return x, (5832 * isqrt(abs(disc) << 2 * frac) << 2 * frac) // fp, frac
 
 
-def two_torsion_roots(curve: Curve) -> tuple:
-    """The roots of 4x^3 + b2 x^2 + 2 b4 x + b6 at the working precision:
-    the three real ones in decreasing order when disc > 0, else the real one
-    and the one of positive imaginary part, from _cubic (module docstring)."""
-    x, d, frac = _cubic(curve, mp.mp.prec + NEWTON_GUARD)
-    t, shift, scale = -x if curve.c6 < 0 else x, 6 * curve.b2 << frac, 72 << frac   # 72 e
-    if curve.disc > 0:
-        roots = (mp.mpf(v - shift) / scale for v in (2 * t, 2 * d - t, -2 * d - t))
-        return tuple(sorted(roots, reverse=True))
-    return mp.mpf(2 * t - shift) / scale, mp.mpc(-t - shift, 2 * d) / scale
-
-
 def _reduced_basis(lat: PeriodLattice) -> tuple:
     """(b1, b2) of lat.reduction, at the working precision."""
     (p, q), (r, s) = lat.reduction

@@ -67,9 +67,10 @@ off a Lagrange-reduced basis,
 orbit_values_by_fiber orbit_trace's fiber route rebuilt in kernel order,
 where orbit_trace evaluates deepest first, al_constant_by_series the constant K_Q of such a move summed
 at full precision, where cmtrace.modparam.al_constant reads it off the
-lattice, two_torsion_roots_by_polyroots the roots of the 2-division
-cubic by mpmath's polyroots, where cmtrace.periods uses one Newton
-iteration and the discriminant, period_lattice_by_agm the periods by that
+lattice, two_torsion_roots the roots of the 2-division cubic from the
+integers of cmtrace.periods._cubic (one Newton iteration and the
+discriminant), which period_lattice reads its periods from, and
+two_torsion_roots_by_polyroots the same roots by mpmath's polyroots, period_lattice_by_agm the periods by that
 Newton iteration in mpf and mpmath's agm, where cmtrace.periods runs both
 in integers,
 ap_char_sum_reduced the numpy point count with every product reduced mod
@@ -116,8 +117,8 @@ from cmtrace.errors import InputError
 from cmtrace.fp import QuadOrder, _xgcd, check_fundamental, isprime, kronecker, smallest_nonsquare
 from cmtrace.heegner import NoHeegnerPoint, gamma0_reduce
 from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
-from cmtrace.periods import (GUARD as PERIODS_GUARD, TORSION_BOUND, PeriodLattice,
-                             _nearest_multiples, locate)
+from cmtrace.periods import (GUARD as PERIODS_GUARD, NEWTON_GUARD, TORSION_BOUND, PeriodLattice,
+                             _cubic, _nearest_multiples, locate)
 from cmtrace.quadforms import BinaryForm, KernelClass, lagrange_reduce, reduce_form, reduced_forms
 from cmtrace.recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational
 
@@ -935,9 +936,22 @@ def al_constant_by_series(cur: Curve, n_level: int, q_div: int, w: int, digits: 
         return k
 
 
+def two_torsion_roots(curve: Curve) -> tuple:
+    """The roots of 4x^3 + b2 x^2 + 2 b4 x + b6 at the working precision:
+    the three real ones in decreasing order when disc > 0, else the real one
+    and the one of positive imaginary part, from cmtrace.periods._cubic (its
+    module docstring), the integers period_lattice reads the periods from."""
+    x, d, frac = _cubic(curve, mp.mp.prec + NEWTON_GUARD)
+    t, shift, scale = -x if curve.c6 < 0 else x, 6 * curve.b2 << frac, 72 << frac   # 72 e
+    if curve.disc > 0:
+        roots = (mp.mpf(v - shift) / scale for v in (2 * t, 2 * d - t, -2 * d - t))
+        return tuple(sorted(roots, reverse=True))
+    return mp.mpf(2 * t - shift) / scale, mp.mpc(-t - shift, 2 * d) / scale
+
+
 def two_torsion_roots_by_polyroots(curve: Curve, digits: int) -> tuple:
     """The roots of 4x^3 + b2 x^2 + 2 b4 x + b6 by mpmath's polyroots at
-    digits + 25, ordered as cmtrace.periods.two_torsion_roots orders them:
+    digits + 25, ordered as two_torsion_roots orders them:
     the route period_lattice took before it solved the cubic by Newton."""
     with mp.workdps(digits + 25):
         roots = mp.polyroots([4, curve.b2, 2 * curve.b4, curve.b6], maxsteps=200, extraprec=60)

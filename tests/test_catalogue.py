@@ -49,8 +49,8 @@ def test_a_trace_replays_with_mpmaths_agm_newton_and_complex_exp_blocked(monkeyp
         raise AssertionError("the trace took an mpmath route it should not")
 
     assert not hasattr(modparam, "mpc_exp")
-    for module, name in ((mpmath, "agm"), (periods, "two_torsion_roots"),
-                         (mpmath.libmp, "mpc_exp"), (mpmath.libmp.libmpc, "mpc_exp")):
+    for module, name in ((mpmath, "agm"), (mpmath.libmp, "mpc_exp"),
+                         (mpmath.libmp.libmpc, "mpc_exp")):
         monkeypatch.setattr(module, name, blocked)
     periods.period_lattice.cache_clear()
     modparam.al_constant.cache_clear()

@@ -16,9 +16,10 @@ from cmtrace.heegner import heegner_form
 from cmtrace.experiments import VALUE_ALLOWANCE, trace_point
 from cmtrace.finite import ExperimentSpec
 from cmtrace.modparam import (GUARD, K_EXPONENT, LAMBDA_DIGITS, NMAX_CAP, FormPoint,
-                              SeriesBudgetError, _eval_series, _local_sign, _numerical_sign,
-                              al_constant, al_constant_points, al_matrix, atkin_lehner_sign,
-                              eval_newform, eval_phi, float_error, im_tau, phi_terms, q_double)
+                              SeriesBudgetError, _eval_series, _numerical_sign, al_constant,
+                              al_constant_points, al_matrix, atkin_lehner_sign, eval_newform,
+                              eval_phi, float_error, im_tau, local_sign, phi_terms, q_double,
+                              sign_points)
 from cmtrace.periods import LAMBDA_BUDGET, period_lattice
 from oracles import eval_series_direct, heegner_tau, lattice_distance, phi_terms_mp, root_number
 
@@ -520,7 +521,7 @@ def test_local_sign_matches_numerical_route_potentially_good(ai, d, p, v):
     assert (local.v_disc, local.reduction) == (v, "additive")
     assert cur.c4 == 0 or 3 * _valuation(cur.c4, p) >= v          # potentially good
     model = curve_model(cur.ainvs, p=p)
-    assert _local_sign(cur, p) is not None
+    assert local_sign(cur, p) is not None
     mini, n = model.minimal, model.n
     assert atkin_lehner_sign(mini, n, p * p) == _numerical_sign(mini, n, p * p)
 
@@ -572,3 +573,54 @@ def test_numerical_route_only_where_a_prime_has_no_closed_form(monkeypatch):
     assert atkin_lehner_sign(m36.minimal, m36.n, 9) == 1            # additive at 3
     assert atkin_lehner_sign(m99.minimal, 99, 99) == 1     # 3 additive, 11 multiplicative
     assert calls == [(36, 9), (99, 99)]
+
+
+def _sign_test_curves() -> list:
+    """(minimal model, N) of every curve the sign tests above read."""
+    models = [curve_model(_twist(ai, d).ainvs, p=p) for ai, d, p, _ in TWISTED_CASES]
+    models += [curve_model(ai, p=5) for ai, _ in POT_MULT_CASES]
+    models += [curve_model(ai) for ai in ((1, 0, 1, -1, -2), (1, 1, 1, -3, 1), (1, -1, 1, -2, 0),
+                                          (0, 0, 0, 0, 1), (1, -1, 0, 0, -5), (1, -1, 0, -2, -1),
+                                          (0, -1, 1, -7, 10))]
+    return [(m.minimal, m.n) for m in models]
+
+
+def test_sign_points_lie_on_the_circle_and_w_q_swaps_them():
+    # every Q || N of the sign tests' curves, Q = N included: u = N tau + d =
+    # (k + i s) / 4 has |u|^2 = Q exactly in integers, both points share Im
+    # tau = s / (4N) >= sqrt(3 Q) / (2N), and W_Q tau, by Mobius arithmetic
+    # at 50 digits, is the partner point; at a square Q the first u is
+    # sqrt(Q) e^(i pi / 3), the old first sample
+    seen = 0
+    for _, n in _sign_test_curves():
+        for q_div in (q for q in range(2, n + 1) if n % q == 0 and gcd(q, n // q) == 1):
+            a, b, c, d = al_matrix(n, q_div)
+            points = sign_points(n, q_div)
+            assert len({tau for _, tau, _ in points}) == 5
+            for k, tau, w_tau in points:
+                assert tau.a == w_tau.a == 2 * n and tau.disc == w_tau.disc < 0
+                assert (4 * d - tau.b) ** 2 - tau.disc == 16 * q_div         # |u|^2 = Q
+                assert k == 4 * d - tau.b and -tau.disc >= 12 * q_div
+                with mp.workdps(50):
+                    z, w = (mp.mpc(-p.b, mp.sqrt(-p.disc)) / (2 * p.a) for p in (tau, w_tau))
+                    assert abs((a * z + b) / (c * z + d) - w) < mp.mpf(10) ** -45
+                    u = (k + 1j * mp.sqrt(-tau.disc)) / 4
+                    assert abs(u - (c * z + d)) < mp.mpf(10) ** -45
+                    if k == points[0][0] and math.isqrt(q_div) ** 2 == q_div:
+                        assert abs(u - mp.sqrt(q_div) * mp.expjpi(mp.mpf(1) / 3)) < 1e-45
+                seen += 1
+    assert seen >= 5 * 40
+
+
+def test_numerical_sign_calls_no_mpmath(monkeypatch):
+    # with mpmath's exp, sqrt and mpc gone, the sign comes from FormPoints and
+    # complex doubles: W_9 on 36a1 and 45a1 (additive at 3), W_99 on 99
+    def blocked(*args, **kwargs):
+        raise AssertionError("the numerical sign called mpmath")
+
+    for name in ("exp", "sqrt", "mpc"):
+        monkeypatch.setattr(mp, name, blocked)
+    for ai, q_div, w in (((0, 0, 0, 0, 1), 9, 1), ((1, -1, 0, 0, -5), 9, -1),
+                         ((1, -1, 1, -2, 0), 99, 1)):
+        model = curve_model(ai)
+        assert _numerical_sign(model.minimal, model.n, q_div) == w, ai

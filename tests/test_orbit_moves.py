@@ -597,8 +597,10 @@ def _check_against_direct(label, dK, f, digits):
     assert [(e.digits, e.q, e.n_max, e.source) for e in entries] == [
         (prec, mv.q, n, source) for prec, mv, n, source in zip(precs, used, terms, sources)]
     printed = _orbit_json(entries, model, shadow, dK, f, digits)
+    # a part below 10^-(prec + 5), rounding noise of a value within 10^-(prec + 10), prints as 0
     assert [e["z"] for e in printed] == [
-        (mp.nstr(z.real, min(prec, 30)), mp.nstr(z.imag, min(prec, 30)))
+        tuple(mp.nstr(x, min(prec, 30)) if abs(x) >= mp.mpf(10) ** -(prec + 5) else "0.0"
+              for x in (z.real, z.imag))
         for z, prec in ((mp.mpc(z) if isinstance(z, complex) else z, prec)
                         for z, prec in zip(zs, precs))]
     assert set(precs) <= {digits, LAMBDA_DIGITS} and n_max >= max(terms)

@@ -12,12 +12,12 @@ from cmtrace.curves import Curve
 from cmtrace.errors import InputError
 from cmtrace.periods import (GUARD, LAMBDA_BUDGET, TORSION_BOUND, Cut, PeriodLattice,
                              _nearest_multiples, _wp_pair, elliptic_exp, is_torsion, locate,
-                             period_lattice, read_vector, torsion_residual, two_torsion_roots)
+                             period_lattice, read_vector, torsion_residual)
 from oracles import (equation_residual, lattice_coords, lattice_distance,
                      lattice_distance_by_search, lattice_reduce, lattice_reduce_descent,
                      nearest_multiples_expanded, nearest_vector, reduced_basis,
                      period_lattice_by_agm, torsion_order_two_pass, torsion_residual_two_pass,
-                     two_torsion_roots_by_polyroots, wp_pair_by_laurent)
+                     two_torsion_roots, two_torsion_roots_by_polyroots, wp_pair_by_laurent)
 
 LATTICE_CURVES = {              # the five catalogue curves (disc < 0) and 37a1 (disc > 0)
     "49a1": (1, -1, 0, -2, -1),

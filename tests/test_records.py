@@ -164,9 +164,11 @@ def test_trace_report_json_is_the_dataclass_json():
         "d53736013335e3c0519306d626d847ff22d05843c42a05d97bbf52d658d2fe65")
 
 
+# 121b1/-67 prints the imaginary parts of (2057, +-363, 17), rounding noise
+# below 10^-(digits + 5), as "0.0" (test_a_part_below_the_values_accuracy...)
 @pytest.mark.parametrize("ainvs,dK,digits,digest", [
     ((0, -1, 1, -7, 10), -67, 30,
-     "423cddfb171950706fd1daf38e8808fb4bdea8050a0f86d1176b6dde4db07f56"),
+     "3783835a7ac19d8c0ecda892f83dd6126280904043bd0311c7ad2660cafc341c"),
     ((1, -1, 0, -2, -1), -11, 200,
      "997e018071122d6d148429a4489e0faa7b1f475dcbb5930285b704dcdfda7c4f"),
 ])
@@ -189,6 +191,20 @@ def test_trace_point_formats_no_entry_and_to_json_prints_the_recorded_text(
         assert orbit[0]["z"] == ("-0.0962848589707938548740404006243", "0.0")
     else:
         assert orbit[1]["z"] == ("0.23707", "-0.7101")
+
+
+@pytest.mark.parametrize("digits", [30, 60, 200])
+def test_a_part_below_the_values_accuracy_prints_as_zero(digits):
+    # 121b1/-67: the imaginary parts of (2057, +-363, 17) are 0 up to rounding
+    # noise (+-9.09e-44 at 30 digits, +-3.2e-73 at 60, +-1.3e-213 at 200),
+    # under 10^-(digits + 5), and print as "0.0"; the real parts print in full
+    report = trace_point(ExperimentSpec(dK=-67, f=1, curve=curve_model((0, -1, 1, -7, 10)),
+                                        digits=digits))
+    entries = {e.form: e for e in report.orbit}
+    shown = {tuple(e["form"]): e["z"] for e in report.to_json()["orbit"]}
+    for form in ((2057, 363, 17), (2057, -363, 17)):
+        assert 0 < abs(entries[form].z.imag) < mp.mpf(10) ** -(digits + 5)
+        assert shown[form] == ("1.17790541554629101700087671007", "0.0")
 
 
 def test_replace_runs_the_construction_checks():
