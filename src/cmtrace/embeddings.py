@@ -11,9 +11,10 @@ On top of that sit the coset labels of the split normalizer, and the
 two-to-one fiber structure over P^1(F_p) whose fiber partners differ by the
 unique involution.  A matrix is a row-major 4-tuple of residues, and every
 routine reads it in closed form: none lists a Cartan subgroup or SL_2(F_p),
-or multiplies matrices; two_to_one_check walks P^1(F_p) once.  The tests
-check the closed forms against such enumerations and matrix routes, the SL_2
-conjugator and the label of any invertible matrix included (tests/oracles.py).
+or multiplies matrices; two_to_one_check walks P^1(F_p) once and labels one
+point of each fiber (below).  The tests check the closed forms against such
+enumerations and matrix routes, the SL_2 conjugator and the label of any
+invertible matrix included (tests/oracles.py).
 
 The coset label of an invertible g is the lexicographically least
 determinant-one element of C_s+ * g^{-1}.  two_to_one_check labels only the
@@ -32,6 +33,19 @@ in [0, p); they never tie, since -b/u = -u/c would mean u^2 = bc.  At u = 0
 the diagonal part is least at x = -1/b, (0, 1, bc/delta, 0) = (0, 1, p - 1, 0)
 as delta = -bc, below the antidiagonal one, which starts with 1.  The identity
 has that label too: its parts are least at (1, 0, 0, 1) and (0, 1, p - 1, 0).
+
+The fibers pair u with u' = bc/u, so the walk labels only the first point of
+each pair it meets.  u -> bc/u is a fixed-point-free involution of F_p^x,
+since u^2 = bc has no root for the non-square bc.  It keeps the label: -b/u'
+= -u/c and -u'/c = -b/u, so the comparison picks the other part, and
+delta' = u'^2 - bc = -bc*delta/u^2 makes that part's last two entries
+cu'/delta' = -cu/delta and -bc/delta' = u^2/delta, those of u.  No third
+point shares the label: its second entry, -b/u or -u/c, fixes u within its
+part, and the two parts meet only at u' = bc/u; u = 0 has the identity's
+label, with [1 : 0] alone.  The pairs are those of the involution [-a : 1],
+whose product with [x1 : 1] is [-a x1 - n : x1 + a] = [-a u + a^2 - n : u],
+that is u -> (a^2 - n)/u, exactly when det iota_omega = a^2 - bc is the
+order's norm n; two_to_one_check tests that on every fiber.
 """
 
 from __future__ import annotations
@@ -121,21 +135,32 @@ def _pencil_fibers(p: int, a: int, b: int,
     x1 = 0..p-1, grouped by the closed-form coset labels of their matrices
     (module docstring), for the residues of iota_omega = (a, b; c, a) with bc
     a non-square mod the odd prime p.  Every inverse is read from one
-    inverse_table(p); none is taken per point."""
+    inverse_table(p); none is taken per point.  The walk labels the first
+    point it meets of each fiber and files its mate with it: for
+    u = x1 + a != 0 that is u' = bc/u, at x1' = u' - a, which lies further
+    on and is marked as met (module docstring).  So the dict is the one that
+    labelling every point and grouping by label gives, with the labels and
+    the points of each fiber in the order the walk meets them."""
     inv = inverse_table(p)
     bc, c_inv, minus_b = b * c % p, inv[c], -b % p
     identity = (0, 1, p - 1, 0)         # the label of [1 : 0] and of u = 0
     fibers = {identity: [(1, 0)]}
+    met = bytearray(p)
     for x1 in range(p):
+        if met[x1]:
+            continue
         u = (x1 + a) % p
-        if u:
-            cu, dinv = c * u, inv[(u * u - bc) % p]
-            diag, anti = minus_b * inv[u] % p, (p - u) * c_inv % p
-            label = ((1, diag, -cu * dinv % p, u * u * dinv % p) if diag < anti
-                     else (1, anti, cu * dinv % p, -bc * dinv % p))
-        else:
-            label = identity
-        fibers.setdefault(label, []).append((x1, 1))
+        if not u:
+            fibers[identity].append((x1, 1))
+            continue
+        u_inv = inv[u]
+        cu, dinv = c * u, inv[(u * u - bc) % p]
+        diag, anti = minus_b * u_inv % p, (p - u) * c_inv % p
+        label = ((1, diag, -cu * dinv % p, u * u * dinv % p) if diag < anti
+                 else (1, anti, cu * dinv % p, -bc * dinv % p))
+        mate = (bc * u_inv - a) % p
+        met[mate] = 1
+        fibers[label] = [(x1, 1), (mate, 1)]
     return fibers
 
 

@@ -36,13 +36,14 @@ two_to_one_by_matrices groups the kernel classes by those labels of
 galois_matrix and pairs the fiber mates by proj_mul with the
 involution_class; cmtrace.embeddings reads each label of the pencil
 x1*I + iota_omega off its entries in closed form, keys each fiber by that
-4-tuple and checks each mate by the group law in closed form, and
-coset_label is the label of any invertible matrix, read off its entries by
-_label_entries.  A label is the row-major 4-tuple of entries in every
-route.  signo_pairing_by_matrices builds the involution's matrix with
-galois_matrix, tests its Cartan membership and factors it through
-(0,1;-1,0), where cmtrace.embeddings.signo_pairing_check reads the answer
-off two entries.
+4-tuple, labels one point of each fiber and files its mate u' = bc/u with
+it (pencil_fibers_by_point labels every point), and checks each mate by the
+group law in closed form, and coset_label is the label of any invertible
+matrix, read off its entries by _label_entries.  A label is the row-major
+4-tuple of entries in every route.  signo_pairing_by_matrices builds the
+involution's matrix with galois_matrix, tests its Cartan membership and
+factors it through (0,1;-1,0), where cmtrace.embeddings.signo_pairing_check
+reads the answer off two entries.
 
 These routes run on the matrix layer that the package no longer has.  A
 matrix over F_p is a row-major 4-tuple in [0, p) (mat, mat_det, mat_mul,
@@ -346,6 +347,28 @@ def coset_label(p: int, g) -> tuple[int, int, int, int]:
     of cmtrace.embeddings labels only the pencil x1*I + iota_omega.
     """
     return _label_entries(_inverses(p), *g)
+
+
+def pencil_fibers_by_point(p: int, a: int, b: int,
+                           c: int) -> dict[tuple[int, int, int, int], list[tuple[int, int]]]:
+    """The fibers of cmtrace.embeddings._pencil_fibers with every point of
+    P^1(F_p) labelled by the closed form, in kernel order, and grouped by its
+    label, where _pencil_fibers labels one point of each fiber."""
+    inv = inverse_table(p)
+    bc, c_inv, minus_b = b * c % p, inv[c], -b % p
+    identity = (0, 1, p - 1, 0)         # the label of [1 : 0] and of u = 0
+    fibers = {identity: [(1, 0)]}
+    for x1 in range(p):
+        u = (x1 + a) % p
+        if u:
+            cu, dinv = c * u, inv[(u * u - bc) % p]
+            diag, anti = minus_b * inv[u] % p, (p - u) * c_inv % p
+            label = ((1, diag, -cu * dinv % p, u * u * dinv % p) if diag < anti
+                     else (1, anti, cu * dinv % p, -bc * dinv % p))
+        else:
+            label = identity
+        fibers.setdefault(label, []).append((x1, 1))
+    return fibers
 
 
 def coset_label_by_matrices(p: int, g) -> tuple[int, int, int, int]:

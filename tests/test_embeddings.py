@@ -16,8 +16,8 @@ from cmtrace.fp import (HypothesisError, index_ns_plus, is_fundamental_discrimin
 from cmtrace.quadforms import kernel_classes
 from oracles import (IDENTITY, coset_label, decompose_gamma, enumerate_cartan, galois_matrix,
                      in_cartan_group, involution_class, mat, mat_det, mat_inv, mat_mul,
-                     proj_class, proj_elements, proj_mul, proj_params, sl2_elements,
-                     split_normalizer_sl2)
+                     pencil_fibers_by_point, proj_class, proj_elements, proj_mul, proj_params,
+                     sl2_elements, split_normalizer_sl2)
 
 
 def random_inert_triples(count, pmax=31, seed=7):
@@ -319,6 +319,34 @@ def test_the_fibers_meet_the_kernel_points_in_kernel_order():
     assert checked == 45 * 2 * 2
 
 
+def test_the_pair_walk_gives_the_fibers_of_the_per_point_walk():
+    # _pencil_fibers labels one point per fiber and files its mate bc/u with
+    # it; labelling every point and grouping gives the same dict, with the
+    # labels and the points of each fiber in the same order
+    def pencil(p, dK, f):
+        _, b, c, _ = iota = build_embedding(p, order_data(dK, f)).iota_omega
+        return p, iota[0], b, c
+
+    fundamentals = [dK for dK in range(-7, -121, -1) if is_fundamental_discriminant(dK)]
+    cases = [pencil(p, dK, f) for p in (3, 5, 7, 11, 13) for dK in fundamentals
+             for f in (1, 2, 3) if kronecker(dK, p) == -1 and f % p]
+    cases += [pencil(p, dK, 1) for p in primerange(101, 200) for dK in (-7, -91)
+              if kronecker(dK, p) == -1]
+    cases += [pencil(10009, -7, f) for f in (1, 3)]
+    rng = random.Random(51)
+    for p in (3, 1009, 10009):
+        # a = 0 and a = p - 1 put the point u = 0 at x1 = 0 and at x1 = 1
+        for a in (0, p - 1, *(rng.randrange(p) for _ in range(4))):
+            b = rng.randrange(1, p)
+            c = smallest_nonsquare(p) * rng.randrange(1, p) ** 2 * pow(b, -1, p) % p
+            cases.append((p, a, b, c))
+    for p, a, b, c in cases:
+        assert kronecker(b * c, p) == -1
+        got = embeddings._pencil_fibers(p, a, b, c)
+        assert list(got.items()) == list(pencil_fibers_by_point(p, a, b, c).items()), (p, a, b, c)
+    assert len(cases) == 206 + 24 + 2 + 3 * 6
+
+
 def test_inverse_table_inverts_every_unit():
     assert inverse_table(3) == [0, 1, 2]
     for p in [*primerange(2, 2000), 10009]:
@@ -368,6 +396,15 @@ def test_two_to_one_rejects_fibers_not_paired_by_the_involution():
     emb = EmbeddingData(p=5, eps=2, order=order, iota_omega=(3, 2, 4, 3))
     with pytest.raises(FiberStructureError, match="involution"):
         two_to_one_check(emb)
+    # the same at p = 13 and at p = 7 = 3 mod 4 (p = 5 is 1 mod 4): iota =
+    # (7, 1; 2, 7) has -7's trace and det 8, not n = 2, and iota = (4, 1; 3, 4)
+    # has -11's trace and det 6, not n = 3; the identity's fiber passes, every
+    # other pairs u with bc/u, not with (a^2 - n)/u
+    for p, dK, iota in ((13, -7, (7, 1, 2, 7)), (7, -11, (4, 1, 3, 4))):
+        wrong_det = EmbeddingData(p=p, eps=smallest_nonsquare(p), order=order_data(dK, 1),
+                                  iota_omega=iota)
+        with pytest.raises(FiberStructureError, match="involution"):
+            two_to_one_check(wrong_det)
     # a diagonal entry a != t/2 gives no involution [-a : 1] at all
     bad = EmbeddingData(p=5, eps=2, order=order, iota_omega=(2, 1, 2, 2))
     with pytest.raises(InputError, match="differs from t"):
