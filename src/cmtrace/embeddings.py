@@ -41,11 +41,11 @@ since u^2 = bc has no root for the non-square bc.  It keeps the label: -b/u'
 delta' = u'^2 - bc = -bc*delta/u^2 makes that part's last two entries
 cu'/delta' = -cu/delta and -bc/delta' = u^2/delta, those of u.  No third
 point shares the label: its second entry, -b/u or -u/c, fixes u within its
-part, and the two parts meet only at u' = bc/u; u = 0 has the identity's
-label, with [1 : 0] alone.  The pairs are those of the involution [-a : 1],
-whose product with [x1 : 1] is [-a x1 - n : x1 + a] = [-a u + a^2 - n : u],
-that is u -> (a^2 - n)/u, exactly when det iota_omega = a^2 - bc is the
-order's norm n; two_to_one_check tests that on every fiber.
+part, and the two parts meet only at u' = bc/u, never 0.  The identity's
+fiber is {[1 : 0], [-a : 1]}, u = 0, in closed form.  The pairs are those of
+the involution [-a : 1], whose product with [x1 : 1] is [-a x1 - n : x1 + a]
+= [-a u + a^2 - n : u], or u -> (a^2 - n)/u, exactly when det iota_omega
+= a^2 - bc is the order's norm n; two_to_one_check tests that on every fiber.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .fp import QuadOrder, check_hypotheses, kronecker, smallest_nonsquare, sqrt
 
 
 class FiberStructureError(CmtraceError, AssertionError):
-    """The two-to-one fiber structure failed; indicates corrupted inputs."""
+    """A check of the finite shadow failed; indicates corrupted inputs."""
 
 
 class EmbeddingData(namedtuple("EmbeddingData", "p eps order iota_omega")):
@@ -135,24 +135,21 @@ def _pencil_fibers(p: int, a: int, b: int,
     x1 = 0..p-1, grouped by the closed-form coset labels of their matrices
     (module docstring), for the residues of iota_omega = (a, b; c, a) with bc
     a non-square mod the odd prime p.  Every inverse is read from one
-    inverse_table(p); none is taken per point.  The walk labels the first
-    point it meets of each fiber and files its mate with it: for
-    u = x1 + a != 0 that is u' = bc/u, at x1' = u' - a, which lies further
-    on and is marked as met (module docstring).  So the dict is the one that
-    labelling every point and grouping by label gives, with the labels and
-    the points of each fiber in the order the walk meets them."""
+    inverse_table(p); none is taken per point.  The identity's fiber is
+    {[1 : 0], [-a : 1]} in closed form.  The walk labels the first point it
+    meets of each other fiber and files its mate u' = bc/u with it, at
+    x1' = u' - a, further on, marked as met (module docstring).  So the dict
+    is the one that labelling every point and grouping by label gives, with
+    the labels and the points of each fiber in the order the walk meets them."""
     inv = inverse_table(p)
     bc, c_inv, minus_b = b * c % p, inv[c], -b % p
-    identity = (0, 1, p - 1, 0)         # the label of [1 : 0] and of u = 0
-    fibers = {identity: [(1, 0)]}
+    fibers = {(0, 1, p - 1, 0): [(1, 0), (-a % p, 1)]}  # the identity's label, u = 0
     met = bytearray(p)
+    met[-a % p] = 1
     for x1 in range(p):
         if met[x1]:
             continue
         u = (x1 + a) % p
-        if not u:
-            fibers[identity].append((x1, 1))
-            continue
         u_inv = inv[u]
         cu, dinv = c * u, inv[(u * u - bc) % p]
         diag, anti = minus_b * u_inv % p, (p - u) * c_inv % p

@@ -2,7 +2,7 @@
 ring class Galois kernel, trace, and classify the result.
 
 The inputs (ExperimentSpec) and the finite shadow (experiment_finite: optimal
-embedding, converse scan, two-to-one fiber structure, involution pairing) live
+embedding, converse lemma, two-to-one fiber structure, involution pairing) live
 in cmtrace.finite, which imports no mpmath.  trace_point runs that shadow
 first, so the analytic outcome and the group-theoretic bookkeeping are
 produced side by side, and builds the kernel forms, which the shadow does not

@@ -2,14 +2,15 @@
 
 ExperimentSpec holds and validates the inputs of one run: the field, the
 conductor, the curve or the prime p, and the working precision.
-experiment_finite runs the exact layer at p: the optimal embedding, the
-converse scan, the two-to-one coset fibers over P^1(F_p), the involution
-pairing, the index of the non-split Cartan normalizer, and common-norm
-elements.  All of it is integer arithmetic, with no binary form (the trace
-builds the kernel forms), and this module and everything it imports (errors,
-fp with the orders, embeddings) load neither quadforms nor mpmath nor
-cmtrace.curves: a finite-only process never pays for the forms or the
-analytic layer, which experiments.trace_point adds on top of this report.
+experiment_finite runs the exact layer at p, and raises FiberStructureError
+when a check fails: the optimal embedding, the converse lemma, the two-to-one
+coset fibers over P^1(F_p), the involution pairing, the index of the
+non-split Cartan normalizer, and common-norm elements.  All of it is integer
+arithmetic, with no binary form (the trace builds the kernel forms), and this
+module and everything it imports (errors, fp with the orders, embeddings)
+load neither quadforms nor mpmath nor cmtrace.curves: a finite-only process
+never pays for the forms or the analytic layer, which experiments.trace_point
+adds on top of this report.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .embeddings import (build_embedding, find_common_norm_element, lemma_converse_check,
-                         signo_pairing_check, two_to_one_check, verify_optimal)
+from .embeddings import (FiberStructureError, build_embedding, find_common_norm_element,
+                         lemma_converse_check, signo_pairing_check, two_to_one_check,
+                         verify_optimal)
 from .errors import InputError
 from .fp import (HypothesisError, check_hypotheses, factorint, index_ns_plus, isprime,
                  kronecker, order_data)
@@ -121,22 +123,20 @@ class FiniteReport(namedtuple("FiniteReport", "p dK f level_m checks fiber_count
     def to_json(self) -> dict:
         return {
             "p": self.p, "dK": self.dK, "f": self.f, "level_m": self.level_m,
-            "checks": dict(self.checks), "fiber_count": self.fiber_count,
+            "checks": self.checks, "fiber_count": self.fiber_count,
             "degree": self.degree, "passed": self.all_passed,
-            # coset labels as row-major 4-tuples, fibers as projective pairs
-            "fibers": [
-                {"label": list(label),
-                 "classes": [list(u) for u in classes]}
-                for label, classes in sorted(self.fibers.items())
-            ],
+            # row-major 4-tuple labels and projective pairs; json writes tuples as arrays
+            "fibers": [{"label": label, "classes": classes}
+                       for label, classes in sorted(self.fibers.items())],
         }
 
 
 def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
-    """The purely finite layer: embedding, converse scan, fibers, pairings,
+    """The purely finite layer: embedding, converse lemma, fibers, pairings,
     and common-norm elements for the first five good primes, with the curve's
-    level M (1 without a curve).  Each layer checks p itself; isprime and
-    smallest_nonsquare are cached, so p is tested once per process."""
+    level M (1 without a curve); a false check raises FiberStructureError.
+    Each layer checks p itself; isprime and smallest_nonsquare are cached, so
+    p is tested once per process."""
     spec.validate()
     p = spec.prime
     level_m = spec.curve.m if spec.curve is not None else 1
@@ -146,8 +146,7 @@ def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
         "lemma_converse": lemma_converse_check(emb),
         "signo_pairing": signo_pairing_check(emb),
     }
-    # raises FiberStructureError unless (p+1)/2 fibers of two, paired by the
-    # involution, so the key reads true whenever a report is made
+    # raises FiberStructureError unless (p+1)/2 fibers of two, paired by the involution
     fibers = two_to_one_check(emb)
     checks["two_to_one"] = True
     degree = index_ns_plus(p)
@@ -161,5 +160,8 @@ def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
     elements = [find_common_norm_element(p, ell) for ell in good]
     checks["common_norm_elements"] = all(
         (a * d - b * c - ell) % p == 0 for ell, (a, b, c, d) in zip(good, elements))
+    if not all(checks.values()):
+        failed = ", ".join(name for name, ok in checks.items() if not ok)
+        raise FiberStructureError(f"finite-shadow check failed at p = {p}: {failed}")
     return FiniteReport(p=p, dK=spec.dK, f=spec.f, level_m=level_m, checks=checks,
                         fiber_count=len(fibers), degree=degree, fibers=fibers)

@@ -546,18 +546,38 @@ def test_fiber_structure_error_exits_3_without_a_traceback(monkeypatch, capsys):
 
 def test_a_failed_finite_check_exits_3(monkeypatch, capsys, tmp_path):
     # a shadow check that reads false is a failed check of the theory, in
-    # finite-check and in the shadow of a trace alike, and the report says so
+    # finite-check and in the shadow of a trace alike: experiment_finite
+    # raises, naming it, and the --json file stays empty as for any run that
+    # fails after the file is opened
     monkeypatch.setattr(finite, "verify_optimal", lambda emb: False)
-    out = tmp_path / "finite.json"
-    assert main(["finite-check", "--p", "5", "--dk", "-7", "--json", str(out)]) == 3
-    assert "optimal_embedding: FAILED" in capsys.readouterr().out
-    assert json.loads(out.read_text())["passed"] is False
-    out = tmp_path / "trace.json"
-    code = main(["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--digits", "30",
-                 "--json", str(out)])
-    assert code == 3
-    payload = json.loads(out.read_text())
-    assert payload["verdict"] == "torsion" and payload["finite_shadow"]["passed"] is False
+    for argv in (["finite-check", "--p", "5", "--dk", "-7"],
+                 ["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--digits", "30"]):
+        out = tmp_path / f"{argv[0]}.json"
+        assert main([*argv, "--json", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "optimal_embedding" in captured.err
+        assert "Traceback" not in captured.err
+        assert out.read_text() == ""
+
+
+def test_no_report_is_built_as_json_without_json(monkeypatch, capsys):
+    # the payload is built only inside main's --json branch
+    runs = (["finite-check", "--p", "5", "--dk", "-7"],
+            ["trace", "--curve", "1,-1,0,-2,-1", "--dk", "-11", "--digits", "30"])
+    want = []
+    for argv in runs:
+        assert main(argv) == 0
+        want.append(capsys.readouterr().out)
+
+    def unbuilt(report):
+        raise AssertionError("to_json ran without --json")
+
+    monkeypatch.setattr(finite.FiniteReport, "to_json", unbuilt)
+    monkeypatch.setattr(experiments.TraceReport, "to_json", unbuilt)
+    for argv, out in zip(runs, want):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_a_constant_off_the_lattice_exits_3(monkeypatch, capsys):
