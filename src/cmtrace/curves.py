@@ -332,8 +332,12 @@ def ap_bad(local: LocalData) -> int:
 
 AN_BOUND = 10 ** 6
 
-# a-invariants of a model -> [its minimal model, the list a[0..bound] so far];
-# a model and its minimal model share one entry, hence one list.
+# a-invariants of a model -> [its minimal model, the list a[0..bound] so far,
+# and from its first extension on the two tables cmtrace.sieve._extend keeps
+# with it: pairs, the exact (a_n1 n2, a_n2 n1, n1 n2) of the n with a_n != 0
+# taken two by two from n = 1 up, and inv, their doubles a_n / n]; a model
+# and its minimal model share one entry, hence one list and one pair of
+# tables, and a new cache starts them all afresh.
 _an_cache: dict[tuple[int, ...], list] = {}
 
 
@@ -349,11 +353,17 @@ def an_coefficients(cur: Curve, bound: int) -> list[int]:
     if entry is None:
         m = minimal_model(cur)
         entry = _an_cache[cur.ainvs] = _an_cache.setdefault(m.ainvs, [m, [0, 1]])
-    m, a = entry
+    a = entry[1]
     if len(a) <= bound:
-        from .sieve import _extended     # sieve imports curves
-        a = entry[1] = _extended(m, a, bound)
+        from .sieve import _extend       # sieve imports curves
+        a = _extend(entry, bound)
     return a[: bound + 1]
+
+
+def coefficient_tables(cur: Curve) -> list:
+    """[pairs, inv] of the curve's cache entry, as far as an_coefficients
+    has extended its list (the tables of cmtrace.sieve._extend)."""
+    return _an_cache[cur.ainvs][2:]
 
 
 # ---------------------------------------------------------------------------

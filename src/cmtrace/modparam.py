@@ -31,24 +31,30 @@ Writing n = j m + i, block j is sum_i a_n q^i / n over the n of the block
 with a_n != 0 (itertools.compress picks them from the block's slice of the
 a_n list), and the blocks are combined by Horner in q^m: only the
 O(sqrt(n_max)) baby and giant steps are full-precision products.  The terms
-of a block are taken in pairs, a1 x1 / n1 + a2 x2 / n2 = (a1 n2 x1 + a2 n1
-x2) / (n1 n2): four small-by-big products and one floor division per real
-component and pair, a single-digit CPython division while n1 n2 < 2^30
-(n_max below 2^15); an odd count leaves one term with its own division.
-Every truncation costs at most one ulp per real component.  For the
-parametrisation |a_n / n| <= sqrt(3), so a pair errs by at most 4 sqrt(3) +
-1 ulps and a term by at most 2 sqrt(3) + 1 (one floor per pair only lowers
-the count of truncations) before Horner multiplies it by powers of |q^m| <
-1, and each of the n_max / m Horner steps adds 1 ulp plus 2 ulps times the
-partial sum, which is at most sqrt(3) / (1 - |q|), about sqrt(3) n_max /
-((digits + 10) log 10) by the choice of n_max.  The total is below 150 n_max
-u < 2^(7.3 - P - FIXED_GUARD) < 2^-P for every n_max up to NMAX_CAP: under
-10^(-digits-15), so the absolute target 10^(-digits-10) still holds and the
-tail bound is untouched.  The newform (weight 0) runs the same pairs with n
-= 1, every division exact, and has |a_n| <= sqrt(3) n instead of sqrt(3),
-which the same budget absorbs for the Atkin-Lehner sign test and its
-10^(-digits/2) tolerance; the tests compare both weights with the
-term-by-term mpc sum (tests/oracles.py).  The error
+are taken in pairs, a1 x1 / n1 + a2 x2 / n2 = (a1 n2 x1 + a2 n1 x2) / (n1
+n2): two small-by-big products and one floor division per real component
+and pair, a single-digit CPython division while n1 n2 < 2^30 (n_max below
+2^15).  The pairs are the curve's, made once with its a_n (cmtrace.sieve
+docstring): the n with a_n != 0 two by two from n = 1 up, each pair kept as
+its exact a1 n2, a2 n1 and n1 n2.  Ranked from 0 at n = 1, the n of a block
+are the ranks lo..hi-1, rank r being member r & 1 of pair r >> 1, so a block
+walks the slice of pairs inside it, and a pair cut by the block's edge or by
+n_max gives each member alone, a1 n2 x1 / (n1 n2) = a1 x1 / n1 with a floor
+division of its own.  So every term meets exactly one floor division,
+alone or in a pair, and every truncation costs at most one ulp per real
+component.  For the parametrisation |a_n / n| <= sqrt(3), so a pair errs by
+at most 4 sqrt(3) + 1 ulps and a term by at most 2 sqrt(3) + 1 (one floor
+per pair only lowers the count of truncations) before Horner multiplies it
+by powers of |q^m| < 1, and each of the n_max / m Horner steps adds 1 ulp
+plus 2 ulps times the partial sum, which is at most sqrt(3) / (1 - |q|),
+about sqrt(3) n_max / ((digits + 10) log 10) by the choice of n_max.  The
+total is below 150 n_max u < 2^(7.3 - P - FIXED_GUARD) < 2^-P for every
+n_max up to NMAX_CAP: under 10^(-digits-15), so the absolute target
+10^(-digits-10) still holds and the tail bound is untouched.  The newform
+(weight 0) sums each block's a_n x exactly, with no division, and has |a_n|
+<= sqrt(3) n instead of sqrt(3), which the same budget absorbs for the
+Atkin-Lehner sign test and its 10^(-digits/2) tolerance; the tests compare
+both weights with the term-by-term mpc sum (tests/oracles.py).  The error
 is absolute, not relative: a value far below 2^-P comes back as noise or 0.
 
 LAMBDA_DIGITS values in doubles.  A value read off the lattice comes with
@@ -58,8 +64,11 @@ K_EXPONENT + 1) for K_Q (below), 10^-10 for lam or Omega
 tail and the bound E below are under it, the series is summed in doubles, u
 = 2^-53, by the same rectangular splitting: q^1..q^m chained
 (itertools.accumulate), each block sum_i c_n q^i, n = j m + i, i = m down to
-1, c_n = a_n / n^weight by int division, as one C-level sum over its a_n !=
-0, and the blocks by Horner in q^m.  Else the fixed-point evaluator runs.
+1, c_n = a_n / n^weight, as one C-level sum over its a_n != 0, and the
+blocks by Horner in q^m.  At weight 1 c_n is the curve's double a_n / n,
+correctly rounded by one int division when its a_n was made (cmtrace.sieve
+docstring) and read by the block's ranks as the pairs are.  Else the
+fixed-point evaluator runs.
 At |Re tau| <= 1 the allowances admit 365, 8988 and 45107 (weight 0) terms
 at least.
 
@@ -207,13 +216,14 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from math import ceil, expm1, factorial, gcd, isqrt, log, pi, sqrt
-from operator import mul, truediv
+from operator import mul
 
 import mpmath as mp
 from mpmath.libmp import (fone, from_int, fzero, mpf_cos_sin, mpf_div, mpf_exp, mpf_mul, mpf_neg,
                           mpf_pi, mpf_shift, mpf_sqrt, to_int, to_rational)
 
-from .curves import Curve, CurveModel, _valuation, an_coefficients, ap_bad, tate_local
+from .curves import (Curve, CurveModel, _valuation, an_coefficients, ap_bad, coefficient_tables,
+                     tate_local)
 from . import sieve          # with this layer, so a process forked after import never compiles it
 from .errors import AlConstantError, CmtraceError, InputError
 from .fp import factorint, kronecker
@@ -313,18 +323,22 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int, allow
             # baby steps q^1..q^m, each block n = base + m .. base + 1 summed
             # from its top down, the blocks by Horner in q^m from the top
             a, m = an_coefficients(cur, nmax), isqrt(nmax)
+            inv = coefficient_tables(cur)[1]
             baby = list(accumulate(repeat(q, m), mul))
             top, down = (nmax - 1) // m * m, baby[::-1]
             blocks = [(nmax, top, baby[nmax - top - 1::-1])]
             blocks += [(lo + m, lo, down) for lo in range(top - m, -1, -m)]
-            z = 0j
-            for hi, lo, powers in blocks:             # the n of a block with a_n != 0
-                c = a[hi:lo:-1]
-                n, powers, c = compress(range(hi, lo, -1), c), compress(powers, c), compress(c, c)
-                z = z * baby[-1] + sum(map(mul, map(truediv, c, n) if weight else c, powers))
+            z, r = 0j, len(a) - a.count(0)
+            for hi, lo, powers in blocks:             # the n of a block with a_n != 0,
+                b = a[hi:lo:-1]                       # ranked k..r-1 as in fixed point
+                k = r - len(b) + b.count(0)
+                c = reversed(inv[k:r]) if weight else compress(b, b)      # a_n / n^weight
+                z = z * baby[-1] + sum(map(mul, c, compress(powers, b)))
+                r = k
             return z
     with mp.workdps(digits + GUARD):
         a = an_coefficients(cur, nmax)
+        pairs = coefficient_tables(cur)[0]
         frac = mp.mp.prec + nmax.bit_length() + FIXED_GUARD
         m = isqrt(nmax)
         # Baby steps q^0..q^m, chained with bit_length(m) + 2 extra bits so
@@ -333,30 +347,45 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int, allow
         fine = frac + extra
         qre, qim = (to_int(mpf_shift(v, fine)) for v in _q(tau, fine))   # truncated as int() does
         x, y = 1 << fine, 0
-        pre, pim = [], []
+        babies = []
         for _ in range(m):
-            pre.append(x >> extra)
-            pim.append(y >> extra)
+            babies.append((x >> extra, y >> extra))
             x, y = (x * qre - y * qim) >> fine, (x * qim + y * qre) >> fine
         gre, gim = x >> extra, y >> extra          # giant step q^m
         # Horner in q^m over the blocks n = base + i, base = j*m, 0 <= i < m;
-        # each block visits only its n with a_n != 0
+        # each block visits only its n with a_n != 0, ranked lo..hi-1 from 0
+        # at n = 1, so that rank r is member r & 1 of pair r >> 1 of the table
         re = im = 0
+        hi = len(a) - a.count(0)
         for base in range(nmax - nmax % m, -1, -m):
             re, im = (re * gre - im * gim) >> frac, (re * gim + im * gre) >> frac
             coef = a[base:base + m]                 # a holds a[0..nmax] only
-            ns = range(base, base + m) if weight else repeat(1)     # n = 1: exact divisions
-            terms = list(compress(zip(ns, coef, pre, pim), coef))
-            if len(terms) & 1:                      # an odd count leaves one term alone
-                n, c, x, y = terms.pop()
-                re += c * x // n
-                im += c * y // n
-            # a1 x1 / n1 + a2 x2 / n2 as one floor division by n1 n2
-            pairs = iter(terms)
-            for (n1, c1, x1, y1), (n2, c2, x2, y2) in zip(pairs, pairs):
-                c1, c2, d = c1 * n2, c2 * n1, n1 * n2
-                re += (c1 * x1 + c2 * x2) // d
-                im += (c1 * y1 + c2 * y2) // d
+            lo = hi - len(coef) + coef.count(0)
+            if lo == hi:
+                continue
+            ps = compress(babies, coef)
+            if not weight:                          # n = 1: exact, no division
+                for c, (x, y) in zip(compress(coef, coef), ps):
+                    re += c * x
+                    im += c * y
+            else:
+                j, k = lo + 1 >> 1, hi >> 1         # the pairs j..k-1 lie inside the block
+                if lo & 1:                          # pair j - 1's upper member, cut by the edge
+                    c, d = pairs[3 * j - 2], pairs[3 * j - 1]
+                    x, y = next(ps)
+                    re += c * x // d
+                    im += c * y // d
+                # a1 x1 / n1 + a2 x2 / n2 = (a1 n2 x1 + a2 n1 x2) / (n1 n2), one floor division
+                t = iter(pairs[3 * j:3 * k])
+                for c1, c2, d, (x1, y1), (x2, y2) in zip(t, t, t, ps, ps):
+                    re += (c1 * x1 + c2 * x2) // d
+                    im += (c1 * y1 + c2 * y2) // d
+                if hi & 1:                          # pair k's lower member, cut by the edge or n_max
+                    c, d = pairs[3 * k], pairs[3 * k + 2]
+                    x, y = next(ps)
+                    re += c * x // d
+                    im += c * y // d
+            hi = lo
         return mp.mpc(mp.ldexp(re, -frac), mp.ldexp(im, -frac))
 
 

@@ -118,8 +118,16 @@ the reduced one, with tau negated when Im tau < 0 (Lagrange reduction keeps
 either orientation), so |Re tau| <= 1/2 and |tau| >= 1, hence Im tau >=
 sqrt(3) / 2 and |q| <= e^(-pi sqrt(3) / 2) < 0.07: the n-th term of each
 theta series is of order |q|^(n^2), and mpmath's jtheta sums them to the
-working precision.  The tests compare both values with the Laurent series
-plus duplication (tests/oracles.py).
+working precision.  jtheta takes pi at growing precisions as it goes: the
+derivatives work at up to prec + prec / 10 + 200 bits (10 + prec / 10 guard
+bits and 50 more digits), and the reduction of a cosine's argument mod pi /
+2 doubles its pi's guard bits, from 20, until the remainder shows, up to
+about three times that when the argument sits on a multiple of pi / 2, as it
+does for a real z on a rectangular lattice.  mpmath keeps the most precise pi
+it has made and cuts it for any lower precision, so _wp_pair asks for pi once,
+at 3 (prec + prec / 10 + 200) bits, and no jtheta after it computes pi
+again.  The tests compare both values with the Laurent series plus
+duplication (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -333,6 +341,8 @@ def read_vector(lat: PeriodLattice, z, error, what: str) -> tuple[int, int]:
 
 def _wp_pair(lat: PeriodLattice, z):
     """(wp(z), wp'(z)) for reduced z != 0, as theta quotients (module docstring)."""
+    prec = mp.mp.prec
+    mpf_pi(3 * (prec + prec // 10 + 200))      # pi once, for every jtheta below
     b1, b2 = _reduced_basis(lat)
     tau = b2 / b1
     q = mp.expjpi(tau if mp.im(tau) > 0 else -tau)

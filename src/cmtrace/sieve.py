@@ -80,14 +80,34 @@ walk over the rows y >= 0 and their progressions of t, conjugates paired
 (weight 2 at y > 0) and, in the quadratic case, -alpha paired with alpha
 (t > 0 only, weight 2), adds every alpha of norm up to the bound to its
 a_n: no prime list, no recursion, the bad primes included (no alpha of
-their norm is prime to f).
+their norm is prime to f).  With t = y mod 2 and |d| = 3 mod 4 when y is
+odd, n = (t^2 + |d| y^2) / 4 is t^2 >> 2 plus the row's offset (|d| y^2 + (y
+& 1)) >> 2, so in the quadratic case, every t > 0 of each parity, the walk
+reads t^2 >> 2 and chi(t / 2) t from tables made once per call: a term is
+one look-up and one addition.  The unit rows take every sixth to twelfth t,
+too few per row to pay for the slices, and compute each term.
 
 Bad primes contribute curves.ap_bad; _extended derives every other a_n.
+
+The tables.  Each extension of a cached list (_extend) extends two tables of
+its curve's entry (curves._an_cache) over the new n, for the series of
+cmtrace.modparam.  pairs takes the n with a_n != 0 two by two in order from
+n = 1 up and keeps each pair n1 < n2 as the exact products (a_n1 n2, a_n2
+n1, n1 n2), three integers of an array('q').  An odd count leaves its last n
+as the half pair (a_n, 0, n), which the next extension completes; as a_n1
+n2 / (n1 n2) = a_n1 / n1, either member of a pair, or of a half pair, can be
+taken alone from its own product and the pair's n1 n2.  inv holds the
+correctly rounded doubles a_n / n of the same n in the same order, an
+array('d'): the nonzero ones only, so that a_n = 0, which is most a_n of a
+CM curve, costs neither a division nor a slot.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain, compress, islice
 from math import isqrt, prod
+from operator import mul, truediv
 
 from .curves import AN_BOUND, Curve, ap_bad, tate_local
 from .errors import InputError
@@ -282,24 +302,54 @@ def _walk(a: list[int], d: int, rows, old: int, bound: int) -> None:
     (module docstring).  Rows y = 0 mod r, t = 2 + k y mod s on each, and
     |t| above the known n; a row y > 0 stands for y and -y, and in the
     quadratic case t > 0 for t and -t, so a_n comes out integral with the
-    row y = 0 at half weight (t even there)."""
+    row y = 0 at half weight (t even there).  In the quadratic case n is
+    t^2 >> 2 plus the row's offset, both t^2 >> 2 and chi(t / 2) t read
+    from tables made once per call."""
     n = -d
     r, k, s = rows
-    chi = [kronecker(c, n) for c in range(n)] if d < -4 else None     # U = {+-1}
-    half = (n + 1) // 2                     # 2^-1 mod |d|
+    if d < -4:                              # U = {+-1}: t^2 >> 2 and chi(t / 2) t by t
+        chi, half = [kronecker(c, n) for c in range(n)], (n + 1) // 2     # 2^-1 mod |d|
+        ts = range(isqrt(4 * bound) + 1)
+        sq, values = [t * t >> 2 for t in ts], [chi[t * half % n] * t for t in ts]
     for y in range(0, isqrt(4 * bound // n) + 1, r):
         base = n * y * y
         top, low = isqrt(4 * bound - base), 4 * old - base
         t0 = isqrt(low) + 1 if low >= 0 else 0      # t^2 > low: above the known n
         c, shift = (2 + k * y) % s, 0 if y else 1
-        if chi:
-            t0 = max(t0, 1)
-            for t in range(t0 + (c - t0) % s, top + 1, s):
-                a[(t * t + base) >> 2] += chi[t * half % n] * t >> shift
+        if d < -4:                          # n = t^2 >> 2 plus the row's offset
+            t, off = max(t0, 1), base + (y & 1) >> 2
+            t += (c - t) % s
+            for i, v in zip(sq[t:top + 1:s], values[t:top + 1:s]):
+                a[i + off] += v >> shift
             continue
         for lo, hi in ((t0, top), (-top, -t0)):
             for t in range(lo + (c - lo) % s, hi + 1, s):
                 a[(t * t + base) >> 2] += t >> shift
+
+
+def _extend(entry: list, bound: int) -> list[int]:
+    """Extend a curve's cache entry [m, a, pairs, inv] (curves._an_cache)
+    to a[0..bound] by _extended, and its two tables with it (module
+    docstring), made at the first extension from a = [0, 1]: the half pair
+    (1, 0, 1) of n = 1 and a_1 / 1.  Returns the new list."""
+    m, a, *tables = entry
+    pairs, inv = tables or (array("q", (1, 0, 1)), array("d", (1.0,)))
+    old = len(a)
+    a = _extended(m, a, bound)
+    ns = list(compress(range(old, bound + 1), islice(a, old, None)))
+    vals = list(map(a.__getitem__, ns))
+    inv.extend(map(truediv, vals, ns))
+    if not pairs[-2]:                       # the half pair (a_n, 0, n) pairs with the first new n
+        ns.insert(0, pairs.pop())
+        vals.insert(0, pairs[-2])
+        del pairs[-2:]
+    n1, n2 = ns[::2], ns[1::2]
+    pairs.extend(chain.from_iterable(zip(map(mul, vals[::2], n2), map(mul, vals[1::2], n1),
+                                         map(mul, n1, n2))))
+    if len(ns) & 1:
+        pairs.extend((vals[-1], 0, ns[-1]))
+    entry[1:] = a, pairs, inv
+    return a
 
 
 def _smallest_prime_factors(bound: int) -> list[int]:

@@ -55,6 +55,8 @@ docstring), where cmtrace reads each of these off a few residues.
 
 On the analytic side, eval_series_direct is the term-by-term mpc evaluation
 of the q-series that the fixed-point evaluator in cmtrace.modparam replaced,
+eval_series_in_doubles_by_blocks the route in doubles with each block's a_n
+/ n divided as it goes, where modparam reads them from the curve's table,
 phi_terms_mp its term count at 30 digits, where modparam.phi_terms
 computes it in doubles,
 orbit_trace_direct the sum of the parametrisation over the orbit points
@@ -105,7 +107,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from itertools import accumulate, compress, repeat
+from math import gcd, isqrt
+from operator import mul, truediv
 
 import mpmath as mp
 import numpy as np
@@ -117,7 +121,7 @@ from cmtrace.embeddings import EmbeddingData, FiberStructureError, inverse_table
 from cmtrace.errors import InputError
 from cmtrace.fp import QuadOrder, _xgcd, check_fundamental, isprime, kronecker, smallest_nonsquare
 from cmtrace.heegner import NoHeegnerPoint, gamma0_reduce
-from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms
+from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms, q_double
 from cmtrace.periods import (GUARD as PERIODS_GUARD, NEWTON_GUARD, TORSION_BOUND, PeriodLattice,
                              _cubic, _nearest_multiples, locate)
 from cmtrace.quadforms import BinaryForm, KernelClass, lagrange_reduce, reduce_form, reduced_forms
@@ -794,6 +798,26 @@ def eval_series_direct(cur, tau, digits: int, weight: int):
                 else:
                     acc += a[n] * qn
         return +acc
+
+
+def eval_series_in_doubles_by_blocks(cur, tau: complex, digits: int, weight: int) -> complex:
+    """sum_{n <= n_max} a_n q^n / n^weight in doubles by modparam's
+    rectangular splitting, each block's a_n / n by int division as the block
+    is summed: the same doubles in the same order as modparam's route in
+    doubles, which reads a_n / n from the curve's table."""
+    nmax = phi_terms(tau.imag, digits)
+    q = q_double(tau.real, tau.imag)[0]
+    a, m = an_coefficients(cur, nmax), isqrt(nmax)
+    baby = list(accumulate(repeat(q, m), mul))
+    top, down = (nmax - 1) // m * m, baby[::-1]
+    blocks = [(nmax, top, baby[nmax - top - 1::-1])]
+    blocks += [(lo + m, lo, down) for lo in range(top - m, -1, -m)]
+    z = 0j
+    for hi, lo, powers in blocks:
+        c = a[hi:lo:-1]
+        n, powers, c = compress(range(hi, lo, -1), c), compress(powers, c), compress(c, c)
+        z = z * baby[-1] + sum(map(mul, map(truediv, c, n) if weight else c, powers))
+    return z
 
 
 def heegner_tau(form: BinaryForm, digits: int):

@@ -400,6 +400,29 @@ def test_the_analytic_layer_loads_the_sieve():
     assert proc.stdout.strip() == "True"
 
 
+def test_the_exponential_map_computes_pi_once():
+    # a cold 121b1/-67 trace at 200 digits: mpmath made pi six times inside
+    # _wp_pair (23 to 52 Chudnovsky terms) as jtheta raised its precision;
+    # asked once at the top, no jtheta needs a more precise one
+    proc = _python(
+        "import mpmath.libmp.libelefun as le\n"
+        "from cmtrace import periods\n"
+        "from cmtrace.cli import main\n"
+        "runs, inside, chudnovsky, wp_pair = [], [], le.bs_chudnovsky, periods._wp_pair\n"
+        "def counting(a, b, level, verbose):\n"
+        "    if inside and level == 0:\n"
+        "        runs.append(b - a)\n"
+        "    return chudnovsky(a, b, level, verbose)\n"
+        "def marked(*args):\n"
+        "    inside.append(1)\n"
+        "    return wp_pair(*args)\n"
+        "le.bs_chudnovsky, periods._wp_pair = counting, marked\n"
+        "main(['trace', '--curve', '0,-1,1,-7,10', '--dk', '-67', '--digits', '200'])\n"
+        "print(len(inside), len(runs))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 1"
+
+
 def test_a_curve_of_another_type_is_refused_before_curves_loads():
     proc = _python(
         "import sys, cmtrace\n"

@@ -7,8 +7,8 @@ import pytest
 from sympy import factorint, primerange
 
 from cmtrace import curves, sieve
-from cmtrace.curves import (AN_BOUND, Curve, an_coefficients, conductor, curve_from_c4c6,
-                            curve_model, minimal_model, tate_local, transform)
+from cmtrace.curves import (AN_BOUND, Curve, an_coefficients, coefficient_tables, conductor,
+                            curve_from_c4c6, curve_model, minimal_model, tate_local, transform)
 from cmtrace.sieve import ap_good
 from cmtrace.fp import kronecker
 from oracles import ap_char_sum_reduced
@@ -245,6 +245,29 @@ def test_an_cache_extension_matches_fresh_sieve(monkeypatch, bounds):
         for bound in bounds:
             assert an_coefficients(cur, bound) == fresh[: bound + 1]
         assert an_coefficients(cur, max(bounds)) == fresh
+
+
+@pytest.mark.parametrize("ai", [(0, -1, 1, -7, 10), (1, 1, 1, -3, 1), (0, 0, 0, 0, 1)])
+def test_tables_extended_with_the_list_equal_one_fresh_build(monkeypatch, ai):
+    # 121b1 (sparse), 50b1 (dense) and 36a1: the pairs of the n with a_n != 0
+    # from n = 1 up, each (a_n1 n2, a_n2 n1, n1 n2), an odd count's last n as
+    # the half pair (a_n, 0, n), and a_n / n by n, whether the list grew
+    # 500 -> 5000 -> 15000 or was built at once
+    cur = minimal_model(Curve(*ai))
+    monkeypatch.setattr(curves, "_an_cache", {})
+    a = an_coefficients(cur, 15000)
+    fresh = [table.tolist() for table in coefficient_tables(cur)]
+    nonzero = [n for n in range(1, 15001) if a[n]]
+    pairs = [x for n1, n2 in zip(nonzero[::2], nonzero[1::2])
+             for x in (a[n1] * n2, a[n2] * n1, n1 * n2)]
+    if len(nonzero) % 2:
+        pairs += [a[nonzero[-1]], 0, nonzero[-1]]
+    assert fresh == [pairs, [a[n] / n for n in nonzero]]
+    for bounds in ((500, 5000, 15000), (2, 3, 4, 5, 6, 7, 15000)):
+        monkeypatch.setattr(curves, "_an_cache", {})
+        for bound in bounds:
+            an_coefficients(cur, bound)
+        assert [table.tolist() for table in coefficient_tables(cur)] == fresh, bounds
 
 
 def point_count_route(monkeypatch, cur: Curve, bound: int) -> list[int]:

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath as mp
 import pytest
@@ -21,7 +21,8 @@ from cmtrace.modparam import (GUARD, K_EXPONENT, LAMBDA_DIGITS, NMAX_CAP, FormPo
                               eval_phi, float_error, im_tau, local_sign, phi_terms, q_double,
                               sign_points)
 from cmtrace.periods import LAMBDA_BUDGET, period_lattice
-from oracles import eval_series_direct, heegner_tau, lattice_distance, phi_terms_mp, root_number
+from oracles import (eval_series_direct, eval_series_in_doubles_by_blocks, heegner_tau,
+                     lattice_distance, phi_terms_mp, root_number)
 
 
 def sigma0(n):
@@ -279,6 +280,60 @@ def test_fixed_point_series_matches_direct_sum(label):
                     assert abs(got - want) < mp.mpf(10) ** -(digits + 5), (digits, tau, weight)
 
 
+# sparse (CM, a_n from the Hecke walk), dense (point-counted) and the unit rows
+TABLE_CURVES = {"121b1": (0, -1, 1, -7, 10), "50b1": (1, 1, 1, -3, 1), "36a1": (0, 0, 0, 0, 1)}
+
+
+def _im_for(nmax: int, digits: int) -> float:
+    """The least double Im tau, to bisection, with phi_terms(Im tau, digits) <= nmax."""
+    lo, hi = 1e-3, 100.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if phi_terms(mid, digits) > nmax else (lo, mid)
+    return hi
+
+
+def _kernel_shapes(a: list[int], nmax: int) -> set[str]:
+    """What the fixed-point route meets in its blocks n = j m .. j m + m - 1,
+    m = isqrt(nmax), over the n with a_n != 0 ranked from 0 at n = 1 and
+    paired from there, when the table reaches past nmax."""
+    m, nonzero = isqrt(nmax), [n for n in range(1, nmax + 1) if a[n]]
+    shapes = {"pair cut by n_max"} if len(nonzero) % 2 else set()
+    if nmax % m < m - 1:
+        shapes.add("partial top block")
+    for base in range(0, nmax + 1, m):
+        ranks = [r for r, n in enumerate(nonzero) if base <= n < base + m]
+        if not ranks:
+            shapes.add("empty block")
+        elif ranks[0] % 2:
+            shapes.add("pair cut by a block edge")
+        if len(ranks) % 2:
+            shapes.add("odd count in a block")
+    return shapes
+
+
+def test_table_kernel_matches_direct_sum():
+    # each curve's table built past every n_max below first, so that a pair
+    # can straddle n_max; n_max from 4 (blocks of 2) to about 1000
+    shapes = set()
+    for label, ai in sorted(TABLE_CURVES.items()):
+        model = curve_model(ai)
+        a = an_coefficients(model.minimal, 3000)
+        for digits in (30, 60, 200):
+            for nmax in (4, 6, 9, 14, 23, 40, 99, 250, 1000):
+                im = _im_for(nmax, digits)
+                assert phi_terms(im, digits) == nmax
+                shapes |= _kernel_shapes(a, nmax)
+                tau = mp.mpc("0.3", im)
+                for weight, fast in ((1, eval_phi), (0, eval_newform)):
+                    want = eval_series_direct(model.minimal, tau, digits, weight)
+                    got = fast(model, tau, digits)
+                    with mp.workdps(digits + 30):
+                        assert abs(got - want) < mp.mpf(10) ** -(digits + 5), (label, digits, nmax)
+    assert shapes == {"pair cut by n_max", "partial top block", "empty block",
+                      "pair cut by a block edge", "odd count in a block"}
+
+
 U = 2.0 ** -53
 # the allowances of the three readers of a LAMBDA_DIGITS value, and the weight
 # each reads: the 2520 K_Q read (al_constant), a read of lam or Omega
@@ -404,6 +459,23 @@ def test_float_route_is_within_its_proven_bound(monkeypatch, ai):
         with mp.workdps(30):
             assert abs(got - want) <= bound + 1e-15, (x, im, n, weight)
     assert len(runs) == len(cases) and min(counts) == 4 and max(counts) > 1000
+
+
+@pytest.mark.parametrize("label", sorted(TABLE_CURVES))
+def test_float_route_sums_the_doubles_of_the_division_per_block(monkeypatch, label):
+    # the a_n / n of the curve's table are the quotients the blocks divided,
+    # summed in the same order: equal as doubles, at both weights, from 4
+    # terms up to the most the lam allowance admits
+    cur, rng = Curve(*TABLE_CURVES[label]), random.Random(label)
+    runs = _counting_floats(monkeypatch)
+    for weight in (1, 0):
+        for x in (-1.0, -0.5, 0.0, 0.3, 1.0):
+            lo, hi = _admitted(x, VALUE_ALLOWANCE, weight), _im_with_terms(4)
+            for im in (lo, hi, 1 / (1 / hi + (1 / lo - 1 / hi) * rng.random())):
+                runs.clear()
+                got = _eval_series(cur, complex(x, im), LAMBDA_DIGITS, weight, VALUE_ALLOWANCE)
+                want = eval_series_in_doubles_by_blocks(cur, complex(x, im), LAMBDA_DIGITS, weight)
+                assert len(runs) == 1 and got == want, (x, im, weight)
 
 
 def test_a_series_over_its_allowance_or_with_none_runs_in_fixed_point(monkeypatch):
