@@ -45,11 +45,15 @@ part, and the two parts meet only at u' = bc/u, never 0.  The identity's
 fiber is {[1 : 0], [-a : 1]}, u = 0, in closed form.  The pairs are those of
 the involution [-a : 1], whose product with [x1 : 1] is [-a x1 - n : x1 + a]
 = [-a u + a^2 - n : u], or u -> (a^2 - n)/u, exactly when det iota_omega
-= a^2 - bc is the order's norm n; two_to_one_check tests that on every fiber.
+= a^2 - bc is the order's norm n.  So two_to_one_check, after its O(p) walk,
+tests the pairing once, by that one residue: with the count of labels and a
+pass over the fiber sizes, that rejects exactly the inputs that testing
+every fiber's mates rejects (its docstring).
 """
 
 from __future__ import annotations
 
+import gc
 from collections import namedtuple
 
 from .errors import CmtraceError, InputError
@@ -171,15 +175,28 @@ def two_to_one_check(emb: EmbeddingData) -> dict[tuple[int, int, int, int], list
     2a = t and bc a non-square, so that every matrix of the pencil is
     invertible; any other input is an InputError.  Enforces the expected
     structure: (p+1)/2 distinct labels, every fiber of size exactly two, and
-    fiber partners differing by the involution class [-a : 1].  The mate check
-    is the group law of P^1(F_p) (quadforms docstring) with y = [-a : 1] and
-    t = 2a in closed form:
+    fiber partners differing by the involution class [-a : 1], which is a
+    test of one residue.  By the group law of P^1(F_p) (quadforms docstring)
+    with y = [-a : 1] and t = 2a in closed form,
 
         [x1 : x2] * [-a : 1] = [-a x1 - n x2 : x1 - a x2 + t x2]
                              = [-a x1 - n x2 : x1 + a x2],
 
     and a mate [y1 : y2] is that point exactly when y1 (x1 + a x2) =
-    y2 (-a x1 - n x2) mod p, with no inverse taken.
+    y2 (-a x1 - n x2) mod p.  The walk's fibers are the identity's,
+    {[1 : 0], [-a : 1]}, which passes (-a = -a), and {[u - a : 1],
+    [bc/u - a : 1]} for u != 0, which passes exactly when (bc/u - a) u
+    + a (u - a) + n = bc - a^2 + n is 0 mod p: the walk pairs u with bc/u,
+    the involution pairs u with (a^2 - n)/u, and the two agree at every
+    u != 0 exactly when bc = a^2 - n.  (As p is inert, a^2 - n = (t^2 -
+    4n)/4 is nonzero, so the involution too pairs nonzero u.)  As p >= 3,
+    there are (p+1)/2 >= 2 fibers, so one besides the identity's: testing
+    every fiber's mates fails exactly when (a^2 - bc - n) mod p != 0.  So
+    that one residue is what is tested, in O(1), after the count of labels
+    and one pass over the fiber sizes, both of which the walk's output meets
+    by construction.  The per-fiber test is
+    tests/oracles.fibers_paired_by_involution, and the tests hold the two to
+    each other.
     """
     p, n = emb.p, emb.order.n
     check_hypotheses(p, emb.order)
@@ -191,15 +208,23 @@ def two_to_one_check(emb: EmbeddingData) -> dict[tuple[int, int, int, int], list
     if kronecker(b * c, p) != -1:
         raise InputError(f"coset labels are defined for invertible matrices: "
                          f"bc = {b * c % p} is a square mod {p}")
-    fibers = _pencil_fibers(p, a, b, c)
+    # The walk builds (p+1)/2 lists and 3(p+1)/2 tuples that hold only ints
+    # and tuples, none in a cycle, so the collector's passes over the growing
+    # dict free nothing; it is paused for the walk alone and left as it was.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fibers = _pencil_fibers(p, a, b, c)
+    finally:
+        if enabled:
+            gc.enable()
     if len(fibers) != (p + 1) // 2:
         raise FiberStructureError(f"expected {(p + 1) // 2} labels, got {len(fibers)}")
-    for label, mates in fibers.items():
-        if len(mates) != 2:
-            raise FiberStructureError(f"fiber of {label} has size {len(mates)}")
-        (x1, x2), (y1, y2) = mates
-        if (y1 * (x1 + a * x2) - y2 * (-a * x1 - n * x2)) % p:
-            raise FiberStructureError("fiber partners do not differ by the involution")
+    if set(map(len, fibers.values())) != {2}:
+        label, mates = next(item for item in fibers.items() if len(item[1]) != 2)
+        raise FiberStructureError(f"fiber of {label} has size {len(mates)}")
+    if (a * a - b * c - n) % p:
+        raise FiberStructureError("fiber partners do not differ by the involution")
     return fibers
 
 

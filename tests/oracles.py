@@ -37,13 +37,14 @@ galois_matrix and pairs the fiber mates by proj_mul with the
 involution_class; cmtrace.embeddings reads each label of the pencil
 x1*I + iota_omega off its entries in closed form, keys each fiber by that
 4-tuple, labels one point of each fiber and files its mate u' = bc/u with
-it (pencil_fibers_by_point labels every point), and checks each mate by the
-group law in closed form, and coset_label is the label of any invertible
-matrix, read off its entries by _label_entries.  A label is the row-major
-4-tuple of entries in every route.  signo_pairing_by_matrices builds the
-involution's matrix with galois_matrix, tests its Cartan membership and
-factors it through (0,1;-1,0), where cmtrace.embeddings.signo_pairing_check
-reads the answer off two entries.
+it (pencil_fibers_by_point labels every point), and checks the pairing by
+one residue, det iota_omega = n, where fibers_paired_by_involution checks
+each mate by the group law in closed form, and coset_label is the label of
+any invertible matrix, read off its entries by _label_entries.  A label is
+the row-major 4-tuple of entries in every route.  signo_pairing_by_matrices
+builds the involution's matrix with galois_matrix, tests its Cartan
+membership and factors it through (0,1;-1,0), where
+cmtrace.embeddings.signo_pairing_check reads the answer off two entries.
 
 These routes run on the matrix layer that the package no longer has.  A
 matrix over F_p is a row-major 4-tuple in [0, p) (mat, mat_det, mat_mul,
@@ -373,6 +374,21 @@ def pencil_fibers_by_point(p: int, a: int, b: int,
             label = identity
         fibers.setdefault(label, []).append((x1, 1))
     return fibers
+
+
+def fibers_paired_by_involution(emb: EmbeddingData, fibers):
+    """The per-fiber test that cmtrace.embeddings.two_to_one_check made
+    before it tested det iota_omega = n alone: every fiber has two points,
+    and the second is the first times the involution [-a : 1] by the group
+    law in closed form.  Raises FiberStructureError with two_to_one_check's
+    messages on the first fiber that fails."""
+    p, n, a = emb.p, emb.order.n, emb.iota_omega[0] % emb.p
+    for label, mates in fibers.items():
+        if len(mates) != 2:
+            raise FiberStructureError(f"fiber of {label} has size {len(mates)}")
+        (x1, x2), (y1, y2) = mates
+        if (y1 * (x1 + a * x2) - y2 * (-a * x1 - n * x2)) % p:
+            raise FiberStructureError("fiber partners do not differ by the involution")
 
 
 def coset_label_by_matrices(p: int, g) -> tuple[int, int, int, int]:

@@ -1,3 +1,4 @@
+import gc
 import random
 from functools import lru_cache
 from itertools import product
@@ -11,13 +12,14 @@ from cmtrace.embeddings import (EmbeddingData, FiberStructureError, build_embedd
                                 signo_pairing_check, two_to_one_check, verify_optimal)
 from cmtrace.errors import InputError
 from cmtrace.finite import ExperimentSpec, experiment_finite
-from cmtrace.fp import (HypothesisError, index_ns_plus, is_fundamental_discriminant, kronecker,
-                        order_data, smallest_nonsquare)
+from cmtrace.fp import (HypothesisError, QuadOrder, index_ns_plus, is_fundamental_discriminant,
+                        kronecker, order_data, smallest_nonsquare)
 from cmtrace.quadforms import kernel_classes
-from oracles import (IDENTITY, coset_label, decompose_gamma, enumerate_cartan, galois_matrix,
-                     in_cartan_group, involution_class, mat, mat_det, mat_inv, mat_mul,
-                     pencil_fibers_by_point, proj_class, proj_elements, proj_mul, proj_params,
-                     sl2_elements, split_normalizer_sl2)
+from oracles import (IDENTITY, coset_label, decompose_gamma, enumerate_cartan,
+                     fibers_paired_by_involution, galois_matrix, in_cartan_group,
+                     involution_class, mat, mat_det, mat_inv, mat_mul, pencil_fibers_by_point,
+                     proj_class, proj_elements, proj_mul, proj_params, sl2_elements,
+                     split_normalizer_sl2)
 
 
 def random_inert_triples(count, pmax=31, seed=7):
@@ -347,6 +349,77 @@ def test_the_pair_walk_gives_the_fibers_of_the_per_point_walk():
     assert len(cases) == 206 + 24 + 2 + 3 * 6
 
 
+def pair_walk_embeddings() -> list[EmbeddingData]:
+    """The 250 pencils of test_the_pair_walk_gives_the_fibers_of_the_per_point_walk,
+    each as an embedding: the 232 of an order as build_embedding gives them,
+    and each of the 18 drawn (p, a, b, c) with the order of its own
+    characteristic polynomial X^2 - 2aX + (a^2 - bc), whose n is all that
+    fibers_paired_by_involution reads of it."""
+    fundamentals = [dK for dK in range(-7, -121, -1) if is_fundamental_discriminant(dK)]
+    cases = [build_embedding(p, order_data(dK, f)) for p in (3, 5, 7, 11, 13)
+             for dK in fundamentals for f in (1, 2, 3) if kronecker(dK, p) == -1 and f % p]
+    cases += [build_embedding(p, order_data(dK, 1)) for p in primerange(101, 200)
+              for dK in (-7, -91) if kronecker(dK, p) == -1]
+    cases += [build_embedding(10009, order_data(-7, f)) for f in (1, 3)]
+    rng = random.Random(51)
+    for p in (3, 1009, 10009):
+        for a in (0, p - 1, *(rng.randrange(p) for _ in range(4))):
+            b = rng.randrange(1, p)
+            c = smallest_nonsquare(p) * rng.randrange(1, p) ** 2 * pow(b, -1, p) % p
+            order = QuadOrder(dK=None, f=1, disc=4 * b * c, t=2 * a, n=a * a - b * c)
+            cases.append(EmbeddingData(p=p, eps=smallest_nonsquare(p), order=order,
+                                       iota_omega=(a, b, c, a)))
+    return cases
+
+
+def _fiber_structure_error(check, *args) -> str | None:
+    try:
+        check(*args)
+    except FiberStructureError as exc:
+        return str(exc)
+    return None
+
+
+def test_the_per_fiber_test_accepts_the_pair_walk():
+    # every mate u' = bc/u the walk files is u times the involution [-a : 1]
+    # when det iota_omega = n, on the pair walk's own test inputs
+    cases = pair_walk_embeddings()
+    for emb in cases:
+        p, (a, b, c, _) = emb.p, emb.iota_omega
+        assert kronecker(b * c, p) == -1 and (a * a - b * c - emb.order.n) % p == 0
+        fibers = embeddings._pencil_fibers(p, a, b, c)
+        assert _fiber_structure_error(fibers_paired_by_involution, emb, fibers) is None, emb
+    assert len(cases) == 250
+
+
+def test_the_determinant_rejects_what_the_per_fiber_test_rejects():
+    # two_to_one_check tests det iota_omega = n once where it tested every
+    # fiber's mates: over every pencil (a, b; c, a) with a = t/2 and bc a
+    # non-square, it raises exactly when fibers_paired_by_involution rejects
+    # the walk, with the same message.  At p = 3 the one non-square is
+    # a^2 - n, so every pencil passes
+    outcomes = {True: 0, False: 0}
+    for p in (3, 5, 7, 11, 13):
+        inert = [dK for dK in range(-7, -100, -1)
+                 if is_fundamental_discriminant(dK) and kronecker(dK, p) == -1]
+        # an even dK has t = 0, so a = 0 and u = x1
+        for dK in [dK for dK in inert if dK % 2][:2] + [dK for dK in inert if dK % 2 == 0][:1]:
+            for f in (1, 2):
+                order = order_data(dK, f)
+                a = order.t * pow(2, -1, p) % p
+                for b, c in product(range(1, p), repeat=2):
+                    if kronecker(b * c, p) != -1:
+                        continue
+                    emb = EmbeddingData(p=p, eps=smallest_nonsquare(p), order=order,
+                                        iota_omega=(a, b, c, a))
+                    want = _fiber_structure_error(fibers_paired_by_involution, emb,
+                                                  embeddings._pencil_fibers(p, a, b, c))
+                    assert _fiber_structure_error(two_to_one_check, emb) == want, (p, dK, f, b, c)
+                    outcomes[want is None] += 1
+    # p - 1 pencils of each order have det n, (p - 1)(p - 3)/2 do not
+    assert outcomes == {True: 6 * (2 + 4 + 6 + 10 + 12), False: 6 * (0 + 4 + 12 + 40 + 60)}
+
+
 def test_inverse_table_inverts_every_unit():
     assert inverse_table(3) == [0, 1, 2]
     for p in [*primerange(2, 2000), 10009]:
@@ -409,6 +482,34 @@ def test_two_to_one_rejects_fibers_not_paired_by_the_involution():
     bad = EmbeddingData(p=5, eps=2, order=order, iota_omega=(2, 1, 2, 2))
     with pytest.raises(InputError, match="differs from t"):
         two_to_one_check(bad)
+
+
+def test_two_to_one_pauses_the_collector_for_the_walk_alone(monkeypatch):
+    # off during the walk, and after it as it was before, also when the walk raises
+    emb = build_embedding(13, order_data(-7, 1))
+    pencil_fibers, during = embeddings._pencil_fibers, []
+
+    def watched(*args, fail=False):
+        during.append(gc.isenabled())
+        if fail:
+            raise MemoryError
+        return pencil_fibers(*args)
+
+    was = gc.isenabled()
+    try:
+        monkeypatch.setattr(embeddings, "_pencil_fibers", watched)
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert list(two_to_one_check(emb).items()) == list(pencil_fibers(13, 7, 2, 4).items())
+            assert gc.isenabled() is enabled
+        monkeypatch.setattr(embeddings, "_pencil_fibers", lambda *args: watched(*args, fail=True))
+        gc.enable()
+        with pytest.raises(MemoryError):
+            two_to_one_check(emb)
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False, False]
 
 
 def test_two_to_one_refuses_inputs_outside_the_closed_form():

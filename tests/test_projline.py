@@ -1,5 +1,6 @@
 """The group law of P^1(F_p) in oracles.py, the reference for the closed-form
-fiber-mate check of cmtrace.embeddings.two_to_one_check."""
+fiber mate of cmtrace.embeddings.two_to_one_check's proof, which
+oracles.fibers_paired_by_involution checks on every fiber."""
 
 import random
 
