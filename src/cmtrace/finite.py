@@ -146,11 +146,11 @@ def experiment_finite(spec: ExperimentSpec) -> FiniteReport:
         "lemma_converse": lemma_converse_check(emb),
         "signo_pairing": signo_pairing_check(emb),
     }
-    # raises FiberStructureError unless (p+1)/2 fibers of two, paired by the involution
+    # fibers of two by construction; FiberStructureError unless paired by the involution
     fibers = two_to_one_check(emb)
     checks["two_to_one"] = True
     degree = index_ns_plus(p)
-    checks["degree_matches_index"] = len(fibers) == degree
+    checks["degree_matches_index"] = len(fibers) == degree     # the one count of the labels
     n_ambient = p * p * level_m
     good, ell = [], 1
     while len(good) < 5:

@@ -222,8 +222,8 @@ import mpmath as mp
 from mpmath.libmp import (fone, from_int, fzero, mpf_cos_sin, mpf_div, mpf_exp, mpf_mul, mpf_neg,
                           mpf_pi, mpf_shift, mpf_sqrt, to_int, to_rational)
 
-from .curves import (Curve, CurveModel, _valuation, an_coefficients, ap_bad, coefficient_tables,
-                     tate_local)
+from .curves import (AN_BOUND, Curve, CurveModel, _valuation, an_coefficients, ap_bad,
+                     coefficient_tables, tate_local)
 from . import sieve          # with this layer, so a process forked after import never compiles it
 from .errors import AlConstantError, CmtraceError, InputError
 from .fp import factorint, kronecker
@@ -234,7 +234,7 @@ from .heegner import al_matrix
 
 GUARD = 15
 FIXED_GUARD = 10            # guard bits of the fixed-point evaluator beyond bit_length(n_max)
-NMAX_CAP = 10 ** 6
+NMAX_CAP = AN_BOUND         # n_max terms read a[0..n_max] off the sieve, capped there
 LAMBDA_DIGITS = 5           # the values every lattice vector is read from (module docstring)
 MAZUR_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 K_EXPONENT = 2520           # lcm of MAZUR_ORDERS

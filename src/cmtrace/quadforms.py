@@ -196,7 +196,7 @@ def kernel_classes(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
     docstring): the principal form at [1 : 0], and at [x1 : 1], with
     lam = x1 + w_f, the reduced form of (N(lam), -p Tr(lam), p^2), the form of
     the oriented basis (N(lam), p lam) of lam O_f cap O_pf, reduced by
-    reduce_form; the forms must be pairwise distinct.
+    reduce_form, pairwise distinct as O_f^x = {+-1} (Cox, section 7).
     p and the order are checked first (fp.check_hypotheses).
     """
     check_hypotheses(p, order)
@@ -206,6 +206,4 @@ def kernel_classes(order: QuadOrder, p: int) -> tuple[KernelClass, ...]:
     for x1 in range(p):
         form = BinaryForm(x1 * x1 + t * x1 + n, -p * (2 * x1 + t), p2)
         classes.append(KernelClass((x1, 1), reduce_form(form)))
-    if len({kc.form for kc in classes}) != p + 1:
-        raise AssertionError("unit classes gave coinciding ideal classes")
     return tuple(classes)

@@ -91,10 +91,13 @@ def recognize_in_quadratic(x, field_disc: int, digits: int) -> AlgebraicNumber |
 
 
 def curve_equation_holds_exactly(ainvs, x: AlgebraicNumber, y: AlgebraicNumber) -> bool:
-    """Exact check of the Weierstrass equation over Q(sqrt(d)) in rational arithmetic."""
+    """Exact check of the Weierstrass equation over Q(sqrt(d)) in rational
+    arithmetic, or over Q at two rational coordinates (field_disc None, mu 0)."""
+    if any(z.field_disc is None and z.mu for z in (x, y)):
+        raise InputError("a rational coordinate (field_disc None) needs mu = 0")
     if x.field_disc != y.field_disc:
         return False
-    d = x.field_disc
+    d = x.field_disc or 0
     a1, a2, a3, a4, a6 = (Fraction(v) for v in ainvs)
 
     def mul(u, v):

@@ -380,8 +380,9 @@ def fibers_paired_by_involution(emb: EmbeddingData, fibers):
     """The per-fiber test that cmtrace.embeddings.two_to_one_check made
     before it tested det iota_omega = n alone: every fiber has two points,
     and the second is the first times the involution [-a : 1] by the group
-    law in closed form.  Raises FiberStructureError with two_to_one_check's
-    messages on the first fiber that fails."""
+    law in closed form.  Raises FiberStructureError on the first fiber that
+    fails, with two_to_one_check's involution message, or naming its size,
+    which the walk's construction fixes at two."""
     p, n, a = emb.p, emb.order.n, emb.iota_omega[0] % emb.p
     for label, mates in fibers.items():
         if len(mates) != 2:
@@ -412,7 +413,9 @@ def two_to_one_by_matrices(emb: EmbeddingData,
                            classes) -> dict[tuple[int, int, int, int], list[tuple[int, int]]]:
     """cmtrace.embeddings.two_to_one_check with each label taken by
     coset_label_by_matrices of galois_matrix, and the fiber mates paired by
-    proj_mul with the involution_class, and the same checks.  It labels the
+    proj_mul with the involution_class, and the checks of every fiber, its
+    count (experiment_finite's) and size (two by the walk's construction)
+    as well as its pairing (two_to_one_check's).  It labels the
     points of the given kernel classes in their order, where
     two_to_one_check walks P^1(F_p) itself, so equal dicts hold that walk
     to the kernel order; the classes must match the embedding."""

@@ -2,8 +2,10 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from math import sqrt
 from pathlib import Path
 
 import mpmath as mp
@@ -76,6 +78,35 @@ def test_sign_of_a_curve_without_a_square_level(capsys, curve, q, line):
     code = main(["sign", "--curve", curve, "--q", q])
     assert code == 0
     assert line in capsys.readouterr().out
+
+
+def _disagreeing_samples():
+    """An eval_newform for W_9 of 36a1 whose ratio is +1 at the first point of
+    sign_points and -1 at the others: f(tau) = 1 and f(W_9 tau) = +-Q / conj(u)^2,
+    in the order _numerical_sign asks for them."""
+    values = []
+    for i, (k, tau, _) in enumerate(modparam.sign_points(36, 9)):
+        values += [1.0, (1 if i == 0 else -1) * 72 / complex(k * k - 72, -k * sqrt(-tau.disc))]
+    calls = iter(values)
+    return lambda *args, **kwargs: next(calls)
+
+
+@pytest.mark.parametrize("newform,message", [
+    (lambda: lambda *a, **k: 0.0, "inconsistent W_9 signs across samples: []"),    # none kept
+    (lambda: lambda *a, **k: 1.0, "W_9 ratio -0.5-0.8660254j is not a sign at tolerance 0.00316"),
+    (_disagreeing_samples, "inconsistent W_9 signs across samples: [1, -1, -1, -1, -1]"),
+], ids=["no_sample_kept", "ratio_off_every_sign", "samples_disagree"])
+def test_sign_consistency_errors_exit_1(monkeypatch, capsys, newform, message):
+    # 36a1 is additive at 3, so w_9 is measured at the five points of sign_points
+    model = curve_model((0, 0, 0, 0, 1))
+    monkeypatch.setattr(modparam, "eval_newform", newform())
+    with pytest.raises(modparam.SignConsistencyError, match=f"^{re.escape(message)}$"):
+        modparam.atkin_lehner_sign(model.minimal, 36, 9)
+    for argv in (["sign", "--curve", "0,0,0,0,1", "--q", "9"],
+                 ["trace", "--curve", "0,0,0,0,1", "--dk", "-7"]):
+        monkeypatch.setattr(modparam, "eval_newform", newform())
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
 
 
 def test_trace_run(capsys, tmp_path):

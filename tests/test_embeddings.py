@@ -7,6 +7,7 @@ import pytest
 from sympy import primerange
 
 from cmtrace import embeddings, fp
+from cmtrace.cli import main
 from cmtrace.embeddings import (EmbeddingData, FiberStructureError, build_embedding,
                                 find_common_norm_element, inverse_table, lemma_converse_check,
                                 signo_pairing_check, two_to_one_check, verify_optimal)
@@ -428,29 +429,27 @@ def test_inverse_table_inverts_every_unit():
         assert all(i * inv[i] % p == 1 for i in range(1, p)), p
 
 
-def test_two_to_one_names_each_broken_fiber_structure(monkeypatch):
-    # the fibers of -7 at p = 13 with points moved between fibers, as by a
-    # label that gives the first fiber's label l1 as the second's, l2
+def test_a_label_collision_fails_the_count_of_the_fibers(monkeypatch, capsys):
+    # the fibers of -7 at p = 13 with the first fiber's points filed under
+    # the second's label, as by a label that gives the first fiber's label
+    # l1 as the second's, l2: one label fewer, which two_to_one_check leaves
+    # to experiment_finite's one count of the labels against the index
     emb = build_embedding(13, order_data(-7, 1))
     l1, l2 = list(two_to_one_check(emb))[:2]
     pencil_fibers = embeddings._pencil_fibers
 
-    def relabelled(first_only):
-        def fibers(*args):
-            got = pencil_fibers(*args)
-            got[l2] += [got[l1].pop(0)] if first_only else got.pop(l1)
-            return got
+    def relabelled(*args):
+        got = pencil_fibers(*args)
+        got[l2] += got.pop(l1)
+        return got
 
-        return fibers
-
-    # one point of l1's fiber moved to l2's: fibers of size 1 and 3
-    monkeypatch.setattr(embeddings, "_pencil_fibers", relabelled(first_only=True))
-    with pytest.raises(FiberStructureError, match=r"^fiber of \(.*\) has size [13]$"):
-        two_to_one_check(emb)
-    # both points moved: one label fewer
-    monkeypatch.setattr(embeddings, "_pencil_fibers", relabelled(first_only=False))
-    with pytest.raises(FiberStructureError, match="^expected 7 labels, got 6$"):
-        two_to_one_check(emb)
+    monkeypatch.setattr(embeddings, "_pencil_fibers", relabelled)
+    assert len(two_to_one_check(emb)) == 6 == index_ns_plus(13) - 1
+    message = "finite-shadow check failed at p = 13: degree_matches_index"
+    with pytest.raises(FiberStructureError, match=f"^{message}$"):
+        experiment_finite(ExperimentSpec(dK=-7, f=1, p=13, mode="finite_only"))
+    assert main(["finite-check", "--p", "13", "--dk", "-7"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     monkeypatch.undo()
     # iota = (3, 1; 1, 3) at p = 5 has the trace t = 1 of -7's order, but bc
     # = 1 is a square, so iota lies in the split Cartan, outside C_ns, and

@@ -492,8 +492,20 @@ def test_kernel_classes_call_reduce_form_once_per_form(monkeypatch):
     assert len(calls) == 199
 
 
-def test_kernel_classes_reject_two_coinciding_classes(monkeypatch):
-    # the second form reduced, that of [1 : 1], comes out as the first, [0 : 1]
+def _pairwise_distinct(kernel, p: int) -> bool:
+    return len({kc.form for kc in kernel}) == len(kernel) == p + 1
+
+
+def test_kernel_classes_are_pairwise_distinct(monkeypatch):
+    # with O_f^x = {+-1} the p + 1 unit classes map one-to-one onto the kernel
+    # (Cox, section 7), so kernel_classes gives p + 1 distinct forms
+    grid = [(dK, f, p) for dK in range(-7, -201, -1) if is_fundamental_discriminant(dK)
+            for f in (1, 2, 3) for p in primerange(3, 51) if kronecker(dK, p) == -1 and f % p]
+    for dK, f, p in grid:
+        assert _pairwise_distinct(kernel_classes(order_data(dK, f), p), p), (dK, f, p)
+    assert len(grid) == 1109
+    # the negative control: the second form reduced, that of [1 : 1], comes
+    # out as the first, [0 : 1]
     reduced = []
 
     def collapsing(form):
@@ -501,8 +513,7 @@ def test_kernel_classes_reject_two_coinciding_classes(monkeypatch):
         return reduced[0] if len(reduced) == 2 else reduced[-1]
 
     monkeypatch.setattr(quadforms, "reduce_form", collapsing)
-    with pytest.raises(AssertionError, match="coinciding ideal classes"):
-        kernel_classes(order_data(-7, 1), 5)
+    assert not _pairwise_distinct(kernel_classes(order_data(-7, 1), 5), 5)
     assert len(reduced) == 5
 
 

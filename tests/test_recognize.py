@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
 
+from cmtrace.errors import InputError
 from cmtrace.recognize import (AlgebraicNumber, curve_equation_holds_exactly, max_height,
                                recognize_in_quadratic, recognize_rational)
 from oracles import minpoly, recognize_algebraic
@@ -88,3 +90,20 @@ def test_curve_equation_exact_check():
     # y = (-1 + sqrt(5))/2 is real quadratic; instead verify mixed-field reject
     assert not curve_equation_holds_exactly(
         ainvs, AlgebraicNumber(-2, 0, 1, -67), AlgebraicNumber(3, 0, 1, -11))
+
+
+def test_curve_equation_over_q_at_rational_coordinates():
+    # field_disc None means rational, the form recognize_algebraic gives a
+    # rational value: (-2, 3) is a point of 121b1 over Q, (-2, 4) is none
+    ainvs = (0, -1, 1, -7, 10)
+    with mp.workdps(70):
+        x, y = (recognize_algebraic(mp.mpf(v), None, 2, 6, 70) for v in (-2, 3))
+    assert (x, y) == (AlgebraicNumber(-2, 0, 1, None), AlgebraicNumber(3, 0, 1, None))
+    assert curve_equation_holds_exactly(ainvs, x, y)
+    assert curve_equation_holds_exactly(ainvs, AlgebraicNumber(-4, 0, 2, None),
+                                        AlgebraicNumber(9, 0, 3, None))
+    assert not curve_equation_holds_exactly(ainvs, x, AlgebraicNumber(4, 0, 1, None))
+    # a sqrt part with no field is no number
+    for bad_x, bad_y in ((AlgebraicNumber(-2, 1, 1, None), y), (x, AlgebraicNumber(3, -1, 1, None))):
+        with pytest.raises(InputError, match="needs mu = 0"):
+            curve_equation_holds_exactly(ainvs, bad_x, bad_y)
