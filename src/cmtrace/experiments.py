@@ -92,7 +92,7 @@ from .errors import FiberPairingError, InputError
 from .finite import ExperimentSpec, FiniteReport, experiment_finite
 from .fp import factorint, order_data
 from .heegner import al_move, coset_move, galois_orbit, heegner_form
-from .modparam import (GUARD, LAMBDA_DIGITS, FormPoint, SeriesBudgetError, al_constant,
+from .modparam import (LAMBDA_DIGITS, SERIES_GUARD, FormPoint, SeriesBudgetError, al_constant,
                        al_constant_points, atkin_lehner_sign, eval_phi, im_tau, local_sign,
                        phi_terms)
 from .periods import (PeriodLattice, elliptic_exp, is_torsion, locate, period_lattice,
@@ -174,11 +174,11 @@ class TraceReport(namedtuple("TraceReport", "spec wp orbit trace_z residual verd
 
 def _entry_json(entry: OrbitEntry, digits: int) -> dict:
     """The entry's fields and its form's point tau, computed at digits +
-    GUARD and printed to min(digits, 30) digits, z's parts to
+    SERIES_GUARD and printed to min(digits, 30) digits, z's parts to
     min(entry.digits, 30), a part below 10^-(entry.digits + 5), rounding
     noise of a value within 10^-(entry.digits + 10), as 0."""
     a, b, c = entry.form
-    with mp.workdps(digits + GUARD):
+    with mp.workdps(digits + SERIES_GUARD):
         tau = mp.mpc(-b, mp.sqrt(4 * a * c - b * b)) / (2 * a)
     shown, z = min(entry.digits, 30), entry.z
     z = mp.mpc(z) if isinstance(z, complex) else z      # exact: mpmath prints a double as is
@@ -344,7 +344,7 @@ def orbit_trace(model: CurveModel, orbit, classes, pairs, moves, wp: int, lat: P
     used = [mv if i in full else mv.low or mv for i, mv in enumerate(moves)]
     reads = [i for i in sorted(full) if moves[i].low]
     disc = orbit[0].disc()
-    with mp.workdps(digits + GUARD):
+    with mp.workdps(digits + SERIES_GUARD):
         evaluated, jobs = {}, []            # evaluated: key -> (point, precision, terms)
 
         def plan(i: int, form, prec: int):

@@ -8,22 +8,15 @@ the tail after n_max is at most sqrt(3) |q|^(n_max+1) / (1 - |q|).
 
 Both series, sum a_n q^n / n and the newform sum a_n q^n, go through one
 fixed-point evaluator using rectangular splitting (Paterson-Stockmeyer 1973;
-Johansson, ISSAC 2014).  With P the working precision of digits + GUARD
-decimal digits (so 2^-P < 10^(-digits-15)), numbers are Python integers
-scaled by 2^F, F = P + bit_length(n_max) + FIXED_GUARD, and u = 2^-F.  The
-baby steps q^0..q^m, m = isqrt(n_max), are chained at F' = F + e bits, e =
-bit_length(m) + 2, from q cut toward zero there.  q comes by an exact
-quarter-turn reduction: 4 Re tau = j + f in integers, j nearest, |f| <= 1/2
-(-2B / A at a FormPoint, the dyadic value of an mpf), and q = i^j e^-t e^(i
-theta), t = 2 pi Im tau (pi sqrt|D| / A at a FormPoint, whose n_max comes
-from the double im_tau: no mpc tau is built), theta = pi f / 2, by libmp's
-mpf_exp and mpf_cos_sin at W = F' + 10 bits, at |theta| <= pi / 4 (no retry
-through cancellation) and with no cos or sin at f = 0, that is at A | 2B,
-where q is exactly real (j even) or imaginary.  With each libmp operation
-within 2^-W relatively, t is within 4 t 2^-W and theta within 3 |theta|
-2^-W, so e^-t is within 2 2^-W ((1 + 4 t) e^-t < 2), cos and sin within 4
-2^-W, and each part of q within 8 2^-W after the last product: cut toward
-zero, within 1.01 units of 2^-F'.  A baby step cuts each part once and
+Johansson, ISSAC 2014).  With P the working precision of digits +
+SERIES_GUARD decimal digits (so 2^-P < 10^(-digits-15)), numbers are Python
+integers scaled by 2^F, F = P + bit_length(n_max) + FIXED_GUARD, and u =
+2^-F.  The baby steps q^0..q^m, m = isqrt(n_max), are chained at F' = F + e
+bits, e = bit_length(m) + 2, from q cut toward zero there (q_fixed): q at a
+FormPoint from its exact integers, whose n_max comes from the double im_tau
+(no mpc tau is built), and at any other tau from its dyadic value at the
+working precision, within 2^-(F' + 7) by q from integers (below), so within
+1.01 units of 2^-F' once cut.  A baby step cuts each part once and
 carries the errors of the step before and of q (|q| < 1), so q^k is within
 2.9 k units in norm, under 2^e / 1.3 for k <= m, and the shift by e bits
 leaves each part within 2 ulps.
@@ -72,19 +65,24 @@ fixed-point evaluator runs.
 At |Re tau| <= 1 the allowances admit 365, 8988 and 45107 (weight 0) terms
 at least.
 
-q from integers (q_double), no libm.  tau enters as doubles x', y', each
-within u relatively (a FormPoint's -B / (2A) and im_tau(D, A) are correctly
-rounded).  In integers scaled by 2^F, F = Q_FRAC = 80, with PI = floor(pi
-2^128) and LN2 = floor(ln 2 2^128): t = 2 pi y' within 2^-F (1 + y'
-2^-47), q = 0 beyond t = 746 (|q| < 2^-1076); t = k ln 2 + r, k <= 1077
-nearest, r within (k + 2) 2^-F, |r| < 0.35; e^-r by Horner on its Taylor
-polynomial of degree 18 (left out: below 2^-85), within 40 2^-F.  x' is
-dyadic: 4 x' = j + f exactly, j an integer, |f| <= 1/2, and e^(2 pi i x')
-= i^j e^(i theta), theta = pi f / 2 within 2^-F; cos and sin of degrees 22
-and 23 (left out: below 2^-87) are within 30 2^-F each.  So e^-r (cos + i
-sin) is within 2^-68 relatively, and each part times 2^-k is one correctly
-rounded int division: q' = q(tau') (1 + d), |d| <= u + 2^-68 < 1.001 u,
-and |q'| too.  A | B gives f = 0 and sin = 0: q' is real.
+q from integers (q_double and q_fixed), no libm and no libmp.  Both routes
+take q = e^(2 pi i tau) from cmtrace.elementary.q_scaled, which takes tau as
+the integers (a, b, disc) of (-b + i sqrt|disc|) / (2a): a FormPoint's
+own, or a dyadic x + i y as a = the larger denominator of x and y, b = -2 a
+x and disc = -(2 a y)^2, exactly (_dyadic).  It gives q and |q| within
+2^-(bits + 3) |q| relatively at any bit count, by an exact quarter-turn
+reduction, 4 Re tau = j + f, j nearest, |f| <= 1/2, and q = i^j e^-t e^(i
+theta), t = 2 pi Im tau, theta = pi f / 2 (cmtrace.elementary docstring);
+at A | 2B f is 0 and q is exactly real (j even) or imaginary.  q_fixed asks
+for bits + 4 bits, so each part is within 2^-(bits + 7) < 0.01 units of
+2^-bits and, cut toward zero, within 1.01 units.  q_double asks for 68 bits
+(80 working bits, at most 18 and 23 Taylor terms): tau enters as
+doubles x', y', each within u relatively (a FormPoint's -B / (2A) and
+im_tau(D, A) are correctly rounded), and each part of q and |q| is one
+correctly rounded int division of a value within 2^-71 relatively: q' =
+q(tau') (1 + d), |d| <= u + 2^-71 < 1.001 u, and |q'| too.  q' is 0 beyond
+y' = 119, t > 747, and rounds to 0 from t = 746 on (|q| < 2^-1076).  A | B
+gives f = 0 and sin = 0: q' is real.
 
 The error.  q(tau')^n = q^n e^(2 pi i n (tau' - tau)), |2 pi (tau' - tau)|
 <= u sigma, sigma = 2 pi (|Re tau| + Im tau).  The n-th term meets n
@@ -215,16 +213,16 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
-from math import ceil, expm1, factorial, gcd, isqrt, log, pi, sqrt
+from math import ceil, expm1, gcd, isqrt, log, pi, sqrt
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_int, fzero, mpf_cos_sin, mpf_div, mpf_exp, mpf_mul, mpf_neg,
-                          mpf_pi, mpf_shift, mpf_sqrt, to_int, to_rational)
+from mpmath.libmp import to_rational
 
 from .curves import (AN_BOUND, Curve, CurveModel, _valuation, an_coefficients, ap_bad,
                      coefficient_tables, tate_local)
 from . import sieve          # with this layer, so a process forked after import never compiles it
+from .elementary import q_scaled
 from .errors import AlConstantError, CmtraceError, InputError
 from .fp import factorint, kronecker
 from . import periods
@@ -232,21 +230,12 @@ from .periods import PeriodLattice, read_vector
 # after periods: imported before it, heegner put finite-wide-p's peak RSS 0.15 MB higher
 from .heegner import al_matrix
 
-GUARD = 15
+SERIES_GUARD = 15           # decimal digits the series and the orbit work at beyond `digits`
 FIXED_GUARD = 10            # guard bits of the fixed-point evaluator beyond bit_length(n_max)
 NMAX_CAP = AN_BOUND         # n_max terms read a[0..n_max] off the sieve, capped there
 LAMBDA_DIGITS = 5           # the values every lattice vector is read from (module docstring)
 MAZUR_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 K_EXPONENT = 2520           # lcm of MAZUR_ORDERS
-# q from integers (module docstring): floor(pi 2^128), floor(ln 2 2^128), the fixed
-# point of Q_FRAC bits, and the Taylor coefficients of e^-r, cos and sin there
-PI = 0x3243F6A8885A308D313198A2E03707344
-LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF
-Q_FRAC = 80
-_LN2 = LN2 >> 128 - Q_FRAC
-_EXP = [(-1) ** j * (1 << Q_FRAC) // factorial(j) for j in range(18, -1, -1)]
-_COS = [(-1) ** j * (1 << Q_FRAC) // factorial(2 * j) for j in range(11, -1, -1)]
-_SIN = [(-1) ** j * (1 << Q_FRAC) // factorial(2 * j + 1) for j in range(11, -1, -1)]
 KAPPA = 4.26                # the float route's rounding factor per term (module docstring)
 
 
@@ -336,7 +325,7 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int, allow
                 z = z * baby[-1] + sum(map(mul, c, compress(powers, b)))
                 r = k
             return z
-    with mp.workdps(digits + GUARD):
+    with mp.workdps(digits + SERIES_GUARD):
         a = an_coefficients(cur, nmax)
         pairs = coefficient_tables(cur)[0]
         frac = mp.mp.prec + nmax.bit_length() + FIXED_GUARD
@@ -345,7 +334,7 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int, allow
         # each carries at most two ulps at `frac` bits after the final shift.
         extra = m.bit_length() + 2
         fine = frac + extra
-        qre, qim = (to_int(mpf_shift(v, fine)) for v in _q(tau, fine))   # truncated as int() does
+        qre, qim = q_fixed(tau, fine)
         x, y = 1 << fine, 0
         babies = []
         for _ in range(m):
@@ -401,47 +390,29 @@ def float_error(x: float, y: float, nmax: int, weight: int) -> tuple[complex, fl
 
 def q_double(x: float, y: float) -> tuple[complex, float]:
     """(q, |q|), q = e^(2 pi i (x + i y)), each part correctly rounded from a
-    value within 2^-68 relatively, from integers alone (module docstring)."""
-    ny, dy = y.as_integer_ratio()                       # dy and dx are powers of 2
-    t = PI * ny >> dy.bit_length() + 126 - Q_FRAC       # 2 pi y
-    if t >> Q_FRAC >= 746:
+    value within 2^-68 relatively, from integers alone, and 0 beyond t = 2 pi
+    y = 746 (module docstring)."""
+    if y >= 119:                                # t > 747: |q| < 2^-1077 rounds to 0
         return 0j, 0.0
-    k = (t + (_LN2 >> 1)) // _LN2
-    r, m = t - k * _LN2, 0                              # e^-t = 2^-k e^-r
-    for c in _EXP:
-        m = (m * r >> Q_FRAC) + c
-    nx, dx = x.as_integer_ratio()
-    j = (8 * nx + dx) // (2 * dx)                       # 4 x = j + f, -1/2 <= f < 1/2
-    theta = PI * (4 * nx - j * dx) >> dx.bit_length() + 128 - Q_FRAC     # pi f / 2
-    t2, c, s = theta * theta >> Q_FRAC, 0, 0
-    for a, b in zip(_COS, _SIN):
-        c, s = (c * t2 >> Q_FRAC) + a, (s * t2 >> Q_FRAC) + b
-    s = s * theta >> Q_FRAC
-    c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[j % 4]     # times i^j
-    scale = 1 << 2 * Q_FRAC + k
-    return complex(m * c / scale, m * s / scale), m / (scale >> Q_FRAC)
+    re, im, m, e = q_scaled(_dyadic(x.as_integer_ratio(), y.as_integer_ratio()), 68)
+    return complex(re / (1 << e), im / (1 << e)), m / (1 << e)
 
 
-def _q(tau, prec: int) -> tuple:
-    """e^(2 pi i tau) as raw (re, im) at prec + 10 bits, for a FormPoint or a
-    number mpmath takes: 4 Re tau = j + f exactly, q = i^j e^(-2 pi Im tau)
-    e^(i pi f / 2) from mpf_exp and mpf_cos_sin, and no cos or sin at f = 0,
-    where q is exactly real or exactly imaginary (module docstring)."""
-    wp = prec + 10
-    pi = mpf_pi(wp)
-    if isinstance(tau, FormPoint):              # 4 x = -2b / a, 2 pi y = pi sqrt|disc| / a
-        num, den = -2 * tau.b, tau.a
-        t = mpf_div(mpf_mul(pi, mpf_sqrt(from_int(-tau.disc), wp), wp), from_int(den), wp)
-    else:                                       # at the working precision
-        x, y = mp.mpc(tau)._mpc_
-        (num, den), t = to_rational(mpf_shift(x, 2)), mpf_mul(mpf_shift(pi, 1), y, wp)
-    j = (2 * num + den) // (2 * den)            # 4 x = j + f, -1/2 <= f < 1/2
-    f = num - j * den                           # theta = pi f / 2, |theta| <= pi / 4
-    c, s = (mpf_cos_sin(mpf_div(mpf_mul(pi, from_int(f), wp), from_int(2 * den), wp), wp)
-            if f else (fone, fzero))
-    r = mpf_exp(mpf_neg(t), wp)
-    re, im = mpf_mul(r, c, wp), mpf_mul(r, s, wp)
-    return ((re, im), (mpf_neg(im), re), (mpf_neg(re), mpf_neg(im)), (im, mpf_neg(re)))[j % 4]
+def q_fixed(tau, bits: int) -> tuple[int, int]:
+    """(re, im): e^(2 pi i tau) times 2^bits, each part cut toward zero and
+    within 1.01 units, for a FormPoint or, at its dyadic value at the working
+    precision, a number mpmath takes (module docstring)."""
+    if not isinstance(tau, FormPoint):
+        tau = _dyadic(*(to_rational(v) for v in mp.mpc(tau)._mpc_))
+    re, im, _, e = q_scaled(tau, bits + 4)
+    return tuple(v >> e - bits if v >= 0 else -(-v >> e - bits) for v in (re, im))
+
+
+def _dyadic(x: tuple[int, int], y: tuple[int, int]) -> FormPoint:
+    """The FormPoint at x + i y, y > 0, for their exact ratios (n, d), d a power
+    of 2: a = the larger d, b = -2 a x and disc = -(2 a y)^2, all integers."""
+    a = max(x[1], y[1])
+    return FormPoint(a, -2 * a // x[1] * x[0], -(2 * a // y[1] * y[0]) ** 2)
 
 
 class SignConsistencyError(CmtraceError, ArithmeticError):
@@ -499,7 +470,7 @@ def al_constant(lat: PeriodLattice, n_level: int, q_div: int, w: int) -> tuple[i
     precision of a LAMBDA_DIGITS series (module docstring), once per
     (lattice, Q) and process.  AlConstantError when no lattice vector is
     provably 2520 K_Q, or n is not in MAZUR_ORDERS."""
-    with mp.workdps(lat.digits + GUARD):
+    with mp.workdps(lat.digits + SERIES_GUARD):
         v = mp.mpc(0)                       # summed exactly: the c are 1, -1 and 2
         for c, x in al_constant_points(n_level, q_div, w):
             v += c * eval_phi(lat.curve, FormPoint(n_level, -2 * x, -4 * q_div), LAMBDA_DIGITS,

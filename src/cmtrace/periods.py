@@ -42,11 +42,13 @@ a' = floor((a + b) / 2), b' = isqrt(a b) until |a - b| <= 1 (Brent and
 Zimmermann, Modern Computer Arithmetic, 4.8): M, homogeneous and increasing
 in both arguments, keeps the largest relative error of its inputs, and each
 of n <= 2 bit_length(F) + 3 steps adds a unit, under 2^(k/2) u relatively.
-So M is within 2^(6 + k - F) = 2^(-14 - P) relatively, and pi (mpf_pi) over
-M / 6, both rounded to P bits, puts each of w1, v and w2 within 2^(2 - P)
-relatively.  The tests hold the roots to 10^-(digits+10) of the largest of
-mpmath's polyroots, and w1 and w2 to 10^-(digits+10) |w1| of mpf Newton
-steps and mpmath's agm, on random curves of both signs.
+So M is within 2^(6 + k - F) = 2^(-14 - P) relatively, and pi over M / 6,
+both rounded to P bits, puts each of w1, v and w2 within 2^(2 - P)
+relatively; pi is cmtrace.elementary's PI rounded to nearest, which is
+mpf_pi's at every P up to the cap (cmtrace.elementary docstring).  The
+tests hold the roots to 10^-(digits+10) of the largest of mpmath's
+polyroots, and w1 and w2 to 10^-(digits+10) |w1| of mpf Newton steps and
+mpmath's agm, on random curves of both signs.
 
 Nearest lattice vectors.  Each lattice is Lagrange-reduced once, by
 quadforms.lagrange_reduce on the Gram triple of w1 and w2 cut to integers at
@@ -72,12 +74,12 @@ squared distance of the point to the lattice is the minimum of the Gram
 form over its offsets from the four corners.
 
 Precision budget.  locate solves each point z once, at the lattice's own
-working precision P, that of lat.digits + GUARD decimal digits, whatever
-the caller's: z rounded to P bits, and w1, w2 and z cut to integers scaled
-by 2^e, e = F + 24 + max(0, log2 |z / w1|), F = P + bit_length(TORSION_BOUND)
-+ FIXED_GUARD.  The reduced basis is formed from those exactly, and the
-coordinates of z are solved exactly and rounded down to units of 2^-F:
-each is off by less than two units.  Those of m z, m <= TORSION_BOUND, are
+working precision P, that of lat.digits + LATTICE_GUARD decimal digits,
+whatever the caller's: z rounded to P bits, and w1, w2 and z cut to integers
+scaled by 2^e, e = F + 24 + max(0, log2 |z / w1|), F = P +
+bit_length(TORSION_BOUND) + FIXED_GUARD.  The reduced basis is formed from
+those exactly, and the coordinates of z are solved exactly and rounded down
+to units of 2^-F: each is off by less than two units.  Those of m z, m <= TORSION_BOUND, are
 the exact multiples, off by less than 2m 2^-F <= 2^(1 - P - FIXED_GUARD),
 and the reduction mod 1 (a shift by F bits) and the choice of corner are
 exact on them.  That moves a distance by at most 2^(1 - P - FIXED_GUARD)
@@ -137,14 +139,14 @@ from functools import cached_property, lru_cache
 from math import isqrt
 
 import mpmath as mp
-from mpmath.libmp import (dps_to_prec, from_man_exp, fzero, mpf_div, mpf_pi, mpf_shift,
-                          round_nearest, to_rational)
+from mpmath.libmp import dps_to_prec, from_man_exp, fzero, mpf_div, mpf_pi, mpf_shift, round_nearest
 
 from .curves import Curve, _read_only
+from .elementary import BITS, PI
 from .finite import check_digits
 from .quadforms import lagrange_reduce
 
-GUARD = 25
+LATTICE_GUARD = 25          # decimal digits the lattice works at beyond `digits`
 FIXED_GUARD = 10            # guard bits of the fixed-point routines (module docstring)
 NEWTON_GUARD = 20           # guard bits of the Newton iteration for the 2-torsion
 TORSION_BOUND = 24          # the torsion test tries the multiples m*z, m <= TORSION_BOUND
@@ -163,7 +165,7 @@ class PeriodLattice(namedtuple("PeriodLattice", "curve w1 w2 digits")):
         """Integer rows (p, q), (r, s) with b1 = p w1 + q w2 and b2 = r w1 + s w2
         Lagrange-reduced: |b1| <= |b2| and |Re(b2 conj(b1))| <= |b1|^2 / 2, for
         w1 and w2 cut to integers at the working precision (module docstring)."""
-        with mp.workdps(self.digits + GUARD):
+        with mp.workdps(self.digits + LATTICE_GUARD):
             e = mp.mp.prec - mp.mag(self.w1)
             w1r, w1i, w2r, w2i = (int(mp.ldexp(v, e)) for v in (
                 mp.re(self.w1), mp.im(self.w1), mp.re(self.w2), mp.im(self.w2)))
@@ -183,9 +185,9 @@ def period_lattice(curve: Curve, digits: int) -> PeriodLattice:
     final divisions of pi (module docstring): a warm process reuses it,
     reduction included.  w1 > 0 and Im w2 > 0 by construction."""
     check_digits(digits)
-    prec = dps_to_prec(digits + GUARD)
+    prec = dps_to_prec(digits + LATTICE_GUARD)
     x, d, frac = _cubic(curve, prec + NEWTON_GUARD)
-    h, pi = 3 * x >> 1, mpf_pi(prec, round_nearest)
+    h, pi = 3 * x >> 1, from_man_exp(PI, -BITS, prec, round_nearest)     # mpf_pi(prec)
 
     def period(big: int, small: int):
         """pi / M(sqrt(big / 36), sqrt(small / 36)), big and small times 2^frac."""
@@ -240,9 +242,10 @@ Cut = namedtuple("Cut", "e frac b1r b1i b2r b2i det gram shift torsion infinity 
 def _cut(lat: PeriodLattice, k: int) -> Cut:
     """The reduced basis cut to integers at e = F + 24 + k, with its determinant,
     Gram triple, shift and torsion, infinity and read limits, exact integer
-    ceilings from the cut w1 and the rational LAMBDA_BUDGET, kept in lat.cuts;
-    the read limit is 0 when LAMBDA_BUDGET is |b1| / 2 or more."""
-    with mp.workdps(lat.digits + GUARD):
+    ceilings from the cut w1 and the exact ratio of the double LAMBDA_BUDGET,
+    kept in lat.cuts; the read limit is 0 when LAMBDA_BUDGET is |b1| / 2 or
+    more."""
+    with mp.workdps(lat.digits + LATTICE_GUARD):
         frac = mp.mp.prec + TORSION_BOUND.bit_length() + FIXED_GUARD
         e = frac + k + 24
         w1r, w1i, w2r, w2i = (int(mp.ldexp(v, e)) for v in (
@@ -252,7 +255,7 @@ def _cut(lat: PeriodLattice, k: int) -> Cut:
     b2r, b2i = r * w1r + s * w2r, r * w1i + s * w2i
     gram = (b1r * b1r + b1i * b1i, b1r * b2r + b1i * b2i, b2r * b2r + b2i * b2i)
     shift, w1 = -2 * (e + frac), w1r * w1r + w1i * w1i << 2 * frac    # |w1|^2 2^-shift
-    num, den = to_rational(mp.mpmathify(LAMBDA_BUDGET)._mpf_)             # exactly
+    num, den = LAMBDA_BUDGET.as_integer_ratio()                         # exactly
     read = -(-(num * num << -shift) // (den * den))
     lat.cuts[k] = cut = Cut(e, frac, b1r, b1i, b2r, b2i, b1r * b2i - b1i * b2r, gram, shift,
                             -(-w1 // 10 ** lat.digits), -(-w1 // 10 ** (2 * lat.digits)),
@@ -280,7 +283,7 @@ def locate(lat: PeriodLattice, z) -> LatticePoint:
     offset (s, t) / 2^frac is the squared length n 2^cut.shift; solved at the
     lattice's working precision, whatever the caller's (module docstring)."""
     if not isinstance(z, complex):               # a double is cut as it is
-        with mp.workdps(lat.digits + GUARD):
+        with mp.workdps(lat.digits + LATTICE_GUARD):
             z = mp.mpc(z)
     k = max(0, mp.mag(z) - mp.mag(lat.w1))
     cut = lat.cuts.get(k) or _cut(lat, k)
@@ -331,7 +334,7 @@ def read_vector(lat: PeriodLattice, z, error, what: str) -> tuple[int, int]:
     cut = point.cut
     n, i, j = next(_nearest_multiples(point, 1))
     if not n < cut.read:
-        with mp.workdps(lat.digits + GUARD):
+        with mp.workdps(lat.digits + LATTICE_GUARD):
             miss, b1 = (mp.sqrt(mp.ldexp(v, cut.shift)) for v in (n, cut.gram[0] << 2 * cut.frac))
         raise error(f"{what} misses the lattice by {mp.nstr(miss, 3)}, against "
                     f"{mp.nstr(LAMBDA_BUDGET, 2)} and |b1| / 2 = {mp.nstr(b1 / 2, 3)}")
@@ -366,7 +369,7 @@ def elliptic_exp(point: LatticePoint) -> tuple | None:
     n, i, j = next(_nearest_multiples(point, 1))
     if n < cut.infinity:
         return None
-    with mp.workdps(lat.digits + GUARD):
+    with mp.workdps(lat.digits + LATTICE_GUARD):
         b1, b2 = _reduced_basis(lat)
         wp, wpd = _wp_pair(lat, mp.ldexp(x - (i << cut.frac), -cut.frac) * b1
                            + mp.ldexp(y - (j << cut.frac), -cut.frac) * b2)
@@ -383,5 +386,5 @@ def is_torsion(point: LatticePoint) -> bool:
 
 def torsion_residual(point: LatticePoint):
     """Smallest distance of m*z to the lattice over 1 <= m <= TORSION_BOUND."""
-    with mp.workdps(point.lat.digits + GUARD):
+    with mp.workdps(point.lat.digits + LATTICE_GUARD):
         return mp.sqrt(mp.ldexp(point.scan[1], point.cut.shift))

@@ -92,16 +92,18 @@ def recognize_in_quadratic(x, field_disc: int, digits: int) -> AlgebraicNumber |
 
 def curve_equation_holds_exactly(ainvs, x: AlgebraicNumber, y: AlgebraicNumber) -> bool:
     """Exact check of the Weierstrass equation over Q(sqrt(d)) in rational
-    arithmetic, or over Q at two rational coordinates (field_disc None, mu 0)."""
+    arithmetic, or over Q at two rational coordinates (field_disc None, mu 0);
+    a rational coordinate lies in every field, so it is checked over the other
+    coordinate's, and two different fields give False."""
     if any(z.field_disc is None and z.mu for z in (x, y)):
         raise InputError("a rational coordinate (field_disc None) needs mu = 0")
-    if x.field_disc != y.field_disc:
+    d = y.field_disc if x.field_disc is None else x.field_disc
+    if y.field_disc not in (None, d):
         return False
-    d = x.field_disc or 0
     a1, a2, a3, a4, a6 = (Fraction(v) for v in ainvs)
 
     def mul(u, v):
-        return (u[0] * v[0] + u[1] * v[1] * d, u[0] * v[1] + u[1] * v[0])
+        return (u[0] * v[0] + u[1] * v[1] * (d or 0), u[0] * v[1] + u[1] * v[0])
 
     def add(u, v):
         return (u[0] + v[0], u[1] + v[1])

@@ -94,7 +94,9 @@ coefficient.  heegner_form_all_roots chooses the Heegner form among sympy's ever
 square root of the discriminant mod 4N, where cmtrace.heegner.heegner_form
 scans B = 0, 1, -1, 2, -2, ... and stops at the first hit; sympy stays in
 the tests as the reference for the package's own primality test,
-factorisation and square roots.
+factorisation and square roots.  q_by_libmp takes q = e^(2 pi i tau) from
+libmp's exp and cos-sin, where cmtrace.elementary.q_scaled takes it from
+integers alone.
 
 Square-and-multiply powers, element orders and the
 curve-equation residual are test-only helpers: the pipeline never needs
@@ -115,6 +117,8 @@ from operator import mul, truediv
 import mpmath as mp
 import numpy as np
 import sympy
+from mpmath.libmp import (fone, from_int, fzero, mpf_cos_sin, mpf_div, mpf_exp, mpf_mul, mpf_neg,
+                          mpf_pi, mpf_shift, mpf_sqrt, to_rational)
 from sympy.ntheory import sqrt_mod
 
 from cmtrace.curves import Curve, CurveModel, an_coefficients
@@ -122,8 +126,8 @@ from cmtrace.embeddings import EmbeddingData, FiberStructureError, inverse_table
 from cmtrace.errors import InputError
 from cmtrace.fp import QuadOrder, _xgcd, check_fundamental, isprime, kronecker, smallest_nonsquare
 from cmtrace.heegner import NoHeegnerPoint, gamma0_reduce
-from cmtrace.modparam import GUARD, atkin_lehner_sign, phi_terms, q_double
-from cmtrace.periods import (GUARD as PERIODS_GUARD, NEWTON_GUARD, TORSION_BOUND, PeriodLattice,
+from cmtrace.modparam import SERIES_GUARD, FormPoint, atkin_lehner_sign, phi_terms, q_double
+from cmtrace.periods import (LATTICE_GUARD, NEWTON_GUARD, TORSION_BOUND, PeriodLattice,
                              _cubic, _nearest_multiples, locate)
 from cmtrace.quadforms import BinaryForm, KernelClass, lagrange_reduce, reduce_form, reduced_forms
 from cmtrace.recognize import AlgebraicNumber, recognize_in_quadratic, recognize_rational
@@ -802,7 +806,7 @@ def phi_terms_mp(im_tau, digits: int) -> int:
 def eval_series_direct(cur, tau, digits: int, weight: int):
     """sum_{n <= n_max} a_n q^n / n^weight (weight 1: eval_phi, weight 0:
     eval_newform), one mpc multiply per term."""
-    with mp.workdps(digits + GUARD):
+    with mp.workdps(digits + SERIES_GUARD):
         tau = mp.mpc(tau)
         nmax = phi_terms(tau.imag, digits)
         a = an_coefficients(cur, nmax)
@@ -839,9 +843,33 @@ def eval_series_in_doubles_by_blocks(cur, tau: complex, digits: int, weight: int
     return z
 
 
+def q_by_libmp(tau, prec: int) -> tuple:
+    """e^(2 pi i tau) as raw (re, im) at prec + 10 bits, for a FormPoint or a
+    number mpmath takes, by libmp's mpf_exp and mpf_cos_sin: 4 Re tau = j + f
+    exactly, q = i^j e^(-2 pi Im tau) e^(i pi f / 2), with no cos or sin at f
+    = 0, where q is exactly real or imaginary.  The trace-precision q of
+    cmtrace.modparam was this until it came from integers (cmtrace.elementary);
+    each part within 8 2^-(prec + 10) relatively."""
+    wp = prec + 10
+    pi = mpf_pi(wp)
+    if isinstance(tau, FormPoint):              # 4 x = -2b / a, 2 pi y = pi sqrt|disc| / a
+        num, den = -2 * tau.b, tau.a
+        t = mpf_div(mpf_mul(pi, mpf_sqrt(from_int(-tau.disc), wp), wp), from_int(den), wp)
+    else:                                       # at the working precision
+        x, y = mp.mpc(tau)._mpc_
+        (num, den), t = to_rational(mpf_shift(x, 2)), mpf_mul(mpf_shift(pi, 1), y, wp)
+    j = (2 * num + den) // (2 * den)            # 4 x = j + f, -1/2 <= f < 1/2
+    f = num - j * den                           # theta = pi f / 2, |theta| <= pi / 4
+    c, s = (mpf_cos_sin(mpf_div(mpf_mul(pi, from_int(f), wp), from_int(2 * den), wp), wp)
+            if f else (fone, fzero))
+    r = mpf_exp(mpf_neg(t), wp)
+    re, im = mpf_mul(r, c, wp), mpf_mul(r, s, wp)
+    return ((re, im), (mpf_neg(im), re), (mpf_neg(re), mpf_neg(im)), (im, mpf_neg(re)))[j % 4]
+
+
 def heegner_tau(form: BinaryForm, digits: int):
-    """The point tau = (-B + sqrt D) / (2A) of a form, at digits + GUARD."""
-    with mp.workdps(digits + GUARD):
+    """The point tau = (-B + sqrt D) / (2A) of a form, at digits + SERIES_GUARD."""
+    with mp.workdps(digits + SERIES_GUARD):
         return mp.mpc(-form.b, mp.sqrt(-form.disc())) / (2 * form.a)
 
 
@@ -931,13 +959,13 @@ def orbit_values_by_fiber(model: CurveModel, moves, pairs, wp: int, lat):
     and moved by K_Q as a complex, as orbit_trace takes it, and every point
     is evaluated as its FormPoint, at either precision."""
     from cmtrace.experiments import LAMBDA_DIGITS, VALUE_ALLOWANCE, al_signs
-    from cmtrace.modparam import GUARD, FormPoint, al_constant, eval_phi, phi_terms
+    from cmtrace.modparam import SERIES_GUARD, FormPoint, al_constant, eval_phi, phi_terms
     digits, n, p2 = lat.digits, len(moves), model.p ** 2
     signs = {q: wp if w is None else w for q, w in al_signs(model)}
     cheap = sorted(a for a, _ in pairs) if wp == 1 else []
     rest = sorted(set(range(n)) - set(cheap))
     zs, precs, sources, terms, first = [None] * n, [None] * n, [None] * n, [None] * n, {}
-    with mp.workdps(digits + GUARD):
+    with mp.workdps(digits + SERIES_GUARD):
         def constant(q_div):
             i, j, order = al_constant(lat, model.n, q_div, signs[q_div])
             return (i * lat.w1 + j * lat.w2) / order
@@ -994,8 +1022,8 @@ def al_constant_by_series(cur: Curve, n_level: int, q_div: int, w: int, digits: 
     cmtrace.modparam.al_constant took before it read K_Q off the lattice from
     one evaluation at LAMBDA_DIGITS.  Each point (x + i sqrt Q) / N is built
     at `digits` and errs by under 10^-(digits+10), and the weights sum to 2."""
-    from cmtrace.modparam import GUARD, al_constant_points, eval_phi
-    with mp.workdps(digits + GUARD):
+    from cmtrace.modparam import SERIES_GUARD, al_constant_points, eval_phi
+    with mp.workdps(digits + SERIES_GUARD):
         k, height = mp.mpc(0), mp.sqrt(q_div) / n_level
         for c, x in al_constant_points(n_level, q_div, w):
             k += c * eval_phi(cur, mp.mpc(mp.mpf(x) / n_level, height), digits)
@@ -1032,7 +1060,7 @@ def period_lattice_by_agm(curve: Curve, digits: int, extra: int = 0) -> tuple:
     """(w1, w2) at digits + 25 + extra digits by mpf Newton steps on the
     2-division cubic and mpmath's agm: the route cmtrace.periods.period_lattice
     took before it ran both in integers, with extra more digits."""
-    with mp.workdps(digits + PERIODS_GUARD + extra):
+    with mp.workdps(digits + LATTICE_GUARD + extra):
         if curve.disc > 0:
             e1, e2, e3 = _two_torsion_roots_by_newton(curve)
             w1 = mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
@@ -1435,7 +1463,7 @@ def _torsion_limit(point) -> int:
     """The torsion test's limit ceil((10^(-digits/2) |w1|)^2 2^-shift), made
     anew in mpmath at each call."""
     lat = point.lat
-    with mp.workdps(lat.digits + PERIODS_GUARD):
+    with mp.workdps(lat.digits + LATTICE_GUARD):
         radius = mp.mpf(10) ** (-lat.digits / 2) * abs(lat.w1)
         return int(mp.ceil(mp.ldexp(radius ** 2, -point.cut.shift)))
 
@@ -1455,7 +1483,7 @@ def torsion_residual_two_pass(point):
     """The least distance of m z to the lattice over m <= TORSION_BOUND, by a
     second, full pass over the multiples (periods.torsion_residual)."""
     n = min(n for n, _, _ in nearest_multiples_expanded(point, TORSION_BOUND))
-    with mp.workdps(point.lat.digits + PERIODS_GUARD):
+    with mp.workdps(point.lat.digits + LATTICE_GUARD):
         return mp.sqrt(mp.ldexp(n, point.cut.shift))
 
 

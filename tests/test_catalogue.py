@@ -42,9 +42,12 @@ def test_the_catalogue_replays_its_record():
 
 def test_a_trace_replays_with_mpmaths_agm_newton_and_complex_exp_blocked(monkeypatch):
     # the periods come from integers (no mpmath.agm, no mpf Newton steps) and
-    # each trace-precision q from mpf_exp and mpf_cos_sin (no mpc_exp, which
-    # modparam no longer imports): 121b1/-67 at 60 and 200 digits and
-    # 50b1/-7/3 at 200, with cold lattices, still give their record
+    # so does each q (no mpc_exp, which modparam no longer imports): 121b1/-67
+    # at 60 and 200 digits and 50b1/-7/3 at 200, with cold lattices, still
+    # give their record.  50b1/-7/3 recognises no point, so it runs with
+    # libmp's exp, cos-sin and pi blocked too: every q and the lattice's pi come
+    # from cmtrace.elementary.  121b1/-67 recognises a point through
+    # periods._wp_pair, whose theta series still take them from mpmath.
     def blocked(*args, **kwargs):
         raise AssertionError("the trace took an mpmath route it should not")
 
@@ -55,7 +58,10 @@ def test_a_trace_replays_with_mpmaths_agm_newton_and_complex_exp_blocked(monkeyp
     periods.period_lattice.cache_clear()
     modparam.al_constant.cache_clear()
     record = json.loads(RECORD.read_text())
-    for case in cases():
-        if key(case) in ("0,-1,1,-7,10/-67/1@60", "0,-1,1,-7,10/-67/1@200",
-                         "1,1,1,-3,1/-7/3@200"):
-            _replays(record, case)
+    todo = {key(case): case for case in cases()}
+    for name in ("0,-1,1,-7,10/-67/1@60", "0,-1,1,-7,10/-67/1@200"):
+        _replays(record, todo[name])
+    for module in (mpmath.libmp, mpmath.libmp.libelefun):
+        for name in ("mpf_exp", "mpf_cos_sin", "mpf_pi"):
+            monkeypatch.setattr(module, name, blocked)
+    _replays(record, todo["1,1,1,-3,1/-7/3@200"])

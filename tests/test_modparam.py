@@ -12,17 +12,18 @@ from mpmath.libmp import mpf_shift, to_int
 from cmtrace import modparam
 from cmtrace.curves import (Curve, _valuation, an_coefficients, curve_from_c4c6, curve_model,
                             minimal_model, tate_local)
+from cmtrace.elementary import BITS, LN2, PI, q_scaled
 from cmtrace.heegner import heegner_form
 from cmtrace.experiments import VALUE_ALLOWANCE, trace_point
 from cmtrace.finite import ExperimentSpec
-from cmtrace.modparam import (GUARD, K_EXPONENT, LAMBDA_DIGITS, NMAX_CAP, FormPoint,
+from cmtrace.modparam import (K_EXPONENT, LAMBDA_DIGITS, NMAX_CAP, SERIES_GUARD, FormPoint,
                               SeriesBudgetError, _eval_series, _numerical_sign, al_constant,
                               al_constant_points, al_matrix, atkin_lehner_sign, eval_newform,
                               eval_phi, float_error, im_tau, local_sign, phi_terms, q_double,
-                              sign_points)
+                              q_fixed, sign_points)
 from cmtrace.periods import LAMBDA_BUDGET, period_lattice
 from oracles import (eval_series_direct, eval_series_in_doubles_by_blocks, heegner_tau,
-                     lattice_distance, phi_terms_mp, root_number)
+                     lattice_distance, phi_terms_mp, q_by_libmp, root_number)
 
 
 def sigma0(n):
@@ -149,7 +150,7 @@ def test_sign_reproducible_across_precisions():
         w = atkin_lehner_sign(cur, n, q_div)
         a, b, c, d = al_matrix(n, q_div)
         for digits in (30, 80):
-            with mp.workdps(digits + GUARD):
+            with mp.workdps(digits + SERIES_GUARD):
                 tau = (mp.sqrt(q_div) * mp.exp(1j * mp.pi / 2) - d) / c
                 image = (a * tau + b) / (c * tau + d)
                 ratio = (q_div * eval_newform(cur, image, digits)
@@ -366,9 +367,10 @@ def _grid_points() -> list:
 
 
 def test_integer_pi_and_ln2_are_the_floors():
-    with mp.workdps(100):
-        assert modparam.PI == int(mp.floor(mp.pi * 2 ** 128))
-        assert modparam.LN2 == int(mp.floor(mp.log(2) * 2 ** 128))
+    # the BITS-bit constants every q is made from, against mpmath at BITS + 64 bits
+    with mp.workprec(BITS + 64):
+        assert PI == int(mp.floor(mp.ldexp(mp.pi, BITS)))
+        assert LN2 == int(mp.floor(mp.ldexp(mp.ln2, BITS)))
 
 
 def test_q_from_integers_is_within_its_bound_on_a_grid():
@@ -499,12 +501,12 @@ def test_a_series_over_its_allowance_or_with_none_runs_in_fixed_point(monkeypatc
 
 
 def test_the_five_digit_layer_takes_no_q_from_mpmath(monkeypatch):
-    # with mpmath's q blocked, 49a1/-11 (w_p = -1: every series at 5 digits)
-    # still reads torsion with K_49 unchanged, and the sign of 36a1's W_9
+    # with the trace-precision q blocked, 49a1/-11 (w_p = -1: every series at
+    # 5 digits) still reads torsion with K_49 unchanged, and the sign of 36a1's W_9
     def blocked(*args):
-        raise AssertionError("a 5-digit series took q from mpmath")
+        raise AssertionError("a 5-digit series took the trace-precision q")
 
-    monkeypatch.setattr(modparam, "_q", blocked)
+    monkeypatch.setattr(modparam, "q_fixed", blocked)
     al_constant.cache_clear()
     rep = trace_point(ExperimentSpec(dK=-11, f=1, curve=curve_model((1, -1, 0, -2, -1)),
                                      digits=60))
@@ -515,29 +517,46 @@ def test_the_five_digit_layer_takes_no_q_from_mpmath(monkeypatch):
     assert _numerical_sign(m36.minimal, 36, 9) == atkin_lehner_sign(m36.minimal, 36, 9) == 1
 
 
-def test_q_at_a_form_point_is_within_two_units_and_exactly_real_or_imaginary():
-    # the fixed-point route's q at 300 random FormPoints, a third with A | B
-    # and a third with A even and A | 2B only: each part, cut toward zero at
-    # the fine precision of the baby steps, within 2 units of mp.exp(2 pi i
-    # tau) taken at fine + 64 bits; Im q exactly 0 when A | B, Re q exactly 0
-    # when A | 2B but not A | B, and neither otherwise
-    rng = random.Random(49)
+def _random_form_points() -> list:
+    """[(point, fine)]: 300 random FormPoints, a third with A | B and a third
+    with A even and A | 2B only, each with the fine precision of the baby
+    steps of a series at 20, 45, 75 or 215 digits."""
+    rng, out = random.Random(49), []
     for n in range(300):
         a = rng.randint(1, 10 ** rng.randint(1, 4)) * (2 if n % 3 == 1 else 1)
         b = [a * rng.randint(-3, 3), a // 2 * rng.randrange(-5, 6, 2), rng.randint(-a, a)][n % 3]
         y = 10 ** rng.uniform(-3, 0.3)
         c = (4 * a * a * round(y * y * 10 ** 6) // 10 ** 6 + b * b) // (4 * a) + 1
-        point = FormPoint(a, b, b * b - 4 * a * c)
-        with mp.workdps(rng.choice([20, 45, 75, 215]) + GUARD):
-            fine = mp.mp.prec + rng.randrange(8, 40)
+        with mp.workdps(rng.choice([20, 45, 75, 215]) + SERIES_GUARD):
+            out.append((FormPoint(a, b, b * b - 4 * a * c), mp.mp.prec + rng.randrange(8, 40)))
+    return out
+
+
+def test_q_at_a_form_point_is_within_two_units_and_exactly_real_or_imaginary():
+    # the fixed-point route's q at 300 random FormPoints: each part, cut toward
+    # zero at the fine precision of the baby steps, within 2 units of
+    # mp.exp(2 pi i tau) taken at fine + 64 bits; Im q exactly 0 when A | B,
+    # Re q exactly 0 when A | 2B but not A | B, and neither otherwise
+    for point, fine in _random_form_points():
+        a, b = point.a, point.b
         with mp.workprec(fine + 64):
             q = mp.exp(2j * mp.pi * mp.mpc(-b, mp.sqrt(-point.disc)) / (2 * a))
             want = mp.ldexp(q.real, fine), mp.ldexp(q.imag, fine)
-        raw = modparam._q(point, fine)
-        got = [to_int(mpf_shift(v, fine)) for v in raw]
+        got = q_fixed(point, fine)
         assert all(abs(g - w) < 2 for g, w in zip(got, want)), (point, got, want)
-        re, im = (mp.make_mpf(v) for v in raw)
+        re, im = q_scaled(point, fine + 4)[:2]
         assert (im == 0) == (b % a == 0) and (re == 0) == (2 * b % a == 0 != b % a), point
+
+
+@pytest.mark.parametrize("bits", [53, 300, 770])
+def test_q_from_integers_is_libmps_to_a_unit(bits):
+    # the same 300 points at a double's 53 bits, a 60-digit series' 300 and a
+    # 200-digit series' 770: each part of q_fixed within one unit of libmp's
+    # exp and cos-sin (oracles.q_by_libmp) cut toward zero the same way
+    for point, _ in _random_form_points():
+        want = [to_int(mpf_shift(v, bits)) for v in q_by_libmp(point, bits)]
+        got = q_fixed(point, bits)
+        assert all(abs(g - w) <= 1 for g, w in zip(got, want)), (point, got, want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -545,13 +564,13 @@ def test_q_at_a_form_point_is_within_two_units_and_exactly_real_or_imaginary():
 def test_im_tau_is_sqrt_d_over_2a_correctly_rounded(m, a):
     # the double im_tau gives is the nearest to sqrt(m) / (2a), checked in
     # exact rationals against the midpoints to both neighbours, and the one
-    # float(mp.sqrt(m) / (2a)) gives at 60 and 200 digits + GUARD
+    # float(mp.sqrt(m) / (2a)) gives at 60 and 200 digits + SERIES_GUARD
     got = Fraction(im_tau(-m, a))
     for side in (0.0, math.inf):
         mid = (got + Fraction(math.nextafter(float(got), side))) / 2
         assert (4 * a * a * mid * mid <= m) == (side == 0.0)
     for digits in (60, 200):
-        with mp.workdps(digits + GUARD):
+        with mp.workdps(digits + SERIES_GUARD):
             assert im_tau(-m, a) == float(mp.sqrt(m) / (2 * a))
 
 

@@ -27,9 +27,9 @@ from cmtrace.experiments import (LAMBDA_DIGITS, ExperimentSpec, FiberPairingErro
                                  orbit_trace, trace_point)
 from cmtrace.fp import is_fundamental_discriminant, kronecker, order_data
 from cmtrace.heegner import al_move, coset_move, galois_orbit, heegner_form
-from cmtrace.modparam import (GUARD, MAZUR_ORDERS, NMAX_CAP, AlConstantError, SeriesBudgetError,
-                              al_constant, al_constant_points, al_matrix, atkin_lehner_sign,
-                              eval_newform, eval_phi, im_tau, phi_terms)
+from cmtrace.modparam import (MAZUR_ORDERS, NMAX_CAP, SERIES_GUARD, AlConstantError,
+                              SeriesBudgetError, al_constant, al_constant_points, al_matrix,
+                              atkin_lehner_sign, eval_newform, eval_phi, im_tau, phi_terms)
 from cmtrace.periods import is_torsion, locate, period_lattice, torsion_residual
 from cmtrace.quadforms import kernel_classes, reduced_forms
 from oracles import (al_constant_by_series, coset_least_by_search, eval_series_direct,
@@ -147,7 +147,7 @@ def _k_trace(model, dK: int, c: int, digits: int):
     """(S_c, h(O_c)): the sum of phi over the Pic(O_c) orbit of the Heegner
     point of conductor c, the orbit of galois_orbit over reduced_forms(D)."""
     orbit = galois_orbit(heegner_form(model.n, dK, c), model.n, reduced_forms(c * c * dK))
-    with mp.workdps(digits + GUARD):
+    with mp.workdps(digits + SERIES_GUARD):
         return mp.fsum(eval_phi(model, heegner_tau(pt, digits), digits) for pt in orbit), len(orbit)
 
 
@@ -167,7 +167,7 @@ def test_heegner_norm_relation_across_conductors():
         c_ell = an_coefficients(model.minimal, ell)[ell] - 1 - kronecker(dK, ell)
         s_p, h_p = _k_trace(model, dK, model.p, RELATION_DIGITS)
         s_pl, h_pl = _k_trace(model, dK, model.p * ell, RELATION_DIGITS)
-        with mp.workdps(RELATION_DIGITS + GUARD):
+        with mp.workdps(RELATION_DIGITS + SERIES_GUARD):
             ref = mp.conj(s_p) if model.n == 50 else s_p
             dist = abs(lattice_reduce(lat, s_pl - c_ell * ref))
             tol = (h_pl + abs(c_ell) * h_p) * mp.mpf(10) ** -(RELATION_DIGITS + 10)
@@ -457,7 +457,7 @@ def test_the_constant_points_are_priced_as_their_20_digit_height_was():
     # im_tau(-4 Q, N), which gives the terms of the mpf sqrt(Q) / N at the
     # points' 20 digits for every Q || N, Q > 1, N < 3000
     checked = 0
-    with mp.workdps(LAMBDA_DIGITS + GUARD):
+    with mp.workdps(LAMBDA_DIGITS + SERIES_GUARD):
         for n_level in range(2, 3000):
             for q_div in range(2, n_level + 1):
                 if n_level % q_div == 0 and gcd(q_div, n_level // q_div) == 1:
@@ -683,7 +683,7 @@ def _terms_or_needed(im, digits: int) -> int:
 def test_term_counts_from_integers_are_those_of_the_mpf_quotient_on_the_catalogue():
     # every orbit form and move of the catalogue at 60 and 200 digits: the
     # double im_tau builds from integers is float(sqrt|D| / (2A)) at digits +
-    # GUARD for digits 5, 60 and 200, and phi_terms counts the same terms
+    # SERIES_GUARD for digits 5, 60 and 200, and phi_terms counts the same terms
     checked = 0
     for label, dK, f in CATALOGUE:
         model, _, _, orbit = _orbit(label, dK, f)
@@ -692,7 +692,7 @@ def test_term_counts_from_integers_are_those_of_the_mpf_quotient_on_the_catalogu
             for mv in orbit_options(model, orbit, digits):
                 forms |= {mv.form} | ({mv.low.form} if mv.low else set())
         for digits in (LAMBDA_DIGITS, 60, 200):
-            with mp.workdps(digits + GUARD):
+            with mp.workdps(digits + SERIES_GUARD):
                 root = mp.sqrt(-disc)
                 for a in {form.a for form in forms}:
                     im, want = im_tau(disc, a), root / (2 * a)

@@ -6,11 +6,13 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_pi, round_nearest
 
 from cmtrace import experiments, modparam, periods
 from cmtrace.curves import Curve
+from cmtrace.elementary import BITS, PI
 from cmtrace.errors import InputError
-from cmtrace.periods import (GUARD, LAMBDA_BUDGET, TORSION_BOUND, Cut, PeriodLattice,
+from cmtrace.periods import (LAMBDA_BUDGET, LATTICE_GUARD, TORSION_BOUND, Cut, PeriodLattice,
                              _nearest_multiples, _wp_pair, elliptic_exp, is_torsion, locate,
                              period_lattice, read_vector, torsion_residual)
 from oracles import (equation_residual, lattice_coords, lattice_distance,
@@ -128,7 +130,7 @@ def test_exp_is_infinity_within_10_to_the_minus_digits_of_w1(label, digits):
     # 2 w1 - w2, an affine point on the curve two orders of magnitude out,
     # with x = 1 / d^2 up to the 25 digits d keeps beside 2 w1 - w2
     lat = _lattice(label, digits)
-    with mp.workdps(digits + GUARD):
+    with mp.workdps(digits + LATTICE_GUARD):
         v, u = 2 * lat.w1 - lat.w2, mp.expjpi(mp.mpf(1) / 5) * abs(lat.w1)
         assert elliptic_exp(locate(lat, v + u * mp.mpf(10) ** -(digits + 2))) is None
         d = u * mp.mpf(10) ** -(digits - 2)
@@ -182,7 +184,7 @@ def _points(lat: PeriodLattice, seed: int, count: int) -> list:
     """Random points, up to about 20 periods from the origin, exact at the
     lattice's working precision."""
     rng = random.Random(seed)
-    with mp.workdps(lat.digits + GUARD):
+    with mp.workdps(lat.digits + LATTICE_GUARD):
         def coord():
             return rng.randint(-20, 19) + mp.ldexp(rng.getrandbits(mp.mp.prec), -mp.mp.prec)
         return [coord() * lat.w1 + coord() * lat.w2 for _ in range(count)]
@@ -190,7 +192,7 @@ def _points(lat: PeriodLattice, seed: int, count: int) -> list:
 
 def _distances(z, lat: PeriodLattice, bound: int) -> list:
     point = locate(lat, z)
-    with mp.workdps(lat.digits + GUARD):
+    with mp.workdps(lat.digits + LATTICE_GUARD):
         return [mp.sqrt(mp.ldexp(n, point.cut.shift))
                 for n, _, _ in _nearest_multiples(point, bound)]
 
@@ -218,14 +220,14 @@ def test_multiple_distances_match_search(label, digits):
     lat = _lattice(label, digits)
     tol = mp.mpf(10) ** -(digits + 20)
     (p, q), (r, s) = lat.reduction
-    with mp.workdps(digits + GUARD + 20):
+    with mp.workdps(digits + LATTICE_GUARD + 20):
         reduced = PeriodLattice(lat.curve, p * lat.w1 + q * lat.w2, r * lat.w1 + s * lat.w2,
                                 digits)
     for z in _points(lat, digits, 2):
         got = _distances(z, lat, 24)
-        with mp.workdps(digits + GUARD):
+        with mp.workdps(digits + LATTICE_GUARD):
             public = [lattice_distance(lat, m * z) for m in range(1, 25)]
-        with mp.workdps(digits + GUARD + 20):
+        with mp.workdps(digits + LATTICE_GUARD + 20):
             for m in range(1, 25):
                 want = lattice_distance_by_search(lat, m * z)
                 assert abs(got[m - 1] - want) < tol, (m, got[m - 1], want)
@@ -239,7 +241,7 @@ def test_descent_in_the_period_basis_missed_the_nearest_vector():
     # 121b1's (w1, w2) is not Lagrange-reduced: the descent stops at a local
     # minimum 0.91 away, while the lattice comes within 0.57 of this point
     lat = _lattice("121b1", 60)
-    with mp.workdps(60 + GUARD):
+    with mp.workdps(60 + LATTICE_GUARD):
         z = mp.mpc("-2.556770953827603", "-0.1723832681073393")
         want = lattice_distance_by_search(lat, z)
         assert abs(lattice_distance(lat, z) - want) < mp.mpf(10) ** -80
@@ -252,17 +254,17 @@ def test_nearest_vector_is_the_descents_on_any_basis(label):
     # along the reduced basis is the reference nearest vector
     lat = _lattice(label, 60)
     (p, q), (r, s) = lat.reduction
-    with mp.workdps(60 + GUARD + 20):
+    with mp.workdps(60 + LATTICE_GUARD + 20):
         sheared = PeriodLattice(lat.curve, lat.w1, lat.w2 + 5 * lat.w1, lat.digits)
         reduced = PeriodLattice(lat.curve, p * lat.w1 + q * lat.w2, r * lat.w1 + s * lat.w2,
                                 lat.digits)
     tol = mp.mpf(10) ** -80
     for basis in (lat, sheared):
         for z in _points(lat, 11, 4):
-            with mp.workdps(60 + GUARD):
+            with mp.workdps(60 + LATTICE_GUARD):
                 i, j = nearest_vector(basis, z)
                 assert z - i * basis.w1 - j * basis.w2 == lattice_reduce(basis, z)
-            with mp.workdps(60 + GUARD + 20):
+            with mp.workdps(60 + LATTICE_GUARD + 20):
                 want = z - lattice_reduce_descent(reduced, z)
                 assert abs(i * basis.w1 + j * basis.w2 - want) < tol
                 assert (i, j) == tuple(int(mp.nint(c)) for c in lattice_coords(basis, want))
@@ -270,7 +272,7 @@ def test_nearest_vector_is_the_descents_on_any_basis(label):
 
 def test_rounded_coordinates_miss_the_nearest_vector_on_a_sheared_basis():
     lat = _lattice("49a1", 60)
-    with mp.workdps(60 + GUARD):
+    with mp.workdps(60 + LATTICE_GUARD):
         sheared = PeriodLattice(lat.curve, lat.w1, lat.w2 + 5 * lat.w1, lat.digits)
         z = mp.mpf("0.4") * sheared.w1 + mp.mpf("0.45") * sheared.w2
         det = mp.im(mp.conj(sheared.w1) * sheared.w2)
@@ -285,14 +287,14 @@ def test_rounded_coordinates_miss_the_nearest_vector_on_a_sheared_basis():
 @pytest.mark.parametrize("label", ["121b1", "37a1"])
 def test_unreduced_basis_gives_the_same_distances(label):
     lat = _lattice(label, 60)
-    with mp.workdps(60 + GUARD):
+    with mp.workdps(60 + LATTICE_GUARD):
         skew = PeriodLattice(lat.curve, lat.w1, lat.w2 + 3 * lat.w1, lat.digits)
     assert skew.reduction != lat.reduction
     tol = mp.mpf(10) ** -80
     for z in _points(lat, 7, 3):
         for a, b in zip(_distances(z, skew, 24), _distances(z, lat, 24)):
             assert abs(a - b) < tol
-        with mp.workdps(60 + GUARD):
+        with mp.workdps(60 + LATTICE_GUARD):
             assert abs(lattice_reduce(skew, z) - lattice_reduce(lat, z)) < tol
 
 
@@ -305,9 +307,9 @@ def test_large_bound_keeps_the_guard_bits():
     lat = _lattice("121b1", 60)
     z = _points(lat, 1000, 1)[0]
     got = _distances(z, lat, 1000)
-    with mp.workdps(60 + GUARD):
+    with mp.workdps(60 + LATTICE_GUARD):
         tol = mp.ldexp(abs(lat.w1), -mp.mp.prec)
-    with mp.workdps(60 + GUARD + 30):
+    with mp.workdps(60 + LATTICE_GUARD + 30):
         for m in range(1, 1001, 7):
             assert abs(got[m - 1] - lattice_distance_by_search(lat, m * z)) < tol, m
 
@@ -319,12 +321,12 @@ def test_locate_ignores_the_callers_precision():
     lat = _lattice("121b1", 60)
     for z in _points(lat, 5, 3):
         seen = []
-        for dps in (15, 60 + GUARD, 200):
+        for dps in (15, 60 + LATTICE_GUARD, 200):
             with mp.workdps(dps):
                 for basis in (lat, PeriodLattice(*lat)):
                     seen.append((locate(basis, z), nearest_vector(basis, z)))
         assert all(s == seen[0] for s in seen)
-    with mp.workdps(60 + GUARD):
+    with mp.workdps(60 + LATTICE_GUARD):
         assert seen[0][0].cut.frac == mp.mp.prec + 15
 
 
@@ -341,7 +343,7 @@ def _read_cases(digits: int) -> list:
         lat = _lattice(label, digits)
         for _ in range(60):
             i0, j0 = rng.randint(-20, 20), rng.randint(-20, 20)
-            with mp.workdps(digits + GUARD):
+            with mp.workdps(digits + LATTICE_GUARD):
                 offset = mp.mpf(10) ** rng.uniform(-12, -6) * mp.expjpi(rng.uniform(0, 2))
                 cases.append((lat, i0 * lat.w1 + j0 * lat.w2 + offset, (i0, j0)))
     return cases
@@ -355,7 +357,7 @@ def test_read_vector_accepts_exactly_what_the_oracle_accepts(digits):
     accepted, cases = 0, _read_cases(digits)
     for lat, z, (i0, j0) in cases:
         i, j = nearest_vector(lat, z)
-        with mp.workdps(digits + GUARD + 20):
+        with mp.workdps(digits + LATTICE_GUARD + 20):
             miss = abs(z - i * lat.w1 - j * lat.w2)
             half = abs(reduced_basis(lat)[0]) / 2
         assert (i, j) == (i0, j0) and LAMBDA_BUDGET < half
@@ -393,7 +395,7 @@ def test_a_cold_and_a_warm_lattice_read_alike(monkeypatch, digits):
         assert locate(cold, z) == locate(lat, z)
         assert _read_or_raise(PeriodLattice(*lat), z) == _read_or_raise(lat, z)
         with monkeypatch.context() as patch:
-            patch.setattr(periods, "LAMBDA_BUDGET", mp.mpf(10))
+            patch.setattr(periods, "LAMBDA_BUDGET", 10.0)
             cold = PeriodLattice(*lat)
             message = _read_or_raise(cold, z)
             assert message.startswith("z misses the lattice by")
@@ -413,7 +415,7 @@ def test_one_scan_equals_the_two_pass_oracle(digits):
     for label in ("49a1", "121b1", "50b1", "36a1", "37a1"):
         lat = _lattice(label, digits)
         points = _points(lat, digits + 2, 42)
-        with mp.workdps(digits + GUARD):
+        with mp.workdps(digits + LATTICE_GUARD):
             for _ in range(30):
                 n, k1, k2 = rng.randint(1, 30), rng.randint(-60, 60), rng.randint(-60, 60)
                 t = (k1 * lat.w1 + k2 * lat.w2) / n
@@ -436,13 +438,16 @@ def test_a_read_budget_of_half_the_shortest_vector_or_more_raises(monkeypatch, l
     # two lattice vectors may then both be within the budget of a value, so
     # read_vector raises even on a lattice vector itself, with the miss and
     # |b1| / 2 in the message; just below |b1| / 2 it reads the vector.  The
-    # read limit is fixed when a cut is made, so each budget reads a cold copy
+    # read limit is fixed when a cut is made, so each budget reads a cold copy.
+    # The budget is a double, read by its exact ratio: 10^-15 off |b1| / 2 is
+    # above and below it once rounded to 53 bits
     lat = _lattice(label, 60)
-    with mp.workdps(60 + GUARD):
+    with mp.workdps(60 + LATTICE_GUARD):
         half = abs(reduced_basis(lat)[0]) / 2
         z = 3 * lat.w1 - 2 * lat.w2
-        tiny = mp.mpf(10) ** -30
-        above, below = (half * (1 + tiny), 2 * half, mp.mpf(10)), half * (1 - tiny)
+        tiny = mp.mpf(10) ** -15
+        above, below = [float(half * (1 + tiny)), float(2 * half), 10.0], float(half * (1 - tiny))
+        assert below < half < above[0]
     for budget in above:
         monkeypatch.setattr(periods, "LAMBDA_BUDGET", budget)
         with pytest.raises(_Missed, match=r"^z misses the lattice by .*, against .* and "
@@ -461,7 +466,7 @@ def test_a_point_just_outside_the_torsion_limit_has_an_affine_image(digits):
     rng, count = random.Random(digits + 3), 0
     for label in LATTICE_CURVES:
         lat = _lattice(label, digits)
-        with mp.workdps(digits + GUARD):
+        with mp.workdps(digits + LATTICE_GUARD):
             limit = mp.mpf(10) ** (-mp.mpf(digits) / 2) * abs(lat.w1)
             points = []
             for n in (1, 1, 2, 3, rng.randint(4, 24), rng.randint(4, 24)):
@@ -480,7 +485,7 @@ def test_a_point_just_outside_the_torsion_limit_has_an_affine_image(digits):
        k1=st.integers(-60, 60), k2=st.integers(-60, 60))
 def test_torsion_order_of_rational_points(label, n, k1, k2):
     lat = _lattice(label, 60)
-    with mp.workdps(60 + GUARD):
+    with mp.workdps(60 + LATTICE_GUARD):
         z = mp.mpf(k1) / n * lat.w1 + mp.mpf(k2) / n * lat.w2
     assert locate(lat, z).scan[0] == n // gcd(n, k1, k2)
 
@@ -499,6 +504,27 @@ def test_period_lattice_is_computed_once_per_curve_and_digits():
         period_lattice(cur, 201)
 
 
+def test_the_lattices_pi_is_mpf_pi_rounded_to_nearest(monkeypatch):
+    # PI, floor(pi 2^BITS), rounded to nearest is mpf_pi(prec, round_nearest)
+    # at every prec from 2 to BITS - 64, and period_lattice takes pi so, at
+    # the precision of its digits + LATTICE_GUARD, up to the cap's 225 digits
+    for prec in range(2, BITS - 63):
+        assert from_man_exp(PI, -BITS, prec, round_nearest) == mpf_pi(prec, round_nearest), prec
+    calls = []
+
+    def recording(man, exp, *args):
+        calls.append((man, exp, *args))
+        return from_man_exp(man, exp, *args)
+
+    monkeypatch.setattr(periods, "from_man_exp", recording)
+    for digits in (1, 60, 200):
+        calls.clear()
+        period_lattice.__wrapped__(Curve(*LATTICE_CURVES["50b1"]), digits)
+        prec = dps_to_prec(digits + LATTICE_GUARD)
+        assert [c for c in calls if c[0] == PI] == [(PI, -BITS, prec, round_nearest)], digits
+    assert dps_to_prec(200 + LATTICE_GUARD) <= BITS - 64
+
+
 CURVE_26569A1 = (0, 0, 1, -2174420, 1234136692)      # |b1| about 0.06
 
 
@@ -510,7 +536,7 @@ def test_wp_pair_matches_laurent_series(ai, digits):
     # vanishes there) and at random reduced points
     lat = period_lattice(Curve(*ai), digits)
     rng = random.Random(digits)
-    with mp.workdps(digits + GUARD):
+    with mp.workdps(digits + LATTICE_GUARD):
         b1, b2 = reduced_basis(lat)
         points = [(b1 / mp.mpf(10) ** 5, 2), (b1 / 2, 1), (b2 / 2, 1), ((b1 + b2) / 2, 1)]
         points += [(mp.mpf(rng.random()) * b1 + mp.mpf(rng.random()) * b2, 2) for _ in range(4)]
@@ -527,7 +553,7 @@ def test_wp_pair_on_a_reduced_basis_of_negative_orientation(label, digits):
     # needs Im tau > 0 and negates tau
     lat = _lattice(label, digits)
     cur = lat.curve
-    with mp.workdps(digits + GUARD):
+    with mp.workdps(digits + LATTICE_GUARD):
         b1, b2 = reduced_basis(lat)
         assert mp.im(b2 / b1) < 0
         z = lattice_reduce(lat, (b1 + 3 * b2) / 7)
@@ -563,7 +589,7 @@ def test_two_torsion_roots_match_polyroots(sign):
     curves += [(cur, (30, 60, 200)[i % 3]) for i, cur in enumerate(_random_curves(sign, 200, rng))]
     assert len(curves) >= 200
     for cur, digits in curves:
-        with mp.workdps(digits + GUARD):
+        with mp.workdps(digits + LATTICE_GUARD):
             got = two_torsion_roots(cur)
         want = two_torsion_roots_by_polyroots(cur, digits)
         assert len(got) == len(want) == (3 if sign > 0 else 2)

@@ -92,6 +92,23 @@ def test_curve_equation_exact_check():
         ainvs, AlgebraicNumber(-2, 0, 1, -67), AlgebraicNumber(3, 0, 1, -11))
 
 
+def test_curve_equation_with_one_rational_coordinate():
+    # a rational coordinate lies in every field: (-2, 3) on 121b1 reads True
+    # with either coordinate over Q and the other over Q(sqrt -67), in both
+    # orders; (-2, 4) is off the curve however it is given, and two different
+    # quadratic fields read False
+    ainvs = (0, -1, 1, -7, 10)
+    x_q, y_q = AlgebraicNumber(-2, 0, 1, None), AlgebraicNumber(3, 0, 1, None)
+    x_k, y_k = AlgebraicNumber(-2, 0, 1, -67), AlgebraicNumber(3, 0, 1, -67)
+    assert curve_equation_holds_exactly(ainvs, x_q, y_k)
+    assert curve_equation_holds_exactly(ainvs, x_k, y_q)
+    assert not curve_equation_holds_exactly(ainvs, x_q, AlgebraicNumber(4, 0, 1, -67))
+    assert not curve_equation_holds_exactly(ainvs, AlgebraicNumber(4, 0, 1, -67), y_q)
+    assert not curve_equation_holds_exactly(ainvs, x_k, AlgebraicNumber(3, 0, 1, -11))
+    with pytest.raises(InputError, match="needs mu = 0"):
+        curve_equation_holds_exactly(ainvs, AlgebraicNumber(-2, 1, 1, None), y_k)
+
+
 def test_curve_equation_over_q_at_rational_coordinates():
     # field_disc None means rational, the form recognize_algebraic gives a
     # rational value: (-2, 3) is a point of 121b1 over Q, (-2, 4) is none
