@@ -7,7 +7,7 @@ bits: dps_to_prec(215) = 718, plus bit_length(NMAX_CAP), the fixed-point
 guard, the baby steps' extra bits and the guard bits below; the period
 lattice rounds pi to at most dps_to_prec(225) = 751 bits.  So BITS leaves
 about 200 bits of margin under DIGITS_CAP, and a request above BITS - 64
-bits is an AssertionError, not a fallback.  Rounded to nearest at prec <=
+bits is an InputError, not a fallback.  Rounded to nearest at prec <=
 BITS - 64 bits, PI gives pi rounded to nearest, mpf_pi(prec, round_nearest):
 PI differs from pi 2^BITS by less than 1, so the two could round apart only
 at a tie, which would need 64 zero bits of pi in a row; the tests check
@@ -49,6 +49,8 @@ exp and cos-sin (tests/oracles.py).
 
 from math import isqrt
 
+from .errors import InputError
+
 BITS = 1024
 PI = int("3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89"
          "452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b5470917"
@@ -82,7 +84,8 @@ def q_scaled(point, bits: int) -> tuple[int, int, int, int]:
     a, b, disc = point
     s = isqrt(max(0, bits - 128)) // 3          # halvings
     w = bits + s + 12
-    assert w <= BITS - 64, f"q at {bits} bits is beyond the {BITS}-bit constants"
+    if w > BITS - 64:
+        raise InputError(f"q at {bits} bits is beyond the {BITS}-bit constants")
     t = PI * isqrt(-disc << 2 * w) // (a << BITS)          # 2 pi Im tau = pi sqrt|disc| / a
     k = ((t << BITS - w + 1) + LN2) // (2 * LN2)            # e^-t = 2^-k e^-r
     r = t - (k * LN2 >> BITS - w)

@@ -45,8 +45,8 @@ def test_a_trace_replays_with_mpmaths_agm_newton_and_complex_exp_blocked(monkeyp
     # so does each q (no mpc_exp, which modparam no longer imports): 121b1/-67
     # at 60 and 200 digits and 50b1/-7/3 at 200, with cold lattices, still
     # give their record.  50b1/-7/3 recognises no point, so it runs with
-    # libmp's exp, cos-sin and pi blocked too: every q and the lattice's pi come
-    # from cmtrace.elementary.  121b1/-67 recognises a point through
+    # libmp's exp, cos-sin and pi blocked too, periods' own mpf_pi included:
+    # every q and the lattice's pi come from cmtrace.elementary.  121b1/-67 recognises a point through
     # periods._wp_pair, whose theta series still take them from mpmath.
     def blocked(*args, **kwargs):
         raise AssertionError("the trace took an mpmath route it should not")
@@ -64,4 +64,5 @@ def test_a_trace_replays_with_mpmaths_agm_newton_and_complex_exp_blocked(monkeyp
     for module in (mpmath.libmp, mpmath.libmp.libelefun):
         for name in ("mpf_exp", "mpf_cos_sin", "mpf_pi"):
             monkeypatch.setattr(module, name, blocked)
+    monkeypatch.setattr(periods, "mpf_pi", blocked)             # _wp_pair's, imported by name
     _replays(record, todo["1,1,1,-3,1/-7/3@200"])

@@ -13,6 +13,7 @@ from cmtrace import modparam
 from cmtrace.curves import (Curve, _valuation, an_coefficients, curve_from_c4c6, curve_model,
                             minimal_model, tate_local)
 from cmtrace.elementary import BITS, LN2, PI, q_scaled
+from cmtrace.errors import InputError
 from cmtrace.heegner import heegner_form
 from cmtrace.experiments import VALUE_ALLOWANCE, trace_point
 from cmtrace.finite import ExperimentSpec
@@ -557,6 +558,19 @@ def test_q_from_integers_is_libmps_to_a_unit(bits):
         want = [to_int(mpf_shift(v, bits)) for v in q_by_libmp(point, bits)]
         got = q_fixed(point, bits)
         assert all(abs(g - w) <= 1 for g, w in zip(got, want)), (point, got, want)
+
+
+def test_a_q_beyond_the_constants_is_an_input_error():
+    # PI and LN2 carry BITS bits, so q_scaled takes at most BITS - 64 working
+    # bits: a 200-digit series stays under them, a 300-digit series asks for
+    # more and is refused as an InputError, also where asserts are compiled out
+    model, point = curve_model((1, -1, 0, -2, -1)), FormPoint(1, 0, -4)
+    assert eval_phi(model, point, 200) == eval_phi(model, mp.mpc(0, 1), 200)
+    for tau in (point, mp.mpc(0, 1)):
+        with pytest.raises(InputError, match=f"beyond the {BITS}-bit constants"):
+            eval_phi(model, tau, 300)
+    with pytest.raises(InputError):
+        q_scaled(point, BITS)
 
 
 @settings(max_examples=300, deadline=None)

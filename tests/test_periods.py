@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -6,7 +8,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import dps_to_prec, from_man_exp, mpf_pi, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_pi, round_nearest, to_rational
 
 from cmtrace import experiments, modparam, periods
 from cmtrace.curves import Curve
@@ -439,22 +441,26 @@ def test_a_read_budget_of_half_the_shortest_vector_or_more_raises(monkeypatch, l
     # read_vector raises even on a lattice vector itself, with the miss and
     # |b1| / 2 in the message; just below |b1| / 2 it reads the vector.  The
     # read limit is fixed when a cut is made, so each budget reads a cold copy.
-    # The budget is a double, read by its exact ratio: 10^-15 off |b1| / 2 is
-    # above and below it once rounded to 53 bits
+    # _cut reads the budget by its exact ratio, so a Fraction 10^-30 off
+    # |b1| / 2 tests the limit far below a double's 53 bits; the doubles on
+    # either side of |b1| / 2 are tested too
     lat = _lattice(label, 60)
     with mp.workdps(60 + LATTICE_GUARD):
         half = abs(reduced_basis(lat)[0]) / 2
         z = 3 * lat.w1 - 2 * lat.w2
-        tiny = mp.mpf(10) ** -15
-        above, below = [float(half * (1 + tiny)), float(2 * half), 10.0], float(half * (1 - tiny))
-        assert below < half < above[0]
-    for budget in above:
+        tiny = mp.mpf(10) ** -30
+        above, below = [Fraction(*to_rational((half * (1 + s))._mpf_)) for s in (tiny, -tiny)]
+        near, half = float(half), Fraction(*to_rational(half._mpf_))
+        near = sorted((near, math.nextafter(near, 0 if near > half else math.inf)))
+        assert below < half < above and near[0] < half < near[1]
+    for budget in (above, 2 * half, Fraction(10), near[1]):
         monkeypatch.setattr(periods, "LAMBDA_BUDGET", budget)
         with pytest.raises(_Missed, match=r"^z misses the lattice by .*, against .* and "
                                           r"\|b1\| / 2 = "):
             read_vector(PeriodLattice(*lat), z, _Missed, "z")
-    monkeypatch.setattr(periods, "LAMBDA_BUDGET", below)
-    assert read_vector(PeriodLattice(*lat), z, _Missed, "z") == (3, -2)
+    for budget in (below, near[0]):
+        monkeypatch.setattr(periods, "LAMBDA_BUDGET", budget)
+        assert read_vector(PeriodLattice(*lat), z, _Missed, "z") == (3, -2)
 
 
 @pytest.mark.parametrize("digits", [60, 200])
