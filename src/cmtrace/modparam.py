@@ -55,17 +55,16 @@ its read's allowance, all the error it may carry: LAMBDA_BUDGET / (2
 K_EXPONENT + 1) for K_Q (below), 10^-10 for lam or Omega
 (cmtrace.experiments docstring), tol^2 / 2 for the sign (below).  When the
 tail and the bound E below are under it, the series is summed in doubles, u
-= 2^-53, by the same rectangular splitting: q^1..q^m chained
-(itertools.accumulate), each block sum_i c_n q^i, n = j m + i, i = m down to
-1, c_n = a_n / n^weight, as one C-level sum over its a_n != 0, and the
-blocks by Horner in q^m.  At weight 1 c_n is the curve's double a_n / n,
-correctly rounded by one int division when its a_n was made (cmtrace.sieve
-docstring) and read by the block's ranks as the pairs are.  Else the
-fixed-point evaluator runs.
+= 2^-53, as one chain: q^1..q^n_max by itertools.accumulate, kept only at
+the n with a_n != 0, each times c_n = a_n / n^weight, and the terms summed
+by one C-level sum from n_max down.  At weight 1 c_n is the curve's double
+a_n / n, correctly rounded by one int division when its a_n was made
+(cmtrace.sieve docstring): the first r of its table, for the r nonzero a_n
+up to n_max.  Else the fixed-point evaluator runs.
 At |Re tau| <= 1 the allowances admit 365, 8988 and 45107 (weight 0) terms
 at least.
 
-q from integers (q_double and q_fixed), no libm and no libmp.  Both routes
+q from integers (float_error and q_fixed), no libm and no libmp.  Both routes
 take q = e^(2 pi i tau) from cmtrace.elementary.q_scaled, which takes tau as
 the integers (a, b, disc) of (-b + i sqrt|disc|) / (2a): a FormPoint's
 own, or a dyadic x + i y as a = the larger denominator of x and y, b = -2 a
@@ -75,21 +74,22 @@ reduction, 4 Re tau = j + f, j nearest, |f| <= 1/2, and q = i^j e^-t e^(i
 theta), t = 2 pi Im tau, theta = pi f / 2 (cmtrace.elementary docstring);
 at A | 2B f is 0 and q is exactly real (j even) or imaginary.  q_fixed asks
 for bits + 4 bits, so each part is within 2^-(bits + 7) < 0.01 units of
-2^-bits and, cut toward zero, within 1.01 units.  q_double asks for 68 bits
-(80 working bits, at most 18 and 23 Taylor terms): tau enters as
-doubles x', y', each within u relatively (a FormPoint's -B / (2A) and
-im_tau(D, A) are correctly rounded), and each part of q and |q| is one
-correctly rounded int division of a value within 2^-71 relatively: q' =
-q(tau') (1 + d), |d| <= u + 2^-71 < 1.001 u, and |q'| too.  q' is 0 beyond
-y' = 119, t > 747, and rounds to 0 from t = 746 on (|q| < 2^-1076).  A | B
-gives f = 0 and sin = 0: q' is real.
+2^-bits and, cut toward zero, within 1.01 units.  float_error asks for 68
+bits (80 working bits, at most 18 and 23 Taylor terms) at tau' = tau, a
+FormPoint's own integers, and only for any other tau at its doubles x', y'
+(exact for a complex, each within u relatively for an mpc).  Each part of q
+and |q| is one correctly rounded int division of a value within 2^-71
+relatively: q' = q(tau') (1 + d), |d| <= u + 2^-71 < 1.001 u, and |q'|
+too.  q' is 0 from Im tau = 119 on, t > 747, and rounds to 0 from t = 746
+on (|q| < 2^-1076).  A | B gives f = 0 and sin = 0: q' is real.
 
 The error.  q(tau')^n = q^n e^(2 pi i n (tau' - tau)), |2 pi (tau' - tau)|
-<= u sigma, sigma = 2 pi (|Re tau| + Im tau).  The n-th term meets n
-factors 1 + d, n - 1 complex products (i - 1 baby steps and j Horner steps,
-each by q^m, itself m - 1 products), each within sqrt(5) u in norm (Brent,
-Percival and Zimmermann, Math. Comp. 76, 2007), two roundings (coefficient,
-product) and i + j + 1 <= n + 1 additions, each rounding each part once
+<= u sigma, sigma = 2 pi (|Re tau| + Im tau): slack where tau' = tau, and
+kept there so that every series keeps its route.  The n-th term meets n
+factors 1 + d, the n - 1 complex products of the chain, each within sqrt(5)
+u in norm (Brent, Percival and Zimmermann, Math. Comp. 76, 2007), two
+roundings (coefficient, product) and, summed from n_max down, at most n
+additions (its own and one per smaller n), each rounding each part once
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
 ch. 4, part by part; the norm of the two part bounds is at most the sum of
 the norms).  So it is off by a factor within e^((n kappa + 2) u) - 1 <= (n
@@ -100,8 +100,9 @@ kappa + 2) u / w of 1, kappa = KAPPA + sigma, KAPPA = 4.26 > 1.001 + sqrt
 parametrisation's error by E1 = sqrt(3) u (kappa g (1 + g) + 2 g) / w, and
 |a_n| <= sqrt(3) n the newform's by E0 = sqrt(3) u (kappa g (1 + g) (1 + 2
 g) + 2 g (1 + g)) / w; an underflow adds 2^-1074 per operation, nothing.
-float_error takes E in doubles from |q'|, x', y', times 1 + 2^-30 for its
-roundings and the error of g, (1 + g) (t + 2) u < 2^-36 up to NMAX_CAP.
+float_error takes E in doubles from |q'| and the doubles of tau, times 1 +
+2^-30 for its roundings and the error of g, (1 + g) (t + 2) u < 2^-36 up to
+NMAX_CAP.
 
 Term counts from integers.  phi_terms reads Im tau as a double, and
 experiments takes it for the point of a form (A, B, C) of discriminant D
@@ -152,13 +153,13 @@ points are exact until then, the integers (c, x) of c phi((x + i sqrt Q) /
 N), x = a or -d, from al_matrix alone (al_constant_points), priced by
 im_tau(-4 Q, N): the FormPoint (N, -2x, -4Q).  A value errs by less than
 its allowance in doubles, and in fixed point by 10^-15 (tail) plus 10^-20,
-its q taken from the FormPoint's exact integers.  The weights are 1, -1 or 2,
-of sizes summing to 2, and v is summed exactly at the lattice's precision,
-so 2520 v is within 5040 / 5041 of periods.LAMBDA_BUDGET = 10^-9 of 2520
-K_Q, the rest covering the cut of v.  So 2520 K_Q is read off
-2520 v as every lattice vector is (periods.read_vector): the nearest
-vector, accepted only within LAMBDA_BUDGET < |b1| / 2 of 2520 v.  K_Q = (i
-w1 + j w2) / 2520 exactly, for the integer coordinates (i, j) of that
+its q taken on either route from the FormPoint's exact integers.  The
+weights are 1, -1 or 2, of sizes summing to 2, and v is summed exactly at
+the lattice's precision, so 2520 v is within 5040 / 5041 of
+periods.LAMBDA_BUDGET = 10^-9 of 2520 K_Q, the rest covering the cut of v.
+So 2520 K_Q is read off 2520 v as every lattice vector is
+(periods.read_vector): the nearest vector, accepted only within
+LAMBDA_BUDGET < |b1| / 2 of 2520 v.  K_Q = (i w1 + j w2) / 2520 exactly, for the integer coordinates (i, j) of that
 vector, and dividing out gcd(i, j, 2520) leaves the order n.  An error
 above the budget (a larger N) can only raise, never return a wrong
 constant.  When the read fails, or n is not in Mazur's list, the lattice is
@@ -212,7 +213,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, islice, repeat
 from math import ceil, expm1, gcd, isqrt, log, pi, sqrt
 from operator import mul
 
@@ -307,24 +308,15 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int, allow
         raise InputError("tau must be in the upper half plane")
     nmax = phi_terms(y, digits)
     if allowance:
-        q, error = float_error(float(tau.real), float(y), nmax, weight)
+        q, error = float_error(tau, nmax, weight)
         if error + 10.0 ** -(digits + 10) < allowance:
-            # baby steps q^1..q^m, each block n = base + m .. base + 1 summed
-            # from its top down, the blocks by Horner in q^m from the top
-            a, m = an_coefficients(cur, nmax), isqrt(nmax)
-            inv = coefficient_tables(cur)[1]
-            baby = list(accumulate(repeat(q, m), mul))
-            top, down = (nmax - 1) // m * m, baby[::-1]
-            blocks = [(nmax, top, baby[nmax - top - 1::-1])]
-            blocks += [(lo + m, lo, down) for lo in range(top - m, -1, -m)]
-            z, r = 0j, len(a) - a.count(0)
-            for hi, lo, powers in blocks:             # the n of a block with a_n != 0,
-                b = a[hi:lo:-1]                       # ranked k..r-1 as in fixed point
-                k = r - len(b) + b.count(0)
-                c = reversed(inv[k:r]) if weight else compress(b, b)      # a_n / n^weight
-                z = z * baby[-1] + sum(map(mul, c, compress(powers, b)))
-                r = k
-            return z
+            # summed from n_max down, so that the n-th term meets at most n
+            # additions (module docstring)
+            a = an_coefficients(cur, nmax)
+            powers = list(compress(accumulate(repeat(q, nmax), mul), islice(a, 1, None)))
+            c = (reversed(coefficient_tables(cur)[1][:len(powers)]) if weight
+                 else filter(None, reversed(a)))
+            return sum(map(mul, c, reversed(powers)))
     with mp.workdps(digits + SERIES_GUARD):
         a = an_coefficients(cur, nmax)
         pairs = coefficient_tables(cur)[0]
@@ -378,24 +370,24 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int, allow
         return mp.mpc(mp.ldexp(re, -frac), mp.ldexp(im, -frac))
 
 
-def float_error(x: float, y: float, nmax: int, weight: int) -> tuple[complex, float]:
-    """(q, E): q_double(x, y) and the bound E1 (weight 1) or E0 (weight 0) on
-    the error of nmax terms summed in doubles (module docstring)."""
-    q, r = q_double(x, y)
+def float_error(tau, nmax: int, weight: int) -> tuple[complex, float]:
+    """(q, E): q = e^(2 pi i tau) in doubles, each part correctly rounded from
+    a value within 2^-68 relatively, from a FormPoint's own integers or, for
+    any other tau, from its doubles; 0 from Im tau = 119 on; and the bound E1
+    (weight 1) or E0 (weight 0) on the error of nmax terms summed in doubles
+    (module docstring)."""
+    x, y = float(tau.real), float(tau.imag)
+    if y >= 119:                                # t > 747: |q| < 2^-1077 rounds to 0
+        q, r = 0j, 0.0
+    else:
+        if not isinstance(tau, FormPoint):
+            tau = _dyadic(x.as_integer_ratio(), y.as_integer_ratio())
+        re, im, m, e = q_scaled(tau, 68)
+        q, r = complex(re / (1 << e), im / (1 << e)), m / (1 << e)
     g, kappa = r / (1 - r), KAPPA + 6.2832 * (abs(x) + y)     # 2 pi and sqrt 3 rounded up
     h = kappa * g * (1 + g)
     e = h + 2 * g if weight else h * (1 + 2 * g) + 2 * g * (1 + g)
     return q, 1.7321 * 2.0 ** -53 * (1 + 2.0 ** -30) * e / (1 - (nmax * kappa + 2) * 2.0 ** -53)
-
-
-def q_double(x: float, y: float) -> tuple[complex, float]:
-    """(q, |q|), q = e^(2 pi i (x + i y)), each part correctly rounded from a
-    value within 2^-68 relatively, from integers alone, and 0 beyond t = 2 pi
-    y = 746 (module docstring)."""
-    if y >= 119:                                # t > 747: |q| < 2^-1077 rounds to 0
-        return 0j, 0.0
-    re, im, m, e = q_scaled(_dyadic(x.as_integer_ratio(), y.as_integer_ratio()), 68)
-    return complex(re / (1 << e), im / (1 << e)), m / (1 << e)
 
 
 def q_fixed(tau, bits: int) -> tuple[int, int]:

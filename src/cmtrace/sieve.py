@@ -80,12 +80,13 @@ walk over the rows y >= 0 and their progressions of t, conjugates paired
 (weight 2 at y > 0) and, in the quadratic case, -alpha paired with alpha
 (t > 0 only, weight 2), adds every alpha of norm up to the bound to its
 a_n: no prime list, no recursion, the bad primes included (no alpha of
-their norm is prime to f).  With t = y mod 2 and |d| = 3 mod 4 when y is
-odd, n = (t^2 + |d| y^2) / 4 is t^2 >> 2 plus the row's offset (|d| y^2 + (y
-& 1)) >> 2, so in the quadratic case, every t > 0 of each parity, the walk
-reads t^2 >> 2 and chi(t / 2) t from tables made once per call: a term is
-one look-up and one addition.  The unit rows take every sixth to twelfth t,
-too few per row to pay for the slices, and compute each term.
+their norm is prime to f).  n = (t^2 + |d| y^2) / 4 is t^2 >> 2 plus the
+row's offset (|d| y^2 + (y & 1)) >> 2, as t = y mod 2 and |d| = 3 mod 4 for
+odd d, and at d = -4 t is even and the offset y^2.  So the walk reads t^2
+>> 2 and each term's value by slices of tables made once per call, one
+look-up and one addition a term: chi(t / 2) t for t > 0 in the quadratic
+case, and for the units t on t = c mod s and -t on t = -c mod s, the row's
+negative t (no progression holds t = 0).
 
 Bad primes contribute curves.ap_bad; _extended derives every other a_n.
 
@@ -302,29 +303,27 @@ def _walk(a: list[int], d: int, rows, old: int, bound: int) -> None:
     (module docstring).  Rows y = 0 mod r, t = 2 + k y mod s on each, and
     |t| above the known n; a row y > 0 stands for y and -y, and in the
     quadratic case t > 0 for t and -t, so a_n comes out integral with the
-    row y = 0 at half weight (t even there).  In the quadratic case n is
-    t^2 >> 2 plus the row's offset, both t^2 >> 2 and chi(t / 2) t read
-    from tables made once per call."""
+    row y = 0 at half weight (t even there).  Each progression of t > 0
+    reads t^2 >> 2 and its value, chi(t / 2) t or, for the units, t and -t,
+    by slices of tables made once per call."""
     n = -d
     r, k, s = rows
-    if d < -4:                              # U = {+-1}: t^2 >> 2 and chi(t / 2) t by t
+    ts = range(isqrt(4 * bound) + 1)
+    sq = [t * t >> 2 for t in ts]
+    if d < -4:                              # U = {+-1}: chi(t / 2) t
         chi, half = [kronecker(c, n) for c in range(n)], (n + 1) // 2     # 2^-1 mod |d|
-        ts = range(isqrt(4 * bound) + 1)
-        sq, values = [t * t >> 2 for t in ts], [chi[t * half % n] * t for t in ts]
+        tables = [(1, [chi[t * half % n] * t for t in ts])]
+    else:                                   # the units: t and -t, by their own progressions
+        tables = [(1, ts), (-1, [-t for t in ts])]
     for y in range(0, isqrt(4 * bound // n) + 1, r):
         base = n * y * y
         top, low = isqrt(4 * bound - base), 4 * old - base
-        t0 = isqrt(low) + 1 if low >= 0 else 0      # t^2 > low: above the known n
-        c, shift = (2 + k * y) % s, 0 if y else 1
-        if d < -4:                          # n = t^2 >> 2 plus the row's offset
-            t, off = max(t0, 1), base + (y & 1) >> 2
-            t += (c - t) % s
+        t0 = isqrt(low) + 1 if low >= 0 else 1      # t^2 > low: above the known n
+        off, shift = base + (y & 1) >> 2, 0 if y else 1
+        for sign, values in tables:
+            t = t0 + (sign * (2 + k * y) - t0) % s
             for i, v in zip(sq[t:top + 1:s], values[t:top + 1:s]):
                 a[i + off] += v >> shift
-            continue
-        for lo, hi in ((t0, top), (-top, -t0)):
-            for t in range(lo + (c - lo) % s, hi + 1, s):
-                a[(t * t + base) >> 2] += t >> shift
 
 
 def _extend(entry: list, bound: int) -> list[int]:

@@ -56,8 +56,8 @@ docstring), where cmtrace reads each of these off a few residues.
 
 On the analytic side, eval_series_direct is the term-by-term mpc evaluation
 of the q-series that the fixed-point evaluator in cmtrace.modparam replaced,
-eval_series_in_doubles_by_blocks the route in doubles with each block's a_n
-/ n divided as it goes, where modparam reads them from the curve's table,
+eval_series_in_doubles_by_chain the route in doubles with each a_n / n
+divided as it goes, where modparam reads them from the curve's table,
 phi_terms_mp its term count at 30 digits, where modparam.phi_terms
 computes it in doubles,
 orbit_trace_direct the sum of the parametrisation over the orbit points
@@ -79,6 +79,8 @@ Newton iteration in mpf and mpmath's agm, where cmtrace.periods runs both
 in integers,
 ap_char_sum_reduced the numpy point count with every product reduced mod
 ell, the reference for the baby-step giant-step count of cmtrace.curves,
+walk_unit_rows_by_term the Hecke walk's unit rows (d = -3, -4) one term at
+a time, where cmtrace.sieve._walk reads every row by slices of its tables,
 lattice_reduce_descent the descent from the nearest integer coordinates by
 steps of w1, w2 and w1 +- w2 that the four-corner rule of cmtrace.periods
 replaced, and wp_pair_by_laurent the Laurent series of the Weierstrass
@@ -110,9 +112,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
 from math import gcd, isqrt
-from operator import mul, truediv
+from operator import mul
 
 import mpmath as mp
 import numpy as np
@@ -126,7 +128,7 @@ from cmtrace.embeddings import EmbeddingData, FiberStructureError, inverse_table
 from cmtrace.errors import InputError
 from cmtrace.fp import QuadOrder, _xgcd, check_fundamental, isprime, kronecker, smallest_nonsquare
 from cmtrace.heegner import NoHeegnerPoint, gamma0_reduce
-from cmtrace.modparam import SERIES_GUARD, FormPoint, atkin_lehner_sign, phi_terms, q_double
+from cmtrace.modparam import SERIES_GUARD, FormPoint, atkin_lehner_sign, float_error, phi_terms
 from cmtrace.periods import (LATTICE_GUARD, NEWTON_GUARD, TORSION_BOUND, PeriodLattice,
                              _cubic, _nearest_multiples, locate)
 from cmtrace.quadforms import BinaryForm, KernelClass, lagrange_reduce, reduce_form, reduced_forms
@@ -823,24 +825,16 @@ def eval_series_direct(cur, tau, digits: int, weight: int):
         return +acc
 
 
-def eval_series_in_doubles_by_blocks(cur, tau: complex, digits: int, weight: int) -> complex:
-    """sum_{n <= n_max} a_n q^n / n^weight in doubles by modparam's
-    rectangular splitting, each block's a_n / n by int division as the block
-    is summed: the same doubles in the same order as modparam's route in
-    doubles, which reads a_n / n from the curve's table."""
+def eval_series_in_doubles_by_chain(cur, tau, digits: int, weight: int) -> complex:
+    """sum_{n <= n_max} a_n q^n / n^weight in doubles by modparam's chain,
+    q^1..q^n_max by accumulate, each a_n / n by int division as the sum goes,
+    summed from n_max down: the same doubles in the same order as modparam's
+    route in doubles, which reads a_n / n from the curve's table."""
     nmax = phi_terms(tau.imag, digits)
-    q = q_double(tau.real, tau.imag)[0]
-    a, m = an_coefficients(cur, nmax), isqrt(nmax)
-    baby = list(accumulate(repeat(q, m), mul))
-    top, down = (nmax - 1) // m * m, baby[::-1]
-    blocks = [(nmax, top, baby[nmax - top - 1::-1])]
-    blocks += [(lo + m, lo, down) for lo in range(top - m, -1, -m)]
-    z = 0j
-    for hi, lo, powers in blocks:
-        c = a[hi:lo:-1]
-        n, powers, c = compress(range(hi, lo, -1), c), compress(powers, c), compress(c, c)
-        z = z * baby[-1] + sum(map(mul, map(truediv, c, n) if weight else c, powers))
-    return z
+    q = float_error(tau, nmax, weight)[0]
+    a = an_coefficients(cur, nmax)
+    powers = [1, *accumulate(repeat(q, nmax), mul)]
+    return sum((a[n] / n if weight else a[n]) * powers[n] for n in range(nmax, 0, -1) if a[n])
 
 
 def q_by_libmp(tau, prec: int) -> tuple:
@@ -1156,6 +1150,23 @@ def ap_char_sum_reduced(cur: Curve, ell: int) -> int:
     qr[x2] = 1
     chi = np.where(f == 0, 0, np.where(qr[f] == 1, 1, -1))
     return int(-chi.sum())
+
+
+def walk_unit_rows_by_term(a: list[int], d: int, rows, old: int, bound: int) -> None:
+    """cmtrace.sieve._walk for d = -3 or -4, term by term: on each row y = 0
+    mod r, every t = 2 + k y mod s with t^2 above 4 old - |d| y^2 and at
+    most 4 bound - |d| y^2, of either sign, adds t (t / 2 on the row y = 0)
+    to a[(t^2 + |d| y^2) / 4]."""
+    n = -d
+    r, k, s = rows
+    for y in range(0, isqrt(4 * bound // n) + 1, r):
+        base = n * y * y
+        top, low = isqrt(4 * bound - base), 4 * old - base
+        t0 = isqrt(low) + 1 if low >= 0 else 0
+        c, shift = (2 + k * y) % s, 0 if y else 1
+        for lo, hi in ((t0, top), (-top, -t0)):
+            for t in range(lo + (c - lo) % s, hi + 1, s):
+                a[(t * t + base) >> 2] += t >> shift
 
 
 def wp_series_coeffs_mpf(g2, g3, nterms: int):

@@ -11,7 +11,7 @@ from cmtrace.curves import (AN_BOUND, Curve, an_coefficients, coefficient_tables
                             curve_from_c4c6, curve_model, minimal_model, tate_local, transform)
 from cmtrace.sieve import ap_good
 from cmtrace.fp import kronecker
-from oracles import ap_char_sum_reduced
+from oracles import ap_char_sum_reduced, walk_unit_rows_by_term
 
 # 49a1, 121b1, 50a1, 50b1 and 36a1: the curves of the benchmark catalogue.
 CATALOGUE_CURVES = [Curve(1, -1, 0, -2, -1), Curve(0, -1, 1, -7, 10), Curve(1, 0, 1, -1, -2),
@@ -449,6 +449,24 @@ def test_hecke_route_matches_char_sum_route(monkeypatch, ai, d):
     an_coefficients(cur, bound // 3)
     assert an_coefficients(cur, bound) == hecke
     assert hecke == point_count_route(monkeypatch, cur, bound)
+
+
+@pytest.mark.parametrize("ai,d", [c for c in UNIT_CURVES if c[0] != (0, 0, 0, 4, 0)])
+def test_the_walk_reads_the_unit_rows_as_the_term_by_term_walk(ai, d):
+    # the unit rows by slices of the tables of +t and -t, against the old
+    # loop over each term, to 20,000 terms from a = [0, 1] in one extension
+    # and in extensions split at 1, 700 and 9,000
+    rows, bound = _walk_rows(Curve(*ai)), 20000
+    want = [0, 1] + [0] * (bound - 1)
+    walk_unit_rows_by_term(want, d, rows, 1, bound)
+    got = [0, 1] + [0] * (bound - 1)
+    sieve._walk(got, d, rows, 1, bound)
+    assert got == want
+    got = [0, 1]
+    for old, new in ((1, 700), (700, 9000), (9000, bound)):
+        got += [0] * (new - old)
+        sieve._walk(got, d, rows, old, new)
+    assert got == want
 
 
 def test_hecke_route_not_taken(monkeypatch):

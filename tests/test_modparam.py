@@ -18,12 +18,12 @@ from cmtrace.heegner import heegner_form
 from cmtrace.experiments import VALUE_ALLOWANCE, trace_point
 from cmtrace.finite import ExperimentSpec
 from cmtrace.modparam import (K_EXPONENT, LAMBDA_DIGITS, NMAX_CAP, SERIES_GUARD, FormPoint,
-                              SeriesBudgetError, _eval_series, _numerical_sign, al_constant,
-                              al_constant_points, al_matrix, atkin_lehner_sign, eval_newform,
-                              eval_phi, float_error, im_tau, local_sign, phi_terms, q_double,
-                              q_fixed, sign_points)
+                              SeriesBudgetError, _dyadic, _eval_series, _numerical_sign,
+                              al_constant, al_constant_points, al_matrix, atkin_lehner_sign,
+                              eval_newform, eval_phi, float_error, im_tau, local_sign,
+                              phi_terms, q_fixed, sign_points)
 from cmtrace.periods import LAMBDA_BUDGET, period_lattice
-from oracles import (eval_series_direct, eval_series_in_doubles_by_blocks, heegner_tau,
+from oracles import (eval_series_direct, eval_series_in_doubles_by_chain, heegner_tau,
                      lattice_distance, phi_terms_mp, q_by_libmp, root_number)
 
 
@@ -374,27 +374,63 @@ def test_integer_pi_and_ln2_are_the_floors():
         assert LN2 == int(mp.floor(mp.ldexp(mp.ln2, BITS)))
 
 
+def _assert_q_within_its_bound(tau, want) -> complex:
+    """float_error's q at tau and the |q| its bound is made from (q_scaled's
+    third value at 68 bits, at a FormPoint's own integers or at the dyadic
+    point of any other tau's doubles) against want: each part of q and |q|
+    correctly rounded from a value within 2^-68 |q|, or within 2^-1075 where
+    subnormal; and q / |q| within 3 units of want / |want| (cos and sin)."""
+    q = float_error(tau, 4, 1)[0]
+    if not isinstance(tau, FormPoint):
+        tau = _dyadic(float(tau.real).as_integer_ratio(), float(tau.imag).as_integer_ratio())
+    _, _, m, e = q_scaled(tau, 68)
+    r = m / (1 << e)
+    with mp.workdps(100):
+        tiny = mp.mpf(2) ** -1075
+        for got, part in ((q.real, want.real), (q.imag, want.imag)):
+            assert abs(got - part) <= U * abs(part) + 2.0 ** -68 * abs(want) + tiny, tau
+        assert abs(r - abs(want)) <= (U + 2.0 ** -68) * abs(want) + tiny, tau
+        if abs(want) > 2.0 ** -1000:
+            assert abs(mp.mpc(q) / r - want / abs(want)) <= 3 * U, tau
+    return q
+
+
 def test_q_from_integers_is_within_its_bound_on_a_grid():
-    # e^-t (|q|), cos and sin (q / |q|) and q itself, against mpmath at 100
-    # digits at the double point (x, y): each within (u + 2^-68) relatively,
-    # or within 2^-1075 of a subnormal part; q is real at A | B, and 0 beyond t = 746
+    # float_error's q and |q| at each exact FormPoint, from its own integers,
+    # against mpmath at 100 digits at that exact point; q is real at A | B, 0
+    # from Im tau = 119 on (t > 747) and underflows to 0 from t = 746
     grid, real, zero, subnormal = _grid_points(), 0, 0, 0
     for pt in grid:
-        x, y = pt.real, pt.imag
-        q, r = q_double(x, y)
         with mp.workdps(100):
-            want = mp.exp(2j * mp.pi * mp.mpc(x, y))
-            room = (U + 2.0 ** -68) * abs(want) + mp.mpf(2) ** -1075
-            assert abs(mp.mpc(q) - want) <= room and abs(r - abs(want)) <= room, pt
-            if abs(want) > 2.0 ** -1000:
-                unit = want / abs(want)
-                assert abs(mp.mpc(q) / r - unit) <= 3 * U, pt           # cos and sin
+            want = mp.exp(mp.pi * mp.mpc(-pt.b, mp.sqrt(-pt.disc)) * 1j / pt.a)
+        q = _assert_q_within_its_bound(pt, want)
         if pt.b % pt.a == 0:
             assert q.imag == 0.0, pt
             real += 1
         zero += q == 0
-        subnormal += 0 < r < 2.0 ** -1022
+        subnormal += 0 < max(abs(q.real), abs(q.imag)) < 2.0 ** -1022
     assert len(grid) > 100 and real > 10 and zero > 3 and subnormal > 3
+
+
+def test_q_at_a_complex_tau_is_within_its_bound_at_its_doubles():
+    # any other tau goes through its doubles (modparam._dyadic): q and |q| at
+    # random complex points, at the grid's doubles and at an mpc, against
+    # mpmath at 100 digits at the doubles; exactly real where 2 Re tau is an
+    # integer
+    rng = random.Random(58)
+    taus = [complex(rng.uniform(-1, 1), 10 ** rng.uniform(-3, 2.1)) for _ in range(200)]
+    taus += [complex(pt.real, pt.imag) for pt in _grid_points()]
+    taus += [complex(k / 2, 10 ** rng.uniform(-2, 2)) for k in range(-4, 5)]
+    real = 0
+    for tau in taus + [mp.mpc("0.3", "0.1")]:
+        x, y = float(tau.real), float(tau.imag)
+        with mp.workdps(100):
+            want = mp.exp(2j * mp.pi * mp.mpc(x, y))
+        q = _assert_q_within_its_bound(tau, want)
+        if (2 * x).is_integer() and y < 119:
+            assert q.imag == 0.0, tau
+            real += 1
+    assert real >= 9
 
 
 def _im_with_terms(n: int) -> float:
@@ -426,7 +462,8 @@ def _admitted(x: float, allowance: float, weight: int, admit: bool = True) -> fl
     lo, hi = 1e-4, 10.0
     for _ in range(200):
         mid = (lo + hi) / 2
-        fits = float_error(x, mid, phi_terms(mid, LAMBDA_DIGITS), weight)[1] + 1e-15 < allowance
+        error = float_error(complex(x, mid), phi_terms(mid, LAMBDA_DIGITS), weight)[1]
+        fits = error + 1e-15 < allowance
         lo, hi = (lo, mid) if fits else (mid, hi)
     return hi if admit else lo
 
@@ -439,36 +476,46 @@ def test_float_route_is_within_its_proven_bound(monkeypatch, ai):
     # against the term-by-term mpc sum, at points of -1 <= Re tau <= 1 whose
     # term counts spread evenly (n is about 35 / (2 pi Im tau)); the largest
     # count, at Re tau = 0, on the CM curves, whose a_n the Hecke walk gives
-    # cheaply, and up to 3000 terms on the point-counted 50b1 and 11a1
-    cur, rng = Curve(*ai), random.Random(str(ai))
+    # cheaply, and up to 3000 terms on the point-counted 50b1 and 11a1; and
+    # at FormPoints of the grid the route admits (K_Q points and orbit-like
+    # points), whose q comes from their own integers, against the sum at the
+    # exact point
+    cur, rng, pick = Curve(*ai), random.Random(str(ai)), random.Random(f"{ai} FormPoint")
     runs, counts, cases = _counting_floats(monkeypatch), set(), []
     counted = ai in ((1, 1, 1, -3, 1), (0, -1, 1, -10, -20))
+    grid = [pt for pt in _grid_points() if pt.imag < 119]
     for reader, weight in [*((r, w) for r, (_, w) in ALLOWANCES.items()), ("K_Q", 0), ("lam", 0)]:
         allowance = ALLOWANCES[reader][0]
         x = rng.choice([-1.0, -0.5, 0.3, 1.0])
         lo, hi = _admitted(x, allowance, weight), _im_with_terms(4)
         lo = max(lo, _im_with_terms(3000)) if counted else lo
         im = 1 / (1 / hi + (1 / lo - 1 / hi) * rng.random())
-        cases += [(x, hi, weight, allowance), (x, im, weight, allowance)]
+        cases += [(complex(x, hi), weight, allowance), (complex(x, im), weight, allowance)]
         if not counted:
-            cases.append((0.0, _admitted(0.0, allowance, weight), weight, allowance))
-    for x, im, weight, allowance in cases:
-        n = phi_terms(im, LAMBDA_DIGITS)
+            cases.append((complex(0.0, _admitted(0.0, allowance, weight)), weight, allowance))
+        admitted = [pt for pt in grid if float_error(pt, phi_terms(pt.imag, LAMBDA_DIGITS),
+                                                     weight)[1] + 1e-15 < allowance]
+        cases += [(pt, weight, allowance) for pt in pick.sample(admitted, 3)]
+    for tau, weight, allowance in cases:
+        n = phi_terms(tau.imag, LAMBDA_DIGITS)
         counts.add(n)
-        got = _eval_series(cur, complex(x, im), LAMBDA_DIGITS, weight, allowance)
-        want = eval_series_direct(cur, complex(x, im), LAMBDA_DIGITS, weight)
-        bound = float_error(x, im, n, weight)[1]
+        got = _eval_series(cur, tau, LAMBDA_DIGITS, weight, allowance)
+        if isinstance(tau, FormPoint):
+            with mp.workdps(100):
+                tau = mp.mpc(-tau.b, mp.sqrt(-tau.disc)) / (2 * tau.a)
+        want = eval_series_direct(cur, tau, LAMBDA_DIGITS, weight)
+        bound = float_error(tau, n, weight)[1]
         assert isinstance(got, complex) and bound + 1e-15 < allowance
         with mp.workdps(30):
-            assert abs(got - want) <= bound + 1e-15, (x, im, n, weight)
+            assert abs(got - want) <= bound + 1e-15, (tau, n, weight)
     assert len(runs) == len(cases) and min(counts) == 4 and max(counts) > 1000
 
 
 @pytest.mark.parametrize("label", sorted(TABLE_CURVES))
-def test_float_route_sums_the_doubles_of_the_division_per_block(monkeypatch, label):
-    # the a_n / n of the curve's table are the quotients the blocks divided,
-    # summed in the same order: equal as doubles, at both weights, from 4
-    # terms up to the most the lam allowance admits
+def test_float_route_sums_the_doubles_of_the_division_down_the_chain(monkeypatch, label):
+    # the a_n / n of the curve's table are the quotients the chain divided,
+    # summed in the same order, from n_max down: equal as doubles, at both
+    # weights, from 4 terms up to the most the lam allowance admits
     cur, rng = Curve(*TABLE_CURVES[label]), random.Random(label)
     runs = _counting_floats(monkeypatch)
     for weight in (1, 0):
@@ -477,7 +524,7 @@ def test_float_route_sums_the_doubles_of_the_division_per_block(monkeypatch, lab
             for im in (lo, hi, 1 / (1 / hi + (1 / lo - 1 / hi) * rng.random())):
                 runs.clear()
                 got = _eval_series(cur, complex(x, im), LAMBDA_DIGITS, weight, VALUE_ALLOWANCE)
-                want = eval_series_in_doubles_by_blocks(cur, complex(x, im), LAMBDA_DIGITS, weight)
+                want = eval_series_in_doubles_by_chain(cur, complex(x, im), LAMBDA_DIGITS, weight)
                 assert len(runs) == 1 and got == want, (x, im, weight)
 
 
@@ -502,12 +549,14 @@ def test_a_series_over_its_allowance_or_with_none_runs_in_fixed_point(monkeypatc
 
 
 def test_the_five_digit_layer_takes_no_q_from_mpmath(monkeypatch):
-    # with the trace-precision q blocked, 49a1/-11 (w_p = -1: every series at
-    # 5 digits) still reads torsion with K_49 unchanged, and the sign of 36a1's W_9
+    # with the trace-precision q and the dyadic point of a double tau blocked,
+    # 49a1/-11 (w_p = -1: every series at 5 digits) still reads torsion with
+    # K_49 unchanged, and the sign of 36a1's W_9: each q from its FormPoint
     def blocked(*args):
-        raise AssertionError("a 5-digit series took the trace-precision q")
+        raise AssertionError("a 5-digit series took its q from elsewhere than its FormPoint")
 
     monkeypatch.setattr(modparam, "q_fixed", blocked)
+    monkeypatch.setattr(modparam, "_dyadic", blocked)
     al_constant.cache_clear()
     rep = trace_point(ExperimentSpec(dK=-11, f=1, curve=curve_model((1, -1, 0, -2, -1)),
                                      digits=60))
