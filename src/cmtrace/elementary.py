@@ -14,8 +14,7 @@ at a tie, which would need 64 zero bits of pi in a row; the tests check
 every prec.
 
 q from integers (q_scaled).  tau = (-b + i sqrt|D|) / (2a) for integers a
-> 0 > D (a FormPoint, or a dyadic x + i y as a = the larger denominator, b
-= -2 a x, D = -(2 a y)^2, cmtrace.modparam).  With s = isqrt(max(0, bits -
+> 0 > D (a FormPoint, cmtrace.modparam).  With s = isqrt(max(0, bits -
 128)) // 3 halvings (none up to 128 bits, 8 at 774, 9 at most) and w = bits
 + s + 12, numbers are integers scaled by 2^w, u = 2^-w.  t = 2 pi Im tau =
 pi sqrt|D| / a is floor(PI isqrt(|D| 4^w) / (a 2^BITS)), within (pi + 1 + t

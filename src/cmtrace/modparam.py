@@ -6,20 +6,21 @@ provably below 10^(-digits-10): coefficients obey |a_n| <= sigma_0(n) sqrt(n),
 and sigma_0(n)/sqrt(n) <= sqrt(3) (maximise (e+1) p^(-e/2) at p = 2, 3), so
 the tail after n_max is at most sqrt(3) |q|^(n_max+1) / (1 - |q|).
 
-Both series, sum a_n q^n / n and the newform sum a_n q^n, go through one
-fixed-point evaluator using rectangular splitting (Paterson-Stockmeyer 1973;
-Johansson, ISSAC 2014).  With P the working precision of digits +
-SERIES_GUARD decimal digits (so 2^-P < 10^(-digits-15)), numbers are Python
-integers scaled by 2^F, F = P + bit_length(n_max) + FIXED_GUARD, and u =
-2^-F.  The baby steps q^0..q^m, m = isqrt(n_max), are chained at F' = F + e
-bits, e = bit_length(m) + 2, from q cut toward zero there (q_fixed): q at a
-FormPoint from its exact integers, whose n_max comes from the double im_tau
-(no mpc tau is built), and at any other tau from its dyadic value at the
-working precision, within 2^-(F' + 7) by q from integers (below), so within
-1.01 units of 2^-F' once cut.  A baby step cuts each part once and
-carries the errors of the step before and of q (|q| < 1), so q^k is within
-2.9 k units in norm, under 2^e / 1.3 for k <= m, and the shift by e bits
-leaves each part within 2 ulps.
+Both series, sum a_n q^n / n and the newform sum a_n q^n, are taken at a
+FormPoint, tau as its integers (q from integers, below), by one of two
+routes: in doubles when the read the value feeds allows it (LAMBDA_DIGITS
+values in doubles, below), else by one fixed-point evaluator using
+rectangular splitting (Paterson-Stockmeyer 1973; Johansson, ISSAC 2014).
+With P the working precision of digits + SERIES_GUARD decimal digits (so
+2^-P < 10^(-digits-15)), numbers are Python integers scaled by 2^F, F = P +
+bit_length(n_max) + FIXED_GUARD, and u = 2^-F.  The baby steps q^0..q^m, m =
+isqrt(n_max), are chained at F' = F + e bits, e = bit_length(m) + 2, from q
+cut toward zero there (q_fixed): q from the point's exact integers, whose
+n_max comes from the double im_tau (no mpc tau is built), within 2^-(F' + 7)
+(q from integers, below), so within 1.01 units of 2^-F' once cut.  A baby
+step cuts each part once and carries the errors of the step before and of q
+(|q| < 1), so q^k is within 2.9 k units in norm, under 2^e / 1.3 for k <= m,
+and the shift by e bits leaves each part within 2 ulps.
 Writing n = j m + i, block j is sum_i a_n q^i / n over the n of the block
 with a_n != 0 (itertools.compress picks them from the block's slice of the
 a_n list), and the blocks are combined by Horner in q^m: only the
@@ -61,48 +62,42 @@ by one C-level sum from n_max down.  At weight 1 c_n is the curve's double
 a_n / n, correctly rounded by one int division when its a_n was made
 (cmtrace.sieve docstring): the first r of its table, for the r nonzero a_n
 up to n_max.  Else the fixed-point evaluator runs.
-At |Re tau| <= 1 the allowances admit 365, 8988 and 45107 (weight 0) terms
-at least.
+The allowances admit up to 580, 14296 and 61452 (weight 0) terms, whatever
+Re tau is: the bound E below reads Im tau alone.
 
-q from integers (float_error and q_fixed), no libm and no libmp.  Both routes
-take q = e^(2 pi i tau) from cmtrace.elementary.q_scaled, which takes tau as
-the integers (a, b, disc) of (-b + i sqrt|disc|) / (2a): a FormPoint's
-own, or a dyadic x + i y as a = the larger denominator of x and y, b = -2 a
-x and disc = -(2 a y)^2, exactly (_dyadic).  It gives q and |q| within
-2^-(bits + 3) |q| relatively at any bit count, by an exact quarter-turn
-reduction, 4 Re tau = j + f, j nearest, |f| <= 1/2, and q = i^j e^-t e^(i
-theta), t = 2 pi Im tau, theta = pi f / 2 (cmtrace.elementary docstring);
-at A | 2B f is 0 and q is exactly real (j even) or imaginary.  q_fixed asks
-for bits + 4 bits, so each part is within 2^-(bits + 7) < 0.01 units of
-2^-bits and, cut toward zero, within 1.01 units.  float_error asks for 68
-bits (80 working bits, at most 18 and 23 Taylor terms) at tau' = tau, a
-FormPoint's own integers, and only for any other tau at its doubles x', y'
-(exact for a complex, each within u relatively for an mpc).  Each part of q
-and |q| is one correctly rounded int division of a value within 2^-71
-relatively: q' = q(tau') (1 + d), |d| <= u + 2^-71 < 1.001 u, and |q'|
-too.  q' is 0 from Im tau = 119 on, t > 747, and rounds to 0 from t = 746
-on (|q| < 2^-1076).  A | B gives f = 0 and sin = 0: q' is real.
+q from integers (float_error and q_fixed), no libm and no libmp.  A series
+point is a FormPoint, the integers (a, b, disc) of tau = (-b + i sqrt|disc|)
+/ (2a), a > 0 > disc; any other tau is an InputError.  Both routes take q =
+e^(2 pi i tau) from the point's own integers by cmtrace.elementary.q_scaled.
+It gives q and |q| within 2^-(bits + 3) |q| relatively at any bit count, by
+an exact quarter-turn reduction, 4 Re tau = j + f, j nearest, |f| <= 1/2,
+and q = i^j e^-t e^(i theta), t = 2 pi Im tau, theta = pi f / 2
+(cmtrace.elementary docstring); at A | 2B f is 0 and q is exactly real (j
+even) or imaginary.  q_fixed asks for bits + 4 bits, so each part is within
+2^-(bits + 7) < 0.01 units of 2^-bits and, cut toward zero, within 1.01
+units.  float_error asks for 68 bits (80 working bits, at most 18 and 23
+Taylor terms).  Each part of q and |q| is one correctly rounded int division
+of a value within 2^-71 relatively: q' = q (1 + d), |d| <= u + 2^-71 < 1.001
+u, and |q'| too.  q' is 0 from Im tau = 119 on, t > 747, and rounds to 0
+from t = 746 on (|q| < 2^-1076).  A | B gives f = 0 and sin = 0: q' is real.
 
-The error.  q(tau')^n = q^n e^(2 pi i n (tau' - tau)), |2 pi (tau' - tau)|
-<= u sigma, sigma = 2 pi (|Re tau| + Im tau): slack where tau' = tau, and
-kept there so that every series keeps its route.  The n-th term meets n
-factors 1 + d, the n - 1 complex products of the chain, each within sqrt(5)
-u in norm (Brent, Percival and Zimmermann, Math. Comp. 76, 2007), two
-roundings (coefficient, product) and, summed from n_max down, at most n
-additions (its own and one per smaller n), each rounding each part once
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
-ch. 4, part by part; the norm of the two part bounds is at most the sum of
-the norms).  So it is off by a factor within e^((n kappa + 2) u) - 1 <= (n
-kappa + 2) u / w of 1, kappa = KAPPA + sigma, KAPPA = 4.26 > 1.001 + sqrt
-5 + 1, w = 1 - (n_max kappa + 2) u.  With g = |q| / (1 - |q|) = 1 / (e^t -
-1), t = 2 pi Im tau, sum |q|^n = g, sum n |q|^n = g (1 + g) and sum n^2
-|q|^n = g (1 + g) (1 + 2 g), so |a_n / n| <= sqrt 3 bounds the
-parametrisation's error by E1 = sqrt(3) u (kappa g (1 + g) + 2 g) / w, and
-|a_n| <= sqrt(3) n the newform's by E0 = sqrt(3) u (kappa g (1 + g) (1 + 2
-g) + 2 g (1 + g)) / w; an underflow adds 2^-1074 per operation, nothing.
-float_error takes E in doubles from |q'| and the doubles of tau, times 1 +
-2^-30 for its roundings and the error of g, (1 + g) (t + 2) u < 2^-36 up to
-NMAX_CAP.
+The error.  q' is taken at tau itself, so the n-th term meets n factors 1 +
+d, the n - 1 complex products of the chain, each within sqrt(5) u in norm
+(Brent, Percival and Zimmermann, Math. Comp. 76, 2007), two roundings
+(coefficient, product) and, summed from n_max down, at most n additions (its
+own and one per smaller n), each rounding each part once (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 4, part by part;
+the norm of the two part bounds is at most the sum of the norms).  So it is
+off by a factor within e^((n kappa + 2) u) - 1 <= (n kappa + 2) u / w of 1,
+kappa = KAPPA = 4.26 > 1.001 + sqrt 5 + 1, w = 1 - (n_max kappa + 2) u.
+With g = |q| / (1 - |q|) = 1 / (e^t - 1), t = 2 pi Im tau, sum |q|^n = g,
+sum n |q|^n = g (1 + g) and sum n^2 |q|^n = g (1 + g) (1 + 2 g), so |a_n /
+n| <= sqrt 3 bounds the parametrisation's error by E1 = sqrt(3) u (kappa g
+(1 + g) + 2 g) / w, and |a_n| <= sqrt(3) n the newform's by E0 = sqrt(3) u
+(kappa g (1 + g) (1 + 2 g) + 2 g (1 + g)) / w; an underflow adds 2^-1074 per
+operation, nothing.  float_error takes E in doubles from |q'| and n_max
+alone, times 1 + 2^-30 for its roundings and the error of g, (1 + g) (t + 2)
+u < 2^-36 up to NMAX_CAP.
 
 Term counts from integers.  phi_terms reads Im tau as a double, and
 experiments takes it for the point of a form (A, B, C) of discriminant D
@@ -218,7 +213,6 @@ from math import ceil, expm1, gcd, isqrt, log, pi, sqrt
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import to_rational
 
 from .curves import (AN_BOUND, Curve, CurveModel, _valuation, an_coefficients, ap_bad,
                      coefficient_tables, tate_local)
@@ -278,37 +272,42 @@ def im_tau(disc: int, a: int) -> float:
 
 class FormPoint(namedtuple("FormPoint", "a b disc")):
     """The point (-b + i sqrt|disc|) / (2a), a > 0 and disc < 0 (of a form
-    when disc = b^2 mod 4a), kept as its integers; real and imag are
-    correctly rounded doubles."""
+    when disc = b^2 mod 4a), kept as its integers; imag is the correctly
+    rounded double."""
 
     __slots__ = ()
-    real = property(lambda self: -self.b / (2 * self.a))
     imag = property(lambda self: im_tau(self.disc, self.a))
 
 
-def eval_phi(model: CurveModel | Curve, tau, digits: int, allowance: float = 0.0):
-    """Modular parametrisation sum_{n <= n_max} a_n e^{2 pi i n tau} / n: a
-    complex summed in doubles when its error bound is under the allowance of
-    the read the value feeds, else an mpc (module docstring)."""
+def eval_phi(model: CurveModel | Curve, tau: FormPoint, digits: int, allowance: float = 0.0):
+    """Modular parametrisation sum_{n <= n_max} a_n e^{2 pi i n tau} / n at the
+    FormPoint tau: a complex summed in doubles when its error bound is under
+    the allowance of the read the value feeds, else an mpc (module
+    docstring)."""
     return _eval_series(model, tau, digits, 1, allowance)
 
 
-def eval_newform(model: CurveModel | Curve, tau, digits: int, allowance: float = 0.0):
+def eval_newform(model: CurveModel | Curve, tau: FormPoint, digits: int, allowance: float = 0.0):
     """The weight-two form itself, sum a_n q^n, same tail control and routes."""
     return _eval_series(model, tau, digits, 0, allowance)
 
 
-def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int, allowance: float):
-    """sum_{n <= n_max} a_n q^n / n^weight: in doubles when the tail and
-    float_error are under the allowance, else in fixed point by rectangular
-    splitting; the error budgets are in the module docstring."""
-    cur = model.minimal if isinstance(model, CurveModel) else model
-    y = tau.imag                                # a FormPoint's is a double: no mpc is built
+def _eval_series(model: CurveModel | Curve, tau: FormPoint, digits: int, weight: int,
+                 allowance: float):
+    """sum_{n <= n_max} a_n q^n / n^weight at the FormPoint tau: in doubles
+    when the tail and float_error are under the allowance, else in fixed
+    point by rectangular splitting; the error budgets are in the module
+    docstring.  InputError unless tau is a FormPoint with a > 0 > disc and a
+    double Im tau above 0."""
+    if not isinstance(tau, FormPoint):
+        raise InputError(f"a series point is a FormPoint, got {type(tau).__name__}")
+    y = tau.imag if tau.a > 0 > tau.disc else 0.0
     if not y > 0:
-        raise InputError("tau must be in the upper half plane")
+        raise InputError(f"{tau} is not a point of the upper half plane")
+    cur = model.minimal if isinstance(model, CurveModel) else model
     nmax = phi_terms(y, digits)
     if allowance:
-        q, error = float_error(tau, nmax, weight)
+        q, error = float_error(tau, y, nmax, weight)
         if error + 10.0 ** -(digits + 10) < allowance:
             # summed from n_max down, so that the n-th term meets at most n
             # additions (module docstring)
@@ -370,41 +369,28 @@ def _eval_series(model: CurveModel | Curve, tau, digits: int, weight: int, allow
         return mp.mpc(mp.ldexp(re, -frac), mp.ldexp(im, -frac))
 
 
-def float_error(tau, nmax: int, weight: int) -> tuple[complex, float]:
-    """(q, E): q = e^(2 pi i tau) in doubles, each part correctly rounded from
-    a value within 2^-68 relatively, from a FormPoint's own integers or, for
-    any other tau, from its doubles; 0 from Im tau = 119 on; and the bound E1
-    (weight 1) or E0 (weight 0) on the error of nmax terms summed in doubles
-    (module docstring)."""
-    x, y = float(tau.real), float(tau.imag)
+def float_error(tau: FormPoint, y: float, nmax: int, weight: int) -> tuple[complex, float]:
+    """(q, E) at the FormPoint tau of double Im tau = y: q = e^(2 pi i tau) in
+    doubles, each part correctly rounded from a value within 2^-68
+    relatively, from the point's own integers, 0 from Im tau = 119 on; and
+    the bound E1 (weight 1) or E0 (weight 0) on the error of nmax terms
+    summed in doubles (module docstring)."""
     if y >= 119:                                # t > 747: |q| < 2^-1077 rounds to 0
         q, r = 0j, 0.0
     else:
-        if not isinstance(tau, FormPoint):
-            tau = _dyadic(x.as_integer_ratio(), y.as_integer_ratio())
         re, im, m, e = q_scaled(tau, 68)
         q, r = complex(re / (1 << e), im / (1 << e)), m / (1 << e)
-    g, kappa = r / (1 - r), KAPPA + 6.2832 * (abs(x) + y)     # 2 pi and sqrt 3 rounded up
-    h = kappa * g * (1 + g)
+    g = r / (1 - r)
+    h = KAPPA * g * (1 + g)                     # 1.7321 below: sqrt 3 rounded up
     e = h + 2 * g if weight else h * (1 + 2 * g) + 2 * g * (1 + g)
-    return q, 1.7321 * 2.0 ** -53 * (1 + 2.0 ** -30) * e / (1 - (nmax * kappa + 2) * 2.0 ** -53)
+    return q, 1.7321 * 2.0 ** -53 * (1 + 2.0 ** -30) * e / (1 - (nmax * KAPPA + 2) * 2.0 ** -53)
 
 
-def q_fixed(tau, bits: int) -> tuple[int, int]:
-    """(re, im): e^(2 pi i tau) times 2^bits, each part cut toward zero and
-    within 1.01 units, for a FormPoint or, at its dyadic value at the working
-    precision, a number mpmath takes (module docstring)."""
-    if not isinstance(tau, FormPoint):
-        tau = _dyadic(*(to_rational(v) for v in mp.mpc(tau)._mpc_))
+def q_fixed(tau: FormPoint, bits: int) -> tuple[int, int]:
+    """(re, im): e^(2 pi i tau) times 2^bits at the FormPoint tau, each part
+    cut toward zero and within 1.01 units (module docstring)."""
     re, im, _, e = q_scaled(tau, bits + 4)
     return tuple(v >> e - bits if v >= 0 else -(-v >> e - bits) for v in (re, im))
-
-
-def _dyadic(x: tuple[int, int], y: tuple[int, int]) -> FormPoint:
-    """The FormPoint at x + i y, y > 0, for their exact ratios (n, d), d a power
-    of 2: a = the larger d, b = -2 a x and disc = -(2 a y)^2, all integers."""
-    a = max(x[1], y[1])
-    return FormPoint(a, -2 * a // x[1] * x[0], -(2 * a // y[1] * y[0]) ** 2)
 
 
 class SignConsistencyError(CmtraceError, ArithmeticError):

@@ -98,7 +98,10 @@ scans B = 0, 1, -1, 2, -2, ... and stops at the first hit; sympy stays in
 the tests as the reference for the package's own primality test,
 factorisation and square roots.  q_by_libmp takes q = e^(2 pi i tau) from
 libmp's exp and cos-sin, where cmtrace.elementary.q_scaled takes it from
-integers alone.
+integers alone.  dyadic_point is the FormPoint of the exact dyadic value of
+a complex or mpc tau, which cmtrace.modparam built itself until its series
+took FormPoints only: the tests evaluate a series at any other point
+through it.
 
 Square-and-multiply powers, element orders and the
 curve-equation residual are test-only helpers: the pipeline never needs
@@ -119,8 +122,8 @@ from operator import mul
 import mpmath as mp
 import numpy as np
 import sympy
-from mpmath.libmp import (fone, from_int, fzero, mpf_cos_sin, mpf_div, mpf_exp, mpf_mul, mpf_neg,
-                          mpf_pi, mpf_shift, mpf_sqrt, to_rational)
+from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_cos_sin, mpf_div, mpf_exp,
+                          mpf_mul, mpf_neg, mpf_pi, mpf_sqrt, to_rational)
 from sympy.ntheory import sqrt_mod
 
 from cmtrace.curves import Curve, CurveModel, an_coefficients
@@ -825,33 +828,43 @@ def eval_series_direct(cur, tau, digits: int, weight: int):
         return +acc
 
 
-def eval_series_in_doubles_by_chain(cur, tau, digits: int, weight: int) -> complex:
+def eval_series_in_doubles_by_chain(cur, tau: FormPoint, digits: int, weight: int) -> complex:
     """sum_{n <= n_max} a_n q^n / n^weight in doubles by modparam's chain,
     q^1..q^n_max by accumulate, each a_n / n by int division as the sum goes,
     summed from n_max down: the same doubles in the same order as modparam's
     route in doubles, which reads a_n / n from the curve's table."""
-    nmax = phi_terms(tau.imag, digits)
-    q = float_error(tau, nmax, weight)[0]
+    y = tau.imag
+    nmax = phi_terms(y, digits)
+    q = float_error(tau, y, nmax, weight)[0]
     a = an_coefficients(cur, nmax)
     powers = [1, *accumulate(repeat(q, nmax), mul)]
     return sum((a[n] / n if weight else a[n]) * powers[n] for n in range(nmax, 0, -1) if a[n])
 
 
-def q_by_libmp(tau, prec: int) -> tuple:
-    """e^(2 pi i tau) as raw (re, im) at prec + 10 bits, for a FormPoint or a
-    number mpmath takes, by libmp's mpf_exp and mpf_cos_sin: 4 Re tau = j + f
-    exactly, q = i^j e^(-2 pi Im tau) e^(i pi f / 2), with no cos or sin at f
-    = 0, where q is exactly real or imaginary.  The trace-precision q of
-    cmtrace.modparam was this until it came from integers (cmtrace.elementary);
-    each part within 8 2^-(prec + 10) relatively."""
+def dyadic_point(tau) -> FormPoint:
+    """The FormPoint at the exact dyadic value x + i y of a complex or an mpc
+    tau, y > 0, as mpmath holds it (not rounded to the working precision): a
+    = the larger denominator of x and y, b = -2 a x and disc = -(2 a y)^2,
+    all integers.  The series of cmtrace.modparam take a FormPoint only; the
+    tests that evaluate one at any other point pass it through here."""
+    parts = tau._mpc_ if isinstance(tau, mp.mpc) else (from_float(tau.real), from_float(tau.imag))
+    (xn, xd), (yn, yd) = (to_rational(v) for v in parts)
+    assert yn > 0, tau
+    a = max(xd, yd)
+    return FormPoint(a, -2 * a // xd * xn, -(2 * a // yd * yn) ** 2)
+
+
+def q_by_libmp(tau: FormPoint, prec: int) -> tuple:
+    """e^(2 pi i tau) as raw (re, im) at prec + 10 bits, for a FormPoint, by
+    libmp's mpf_exp and mpf_cos_sin: 4 Re tau = j + f exactly, q = i^j e^(-2
+    pi Im tau) e^(i pi f / 2), with no cos or sin at f = 0, where q is exactly
+    real or imaginary.  The trace-precision q of cmtrace.modparam was this
+    until it came from integers (cmtrace.elementary); each part within 8
+    2^-(prec + 10) relatively."""
     wp = prec + 10
     pi = mpf_pi(wp)
-    if isinstance(tau, FormPoint):              # 4 x = -2b / a, 2 pi y = pi sqrt|disc| / a
-        num, den = -2 * tau.b, tau.a
-        t = mpf_div(mpf_mul(pi, mpf_sqrt(from_int(-tau.disc), wp), wp), from_int(den), wp)
-    else:                                       # at the working precision
-        x, y = mp.mpc(tau)._mpc_
-        (num, den), t = to_rational(mpf_shift(x, 2)), mpf_mul(mpf_shift(pi, 1), y, wp)
+    num, den = -2 * tau.b, tau.a                # 4 x = -2b / a, 2 pi y = pi sqrt|disc| / a
+    t = mpf_div(mpf_mul(pi, mpf_sqrt(from_int(-tau.disc), wp), wp), from_int(den), wp)
     j = (2 * num + den) // (2 * den)            # 4 x = j + f, -1/2 <= f < 1/2
     f = num - j * den                           # theta = pi f / 2, |theta| <= pi / 4
     c, s = (mpf_cos_sin(mpf_div(mpf_mul(pi, from_int(f), wp), from_int(2 * den), wp), wp)
@@ -873,7 +886,7 @@ def orbit_trace_direct(model: CurveModel, orbit, digits: int):
     cmtrace.experiments.orbit_trace took before it moved points by W_Q."""
     from cmtrace.modparam import eval_phi
     with mp.workdps(digits + 15):
-        zs = [eval_phi(model, heegner_tau(pt, digits), digits) for pt in orbit]
+        zs = [eval_phi(model, dyadic_point(heegner_tau(pt, digits)), digits) for pt in orbit]
         trace = mp.mpc(0)
         for z in zs:
             trace += z
@@ -1020,7 +1033,7 @@ def al_constant_by_series(cur: Curve, n_level: int, q_div: int, w: int, digits: 
     with mp.workdps(digits + SERIES_GUARD):
         k, height = mp.mpc(0), mp.sqrt(q_div) / n_level
         for c, x in al_constant_points(n_level, q_div, w):
-            k += c * eval_phi(cur, mp.mpc(mp.mpf(x) / n_level, height), digits)
+            k += c * eval_phi(cur, dyadic_point(mp.mpc(mp.mpf(x) / n_level, height)), digits)
         return k
 
 

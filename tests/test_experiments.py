@@ -19,7 +19,8 @@ from cmtrace.modparam import (LAMBDA_DIGITS, SeriesBudgetError, al_constant_poin
 from cmtrace.periods import TORSION_BOUND, period_lattice
 from cmtrace.quadforms import BinaryForm, class_number, kernel_classes
 from cmtrace.recognize import curve_equation_holds_exactly
-from oracles import evaluated_moves, heegner_tau, lattice_distance, orbit_values_by_fiber
+from oracles import (dyadic_point, evaluated_moves, heegner_tau, lattice_distance,
+                     orbit_values_by_fiber)
 
 M49 = curve_model((1, -1, 0, -2, -1))
 M121 = curve_model((0, -1, 1, -7, 10))
@@ -253,7 +254,7 @@ def test_trace_orbit_sum_order_independent():
     kernel = kernel_classes(order, 7)
     orbit = galois_orbit(heegner_form(49, -11, 7), 49, [kc.form for kc in kernel])
     with mp.workdps(55):
-        zs = [eval_phi(M49, heegner_tau(pt, 40), 40) for pt in orbit]
+        zs = [eval_phi(M49, dyadic_point(heegner_tau(pt, 40)), 40) for pt in orbit]
         fwd = mp.mpc(0)
         for z in zs:
             fwd += z

@@ -18,13 +18,13 @@ from cmtrace.heegner import heegner_form
 from cmtrace.experiments import VALUE_ALLOWANCE, trace_point
 from cmtrace.finite import ExperimentSpec
 from cmtrace.modparam import (K_EXPONENT, LAMBDA_DIGITS, NMAX_CAP, SERIES_GUARD, FormPoint,
-                              SeriesBudgetError, _dyadic, _eval_series, _numerical_sign,
+                              SeriesBudgetError, _eval_series, _numerical_sign,
                               al_constant, al_constant_points, al_matrix, atkin_lehner_sign,
                               eval_newform, eval_phi, float_error, im_tau, local_sign,
                               phi_terms, q_fixed, sign_points)
 from cmtrace.periods import LAMBDA_BUDGET, period_lattice
-from oracles import (eval_series_direct, eval_series_in_doubles_by_chain, heegner_tau,
-                     lattice_distance, phi_terms_mp, q_by_libmp, root_number)
+from oracles import (dyadic_point, eval_series_direct, eval_series_in_doubles_by_chain,
+                     heegner_tau, lattice_distance, phi_terms_mp, q_by_libmp, root_number)
 
 
 def sigma0(n):
@@ -52,12 +52,15 @@ def test_phi_terms_tail():
     assert phi_terms(mp.mpf("0.2369"), 120) > n1
     assert phi_terms(mp.mpf("1e400"), 60) == 4
     # over the cap, also where the quotient overflows a double (1e-310) or Im
-    # tau underflows one (1e-400): the budget error, never a bare ValueError
+    # tau underflows one (1e-400): the budget error, never a bare ValueError;
+    # eval_phi reads Im tau as a double, so at 1e-400 its point is an
+    # InputError instead (test_eval_phi_rejects_lower_half_plane)
     for im_tau in ("1e-6", "1e-40", "1e-310", "1e-400"):
         with pytest.raises(SeriesBudgetError):
             phi_terms(mp.mpf(im_tau), 60)
-        with pytest.raises(SeriesBudgetError):
-            eval_phi(Curve(0, -1, 1, -10, -20), mp.mpc(0.1, mp.mpf(im_tau)), 30)
+        if im_tau != "1e-400":
+            with pytest.raises(SeriesBudgetError):
+                eval_phi(Curve(0, -1, 1, -10, -20), dyadic_point(mp.mpc(0.1, mp.mpf(im_tau))), 30)
     # the truncated tail really is below the target: numeric check
     with mp.workdps(80):
         a = [0] + [1] * (4 * n1)           # |a_n| <= sigma_0(n) sqrt(n), crude 1s suffice
@@ -82,8 +85,8 @@ def test_phi_terms_in_doubles_equals_the_30_digit_count(log10_im, digits):
 def test_phi_periodicity():
     model = curve_model((1, -1, 0, -2, -1))
     tau = mp.mpc("0.137", "0.31")
-    z1 = eval_phi(model, tau, 50)
-    z2 = eval_phi(model, tau + 1, 50)
+    z1 = eval_phi(model, dyadic_point(tau), 50)
+    z2 = eval_phi(model, dyadic_point(tau + 1), 50)
     assert abs(z1 - z2) < mp.mpf(10) ** -45
 
 
@@ -105,7 +108,7 @@ def test_phi_gamma0_invariance(ai):
     lat = period_lattice(model.minimal, 50)
     rng = random.Random(17)
     tau = mp.mpc("0.11", "0.4")
-    z0 = eval_phi(model, tau, 50)
+    z0 = eval_phi(model, dyadic_point(tau), 50)
     checked = 0
     with mp.workdps(65):
         while checked < 20:
@@ -113,7 +116,7 @@ def test_phi_gamma0_invariance(ai):
             gt = (a * tau + b) / (c * tau + d)
             if mp.im(gt) < 0.02:
                 continue
-            z1 = eval_phi(model, gt, 50)
+            z1 = eval_phi(model, dyadic_point(gt), 50)
             assert lattice_distance(lat, z1 - z0) < mp.mpf(10) ** -25
             checked += 1
 
@@ -124,8 +127,8 @@ def test_fricke_functional_equation_pointwise():
     w = atkin_lehner_sign(model.minimal, model.n, 49)
     with mp.workdps(65):
         for tau in [mp.mpc("0.07", "0.21"), mp.mpc("-0.13", "0.17")]:
-            lhs = eval_newform(model, -1 / (49 * tau), 50)
-            rhs = w * 49 * tau ** 2 * eval_newform(model, tau, 50)
+            lhs = eval_newform(model, dyadic_point(-1 / (49 * tau)), 50)
+            rhs = w * 49 * tau ** 2 * eval_newform(model, dyadic_point(tau), 50)
             assert abs(lhs - rhs) < mp.mpf(10) ** -40
 
 
@@ -154,8 +157,8 @@ def test_sign_reproducible_across_precisions():
             with mp.workdps(digits + SERIES_GUARD):
                 tau = (mp.sqrt(q_div) * mp.exp(1j * mp.pi / 2) - d) / c
                 image = (a * tau + b) / (c * tau + d)
-                ratio = (q_div * eval_newform(cur, image, digits)
-                         / ((c * tau + d) ** 2 * eval_newform(cur, tau, digits)))
+                ratio = (q_div * eval_newform(cur, dyadic_point(image), digits)
+                         / ((c * tau + d) ** 2 * eval_newform(cur, dyadic_point(tau), digits)))
                 assert abs(ratio - w) < mp.mpf(10) ** -(digits // 2), (ainvs, digits)
 
 
@@ -174,14 +177,23 @@ def test_al_matrix_shapes():
 
 
 def test_eval_phi_rejects_lower_half_plane():
+    # a series point is a FormPoint (a, b, disc) with a > 0 > disc and a double
+    # Im tau above 0: a complex or an mpc tau, in either half plane, is an
+    # InputError that names FormPoint, and so is a FormPoint in the lower half
+    # plane, with disc >= 0 (no square root) or a = 0 (no point), or whose Im
+    # tau underflows a double; never a bare ValueError or ZeroDivisionError
     model = curve_model((1, -1, 0, -2, -1))
-    with pytest.raises(ValueError):
-        eval_phi(model, mp.mpc(0, -1), 30)
-    with pytest.raises(ValueError):
-        eval_newform(model, mp.mpc("0.1", "-0.2"), 30)
-    for tau in (complex(0.1, -0.2), complex(0.1, 0.0), FormPoint(-49, 1, -19)):
-        with pytest.raises(ValueError):
-            eval_phi(model, tau, LAMBDA_DIGITS, VALUE_ALLOWANCE)
+    points = (FormPoint(-49, 1, -19), FormPoint(1, 0, 4), FormPoint(1, 0, 0), FormPoint(0, 1, -3),
+              dyadic_point(mp.mpc(0.1, mp.mpf("1e-400"))))
+    for series in (eval_phi, eval_newform):
+        for digits, allowance in ((30, 0.0), (LAMBDA_DIGITS, VALUE_ALLOWANCE)):
+            for tau in (mp.mpc(0, -1), mp.mpc("0.1", "0.2"), complex(0.1, -0.2),
+                        complex(0.1, 0.2)):
+                with pytest.raises(InputError, match="FormPoint"):
+                    series(model, tau, digits, allowance)
+            for tau in points:
+                with pytest.raises(InputError, match="upper half plane"):
+                    series(model, tau, digits, allowance)
 
 
 def _exact_add(ai, P, Q):
@@ -277,7 +289,7 @@ def test_fixed_point_series_matches_direct_sum(label):
         for tau in _series_taus(model, dK, digits):
             for weight, fast in ((1, eval_phi), (0, eval_newform)):
                 want = eval_series_direct(model.minimal, tau, digits, weight)
-                got = fast(model, tau, digits)
+                got = fast(model, dyadic_point(tau), digits)
                 with mp.workdps(digits + 30):
                     assert abs(got - want) < mp.mpf(10) ** -(digits + 5), (digits, tau, weight)
 
@@ -329,7 +341,7 @@ def test_table_kernel_matches_direct_sum():
                 tau = mp.mpc("0.3", im)
                 for weight, fast in ((1, eval_phi), (0, eval_newform)):
                     want = eval_series_direct(model.minimal, tau, digits, weight)
-                    got = fast(model, tau, digits)
+                    got = fast(model, dyadic_point(tau), digits)
                     with mp.workdps(digits + 30):
                         assert abs(got - want) < mp.mpf(10) ** -(digits + 5), (label, digits, nmax)
     assert shapes == {"pair cut by n_max", "partial top block", "empty block",
@@ -374,15 +386,13 @@ def test_integer_pi_and_ln2_are_the_floors():
         assert LN2 == int(mp.floor(mp.ldexp(mp.ln2, BITS)))
 
 
-def _assert_q_within_its_bound(tau, want) -> complex:
+def _assert_q_within_its_bound(tau: FormPoint, want) -> complex:
     """float_error's q at tau and the |q| its bound is made from (q_scaled's
-    third value at 68 bits, at a FormPoint's own integers or at the dyadic
-    point of any other tau's doubles) against want: each part of q and |q|
-    correctly rounded from a value within 2^-68 |q|, or within 2^-1075 where
-    subnormal; and q / |q| within 3 units of want / |want| (cos and sin)."""
-    q = float_error(tau, 4, 1)[0]
-    if not isinstance(tau, FormPoint):
-        tau = _dyadic(float(tau.real).as_integer_ratio(), float(tau.imag).as_integer_ratio())
+    third value at 68 bits, at the point's own integers) against want: each
+    part of q and |q| correctly rounded from a value within 2^-68 |q|, or
+    within 2^-1075 where subnormal; and q / |q| within 3 units of want /
+    |want| (cos and sin)."""
+    q = float_error(tau, tau.imag, 4, 1)[0]
     _, _, m, e = q_scaled(tau, 68)
     r = m / (1 << e)
     with mp.workdps(100):
@@ -412,27 +422,6 @@ def test_q_from_integers_is_within_its_bound_on_a_grid():
     assert len(grid) > 100 and real > 10 and zero > 3 and subnormal > 3
 
 
-def test_q_at_a_complex_tau_is_within_its_bound_at_its_doubles():
-    # any other tau goes through its doubles (modparam._dyadic): q and |q| at
-    # random complex points, at the grid's doubles and at an mpc, against
-    # mpmath at 100 digits at the doubles; exactly real where 2 Re tau is an
-    # integer
-    rng = random.Random(58)
-    taus = [complex(rng.uniform(-1, 1), 10 ** rng.uniform(-3, 2.1)) for _ in range(200)]
-    taus += [complex(pt.real, pt.imag) for pt in _grid_points()]
-    taus += [complex(k / 2, 10 ** rng.uniform(-2, 2)) for k in range(-4, 5)]
-    real = 0
-    for tau in taus + [mp.mpc("0.3", "0.1")]:
-        x, y = float(tau.real), float(tau.imag)
-        with mp.workdps(100):
-            want = mp.exp(2j * mp.pi * mp.mpc(x, y))
-        q = _assert_q_within_its_bound(tau, want)
-        if (2 * x).is_integer() and y < 119:
-            assert q.imag == 0.0, tau
-            real += 1
-    assert real >= 9
-
-
 def _im_with_terms(n: int) -> float:
     """The least double Im tau, to bisection, with phi_terms(Im tau,
     LAMBDA_DIGITS) <= n."""
@@ -455,17 +444,33 @@ def _counting_floats(monkeypatch) -> list:
     return runs
 
 
-def _admitted(x: float, allowance: float, weight: int, admit: bool = True) -> float:
+def _admitted(allowance: float, weight: int, admit: bool = True) -> float:
     """The least Im tau, to bisection, at which the float route's bound and
-    the tail at LAMBDA_DIGITS are under the allowance at Re tau = x (admit),
-    or the largest at which they are not."""
+    the tail at LAMBDA_DIGITS are under the allowance (admit), or the largest
+    at which they are not; the bound reads Im tau alone, through |q|."""
     lo, hi = 1e-4, 10.0
     for _ in range(200):
         mid = (lo + hi) / 2
-        error = float_error(complex(x, mid), phi_terms(mid, LAMBDA_DIGITS), weight)[1]
+        error = float_error(dyadic_point(complex(0.0, mid)), mid, phi_terms(mid, LAMBDA_DIGITS),
+                            weight)[1]
         fits = error + 1e-15 < allowance
         lo, hi = (lo, mid) if fits else (mid, hi)
     return hi if admit else lo
+
+
+def _far_points() -> list:
+    """K_Q points (N, -2x, -4Q) and sign points (2N, 4d - k, k^2 - 16Q) of
+    al_matrix at N = 98, 150 and 294, translated to Re tau from about 7 to
+    300 either way, up to about 1200 terms at LAMBDA_DIGITS: the bound holds
+    there with kappa = KAPPA because q is taken at tau itself, and a q taken
+    at a rounded double Re tau would miss it by far."""
+    pts = []
+    for n, q_div, shift in ((98, 2, 7), (150, 6, -40), (294, 3, 300)):
+        pts += [FormPoint(n, -2 * x - 2 * n * shift, -4 * q_div)
+                for _, x in al_constant_points(n, q_div, -1)]
+        _, tau, _ = sign_points(n, q_div)[1]
+        pts.append(FormPoint(tau.a, tau.b - 2 * tau.a * shift, tau.disc))
+    return pts
 
 
 @pytest.mark.parametrize("ai", [(1, -1, 0, -2, -1), (0, -1, 1, -7, 10), (1, 1, 1, -3, 1),
@@ -473,13 +478,13 @@ def _admitted(x: float, allowance: float, weight: int, admit: bool = True) -> fl
 def test_float_route_is_within_its_proven_bound(monkeypatch, ai):
     # LAMBDA_DIGITS series in doubles from 4 terms up to the most each
     # allowance admits, at the weight its reader reads and at the other,
-    # against the term-by-term mpc sum, at points of -1 <= Re tau <= 1 whose
-    # term counts spread evenly (n is about 35 / (2 pi Im tau)); the largest
-    # count, at Re tau = 0, on the CM curves, whose a_n the Hecke walk gives
-    # cheaply, and up to 3000 terms on the point-counted 50b1 and 11a1; and
-    # at FormPoints of the grid the route admits (K_Q points and orbit-like
-    # points), whose q comes from their own integers, against the sum at the
-    # exact point
+    # against the term-by-term mpc sum at the exact point, at dyadic points
+    # of -1 <= Re tau <= 1 whose term counts spread evenly (n is about 35 /
+    # (2 pi Im tau)); the largest count, at Re tau = 0, on the CM curves,
+    # whose a_n the Hecke walk gives cheaply, and up to 3000 terms on the
+    # point-counted 50b1 and 11a1; at FormPoints of the grid the route admits
+    # (K_Q points and orbit-like points); and at the far points, |Re tau| >> 1,
+    # at both weights under the sign's allowance
     cur, rng, pick = Curve(*ai), random.Random(str(ai)), random.Random(f"{ai} FormPoint")
     runs, counts, cases = _counting_floats(monkeypatch), set(), []
     counted = ai in ((1, 1, 1, -3, 1), (0, -1, 1, -10, -20))
@@ -487,28 +492,36 @@ def test_float_route_is_within_its_proven_bound(monkeypatch, ai):
     for reader, weight in [*((r, w) for r, (_, w) in ALLOWANCES.items()), ("K_Q", 0), ("lam", 0)]:
         allowance = ALLOWANCES[reader][0]
         x = rng.choice([-1.0, -0.5, 0.3, 1.0])
-        lo, hi = _admitted(x, allowance, weight), _im_with_terms(4)
+        lo, hi = _admitted(allowance, weight), _im_with_terms(4)
         lo = max(lo, _im_with_terms(3000)) if counted else lo
         im = 1 / (1 / hi + (1 / lo - 1 / hi) * rng.random())
-        cases += [(complex(x, hi), weight, allowance), (complex(x, im), weight, allowance)]
+        cases += [(dyadic_point(complex(x, y)), weight, allowance) for y in (hi, im)]
         if not counted:
-            cases.append((complex(0.0, _admitted(0.0, allowance, weight)), weight, allowance))
-        admitted = [pt for pt in grid if float_error(pt, phi_terms(pt.imag, LAMBDA_DIGITS),
+            cases.append((dyadic_point(complex(0.0, lo)), weight, allowance))
+        admitted = [pt for pt in grid if float_error(pt, pt.imag, phi_terms(pt.imag, LAMBDA_DIGITS),
                                                      weight)[1] + 1e-15 < allowance]
         cases += [(pt, weight, allowance) for pt in pick.sample(admitted, 3)]
+    cases += [(pt, weight, ALLOWANCES["sign"][0]) for pt in _far_points() for weight in (1, 0)]
     for tau, weight, allowance in cases:
         n = phi_terms(tau.imag, LAMBDA_DIGITS)
         counts.add(n)
         got = _eval_series(cur, tau, LAMBDA_DIGITS, weight, allowance)
-        if isinstance(tau, FormPoint):
-            with mp.workdps(100):
-                tau = mp.mpc(-tau.b, mp.sqrt(-tau.disc)) / (2 * tau.a)
-        want = eval_series_direct(cur, tau, LAMBDA_DIGITS, weight)
-        bound = float_error(tau, n, weight)[1]
+        bound = float_error(tau, tau.imag, n, weight)[1]
+        with mp.workdps(100):
+            exact = mp.mpc(-tau.b, mp.sqrt(-tau.disc)) / (2 * tau.a)
+        want = eval_series_direct(cur, exact, LAMBDA_DIGITS, weight)
         assert isinstance(got, complex) and bound + 1e-15 < allowance
         with mp.workdps(30):
             assert abs(got - want) <= bound + 1e-15, (tau, n, weight)
     assert len(runs) == len(cases) and min(counts) == 4 and max(counts) > 1000
+
+
+def test_the_allowances_admit_the_term_counts_the_docstring_states():
+    # the most terms each reader's allowance admits in doubles at its weight
+    # (modparam docstring), whatever Re tau is: the bound reads Im tau alone
+    admitted = {reader: phi_terms(_admitted(allowance, weight), LAMBDA_DIGITS)
+                for reader, (allowance, weight) in ALLOWANCES.items()}
+    assert admitted == {"K_Q": 580, "lam": 14296, "sign": 61452}
 
 
 @pytest.mark.parametrize("label", sorted(TABLE_CURVES))
@@ -519,12 +532,13 @@ def test_float_route_sums_the_doubles_of_the_division_down_the_chain(monkeypatch
     cur, rng = Curve(*TABLE_CURVES[label]), random.Random(label)
     runs = _counting_floats(monkeypatch)
     for weight in (1, 0):
+        lo, hi = _admitted(VALUE_ALLOWANCE, weight), _im_with_terms(4)
         for x in (-1.0, -0.5, 0.0, 0.3, 1.0):
-            lo, hi = _admitted(x, VALUE_ALLOWANCE, weight), _im_with_terms(4)
             for im in (lo, hi, 1 / (1 / hi + (1 / lo - 1 / hi) * rng.random())):
                 runs.clear()
-                got = _eval_series(cur, complex(x, im), LAMBDA_DIGITS, weight, VALUE_ALLOWANCE)
-                want = eval_series_in_doubles_by_chain(cur, complex(x, im), LAMBDA_DIGITS, weight)
+                tau = dyadic_point(complex(x, im))
+                got = _eval_series(cur, tau, LAMBDA_DIGITS, weight, VALUE_ALLOWANCE)
+                want = eval_series_in_doubles_by_chain(cur, tau, LAMBDA_DIGITS, weight)
                 assert len(runs) == 1 and got == want, (x, im, weight)
 
 
@@ -533,7 +547,7 @@ def test_a_series_over_its_allowance_or_with_none_runs_in_fixed_point(monkeypatc
     # in fixed point and returns an mpc; without an allowance, at any precision
     model = curve_model((0, -1, 1, -7, 10))
     runs = _counting_floats(monkeypatch)
-    inside, outside = (complex(0.3, _admitted(0.3, VALUE_ALLOWANCE, 1, admit))
+    inside, outside = (complex(0.3, _admitted(VALUE_ALLOWANCE, 1, admit))
                        for admit in (True, False))
     for tau, digits, allowance, floats in ((inside, LAMBDA_DIGITS, VALUE_ALLOWANCE, 1),
                                            (outside, LAMBDA_DIGITS, VALUE_ALLOWANCE, 0),
@@ -541,7 +555,7 @@ def test_a_series_over_its_allowance_or_with_none_runs_in_fixed_point(monkeypatc
                                            (inside, LAMBDA_DIGITS + 1, 0.0, 0),
                                            (complex(0.3, 1), 15, 0.0, 0)):
         runs.clear()
-        got = eval_phi(model, tau, digits, allowance)
+        got = eval_phi(model, dyadic_point(tau), digits, allowance)
         assert len(runs) == floats and isinstance(got, complex) == bool(floats), (tau, digits)
         want = eval_series_direct(model.minimal, tau, digits, 1)
         with mp.workdps(30):
@@ -549,14 +563,13 @@ def test_a_series_over_its_allowance_or_with_none_runs_in_fixed_point(monkeypatc
 
 
 def test_the_five_digit_layer_takes_no_q_from_mpmath(monkeypatch):
-    # with the trace-precision q and the dyadic point of a double tau blocked,
-    # 49a1/-11 (w_p = -1: every series at 5 digits) still reads torsion with
-    # K_49 unchanged, and the sign of 36a1's W_9: each q from its FormPoint
+    # with the trace-precision q blocked, 49a1/-11 (w_p = -1: every series at
+    # 5 digits) still reads torsion with K_49 unchanged, and the sign of
+    # 36a1's W_9: each q in doubles from its FormPoint's own integers
     def blocked(*args):
         raise AssertionError("a 5-digit series took its q from elsewhere than its FormPoint")
 
     monkeypatch.setattr(modparam, "q_fixed", blocked)
-    monkeypatch.setattr(modparam, "_dyadic", blocked)
     al_constant.cache_clear()
     rep = trace_point(ExperimentSpec(dK=-11, f=1, curve=curve_model((1, -1, 0, -2, -1)),
                                      digits=60))
@@ -614,10 +627,9 @@ def test_a_q_beyond_the_constants_is_an_input_error():
     # bits: a 200-digit series stays under them, a 300-digit series asks for
     # more and is refused as an InputError, also where asserts are compiled out
     model, point = curve_model((1, -1, 0, -2, -1)), FormPoint(1, 0, -4)
-    assert eval_phi(model, point, 200) == eval_phi(model, mp.mpc(0, 1), 200)
-    for tau in (point, mp.mpc(0, 1)):
-        with pytest.raises(InputError, match=f"beyond the {BITS}-bit constants"):
-            eval_phi(model, tau, 300)
+    eval_phi(model, point, 200)
+    with pytest.raises(InputError, match=f"beyond the {BITS}-bit constants"):
+        eval_phi(model, point, 300)
     with pytest.raises(InputError):
         q_scaled(point, BITS)
 

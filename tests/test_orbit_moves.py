@@ -32,9 +32,10 @@ from cmtrace.modparam import (MAZUR_ORDERS, NMAX_CAP, SERIES_GUARD, AlConstantEr
                               atkin_lehner_sign, eval_newform, eval_phi, im_tau, phi_terms)
 from cmtrace.periods import is_torsion, locate, period_lattice, torsion_residual
 from cmtrace.quadforms import kernel_classes, reduced_forms
-from oracles import (al_constant_by_series, coset_least_by_search, eval_series_direct,
-                     evaluated_moves, evaluation_key, galois_orbit_by_lattices, heegner_tau,
-                     lattice_reduce, orbit_trace_direct, orbit_values_by_fiber, phi_terms_mp,
+from oracles import (al_constant_by_series, coset_least_by_search, dyadic_point,
+                     eval_series_direct, evaluated_moves, evaluation_key,
+                     galois_orbit_by_lattices, heegner_tau, lattice_reduce, orbit_trace_direct,
+                     orbit_values_by_fiber, phi_terms_mp,
                      torsion_order_two_pass, torsion_residual_two_pass, w_p2_pairs)
 
 # the five curves of the trace catalogue, with the modes the suite uses
@@ -148,7 +149,8 @@ def _k_trace(model, dK: int, c: int, digits: int):
     point of conductor c, the orbit of galois_orbit over reduced_forms(D)."""
     orbit = galois_orbit(heegner_form(model.n, dK, c), model.n, reduced_forms(c * c * dK))
     with mp.workdps(digits + SERIES_GUARD):
-        return mp.fsum(eval_phi(model, heegner_tau(pt, digits), digits) for pt in orbit), len(orbit)
+        return (mp.fsum(eval_phi(model, dyadic_point(heegner_tau(pt, digits)), digits)
+                        for pt in orbit), len(orbit))
 
 
 def test_heegner_norm_relation_across_conductors():
@@ -385,8 +387,8 @@ def test_atkin_lehner_identity(label, q_div, u, v, k):
         moved = (-d + mp.mpc(u, v) * mp.sqrt(q_div)) / c
         tau = moved - k
         image = (a * moved + b) / (c * moved + d)
-        lhs = eval_phi(model, tau, digits)
-        rhs = w * (eval_phi(model, image, digits) - _constant(label, q_div, digits))
+        lhs = eval_phi(model, dyadic_point(tau), digits)
+        rhs = w * (eval_phi(model, dyadic_point(image), digits) - _constant(label, q_div, digits))
         assert abs(lhs - rhs) < mp.mpf(10) ** -(digits + 5)
 
 
@@ -396,7 +398,7 @@ def test_the_constant_vanishes_where_w_q_fixes_its_base_point_with_sign_plus():
     assert al_constant(period_lattice(m121.minimal, 60), 121, 121, 1) == (0, 0, 1)
     assert al_constant(period_lattice(MODELS["1,-1,0,6,0"].minimal, 60), 90, 9, 1) == (0, 0, 1)
     with mp.workdps(75):
-        want = 2 * eval_phi(m49, mp.mpc(0, 1) / 7, 60)
+        want = 2 * eval_phi(m49, dyadic_point(mp.mpc(0, 1) / 7), 60)
         assert abs(_constant("49a1", 49, 60) - want) < mp.mpf(10) ** -65
 
 
@@ -807,7 +809,7 @@ def test_a_point_shares_its_series_with_its_translates_and_its_mirror(n_level, m
         root = mp.sqrt(4 * a * c - b * b)
 
         def phi(b_):
-            return eval_phi(model, mp.mpc(-b_, root) / (2 * a), digits)
+            return eval_phi(model, dyadic_point(mp.mpc(-b_, root) / (2 * a)), digits)
 
         z, proven = phi(b), mp.mpf(10) ** -(digits + 10)
         assert abs(phi(b + 2 * a * k) - z) < proven
@@ -931,6 +933,6 @@ def test_pair_kernel_matches_the_term_by_term_sum_beyond_two_to_the_fifteen(labe
     assert {c % 2 for c in counts} == {0, 1}              # odd and even blocks both occur
     for weight, fast in ((1, eval_phi), (0, eval_newform)):
         want = eval_series_direct(model.minimal, tau, digits, weight)
-        got = fast(model, tau, digits)
+        got = fast(model, dyadic_point(tau), digits)
         with mp.workdps(digits + 30):
             assert abs(got - want) < mp.mpf(10) ** -(digits + 5), weight
