@@ -65,6 +65,10 @@ phi(gamma tau) - phi(tau) does not depend on tau and is a period, so phi(tau)
 translation moves W_Q (tau + k).  M tau has the leading coefficient F(Q w,
 -N z) / Q, so the best M is a shortest vector (w, z) of the positive
 definite form F(Q w, -N z) with gcd(Q w, (N/Q) z) = 1 (heegner.coset_move).
+orbit_options searches the cosets of the Q prime to p alone: W_{Q p^2}
+Gamma_0(N) tau = W_Q Gamma_0(N) tau', tau' the fiber mate, as W_{Q p^2} =
+W_Q W_{p^2} modulo Gamma_0(N), so the mate's search covers it, and W_{p^2}
+Gamma_0(N) tau is the mate's own class.
 orbit_trace reads Omega as it reads lam: v = w_Q (phi(M tau) - K_Q) - z5,
 z5 the point's value by its translation move at LAMBDA_DIGITS, and Omega is
 read off v against LAMBDA_BUDGET.  The budget above holds unchanged:
@@ -92,6 +96,7 @@ from .errors import FiberPairingError, InputError
 from .finite import ExperimentSpec, FiniteReport, experiment_finite
 from .fp import factorint, order_data
 from .heegner import al_move, coset_move, galois_orbit, heegner_form
+from . import modparam
 from .modparam import (LAMBDA_DIGITS, SERIES_GUARD, FormPoint, SeriesBudgetError, al_constant,
                        al_constant_points, atkin_lehner_sign, eval_phi, im_tau, local_sign,
                        phi_terms)
@@ -212,14 +217,6 @@ def al_signs(model: CurveModel) -> tuple[tuple[int, int | None], ...]:
     return tuple(out)
 
 
-def _terms(im_tau, digits: int) -> tuple[int, bool]:
-    """(phi_terms, within the budget) at a point of that Im tau."""
-    try:
-        return phi_terms(im_tau, digits), True
-    except SeriesBudgetError as exc:
-        return exc.needed, False
-
-
 def orbit_options(model: CurveModel, orbit, digits: int) -> tuple[OrbitMove, ...]:
     """The move of each orbit point.  Its translation move is the cheapest
     option within the budget, tau itself on a tie, among tau (q = 1) and its
@@ -229,34 +226,40 @@ def orbit_options(model: CurveModel, orbit, digits: int) -> tuple[OrbitMove, ...
     A = N).  K_Q is exact and costs one short evaluation (modparam
     docstring), so no sign enters the choice and trace_point runs this
     before atkin_lehner_sign.  The move is the best point of the whole
-    coset W_Q Gamma_0(N) for those Q but p^2 (heegner.coset_move, the least
-    leading coefficient, the smallest Q on a tie) instead, when its terms
-    plus those of the LAMBDA_DIGITS read of Omega at the translation move
-    are fewer than the translation move's.  Each point searches its own
-    cosets.  Q = p^2 is left out: W_{p^2} Gamma_0(N) tau is the Gamma_0(N)
-    class of tau's fiber mate (module docstring), whose best point is the
-    mate's own Gamma_0(N)-reduced orbit form, never cheaper than the
-    fiber's trace-precision point.  No coset is searched when w_p = -1 from
-    local data, since then orbit_trace evaluates every point at
-    LAMBDA_DIGITS by its translation move.  The points share one D, and
-    each Im tau is sqrt|D| / (2A) as a correctly rounded double
-    (modparam.im_tau).  SeriesBudgetError, with the least n_max any
-    translation move has, when some point has no option within the budget:
-    a read of Omega needs the translation within it."""
-    qs = [q for q, _ in al_signs(model) if _terms(im_tau(-4 * q, model.n), LAMBDA_DIGITS)[1]]
-    picks, p2, disc = [], model.p ** 2, orbit[0].disc()
+    coset W_Q Gamma_0(N) for those Q prime to p (heegner.coset_move, the
+    least leading coefficient, the smallest Q on a tie) instead, when its
+    terms plus those of the LAMBDA_DIGITS read of Omega at the translation
+    move are fewer than the translation move's.  Each coset is searched
+    once per fiber: W_{Q p^2} = W_Q W_{p^2} modulo Gamma_0(N) (Atkin and
+    Lehner), both normalise Gamma_0(N), and W_{p^2} Gamma_0(N) tau is the
+    Gamma_0(N) class of tau's fiber mate tau' (module docstring), so W_{Q
+    p^2} Gamma_0(N) tau = W_Q Gamma_0(N) tau', which the mate searches; Q =
+    p^2 itself is the case Q = 1, the mate's own orbit form, never cheaper
+    than the fiber's trace-precision point.  The one coset this leaves out
+    is a W_{Q p^2} whose K_{Q p^2} points fit NMAX_CAP at LAMBDA_DIGITS
+    while those of K_Q do not, N / sqrt(Q) above about 1.8 10^5: far beyond
+    every recorded curve.  No coset is searched when w_p = -1 from local
+    data, since then orbit_trace evaluates every point at LAMBDA_DIGITS by
+    its translation move.  The points share one D, and each Im tau is
+    sqrt|D| / (2A) as a correctly rounded double (modparam.im_tau).
+    SeriesBudgetError, with the largest of the points' least counts, when
+    some point has no option within the budget: a read of Omega needs the
+    translation within it."""
+    cap = modparam.NMAX_CAP
+    qs = [q for q, _ in al_signs(model) if phi_terms(im_tau(-4 * q, model.n), LAMBDA_DIGITS) <= cap]
+    picks, disc = [], orbit[0].disc()
     # w_p = -1 from local data: every point is evaluated at LAMBDA_DIGITS
-    cosets_wanted = dict(al_signs(model))[p2] != -1
+    cosets_wanted = dict(al_signs(model))[model.p ** 2] != -1
     for pt in orbit:
-        opts = [(*_terms(im_tau(disc, pt.a), digits), 1, pt)]
+        opts = [(phi_terms(im_tau(disc, pt.a), digits), 1, pt)]
         for q_div in qs:
             form = al_move(pt, model.n, q_div)
             if form.a < pt.a:
-                opts.append((*_terms(im_tau(disc, form.a), digits), q_div, form))
-        n, ok, q_div, form = min(opts, key=lambda o: (o[0], o[2]))
-        move = OrbitMove(q_div, form, n, None)
+                opts.append((phi_terms(im_tau(disc, form.a), digits), q_div, form))
+        n, q_div, form = min(opts, key=lambda o: o[:2])
+        move, ok = OrbitMove(q_div, form, n, None), n <= cap
         cosets = []
-        for q_div in (q for q in qs if q != p2) if ok and cosets_wanted else ():
+        for q_div in (q for q in qs if q % model.p) if ok and cosets_wanted else ():
             translation, image = coset_move(pt, model.n, q_div)
             if not translation and image.a < form.a:
                 cosets.append((image.a, q_div, image))

@@ -110,7 +110,12 @@ mu^2 is a multiple of 4^(e-53), nonzero when |D| is not a square, and |v -
 mu| / v = ||D| - 4 A^2 mu^2| / (sqrt|D| (sqrt|D| + 2 A mu)) >= 4^(e-53) /
 (3 |D|) > 2^-114 / A^2 > 2^-k, as 2^e > v / 4.  So no boundary lies between
 the quotient and v, and the double is v correctly rounded (exactly so when
-|D| is a square, where s is exact).
+|D| is a square, where s is exact).  phi_terms only counts, in doubles, and
+by integer ratios where the quotient overflows a double; it reads no
+mpmath.  The budget is refused where a series runs: _eval_series raises
+SeriesBudgetError for a count above NMAX_CAP, and
+cmtrace.experiments.orbit_options compares its counts with the cap before
+any series of a trace runs.
 
 Atkin-Lehner moves.  phi'(tau) = 2 pi i f(tau), and for W_Q = (a, b; N, d)
 of determinant Q, f | W_Q = w_Q f reads Q (N tau + d)^-2 f(W_Q tau) = w_Q
@@ -249,17 +254,19 @@ def phi_terms(im_tau, digits: int) -> int:
     an ulp); the numerator sums non-negative terms, one above 23, and 1 - e^-t
     has at most the relative error of t, so x comes out as x (1 + e), |e| < 10
     u < 2^-49, and times 1 + 2^-40 rounds above x: n >= the exact ceiling.
-    Below t = 1e-300 x overflows a double, and mpmath computes n, far over the cap."""
+    Below t = 1e-300 the quotient overflows a double, and n is the exact
+    ceiling of the same numerator times 1 + 2^-40 over t, from their integer
+    ratios: far over the cap.  A count only, never a raise for Im tau > 0:
+    _eval_series and the orbit planner compare it with NMAX_CAP.  InputError
+    for an Im tau that is not a positive double (0 after an underflow, NaN)."""
     t = 2 * pi * float(im_tau)
+    if not t > 0:
+        raise InputError(f"Im tau = {im_tau} is not a positive double")
+    num = (digits + 10) * log(10) + log(sqrt(3)) - log(-expm1(-t))
     if t > 1e-300:
-        x = ((digits + 10) * log(10) + log(sqrt(3)) - log(-expm1(-t))) / t
-        n = max(ceil(x * (1 + 2 ** -40)), 4)
-    else:
-        t = 2 * mp.pi * mp.mpf(im_tau)
-        n = int(mp.ceil(((digits + 10) * mp.ln10 + mp.log(mp.sqrt(3) / -mp.expm1(-t))) / t))
-    if n > NMAX_CAP:
-        raise SeriesBudgetError(n)
-    return n
+        return max(ceil(num / t * (1 + 2 ** -40)), 4)
+    (a, b), (c, d) = num.as_integer_ratio(), t.as_integer_ratio()
+    return -(-a * d * (2 ** 40 + 1) // (b * c << 40))
 
 
 def im_tau(disc: int, a: int) -> float:
@@ -298,7 +305,8 @@ def _eval_series(model: CurveModel | Curve, tau: FormPoint, digits: int, weight:
     when the tail and float_error are under the allowance, else in fixed
     point by rectangular splitting; the error budgets are in the module
     docstring.  InputError unless tau is a FormPoint with a > 0 > disc and a
-    double Im tau above 0."""
+    double Im tau above 0; SeriesBudgetError when it needs more than NMAX_CAP
+    terms."""
     if not isinstance(tau, FormPoint):
         raise InputError(f"a series point is a FormPoint, got {type(tau).__name__}")
     y = tau.imag if tau.a > 0 > tau.disc else 0.0
@@ -306,6 +314,8 @@ def _eval_series(model: CurveModel | Curve, tau: FormPoint, digits: int, weight:
         raise InputError(f"{tau} is not a point of the upper half plane")
     cur = model.minimal if isinstance(model, CurveModel) else model
     nmax = phi_terms(y, digits)
+    if nmax > NMAX_CAP:
+        raise SeriesBudgetError(nmax)
     if allowance:
         q, error = float_error(tau, y, nmax, weight)
         if error + 10.0 ** -(digits + 10) < allowance:

@@ -77,12 +77,13 @@ Precision budget.  locate solves each point z once, at the lattice's own
 working precision P, that of lat.digits + LATTICE_GUARD decimal digits,
 whatever the caller's: z rounded to P bits, and w1, w2 and z cut to integers
 scaled by 2^e, e = F + 24 + max(0, log2 |z / w1|), F = P +
-bit_length(TORSION_BOUND) + FIXED_GUARD.  The reduced basis is formed from
-those exactly, and the coordinates of z are solved exactly and rounded down
-to units of 2^-F: each is off by less than two units.  Those of m z, m <= TORSION_BOUND, are
-the exact multiples, off by less than 2m 2^-F <= 2^(1 - P - FIXED_GUARD),
+bit_length(TORSION_BOUND) + CUT_GUARD, CUT_GUARD the guard bits of the
+cut.  The reduced basis is formed from those exactly, and the coordinates
+of z are solved exactly and rounded down to units of 2^-F: each is off by
+less than two units.  Those of m z, m <= TORSION_BOUND, are
+the exact multiples, off by less than 2m 2^-F <= 2^(1 - P - CUT_GUARD),
 and the reduction mod 1 (a shift by F bits) and the choice of corner are
-exact on them.  That moves a distance by at most 2^(1 - P - FIXED_GUARD)
+exact on them.  That moves a distance by at most 2^(1 - P - CUT_GUARD)
 (|b1| + |b2|), below 10^-(digits+27) |b2|.  The Gram form is exact for the
 cut basis, which is off by about 2^-e times the entries of the reduction,
 far less.  A squared distance is an integer n times 2^shift, shift =
@@ -147,7 +148,7 @@ from .finite import check_digits
 from .quadforms import lagrange_reduce
 
 LATTICE_GUARD = 25          # decimal digits the lattice works at beyond `digits`
-FIXED_GUARD = 10            # guard bits of the fixed-point routines (module docstring)
+CUT_GUARD = 10              # guard bits of the lattice cut beyond bit_length(TORSION_BOUND)
 NEWTON_GUARD = 20           # guard bits of the Newton iteration for the 2-torsion
 TORSION_BOUND = 24          # the torsion test tries the multiples m*z, m <= TORSION_BOUND
 LAMBDA_BUDGET = 1e-9        # how far a value read_vector reads may miss its vector
@@ -246,7 +247,7 @@ def _cut(lat: PeriodLattice, k: int) -> Cut:
     kept in lat.cuts; the read limit is 0 when LAMBDA_BUDGET is |b1| / 2 or
     more."""
     with mp.workdps(lat.digits + LATTICE_GUARD):
-        frac = mp.mp.prec + TORSION_BOUND.bit_length() + FIXED_GUARD
+        frac = mp.mp.prec + TORSION_BOUND.bit_length() + CUT_GUARD
         e = frac + k + 24
         w1r, w1i, w2r, w2i = (int(mp.ldexp(v, e)) for v in (
             mp.re(lat.w1), mp.im(lat.w1), mp.re(lat.w2), mp.im(lat.w2)))

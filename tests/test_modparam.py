@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -51,16 +55,16 @@ def test_phi_terms_tail():
     assert 90 <= n1 <= 130
     assert phi_terms(mp.mpf("0.2369"), 120) > n1
     assert phi_terms(mp.mpf("1e400"), 60) == 4
-    # over the cap, also where the quotient overflows a double (1e-310) or Im
-    # tau underflows one (1e-400): the budget error, never a bare ValueError;
-    # eval_phi reads Im tau as a double, so at 1e-400 its point is an
-    # InputError instead (test_eval_phi_rejects_lower_half_plane)
-    for im_tau in ("1e-6", "1e-40", "1e-310", "1e-400"):
+    # over the cap, also where the quotient overflows a double (1e-310): a
+    # count, which eval_phi refuses with the budget error; an Im tau that
+    # underflows a double (1e-400) is an InputError, as eval_phi's point is
+    # (test_eval_phi_rejects_lower_half_plane)
+    for im_tau in ("1e-6", "1e-40", "1e-310"):
+        assert phi_terms(mp.mpf(im_tau), 60) > NMAX_CAP
         with pytest.raises(SeriesBudgetError):
-            phi_terms(mp.mpf(im_tau), 60)
-        if im_tau != "1e-400":
-            with pytest.raises(SeriesBudgetError):
-                eval_phi(Curve(0, -1, 1, -10, -20), dyadic_point(mp.mpc(0.1, mp.mpf(im_tau))), 30)
+            eval_phi(Curve(0, -1, 1, -10, -20), dyadic_point(mp.mpc(0.1, mp.mpf(im_tau))), 30)
+    with pytest.raises(InputError):
+        phi_terms(mp.mpf("1e-400"), 60)
     # the truncated tail really is below the target: numeric check
     with mp.workdps(80):
         a = [0] + [1] * (4 * n1)           # |a_n| <= sigma_0(n) sqrt(n), crude 1s suffice
@@ -73,13 +77,29 @@ def test_phi_terms_tail():
 @given(st.floats(-5.5, 1.5), st.integers(1, 200))
 def test_phi_terms_in_doubles_equals_the_30_digit_count(log10_im, digits):
     im_tau = mp.mpf(10 ** log10_im)
-    want = phi_terms_mp(im_tau, digits)
-    if want > NMAX_CAP:
-        with pytest.raises(SeriesBudgetError) as exc:
-            phi_terms(im_tau, digits)
-        assert exc.value.needed == want
-    else:
-        assert phi_terms(im_tau, digits) == want
+    assert phi_terms(im_tau, digits) == phi_terms_mp(im_tau, digits)
+
+
+def test_phi_terms_counts_by_integer_ratios_and_refuses_a_non_positive_im_tau():
+    # Im tau 0 (an underflow), negative or NaN is an InputError, never a bare
+    # ZeroDivisionError or TypeError
+    for y in (0.0, -1.0, float("nan")):
+        with pytest.raises(InputError):
+            phi_terms(y, 60)
+    # below t = 1e-300 the quotient overflows a double: the count is the
+    # exact ceiling of the same two doubles, times 1 + 2^-40
+    for y in (1e-301, 1e-305, 1e-310, 5e-324):
+        t = 2 * math.pi * y
+        num = 70 * math.log(10) + math.log(math.sqrt(3)) - math.log(-math.expm1(-t))
+        want = math.ceil(Fraction(num) * Fraction(2 ** 40 + 1, 2 ** 40) / Fraction(t))
+        assert NMAX_CAP < phi_terms(y, 60) == want, y
+    # the count needs no fractions: the analytic layer does not load them
+    src = str(Path(modparam.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cmtrace.modparam; print('fractions' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_phi_periodicity():

@@ -27,7 +27,7 @@ from cmtrace.experiments import (LAMBDA_DIGITS, ExperimentSpec, FiberPairingErro
                                  orbit_trace, trace_point)
 from cmtrace.fp import is_fundamental_discriminant, kronecker, order_data
 from cmtrace.heegner import al_move, coset_move, galois_orbit, heegner_form
-from cmtrace.modparam import (MAZUR_ORDERS, NMAX_CAP, SERIES_GUARD, AlConstantError,
+from cmtrace.modparam import (MAZUR_ORDERS, SERIES_GUARD, AlConstantError,
                               SeriesBudgetError, al_constant, al_constant_points, al_matrix,
                               atkin_lehner_sign, eval_newform, eval_phi, im_tau, phi_terms)
 from cmtrace.periods import is_torsion, locate, period_lattice, torsion_residual
@@ -231,9 +231,10 @@ def test_al_move_is_the_moebius_image_with_the_largest_imaginary_part(label, dK,
 def test_coset_move_reaches_the_largest_imaginary_part_of_the_coset():
     # every 50b1 and 36a1 point at 60 digits: coset_move finds the best M of
     # W_Q Gamma_0(N) that a search of |z|, |w| <= 20 finds; at Q = p^2 that
-    # is the fiber mate's own orbit form, so orbit_options leaves p^2 out,
-    # and moves to the best of the other Q unless reading Omega would cost
-    # more terms than it saves
+    # is the fiber mate's own orbit form, and W_{Q p^2} Gamma_0(N) of a point
+    # is W_Q Gamma_0(N) of its mate, so orbit_options moves to the best of
+    # the Q prime to p unless reading Omega would cost more terms than it
+    # saves
     digits, moved = 60, Counter()
     for label, dK, f in CATALOGUE:
         if label not in ("50b1", "36a1"):
@@ -252,7 +253,7 @@ def test_coset_move_reaches_the_largest_imaginary_part_of_the_coset():
                 assert translation == (image.a == al_move(pt, model.n, q_div).a)
                 least[q_div] = image.a
             assert least[p2] == orbit[mates[i]].a
-            others = [a for q, a in least.items() if q != p2]
+            others = [a for q, a in least.items() if q % model.p]
             if not others:                  # 36a1: al_signs offers Q = 9 = p^2 alone
                 assert mv.low is None
                 continue
@@ -264,15 +265,14 @@ def test_coset_move_reaches_the_largest_imaginary_part_of_the_coset():
                 moved[label] += 1
             else:
                 assert best == mv.n_max or best + read >= mv.n_max, (label, pt)
-    assert moved == {"50b1": 24}
+    assert moved == {"50b1": 23}
 
 
-def test_each_50b1_point_searches_its_own_cosets(monkeypatch):
+def test_each_50b1_fiber_searches_each_coset_once(monkeypatch):
     # on 50b1 (N = 50, p^2 = 25) every point of the 30 fibers searches W_2
-    # and W_50 Gamma_0(50) itself: 120 searches, though W_2 Gamma_0(50) of a
-    # point is W_50 Gamma_0(50) of its fiber mate, since sharing them across
-    # a fiber saves too little to measure; every move into a coset is the
-    # point's own search
+    # Gamma_0(50) alone: 60 searches, as W_50 Gamma_0(50) of a point is W_2
+    # Gamma_0(50) of its fiber mate, which the mate searches; every move
+    # into a coset is the point's own search
     searches = []
 
     def counting(*args, search=coset_move):
@@ -291,7 +291,28 @@ def test_each_50b1_point_searches_its_own_cosets(monkeypatch):
             if mv.low:
                 assert coset_move(pt, model.n, mv.q) == (False, mv.form), (dK, f, pt)
                 moved += 1
-    assert (len(searches), fibers, moved) == (120, 30, 24)
+    assert (len(searches), fibers, moved) == (60, 30, 23)
+
+
+def test_the_w_qp2_coset_of_a_point_is_the_w_q_coset_of_its_fiber_mate():
+    # W_{Q p^2} = W_Q W_{p^2} modulo Gamma_0(N), both normalise Gamma_0(N),
+    # and W_{p^2} sends a point to the Gamma_0(N) class of its fiber mate, so
+    # W_{Q p^2} Gamma_0(N) tau_i = W_Q Gamma_0(N) tau_j: on every catalogue
+    # and level-45/90 orbit, for each fiber and each Q prime to p whose Q p^2
+    # has a sign too, both searches find one least leading coefficient, both
+    # ways round; this is why orbit_options searches the Q prime to p alone
+    checked = Counter()
+    for label, dK, f in CATALOGUE + W9_CASES:
+        model, shadow, kernel, orbit = _orbit(label, dK, f)
+        signs, p2 = dict(al_signs(model)), model.p ** 2
+        qs = [q for q in signs if q % model.p and q * p2 in signs]
+        for i, j in fiber_pairs(model, orbit, kernel, shadow) if qs else ():
+            for q_div in qs:
+                for a, b in ((i, j), (j, i)):
+                    assert (coset_move(orbit[a], model.n, q_div * p2)[1].a
+                            == coset_move(orbit[b], model.n, q_div)[1].a), (label, dK, a, q_div)
+            checked[label] += len(qs)
+    assert checked == {"50a1": 30, "50b1": 30}
 
 
 def _planned(orbits) -> str:
@@ -323,7 +344,7 @@ def _planner_orbits() -> list:
 
 # the moves of the 115 catalogue and 20 level-45/90 orbits at 60 and 200
 # digits, recorded when orbit_options searched each coset once per fiber
-PLANNED_SHA256 = "23d572ad0182cdc59927ae73db377ceede3d825823d3ea8c50efd57535e7712a"
+PLANNED_SHA256 = "d5401c4d4db7f5d6dd5eb981009b9de06fead670d37ff103cd6c104e39271722"
 
 
 def test_the_planner_moves_are_the_recorded_ones():
@@ -875,8 +896,7 @@ def test_phi_terms_in_doubles_equals_the_30_digit_count_on_the_catalogue(monkeyp
             orbit_options(model, orbit, digits)
     assert len(priced) > 600 and {d for _, d in priced} == {digits, LAMBDA_DIGITS}
     for im_tau, d in priced:
-        want = phi_terms_mp(im_tau, d)
-        assert experiments._terms(im_tau, d) == (want, want <= NMAX_CAP), im_tau
+        assert phi_terms(im_tau, d) == phi_terms_mp(im_tau, d), im_tau
 
 
 @pytest.mark.parametrize("label,dK", [("49a1", -11), ("50b1", -7), ("1,-1,0,0,-5", -31)])

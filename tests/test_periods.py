@@ -303,7 +303,7 @@ def test_unreduced_basis_gives_the_same_distances(label):
 def test_large_bound_keeps_the_guard_bits():
     # m up to 1000 multiplies the rounding of the coordinates of z, each off
     # by less than two units of 2^-F, F = P + bit_length(TORSION_BOUND) +
-    # FIXED_GUARD = P + 15, P the working precision: those of m z are off by
+    # CUT_GUARD = P + 15, P the working precision: those of m z are off by
     # less than 2000 units < 2^(11 - F) = 2^(-P-4), and the distances stay
     # within 2^-P |w1| though m is about 40 times TORSION_BOUND
     lat = _lattice("121b1", 60)
